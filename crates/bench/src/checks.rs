@@ -1,0 +1,241 @@
+//! One `check` per `BENCH_*.json` artifact: the shape and the
+//! hardware-independent facts an artifact must show before `reproduce`
+//! writes it.  Each runs on the parsed-back [`Json`], never on text.
+
+use force_core::prelude::MachineId;
+
+use crate::json::Json;
+use crate::workloads::Schedule;
+
+/// The sharded serving plane's reason to exist: four dispatcher shards
+/// must sustain at least this multiple of one shard's jobs/sec on every
+/// personality.  A ratio, so it holds on any host; absolute rates are
+/// `benchmark/`'s job.
+pub const MIN_SHARD_SPEEDUP: f64 = 1.5;
+
+macro_rules! ensure {
+    ($cond:expr, $($msg:tt)+) => {
+        let holds: bool = $cond;
+        if !holds {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
+/// `doc.machines` holds exactly one block per machine personality, in
+/// `MachineId::all()` order, and `check` holds on each.
+fn each_machine(doc: &Json, check: impl Fn(&Json) -> Result<(), String>) -> Result<(), String> {
+    let blocks = doc.arr("machines")?;
+    let ids = MachineId::all();
+    let (got, want) = (blocks.len(), ids.len());
+    ensure!(got == want, "{got} machine blocks, want {want}");
+    for (m, id) in blocks.iter().zip(ids) {
+        let name = m.text("machine")?;
+        ensure!(name == id.name(), "block for {name}, want {}", id.name());
+        check(m).map_err(|e| format!("{name}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// The `key` string of every element of `items`.
+fn texts<'a>(items: &'a [Json], key: &str) -> Result<Vec<&'a str>, String> {
+    items.iter().map(|item| item.text(key)).collect()
+}
+
+/// The `key` integer of every element of `items`.
+fn ints(items: &[Json], key: &str) -> Result<Vec<u64>, String> {
+    items.iter().map(|item| item.int(key)).collect()
+}
+
+/// The summary counter `key` counts machines, so it cannot exceed them.
+fn winners_within_machines(doc: &Json, key: &str) -> Result<(), String> {
+    let (wins, machines) = (doc.int(key)?, MachineId::all().len() as u64);
+    ensure!(wins <= machines, "{key} is {wins} of {machines} machines");
+    Ok(())
+}
+
+/// `0 < p50 <= p99` on a latency row.
+fn ordered_percentiles(row: &Json) -> Result<(), String> {
+    let (p50, p99) = (row.int("p50_ns")?, row.int("p99_ns")?);
+    ensure!(0 < p50 && p50 <= p99, "p50 {p50} ns above p99 {p99} ns");
+    Ok(())
+}
+
+/// `BENCH_pool.json` (EXP-14).
+pub fn pool(doc: &Json) -> Result<(), String> {
+    each_machine(doc, |m| {
+        for key in ["one_shot_jobs_per_sec", "pooled_jobs_per_sec", "ratio"] {
+            ensure!(m.num(key)? > 0.0, "{key} is not positive");
+        }
+        Ok(())
+    })
+}
+
+/// `BENCH_trace.json` (EXP-15): a loadable Chrome trace with balanced
+/// spans, the constructs the rich job runs, and one process per machine.
+pub fn trace(doc: &Json) -> Result<(), String> {
+    let events = doc.arr("traceEvents")?;
+    let phase = |ph: &'static str| events.iter().filter(move |e| e.text("ph") == Ok(ph));
+    let begins: Vec<&str> = phase("B")
+        .map(|e| e.text("name"))
+        .collect::<Result<_, _>>()?;
+    let (b, e) = (begins.len(), phase("E").count());
+    ensure!(
+        b > 0 && b == e,
+        "unbalanced duration events: {b} B vs {e} E"
+    );
+    for construct in ["barrier", "critical"] {
+        ensure!(begins.contains(&construct), "no {construct} span");
+    }
+    let named = phase("M").map(|e| e.get("args")?.text("name"));
+    let mut processes: Vec<&str> = named.collect::<Result<_, _>>()?;
+    processes.sort_unstable();
+    processes.dedup();
+    let (got, want) = (processes.len(), MachineId::all().len());
+    ensure!(got == want, "{got} traced processes, want {want}");
+    each_machine(doc.get("otherData")?, |_| Ok(()))
+}
+
+/// `BENCH_sched.json` (EXP-16): every policy on both workloads everywhere.
+pub fn sched(doc: &Json) -> Result<(), String> {
+    let policies: Vec<&str> = Schedule::all().iter().map(|s| s.policy().name()).collect();
+    each_machine(doc, |m| {
+        let workloads = m.arr("workloads")?;
+        let names = texts(workloads, "workload")?;
+        ensure!(names == ["uniform", "skewed"], "workloads {names:?}");
+        for w in workloads {
+            let rows = w.arr("policies")?;
+            let got = texts(rows, "policy")?;
+            ensure!(got == policies, "policies {got:?}, want {policies:?}");
+            for row in rows {
+                ensure!(row.int("ns")? > 0, "a policy took 0 ns");
+            }
+        }
+        m.int("steals")?;
+        let speedup = m.num("skewed_speedup_vs_selfsched")?;
+        ensure!(speedup > 0.0, "skewed speedup {speedup} is not positive");
+        Ok(())
+    })?;
+    winners_within_machines(doc, "machines_where_guided_or_steal_wins_skewed")
+}
+
+/// `BENCH_vm.json` (EXP-17): both workloads under both executors everywhere.
+pub fn vm(doc: &Json) -> Result<(), String> {
+    each_machine(doc, |m| {
+        let workloads = m.arr("workloads")?;
+        let names = texts(workloads, "workload")?;
+        ensure!(
+            names == ["pooled-small", "skewed-loop"],
+            "workloads {names:?}"
+        );
+        for w in workloads {
+            for key in ["tree_jobs_per_sec", "bytecode_jobs_per_sec", "speedup"] {
+                ensure!(w.num(key)? > 0.0, "{key} is not positive");
+            }
+        }
+        Ok(())
+    })?;
+    winners_within_machines(doc, "machines_where_bytecode_2x_skewed")
+}
+
+/// `BENCH_serve.json` (EXP-18): the steady phase completed everything and
+/// the burst was absorbed by shedding and deadline kills, never collapse.
+pub fn serve(doc: &Json) -> Result<(), String> {
+    let (jobs, watermark) = (doc.int("jobs")?, doc.int("watermark")?);
+    each_machine(doc, |m| {
+        let (s, b) = (m.get("steady")?, m.get("burst")?);
+        ensure!(s.num("jobs_per_sec")? > 0.0, "steady rate is not positive");
+        ensure!(s.int("completed")? == jobs, "steady phase lost jobs");
+        ordered_percentiles(s)?;
+        let (shed, killed) = (b.int("shed")?, b.int("deadline_exceeded")?);
+        ensure!(shed + killed > 0, "overload absorbed without shed or kill");
+        let (admitted, completed) = (b.int("admitted")?, b.int("completed")?);
+        ensure!(
+            admitted == completed + shed + killed,
+            "a burst job vanished"
+        );
+        let peak = b.int("peak_backlog")?;
+        ensure!(
+            peak <= watermark + 64,
+            "backlog {peak} not near the watermark"
+        );
+        ensure!(b.int("watchdog_trips")? == 0, "the watchdog tripped");
+        Ok(())
+    })
+}
+
+/// `BENCH_park.json` (EXP-19): both backends timed, and the big force
+/// completed with balanced parks and a quiet watchdog.
+pub fn park(doc: &Json) -> Result<(), String> {
+    ensure!(doc.int("heartbeat_us")? > 0, "heartbeat_us is 0");
+    ensure!(doc.int("workers")? >= 1, "no workers");
+    each_machine(doc, |m| {
+        let (o, b) = (m.get("overhead")?, m.get("big_force")?);
+        for key in ["dedicated_ns", "overcommit_ns"] {
+            ensure!(o.int(key)? > 0, "{key} is 0");
+        }
+        o.num("overhead_pct")?;
+        b.int("elapsed_ms")?;
+        let done = b.get("completed")? == &Json::Bool(true);
+        ensure!(done, "the big force did not complete");
+        let (parks, wakes) = (b.int("parks")?, b.int("park_wakes")?);
+        ensure!(parks > 0 && wakes == parks, "{parks} parks, {wakes} wakes");
+        ensure!(b.int("watchdog_trips")? == 0, "the watchdog tripped");
+        Ok(())
+    })
+}
+
+/// `BENCH_vtime.json` (EXP-20): a deterministic curve with one point per
+/// swept `nprocs` entry and a real virtual speedup at the widest force.
+pub fn vtime(doc: &Json, nprocs: &[u64]) -> Result<(), String> {
+    each_machine(doc, |m| {
+        let replayed = m.get("deterministic")? == &Json::Bool(true);
+        ensure!(replayed, "a replay diverged");
+        let curve = m.arr("curve")?;
+        let swept = ints(curve, "nproc")?;
+        ensure!(swept == nprocs, "curve sweeps {swept:?}, want {nprocs:?}");
+        for p in curve {
+            ensure!(p.int("makespan_ns")? > 0, "a makespan is 0");
+            p.num("speedup")?;
+            let digest = p.text("digest")?;
+            let parsed = u64::from_str_radix(digest.trim_start_matches("0x"), 16);
+            ensure!(matches!(parsed, Ok(d) if d != 0), "bad digest {digest}");
+        }
+        if let [serial, .., widest] = curve {
+            let shrank = widest.int("makespan_ns")? < serial.int("makespan_ns")?;
+            ensure!(shrank && widest.num("speedup")? > 1.0, "no virtual speedup");
+        }
+        Ok(())
+    })
+}
+
+/// `BENCH_shard.json` (EXP-21): a complete row per shard count, nothing
+/// shed, coherent peaks, and the [`MIN_SHARD_SPEEDUP`] regression gate.
+pub fn shard(doc: &Json) -> Result<(), String> {
+    let jobs = doc.int("jobs")?;
+    each_machine(doc, |m| {
+        let rows = m.arr("shards")?;
+        let counts = ints(rows, "shards")?;
+        ensure!(counts == [1, 2, 4], "shard rows {counts:?}, want [1, 2, 4]");
+        for r in rows {
+            ensure!(r.num("jobs_per_sec")? > 0.0, "a rate is not positive");
+            ensure!(r.int("completed")? == jobs, "a saturation run lost jobs");
+            ensure!(r.int("shed")? == 0, "a saturation run shed work");
+            ordered_percentiles(r)?;
+            let (peaks, backlog) = (r.arr("shard_peaks")?, r.int("peak_backlog")?);
+            ensure!(
+                peaks.len() as u64 == r.int("shards")?,
+                "not a peak per shard"
+            );
+            let bounded = |p: &Json| matches!(p, Json::Int(n) if *n <= backlog);
+            ensure!(peaks.iter().all(bounded), "a shard peak above the backlog");
+        }
+        let speedup = m.num("speedup_4v1")?;
+        let want = MIN_SHARD_SPEEDUP;
+        ensure!(
+            speedup >= want,
+            "REGRESSION: 4 shards at {speedup}x 1 shard, want {want}x"
+        );
+        Ok(())
+    })
+}

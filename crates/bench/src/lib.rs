@@ -1,13 +1,37 @@
-//! Shared workloads and measurement helpers for the Force benchmarks and
-//! the `reproduce` harness (see EXPERIMENTS.md at the repository root).
+//! Shared workloads, measurement helpers, the JSON kernel and the
+//! artifact checks of the `reproduce` harness (see EXPERIMENTS.md at the
+//! repository root).
 
+pub mod checks;
+pub mod json;
 pub mod workloads;
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use json::Json;
+
+/// Write `doc` to `path` — but only after it renders, parses back to the
+/// same value under the strict parser, and passes `check`.  On any
+/// failure nothing is written.
+pub fn write_artifact(
+    path: &Path,
+    doc: &Json,
+    check: impl Fn(&Json) -> Result<(), String>,
+) -> Result<(), String> {
+    let text = doc.render()?;
+    let parsed = Json::parse(&text)?;
+    if parsed != *doc {
+        return Err("the rendering does not parse back to the same value".into());
+    }
+    check(&parsed)?;
+    std::fs::write(path, text).map_err(|e| format!("write: {e}"))
+}
+
 /// Median wall time of `runs` invocations of `f` (plus one discarded
-/// warmup run).  Small and deterministic — suited to the harness tables;
-/// the Criterion benches do the rigorous statistics.
+/// warmup run).  Small and deterministic — suited to the harness tables,
+/// whose reproduction targets are shapes; `benchmark/` measures absolute
+/// rates with noise bounds.
 pub fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
     assert!(runs >= 1);
     f(); // warmup
@@ -46,6 +70,21 @@ mod tests {
             std::hint::black_box((0..1000).sum::<u64>());
         });
         assert!(d.as_nanos() > 0);
+    }
+
+    #[test]
+    fn a_failed_check_or_an_unrenderable_value_leaves_no_file() {
+        let path = std::env::temp_dir().join(format!("force-bench-{}.json", std::process::id()));
+        let doc = obj! { "rate": Json::Num(1.5) };
+        assert!(write_artifact(&path, &doc, |_| Err("no".into())).is_err());
+        assert!(!path.exists());
+        let nan = obj! { "rate": Json::Num(f64::NAN) };
+        assert!(write_artifact(&path, &nan, |_| Ok(())).is_err());
+        assert!(!path.exists());
+        write_artifact(&path, &doc, |d| d.num("rate").map(|_| ())).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(Json::parse(&written).unwrap(), doc);
     }
 
     #[test]

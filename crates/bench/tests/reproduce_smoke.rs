@@ -1,0 +1,257 @@
+//! Drives the built `reproduce` binary: the `--smoke` run of EXP-14..21
+//! writes eight artifacts that parse and pass their checks, every check
+//! rejects a broken artifact, and a mistyped name or flag runs nothing.
+
+use std::path::PathBuf;
+use std::process::Command;
+use std::sync::OnceLock;
+
+use force_bench::checks;
+use force_bench::json::Json;
+
+type Check = fn(&Json) -> Result<(), String>;
+
+const ARTIFACTS: [(&str, &str, Check); 8] = [
+    ("exp14", "BENCH_pool.json", checks::pool),
+    ("exp15", "BENCH_trace.json", checks::trace),
+    ("exp16", "BENCH_sched.json", checks::sched),
+    ("exp17", "BENCH_vm.json", checks::vm),
+    ("exp18", "BENCH_serve.json", checks::serve),
+    ("exp19", "BENCH_park.json", checks::park),
+    ("exp20", "BENCH_vtime.json", |doc| {
+        checks::vtime(doc, &[1, 2, 4, 8])
+    }),
+    ("exp21", "BENCH_shard.json", checks::shard),
+];
+
+fn reproduce(dir: &PathBuf, args: &[&str]) -> std::process::Output {
+    std::fs::create_dir_all(dir).expect("create scratch dir");
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("spawn reproduce")
+}
+
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("force-reproduce-{tag}-{}", std::process::id()))
+}
+
+/// The eight smoke artifacts, produced by one run shared by every test.
+fn smoke_artifacts() -> &'static [Json] {
+    static DOCS: OnceLock<Vec<Json>> = OnceLock::new();
+    DOCS.get_or_init(|| {
+        let dir = scratch("smoke");
+        let mut args = vec!["--smoke"];
+        args.extend(ARTIFACTS.iter().map(|(exp, _, _)| *exp));
+        // Exit 1 is a refused artifact, and some checks gate on timing
+        // ratios (EXP-21's shard speedup) that a stolen CPU on a shared host
+        // can trip: that verdict gets two more attempts.  A panic does not.
+        let mut out = reproduce(&dir, &args);
+        for _ in 0..2 {
+            if out.status.code() == Some(1) {
+                out = reproduce(&dir, &args);
+            }
+        }
+        assert!(
+            out.status.success(),
+            "reproduce --smoke failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("EXP-14:") && !stdout.contains("EXP-13:"),
+            "ran an unnamed experiment"
+        );
+        let docs = ARTIFACTS
+            .iter()
+            .map(|(_, file, _)| {
+                let text = std::fs::read_to_string(dir.join(file)).expect(file);
+                Json::parse(&text).unwrap_or_else(|e| panic!("{file}: {e}"))
+            })
+            .collect();
+        std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+        docs
+    })
+}
+
+#[test]
+fn smoke_run_writes_eight_artifacts_that_parse_and_pass_their_checks() {
+    for ((_, file, check), doc) in ARTIFACTS.iter().zip(smoke_artifacts()) {
+        check(doc).unwrap_or_else(|e| panic!("{file}: {e}"));
+    }
+}
+
+/// The value at `path` (`/`-separated object keys and array indices).
+fn at<'a>(doc: &'a mut Json, path: &str) -> &'a mut Json {
+    let segments = path.split('/').filter(|seg| !seg.is_empty());
+    segments.fold(doc, |node, seg| match node {
+        Json::Obj(pairs) => pairs
+            .iter_mut()
+            .find(|(k, _)| k == seg)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("no key {seg} on {path}")),
+        Json::Arr(items) => &mut items[seg.parse::<usize>().expect("array index")],
+        _ => panic!("{seg} on {path} is inside a scalar"),
+    })
+}
+
+/// Apply `;`-separated edits: `path=json` replaces the value at `path`,
+/// `-path` removes that member or element from its parent.
+fn edit(doc: &mut Json, edits: &str) {
+    for one in edits.split(';') {
+        if let Some(path) = one.strip_prefix('-') {
+            let (parent, last) = path.rsplit_once('/').unwrap_or(("", path));
+            match at(doc, parent) {
+                Json::Arr(items) => drop(items.remove(last.parse().expect("array index"))),
+                Json::Obj(pairs) => pairs.retain(|(k, _)| k != last),
+                _ => panic!("{parent} is a scalar"),
+            }
+        } else {
+            let (path, value) = one.split_once('=').expect("path=json");
+            *at(doc, path) = Json::parse(value).expect("replacement value");
+        }
+    }
+}
+
+/// Edits that each break one condition the named artifact's check enforces
+/// (trace event 0 is the first machine's process record).
+const BROKEN: &[(&str, &str)] = &[
+    ("BENCH_pool.json", "-machines/2"),
+    ("BENCH_pool.json", "machines/0/machine=\"Cray-2\""),
+    ("BENCH_pool.json", "machines/3/pooled_jobs_per_sec=0.0"),
+    (
+        "BENCH_pool.json",
+        "machines/3/one_shot_jobs_per_sec=\"fast\"",
+    ),
+    ("BENCH_pool.json", "-machines/0/ratio"),
+    ("BENCH_trace.json", "traceEvents=[]"),
+    ("BENCH_trace.json", "traceEvents/0/ph=\"B\""),
+    ("BENCH_trace.json", "-traceEvents/0"),
+    ("BENCH_trace.json", "-otherData/machines/0"),
+    ("BENCH_trace.json", "-otherData"),
+    ("BENCH_sched.json", "-machines/5"),
+    ("BENCH_sched.json", "-machines/1/workloads/1"),
+    ("BENCH_sched.json", "-machines/4/workloads/0/policies/3"),
+    ("BENCH_sched.json", "machines/0/workloads/1/policies/5/ns=0"),
+    ("BENCH_sched.json", "-machines/2/steals"),
+    (
+        "BENCH_sched.json",
+        "machines/2/skewed_speedup_vs_selfsched=0.0",
+    ),
+    (
+        "BENCH_sched.json",
+        "machines_where_guided_or_steal_wins_skewed=7",
+    ),
+    ("BENCH_vm.json", "-machines/0"),
+    ("BENCH_vm.json", "-machines/3/workloads/0"),
+    (
+        "BENCH_vm.json",
+        "machines/1/workloads/1/tree_jobs_per_sec=0.0",
+    ),
+    (
+        "BENCH_vm.json",
+        "machines/1/workloads/1/bytecode_jobs_per_sec=0.0",
+    ),
+    ("BENCH_vm.json", "machines/1/workloads/0/speedup=0.0"),
+    ("BENCH_vm.json", "-machines_where_bytecode_2x_skewed"),
+    ("BENCH_vm.json", "machines_where_bytecode_2x_skewed=7"),
+    ("BENCH_serve.json", "-machines/1"),
+    ("BENCH_serve.json", "-machines/0/burst"),
+    ("BENCH_serve.json", "machines/2/steady/jobs_per_sec=0.0"),
+    ("BENCH_serve.json", "machines/2/steady/completed=59"),
+    ("BENCH_serve.json", "machines/5/steady/p50_ns=0"),
+    ("BENCH_serve.json", "machines/5/steady/p99_ns=1"),
+    (
+        "BENCH_serve.json",
+        "machines/4/burst/shed=0;machines/4/burst/deadline_exceeded=0",
+    ),
+    ("BENCH_serve.json", "machines/4/burst/admitted=999"),
+    ("BENCH_serve.json", "machines/3/burst/peak_backlog=89"),
+    ("BENCH_serve.json", "machines/0/burst/watchdog_trips=1"),
+    ("BENCH_park.json", "-machines/4"),
+    ("BENCH_park.json", "heartbeat_us=0"),
+    ("BENCH_park.json", "workers=0"),
+    ("BENCH_park.json", "machines/1/overhead/dedicated_ns=0"),
+    ("BENCH_park.json", "machines/1/overhead/overcommit_ns=0"),
+    ("BENCH_park.json", "-machines/1/overhead/overhead_pct"),
+    ("BENCH_park.json", "machines/2/big_force/completed=false"),
+    ("BENCH_park.json", "-machines/2/big_force/elapsed_ms"),
+    (
+        "BENCH_park.json",
+        "machines/3/big_force/parks=0;machines/3/big_force/park_wakes=0",
+    ),
+    ("BENCH_park.json", "machines/3/big_force/park_wakes=1"),
+    ("BENCH_park.json", "machines/5/big_force/watchdog_trips=2"),
+    ("BENCH_vtime.json", "-machines/3"),
+    ("BENCH_vtime.json", "machines/0/deterministic=false"),
+    ("BENCH_vtime.json", "-machines/1/curve/2"),
+    ("BENCH_vtime.json", "machines/2/curve/1/makespan_ns=0"),
+    (
+        "BENCH_vtime.json",
+        "machines/3/curve/3/makespan_ns=18446744073709551615",
+    ),
+    ("BENCH_vtime.json", "machines/3/curve/3/speedup=1.0"),
+    ("BENCH_vtime.json", "machines/4/curve/0/digest=\"0x0\""),
+    ("BENCH_vtime.json", "machines/4/curve/0/digest=\"0xZZ\""),
+    ("BENCH_shard.json", "-machines/2"),
+    ("BENCH_shard.json", "-machines/0/shards/1"),
+    ("BENCH_shard.json", "machines/1/shards/0/jobs_per_sec=0.0"),
+    ("BENCH_shard.json", "machines/1/shards/2/completed=1"),
+    ("BENCH_shard.json", "machines/2/shards/1/shed=1"),
+    ("BENCH_shard.json", "machines/2/shards/1/p99_ns=1"),
+    ("BENCH_shard.json", "-machines/3/shards/2/shard_peaks/0"),
+    (
+        "BENCH_shard.json",
+        "machines/3/shards/0/shard_peaks/0=18446744073709551615",
+    ),
+    ("BENCH_shard.json", "machines/5/speedup_4v1=1.0"),
+];
+
+#[test]
+fn every_check_rejects_a_broken_artifact() {
+    for (file, edits) in BROKEN {
+        let slot = ARTIFACTS.iter().position(|(_, f, _)| f == file).unwrap();
+        let mut doc = smoke_artifacts()[slot].clone();
+        edit(&mut doc, edits);
+        assert!(
+            ARTIFACTS[slot].2(&doc).is_err(),
+            "{file} passed after `{edits}`"
+        );
+    }
+    // The vtime check knows which sweep it was promised.
+    assert!(checks::vtime(&smoke_artifacts()[6], &[1, 2, 4, 8, 16]).is_err());
+    // A trace that never entered a critical section.
+    let mut trace = smoke_artifacts()[1].clone();
+    if let Json::Arr(events) = at(&mut trace, "traceEvents") {
+        events.retain(|e| e.text("name") != Ok("critical"));
+    }
+    assert!(checks::trace(&trace).is_err());
+}
+
+#[test]
+fn an_unknown_name_or_flag_runs_nothing_and_exits_2() {
+    let dir = scratch("typo");
+    for args in [
+        &["exp99"][..],
+        &["exp3", "exp99"],
+        &["--smoke", "exp14", "exp0"],
+        &["--check", "exp14"],
+        &["-h"],
+    ] {
+        let out = reproduce(&dir, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("exp1 exp2") && stderr.contains("exp21"),
+            "{stderr}"
+        );
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "an artifact was written"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -224,6 +224,26 @@ pub struct PassCounts {
 static SED_PASSES: AtomicU64 = AtomicU64::new(0);
 static M4_PASSES: AtomicU64 = AtomicU64::new(0);
 
+#[cfg(test)]
+thread_local! {
+    /// This thread's own share of the pass counters.  The globals above
+    /// are bumped by every test running the pipeline concurrently; each
+    /// test runs on its own thread, so a delta of this tally is exact.
+    static THREAD_PASSES: std::cell::Cell<PassCounts> =
+        const { std::cell::Cell::new(PassCounts { sed: 0, m4: 0 }) };
+}
+
+#[cfg(test)]
+fn tally_thread_passes(sed: u64, m4: u64) {
+    THREAD_PASSES.with(|t| {
+        let was = t.get();
+        t.set(PassCounts {
+            sed: was.sed + sed,
+            m4: was.m4 + m4,
+        });
+    });
+}
+
 /// Snapshot the process-wide [`PassCounts`].
 pub fn pass_counts() -> PassCounts {
     PassCounts {
@@ -237,12 +257,16 @@ pub fn preprocess(source: &str, machine: MachineId) -> Result<ExpandedProgram, P
     // Step 1: sed.
     let macro_form = sed_pass(source)?;
     SED_PASSES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    tally_thread_passes(1, 0);
 
     // Step 2: m4 pass 1 (machine independent).
     let mut l1 = M4::new();
     install_statement_macros(&mut l1);
     let intermediate = l1.expand(&macro_form)?;
     M4_PASSES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    tally_thread_passes(0, 1);
 
     // Bookkeeping gathered during pass 1.
     let units: Vec<String> = l1.recorded("units").to_vec();
@@ -330,6 +354,8 @@ pub fn preprocess(source: &str, machine: MachineId) -> Result<ExpandedProgram, P
     install_machine_macros(&mut l2, machine);
     let expanded = l2.expand(&injected)?;
     M4_PASSES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    tally_thread_passes(0, 1);
 
     // Step 5: the machine-dependent driver module at the beginning.
     let driver = generate_driver(
@@ -625,14 +651,19 @@ mod tests {
       Join
 ";
 
+    /// [`pass_counts`] restricted to the calling test's own thread.
+    fn thread_pass_counts() -> PassCounts {
+        THREAD_PASSES.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn cached_preprocessing_does_zero_pipeline_work_on_a_hit() {
         // A source unique to this test so no other test warms the entry.
         let source = PROGRAM.replace("TOTAL", "CTOTAL");
         let first = preprocess_cached(&source, MachineId::AlliantFx8).unwrap();
-        let before = pass_counts();
+        let before = thread_pass_counts();
         let again = preprocess_cached(&source, MachineId::AlliantFx8).unwrap();
-        let after = pass_counts();
+        let after = thread_pass_counts();
         assert_eq!(after, before, "the hit path must run no sed or m4 pass");
         assert!(
             Arc::ptr_eq(&first, &again),
@@ -649,12 +680,12 @@ mod tests {
         }
         // Six personalities, six distinct expansions — porting re-runs
         // the pipeline once per machine, then every re-run is free.
-        let before = pass_counts();
+        let before = thread_pass_counts();
         for (id, first) in MachineId::all().into_iter().zip(&programs) {
             let again = preprocess_cached(&source, id).unwrap();
             assert!(Arc::ptr_eq(first, &again), "{}", id.name());
         }
-        assert_eq!(pass_counts(), before);
+        assert_eq!(thread_pass_counts(), before);
         assert!(programs[0].code != programs[1].code);
     }
 
@@ -663,9 +694,9 @@ mod tests {
         let a = PROGRAM.replace("TOTAL", "XTOTAL");
         let b = PROGRAM.replace("TOTAL", "YTOTAL");
         let pa = preprocess_cached(&a, MachineId::Hep).unwrap();
-        let before = pass_counts();
+        let before = thread_pass_counts();
         let pb = preprocess_cached(&b, MachineId::Hep).unwrap();
-        let after = pass_counts();
+        let after = thread_pass_counts();
         assert_eq!(after.sed, before.sed + 1, "new source runs the pipeline");
         assert_eq!(after.m4, before.m4 + 2);
         assert!(!Arc::ptr_eq(&pa, &pb));
