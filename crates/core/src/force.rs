@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use force_machdep::{
-    bind_ambient_stats, spawn_force_plane, FaultConfig, FaultInjection, FaultPlane,
-    ForceEnvironment, ForcePool, JobError, JobRunner, JobYield, Machine, MachineId, Mutex,
-    ProcessFault, ProfileReport, RunOptions, SchedulePolicy, StatsHandle, StatsSnapshot,
-    TraceConfig, VirtualSummary,
+    bind_ambient_stats, launch_plane, FaultConfig, FaultInjection, FaultPlane, ForceEnvironment,
+    ForcePool, JobError, JobRunner, JobYield, Machine, MachineId, Mutex, ProcessFault,
+    ProfileReport, RunOptions, SchedulePolicy, StatsHandle, StatsSnapshot, TraceConfig,
+    VirtualSummary,
 };
 
 use crate::barrier::TwoLockBarrier;
@@ -48,8 +48,7 @@ pub struct Force {
     injection: Option<FaultInjection>,
     trace: Option<TraceConfig>,
     default_schedule: SchedulePolicy,
-    /// Resident workers to dispatch onto; `None` runs each job on fresh
-    /// scoped threads (the one-shot path).
+    /// Resident workers handed to [`launch_plane`] with every job.
     pool: Option<Arc<ForcePool>>,
     /// This session's private counter block.  Every charge made by this
     /// session's jobs lands here *and* rolls up into the machine's
@@ -157,16 +156,12 @@ impl Force {
         self
     }
 
-    /// Dispatch this session's runs onto a resident [`ForcePool`]
-    /// instead of spawning scoped threads per run.  The pool must be at
-    /// least as large as the force; pools may be shared by several
-    /// sessions (jobs serialize at the pool's mailbox).
-    ///
-    /// Sizing is checked at dispatch, not here: a thread-per-pid job
-    /// must fit the pool (the mailbox maps pid = resident worker, and
-    /// [`ForcePool::run_plane`] panics when it does not), while an
-    /// overcommit job ([`force_machdep::ParkBackend::Overcommit`]) may
-    /// exceed it — its pids multiplex over run permits instead.
+    /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
+    /// reuses its workers instead of creating threads; any other run
+    /// (wider, or on an `Overcommit`/`Virtual` backend) uses scoped
+    /// threads as if no pool were attached
+    /// ([`force_machdep::launch_plane`] decides per run).  Pools may be
+    /// shared by several sessions (jobs serialize at the pool's mailbox).
     pub fn with_pool(mut self, pool: Arc<ForcePool>) -> Self {
         self.pool = Some(pool);
         self
@@ -275,10 +270,7 @@ impl Force {
             );
             body(&player)
         };
-        let result = match &self.pool {
-            Some(pool) => pool.run_plane(&self.plane, run_body),
-            None => spawn_force_plane(&self.plane, run_body),
-        };
+        let result = launch_plane(&self.plane, self.pool.as_deref(), run_body);
         // A faulted run leaves no per-job results: its delta covers only
         // the operations that happened to land before the teardown, and
         // surfacing it (or worse, leaving the previous job's delta in
@@ -621,9 +613,8 @@ mod tests {
 
     #[test]
     fn overcommit_job_may_exceed_the_pool() {
-        // The pool mailbox maps pid = resident worker, so a thread-per-pid
-        // job larger than the pool is rejected — but an overcommit job
-        // multiplexes over run permits and must dispatch past the mailbox.
+        // An overcommit job multiplexes pids over run permits, so it
+        // never uses the pid = resident worker mailbox, fit or not.
         let machine = Machine::new(MachineId::SequentBalance);
         let pool = Arc::new(ForcePool::new(2, machine.stats()));
         let force = Force::with_machine(8, Arc::clone(&machine)).with_pool(pool);

@@ -24,7 +24,7 @@ use force_machdep::fault::{self, Construct, INJECTED_FAULT_MARKER};
 use force_machdep::trace;
 use force_machdep::Mutex;
 use force_machdep::{
-    bind_ambient_stats, spawn_force_plane, ExecutorChoice, FaultPlane, ForcePool, FullEmptyState,
+    bind_ambient_stats, launch_plane, ExecutorChoice, FaultPlane, ForcePool, FullEmptyState,
     JobError, JobRunner, JobYield, LockHandle, LockKind, LockState, Machine, ProcessFault,
     ProcessModel, ProfileReport, RunOptions, SharedRegion, SharingModelId, StatsHandle,
     StatsSnapshot,
@@ -231,9 +231,9 @@ impl Engine {
         *self.defaults.lock() = options;
     }
 
-    /// Dispatch this engine's forces onto a resident [`ForcePool`]
-    /// instead of spawning scoped threads per run.  Runs whose process
-    /// count exceeds the pool fall back to scoped threads.
+    /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
+    /// reuses its workers, any other run uses scoped threads as if no
+    /// pool were attached ([`force_machdep::launch_plane`] decides).
     pub fn set_pool(&self, pool: Arc<ForcePool>) {
         *self.pool.lock() = Some(pool);
     }
@@ -290,7 +290,6 @@ impl Engine {
             engine: self,
             nproc,
             options,
-            pool: self.pool.lock().clone(),
             prints: Mutex::new(Vec::new()),
             linker: Mutex::new(Vec::new()),
         };
@@ -428,14 +427,12 @@ impl Engine {
     pub fn fault_plane(&self, nproc: usize) -> Arc<FaultPlane> {
         assert!(nproc > 0, "a force needs at least one process");
         let mut slot = self.session.plane.lock();
-        match slot.as_ref() {
-            Some(p) if p.nproc() == nproc => Arc::clone(p),
-            _ => {
-                let p = FaultPlane::with_handle(nproc, self.stats.child(), *self.defaults.lock());
-                *slot = Some(Arc::clone(&p));
-                p
-            }
-        }
+        let resident = slot.take().filter(|p| p.nproc() == nproc);
+        let plane = resident.unwrap_or_else(|| {
+            FaultPlane::with_handle(nproc, self.stats.child(), *self.defaults.lock())
+        });
+        *slot = Some(Arc::clone(&plane));
+        plane
     }
 
     /// Package this engine's program as a [`JobRunner`] for a
@@ -547,8 +544,6 @@ pub(crate) struct Rt<'e> {
     pub(crate) nproc: usize,
     /// This run's fault-containment options.
     pub(crate) options: RunOptions,
-    /// Resident pool to dispatch this run's force onto, if any.
-    pub(crate) pool: Option<Arc<ForcePool>>,
     pub(crate) prints: Mutex<Vec<String>>,
     pub(crate) linker: Mutex<Vec<String>>,
 }
@@ -929,8 +924,8 @@ pub(crate) fn check_fork_mnemonic(
 }
 
 /// Create the force: run `body(pid)` on `rt.nproc` processes under the
-/// session's fault plane, reusing a resident plane (and the resident
-/// pool, if one is attached and large enough).  An interpreter runtime
+/// session's resident fault plane, with the session's pool (if any)
+/// attached.  An interpreter runtime
 /// error in one process must not leave its peers parked in a barrier or
 /// async wait: the first error trips the fault plane (cancelling the
 /// rest of the force) and is reported with its own line number.
@@ -939,24 +934,9 @@ pub(crate) fn spawn_force(
     line: usize,
     body: &(dyn Fn(usize) -> Result<(), FortError> + Sync),
 ) -> Result<(), FortError> {
-    let np = rt.nproc;
-    // Reuse the session's fault plane when the process count matches
-    // (re-armed with this run's options); otherwise build one and make
-    // it resident.
-    let plane = {
-        let mut slot = rt.engine.session.plane.lock();
-        match slot.as_ref() {
-            Some(p) if p.nproc() == np => {
-                p.reset_for_job(rt.options);
-                Arc::clone(p)
-            }
-            _ => {
-                let p = FaultPlane::with_handle(np, rt.engine.stats.child(), rt.options);
-                *slot = Some(Arc::clone(&p));
-                p
-            }
-        }
-    };
+    // The session's resident plane, re-armed with this run's options.
+    let plane = rt.engine.fault_plane(rt.nproc);
+    plane.reset_for_job(rt.options);
     let first_err: Mutex<Option<FortError>> = Mutex::new(None);
     let run_one = |pid: usize| {
         // With tracing armed, the whole process body is attributed to
@@ -974,10 +954,8 @@ pub(crate) fn spawn_force(
             fault::trip_current(Construct::Interpreter, msg);
         }
     };
-    let spawned = match rt.pool.as_ref().filter(|pool| np <= pool.size()) {
-        Some(pool) => pool.run_plane(&plane, run_one),
-        None => spawn_force_plane(&plane, run_one),
-    };
+    let pool = rt.engine.pool.lock().clone();
+    let spawned = launch_plane(&plane, pool.as_deref(), run_one);
     if let Some(e) = first_err.lock().take() {
         return Err(e);
     }

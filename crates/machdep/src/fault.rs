@@ -11,10 +11,10 @@
 //! The pieces:
 //!
 //! * [`FaultPlane`] — per-force token + wait board + configuration.  A
-//!   panic (trapped per thread by [`crate::process::spawn_force_plane`])
+//!   panic (trapped per thread by [`crate::process::launch_plane`])
 //!   or an interpreter runtime error ([`trip_current`]) *trips* the
 //!   plane; the first fault wins and is reported as a [`ProcessFault`].
-//! * A thread-local context, installed by `spawn_force_plane` for each
+//! * A thread-local context, installed by `launch_plane` for each
 //!   process of the force, through which the lock/full-empty wait loops
 //!   observe the token without threading a handle through every
 //!   constructor ([`check_cancel`], [`crate::park::wait_on`]).
@@ -23,7 +23,7 @@
 //!   say *where* ("barrier", "critical", "consume", ...) a process died
 //!   or is parked.
 //! * A wait board ([`parked`]) — per-pid state (running/parked/finished)
-//!   sampled by the deadlock watchdog ([`FaultPlane::run_watchdog`]),
+//!   sampled by the deadlock watchdog (`FaultPlane::run_watchdog`),
 //!   which declares a fault when every live process is parked and no
 //!   progress counter has moved for a full watchdog bound.
 //! * Fault injection ([`FaultInjection`]) — a hermetic,
@@ -33,7 +33,7 @@
 //!
 //! Cancellation unwinds a blocked process with a private [`Cancelled`]
 //! payload via `resume_unwind` (bypassing the panic hook, so cancelled
-//! peers do not spam stderr with backtraces); `spawn_force_plane` absorbs
+//! peers do not spam stderr with backtraces); `launch_plane` absorbs
 //! those unwinds and reports only the originating fault.
 
 use std::any::Any;
@@ -45,7 +45,8 @@ use std::time::Duration;
 
 use crate::cost::CostModel;
 use crate::park::{self, ParkBackend, Parker, VirtualSummary};
-use crate::portable::{CachePadded, Condvar, Mutex, XorShift64};
+use crate::portable::{CachePadded, Mutex, XorShift64};
+use crate::process::StopSignal;
 use crate::stats::{OpStats, StatsHandle};
 use crate::trace::{self, ProfileReport, TraceConfig, TraceSink};
 use crate::workq::SchedulePolicy;
@@ -554,36 +555,23 @@ impl FaultPlane {
             .wrapping_add(g(&stats.processes_created))
     }
 
-    /// The deadlock watchdog loop, run on its own thread by
-    /// `spawn_force_plane` when a bound is configured.  Samples the wait
-    /// board and the progress counters four times per bound; when every
-    /// live process has stayed parked with no counter movement for a full
-    /// bound, trips the plane with a report naming a parked pid and its
-    /// construct.  Returns when `stop` is set (force joined), when the
-    /// plane trips for any reason, or after its own trip.
-    pub fn run_watchdog(&self, stop: &Mutex<bool>, stop_signal: &Condvar) {
-        let Some(bound) = self.watchdog_interval() else {
-            return;
-        };
-        if self.is_virtual() {
-            // Virtual jobs get the scheduler's deterministic barren-poll
-            // detector instead; a wall-clock watchdog would race the
-            // seeded schedule.
-            return;
-        }
+    /// The deadlock watchdog loop, run on a helper thread by
+    /// [`launch_plane`](crate::process::launch_plane) with the job's
+    /// configured `bound` — never for a virtual job, which gets the
+    /// scheduler's deterministic barren-poll detector instead (a
+    /// wall-clock watchdog would race the seeded schedule).  Samples the
+    /// wait board and the progress counters four times per bound; when
+    /// every live process has stayed parked with no counter movement for
+    /// a full bound, trips the plane with a report naming a parked pid
+    /// and its construct.  Returns when `stop` is set (force joined), when
+    /// the plane trips for any reason, or after its own trip.
+    pub(crate) fn run_watchdog(&self, bound: Duration, stop: &StopSignal) {
         let tick = park::watchdog_tick(bound);
         let mut last_sig = self.progress_signature();
         let mut stagnant = 0u32;
         loop {
-            {
-                let mut stopped = stop.lock();
-                if *stopped {
-                    return;
-                }
-                park::timer_wait(stop_signal, &mut stopped, tick);
-                if *stopped {
-                    return;
-                }
+            if stop.sleep(tick) {
+                return;
             }
             if self.is_tripped() {
                 return;
@@ -662,7 +650,7 @@ impl Drop for CtxGuard {
 }
 
 /// Install the fault context for one force process on the current thread
-/// (called by `spawn_force_plane`; nestable, the guard restores the outer
+/// (called by `launch_plane`; nestable, the guard restores the outer
 /// context).
 pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
     CTX.with(|c| {
@@ -686,7 +674,7 @@ pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
 }
 
 /// Take the construct recorded at the moment the current thread started
-/// panicking (used by `spawn_force_plane` to attribute a caught panic).
+/// panicking (used by `launch_plane` to attribute a caught panic).
 pub(crate) fn take_panicked_construct() -> Option<Construct> {
     CTX.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.panicked_in.take()))
 }
@@ -1432,18 +1420,10 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_a_parked_stagnant_force() {
-        let p = plane(
-            1,
-            FaultConfig {
-                watchdog: Some(Duration::from_millis(20)),
-                ..FaultConfig::default()
-            },
-        );
+        let p = plane(1, FaultConfig::default());
         let _ctx = install(&p, 0);
         let _park = parked(Construct::Consume);
-        let stop = Mutex::new(false);
-        let signal = Condvar::new();
-        p.run_watchdog(&stop, &signal);
+        p.run_watchdog(Duration::from_millis(20), &StopSignal::default());
         assert!(p.is_tripped());
         let f = p.take_fault().expect("watchdog fault");
         assert_eq!(f.pid, 0);
@@ -1487,22 +1467,14 @@ mod tests {
 
     #[test]
     fn watchdog_stops_promptly_when_signalled() {
-        let p = plane(
-            1,
-            FaultConfig {
-                watchdog: Some(Duration::from_secs(3600)),
-                ..FaultConfig::default()
-            },
-        );
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
+        let p = plane(1, FaultConfig::default());
         let p2 = Arc::clone(&p);
         let start = std::time::Instant::now();
-        let t = std::thread::spawn(move || p2.run_watchdog(&stop2.0, &stop2.1));
+        let watchdog = crate::process::StopGuard::spawn("test-watchdog".into(), move |stop| {
+            p2.run_watchdog(Duration::from_secs(3600), stop)
+        });
         std::thread::sleep(Duration::from_millis(10));
-        *stop.0.lock() = true;
-        stop.1.notify_all();
-        t.join().unwrap();
+        drop(watchdog);
         assert!(
             start.elapsed() < Duration::from_secs(60),
             "stop signal must interrupt the tick sleep"

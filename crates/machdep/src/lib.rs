@@ -58,7 +58,7 @@ pub use park::{
 };
 pub use pool::ForcePool;
 pub use portable::{Backoff, CachePadded, Condvar, Mutex, XorShift64};
-pub use process::{spawn_force, spawn_force_plane, ChildPrivateInit, ProcessModel};
+pub use process::{launch_plane, spawn_force, spawn_force_plane, ChildPrivateInit, ProcessModel};
 pub use serve::{
     ForceServer, JobCx, JobError, JobHandle, JobOutcome, JobRunner, JobSpec, JobYield, Priority,
     RateLimit, RejectReason, ServerConfig, ServerReport, Submit, TenantRollup,

@@ -17,18 +17,15 @@
 //!   broadcasts each job to the workers.  A job of `nproc <= size`
 //!   processes occupies workers `0..nproc`; the rest skip the
 //!   generation and keep waiting.
-//! * Each participating worker runs the job body under the same
-//!   fault-plane-aware run loop as the scoped spawner
-//!   ([`crate::process::spawn_force_plane`]): thread-local fault context
-//!   installed, panics trapped and attributed, the first genuine fault
-//!   trips the job's [`FaultPlane`], cancellation unwinds are absorbed,
-//!   and the pid is marked finished on the wait board.  A fault is
-//!   contained to its job: the worker thread survives and the *caller*
-//!   re-arms the plane before the next job
-//!   ([`FaultPlane::reset_for_job`]).
-//! * [`ForcePool::run_plane`] blocks until every participant has
-//!   finished, so job closures may borrow from the caller's stack — the
-//!   same guarantee `std::thread::scope` gives the one-shot path.
+//! * The pool is only a *launcher*:
+//!   [`launch_plane`](crate::process::launch_plane) owns the rest of a
+//!   job (watchdog, result slots, per-pid fault harness, epilogue) and
+//!   uses the mailbox for a thread-per-pid job that fits; anything else
+//!   attached to a pool runs on scoped threads.  The harness traps a
+//!   job's fault, so the worker threads survive it.
+//! * The broadcast blocks until every participant has finished, so job
+//!   closures may borrow from the caller's stack — the same guarantee
+//!   `std::thread::scope` gives the scoped launcher.
 #![allow(unsafe_code)]
 
 use std::sync::Arc;
@@ -37,16 +34,15 @@ use std::thread::JoinHandle;
 use crate::fault::{Construct, FaultPlane, ProcessFault};
 use crate::park;
 use crate::portable::{Condvar, Mutex};
-use crate::process::run_as_process;
 use crate::stats::OpStats;
 
 /// The type-erased per-pid job body handed to the workers.
 ///
 /// The `'static` is a lie told to the compiler: the referent lives on
-/// [`ForcePool::run_plane`]'s stack, and is sound because `run_plane`
-/// does not return until every participating worker has finished the
-/// job and bumped the completion count (the classic scoped-threadpool
-/// argument).
+/// the broadcasting caller's stack, and is sound because
+/// [`ForcePool::broadcast`] does not return until every participating
+/// worker has finished the job and bumped the completion count (the
+/// classic scoped-threadpool argument).
 type JobBody = &'static (dyn Fn(usize) + Sync);
 
 /// One published job: the erased body and how many workers participate.
@@ -82,11 +78,12 @@ struct PoolShared {
 
 /// A resident pool of force worker threads.
 ///
-/// Create one sized to the largest force you will run, then dispatch
-/// jobs onto it with [`run_plane`](Self::run_plane).  Worker threads are
-/// created once; each job reuses them, so per-job cost is a mailbox
-/// broadcast instead of `nproc` thread creations.  Jobs are serialized:
-/// a second `run_plane` call blocks until the current job completes.
+/// Create one sized to the largest force you will run, then attach it
+/// to a session (or call [`run_plane`](Self::run_plane)).  Worker
+/// threads are created once; each job that fits reuses them, so per-job
+/// cost is a mailbox broadcast instead of `nproc` thread creations.
+/// Jobs on the workers are serialized: a second submitter blocks until
+/// the current job completes.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -140,8 +137,8 @@ impl ForcePool {
         ForcePool { shared, workers }
     }
 
-    /// Number of resident worker threads (the largest force a job may
-    /// request).
+    /// Number of resident worker threads (the widest job the mailbox
+    /// hosts; wider ones run on scoped threads).
     pub fn size(&self) -> usize {
         self.shared.size
     }
@@ -151,64 +148,31 @@ impl ForcePool {
         self.shared.state.lock().jobs_completed
     }
 
-    /// Run one job on the resident workers: `body(pid)` for every pid in
-    /// `0..plane.nproc()`, under `plane`'s fault containment, blocking
-    /// until all participants have finished.  Results are returned in
-    /// pid order; a fault in any process is reported as the job's first
-    /// [`ProcessFault`], exactly like
-    /// [`spawn_force_plane`](crate::process::spawn_force_plane).
-    ///
-    /// The caller owns plane hygiene: a resident session re-arms the
-    /// plane with [`FaultPlane::reset_for_job`] before each job so a
-    /// fault cannot leak into the next one.  When the plane's config
-    /// asks for a deadlock watchdog, one runs on a helper thread for the
-    /// duration of the job.
-    ///
-    /// # Panics
-    /// Panics if the job wants more processes than the pool has workers
-    /// (thread-per-pid jobs only; overcommit jobs are not bounded by the
-    /// pool).
+    /// [`launch_plane`](crate::process::launch_plane) with this pool
+    /// attached.  A thread-per-pid job of at most [`size`](Self::size)
+    /// processes runs on the resident workers; a wider job, or one whose
+    /// backend multiplexes pids (overcommit, virtual), runs on scoped
+    /// threads and is charged `processes_created += nproc`.
     pub fn run_plane<R, F>(&self, plane: &Arc<FaultPlane>, body: F) -> Result<Vec<R>, ProcessFault>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let nproc = plane.nproc();
-        assert!(nproc > 0, "a force needs at least one process");
-        if plane.is_overcommit() {
-            // The mailbox maps pid = resident worker, so it can host at
-            // most `size` pids.  An overcommit job multiplexes pids over
-            // run permits instead: dispatch it to the scoped spawner,
-            // whose permit gating bounds concurrency to the backend's
-            // worker count regardless of nproc.
-            return crate::process::spawn_force_plane(plane, body);
-        }
-        assert!(
-            nproc <= self.shared.size,
-            "job of {nproc} processes exceeds the pool's {} workers",
-            self.shared.size
-        );
-        let results: Vec<Mutex<Option<R>>> = (0..nproc).map(|_| Mutex::new(None)).collect();
-        let job_plane = Arc::clone(plane);
-        let run_one = |pid: usize| {
-            let r = run_as_process(&job_plane, pid, || body(pid));
-            *results[pid].lock() = r;
-        };
-        let watchdog_stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let watchdog = plane.watchdog_interval().map(|_| {
-            let plane = Arc::clone(plane);
-            let stop = Arc::clone(&watchdog_stop);
-            std::thread::spawn(move || plane.run_watchdog(&stop.0, &stop.1))
-        });
-        // SAFETY: the erased reference outlives its use — `run_plane`
+        crate::process::launch_plane(plane, Some(self), body)
+    }
+
+    /// The mailbox launcher: publish `run_pid` to workers `0..nproc`
+    /// and block until each has returned from it.  Submitters serialize
+    /// on the job slot.
+    pub(crate) fn broadcast(&self, nproc: usize, run_pid: &(dyn Fn(usize) + Sync)) {
+        debug_assert!(nproc <= self.shared.size, "pid = resident worker");
+        // SAFETY: the erased reference outlives its use — this function
         // blocks below until `done == nproc`, i.e. until every worker
-        // that received this body has returned from it, and the job slot
+        // that received the body has returned from it, and the job slot
         // is cleared before we return, so no worker can see the body
-        // afterwards.  `run_one` is `Sync` (it captures `&F: Sync`,
-        // `Arc<FaultPlane>` and `&[Mutex<Option<R>>]` with `R: Send`),
-        // so sharing it across the worker threads is sound.
+        // afterwards.
         let erased: JobBody =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), JobBody>(&run_one) };
+            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), JobBody>(run_pid) };
         // Queue behind any in-flight job, then publish ours; the parking
         // layer's ready closure both tests and claims the free job slot
         // under the state lock, so two submitters cannot publish at once.
@@ -246,38 +210,6 @@ impl ForcePool {
                 true
             },
         );
-        if let Some(w) = watchdog {
-            *watchdog_stop.0.lock() = true;
-            watchdog_stop.1.notify_all();
-            let _ = w.join();
-        }
-        match plane.take_fault() {
-            Some(fault) => Err(fault),
-            // A plane tripped by an earlier job (and not re-armed) cancels
-            // every process without recording a new fault; report that as
-            // a structured fault instead of pretending the job ran.
-            None if plane.is_tripped() => Err(stale_trip_fault()),
-            None => Ok(results
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("no fault recorded, so every process completed")
-                })
-                .collect()),
-        }
-    }
-}
-
-/// The fault reported when a job ran under a plane whose token was still
-/// tripped from an earlier job (the session forgot
-/// [`FaultPlane::reset_for_job`]).
-pub(crate) fn stale_trip_fault() -> ProcessFault {
-    ProcessFault {
-        pid: 0,
-        construct: crate::fault::Construct::Body.name(),
-        payload: "force cancelled by a plane still tripped from an earlier job \
-                  (missing reset_for_job between jobs)"
-            .to_string(),
     }
 }
 
@@ -324,9 +256,9 @@ fn worker_loop(shared: &PoolShared, index: usize) {
             return;
         }
         if let Some(body) = job {
-            // The body's own harness (`run_as_process`) traps panics and
-            // absorbs cancellations, so the worker thread survives any
-            // job fault and stays available for the next job.
+            // The body's own harness (`process::run_as_process`) traps
+            // panics and absorbs cancellations, so the worker thread
+            // survives any job fault and stays available for the next job.
             body(index);
             let mut st = shared.state.lock();
             st.done += 1;
@@ -340,7 +272,6 @@ mod tests {
     use super::*;
     use crate::fault::FaultConfig;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn pool_and_stats(size: usize) -> (ForcePool, Arc<OpStats>) {
         let stats = Arc::new(OpStats::new());
@@ -385,74 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn a_fault_is_contained_to_its_job() {
-        let (pool, stats) = pool_and_stats(3);
-        let p = plane(3, &stats);
-        let err = pool
-            .run_plane(&p, |pid| {
-                if pid == 1 {
-                    panic!("job one dies");
-                }
-            })
-            .expect_err("the panic must surface");
-        assert_eq!(err.pid, 1);
-        assert_eq!(err.payload, "job one dies");
-        // The workers survived; after a plane reset the next job is clean.
-        p.reset_for_job(FaultConfig::default());
-        let r = pool.run_plane(&p, |pid| pid + 100).unwrap();
-        assert_eq!(r, vec![100, 101, 102]);
-        assert_eq!(stats.snapshot().faults_detected, 1);
-    }
-
-    #[test]
-    fn without_a_reset_a_tripped_plane_cancels_the_next_job() {
-        // Documents why reset_for_job matters: the plane is the
-        // cancellation token, and a stale trip kills the following job.
-        let (pool, stats) = pool_and_stats(2);
-        let p = plane(2, &stats);
-        let _ = pool
-            .run_plane(&p, |_pid| panic!("trip it"))
-            .expect_err("faulted");
-        let err = pool
-            .run_plane(&p, |_pid| {
-                crate::fault::check_cancel();
-            })
-            .expect_err("stale trip must cancel");
-        assert!(
-            err.payload.contains("still tripped from an earlier job"),
-            "{}",
-            err.payload
-        );
-    }
-
-    #[test]
-    fn pooled_watchdog_reports_a_wedged_job() {
-        let (pool, stats) = pool_and_stats(2);
-        let p = FaultPlane::new(
-            2,
-            Arc::clone(&stats),
-            FaultConfig {
-                watchdog: Some(Duration::from_millis(20)),
-                ..FaultConfig::default()
-            },
-        );
-        let err = pool
-            .run_plane(&p, |_pid| {
-                let _park = crate::fault::parked(crate::fault::Construct::Consume);
-                loop {
-                    crate::fault::check_cancel();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })
-            .expect_err("the watchdog must trip");
-        assert!(err.payload.contains("deadlock watchdog"), "{}", err.payload);
-        // The pool survives a watchdog trip too.
-        p.reset_for_job(FaultConfig::default());
-        let r = pool.run_plane(&p, |pid| pid).unwrap();
-        assert_eq!(r, vec![0, 1]);
-    }
-
-    #[test]
     fn concurrent_submitters_serialize() {
         let (pool, stats) = pool_and_stats(2);
         let pool = Arc::new(pool);
@@ -476,11 +339,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the pool")]
-    fn oversized_jobs_are_rejected() {
+    fn oversized_jobs_fall_back_to_scoped_threads() {
         let (pool, stats) = pool_and_stats(2);
-        let p = plane(3, &stats);
-        let _ = pool.run_plane(&p, |pid| pid);
+        let r = pool.run_plane(&plane(3, &stats), |pid| pid).unwrap();
+        assert_eq!(r, vec![0, 1, 2]);
+        // 2 resident workers + 3 scoped threads for the job they could
+        // not host; the mailbox never saw it.
+        assert_eq!(stats.snapshot().processes_created, 2 + 3);
+        assert_eq!(pool.jobs_completed(), 0);
     }
 
     #[test]

@@ -18,11 +18,21 @@
 //! what a child sees of the parent's private data at spawn
 //! ([`ChildPrivateInit`]) and (b) the simulated creation cost charged by
 //! the cost model.
+//!
+//! # Launching a plane
+//!
+//! However a force is created, its job cycle is one function,
+//! [`launch_plane`]: watchdog, result slots, the per-pid harness
+//! (`run_as_process`), a launcher — a resident [`ForcePool`]'s mailbox
+//! or scoped threads, picked there, never by the caller — and one epilogue.
 
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use crate::fault::{self, Cancelled, Construct, FaultConfig, FaultPlane, ProcessFault};
 use crate::park;
+use crate::pool::ForcePool;
 use crate::portable::{Condvar, Mutex};
 use crate::stats::OpStats;
 
@@ -91,9 +101,8 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The fault-plane-aware run loop for one process of a force, shared by
-/// the scoped spawner ([`spawn_force_plane`]) and the resident
-/// [`crate::pool::ForcePool`] workers.
+/// The fault-plane-aware run loop for one process of a force, whichever
+/// launcher [`launch_plane`] handed the pid to.
 ///
 /// Installs the plane's thread-local fault context for `pid`, runs
 /// `body`, and traps its panic: a genuine panic trips the plane (with
@@ -140,103 +149,179 @@ pub(crate) fn run_as_process<R>(
     result
 }
 
-/// Spawn a force of `nproc` processes under a [`FaultPlane`] and join
-/// them all — the Force driver's create/`Join` cycle with fault
-/// containment.
+/// The stop flag a helper thread (deadlock watchdog, deadline watcher)
+/// sleeps on.
+#[derive(Default)]
+pub(crate) struct StopSignal {
+    stopped: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl StopSignal {
+    /// Sleep for up to `timeout` unless already told to stop; `true` once
+    /// the helper must return.
+    pub(crate) fn sleep(&self, timeout: Duration) -> bool {
+        let mut stopped = self.stopped.lock();
+        if !*stopped {
+            park::timer_wait(&self.wake, &mut stopped, timeout);
+        }
+        *stopped
+    }
+}
+
+/// A running helper thread.  Dropping the guard raises its
+/// [`StopSignal`], wakes it and joins it, so whatever the helper polices
+/// is quiescent once the guard is gone.
+pub(crate) struct StopGuard {
+    signal: Arc<StopSignal>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl StopGuard {
+    pub(crate) fn spawn(
+        name: String,
+        helper: impl FnOnce(&StopSignal) + Send + 'static,
+    ) -> StopGuard {
+        let signal = Arc::new(StopSignal::default());
+        let theirs = Arc::clone(&signal);
+        let handle = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || helper(&theirs))
+            .expect("spawn helper thread");
+        StopGuard {
+            signal,
+            handle: Some(handle),
+        }
+    }
+}
+
+impl Drop for StopGuard {
+    fn drop(&mut self) {
+        *self.signal.stopped.lock() = true;
+        self.signal.wake.notify_all();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Run one job: `body(pid)` for every pid of `plane`, joined — the Force
+/// driver's create/`Join` cycle with fault containment, written once for
+/// every way a plane can be launched.
 ///
-/// Every process runs `body(pid)` with the plane's thread-local fault
-/// context installed, so every blocking wait in the machine-dependent
-/// layer observes the plane's cancellation token.  Each process's panic
-/// is caught individually: the *first* genuine fault trips the plane
-/// (promptly unwinding any peers blocked in a barrier, lock, `Consume`,
-/// etc.), later faults and cancellation unwinds are absorbed, and after
-/// every process has been joined the first fault is returned as a
-/// structured [`ProcessFault`].  When the plane's config asks for a
-/// deadlock watchdog, one runs on a helper thread for the duration of the
-/// force.
+/// Every process runs under `run_as_process`: the *first* genuine
+/// fault trips the plane (promptly unwinding peers blocked in a barrier,
+/// lock, `Consume`, …) and is returned once every process has finished;
+/// on success, each process's result in pid order.  A deadlock watchdog
+/// shadows the job when the plane's config sets a bound — except under
+/// the virtual backend, whose scheduler detects deadlock itself.  The
+/// caller re-arms the plane ([`FaultPlane::reset_for_job`]) between jobs.
 ///
-/// On success, returns each process's result in pid order.
+/// The **launcher** is computed here, never chosen by the caller:
+///
+/// | condition | launcher | stack | charged to the job |
+/// |---|---|---|---|
+/// | `pool` attached, thread-per-pid backend, `nproc <= pool.size()` | *mailbox*: the pool's resident workers | the workers' own | nothing (paid at pool construction) |
+/// | otherwise, thread-per-pid backend | *scoped*: one thread per pid | default | `processes_created += nproc` |
+/// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per pid | `processes_created += nproc` |
+///
+/// # Panics
+/// Panics if the plane covers zero processes.
+pub fn launch_plane<R: Send>(
+    plane: &Arc<FaultPlane>,
+    pool: Option<&ForcePool>,
+    body: impl Fn(usize) -> R + Sync,
+) -> Result<Vec<R>, ProcessFault> {
+    let nproc = plane.nproc();
+    assert!(nproc > 0, "a force needs at least one process");
+    let watchdog = plane
+        .watchdog_interval()
+        .filter(|_| !plane.is_virtual())
+        .map(|bound| {
+            let plane = Arc::clone(plane);
+            StopGuard::spawn("force-watchdog".to_string(), move |stop| {
+                plane.run_watchdog(bound, stop)
+            })
+        });
+    let results: Vec<Mutex<Option<R>>> = (0..nproc).map(|_| Mutex::new(None)).collect();
+    let run_pid = |pid: usize| {
+        let r = run_as_process(plane, pid, || body(pid));
+        *results[pid].lock() = r;
+    };
+    let multiplexed = plane.is_overcommit();
+    match pool.filter(|pool| !multiplexed && nproc <= pool.size()) {
+        Some(pool) => pool.broadcast(nproc, &run_pid),
+        None => launch_scoped(plane, multiplexed, &run_pid),
+    }
+    drop(watchdog);
+    match plane.take_fault() {
+        Some(fault) => Err(fault),
+        // A plane still tripped from an earlier job (no `reset_for_job`)
+        // cancels every process without recording a fault: say so.
+        None if plane.is_tripped() => Err(ProcessFault {
+            pid: 0,
+            construct: Construct::Body.name(),
+            payload: "force cancelled by a plane still tripped from an earlier job \
+                      (missing reset_for_job between jobs)"
+                .to_string(),
+        }),
+        None => Ok(results
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("no fault recorded, so every process completed")
+            })
+            .collect()),
+    }
+}
+
+/// The scoped launcher: one fresh thread per pid, joined before return;
+/// small-stacked when multiplexed (thousands of mostly parked pids).
+fn launch_scoped(plane: &FaultPlane, multiplexed: bool, run_pid: &(dyn Fn(usize) + Sync)) {
+    let nproc = plane.nproc();
+    // Charge the plane directly (not context-preferred): the launching
+    // thread may run under a session's ambient binding, but these
+    // processes belong to this plane's counter block.
+    plane
+        .stats_handle()
+        .add_direct(&|s: &OpStats| &s.processes_created, nproc as u64);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..nproc)
+            .map(|pid| {
+                let mut thread = std::thread::Builder::new();
+                if multiplexed {
+                    thread = thread.stack_size(OVERCOMMIT_STACK);
+                }
+                thread
+                    .spawn_scoped(scope, move || run_pid(pid))
+                    .expect("spawning a pid thread")
+            })
+            .collect();
+        for (pid, handle) in handles.into_iter().enumerate() {
+            if handle.join().is_err() {
+                // The body's panic was already caught inside the thread;
+                // a join error means the harness itself died.  Trip
+                // defensively so peers cannot hang on the lost process.
+                plane.trip(
+                    ProcessFault {
+                        pid,
+                        construct: Construct::Body.name(),
+                        payload: "process thread died outside the fault harness".to_string(),
+                    },
+                    None,
+                );
+            }
+        }
+    });
+}
+
+/// [`launch_plane`] without a pool: always the scoped launcher.
 pub fn spawn_force_plane<R, F>(plane: &Arc<FaultPlane>, body: F) -> Result<Vec<R>, ProcessFault>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let nproc = plane.nproc();
-    assert!(nproc > 0, "a force needs at least one process");
-    // Charge the plane directly (not context-preferred): the spawner may
-    // run under a session's ambient binding, but these processes belong to
-    // this plane's counter block.
-    plane
-        .stats_handle()
-        .add_direct(&|s: &OpStats| &s.processes_created, nproc as u64);
-    let body = &body;
-    let watchdog_stop = Arc::new((Mutex::new(false), Condvar::new()));
-    std::thread::scope(|scope| {
-        // Virtual jobs skip the wall-clock watchdog thread entirely: the
-        // scheduler's deterministic barren-poll detector replaces it.
-        let watchdog = plane
-            .watchdog_interval()
-            .filter(|_| !plane.is_virtual())
-            .map(|_| {
-                let plane = Arc::clone(plane);
-                let stop = Arc::clone(&watchdog_stop);
-                scope.spawn(move || plane.run_watchdog(&stop.0, &stop.1))
-            });
-        let overcommitted = plane.is_overcommit();
-        let handles: Vec<_> = (0..nproc)
-            .map(|pid| {
-                let plane = Arc::clone(plane);
-                let run = move || run_as_process(&plane, pid, || body(pid));
-                if overcommitted {
-                    // nproc may dwarf the host: keep per-pid stacks small
-                    // so thousands of (mostly parked) pids stay cheap.
-                    std::thread::Builder::new()
-                        .stack_size(OVERCOMMIT_STACK)
-                        .spawn_scoped(scope, run)
-                        .expect("spawning an overcommitted pid thread")
-                } else {
-                    scope.spawn(run)
-                }
-            })
-            .collect();
-        let mut results = Vec::with_capacity(nproc);
-        for (pid, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => results.push(r),
-                Err(_) => {
-                    // The body's panic was already caught inside the thread;
-                    // a join error means the harness itself died.  Trip
-                    // defensively so peers cannot hang on the lost process.
-                    plane.trip(
-                        ProcessFault {
-                            pid,
-                            construct: Construct::Body.name(),
-                            payload: "process thread died outside the fault harness".to_string(),
-                        },
-                        None,
-                    );
-                    results.push(None);
-                }
-            }
-        }
-        if watchdog.is_some() {
-            *watchdog_stop.0.lock() = true;
-            watchdog_stop.1.notify_all();
-        }
-        if let Some(w) = watchdog {
-            let _ = w.join();
-        }
-        match plane.take_fault() {
-            Some(fault) => Err(fault),
-            // A pre-tripped plane (reused without reset_for_job) cancels
-            // every process without recording a fresh fault.
-            None if plane.is_tripped() => Err(crate::pool::stale_trip_fault()),
-            None => Ok(results
-                .into_iter()
-                .map(|r| r.expect("no fault recorded, so every process completed"))
-                .collect()),
-        }
-    })
+    launch_plane(plane, None, body)
 }
 
 /// Spawn a force of `nproc` processes and join them all — the Force
@@ -266,6 +351,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::{LockState, RawLock};
+    use crate::park::ParkBackend;
+    use crate::spin::SpinLock;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -284,19 +372,6 @@ mod tests {
         );
         assert!(ProcessModel::SpawnByCall.fine_grained());
         assert!(!ProcessModel::ForkJoinCopy.fine_grained());
-    }
-
-    #[test]
-    fn spawn_force_runs_every_pid_once() {
-        let stats = Arc::new(OpStats::new());
-        let hits = AtomicUsize::new(0);
-        let results = spawn_force(6, &stats, |pid| {
-            hits.fetch_add(1, Ordering::Relaxed);
-            pid * 2
-        });
-        assert_eq!(results, vec![0, 2, 4, 6, 8, 10]);
-        assert_eq!(hits.load(Ordering::Relaxed), 6);
-        assert_eq!(stats.snapshot().processes_created, 6);
     }
 
     #[test]
@@ -324,47 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn spawn_force_plane_reports_the_first_faulting_pid() {
-        let stats = Arc::new(OpStats::new());
-        let plane = FaultPlane::new(4, Arc::clone(&stats), FaultConfig::default());
-        let err = spawn_force_plane(&plane, |pid| {
-            if pid == 1 {
-                panic!("pid one dies");
-            }
-            // Peers park until cancellation reaches them (or they finish).
-        })
-        .expect_err("a panicking process must fault the force");
-        assert_eq!(err.pid, 1);
-        assert_eq!(err.construct, "body");
-        assert_eq!(err.payload, "pid one dies");
-        assert_eq!(stats.snapshot().faults_detected, 1);
-    }
-
-    #[test]
-    fn cancellation_unblocks_a_peer_stuck_on_a_lock() {
-        use crate::lock::{LockState, RawLock};
-        use crate::spin::SpinLock;
-
-        let stats = Arc::new(OpStats::new());
-        let plane = FaultPlane::new(2, Arc::clone(&stats), FaultConfig::default());
-        // pid 1 blocks on a lock nobody will ever release; pid 0 panics.
-        // Without cancellation this join would hang forever.
-        let wedge = SpinLock::new(LockState::Unlocked, Arc::clone(&stats));
-        wedge.lock();
-        let err = spawn_force_plane(&plane, |pid| {
-            if pid == 0 {
-                // Give pid 1 a moment to actually block.
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                panic!("boom");
-            }
-            wedge.lock();
-        })
-        .expect_err("the panic must surface");
-        assert_eq!(err.pid, 0);
-        assert!(stats.snapshot().cancellations_observed >= 1);
-    }
-
-    #[test]
     fn multiple_panics_keep_the_first_fault() {
         let stats = Arc::new(OpStats::new());
         let plane = FaultPlane::new(4, Arc::clone(&stats), FaultConfig::default());
@@ -377,13 +411,119 @@ mod tests {
         assert_eq!(stats.snapshot().faults_detected, 4);
     }
 
-    #[test]
-    fn successful_force_leaves_the_plane_untripped() {
-        let stats = Arc::new(OpStats::new());
-        let plane = FaultPlane::new(3, Arc::clone(&stats), FaultConfig::default());
-        let results = spawn_force_plane(&plane, |pid| pid + 1).expect("no faults");
-        assert_eq!(results, vec![1, 2, 3]);
+    type Outcome = Result<Vec<usize>, ProcessFault>;
+
+    /// The attached pool's size for an `n`-pid job (0 = no pool).
+    type PoolSize = fn(usize) -> usize;
+
+    /// The four launch scenarios under one launch configuration.
+    fn scenarios(backend: ParkBackend, pool_size: PoolSize) -> [Outcome; 4] {
+        let config = |watchdog| FaultConfig {
+            watchdog,
+            backend,
+            ..FaultConfig::default()
+        };
+        let rig = |nproc: usize, watchdog: Option<Duration>| {
+            let stats = Arc::new(OpStats::new());
+            let workers = pool_size(nproc);
+            let pool = (workers > 0).then(|| ForcePool::new(workers, &stats));
+            let plane = FaultPlane::new(nproc, Arc::clone(&stats), config(watchdog));
+            // Held by the test forever: a pid that asks for it parks until cancelled.
+            let wedge = SpinLock::new(LockState::Unlocked, Arc::clone(&stats));
+            wedge.lock();
+            (stats, pool, plane, wedge)
+        };
+        // The session step between jobs, then a clean job: whatever the
+        // last job did, the same plane and pool serve the next one.
+        let next_job_succeeds = |plane: &Arc<FaultPlane>, pool: Option<&ForcePool>| {
+            plane.reset_for_job(config(None));
+            let all = (0..plane.nproc()).collect();
+            assert_eq!(launch_plane(plane, pool, |pid| pid), Ok(all));
+        };
+
+        // Every pid runs exactly once; results come back in pid order;
+        // the mailbox charges nothing, scoped threads charge `nproc`.
+        let (stats, pool, plane, _) = rig(3, None);
+        let hits = AtomicUsize::new(0);
+        let clean = launch_plane(&plane, pool.as_ref(), |pid| {
+            hits.fetch_add(1, Ordering::Relaxed);
+            pid * 2
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 3);
+        let mailbox = backend == ParkBackend::ThreadPerPid && pool_size(3) >= 3;
+        let charged = stats.snapshot().processes_created - pool_size(3) as u64;
+        assert_eq!(charged, if mailbox { 0 } else { 3 });
         assert!(!plane.is_tripped());
-        assert_eq!(stats.snapshot().faults_detected, 0);
+
+        // pid 1 panics; pids 0 and 2 are parked on the wedge and only
+        // cancellation frees them.
+        let (stats, pool, plane, wedge) = rig(3, None);
+        let panicked = launch_plane(&plane, pool.as_ref(), |pid| {
+            if pid == 1 {
+                panic!("pid one dies");
+            }
+            wedge.lock();
+            pid
+        });
+        assert_eq!(stats.snapshot().faults_detected, 1);
+        next_job_succeeds(&plane, pool.as_ref());
+
+        // What a faulted job leaves behind when the session forgets
+        // `reset_for_job`: a tripped token, the fault already consumed.
+        let (_, pool, plane, _) = rig(3, None);
+        plane.trip(fault_in(2, "body", "earlier job"), None);
+        assert!(plane.take_fault().is_some());
+        let stale = launch_plane(&plane, pool.as_ref(), |pid| {
+            fault::check_cancel();
+            pid
+        });
+
+        // Two pids deadlocked on a lock under a 50 ms watchdog.  The wall
+        // watchdog and the virtual scheduler word their reports (and pick
+        // their parked witness) differently; what must agree is that a
+        // deadlock was declared, and in which construct.
+        let (stats, pool, plane, wedge) = rig(2, Some(Duration::from_millis(50)));
+        let deadlocked = launch_plane(&plane, pool.as_ref(), |pid| {
+            wedge.lock();
+            pid
+        })
+        .map_err(|f| {
+            assert!(f.payload.contains("deadlock"), "{}", f.payload);
+            fault_in(0, f.construct, "deadlock")
+        });
+        assert_eq!(stats.snapshot().watchdog_trips, 1);
+        next_job_succeeds(&plane, pool.as_ref());
+
+        [clean, panicked, stale, deadlocked]
+    }
+
+    fn fault_in(pid: usize, construct: &'static str, payload: &str) -> ProcessFault {
+        ProcessFault {
+            pid,
+            construct,
+            payload: payload.to_string(),
+        }
+    }
+
+    #[test]
+    fn launch_matrix_every_scenario_agrees_across_every_launcher() {
+        use ParkBackend::{Overcommit, ThreadPerPid, Virtual};
+        let scoped = scenarios(ThreadPerPid, |_| 0);
+        assert_eq!(scoped[0], Ok(vec![0, 2, 4]));
+        assert_eq!(scoped[1], Err(fault_in(1, "body", "pid one dies")));
+        let stale = scoped[2].as_ref().expect_err("stale trip");
+        assert!(stale.payload.contains("missing reset_for_job"), "{stale}");
+        assert_eq!(scoped[3], Err(fault_in(0, "lock", "deadlock")));
+        // The multiplexed rows get a pool the job *fits*, so only the
+        // backend can be what sends them to scoped threads.
+        let pooled: [(&str, ParkBackend, PoolSize); 4] = [
+            ("pooled fit", ThreadPerPid, |n| n),
+            ("pooled oversize", ThreadPerPid, |n| n - 1),
+            ("overcommit with a pool", Overcommit { workers: 2 }, |n| n),
+            ("virtual with a pool", Virtual { seed: 1989 }, |n| n),
+        ];
+        for (name, backend, pool_size) in pooled {
+            assert_eq!(scenarios(backend, pool_size), scoped, "{name} vs scoped");
+        }
     }
 }

@@ -83,6 +83,7 @@ use std::time::{Duration, Instant};
 use crate::fault::{Construct, FaultPlane, ProcessFault, INJECTED_FAULT_MARKER};
 use crate::park;
 use crate::portable::{Backoff, Condvar, Mutex, XorShift64};
+use crate::process::{StopGuard, StopSignal};
 use crate::stats::{OpStats, StatsHandle, StatsSnapshot};
 use crate::trace::{HistogramSnapshot, ProfileReport};
 
@@ -826,77 +827,46 @@ impl Inner {
     }
 }
 
-/// A deadline watcher shadowing one running attempt.  After the deadline
-/// passes it marks the job and then *keeps* tripping the bound plane
-/// (throttled) until disarmed: the session resets its plane when the run
-/// starts, and a one-shot trip landing just before that reset would be
-/// erased, letting the job run unbounded.
-struct DeadlineWatcher {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: JoinHandle<()>,
-}
+/// How often a fired deadline watcher re-asserts its trip: one parking
+/// heartbeat, the runtime's single polling quantum.
+const REASSERT_EVERY: Duration = park::HEARTBEAT;
 
-impl DeadlineWatcher {
-    /// How often the post-deadline loop re-asserts the trip: one parking
-    /// heartbeat, the runtime's single polling quantum.
-    const REASSERT_EVERY: Duration = park::HEARTBEAT;
-
-    fn arm(shared: Arc<JobShared>, at: Instant) -> DeadlineWatcher {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop2 = Arc::clone(&stop);
-        let handle = thread::Builder::new()
-            .name(format!("force-deadline-{}", shared.id))
-            .spawn(move || Self::watch(shared, at, stop2))
-            .expect("spawn deadline watcher");
-        DeadlineWatcher { stop, handle }
-    }
-
-    fn watch(shared: Arc<JobShared>, at: Instant, stop: Arc<(Mutex<bool>, Condvar)>) {
-        let (lock, cv) = &*stop;
-        {
-            let mut stopped = lock.lock();
-            loop {
-                if *stopped {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= at {
-                    break;
-                }
-                park::timer_wait(cv, &mut stopped, at - now);
-            }
+/// The loop of a deadline watcher shadowing one running attempt, run on
+/// a [`StopGuard`] thread.  After the deadline passes it marks the job and
+/// then *keeps* tripping the bound plane (throttled) until stopped: the
+/// session resets its plane when the run starts, and a one-shot trip
+/// landing just before that reset would be erased, letting the job run
+/// unbounded.
+fn watch_deadline(shared: &JobShared, at: Instant, stop: &StopSignal) {
+    loop {
+        // A zero-length sleep still reads the flag: a watcher stopped
+        // before its deadline never fires, however late it is scheduled.
+        let left = at.saturating_duration_since(Instant::now());
+        if stop.sleep(left) {
+            return;
         }
-        shared.deadline_fired.store(true, Ordering::Release);
-        loop {
-            let plane = shared.plane.lock().as_ref().map(|b| Arc::clone(&b.plane));
-            if let Some(plane) = plane {
-                if !plane.is_tripped() {
-                    plane.trip(
-                        ProcessFault {
-                            pid: 0,
-                            construct: DEADLINE_CONSTRUCT,
-                            payload: format!("job {} deadline exceeded", shared.id),
-                        },
-                        None,
-                    );
-                }
-            }
-            let mut stopped = lock.lock();
-            if *stopped {
-                return;
-            }
-            park::timer_wait(cv, &mut stopped, Self::REASSERT_EVERY);
+        if left.is_zero() {
+            break;
         }
     }
-
-    /// Stop and join the watcher.  After this returns, no further trips
-    /// are issued, so the next job on the same session cannot inherit a
-    /// late deadline trip (the session's `reset_for_job` clears any trip
-    /// already landed).
-    fn disarm(self) {
-        *self.stop.0.lock() = true;
-        self.stop.1.notify_all();
-        let _ = self.handle.join();
+    shared.deadline_fired.store(true, Ordering::Release);
+    loop {
+        let plane = shared.plane.lock().as_ref().map(|b| Arc::clone(&b.plane));
+        if let Some(plane) = plane {
+            if !plane.is_tripped() {
+                plane.trip(
+                    ProcessFault {
+                        pid: 0,
+                        construct: DEADLINE_CONSTRUCT,
+                        payload: format!("job {} deadline exceeded", shared.id),
+                    },
+                    None,
+                );
+            }
+        }
+        if stop.sleep(REASSERT_EVERY) {
+            return;
+        }
     }
 }
 
@@ -1244,9 +1214,12 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
         let mut ops = StatsSnapshot::default();
         let mut profile = None;
         let outcome = loop {
-            let watcher = job
-                .deadline_at
-                .map(|at| DeadlineWatcher::arm(Arc::clone(&job.shared), at));
+            let watcher = job.deadline_at.map(|at| {
+                let shared = Arc::clone(&job.shared);
+                StopGuard::spawn(format!("force-deadline-{}", shared.id), move |stop| {
+                    watch_deadline(&shared, at, stop)
+                })
+            });
             let cx = JobCx {
                 shared: Arc::clone(&job.shared),
                 attempt,
@@ -1254,9 +1227,9 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
             };
             let result = run_attempt(&mut job.runner, &cx);
             ops.merge(&attempt_ops(&job.shared));
-            if let Some(w) = watcher {
-                w.disarm();
-            }
+            // Stop and join the watcher, so the session's next job cannot
+            // inherit a late trip (its reset clears one already landed).
+            drop(watcher);
             // A fired deadline dominates the attempt's own result: the
             // SLA was missed even if the body's completion raced the
             // trip.  (Documented in DESIGN.md §18.)

@@ -35,6 +35,11 @@
 //! ```
 //!
 //! Comment lines (`C`, `c`, `*`, `!` in column 1) pass through unchanged.
+//!
+//! The macros generate names of their own next to the user's: everything
+//! starting with `ZZ`, and `<var>ZZE`/`<var>ZZF` for an asynchronous
+//! variable's lock pair.  A user identifier in that namespace is rejected
+//! here, with its line, instead of aliasing a generated name at run time.
 
 /// Errors from the sed pass, with 1-based source line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +80,12 @@ fn translate_line(line: &str) -> Result<String, String> {
         Some('C') | Some('c') | Some('*') | Some('!')
     ) {
         return Ok(line.to_string());
+    }
+    if let Some(name) = reserved_identifier(line) {
+        return Err(format!(
+            "identifier `{name}` is in the preprocessor's generated namespace \
+             (names starting with `ZZ` or ending in `ZZE`/`ZZF` are reserved)"
+        ));
     }
     // The full/empty state *test* (§3.4 "the state can also be tested")
     // is an expression-level form: rewrite `Isfull(X)` to the machine
@@ -299,6 +310,40 @@ fn translate_line(line: &str) -> Result<String, String> {
             }
         }
         None => Ok(line.to_string()),
+    }
+}
+
+/// The first identifier on `line` that belongs to the generated
+/// namespace (Fortran names are case-insensitive; `PUZZLE` and `BUZZ` are
+/// ordinary names).  Quoted text is not scanned.
+fn reserved_identifier(line: &str) -> Option<&str> {
+    let word_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut rest = line;
+    loop {
+        let start = rest.find(|c: char| word_char(c) || c == '\'' || c == '"')?;
+        rest = &rest[start..];
+        let first = rest.chars().next()?;
+        if !word_char(first) {
+            // Skip to the closing quote (a doubled quote just starts the
+            // next literal); an unterminated literal ends the scan.
+            let close = rest[1..].find(first)?;
+            rest = &rest[close + 2..];
+            continue;
+        }
+        let end = rest.find(|c: char| !word_char(c)).unwrap_or(rest.len());
+        let (word, tail) = rest.split_at(end);
+        let ends_with = |suffix: &str| {
+            word.len() >= suffix.len()
+                && word[word.len() - suffix.len()..].eq_ignore_ascii_case(suffix)
+        };
+        if !first.is_ascii_digit()
+            && (word.len() >= 2 && word[..2].eq_ignore_ascii_case("ZZ")
+                || ends_with("ZZE")
+                || ends_with("ZZF"))
+        {
+            return Some(word);
+        }
+        rest = tail;
     }
 }
 
@@ -764,6 +809,31 @@ mod tests {
         assert_eq!(one("100   End selfsched DO2"), "ZZENDSELFSCHEDDO2(100)");
         assert_eq!(one("20    End presched DO2"), "ZZENDPRESCHEDDO2(20)");
         assert!(translate_line("      Presched DO2 5 I = 1, 2").is_err());
+    }
+
+    #[test]
+    fn generated_namespace_is_reserved() {
+        for (line, name) in [
+            ("      Shared INTEGER VZZE", "VZZE"),
+            ("      Private INTEGER ZZT", "ZZT"),
+            ("      X = Y + czzf(3)", "czzf"),
+            ("      CALL zzinitl(L)", "zzinitl"),
+        ] {
+            let err = translate_line(line).unwrap_err();
+            assert!(err.contains(&format!("`{name}`")), "{line}: {err}");
+        }
+        for line in [
+            "      PUZZLE = BUZZ + FIZZ_E",
+            "      PRINT *, 'ZZT and VZZE', 'it''s'",
+            "      X = 1ZZE",
+            "C     ZZT in a comment",
+            "      PRINT *, \"ZZF",
+        ] {
+            assert_eq!(one(line), line);
+        }
+        let err =
+            sed_pass("      Force M of NP ident ME\n      Private INTEGER ZZT\n").unwrap_err();
+        assert_eq!(err.line, 2);
     }
 
     #[test]

@@ -565,3 +565,52 @@ fn arithmetic_if_in_force_programs() {
     assert_eq!(which[1], Value::Int(1), "zero branch");
     assert_eq!(which[2], Value::Int(1), "positive branch");
 }
+
+/// ROADMAP 1(b): a user name in the generated namespace used to alias a
+/// generated variable (`VZZE` is async `V`'s "empty" lock; `ZZT` is the
+/// DO2 scratch private) and fail at run time with "lock variable used
+/// before initialization".  The sed pass now refuses it, with its line.
+#[test]
+fn generated_namespace_collisions_are_positioned_prep_errors() {
+    use the_force::prep::PrepError;
+    use the_force::ForceError;
+
+    let async_alias = "\
+      Force FMAIN of NP ident ME
+      Async INTEGER V
+      Shared INTEGER VZZE
+      Private INTEGER T
+      End declarations
+      Barrier
+      VZZE = 7
+      End barrier
+      IF (ME .EQ. 0) THEN
+      Produce V = VZZE
+      END IF
+      Copy V into T
+      Join
+";
+    let scratch_alias = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER GRID(4, 4)
+      Private INTEGER I, J, ZZT
+      End declarations
+      Selfsched DO2 100 I = 1, 4 ; J = 1, 4
+      ZZT = I + J
+      GRID(I, J) = ZZT
+100   End selfsched DO2
+      Join
+";
+    for id in MachineId::all() {
+        for (src, line, name) in [(async_alias, 3, "VZZE"), (scratch_alias, 3, "ZZT")] {
+            match run_force_source(src, id, 2) {
+                Err(ForceError::Prep(PrepError::Sed(e))) => {
+                    assert_eq!(e.line, line, "{id:?}: {e}");
+                    assert!(e.message.contains(&format!("`{name}`")), "{id:?}: {e}");
+                }
+                Err(other) => panic!("{id:?}: `{name}` must fail in the sed pass, got: {other}"),
+                Ok(_) => panic!("{id:?}: `{name}` must be rejected"),
+            }
+        }
+    }
+}

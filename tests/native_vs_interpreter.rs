@@ -490,3 +490,49 @@ fn injected_panics_fault_identically_under_every_schedule_policy() {
         );
     }
 }
+
+/// One oversize policy: a 3-process job on a session whose pool has 2
+/// workers runs on scoped threads (`processes_created == 3` in the job's
+/// delta) natively and in the language alike.  `Force` used to panic
+/// here ("exceeds the pool's 2 workers") where `Engine` fell back.
+#[test]
+fn a_job_wider_than_its_pool_runs_on_scoped_threads_in_both_renderings() {
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Arc;
+    use the_force::machdep::ForcePool;
+
+    let machine = Machine::new(MachineId::SequentBalance);
+    let pool = Arc::new(ForcePool::new(2, machine.stats()));
+
+    let force = Force::with_machine(3, Arc::clone(&machine)).with_pool(Arc::clone(&pool));
+    let runs: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
+    force
+        .try_run(|p| {
+            p.barrier();
+            runs[p.pid()].fetch_add(1, Ordering::Relaxed);
+        })
+        .expect("a 3-process job must run on a session with a 2-worker pool");
+    for (pid, n) in runs.iter().enumerate() {
+        assert_eq!(n.load(Ordering::Relaxed), 1, "pid {pid} runs exactly once");
+    }
+    assert_eq!(force.last_job_stats().unwrap().processes_created, 3);
+
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER RUNS
+      End declarations
+      Barrier
+      End barrier
+      Critical LCK
+      RUNS = RUNS + 1
+      End critical
+      Join
+";
+    let (_, engine) = compile_force_source(src, MachineId::SequentBalance).unwrap();
+    engine.set_pool(Arc::clone(&pool));
+    let out = engine.run(3).unwrap();
+    assert_eq!(out.shared_scalar("RUNS"), Some(Value::Int(3)));
+    assert_eq!(out.stats.processes_created, 3);
+
+    assert_eq!(pool.jobs_completed(), 0, "the mailbox never saw either job");
+}

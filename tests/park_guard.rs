@@ -36,8 +36,13 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-#[test]
-fn all_blocking_waits_route_through_the_park_layer() {
+/// Every line under `crates/*/src` holding one of `patterns`, as
+/// `file:line: pattern`, skipping the `exempt` files.  `production_only`
+/// narrows the scan to code a force can execute: it drops the bench
+/// harness (a load generator and stopwatch by design) and each file's
+/// unit tests, which sit below the first `#[cfg(test)]` marker in this
+/// tree.
+fn scan(patterns: &[&str], exempt: &[&str], production_only: bool) -> Vec<String> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut sources = Vec::new();
     for entry in fs::read_dir(&crates).expect("crates/ exists") {
@@ -58,18 +63,29 @@ fn all_blocking_waits_route_through_the_park_layer() {
             .expect("under crates/")
             .to_string_lossy()
             .replace('\\', "/");
-        if EXEMPT.contains(&rel.as_str()) {
+        if exempt.contains(&rel.as_str()) || (production_only && rel.starts_with("bench/")) {
             continue;
         }
         let text = fs::read_to_string(&path).expect("readable source file");
-        for (lineno, line) in text.lines().enumerate() {
-            for pat in FORBIDDEN {
+        let scanned = if production_only {
+            text.split("#[cfg(test)]").next().unwrap_or(&text)
+        } else {
+            &text
+        };
+        for (lineno, line) in scanned.lines().enumerate() {
+            for pat in patterns {
                 if line.contains(pat) {
                     violations.push(format!("{rel}:{}: `{pat}`", lineno + 1));
                 }
             }
         }
     }
+    violations
+}
+
+#[test]
+fn all_blocking_waits_route_through_the_park_layer() {
+    let violations = scan(FORBIDDEN, EXEMPT, false);
     assert!(
         violations.is_empty(),
         "blocking waits outside machdep::park (use park::wait_on / \
@@ -104,50 +120,49 @@ const WALL_CLOCK_EXEMPT: &[&str] = &[
 
 #[test]
 fn wall_clock_reads_stay_out_of_virtual_visible_paths() {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut sources = Vec::new();
-    for entry in fs::read_dir(&crates).expect("crates/ exists") {
-        let src = entry.expect("dir entry").path().join("src");
-        if src.is_dir() {
-            rust_sources(&src, &mut sources);
-        }
-    }
-    assert!(
-        sources.len() >= 20,
-        "the scan must actually see the tree (found {})",
-        sources.len()
+    let violations = scan(
+        &["Instant::now(", "SystemTime::now("],
+        WALL_CLOCK_EXEMPT,
+        true,
     );
-    let mut violations = Vec::new();
-    for path in sources {
-        let rel = path
-            .strip_prefix(&crates)
-            .expect("under crates/")
-            .to_string_lossy()
-            .replace('\\', "/");
-        if WALL_CLOCK_EXEMPT.contains(&rel.as_str()) {
-            continue;
-        }
-        // The bench harness measures wall time on purpose — it is never
-        // executed by a virtual process.
-        if rel.starts_with("bench/") {
-            continue;
-        }
-        let text = fs::read_to_string(&path).expect("readable source file");
-        // Unit-test modules sit below the first `#[cfg(test)]` marker in
-        // this tree and may time whatever they like.
-        let scan = text.split("#[cfg(test)]").next().unwrap_or(&text);
-        for (lineno, line) in scan.lines().enumerate() {
-            for pat in ["Instant::now(", "SystemTime::now("] {
-                if line.contains(pat) {
-                    violations.push(format!("{rel}:{}: `{pat}`", lineno + 1));
-                }
-            }
-        }
-    }
     assert!(
         violations.is_empty(),
         "wall-clock reads outside the sanctioned sites (route timing \
          through machdep::park or add a justified exemption):\n{}",
+        violations.join("\n")
+    );
+}
+
+/// Files allowed to create threads in non-test code.  A plane is
+/// launched through `machdep::process::launch_plane` and nowhere else;
+/// a thread created anywhere outside this list is a new launch path
+/// that bypasses the admission guard, the watchdog and the epilogue.
+const THREAD_CREATION_EXEMPT: &[&str] = &[
+    // The scoped launcher (one thread per pid) and `StopGuard`, the one
+    // helper-thread protocol (watchdog, deadline watcher).
+    "machdep/src/process.rs",
+    // The resident workers behind the mailbox launcher.
+    "machdep/src/pool.rs",
+    // The dispatcher shards.
+    "machdep/src/serve.rs",
+];
+
+#[test]
+fn threads_are_created_only_behind_the_launch_seam() {
+    let violations = scan(
+        &[
+            "thread::scope(",
+            "thread::spawn(",
+            "spawn_scoped(",
+            "thread::Builder",
+        ],
+        THREAD_CREATION_EXEMPT,
+        true,
+    );
+    assert!(
+        violations.is_empty(),
+        "thread creation outside the launch seam (run pids through \
+         machdep::launch_plane; helper threads through process::StopGuard):\n{}",
         violations.join("\n")
     );
 }
