@@ -27,6 +27,7 @@ use std::sync::Arc;
 
 use force_core::schedule::ForceRange;
 use force_machdep::fault;
+use force_prep::weigh::{str_bytes, strings_bytes, vec_bytes};
 
 use crate::ast::{BinOp, Expr, LValue, Ty, UnOp};
 use crate::engine::{
@@ -247,8 +248,11 @@ pub(crate) struct CUnit {
     pub(crate) lines: Vec<u32>,
 }
 
-/// A whole program, lowered.  Built once per `(source, machine)`
-/// expansion and shared through the preprocessor cache's payload slot.
+/// A whole program, lowered.  Built once per expansion and shared by
+/// every engine loaded from it through the expansion's payload slot; it
+/// is resident for as long as the expansion is — in a bounded
+/// `ExpansionCache` until evicted, and beyond that while any engine
+/// holds it.
 #[derive(Debug)]
 pub struct CompiledProgram {
     /// Units sorted by name (binary-searchable, deterministic layout).
@@ -268,6 +272,26 @@ impl CompiledProgram {
         self.units
             .binary_search_by(|u| u.name.as_str().cmp(name))
             .ok()
+    }
+
+    /// Estimated heap bytes, for the expansion cache's accounting.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let units: usize = self
+            .units
+            .iter()
+            .map(|u| {
+                str_bytes(&u.name)
+                    + vec_bytes(&u.locals_init)
+                    + vec_bytes(&u.code)
+                    + vec_bytes(&u.lines)
+            })
+            .sum();
+        vec_bytes(&self.units)
+            + units
+            + strings_bytes(&self.blocks)
+            + strings_bytes(&self.names)
+            + vec_bytes(&self.dims_tables)
+            + self.dims_tables.iter().map(vec_bytes).sum::<usize>()
     }
 }
 
@@ -428,6 +452,9 @@ impl<'p> Compiler<'p> {
             }
         }
         locals_init.sort_unstable_by_key(|&(base, ..)| base);
+        // Resident for as long as the expansion is: give back the slack.
+        e.code.shrink_to_fit();
+        e.lines.shrink_to_fit();
         CUnit {
             name: unit.name.clone(),
             params: unit.params.len() as u16,

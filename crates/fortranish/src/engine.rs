@@ -29,6 +29,7 @@ use force_machdep::{
     ProcessModel, ProfileReport, RunOptions, SharedRegion, SharingModelId, StatsHandle,
     StatsSnapshot,
 };
+use force_prep::weigh::{arc_bytes, str_bytes, vec_bytes};
 use force_prep::{ExpandedProgram, VarClass};
 
 use crate::ast::{Expr, LValue, Ty, UnOp};
@@ -50,10 +51,16 @@ use crate::value::Value;
 /// `&Engine` can be watchdog-configured and run from several callers;
 /// runs on one session serialize.
 pub struct Engine {
-    /// The compiled program: AST form plus its bytecode lowering.
-    /// Shared (via the expansion cache's payload slot) with every other
-    /// engine loaded from the same `(source, machine)` expansion.
+    /// The compiled program: bytecode plus the facts the runtime
+    /// services need.  Shared (via the expansion's payload slot) with
+    /// every other engine loaded from the same expansion.
     bundle: Arc<CompiledBundle>,
+    /// The tree-walk oracle's AST, parsed from `code` by the first run
+    /// that asks for [`ExecutorChoice::TreeWalk`].  It is the engine's
+    /// own, so nothing resident in an expansion cache ever holds one.
+    oracle: OnceLock<Program>,
+    /// The expanded code `oracle` is parsed from.
+    code: Box<str>,
     machine: Arc<Machine>,
     /// This session's private counter block: every charge made by this
     /// engine's runs lands here *and* rolls up into the machine totals,
@@ -105,17 +112,39 @@ struct Session {
     plane: Mutex<Option<Arc<FaultPlane>>>,
 }
 
-/// A program in both executable forms, built once per expansion.
+/// A program as the production path executes it, built once per
+/// expansion: the bytecode, plus what the runtime services shared by
+/// both executors read (the unit names are `compiled.units`, sorted).
 ///
-/// `preprocess_cached` hands out the same `ExpandedProgram` by `Arc` on
-/// every hit, and the bundle rides in its payload slot keyed by the
-/// cache's *(source hash, machine)* — so a pooled session (or any
-/// repeated [`Engine::from_expanded`] of a cached expansion) skips both
-/// the front-end parse and the bytecode compilation and goes straight
-/// to execution.
+/// An expansion cache hands out the same `ExpandedProgram` by `Arc` on
+/// every hit, and the bundle rides in its payload slot — so a pooled
+/// session (or any repeated [`Engine::from_expanded`] of a cached
+/// expansion) skips both the front-end parse and the bytecode
+/// compilation and goes straight to execution.  The AST the bytecode
+/// was lowered from is dropped at load: it is about four times the size
+/// of the bytecode, and only the tree-walk oracle reads it (see
+/// [`Engine::program`]).
 pub(crate) struct CompiledBundle {
-    pub(crate) program: Program,
     pub(crate) compiled: CompiledProgram,
+    /// Shared blocks, name → total words, in layout order.
+    pub(crate) shared_blocks: Vec<(String, usize)>,
+    /// The driver (`PROGRAM`) unit's name.
+    pub(crate) driver: String,
+}
+
+impl CompiledBundle {
+    /// Estimated heap bytes, for the expansion cache's accounting.
+    fn heap_bytes(&self) -> usize {
+        arc_bytes::<Self>()
+            + self.compiled.heap_bytes()
+            + vec_bytes(&self.shared_blocks)
+            + self
+                .shared_blocks
+                .iter()
+                .map(|(name, _)| str_bytes(name))
+                .sum::<usize>()
+            + str_bytes(&self.driver)
+    }
 }
 
 /// The observable result of one run.
@@ -172,30 +201,37 @@ impl Engine {
         }
         // Parse + bytecode-compile once per expansion: the bundle lives
         // in the expansion's payload slot, so every engine loaded from
-        // the same cached `ExpandedProgram` reuses it.
+        // the same cached `ExpandedProgram` reuses it.  Parse errors
+        // surface here; the AST itself does not outlive the compile.
         let bundle = match exp.payload.get::<CompiledBundle>() {
             Some(b) => b,
             None => {
                 let program = Program::compile(&exp.code, &shared_names)?;
-                if program.program_unit.is_none() {
+                let Some(driver) = program.program_unit.clone() else {
                     return Err(FortError::general(FortErrorKind::Structure(
                         "expanded code has no driver PROGRAM unit".into(),
                     )));
-                }
+                };
                 if !program.units.contains_key(&exp.main_unit) {
                     return Err(FortError::general(FortErrorKind::Structure(format!(
                         "main unit {} not found",
                         exp.main_unit
                     ))));
                 }
-                let compiled = bytecode::compile(&program);
-                exp.payload
-                    .attach(Arc::new(CompiledBundle { program, compiled }))
+                let bundle = CompiledBundle {
+                    compiled: bytecode::compile(&program),
+                    shared_blocks: program.shared_blocks.clone(),
+                    driver,
+                };
+                let weight = bundle.heap_bytes();
+                exp.payload.attach(Arc::new(bundle), weight)
             }
         };
         let stats = machine.stats_handle().child();
         Ok(Engine {
             bundle,
+            oracle: OnceLock::new(),
+            code: exp.code.as_str().into(),
             machine,
             stats,
             env_cells: exp.env_cells.clone(),
@@ -238,9 +274,18 @@ impl Engine {
         *self.pool.lock() = Some(pool);
     }
 
-    /// The compiled program.
+    /// The parsed program: the tree-walk oracle's form.  The bytecode
+    /// path never needs it, so it is parsed on first call — from the
+    /// same text that parsed at load, hence infallibly.
     pub fn program(&self) -> &Program {
-        &self.bundle.program
+        self.oracle.get_or_init(|| {
+            let shared_names = self
+                .shared_vars
+                .iter()
+                .map(|(name, _, words)| (name.clone(), *words))
+                .collect();
+            Program::compile(&self.code, &shared_names).expect("the expansion parsed at load")
+        })
     }
 
     /// Choose the executor for subsequent [`run`](Self::run) calls
@@ -293,15 +338,10 @@ impl Engine {
             prints: Mutex::new(Vec::new()),
             linker: Mutex::new(Vec::new()),
         };
-        let driver_name = self
-            .bundle
-            .program
-            .program_unit
-            .as_deref()
-            .expect("checked in load");
+        let driver_name = self.bundle.driver.as_str();
         let exec_result = match resolve_executor(options.executor) {
             ExecutorChoice::TreeWalk => {
-                let driver = self.bundle.program.unit(driver_name).expect("driver unit");
+                let driver = self.program().unit(driver_name).expect("driver unit");
                 let proc = Proc {
                     rt: &rt,
                     me: -1,
@@ -561,7 +601,7 @@ impl Rt<'_> {
         let machine = &self.engine.machine;
         let blocks: Vec<force_machdep::BlockRequest> = self
             .engine
-            .program()
+            .bundle
             .shared_blocks
             .iter()
             .map(|(n, w)| force_machdep::BlockRequest::new(n.clone(), *w))
@@ -573,7 +613,7 @@ impl Rt<'_> {
             )
         })?;
         let mut bases = HashMap::new();
-        for (n, _) in &self.engine.program().shared_blocks {
+        for (n, _) in &self.engine.bundle.shared_blocks {
             let (base, _) = layout.block(n).expect("block laid out");
             bases.insert(n.clone(), base);
         }
@@ -854,11 +894,9 @@ pub(crate) fn strt0_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
     if registry.is_finalized() {
         return Ok(());
     }
-    let blocks: Vec<(String, usize)> = rt.engine.program().shared_blocks.to_vec();
-    let mut names: Vec<&String> = rt.engine.program().units.keys().collect();
-    names.sort();
-    for unit in names {
-        registry.register_module(unit, &blocks);
+    let bundle = &rt.engine.bundle;
+    for unit in &bundle.compiled.units {
+        registry.register_module(&unit.name, &bundle.shared_blocks);
     }
     Ok(())
 }

@@ -6,7 +6,8 @@
 //! machine-independent statement-macro layer ([`macros`]), six
 //! machine-dependent macro sets ([`machdep_macros`]), and the pipeline
 //! that chains them and generates the machine-dependent driver
-//! ([`pipeline`]).
+//! ([`pipeline`]) — uncached as [`preprocess`], or memoized by an
+//! [`ExpansionCache`], an owned, byte-bounded LRU.
 //!
 //! ```
 //! use force_prep::pipeline::preprocess;
@@ -33,8 +34,10 @@ pub mod machdep_macros;
 pub mod macros;
 pub mod pipeline;
 pub mod sedpass;
+pub mod weigh;
 
 pub use pipeline::{
-    clear_expansion_cache, expansion_cache_len, expansion_cache_stats, pass_counts, preprocess,
-    preprocess_cached, CompiledPayload, DeclInfo, ExpandedProgram, PassCounts, PrepError, VarClass,
+    clear_expansion_cache, expansion_cache, expansion_cache_len, expansion_cache_stats,
+    pass_counts, preprocess, preprocess_cached, CacheStats, CompiledPayload, DeclInfo,
+    ExpandedProgram, ExpansionCache, PassCounts, PrepError, VarClass,
 };

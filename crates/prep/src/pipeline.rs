@@ -27,15 +27,15 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
-use force_machdep::{MachineId, MachineSpec, SharingModelId};
+use force_machdep::{MachineId, MachineSpec, Mutex, SharingModelId};
 
 use crate::m4::{M4Error, M4};
 use crate::machdep_macros::{install_machine_macros, spawn_mnemonic};
 use crate::macros::install_statement_macros;
 use crate::sedpass::{sed_pass, SedError};
+use crate::weigh::{alloc_bytes, arc_bytes, str_bytes, strings_bytes, vec_bytes};
 
 /// The Force variable classification (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +107,7 @@ impl From<M4Error> for PrepError {
 
 /// An opaque, set-once slot for a downstream compiler's artifact.
 ///
-/// The expansion cache ([`preprocess_cached`]) is keyed by *(source
-/// hash, machine)* and hands out the same resident
+/// An [`ExpansionCache`] hands out the same resident
 /// [`ExpandedProgram`] by `Arc` on every hit; anything attached here
 /// rides along, so a back end that compiles the expanded code (the
 /// `force-fortran` bytecode compiler) gets compiled-unit caching under
@@ -116,40 +115,59 @@ impl From<M4Error> for PrepError {
 /// type-erased — the preprocessor neither knows nor cares what is
 /// stored — and write-once: concurrent initializers race benignly (the
 /// first stored value wins; both are valid for identical expansions).
+///
+/// The artifact outweighs the expansion it rides on, so
+/// [`attach`](Self::attach) takes its weight and reports it to the cache
+/// the expansion is resident in: the cache's byte bound covers both.
 #[derive(Default)]
 pub struct CompiledPayload {
-    slot: OnceLock<Arc<dyn std::any::Any + Send + Sync>>,
+    /// The artifact and the weight it was attached with.
+    slot: OnceLock<(Arc<dyn std::any::Any + Send + Sync>, usize)>,
+    /// The cache entry this payload's expansion was inserted under.
+    owner: Option<(Weak<Shared>, Key)>,
 }
 
 impl CompiledPayload {
     /// The stored artifact, if one of type `T` has been attached.
     pub fn get<T: Send + Sync + 'static>(&self) -> Option<Arc<T>> {
-        self.slot
-            .get()
-            .cloned()
-            .and_then(|a| a.downcast::<T>().ok())
+        let (artifact, _) = self.slot.get()?;
+        Arc::clone(artifact).downcast::<T>().ok()
     }
 
-    /// Attach an artifact if the slot is still empty, then return the
-    /// resident one (ours, or a racing winner's — interchangeable for a
-    /// deterministic compiler).  Returns `value` itself if the resident
-    /// artifact has a different type (a programming error, but one that
-    /// must not turn into a wrong-program execution).
-    pub fn attach<T: Send + Sync + 'static>(&self, value: Arc<T>) -> Arc<T> {
-        let _ = self
-            .slot
-            .set(Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>);
+    /// The weight the resident artifact was attached with (0: none yet).
+    pub fn weight(&self) -> usize {
+        self.slot.get().map_or(0, |(_, weight)| *weight)
+    }
+
+    /// Attach an artifact of `weight` heap bytes if the slot is still
+    /// empty, then return the resident one (ours, or a racing winner's —
+    /// interchangeable for a deterministic compiler).  Returns `value`
+    /// itself if the resident artifact has a different type (a
+    /// programming error, but one that must not turn into a
+    /// wrong-program execution).  The winner's weight is added to the
+    /// owning cache entry — if that entry is still resident.
+    pub fn attach<T: Send + Sync + 'static>(&self, value: Arc<T>, weight: usize) -> Arc<T> {
+        let artifact = Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>;
+        if self.slot.set((artifact, weight)).is_ok() {
+            if let Some((cache, key)) = &self.owner {
+                if let Some(cache) = cache.upgrade() {
+                    cache.grow(key, self, weight);
+                }
+            }
+        }
         self.get().unwrap_or(value)
     }
 }
 
+/// A clone shares the artifact but not the cache entry: it is the
+/// caller's own copy, resident nowhere.
 impl Clone for CompiledPayload {
     fn clone(&self) -> Self {
         let slot = OnceLock::new();
         if let Some(v) = self.slot.get() {
-            let _ = slot.set(Arc::clone(v));
+            let _ = slot.set(v.clone());
         }
-        CompiledPayload { slot }
+        CompiledPayload { slot, owner: None }
     }
 }
 
@@ -206,13 +224,40 @@ impl ExpandedProgram {
     pub fn async_decls(&self) -> impl Iterator<Item = &DeclInfo> {
         self.decls.iter().filter(|d| d.class == VarClass::Async)
     }
+
+    /// Estimated bytes this expansion keeps allocated, the struct
+    /// included and the [`payload`](Self::payload) artifact excluded
+    /// (that one reports its own weight when attached).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let lists = [
+            &self.units,
+            &self.env_cells,
+            &self.env_locks,
+            &self.user_locks,
+            &self.async_vars,
+            &self.externf,
+        ];
+        let decls = vec_bytes(&self.decls)
+            + self
+                .decls
+                .iter()
+                .map(|d| {
+                    str_bytes(&d.unit) + str_bytes(&d.ty) + str_bytes(&d.name) + vec_bytes(&d.dims)
+                })
+                .sum::<usize>();
+        arc_bytes::<Self>()
+            + str_bytes(&self.code)
+            + str_bytes(&self.intermediate)
+            + str_bytes(&self.main_unit)
+            + lists.into_iter().map(strings_bytes).sum::<usize>()
+            + decls
+    }
 }
 
-/// Cumulative text-transformation pass counts for this process — one
-/// `sed` tick and two `m4` ticks per [`preprocess`] call, and none for a
-/// [`preprocess_cached`] hit.  The counters exist so cache behavior is
-/// *observable*: a test (or the reproduce harness) can assert that the
-/// hit path did zero pipeline work.
+/// Text-transformation pass counts — one `sed` tick and two `m4` ticks
+/// for every miss of an [`ExpansionCache`], none for a hit.  The counters
+/// exist so cache behavior is *observable*: a test (or the benchmark)
+/// can assert that the hit path did zero pipeline work.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassCounts {
     /// Completed sed (stream-editor) passes.
@@ -221,52 +266,28 @@ pub struct PassCounts {
     pub m4: u64,
 }
 
-static SED_PASSES: AtomicU64 = AtomicU64::new(0);
-static M4_PASSES: AtomicU64 = AtomicU64::new(0);
-
-#[cfg(test)]
-thread_local! {
-    /// This thread's own share of the pass counters.  The globals above
-    /// are bumped by every test running the pipeline concurrently; each
-    /// test runs on its own thread, so a delta of this tally is exact.
-    static THREAD_PASSES: std::cell::Cell<PassCounts> =
-        const { std::cell::Cell::new(PassCounts { sed: 0, m4: 0 }) };
-}
-
-#[cfg(test)]
-fn tally_thread_passes(sed: u64, m4: u64) {
-    THREAD_PASSES.with(|t| {
-        let was = t.get();
-        t.set(PassCounts {
-            sed: was.sed + sed,
-            m4: was.m4 + m4,
-        });
-    });
-}
-
-/// Snapshot the process-wide [`PassCounts`].
-pub fn pass_counts() -> PassCounts {
-    PassCounts {
-        sed: SED_PASSES.load(Ordering::Relaxed),
-        m4: M4_PASSES.load(Ordering::Relaxed),
-    }
-}
-
-/// Run the full pipeline for `machine`.
+/// Run the full pipeline for `machine`: uncached, and free of side
+/// effects.
 pub fn preprocess(source: &str, machine: MachineId) -> Result<ExpandedProgram, PrepError> {
+    run_pipeline(source, machine, &mut PassCounts::default())
+}
+
+/// The pipeline proper; `passes` is ticked as each pass completes, so a
+/// run that fails half way still reports the passes it made.
+fn run_pipeline(
+    source: &str,
+    machine: MachineId,
+    passes: &mut PassCounts,
+) -> Result<ExpandedProgram, PrepError> {
     // Step 1: sed.
     let macro_form = sed_pass(source)?;
-    SED_PASSES.fetch_add(1, Ordering::Relaxed);
-    #[cfg(test)]
-    tally_thread_passes(1, 0);
+    passes.sed += 1;
 
     // Step 2: m4 pass 1 (machine independent).
     let mut l1 = M4::new();
     install_statement_macros(&mut l1);
     let intermediate = l1.expand(&macro_form)?;
-    M4_PASSES.fetch_add(1, Ordering::Relaxed);
-    #[cfg(test)]
-    tally_thread_passes(0, 1);
+    passes.m4 += 1;
 
     // Bookkeeping gathered during pass 1.
     let units: Vec<String> = l1.recorded("units").to_vec();
@@ -353,9 +374,7 @@ pub fn preprocess(source: &str, machine: MachineId) -> Result<ExpandedProgram, P
     let mut l2 = M4::new();
     install_machine_macros(&mut l2, machine);
     let expanded = l2.expand(&injected)?;
-    M4_PASSES.fetch_add(1, Ordering::Relaxed);
-    #[cfg(test)]
-    tally_thread_passes(0, 1);
+    passes.m4 += 1;
 
     // Step 5: the machine-dependent driver module at the beginning.
     let driver = generate_driver(
@@ -384,20 +403,205 @@ pub fn preprocess(source: &str, machine: MachineId) -> Result<ExpandedProgram, P
     })
 }
 
-/// One resident entry of the expansion cache.  The full source is kept
-/// alongside the program so a hash collision degrades to a recompute,
-/// never to serving the wrong expansion.
-struct CacheEntry {
-    source: Arc<str>,
+/// Cache key: *(source hash, machine personality)*.
+type Key = (u64, MachineId);
+
+/// One resident entry of an [`ExpansionCache`].
+struct Entry {
+    /// The full source, so a hash collision degrades to a recompute,
+    /// never to serving the wrong expansion.
+    source: Box<str>,
     program: Arc<ExpandedProgram>,
+    /// Accounted bytes: the source, the expansion, and whatever
+    /// [`CompiledPayload::attach`] has reported since the insert.
+    weight: usize,
+    /// This entry's node in [`State::order`].
+    node: usize,
 }
 
-static EXPANSION_CACHE: OnceLock<Mutex<HashMap<(u64, MachineId), CacheEntry>>> = OnceLock::new();
-static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+/// What an entry costs besides its source and expansion: the `Entry`,
+/// its key, and its slots in the map and the recency index.
+const ENTRY_OVERHEAD: usize = 128;
 
-fn cache() -> &'static Mutex<HashMap<(u64, MachineId), CacheEntry>> {
-    EXPANSION_CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+/// A snapshot of one [`ExpansionCache`]'s counters and occupancy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered with the resident expansion.
+    pub hits: u64,
+    /// Lookups that ran the pipeline (failed runs included).
+    pub misses: u64,
+    /// Entries removed to keep `bytes` within the capacity.
+    pub evictions: u64,
+    /// Resident entries.
+    pub entries: usize,
+    /// Accounted weight of the resident entries.
+    pub bytes: usize,
+    /// Completed sed passes: one per miss that got that far.
+    pub sed: u64,
+    /// Completed m4 passes: two per miss that expanded.
+    pub m4: u64,
+}
+
+/// The recency order of the resident keys: a circular doubly linked
+/// list threaded through a slab, `nodes[0]` being the sentinel — its
+/// `next` is the least recently used key, its `prev` the most recent.
+/// A touch is a handful of index writes: no search, no allocation.
+struct Recency {
+    nodes: Vec<Node>,
+    /// Vacant slots of `nodes`.
+    free: Vec<usize>,
+}
+
+#[derive(Clone, Copy)]
+struct Node {
+    key: Key,
+    prev: usize,
+    next: usize,
+}
+
+impl Default for Recency {
+    fn default() -> Self {
+        let sentinel = Node {
+            key: (0, MachineId::Hep),
+            prev: 0,
+            next: 0,
+        };
+        Recency {
+            nodes: vec![sentinel],
+            free: Vec::new(),
+        }
+    }
+}
+
+impl Recency {
+    fn unlink(&mut self, i: usize) {
+        let Node { prev, next, .. } = self.nodes[i];
+        self.nodes[prev].next = next;
+        self.nodes[next].prev = prev;
+    }
+
+    fn link_last(&mut self, i: usize) {
+        let last = self.nodes[0].prev;
+        self.nodes[i].prev = last;
+        self.nodes[i].next = 0;
+        self.nodes[last].next = i;
+        self.nodes[0].prev = i;
+    }
+
+    /// A node for `key`, the most recently used.
+    fn push(&mut self, key: Key) -> usize {
+        let node = Node {
+            key,
+            prev: 0,
+            next: 0,
+        };
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.nodes[i] = node;
+                i
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        };
+        self.link_last(i);
+        i
+    }
+
+    /// Make node `i` the most recently used.
+    fn touch(&mut self, i: usize) {
+        if self.nodes[0].prev != i {
+            self.unlink(i);
+            self.link_last(i);
+        }
+    }
+
+    fn release(&mut self, i: usize) {
+        self.unlink(i);
+        self.free.push(i);
+    }
+
+    /// The keys, least recently used first.
+    fn iter(&self) -> impl Iterator<Item = Key> + '_ {
+        std::iter::successors(Some(self.nodes[0].next), |&i| Some(self.nodes[i].next))
+            .take_while(|&i| i != 0)
+            .map(|i| self.nodes[i].key)
+    }
+}
+
+#[derive(Default)]
+struct State {
+    map: HashMap<Key, Entry>,
+    order: Recency,
+    /// The counters and `bytes`; `entries` is read off `map`.
+    stats: CacheStats,
+}
+
+impl State {
+    /// The resident expansion of `source`, made the most recently used.
+    fn hit(&mut self, key: &Key, source: &str) -> Option<Arc<ExpandedProgram>> {
+        let entry = self.map.get(key).filter(|e| *e.source == *source)?;
+        self.order.touch(entry.node);
+        Some(Arc::clone(&entry.program))
+    }
+
+    /// Unlink the entry under `key`.
+    fn remove(&mut self, key: &Key) -> Option<Entry> {
+        let entry = self.map.remove(key)?;
+        self.order.release(entry.node);
+        self.stats.bytes -= entry.weight;
+        Some(entry)
+    }
+
+    /// Evict least recently used entries into `displaced` until the
+    /// accounted bytes fit `capacity`.
+    fn evict_to(&mut self, capacity: usize, displaced: &mut Vec<Entry>) {
+        while self.stats.bytes > capacity {
+            let Some(key) = self.order.iter().next() else {
+                break;
+            };
+            displaced.extend(self.remove(&key));
+            self.stats.evictions += 1;
+        }
+    }
+}
+
+/// What an [`ExpansionCache`] shares with the payloads of the
+/// expansions resident in it.
+struct Shared {
+    capacity: usize,
+    /// The source hash of the key (a seam: the unit tests force
+    /// collisions through it).
+    hash: fn(&str) -> u64,
+    state: Mutex<State>,
+}
+
+impl Shared {
+    /// Add an attached artifact's `weight` to the entry `payload` sits
+    /// in — unless that entry was evicted meanwhile (then the weight
+    /// belongs to whoever still holds the expansion, not to the cache).
+    fn grow(&self, key: &Key, payload: &CompiledPayload, weight: usize) {
+        // Declared before the guard, so dropped after it.
+        let mut displaced = Vec::new();
+        let mut state = self.state.lock();
+        let Some(entry) = state.map.get_mut(key) else {
+            return;
+        };
+        if !std::ptr::eq(&entry.program.payload, payload) {
+            return;
+        }
+        if entry.weight.saturating_add(weight) > self.capacity {
+            // Grown past the whole capacity: this entry leaves and
+            // nothing else does.
+            displaced.extend(state.remove(key));
+            state.stats.evictions += 1;
+        } else {
+            entry.weight += weight;
+            state.stats.bytes += weight;
+            state.evict_to(self.capacity, &mut displaced);
+        }
+    }
 }
 
 fn source_hash(source: &str) -> u64 {
@@ -406,54 +610,197 @@ fn source_hash(source: &str) -> u64 {
     h.finish()
 }
 
-/// [`preprocess`] with a process-wide expansion cache keyed by
-/// *(source hash, machine personality)*.
+/// A memo of [`preprocess`] keyed by *(source hash, machine
+/// personality)*, bounded in bytes, evicting the least recently used.
 ///
 /// Re-running the same program — or porting it across the six
 /// personalities, each of which gets its own entry — skips the sed and
-/// both m4 passes entirely on a hit and returns the resident
-/// [`ExpandedProgram`] by `Arc`.  The hit path does **zero** pipeline
-/// work, observable through [`pass_counts`].  Errors are not cached:
-/// a failing source re-runs the pipeline on every call.
+/// both m4 passes on a hit and returns the resident [`ExpandedProgram`]
+/// by `Arc`: always the same `Arc` for as long as the entry is resident.
+/// The hit path does **zero** pipeline work, observable through
+/// [`stats`](Self::stats).  Errors are not cached: a failing source
+/// re-runs the pipeline on every call.
+///
+/// The bound covers the source, the expansion and the artifact a back
+/// end attaches to the expansion's [`CompiledPayload`].  Eviction only
+/// drops the cache's own reference: a caller that holds the `Arc` (and
+/// an engine loaded from it) keeps a complete, working program, and the
+/// next lookup of that source expands it again.  An expansion heavier
+/// than the whole capacity is returned without being cached and evicts
+/// nothing.  Memory is taken as entries arrive, never reserved.
+pub struct ExpansionCache {
+    shared: Arc<Shared>,
+}
+
+impl ExpansionCache {
+    /// Capacity of the process's [default instance](expansion_cache):
+    /// about 700 programs of the size of the examples, compiled.
+    pub const DEFAULT_CAPACITY: usize = 8 << 20;
+
+    /// An empty cache that keeps at most `capacity` accounted bytes.
+    pub fn new(capacity: usize) -> ExpansionCache {
+        ExpansionCache::with_hash(capacity, source_hash)
+    }
+
+    fn with_hash(capacity: usize, hash: fn(&str) -> u64) -> ExpansionCache {
+        ExpansionCache {
+            shared: Arc::new(Shared {
+                capacity,
+                hash,
+                state: Mutex::new(State::default()),
+            }),
+        }
+    }
+
+    /// The byte bound this cache was built with.
+    pub fn capacity(&self) -> usize {
+        self.shared.capacity
+    }
+
+    /// [`preprocess`] through the cache.
+    pub fn preprocess(
+        &self,
+        source: &str,
+        machine: MachineId,
+    ) -> Result<Arc<ExpandedProgram>, PrepError> {
+        let shared = &self.shared;
+        let key = ((shared.hash)(source), machine);
+        {
+            let mut state = shared.state.lock();
+            if let Some(program) = state.hit(&key, source) {
+                state.stats.hits += 1;
+                return Ok(program);
+            }
+            state.stats.misses += 1;
+        }
+
+        let mut passes = PassCounts::default();
+        let expanded = run_pipeline(source, machine, &mut passes);
+        {
+            let mut state = shared.state.lock();
+            state.stats.sed += passes.sed;
+            state.stats.m4 += passes.m4;
+        }
+        let mut program = expanded?;
+        program.intermediate.shrink_to_fit();
+        let weight = ENTRY_OVERHEAD + alloc_bytes(source.len()) + program.heap_bytes();
+        if weight > shared.capacity {
+            return Ok(Arc::new(program));
+        }
+        program.payload.owner = Some((Arc::downgrade(shared), key));
+        let program = Arc::new(program);
+        let source: Box<str> = source.into();
+
+        // Declared before the guard, so dropped after it: freeing an
+        // entry is hundreds of small `free`s, and every other caller's
+        // hit path waits on this lock.
+        let mut displaced = Vec::new();
+        let mut state = shared.state.lock();
+        match state.map.get(&key) {
+            // A racing miss on the same source got here first: every
+            // caller converges on the resident `Arc`.
+            Some(resident) if resident.source == source => {
+                return Ok(Arc::clone(&resident.program));
+            }
+            // A hash collision: the newer source takes the slot.
+            Some(_) => displaced.extend(state.remove(&key)),
+            None => {}
+        }
+        let node = state.order.push(key);
+        state.map.insert(
+            key,
+            Entry {
+                source,
+                program: Arc::clone(&program),
+                weight,
+                node,
+            },
+        );
+        state.stats.bytes += weight;
+        state.evict_to(shared.capacity, &mut displaced);
+        Ok(program)
+    }
+
+    /// Counters and occupancy, read under one lock.
+    pub fn stats(&self) -> CacheStats {
+        let state = self.shared.state.lock();
+        CacheStats {
+            entries: state.map.len(),
+            ..state.stats
+        }
+    }
+
+    /// The resident expansions with their accounted weights, least
+    /// recently used first (diagnostics; walks the whole cache).
+    pub fn resident(&self) -> Vec<(Arc<ExpandedProgram>, usize)> {
+        let state = self.shared.state.lock();
+        state
+            .order
+            .iter()
+            .map(|key| {
+                let entry = &state.map[&key];
+                (Arc::clone(&entry.program), entry.weight)
+            })
+            .collect()
+    }
+
+    /// Drop every resident expansion (the counters are kept).
+    pub fn clear(&self) {
+        let mut state = self.shared.state.lock();
+        let map = std::mem::take(&mut state.map);
+        state.order = Recency::default();
+        state.stats.bytes = 0;
+        drop(state);
+        drop(map);
+    }
+}
+
+impl std::fmt::Debug for ExpansionCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExpansionCache")
+            .field("capacity", &self.shared.capacity)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+/// The process's default [`ExpansionCache`]: the one the free functions
+/// below — and through them the facade's `run_force_source` and
+/// `compile_force_source` — are views of.
+pub fn expansion_cache() -> &'static ExpansionCache {
+    static DEFAULT: OnceLock<ExpansionCache> = OnceLock::new();
+    DEFAULT.get_or_init(|| ExpansionCache::new(ExpansionCache::DEFAULT_CAPACITY))
+}
+
+/// [`preprocess`] through the [default cache](expansion_cache).
 pub fn preprocess_cached(
     source: &str,
     machine: MachineId,
 ) -> Result<Arc<ExpandedProgram>, PrepError> {
-    let key = (source_hash(source), machine);
-    if let Some(entry) = cache().lock().unwrap().get(&key) {
-        if &*entry.source == source {
-            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&entry.program));
-        }
-    }
-    CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let program = Arc::new(preprocess(source, machine)?);
-    cache().lock().unwrap().insert(
-        key,
-        CacheEntry {
-            source: source.into(),
-            program: Arc::clone(&program),
-        },
-    );
-    Ok(program)
+    expansion_cache().preprocess(source, machine)
 }
 
-/// Process-wide expansion-cache hit and miss counts, in that order.
+/// The default cache's [`PassCounts`].
+pub fn pass_counts() -> PassCounts {
+    let CacheStats { sed, m4, .. } = expansion_cache().stats();
+    PassCounts { sed, m4 }
+}
+
+/// The default cache's hit and miss counts, in that order.
 pub fn expansion_cache_stats() -> (u64, u64) {
-    (
-        CACHE_HITS.load(Ordering::Relaxed),
-        CACHE_MISSES.load(Ordering::Relaxed),
-    )
+    let CacheStats { hits, misses, .. } = expansion_cache().stats();
+    (hits, misses)
 }
 
-/// Number of resident entries in the expansion cache.
+/// Number of entries resident in the default cache.
 pub fn expansion_cache_len() -> usize {
-    cache().lock().unwrap().len()
+    expansion_cache().stats().entries
 }
 
-/// Drop every resident expansion (the hit/miss counters are kept).
+/// Drop every expansion resident in the default cache (the counters
+/// are kept).
 pub fn clear_expansion_cache() {
-    cache().lock().unwrap().clear();
+    expansion_cache().clear();
 }
 
 /// The `INTEGER` + `COMMON /ZZFENV/` declarations for the environment,
@@ -651,55 +998,306 @@ mod tests {
       Join
 ";
 
-    /// [`pass_counts`] restricted to the calling test's own thread.
-    fn thread_pass_counts() -> PassCounts {
-        THREAD_PASSES.with(std::cell::Cell::get)
+    /// The `i`-th of a family of distinct sources.
+    fn variant(i: usize) -> String {
+        PROGRAM.replace("TOTAL", &format!("T{i}"))
+    }
+
+    /// The accounted bytes equal the sum of the resident weights, and
+    /// every weight is the entry's own parts added up.
+    fn assert_accounting(cache: &ExpansionCache) {
+        let state = cache.shared.state.lock();
+        assert_eq!(state.map.len(), state.order.iter().count());
+        assert_eq!(
+            state.map.len() + state.order.free.len() + 1,
+            state.order.nodes.len()
+        );
+        let mut sum = 0;
+        for key in state.order.iter() {
+            let entry = &state.map[&key];
+            assert_eq!(state.order.nodes[entry.node].key, key);
+            assert_eq!(
+                entry.weight,
+                ENTRY_OVERHEAD
+                    + alloc_bytes(entry.source.len())
+                    + entry.program.heap_bytes()
+                    + entry.program.payload.weight()
+            );
+            sum += entry.weight;
+        }
+        assert_eq!(state.stats.bytes, sum);
+        assert!(sum <= cache.capacity());
     }
 
     #[test]
     fn cached_preprocessing_does_zero_pipeline_work_on_a_hit() {
-        // A source unique to this test so no other test warms the entry.
-        let source = PROGRAM.replace("TOTAL", "CTOTAL");
-        let first = preprocess_cached(&source, MachineId::AlliantFx8).unwrap();
-        let before = thread_pass_counts();
-        let again = preprocess_cached(&source, MachineId::AlliantFx8).unwrap();
-        let after = thread_pass_counts();
-        assert_eq!(after, before, "the hit path must run no sed or m4 pass");
+        let cache = ExpansionCache::new(1 << 20);
+        let first = cache.preprocess(PROGRAM, MachineId::AlliantFx8).unwrap();
+        let before = cache.stats();
+        assert_eq!((before.hits, before.misses), (0, 1));
+        assert_eq!((before.sed, before.m4, before.entries), (1, 2, 1));
+        let again = cache.preprocess(PROGRAM, MachineId::AlliantFx8).unwrap();
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: 1, ..before },
+            "the hit path must run no sed or m4 pass"
+        );
         assert!(
             Arc::ptr_eq(&first, &again),
             "a hit returns the resident expansion, not a copy"
         );
+        assert_accounting(&cache);
     }
 
     #[test]
     fn cache_is_keyed_per_machine_personality() {
-        let source = PROGRAM.replace("TOTAL", "MTOTAL");
+        let cache = ExpansionCache::new(1 << 20);
         let mut programs = Vec::new();
         for id in MachineId::all() {
-            programs.push(preprocess_cached(&source, id).unwrap());
+            programs.push(cache.preprocess(PROGRAM, id).unwrap());
         }
         // Six personalities, six distinct expansions — porting re-runs
         // the pipeline once per machine, then every re-run is free.
-        let before = thread_pass_counts();
+        let before = cache.stats();
+        assert_eq!((before.misses, before.sed, before.m4), (6, 6, 12));
         for (id, first) in MachineId::all().into_iter().zip(&programs) {
-            let again = preprocess_cached(&source, id).unwrap();
+            let again = cache.preprocess(PROGRAM, id).unwrap();
             assert!(Arc::ptr_eq(first, &again), "{}", id.name());
         }
-        assert_eq!(thread_pass_counts(), before);
+        assert_eq!(cache.stats(), CacheStats { hits: 6, ..before });
         assert!(programs[0].code != programs[1].code);
     }
 
     #[test]
     fn cache_misses_on_changed_source() {
-        let a = PROGRAM.replace("TOTAL", "XTOTAL");
-        let b = PROGRAM.replace("TOTAL", "YTOTAL");
-        let pa = preprocess_cached(&a, MachineId::Hep).unwrap();
-        let before = thread_pass_counts();
-        let pb = preprocess_cached(&b, MachineId::Hep).unwrap();
-        let after = thread_pass_counts();
-        assert_eq!(after.sed, before.sed + 1, "new source runs the pipeline");
-        assert_eq!(after.m4, before.m4 + 2);
+        let cache = ExpansionCache::new(1 << 20);
+        let pa = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        let pb = cache.preprocess(&variant(2), MachineId::Hep).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        assert_eq!((stats.sed, stats.m4), (2, 4), "new source, new run");
         assert!(!Arc::ptr_eq(&pa, &pb));
+    }
+
+    #[test]
+    fn failed_runs_count_their_passes_and_cache_nothing() {
+        let cache = ExpansionCache::new(1 << 20);
+        for _ in 0..2 {
+            // Passes sed and m4 pass 1, then fails on the dimension.
+            let src = PROGRAM.replace("Async INTEGER CHAN", "Async INTEGER CHAN(2,2)");
+            assert!(cache.preprocess(&src, MachineId::Hep).is_err());
+        }
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                misses: 2,
+                sed: 2,
+                m4: 2,
+                ..CacheStats::default()
+            }
+        );
+    }
+
+    /// The only test of this binary that touches the default instance,
+    /// so its counts are exact.
+    #[test]
+    fn the_free_functions_are_views_of_the_default_instance() {
+        // The uncached pipeline has no counters to touch.
+        preprocess(PROGRAM, MachineId::Hep).unwrap();
+        assert_eq!(expansion_cache().stats(), CacheStats::default());
+        assert_eq!(
+            expansion_cache().capacity(),
+            ExpansionCache::DEFAULT_CAPACITY
+        );
+
+        let first = preprocess_cached(PROGRAM, MachineId::Hep).unwrap();
+        let again = preprocess_cached(PROGRAM, MachineId::Hep).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(pass_counts(), PassCounts { sed: 1, m4: 2 });
+        assert_eq!(expansion_cache_stats(), (1, 1));
+        assert_eq!(expansion_cache_len(), 1);
+        clear_expansion_cache();
+        assert_eq!(expansion_cache_len(), 0);
+        assert_eq!(expansion_cache().stats().bytes, 0);
+        assert_eq!(expansion_cache_stats(), (1, 1), "counters survive");
+    }
+
+    #[test]
+    fn eviction_is_least_recently_used_not_first_in() {
+        let one = ExpansionCache::new(usize::MAX);
+        one.preprocess(&variant(0), MachineId::Flex32).unwrap();
+        let weight = one.stats().bytes;
+
+        // Room for a hot set of 6 plus 12 more of the same size.
+        let cache = ExpansionCache::new(18 * weight + weight / 2);
+        let hot: Vec<_> = MachineId::all()
+            .into_iter()
+            .map(|id| (id, cache.preprocess(&variant(0), id).unwrap()))
+            .collect();
+        for i in 1..=300 {
+            cache.preprocess(&variant(i), MachineId::Flex32).unwrap();
+            assert_accounting(&cache);
+            if i % 2 == 0 {
+                // One hot lookup per two inserts: each hot entry is
+                // touched every 12 inserts, inside the room left.
+                let (id, first) = &hot[(i / 2) % hot.len()];
+                let again = cache.preprocess(&variant(0), *id).unwrap();
+                assert!(Arc::ptr_eq(first, &again), "hot entry evicted at {i}");
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.hits, 150, "every hot lookup hit");
+        assert_eq!(stats.misses, 306);
+        assert!(stats.evictions > 250, "{stats:?}");
+        assert_eq!(stats.entries as u64, stats.misses - stats.evictions);
+        // The oldest cold source is long gone; the newest is resident.
+        let hits = stats.hits;
+        cache.preprocess(&variant(1), MachineId::Flex32).unwrap();
+        assert_eq!(cache.stats().hits, hits);
+        cache.preprocess(&variant(300), MachineId::Flex32).unwrap();
+        assert_eq!(cache.stats().hits, hits + 1);
+    }
+
+    #[test]
+    fn an_oversized_expansion_is_returned_uncached_and_evicts_nothing() {
+        let one = ExpansionCache::new(usize::MAX);
+        one.preprocess(&variant(0), MachineId::Cray2).unwrap();
+        let weight = one.stats().bytes;
+
+        let cache = ExpansionCache::new(3 * weight);
+        let small = cache.preprocess(&variant(0), MachineId::Cray2).unwrap();
+        let before = cache.stats();
+        // A loop body long enough to outweigh the whole capacity.
+        let body = "      Critical LCK\n      TOTAL = TOTAL + K\n      End critical\n";
+        let big_src = PROGRAM.replace(body, &body.repeat(200));
+        let big = cache.preprocess(&big_src, MachineId::Cray2).unwrap();
+        assert!(big.heap_bytes() > cache.capacity());
+        assert!(big.code.len() > small.code.len());
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                misses: before.misses + 1,
+                sed: before.sed + 1,
+                m4: before.m4 + 2,
+                ..before
+            },
+            "nothing inserted, nothing evicted"
+        );
+        // Attaching to the uncached expansion is nobody's weight.
+        big.payload.attach(Arc::new(0u8), 1 << 30);
+        assert_eq!(cache.stats().bytes, before.bytes);
+        assert!(Arc::ptr_eq(
+            &small,
+            &cache.preprocess(&variant(0), MachineId::Cray2).unwrap()
+        ));
+        assert_accounting(&cache);
+    }
+
+    #[test]
+    fn attach_reports_the_artifact_weight_to_a_resident_entry_only() {
+        let one = ExpansionCache::new(usize::MAX);
+        one.preprocess(&variant(0), MachineId::Hep).unwrap();
+        let weight = one.stats().bytes;
+        let cache = ExpansionCache::new(4 * weight);
+
+        // Resident: the entry grows by exactly the attached weight, once.
+        let a = cache.preprocess(&variant(0), MachineId::Hep).unwrap();
+        let before = cache.stats().bytes;
+        a.payload.attach(Arc::new(1u32), 1000);
+        a.payload.attach(Arc::new(2u32), 5000);
+        assert_eq!(*a.payload.get::<u32>().unwrap(), 1, "first writer wins");
+        assert_eq!(a.payload.weight(), 1000);
+        assert_eq!(cache.stats().bytes, before + 1000);
+        assert_eq!(cache.resident()[0].1, before + 1000);
+        assert_accounting(&cache);
+
+        // Evicted, then expanded again: the stale holder's artifact must
+        // not be charged to the new entry under the same key.
+        let b = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        for i in 2..8 {
+            cache.preprocess(&variant(i), MachineId::Hep).unwrap();
+        }
+        let b2 = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        assert!(!Arc::ptr_eq(&b, &b2), "b was evicted and re-expanded");
+        assert_eq!(b.code, b2.code);
+        let before = cache.stats();
+        b.payload.attach(Arc::new(3u32), 2000);
+        assert_eq!(cache.stats(), before);
+        // A clone is the caller's own copy: same artifact, no owner.
+        let copy = ExpandedProgram::clone(&a);
+        assert_eq!(copy.payload.weight(), 1000);
+        ExpandedProgram::clone(&b2)
+            .payload
+            .attach(Arc::new(4u32), 3000);
+        assert_eq!(cache.stats(), before);
+        assert_accounting(&cache);
+
+        // An artifact that pushes its own entry past the whole capacity
+        // takes that entry out and leaves the others alone.
+        let resident = cache.stats().entries;
+        b2.payload.attach(Arc::new(5u32), cache.capacity());
+        let after = cache.stats();
+        assert_eq!(after.entries, resident - 1);
+        assert_eq!(after.evictions, before.evictions + 1);
+        assert_accounting(&cache);
+    }
+
+    #[test]
+    fn a_hash_collision_falls_through_to_the_stored_source() {
+        // Every source hashes alike: one slot per machine.
+        let cache = ExpansionCache::with_hash(1 << 20, |_| 0);
+        let a = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        let b = cache.preprocess(&variant(2), MachineId::Hep).unwrap();
+        assert!(b.code.contains("T2") && !b.code.contains("T1"));
+        assert!(a.code.contains("T1"), "the holder's program is its own");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
+        // The newer source has the slot; the older one recomputes.
+        assert!(Arc::ptr_eq(
+            &b,
+            &cache.preprocess(&variant(2), MachineId::Hep).unwrap()
+        ));
+        let a2 = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        assert_eq!(a.code, a2.code);
+        assert_eq!(cache.stats().misses, 3);
+        assert_accounting(&cache);
+    }
+
+    #[test]
+    fn concurrent_lookups_keep_the_accounting_exact() {
+        let one = ExpansionCache::new(usize::MAX);
+        one.preprocess(&variant(0), MachineId::Hep).unwrap();
+        let cache = ExpansionCache::new(20 * one.stats().bytes);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (cache, start) = (&cache, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..60 {
+                        // Four hot sources shared by all threads, and a
+                        // cold stream of the thread's own.
+                        let hot = cache.preprocess(&variant(i % 4), MachineId::Hep);
+                        hot.unwrap().payload.attach(Arc::new(i), 700);
+                        let cold = cache.preprocess(&variant(1000 * (t + 1) + i), MachineId::Hep);
+                        cold.unwrap().payload.attach(Arc::new(i), 300 + i);
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 8 * 60 * 2);
+        assert!(stats.evictions > 0);
+        assert_accounting(&cache);
+        cache.clear();
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                entries: 0,
+                bytes: 0,
+                ..stats
+            }
+        );
     }
 
     #[test]

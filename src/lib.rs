@@ -226,9 +226,11 @@ impl From<machdep::RejectReason> for ForceError {
 }
 
 /// Run a Force-language source end to end: preprocess for `machine`
-/// (through the expansion cache — re-running the same source skips the
-/// sed/m4 passes), load onto a fresh instance of that machine, execute
-/// with a force of `nproc` processes, and return the observable output.
+/// (through the process's default [`prep::ExpansionCache`] — re-running
+/// the same source skips the sed/m4 passes and the compile for as long
+/// as its entry is resident), load onto a fresh instance of that
+/// machine, execute with a force of `nproc` processes, and return the
+/// observable output.
 ///
 /// This is the whole §4.3 pipeline in one call — the moral equivalent of
 /// `forcecompile prog.force && a.out`.
@@ -243,9 +245,11 @@ pub fn run_force_source(
     Ok(engine.run(nproc)?)
 }
 
-/// Preprocess (through the expansion cache) and load a Force program
-/// without running it (useful when a caller wants to run the same engine
-/// several times or inspect the expansion).
+/// Preprocess (through the default expansion cache) and load a Force
+/// program without running it (useful when a caller wants to run the
+/// same engine several times or inspect the expansion).  What is
+/// returned is the caller's to keep: it stays whole when the cache
+/// evicts its entry.
 pub fn compile_force_source(
     source: &str,
     machine: machdep::MachineId,

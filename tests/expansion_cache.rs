@@ -1,0 +1,261 @@
+//! The expansion cache as its callers see it: bounded in bytes, least
+//! recently used out first, the same `Arc` for as long as an entry is
+//! resident, holders unaffected by eviction, the compiled artifact
+//! counted, and the tree-walk oracle's AST never resident in it.
+//!
+//! Every test builds a cache of its own.  The memory regression guard
+//! over the process's default instance is `expansion_cache_rss.rs`, a
+//! binary of its own so that nothing else allocates beside it.
+
+use std::sync::{Arc, Barrier};
+
+use the_force::fortran::{Engine, RunOutput, Value};
+use the_force::machdep::{ExecutorChoice, Machine, MachineId, RunOptions};
+use the_force::prep::ExpansionCache;
+
+/// The `i`-th of a family of distinct programs and the value its run
+/// leaves in the shared variable [`shared_name`] names.
+fn source(i: usize) -> (String, i64) {
+    let n = 8 + (i % 40) as i64;
+    let c = 2 + (i % 90) as i64;
+    let src = format!(
+        "      Force QU{i} of NP ident ME
+      Shared INTEGER QS{i}
+      Private INTEGER K
+      End declarations
+      Selfsched DO 100 K = 1, {n}
+      Critical QL{i}
+      QS{i} = QS{i} + K * {c}
+      End critical
+100   End selfsched DO
+      Join
+"
+    );
+    (src, c * n * (n + 1) / 2)
+}
+
+fn shared_name(i: usize) -> String {
+    format!("QS{i}")
+}
+
+fn run(engine: &Engine, executor: ExecutorChoice) -> RunOutput {
+    let options = RunOptions {
+        executor,
+        ..RunOptions::default()
+    };
+    engine.run_with(2, options).expect("run")
+}
+
+/// The accounted weight of one compiled entry of this family.
+fn entry_weight() -> usize {
+    let cache = ExpansionCache::new(usize::MAX);
+    let expanded = cache.preprocess(&source(0).0, MachineId::Hep).unwrap();
+    Engine::from_expanded(&expanded, Machine::new(MachineId::Hep)).unwrap();
+    cache.stats().bytes
+}
+
+fn resident_sum(cache: &ExpansionCache) -> usize {
+    cache.resident().iter().map(|(_, weight)| weight).sum()
+}
+
+/// (i) Least recently used, not first in: a hot set that keeps being
+/// looked up survives any number of cold sources streaming through, and
+/// every hot lookup returns the very `Arc` the first one did (callers
+/// key resident sessions by that address).
+#[test]
+fn the_hot_set_survives_a_stream_of_cold_sources() {
+    // One hot lookup per 3 inserts, round robin over 36: a hot entry is
+    // touched every 108 inserts.  Uncompiled entries weigh about half a
+    // compiled one, so this is room for well over 36 + 108 of them.
+    let cache = ExpansionCache::new(100 * entry_weight());
+    let mut hot = Vec::new();
+    for i in 0..6 {
+        for id in MachineId::all() {
+            hot.push((i, id, cache.preprocess(&source(i).0, id).unwrap()));
+        }
+    }
+    let mut lookups = 0;
+    for i in 0..5000 {
+        cache
+            .preprocess(&source(1000 + i).0, MachineId::Flex32)
+            .unwrap();
+        let stats = cache.stats();
+        assert!(stats.bytes <= cache.capacity(), "{stats:?}");
+        if i % 3 == 0 {
+            let (src, id, first) = &hot[lookups % hot.len()];
+            lookups += 1;
+            let again = cache.preprocess(&source(*src).0, *id).unwrap();
+            assert!(Arc::ptr_eq(first, &again), "hot entry lost at insert {i}");
+        }
+    }
+    let stats = cache.stats();
+    assert_eq!(stats.hits, lookups as u64, "every hot lookup hit");
+    assert_eq!(stats.misses, 36 + 5000);
+    assert!(stats.evictions > 4000, "{stats:?}");
+    assert_eq!(stats.entries as u64, stats.misses - stats.evictions);
+    assert_eq!(stats.bytes, resident_sum(&cache));
+}
+
+/// (ii) Eviction drops the cache's reference and nothing else: the
+/// expansion a caller holds, and an engine loaded from it, stay whole.
+#[test]
+fn holders_outlive_the_eviction_of_their_entry() {
+    let cache = ExpansionCache::new(3 * entry_weight());
+    let (src, expect) = source(1);
+    let held = cache.preprocess(&src, MachineId::Cray2).unwrap();
+    let engine = Engine::from_expanded(&held, Machine::new(MachineId::Cray2)).unwrap();
+    for i in 10..20 {
+        let e = cache.preprocess(&source(i).0, MachineId::Cray2).unwrap();
+        Engine::from_expanded(&e, Machine::new(MachineId::Cray2)).unwrap();
+    }
+    assert!(cache.stats().evictions >= 7);
+    assert!(
+        !cache.resident().iter().any(|(p, _)| Arc::ptr_eq(p, &held)),
+        "the held entry was evicted"
+    );
+
+    let out = run(&engine, ExecutorChoice::Auto);
+    assert_eq!(out.shared_scalar(&shared_name(1)), Some(Value::Int(expect)));
+    let late = Engine::from_expanded(&held, Machine::new(MachineId::Cray2)).unwrap();
+    let out = run(&late, ExecutorChoice::Auto);
+    assert_eq!(out.shared_scalar(&shared_name(1)), Some(Value::Int(expect)));
+
+    let misses = cache.stats().misses;
+    let again = cache.preprocess(&src, MachineId::Cray2).unwrap();
+    assert_eq!(cache.stats().misses, misses + 1, "expanded again");
+    assert!(!Arc::ptr_eq(&held, &again));
+    assert_eq!(held.code, again.code);
+    assert_eq!(held.decls, again.decls);
+    assert_eq!(held.env_cells, again.env_cells);
+    // The evicted expansion's bundle was not charged to the new entry.
+    assert_eq!(cache.stats().bytes, resident_sum(&cache));
+    assert_eq!(again.payload.weight(), 0);
+}
+
+/// (iii) The compiled artifact is most of an entry, and it arrives after
+/// the insert: loading an engine grows the entry by the artifact's
+/// weight, once, however many engines are loaded.
+#[test]
+fn loading_an_engine_charges_the_bundle_to_the_entry() {
+    let cache = ExpansionCache::new(1 << 20);
+    let expanded = cache.preprocess(&source(2).0, MachineId::Hep).unwrap();
+    let bare = cache.stats().bytes;
+    assert_eq!(cache.resident()[0].1, bare);
+    assert_eq!(expanded.payload.weight(), 0);
+
+    Engine::from_expanded(&expanded, Machine::new(MachineId::Hep)).unwrap();
+    let bundle = expanded.payload.weight();
+    assert!(
+        bundle > 1000,
+        "a compiled program weighs kilobytes: {bundle}"
+    );
+    assert_eq!(cache.stats().bytes, bare + bundle);
+    assert_eq!(cache.resident()[0].1, bare + bundle);
+
+    Engine::from_expanded(&expanded, Machine::new(MachineId::Hep)).unwrap();
+    assert_eq!(cache.stats().bytes, bare + bundle, "charged once");
+}
+
+/// (iv) Eight threads mixing hot and cold lookups, each loading an
+/// engine (so inserts, hits, attaches and evictions interleave), leave
+/// the byte count equal to the sum of what is resident.
+#[test]
+fn concurrent_hot_and_cold_jobs_keep_the_accounting_exact() {
+    // A hot key is looked up by every thread once in four rounds, so at
+    // most 8 x 4 cold entries come between two lookups of it.
+    let cache = ExpansionCache::new(64 * entry_weight());
+    let start = Barrier::new(8);
+    std::thread::scope(|s| {
+        for t in 0..8 {
+            let (cache, start) = (&cache, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..40 {
+                    for n in [i % 4, 100 * (t + 1) + i] {
+                        let id = MachineId::all()[n % 6];
+                        let expanded = cache.preprocess(&source(n).0, id).unwrap();
+                        Engine::from_expanded(&expanded, Machine::new(id)).unwrap();
+                        let stats = cache.stats();
+                        assert!(stats.bytes <= cache.capacity(), "{stats:?}");
+                    }
+                }
+            });
+        }
+    });
+    let stats = cache.stats();
+    assert_eq!(stats.hits + stats.misses, 8 * 40 * 2);
+    // All a hot key can miss is the race of the threads' first lookups.
+    assert!(stats.hits >= 8 * 40 - 4 * 8, "the hot four stay resident");
+    assert!(stats.evictions > 0);
+    assert_eq!(stats.bytes, resident_sum(&cache));
+    assert_eq!(stats.entries, cache.resident().len());
+}
+
+/// (v) The tree-walk oracle parses its AST on demand: a bundle built for
+/// the bytecode path serves a tree-walk run of the same engine, of a
+/// second engine on the cached bundle, and of one loaded after the entry
+/// was evicted and expanded again — all agreeing with the bytecode run.
+#[test]
+fn the_oracle_ast_is_built_on_demand_and_agrees_with_the_bytecode() {
+    let cache = ExpansionCache::new(3 * entry_weight());
+    let (src, expect) = source(3);
+    let name = shared_name(3);
+    let load = |cache: &ExpansionCache| {
+        let expanded = cache.preprocess(&src, MachineId::SequentBalance).unwrap();
+        let engine = Engine::from_expanded(&expanded, Machine::new(MachineId::SequentBalance));
+        (expanded, engine.unwrap())
+    };
+
+    let (first, engine) = load(&cache);
+    let byte = run(&engine, ExecutorChoice::Bytecode);
+    assert_eq!(byte.shared_scalar(&name), Some(Value::Int(expect)));
+    let resident = cache.stats().bytes;
+    let tree = run(&engine, ExecutorChoice::TreeWalk);
+    assert_eq!(tree.shared_values, byte.shared_values);
+    assert_eq!(tree.prints, byte.prints);
+    assert_eq!(tree.linker_commands, byte.linker_commands);
+    assert_eq!(
+        cache.stats().bytes,
+        resident,
+        "the AST is the engine's, not the cache's"
+    );
+    assert_eq!(engine.program().units.len(), 2, "driver + main unit");
+
+    // A second engine on the cached bundle, tree-walk first this time.
+    let (same, second) = load(&cache);
+    assert!(Arc::ptr_eq(&first, &same));
+    let tree = run(&second, ExecutorChoice::TreeWalk);
+    assert_eq!(tree.shared_values, byte.shared_values);
+    assert_eq!(
+        run(&second, ExecutorChoice::Bytecode).shared_values,
+        byte.shared_values
+    );
+
+    // Evict, expand again, and walk the tree of the reloaded program.
+    for i in 30..36 {
+        let e = cache.preprocess(&source(i).0, MachineId::Hep).unwrap();
+        Engine::from_expanded(&e, Machine::new(MachineId::Hep)).unwrap();
+    }
+    let (reloaded, third) = load(&cache);
+    assert!(
+        !Arc::ptr_eq(&first, &reloaded),
+        "evicted and expanded again"
+    );
+    let tree = run(&third, ExecutorChoice::TreeWalk);
+    assert_eq!(tree.shared_values, byte.shared_values);
+    // The counters that do not depend on who waited for whom.
+    let ops = |o: &RunOutput| {
+        let s = o.stats;
+        (
+            s.lock_acquires,
+            s.locks_created,
+            s.shared_words,
+            s.processes_created,
+        )
+    };
+    assert_eq!(ops(&tree), ops(&byte), "same primitive operations");
+    assert_eq!(
+        run(&engine, ExecutorChoice::TreeWalk).shared_values,
+        byte.shared_values
+    );
+}

@@ -1,10 +1,10 @@
 //! Observability: construct-level tracing, contention profiles, and the
 //! accounting fixes that keep the numbers honest — the profile must reset
-//! per job like the fault plane, and a `preprocess_cached` hit must not
+//! per job like the fault plane, and an expansion-cache hit must not
 //! attribute miss-path sed/m4 work.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use the_force::fortran::Engine;
 use the_force::machdep::{ForcePool, Machine, MachineId, RunOptions, TraceConfig};
@@ -26,27 +26,28 @@ const SUM_PROGRAM: &str = "\
       Join
 ";
 
-/// `PassCounts` is process-wide, so tests that assert on its deltas must
-/// not interleave with other preprocessor runs in this binary.
-static PREP_GATE: Mutex<()> = Mutex::new(());
-
-/// Satellite: a `preprocess_cached` *hit* must not bump the sed/m4 pass
+/// Satellite: an expansion-cache *hit* must not bump the sed/m4 pass
 /// counters — the miss path's work belongs to the job that missed, and a
 /// pooled session re-running a cached program does none of it.
 #[test]
 fn cached_hits_do_not_count_prep_passes() {
-    let _gate = PREP_GATE.lock().unwrap();
+    // A cache of this test's own: its counters move for nobody else.
+    let cache = prep::ExpansionCache::new(1 << 20);
     let machine = Machine::new(MachineId::EncoreMultimax);
 
-    // Warm the cache (a miss is allowed to count one sed + two m4 passes).
-    let expanded = prep::preprocess_cached(SUM_PROGRAM, MachineId::EncoreMultimax).unwrap();
+    // Warm the cache (the miss counts one sed + two m4 passes).
+    let expanded = cache
+        .preprocess(SUM_PROGRAM, MachineId::EncoreMultimax)
+        .unwrap();
     let engine = Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap();
     engine.set_pool(Arc::new(ForcePool::new(4, machine.stats())));
 
-    let before = prep::pass_counts();
-    let (hits_before, misses_before) = prep::expansion_cache_stats();
+    let before = cache.stats();
+    assert_eq!((before.misses, before.sed, before.m4), (1, 1, 2));
     for _ in 0..3 {
-        let hit = prep::preprocess_cached(SUM_PROGRAM, MachineId::EncoreMultimax).unwrap();
+        let hit = cache
+            .preprocess(SUM_PROGRAM, MachineId::EncoreMultimax)
+            .unwrap();
         let engine = Engine::from_expanded(&hit, Arc::clone(&machine)).unwrap();
         engine.set_pool(Arc::new(ForcePool::new(4, machine.stats())));
         let out = engine.run(4).unwrap();
@@ -55,14 +56,11 @@ fn cached_hits_do_not_count_prep_passes() {
             Some(the_force::fortran::Value::Int(5050))
         );
     }
-    let after = prep::pass_counts();
-    let (hits_after, misses_after) = prep::expansion_cache_stats();
-    assert_eq!(after, before, "cache hits must not count sed/m4 passes");
     assert_eq!(
-        misses_after, misses_before,
-        "re-running the same source misses nothing"
+        cache.stats(),
+        prep::CacheStats { hits: 3, ..before },
+        "three hits: no sed or m4 pass, no miss, no new bytes"
     );
-    assert!(hits_after >= hits_before + 3);
 }
 
 /// Satellite: pooled-session trace reset.  Job A runs traced, job B
@@ -116,7 +114,6 @@ fn pooled_session_trace_resets_between_jobs() {
 /// engine session runs job A traced and job B untraced.
 #[test]
 fn pooled_engine_session_trace_resets_between_jobs() {
-    let _gate = PREP_GATE.lock().unwrap();
     let machine = Machine::new(MachineId::Flex32);
     let expanded = prep::preprocess_cached(SUM_PROGRAM, MachineId::Flex32).unwrap();
     let engine = Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap();
