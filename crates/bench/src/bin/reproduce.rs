@@ -69,7 +69,6 @@ const EXPERIMENTS: &[Experiment] = experiments! {
     exp14: "resident pool throughput: one-shot vs pooled sessions",
     exp15: "tracing overhead (EXP-14 workloads) and the merged six-machine Chrome trace",
     exp16: "unified scheduling plane: six policies on uniform and skewed DOALLs",
-    exp17: "bytecode VM vs tree-walking interpreter: language-pipeline throughput",
     exp18: "force-as-a-service: open-loop serving, overload shed/deadline-kill",
     exp19: "parking layer: overcommit overhead and a 4096-process force",
     exp20: "virtual time: deterministic speedup curves on six machines",
@@ -119,8 +118,8 @@ fn write_artifact(name: &str, doc: &Json, check: impl Fn(&Json) -> Result<(), St
     println!("\nwrote {name} (parsed back and checked)");
 }
 
-/// The minimal language job EXP-14 ports across the machines and EXP-17
-/// runs on a pooled session: a self-scheduled sum under a critical section.
+/// The minimal language job EXP-14 ports across the machines: a
+/// self-scheduled sum under a critical section.
 const SMALL_SUM_SRC: &str = "\
       Force FMAIN of NP ident ME
       Shared INTEGER R
@@ -1101,135 +1100,6 @@ fn exp16(scale: Scale) {
     println!("(expected shape: on the uniform loop the static policies win on");
     println!(" locking cost; on the skewed loop guided or steal beats one-trip");
     println!(" selfscheduling by amortizing claims without losing balance)");
-}
-
-// ---------------------------------------------------------------- EXP-17
-
-fn exp17(scale: Scale) {
-    use std::time::Instant;
-    use the_force::machdep::{ExecutorChoice, RunOptions};
-    let (jobs, trips, skew_jobs): (usize, u64, usize) = match scale {
-        Scale::Full => (200, 96, 8),
-        Scale::Smoke => (20, 48, 3),
-    };
-    let nproc = 4;
-
-    // Workload 1 — the EXP-14 pooled-session language job
-    // (`SMALL_SUM_SRC`): a minimal self-scheduled sum whose per-job cost
-    // is dominated by dispatch and statement execution, run on one
-    // resident session per executor.
-    //
-    // Workload 2 — the EXP-16 skewed loop in the language: trip K does
-    // K units of inner work, so statement-execution speed (not construct
-    // cost) dominates.  This is the acceptance workload: the bytecode VM
-    // must reach >= 2x tree-walk jobs/sec on at least five machines.
-    let skew_src = format!(
-        "\
-      Force FMAIN of NP ident ME
-      Shared INTEGER CHK
-      Private INTEGER K, J, T
-      End declarations
-      Selfsched DO 100 K = 1, {trips}
-      T = 0
-      DO 10 J = 1, K
-      T = T + J * J - K
-10    CONTINUE
-      Critical L
-      CHK = CHK + MOD(T, 1000)
-      End critical
-100   End selfsched DO
-      Join
-"
-    );
-
-    println!("jobs={jobs} trips={trips} skew_jobs={skew_jobs} nproc={nproc}\n");
-    println!(
-        "{:<18} {:<13} {:>12} {:>12} {:>8}",
-        "machine", "workload", "tree/s", "bytecode/s", "speedup"
-    );
-
-    // Jobs/sec for one (source, machine, executor) cell: a fresh engine
-    // with a resident pool, one warm-up job (charges compilation, shared
-    // allocation and process creation), then `n` timed jobs.
-    let measure = |src: &str, id: MachineId, n: usize, executor: ExecutorChoice| -> (f64, i64) {
-        let (_expanded, engine) = compile_force_source(src, id).expect("front end");
-        engine.set_pool(Arc::new(ForcePool::new(nproc, engine.machine().stats())));
-        let opts = RunOptions {
-            executor,
-            ..RunOptions::default()
-        };
-        let warm = engine.run_with(nproc, opts).expect("warm-up job");
-        // Deterministic digest of the final shared memory (HashMap order
-        // is random, so fold over sorted names).
-        let mut names: Vec<_> = warm.shared_values.keys().collect();
-        names.sort();
-        let check = names
-            .iter()
-            .flat_map(|n| warm.shared_values[*n].iter())
-            .map(|v| v.as_int(0).unwrap_or(0))
-            .fold(0i64, i64::wrapping_add);
-        let t0 = Instant::now();
-        for _ in 0..n {
-            engine.run_with(nproc, opts).expect("job");
-        }
-        (n as f64 / t0.elapsed().as_secs_f64(), check)
-    };
-
-    let mut rows = Vec::new();
-    let mut winners = 0usize;
-    for id in MachineId::all() {
-        let mut workloads = Vec::new();
-        for (wname, src, n) in [
-            ("pooled-small", SMALL_SUM_SRC, jobs),
-            ("skewed-loop", skew_src.as_str(), skew_jobs),
-        ] {
-            let (tree, tree_check) = measure(src, id, n, ExecutorChoice::TreeWalk);
-            let (vm, vm_check) = measure(src, id, n, ExecutorChoice::Bytecode);
-            assert_eq!(
-                tree_check,
-                vm_check,
-                "{}: {wname} result diverges between executors",
-                id.name()
-            );
-            let speedup = vm / tree;
-            println!(
-                "{:<18} {:<13} {:>12.1} {:>12.1} {:>7.2}x",
-                id.name(),
-                wname,
-                tree,
-                vm,
-                speedup
-            );
-            if wname == "skewed-loop" && speedup >= 2.0 {
-                winners += 1;
-            }
-            workloads.push(obj! {
-                "workload": wname,
-                "tree_jobs_per_sec": Json::fixed(tree, 1),
-                "bytecode_jobs_per_sec": Json::fixed(vm, 1),
-                "speedup": Json::fixed(speedup, 3),
-            });
-        }
-        rows.push(obj! { "machine": id.name(), "workloads": workloads });
-    }
-    println!(
-        "\nbytecode reaches >= 2x tree-walk on the skewed loop on {winners} of {} machines",
-        rows.len()
-    );
-
-    let doc = obj! {
-        "jobs": jobs,
-        "trips": trips,
-        "skew_jobs": skew_jobs,
-        "nproc": nproc,
-        "host_cores": host_cores(),
-        "machines_where_bytecode_2x_skewed": winners,
-        "machines": rows,
-    };
-    write_artifact("BENCH_vm.json", &doc, checks::vm);
-    println!("(expected shape: compiled execution wins most where statement");
-    println!(" dispatch dominates — the skewed loop — and less on the tiny");
-    println!(" pooled job, whose cost is session dispatch and lock traffic)");
 }
 
 // ---------------------------------------------------------------- EXP-18

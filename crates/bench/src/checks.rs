@@ -119,25 +119,6 @@ pub fn sched(doc: &Json) -> Result<(), String> {
     winners_within_machines(doc, "machines_where_guided_or_steal_wins_skewed")
 }
 
-/// `BENCH_vm.json` (EXP-17): both workloads under both executors everywhere.
-pub fn vm(doc: &Json) -> Result<(), String> {
-    each_machine(doc, |m| {
-        let workloads = m.arr("workloads")?;
-        let names = texts(workloads, "workload")?;
-        ensure!(
-            names == ["pooled-small", "skewed-loop"],
-            "workloads {names:?}"
-        );
-        for w in workloads {
-            for key in ["tree_jobs_per_sec", "bytecode_jobs_per_sec", "speedup"] {
-                ensure!(w.num(key)? > 0.0, "{key} is not positive");
-            }
-        }
-        Ok(())
-    })?;
-    winners_within_machines(doc, "machines_where_bytecode_2x_skewed")
-}
-
 /// `BENCH_serve.json` (EXP-18): the steady phase completed everything and
 /// the burst was absorbed by shedding and deadline kills, never collapse.
 pub fn serve(doc: &Json) -> Result<(), String> {

@@ -1,5 +1,5 @@
 //! Drives the built `reproduce` binary: the `--smoke` run of EXP-14..21
-//! writes eight artifacts that parse and pass their checks, every check
+//! writes seven artifacts that parse and pass their checks, every check
 //! rejects a broken artifact, and a mistyped name or flag runs nothing.
 
 use std::path::PathBuf;
@@ -11,11 +11,10 @@ use force_bench::json::Json;
 
 type Check = fn(&Json) -> Result<(), String>;
 
-const ARTIFACTS: [(&str, &str, Check); 8] = [
+const ARTIFACTS: [(&str, &str, Check); 7] = [
     ("exp14", "BENCH_pool.json", checks::pool),
     ("exp15", "BENCH_trace.json", checks::trace),
     ("exp16", "BENCH_sched.json", checks::sched),
-    ("exp17", "BENCH_vm.json", checks::vm),
     ("exp18", "BENCH_serve.json", checks::serve),
     ("exp19", "BENCH_park.json", checks::park),
     ("exp20", "BENCH_vtime.json", |doc| {
@@ -37,7 +36,7 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("force-reproduce-{tag}-{}", std::process::id()))
 }
 
-/// The eight smoke artifacts, produced by one run shared by every test.
+/// The seven smoke artifacts, produced by one run shared by every test.
 fn smoke_artifacts() -> &'static [Json] {
     static DOCS: OnceLock<Vec<Json>> = OnceLock::new();
     DOCS.get_or_init(|| {
@@ -76,7 +75,7 @@ fn smoke_artifacts() -> &'static [Json] {
 }
 
 #[test]
-fn smoke_run_writes_eight_artifacts_that_parse_and_pass_their_checks() {
+fn smoke_run_writes_seven_artifacts_that_parse_and_pass_their_checks() {
     for ((_, file, check), doc) in ARTIFACTS.iter().zip(smoke_artifacts()) {
         check(doc).unwrap_or_else(|e| panic!("{file}: {e}"));
     }
@@ -143,19 +142,6 @@ const BROKEN: &[(&str, &str)] = &[
         "BENCH_sched.json",
         "machines_where_guided_or_steal_wins_skewed=7",
     ),
-    ("BENCH_vm.json", "-machines/0"),
-    ("BENCH_vm.json", "-machines/3/workloads/0"),
-    (
-        "BENCH_vm.json",
-        "machines/1/workloads/1/tree_jobs_per_sec=0.0",
-    ),
-    (
-        "BENCH_vm.json",
-        "machines/1/workloads/1/bytecode_jobs_per_sec=0.0",
-    ),
-    ("BENCH_vm.json", "machines/1/workloads/0/speedup=0.0"),
-    ("BENCH_vm.json", "-machines_where_bytecode_2x_skewed"),
-    ("BENCH_vm.json", "machines_where_bytecode_2x_skewed=7"),
     ("BENCH_serve.json", "-machines/1"),
     ("BENCH_serve.json", "-machines/0/burst"),
     ("BENCH_serve.json", "machines/2/steady/jobs_per_sec=0.0"),
@@ -220,7 +206,7 @@ fn every_check_rejects_a_broken_artifact() {
         );
     }
     // The vtime check knows which sweep it was promised.
-    assert!(checks::vtime(&smoke_artifacts()[6], &[1, 2, 4, 8, 16]).is_err());
+    assert!(checks::vtime(&smoke_artifacts()[5], &[1, 2, 4, 8, 16]).is_err());
     // A trace that never entered a critical section.
     let mut trace = smoke_artifacts()[1].clone();
     if let Json::Arr(events) = at(&mut trace, "traceEvents") {

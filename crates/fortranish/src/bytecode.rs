@@ -1,9 +1,10 @@
 //! Bytecode lowering of the fortranish front end: a flat instruction
 //! stream with *resolved storage slots* plus a small stack VM.
 //!
-//! The tree-walking interpreter in [`crate::engine`] re-resolves every
-//! name against the unit's symbol table on every access and re-walks the
-//! expression tree on every evaluation.  This module compiles each
+//! The tree-walking interpreter (now [`crate::oracle`], the reference
+//! this VM is tested against) re-resolves every name against the unit's
+//! symbol table on every access and re-walks the expression tree on
+//! every evaluation.  This module compiles each
 //! program unit once — scalar reads become `LoadLocal`/`LoadShared` with
 //! baked-in slots, the seven-node boolean tree the front end builds for
 //! a structured `DO` head fuses into a single `Instr::DoCheck` whose
@@ -11,9 +12,10 @@
 //! ([`ForceRange::in_bounds`], the §4.2 `(incr > 0 ∧ k ≤ last) ∨
 //! (incr < 0 ∧ k ≥ last)` test) — and the VM executes the result.
 //!
-//! Semantics are bit-for-bit those of the tree-walker; the equivalence
-//! oracle (`tests/native_vs_interpreter.rs` and the executor matrix)
-//! holds both executors to identical outputs, `OpStats` and error text.
+//! Semantics are bit-for-bit those of the tree-walker; the differential
+//! tests (`tests/native_vs_interpreter.rs`'s executor matrix and
+//! `tests/support`'s `run_checked`) hold the two to identical outputs,
+//! `OpStats` and error text.
 //! To that end the compiler is *infallible*: every error the tree-walker
 //! would raise at execution time (unknown variable, scalar subscripted,
 //! machine mismatch, …) compiles to code that raises the same error at
@@ -1002,7 +1004,10 @@ fn do_continues(var: Value, to: Value, step: Value, line: usize) -> Result<bool,
     Ok((cs == Greater && ck != Greater) || (cs == Less && ck != Less))
 }
 
-/// One VM process: the bytecode counterpart of the tree-walker's `Proc`.
+/// Back-edges between two looks at the cancellation token.
+const CANCEL_CHECK_STRIDE: u32 = 1024;
+
+/// One VM process: the bytecode counterpart of the oracle's `Proc`.
 pub(crate) struct VmProc<'r, 'e> {
     rt: &'r Rt<'e>,
     cp: &'r CompiledProgram,
@@ -1071,6 +1076,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
         let mut parts: Vec<String> = Vec::new();
         let code = &u.code;
         let mut pc = 0usize;
+        let mut until_check = CANCEL_CHECK_STRIDE;
         macro_rules! pop {
             () => {
                 stack.pop().expect("value stack underflow")
@@ -1080,7 +1086,18 @@ impl<'r, 'e> VmProc<'r, 'e> {
             let line = u.lines[pc] as usize;
             match &code[pc] {
                 Instr::Jump(t) => {
-                    pc = *t as usize;
+                    let t = *t as usize;
+                    // Every loop closes with a backward `Jump`; a body
+                    // that never blocks observes cancellation here, so a
+                    // deadline can end it.
+                    if t <= pc {
+                        until_check -= 1;
+                        if until_check == 0 {
+                            until_check = CANCEL_CHECK_STRIDE;
+                            fault::check_cancel();
+                        }
+                    }
+                    pc = t;
                     continue;
                 }
                 Instr::JumpIfFalse(t) => {

@@ -1,4 +1,4 @@
-//! The execution engine: N interpreter processes over shared COMMON
+//! The execution engine: N bytecode-VM processes over shared COMMON
 //! storage on a simulated machine personality.
 //!
 //! This substitutes for "the manufacturer provided Fortran compiler and
@@ -18,28 +18,26 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use force_machdep::fault::{self, Construct, INJECTED_FAULT_MARKER};
-use force_machdep::trace;
-use force_machdep::Mutex;
 use force_machdep::{
-    bind_ambient_stats, launch_plane, ExecutorChoice, FaultPlane, ForcePool, FullEmptyState,
-    JobError, JobRunner, JobYield, LockHandle, LockKind, LockState, Machine, ProcessFault,
+    bind_ambient_stats, launch_plane, trace, FaultPlane, ForcePool, FullEmptyState, JobError,
+    JobRunner, JobYield, LockHandle, LockKind, LockState, Machine, Mutex, ProcessFault,
     ProcessModel, ProfileReport, RunOptions, SharedRegion, SharingModelId, StatsHandle,
     StatsSnapshot,
 };
 use force_prep::weigh::{arc_bytes, str_bytes, vec_bytes};
 use force_prep::{ExpandedProgram, VarClass};
 
-use crate::ast::{Expr, LValue, Ty, UnOp};
+use crate::ast::Ty;
 use crate::bytecode::{self, CompiledProgram, VmProc};
 use crate::error::{FortError, FortErrorKind};
-use crate::intrinsics;
-use crate::program::{Op, Program, Storage, Symbol, Unit};
+use crate::program::Program;
 use crate::value::Value;
 
-/// A loaded Force program bound to a machine personality.
+/// A loaded Force program bound to a machine personality, executed one
+/// way: by the bytecode VM ([`crate::bytecode`]).
 ///
 /// An `Engine` is a reusable **session**: the shared COMMON region, the
 /// lock and full/empty-tag tables, and the fault plane live for the
@@ -55,12 +53,6 @@ pub struct Engine {
     /// services need.  Shared (via the expansion's payload slot) with
     /// every other engine loaded from the same expansion.
     bundle: Arc<CompiledBundle>,
-    /// The tree-walk oracle's AST, parsed from `code` by the first run
-    /// that asks for [`ExecutorChoice::TreeWalk`].  It is the engine's
-    /// own, so nothing resident in an expansion cache ever holds one.
-    oracle: OnceLock<Program>,
-    /// The expanded code `oracle` is parsed from.
-    code: Box<str>,
     machine: Arc<Machine>,
     /// This session's private counter block: every charge made by this
     /// engine's runs lands here *and* rolls up into the machine totals,
@@ -112,9 +104,9 @@ struct Session {
     plane: Mutex<Option<Arc<FaultPlane>>>,
 }
 
-/// A program as the production path executes it, built once per
-/// expansion: the bytecode, plus what the runtime services shared by
-/// both executors read (the unit names are `compiled.units`, sorted).
+/// A program as an engine executes it, built once per expansion: the
+/// bytecode, plus what the runtime services read (the unit names are
+/// `compiled.units`, sorted).
 ///
 /// An expansion cache hands out the same `ExpandedProgram` by `Arc` on
 /// every hit, and the bundle rides in its payload slot — so a pooled
@@ -122,8 +114,7 @@ struct Session {
 /// expansion) skips both the front-end parse and the bytecode
 /// compilation and goes straight to execution.  The AST the bytecode
 /// was lowered from is dropped at load: it is about four times the size
-/// of the bytecode, and only the tree-walk oracle reads it (see
-/// [`Engine::program`]).
+/// of the bytecode, and nothing an engine does reads it.
 pub(crate) struct CompiledBundle {
     pub(crate) compiled: CompiledProgram,
     /// Shared blocks, name → total words, in layout order.
@@ -230,8 +221,6 @@ impl Engine {
         let stats = machine.stats_handle().child();
         Ok(Engine {
             bundle,
-            oracle: OnceLock::new(),
-            code: exp.code.as_str().into(),
             machine,
             stats,
             env_cells: exp.env_cells.clone(),
@@ -274,27 +263,13 @@ impl Engine {
         *self.pool.lock() = Some(pool);
     }
 
-    /// The parsed program: the tree-walk oracle's form.  The bytecode
-    /// path never needs it, so it is parsed on first call — from the
-    /// same text that parsed at load, hence infallibly.
-    pub fn program(&self) -> &Program {
-        self.oracle.get_or_init(|| {
-            let shared_names = self
-                .shared_vars
-                .iter()
-                .map(|(name, _, words)| (name.clone(), *words))
-                .collect();
-            Program::compile(&self.code, &shared_names).expect("the expansion parsed at load")
-        })
-    }
-
-    /// Choose the executor for subsequent [`run`](Self::run) calls
-    /// (session default; [`run_with`](Self::run_with) overrides per
-    /// run).  [`ExecutorChoice::Auto`] — the default — consults the
-    /// `FORCE_EXECUTOR` environment variable and otherwise uses the
-    /// bytecode VM.
-    pub fn set_executor(&self, executor: ExecutorChoice) {
-        self.defaults.lock().executor = executor;
+    /// The Force shared/async variables, name → words: the table
+    /// [`Program::compile`] resolves shared references against.
+    pub(crate) fn shared_names(&self) -> HashMap<String, usize> {
+        self.shared_vars
+            .iter()
+            .map(|(name, _, words)| (name.clone(), *words))
+            .collect()
     }
 
     /// The machine personality.
@@ -310,14 +285,33 @@ impl Engine {
     }
 
     /// Run the driver with explicit per-run [`RunOptions`] (watchdog
-    /// bound, fault injection), overriding the session defaults for this
-    /// run only.
+    /// bound, fault injection, tracing, schedule, backend), overriding
+    /// the session defaults for this run only.
     pub fn run_with(&self, nproc: usize, options: RunOptions) -> Result<RunOutput, FortError> {
+        self.run_driver(nproc, options, |rt, driver| {
+            let compiled = &self.bundle.compiled;
+            let driver = compiled.unit_index(driver).expect("driver unit");
+            let mut proc = VmProc::new(rt, compiled, -1, nproc as i64);
+            proc.exec(driver, Vec::new()).map(|_| ())
+        })
+    }
+
+    /// One run of this session: the prologue (session reset, ambient
+    /// stats, per-run runtime state), `exec` executing the named driver
+    /// unit, and the epilogue (scarce-lock hygiene, observables).  The
+    /// executor is the argument — the bytecode VM from
+    /// [`run_with`](Self::run_with), the tree-walker from
+    /// [`crate::oracle::Oracle`] — so everything around it exists once.
+    pub(crate) fn run_driver(
+        &self,
+        nproc: usize,
+        mut options: RunOptions,
+        exec: impl FnOnce(&Rt<'_>, &str) -> Result<(), FortError>,
+    ) -> Result<RunOutput, FortError> {
         assert!(nproc > 0, "a force needs at least one process");
         // One run at a time per session: the resident state is exclusive
         // to the running job.
         let _run = self.run_lock.lock();
-        let mut options = options;
         // A virtual-time run prices every yield with the machine's cost
         // model unless the caller pinned an explicit one.
         if options.backend.is_virtual() && options.costs.is_none() {
@@ -338,27 +332,7 @@ impl Engine {
             prints: Mutex::new(Vec::new()),
             linker: Mutex::new(Vec::new()),
         };
-        let driver_name = self.bundle.driver.as_str();
-        let exec_result = match resolve_executor(options.executor) {
-            ExecutorChoice::TreeWalk => {
-                let driver = self.program().unit(driver_name).expect("driver unit");
-                let proc = Proc {
-                    rt: &rt,
-                    me: -1,
-                    np: nproc as i64,
-                };
-                proc.exec(driver, Vec::new()).map(|_| ())
-            }
-            _ => {
-                let driver = self
-                    .bundle
-                    .compiled
-                    .unit_index(driver_name)
-                    .expect("driver unit");
-                let mut proc = VmProc::new(&rt, &self.bundle.compiled, -1, nproc as i64);
-                proc.exec(driver, Vec::new()).map(|_| ())
-            }
-        };
+        let exec_result = exec(&rt, &self.bundle.driver);
         // A faulted run leaves no results behind: the flag below makes
         // `last_job_profile` answer `None` instead of surfacing the dead
         // run's partial event sink (or a previous run's data).
@@ -422,15 +396,7 @@ impl Engine {
         // (the next run's reset would wipe the sink).  Gated on this
         // run's options so a resident plane from an earlier traced run
         // cannot leak a stale profile into an untraced one.
-        let profile = match options.trace {
-            Some(_) => self
-                .session
-                .plane
-                .lock()
-                .as_ref()
-                .and_then(|p| p.profile_report()),
-            None => None,
-        };
+        let profile = options.trace.and_then(|_| self.resident_profile());
         Ok(RunOutput {
             prints: rt.prints.into_inner(),
             stats,
@@ -452,11 +418,13 @@ impl Engine {
         if self.last_run_faulted.load(Ordering::Acquire) {
             return None;
         }
-        self.session
-            .plane
-            .lock()
-            .as_ref()
-            .and_then(|p| p.profile_report())
+        self.resident_profile()
+    }
+
+    /// The resident plane's trace sink, summarized.
+    fn resident_profile(&self) -> Option<ProfileReport> {
+        let plane = self.session.plane.lock();
+        plane.as_ref().and_then(|p| p.profile_report())
     }
 
     /// The session's resident fault plane for a force of `nproc`
@@ -642,43 +610,16 @@ impl Rt<'_> {
     }
 }
 
-// ---- executor selection ----------------------------------------------
-
-/// `FORCE_EXECUTOR` environment override (the escape hatch back to the
-/// tree-walker), read once per process.
-fn env_executor() -> ExecutorChoice {
-    static ENV: OnceLock<ExecutorChoice> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("FORCE_EXECUTOR").ok().as_deref() {
-        Some(s)
-            if s.eq_ignore_ascii_case("tree")
-                || s.eq_ignore_ascii_case("treewalk")
-                || s.eq_ignore_ascii_case("tree-walk")
-                || s.eq_ignore_ascii_case("interpreter")
-                || s.eq_ignore_ascii_case("walker") =>
-        {
-            ExecutorChoice::TreeWalk
-        }
-        _ => ExecutorChoice::Bytecode,
-    })
-}
-
-/// Resolve `Auto` to a concrete executor.
-fn resolve_executor(choice: ExecutorChoice) -> ExecutorChoice {
-    match choice {
-        ExecutorChoice::Auto => env_executor(),
-        concrete => concrete,
-    }
-}
-
-// ---- runtime services, shared by both executors ----------------------
+// ---- runtime services, shared by the VM and the oracle ---------------
 //
-// The tree-walking interpreter and the bytecode VM both execute the ZZ*
-// runtime mnemonics through these functions, so the two executors cannot
-// drift: machine-personality checks, lock and full/empty semantics,
-// OpStats charging and fault-plane behavior are one implementation.
-// Check *ordering* is part of the contract — a machine-personality
-// mismatch is reported before arguments are bound, binding errors before
-// arity errors — because the equivalence oracle compares error text.
+// The bytecode VM and the reference interpreter (`crate::oracle`) both
+// execute the ZZ* runtime mnemonics through these functions, so the two
+// cannot drift: machine-personality checks, lock and full/empty
+// semantics, OpStats charging and fault-plane behavior are one
+// implementation.  Check *ordering* is part of the contract — a
+// machine-personality mismatch is reported before arguments are bound,
+// binding errors before arity errors — because the equivalence tests
+// compare error text.
 
 /// Map a lock/unlock mnemonic to its vendor lock kind and direction.
 pub(crate) fn lock_mnemonic(name: &str) -> Option<(LockKind, bool)> {
@@ -963,10 +904,10 @@ pub(crate) fn check_fork_mnemonic(
 
 /// Create the force: run `body(pid)` on `rt.nproc` processes under the
 /// session's resident fault plane, with the session's pool (if any)
-/// attached.  An interpreter runtime
-/// error in one process must not leave its peers parked in a barrier or
-/// async wait: the first error trips the fault plane (cancelling the
-/// rest of the force) and is reported with its own line number.
+/// attached.  A runtime error in one process must not leave its peers
+/// parked in a barrier or async wait: the first error trips the fault
+/// plane (cancelling the rest of the force) and is reported with its own
+/// line number.
 pub(crate) fn spawn_force(
     rt: &Rt<'_>,
     line: usize,
@@ -1048,13 +989,6 @@ pub(crate) fn isfull_value(
     }
 }
 
-/// One interpreter process.
-struct Proc<'r, 'e> {
-    rt: &'r Rt<'e>,
-    me: i64,
-    np: i64,
-}
-
 /// Actual argument binding.
 #[derive(Clone)]
 pub(crate) enum ArgVal {
@@ -1070,625 +1004,10 @@ pub(crate) enum ArgVal {
     Unit(String),
 }
 
-/// Per-call frame.
-struct Frame<'u> {
-    unit: &'u Unit,
-    locals: Vec<Value>,
-    args: Vec<ArgVal>,
-}
-
-impl<'u> Frame<'u> {
-    fn new(unit: &'u Unit, args: Vec<ArgVal>) -> Frame<'u> {
-        let mut locals = vec![Value::Int(0); unit.frame_words];
-        for sym in unit.symbols.values() {
-            if let Storage::Local { base } = sym.storage {
-                for w in 0..sym.words() {
-                    locals[base + w] = Value::zero(sym.ty);
-                }
-            }
-        }
-        Frame { unit, locals, args }
-    }
-}
-
 /// Result of running a unit.
 pub(crate) enum Flow {
     Normal,
     Stop,
-}
-
-impl Proc<'_, '_> {
-    /// Execute a unit to completion.
-    fn exec(&self, unit: &Unit, args: Vec<ArgVal>) -> Result<Flow, FortError> {
-        let mut frame = Frame::new(unit, args);
-        let mut pc = 0usize;
-        while pc < unit.ops.len() {
-            let line = unit.op_lines[pc];
-            match &unit.ops[pc] {
-                Op::Nop => pc += 1,
-                Op::Jump(t) => pc = *t,
-                Op::JumpIfFalse(cond, t) => {
-                    if self.eval(&mut frame, cond, line)?.as_log(line)? {
-                        pc += 1;
-                    } else {
-                        pc = *t;
-                    }
-                }
-                Op::Assign(lhs, rhs) => {
-                    let v = self.eval(&mut frame, rhs, line)?;
-                    self.assign(&mut frame, lhs, v, line)?;
-                    pc += 1;
-                }
-                Op::Print(items) => {
-                    let mut parts = Vec::with_capacity(items.len());
-                    for it in items {
-                        match it {
-                            Expr::Str(s) => parts.push(s.clone()),
-                            e => parts.push(self.eval(&mut frame, e, line)?.display()),
-                        }
-                    }
-                    self.rt.prints.lock().push(parts.join(" "));
-                    pc += 1;
-                }
-                Op::Return => return Ok(Flow::Normal),
-                Op::Stop => return Ok(Flow::Stop),
-                Op::Call(name, call_args) => match self.call(&mut frame, name, call_args, line)? {
-                    Flow::Stop => return Ok(Flow::Stop),
-                    Flow::Normal => pc += 1,
-                },
-            }
-        }
-        Ok(Flow::Normal)
-    }
-
-    // ---- calls ---------------------------------------------------------
-
-    fn call(
-        &self,
-        frame: &mut Frame<'_>,
-        name: &str,
-        args: &[Expr],
-        line: usize,
-    ) -> Result<Flow, FortError> {
-        if self.rt.engine.program().units.contains_key(name) {
-            let mut bound = Vec::with_capacity(args.len());
-            for a in args {
-                bound.push(self.bind_arg(frame, a, line)?);
-            }
-            let unit = self.rt.engine.program().unit(name).expect("checked");
-            if unit.params.len() != bound.len() {
-                return Err(FortError::runtime(
-                    line,
-                    format!(
-                        "{name} expects {} argument(s), got {}",
-                        unit.params.len(),
-                        bound.len()
-                    ),
-                ));
-            }
-            return self.exec(unit, bound);
-        }
-        self.intrinsic_call(frame, name, args, line)
-    }
-
-    /// Bind one actual argument.
-    fn bind_arg(
-        &self,
-        frame: &mut Frame<'_>,
-        arg: &Expr,
-        line: usize,
-    ) -> Result<ArgVal, FortError> {
-        match arg {
-            Expr::Var(n) => {
-                if self.rt.engine.program().units.contains_key(n) {
-                    return Ok(ArgVal::Unit(n.clone()));
-                }
-                match frame.unit.symbols.get(n) {
-                    Some(sym) => match &sym.storage {
-                        Storage::Shared { block, offset } => {
-                            let base = self.block_base(block, line)?;
-                            Ok(ArgVal::Shared {
-                                offset: base + offset,
-                                ty: sym.ty,
-                                dims: sym.dims.clone(),
-                            })
-                        }
-                        Storage::Local { base } => {
-                            if sym.dims.is_empty() {
-                                Ok(ArgVal::Value(frame.locals[*base]))
-                            } else {
-                                Err(FortError::runtime(
-                                    line,
-                                    format!("cannot pass private array {n} by reference"),
-                                ))
-                            }
-                        }
-                        Storage::PseudoMe => Ok(ArgVal::Value(Value::Int(self.me))),
-                        Storage::PseudoNp => Ok(ArgVal::Value(Value::Int(self.np))),
-                        Storage::Arg(i) => Ok(frame.args[*i].clone()),
-                    },
-                    None => Err(FortError::runtime(line, format!("unknown variable {n}"))),
-                }
-            }
-            Expr::Index(n, idx) => {
-                // Element reference if n is an array symbol; otherwise an
-                // expression value.
-                let is_array = frame
-                    .unit
-                    .symbols
-                    .get(n)
-                    .is_some_and(|s| !s.dims.is_empty());
-                if is_array {
-                    let (offset, ty) = self.array_elem(frame, n, idx, line)?;
-                    match offset {
-                        ElemPlace::Shared(o) => Ok(ArgVal::Shared {
-                            offset: o,
-                            ty,
-                            dims: Vec::new(),
-                        }),
-                        ElemPlace::Local(slot) => Ok(ArgVal::Value(frame.locals[slot])),
-                    }
-                } else {
-                    Ok(ArgVal::Value(self.eval(frame, arg, line)?))
-                }
-            }
-            other => Ok(ArgVal::Value(self.eval(frame, other, line)?)),
-        }
-    }
-
-    // ---- runtime services (the machine layer's intrinsic subroutines) ----
-
-    fn intrinsic_call(
-        &self,
-        frame: &mut Frame<'_>,
-        name: &str,
-        args: &[Expr],
-        line: usize,
-    ) -> Result<Flow, FortError> {
-        let machine = &self.rt.engine.machine;
-        if let Some((kind, is_lock)) = lock_mnemonic(name) {
-            check_vendor_locks(machine, kind, line)?;
-            let offset = self.shared_offset_arg(frame, args, 0, name, line)?;
-            let var_name = match args.first() {
-                Some(Expr::Var(n)) => Some(n.as_str()),
-                _ => None,
-            };
-            lock_service(self.rt, offset, is_lock, var_name, line)?;
-            return Ok(Flow::Normal);
-        }
-        match name {
-            "ZZINITL" | "ZZINITK" | "ZZINITU" => {
-                let offset = self.shared_offset_arg(frame, args, 0, name, line)?;
-                init_lock_service(self.rt, offset, name == "ZZINITK", name == "ZZINITU");
-                Ok(Flow::Normal)
-            }
-            "ZZAINI" => {
-                let e = self.shared_offset_arg(frame, args, 0, name, line)?;
-                let f = self.shared_offset_arg(frame, args, 1, name, line)?;
-                aini_service(self.rt, e, f);
-                Ok(Flow::Normal)
-            }
-            "ZZVOIDL" => {
-                let e_off = self.shared_offset_arg(frame, args, 0, name, line)?;
-                let f_off = self.shared_offset_arg(frame, args, 1, name, line)?;
-                voidl_service(self.rt, e_off, f_off, line)?;
-                Ok(Flow::Normal)
-            }
-            "ZZHPRD" | "ZZHCON" | "ZZHVD" | "ZZHCPY" => {
-                check_hardware_fe(machine, line)?;
-                let (offset, ty) = self.shared_place_arg(frame, args, 0, name, line)?;
-                let tag = self.rt.tag_handle(offset);
-                let state = self.rt.shared(line)?;
-                let _c = fault::enter(hep_construct(name));
-                match name {
-                    "ZZHPRD" => {
-                        let v = self.eval(frame, &args[1], line)?.convert_to(ty, line)?;
-                        hep_produce(&state, &tag, offset, v.to_bits());
-                    }
-                    "ZZHCON" => {
-                        let v = hep_consume(&state, &tag, offset, ty);
-                        let dest = lvalue_of(&args[1], line)?;
-                        self.assign(frame, &dest, v, line)?;
-                    }
-                    "ZZHCPY" => {
-                        let v = hep_copy(&state, &tag, offset, ty);
-                        let dest = lvalue_of(&args[1], line)?;
-                        self.assign(frame, &dest, v, line)?;
-                    }
-                    "ZZHVD" => tag.void(),
-                    _ => unreachable!(),
-                }
-                Ok(Flow::Normal)
-            }
-            "ZZSTRT0" => {
-                strt0_service(self.rt, line)?;
-                Ok(Flow::Normal)
-            }
-            "ZZLINK" => {
-                link_service(self.rt, line)?;
-                Ok(Flow::Normal)
-            }
-            "ZZSHPG" => {
-                shpg_service(self.rt, line)?;
-                Ok(Flow::Normal)
-            }
-            "ZZFORKJ" | "ZZSFORK" | "ZZSPAWN" => {
-                check_fork_mnemonic(machine, name, line)?;
-                let unit_name = match args.first() {
-                    Some(Expr::Var(n)) if self.rt.engine.program().units.contains_key(n) => {
-                        n.clone()
-                    }
-                    _ => {
-                        return Err(FortError::runtime(
-                            line,
-                            format!("{name} needs a program unit to execute"),
-                        ))
-                    }
-                };
-                let unit = self.rt.engine.program().unit(&unit_name).expect("checked");
-                let np = self.rt.nproc;
-                spawn_force(self.rt, line, &|pid| {
-                    let p = Proc {
-                        rt: self.rt,
-                        me: pid as i64,
-                        np: np as i64,
-                    };
-                    p.exec(unit, Vec::new()).map(|_| ())
-                })?;
-                Ok(Flow::Normal)
-            }
-            other => Err(FortError::runtime(
-                line,
-                format!("CALL to unknown subroutine `{other}`"),
-            )),
-        }
-    }
-
-    /// Resolve intrinsic argument `i` to a shared word offset.
-    fn shared_offset_arg(
-        &self,
-        frame: &mut Frame<'_>,
-        args: &[Expr],
-        i: usize,
-        name: &str,
-        line: usize,
-    ) -> Result<usize, FortError> {
-        self.shared_place_arg(frame, args, i, name, line)
-            .map(|(o, _)| o)
-    }
-
-    /// Resolve intrinsic argument `i` to shared storage (offset + type).
-    fn shared_place_arg(
-        &self,
-        frame: &mut Frame<'_>,
-        args: &[Expr],
-        i: usize,
-        name: &str,
-        line: usize,
-    ) -> Result<(usize, Ty), FortError> {
-        let arg = args.get(i).ok_or_else(|| {
-            FortError::runtime(line, format!("{name} is missing argument {}", i + 1))
-        })?;
-        match self.bind_arg(frame, arg, line)? {
-            ArgVal::Shared { offset, ty, .. } => Ok((offset, ty)),
-            _ => Err(FortError::runtime(
-                line,
-                format!("{name} argument {} must be a shared variable", i + 1),
-            )),
-        }
-    }
-
-    fn block_base(&self, block: &str, line: usize) -> Result<usize, FortError> {
-        let state = self.rt.shared(line)?;
-        state
-            .bases
-            .get(block)
-            .copied()
-            .ok_or_else(|| FortError::runtime(line, format!("unknown shared block {block}")))
-    }
-
-    // ---- expression evaluation -------------------------------------------
-
-    fn eval(&self, frame: &mut Frame<'_>, expr: &Expr, line: usize) -> Result<Value, FortError> {
-        match expr {
-            Expr::Int(n) => Ok(Value::Int(*n)),
-            Expr::Real(x) => Ok(Value::Real(*x)),
-            Expr::Logical(b) => Ok(Value::Log(*b)),
-            Expr::Str(_) => Err(FortError::runtime(
-                line,
-                "character data are only allowed in PRINT lists",
-            )),
-            Expr::Var(n) => self.read_scalar(frame, n, line),
-            Expr::Index(n, idx) => {
-                let is_array = frame
-                    .unit
-                    .symbols
-                    .get(n)
-                    .is_some_and(|s| !s.dims.is_empty());
-                if is_array {
-                    let (place, ty) = self.array_elem(frame, n, idx, line)?;
-                    match place {
-                        ElemPlace::Shared(o) => {
-                            let state = self.rt.shared(line)?;
-                            Ok(Value::from_bits(state.region.load_raw(o), ty))
-                        }
-                        ElemPlace::Local(slot) => Ok(frame.locals[slot]),
-                    }
-                } else if frame.unit.symbols.contains_key(n) {
-                    Err(FortError::runtime(
-                        line,
-                        format!("{n} is a scalar but was subscripted"),
-                    ))
-                } else if n == "ZZISFL" || n == "ZZHISF" {
-                    // Full/empty state test (§3.4): needs the *address* of
-                    // its argument, not its value.
-                    self.eval_isfull(frame, n, idx, line)
-                } else {
-                    let mut vals = Vec::with_capacity(idx.len());
-                    for a in idx {
-                        vals.push(self.eval(frame, a, line)?);
-                    }
-                    intrinsics::eval_function(n, &vals, line, self.me, self.np)
-                }
-            }
-            Expr::Un(op, a) => {
-                let v = self.eval(frame, a, line)?;
-                match op {
-                    UnOp::Neg => match v {
-                        Value::Int(n) => Ok(Value::Int(-n)),
-                        Value::Real(x) => Ok(Value::Real(-x)),
-                        Value::Log(_) => Err(FortError::runtime(line, "cannot negate a LOGICAL")),
-                    },
-                    UnOp::Not => Ok(Value::Log(!v.as_log(line)?)),
-                }
-            }
-            Expr::Bin(op, a, b) => {
-                let va = self.eval(frame, a, line)?;
-                let vb = self.eval(frame, b, line)?;
-                eval_binop(*op, va, vb, line)
-            }
-        }
-    }
-
-    /// `ZZISFL(XZZE)` / `ZZHISF(X)`: test an asynchronous variable's
-    /// full/empty state.  A snapshot — the state may change immediately
-    /// after, exactly as on the original machines.
-    fn eval_isfull(
-        &self,
-        frame: &mut Frame<'_>,
-        name: &str,
-        args: &[Expr],
-        line: usize,
-    ) -> Result<Value, FortError> {
-        check_isfull_machine(&self.rt.engine.machine, name, line)?;
-        let (offset, _ty) = self.shared_place_arg(frame, args, 0, name, line)?;
-        isfull_value(self.rt, name, offset, line)
-    }
-
-    fn read_scalar(&self, frame: &Frame<'_>, name: &str, line: usize) -> Result<Value, FortError> {
-        let sym = frame
-            .unit
-            .symbols
-            .get(name)
-            .ok_or_else(|| FortError::runtime(line, format!("unknown variable {name}")))?;
-        if !sym.dims.is_empty() {
-            return Err(FortError::runtime(
-                line,
-                format!("array {name} used without subscripts"),
-            ));
-        }
-        match &sym.storage {
-            Storage::Local { base } => Ok(frame.locals[*base]),
-            Storage::Shared { block, offset } => {
-                let base = self.block_base(block, line)?;
-                let state = self.rt.shared(line)?;
-                Ok(Value::from_bits(
-                    state.region.load_raw(base + offset),
-                    sym.ty,
-                ))
-            }
-            Storage::PseudoMe => Ok(Value::Int(self.me)),
-            Storage::PseudoNp => Ok(Value::Int(self.np)),
-            Storage::Arg(i) => match &frame.args[*i] {
-                ArgVal::Value(v) => Ok(*v),
-                ArgVal::Shared { offset, ty, dims } => {
-                    if !dims.is_empty() {
-                        return Err(FortError::runtime(
-                            line,
-                            format!("array argument {name} used without subscripts"),
-                        ));
-                    }
-                    let state = self.rt.shared(line)?;
-                    Ok(Value::from_bits(state.region.load_raw(*offset), *ty))
-                }
-                ArgVal::Unit(u) => Err(FortError::runtime(
-                    line,
-                    format!("unit name {u} used as a value"),
-                )),
-            },
-        }
-    }
-
-    // ---- assignment ----------------------------------------------------------
-
-    fn assign(
-        &self,
-        frame: &mut Frame<'_>,
-        lhs: &LValue,
-        value: Value,
-        line: usize,
-    ) -> Result<(), FortError> {
-        match lhs {
-            LValue::Name(n) => {
-                let sym = frame
-                    .unit
-                    .symbols
-                    .get(n)
-                    .ok_or_else(|| FortError::runtime(line, format!("unknown variable {n}")))?
-                    .clone();
-                if !sym.dims.is_empty() {
-                    return Err(FortError::runtime(
-                        line,
-                        format!("array {n} assigned without subscripts"),
-                    ));
-                }
-                let v = value.convert_to(sym.ty, line)?;
-                match &sym.storage {
-                    Storage::Local { base } => {
-                        frame.locals[*base] = v;
-                        Ok(())
-                    }
-                    Storage::Shared { block, offset } => {
-                        let base = self.block_base(block, line)?;
-                        let state = self.rt.shared(line)?;
-                        state.region.store_raw(base + offset, v.to_bits());
-                        Ok(())
-                    }
-                    Storage::PseudoMe | Storage::PseudoNp => Err(FortError::runtime(
-                        line,
-                        format!("{n} (process environment) is read-only"),
-                    )),
-                    Storage::Arg(i) => match &frame.args[*i] {
-                        ArgVal::Shared { offset, ty, dims } => {
-                            if !dims.is_empty() {
-                                return Err(FortError::runtime(
-                                    line,
-                                    format!("array argument {n} assigned without subscripts"),
-                                ));
-                            }
-                            let v = value.convert_to(*ty, line)?;
-                            let state = self.rt.shared(line)?;
-                            state.region.store_raw(*offset, v.to_bits());
-                            Ok(())
-                        }
-                        ArgVal::Value(_) => Err(FortError::runtime(
-                            line,
-                            format!("argument {n} was passed by value and is read-only"),
-                        )),
-                        ArgVal::Unit(_) => Err(FortError::runtime(
-                            line,
-                            format!("cannot assign to unit name {n}"),
-                        )),
-                    },
-                }
-            }
-            LValue::Elem(n, idx) => {
-                let (place, ty) = self.array_elem(frame, n, idx, line)?;
-                let v = value.convert_to(ty, line)?;
-                match place {
-                    ElemPlace::Shared(o) => {
-                        let state = self.rt.shared(line)?;
-                        state.region.store_raw(o, v.to_bits());
-                    }
-                    ElemPlace::Local(slot) => frame.locals[slot] = v,
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Resolve an array element to its storage place.
-    fn array_elem(
-        &self,
-        frame: &mut Frame<'_>,
-        name: &str,
-        idx: &[Expr],
-        line: usize,
-    ) -> Result<(ElemPlace, Ty), FortError> {
-        let sym: Symbol = frame
-            .unit
-            .symbols
-            .get(name)
-            .ok_or_else(|| FortError::runtime(line, format!("unknown array {name}")))?
-            .clone();
-        let (dims, ty) = (&sym.dims, sym.ty);
-        // Arg-bound arrays carry their own dims.
-        if let Storage::Arg(i) = sym.storage {
-            let arg = frame.args[i].clone();
-            return match arg {
-                ArgVal::Shared { offset, ty, dims } => {
-                    if dims.is_empty() {
-                        return Err(FortError::runtime(
-                            line,
-                            format!("scalar argument {name} was subscripted"),
-                        ));
-                    }
-                    let off = self.elem_offset(frame, &dims, idx, name, line)?;
-                    Ok((ElemPlace::Shared(offset + off), ty))
-                }
-                _ => Err(FortError::runtime(
-                    line,
-                    format!("argument {name} is not an array reference"),
-                )),
-            };
-        }
-        if dims.is_empty() {
-            return Err(FortError::runtime(
-                line,
-                format!("{name} is a scalar but was subscripted"),
-            ));
-        }
-        let dims = dims.clone();
-        let off = self.elem_offset(frame, &dims, idx, name, line)?;
-        match &sym.storage {
-            Storage::Local { base } => Ok((ElemPlace::Local(base + off), ty)),
-            Storage::Shared { block, offset } => {
-                let base = self.block_base(block, line)?;
-                Ok((ElemPlace::Shared(base + offset + off), ty))
-            }
-            _ => unreachable!("array storage"),
-        }
-    }
-
-    /// Column-major, 1-based element offset with bounds checking.
-    fn elem_offset(
-        &self,
-        frame: &mut Frame<'_>,
-        dims: &[usize],
-        idx: &[Expr],
-        name: &str,
-        line: usize,
-    ) -> Result<usize, FortError> {
-        if idx.len() != dims.len() {
-            return Err(FortError::runtime(
-                line,
-                format!(
-                    "{name} has {} dimension(s) but {} subscript(s) given",
-                    dims.len(),
-                    idx.len()
-                ),
-            ));
-        }
-        let mut off = 0usize;
-        let mut stride = 1usize;
-        for (k, (e, &d)) in idx.iter().zip(dims.iter()).enumerate() {
-            let i = self.eval(frame, e, line)?.as_int(line)?;
-            if i < 1 || i as usize > d {
-                return Err(FortError::runtime(
-                    line,
-                    format!("subscript {} of {name} is {i}, outside 1..{d}", k + 1),
-                ));
-            }
-            off += (i as usize - 1) * stride;
-            stride *= d;
-        }
-        Ok(off)
-    }
-}
-
-/// Storage place of one array element.
-enum ElemPlace {
-    Shared(usize),
-    Local(usize),
-}
-
-/// Interpret an expression as an assignment target (for ZZHCON etc.).
-fn lvalue_of(e: &Expr, line: usize) -> Result<LValue, FortError> {
-    match e {
-        Expr::Var(n) => Ok(LValue::Name(n.clone())),
-        Expr::Index(n, idx) => Ok(LValue::Elem(n.clone(), idx.clone())),
-        _ => Err(FortError::runtime(line, "destination must be a variable")),
-    }
 }
 
 /// Numeric/logical binary operation with Fortran coercions.
@@ -1792,6 +1111,7 @@ pub(crate) fn num_cmp(a: Value, b: Value, line: usize) -> Result<std::cmp::Order
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Oracle;
     use force_machdep::MachineId;
     use force_prep::preprocess;
 
@@ -2085,25 +1405,17 @@ mod tests {
       Join
 ";
         let exp = preprocess(src, MachineId::EncoreMultimax).unwrap();
-        let engine = Engine::from_expanded(&exp, Machine::new(MachineId::EncoreMultimax)).unwrap();
-        for executor in [ExecutorChoice::Bytecode, ExecutorChoice::TreeWalk] {
-            let out = engine
-                .run_with(
-                    2,
-                    RunOptions {
-                        executor,
-                        ..RunOptions::default()
-                    },
-                )
-                .unwrap();
+        let machine = || Machine::new(MachineId::EncoreMultimax);
+        let engine = Engine::from_expanded(&exp, machine()).unwrap();
+        let oracle = Oracle::from_expanded(&exp, machine()).unwrap();
+        for (executor, out) in [
+            ("vm", engine.run(2).unwrap()),
+            ("oracle", oracle.run_with(2, RunOptions::default()).unwrap()),
+        ] {
             // Exactly Int(8): not Real(8.0), not a wrapped value.
-            assert_eq!(out.shared_scalar("N"), Some(Value::Int(8)), "{executor:?}");
+            assert_eq!(out.shared_scalar("N"), Some(Value::Int(8)), "{executor}");
             // A negative exponent still takes the real path.
-            assert_eq!(
-                out.shared_scalar("H"),
-                Some(Value::Real(0.5)),
-                "{executor:?}"
-            );
+            assert_eq!(out.shared_scalar("H"), Some(Value::Real(0.5)), "{executor}");
         }
 
         // Overflow is a checked runtime error, not a clamp or a wrap.

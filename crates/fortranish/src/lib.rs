@@ -1,9 +1,10 @@
 //! # force-fortran — the mini-Fortran substrate of The Force
 //!
-//! A lexer, parser and multi-process interpreter for the Fortran subset
-//! emitted by the Force preprocessor ([`force_prep`]), with COMMON
-//! storage shared through a simulated machine personality
-//! ([`force_machdep::Machine`]).  This crate substitutes for the
+//! A lexer, parser, bytecode compiler and multi-process VM ([`Engine`])
+//! for the Fortran subset emitted by the Force preprocessor
+//! ([`force_prep`]), with COMMON storage shared through a simulated
+//! machine personality ([`force_machdep::Machine`]); plus the reference
+//! tree-walking interpreter the VM is tested against ([`oracle`]).  This crate substitutes for the
 //! "manufacturer provided Fortran compiler and linker" of the paper's
 //! three-step pipeline (§4.3).
 //!
@@ -36,6 +37,7 @@ pub mod engine;
 pub mod error;
 pub mod intrinsics;
 pub mod lexer;
+pub mod oracle;
 pub mod parser;
 pub mod program;
 pub mod token;

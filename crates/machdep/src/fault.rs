@@ -200,24 +200,6 @@ impl FaultInjection {
     }
 }
 
-/// Which executor a language front end uses for compiled program units.
-///
-/// The machine-dependent layer defines the knob (it lives in the shared
-/// [`RunOptions`]) but attaches no behavior to it; the `force-fortran`
-/// engine reads it to pick between its bytecode VM and the original
-/// tree-walking interpreter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ExecutorChoice {
-    /// Consult the `FORCE_EXECUTOR` environment variable (`tree` /
-    /// `bytecode`); when unset, use the bytecode VM.
-    #[default]
-    Auto,
-    /// The compiled bytecode VM (the default execution path).
-    Bytecode,
-    /// The AST tree-walking interpreter (the reference semantics).
-    TreeWalk,
-}
-
 /// Per-force fault-plane configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FaultConfig {
@@ -234,9 +216,6 @@ pub struct FaultConfig {
     /// carry an explicit per-loop override.  Defaults to the paper's §4.2
     /// selfscheduling (`Selfsched { chunk: 1 }`).
     pub default_schedule: SchedulePolicy,
-    /// Executor used by the language front end for this run (ignored by
-    /// the native API).
-    pub executor: ExecutorChoice,
     /// How pids map onto OS execution ([`crate::park`]): one dedicated
     /// thread per pid (the default), or a multiplexed worker fleet that
     /// lets `nproc` far exceed the host's cores.
@@ -249,12 +228,13 @@ pub struct FaultConfig {
     pub costs: Option<CostModel>,
 }
 
-/// Per-run options for a reusable execution session: the deadlock
-/// watchdog bound and the fault injection applied to *one* job.  An
-/// alias of [`FaultConfig`] — a resident session re-arms its plane with
-/// these at the start of every run
-/// ([`FaultPlane::reset_for_job`]), so a shared pooled force or engine
-/// can be configured per job without `&mut` access.
+/// Per-run options for a reusable execution session: what applies to
+/// *one* job — watchdog bound, fault injection, tracing, default
+/// schedule, parking backend and virtual-clock costs.  An alias of
+/// [`FaultConfig`] — a resident session re-arms its plane with these at
+/// the start of every run ([`FaultPlane::reset_for_job`]), so a shared
+/// pooled force or engine can be configured per job without `&mut`
+/// access.
 pub type RunOptions = FaultConfig;
 
 /// Wait-board states (low two bits of each board word).

@@ -46,8 +46,8 @@ pub mod workq;
 pub use cost::{CostModel, CycleAccount};
 pub use env::ForceEnvironment;
 pub use fault::{
-    bind_ambient_stats, AmbientStatsGuard, Construct, ExecutorChoice, FaultConfig, FaultInjection,
-    FaultPlane, ProcessFault, RunOptions,
+    bind_ambient_stats, AmbientStatsGuard, Construct, FaultConfig, FaultInjection, FaultPlane,
+    ProcessFault, RunOptions,
 };
 pub use fullempty::{FullEmptyState, HepLock};
 pub use lock::{with_lock, LockHandle, LockKind, LockState, RawLock};

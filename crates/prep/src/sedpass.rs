@@ -879,11 +879,9 @@ mod isfull_tests {
     }
 }
 
-/// Plain (non-proptest) regressions pinning UTF-8 safety, so the hermetic
-/// default build keeps covering them.  The proptest shrinker once reduced
-/// a sed-pass crash candidate to the two-character line `"Σ` (see
-/// tests/proptests.proptest-regressions); everything here must stay
-/// panic-free whatever the translation outcome.
+/// Regressions pinning UTF-8 safety.  A proptest shrinker once reduced a
+/// sed-pass crash candidate to the two-character line `"Σ`; everything
+/// here must stay panic-free whatever the translation outcome.
 #[cfg(test)]
 mod utf8_regressions {
     use super::{sed_pass, translate_line};

@@ -1,16 +1,19 @@
 //! The expansion cache as its callers see it: bounded in bytes, least
 //! recently used out first, the same `Arc` for as long as an entry is
 //! resident, holders unaffected by eviction, the compiled artifact
-//! counted, and the tree-walk oracle's AST never resident in it.
+//! counted, and the reference interpreter's AST never resident in it.
 //!
 //! Every test builds a cache of its own.  The memory regression guard
 //! over the process's default instance is `expansion_cache_rss.rs`, a
 //! binary of its own so that nothing else allocates beside it.
 
+mod support;
+
 use std::sync::{Arc, Barrier};
 
-use the_force::fortran::{Engine, RunOutput, Value};
-use the_force::machdep::{ExecutorChoice, Machine, MachineId, RunOptions};
+use the_force::fortran::oracle::Oracle;
+use the_force::fortran::{Engine, Value};
+use the_force::machdep::{Machine, MachineId, RunOptions};
 use the_force::prep::ExpansionCache;
 
 /// The `i`-th of a family of distinct programs and the value its run
@@ -36,14 +39,6 @@ fn source(i: usize) -> (String, i64) {
 
 fn shared_name(i: usize) -> String {
     format!("QS{i}")
-}
-
-fn run(engine: &Engine, executor: ExecutorChoice) -> RunOutput {
-    let options = RunOptions {
-        executor,
-        ..RunOptions::default()
-    };
-    engine.run_with(2, options).expect("run")
 }
 
 /// The accounted weight of one compiled entry of this family.
@@ -114,10 +109,10 @@ fn holders_outlive_the_eviction_of_their_entry() {
         "the held entry was evicted"
     );
 
-    let out = run(&engine, ExecutorChoice::Auto);
+    let out = engine.run(2).expect("run");
     assert_eq!(out.shared_scalar(&shared_name(1)), Some(Value::Int(expect)));
     let late = Engine::from_expanded(&held, Machine::new(MachineId::Cray2)).unwrap();
-    let out = run(&late, ExecutorChoice::Auto);
+    let out = late.run(2).expect("run");
     assert_eq!(out.shared_scalar(&shared_name(1)), Some(Value::Int(expect)));
 
     let misses = cache.stats().misses;
@@ -191,44 +186,34 @@ fn concurrent_hot_and_cold_jobs_keep_the_accounting_exact() {
     assert_eq!(stats.entries, cache.resident().len());
 }
 
-/// (v) The tree-walk oracle parses its AST on demand: a bundle built for
-/// the bytecode path serves a tree-walk run of the same engine, of a
-/// second engine on the cached bundle, and of one loaded after the entry
-/// was evicted and expanded again — all agreeing with the bytecode run.
+/// (v) The reference interpreter's AST is the oracle's own: an `Oracle`
+/// built from a cached expansion, and from one evicted and expanded
+/// again, agrees with the `Engine` and adds nothing to the cache's bytes.
 #[test]
-fn the_oracle_ast_is_built_on_demand_and_agrees_with_the_bytecode() {
+fn the_oracle_owns_its_ast_and_agrees_with_the_bytecode() {
     let cache = ExpansionCache::new(3 * entry_weight());
     let (src, expect) = source(3);
-    let name = shared_name(3);
-    let load = |cache: &ExpansionCache| {
-        let expanded = cache.preprocess(&src, MachineId::SequentBalance).unwrap();
-        let engine = Engine::from_expanded(&expanded, Machine::new(MachineId::SequentBalance));
-        (expanded, engine.unwrap())
+    let id = MachineId::SequentBalance;
+    let tree_run = |expanded| {
+        let oracle = Oracle::from_expanded(expanded, Machine::new(id)).unwrap();
+        oracle
+            .run_with(2, RunOptions::default())
+            .expect("oracle run")
     };
 
-    let (first, engine) = load(&cache);
-    let byte = run(&engine, ExecutorChoice::Bytecode);
-    assert_eq!(byte.shared_scalar(&name), Some(Value::Int(expect)));
+    let first = cache.preprocess(&src, id).unwrap();
+    let engine = Engine::from_expanded(&first, Machine::new(id)).unwrap();
+    let byte = engine.run(2).expect("run");
+    assert_eq!(
+        byte.shared_scalar(&shared_name(3)),
+        Some(Value::Int(expect))
+    );
     let resident = cache.stats().bytes;
-    let tree = run(&engine, ExecutorChoice::TreeWalk);
-    assert_eq!(tree.shared_values, byte.shared_values);
-    assert_eq!(tree.prints, byte.prints);
-    assert_eq!(tree.linker_commands, byte.linker_commands);
+    support::assert_same_run("cached", &tree_run(&first), &byte);
     assert_eq!(
         cache.stats().bytes,
         resident,
-        "the AST is the engine's, not the cache's"
-    );
-    assert_eq!(engine.program().units.len(), 2, "driver + main unit");
-
-    // A second engine on the cached bundle, tree-walk first this time.
-    let (same, second) = load(&cache);
-    assert!(Arc::ptr_eq(&first, &same));
-    let tree = run(&second, ExecutorChoice::TreeWalk);
-    assert_eq!(tree.shared_values, byte.shared_values);
-    assert_eq!(
-        run(&second, ExecutorChoice::Bytecode).shared_values,
-        byte.shared_values
+        "the AST is the oracle's, not the cache's"
     );
 
     // Evict, expand again, and walk the tree of the reloaded program.
@@ -236,26 +221,14 @@ fn the_oracle_ast_is_built_on_demand_and_agrees_with_the_bytecode() {
         let e = cache.preprocess(&source(i).0, MachineId::Hep).unwrap();
         Engine::from_expanded(&e, Machine::new(MachineId::Hep)).unwrap();
     }
-    let (reloaded, third) = load(&cache);
+    let reloaded = cache.preprocess(&src, id).unwrap();
     assert!(
         !Arc::ptr_eq(&first, &reloaded),
         "evicted and expanded again"
     );
-    let tree = run(&third, ExecutorChoice::TreeWalk);
-    assert_eq!(tree.shared_values, byte.shared_values);
-    // The counters that do not depend on who waited for whom.
-    let ops = |o: &RunOutput| {
-        let s = o.stats;
-        (
-            s.lock_acquires,
-            s.locks_created,
-            s.shared_words,
-            s.processes_created,
-        )
-    };
-    assert_eq!(ops(&tree), ops(&byte), "same primitive operations");
-    assert_eq!(
-        run(&engine, ExecutorChoice::TreeWalk).shared_values,
-        byte.shared_values
-    );
+    // Loading an engine attaches the bundle; the oracle adds nothing more.
+    Engine::from_expanded(&reloaded, Machine::new(id)).unwrap();
+    let resident = cache.stats().bytes;
+    support::assert_same_run("reloaded", &tree_run(&reloaded), &byte);
+    assert_eq!(cache.stats().bytes, resident);
 }

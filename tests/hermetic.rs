@@ -6,9 +6,7 @@
 //! registry dependency — path dependencies on sibling crates are the only
 //! kind allowed.  This test scans every Cargo.toml in the workspace and
 //! fails loudly, naming the offending line, if an external dependency
-//! sneaks back in.  (To use one intentionally, gate it behind the
-//! non-default `ext` feature as a commented restore line — see the
-//! workspace Cargo.toml.)
+//! sneaks back in.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -75,8 +73,7 @@ fn default_feature_set_is_dependency_free() {
     }
     assert!(
         offenders.is_empty(),
-        "registry dependencies break the hermetic build (gate them behind \
-         the `ext` feature instead):\n  {}",
+        "registry dependencies break the hermetic build:\n  {}",
         offenders.join("\n  ")
     );
 }
@@ -87,9 +84,14 @@ fn no_external_sync_crates_in_source() {
     // sync primitives live in force-machdep's portable module.  Catch a
     // reintroduction at the `use` site even if the manifest check above
     // were somehow bypassed (e.g. a vendored copy).
+    //
+    // The library crates also read no environment variable, so a
+    // process-wide switch cannot come back unnoticed.  `crates/bench`
+    // is a binary crate and keeps its knobs.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let bench = root.join("crates").join("bench");
     let mut offenders = Vec::new();
-    let mut stack = vec![root.join("crates")];
+    let mut stack = vec![root.join("crates"), root.join("src")];
     while let Some(dir) = stack.pop() {
         for entry in fs::read_dir(&dir).expect("read dir") {
             let path = entry.expect("dir entry").path();
@@ -100,12 +102,16 @@ fn no_external_sync_crates_in_source() {
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let text = fs::read_to_string(&path).expect("read source");
+                let env_read = (!path.starts_with(&bench)).then_some("env::var");
                 for (lineno, line) in text.lines().enumerate() {
                     let t = line.trim();
                     if t.starts_with("//") {
                         continue;
                     }
-                    for banned in ["crossbeam", "parking_lot", "rand::"] {
+                    for banned in ["crossbeam", "parking_lot", "rand::"]
+                        .into_iter()
+                        .chain(env_read)
+                    {
                         if t.contains(banned) {
                             offenders.push(format!("{}:{}: {}", path.display(), lineno + 1, t));
                         }
@@ -116,7 +122,7 @@ fn no_external_sync_crates_in_source() {
     }
     assert!(
         offenders.is_empty(),
-        "external sync/PRNG crates referenced outside the hermetic gate:\n  {}",
+        "external sync/PRNG crates or environment reads in library source:\n  {}",
         offenders.join("\n  ")
     );
 }

@@ -2,12 +2,15 @@
 //! loops around constructs, subroutines, arrays, REAL/LOGICAL data and
 //! Fortran control flow mixed with Force constructs.
 
+mod support;
+
+use support::run_checked;
 use the_force::fortran::Value;
 use the_force::machdep::MachineId;
 use the_force::run_force_source;
 
 fn run(src: &str, nproc: usize) -> the_force::fortran::RunOutput {
-    run_force_source(src, MachineId::Flex32, nproc).expect("program runs")
+    run_checked(src, MachineId::Flex32, nproc)
 }
 
 #[test]
@@ -295,9 +298,9 @@ fn producer_consumer_loop_through_async_variable() {
       END IF
       Join
 ";
-    let out = run_force_source(src, MachineId::Hep, 2).unwrap();
+    let out = run_checked(src, MachineId::Hep, 2);
     assert_eq!(out.shared_scalar("SUM"), Some(Value::Int(465)));
-    let out = run_force_source(src, MachineId::Cray2, 2).unwrap();
+    let out = run_checked(src, MachineId::Cray2, 2);
     assert_eq!(out.shared_scalar("SUM"), Some(Value::Int(465)));
 }
 
@@ -333,7 +336,7 @@ fn isfull_tests_the_state_without_consuming() {
         MachineId::Cray2,
         MachineId::Flex32,
     ] {
-        let out = run_force_source(src, id, 3).unwrap();
+        let out = run_checked(src, id, 3);
         assert_eq!(
             out.shared_scalar("BEFORE"),
             Some(Value::Int(0)),
@@ -375,9 +378,9 @@ fn isfull_polling_loop_synchronizes_a_flag() {
       END IF
       Join
 ";
-    let out = run_force_source(src, MachineId::Hep, 2).unwrap();
+    let out = run_checked(src, MachineId::Hep, 2);
     assert_eq!(out.shared_scalar("GOT"), Some(Value::Int(77)));
-    let out = run_force_source(src, MachineId::SequentBalance, 2).unwrap();
+    let out = run_checked(src, MachineId::SequentBalance, 2);
     assert_eq!(out.shared_scalar("GOT"), Some(Value::Int(77)));
 }
 
@@ -408,7 +411,7 @@ fn async_array_wavefront_in_the_language() {
 ";
     for id in [MachineId::Hep, MachineId::EncoreMultimax, MachineId::Cray2] {
         let nproc = 4;
-        let out = run_force_source(src, id, nproc).unwrap();
+        let out = run_checked(src, id, nproc);
         let outs = &out.shared_values["OUT"];
         for r in 1..=20i64 {
             // r passes through nproc-1 incrementing stages
@@ -448,7 +451,7 @@ fn async_array_elements_are_independent_in_the_language() {
       Join
 ";
     for id in [MachineId::Hep, MachineId::SequentBalance, MachineId::Flex32] {
-        let out = run_force_source(src, id, 2).unwrap();
+        let out = run_checked(src, id, 2);
         assert_eq!(
             out.shared_scalar("F1"),
             Some(Value::Int(1)),
@@ -474,6 +477,10 @@ fn async_array_elements_are_independent_in_the_language() {
 fn doubly_nested_doall_covers_the_pair_space() {
     // §3.3: "In case of singly (doubly) nested loops, the loop indices
     // (index pairs) specify concurrently executable sequential streams."
+    // The second loop depends on the first, so a `Barrier` separates
+    // them: `End selfsched DO2` only counts a process out (ZZBAREXIT), it
+    // does not wait for peers still inside their last body, and the
+    // first loop's GRID update is an unlocked read-modify-write.
     let src = "\
       Force FMAIN of NP ident ME
       Shared INTEGER GRID(6,5), COUNT
@@ -485,6 +492,8 @@ fn doubly_nested_doall_covers_the_pair_space() {
       COUNT = COUNT + 1
       End critical
 100   End selfsched DO2
+      Barrier
+      End barrier
       Presched DO2 200 I = 1, 6 ; J = 1, 5
       GRID(I, J) = GRID(I, J) + 1000
 200   End presched DO2
@@ -492,7 +501,7 @@ fn doubly_nested_doall_covers_the_pair_space() {
 ";
     for id in [MachineId::Hep, MachineId::EncoreMultimax, MachineId::Cray2] {
         for nproc in [1, 3, 4] {
-            let out = run_force_source(src, id, nproc).unwrap();
+            let out = run_checked(src, id, nproc);
             assert_eq!(
                 out.shared_scalar("COUNT"),
                 Some(Value::Int(30)),
@@ -532,7 +541,7 @@ fn doubly_nested_doall_with_strides_and_empty_ranges() {
 200   End presched DO2
       Join
 ";
-    let out = run_force_source(src, MachineId::Flex32, 3).unwrap();
+    let out = run_checked(src, MachineId::Flex32, 3);
     // outer trips: 1,4,7,10 = 4; inner: 10,6,2 = 3 -> 12 pairs
     assert_eq!(out.shared_scalar("COUNT"), Some(Value::Int(12)));
     assert_eq!(out.shared_scalar("EMPTYC"), Some(Value::Int(0)));

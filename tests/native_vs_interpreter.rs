@@ -3,11 +3,14 @@
 //! (`force-prep` + `force-fortran`) must compute the same results on the
 //! same machine personalities — they are two renderings of one language.
 
+mod support;
+
 use std::sync::atomic::{AtomicI64, Ordering};
 
+use support::{assert_same_run, run_oracle};
 use the_force::compile_force_source;
 use the_force::fortran::{RunOutput, Value};
-use the_force::machdep::{ExecutorChoice, Machine, MachineId};
+use the_force::machdep::{Machine, MachineId};
 use the_force::prelude::*;
 use the_force::run_force_source;
 
@@ -179,76 +182,23 @@ fn barrier_section_equivalence() {
 }
 
 // ---------------------------------------------------------------------------
-// Executor matrix: the tree-walking interpreter and the bytecode VM are two
-// executors for the *same* language, so every corpus program must produce
-// identical observable output — prints, shared memory, linker passes, op
-// counters and fault attribution — on every machine personality.
+// Executor matrix: the bytecode VM (what an `Engine` runs) and the reference
+// tree-walker (`fortran::oracle::Oracle`) execute the *same* language, so
+// every corpus program must produce identical observable output — prints,
+// shared memory, linker passes, op counters and fault attribution — on every
+// machine personality.
 // ---------------------------------------------------------------------------
 
-/// Op counters whose value depends on thread timing (how often a lock was
-/// seen held, how many spin retries happened, who stole work).  Everything
-/// else — acquisitions, releases, barrier episodes, allocation, process
-/// creation, fault bookkeeping — must match exactly between executors.
-const TIMING_DEPENDENT_COUNTERS: &[&str] = &[
-    "lock_contended",
-    "syscalls",
-    "parks",
-    "park_wakes",
-    "park_spurious_wakes",
-    "spin_retries",
-    "steals",
-    "steal_attempts_failed",
-    "cancellations_observed",
-];
-
-fn run_under(
-    src: &str,
-    id: MachineId,
-    nproc: usize,
-    executor: ExecutorChoice,
-) -> Result<RunOutput, String> {
-    // A fresh Machine per run: startup state (e.g. the Sequent ZZSTRT0
-    // registry) lives on the machine instance and must not leak between
-    // the two executors being compared.
+/// One production run on a fresh `Machine`, errors as display strings —
+/// the counterpart of [`support::run_oracle`].
+fn run_vm(src: &str, id: MachineId, nproc: usize) -> Result<RunOutput, String> {
     let (_expanded, engine) = compile_force_source(src, id)
         .unwrap_or_else(|e| panic!("{}: front end rejected program: {e}", id.name()));
-    engine
-        .run_with(
-            nproc,
-            RunOptions {
-                executor,
-                ..RunOptions::default()
-            },
-        )
-        .map_err(|e| e.to_string())
+    engine.run(nproc).map_err(|e| e.to_string())
 }
 
-fn assert_same_run(label: &str, tree: &RunOutput, vm: &RunOutput) {
-    let sorted = |v: &[String]| {
-        let mut v = v.to_vec();
-        v.sort();
-        v
-    };
-    assert_eq!(
-        sorted(&tree.prints),
-        sorted(&vm.prints),
-        "{label}: prints diverge"
-    );
-    assert_eq!(
-        tree.shared_values, vm.shared_values,
-        "{label}: final shared memory diverges"
-    );
-    assert_eq!(
-        tree.linker_commands, vm.linker_commands,
-        "{label}: linker passes diverge"
-    );
-    for ((name, t), (vname, v)) in tree.stats.fields().iter().zip(vm.stats.fields().iter()) {
-        assert_eq!(name, vname);
-        if TIMING_DEPENDENT_COUNTERS.contains(name) {
-            continue;
-        }
-        assert_eq!(t, v, "{label}: op counter {name} diverges");
-    }
+fn run_tree(src: &str, id: MachineId, nproc: usize) -> Result<RunOutput, String> {
+    run_oracle(src, id, nproc, RunOptions::default())
 }
 
 /// Deterministic language-feature programs: (name, nproc, source).  Each is
@@ -401,9 +351,9 @@ fn executor_matrix_every_program_on_every_machine() {
     for (name, nproc, src) in corpus() {
         for id in MachineId::all() {
             let label = format!("{name} on {}", id.name());
-            let tree = run_under(&src, id, nproc, ExecutorChoice::TreeWalk)
+            let tree = run_tree(&src, id, nproc)
                 .unwrap_or_else(|e| panic!("{label}: tree-walker failed: {e}"));
-            let vm = run_under(&src, id, nproc, ExecutorChoice::Bytecode)
+            let vm = run_vm(&src, id, nproc)
                 .unwrap_or_else(|e| panic!("{label}: bytecode VM failed: {e}"));
             assert_same_run(&label, &tree, &vm);
         }
@@ -428,10 +378,9 @@ fn executor_fault_attribution_is_identical() {
       Join
 ";
     for id in MachineId::all() {
-        let tree = run_under(src, id, 1, ExecutorChoice::TreeWalk)
-            .expect_err("tree-walker must report the out-of-bounds store");
-        let vm = run_under(src, id, 1, ExecutorChoice::Bytecode)
-            .expect_err("bytecode VM must report the out-of-bounds store");
+        let tree =
+            run_tree(src, id, 1).expect_err("tree-walker must report the out-of-bounds store");
+        let vm = run_vm(src, id, 1).expect_err("bytecode VM must report the out-of-bounds store");
         assert_eq!(tree, vm, "{}: fault strings diverge", id.name());
         assert!(
             tree.contains("subscript") && tree.contains("line "),
@@ -441,8 +390,8 @@ fn executor_fault_attribution_is_identical() {
 
         // With a real force any process may claim trip 13, but only that
         // trip faults, so the reported error is still deterministic.
-        let tree = run_under(src, id, 3, ExecutorChoice::TreeWalk).expect_err("tree err");
-        let vm = run_under(src, id, 3, ExecutorChoice::Bytecode).expect_err("vm err");
+        let tree = run_tree(src, id, 3).expect_err("tree err");
+        let vm = run_vm(src, id, 3).expect_err("vm err");
         assert_eq!(tree, vm, "{}: nproc=3 fault strings diverge", id.name());
     }
 }

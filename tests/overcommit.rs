@@ -4,6 +4,8 @@
 //! most `workers` pids are runnable at once — a parked pid *must* yield
 //! its permit, or the force deadlocks with runnable peers starved.
 
+mod support;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,7 +13,7 @@ use std::time::Duration;
 use the_force::compile_force_source;
 use the_force::machdep::trace::EventKind;
 use the_force::machdep::{
-    ExecutorChoice, FaultInjection, Machine, MachineId, ParkBackend, RunOptions, TraceConfig,
+    FaultInjection, Machine, MachineId, ParkBackend, RunOptions, TraceConfig,
 };
 use the_force::prelude::*;
 
@@ -176,21 +178,16 @@ fn language_front_end_runs_overcommitted() {
       End barrier
       Join
 ";
-    for executor in [ExecutorChoice::TreeWalk, ExecutorChoice::Bytecode] {
-        let (_expanded, engine) =
-            compile_force_source(src, MachineId::SequentBalance).expect("compiles");
-        let out = engine
-            .run_with(
-                WORKERS * 32,
-                RunOptions {
-                    executor,
-                    ..overcommit_options()
-                },
-            )
-            .expect("overcommitted language run must complete");
-        assert_eq!(
-            out.shared_scalar("N").unwrap().as_int(0).unwrap(),
-            (WORKERS * 32) as i64
-        );
-    }
+    let (id, nproc) = (MachineId::SequentBalance, WORKERS * 32);
+    let (_expanded, engine) = compile_force_source(src, id).expect("compiles");
+    let vm = engine
+        .run_with(nproc, overcommit_options())
+        .expect("overcommitted language run must complete");
+    let tree = support::run_oracle(src, id, nproc, overcommit_options())
+        .expect("overcommitted oracle run must complete");
+    support::assert_same_run("overcommitted", &tree, &vm);
+    assert_eq!(
+        vm.shared_scalar("N").unwrap().as_int(0).unwrap(),
+        nproc as i64
+    );
 }

@@ -6,16 +6,18 @@
 //! macro set and driver — the paper's claim that "porting it between
 //! machines with similar system supported primitives is almost trivial".
 
+mod support;
+
+use support::run_checked;
 use the_force::fortran::Value;
 use the_force::machdep::{MachineId, SharingModelId};
-use the_force::run_force_source;
 
-/// Run on all machines at several force sizes; verify with `check`.
+/// Run on all machines at several force sizes (each run checked against
+/// the reference interpreter); verify with `check`.
 fn matrix(src: &str, check: impl Fn(MachineId, usize, &the_force::fortran::RunOutput)) {
     for id in MachineId::all() {
         for nproc in [1, 2, 4] {
-            let out = run_force_source(src, id, nproc)
-                .unwrap_or_else(|e| panic!("{} nproc={nproc}: {e}", id.name()));
+            let out = run_checked(src, id, nproc);
             check(id, nproc, &out);
         }
     }
@@ -216,7 +218,7 @@ fn machine_profiles_differ_along_the_taxonomy() {
       Join
 ";
     for id in MachineId::all() {
-        let out = run_force_source(src, id, 3).unwrap();
+        let out = run_checked(src, id, 3);
         let s = &out.stats;
         let spec = the_force::machdep::MachineSpec::of(id);
         match id {
@@ -275,7 +277,7 @@ fn simulated_cycle_profiles_follow_the_cost_models() {
 ";
     let mut cycles = std::collections::HashMap::new();
     for id in MachineId::all() {
-        let out = run_force_source(src, id, 2).unwrap();
+        let out = run_checked(src, id, 2);
         cycles.insert(id, out.cycles);
     }
     // The HEP (cheap spawn + hardware sync) must be the cheapest port;

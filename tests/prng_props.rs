@@ -1,13 +1,10 @@
-//! Randomized property tests that run in the *default*, dependency-free
-//! build.
-//!
-//! These are ports of the proptest suites (tests/proptests.rs and
-//! tests/interpreter_arith.rs, both gated behind the non-default `ext`
-//! feature) onto the in-repo [`XorShift64`] generator, so the hermetic
-//! `cargo test --offline` keeps exercising the same invariants without a
-//! crates registry.  Seeds are fixed, so every run replays the same cases;
-//! when a case fails, the assertion message carries enough of the inputs
-//! to reconstruct it as a plain regression test.
+//! Randomized property tests on the in-repo [`XorShift64`] generator, so
+//! the hermetic `cargo test --offline` needs no crates registry.  Seeds
+//! are fixed, so every run replays the same cases; when a case fails, the
+//! assertion message carries enough of the inputs to reconstruct it as a
+//! plain regression test.
+
+mod support;
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -521,7 +518,7 @@ fn interpreter_do_loops_match_reference_iteration() {
              10    CONTINUE\n\
              \x20     Join\n"
         );
-        let out = the_force::run_force_source(&src, MachineId::Hep, 1).unwrap();
+        let out = support::run_checked(&src, MachineId::Hep, 1);
         assert_eq!(
             out.shared_scalar("S").unwrap().as_int(0).unwrap(),
             expected,
@@ -532,16 +529,12 @@ fn interpreter_do_loops_match_reference_iteration() {
 
 #[test]
 fn random_expressions_agree_across_executors() {
-    // Dependency-free port of tests/interpreter_arith.rs extended to the
-    // executor matrix: every random integer expression must evaluate to
-    // the Rust reference value under BOTH the tree-walking interpreter
-    // and the bytecode VM.
-    use the_force::compile_force_source;
-    use the_force::machdep::{ExecutorChoice, RunOptions};
-
+    // Every random integer expression must evaluate to the Rust
+    // reference value under BOTH the bytecode VM and the reference
+    // interpreter (`run_checked` holds the two to each other).
     // Build a random Fortran expression over V1..V4 and evaluate it with
     // checked reference arithmetic (None = division by zero or overflow;
-    // such cases are skipped, as in the proptest original).
+    // such cases are skipped).
     fn gen(rng: &mut XorShift64, depth: usize, vars: &[i64; 4]) -> (String, Option<i64>) {
         if depth == 0 || rng.next_index(3) == 0 {
             if rng.next_bool() {
@@ -613,24 +606,53 @@ fn random_expressions_agree_across_executors() {
              \x20     Join\n",
             vars[0], vars[1], vars[2], vars[3],
         );
-        for executor in [ExecutorChoice::TreeWalk, ExecutorChoice::Bytecode] {
-            let (_expanded, engine) = compile_force_source(&src, MachineId::Cray2).unwrap();
-            let out = engine
-                .run_with(
-                    1,
-                    RunOptions {
-                        executor,
-                        ..RunOptions::default()
-                    },
-                )
-                .unwrap();
-            assert_eq!(
-                out.shared_scalar("R").unwrap().as_int(0).unwrap(),
-                expected,
-                "{executor:?}: expr {e} with V = {vars:?}"
-            );
-        }
+        let out = support::run_checked(&src, MachineId::Cray2, 1);
+        assert_eq!(
+            out.shared_scalar("R").unwrap().as_int(0).unwrap(),
+            expected,
+            "expr {e} with V = {vars:?}"
+        );
         compared += 1;
     }
     assert!(compared > 40, "only {compared} comparable cases generated");
+}
+
+#[test]
+fn relational_operators_match_reference() {
+    // All six comparisons folded into one mask per (A, B), exhaustively
+    // over -20..=20 x -20..=20, in one program under both executors.
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER MASK(41, 41)
+      Private INTEGER A, B, M
+      End declarations
+      DO 20 A = -20, 20
+      DO 10 B = -20, 20
+      M = 0
+      IF (A .EQ. B) M = M + 1
+      IF (A .NE. B) M = M + 2
+      IF (A .LT. B) M = M + 4
+      IF (A .LE. B) M = M + 8
+      IF (A .GT. B) M = M + 16
+      IF (A .GE. B) M = M + 32
+      MASK(A + 21, B + 21) = M
+10    CONTINUE
+20    CONTINUE
+      Join
+";
+    let out = support::run_checked(src, MachineId::Flex32, 1);
+    let mask = &out.shared_values["MASK"];
+    for a in -20i64..=20 {
+        for b in -20i64..=20 {
+            let expected = i64::from(a == b)
+                + 2 * i64::from(a != b)
+                + 4 * i64::from(a < b)
+                + 8 * i64::from(a <= b)
+                + 16 * i64::from(a > b)
+                + 32 * i64::from(a >= b);
+            // column-major: MASK(a+21, b+21)
+            let at = ((a + 20) + (b + 20) * 41) as usize;
+            assert_eq!(mask[at].as_int(0).unwrap(), expected, "A={a} B={b}");
+        }
+    }
 }

@@ -12,6 +12,8 @@
 //! seed ranges with first-failure shrink reporting; this suite keeps CI
 //! coverage of the replay contract itself.
 
+mod support;
+
 use the_force::machdep::{
     Machine, MachineId, ParkBackend, RunOptions, StatsSnapshot, TraceConfig, VirtualSummary,
 };
@@ -195,7 +197,7 @@ fn language_front_end_replays_under_both_executors() {
     // executors are free to reach the blocking waits through different
     // instruction streams.)
     use the_force::compile_force_source;
-    use the_force::machdep::ExecutorChoice;
+    use the_force::fortran::{Engine, RunOutput, Value};
 
     let src = "\
       Force FMAIN of NP ident ME
@@ -209,34 +211,31 @@ fn language_front_end_replays_under_both_executors() {
       End critical
       Join
 ";
-    let run = |executor: ExecutorChoice, seed: u64| {
-        let (_, engine) = compile_force_source(src, MachineId::Cray2).expect("compile");
-        engine.set_executor(executor);
-        let out = engine
-            .run_with(
-                4,
-                RunOptions {
-                    backend: ParkBackend::Virtual { seed },
-                    ..RunOptions::default()
-                },
-            )
-            .expect("virtual language run");
-        let summary = engine
-            .fault_plane(4)
-            .virtual_summary()
-            .expect("virtual summary");
+    let virtual_run = |seed| RunOptions {
+        backend: ParkBackend::Virtual { seed },
+        ..RunOptions::default()
+    };
+    let observe = |out: RunOutput, engine: &Engine| {
+        let summary = engine.fault_plane(4).virtual_summary().expect("summary");
         (out.shared_scalar("TOTAL"), out.stats, summary)
     };
-    for executor in [ExecutorChoice::Bytecode, ExecutorChoice::TreeWalk] {
-        let a = run(executor, 0xF0CE);
-        let b = run(executor, 0xF0CE);
-        assert_eq!(a, b, "replay diverged under {executor:?}");
+    let vm = |seed: u64| {
+        let (_, engine) = compile_force_source(src, MachineId::Cray2).expect("compile");
+        let out = engine.run_with(4, virtual_run(seed)).expect("virtual run");
+        observe(out, &engine)
+    };
+    let tree = |seed: u64| {
+        let oracle = support::load_oracle(src, MachineId::Cray2);
+        let out = oracle.run_with(4, virtual_run(seed)).expect("virtual run");
+        observe(out, oracle.engine())
+    };
+    for (executor, a, b) in [
+        ("bytecode VM", vm(0xF0CE), vm(0xF0CE)),
+        ("oracle", tree(0xF0CE), tree(0xF0CE)),
+    ] {
+        assert_eq!(a, b, "replay diverged under the {executor}");
         // ME is 0-based: the four processes contribute 0 + 1 + 2 + 3.
-        assert_eq!(
-            a.0,
-            Some(the_force::fortran::Value::Int(6)),
-            "wrong sum under {executor:?}"
-        );
+        assert_eq!(a.0, Some(Value::Int(6)), "wrong sum under the {executor}");
     }
 }
 

@@ -8,7 +8,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use the_force::core::{Force, ForcePool};
 use the_force::fortran::{Engine, Value};
@@ -60,6 +60,32 @@ const SLOW_LANG_PROGRAM: &str = "\
       Join
 ";
 
+/// A private loop: no barrier, lock or async access — nothing that waits,
+/// so only the VM's back-edge check can end it early.  A force of one
+/// skips almost all of it (the ordinary job of the same engine).
+const PRIVATE_LOOP_PROGRAM: &str = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER DONE
+      Private INTEGER K
+      End declarations
+      K = 0
+      IF (NP .EQ. 1) K = 1999999990
+10    K = K + 1
+      IF (K .LT. 2000000000) GO TO 10
+      Critical L
+      DONE = DONE + 1
+      End critical
+      Join
+";
+
+/// `src` loaded onto `machine` as a session that runs on `pool`.
+fn pooled_engine(src: &str, machine: &Arc<Machine>, pool: &Arc<ForcePool>) -> Arc<Engine> {
+    let expanded = preprocess(src, machine.id()).unwrap();
+    let engine = Engine::from_expanded(&expanded, Arc::clone(machine)).unwrap();
+    engine.set_pool(Arc::clone(pool));
+    Arc::new(engine)
+}
+
 fn expect_admitted(submit: Submit) -> the_force::machdep::JobHandle {
     match submit {
         Submit::Admitted(h) => h,
@@ -85,22 +111,8 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
         Arc::new(Force::with_machine(NPROC, Arc::clone(&machine)).with_pool(Arc::clone(&pool)));
     let traced_force =
         Arc::new(Force::with_machine(NPROC, Arc::clone(&machine)).with_pool(Arc::clone(&pool)));
-    let lang = Arc::new(
-        Engine::from_expanded(
-            &preprocess(LANG_PROGRAM, MachineId::Flex32).unwrap(),
-            Arc::clone(&machine),
-        )
-        .unwrap(),
-    );
-    lang.set_pool(Arc::clone(&pool));
-    let bad = Arc::new(
-        Engine::from_expanded(
-            &preprocess(BAD_SUBSCRIPT_PROGRAM, MachineId::Flex32).unwrap(),
-            Arc::clone(&machine),
-        )
-        .unwrap(),
-    );
-    bad.set_pool(Arc::clone(&pool));
+    let lang = pooled_engine(LANG_PROGRAM, &machine, &pool);
+    let bad = pooled_engine(BAD_SUBSCRIPT_PROGRAM, &machine, &pool);
 
     const COMPUTE: usize = 400;
     const TRACED: usize = 60;
@@ -520,14 +532,7 @@ fn native_deadline_tears_down_a_running_pooled_job() {
 fn language_deadline_tears_down_a_running_interpreter_job() {
     let machine = Machine::new(MachineId::Flex32);
     let pool = Arc::new(ForcePool::new(NPROC, machine.stats()));
-    let engine = Arc::new(
-        Engine::from_expanded(
-            &preprocess(SLOW_LANG_PROGRAM, MachineId::Flex32).unwrap(),
-            Arc::clone(&machine),
-        )
-        .unwrap(),
-    );
-    engine.set_pool(Arc::clone(&pool));
+    let engine = pooled_engine(SLOW_LANG_PROGRAM, &machine, &pool);
     let server = ForceServer::new(ServerConfig::default(), machine.stats());
 
     let completed_runs: Arc<Mutex<u32>> = Arc::new(Mutex::new(0));
@@ -576,6 +581,50 @@ fn language_deadline_tears_down_a_running_interpreter_job() {
         .run(1)
         .expect("engine must recover after a deadline kill");
     assert_eq!(out.shared_scalar("N"), Some(Value::Int(50_000)));
+}
+
+#[test]
+fn language_deadline_tears_down_a_private_loop() {
+    let machine = Machine::new(MachineId::Flex32);
+    let pool = Arc::new(ForcePool::new(NPROC, machine.stats()));
+    let engine = pooled_engine(PRIVATE_LOOP_PROGRAM, &machine, &pool);
+    let server = ForceServer::new(ServerConfig::default(), machine.stats());
+
+    let outputs: Arc<Mutex<Vec<Option<Value>>>> = Arc::new(Mutex::new(Vec::new()));
+    let runner = |nproc| {
+        let sink = Arc::clone(&outputs);
+        engine.serve_runner(nproc, RunOptions::default(), move |out| {
+            sink.lock().unwrap().push(out.shared_scalar("DONE"));
+        })
+    };
+    let handle = expect_admitted(server.submit(
+        JobSpec::for_tenant("sla").with_deadline(Duration::from_millis(15)),
+        runner(NPROC),
+    ));
+    let give_up = Instant::now() + Duration::from_secs(5);
+    let outcome = loop {
+        if let Some(outcome) = handle.try_outcome() {
+            break outcome;
+        }
+        if Instant::now() > give_up {
+            // The dispatcher and the pool workers are wedged in the loop;
+            // leak what would join them so this fails instead of hanging.
+            std::mem::forget((server, pool, engine));
+            panic!("a private loop outlived its 15 ms deadline by 5 s");
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(outcome, JobOutcome::DeadlineExceeded { ran: true });
+    assert!(
+        outputs.lock().unwrap().is_empty(),
+        "a torn-down run must not report output"
+    );
+
+    // The session serves the next job on the same pooled engine.
+    let next = expect_admitted(server.submit(JobSpec::for_tenant("sla"), runner(1)));
+    assert!(next.wait().is_success());
+    assert_eq!(*outputs.lock().unwrap(), [Some(Value::Int(1))]);
+    server.shutdown();
 }
 
 #[test]

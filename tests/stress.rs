@@ -3,12 +3,13 @@
 //! where a barrier or full/empty protocol that is *almost* right
 //! deadlocks or drops a token.
 
+mod support;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use the_force::fortran::Value;
 use the_force::machdep::{Machine, MachineId};
 use the_force::prelude::*;
-use the_force::run_force_source;
 
 #[test]
 fn thousand_barrier_episodes() {
@@ -136,7 +137,7 @@ fn interpreter_endurance_many_construct_episodes() {
       Join
 ";
     for id in [MachineId::Hep, MachineId::Cray2] {
-        let out = run_force_source(src, id, 4).unwrap();
+        let out = support::run_checked(src, id, 4);
         assert_eq!(
             out.shared_scalar("N"),
             Some(Value::Int(60 * 6)),

@@ -1,0 +1,96 @@
+//! The differential check the integration tests share: every `.force`
+//! program a test runs on the production path (the bytecode VM behind
+//! `Engine`) is run again under the reference interpreter
+//! (`fortran::oracle::Oracle`) and the two runs must agree.
+//!
+//! Each test binary that declares `mod support;` uses its own subset.
+#![allow(dead_code)]
+
+use the_force::fortran::oracle::Oracle;
+use the_force::fortran::RunOutput;
+use the_force::machdep::{Machine, MachineId, RunOptions};
+use the_force::prep::preprocess_cached;
+use the_force::run_force_source;
+
+/// Op counters whose value depends on thread timing (how often a lock was
+/// seen held, how many spin retries happened, who stole work).  Everything
+/// else — acquisitions, releases, barrier episodes, allocation, process
+/// creation, fault bookkeeping — must match exactly between executors.
+pub const TIMING_DEPENDENT_COUNTERS: &[&str] = &[
+    "lock_contended",
+    "syscalls",
+    "parks",
+    "park_wakes",
+    "park_spurious_wakes",
+    "spin_retries",
+    "steals",
+    "steal_attempts_failed",
+    "cancellations_observed",
+];
+
+/// Load `src` for the reference interpreter on a fresh `Machine` —
+/// startup state (e.g. the Sequent ZZSTRT0 registry) lives on the machine
+/// instance and must not leak between the two runs being compared.
+pub fn load_oracle(src: &str, id: MachineId) -> Oracle {
+    let expanded = preprocess_cached(src, id)
+        .unwrap_or_else(|e| panic!("{}: preprocessor rejected program: {e}", id.name()));
+    Oracle::from_expanded(&expanded, Machine::new(id))
+        .unwrap_or_else(|e| panic!("{}: front end rejected program: {e}", id.name()))
+}
+
+/// One run under the reference interpreter; a runtime error comes back as
+/// its display string, which is what the equivalence contract compares.
+pub fn run_oracle(
+    src: &str,
+    id: MachineId,
+    nproc: usize,
+    options: RunOptions,
+) -> Result<RunOutput, String> {
+    load_oracle(src, id)
+        .run_with(nproc, options)
+        .map_err(|e| e.to_string())
+}
+
+/// Everything observable about two runs of one program agrees: prints (as
+/// a multiset — processes interleave), final shared memory, linker passes
+/// and every op counter that is not timing-dependent.
+pub fn assert_same_run(label: &str, oracle: &RunOutput, vm: &RunOutput) {
+    let sorted = |v: &[String]| {
+        let mut v = v.to_vec();
+        v.sort();
+        v
+    };
+    assert_eq!(
+        sorted(&oracle.prints),
+        sorted(&vm.prints),
+        "{label}: prints diverge"
+    );
+    assert_eq!(
+        oracle.shared_values, vm.shared_values,
+        "{label}: final shared memory diverges"
+    );
+    assert_eq!(
+        oracle.linker_commands, vm.linker_commands,
+        "{label}: linker passes diverge"
+    );
+    for ((name, o), (vname, v)) in oracle.stats.fields().iter().zip(vm.stats.fields().iter()) {
+        assert_eq!(name, vname);
+        if TIMING_DEPENDENT_COUNTERS.contains(name) {
+            continue;
+        }
+        assert_eq!(o, v, "{label}: op counter {name} diverges");
+    }
+}
+
+/// The production run of `src`, checked against the oracle: both must
+/// succeed and agree.  Returns the production output for the caller's own
+/// assertions.
+pub fn run_checked(src: &str, id: MachineId, nproc: usize) -> RunOutput {
+    let label = format!("{} nproc={nproc}", id.name());
+    let vm = run_force_source(src, id, nproc)
+        .unwrap_or_else(|e| panic!("{label}: production run failed: {e}"));
+    let oracle = run_oracle(src, id, nproc, RunOptions::default())
+        .unwrap_or_else(|e| panic!("{label}: oracle run failed: {e}"));
+    assert_same_run(&label, &oracle, &vm);
+    vm
+}
