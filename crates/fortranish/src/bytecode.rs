@@ -315,10 +315,16 @@ struct Emit<'p> {
     lines: Vec<u32>,
 }
 
-impl Emit<'_> {
+impl<'p> Emit<'p> {
     fn push(&mut self, i: Instr, line: usize) {
         self.code.push(i);
         self.lines.push(line as u32);
+    }
+
+    /// A symbol of the unit: borrowed from the program, not from `self`,
+    /// so code can be emitted while it is held.
+    fn symbol(&self, name: &str) -> Option<&'p Symbol> {
+        self.symbols.get(name)
     }
 }
 
@@ -647,7 +653,9 @@ impl<'p> Compiler<'p> {
 
     /// Element load for an array symbol (declared dims non-empty).
     fn elem_load(&mut self, e: &mut Emit<'_>, n: &str, idx: &[Expr], line: usize) {
-        let sym = e.symbols[n].clone();
+        let sym = e
+            .symbol(n)
+            .expect("callers checked that the symbol is an array");
         if let Storage::Arg(i) = sym.storage {
             self.arg_elem_chain(e, i, n, idx, line);
             e.push(Instr::LoadElemArg { arg: i as u16 }, line);
@@ -680,7 +688,7 @@ impl<'p> Compiler<'p> {
     fn store(&mut self, e: &mut Emit<'_>, lhs: &LValue, line: usize) {
         match lhs {
             LValue::Name(n) => {
-                let Some(sym) = e.symbols.get(n).cloned() else {
+                let Some(sym) = e.symbol(n) else {
                     return self.fail(e, format!("unknown variable {n}"), line);
                 };
                 if !sym.dims.is_empty() {
@@ -727,7 +735,7 @@ impl<'p> Compiler<'p> {
                 }
             }
             LValue::Elem(n, idx) => {
-                let Some(sym) = e.symbols.get(n).cloned() else {
+                let Some(sym) = e.symbol(n) else {
                     return self.fail(e, format!("unknown array {n}"), line);
                 };
                 if let Storage::Arg(i) = sym.storage {
@@ -777,7 +785,7 @@ impl<'p> Compiler<'p> {
                     let id = self.intern(n);
                     return e.push(Instr::ArgUnit(id), line);
                 }
-                let Some(sym) = e.symbols.get(n).cloned() else {
+                let Some(sym) = e.symbol(n) else {
                     return self.fail(e, format!("unknown variable {n}"), line);
                 };
                 match &sym.storage {
@@ -825,7 +833,7 @@ impl<'p> Compiler<'p> {
                     self.expr(e, a, line);
                     return e.push(Instr::ArgValue, line);
                 }
-                let sym = e.symbols[n].clone();
+                let sym = e.symbol(n).expect("checked above: an array");
                 match &sym.storage {
                     Storage::Arg(i) => {
                         self.arg_elem_chain(e, *i, n, idx, line);

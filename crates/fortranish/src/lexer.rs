@@ -5,6 +5,8 @@
 //! `[label] statement`, comments start with `C`, `c`, `*` or `!` in
 //! column 1, and blank lines are ignored.
 
+use std::borrow::Cow;
+
 use crate::error::{FortError, FortErrorKind};
 use crate::token::{DotOp, Token};
 
@@ -21,10 +23,7 @@ pub struct LexedLine {
 
 /// Whether a line is a comment.
 pub fn is_comment(line: &str) -> bool {
-    matches!(
-        line.chars().next(),
-        Some('C') | Some('c') | Some('*') | Some('!')
-    )
+    matches!(line.as_bytes().first(), Some(b'C' | b'c' | b'*' | b'!'))
 }
 
 /// Lex a whole source into significant lines.
@@ -37,17 +36,18 @@ pub fn lex(source: &str) -> Result<Vec<LexedLine>, FortError> {
         }
         let trimmed = raw.trim_start();
         // Leading digits form the statement label.
-        let digits: String = trimmed.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let (label, rest) = if digits.is_empty() {
+        let digits = trimmed.bytes().take_while(u8::is_ascii_digit).count();
+        let (label, rest) = if digits == 0 {
             (None, trimmed)
         } else {
+            let (digits, rest) = trimmed.split_at(digits);
             let label = digits.parse::<u32>().map_err(|_| {
                 FortError::at(
                     line_no,
                     FortErrorKind::Lex(format!("label `{digits}` too large")),
                 )
             })?;
-            (Some(label), trimmed[digits.len()..].trim_start())
+            (Some(label), rest.trim_start())
         };
         let tokens = lex_statement(rest, line_no)?;
         if tokens.is_empty() && label.is_none() {
@@ -62,46 +62,68 @@ pub fn lex(source: &str) -> Result<Vec<LexedLine>, FortError> {
     Ok(out)
 }
 
+/// `word` in upper case, if it fits `buf`: enough for every keyword and
+/// dotted operator, with no allocation.
+fn upper_into<'b>(word: &str, buf: &'b mut [u8; 10]) -> Option<&'b str> {
+    let upper = buf.get_mut(..word.len())?;
+    upper.copy_from_slice(word.as_bytes());
+    upper.make_ascii_uppercase();
+    std::str::from_utf8(upper).ok()
+}
+
+/// The keyword `upper` spells, if any: every word the parser matches, so
+/// that a keyword token borrows its text instead of owning a copy.
+pub(crate) fn keyword(upper: &str) -> Option<&'static str> {
+    macro_rules! one_of {
+        ($($keyword:literal)*) => {
+            match upper {
+                $($keyword => Some($keyword),)*
+                _ => None,
+            }
+        };
+    }
+    one_of!(
+        "CALL" "COMMON" "CONTINUE" "DO" "DOUBLE" "ELSE" "ELSEIF" "END" "ENDDO" "ENDIF" "GO"
+        "GOTO" "IF" "INTEGER" "LOGICAL" "PRECISION" "PRINT" "PROGRAM" "REAL" "RETURN" "STOP"
+        "SUBROUTINE" "THEN" "TO"
+    )
+}
+
 /// Lex one statement body.
+///
+/// The scan is over bytes: every character the subset gives meaning to is
+/// ASCII, so an index only ever rests on a character boundary, and text
+/// inside a character literal is copied in whole slices.
 pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
-    let chars: Vec<char> = s.chars().collect();
-    let mut toks = Vec::new();
+    let bytes = s.as_bytes();
+    // A token is rarely shorter than two bytes and its blank.
+    let mut toks = Vec::with_capacity(bytes.len() / 3 + 1);
     let mut i = 0usize;
     let err = |msg: String| FortError::at(line_no, FortErrorKind::Lex(msg));
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' | '\r' => i += 1,
-            '(' => {
-                toks.push(Token::LParen);
+    let at = |i: usize| bytes.get(i).copied();
+    while i < bytes.len() {
+        let simple = match bytes[i] {
+            b' ' | b'\t' | b'\r' => {
                 i += 1;
+                continue;
             }
-            ')' => {
-                toks.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                toks.push(Token::Comma);
-                i += 1;
-            }
-            '=' => {
-                toks.push(Token::Equals);
-                i += 1;
-            }
-            '+' => {
-                toks.push(Token::Plus);
-                i += 1;
-            }
-            '-' => {
-                toks.push(Token::Minus);
-                i += 1;
-            }
-            '/' => {
-                toks.push(Token::Slash);
-                i += 1;
-            }
-            '*' => {
-                if chars.get(i + 1) == Some(&'*') {
+            b'(' => Some(Token::LParen),
+            b')' => Some(Token::RParen),
+            b',' => Some(Token::Comma),
+            b'=' => Some(Token::Equals),
+            b'+' => Some(Token::Plus),
+            b'-' => Some(Token::Minus),
+            b'/' => Some(Token::Slash),
+            _ => None,
+        };
+        if let Some(token) = simple {
+            toks.push(token);
+            i += 1;
+            continue;
+        }
+        match bytes[i] {
+            b'*' => {
+                if at(i + 1) == Some(b'*') {
                     toks.push(Token::Power);
                     i += 2;
                 } else {
@@ -109,58 +131,58 @@ pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
                     i += 1;
                 }
             }
-            '\'' => {
+            b'\'' => {
                 // character literal 'like this' ('' = escaped quote)
                 let mut text = String::new();
                 i += 1;
+                let mut piece = i;
                 loop {
-                    match chars.get(i) {
-                        Some('\'') if chars.get(i + 1) == Some(&'\'') => {
-                            text.push('\'');
+                    match at(i) {
+                        Some(b'\'') if at(i + 1) == Some(b'\'') => {
+                            text.push_str(&s[piece..=i]);
                             i += 2;
+                            piece = i;
                         }
-                        Some('\'') => {
+                        Some(b'\'') => {
+                            text.push_str(&s[piece..i]);
                             i += 1;
                             break;
                         }
-                        Some(&ch) => {
-                            text.push(ch);
-                            i += 1;
-                        }
+                        Some(_) => i += 1,
                         None => return Err(err("unterminated character literal".into())),
                     }
                 }
                 toks.push(Token::Str(text));
             }
-            '.' => {
+            b'.' => {
                 // Either a dotted operator/.TRUE./.FALSE., or a real like `.5`.
-                if chars.get(i + 1).is_some_and(|c| c.is_ascii_alphabetic()) {
+                if at(i + 1).is_some_and(|c| c.is_ascii_alphabetic()) {
                     let start = i + 1;
                     let mut j = start;
-                    while j < chars.len() && chars[j].is_ascii_alphabetic() {
+                    while at(j).is_some_and(|c| c.is_ascii_alphabetic()) {
                         j += 1;
                     }
-                    if chars.get(j) != Some(&'.') {
-                        return Err(err(format!(
-                            "malformed dotted operator near `.{}`",
-                            chars[start..j].iter().collect::<String>()
-                        )));
+                    let word = &s[start..j];
+                    if at(j) != Some(b'.') {
+                        return Err(err(format!("malformed dotted operator near `.{word}`")));
                     }
-                    let name: String = chars[start..j]
-                        .iter()
-                        .collect::<String>()
-                        .to_ascii_uppercase();
                     i = j + 1;
-                    match name.as_str() {
-                        "TRUE" => toks.push(Token::Logical(true)),
-                        "FALSE" => toks.push(Token::Logical(false)),
-                        other => match DotOp::from_name(other) {
+                    let mut buf = [0; 10];
+                    match upper_into(word, &mut buf) {
+                        Some("TRUE") => toks.push(Token::Logical(true)),
+                        Some("FALSE") => toks.push(Token::Logical(false)),
+                        name => match name.and_then(DotOp::from_name) {
                             Some(op) => toks.push(Token::DotOp(op)),
-                            None => return Err(err(format!("unknown operator `.{other}.`"))),
+                            None => {
+                                return Err(err(format!(
+                                    "unknown operator `.{}.`",
+                                    word.to_ascii_uppercase()
+                                )))
+                            }
                         },
                     }
-                } else if chars.get(i + 1).is_some_and(|c| c.is_ascii_digit()) {
-                    let (tok, next) = lex_number(&chars, i, line_no)?;
+                } else if at(i + 1).is_some_and(|c| c.is_ascii_digit()) {
+                    let (tok, next) = lex_number(s, i, line_no)?;
                     toks.push(tok);
                     i = next;
                 } else {
@@ -168,77 +190,77 @@ pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
                 }
             }
             c if c.is_ascii_digit() => {
-                let (tok, next) = lex_number(&chars, i, line_no)?;
+                let (tok, next) = lex_number(s, i, line_no)?;
                 toks.push(tok);
                 i = next;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+                while at(i).is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
                     i += 1;
                 }
-                let name: String = chars[start..i]
-                    .iter()
-                    .collect::<String>()
-                    .to_ascii_uppercase();
+                let word = &s[start..i];
+                let mut buf = [0; 10];
+                let name = match upper_into(word, &mut buf).and_then(keyword) {
+                    Some(keyword) => Cow::Borrowed(keyword),
+                    None => Cow::Owned(word.to_ascii_uppercase()),
+                };
                 toks.push(Token::Ident(name));
             }
-            other => return Err(err(format!("unexpected character `{other}`"))),
+            _ => {
+                let other = s[i..].chars().next().expect("`i` is inside `s`");
+                return Err(err(format!("unexpected character `{other}`")));
+            }
         }
     }
     Ok(toks)
 }
 
-/// Lex an integer or real literal starting at `i`.
-fn lex_number(chars: &[char], start: usize, line_no: usize) -> Result<(Token, usize), FortError> {
-    let mut i = start;
-    let mut text = String::new();
+/// Lex an integer or real literal starting at `start`.
+fn lex_number(s: &str, start: usize, line_no: usize) -> Result<(Token, usize), FortError> {
+    let bytes = s.as_bytes();
+    let at = |i: usize| bytes.get(i).copied();
+    let digits_from = |mut i: usize| {
+        while at(i).is_some_and(|c| c.is_ascii_digit()) {
+            i += 1;
+        }
+        i
+    };
+    let mut i = digits_from(start);
     let mut is_real = false;
-    while i < chars.len() && chars[i].is_ascii_digit() {
-        text.push(chars[i]);
-        i += 1;
-    }
     // Decimal point — but only if not the start of a dotted operator
     // (`1.EQ.2` must lex as `1` `.EQ.` `2`).
-    if i < chars.len() && chars[i] == '.' {
-        let looks_like_dotop = chars.get(i + 1).is_some_and(|c| c.is_ascii_alphabetic()) && {
+    if at(i) == Some(b'.') {
+        let looks_like_dotop = at(i + 1).is_some_and(|c| c.is_ascii_alphabetic()) && {
             let mut j = i + 2;
-            while j < chars.len() && chars[j].is_ascii_alphabetic() {
+            while at(j).is_some_and(|c| c.is_ascii_alphabetic()) {
                 j += 1;
             }
-            chars.get(j) == Some(&'.')
+            at(j) == Some(b'.')
         };
         if !looks_like_dotop {
             is_real = true;
-            text.push('.');
-            i += 1;
-            while i < chars.len() && chars[i].is_ascii_digit() {
-                text.push(chars[i]);
-                i += 1;
-            }
+            i = digits_from(i + 1);
         }
     }
     // Exponent.
-    if i < chars.len() && matches!(chars[i], 'e' | 'E' | 'd' | 'D') {
+    let mantissa_end = i;
+    if matches!(at(i), Some(b'e' | b'E' | b'd' | b'D')) {
         let mut j = i + 1;
-        if j < chars.len() && matches!(chars[j], '+' | '-') {
+        if matches!(at(j), Some(b'+' | b'-')) {
             j += 1;
         }
-        if j < chars.len() && chars[j].is_ascii_digit() {
+        if at(j).is_some_and(|c| c.is_ascii_digit()) {
             is_real = true;
-            text.push('E');
-            i += 1;
-            if matches!(chars[i], '+' | '-') {
-                text.push(chars[i]);
-                i += 1;
-            }
-            while i < chars.len() && chars[i].is_ascii_digit() {
-                text.push(chars[i]);
-                i += 1;
-            }
+            i = digits_from(j);
         }
     }
     let tok = if is_real {
+        // `D` exponents are Fortran's, not Rust's: spell them `E`.
+        let mut text = s[start..i].to_string();
+        if i > mantissa_end {
+            text.replace_range(mantissa_end - start..=mantissa_end - start, "E");
+        }
         Token::Real(text.parse::<f64>().map_err(|_| {
             FortError::at(
                 line_no,
@@ -246,6 +268,7 @@ fn lex_number(chars: &[char], start: usize, line_no: usize) -> Result<(Token, us
             )
         })?)
     } else {
+        let text = &s[start..i];
         Token::Int(text.parse::<i64>().map_err(|_| {
             FortError::at(
                 line_no,

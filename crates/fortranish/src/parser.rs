@@ -2,10 +2,18 @@
 
 use crate::ast::{BinOp, DeclItem, Expr, LValue, Stmt, Ty, UnOp};
 use crate::error::{FortError, FortErrorKind};
+use crate::lexer::keyword;
 use crate::token::{DotOp, Token};
 
 /// Parse the tokens of one statement line.
 pub fn parse_statement(tokens: &[Token], line_no: usize) -> Result<Stmt, FortError> {
+    parse_tokens(&mut tokens.to_vec(), line_no)
+}
+
+/// Parse one statement line out of `tokens`: the names and literals the
+/// statement keeps are moved into it, not copied, so the tokens are spent
+/// afterwards.
+pub(crate) fn parse_tokens(tokens: &mut [Token], line_no: usize) -> Result<Stmt, FortError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
@@ -17,7 +25,7 @@ pub fn parse_statement(tokens: &[Token], line_no: usize) -> Result<Stmt, FortErr
 }
 
 struct Parser<'a> {
-    toks: &'a [Token],
+    toks: &'a mut [Token],
     pos: usize,
     line: usize,
 }
@@ -27,12 +35,13 @@ impl<'a> Parser<'a> {
         FortError::at(self.line, FortErrorKind::Parse(msg.into()))
     }
 
-    fn peek(&self) -> Option<&'a Token> {
+    fn peek(&self) -> Option<&Token> {
         self.toks.get(self.pos)
     }
 
-    fn next(&mut self) -> Option<&'a Token> {
-        let t = self.toks.get(self.pos);
+    /// Step over the next token, handing it out to be emptied.
+    fn next(&mut self) -> Option<&mut Token> {
+        let t = self.toks.get_mut(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
@@ -58,7 +67,7 @@ impl<'a> Parser<'a> {
 
     fn expect_ident(&mut self, what: &str) -> Result<String, FortError> {
         match self.next() {
-            Some(Token::Ident(s)) => Ok(s.clone()),
+            Some(Token::Ident(s)) => Ok(std::mem::take(s).into_owned()),
             _ => Err(self.err(format!("expected {what}"))),
         }
     }
@@ -74,9 +83,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn peek_ident(&self) -> Option<&'a str> {
+    fn peek_ident(&self) -> Option<&str> {
         match self.peek() {
-            Some(Token::Ident(s)) => Some(s.as_str()),
+            Some(Token::Ident(s)) => Some(s),
             _ => None,
         }
     }
@@ -84,11 +93,13 @@ impl<'a> Parser<'a> {
     // ---- statements -------------------------------------------------------
 
     fn statement(&mut self) -> Result<Stmt, FortError> {
+        // A keyword's own text, so that nothing of the tokens stays
+        // borrowed; any other name opens an assignment.
         let first = match self.peek_ident() {
-            Some(s) => s.to_string(),
+            Some(s) => keyword(s).unwrap_or(""),
             None => return Err(self.err("statement must start with a keyword or variable")),
         };
-        match first.as_str() {
+        match first {
             "PROGRAM" => {
                 self.next();
                 let name = self.expect_ident("program name")?;
@@ -152,7 +163,7 @@ impl<'a> Parser<'a> {
                         self.next();
                     }
                 }
-                let ty = Ty::from_keyword(&first).expect("checked keyword");
+                let ty = Ty::from_keyword(first).expect("checked keyword");
                 let items = self.decl_items()?;
                 Ok(Stmt::Decl { ty, items })
             }
@@ -482,13 +493,14 @@ impl<'a> Parser<'a> {
             Some(Token::Int(n)) => Ok(Expr::Int(*n)),
             Some(Token::Real(x)) => Ok(Expr::Real(*x)),
             Some(Token::Logical(b)) => Ok(Expr::Logical(*b)),
-            Some(Token::Str(s)) => Ok(Expr::Str(s.clone())),
+            Some(Token::Str(s)) => Ok(Expr::Str(std::mem::take(s))),
             Some(Token::LParen) => {
                 let e = self.expr()?;
                 self.expect(&Token::RParen, "`)`")?;
                 Ok(e)
             }
             Some(Token::Ident(name)) => {
+                let name = std::mem::take(name).into_owned();
                 if self.eat(&Token::LParen) {
                     let mut args = Vec::new();
                     if !self.eat(&Token::RParen) {
@@ -500,12 +512,15 @@ impl<'a> Parser<'a> {
                             self.expect(&Token::Comma, "`,` in subscript or argument list")?;
                         }
                     }
-                    Ok(Expr::Index(name.clone(), args))
+                    Ok(Expr::Index(name, args))
                 } else {
-                    Ok(Expr::Var(name.clone()))
+                    Ok(Expr::Var(name))
                 }
             }
-            other => Err(self.err(format!("unexpected token {other:?} in expression"))),
+            other => {
+                let msg = format!("unexpected token {other:?} in expression");
+                Err(self.err(msg))
+            }
         }
     }
 }

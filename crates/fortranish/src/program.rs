@@ -6,12 +6,14 @@
 //! `GO TO` is a direct jump — which is exactly the control flow the
 //! Force macro expansions rely on.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::ast::{BinOp, DeclItem, Expr, LValue, Stmt, Ty};
 use crate::error::{FortError, FortErrorKind};
-use crate::lexer::{lex, LexedLine};
-use crate::parser::parse_statement;
+use crate::lexer::lex;
+use crate::parser::parse_tokens;
 
 /// Where a symbol's storage lives.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,8 +27,9 @@ pub enum Storage {
     /// Shared storage: a named block plus a word offset within it.
     Shared {
         /// Block name (a COMMON block, or a Force shared variable's own
-        /// one-variable block).
-        block: String,
+        /// one-variable block); one allocation per block, shared by its
+        /// members.
+        block: Arc<str>,
         /// Word offset within the block.
         offset: usize,
     },
@@ -115,11 +118,17 @@ impl Program {
         source: &str,
         shared_names: &HashMap<String, usize>,
     ) -> Result<Program, FortError> {
+        // The parser moves names and literals out of the tokens; what is
+        // left of a line is its number, its label and its statement.
         let lines = lex(source)?;
         let mut stmts = Vec::with_capacity(lines.len());
-        for line in &lines {
-            let stmt = parse_statement(&line.tokens, line.line_no)?;
-            stmts.push((line.clone(), stmt));
+        for mut line in lines {
+            let stmt = parse_tokens(&mut line.tokens, line.line_no)?;
+            stmts.push(Line {
+                line_no: line.line_no,
+                label: line.label,
+                stmt,
+            });
         }
 
         // Split into units.
@@ -127,42 +136,42 @@ impl Program {
         let mut program_unit = None;
         let mut blocks: HashMap<String, usize> = HashMap::new();
         let mut block_order: Vec<String> = Vec::new();
-        let mut i = 0usize;
-        while i < stmts.len() {
-            let (line, stmt) = &stmts[i];
-            let (name, params, is_program) = match stmt {
-                Stmt::Program(n) => (n.clone(), Vec::new(), true),
-                Stmt::Subroutine(n, p) => (n.clone(), p.clone(), false),
+        let mut stmts = stmts.into_iter();
+        while let Some(header) = stmts.next() {
+            let line_no = header.line_no;
+            let (name, params, is_program) = match header.stmt {
+                Stmt::Program(n) => (n, Vec::new(), true),
+                Stmt::Subroutine(n, p) => (n, p, false),
                 other => {
                     return Err(FortError::at(
-                        line.line_no,
+                        line_no,
                         FortErrorKind::Structure(format!(
                             "statement outside any program unit: {other:?}"
                         )),
                     ))
                 }
             };
-            // Find the matching END.
-            let mut j = i + 1;
-            let mut end = None;
-            while j < stmts.len() {
-                if matches!(stmts[j].1, Stmt::EndUnit) {
-                    end = Some(j);
+            // The body runs to the matching END.
+            let mut body = Vec::new();
+            let mut ended = false;
+            for line in stmts.by_ref() {
+                if matches!(line.stmt, Stmt::EndUnit) {
+                    ended = true;
                     break;
                 }
-                j += 1;
+                body.push(line);
             }
-            let end = end.ok_or_else(|| {
-                FortError::at(
-                    line.line_no,
+            if !ended {
+                return Err(FortError::at(
+                    line_no,
                     FortErrorKind::Structure(format!("unit {name} has no END")),
-                )
-            })?;
+                ));
+            }
             let unit = compile_unit(
                 name.clone(),
                 params,
                 is_program,
-                &stmts[i + 1..end],
+                body,
                 shared_names,
                 &mut blocks,
                 &mut block_order,
@@ -170,19 +179,21 @@ impl Program {
             if is_program {
                 if program_unit.is_some() {
                     return Err(FortError::at(
-                        line.line_no,
+                        line_no,
                         FortErrorKind::Structure("more than one PROGRAM unit".into()),
                     ));
                 }
                 program_unit = Some(name.clone());
             }
-            if units.insert(name.clone(), unit).is_some() {
-                return Err(FortError::at(
-                    line.line_no,
-                    FortErrorKind::Structure(format!("duplicate unit {name}")),
-                ));
-            }
-            i = end + 1;
+            match units.entry(name) {
+                Entry::Occupied(unit) => {
+                    return Err(FortError::at(
+                        line_no,
+                        FortErrorKind::Structure(format!("duplicate unit {}", unit.key())),
+                    ))
+                }
+                Entry::Vacant(slot) => slot.insert(unit),
+            };
         }
         if units.is_empty() {
             return Err(FortError::general(FortErrorKind::Structure(
@@ -215,6 +226,13 @@ impl Program {
     }
 }
 
+/// One parsed line: what is left of it once its tokens are spent.
+struct Line {
+    line_no: usize,
+    label: Option<u32>,
+    stmt: Stmt,
+}
+
 struct DoFrame {
     terminal: Option<u32>,
     var: String,
@@ -228,39 +246,40 @@ struct IfFrame {
     end_patches: Vec<usize>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn compile_unit(
     name: String,
     params: Vec<String>,
     is_program: bool,
-    body: &[(LexedLine, Stmt)],
+    mut body: Vec<Line>,
     shared_names: &HashMap<String, usize>,
     blocks: &mut HashMap<String, usize>,
     block_order: &mut Vec<String>,
 ) -> Result<Unit, FortError> {
     // ---- pass 1: declarations -------------------------------------------
+    // The declared names and dimensions move out of their statements: the
+    // third pass only wants a placeholder op from a declaration.
     let mut decls: HashMap<String, (Ty, Vec<usize>)> = HashMap::new();
     let mut commons: Vec<(String, Vec<DeclItem>, usize)> = Vec::new(); // (block, items, line)
-    for (line, stmt) in body {
-        match stmt {
+    for line in &mut body {
+        match &mut line.stmt {
             Stmt::Decl { ty, items } => {
-                for it in items {
-                    if decls
-                        .insert(it.name.clone(), (*ty, it.dims.clone()))
-                        .is_some()
-                    {
-                        return Err(FortError::at(
-                            line.line_no,
-                            FortErrorKind::Structure(format!(
-                                "{} declared twice in {name}",
-                                it.name
-                            )),
-                        ));
-                    }
+                for it in std::mem::take(items) {
+                    match decls.entry(it.name) {
+                        Entry::Occupied(first) => {
+                            return Err(FortError::at(
+                                line.line_no,
+                                FortErrorKind::Structure(format!(
+                                    "{} declared twice in {name}",
+                                    first.key()
+                                )),
+                            ))
+                        }
+                        Entry::Vacant(slot) => slot.insert((*ty, it.dims)),
+                    };
                 }
             }
             Stmt::Common { block, items } => {
-                commons.push((block.clone(), items.clone(), line.line_no));
+                commons.push((std::mem::take(block), std::mem::take(items), line.line_no));
             }
             _ => {}
         }
@@ -288,16 +307,16 @@ fn compile_unit(
         );
     }
     // COMMON members.
-    for (block, items, line_no) in &commons {
+    for (block, items, line_no) in commons {
         if block == "ZZPENV" {
             // the private environment: (me, np)
-            for (i, it) in items.iter().enumerate() {
+            for (i, it) in items.into_iter().enumerate() {
                 let storage = match i {
                     0 => Storage::PseudoMe,
                     1 => Storage::PseudoNp,
                     _ => {
                         return Err(FortError::at(
-                            *line_no,
+                            line_no,
                             FortErrorKind::Structure(
                                 "COMMON /ZZPENV/ has exactly two members".into(),
                             ),
@@ -305,7 +324,7 @@ fn compile_unit(
                     }
                 };
                 symbols.insert(
-                    it.name.clone(),
+                    it.name,
                     Symbol {
                         ty: Ty::Integer,
                         dims: Vec::new(),
@@ -315,30 +334,31 @@ fn compile_unit(
             }
             continue;
         }
+        let block: Arc<str> = block.into();
         let mut offset = 0usize;
         for it in items {
             let (ty, mut dims) = ty_of(&it.name);
             if !it.dims.is_empty() {
-                dims = it.dims.clone();
+                dims = it.dims;
             }
             let words = dims.iter().product::<usize>().max(1);
             symbols.insert(
-                it.name.clone(),
+                it.name,
                 Symbol {
                     ty,
                     dims,
                     storage: Storage::Shared {
-                        block: block.clone(),
+                        block: Arc::clone(&block),
                         offset,
                     },
                 },
             );
             offset += words;
         }
-        match blocks.get(block) {
+        match blocks.get(&*block) {
             Some(&w) if w != offset => {
                 return Err(FortError::at(
-                    *line_no,
+                    line_no,
                     FortErrorKind::Structure(format!(
                         "COMMON /{block}/ declared with {offset} words here but {w} elsewhere"
                     )),
@@ -346,30 +366,29 @@ fn compile_unit(
             }
             Some(_) => {}
             None => {
-                blocks.insert(block.clone(), offset);
-                block_order.push(block.clone());
+                blocks.insert(block.to_string(), offset);
+                block_order.push(block.to_string());
             }
         }
     }
     // Declared names not yet placed: Force shared variables are global by
     // name, everything else is a process-private local.
     let mut frame_words = 0usize;
-    let mut declared: Vec<&String> = decls.keys().collect();
-    declared.sort(); // deterministic layout
-    for n in declared {
-        if symbols.contains_key(n) {
+    let mut declared: Vec<(String, (Ty, Vec<usize>))> = decls.into_iter().collect();
+    declared.sort_unstable_by(|a, b| a.0.cmp(&b.0)); // deterministic layout
+    for (n, (ty, dims)) in declared {
+        if symbols.contains_key(&n) {
             continue;
         }
-        let (ty, dims) = ty_of(n);
         let words = dims.iter().product::<usize>().max(1);
-        let storage = if let Some(&shared_words) = shared_names.get(n) {
+        let storage = if let Some(&shared_words) = shared_names.get(&n) {
             if shared_words != words {
                 return Err(FortError::general(FortErrorKind::Structure(format!(
                     "shared variable {n}: unit {name} declares {words} words, elsewhere {shared_words}"
                 ))));
             }
             Storage::Shared {
-                block: n.clone(),
+                block: n.as_str().into(),
                 offset: 0,
             }
         } else {
@@ -377,12 +396,12 @@ fn compile_unit(
             frame_words += words;
             Storage::Local { base }
         };
-        symbols.insert(n.clone(), Symbol { ty, dims, storage });
+        symbols.insert(n, Symbol { ty, dims, storage });
     }
 
     // ---- pass 3: ops ----------------------------------------------------------
-    let mut ops: Vec<Op> = Vec::new();
-    let mut op_lines: Vec<usize> = Vec::new();
+    let mut ops: Vec<Op> = Vec::with_capacity(body.len() + 1);
+    let mut op_lines: Vec<usize> = Vec::with_capacity(body.len() + 1);
     let mut labels: HashMap<u32, usize> = HashMap::new();
     let mut gotos: Vec<(usize, u32, usize)> = Vec::new(); // (op idx, label, line)
     let mut if_stack: Vec<IfFrame> = Vec::new();
@@ -391,7 +410,8 @@ fn compile_unit(
     // Hidden loop-variable names are not needed: DO re-evaluates bounds,
     // which we document as a (benign) deviation from F77 trip counts.
 
-    for (line, stmt) in body {
+    let last_line = body.last().map(|l| l.line_no).unwrap_or(0);
+    for line in body {
         let line_no = line.line_no;
         if let Some(label) = line.label {
             if labels.insert(label, ops.len()).is_some() {
@@ -402,7 +422,7 @@ fn compile_unit(
             }
         }
         emit_stmt(
-            stmt,
+            line.stmt,
             line_no,
             &mut ops,
             &mut op_lines,
@@ -422,8 +442,7 @@ fn compile_unit(
         }
     }
 
-    if let Some(f) = if_stack.last() {
-        let _ = f;
+    if !if_stack.is_empty() {
         return Err(FortError::general(FortErrorKind::Structure(format!(
             "unit {name}: IF block not closed by END IF"
         ))));
@@ -436,7 +455,7 @@ fn compile_unit(
 
     // Implicit return at unit end.
     ops.push(Op::Return);
-    op_lines.push(body.last().map(|(l, _)| l.line_no).unwrap_or(0));
+    op_lines.push(last_line);
 
     // Resolve GOTOs.
     for (op_idx, label, line_no) in gotos {
@@ -453,29 +472,29 @@ fn compile_unit(
     }
 
     // Collect implicit locals used but never declared (scalars only).
-    let mut implicit: Vec<String> = Vec::new();
+    let mut implicit: Vec<&str> = Vec::new();
     for op in &ops {
         collect_names(op, &mut |n| {
-            if !symbols.contains_key(n) && !implicit.contains(&n.to_string()) {
-                implicit.push(n.to_string());
+            if !symbols.contains_key(n) && !implicit.contains(&n) {
+                implicit.push(n);
             }
         });
     }
-    implicit.sort();
+    implicit.sort_unstable();
     for n in implicit {
-        if crate::intrinsics::is_intrinsic_function(&n)
-            || crate::intrinsics::is_intrinsic_subroutine(&n)
+        if crate::intrinsics::is_intrinsic_function(n)
+            || crate::intrinsics::is_intrinsic_subroutine(n)
         {
             continue;
         }
-        let storage = if let Some(&w) = shared_names.get(&n) {
+        let storage = if let Some(&w) = shared_names.get(n) {
             if w != 1 {
                 return Err(FortError::general(FortErrorKind::Structure(format!(
                     "shared array {n} used without declaration in {name}"
                 ))));
             }
             Storage::Shared {
-                block: n.clone(),
+                block: n.into(),
                 offset: 0,
             }
         } else {
@@ -484,9 +503,9 @@ fn compile_unit(
             Storage::Local { base }
         };
         symbols.insert(
-            n.clone(),
+            n.to_string(),
             Symbol {
-                ty: Ty::implicit_for(&n),
+                ty: Ty::implicit_for(n),
                 dims: Vec::new(),
                 storage,
             },
@@ -504,9 +523,9 @@ fn compile_unit(
     })
 }
 
-/// Emit ops for one statement.
+/// Emit ops for one statement; its expressions move into the ops.
 fn emit_stmt(
-    stmt: &Stmt,
+    stmt: Stmt,
     line_no: usize,
     ops: &mut Vec<Op>,
     op_lines: &mut Vec<usize>,
@@ -524,35 +543,34 @@ fn emit_stmt(
             push(Op::Nop, ops, op_lines);
         }
         Stmt::Continue => push(Op::Nop, ops, op_lines),
-        Stmt::Assign { lhs, rhs } => push(Op::Assign(lhs.clone(), rhs.clone()), ops, op_lines),
-        Stmt::Call { name, args } => push(Op::Call(name.clone(), args.clone()), ops, op_lines),
-        Stmt::Print(items) => push(Op::Print(items.clone()), ops, op_lines),
+        Stmt::Assign { lhs, rhs } => push(Op::Assign(lhs, rhs), ops, op_lines),
+        Stmt::Call { name, args } => push(Op::Call(name, args), ops, op_lines),
+        Stmt::Print(items) => push(Op::Print(items), ops, op_lines),
         Stmt::Return => push(Op::Return, ops, op_lines),
         Stmt::Stop => push(Op::Stop, ops, op_lines),
         Stmt::Goto(l) => {
-            gotos.push((ops.len(), *l, line_no));
+            gotos.push((ops.len(), l, line_no));
             push(Op::Jump(usize::MAX), ops, op_lines);
         }
         Stmt::ArithIf(e, l_neg, l_zero, l_pos) => {
             // Branch on sign.  The expression is evaluated up to twice;
             // expressions in this subset are side-effect free.
-            use crate::ast::BinOp;
             let lt = Expr::Bin(BinOp::Lt, Box::new(e.clone()), Box::new(Expr::Int(0)));
-            let eq = Expr::Bin(BinOp::Eq, Box::new(e.clone()), Box::new(Expr::Int(0)));
+            let eq = Expr::Bin(BinOp::Eq, Box::new(e), Box::new(Expr::Int(0)));
             // if !(e < 0) skip over the negative jump
             let skip1 = ops.len();
             push(Op::JumpIfFalse(lt, usize::MAX), ops, op_lines);
-            gotos.push((ops.len(), *l_neg, line_no));
+            gotos.push((ops.len(), l_neg, line_no));
             push(Op::Jump(usize::MAX), ops, op_lines);
             let here = ops.len();
             patch(ops, skip1, here);
             let skip2 = ops.len();
             push(Op::JumpIfFalse(eq, usize::MAX), ops, op_lines);
-            gotos.push((ops.len(), *l_zero, line_no));
+            gotos.push((ops.len(), l_zero, line_no));
             push(Op::Jump(usize::MAX), ops, op_lines);
             let here = ops.len();
             patch(ops, skip2, here);
-            gotos.push((ops.len(), *l_pos, line_no));
+            gotos.push((ops.len(), l_pos, line_no));
             push(Op::Jump(usize::MAX), ops, op_lines);
         }
         Stmt::IfThen(cond) => {
@@ -560,7 +578,7 @@ fn emit_stmt(
                 false_patch: ops.len(),
                 end_patches: Vec::new(),
             });
-            push(Op::JumpIfFalse(cond.clone(), usize::MAX), ops, op_lines);
+            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
         }
         Stmt::ElseIf(cond) => {
             let frame = if_stack.last_mut().ok_or_else(|| {
@@ -569,6 +587,12 @@ fn emit_stmt(
                     FortErrorKind::Structure("ELSE IF without IF".into()),
                 )
             })?;
+            if frame.false_patch == usize::MAX {
+                return Err(FortError::at(
+                    line_no,
+                    FortErrorKind::Structure("ELSE IF after ELSE".into()),
+                ));
+            }
             // end-jump for the previous arm
             frame.end_patches.push(ops.len());
             push(Op::Jump(usize::MAX), ops, op_lines);
@@ -576,12 +600,18 @@ fn emit_stmt(
             let here = ops.len();
             patch(ops, frame.false_patch, here);
             frame.false_patch = ops.len();
-            push(Op::JumpIfFalse(cond.clone(), usize::MAX), ops, op_lines);
+            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
         }
         Stmt::Else => {
             let frame = if_stack.last_mut().ok_or_else(|| {
                 FortError::at(line_no, FortErrorKind::Structure("ELSE without IF".into()))
             })?;
+            if frame.false_patch == usize::MAX {
+                return Err(FortError::at(
+                    line_no,
+                    FortErrorKind::Structure("second ELSE in one IF block".into()),
+                ));
+            }
             frame.end_patches.push(ops.len());
             push(Op::Jump(usize::MAX), ops, op_lines);
             let here = ops.len();
@@ -607,8 +637,8 @@ fn emit_stmt(
         }
         Stmt::LogicalIf(cond, inner) => {
             let patch_idx = ops.len();
-            push(Op::JumpIfFalse(cond.clone(), usize::MAX), ops, op_lines);
-            emit_stmt(inner, line_no, ops, op_lines, gotos, if_stack, do_stack)?;
+            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
+            emit_stmt(*inner, line_no, ops, op_lines, gotos, if_stack, do_stack)?;
             let here = ops.len();
             patch(ops, patch_idx, here);
         }
@@ -619,19 +649,15 @@ fn emit_stmt(
             to,
             step,
         } => {
-            let step = step.clone().unwrap_or(Expr::Int(1));
-            push(
-                Op::Assign(LValue::Name(var.clone()), from.clone()),
-                ops,
-                op_lines,
-            );
+            let step = step.unwrap_or(Expr::Int(1));
+            push(Op::Assign(LValue::Name(var.clone()), from), ops, op_lines);
             let head = ops.len();
-            let cond = do_condition(var, to, &step);
+            let cond = do_condition(&var, to, &step);
             let exit_patch = ops.len();
             push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
             do_stack.push(DoFrame {
-                terminal: *label,
-                var: var.clone(),
+                terminal: label,
+                var,
                 step,
                 head,
                 exit_patch,
@@ -700,21 +726,20 @@ pub(crate) fn match_do_condition(e: &Expr) -> Option<(&Expr, &Expr, &Expr)> {
         .then_some((&**v1, &**t1, &**s1))
 }
 
-fn do_condition(var: &str, to: &Expr, step: &Expr) -> Expr {
+fn do_condition(var: &str, to: Expr, step: &Expr) -> Expr {
     let v = || Box::new(Expr::Var(var.to_string()));
-    let t = || Box::new(to.clone());
     let s = || Box::new(step.clone());
     Expr::Bin(
         BinOp::Or,
         Box::new(Expr::Bin(
             BinOp::And,
             Box::new(Expr::Bin(BinOp::Gt, s(), Box::new(Expr::Int(0)))),
-            Box::new(Expr::Bin(BinOp::Le, v(), t())),
+            Box::new(Expr::Bin(BinOp::Le, v(), Box::new(to.clone()))),
         )),
         Box::new(Expr::Bin(
             BinOp::And,
             Box::new(Expr::Bin(BinOp::Lt, s(), Box::new(Expr::Int(0)))),
-            Box::new(Expr::Bin(BinOp::Ge, v(), t())),
+            Box::new(Expr::Bin(BinOp::Ge, v(), Box::new(to))),
         )),
     )
 }
@@ -746,8 +771,8 @@ fn patch(ops: &mut [Op], idx: usize, target: usize) {
 }
 
 /// Walk all identifiers referenced by an op.
-fn collect_names(op: &Op, f: &mut impl FnMut(&str)) {
-    fn expr(e: &Expr, f: &mut impl FnMut(&str)) {
+fn collect_names<'a>(op: &'a Op, f: &mut impl FnMut(&'a str)) {
+    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
         match e {
             Expr::Var(n) => f(n),
             Expr::Index(n, args) => {
@@ -945,6 +970,23 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("not closed"), "{err}");
+    }
+
+    #[test]
+    fn a_second_else_is_an_error_not_a_panic() {
+        // Found by `tests/frontend_fuzz.rs` (`ring` mutation 222): the
+        // first ELSE leaves no false branch to patch.
+        for (arm, expect) in [
+            ("ELSE", "second ELSE"),
+            ("ELSE IF (X .LT. 0) THEN", "ELSE IF after ELSE"),
+        ] {
+            let src = format!(
+                "      SUBROUTINE A\n      IF (X .GT. 0) THEN\n      ELSE\n      {arm}\n      END IF\n      END\n"
+            );
+            let err = Program::compile(&src, &HashMap::new()).unwrap_err();
+            assert_eq!(err.line, Some(4), "{err}");
+            assert!(err.to_string().contains(expect), "{err}");
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Tokens of the mini-Fortran subset.
 
+use std::borrow::Cow;
+
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
-    /// Identifier or keyword, uppercased (`TOTAL`, `IF`, `K_SHARED`).
-    Ident(String),
+    /// Identifier or keyword, uppercased (`TOTAL`, `IF`, `K_SHARED`); the
+    /// lexer's keywords borrow their text.
+    Ident(Cow<'static, str>),
     /// Integer literal.
     Int(i64),
     /// Real literal (`1.5`, `2.`, `1E-3`).

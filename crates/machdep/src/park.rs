@@ -560,17 +560,21 @@ impl VirtualParker {
     }
 
     /// Block until the scheduler grants `pid` the run token, staying
-    /// responsive to cancellation.
+    /// responsive to cancellation.  The trip is looked at first: a pid
+    /// granted the token on a tripped plane unwinds with it (the process
+    /// layer hands it on) instead of polling on — a lone survivor would
+    /// otherwise be re-granted until the scheduler called its wait a
+    /// deadlock, a second verdict on a force that already has its fault.
     fn await_grant(&self, pid: usize) {
         let mut st = self.state.lock();
         loop {
-            if st.running == Some(pid) {
-                return;
-            }
             if fault::cancel_pending() {
                 drop(st);
                 fault::check_cancel();
                 return; // unreachable when a trip is pending
+            }
+            if st.running == Some(pid) {
+                return;
             }
             self.granted.wait_for(&mut st, wait_slice());
         }

@@ -222,8 +222,12 @@ impl Drop for StopGuard {
 /// | condition | launcher | stack | charged to the job |
 /// |---|---|---|---|
 /// | `pool` attached, thread-per-pid backend, `nproc <= pool.size()` | *mailbox*: the pool's resident workers | the workers' own | nothing (paid at pool construction) |
-/// | otherwise, thread-per-pid backend | *scoped*: one thread per pid | default | `processes_created += nproc` |
-/// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per pid | `processes_created += nproc` |
+/// | otherwise, thread-per-pid backend | *scoped*: threads for pids 1.., pid 0 on the caller | default; the caller's own | `processes_created += nproc` |
+/// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
+///
+/// `processes_created` counts Force processes, not host threads: the
+/// scoped rows create `nproc − 1` threads and still charge `nproc`, so
+/// the cost model prices a force the same whichever thread runs pid 0.
 ///
 /// # Panics
 /// Panics if the plane covers zero processes.
@@ -275,41 +279,57 @@ pub fn launch_plane<R: Send>(
     }
 }
 
-/// The scoped launcher: one fresh thread per pid, joined before return;
-/// small-stacked when multiplexed (thousands of mostly parked pids).
+/// The scoped launcher, fork-join: a fresh thread for each of pids
+/// `1..nproc`, pid 0 on the calling thread, every thread joined before
+/// return.  The new threads are small-stacked when multiplexed
+/// (thousands of mostly parked pids).
+///
+/// The caller's thread is a process like the others for as long as
+/// `run_pid(0)` runs — same admission guard, same panic containment —
+/// and is given back as it was: `run_as_process` restores whatever
+/// fault context the thread had, which is what lets a process of one
+/// force launch another.
 fn launch_scoped(plane: &FaultPlane, multiplexed: bool, run_pid: &(dyn Fn(usize) + Sync)) {
     let nproc = plane.nproc();
     // Charge the plane directly (not context-preferred): the launching
     // thread may run under a session's ambient binding, but these
-    // processes belong to this plane's counter block.
+    // processes belong to this plane's counter block.  The count is of
+    // Force processes, not of host threads: the caller's counts.
     plane
         .stats_handle()
         .add_direct(&|s: &OpStats| &s.processes_created, nproc as u64);
+    // The body's panic is caught inside `run_pid`; if one still escapes,
+    // the harness itself died.  Trip defensively so peers cannot hang on
+    // the lost process.
+    let died_outside_harness = |pid: usize| {
+        plane.trip(
+            ProcessFault {
+                pid,
+                construct: Construct::Body.name(),
+                payload: "process thread died outside the fault harness".to_string(),
+            },
+            None,
+        );
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nproc)
+        let handles: Vec<_> = (1..nproc)
             .map(|pid| {
                 let mut thread = std::thread::Builder::new();
                 if multiplexed {
                     thread = thread.stack_size(OVERCOMMIT_STACK);
                 }
-                thread
+                let handle = thread
                     .spawn_scoped(scope, move || run_pid(pid))
-                    .expect("spawning a pid thread")
+                    .expect("spawning a pid thread");
+                (pid, handle)
             })
             .collect();
-        for (pid, handle) in handles.into_iter().enumerate() {
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_pid(0))).is_err() {
+            died_outside_harness(0);
+        }
+        for (pid, handle) in handles {
             if handle.join().is_err() {
-                // The body's panic was already caught inside the thread;
-                // a join error means the harness itself died.  Trip
-                // defensively so peers cannot hang on the lost process.
-                plane.trip(
-                    ProcessFault {
-                        pid,
-                        construct: Construct::Body.name(),
-                        payload: "process thread died outside the fault harness".to_string(),
-                    },
-                    None,
-                );
+                died_outside_harness(pid);
             }
         }
     });
@@ -354,6 +374,7 @@ mod tests {
     use crate::lock::{LockState, RawLock};
     use crate::park::ParkBackend;
     use crate::spin::SpinLock;
+    use crate::stats::StatsHandle;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -409,6 +430,122 @@ mod tests {
         assert!(err.payload.starts_with("pid "), "{}", err.payload);
         // All four genuine panics were detected, one was reported.
         assert_eq!(stats.snapshot().faults_detected, 4);
+    }
+
+    const EVERY_BACKEND: [ParkBackend; 3] = [
+        ParkBackend::ThreadPerPid,
+        ParkBackend::Overcommit { workers: 2 },
+        ParkBackend::Virtual { seed: 1989 },
+    ];
+
+    fn plane_on(backend: ParkBackend, nproc: usize) -> (Arc<OpStats>, Arc<FaultPlane>) {
+        let stats = Arc::new(OpStats::new());
+        let config = FaultConfig {
+            backend,
+            ..FaultConfig::default()
+        };
+        let plane = FaultPlane::new(nproc, Arc::clone(&stats), config);
+        (stats, plane)
+    }
+
+    #[test]
+    fn the_scoped_launcher_runs_pid_zero_on_the_launching_thread() {
+        let here = std::thread::current().id();
+        let thread_of_pid = |_pid: usize| std::thread::current().id();
+        for backend in EVERY_BACKEND {
+            let (stats, plane) = plane_on(backend, 4);
+            let threads = launch_plane(&plane, None, thread_of_pid).expect("clean job");
+            assert_eq!(threads[0], here, "{backend:?}");
+            for (pid, thread) in threads.iter().enumerate().skip(1) {
+                assert_ne!(*thread, here, "{backend:?}: pid {pid}");
+                assert!(!threads[..pid].contains(thread), "{backend:?}: pid {pid}");
+            }
+            // Four Force processes, whatever the host threads were.
+            assert_eq!(stats.snapshot().processes_created, 4, "{backend:?}");
+
+            // A force of one is the caller alone.
+            let (stats, plane) = plane_on(backend, 1);
+            assert_eq!(launch_plane(&plane, None, thread_of_pid), Ok(vec![here]));
+            assert_eq!(stats.snapshot().processes_created, 1, "{backend:?}");
+        }
+        // The mailbox is not a fork-join: a pool's workers run every pid.
+        let (stats, plane) = plane_on(ParkBackend::ThreadPerPid, 2);
+        let pool = ForcePool::new(2, &stats);
+        let threads = launch_plane(&plane, Some(&pool), thread_of_pid).expect("clean job");
+        assert!(!threads.contains(&here));
+    }
+
+    #[test]
+    fn a_launch_gives_the_launching_thread_back_as_it_was() {
+        fn lock_acquires(s: &OpStats) -> &std::sync::atomic::AtomicU64 {
+            &s.lock_acquires
+        }
+        let acquires = |stats: &Arc<OpStats>| stats.snapshot().lock_acquires;
+        for backend in EVERY_BACKEND {
+            let inner_job = || {
+                let (stats, plane) = plane_on(backend, 2);
+                let pids = launch_plane(&plane, None, |_pid| {
+                    fault::charge_current(&lock_acquires, 1);
+                    let _in_barrier = fault::enter(Construct::Barrier);
+                    fault::current_pid()
+                });
+                assert_eq!(pids, Ok(vec![Some(0), Some(1)]), "{backend:?}");
+                assert_eq!(
+                    acquires(&stats),
+                    2,
+                    "{backend:?}: charged to the inner plane"
+                );
+            };
+
+            // From a session's driver thread: no process context before
+            // or after, and the ambient binding still takes the charges.
+            let session = Arc::new(OpStats::new());
+            let _ambient = fault::bind_ambient_stats(StatsHandle::root(Arc::clone(&session)));
+            inner_job();
+            assert_eq!(fault::current_pid(), None, "{backend:?}");
+            assert!(fault::charge_current(&lock_acquires, 1));
+            assert_eq!(acquires(&session), 1, "{backend:?}: the ambient binding");
+
+            // From inside a process of another force, on its own thread
+            // (pid 1) and on its launcher's (pid 0): the outer context,
+            // construct marker and plane accounting come back.
+            let (outer_stats, outer) = plane_on(ParkBackend::ThreadPerPid, 2);
+            launch_plane(&outer, None, |pid| {
+                let _in_critical = fault::enter(Construct::Critical);
+                inner_job();
+                assert_eq!(fault::current_pid(), Some(pid), "{backend:?}");
+                assert_eq!(fault::current_construct(), Construct::Critical);
+                assert!(fault::charge_current(&lock_acquires, 1));
+            })
+            .expect("the outer job is clean");
+            assert_eq!(acquires(&outer_stats), 2, "{backend:?}: the outer plane");
+            assert_eq!(acquires(&session), 1, "{backend:?}: not the session");
+        }
+    }
+
+    #[test]
+    fn a_panic_on_the_launching_thread_is_a_fault_like_any_other() {
+        for backend in EVERY_BACKEND {
+            for culprit in [0, 1] {
+                let (stats, plane) = plane_on(backend, 3);
+                // Held by the test: the peers park on it until cancelled.
+                let wedge = SpinLock::new(LockState::Unlocked, Arc::clone(&stats));
+                wedge.lock();
+                let fault = launch_plane(&plane, None, |pid| {
+                    if pid == culprit {
+                        let _in_critical = fault::enter(Construct::Critical);
+                        panic!("pid {pid} dies");
+                    }
+                    wedge.lock();
+                })
+                .expect_err("the panic is the job's fault");
+                let expected = fault_in(culprit, "critical", &format!("pid {culprit} dies"));
+                assert_eq!(fault, expected, "{backend:?}");
+                assert_eq!(stats.snapshot().faults_detected, 1, "{backend:?}");
+                assert!(plane.take_payload().is_some(), "the payload to re-raise");
+                assert_eq!(fault::current_pid(), None, "{backend:?}");
+            }
+        }
     }
 
     type Outcome = Result<Vec<usize>, ProcessFault>;

@@ -22,9 +22,32 @@
 //!
 //! Macro results are recursively rescanned (with a depth limit that turns
 //! runaway recursion into an error instead of a hang).
+//!
+//! # Tables and overlay
+//!
+//! The definitions every run starts from — the builtins here, the
+//! statement macros of [`crate::macros`], one machine layer of
+//! [`crate::machdep_macros`] — never change, so each set is a
+//! `MacroTable` built once per process, its bodies already split at
+//! their `$` parameters.  An [`M4`] holds references to the tables
+//! installed into it and owns only an *overlay*: what the run itself
+//! defines (`ZZUNIT`, the per-label `ZZDO…` names, `pushdef` stacks), the
+//! recording lists and the gensym counter.
+//!
+//! # Bytes, not characters
+//!
+//! The scanner walks `&str` bytes.  Everything m4 gives meaning to — the
+//! quotes, parentheses, comma, `$`, newline and the `[A-Za-z0-9_]` of a
+//! name — is ASCII, and an ASCII byte inside UTF-8 text is always a whole
+//! character, never part of a longer one.  Every slice is therefore cut
+//! at character boundaries, and multi-byte text travels inside the plain
+//! runs between delimiters untouched.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
+
+use crate::sedpass::top_level_items;
 
 /// Maximum rescan depth before reporting runaway recursion.
 const MAX_DEPTH: usize = 200;
@@ -59,20 +82,269 @@ impl fmt::Display for M4Error {
 
 impl std::error::Error for M4Error {}
 
-/// A macro definition: replacement text or a built-in function.
-#[derive(Clone)]
-enum Def {
-    Text(String),
-    Builtin(&'static str),
+/// What the engine's own functions return.  The error travels boxed: in a
+/// debug build every `?` keeps several copies of its `Result` in the
+/// frame, and the two functions that recurse, [`M4::scan`] and
+/// [`M4::call`], have to fit `MAX_DEPTH` levels into a small stack.
+type Expansion<T> = Result<T, Box<M4Error>>;
+
+/// What a `$x` in a macro body stands for.
+#[derive(Clone, Copy)]
+enum Param {
+    /// `$0`: the macro's own name.
+    Name,
+    /// `$1`–`$9`, counted from zero.
+    Arg(u8),
+    /// `$#`: the number of arguments.
+    Count,
+    /// `$*`: all arguments, comma-separated.
+    All,
 }
 
-/// The macro processor state.
+/// A text macro's replacement, split once when it is defined: its literal
+/// segments are the stretches of `text` between the two-byte parameters
+/// listed in `params`.
+struct Body {
+    text: String,
+    /// `(offset of the `$`, what it stands for)`, ascending.
+    params: Vec<(usize, Param)>,
+}
+
+impl Body {
+    fn parse(text: &str) -> Body {
+        let bytes = text.as_bytes();
+        let mut params = Vec::new();
+        let mut i = 0;
+        while i + 1 < bytes.len() {
+            let param = match (bytes[i], bytes[i + 1]) {
+                (b'$', b'0') => Some(Param::Name),
+                (b'$', d @ b'1'..=b'9') => Some(Param::Arg(d - b'1')),
+                (b'$', b'#') => Some(Param::Count),
+                (b'$', b'*') => Some(Param::All),
+                _ => None,
+            };
+            match param {
+                Some(param) => {
+                    params.push((i, param));
+                    i += 2;
+                }
+                None => i += 1,
+            }
+        }
+        Body {
+            text: text.to_string(),
+            params,
+        }
+    }
+
+    /// Append the body to `out` with the call's name and arguments in
+    /// place of its parameters.
+    fn substitute(&self, name: &str, args: &Args, out: &mut String) {
+        let mut at = 0;
+        for &(offset, param) in &self.params {
+            out.push_str(&self.text[at..offset]);
+            match param {
+                Param::Name => out.push_str(name),
+                Param::Arg(n) => out.push_str(args.get(usize::from(n))),
+                Param::Count => push_int(out, args.len()),
+                Param::All => args.join_into(out),
+            }
+            at = offset + 2;
+        }
+        out.push_str(&self.text[at..]);
+    }
+}
+
+fn push_int(out: &mut String, n: impl fmt::Display) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{n}");
+}
+
+/// The expanded arguments of one macro call, back to back in one buffer.
+#[derive(Default)]
+struct Args {
+    text: String,
+    /// Where each argument ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl Args {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Argument `i`; empty past the last, m4's rule for a missing one.
+    fn get(&self, i: usize) -> &str {
+        match self.ends.get(i) {
+            Some(&end) => &self.text[i.checked_sub(1).map_or(0, |prev| self.ends[prev])..end],
+            None => "",
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Append the arguments to `out`, comma-separated (`$*`).
+    fn join_into(&self, out: &mut String) {
+        for (n, arg) in self.iter().enumerate() {
+            if n > 0 {
+                out.push(',');
+            }
+            out.push_str(arg);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+}
+
+/// The built-in functions.
+#[derive(Clone, Copy)]
+enum Builtin {
+    Define,
+    Undefine,
+    Defn,
+    Pushdef,
+    Popdef,
+    Ifdef,
+    Ifelse,
+    Incr,
+    Decr,
+    Eval,
+    Dnl,
+    Len,
+    First,
+    Rest,
+    Concat,
+    /// `zzstripdims` and `zzname`.
+    StripDims,
+    Record,
+    Gensym,
+    DeclRec,
+    Subs,
+}
+
+const BUILTINS: &[(&str, Builtin)] = &[
+    ("define", Builtin::Define),
+    ("undefine", Builtin::Undefine),
+    ("defn", Builtin::Defn),
+    ("pushdef", Builtin::Pushdef),
+    ("popdef", Builtin::Popdef),
+    ("ifdef", Builtin::Ifdef),
+    ("ifelse", Builtin::Ifelse),
+    ("incr", Builtin::Incr),
+    ("decr", Builtin::Decr),
+    ("eval", Builtin::Eval),
+    ("dnl", Builtin::Dnl),
+    ("len", Builtin::Len),
+    ("zzfirst", Builtin::First),
+    ("zzrest", Builtin::Rest),
+    ("zzconcat", Builtin::Concat),
+    ("zzstripdims", Builtin::StripDims),
+    ("zzrecord", Builtin::Record),
+    ("zzgensym", Builtin::Gensym),
+    ("zzdeclrec", Builtin::DeclRec),
+    ("zzname", Builtin::StripDims),
+    ("zzsubs", Builtin::Subs),
+];
+
+/// A macro definition: replacement text or a built-in function.
+enum Def {
+    Text(Body),
+    Builtin(Builtin),
+}
+
+/// The bit that stands for `name`'s first byte in an `initials` mask.  A
+/// name the scanner can meet starts with one of `[A-Za-z_]`, all inside
+/// `'A'..='z'`; every other name shares the top bit.
+fn initial_bit(name: &str) -> u64 {
+    match name.as_bytes().first() {
+        Some(&b @ b'A'..=b'z') => 1 << (b - b'A'),
+        _ => 1 << 63,
+    }
+}
+
+/// An immutable set of definitions, built once per process and shared by
+/// every [`M4`] it is installed into.
+pub(crate) struct MacroTable {
+    defs: HashMap<&'static str, Def>,
+    /// [`initial_bit`] of every name in `defs`: most identifiers of a
+    /// Fortran text are ruled out by their first letter, before any hash.
+    initials: u64,
+}
+
+impl MacroTable {
+    /// A table of text macros, `(name, body)`.
+    pub(crate) fn new<B: AsRef<str>>(macros: &[(&'static str, B)]) -> MacroTable {
+        MacroTable::from_defs(
+            macros
+                .iter()
+                .map(|(name, body)| (*name, Def::Text(Body::parse(body.as_ref())))),
+        )
+    }
+
+    fn from_defs(defs: impl Iterator<Item = (&'static str, Def)>) -> MacroTable {
+        let defs: HashMap<_, _> = defs.collect();
+        let initials = defs.keys().fold(0, |mask, name| mask | initial_bit(name));
+        MacroTable { defs, initials }
+    }
+
+    /// The names this table defines, in no particular order.
+    pub(crate) fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.defs.keys().copied()
+    }
+
+    fn get(&self, name: &str) -> Option<&Def> {
+        (self.initials & initial_bit(name) != 0)
+            .then(|| self.defs.get(name))
+            .flatten()
+    }
+}
+
+/// The builtins: the table every engine starts with.
+pub(crate) fn builtin_macros() -> &'static MacroTable {
+    static TABLE: OnceLock<MacroTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        MacroTable::from_defs(BUILTINS.iter().map(|&(name, b)| (name, Def::Builtin(b))))
+    })
+}
+
+/// One entry of an overlay stack: a definition the run made, or the fixed
+/// one a `pushdef`/`popdef` found underneath.
+enum Local {
+    Own(Def),
+    Fixed(&'static Def),
+}
+
+impl Local {
+    fn def(&self) -> &Def {
+        match self {
+            Local::Own(def) => def,
+            Local::Fixed(def) => def,
+        }
+    }
+}
+
+/// The macro processor state of one run.
 pub struct M4 {
-    /// name -> definition stack (top = active; pushdef/popdef).
-    defs: HashMap<String, Vec<Def>>,
+    /// The fixed definitions installed into this engine, oldest first; a
+    /// later table's definition of a name wins.
+    tables: Vec<&'static MacroTable>,
+    /// What the run defined itself: name -> definition stack (top =
+    /// active; pushdef/popdef).  An entry shadows every table — an empty
+    /// stack too, which is a name the run undefined.
+    overlay: HashMap<String, Vec<Local>>,
+    /// [`initial_bit`] of every name `overlay` has held.
+    overlay_initials: u64,
     /// Recording lists (`zzrecord`): ordered, deduplicated.
     lists: HashMap<String, Vec<String>>,
     gensym: u64,
+    /// The buffers of finished calls, kept for the next call.
+    spare_args: Vec<Args>,
+    spare_text: Vec<String>,
 }
 
 impl Default for M4 {
@@ -81,53 +353,41 @@ impl Default for M4 {
     }
 }
 
-const BUILTINS: &[&str] = &[
-    "define",
-    "undefine",
-    "defn",
-    "pushdef",
-    "popdef",
-    "ifdef",
-    "ifelse",
-    "incr",
-    "decr",
-    "eval",
-    "dnl",
-    "len",
-    "zzfirst",
-    "zzrest",
-    "zzconcat",
-    "zzstripdims",
-    "zzrecord",
-    "zzgensym",
-    "zzdeclrec",
-    "zzname",
-    "zzsubs",
-];
-
 impl M4 {
     /// A fresh engine with the builtins registered.
     pub fn new() -> Self {
-        let mut defs = HashMap::new();
-        for &b in BUILTINS {
-            defs.insert(b.to_string(), vec![Def::Builtin(b)]);
-        }
         M4 {
-            defs,
+            tables: vec![builtin_macros()],
+            overlay: HashMap::new(),
+            overlay_initials: 0,
             lists: HashMap::new(),
             gensym: 0,
+            spare_args: Vec::new(),
+            spare_text: Vec::new(),
         }
+    }
+
+    /// Add a fixed set of definitions, as if each had just been
+    /// [`define`](Self::define)d.
+    pub(crate) fn install(&mut self, table: &'static MacroTable) {
+        if !self.overlay.is_empty() {
+            for name in table.names() {
+                self.overlay.remove(name);
+            }
+        }
+        self.tables.push(table);
     }
 
     /// Define (or redefine) a text macro programmatically.
     pub fn define(&mut self, name: &str, body: &str) {
-        self.defs
-            .insert(name.to_string(), vec![Def::Text(body.to_string())]);
+        let stack = self.stack_mut(name);
+        stack.clear();
+        stack.push(Local::Own(Def::Text(Body::parse(body))));
     }
 
     /// Whether `name` is currently defined.
     pub fn is_defined(&self, name: &str) -> bool {
-        self.defs.get(name).is_some_and(|s| !s.is_empty())
+        self.lookup(name).is_some()
     }
 
     /// The items recorded under `list` by `zzrecord`, in first-recorded
@@ -138,329 +398,357 @@ impl M4 {
 
     /// Expand `input` fully.
     pub fn expand(&mut self, input: &str) -> Result<String, M4Error> {
-        self.expand_depth(input, 0)
+        let mut out = String::with_capacity(2 * input.len());
+        match self.scan(input, 0, &mut out) {
+            Ok(()) => Ok(out),
+            Err(e) => Err(*e),
+        }
     }
 
-    fn expand_depth(&mut self, input: &str, depth: usize) -> Result<String, M4Error> {
-        if depth > MAX_DEPTH {
-            return Err(M4Error::RecursionLimit(
-                input.chars().take(32).collect::<String>(),
-            ));
-        }
-        let bytes: Vec<char> = input.chars().collect();
-        let mut out = String::with_capacity(input.len());
-        let mut i = 0usize;
-        while i < bytes.len() {
-            let c = bytes[i];
-            if c == '`' {
-                // Quoted text: copy verbatim, stripping one quote level.
-                let (inner, next) = scan_quote(&bytes, i)?;
-                out.push_str(&inner);
-                i = next;
-            } else if c.is_ascii_alphabetic() || c == '_' {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                let name: String = bytes[start..i].iter().collect();
-                if self.is_defined(&name) {
-                    // Collect arguments if a '(' immediately follows.
-                    let args = if i < bytes.len() && bytes[i] == '(' {
-                        let (raw_args, next) = scan_args(&bytes, i)?;
-                        i = next;
-                        let mut expanded = Vec::with_capacity(raw_args.len());
-                        for a in raw_args {
-                            expanded.push(self.expand_depth(a.trim_start(), depth + 1)?);
-                        }
-                        expanded
-                    } else {
-                        Vec::new()
-                    };
-                    let replaced = self.apply(&name, &args, depth)?;
-                    if let Some(text) = replaced {
-                        let rescanned = self.expand_depth(&text, depth + 1)?;
-                        out.push_str(&rescanned);
-                    }
-                    // `dnl` handling: swallow to end of line.
-                    if name == "dnl" {
-                        while i < bytes.len() && bytes[i] != '\n' {
-                            i += 1;
-                        }
-                        if i < bytes.len() {
-                            i += 1; // the newline itself
-                        }
-                    }
-                } else {
-                    out.push_str(&name);
-                }
-            } else {
-                out.push(c);
-                i += 1;
+    /// `name`'s definition in the installed tables.
+    fn fixed(&self, name: &str) -> Option<&'static Def> {
+        self.tables.iter().rev().find_map(|table| table.get(name))
+    }
+
+    /// `name`'s active definition.
+    fn lookup(&self, name: &str) -> Option<&Def> {
+        if self.overlay_initials & initial_bit(name) != 0 {
+            if let Some(stack) = self.overlay.get(name) {
+                return stack.last().map(Local::def);
             }
         }
-        Ok(out)
+        self.fixed(name)
     }
 
-    /// Apply a macro; `None` means "no output" (already handled).
-    fn apply(
+    /// `name`'s overlay stack; the first time the run touches a name, the
+    /// stack starts from the name's fixed definition, if it has one.
+    fn stack_mut(&mut self, name: &str) -> &mut Vec<Local> {
+        if !self.overlay.contains_key(name) {
+            let fixed = self.fixed(name).map(Local::Fixed);
+            self.overlay_initials |= initial_bit(name);
+            self.overlay
+                .insert(name.to_string(), fixed.into_iter().collect());
+        }
+        self.overlay
+            .get_mut(name)
+            .expect("present or just inserted")
+    }
+
+    /// Append the expansion of `input` to `out`.
+    fn scan(&mut self, input: &str, depth: usize, out: &mut String) -> Expansion<()> {
+        if depth > MAX_DEPTH {
+            return Err(too_deep(input).into());
+        }
+        let bytes = input.as_bytes();
+        // `input[plain..i]` is scanned text that passes through as it is.
+        let (mut i, mut plain) = (0, 0);
+        while i < bytes.len() {
+            match bytes[i] {
+                b'`' => {
+                    // Quoted text: copy verbatim, stripping one quote level.
+                    let close = quote_end(bytes, i)?;
+                    out.push_str(&input[plain..i]);
+                    out.push_str(&input[i + 1..close]);
+                    i = close + 1;
+                    plain = i;
+                }
+                b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
+                    let start = i;
+                    while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
+                    {
+                        i += 1;
+                    }
+                    let name = &input[start..i];
+                    if self.is_defined(name) {
+                        out.push_str(&input[plain..start]);
+                        i = self.call(name, input, i, depth, out)?;
+                        plain = i;
+                    }
+                }
+                _ => i += 1,
+            }
+        }
+        out.push_str(&input[plain..]);
+        Ok(())
+    }
+
+    /// Expand one call of the macro `name`, which ends at `input[after]`:
+    /// expand its arguments, if a `(` follows at once, append its
+    /// rescanned replacement to `out`, and return where the scan resumes.
+    ///
+    /// This and [`scan`](Self::scan) are the recursion: 200 levels of them
+    /// have to fit a 512 KiB stack in a debug build, so what does not
+    /// recurse lives in functions of its own, off their frames.
+    fn call(
         &mut self,
         name: &str,
-        args: &[String],
-        _depth: usize,
-    ) -> Result<Option<String>, M4Error> {
-        let def = self
-            .defs
-            .get(name)
-            .and_then(|s| s.last())
-            .cloned()
-            .expect("apply called for undefined macro");
-        match def {
-            Def::Text(body) => Ok(Some(substitute(name, &body, args))),
-            Def::Builtin(b) => self.builtin(b, args),
+        input: &str,
+        after: usize,
+        depth: usize,
+        out: &mut String,
+    ) -> Expansion<usize> {
+        let mut args = self.spare_args.pop().unwrap_or_default();
+        let next = self.expand_args(input, after, depth, &mut args)?;
+        let mut text = self.spare_text.pop().unwrap_or_default();
+        self.replacement(name, &args, next > after, &mut text, out)?;
+        if !text.is_empty() {
+            self.scan(&text, depth + 1, out)?;
         }
+        args.clear();
+        text.clear();
+        self.spare_args.push(args);
+        self.spare_text.push(text);
+        // `dnl` handling: swallow to end of line.
+        Ok(if name == "dnl" {
+            line_end(input.as_bytes(), next)
+        } else {
+            next
+        })
     }
 
-    fn builtin(&mut self, b: &'static str, args: &[String]) -> Result<Option<String>, M4Error> {
-        let arg = |i: usize| args.get(i).map(String::as_str).unwrap_or("");
-        match b {
-            "define" => {
+    /// Expand the argument list that opens at `input[open]`, if one does,
+    /// into `args`; returns where the call ends.
+    fn expand_args(
+        &mut self,
+        input: &str,
+        open: usize,
+        depth: usize,
+        args: &mut Args,
+    ) -> Expansion<usize> {
+        let bytes = input.as_bytes();
+        if bytes.get(open) != Some(&b'(') {
+            return Ok(open);
+        }
+        // First the whole list, so that an unclosed one is reported before
+        // any argument has run; then `ends[k]` turns from where the raw
+        // argument ends in `input` into where the expanded one ends in
+        // `args.text`.
+        delimit_args(bytes, open, &mut args.ends)?;
+        let mut start = open + 1;
+        for k in 0..args.ends.len() {
+            let end = args.ends[k];
+            self.scan(input[start..end].trim_start(), depth + 1, &mut args.text)?;
+            args.ends[k] = args.text.len();
+            start = end + 1;
+        }
+        Ok(start)
+    }
+
+    /// What a call of `name` with `args` is replaced by, appended to
+    /// `text` for the rescan.
+    fn replacement(
+        &mut self,
+        name: &str,
+        args: &Args,
+        parenthesised: bool,
+        text: &mut String,
+        out: &mut String,
+    ) -> Expansion<()> {
+        // The definition is looked up once the arguments have run: they
+        // may have redefined the macro they are arguments of.
+        let builtin = match self.lookup(name) {
+            Some(Def::Text(body)) => {
+                body.substitute(name, args, text);
+                return Ok(());
+            }
+            Some(Def::Builtin(builtin)) => *builtin,
+            // Or undefined it: then it is a name like any other, followed
+            // by parenthesised text.
+            None => {
+                out.push_str(name);
+                if parenthesised {
+                    out.push('(');
+                    args.join_into(out);
+                    out.push(')');
+                }
+                return Ok(());
+            }
+        };
+        self.builtin(builtin, args, text)
+    }
+
+    /// Run a builtin; what it expands to is appended to `out`.
+    fn builtin(&mut self, builtin: Builtin, args: &Args, out: &mut String) -> Expansion<()> {
+        let arg = |i: usize| args.get(i);
+        match builtin {
+            Builtin::Define => {
                 if !arg(0).is_empty() {
-                    self.defs
-                        .insert(arg(0).to_string(), vec![Def::Text(arg(1).to_string())]);
+                    self.define(arg(0), arg(1));
                 }
-                Ok(None)
             }
-            "pushdef" => {
-                self.defs
-                    .entry(arg(0).to_string())
-                    .or_default()
-                    .push(Def::Text(arg(1).to_string()));
-                Ok(None)
+            Builtin::Pushdef => {
+                let def = Local::Own(Def::Text(Body::parse(arg(1))));
+                self.stack_mut(arg(0)).push(def);
             }
-            "popdef" => {
-                if let Some(stack) = self.defs.get_mut(arg(0)) {
-                    stack.pop();
-                    if stack.is_empty() {
-                        self.defs.remove(arg(0));
-                    }
-                }
-                Ok(None)
+            Builtin::Popdef => {
+                self.stack_mut(arg(0)).pop();
             }
-            "undefine" => {
-                self.defs.remove(arg(0));
-                Ok(None)
-            }
-            "defn" => {
-                let text = match self.defs.get(arg(0)).and_then(|s| s.last()) {
-                    Some(Def::Text(t)) => t.clone(),
-                    _ => String::new(),
-                };
+            Builtin::Undefine => self.stack_mut(arg(0)).clear(),
+            Builtin::Defn => {
                 // Return quoted so the definition is not re-expanded here.
-                Ok(Some(format!("`{text}'")))
-            }
-            "ifdef" => {
-                if self.is_defined(arg(0)) {
-                    Ok(Some(arg(1).to_string()))
-                } else {
-                    Ok(Some(arg(2).to_string()))
+                out.push('`');
+                if let Some(Def::Text(body)) = self.lookup(arg(0)) {
+                    out.push_str(&body.text);
                 }
+                out.push('\'');
             }
-            "ifelse" => {
+            Builtin::Ifdef => out.push_str(if self.is_defined(arg(0)) {
+                arg(1)
+            } else {
+                arg(2)
+            }),
+            Builtin::Ifelse => {
                 // ifelse(a, b, then [, a2, b2, then2]... [, else])
                 let mut i = 0;
-                loop {
-                    if args.len() >= i + 3 {
-                        if args[i] == args[i + 1] {
-                            return Ok(Some(args[i + 2].clone()));
-                        }
-                        if args.len() == i + 4 {
-                            return Ok(Some(args[i + 3].clone()));
-                        }
-                        i += 3;
-                    } else {
-                        return Ok(Some(String::new()));
+                while args.len() >= i + 3 {
+                    if arg(i) == arg(i + 1) {
+                        out.push_str(arg(i + 2));
+                        break;
                     }
+                    if args.len() == i + 4 {
+                        out.push_str(arg(i + 3));
+                        break;
+                    }
+                    i += 3;
                 }
             }
-            "incr" => Ok(Some((parse_int(b, arg(0))? + 1).to_string())),
-            "decr" => Ok(Some((parse_int(b, arg(0))? - 1).to_string())),
-            "eval" => Ok(Some(eval_expr(arg(0))?.to_string())),
-            "dnl" => Ok(None),
-            "len" => Ok(Some(arg(0).chars().count().to_string())),
-            "zzfirst" => {
-                // First element of a comma list (commas inside parentheses
-                // do not split, so `A(10,10), B` has first element `A(10,10)`).
-                Ok(Some(
-                    split_list(arg(0)).into_iter().next().unwrap_or_default(),
-                ))
+            Builtin::Incr => push_int(
+                out,
+                checked("incr", parse_int("incr", arg(0))?.checked_add(1))?,
+            ),
+            Builtin::Decr => push_int(
+                out,
+                checked("decr", parse_int("decr", arg(0))?.checked_sub(1))?,
+            ),
+            Builtin::Eval => push_int(out, eval_expr(arg(0))?),
+            Builtin::Dnl => {}
+            Builtin::Len => push_int(out, arg(0).chars().count()),
+            // First element of a comma list (commas inside parentheses
+            // do not split, so `A(10,10), B` has first element `A(10,10)`).
+            Builtin::First => out.push_str(top_level_items(arg(0)).next().unwrap_or_default()),
+            // The list with its first element removed.
+            Builtin::Rest => {
+                for (n, item) in top_level_items(arg(0)).skip(1).enumerate() {
+                    if n > 0 {
+                        out.push_str(", ");
+                    }
+                    out.push_str(item);
+                }
             }
-            "zzrest" => {
-                // The list with its first element removed.
-                let items = split_list(arg(0));
-                Ok(Some(items.get(1..).unwrap_or(&[]).join(", ")))
-            }
-            "zzconcat" => Ok(Some(args.concat())),
-            "zzstripdims" | "zzname" => Ok(Some(strip_dims(arg(0)))),
-            "zzsubs" => {
+            Builtin::Concat => out.push_str(&args.text),
+            Builtin::StripDims => out.push_str(strip_dims(arg(0))),
+            Builtin::Subs => {
                 // The subscript part of a variable reference: `C(I)` ->
                 // `(I)`, `C` -> `` (empty).
                 let a = arg(0).trim();
-                Ok(Some(match a.find('(') {
-                    Some(p) => a[p..].to_string(),
-                    None => String::new(),
-                }))
-            }
-            "zzrecord" => {
-                let list = self.lists.entry(arg(0).to_string()).or_default();
-                let item = arg(1).trim().to_string();
-                if !item.is_empty() && !list.contains(&item) {
-                    list.push(item);
+                if let Some(p) = a.find('(') {
+                    out.push_str(&a[p..]);
                 }
-                Ok(None)
             }
-            "zzgensym" => {
+            Builtin::Record => {
+                let item = arg(1).trim();
+                let list = self.list_mut(arg(0));
+                if !item.is_empty() && !list.iter().any(|have| have == item) {
+                    list.push(item.to_string());
+                }
+            }
+            Builtin::Gensym => {
                 self.gensym += 1;
-                Ok(Some(format!("{}{}", arg(0), self.gensym)))
+                out.push_str(arg(0));
+                push_int(out, self.gensym);
             }
-            "zzdeclrec" => {
+            Builtin::DeclRec => {
                 // Record one declaration list: `zzdeclrec(class, type, decls)`
                 // appends `unit|class|type|item` to the `decls` list for each
                 // top-level comma-separated item, where `unit` is the current
                 // text definition of `ZZUNIT`.
-                let unit = match self.defs.get("ZZUNIT").and_then(|s| s.last()) {
-                    Some(Def::Text(t)) => t.clone(),
+                let unit = match self.lookup("ZZUNIT") {
+                    Some(Def::Text(body)) => body.text.clone(),
                     _ => {
-                        return Err(M4Error::BadArguments {
+                        return Err(Box::new(M4Error::BadArguments {
                             builtin: "zzdeclrec",
                             detail: "no Force unit is open (missing Force/Forcesub header)".into(),
-                        })
+                        }))
                     }
                 };
-                let class = arg(0).to_string();
-                let ty = arg(1).to_string();
-                let items = split_list(arg(2));
-                let list = self.lists.entry("decls".to_string()).or_default();
-                for item in items {
+                let (class, ty) = (arg(0), arg(1));
+                let list = self.list_mut("decls");
+                for item in top_level_items(arg(2)) {
                     let entry = format!("{unit}|{class}|{ty}|{item}");
                     if !list.contains(&entry) {
                         list.push(entry);
                     }
                 }
-                Ok(None)
             }
-            other => unreachable!("unknown builtin {other}"),
         }
+        Ok(())
+    }
+
+    /// The recording list `name`, created on first use.
+    fn list_mut(&mut self, name: &str) -> &mut Vec<String> {
+        if !self.lists.contains_key(name) {
+            self.lists.insert(name.to_string(), Vec::new());
+        }
+        self.lists.get_mut(name).expect("present or just inserted")
     }
 }
 
-/// Scan a quoted region starting at `` ` ``; returns (inner text with one
-/// quote level stripped, index after the closing `'`).
-fn scan_quote(bytes: &[char], start: usize) -> Result<(String, usize), M4Error> {
-    debug_assert_eq!(bytes[start], '`');
+/// The error for text that would be scanned past [`MAX_DEPTH`].
+fn too_deep(input: &str) -> M4Error {
+    M4Error::RecursionLimit(input.chars().take(32).collect())
+}
+
+/// The offset just past the line that `bytes[from]` is on.
+fn line_end(bytes: &[u8], from: usize) -> usize {
+    match bytes[from..].iter().position(|&b| b == b'\n') {
+        Some(newline) => from + newline + 1,
+        None => bytes.len(),
+    }
+}
+
+/// Where the quote that opens at `bytes[open]` closes: the offset of the
+/// matching `'`.
+fn quote_end(bytes: &[u8], open: usize) -> Expansion<usize> {
+    debug_assert_eq!(bytes[open], b'`');
     let mut depth = 1usize;
-    let mut out = String::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            '`' => {
-                depth += 1;
-                out.push('`');
-            }
-            '\'' => {
+    for (i, &b) in bytes.iter().enumerate().skip(open + 1) {
+        match b {
+            b'`' => depth += 1,
+            b'\'' => {
                 depth -= 1;
                 if depth == 0 {
-                    return Ok((out, i + 1));
+                    return Ok(i);
                 }
-                out.push('\'');
             }
-            c => out.push(c),
+            _ => {}
         }
-        i += 1;
     }
-    Err(M4Error::Unterminated("quote"))
+    Err(Box::new(M4Error::Unterminated("quote")))
 }
 
-/// Scan a parenthesized argument list starting at `(`; returns the raw
-/// (unexpanded) arguments and the index after the closing `)`.
+/// Delimit the argument list that opens at `bytes[open]`: push the offset
+/// of every argument's end — each top-level comma, then the closing `)`.
 /// Commas inside nested parentheses or quotes do not split.
-fn scan_args(bytes: &[char], start: usize) -> Result<(Vec<String>, usize), M4Error> {
-    debug_assert_eq!(bytes[start], '(');
-    let mut args = Vec::new();
-    let mut cur = String::new();
-    let mut paren = 1usize;
-    let mut quote = 0usize;
-    let mut i = start + 1;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            '`' => {
-                quote += 1;
-                cur.push(c);
-            }
-            '\'' if quote > 0 => {
-                quote -= 1;
-                cur.push(c);
-            }
-            '(' if quote == 0 => {
-                paren += 1;
-                cur.push(c);
-            }
-            ')' if quote == 0 => {
+fn delimit_args(bytes: &[u8], open: usize, ends: &mut Vec<usize>) -> Expansion<()> {
+    debug_assert_eq!(bytes[open], b'(');
+    let (mut paren, mut quote) = (1usize, 0usize);
+    for (i, &b) in bytes.iter().enumerate().skip(open + 1) {
+        match b {
+            b'`' => quote += 1,
+            b'\'' if quote > 0 => quote -= 1,
+            b'(' if quote == 0 => paren += 1,
+            b')' if quote == 0 => {
                 paren -= 1;
                 if paren == 0 {
-                    args.push(cur);
-                    return Ok((args, i + 1));
-                }
-                cur.push(c);
-            }
-            ',' if quote == 0 && paren == 1 => {
-                args.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
-        }
-        i += 1;
-    }
-    Err(M4Error::Unterminated("argument list"))
-}
-
-/// Substitute `$0`–`$9`, `$#`, `$*` in a macro body.
-fn substitute(name: &str, body: &str, args: &[String]) -> String {
-    let chars: Vec<char> = body.chars().collect();
-    let mut out = String::with_capacity(body.len());
-    let mut i = 0;
-    while i < chars.len() {
-        if chars[i] == '$' && i + 1 < chars.len() {
-            match chars[i + 1] {
-                '0' => {
-                    out.push_str(name);
-                    i += 2;
-                }
-                d @ '1'..='9' => {
-                    let idx = d as usize - '1' as usize;
-                    if let Some(a) = args.get(idx) {
-                        out.push_str(a);
-                    }
-                    i += 2;
-                }
-                '#' => {
-                    out.push_str(&args.len().to_string());
-                    i += 2;
-                }
-                '*' => {
-                    out.push_str(&args.join(","));
-                    i += 2;
-                }
-                _ => {
-                    out.push('$');
-                    i += 1;
+                    ends.push(i);
+                    return Ok(());
                 }
             }
-        } else {
-            out.push(chars[i]);
-            i += 1;
+            b',' if quote == 0 && paren == 1 => ends.push(i),
+            _ => {}
         }
     }
-    out
+    Err(Box::new(M4Error::Unterminated("argument list")))
 }
 
 fn parse_int(builtin: &'static str, s: &str) -> Result<i64, M4Error> {
@@ -470,38 +758,19 @@ fn parse_int(builtin: &'static str, s: &str) -> Result<i64, M4Error> {
     })
 }
 
-/// Split a comma list on top-level commas (parentheses nest).
-fn split_list(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c);
-            }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
-            }
-            ',' if depth == 0 => parts.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
-        }
-    }
-    parts.push(cur);
-    parts
-        .into_iter()
-        .map(|p| p.trim().to_string())
-        .filter(|p| !p.is_empty())
-        .collect()
+/// The result of checked `i64` arithmetic on a builtin's arguments.
+fn checked(builtin: &'static str, result: Option<i64>) -> Result<i64, M4Error> {
+    result.ok_or_else(|| M4Error::BadArguments {
+        builtin,
+        detail: "integer overflow".into(),
+    })
 }
 
 /// "Deletion of dimensions for common declarations": `A(10,20)` -> `A`.
-fn strip_dims(decl: &str) -> String {
+fn strip_dims(decl: &str) -> &str {
     match decl.find('(') {
-        Some(p) => decl[..p].trim().to_string(),
-        None => decl.trim().to_string(),
+        Some(p) => decl[..p].trim(),
+        None => decl.trim(),
     }
 }
 
@@ -528,11 +797,11 @@ fn eval_expr(s: &str) -> Result<i64, M4Error> {
                 match self.peek() {
                     Some(b'+') => {
                         self.i += 1;
-                        v += self.term()?;
+                        v = checked("eval", v.checked_add(self.term()?))?;
                     }
                     Some(b'-') => {
                         self.i += 1;
-                        v -= self.term()?;
+                        v = checked("eval", v.checked_sub(self.term()?))?;
                     }
                     _ => return Ok(v),
                 }
@@ -544,7 +813,7 @@ fn eval_expr(s: &str) -> Result<i64, M4Error> {
                 match self.peek() {
                     Some(b'*') => {
                         self.i += 1;
-                        v *= self.atom()?;
+                        v = checked("eval", v.checked_mul(self.atom()?))?;
                     }
                     Some(b'/') => {
                         self.i += 1;
@@ -555,7 +824,7 @@ fn eval_expr(s: &str) -> Result<i64, M4Error> {
                                 detail: "division by zero".into(),
                             });
                         }
-                        v /= d;
+                        v = checked("eval", v.checked_div(d))?;
                     }
                     Some(b'%') => {
                         self.i += 1;
@@ -566,7 +835,7 @@ fn eval_expr(s: &str) -> Result<i64, M4Error> {
                                 detail: "modulo by zero".into(),
                             });
                         }
-                        v %= d;
+                        v = checked("eval", v.checked_rem(d))?;
                     }
                     _ => return Ok(v),
                 }
@@ -576,7 +845,7 @@ fn eval_expr(s: &str) -> Result<i64, M4Error> {
             match self.peek() {
                 Some(b'-') => {
                     self.i += 1;
-                    Ok(-self.atom()?)
+                    checked("eval", self.atom()?.checked_neg())
                 }
                 Some(b'(') => {
                     self.i += 1;

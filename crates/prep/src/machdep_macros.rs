@@ -18,9 +18,11 @@
 //! code preprocessed for machine X is actually running on machine X — the
 //! reason a Force binary, unlike a Force *source*, is not portable.
 
+use std::sync::OnceLock;
+
 use force_machdep::{LockKind, MachineId, MachineSpec};
 
-use crate::m4::M4;
+use crate::m4::{MacroTable, M4};
 
 /// The intrinsic call names for each vendor lock kind: `(lock, unlock)`.
 pub fn lock_mnemonics(kind: LockKind) -> (&'static str, &'static str) {
@@ -42,56 +44,81 @@ pub fn spawn_mnemonic(id: MachineId) -> &'static str {
     }
 }
 
-/// Install machine `id`'s macro set into an m4 engine (the second-pass
-/// engine, run over the level-1 output).
-pub fn install_machine_macros(m4: &mut M4, id: MachineId) {
+/// Machine `id`'s macro set, `(name, body)`.
+fn machine_layer(id: MachineId) -> Vec<(&'static str, String)> {
     let spec = MachineSpec::of(id);
     let (lck, unl) = lock_mnemonics(spec.vendor_locks);
-    m4.define("lock", &format!("CALL {lck}($1)"));
-    m4.define("unlock", &format!("CALL {unl}($1)"));
-
-    if spec.hardware_fullempty {
+    let mut layer = vec![
+        ("lock", format!("CALL {lck}($1)")),
+        ("unlock", format!("CALL {unl}($1)")),
+    ];
+    let asyncs: [(&str, &str); 5] = if spec.hardware_fullempty {
         // HEP: asynchronous variables live directly on hardware full/empty
         // cells; no auxiliary locks exist at all.
-        m4.define("zzprod", "CALL ZZHPRD($1, $2)");
-        m4.define("zzcons", "CALL ZZHCON($1, $2)");
-        m4.define("zzvoid", "CALL ZZHVD($1)");
-        m4.define("zzcopyf", "CALL ZZHCPY($1, $2)");
-        m4.define("zzisfull", "ZZHISF($1)");
+        [
+            ("zzprod", "CALL ZZHPRD($1, $2)"),
+            ("zzcons", "CALL ZZHCON($1, $2)"),
+            ("zzvoid", "CALL ZZHVD($1)"),
+            ("zzcopyf", "CALL ZZHCPY($1, $2)"),
+            ("zzisfull", "ZZHISF($1)"),
+        ]
     } else {
         // Everyone else: the two-lock (E, F) protocol of §4.2.  The E/F
         // lock names derive from the *variable* name so an asynchronous
         // array element `C(I)` uses `CZZE(I)`/`CZZF(I)` — one lock pair
         // per element, the scarce-lock pressure §4.1.3 warns about.
         // empty = E locked, F unlocked;  full = F locked, E unlocked.
-        m4.define(
-            "zzprod",
-            "lock(zzconcat(zzname($1), `ZZF')zzsubs($1))
+        [
+            (
+                "zzprod",
+                "lock(zzconcat(zzname($1), `ZZF')zzsubs($1))
       $1 = $2
       unlock(zzconcat(zzname($1), `ZZE')zzsubs($1))",
-        );
-        m4.define(
-            "zzcons",
-            "lock(zzconcat(zzname($1), `ZZE')zzsubs($1))
+            ),
+            (
+                "zzcons",
+                "lock(zzconcat(zzname($1), `ZZE')zzsubs($1))
       $2 = $1
       unlock(zzconcat(zzname($1), `ZZF')zzsubs($1))",
-        );
-        // Void must work from any state; its try-lock dance is a runtime
-        // service on every machine.
-        m4.define(
-            "zzvoid",
-            "CALL ZZVOIDL(zzconcat(zzname($1), `ZZE')zzsubs($1), zzconcat(zzname($1), `ZZF')zzsubs($1))",
-        );
-        // Copy reads a full variable and leaves it full: hold E briefly.
-        m4.define(
-            "zzcopyf",
-            "lock(zzconcat(zzname($1), `ZZE')zzsubs($1))
+            ),
+            // Void must work from any state; its try-lock dance is a runtime
+            // service on every machine.
+            (
+                "zzvoid",
+                "CALL ZZVOIDL(zzconcat(zzname($1), `ZZE')zzsubs($1), zzconcat(zzname($1), `ZZF')zzsubs($1))",
+            ),
+            // Copy reads a full variable and leaves it full: hold E briefly.
+            (
+                "zzcopyf",
+                "lock(zzconcat(zzname($1), `ZZE')zzsubs($1))
       $2 = $1
       unlock(zzconcat(zzname($1), `ZZE')zzsubs($1))",
-        );
-        // Testing the state reads the E lock: full = E unlocked.
-        m4.define("zzisfull", "ZZISFL(zzconcat(zzname($1), `ZZE')zzsubs($1))");
-    }
+            ),
+            // Testing the state reads the E lock: full = E unlocked.
+            (
+                "zzisfull",
+                "ZZISFL(zzconcat(zzname($1), `ZZE')zzsubs($1))",
+            ),
+        ]
+    };
+    layer.extend(asyncs.map(|(name, body)| (name, body.to_string())));
+    layer
+}
+
+/// Machine `id`'s macro set as a table, built on first use.
+pub(crate) fn machine_macros(id: MachineId) -> &'static MacroTable {
+    static TABLES: [OnceLock<MacroTable>; 6] = [const { OnceLock::new() }; 6];
+    let slot = MachineId::all()
+        .iter()
+        .position(|&m| m == id)
+        .expect("`all` lists every machine");
+    TABLES[slot].get_or_init(|| MacroTable::new(&machine_layer(id)))
+}
+
+/// Install machine `id`'s macro set into an m4 engine (the second-pass
+/// engine, run over the level-1 output).
+pub fn install_machine_macros(m4: &mut M4, id: MachineId) {
+    m4.install(machine_macros(id));
 }
 
 #[cfg(test)]

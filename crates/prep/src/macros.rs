@@ -27,12 +27,14 @@
 //! | `decls` | `unit|class|type|item` per declared Force variable |
 //! | `externf` | externally compiled Force subroutines |
 
-use crate::m4::M4;
+use std::sync::OnceLock;
 
-/// Install the statement-macro layer into an m4 engine.
-pub fn install_statement_macros(m4: &mut M4) {
+use crate::m4::{MacroTable, M4};
+
+/// The statement-macro layer, `(name, body)`.
+const STATEMENT_MACROS: &[(&str, &str)] = &[
     // ---- program structure ------------------------------------------------
-    m4.define(
+    (
         "ZZFORCE",
         "define(`ZZUNIT', `$1')define(`ZZNPV', `$2')define(`ZZMEV', `$3')dnl
 zzrecord(`units', `$1')dnl
@@ -40,8 +42,8 @@ zzrecord(`units', `$1')dnl
 C --- Force main program $1 (force of $2, ident $3) ---
       INTEGER $3, $2
       COMMON /ZZPENV/ $3, $2",
-    );
-    m4.define(
+    ),
+    (
         "ZZFORCESUB",
         "define(`ZZUNIT', `$1')define(`ZZNPV', `$3')define(`ZZMEV', `$4')dnl
 zzrecord(`units', `$1')dnl
@@ -49,39 +51,39 @@ ifelse(`$2', `', `      SUBROUTINE $1', `      SUBROUTINE $1($2)')
 C --- Force subroutine $1 (force of $3, ident $4) ---
       INTEGER $4, $3
       COMMON /ZZPENV/ $4, $3",
-    );
-    m4.define(
+    ),
+    (
         "ZZEXTERNF",
         "zzrecord(`externf', `$1')dnl
 C     external Force subroutine $1",
-    );
-    m4.define("ZZENDDECL", "C*ZZENVDECL*ZZUNIT");
-    m4.define(
+    ),
+    ("ZZENDDECL", "C*ZZENVDECL*ZZUNIT"),
+    (
         "ZZJOIN",
         "      RETURN
       END",
-    );
+    ),
 
     // ---- declarations ------------------------------------------------------
-    m4.define(
+    (
         "ZZSHARED",
         "zzdeclrec(`shared', `$1', `$2')dnl
       $1 $2",
-    );
-    m4.define(
+    ),
+    (
         "ZZPRIVATE",
         "zzdeclrec(`private', `$1', `$2')dnl
       $1 $2",
-    );
-    m4.define(
+    ),
+    (
         "ZZASYNC",
         "zzdeclrec(`async', `$1', `$2')dnl
       $1 $2",
-    );
+    ),
 
     // ---- internal macros ----------------------------------------------------
     // A complete barrier episode (entry + exit), §4.2's two-lock protocol.
-    m4.define(
+    (
         "ZZFULLBAR",
         "      lock(BARWIN)
       ZZNBAR = ZZNBAR + 1
@@ -97,12 +99,12 @@ C     external Force subroutine $1",
       ELSE
       unlock(BARWOT)
       END IF",
-    );
+    ),
 
     // Internal: the barrier *exit* phase alone — pairs with an entry
     // emitted earlier (selfscheduled constructs enter at their top and
     // exit at their End).
-    m4.define(
+    (
         "ZZBAREXIT",
         "      lock(BARWOT)
       ZZNBAR = ZZNBAR - 1
@@ -111,12 +113,12 @@ C     external Force subroutine $1",
       ELSE
       unlock(BARWOT)
       END IF",
-    );
+    ),
 
     // ---- barrier statement ---------------------------------------------------
     // The section between Barrier and End barrier is executed by the last
     // arriver while every other process is held at `lock(BARWOT)`.
-    m4.define(
+    (
         "ZZBARRIER",
         "C barrier entry code
       lock(BARWIN)
@@ -124,8 +126,8 @@ C report arrival of processes
       ZZNBAR = ZZNBAR + 1
       IF (ZZNBAR .EQ. ZZNPV) THEN
 C barrier section (one process)",
-    );
-    m4.define(
+    ),
+    (
         "ZZENDBARRIER",
         "C end barrier section
       unlock(BARWOT)
@@ -141,25 +143,25 @@ C report exit of processes
       ELSE
       unlock(BARWOT)
       END IF",
-    );
+    ),
 
     // ---- critical sections -----------------------------------------------------
-    m4.define(
+    (
         "ZZCRITICAL",
         "zzrecord(`userlocks', `$1')pushdef(`ZZCRIT', `$1')dnl
 C critical section $1
       lock($1)",
-    );
-    m4.define(
+    ),
+    (
         "ZZENDCRITICAL",
         "ifelse(`$1', `', `      unlock(defn(`ZZCRIT'))', `      unlock($1)')popdef(`ZZCRIT')",
-    );
+    ),
 
     // ---- selfscheduled DO (the §4.2 worked example) ------------------------------
     // ZZDOKIND<label> records which selfscheduling flavour opened the
     // loop (S = one-trip, C = chunked, G = guided) so the shared End
     // statement can emit the matching epilogue.
-    m4.define(
+    (
         "ZZSELFSCHEDDO",
         "define(`ZZDOVAR$1', `$2')define(`ZZDOLAST$1', `$4')define(`ZZDOINCR$1', `$5')dnl
 define(`ZZDOKIND$1', `S')dnl
@@ -185,12 +187,12 @@ C get next index value
       unlock(LOOP$1)
 C test for completion
       IF ((($5) .GT. 0 .AND. $2 .LE. ($4)) .OR. (($5) .LT. 0 .AND. $2 .GE. ($4))) THEN",
-    );
+    ),
     // The epilogue depends on the flavour: one-trip loops go straight
     // back to the claim; chunked/guided loops first walk the remaining
     // trips of the claimed chunk (counter ZZC<label>, bound stored by
     // the opening macro).
-    m4.define(
+    (
         "ZZENDSELFSCHEDDO",
         "ifelse(defn(`ZZDOKIND$1'), `C', `      ZZC$1 = ZZC$1 + 1
       IF (ZZC$1 .LT. (ZZDOCHUNKN$1)) GO TO ZZDOBODY$1
@@ -209,7 +211,7 @@ C report exit of processes
       ELSE
       unlock(BARWOT)
       END IF",
-    );
+    ),
 
     // ---- chunked / guided selfscheduled DO (scheduling-plane extension) ----------
     // `Selfsched DO n v = e1, e2[, e3] CHUNK c`: same barrier entry and
@@ -217,7 +219,7 @@ C report exit of processes
     // consecutive trips; the private counter ZZC<label> then walks them
     // without re-acquiring LOOP<label>.  A chunk that crosses the bound
     // simply fails the per-trip completion test, which exits the loop.
-    m4.define(
+    (
         "ZZSELFSCHEDDOC",
         "define(`ZZDOVAR$1', `$2')define(`ZZDOLAST$1', `$4')define(`ZZDOINCR$1', `$5')dnl
 define(`ZZDOKIND$1', `C')define(`ZZDOCHUNKN$1', `$6')define(`ZZDOBODY$1', zzgensym(`97'))dnl
@@ -246,11 +248,11 @@ ZZDOBODY$1 CONTINUE
       $2 = ZZV$1 + ZZC$1*($5)
 C test for completion
       IF ((($5) .GT. 0 .AND. $2 .LE. ($4)) .OR. (($5) .LT. 0 .AND. $2 .GE. ($4))) THEN",
-    );
+    ),
     // `Selfsched DO n v = e1, e2[, e3] GUIDED`: the chunk size tapers with
     // the remaining trip count — MAX(1, remaining/(2*NP)) — so early
     // claims are large and the tail self-balances.
-    m4.define(
+    (
         "ZZSELFSCHEDDOG",
         "define(`ZZDOVAR$1', `$2')define(`ZZDOLAST$1', `$4')define(`ZZDOINCR$1', `$5')dnl
 define(`ZZDOKIND$1', `G')define(`ZZDOBODY$1', zzgensym(`97'))dnl
@@ -282,13 +284,13 @@ ZZDOBODY$1 CONTINUE
       $2 = ZZV$1 + ZZC$1*($5)
 C test for completion
       IF ((($5) .GT. 0 .AND. $2 .LE. ($4)) .OR. (($5) .LT. 0 .AND. $2 .GE. ($4))) THEN",
-    );
+    ),
 
     // ---- prescheduled DO -------------------------------------------------------
     // "completely machine independent, since only the number of executing
     // processes is needed to distribute the index values among processes":
     // cyclic distribution K = start + me*incr, stepping by nproc*incr.
-    m4.define(
+    (
         "ZZPRESCHEDDO",
         "define(`ZZDOVAR$1', `$2')define(`ZZDOLAST$1', `$4')define(`ZZDOINCR$1', `$5')dnl
 define(`ZZDOEXIT$1', zzgensym(`99'))dnl
@@ -296,8 +298,8 @@ C prescheduled loop over $2
       $2 = ($3) + ZZMEV*($5)
 $1    CONTINUE
       IF (.NOT. ((($5) .GT. 0 .AND. $2 .LE. ($4)) .OR. (($5) .LT. 0 .AND. $2 .GE. ($4)))) GO TO ZZDOEXIT$1",
-    );
-    m4.define(
+    ),
+    (
         "ZZENDPRESCHEDDO",
         "C next prescheduled index
       ZZDOVAR$1 = ZZDOVAR$1 + ZZNPV*(ZZDOINCR$1)
@@ -305,13 +307,13 @@ $1    CONTINUE
 ZZDOEXIT$1 CONTINUE
 C prescheduled loop exit barrier
 ZZFULLBAR",
-    );
+    ),
 
     // ---- doubly nested DOALL: index pairs (§3.3) ---------------------------------
     // $1 label; $2..$5 outer var/from/to/step; $6..$9 inner var/from/to/step.
     // The pair space is linearized: trip T of N1*N2 maps to
     //   outer = a1 + (T / N2)*c1,  inner = a2 + MOD(T, N2)*c2.
-    m4.define(
+    (
         "ZZSELFSCHEDDO2",
         "define(`ZZDOEXIT$1', zzgensym(`99'))dnl
 zzrecord(`envlocks', `LOOP$1')zzrecord(`envints', `ZZT$1_shared')dnl
@@ -338,15 +340,15 @@ $1    lock(LOOP$1)
       IF (ZZT .LT. ZZN1 * ZZN2) THEN
       $2 = ($3) + (ZZT / ZZN2) * ($5)
       $6 = ($7) + MOD(ZZT, ZZN2) * ($9)",
-    );
-    m4.define(
+    ),
+    (
         "ZZENDSELFSCHEDDO2",
         "      GO TO $1
       END IF
 C doubly nested loop exit code
 ZZBAREXIT",
-    );
-    m4.define(
+    ),
+    (
         "ZZPRESCHEDDO2",
         "define(`ZZDOEXIT$1', zzgensym(`99'))dnl
 C doubly nested prescheduled loop over pairs
@@ -357,8 +359,8 @@ $1    CONTINUE
       IF (ZZT .GE. ZZN1 * ZZN2) GO TO ZZDOEXIT$1
       $2 = ($3) + (ZZT / ZZN2) * ($5)
       $6 = ($7) + MOD(ZZT, ZZN2) * ($9)",
-    );
-    m4.define(
+    ),
+    (
         "ZZENDPRESCHEDDO2",
         "C next prescheduled pair
       ZZT = ZZT + ZZNPV
@@ -366,12 +368,12 @@ $1    CONTINUE
 ZZDOEXIT$1 CONTINUE
 C prescheduled pair loop exit barrier
 ZZFULLBAR",
-    );
+    ),
 
     // ---- Pcase -------------------------------------------------------------------
     // kind P = prescheduled (blocks allocated cyclically to processes),
     // kind S = selfscheduled (blocks claimed through a locked counter).
-    m4.define(
+    (
         "ZZPCASE",
         "pushdef(`ZZPCKIND', `$1')define(`ZZPCOPEN', `0')dnl
 ifelse(`$1', `P', `C prescheduled pcase
@@ -390,56 +392,67 @@ C selfsched pcase entry
       END IF
       ZZPSEC = -1
 ZZPCCLAIM')",
-    );
+    ),
     // Internal: claim the next selfscheduled pcase section number.
-    m4.define(
+    (
         "ZZPCCLAIM",
         "      lock(zzconcat(ZZPCID, `L'))
       ZZNXT = ZZPCID
       ZZPCID = ZZPCID + 1
       unlock(zzconcat(ZZPCID, `L'))",
-    );
+    ),
     // Internal: close the currently open section, if any.
-    m4.define(
+    (
         "ZZPCCLOSE",
         "ifelse(ZZPCOPEN, `1', `      END IF
 ifelse(defn(`ZZPCKIND'), `S', `ZZPCCLAIM
 ')      END IF
 ')dnl",
-    );
-    m4.define(
+    ),
+    (
         "ZZUSECT",
         "ZZPCCLOSE()define(`ZZPCOPEN', `1')dnl
 C pcase section
       ZZPSEC = ZZPSEC + 1
 ifelse(defn(`ZZPCKIND'), `P', `      IF (MOD(ZZPSEC, ZZNPV) .EQ. ZZMEV) THEN', `      IF (ZZPSEC .EQ. ZZNXT) THEN')
       IF (.TRUE.) THEN",
-    );
-    m4.define(
+    ),
+    (
         "ZZCSECT",
         "ZZPCCLOSE()define(`ZZPCOPEN', `1')dnl
 C conditional pcase section
       ZZPSEC = ZZPSEC + 1
 ifelse(defn(`ZZPCKIND'), `P', `      IF (MOD(ZZPSEC, ZZNPV) .EQ. ZZMEV) THEN', `      IF (ZZPSEC .EQ. ZZNXT) THEN')
       IF ($1) THEN",
-    );
-    m4.define(
+    ),
+    (
         "ZZENDPCASE",
         "ZZPCCLOSE()dnl
 ifelse(defn(`ZZPCKIND'), `S', `C end selfsched pcase (exit the entry barrier)
 ZZBAREXIT
 popdef(`ZZPCID')', `C end pcase barrier
 ZZFULLBAR')popdef(`ZZPCKIND')dnl",
-    );
+    ),
 
     // ---- asynchronous variable operations -------------------------------------
     // Level 1 leaves the produce/consume mechanism to the machine layer:
     // the HEP maps these to hardware full/empty accesses, every other
     // machine to the two-lock protocol (§4.2).
-    m4.define("ZZPRODUCE", "      zzprod($1, `$2')");
-    m4.define("ZZCONSUME", "      zzcons($1, $2)");
-    m4.define("ZZVOID", "      zzvoid($1)");
-    m4.define("ZZCOPYF", "      zzcopyf($1, $2)");
+    ("ZZPRODUCE", "      zzprod($1, `$2')"),
+    ("ZZCONSUME", "      zzcons($1, $2)"),
+    ("ZZVOID", "      zzvoid($1)"),
+    ("ZZCOPYF", "      zzcopyf($1, $2)"),
+];
+
+/// The statement macros as a table, built on first use.
+pub(crate) fn statement_macros() -> &'static MacroTable {
+    static TABLE: OnceLock<MacroTable> = OnceLock::new();
+    TABLE.get_or_init(|| MacroTable::new(STATEMENT_MACROS))
+}
+
+/// Install the statement-macro layer into an m4 engine.
+pub fn install_statement_macros(m4: &mut M4) {
+    m4.install(statement_macros());
 }
 
 #[cfg(test)]

@@ -377,7 +377,7 @@ fn run_pipeline(
     passes.m4 += 1;
 
     // Step 5: the machine-dependent driver module at the beginning.
-    let driver = generate_driver(
+    let mut code = generate_driver(
         &spec,
         &main_unit,
         &env_locks,
@@ -385,7 +385,8 @@ fn run_pipeline(
         &async_sizes,
         &env_decl_text,
     );
-    let code = format!("{driver}{expanded}");
+    code.reserve_exact(expanded.len());
+    code.push_str(&expanded);
 
     Ok(ExpandedProgram {
         machine,

@@ -37,9 +37,26 @@
 //! Comment lines (`C`, `c`, `*`, `!` in column 1) pass through unchanged.
 //!
 //! The macros generate names of their own next to the user's: everything
-//! starting with `ZZ`, and `<var>ZZE`/`<var>ZZF` for an asynchronous
-//! variable's lock pair.  A user identifier in that namespace is rejected
-//! here, with its line, instead of aliasing a generated name at run time.
+//! starting with `ZZ`, `<var>ZZE`/`<var>ZZF` for an asynchronous
+//! variable's lock pair, and `BARWIN`, `BARWOT` and `LOOP<label>` for the
+//! barrier and loop locks.  A user identifier in that namespace is
+//! rejected here, with its line, instead of aliasing a generated name at
+//! run time.  Fortran folds case, so these are reserved in either case.
+//!
+//! User text also reaches both m4 passes unquoted, and m4 does *not* fold
+//! case: `len`, `incr`, `lock`, … are macro calls, `LEN` is a variable.
+//! An identifier spelled exactly like a name of the fixed macro tables is
+//! rejected too, instead of being rewritten without a word.
+
+use std::borrow::Cow;
+use std::collections::HashSet;
+use std::sync::OnceLock;
+
+use force_machdep::MachineId;
+
+use crate::m4::builtin_macros;
+use crate::machdep_macros::machine_macros;
+use crate::macros::statement_macros;
 
 /// Errors from the sed pass, with 1-based source line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,11 +98,20 @@ fn translate_line(line: &str) -> Result<String, String> {
     ) {
         return Ok(line.to_string());
     }
-    if let Some(name) = reserved_identifier(line) {
-        return Err(format!(
-            "identifier `{name}` is in the preprocessor's generated namespace \
-             (names starting with `ZZ` or ending in `ZZE`/`ZZF` are reserved)"
-        ));
+    if let Some((name, why)) = reserved_identifier(line) {
+        return Err(match why {
+            Reserved::Generated => format!(
+                "identifier `{name}` is in the preprocessor's generated namespace \
+                 (names starting with `ZZ` or ending in `ZZE`/`ZZF`, and `BARWIN`, \
+                 `BARWOT` and `LOOP<label>`, are reserved in either case)"
+            ),
+            Reserved::Macro => format!(
+                "identifier `{name}` is the name of an m4 macro and would be expanded \
+                 as one (m4 names are case-sensitive: the upper-case spelling `{}` is \
+                 an ordinary variable)",
+                name.to_ascii_uppercase()
+            ),
+        });
     }
     // The full/empty state *test* (§3.4 "the state can also be tested")
     // is an expression-level form: rewrite `Isfull(X)` to the machine
@@ -313,10 +339,33 @@ fn translate_line(line: &str) -> Result<String, String> {
     }
 }
 
-/// The first identifier on `line` that belongs to the generated
-/// namespace (Fortran names are case-insensitive; `PUZZLE` and `BUZZ` are
-/// ordinary names).  Quoted text is not scanned.
-fn reserved_identifier(line: &str) -> Option<&str> {
+/// Why a user may not use an identifier.
+enum Reserved {
+    /// The macros generate this name (Fortran folds case, so either case
+    /// collides).
+    Generated,
+    /// m4 would take it for a macro call (exactly this spelling).
+    Macro,
+}
+
+/// Every name of the fixed macro tables — the builtins, the statement
+/// macros, each personality's machine layer — collected once.
+fn fixed_macro_names() -> &'static HashSet<&'static str> {
+    static NAMES: OnceLock<HashSet<&'static str>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        let machine_layers = MachineId::all().into_iter().map(machine_macros);
+        [builtin_macros(), statement_macros()]
+            .into_iter()
+            .chain(machine_layers)
+            .flat_map(|table| table.names())
+            .collect()
+    })
+}
+
+/// The first identifier on `line` that the user may not use, and why
+/// (`PUZZLE`, `BUZZ`, `LOOPS` and `LEN` are ordinary names).  Quoted text
+/// is not scanned.
+fn reserved_identifier(line: &str) -> Option<(&str, Reserved)> {
     let word_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut rest = line;
     loop {
@@ -332,49 +381,63 @@ fn reserved_identifier(line: &str) -> Option<&str> {
         }
         let end = rest.find(|c: char| !word_char(c)).unwrap_or(rest.len());
         let (word, tail) = rest.split_at(end);
+        rest = tail;
+        if first.is_ascii_digit() {
+            continue;
+        }
+        let starts_with = |prefix: &str| {
+            word.len() >= prefix.len() && word[..prefix.len()].eq_ignore_ascii_case(prefix)
+        };
         let ends_with = |suffix: &str| {
             word.len() >= suffix.len()
                 && word[word.len() - suffix.len()..].eq_ignore_ascii_case(suffix)
         };
-        if !first.is_ascii_digit()
-            && (word.len() >= 2 && word[..2].eq_ignore_ascii_case("ZZ")
-                || ends_with("ZZE")
-                || ends_with("ZZF"))
+        let loop_lock =
+            starts_with("LOOP") && word.len() > 4 && word[4..].bytes().all(|b| b.is_ascii_digit());
+        if starts_with("ZZ")
+            || ends_with("ZZE")
+            || ends_with("ZZF")
+            || word.eq_ignore_ascii_case("BARWIN")
+            || word.eq_ignore_ascii_case("BARWOT")
+            || loop_lock
         {
-            return Some(word);
+            return Some((word, Reserved::Generated));
         }
-        rest = tail;
+        if fixed_macro_names().contains(word) {
+            return Some((word, Reserved::Macro));
+        }
     }
 }
 
 /// Rewrite case-insensitive `Isfull(` tokens to the machine-layer macro
 /// `zzisfull(`.  Token-boundary aware (an identifier like `XISFULL(` is
-/// left alone).
-fn rewrite_isfull(line: &str) -> String {
-    let chars: Vec<char> = line.chars().collect();
-    let mut out = String::with_capacity(line.len());
-    let mut i = 0usize;
-    while i < chars.len() {
-        let boundary = i == 0 || !(chars[i - 1].is_ascii_alphanumeric() || chars[i - 1] == '_');
-        let is_kw = boundary
-            && i + 6 <= chars.len()
-            && chars[i..i + 6]
-                .iter()
-                .zip("isfull".chars())
-                .all(|(&c, k)| c.to_ascii_lowercase() == k)
-            && chars[i + 6..]
-                .iter()
-                .find(|c| !c.is_whitespace())
-                .is_some_and(|&c| c == '(');
+/// left alone).  A line without the token — nearly every line — is
+/// handed back as it came.
+fn rewrite_isfull(line: &str) -> Cow<'_, str> {
+    let bytes = line.as_bytes();
+    let word_byte = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut out = String::new();
+    // `line[copied..]` is not in `out` yet.
+    let mut copied = 0;
+    let mut i = 0;
+    while i + 6 <= bytes.len() {
+        let is_kw = bytes[i..i + 6].eq_ignore_ascii_case(b"isfull")
+            && (i == 0 || !word_byte(bytes[i - 1]))
+            && line[i + 6..].trim_start().starts_with('(');
         if is_kw {
+            out.push_str(&line[copied..i]);
             out.push_str("zzisfull");
             i += 6;
+            copied = i;
         } else {
-            out.push(chars[i]);
             i += 1;
         }
     }
-    out
+    if copied == 0 {
+        return Cow::Borrowed(line);
+    }
+    out.push_str(&line[copied..]);
+    Cow::Owned(out)
 }
 
 /// Split a leading numeric label off a trimmed line.
@@ -429,7 +492,7 @@ fn strip_last_word<'a>(s: &'a str, word: &str) -> Option<&'a str> {
 }
 
 /// Parse the `V = E1, E2 [, E3]` DO-control after the label.
-fn parse_do_control(s: &str) -> Result<(String, String, String, String), String> {
+fn parse_do_control(s: &str) -> Result<(&str, &str, &str, &str), String> {
     let (var, rhs) = s
         .split_once('=')
         .ok_or_else(|| "DO statement needs `var = e1, e2[, e3]`".to_string())?;
@@ -437,49 +500,46 @@ fn parse_do_control(s: &str) -> Result<(String, String, String, String), String>
     if !is_ident(var) {
         return Err(format!("`{var}` is not a valid loop variable"));
     }
-    let parts = split_top_commas(rhs);
-    match parts.len() {
-        2 => Ok((
-            var.to_string(),
-            parts[0].clone(),
-            parts[1].clone(),
-            "1".to_string(),
+    let mut bounds = top_level_items(rhs);
+    match (bounds.next(), bounds.next(), bounds.next(), bounds.next()) {
+        (Some(e1), Some(e2), e3, None) => Ok((var, e1, e2, e3.unwrap_or("1"))),
+        _ => Err(format!(
+            "DO control needs 2 or 3 bounds, found {}",
+            top_level_items(rhs).count()
         )),
-        3 => Ok((
-            var.to_string(),
-            parts[0].clone(),
-            parts[1].clone(),
-            parts[2].clone(),
-        )),
-        n => Err(format!("DO control needs 2 or 3 bounds, found {n}")),
     }
 }
 
-/// Split on commas not nested in parentheses.
-pub(crate) fn split_top_commas(s: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for c in s.chars() {
-        match c {
-            '(' => {
-                depth += 1;
-                cur.push(c);
+/// The items of a comma list, trimmed, the empty ones left out.  Commas
+/// nested in parentheses do not split: `A(1,2), B` has two items.
+pub(crate) fn top_level_items(list: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(list);
+    std::iter::from_fn(move || loop {
+        let s = rest?;
+        let mut depth = 0usize;
+        let comma = s.bytes().position(|b| {
+            match b {
+                b'(' => depth += 1,
+                b')' => depth = depth.saturating_sub(1),
+                _ => {}
             }
-            ')' => {
-                depth = depth.saturating_sub(1);
-                cur.push(c);
+            b == b',' && depth == 0
+        });
+        let item = match comma {
+            Some(at) => {
+                rest = Some(&s[at + 1..]);
+                &s[..at]
             }
-            ',' if depth == 0 => parts.push(std::mem::take(&mut cur)),
-            _ => cur.push(c),
+            None => {
+                rest = None;
+                s
+            }
+        };
+        let item = item.trim();
+        if !item.is_empty() {
+            return Some(item);
         }
-    }
-    parts.push(cur);
-    parts
-        .into_iter()
-        .map(|p| p.trim().to_string())
-        .filter(|p| !p.is_empty())
-        .collect()
+    })
 }
 
 fn is_ident(s: &str) -> bool {
@@ -837,9 +897,37 @@ mod tests {
     }
 
     #[test]
+    fn macro_names_are_reserved_as_spelled() {
+        // m4 does not fold case: the lower-case spelling is a macro call.
+        for name in ["len", "incr", "define", "dnl", "lock", "unlock"] {
+            let err = translate_line(&format!("      TOTAL = 3 + {name}")).unwrap_err();
+            assert!(err.contains(&format!("`{name}`")), "{err}");
+            let upper = name.to_ascii_uppercase();
+            assert!(err.contains(&format!("spelling `{upper}`")), "{err}");
+            let line = format!("      TOTAL = 3 + {upper}");
+            assert_eq!(one(&line), line);
+        }
+        // Fortran does: a generated name collides in either case.
+        for name in ["BARWIN", "barwot", "Loop100", "LOOP7"] {
+            let err = translate_line(&format!("      Shared INTEGER {name}")).unwrap_err();
+            assert!(err.contains(&format!("`{name}`")), "{err}");
+            assert!(err.contains("generated namespace"), "{err}");
+        }
+        for line in [
+            "      LOOPS = LOOP + LOOP_1 + UNLOCKED + Lock1",
+            "      PRINT *, 'len of lock', \"incr\"",
+            "C     define(`x', `y') in a comment",
+        ] {
+            assert_eq!(one(line), line);
+        }
+        // The set is read off the tables, so it holds their every name.
+        assert!(fixed_macro_names().len() >= 21 + 34 + 7);
+    }
+
+    #[test]
     fn split_top_commas_respects_parens() {
         assert_eq!(
-            split_top_commas("A(1,2), B, MAX(C, D)"),
+            top_level_items("A(1,2), B, MAX(C, D)").collect::<Vec<_>>(),
             vec!["A(1,2)", "B", "MAX(C, D)"]
         );
     }

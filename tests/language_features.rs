@@ -623,3 +623,93 @@ fn generated_namespace_collisions_are_positioned_prep_errors() {
         }
     }
 }
+
+/// Fortran names are case-insensitive, m4's are not, and user text
+/// reaches both m4 passes unquoted: a lower-case user name that is an m4
+/// name used to be rewritten silently (`3 + len` left `3`), and a name
+/// the macros generate without a `ZZ` mark used to alias it.  The sed
+/// pass refuses both, with the source line.
+#[test]
+fn macro_name_captures_are_positioned_prep_errors() {
+    use the_force::prep::PrepError;
+    use the_force::ForceError;
+
+    let program = |decl: &str, stmt: &str| {
+        format!(
+            "      Force FMAIN of NP ident ME
+      Shared INTEGER TOTAL
+      {decl}
+      End declarations
+      {stmt}
+      Join
+"
+        )
+    };
+    let cases = [
+        // (declaration, statement, offending line, identifier, regime)
+        ("Private INTEGER LEN", "TOTAL = 3 + len", 5, "len", "m4"),
+        ("Private INTEGER len", "TOTAL = 3", 3, "len", "m4"),
+        ("Private INTEGER K", "incr = 4", 5, "incr", "m4"),
+        ("Private INTEGER unlock", "TOTAL = 3", 3, "unlock", "m4"),
+        (
+            "Shared INTEGER BARWIN",
+            "TOTAL = 3",
+            3,
+            "BARWIN",
+            "generated",
+        ),
+        (
+            "Shared INTEGER barwot",
+            "TOTAL = 3",
+            3,
+            "barwot",
+            "generated",
+        ),
+        (
+            "Private INTEGER Loop100",
+            "TOTAL = 3",
+            3,
+            "Loop100",
+            "generated",
+        ),
+    ];
+    for id in MachineId::all() {
+        for (decl, stmt, line, name, regime) in cases {
+            match run_force_source(&program(decl, stmt), id, 2) {
+                Err(ForceError::Prep(PrepError::Sed(e))) => {
+                    assert_eq!(e.line, line, "{id:?}: {e}");
+                    assert!(e.message.contains(&format!("`{name}`")), "{id:?}: {e}");
+                    // The m4 names are reserved as spelled: the message
+                    // offers the upper-case spelling.  The generated ones
+                    // are reserved in either case.
+                    let offer = format!("spelling `{}`", name.to_ascii_uppercase());
+                    assert_eq!(e.message.contains(&offer), regime == "m4", "{id:?}: {e}");
+                }
+                Err(other) => panic!("{id:?}: `{name}` must fail in the sed pass, got: {other}"),
+                Ok(_) => panic!("{id:?}: `{name}` must be rejected"),
+            }
+        }
+        // What the rule must leave alone: the upper-case spellings, names
+        // that merely contain a reserved one, and quoted text (which m4
+        // still reads: what the literal prints is not pinned here).
+        let ordinary = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER TOTAL
+      Private INTEGER LEN, INCR, Lock1, LOOPS
+      End declarations
+      LEN = 5
+      INCR = 4
+      Lock1 = 2
+      LOOPS = 1
+      Barrier
+      TOTAL = LEN + INCR + Lock1 + LOOPS
+      PRINT *, 'len', TOTAL
+      End barrier
+      Join
+";
+        let out = run_checked(ordinary, id, 2);
+        assert_eq!(out.shared_scalar("TOTAL"), Some(Value::Int(12)), "{id:?}");
+        assert_eq!(out.prints.len(), 1, "{id:?}");
+        assert!(out.prints[0].ends_with(" 12"), "{id:?}: {:?}", out.prints);
+    }
+}

@@ -191,3 +191,149 @@ fn language_front_end_runs_overcommitted() {
         nproc as i64
     );
 }
+
+// --- The scoped launcher: pid 0 on the launching thread ----------------
+//
+// Without a pool a force of N is N − 1 fresh threads and the caller.
+// Nothing a job can observe may depend on which of its pids got the
+// caller's thread — on any backend.
+
+fn every_backend() -> [(&'static str, ParkBackend); 3] {
+    [
+        ("thread per pid", ParkBackend::ThreadPerPid),
+        ("overcommit", ParkBackend::Overcommit { workers: 1 }),
+        ("virtual", ParkBackend::Virtual { seed: 1989 }),
+    ]
+}
+
+/// A fault in pid 0 is a fault like any other: contained, attributed
+/// `{pid, construct}`, a peer parked in a barrier unwinds, the launching
+/// thread is left outside any force, and the session runs its next job.
+#[test]
+fn a_panic_in_pid_zero_is_contained_like_any_other() {
+    use the_force::machdep::fault;
+    for (name, backend) in every_backend() {
+        let options = RunOptions {
+            backend,
+            ..RunOptions::default()
+        };
+        let force = Force::new(3);
+        for culprit in [0, 1] {
+            let err = force
+                .try_execute_with(options, |p| {
+                    if p.pid() == culprit {
+                        p.critical("DIES", || panic!("pid {} dies", p.pid()));
+                    }
+                    p.barrier();
+                })
+                .expect_err("the panic must surface as a fault");
+            assert_eq!((err.pid, err.construct), (culprit, "critical"), "{name}");
+            assert_eq!(err.payload, format!("pid {culprit} dies"), "{name}");
+            assert_eq!(fault::current_pid(), None, "{name}: context restored");
+            let pids = force.try_execute_with(options, |p| p.pid());
+            assert_eq!(pids, Ok(vec![0, 1, 2]), "{name}: the next job runs");
+        }
+    }
+    // `Force::execute` re-raises the original payload, whichever thread
+    // the culprit ran on.
+    for culprit in [0, 1] {
+        let force = Force::new(2);
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            force.execute(|p| {
+                if p.pid() == culprit {
+                    panic!("pid {} dies", p.pid());
+                }
+                p.barrier();
+            })
+        }))
+        .expect_err("execute re-raises");
+        let payload = raised
+            .downcast_ref::<String>()
+            .expect("the original payload");
+        assert_eq!(*payload, format!("pid {culprit} dies"));
+    }
+}
+
+/// The watchdog sees a pid parked on the launching thread like any
+/// other: pid 1 is long gone, pid 0 waits for a producer that never
+/// comes.
+#[test]
+fn the_watchdog_trips_a_consume_parked_on_the_launching_thread() {
+    let force = Force::new(2).with_watchdog(Duration::from_millis(200));
+    let chan: Async<u64> = Async::new(force.machine());
+    let err = force
+        .try_run(|p| {
+            if p.pid() == 0 {
+                let _ = chan.consume();
+            }
+        })
+        .expect_err("the watchdog must trip");
+    assert_eq!((err.pid, err.construct), (0, "consume"));
+    assert!(err.payload.contains("deadlock watchdog"), "{}", err.payload);
+}
+
+/// One run permit, 64 pids: the caller's thread queues for the permit
+/// like the 63 it created.
+#[test]
+fn one_permit_serves_sixty_four_pids() {
+    let nproc = 64;
+    let force = Force::new(nproc);
+    let hits = AtomicU64::new(0);
+    force
+        .try_execute_with(
+            RunOptions {
+                backend: ParkBackend::Overcommit { workers: 1 },
+                watchdog: Some(Duration::from_secs(60)),
+                ..RunOptions::default()
+            },
+            |p| {
+                p.barrier();
+                p.critical("ONE", || hits.fetch_add(1, Ordering::Relaxed));
+                p.barrier();
+            },
+        )
+        .expect("64 pids on one permit must complete");
+    assert_eq!(hits.load(Ordering::Relaxed), nproc as u64);
+    assert_eq!(force.last_job_stats().unwrap().processes_created, 64);
+}
+
+/// Replay keys survive a launcher change: the schedule of a virtual run
+/// is a function of `(seed, machine, program)`, not of which thread a
+/// pid runs on.  The three summaries were recorded at PR 18, where every
+/// pid had a thread of its own.
+#[test]
+fn virtual_replay_keys_recorded_before_the_launcher_change_still_hold() {
+    let machine = Machine::new(MachineId::Cray2);
+    let force = Force::with_machine(4, Arc::clone(&machine));
+    let ring = AsyncArray::<u64>::new(&machine, 4);
+    let run = |seed: u64| {
+        force
+            .try_execute_with(
+                RunOptions {
+                    backend: ParkBackend::Virtual { seed },
+                    ..RunOptions::default()
+                },
+                |p| {
+                    p.barrier();
+                    p.critical("ORDER", || {});
+                    let left = (p.pid() + p.nproc() - 1) % p.nproc();
+                    for i in 0..4 {
+                        ring.produce(p.pid(), i);
+                        let _ = ring.consume(left);
+                    }
+                    p.barrier();
+                },
+            )
+            .expect("a virtual job must complete");
+        let s = force.last_virtual_summary().expect("summary");
+        (s.decisions, s.makespan_ns, s.digest)
+    };
+    let recorded = [
+        (1, (231, 344_800, 0x5763_ab3c_a318_05b5)),
+        (0xF0CE, (247, 352_800, 0x1a1b_0b6d_0c6c_9052)),
+        (0xDEAD_BEEF, (240, 349_600, 0xe241_174e_7409_f97e)),
+    ];
+    for (seed, summary) in recorded {
+        assert_eq!(run(seed), summary, "seed {seed:#x}");
+    }
+}

@@ -6,6 +6,8 @@
 //! Each test binary that declares `mod support;` uses its own subset.
 #![allow(dead_code)]
 
+pub mod corpus;
+
 use the_force::fortran::oracle::Oracle;
 use the_force::fortran::RunOutput;
 use the_force::machdep::{Machine, MachineId, RunOptions};
