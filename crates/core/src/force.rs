@@ -161,7 +161,7 @@ impl Force {
     /// (wider, or on an `Overcommit`/`Virtual` backend) uses scoped
     /// threads as if no pool were attached
     /// ([`force_machdep::launch_plane`] decides per run).  Pools may be
-    /// shared by several sessions (jobs serialize at the pool's mailbox).
+    /// shared by several sessions (a pool runs one job at a time).
     pub fn with_pool(mut self, pool: Arc<ForcePool>) -> Self {
         self.pool = Some(pool);
         self
@@ -614,7 +614,7 @@ mod tests {
     #[test]
     fn overcommit_job_may_exceed_the_pool() {
         // An overcommit job multiplexes pids over run permits, so it
-        // never uses the pid = resident worker mailbox, fit or not.
+        // never runs on a pool's resident workers, fit or not.
         let machine = Machine::new(MachineId::SequentBalance);
         let pool = Arc::new(ForcePool::new(2, machine.stats()));
         let force = Force::with_machine(8, Arc::clone(&machine)).with_pool(pool);

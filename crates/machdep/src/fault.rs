@@ -653,6 +653,17 @@ pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
     })
 }
 
+/// Step outside any force for the guard's lifetime: the thread has no
+/// process context, so a wait made meanwhile is a launcher's, not a
+/// process's — uncancellable, off the wait board, and no decision point
+/// of a virtual schedule.  The pool's join runs under this for the same
+/// reason the scoped launcher's is a bare `JoinHandle::join`.
+pub(crate) fn detach() -> CtxGuard {
+    CTX.with(|c| CtxGuard {
+        prev: c.borrow_mut().take(),
+    })
+}
+
 /// Take the construct recorded at the moment the current thread started
 /// panicking (used by `launch_plane` to attribute a caught panic).
 pub(crate) fn take_panicked_construct() -> Option<Construct> {

@@ -3,7 +3,7 @@
 //!
 //! Before this module existed, each wait site (spin/syscall/combined
 //! locks, full/empty transitions, both barrier families, the Askfor idle
-//! wait, the pool mailbox, the server dispatcher, ...) hand-rolled the
+//! wait, the pool hand-off, the server dispatcher, ...) hand-rolled the
 //! same four obligations: a [`Backoff`] or `Condvar` loop, a
 //! cancellation check per retry, wait-board attribution for the deadlock
 //! watchdog, and a trace park span.  Centralizing them here means they
@@ -35,7 +35,10 @@
 //!
 //! One tunable heartbeat ([`HEARTBEAT`]) derives every polling interval
 //! in the runtime: the cancellable wait slice, the deadlock-watchdog
-//! tick, and the serve-layer deadline re-assert interval.  Under the
+//! tick, the serve-layer deadline re-assert interval, and — a tenth of
+//! it, one measured wake-up — the window for which the two waits on an
+//! event already in flight (the pool's join, the dispatcher's wait for a
+//! closed-loop client) poll before they park.  Under the
 //! virtual backend, wall-clock timers are replaced by their virtual
 //! equivalents: the deadlock watchdog becomes the scheduler's own
 //! barren-poll detector and serve deadlines arm a virtual deadline
@@ -43,7 +46,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
 use crate::fault::{self, Construct};
@@ -184,8 +187,8 @@ impl Parker {
 
     /// Whether pids are multiplexed over fewer execution slots than
     /// processes (overcommit permits or the virtual run token).  Session
-    /// layers use this to route jobs past the fixed-width pool mailbox
-    /// and onto small-stacked scoped threads.
+    /// layers use this to route jobs past a pool's fixed set of resident
+    /// workers and onto small-stacked scoped threads.
     pub fn is_multiplexed(&self) -> bool {
         self.permits.is_some() || self.virt.is_some()
     }
@@ -991,6 +994,48 @@ pub fn wait_on<T>(
     fault::with_force_stats(|s| OpStats::count(&s.park_wakes));
 }
 
+/// How long [`spin_then_wait_on`] polls before it parks: about one
+/// measured wake-up of a sleeping thread, a tenth of a [`HEARTBEAT`].
+/// The benchmark's two-thread condvar ping-pong reads 45 µs per round
+/// trip on a quiet 2-vCPU host, and each of the four sleeping-thread
+/// hops of an empty served job ≈ 22 µs; a wait known to end sooner than
+/// that is cheaper polled than slept, and one that outlasts the window
+/// has lost at most one wake to it.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// [`wait_on`] for an event that is *already in flight* on another
+/// thread — the paper's Flex/32 combined lock, spin then system call,
+/// applied to a condvar wait: poll the lock-free `hint` for at most one
+/// [`SPIN_WINDOW`], then fall into [`wait_on`], which looks at the
+/// cancellation token as ever and where `ready` decides under the mutex
+/// (so `hint` may be stale either way).
+///
+/// The polling phase is skipped when the calling process's parker
+/// multiplexes pids, exactly as [`bounded_spin`]'s is: it would burn a
+/// run permit another pid could use, and a virtual run's decision
+/// sequence must not depend on how long a spin happened to last.
+///
+/// Two callers, both waiting on something a running thread is about to
+/// do: the pool's join (the job's other pids are executing) and the
+/// dispatcher's idle wait (it has just completed a job, so a closed-loop
+/// client is about to submit the next).  A wait with nothing in flight
+/// belongs in [`wait_on`]: polling for it only burns the window.
+pub(crate) fn spin_then_wait_on<T>(
+    hint: impl Fn() -> bool,
+    lock: &Mutex<T>,
+    cond: &Condvar,
+    fallback: Construct,
+    ready: impl FnMut(&mut T) -> bool,
+) {
+    if fault::current_parker().is_none() {
+        let start = Instant::now();
+        while !hint() && start.elapsed() < SPIN_WINDOW {
+            std::hint::spin_loop();
+        }
+    }
+    wait_on(lock, cond, fallback, ready);
+}
+
 /// A plain timed condvar wait, returning `true` on timeout.  For helper
 /// threads (watchdog, deadline watcher) that sleep on a stop signal —
 /// they are not force processes, so no parking accounting applies; this
@@ -1018,6 +1063,7 @@ mod tests {
         );
         // Tiny bounds floor at one wait slice, never zero.
         assert_eq!(watchdog_tick(Duration::from_micros(1)), wait_slice());
+        assert_eq!(SPIN_WINDOW, HEARTBEAT / 10);
     }
 
     #[test]
@@ -1151,7 +1197,7 @@ mod tests {
     #[test]
     fn virtual_parker_identity() {
         let p = parker(ParkBackend::Virtual { seed: 99 });
-        assert!(p.is_multiplexed(), "virtual pids bypass the pool mailbox");
+        assert!(p.is_multiplexed(), "virtual pids bypass a pool's workers");
         assert!(p.is_virtual());
         let s = p.virtual_summary().expect("virtual summary");
         assert_eq!(s.seed, 99);

@@ -1,4 +1,5 @@
-//! A resident force pool: long-lived worker threads with a job mailbox.
+//! A resident force pool: long-lived worker threads a job is forked onto
+//! and joined from.
 //!
 //! The paper's process-management suppression ("the number of processes
 //! is a run-time parameter") was implemented on machines where process
@@ -10,28 +11,39 @@
 //!
 //! Design:
 //!
-//! * `size` worker threads are created by [`ForcePool::new`] and live
-//!   until the pool is dropped.  Process-creation cost is charged to the
-//!   machine once, at pool construction, not per job.
-//! * A **job mailbox** (generation counter + job slot, under one mutex)
-//!   broadcasts each job to the workers.  A job of `nproc <= size`
-//!   processes occupies workers `0..nproc`; the rest skip the
-//!   generation and keep waiting.
+//! * A pool of `size` hosts jobs of up to `size` processes on `size − 1`
+//!   resident threads, created by [`ForcePool::new`] and alive until the
+//!   pool is dropped: the thread that launches a job is a member of the
+//!   force it creates and runs **pid 0** itself, as the paper's driver
+//!   does and as the scoped launcher does.  Process-creation cost is
+//!   charged to the machine once, at pool construction (`size` Force
+//!   processes, whatever the host threads), not per job.
+//! * **Fork**: every resident thread sleeps on a slot of its own.  A job
+//!   of `nproc` processes posts its body into the slots of pids
+//!   `1..nproc` and wakes exactly those threads; a worker the job does
+//!   not use is never woken.
+//! * **Join**: each worker decrements an atomic `remaining` count when it
+//!   has left the body.  The caller — done with pid 0 — polls that count
+//!   for one [`park`] spin window, because its peers are running and a
+//!   null job's join is shorter than a sleep, and only then parks; the
+//!   last finisher notifies only a caller that has said it parked.
 //! * The pool is only a *launcher*:
 //!   [`launch_plane`](crate::process::launch_plane) owns the rest of a
 //!   job (watchdog, result slots, per-pid fault harness, epilogue) and
-//!   uses the mailbox for a thread-per-pid job that fits; anything else
+//!   uses the pool for a thread-per-pid job that fits; anything else
 //!   attached to a pool runs on scoped threads.  The harness traps a
 //!   job's fault, so the worker threads survive it.
-//! * The broadcast blocks until every participant has finished, so job
-//!   closures may borrow from the caller's stack — the same guarantee
-//!   `std::thread::scope` gives the scoped launcher.
+//! * The join is unconditional — it is the `Drop` of the posted job, runs
+//!   outside the caller's own process context, and cannot be cancelled —
+//!   so job closures may borrow from the caller's stack: the same
+//!   guarantee `std::thread::scope` gives the scoped launcher.
 #![allow(unsafe_code)]
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::fault::{Construct, FaultPlane, ProcessFault};
+use crate::fault::{self, Construct, FaultPlane, ProcessFault};
 use crate::park;
 use crate::portable::{Condvar, Mutex};
 use crate::stats::OpStats;
@@ -39,41 +51,46 @@ use crate::stats::OpStats;
 /// The type-erased per-pid job body handed to the workers.
 ///
 /// The `'static` is a lie told to the compiler: the referent lives on
-/// the broadcasting caller's stack, and is sound because
-/// [`ForcePool::broadcast`] does not return until every participating
-/// worker has finished the job and bumped the completion count (the
-/// classic scoped-threadpool argument).
+/// the broadcasting caller's stack, and is sound because an [`InFlight`]
+/// job cannot be dropped — so [`ForcePool::broadcast`] can neither return
+/// nor unwind — before every worker it was posted to has left the body
+/// (the classic scoped-threadpool argument).
 type JobBody = &'static (dyn Fn(usize) + Sync);
 
-/// One published job: the erased body and how many workers participate.
-struct Job {
-    body: JobBody,
-    nproc: usize,
+/// What one resident thread sleeps on: the slot of pid `index + 1`.
+#[derive(Default)]
+struct Slot {
+    mail: Mutex<Mail>,
+    posted: Condvar,
 }
 
-/// Mailbox state, under the pool's mutex.
-struct PoolState {
-    /// Bumped once per published job; workers use it to recognize a job
-    /// they have not run yet.
-    generation: u64,
-    /// The current job; `Some` from publication until the submitter
-    /// observes completion and clears it.
-    job: Option<Job>,
-    /// How many participants have finished the current job.
-    done: usize,
-    /// Total jobs completed over the pool's lifetime.
-    jobs_completed: u64,
-    /// Set by `Drop`; workers exit their loop.
+#[derive(Default)]
+struct Mail {
+    /// The body to run next; taken by the worker when it wakes.
+    job: Option<JobBody>,
+    /// Set by `Drop`; the worker exits its loop.
     shutdown: bool,
+    /// Bodies ever posted here, i.e. how often this worker was woken.
+    #[cfg(test)]
+    posts: u64,
 }
 
 struct PoolShared {
     size: usize,
-    state: Mutex<PoolState>,
-    /// Workers wait here for a new generation (or shutdown).
-    job_ready: Condvar,
-    /// Submitters wait here for completion and for the job slot to free.
-    job_done: Condvar,
+    /// One per resident thread; `slots[i]` serves pid `i + 1`.
+    slots: Vec<Slot>,
+    /// Whether a job is in flight.  Submitters serialize on it.
+    busy: Mutex<bool>,
+    /// Signalled when `busy` falls.
+    freed: Condvar,
+    /// Workers that have not yet left the in-flight job's body.
+    remaining: AtomicUsize,
+    /// Whether the caller is parked on `joined` (the last finisher wakes
+    /// nobody otherwise).
+    join: Mutex<bool>,
+    joined: Condvar,
+    /// Total jobs completed over the pool's lifetime.
+    jobs_completed: AtomicU64,
 }
 
 /// A resident pool of force worker threads.
@@ -81,9 +98,9 @@ struct PoolShared {
 /// Create one sized to the largest force you will run, then attach it
 /// to a session (or call [`run_plane`](Self::run_plane)).  Worker
 /// threads are created once; each job that fits reuses them, so per-job
-/// cost is a mailbox broadcast instead of `nproc` thread creations.
-/// Jobs on the workers are serialized: a second submitter blocks until
-/// the current job completes.
+/// cost is `nproc − 1` targeted wakes instead of as many thread
+/// creations, and the calling thread runs pid 0.  Jobs on one pool are
+/// serialized: a second submitter blocks until the current job completes.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -104,9 +121,11 @@ pub struct ForcePool {
 }
 
 impl ForcePool {
-    /// Create a resident pool of `size` worker threads, charging `size`
-    /// process creations to `stats` (the one-time cost the pool exists
-    /// to amortize).
+    /// Create a resident pool for forces of up to `size` processes —
+    /// `size − 1` worker threads, the launching thread being the other
+    /// one — charging `size` process creations to `stats` (the one-time
+    /// cost the pool exists to amortize; it counts Force processes, not
+    /// host threads).
     ///
     /// # Panics
     /// Panics if `size` is zero.
@@ -115,44 +134,42 @@ impl ForcePool {
         OpStats::add(&stats.processes_created, size as u64);
         let shared = Arc::new(PoolShared {
             size,
-            state: Mutex::new(PoolState {
-                generation: 0,
-                job: None,
-                done: 0,
-                jobs_completed: 0,
-                shutdown: false,
-            }),
-            job_ready: Condvar::new(),
-            job_done: Condvar::new(),
+            slots: (1..size).map(|_| Slot::default()).collect(),
+            busy: Mutex::new(false),
+            freed: Condvar::new(),
+            remaining: AtomicUsize::new(0),
+            join: Mutex::new(false),
+            joined: Condvar::new(),
+            jobs_completed: AtomicU64::new(0),
         });
-        let workers = (0..size)
-            .map(|index| {
+        let workers = (1..size)
+            .map(|pid| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
-                    .name(format!("force-pool-{index}"))
-                    .spawn(move || worker_loop(&shared, index))
+                    .name(format!("force-pool-{pid}"))
+                    .spawn(move || worker_loop(&shared, pid))
                     .expect("spawn pool worker")
             })
             .collect();
         ForcePool { shared, workers }
     }
 
-    /// Number of resident worker threads (the widest job the mailbox
-    /// hosts; wider ones run on scoped threads).
+    /// The widest job the pool hosts (wider ones run on scoped threads):
+    /// its resident threads plus the caller.
     pub fn size(&self) -> usize {
         self.shared.size
     }
 
     /// Total jobs completed over the pool's lifetime.
     pub fn jobs_completed(&self) -> u64 {
-        self.shared.state.lock().jobs_completed
+        self.shared.jobs_completed.load(Ordering::Relaxed)
     }
 
     /// [`launch_plane`](crate::process::launch_plane) with this pool
     /// attached.  A thread-per-pid job of at most [`size`](Self::size)
-    /// processes runs on the resident workers; a wider job, or one whose
-    /// backend multiplexes pids (overcommit, virtual), runs on scoped
-    /// threads and is charged `processes_created += nproc`.
+    /// processes runs on the resident workers and the caller; a wider
+    /// job, or one whose backend multiplexes pids (overcommit, virtual),
+    /// runs on scoped threads and is charged `processes_created += nproc`.
     pub fn run_plane<R, F>(&self, plane: &Arc<FaultPlane>, body: F) -> Result<Vec<R>, ProcessFault>
     where
         R: Send,
@@ -161,64 +178,87 @@ impl ForcePool {
         crate::process::launch_plane(plane, Some(self), body)
     }
 
-    /// The mailbox launcher: publish `run_pid` to workers `0..nproc`
-    /// and block until each has returned from it.  Submitters serialize
-    /// on the job slot.
+    /// The pooled launcher, fork-join: post `run_pid` to the resident
+    /// threads of pids `1..nproc`, run pid 0 here, and return once every
+    /// one of them has left it.  Submitters serialize on the pool.
     pub(crate) fn broadcast(&self, nproc: usize, run_pid: &(dyn Fn(usize) + Sync)) {
-        debug_assert!(nproc <= self.shared.size, "pid = resident worker");
-        // SAFETY: the erased reference outlives its use — this function
-        // blocks below until `done == nproc`, i.e. until every worker
-        // that received the body has returned from it, and the job slot
-        // is cleared before we return, so no worker can see the body
-        // afterwards.
+        let shared = &*self.shared;
+        // Pids 1.. = resident workers (and a job too wide fails here,
+        // before anything is claimed or posted).
+        let slots = &shared.slots[..nproc - 1];
+        // SAFETY: the erased reference outlives its use.  It is handed
+        // out only below, after `in_flight` exists, and `InFlight::drop`
+        // — which runs however this function is left — blocks until
+        // `remaining == 0`, i.e. until every worker that took the body
+        // has returned from it; a worker takes the body out of its slot,
+        // so none is left behind for later.
         let erased: JobBody =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), JobBody>(run_pid) };
-        // Queue behind any in-flight job, then publish ours; the parking
-        // layer's ready closure both tests and claims the free job slot
-        // under the state lock, so two submitters cannot publish at once.
-        park::wait_on(
-            &self.shared.state,
-            &self.shared.job_done,
-            Construct::Body,
-            |st| {
-                if st.job.is_some() {
-                    return false;
-                }
-                st.generation += 1;
-                st.done = 0;
-                st.job = Some(Job {
-                    body: erased,
-                    nproc,
-                });
-                self.shared.job_ready.notify_all();
-                true
-            },
-        );
-        // Wait for every participant, then retire the job and wake any
-        // submitter queued on the slot.
-        park::wait_on(
-            &self.shared.state,
-            &self.shared.job_done,
-            Construct::Body,
-            |st| {
-                if st.done < nproc {
-                    return false;
-                }
-                st.job = None;
-                st.jobs_completed += 1;
-                self.shared.job_done.notify_all();
-                true
-            },
-        );
+        // Queue behind any in-flight job.  Nothing is posted yet, so this
+        // wait is the calling process's own and may be cancelled; the
+        // ready closure both tests and claims the pool under its lock.
+        park::wait_on(&shared.busy, &shared.freed, Construct::Body, |busy| {
+            !std::mem::replace(busy, true)
+        });
+        let in_flight = InFlight(shared);
+        // Ordered before every worker's decrement by the slot mutex the
+        // body reaches that worker through.
+        shared.remaining.store(slots.len(), Ordering::Relaxed);
+        for slot in slots {
+            let mut mail = slot.mail.lock();
+            mail.job = Some(erased);
+            #[cfg(test)]
+            {
+                mail.posts += 1;
+            }
+            drop(mail);
+            slot.posted.notify_one();
+        }
+        run_pid(0);
+        drop(in_flight);
+    }
+}
+
+/// The job the pool is running, from the moment its submitter owns the
+/// pool.  Dropping it is the join: wait until every worker has left the
+/// body, count the job, free the pool.
+struct InFlight<'a>(&'a PoolShared);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let shared = self.0;
+        // `Acquire`, pairing with the workers' `AcqRel` decrements: once
+        // this reads zero, everything each of them did in the body —
+        // its last use of the borrowed closure included — has happened.
+        let workers_left = || shared.remaining.load(Ordering::Acquire) != 0;
+        {
+            // Not a wait of the calling process's force (if it is one):
+            // cancelling it would free a body the workers still run, and
+            // under a virtual scheduler it would be decision points whose
+            // number depends on the wall clock.
+            let _launcher = fault::detach();
+            park::spin_then_wait_on(
+                || !workers_left(),
+                &shared.join,
+                &shared.joined,
+                Construct::Body,
+                |parked| {
+                    *parked = workers_left();
+                    !*parked
+                },
+            );
+        }
+        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        *shared.busy.lock() = false;
+        shared.freed.notify_one();
     }
 }
 
 impl Drop for ForcePool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock();
-            st.shutdown = true;
-            self.shared.job_ready.notify_all();
+        for slot in &self.shared.slots {
+            slot.mail.lock().shutdown = true;
+            slot.posted.notify_all();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -226,43 +266,27 @@ impl Drop for ForcePool {
     }
 }
 
-/// The resident worker: wait for a generation this worker has not seen,
-/// run the job body if this worker participates, report completion.
-fn worker_loop(shared: &PoolShared, index: usize) {
-    let mut last_gen = 0u64;
+/// The resident worker of `pid`: sleep until a body is posted, run it,
+/// report having left it.
+fn worker_loop(shared: &PoolShared, pid: usize) {
+    let slot = &shared.slots[pid - 1];
     loop {
-        let mut job: Option<JobBody> = None;
-        let mut shutdown = false;
-        park::wait_on(&shared.state, &shared.job_ready, Construct::Body, |st| {
-            if st.shutdown {
-                shutdown = true;
-                return true;
-            }
-            if st.generation > last_gen {
-                last_gen = st.generation;
-                job = match &st.job {
-                    // A job this worker sits out (nproc < size), or
-                    // one that already completed while this worker
-                    // slept (it cannot have been a participant —
-                    // completion waits for all participants).
-                    Some(job) if index < job.nproc => Some(job.body),
-                    _ => None,
-                };
-                return true;
-            }
-            false
+        let mut posted = None;
+        park::wait_on(&slot.mail, &slot.posted, Construct::Body, |mail| {
+            posted = mail.job.take();
+            posted.is_some() || mail.shutdown
         });
-        if shutdown {
-            return;
-        }
-        if let Some(body) = job {
-            // The body's own harness (`process::run_as_process`) traps
-            // panics and absorbs cancellations, so the worker thread
-            // survives any job fault and stays available for the next job.
-            body(index);
-            let mut st = shared.state.lock();
-            st.done += 1;
-            shared.job_done.notify_all();
+        let Some(body) = posted else { return };
+        // The body's own harness (`process::run_as_process`) traps
+        // panics and absorbs cancellations, so the worker thread
+        // survives any job fault and stays available for the next job.
+        body(pid);
+        // The last one out wakes the caller, if it went to sleep.  The
+        // flag is read under the mutex the caller sets it under: either
+        // this count reached zero before the caller looked, or the
+        // caller's `parked` is visible here.
+        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 && *shared.join.lock() {
+            shared.joined.notify_one();
         }
     }
 }
@@ -296,9 +320,16 @@ mod tests {
         assert_eq!(pool.jobs_completed(), 10);
     }
 
+    /// How often each resident thread has been posted a body (and woken).
+    fn posts(pool: &ForcePool) -> Vec<u64> {
+        let slots = pool.shared.slots.iter();
+        slots.map(|slot| slot.mail.lock().posts).collect()
+    }
+
     #[test]
-    fn smaller_jobs_use_a_prefix_of_the_pool() {
+    fn a_job_wakes_only_the_workers_it_uses() {
         let (pool, stats) = pool_and_stats(6);
+        assert_eq!(pool.workers.len(), 5, "the caller is the sixth");
         let hits = AtomicUsize::new(0);
         let p = plane(2, &stats);
         let r = pool
@@ -308,11 +339,25 @@ mod tests {
             })
             .unwrap();
         assert_eq!(r, vec![0, 1]);
-        assert_eq!(hits.load(Ordering::Relaxed), 2, "only 2 of 6 workers ran");
+        assert_eq!(hits.load(Ordering::Relaxed), 2);
+        assert_eq!(posts(&pool), [1, 0, 0, 0, 0], "pid 1's worker and no other");
         // The idle workers are still usable afterwards.
         let p = plane(6, &stats);
         let r = pool.run_plane(&p, |pid| pid).unwrap();
         assert_eq!(r, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(posts(&pool), [2, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn a_pool_of_one_is_the_caller_alone() {
+        let (pool, stats) = pool_and_stats(1);
+        assert!(pool.workers.is_empty() && pool.shared.slots.is_empty());
+        assert_eq!(stats.snapshot().processes_created, 1);
+        let here = std::thread::current().id();
+        let r = pool.run_plane(&plane(1, &stats), |_| std::thread::current().id());
+        assert_eq!(r, Ok(vec![here]));
+        assert_eq!(pool.jobs_completed(), 1);
+        assert_eq!(stats.snapshot().processes_created, 1);
     }
 
     #[test]
@@ -343,8 +388,8 @@ mod tests {
         let (pool, stats) = pool_and_stats(2);
         let r = pool.run_plane(&plane(3, &stats), |pid| pid).unwrap();
         assert_eq!(r, vec![0, 1, 2]);
-        // 2 resident workers + 3 scoped threads for the job they could
-        // not host; the mailbox never saw it.
+        // A resident force of 2 + a scoped one of 3 for the job it could
+        // not host; the pool never saw it.
         assert_eq!(stats.snapshot().processes_created, 2 + 3);
         assert_eq!(pool.jobs_completed(), 0);
     }

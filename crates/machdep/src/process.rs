@@ -23,8 +23,9 @@
 //!
 //! However a force is created, its job cycle is one function,
 //! [`launch_plane`]: watchdog, result slots, the per-pid harness
-//! (`run_as_process`), a launcher — a resident [`ForcePool`]'s mailbox
-//! or scoped threads, picked there, never by the caller — and one epilogue.
+//! (`run_as_process`), a launcher — a resident [`ForcePool`]'s workers
+//! or scoped threads, picked there, never by the caller, and fork-join
+//! either way: the launching thread runs pid 0 — and one epilogue.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -221,13 +222,14 @@ impl Drop for StopGuard {
 ///
 /// | condition | launcher | stack | charged to the job |
 /// |---|---|---|---|
-/// | `pool` attached, thread-per-pid backend, `nproc <= pool.size()` | *mailbox*: the pool's resident workers | the workers' own | nothing (paid at pool construction) |
+/// | `pool` attached, thread-per-pid backend, `nproc <= pool.size()` | *pooled*: the pool's resident workers for pids 1.., pid 0 on the caller | the workers' own; the caller's own | nothing (paid at pool construction) |
 /// | otherwise, thread-per-pid backend | *scoped*: threads for pids 1.., pid 0 on the caller | default; the caller's own | `processes_created += nproc` |
 /// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
 ///
 /// `processes_created` counts Force processes, not host threads: the
-/// scoped rows create `nproc − 1` threads and still charge `nproc`, so
-/// the cost model prices a force the same whichever thread runs pid 0.
+/// scoped rows create `nproc − 1` threads and still charge `nproc`, and
+/// a pool of `size` keeps `size − 1` and charged `size`, so the cost
+/// model prices a force the same whichever thread runs pid 0.
 ///
 /// # Panics
 /// Panics if the plane covers zero processes.
@@ -284,11 +286,11 @@ pub fn launch_plane<R: Send>(
 /// return.  The new threads are small-stacked when multiplexed
 /// (thousands of mostly parked pids).
 ///
-/// The caller's thread is a process like the others for as long as
-/// `run_pid(0)` runs — same admission guard, same panic containment —
-/// and is given back as it was: `run_as_process` restores whatever
-/// fault context the thread had, which is what lets a process of one
-/// force launch another.
+/// Under either launcher the caller's thread is a process like the
+/// others for as long as `run_pid(0)` runs — same admission guard, same
+/// panic containment — and is given back as it was: `run_as_process`
+/// restores whatever fault context the thread had, which is what lets a
+/// process of one force launch another.
 fn launch_scoped(plane: &FaultPlane, multiplexed: bool, run_pid: &(dyn Fn(usize) + Sync)) {
     let nproc = plane.nproc();
     // Charge the plane directly (not context-preferred): the launching
@@ -468,11 +470,24 @@ mod tests {
             assert_eq!(launch_plane(&plane, None, thread_of_pid), Ok(vec![here]));
             assert_eq!(stats.snapshot().processes_created, 1, "{backend:?}");
         }
-        // The mailbox is not a fork-join: a pool's workers run every pid.
-        let (stats, plane) = plane_on(ParkBackend::ThreadPerPid, 2);
-        let pool = ForcePool::new(2, &stats);
+        // A pool is the same fork-join: the caller is pid 0, and pids 1..
+        // are distinct resident threads — the same ones on the next job.
+        let (stats, plane) = plane_on(ParkBackend::ThreadPerPid, 4);
+        let pool = ForcePool::new(4, &stats);
         let threads = launch_plane(&plane, Some(&pool), thread_of_pid).expect("clean job");
-        assert!(!threads.contains(&here));
+        assert_eq!(threads[0], here);
+        for (pid, thread) in threads.iter().enumerate().skip(1) {
+            assert!(!threads[..pid].contains(thread), "pid {pid}");
+        }
+        assert_eq!(
+            launch_plane(&plane, Some(&pool), thread_of_pid),
+            Ok(threads)
+        );
+        assert_eq!(
+            stats.snapshot().processes_created,
+            4,
+            "paid once, by the pool"
+        );
     }
 
     #[test]
@@ -524,6 +539,39 @@ mod tests {
     }
 
     #[test]
+    fn a_pooled_launch_inside_a_virtual_process_leaves_its_schedule_alone() {
+        // Each pid of a virtual force forks a thread-per-pid job onto one
+        // shared pool and joins it while a peer of that job is still
+        // asleep.  The join is the launcher's wait, not the process's:
+        // were it a park of the outer pid, every re-poll would be a
+        // scheduling decision and their number a matter of wall time.
+        let summary_of_a_run = || {
+            let (stats, outer) = plane_on(ParkBackend::Virtual { seed: 1989 }, 3);
+            let pool = ForcePool::new(3, &stats);
+            let order = SpinLock::new(LockState::Unlocked, Arc::clone(&stats));
+            launch_plane(&outer, None, |_| {
+                order.lock();
+                order.unlock();
+                let (_, inner) = plane_on(ParkBackend::ThreadPerPid, 3);
+                let pids = launch_plane(&inner, Some(&pool), |pid| {
+                    std::thread::sleep(Duration::from_micros(150 * pid as u64));
+                    pid
+                });
+                assert_eq!(pids, Ok(vec![0, 1, 2]));
+                order.lock();
+                order.unlock();
+            })
+            .expect("the outer job is clean");
+            assert_eq!(pool.jobs_completed(), 3);
+            outer.parker().virtual_summary().expect("a virtual plane")
+        };
+        let first = summary_of_a_run();
+        for replay in 1..=20 {
+            assert_eq!(summary_of_a_run(), first, "replay {replay}");
+        }
+    }
+
+    #[test]
     fn a_panic_on_the_launching_thread_is_a_fault_like_any_other() {
         for backend in EVERY_BACKEND {
             for culprit in [0, 1] {
@@ -553,8 +601,8 @@ mod tests {
     /// The attached pool's size for an `n`-pid job (0 = no pool).
     type PoolSize = fn(usize) -> usize;
 
-    /// The four launch scenarios under one launch configuration.
-    fn scenarios(backend: ParkBackend, pool_size: PoolSize) -> [Outcome; 4] {
+    /// The five launch scenarios under one launch configuration.
+    fn scenarios(backend: ParkBackend, pool_size: PoolSize) -> [Outcome; 5] {
         let config = |watchdog| FaultConfig {
             watchdog,
             backend,
@@ -579,7 +627,7 @@ mod tests {
         };
 
         // Every pid runs exactly once; results come back in pid order;
-        // the mailbox charges nothing, scoped threads charge `nproc`.
+        // a pool charges nothing, scoped threads charge `nproc`.
         let (stats, pool, plane, _) = rig(3, None);
         let hits = AtomicUsize::new(0);
         let clean = launch_plane(&plane, pool.as_ref(), |pid| {
@@ -587,9 +635,9 @@ mod tests {
             pid * 2
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
-        let mailbox = backend == ParkBackend::ThreadPerPid && pool_size(3) >= 3;
+        let pooled = backend == ParkBackend::ThreadPerPid && pool_size(3) >= 3;
         let charged = stats.snapshot().processes_created - pool_size(3) as u64;
-        assert_eq!(charged, if mailbox { 0 } else { 3 });
+        assert_eq!(charged, if pooled { 0 } else { 3 });
         assert!(!plane.is_tripped());
 
         // pid 1 panics; pids 0 and 2 are parked on the wedge and only
@@ -602,6 +650,36 @@ mod tests {
             wedge.lock();
             pid
         });
+        assert_eq!(stats.snapshot().faults_detected, 1);
+        next_job_succeeds(&plane, pool.as_ref());
+
+        // Culprit 0: the launching thread's own pid panics while pids 1
+        // and 2 are parked on the wedge.  The launch must outlast them —
+        // the body borrows this frame — so a pid that entered the body
+        // counts itself out as it unwinds, and takes its time about it.
+        struct Inside<'a>(&'a AtomicUsize);
+        impl Drop for Inside<'_> {
+            fn drop(&mut self) {
+                std::thread::sleep(Duration::from_millis(5));
+                self.0.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let (stats, pool, plane, wedge) = rig(3, None);
+        let inside = AtomicUsize::new(0);
+        let launcher_panicked = launch_plane(&plane, pool.as_ref(), |pid| {
+            if pid == 0 {
+                panic!("pid zero dies");
+            }
+            inside.fetch_add(1, Ordering::SeqCst);
+            let _inside = Inside(&inside);
+            wedge.lock();
+            pid
+        });
+        assert_eq!(
+            inside.load(Ordering::SeqCst),
+            0,
+            "returned over a running pid"
+        );
         assert_eq!(stats.snapshot().faults_detected, 1);
         next_job_succeeds(&plane, pool.as_ref());
 
@@ -631,7 +709,7 @@ mod tests {
         assert_eq!(stats.snapshot().watchdog_trips, 1);
         next_job_succeeds(&plane, pool.as_ref());
 
-        [clean, panicked, stale, deadlocked]
+        [clean, panicked, launcher_panicked, stale, deadlocked]
     }
 
     fn fault_in(pid: usize, construct: &'static str, payload: &str) -> ProcessFault {
@@ -648,9 +726,10 @@ mod tests {
         let scoped = scenarios(ThreadPerPid, |_| 0);
         assert_eq!(scoped[0], Ok(vec![0, 2, 4]));
         assert_eq!(scoped[1], Err(fault_in(1, "body", "pid one dies")));
-        let stale = scoped[2].as_ref().expect_err("stale trip");
+        assert_eq!(scoped[2], Err(fault_in(0, "body", "pid zero dies")));
+        let stale = scoped[3].as_ref().expect_err("stale trip");
         assert!(stale.payload.contains("missing reset_for_job"), "{stale}");
-        assert_eq!(scoped[3], Err(fault_in(0, "lock", "deadlock")));
+        assert_eq!(scoped[4], Err(fault_in(0, "lock", "deadlock")));
         // The multiplexed rows get a pool the job *fits*, so only the
         // backend can be what sends them to scoped threads.
         let pooled: [(&str, ParkBackend, PoolSize); 4] = [

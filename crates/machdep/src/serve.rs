@@ -53,7 +53,7 @@
 //!
 //! Jobs are executed by [`ServerConfig::shards`] dispatcher threads,
 //! each owning a private queue set.  One dispatcher per pool was once a
-//! hard constraint (the pool's mailbox serialized jobs and the machine
+//! hard constraint (a pool runs one job at a time and the machine
 //! owned a single counter block); with per-plane stats ownership and
 //! one session/pool *per shard*, N shards run N jobs genuinely in
 //! parallel on one `Machine`.  The shard topology is:
@@ -600,13 +600,29 @@ pub struct ServerReport {
     pub tenants: Vec<(String, TenantRollup)>,
 }
 
-/// One queued job awaiting dispatch.
+/// One queued job awaiting dispatch.  Of its [`JobSpec`] the tenant
+/// name lives (once) in `shared`, the priority is the queue it sits in
+/// and the deadline is `deadline_at`.
 struct QueuedJob {
     shared: Arc<JobShared>,
     runner: JobRunner,
-    spec: JobSpec,
+    max_retries: u32,
     submitted: Instant,
     deadline_at: Option<Instant>,
+}
+
+/// `map.entry(key).or_insert_with(new)` that builds the owned key only
+/// when it is new: every job looks its tenant up several times, and only
+/// a tenant's first job should pay for the name.
+fn entry_by_name<'a, V>(
+    map: &'a mut HashMap<String, V>,
+    key: &str,
+    new: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), new());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 /// One shard's queue state, guarded by the shard's mutex.
@@ -674,7 +690,7 @@ impl Inner {
         let cap = u64::from(limit.burst) * ONE_TOKEN;
         let now = Instant::now();
         let mut buckets = self.buckets.lock();
-        let bucket = buckets.entry(tenant.to_owned()).or_insert(TokenBucket {
+        let bucket = entry_by_name(&mut buckets, tenant, || TokenBucket {
             micro_tokens: cap,
             last_refill: now,
         });
@@ -710,7 +726,7 @@ impl Inner {
         let elapsed = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         {
             let mut rollups = self.shards[shard].rollups.lock();
-            let r = rollups.entry(shared.tenant.clone()).or_default();
+            let r = entry_by_name(&mut rollups, &shared.tenant, TenantRollup::default);
             r.latency.record(elapsed);
             r.ops.merge(&ops);
             match &outcome {
@@ -742,7 +758,7 @@ impl Inner {
 
     fn bump_rollup(&self, shard: usize, tenant: &str, f: impl FnOnce(&mut TenantRollup)) {
         let mut rollups = self.shards[shard].rollups.lock();
-        f(rollups.entry(tenant.to_owned()).or_default());
+        f(entry_by_name(&mut rollups, tenant, TenantRollup::default));
     }
 
     /// Charge one server decision.  Always direct-to-handle (machine
@@ -773,7 +789,7 @@ impl Inner {
                 Some(v) => {
                     st.backlog -= 1;
                     self.total_backlog.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(d) = st.per_tenant_depth.get_mut(&v.spec.tenant) {
+                    if let Some(d) = st.per_tenant_depth.get_mut(&v.shared.tenant) {
                         *d = d.saturating_sub(1);
                     }
                     sink.push((shard, v));
@@ -789,7 +805,7 @@ impl Inner {
         let job = st.queues.iter_mut().find_map(VecDeque::pop_front)?;
         st.backlog -= 1;
         self.total_backlog.fetch_sub(1, Ordering::AcqRel);
-        if let Some(d) = st.per_tenant_depth.get_mut(&job.spec.tenant) {
+        if let Some(d) = st.per_tenant_depth.get_mut(&job.shared.tenant) {
             *d = d.saturating_sub(1);
         }
         Some(job)
@@ -945,7 +961,7 @@ impl ForceServer {
                 Some(RejectReason::ShuttingDown)
             } else {
                 let capacity = inner.config.tenant_queue_capacity;
-                let depth = st.per_tenant_depth.entry(spec.tenant.clone()).or_insert(0);
+                let depth = entry_by_name(&mut st.per_tenant_depth, &spec.tenant, || 0);
                 if *depth >= capacity {
                     Some(RejectReason::QueueFull {
                         tenant: spec.tenant.clone(),
@@ -965,7 +981,7 @@ impl ForceServer {
 
         let shared = Arc::new(JobShared {
             id: inner.next_id.fetch_add(1, Ordering::Relaxed),
-            tenant: spec.tenant.clone(),
+            tenant: spec.tenant,
             deadline_fired: AtomicBool::new(false),
             deadline_at: spec.deadline.map(|d| Instant::now() + d),
             plane: Mutex::new(None),
@@ -976,9 +992,9 @@ impl ForceServer {
         let job = QueuedJob {
             shared: Arc::clone(&shared),
             runner,
+            max_retries: spec.max_retries,
             deadline_at: shared.deadline_at,
             submitted,
-            spec,
         };
         {
             let mut st = inner.shards[home].state.lock();
@@ -986,12 +1002,10 @@ impl ForceServer {
             st.peak_backlog = st.peak_backlog.max(st.backlog);
             let total = inner.total_backlog.fetch_add(1, Ordering::AcqRel) + 1;
             inner.peak_total_backlog.fetch_max(total, Ordering::AcqRel);
-            let idx = job.spec.priority.index();
-            let tenant = job.spec.tenant.clone();
-            st.queues[idx].push_back(job);
+            st.queues[spec.priority.index()].push_back(job);
             drop(st);
             inner.count(|s| &s.jobs_admitted);
-            inner.bump_rollup(home, &tenant, |r| r.admitted += 1);
+            inner.bump_rollup(home, &shared.tenant, |r| r.admitted += 1);
         }
         inner.shards[home].work.notify_all();
         Submit::Admitted(JobHandle { shared })
@@ -1178,7 +1192,30 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
             );
         }
         let Some(mut job) = next else {
-            let mut st = inner.shards[me].state.lock();
+            let shard = &inner.shards[me];
+            if inner.shards.len() == 1 {
+                // No sibling to pull from, so nothing to time: sleep until
+                // a submission or the shutdown notifies `work`.  This wait
+                // begins where a job ended — at start-up, once, where
+                // nothing did — and a closed-loop client resubmits sooner
+                // than a sleeping thread wakes: poll the backlog first.
+                let mut drained = false;
+                park::spin_then_wait_on(
+                    || inner.total_backlog.load(Ordering::Acquire) > 0,
+                    &shard.state,
+                    &shard.work,
+                    Construct::Body,
+                    |st| {
+                        drained = st.shutting_down && st.backlog == 0;
+                        drained || st.backlog > 0
+                    },
+                );
+                if drained {
+                    return;
+                }
+                continue;
+            }
+            let mut st = shard.state.lock();
             if st.shutting_down
                 && st.backlog == 0
                 && inner.total_backlog.load(Ordering::Acquire) == 0
@@ -1188,7 +1225,7 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
             if st.backlog == 0 {
                 // Sleep until a submission wakes this shard or the pull
                 // poll expires; the drain re-check above runs each pass.
-                park::timer_wait(&inner.shards[me].work, &mut st, PULL_POLL);
+                park::timer_wait(&shard.work, &mut st, PULL_POLL);
             }
             continue;
         };
@@ -1250,7 +1287,7 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
                     break JobOutcome::Completed { retries: attempt };
                 }
                 Err(error) => {
-                    if error.is_transient() && attempt < job.spec.max_retries {
+                    if error.is_transient() && attempt < job.max_retries {
                         // Draw the deterministic jittered delay, then
                         // sleep it only if a retry can still fit before
                         // the deadline (this is `Backoff::sleep_jittered`
@@ -1738,6 +1775,40 @@ mod tests {
             } => {}
             other => panic!("expected ShuttingDown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_job_reaches_the_idle_dispatcher_polling_or_parked() {
+        // The dispatcher of a single shard polls its backlog for a spin
+        // window after a job and then parks untimed: a submission must
+        // get through in either state, and at the seam between them.  A
+        // lost wake-up would hang `wait`, so the outcome is polled.
+        let (srv, _) = server();
+        let served = |spec: JobSpec| {
+            let job = srv.submit(spec, ok_runner()).expect_admitted();
+            let submitted = Instant::now();
+            while job.try_outcome().is_none() {
+                assert!(
+                    submitted.elapsed() < Duration::from_secs(10),
+                    "lost: {job:?}"
+                );
+                thread::yield_now();
+            }
+            assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        };
+        let pauses = [0, 1000, 0, 20, 40, 50, 60, 80, 1000, 0].map(Duration::from_micros);
+        for round in 0..20 {
+            for pause in pauses {
+                served(JobSpec::for_tenant("t"));
+                thread::sleep(pause);
+                served(JobSpec::for_tenant("t").with_deadline(Duration::from_secs(30)));
+                thread::sleep(pause * (round % 2));
+            }
+        }
+        // And the shutdown finds it parked, with nothing left to drain.
+        thread::sleep(Duration::from_millis(1));
+        srv.shutdown();
+        assert_eq!(srv.server_report().completed, 20 * 10 * 2);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! * Event rings are strictly *single-writer*: each pid writes only its
 //!   own ring, with relaxed stores and a relaxed head counter.  The
 //!   reader ([`TraceSink::report`]) runs only at job quiescence (after
-//!   the force joined or the pool's job mailbox completed), where the
-//!   thread join/handoff provides the happens-before edge the relaxed
+//!   the force joined, by thread join or by the pool's join count), where
+//!   the join/handoff provides the happens-before edge the relaxed
 //!   stores themselves do not.
 //! * Histograms are arrays of relaxed `AtomicU64` buckets with
 //!   power-of-two bounds: `record(v)` is one relaxed `fetch_add` per

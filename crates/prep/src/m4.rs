@@ -490,7 +490,7 @@ impl M4 {
         let mut args = self.spare_args.pop().unwrap_or_default();
         let next = self.expand_args(input, after, depth, &mut args)?;
         let mut text = self.spare_text.pop().unwrap_or_default();
-        self.replacement(name, &args, next > after, &mut text, out)?;
+        self.replacement(name, &args, next > after, depth, &mut text, out)?;
         if !text.is_empty() {
             self.scan(&text, depth + 1, out)?;
         }
@@ -541,6 +541,7 @@ impl M4 {
         name: &str,
         args: &Args,
         parenthesised: bool,
+        depth: usize,
         text: &mut String,
         out: &mut String,
     ) -> Expansion<()> {
@@ -564,11 +565,17 @@ impl M4 {
                 return Ok(());
             }
         };
-        self.builtin(builtin, args, text)
+        self.builtin(builtin, args, depth, text)
     }
 
     /// Run a builtin; what it expands to is appended to `out`.
-    fn builtin(&mut self, builtin: Builtin, args: &Args, out: &mut String) -> Expansion<()> {
+    fn builtin(
+        &mut self,
+        builtin: Builtin,
+        args: &Args,
+        depth: usize,
+        out: &mut String,
+    ) -> Expansion<()> {
         let arg = |i: usize| args.get(i);
         match builtin {
             Builtin::Define => {
@@ -620,7 +627,7 @@ impl M4 {
                 out,
                 checked("decr", parse_int("decr", arg(0))?.checked_sub(1))?,
             ),
-            Builtin::Eval => push_int(out, eval_expr(arg(0))?),
+            Builtin::Eval => push_int(out, eval_expr(arg(0), depth)?),
             Builtin::Dnl => {}
             Builtin::Len => push_int(out, arg(0).chars().count()),
             // First element of a comma list (commas inside parentheses
@@ -775,119 +782,108 @@ fn strip_dims(decl: &str) -> &str {
 }
 
 /// Minimal integer expression evaluator for `eval` (`+ - * / % ( )`,
-/// unary minus).
-fn eval_expr(s: &str) -> Result<i64, M4Error> {
+/// unary minus), called `depth` levels into the macro recursion.  It
+/// recurses once per open parenthesis or unary minus, on the stack that
+/// recursion is already on, so both draw on the one budget of
+/// [`MAX_DEPTH`] levels — and a level here must not cost more than one
+/// there: errors are built and arithmetic is done in functions of their
+/// own, off the frames that recurse.
+fn eval_expr(s: &str, depth: usize) -> Expansion<i64> {
+    #[cold]
+    fn bad(detail: String) -> Box<M4Error> {
+        Box::new(M4Error::BadArguments {
+            builtin: "eval",
+            detail,
+        })
+    }
+    fn apply(op: u8, a: i64, b: i64) -> Expansion<i64> {
+        let result = match op {
+            b'+' => a.checked_add(b),
+            b'-' => a.checked_sub(b),
+            b'*' => a.checked_mul(b),
+            b'/' if b == 0 => return Err(bad("division by zero".into())),
+            b'/' => a.checked_div(b),
+            _ if b == 0 => return Err(bad("modulo by zero".into())),
+            _ => a.checked_rem(b),
+        };
+        result.ok_or_else(|| bad("integer overflow".into()))
+    }
     struct P<'a> {
         s: &'a [u8],
         i: usize,
+        /// Levels of recursion the current atom is in: the call's, plus
+        /// the parentheses and unary minuses open around it.
+        depth: usize,
     }
     impl P<'_> {
-        fn skip(&mut self) {
+        fn peek(&mut self) -> Option<u8> {
             while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
                 self.i += 1;
             }
-        }
-        fn peek(&mut self) -> Option<u8> {
-            self.skip();
             self.s.get(self.i).copied()
         }
-        fn expr(&mut self) -> Result<i64, M4Error> {
+        fn expr(&mut self) -> Expansion<i64> {
             let mut v = self.term()?;
-            loop {
-                match self.peek() {
-                    Some(b'+') => {
-                        self.i += 1;
-                        v = checked("eval", v.checked_add(self.term()?))?;
-                    }
-                    Some(b'-') => {
-                        self.i += 1;
-                        v = checked("eval", v.checked_sub(self.term()?))?;
-                    }
-                    _ => return Ok(v),
-                }
+            while let Some(op @ (b'+' | b'-')) = self.peek() {
+                self.i += 1;
+                v = apply(op, v, self.term()?)?;
             }
+            Ok(v)
         }
-        fn term(&mut self) -> Result<i64, M4Error> {
+        fn term(&mut self) -> Expansion<i64> {
             let mut v = self.atom()?;
-            loop {
-                match self.peek() {
-                    Some(b'*') => {
-                        self.i += 1;
-                        v = checked("eval", v.checked_mul(self.atom()?))?;
-                    }
-                    Some(b'/') => {
-                        self.i += 1;
-                        let d = self.atom()?;
-                        if d == 0 {
-                            return Err(M4Error::BadArguments {
-                                builtin: "eval",
-                                detail: "division by zero".into(),
-                            });
-                        }
-                        v = checked("eval", v.checked_div(d))?;
-                    }
-                    Some(b'%') => {
-                        self.i += 1;
-                        let d = self.atom()?;
-                        if d == 0 {
-                            return Err(M4Error::BadArguments {
-                                builtin: "eval",
-                                detail: "modulo by zero".into(),
-                            });
-                        }
-                        v = checked("eval", v.checked_rem(d))?;
-                    }
-                    _ => return Ok(v),
-                }
+            while let Some(op @ (b'*' | b'/' | b'%')) = self.peek() {
+                self.i += 1;
+                v = apply(op, v, self.atom()?)?;
             }
+            Ok(v)
         }
-        fn atom(&mut self) -> Result<i64, M4Error> {
-            match self.peek() {
-                Some(b'-') => {
-                    self.i += 1;
-                    checked("eval", self.atom()?.checked_neg())
-                }
-                Some(b'(') => {
-                    self.i += 1;
-                    let v = self.expr()?;
-                    if self.peek() == Some(b')') {
-                        self.i += 1;
-                        Ok(v)
-                    } else {
-                        Err(M4Error::Unterminated("parenthesis in eval"))
-                    }
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    let start = self.i;
-                    while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
-                        self.i += 1;
-                    }
-                    std::str::from_utf8(&self.s[start..self.i])
-                        .unwrap()
-                        .parse()
-                        .map_err(|_| M4Error::BadArguments {
-                            builtin: "eval",
-                            detail: "integer overflow".into(),
-                        })
-                }
-                _ => Err(M4Error::BadArguments {
-                    builtin: "eval",
-                    detail: format!("unexpected input in `{}`", String::from_utf8_lossy(self.s)),
-                }),
+        fn atom(&mut self) -> Expansion<i64> {
+            let opener = self.peek();
+            if !matches!(opener, Some(b'-' | b'(')) {
+                return self.literal();
             }
+            if self.depth >= MAX_DEPTH {
+                return Err(bad(format!(
+                    "parentheses and signs nested past the recursion limit of {MAX_DEPTH}"
+                )));
+            }
+            self.i += 1;
+            self.depth += 1;
+            let v = if opener == Some(b'-') {
+                apply(b'-', 0, self.atom()?)
+            } else {
+                let v = self.expr()?;
+                if self.peek() != Some(b')') {
+                    return Err(Box::new(M4Error::Unterminated("parenthesis in eval")));
+                }
+                self.i += 1;
+                Ok(v)
+            };
+            self.depth -= 1;
+            v
+        }
+        fn literal(&mut self) -> Expansion<i64> {
+            let start = self.i;
+            while self.i < self.s.len() && self.s[self.i].is_ascii_digit() {
+                self.i += 1;
+            }
+            if self.i == start {
+                let all = String::from_utf8_lossy(self.s);
+                return Err(bad(format!("unexpected input in `{all}`")));
+            }
+            let digits = std::str::from_utf8(&self.s[start..self.i]).expect("ASCII digits");
+            digits.parse().map_err(|_| bad("integer overflow".into()))
         }
     }
     let mut p = P {
         s: s.as_bytes(),
         i: 0,
+        depth,
     };
     let v = p.expr()?;
-    p.skip();
-    if p.i != p.s.len() {
-        return Err(M4Error::BadArguments {
-            builtin: "eval",
-            detail: format!("trailing input in `{s}`"),
-        });
+    if p.peek().is_some() {
+        return Err(bad(format!("trailing input in `{s}`")));
     }
     Ok(v)
 }
@@ -970,6 +966,75 @@ mod tests {
             M4::new().expand("eval(1/0)"),
             Err(M4Error::BadArguments { .. })
         ));
+    }
+
+    /// `eval(` + `levels` × `open` + `1` + `levels` × `close` + `)`.
+    fn nested_eval(open: &str, close: &str, levels: usize) -> String {
+        format!("eval({}1{})", open.repeat(levels), close.repeat(levels))
+    }
+
+    /// Run `test` on the 512 KiB stack of a multiplexed pid.
+    fn on_a_small_stack(test: impl FnOnce() + Send + 'static) {
+        std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(test)
+            .expect("spawn")
+            .join()
+            .expect("no overflow, no panic");
+    }
+
+    #[test]
+    fn eval_nesting_is_bounded_like_macro_recursion() {
+        // The shapes that recurse — `((((…`, `----…` and their mix — at
+        // the limit, one past it, and at a few hundred kilobytes.
+        on_a_small_stack(|| {
+            for (open, close) in [("(", ")"), ("-", ""), ("-(", ")")] {
+                let levels = MAX_DEPTH / open.len();
+                assert_eq!(exp(&nested_eval(open, close, levels)), "1", "{open}");
+                for levels in [levels + 1, 100_000] {
+                    let err = M4::new().expand(&nested_eval(open, close, levels));
+                    assert!(
+                        matches!(
+                            err,
+                            Err(M4Error::BadArguments {
+                                builtin: "eval",
+                                ..
+                            })
+                        ),
+                        "{levels} of `{open}`: {err:?}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn eval_nesting_and_macro_recursion_share_one_budget() {
+        // `R(n)` calls itself n deep and evaluates at the bottom: however
+        // the levels are split between the two recursions, the answer is
+        // the value or an error, and the stack holds.
+        on_a_small_stack(|| {
+            let mut deepest_answer = 0;
+            for n in 0..=MAX_DEPTH {
+                for levels in [MAX_DEPTH / 2, MAX_DEPTH] {
+                    let mut m4 = M4::new();
+                    let bottom = nested_eval("(", ")", levels);
+                    m4.define("R", &format!("ifelse($1, 0, `{bottom}', `R(decr($1))')"));
+                    match m4.expand(&format!("R({n})")) {
+                        Ok(value) => {
+                            assert_eq!(value, "1", "R({n}), {levels} levels");
+                            deepest_answer = deepest_answer.max(n);
+                        }
+                        Err(M4Error::BadArguments {
+                            builtin: "eval", ..
+                        })
+                        | Err(M4Error::RecursionLimit(_)) => {}
+                        Err(other) => panic!("R({n}), {levels} levels: {other}"),
+                    }
+                }
+            }
+            assert!(deepest_answer > 0, "some of the mixes do fit");
+        });
     }
 
     #[test]

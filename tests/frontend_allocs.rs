@@ -8,15 +8,23 @@
 //! from eroding between benchmark runs.  PR 18 read 1 497–1 498
 //! allocations to expand the `ksum` shape and 1 284–1 312 to load it;
 //! PR 19, which set the ceilings, 185–186 and 346–350.
+//!
+//! The second test holds the serve path to the same standard: what a
+//! served, pooled, empty job allocates — client, dispatcher and pool
+//! worker together — is a constant, and it is pinned.
 
 mod support;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use support::corpus::KSUM;
 use the_force::fortran::Engine;
-use the_force::machdep::{Machine, MachineId};
+use the_force::machdep::{
+    ForcePool, ForceServer, JobOutcome, JobSpec, Machine, MachineId, RunOptions, ServerConfig,
+};
 use the_force::prep::preprocess;
 
 thread_local! {
@@ -24,13 +32,25 @@ thread_local! {
     static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
-/// The system allocator, counting `alloc` and `realloc` calls of the
-/// measuring thread.
+/// Allocations made by every thread while [`EVERY_THREAD`] is set: a
+/// served job allocates on three of them.
+static ALL_COUNT: AtomicU64 = AtomicU64::new(0);
+static EVERY_THREAD: AtomicBool = AtomicBool::new(false);
+
+/// The tests of this binary take turns, so that the process-wide count
+/// sees one of them only.
+static TURN: Mutex<()> = Mutex::new(());
+
+/// The system allocator, counting `alloc` and `realloc` calls: of the
+/// measuring thread, and of the whole process.
 struct Counting;
 
 fn tick() {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+    if EVERY_THREAD.load(Ordering::Relaxed) {
+        ALL_COUNT.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
@@ -73,6 +93,7 @@ const LOAD_CEILING: u64 = 360;
 
 #[test]
 fn a_cold_source_stays_inside_its_allocation_budget() {
+    let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
     let mut report = Vec::new();
     let mut over = false;
     for id in MachineId::all() {
@@ -101,4 +122,49 @@ fn a_cold_source_stays_inside_its_allocation_budget() {
         report.join("\n")
     );
     println!("{}", report.join("\n"));
+}
+
+/// What one served, pooled, empty job allocates, all threads together:
+/// the tenant's name in the client's `JobSpec`, the boxed runner, the
+/// job's shared state, and the run itself.  ISSUE 20 read 5 more — the
+/// name cloned for the depth map, the job record, two rollup look-ups
+/// and a local — before `submit` and `complete` looked tenants up by
+/// `&str`.  Exact: lower it when a change removes one, never raise it.
+const SERVED_NULL_JOB: u64 = 27;
+
+#[test]
+fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
+    const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n      Join\n";
+    const NPROC: usize = 2;
+    const BATCH: u64 = 100;
+    let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
+    let id = MachineId::SequentBalance;
+    let machine = Machine::new(id);
+    let expanded = preprocess(NULL, id).unwrap();
+    let engine = Arc::new(Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap());
+    engine.set_pool(Arc::new(ForcePool::new(NPROC, machine.stats())));
+    let server = ForceServer::new(ServerConfig::default(), machine.stats());
+    let serve_a_batch = || {
+        for _ in 0..BATCH {
+            let runner = engine.serve_runner(NPROC, RunOptions::default(), |_| ());
+            let job = server.submit(JobSpec::for_tenant("closed"), runner);
+            let outcome = job.expect_admitted().wait();
+            assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
+        }
+    };
+    // Warm up: the tenant's first job, queue and map growth, thread-locals.
+    serve_a_batch();
+    let per_job: Vec<u64> = (0..3)
+        .map(|_| {
+            ALL_COUNT.store(0, Ordering::SeqCst);
+            EVERY_THREAD.store(true, Ordering::SeqCst);
+            serve_a_batch();
+            EVERY_THREAD.store(false, Ordering::SeqCst);
+            let batch = ALL_COUNT.load(Ordering::SeqCst);
+            assert_eq!(batch % BATCH, 0, "{batch} allocations in {BATCH} jobs");
+            batch / BATCH
+        })
+        .collect();
+    println!("a served null job: {per_job:?} allocations");
+    assert_eq!(per_job, [SERVED_NULL_JOB; 3]);
 }

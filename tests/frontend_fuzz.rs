@@ -2,11 +2,12 @@
 //!
 //! Every corpus program (`tests/support/corpus.rs`) is mutated 2 000
 //! times — a byte flipped, a span deleted or duplicated, or one of the
-//! tokens that steer the scanners (`` ` `` `'` `(` `)` `,` `$1` `dnl`, and
-//! multi-byte text) spliced in at a random byte offset, inside
-//! identifiers and labels too — and each mutant goes through sed → m4 →
-//! m4 → lex → parse → bytecode on a drawn personality.  The outcome must
-//! be a program or a `PrepError`/`FortError`: never a panic (the byte
+//! tokens that steer the scanners (`` ` `` `'` `(` `)` `,` `-` `$1` `dnl`
+//! `eval(`, multi-byte text, and an `eval` of 300 signs, past its limit)
+//! spliced in at a random byte offset, inside identifiers and labels too
+//! — and each mutant goes through sed → m4 → m4 → lex → parse → bytecode
+//! on a drawn personality.  The outcome must be a program or a
+//! `PrepError`/`FortError`: never a panic (the byte
 //! scanners' hazard is a slice off a `char` boundary), never a stack
 //! overflow on the 512 KiB a multiplexed pid gets, never a second of
 //! work.  Hermetic: `XorShift64`, fixed seeds; a failure names the
@@ -29,7 +30,8 @@ const MUTATIONS_PER_PROGRAM: u64 = 2000;
 const STACK: usize = 512 * 1024;
 
 /// What gets spliced in: every delimiter of the m4 and Fortran scanners,
-/// a parameter, a line-eating builtin, and text of 2, 3 and 4 bytes a
+/// a parameter, a line-eating builtin, the builtin that parses its
+/// argument and the sign it recurses on, and text of 2, 3 and 4 bytes a
 /// character (the first of them is the pair a sed-pass crash once
 /// shrank to).
 const SPLICES: &[&str] = &[
@@ -38,8 +40,10 @@ const SPLICES: &[&str] = &[
     "(",
     ")",
     ",",
+    "-",
     "$1",
     "dnl",
+    "eval(",
     "\"\u{3a3}",
     "\u{e9}",
     "\u{6f22}",
@@ -51,7 +55,7 @@ fn mutate(source: &str, rng: &mut XorShift64) -> (String, String) {
     let mut bytes = source.as_bytes().to_vec();
     let at = rng.next_index(bytes.len());
     let span = |rng: &mut XorShift64| at + 1 + rng.next_index(24.min(bytes.len() - at));
-    let what = match rng.next_index(3 + SPLICES.len()) {
+    let what = match rng.next_index(4 + SPLICES.len()) {
         0 => {
             bytes[at] ^= 1 << rng.next_index(8);
             format!("flip a bit of byte {at}")
@@ -67,8 +71,17 @@ fn mutate(source: &str, rng: &mut XorShift64) -> (String, String) {
             bytes.splice(at..at, copy);
             format!("duplicate {at}..{end}")
         }
+        3 => {
+            // `eval` recurses per unary `-`: a run of them past its limit,
+            // which m4 reads wherever the sed pass lets it through
+            // (character literals, comment lines) and the Fortran parser
+            // wherever it lands in a name.
+            let deep = format!("eval({}1)", "-".repeat(300));
+            bytes.splice(at..at, deep.bytes());
+            format!("splice an eval of 300 signs at {at}")
+        }
         n => {
-            let token = SPLICES[n - 3];
+            let token = SPLICES[n - 4];
             bytes.splice(at..at, token.bytes());
             format!("splice {token:?} at {at}")
         }

@@ -483,5 +483,5 @@ fn a_job_wider_than_its_pool_runs_on_scoped_threads_in_both_renderings() {
     assert_eq!(out.shared_scalar("RUNS"), Some(Value::Int(3)));
     assert_eq!(out.stats.processes_created, 3);
 
-    assert_eq!(pool.jobs_completed(), 0, "the mailbox never saw either job");
+    assert_eq!(pool.jobs_completed(), 0, "the pool never saw either job");
 }

@@ -141,7 +141,7 @@ const THREAD_CREATION_EXEMPT: &[&str] = &[
     // The scoped launcher (one thread per pid) and `StopGuard`, the one
     // helper-thread protocol (watchdog, deadline watcher).
     "machdep/src/process.rs",
-    // The resident workers behind the mailbox launcher.
+    // The resident workers behind the pooled launcher.
     "machdep/src/pool.rs",
     // The dispatcher shards.
     "machdep/src/serve.rs",

@@ -6,9 +6,11 @@
 mod support;
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use the_force::fortran::Value;
-use the_force::machdep::{Machine, MachineId};
+use the_force::machdep::{FaultConfig, FaultPlane, ForcePool, Machine, MachineId, OpStats};
 use the_force::prelude::*;
 
 #[test]
@@ -182,4 +184,48 @@ fn wide_force_oversubscribed() {
             .selfsched();
     });
     assert_eq!(acc.load(Ordering::Relaxed), 125_250 + 1);
+}
+
+#[test]
+fn pool_handoff_never_loses_a_wakeup() {
+    // Two submitters contend for one pool with empty jobs of every width
+    // it hosts, so each hand-off — the queue for the pool, the posts to
+    // the workers, the join in its polled and its parked form — is taken
+    // a few hundred thousand times against a peer that is doing the same.
+    // A lost wake-up cannot fail an assertion, it hangs; so the
+    // submitters are plain threads and this one watches the count move.
+    const JOBS: u64 = 100_000;
+    let stats = Arc::new(OpStats::new());
+    let pool = Arc::new(ForcePool::new(4, &stats));
+    let submitters: Vec<_> = (0..2u64)
+        .map(|submitter| {
+            let (pool, stats) = (Arc::clone(&pool), Arc::clone(&stats));
+            std::thread::spawn(move || {
+                let planes: Vec<_> = (1..=4)
+                    .map(|nproc| FaultPlane::new(nproc, Arc::clone(&stats), FaultConfig::default()))
+                    .collect();
+                for job in 0..JOBS {
+                    let plane = &planes[((job + submitter) % 4) as usize];
+                    let pids = pool.run_plane(plane, |pid| pid).expect("a null job");
+                    assert!(pids.into_iter().eq(0..plane.nproc()));
+                }
+            })
+        })
+        .collect();
+    let mut moved = (pool.jobs_completed(), Instant::now());
+    while submitters.iter().any(|s| !s.is_finished()) {
+        std::thread::sleep(Duration::from_millis(20));
+        let completed = pool.jobs_completed();
+        if completed != moved.0 {
+            moved = (completed, Instant::now());
+        }
+        assert!(
+            moved.1.elapsed() < Duration::from_secs(5),
+            "the pool has stalled at {completed} jobs"
+        );
+    }
+    for submitter in submitters {
+        submitter.join().expect("a submitter failed");
+    }
+    assert_eq!(pool.jobs_completed(), 2 * JOBS);
 }
