@@ -10,7 +10,7 @@
 //! for exactly one thread and is deliberately `!Sync`: the Force model has
 //! no notion of two processes sharing one process context.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use force_machdep::fault;
@@ -31,6 +31,11 @@ pub struct Player {
     /// encounter (private; advances in lockstep across the force for a
     /// correct SPMD program).
     seq: Cell<usize>,
+    /// The named locks this process has used, so that entering a critical
+    /// section again takes neither the environment's table mutex nor an
+    /// allocation.  A player lives for one run and the environment's
+    /// table is only cleared between runs, so an entry cannot go stale.
+    named: RefCell<Vec<(Box<str>, LockHandle)>>,
 }
 
 impl Player {
@@ -50,6 +55,7 @@ impl Player {
             barrier,
             registry,
             seq: Cell::new(0),
+            named: RefCell::new(Vec::new()),
         }
     }
 
@@ -128,7 +134,13 @@ impl Player {
 
     /// The named lock variable `name` (shared across the force).
     pub fn named_lock(&self, name: &str) -> LockHandle {
-        self.env.named_lock(name)
+        let mut named = self.named.borrow_mut();
+        if let Some((_, lock)) = named.iter().find(|(n, _)| **n == *name) {
+            return Arc::clone(lock);
+        }
+        let lock = self.env.named_lock(name);
+        named.push((name.into(), Arc::clone(&lock)));
+        lock
     }
 }
 

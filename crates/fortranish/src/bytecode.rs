@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use force_core::schedule::ForceRange;
-use force_machdep::fault;
+use force_machdep::{fault, FullEmptyState};
 use force_prep::weigh::{str_bytes, strings_bytes, vec_bytes};
 
 use crate::ast::{BinOp, Expr, LValue, Ty, UnOp};
@@ -36,7 +36,7 @@ use crate::engine::{
     aini_service, check_fork_mnemonic, check_hardware_fe, check_isfull_machine, check_vendor_locks,
     eval_binop, hep_construct, hep_consume, hep_copy, hep_produce, init_lock_service, isfull_value,
     link_service, lock_mnemonic, lock_service, num_cmp, shpg_service, spawn_force, strt0_service,
-    voidl_service, ArgVal, Flow, Rt, SharedState,
+    voidl_service, ArgVal, Flow, ProcLock, Rt, SharedState,
 };
 use crate::error::FortError;
 use crate::intrinsics;
@@ -1025,6 +1025,29 @@ pub(crate) struct VmProc<'r, 'e> {
     /// (preserving the Sequent's designate-at-first-use failure timing)
     /// and then cached for the process's lifetime.
     shared: Option<(Arc<SharedState>, Vec<usize>)>,
+    /// The lock variables this process has used, sorted by shared offset
+    /// and resolved once each ([`Rt::resolve_lock`]); unallocated until
+    /// the first lock operation.  It cannot go stale: locks are created
+    /// by the generated driver before it forks, never inside a force, and
+    /// the table dies with the process.
+    locks: Vec<(usize, ProcLock)>,
+    /// The HEP full/empty tags this process has used, the same way.
+    tags: Vec<(usize, Arc<FullEmptyState>)>,
+}
+
+/// Where `offset` sits in a per-process table sorted by offset, resolved
+/// and inserted on first use.
+fn slot_of<T>(
+    table: &mut Vec<(usize, T)>,
+    offset: usize,
+    resolve: impl FnOnce() -> Result<T, FortError>,
+) -> Result<usize, FortError> {
+    table
+        .binary_search_by_key(&offset, |(o, _)| *o)
+        .or_else(|at| {
+            table.insert(at, (offset, resolve()?));
+            Ok(at)
+        })
 }
 
 impl<'r, 'e> VmProc<'r, 'e> {
@@ -1035,7 +1058,24 @@ impl<'r, 'e> VmProc<'r, 'e> {
             me,
             np,
             shared: None,
+            locks: Vec::new(),
+            tags: Vec::new(),
         }
+    }
+
+    /// This process's entry for the lock variable at `offset`.
+    fn lock_at(&mut self, offset: usize, line: usize) -> Result<&ProcLock, FortError> {
+        let rt = self.rt;
+        let at = slot_of(&mut self.locks, offset, || rt.resolve_lock(offset, line))?;
+        Ok(&self.locks[at].1)
+    }
+
+    /// This process's entry for the full/empty cell at `offset`, as an
+    /// index into `tags` (the caller also borrows the shared region).
+    fn tag_at(&mut self, offset: usize) -> usize {
+        let rt = self.rt;
+        slot_of(&mut self.tags, offset, || Ok(rt.tag_handle(offset)))
+            .expect("a tag always resolves")
     }
 
     fn shared_ref(&mut self, line: usize) -> Result<&(Arc<SharedState>, Vec<usize>), FortError> {
@@ -1451,8 +1491,11 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 }
                 Instr::SvcLock { is_lock, var_name } => {
                     let (offset, _) = places.pop().expect("service place");
-                    let name = var_name.map(|i| self.cp.names[i as usize].as_str());
-                    lock_service(self.rt, offset, *is_lock, name, line)?;
+                    let cp = self.cp;
+                    let name = var_name.map(|i| cp.names[i as usize].as_str());
+                    let (rt, me) = (self.rt, self.me);
+                    let lock = self.lock_at(offset, line)?;
+                    lock_service(rt, me, offset, lock, *is_lock, name, line)?;
                 }
                 Instr::SvcInitLock {
                     keep_locked,
@@ -1469,7 +1512,8 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::SvcVoidl => {
                     let (f, _) = places.pop().expect("service place");
                     let (e, _) = places.pop().expect("service place");
-                    voidl_service(self.rt, e, f, line)?;
+                    let e = Arc::clone(&self.lock_at(e, line)?.handle);
+                    voidl_service(&e, &self.lock_at(f, line)?.handle);
                 }
                 Instr::SvcHwCheck => {
                     check_hardware_fe(self.rt.engine.machine(), line)?;
@@ -1477,33 +1521,34 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::SvcHepProduce => {
                     let value = pop!();
                     let (offset, ty) = places.pop().expect("service place");
-                    let tag = self.rt.tag_handle(offset);
+                    let tag = self.tag_at(offset);
                     self.shared_ref(line)?;
                     let (state, _) = self.shared.as_ref().expect("just resolved");
                     let _c = fault::enter(hep_construct("ZZHPRD"));
                     let v = value.convert_to(ty, line)?;
-                    hep_produce(state, &tag, offset, v.to_bits());
+                    hep_produce(state, &self.tags[tag].1, offset, v.to_bits());
                 }
                 Instr::SvcHepConsume | Instr::SvcHepCopy => {
                     let copy = matches!(&code[pc], Instr::SvcHepCopy);
                     let (offset, ty) = places.pop().expect("service place");
-                    let tag = self.rt.tag_handle(offset);
+                    let tag = self.tag_at(offset);
                     self.shared_ref(line)?;
                     let (state, _) = self.shared.as_ref().expect("just resolved");
+                    let tag = &self.tags[tag].1;
                     let _c = fault::enter(hep_construct(if copy { "ZZHCPY" } else { "ZZHCON" }));
                     let v = if copy {
-                        hep_copy(state, &tag, offset, ty)
+                        hep_copy(state, tag, offset, ty)
                     } else {
-                        hep_consume(state, &tag, offset, ty)
+                        hep_consume(state, tag, offset, ty)
                     };
                     stack.push(v);
                 }
                 Instr::SvcHepVoid => {
                     let (offset, _) = places.pop().expect("service place");
-                    let tag = self.rt.tag_handle(offset);
+                    let tag = self.tag_at(offset);
                     self.shared_ref(line)?;
                     let _c = fault::enter(hep_construct("ZZHVD"));
-                    tag.void();
+                    self.tags[tag].1.void();
                 }
                 Instr::SvcStrt0 => strt0_service(self.rt, line)?,
                 Instr::SvcLink => link_service(self.rt, line)?,

@@ -98,8 +98,10 @@ struct Session {
     /// the wedge outlives it too: every later run whose `ZZINITU`
     /// aliases that slot blocks forever (the Cray-2 wedged-slot
     /// hazard).  [`Engine::release_wedged_user_locks`] drains this
-    /// table at run quiescence and frees any still-held slot.
-    held_user: Mutex<HashMap<usize, LockHandle>>,
+    /// table at run quiescence and frees any still-held slot.  The
+    /// holder's pid rides along: a process about to lock a slot it holds
+    /// itself under another name gets an error, not a park.
+    held_user: Mutex<HashMap<usize, (i64, LockHandle)>>,
     /// The fault plane, reused across runs of the same process count.
     plane: Mutex<Option<Arc<FaultPlane>>>,
 }
@@ -366,29 +368,11 @@ impl Engine {
                 }
             }
             if let Some(&env_base) = state.bases.get("ZZFENV") {
-                let mut offset = 0usize;
-                for cell in &self.env_cells {
-                    // Entries are `NAME` or `NAME(words)` for lock arrays.
-                    let (name, words) = match cell.find('(') {
-                        Some(p) => {
-                            let w: usize = cell[p + 1..cell.len() - 1]
-                                .split(',')
-                                .map(|d| d.trim().parse::<usize>().unwrap_or(1))
-                                .product();
-                            (cell[..p].to_string(), w)
-                        }
-                        None => (cell.clone(), 1),
-                    };
-                    let vals = (0..words)
-                        .map(|i| {
-                            Value::from_bits(
-                                state.region.load_raw(env_base + offset + i),
-                                Ty::Integer,
-                            )
-                        })
+                for (name, first, words) in self.env_layout() {
+                    let vals = (first..first + words)
+                        .map(|i| Value::from_bits(state.region.load_raw(env_base + i), Ty::Integer))
                         .collect();
-                    shared_values.insert(name, vals);
-                    offset += words;
+                    shared_values.insert(name.to_string(), vals);
                 }
             }
         }
@@ -404,6 +388,28 @@ impl Engine {
             linker_commands: rt.linker.into_inner(),
             shared_values,
             profile,
+        })
+    }
+
+    /// The environment cells as `ZZFENV` holds them: name, first word
+    /// within the block, words.  Entries are `NAME`, or `NAME(words)` for
+    /// lock arrays.
+    fn env_layout(&self) -> impl Iterator<Item = (&str, usize, usize)> {
+        let mut next = 0usize;
+        self.env_cells.iter().map(move |cell| {
+            let (name, words) = match cell.find('(') {
+                Some(p) => {
+                    let w: usize = cell[p + 1..cell.len() - 1]
+                        .split(',')
+                        .map(|d| d.trim().parse::<usize>().unwrap_or(1))
+                        .product();
+                    (&cell[..p], w)
+                }
+                None => (cell.as_str(), 1),
+            };
+            let first = next;
+            next += words;
+            (name, first, words)
         })
     }
 
@@ -530,7 +536,7 @@ impl Engine {
     /// been joined or unwound — so a still-locked entry can only be a
     /// fault orphan, never a live holder.
     fn release_wedged_user_locks(&self) {
-        for (_, handle) in self.session.held_user.lock().drain() {
+        for (_, (_, handle)) in self.session.held_user.lock().drain() {
             if handle.is_locked() {
                 handle.unlock();
             }
@@ -591,11 +597,32 @@ impl Rt<'_> {
         Ok(state)
     }
 
+    /// Resolve a lock variable for one process: the session's lock table
+    /// and pooled-user set are consulted here, once per process and
+    /// variable, and never again by that process's lock operations.
+    pub(crate) fn resolve_lock(&self, offset: usize, line: usize) -> Result<ProcLock, FortError> {
+        let handle = self.lock_handle(offset, line)?;
+        let pooled = self.engine.machine.spec().lock_pool_capacity.is_some()
+            && self.engine.session.pooled_user.lock().contains(&offset);
+        Ok(ProcLock { handle, pooled })
+    }
+
+    /// The name of the lock variable at a shared offset, for a message.
+    fn lock_var_name(&self, offset: usize) -> String {
+        let in_env = || {
+            let shared = self.engine.session.shared.lock();
+            let word = offset.checked_sub(*shared.as_ref()?.bases.get("ZZFENV")?)?;
+            let mut cells = self.engine.env_layout();
+            let (name, ..) =
+                cells.find(|&(_, first, words)| (first..first + words).contains(&word))?;
+            Some(name.to_string())
+        };
+        in_env().unwrap_or_else(|| format!("at shared word {offset}"))
+    }
+
     pub(crate) fn lock_handle(&self, offset: usize, line: usize) -> Result<LockHandle, FortError> {
-        self.engine
-            .session
-            .locks
-            .lock()
+        let locks = self.engine.session.locks.lock();
+        locks
             .get(&offset)
             .cloned()
             .ok_or_else(|| FortError::runtime(line, "lock variable used before initialization"))
@@ -654,28 +681,65 @@ pub(crate) fn check_vendor_locks(
     Ok(())
 }
 
-/// Acquire or release an initialized lock.  With tracing armed, an
-/// acquire is attributed to the lock *variable's* name (BARWIN/BARWOT,
-/// LOOPn, user critical names).  Hold time is not recorded here: the
-/// expanded barrier and loop protocols pass lock ownership between
-/// processes, so a lock→unlock pairing on one pid would mis-state it.
-/// `named_lock_id` is runtime-armed — it must be consulted per call,
-/// never precomputed at compile time.
+/// A lock variable as one process sees it ([`Rt::resolve_lock`]).  The
+/// bytecode VM keeps these for the life of a process; the oracle
+/// resolves before every operation.
+pub(crate) struct ProcLock {
+    pub(crate) handle: LockHandle,
+    /// A user lock on a scarce-pool machine: its holds are registered
+    /// in the session's `held_user`.
+    pooled: bool,
+}
+
+/// Acquire or release a resolved lock on behalf of process `me`.  With
+/// tracing armed, an acquire is attributed to the lock *variable's* name
+/// (BARWIN/BARWOT, LOOPn, user critical names).  Hold time is not
+/// recorded here: the expanded barrier and loop protocols pass lock
+/// ownership between processes, so a lock→unlock pairing on one pid
+/// would mis-state it.  `named_lock_id` is runtime-armed — it must be
+/// consulted per call, never precomputed at compile time.
 pub(crate) fn lock_service(
     rt: &Rt<'_>,
+    me: i64,
     offset: usize,
+    lock: &ProcLock,
     is_lock: bool,
     var_name: Option<&str>,
     line: usize,
 ) -> Result<(), FortError> {
-    let handle = rt.lock_handle(offset, line)?;
     // Pooled user locks register each hold so a faulting holder's slot
     // can be freed at run quiescence instead of wedging the machine.
     // The entry must be withdrawn *before* the unlock (a successor may
     // acquire and re-register the same offset the moment it is free).
-    let scarce = rt.engine.machine.spec().lock_pool_capacity.is_some()
-        && rt.engine.session.pooled_user.lock().contains(&offset);
+    let ProcLock {
+        handle,
+        pooled: scarce,
+    } = lock;
     if is_lock {
+        if *scarce {
+            // The pool hands the same physical lock to several names once
+            // it is full.  A process that holds one of them and asks for
+            // another would wait for itself.
+            let outer = {
+                let held = rt.engine.session.held_user.lock();
+                held.iter()
+                    .find(|(_, (pid, h))| *pid == me && Arc::ptr_eq(h, handle))
+                    .map(|(&outer, _)| outer)
+            };
+            if let Some(outer) = outer {
+                let capacity = rt.engine.machine.spec().lock_pool_capacity.unwrap_or(0);
+                return Err(FortError::runtime(
+                    line,
+                    format!(
+                        "lock variable {} shares a physical lock with {}, which this process \
+                         already holds: the machine's pool has {capacity} locks, so nesting \
+                         these two would wait forever",
+                        rt.lock_var_name(offset),
+                        rt.lock_var_name(outer),
+                    ),
+                ));
+            }
+        }
         match var_name.and_then(trace::named_lock_id) {
             None => handle.lock(),
             Some(id) => {
@@ -685,15 +749,15 @@ pub(crate) fn lock_service(
                 trace::named_wait(id, now.saturating_sub(t0));
             }
         }
-        if scarce {
+        if *scarce {
             rt.engine
                 .session
                 .held_user
                 .lock()
-                .insert(offset, Arc::clone(&handle));
+                .insert(offset, (me, Arc::clone(handle)));
         }
     } else {
-        if scarce {
+        if *scarce {
             rt.engine.session.held_user.lock().remove(&offset);
         }
         handle.unlock();
@@ -741,14 +805,7 @@ pub(crate) fn aini_service(rt: &Rt<'_>, e: usize, f: usize) {
 /// `ZZVOIDL`: void an async variable through its two-lock encoding.
 /// Spins until the cell is observably full or empty, honoring a fault
 /// plane's cancellation while parked.
-pub(crate) fn voidl_service(
-    rt: &Rt<'_>,
-    e_off: usize,
-    f_off: usize,
-    line: usize,
-) -> Result<(), FortError> {
-    let e = rt.lock_handle(e_off, line)?;
-    let f = rt.lock_handle(f_off, line)?;
+pub(crate) fn voidl_service(e: &LockHandle, f: &LockHandle) {
     force_machdep::park::wait_until(Construct::Void, || {
         if e.try_lock() {
             // was full: unlock F to reach the empty state
@@ -762,7 +819,6 @@ pub(crate) fn voidl_service(
         }
         false
     });
-    Ok(())
 }
 
 /// The `ZZH*` mnemonics exist only on hardware full/empty machines.

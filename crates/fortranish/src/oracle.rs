@@ -260,7 +260,8 @@ impl Proc<'_, '_> {
                 Some(Expr::Var(n)) => Some(n.as_str()),
                 _ => None,
             };
-            lock_service(self.rt, offset, is_lock, var_name, line)?;
+            let lock = self.rt.resolve_lock(offset, line)?;
+            lock_service(self.rt, self.me, offset, &lock, is_lock, var_name, line)?;
             return Ok(Flow::Normal);
         }
         match name {
@@ -278,7 +279,8 @@ impl Proc<'_, '_> {
             "ZZVOIDL" => {
                 let e_off = self.shared_offset_arg(frame, args, 0, name, line)?;
                 let f_off = self.shared_offset_arg(frame, args, 1, name, line)?;
-                voidl_service(self.rt, e_off, f_off, line)?;
+                let e = self.rt.lock_handle(e_off, line)?;
+                voidl_service(&e, &self.rt.lock_handle(f_off, line)?);
                 Ok(Flow::Normal)
             }
             "ZZHPRD" | "ZZHCON" | "ZZHVD" | "ZZHCPY" => {

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::fault;
 use crate::lock::{LockKind, LockState, RawLock};
-use crate::park;
+use crate::park::{self, Waiters};
 use crate::portable::{Condvar, Mutex};
 use crate::stats::StatsHandle;
 
@@ -25,6 +25,9 @@ pub struct CombinedLock {
     /// `locked` so the fast path never touches the mutex.
     wait: Mutex<()>,
     cond: Condvar,
+    /// Processes in phase 2; a release with none skips `wait` and the
+    /// wake.
+    waiters: Waiters,
     spin_limit: u32,
     stats: StatsHandle,
 }
@@ -47,6 +50,7 @@ impl CombinedLock {
             locked: AtomicBool::new(initial == LockState::Locked),
             wait: Mutex::new(()),
             cond: Condvar::new(),
+            waiters: Waiters::default(),
             spin_limit,
             stats,
         }
@@ -80,24 +84,30 @@ impl RawLock for CombinedLock {
         self.stats.add(|s| &s.spin_retries, spun);
         self.stats.count(|s| &s.lock_contended);
 
-        // Phase 2: give up the processor.  The parking layer tests (and
-        // claims) the flag under `wait`, which the releaser also holds
-        // while notifying, closing the missed-wakeup window; one park is
-        // billed per blocking episode, never per timed slice.
+        // Phase 2: give up the processor.  Registered first (see
+        // `park::Waiters`), the parking layer then tests (and claims) the
+        // flag under `wait`, which a releaser that saw the registration
+        // also holds while notifying, closing the missed-wakeup window;
+        // one park is billed per blocking episode, never per timed slice.
         self.stats.count(|s| &s.syscalls);
-        park::wait_on(&self.wait, &self.cond, fault::Construct::Lock, |_| {
-            !self.locked.swap(true, Ordering::Acquire)
-        });
+        {
+            let _registered = self.waiters.register();
+            park::wait_on(&self.wait, &self.cond, fault::Construct::Lock, |_| {
+                !self.locked.swap(true, Ordering::SeqCst)
+            });
+        }
         self.stats.count(|s| &s.lock_acquires);
         crate::trace::lock_acquired(true);
     }
 
     fn unlock(&self) {
-        self.locked.store(false, Ordering::Release);
-        // Take the wait mutex so a waiter between its flag test and its
-        // `wait()` cannot miss this notification.
-        let _guard = self.wait.lock();
-        self.cond.notify_one();
+        self.locked.store(false, Ordering::SeqCst);
+        if self.waiters.any() {
+            // Take the wait mutex so a waiter between its flag test and
+            // its `wait()` cannot miss this notification.
+            let _guard = self.wait.lock();
+            self.cond.notify_one();
+        }
         self.stats.count(|s| &s.lock_releases);
     }
 
@@ -196,6 +206,12 @@ mod tests {
             }
         });
         assert_eq!(counter.load(Ordering::Relaxed), 8 * 300);
+    }
+
+    #[test]
+    fn a_cancelled_waiter_deregisters() {
+        let (l, stats) = mk(LockState::Locked);
+        l.waiters.check_cancelled_waiter_deregisters(&*l, stats);
     }
 
     #[test]

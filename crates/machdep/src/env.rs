@@ -107,18 +107,24 @@ impl ForceEnvironment {
     /// aliases the same lock, exactly like a shared Fortran variable.
     pub fn named_lock(&self, name: &str) -> LockHandle {
         let mut table = self.named_locks.lock();
-        Arc::clone(
-            table
-                .entry(name.to_string())
-                .or_insert_with(|| self.machine.make_lock(LockState::Unlocked)),
-        )
+        if let Some(lock) = table.get(name) {
+            return Arc::clone(lock);
+        }
+        let lock = self.machine.make_lock(LockState::Unlocked);
+        table.insert(name.to_string(), Arc::clone(&lock));
+        lock
     }
 
     /// Look up (creating on first use) the shared loop-index cell for a
     /// selfscheduled loop label (`K_shared` in the §4.2 expansion).
     pub fn shared_index(&self, label: &str) -> Arc<AtomicI64> {
         let mut table = self.shared_indices.lock();
-        Arc::clone(table.entry(label.to_string()).or_default())
+        if let Some(cell) = table.get(label) {
+            return Arc::clone(cell);
+        }
+        let cell = Arc::<AtomicI64>::default();
+        table.insert(label.to_string(), Arc::clone(&cell));
+        cell
     }
 
     /// Hand out a fresh unique process identifier beyond the initial

@@ -47,7 +47,7 @@ use crate::cost::CostModel;
 use crate::park::{self, ParkBackend, Parker, VirtualSummary};
 use crate::portable::{CachePadded, Mutex, XorShift64};
 use crate::process::StopSignal;
-use crate::stats::{OpStats, StatsHandle};
+use crate::stats::{OpStats, StatsHandle, StatsSnapshot};
 use crate::trace::{self, ProfileReport, TraceConfig, TraceSink};
 use crate::workq::SchedulePolicy;
 
@@ -242,6 +242,21 @@ const RUNNING: usize = 0;
 const PARKED: usize = 1;
 const FINISHED: usize = 2;
 const STATE_MASK: usize = 0b11;
+const _: () = assert!(RUNNING == 0, "a default `PidSlot` must read as running");
+
+/// What a plane keeps per pid, on cache lines no other pid writes: the
+/// wait-board word and the pid's counter lane.  The default is a running
+/// process that has counted nothing.
+#[derive(Default)]
+struct PidSlot {
+    /// Wait board: `state | construct_index << 2`.
+    board: AtomicUsize,
+    /// Every charge the pid makes while it runs as a process of this
+    /// plane.  Folded into the plane's [`StatsHandle`] when the process
+    /// ends ([`FaultPlane::fold_lane`]), so a lock operation inside a
+    /// force writes no counter another process writes.
+    lane: OpStats,
+}
 
 /// The per-force fault plane: cancellation token, first-fault slot, wait
 /// board, and configuration.  One is created per force execution (or per
@@ -251,7 +266,8 @@ pub struct FaultPlane {
     /// The plane's accounting handle: a **private** counter block (the
     /// per-plane view behind exact `last_job_stats` deltas) whose
     /// charges are mirrored into the enclosing session and machine
-    /// rollups.  No other plane ever writes the local block.
+    /// rollups.  No other plane ever writes the local block.  Processes
+    /// charge their lane (`slots`) and reach this handle once, at exit.
     stats: StatsHandle,
     /// Per-job configuration.  Behind a mutex so a resident session can
     /// swap it between jobs ([`reset_for_job`](Self::reset_for_job));
@@ -266,8 +282,8 @@ pub struct FaultPlane {
     /// The first genuine panic's original payload, kept so the legacy
     /// panic-propagating entry points can re-raise it verbatim.
     payload: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Wait board: per-pid `state | construct_index << 2`.
-    board: Vec<CachePadded<AtomicUsize>>,
+    /// Per-pid wait-board word and counter lane, one allocation.
+    slots: Vec<CachePadded<PidSlot>>,
     /// The job's trace sink, when tracing is armed.  Behind a mutex for
     /// the same reason as `config`; each process snapshots the `Arc` into
     /// its thread-local context at install, so trace hooks never take it.
@@ -302,9 +318,7 @@ impl FaultPlane {
             tripped: AtomicBool::new(false),
             fault: Mutex::new(None),
             payload: Mutex::new(None),
-            board: (0..nproc)
-                .map(|_| CachePadded::new(AtomicUsize::new(RUNNING)))
-                .collect(),
+            slots: (0..nproc).map(|_| CachePadded::default()).collect(),
             trace: Mutex::new(
                 config
                     .trace
@@ -437,8 +451,8 @@ impl FaultPlane {
         *self.config.lock() = config;
         *self.fault.lock() = None;
         *self.payload.lock() = None;
-        for slot in &self.board {
-            slot.store(RUNNING, Ordering::Release);
+        for slot in &self.slots {
+            slot.board.store(RUNNING, Ordering::Release);
         }
         self.tripped.store(false, Ordering::Release);
     }
@@ -489,9 +503,31 @@ impl FaultPlane {
     }
 
     fn set_board(&self, pid: usize, state: usize, construct: Construct) {
-        if let Some(slot) = self.board.get(pid) {
-            slot.store(state | (construct.index() << 2), Ordering::Release);
+        if let Some(slot) = self.slots.get(pid) {
+            slot.board
+                .store(state | (construct.index() << 2), Ordering::Release);
         }
+    }
+
+    /// Move `pid`'s counter lane into the plane's handle (private block
+    /// and rollups).  [`run_as_process`](crate::process::run_as_process)
+    /// calls this once as the process ends, however it ends; until then
+    /// the pid's counts are visible through [`live_stats`](Self::live_stats)
+    /// only.
+    pub(crate) fn fold_lane(&self, pid: usize) {
+        self.stats.fold(&self.slots[pid].lane);
+    }
+
+    /// The plane's counts as of now: the private block plus every lane
+    /// not yet folded.  [`stats`](Self::stats) alone is exact once the
+    /// job's processes have ended; a reader that looks *during* a job
+    /// (the watchdog, a live metrics snapshot) wants this.
+    pub fn live_stats(&self) -> StatsSnapshot {
+        let mut total = self.stats.local().snapshot();
+        for slot in &self.slots {
+            total.merge(&slot.lane.snapshot());
+        }
+        total
     }
 
     /// Mark `pid` finished on the wait board (it can no longer deadlock).
@@ -503,8 +539,8 @@ impl FaultPlane {
     /// return the lowest parked pid and its construct.
     fn all_parked(&self) -> Option<(usize, Construct)> {
         let mut witness = None;
-        for (pid, slot) in self.board.iter().enumerate() {
-            let word = slot.load(Ordering::Acquire);
+        for (pid, slot) in self.slots.iter().enumerate() {
+            let word = slot.board.load(Ordering::Acquire);
             match word & STATE_MASK {
                 FINISHED => {}
                 PARKED => {
@@ -524,15 +560,15 @@ impl FaultPlane {
     fn progress_signature(&self) -> u64 {
         // Read the plane's *private* counters: another plane making
         // progress on the same machine must not mask this force's
-        // stagnation (nor reset its stagnation count).
-        let stats = self.stats.local();
-        let g = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        g(&stats.lock_acquires)
-            .wrapping_add(g(&stats.lock_releases))
-            .wrapping_add(g(&stats.fe_produces))
-            .wrapping_add(g(&stats.fe_consumes))
-            .wrapping_add(g(&stats.barrier_episodes))
-            .wrapping_add(g(&stats.processes_created))
+        // stagnation (nor reset its stagnation count).  Running
+        // processes count in their lanes, so the lanes are summed in.
+        let s = self.live_stats();
+        s.lock_acquires
+            .wrapping_add(s.lock_releases)
+            .wrapping_add(s.fe_produces)
+            .wrapping_add(s.fe_consumes)
+            .wrapping_add(s.barrier_episodes)
+            .wrapping_add(s.processes_created)
     }
 
     /// The deadlock watchdog loop, run on a helper thread by
@@ -614,6 +650,14 @@ struct Ctx {
     rng: RefCell<Option<XorShift64>>,
 }
 
+impl Ctx {
+    /// The counter lane this process owns.
+    #[inline]
+    fn lane(&self) -> &OpStats {
+        &self.plane.slots[self.pid].lane
+    }
+}
+
 thread_local! {
     static CTX: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
@@ -633,6 +677,7 @@ impl Drop for CtxGuard {
 /// (called by `launch_plane`; nestable, the guard restores the outer
 /// context).
 pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
+    assert!(pid < plane.nproc, "pid {pid} outside the plane");
     CTX.with(|c| {
         let prev = c.borrow_mut().replace(Ctx {
             plane: Arc::clone(plane),
@@ -771,12 +816,10 @@ pub fn count_steal(taken: bool, failed_probes: u64) {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             if taken {
-                ctx.plane.stats.add_direct(&|s| &s.steals, 1);
+                OpStats::count(&ctx.lane().steals);
             }
             if failed_probes > 0 {
-                ctx.plane
-                    .stats
-                    .add_direct(&|s| &s.steal_attempts_failed, failed_probes);
+                OpStats::add(&ctx.lane().steal_attempts_failed, failed_probes);
             }
         }
     });
@@ -826,9 +869,7 @@ pub(crate) fn cancel_pending() -> bool {
 fn cancel_now() -> ! {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            ctx.plane
-                .stats
-                .add_direct(&|s| &s.cancellations_observed, 1);
+            OpStats::count(&ctx.lane().cancellations_observed);
         }
     });
     std::panic::resume_unwind(Box::new(Cancelled));
@@ -927,21 +968,20 @@ pub(crate) fn set_permit_held(held: bool) {
     });
 }
 
-/// Run `f` against the current force's counters — once per block of the
-/// plane's handle (private block first, then every rollup), so a charge
-/// made through this lands in the plane's exact per-job view *and* in
-/// the session/machine aggregates.  A no-op outside a force.  The
-/// parking layer accounts parks/wakes through this.
-pub(crate) fn with_force_stats(f: impl Fn(&OpStats)) {
+/// Run `f` against the current process's counter lane, which reaches
+/// the plane's exact per-job view *and* the session/machine aggregates
+/// when the process ends.  A no-op outside a force.  The parking layer
+/// accounts parks/wakes through this.
+pub(crate) fn with_force_stats(f: impl FnOnce(&OpStats)) {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            ctx.plane.stats.for_each_block(&f);
+            f(ctx.lane());
         }
     });
 }
 
 /// Resolve a context-preferred charge: when the calling thread runs as a
-/// force process, charge its plane's handle; otherwise, when a session
+/// force process, charge its own lane; otherwise, when a session
 /// has bound an ambient handle ([`bind_ambient_stats`]), charge that.
 /// Returns `false` when neither applies — the caller charges its own
 /// baked handle.  This is what lets a primitive constructed against the
@@ -952,7 +992,7 @@ pub(crate) fn with_force_stats(f: impl Fn(&OpStats)) {
 pub(crate) fn charge_current(proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) -> bool {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            ctx.plane.stats.add_direct(proj, n);
+            proj(ctx.lane()).fetch_add(n, Ordering::Relaxed);
             return true;
         }
         AMBIENT.with(|a| match a.borrow().last() {
@@ -1070,17 +1110,17 @@ fn roll(want_spurious: bool) -> Injected {
         });
         if want_spurious {
             if inj.spurious_per_mille > 0 && rng.next_below(1000) < inj.spurious_per_mille as u64 {
-                ctx.plane.stats.add_direct(&|s| &s.faults_injected, 1);
+                OpStats::count(&ctx.lane().faults_injected);
                 return Some(Injected::Panic(ctx.pid)); // repurposed: "spurious" marker
             }
             return Some(Injected::Nothing);
         }
         if inj.delay_per_mille > 0 && rng.next_below(1000) < inj.delay_per_mille as u64 {
-            ctx.plane.stats.add_direct(&|s| &s.faults_injected, 1);
+            OpStats::count(&ctx.lane().faults_injected);
             return Some(Injected::Delay(rng.next_below(50) + 1));
         }
         if inj.panic_per_mille > 0 && rng.next_below(1000) < inj.panic_per_mille as u64 {
-            ctx.plane.stats.add_direct(&|s| &s.faults_injected, 1);
+            OpStats::count(&ctx.lane().faults_injected);
             return Some(Injected::Panic(ctx.pid));
         }
         Some(Injected::Nothing)
@@ -1239,7 +1279,7 @@ mod tests {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(check_cancel));
         let payload = caught.expect_err("tripped plane must unwind");
         assert!(payload.is::<Cancelled>());
-        assert_eq!(p.stats().snapshot().cancellations_observed, 1);
+        assert_eq!(p.live_stats().cancellations_observed, 1);
     }
 
     #[test]
@@ -1268,7 +1308,7 @@ mod tests {
         {
             let _inner = enter(Construct::Consume);
             let park = parked(Construct::Lock);
-            let word = p.board[0].load(Ordering::Acquire);
+            let word = p.slots[0].board.load(Ordering::Acquire);
             assert_eq!(word & STATE_MASK, PARKED);
             assert_eq!(Construct::from_index(word >> 2), Construct::Consume);
             drop(park);
@@ -1276,7 +1316,7 @@ mod tests {
             // `Construct::Body`, erasing the enclosing attribution until
             // the next `enter`.  It must keep the innermost still-active
             // marker.
-            let word = p.board[0].load(Ordering::Acquire);
+            let word = p.slots[0].board.load(Ordering::Acquire);
             assert_eq!(word & STATE_MASK, RUNNING);
             assert_eq!(Construct::from_index(word >> 2), Construct::Consume);
         }
@@ -1284,7 +1324,7 @@ mod tests {
         // construct, and its end restores that same attribution.
         let park = parked(Construct::Lock);
         drop(park);
-        let word = p.board[0].load(Ordering::Acquire);
+        let word = p.slots[0].board.load(Ordering::Acquire);
         assert_eq!(word & STATE_MASK, RUNNING);
         assert_eq!(Construct::from_index(word >> 2), Construct::Doall);
     }
@@ -1377,7 +1417,7 @@ mod tests {
             let p = plane(4, config);
             let _ctx = install(&p, pid);
             let outcomes: Vec<bool> = (0..64).map(|_| spurious_lock_failure()).collect();
-            (outcomes, p.stats().snapshot().faults_injected)
+            (outcomes, p.live_stats().faults_injected)
         };
         let (a, na) = run(2);
         let (b, nb) = run(2);
@@ -1406,7 +1446,7 @@ mod tests {
         let payload = caught.expect_err("per-mille 1000 always fires");
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert_eq!(msg, "injected fault at barrier (pid 0)");
-        assert_eq!(p.stats().snapshot().faults_injected, 1);
+        assert_eq!(p.live_stats().faults_injected, 1);
     }
 
     #[test]
@@ -1421,6 +1461,44 @@ mod tests {
         assert_eq!(f.construct, "consume");
         assert!(f.payload.contains("deadlock watchdog"), "{}", f.payload);
         assert_eq!(p.stats().snapshot().watchdog_trips, 1);
+    }
+
+    /// Counts stay in a process's lane until it ends, so the watchdog
+    /// must look there: a force whose every sample shows all pids parked
+    /// but whose lock counters move between samples is alive.
+    #[test]
+    fn watchdog_sees_progress_that_is_still_in_a_lane() {
+        use crate::lock::{LockState, RawLock};
+        use crate::spin::SpinLock;
+        let bound = Duration::from_millis(40);
+        let p = plane(
+            2,
+            FaultConfig {
+                watchdog: Some(bound),
+                ..FaultConfig::default()
+            },
+        );
+        let lock = SpinLock::new(LockState::Unlocked, Arc::clone(p.stats()));
+        let done = AtomicBool::new(false);
+        let ran = crate::process::launch_plane(&p, None, |pid| {
+            if pid == 1 {
+                // Parked from start to end.
+                park::wait_until(Construct::Barrier, || done.load(Ordering::Acquire));
+                return;
+            }
+            // Four bounds of work, shown on the board only between the
+            // lock operations: parked, like its peer, whenever sampled.
+            let until = std::time::Instant::now() + 4 * bound;
+            while std::time::Instant::now() < until {
+                lock.lock();
+                lock.unlock();
+                let _parked = parked(Construct::Lock);
+                std::thread::sleep(bound / 16);
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(ran, Ok(vec![(), ()]), "progress in a lane is progress");
+        assert_eq!(p.stats().snapshot().watchdog_trips, 0);
     }
 
     #[test]

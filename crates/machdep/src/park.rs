@@ -45,6 +45,7 @@
 //! ([`Parker::arm_virtual_deadline`]) checked at every decision point.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -992,6 +993,79 @@ pub fn wait_on<T>(
     }
     drop(pause);
     fault::with_force_stats(|s| OpStats::count(&s.park_wakes));
+}
+
+/// How many processes are inside [`wait_on`] for one condition, kept by
+/// the lock that owns it so its release can skip the wake — a `futex`
+/// call with std's condvar — when nobody sleeps there.
+///
+/// The protocol is Dekker's, both sides `SeqCst`: the waiter publishes
+/// its registration *before* it tests the condition under the mutex; the
+/// releaser makes the condition true *before* it reads the count.  A
+/// releaser that reads zero is therefore ordered before the registration
+/// and so before the test, which sees the condition true.
+#[derive(Default)]
+pub(crate) struct Waiters(AtomicU32);
+
+/// One registration; dropping it (a cancellation unwind included)
+/// withdraws it.
+pub(crate) struct Registered<'a>(&'a Waiters);
+
+impl Waiters {
+    pub(crate) fn register(&self) -> Registered<'_> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Registered(self)
+    }
+
+    /// Whether a release has anyone to wake.
+    pub(crate) fn any(&self) -> bool {
+        self.0.load(Ordering::SeqCst) != 0
+    }
+}
+
+#[cfg(test)]
+impl Waiters {
+    /// The test both locks that own a `Waiters` run on themselves: a
+    /// process cancelled while it waits for `lock` (held, made over
+    /// `stats`) must withdraw its registration, or every later release —
+    /// a pooled slot outlives the job — pays for a wake nobody hears.
+    pub(crate) fn check_cancelled_waiter_deregisters(
+        &self,
+        lock: &dyn crate::lock::RawLock,
+        stats: Arc<OpStats>,
+    ) {
+        use crate::fault::{FaultConfig, FaultPlane, ProcessFault};
+        let registered = || self.0.load(Ordering::SeqCst);
+        let plane = FaultPlane::new(1, stats, FaultConfig::default());
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| crate::process::launch_plane(&plane, None, |_| lock.lock()));
+            while registered() == 0 {
+                std::thread::yield_now();
+            }
+            plane.trip(
+                ProcessFault {
+                    pid: 0,
+                    construct: "test",
+                    payload: "cancel the waiter".into(),
+                },
+                None,
+            );
+            assert!(waiter.join().unwrap().is_err());
+        });
+        assert_eq!(registered(), 0);
+        assert!(lock.is_locked(), "the waiter never got the lock");
+        // With nobody registered the release takes the quiet path, and
+        // the lock works as ever.
+        lock.unlock();
+        lock.lock();
+        lock.unlock();
+    }
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.0 .0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// How long [`spin_then_wait_on`] polls before it parks: about one

@@ -146,6 +146,9 @@ pub(crate) fn run_as_process<R>(
     // until its fault is recorded (so the drain order is deterministic);
     // now that the trip — if any — is on the plane, hand the token on.
     plane.parker().virtual_release_orphan(pid);
+    // The process's counts reach the plane, session and machine blocks
+    // here, once, whether the body returned or unwound.
+    plane.fold_lane(pid);
     plane.finish(pid);
     result
 }

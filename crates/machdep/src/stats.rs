@@ -56,6 +56,22 @@ macro_rules! op_counters {
             pub fn counters(&self) -> Vec<(&'static str, &AtomicU64)> {
                 vec![$((stringify!($name), &self.$name),)+]
             }
+
+            /// Take the counters, leaving zeros: what a per-pid lane
+            /// hands over when it is folded.
+            pub(crate) fn drain(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.swap(0, Ordering::Relaxed),)+
+                }
+            }
+
+            /// Add a drained lane's counts; a counter that did not move
+            /// is not written.
+            pub(crate) fn absorb(&self, counts: &StatsSnapshot) {
+                $(if counts.$name != 0 {
+                    self.$name.fetch_add(counts.$name, Ordering::Relaxed);
+                })+
+            }
         }
 
         impl StatsSnapshot {
@@ -270,14 +286,14 @@ impl StatsHandle {
         }
     }
 
-    /// Run `f` once per counter block (local first, then each rollup).
-    /// The closure form of [`add_direct`](Self::add_direct) for charge
-    /// sites that touch several counters at once.
-    #[inline]
-    pub(crate) fn for_each_block(&self, f: impl Fn(&OpStats)) {
-        f(&self.local);
+    /// Move a per-pid lane's counts into this handle: the local block
+    /// and every rollup, each counter that moved written once.  The lane
+    /// is left at zero.
+    pub(crate) fn fold(&self, lane: &OpStats) {
+        let counts = lane.drain();
+        self.local.absorb(&counts);
         for r in self.rollups.iter() {
-            f(r);
+            r.absorb(&counts);
         }
     }
 }

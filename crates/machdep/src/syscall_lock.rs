@@ -9,7 +9,7 @@
 
 use crate::fault;
 use crate::lock::{LockKind, LockState, RawLock};
-use crate::park;
+use crate::park::{self, Waiters};
 use crate::portable::{Condvar, Mutex};
 use crate::stats::StatsHandle;
 
@@ -17,6 +17,9 @@ use crate::stats::StatsHandle;
 pub struct SyscallLock {
     state: Mutex<bool>, // true = locked
     cond: Condvar,
+    /// Processes that found the lock held and have not acquired it yet;
+    /// a release with none skips the wake.
+    waiters: Waiters,
     stats: StatsHandle,
 }
 
@@ -31,6 +34,7 @@ impl SyscallLock {
         SyscallLock {
             state: Mutex::new(initial == LockState::Locked),
             cond: Condvar::new(),
+            waiters: Waiters::default(),
             stats,
         }
     }
@@ -43,16 +47,21 @@ impl RawLock for SyscallLock {
         let mut waited = fault::spurious_lock_failure();
         // The parking layer bills one park per blocking episode (never
         // per timed slice) and deschedules the waiter — a syscall lock
-        // never spins.
+        // never spins.  The waiter registers under the mutex, the first
+        // time it finds the lock held: a release after that sees it, a
+        // release before it left the lock free for this very test.
+        let mut registered = None;
         park::wait_on(&self.state, &self.cond, fault::Construct::Lock, |locked| {
             if *locked {
                 waited = true;
+                registered.get_or_insert_with(|| self.waiters.register());
                 false
             } else {
                 *locked = true;
                 true
             }
         });
+        drop(registered);
         self.stats.count(|s| &s.lock_acquires);
         if waited {
             self.stats.count(|s| &s.lock_contended);
@@ -66,7 +75,9 @@ impl RawLock for SyscallLock {
             let mut locked = self.state.lock();
             *locked = false;
         }
-        self.cond.notify_one();
+        if self.waiters.any() {
+            self.cond.notify_one();
+        }
         self.stats.count(|s| &s.lock_releases);
     }
 
@@ -151,6 +162,12 @@ mod tests {
         assert_eq!(s.park_wakes, s.parks, "every park ends in one wake");
         assert_eq!(s.spin_retries, 0, "a syscall lock never spins");
         assert!(s.syscalls >= 3, "every op is a syscall");
+    }
+
+    #[test]
+    fn a_cancelled_waiter_deregisters() {
+        let (l, stats) = mk(LockState::Locked);
+        l.waiters.check_cancelled_waiter_deregisters(&*l, stats);
     }
 
     #[test]

@@ -23,15 +23,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use support::corpus::corpus;
-use support::run_checked;
+use support::{fnv1a, run_checked};
 use the_force::machdep::MachineId;
 use the_force::prep::{preprocess, ExpandedProgram, VarClass};
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
 
 /// The recorded lists as one text, a line per entry.
 fn lists_text(p: &ExpandedProgram) -> String {

@@ -10,7 +10,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use the_force::fortran::Value;
-use the_force::machdep::{FaultConfig, FaultPlane, ForcePool, Machine, MachineId, OpStats};
+use the_force::machdep::combined::CombinedLock;
+use the_force::machdep::syscall_lock::SyscallLock;
+use the_force::machdep::{
+    launch_plane, FaultConfig, FaultPlane, ForcePool, LockState, Machine, MachineId, OpStats,
+    RawLock,
+};
 use the_force::prelude::*;
 
 #[test]
@@ -228,4 +233,87 @@ fn pool_handoff_never_loses_a_wakeup() {
         submitter.join().expect("a submitter failed");
     }
     assert_eq!(pool.jobs_completed(), 2 * JOBS);
+}
+
+/// `threads` lockers take and release `lock` `ROUNDS` times each, as the
+/// processes of a force (timed-slice waits) or as plain threads (untimed
+/// waits), while the caller watches the acquisition count move.  The
+/// lockers are detached threads: a lost wake-up hangs them, and the
+/// watcher's failure must not wait for them.
+fn lock_storm(lock: &Arc<dyn RawLock>, stats: &Arc<OpStats>, threads: usize, in_force: bool) {
+    const ROUNDS: u64 = 100_000;
+    let acquired = Arc::new(AtomicU64::new(0));
+    let locker = {
+        let (lock, acquired) = (Arc::clone(lock), Arc::clone(&acquired));
+        move |_pid: usize| {
+            for round in 0..ROUNDS {
+                lock.lock();
+                // Not an atomic increment: the lock is what makes it exact.
+                let n = acquired.load(Ordering::Relaxed);
+                if round % 64 == 0 {
+                    // Hold across a reschedule now and then, so that
+                    // waiters run out of spins and park.
+                    std::thread::yield_now();
+                }
+                acquired.store(n + 1, Ordering::Relaxed);
+                lock.unlock();
+            }
+        }
+    };
+    let lockers: Vec<_> = if in_force {
+        let plane = FaultPlane::new(threads, Arc::clone(stats), FaultConfig::default());
+        vec![std::thread::spawn(move || {
+            launch_plane(&plane, None, locker).expect("no locker faults");
+        })]
+    } else {
+        (0..threads)
+            .map(|pid| {
+                let locker = locker.clone();
+                std::thread::spawn(move || locker(pid))
+            })
+            .collect()
+    };
+    let mut moved = (0, Instant::now());
+    while lockers.iter().any(|l| !l.is_finished()) {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = acquired.load(Ordering::Relaxed);
+        if now != moved.0 {
+            moved = (now, Instant::now());
+        }
+        assert!(
+            moved.1.elapsed() < Duration::from_secs(5),
+            "{threads} lockers (in a force: {in_force}) stalled at {now} acquisitions"
+        );
+    }
+    for locker in lockers {
+        locker.join().expect("a locker failed");
+    }
+    assert_eq!(acquired.load(Ordering::Relaxed), threads as u64 * ROUNDS);
+    assert!(!lock.is_locked());
+}
+
+/// Both storms: plain threads first, where a missed wake is for good.
+fn storms(lock: Arc<dyn RawLock>, stats: &Arc<OpStats>) {
+    for (threads, in_force) in [(2, false), (8, false), (2, true), (8, true)] {
+        lock_storm(&lock, stats, threads, in_force);
+    }
+    let s = stats.snapshot();
+    assert!(s.parks > 0, "no waiter ever parked: {s:?}");
+}
+
+#[test]
+fn combined_lock_unlock_never_loses_a_wakeup() {
+    // An unlock wakes only a registered waiter; a registration the
+    // unlocker misses, or a wake it skips wrongly, leaves a waiter asleep
+    // on a free lock — for good outside a force, where waits are untimed.
+    let stats = Arc::new(OpStats::new());
+    let lock = CombinedLock::new(LockState::Unlocked, Arc::clone(&stats));
+    storms(Arc::new(lock), &stats);
+}
+
+#[test]
+fn syscall_lock_unlock_never_loses_a_wakeup() {
+    let stats = Arc::new(OpStats::new());
+    let lock = SyscallLock::new(LockState::Unlocked, Arc::clone(&stats));
+    storms(Arc::new(lock), &stats);
 }

@@ -14,6 +14,13 @@ use the_force::machdep::{Machine, MachineId, RunOptions};
 use the_force::prep::preprocess_cached;
 use the_force::run_force_source;
 
+/// FNV-1a of a text: the digest the pinned tables hold.
+pub fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 /// Op counters whose value depends on thread timing (how often a lock was
 /// seen held, how many spin retries happened, who stole work).  Everything
 /// else — acquisitions, releases, barrier episodes, allocation, process
