@@ -18,21 +18,94 @@ pub(crate) fn parse_tokens(tokens: &mut [Token], line_no: usize) -> Result<Stmt,
         toks: tokens,
         pos: 0,
         line: line_no,
+        depth: 0,
     };
-    let stmt = p.statement()?;
-    p.expect_end()?;
-    Ok(stmt)
+    let parsed = p.statement().and_then(|stmt| {
+        p.expect_end()?;
+        Ok(stmt)
+    });
+    parsed.map_err(|boxed| *boxed)
 }
+
+/// How deep an expression may nest: parentheses, subscripts and argument
+/// lists, prefix operators, `**` towers, and the operators of one chain
+/// (`A + B + C` is a tree two deep).  The parser descends once per level
+/// and everything after it — the bytecode compiler, the oracle's
+/// evaluator, the tree's own `Drop` — recurses over the tree it built,
+/// some of it on 512 KiB process stacks, and a stack overflow is an
+/// abort no `catch_unwind` contains; past the bound a source gets a
+/// positioned parse error instead.
+pub const MAX_EXPR_DEPTH: usize = 100;
+
+/// What travels through the recursive-descent frames: the error is
+/// boxed, so a frame holds an `Expr` and a pointer, not an `Expr` and
+/// two `String`s (as `m4.rs` does for its own recursion).
+type Parsed<T> = Result<T, Box<FortError>>;
 
 struct Parser<'a> {
     toks: &'a mut [Token],
     pos: usize,
     line: usize,
+    /// Levels of the expression under construction above the cursor;
+    /// see [`MAX_EXPR_DEPTH`].  Not unwound on an error: the first one
+    /// ends the statement.
+    depth: usize,
+}
+
+/// Binding levels of the expression grammar, loosest first:
+/// `.OR.` < `.AND.` < `.NOT.` < relational < additive < multiplicative
+/// < prefix sign and `**` < atom.
+mod level {
+    pub const OR: u8 = 1;
+    pub const AND: u8 = 2;
+    pub const NOT: u8 = 3;
+    pub const REL: u8 = 4;
+    pub const ADD: u8 = 5;
+    pub const MUL: u8 = 6;
+    pub const SIGN: u8 = 7;
+    pub const ATOM: u8 = 8;
+}
+
+/// A binary operator's place in the grammar.
+struct Infix {
+    op: BinOp,
+    /// Its own level: what the expression it builds is.
+    level: u8,
+    /// The loosest thing its left operand may be.  Above `level` for an
+    /// operator that does not chain (`A .LT. B .LT. C` is an error) and
+    /// for `**`, whose base is an atom.
+    left: u8,
+    /// The loosest thing its right operand may be: one above `level` for
+    /// a left-associative operator, `level` itself for `**`.
+    right: u8,
+}
+
+fn infix(token: &Token) -> Option<Infix> {
+    use level::*;
+    let (op, level, left, right) = match token {
+        Token::DotOp(dot) => match BinOp::from_dotop(*dot)? {
+            BinOp::Or => (BinOp::Or, OR, OR, AND),
+            BinOp::And => (BinOp::And, AND, AND, NOT),
+            relational => (relational, REL, ADD, ADD),
+        },
+        Token::Plus => (BinOp::Add, ADD, ADD, MUL),
+        Token::Minus => (BinOp::Sub, ADD, ADD, MUL),
+        Token::Star => (BinOp::Mul, MUL, MUL, SIGN),
+        Token::Slash => (BinOp::Div, MUL, MUL, SIGN),
+        Token::Power => (BinOp::Pow, SIGN, ATOM, SIGN),
+        _ => return None,
+    };
+    Some(Infix {
+        op,
+        level,
+        left,
+        right,
+    })
 }
 
 impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> FortError {
-        FortError::at(self.line, FortErrorKind::Parse(msg.into()))
+    fn err(&self, msg: impl Into<String>) -> Box<FortError> {
+        Box::new(FortError::at(self.line, FortErrorKind::Parse(msg.into())))
     }
 
     fn peek(&self) -> Option<&Token> {
@@ -57,7 +130,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<(), FortError> {
+    fn expect(&mut self, t: &Token, what: &str) -> Parsed<()> {
         if self.eat(t) {
             Ok(())
         } else {
@@ -65,14 +138,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, FortError> {
+    fn expect_ident(&mut self, what: &str) -> Parsed<String> {
         match self.next() {
             Some(Token::Ident(s)) => Ok(std::mem::take(s).into_owned()),
             _ => Err(self.err(format!("expected {what}"))),
         }
     }
 
-    fn expect_end(&mut self) -> Result<(), FortError> {
+    fn expect_end(&mut self) -> Parsed<()> {
         if self.pos == self.toks.len() {
             Ok(())
         } else {
@@ -92,7 +165,7 @@ impl<'a> Parser<'a> {
 
     // ---- statements -------------------------------------------------------
 
-    fn statement(&mut self) -> Result<Stmt, FortError> {
+    fn statement(&mut self) -> Parsed<Stmt> {
         // A keyword's own text, so that nothing of the tokens stays
         // borrowed; any other name opens an assignment.
         let first = match self.peek_ident() {
@@ -199,6 +272,10 @@ impl<'a> Parser<'a> {
                         }
                     }
                     Ok(Stmt::ArithIf(cond, labels[0], labels[1], labels[2]))
+                } else if self.peek_ident().and_then(keyword) == Some("IF") {
+                    // Never a simple statement, so not worth a descent
+                    // (`IF (A) IF (A) IF (A) …` would be one per IF).
+                    Err(self.err("unsupported statement in logical IF"))
                 } else {
                     // Logical IF: one simple statement on the same line.
                     let inner = self.statement()?;
@@ -328,7 +405,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn goto_label(&mut self) -> Result<Stmt, FortError> {
+    fn goto_label(&mut self) -> Parsed<Stmt> {
         match self.next() {
             Some(Token::Int(n)) => Ok(Stmt::Goto(
                 u32::try_from(*n).map_err(|_| self.err("label out of range"))?,
@@ -337,7 +414,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn decl_items(&mut self) -> Result<Vec<DeclItem>, FortError> {
+    fn decl_items(&mut self) -> Parsed<Vec<DeclItem>> {
         let mut items = Vec::new();
         loop {
             let name = self.expect_ident("declared name")?;
@@ -370,158 +447,113 @@ impl<'a> Parser<'a> {
     }
 
     // ---- expressions (precedence climbing) ---------------------------------
-    // .OR. < .AND. < .NOT. < relational < additive < multiplicative < ** < unary
 
-    fn expr(&mut self) -> Result<Expr, FortError> {
-        self.or_expr()
+    fn expr(&mut self) -> Parsed<Expr> {
+        self.climb(level::OR)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, FortError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == Some(&Token::DotOp(DotOp::Or)) {
-            self.next();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
+    /// One more level of expression above the cursor, or the error that
+    /// says there are too many.
+    fn deeper(&mut self) -> Parsed<()> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(self.err(format!(
+                "expression nested more than {MAX_EXPR_DEPTH} levels deep"
+            )));
         }
-        Ok(lhs)
+        self.depth += 1;
+        Ok(())
     }
 
-    fn and_expr(&mut self) -> Result<Expr, FortError> {
-        let mut lhs = self.not_expr()?;
-        while self.peek() == Some(&Token::DotOp(DotOp::And)) {
-            self.next();
-            let rhs = self.not_expr()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, FortError> {
-        if self.peek() == Some(&Token::DotOp(DotOp::Not)) {
-            self.next();
-            let inner = self.not_expr()?;
-            Ok(Expr::Un(UnOp::Not, Box::new(inner)))
-        } else {
-            self.rel_expr()
-        }
-    }
-
-    fn rel_expr(&mut self) -> Result<Expr, FortError> {
-        let lhs = self.add_expr()?;
-        if let Some(Token::DotOp(op)) = self.peek() {
-            if let Some(bin) = BinOp::from_dotop(*op) {
-                if matches!(
-                    bin,
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-                ) {
-                    self.next();
-                    let rhs = self.add_expr()?;
-                    return Ok(Expr::Bin(bin, Box::new(lhs), Box::new(rhs)));
-                }
+    /// An expression none of whose top-level operators binds looser than
+    /// `min`: a prefix operator or an atom, then every infix operator
+    /// that may take what has been built so far as its left operand.
+    /// One frame per nesting level, whichever operators a level holds.
+    fn climb(&mut self, min: u8) -> Parsed<Expr> {
+        let entered_at = self.depth;
+        self.deeper()?;
+        // A prefix operator and the level of what it builds: `.NOT.`
+        // only where a `.NOT.` expression may stand, a sign anywhere.
+        let prefix = match self.peek() {
+            Some(Token::DotOp(DotOp::Not)) if min <= level::NOT => {
+                Some((Some(UnOp::Not), level::NOT))
             }
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, FortError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            match self.peek() {
-                Some(Token::Plus) => {
-                    self.next();
-                    let rhs = self.mul_expr()?;
-                    lhs = Expr::Bin(BinOp::Add, Box::new(lhs), Box::new(rhs));
-                }
-                Some(Token::Minus) => {
-                    self.next();
-                    let rhs = self.mul_expr()?;
-                    lhs = Expr::Bin(BinOp::Sub, Box::new(lhs), Box::new(rhs));
-                }
-                _ => return Ok(lhs),
-            }
-        }
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, FortError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            match self.peek() {
-                Some(Token::Star) => {
-                    self.next();
-                    let rhs = self.unary_expr()?;
-                    lhs = Expr::Bin(BinOp::Mul, Box::new(lhs), Box::new(rhs));
-                }
-                Some(Token::Slash) => {
-                    self.next();
-                    let rhs = self.unary_expr()?;
-                    lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
-                }
-                _ => return Ok(lhs),
-            }
-        }
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, FortError> {
-        match self.peek() {
-            Some(Token::Minus) => {
+            Some(Token::Minus) => Some((Some(UnOp::Neg), level::SIGN)),
+            Some(Token::Plus) => Some((None, level::SIGN)),
+            _ => None,
+        };
+        // `built` is the level of `lhs`, i.e. of its outermost operator.
+        let (mut lhs, mut built) = match prefix {
+            Some((op, level)) => {
                 self.next();
-                let inner = self.unary_expr()?;
-                Ok(Expr::Un(UnOp::Neg, Box::new(inner)))
+                let inner = self.climb(level)?;
+                let signed = match op {
+                    Some(op) => Expr::Un(op, Box::new(inner)),
+                    None => inner,
+                };
+                (signed, level)
             }
-            Some(Token::Plus) => {
-                self.next();
-                self.unary_expr()
+            None => (self.atom()?, level::ATOM),
+        };
+        while let Some(infix) = self.peek().and_then(infix) {
+            if infix.level < min || built < infix.left {
+                break;
             }
-            _ => self.pow_expr(),
-        }
-    }
-
-    fn pow_expr(&mut self) -> Result<Expr, FortError> {
-        let base = self.atom()?;
-        if self.peek() == Some(&Token::Power) {
             self.next();
-            // Right associative; exponent may itself be unary.
-            let exp = self.unary_expr()?;
-            Ok(Expr::Bin(BinOp::Pow, Box::new(base), Box::new(exp)))
-        } else {
-            Ok(base)
+            let rhs = self.climb(infix.right)?;
+            lhs = Expr::Bin(infix.op, Box::new(lhs), Box::new(rhs));
+            built = infix.level;
+            // Everything parsed so far now hangs one level further down.
+            self.deeper()?;
         }
+        self.depth = entered_at;
+        Ok(lhs)
     }
 
-    fn atom(&mut self) -> Result<Expr, FortError> {
+    fn atom(&mut self) -> Parsed<Expr> {
         match self.next() {
             Some(Token::Int(n)) => Ok(Expr::Int(*n)),
             Some(Token::Real(x)) => Ok(Expr::Real(*x)),
             Some(Token::Logical(b)) => Ok(Expr::Logical(*b)),
             Some(Token::Str(s)) => Ok(Expr::Str(std::mem::take(s))),
-            Some(Token::LParen) => {
-                let e = self.expr()?;
-                self.expect(&Token::RParen, "`)`")?;
-                Ok(e)
-            }
+            Some(Token::LParen) => self.parenthesized(),
             Some(Token::Ident(name)) => {
                 let name = std::mem::take(name).into_owned();
-                if self.eat(&Token::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Token::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.eat(&Token::RParen) {
-                                break;
-                            }
-                            self.expect(&Token::Comma, "`,` in subscript or argument list")?;
-                        }
-                    }
-                    Ok(Expr::Index(name, args))
-                } else {
-                    Ok(Expr::Var(name))
-                }
+                self.named(name)
             }
             other => {
                 let msg = format!("unexpected token {other:?} in expression");
                 Err(self.err(msg))
             }
         }
+    }
+
+    // The two atoms that nest, each in a frame of its own: in an
+    // unoptimized build a frame holds every local of every arm, and the
+    // bound above has to fit a 512 KiB stack there too.
+
+    /// The rest of `( expr )`.
+    fn parenthesized(&mut self) -> Parsed<Expr> {
+        let e = self.expr()?;
+        self.expect(&Token::RParen, "`)`")?;
+        Ok(e)
+    }
+
+    /// A variable, or with `(` an array element or function reference.
+    fn named(&mut self, name: String) -> Parsed<Expr> {
+        if !self.eat(&Token::LParen) {
+            return Ok(Expr::Var(name));
+        }
+        let mut args = Vec::new();
+        if !self.eat(&Token::RParen) {
+            loop {
+                args.push(self.expr()?);
+                if self.eat(&Token::RParen) {
+                    break;
+                }
+                self.expect(&Token::Comma, "`,` in subscript or argument list")?;
+            }
+        }
+        Ok(Expr::Index(name, args))
     }
 }
 
@@ -703,5 +735,57 @@ mod tests {
     fn three_dims_rejected() {
         let toks = lex_statement("INTEGER A(2,2,2)", 1).unwrap();
         assert!(parse_statement(&toks, 1).is_err());
+    }
+
+    /// Parse `line` on a thread with the stack of an overcommitted pid:
+    /// the smallest this parser is run on.
+    fn parse_on_a_small_stack(line: String) -> Result<Stmt, FortError> {
+        std::thread::Builder::new()
+            .stack_size(512 * 1024)
+            .spawn(move || {
+                let toks = lex_statement(&line, 9)?;
+                parse_statement(&toks, 9)
+            })
+            .unwrap()
+            .join()
+            .expect("the parser neither panics nor overflows")
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_by_the_stack() {
+        // Every way the grammar recurses or deepens the tree, `n` times.
+        type Shape = fn(usize) -> String;
+        let shapes: [(&str, Shape); 6] = [
+            ("parentheses", |n| {
+                format!("K = {}1{}", "(".repeat(n), ")".repeat(n))
+            }),
+            ("subscripts", |n| {
+                format!("K = {}1{}", "A(".repeat(n), ")".repeat(n))
+            }),
+            ("signs", |n| format!("K = {}1", "-".repeat(n))),
+            ("nots", |n| format!("K = {}X", ".NOT. ".repeat(n))),
+            ("powers", |n| format!("K = 1{}", " ** 1".repeat(n))),
+            // A chain deepens the tree without deepening the parser: what
+            // it would overflow is the compiler, the oracle and `Drop`.
+            ("a chain", |n| format!("K = 1{}", " + 1".repeat(n))),
+        ];
+        for (name, shape) in shapes {
+            // The statement's own expression is the first level.
+            let fits = parse_on_a_small_stack(shape(MAX_EXPR_DEPTH - 1));
+            assert!(fits.is_ok(), "{name} at the bound: {fits:?}");
+            for n in [MAX_EXPR_DEPTH, MAX_EXPR_DEPTH + 1, 20_000] {
+                let err = parse_on_a_small_stack(shape(n)).expect_err(name);
+                assert_eq!(err.line, Some(9), "{name} × {n}");
+                assert!(
+                    err.to_string().contains("levels deep"),
+                    "{name} × {n}: {err}"
+                );
+            }
+        }
+        // Logical IFs do not nest at all, so they are refused one deep.
+        let ifs = format!("{}K = 1", "IF (.TRUE.) ".repeat(20_000));
+        let err = parse_on_a_small_stack(ifs).expect_err("nested logical IFs");
+        assert_eq!(err.line, Some(9));
+        assert!(err.to_string().contains("logical IF"), "{err}");
     }
 }

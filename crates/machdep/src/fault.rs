@@ -45,6 +45,7 @@ use std::time::Duration;
 
 use crate::cost::CostModel;
 use crate::park::{self, ParkBackend, Parker, VirtualSummary};
+use crate::pool::LazyPool;
 use crate::portable::{CachePadded, Mutex, XorShift64};
 use crate::process::StopSignal;
 use crate::stats::{OpStats, StatsHandle, StatsSnapshot};
@@ -293,6 +294,12 @@ pub struct FaultPlane {
     /// the backend changes between jobs; processes snapshot the `Arc` at
     /// install.
     parker: Mutex<Arc<Parker>>,
+    /// A resident force lent to this plane for one served attempt, for
+    /// [`launch_plane`](crate::process::launch_plane) to use when the
+    /// session attached no pool of its own.  It rides the plane — not the
+    /// thread — so a force launched from inside the served job (another
+    /// plane) cannot re-enter the pool its own launcher occupies.
+    loan: Mutex<Option<Arc<LazyPool>>>,
 }
 
 impl FaultPlane {
@@ -329,6 +336,7 @@ impl FaultPlane {
                 nproc,
                 config.costs.unwrap_or_else(CostModel::fork_spin),
             ))),
+            loan: Mutex::new(None),
         })
     }
 
@@ -455,6 +463,23 @@ impl FaultPlane {
             slot.board.store(RUNNING, Ordering::Release);
         }
         self.tripped.store(false, Ordering::Release);
+    }
+
+    /// Lend `pool` to this plane until [`end_loan`](Self::end_loan); a
+    /// session reset between the two leaves the loan alone.
+    pub(crate) fn lend(&self, pool: &Arc<LazyPool>) {
+        *self.loan.lock() = Some(Arc::clone(pool));
+    }
+
+    /// Withdraw whatever was lent: the next launch of this plane is the
+    /// session's own business again.
+    pub(crate) fn end_loan(&self) {
+        *self.loan.lock() = None;
+    }
+
+    /// The force currently lent to this plane, if any.
+    pub(crate) fn loan(&self) -> Option<Arc<LazyPool>> {
+        self.loan.lock().clone()
     }
 
     /// The job's trace sink, when tracing is armed (shared; hot paths

@@ -19,6 +19,13 @@
 //!   variables' empty/full protocol silently.  Exhaustion is therefore
 //!   surfaced as a structured [`ScarceLockError`] instead of a wedged or
 //!   corrupted run.
+//!
+//! A slot is taken for as long as a logical lock maps onto it and no
+//! longer: the pool holds one reference to each physical lock, every
+//! logical lock (dedicated or aliased) holds another, and a slot only
+//! the pool still refers to is free again.  So a session's user locks go
+//! back when the session resets its lock table or ends, and exhaustion
+//! means locks *in use*, not locks ever created on the machine.
 
 use std::fmt;
 use std::sync::Arc;
@@ -90,6 +97,15 @@ struct PoolInner {
     cursor: usize,
 }
 
+impl PoolInner {
+    /// Free every slot no logical lock maps onto any more.  Handles are
+    /// only ever cloned out of a slot under the pool's mutex (or from a
+    /// clone already out), so a count of one cannot be raced upwards.
+    fn reclaim(&mut self) {
+        self.slots.retain(|(lock, _)| Arc::strong_count(lock) > 1);
+    }
+}
+
 impl LockPool {
     /// Create an empty pool of `capacity` physical lock slots.
     ///
@@ -141,6 +157,7 @@ impl LockPool {
         role: LockRole,
     ) -> Result<LockHandle, ScarceLockError> {
         let mut inner = self.inner.lock();
+        inner.reclaim();
         if inner.slots.len() < self.capacity {
             let lock = (self.factory)(initial);
             inner.slots.push((Arc::clone(&lock), role));
@@ -177,7 +194,9 @@ impl LockPool {
 
     /// Number of physical slots currently in use.
     pub fn allocated(&self) -> usize {
-        self.inner.lock().slots.len()
+        let mut inner = self.inner.lock();
+        inner.reclaim();
+        inner.slots.len()
     }
 
     /// Pool capacity.
@@ -242,6 +261,32 @@ mod tests {
         b.lock();
         assert!(!d.try_lock(), "d aliases b");
         a.unlock();
+        b.unlock();
+    }
+
+    #[test]
+    fn a_slot_is_free_again_once_its_last_logical_lock_is_gone() {
+        let (p, stats) = pool(2);
+        let a = p.allocate(LockState::Unlocked);
+        let b = p.allocate(LockState::Unlocked);
+        let alias_of_a = p.allocate(LockState::Unlocked);
+        assert_eq!(p.allocated(), 2);
+        // An alias keeps the slot as well as the lock it aliases does.
+        drop(a);
+        assert_eq!(p.allocated(), 2);
+        let state = p.try_allocate(LockState::Locked, LockRole::State);
+        assert!(state.is_err(), "both slots are still somebody's");
+        drop(alias_of_a);
+        assert_eq!(p.allocated(), 1);
+        // The freed slot is a fresh physical lock in the asked-for state,
+        // whatever its predecessor was left in.
+        b.lock();
+        let state = p
+            .try_allocate(LockState::Locked, LockRole::State)
+            .expect("a slot came back");
+        assert!(state.is_locked());
+        assert_eq!(p.allocated(), 2);
+        assert_eq!(stats.snapshot().locks_aliased, 1);
         b.unlock();
     }
 

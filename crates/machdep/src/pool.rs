@@ -37,16 +37,20 @@
 //!   outside the caller's own process context, and cannot be cancelled —
 //!   so job closures may borrow from the caller's stack: the same
 //!   guarantee `std::thread::scope` gives the scoped launcher.
+//! * A session that attaches no pool still need not create its force per
+//!   job: a [`ForceServer`](crate::serve::ForceServer) shard keeps a
+//!   `LazyPool` — this pool, made by the first job that fits it — and
+//!   lends it to the plane of whatever job it is running.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
 use crate::fault::{self, Construct, FaultPlane, ProcessFault};
 use crate::park;
 use crate::portable::{Condvar, Mutex};
-use crate::stats::OpStats;
+use crate::stats::{OpStats, StatsHandle};
 
 /// The type-erased per-pid job body handed to the workers.
 ///
@@ -125,13 +129,16 @@ impl ForcePool {
     /// `size − 1` worker threads, the launching thread being the other
     /// one — charging `size` process creations to `stats` (the one-time
     /// cost the pool exists to amortize; it counts Force processes, not
-    /// host threads).
+    /// host threads).  The charge is the pool owner's, never the calling
+    /// thread's plane or session.
     ///
     /// # Panics
     /// Panics if `size` is zero.
-    pub fn new(size: usize, stats: &Arc<OpStats>) -> ForcePool {
+    pub fn new(size: usize, stats: impl Into<StatsHandle>) -> ForcePool {
         assert!(size > 0, "a force pool needs at least one worker");
-        OpStats::add(&stats.processes_created, size as u64);
+        stats
+            .into()
+            .add_direct(&|s: &OpStats| &s.processes_created, size as u64);
         let shared = Arc::new(PoolShared {
             size,
             slots: (1..size).map(|_| Slot::default()).collect(),
@@ -216,6 +223,57 @@ impl ForcePool {
         }
         run_pid(0);
         drop(in_flight);
+    }
+}
+
+/// A [`ForcePool`] that does not exist until somebody runs a job on it:
+/// the resident force a server shard keeps to **lend** to planes whose
+/// session attached no pool of its own
+/// ([`FaultPlane::lend`](crate::fault::FaultPlane::lend)).
+///
+/// Its width is fixed at construction — the host's parallelism: a force
+/// wider than the host gains nothing from resident threads — so
+/// [`launch_plane`](crate::process::launch_plane) can tell whether a job
+/// fits *before* any thread exists; the workers are created, and charged
+/// once to the owner's `stats`, by the first job that does.  An owner
+/// whose sessions all carry pools never creates a thread.
+pub(crate) struct LazyPool {
+    size: usize,
+    stats: StatsHandle,
+    pool: OnceLock<ForcePool>,
+}
+
+impl LazyPool {
+    /// A pool-to-be as wide as the host, charged to `stats` when it
+    /// comes into being.
+    pub(crate) fn new(stats: StatsHandle) -> Arc<LazyPool> {
+        Self::with_size(park::default_nproc(), stats)
+    }
+
+    /// A pool-to-be of `size`.
+    pub(crate) fn with_size(size: usize, stats: StatsHandle) -> Arc<LazyPool> {
+        Arc::new(LazyPool {
+            size,
+            stats,
+            pool: OnceLock::new(),
+        })
+    }
+
+    /// The widest job the pool hosts, created or not.
+    pub(crate) fn size(&self) -> usize {
+        self.size
+    }
+
+    /// The pool itself, created by the first caller.
+    pub(crate) fn get(&self) -> &ForcePool {
+        self.pool
+            .get_or_init(|| ForcePool::new(self.size, self.stats.clone()))
+    }
+
+    /// Whether any job has made the pool exist.
+    #[cfg(test)]
+    pub(crate) fn is_created(&self) -> bool {
+        self.pool.get().is_some()
     }
 }
 
@@ -392,6 +450,32 @@ mod tests {
         // not host; the pool never saw it.
         assert_eq!(stats.snapshot().processes_created, 2 + 3);
         assert_eq!(pool.jobs_completed(), 0);
+    }
+
+    #[test]
+    fn a_lazy_pool_raced_by_its_first_jobs_is_made_once() {
+        for _ in 0..20 {
+            let stats = Arc::new(OpStats::new());
+            let lazy = LazyPool::with_size(2, (&stats).into());
+            assert!(!lazy.is_created());
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let p = plane(2, &stats);
+                        p.lend(&lazy);
+                        let r = crate::process::launch_plane(&p, None, |pid| pid);
+                        assert_eq!(r, Ok(vec![0, 1]));
+                    });
+                }
+            });
+            assert!(lazy.is_created());
+            assert_eq!(lazy.get().jobs_completed(), 4);
+            assert_eq!(
+                stats.snapshot().processes_created,
+                2,
+                "one pool, charged once"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!
 //! However a force is created, its job cycle is one function,
 //! [`launch_plane`]: watchdog, result slots, the per-pid harness
-//! (`run_as_process`), a launcher — a resident [`ForcePool`]'s workers
+//! (`run_as_process`), a launcher — the workers of a resident
+//! [`ForcePool`], the session's own or one a server shard lent the plane,
 //! or scoped threads, picked there, never by the caller, and fork-join
 //! either way: the launching thread runs pid 0 — and one epilogue.
 
@@ -225,9 +226,15 @@ impl Drop for StopGuard {
 ///
 /// | condition | launcher | stack | charged to the job |
 /// |---|---|---|---|
-/// | `pool` attached, thread-per-pid backend, `nproc <= pool.size()` | *pooled*: the pool's resident workers for pids 1.., pid 0 on the caller | the workers' own; the caller's own | nothing (paid at pool construction) |
+/// | `pool` attached or lent, thread-per-pid backend, `nproc <= pool.size()` | *pooled*: the pool's resident workers for pids 1.., pid 0 on the caller | the workers' own; the caller's own | nothing (paid at pool construction) |
 /// | otherwise, thread-per-pid backend | *scoped*: threads for pids 1.., pid 0 on the caller | default; the caller's own | `processes_created += nproc` |
 /// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
+///
+/// *Attached* is the caller's `pool`; *lent* is the resident force a
+/// [`ForceServer`](crate::serve::ForceServer) shard lends the plane for
+/// the attempt it is bound to (`JobCx::bind_plane`), consulted only when
+/// the caller attached none — an explicit pool always wins.  A lent pool
+/// is created by the first job that fits it.
 ///
 /// `processes_created` counts Force processes, not host threads: the
 /// scoped rows create `nproc − 1` threads and still charge `nproc`, and
@@ -258,7 +265,17 @@ pub fn launch_plane<R: Send>(
         *results[pid].lock() = r;
     };
     let multiplexed = plane.is_overcommit();
-    match pool.filter(|pool| !multiplexed && nproc <= pool.size()) {
+    let fits = |size: usize| !multiplexed && nproc <= size;
+    let lent = match pool {
+        Some(_) => None,
+        None => plane.loan(),
+    };
+    let pool = match (pool, &lent) {
+        (Some(attached), _) if fits(attached.size()) => Some(attached),
+        (None, Some(lent)) if fits(lent.size()) => Some(lent.get()),
+        _ => None,
+    };
+    match pool {
         Some(pool) => pool.broadcast(nproc, &run_pid),
         None => launch_scoped(plane, multiplexed, &run_pid),
     }
@@ -378,6 +395,7 @@ mod tests {
     use super::*;
     use crate::lock::{LockState, RawLock};
     use crate::park::ParkBackend;
+    use crate::pool::LazyPool;
     use crate::spin::SpinLock;
     use crate::stats::StatsHandle;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -494,6 +512,56 @@ mod tests {
     }
 
     #[test]
+    fn a_loan_serves_the_plane_it_was_made_to_and_no_other() {
+        let jobs_on = |lazy: &LazyPool| lazy.get().jobs_completed();
+        let (stats, plane) = plane_on(ParkBackend::ThreadPerPid, 2);
+        let lent = LazyPool::with_size(2, (&stats).into());
+        plane.lend(&lent);
+        assert!(!lent.is_created(), "lending creates nothing");
+
+        // An attached pool wins: the loan is not even looked at.
+        let own = ForcePool::new(2, &stats);
+        assert_eq!(launch_plane(&plane, Some(&own), |pid| pid), Ok(vec![0, 1]));
+        assert_eq!(own.jobs_completed(), 1);
+        assert!(!lent.is_created());
+        // So does an attached pool the job does not fit: scoped threads.
+        let small = ForcePool::new(1, &stats);
+        let before = stats.snapshot().processes_created;
+        assert_eq!(
+            launch_plane(&plane, Some(&small), |pid| pid),
+            Ok(vec![0, 1])
+        );
+        assert_eq!(stats.snapshot().processes_created - before, 2);
+        assert!(!lent.is_created());
+
+        // No pool attached: the first launch makes the lent one (charged
+        // once, to the lender's stats), and the job itself creates nothing.
+        let before = stats.snapshot().processes_created;
+        assert_eq!(launch_plane(&plane, None, |pid| pid), Ok(vec![0, 1]));
+        assert_eq!(launch_plane(&plane, None, |pid| pid), Ok(vec![0, 1]));
+        assert_eq!(jobs_on(&lent), 2);
+        assert_eq!(stats.snapshot().processes_created - before, 2, "the pool");
+
+        // A process of the lent job that launches a force of its own —
+        // another plane — finds no loan there and runs scoped instead of
+        // queueing behind the pool its own job occupies.
+        let nested = launch_plane(&plane, None, |_| {
+            let (inner_stats, inner) = plane_on(ParkBackend::ThreadPerPid, 2);
+            let pids = launch_plane(&inner, None, |pid| pid);
+            (pids, inner_stats.snapshot().processes_created)
+        });
+        assert_eq!(nested, Ok(vec![(Ok(vec![0, 1]), 2); 2]));
+        assert_eq!(jobs_on(&lent), 3, "the outer job only");
+
+        // Withdrawn, the plane is on its own again.
+        plane.end_loan();
+        let before = stats.snapshot().processes_created;
+        assert_eq!(launch_plane(&plane, None, |pid| pid), Ok(vec![0, 1]));
+        assert_eq!(stats.snapshot().processes_created - before, 2);
+        assert_eq!(jobs_on(&lent), 3);
+    }
+
+    #[test]
     fn a_launch_gives_the_launching_thread_back_as_it_was() {
         fn lock_acquires(s: &OpStats) -> &std::sync::atomic::AtomicU64 {
             &s.lock_acquires
@@ -601,11 +669,19 @@ mod tests {
 
     type Outcome = Result<Vec<usize>, ProcessFault>;
 
-    /// The attached pool's size for an `n`-pid job (0 = no pool).
+    /// The pool's size for an `n`-pid job (0 = no pool).
     type PoolSize = fn(usize) -> usize;
 
+    /// How the pool reaches the launcher: handed to [`launch_plane`] by
+    /// the caller, or lent to the plane as a server shard does.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Pool {
+        Attached,
+        Lent,
+    }
+
     /// The five launch scenarios under one launch configuration.
-    fn scenarios(backend: ParkBackend, pool_size: PoolSize) -> [Outcome; 5] {
+    fn scenarios(backend: ParkBackend, pool_size: PoolSize, how: Pool) -> [Outcome; 5] {
         let config = |watchdog| FaultConfig {
             watchdog,
             backend,
@@ -614,8 +690,14 @@ mod tests {
         let rig = |nproc: usize, watchdog: Option<Duration>| {
             let stats = Arc::new(OpStats::new());
             let workers = pool_size(nproc);
-            let pool = (workers > 0).then(|| ForcePool::new(workers, &stats));
+            let pool =
+                (workers > 0 && how == Pool::Attached).then(|| ForcePool::new(workers, &stats));
             let plane = FaultPlane::new(nproc, Arc::clone(&stats), config(watchdog));
+            if workers > 0 && how == Pool::Lent {
+                // Lent once, like an attempt that runs every job below:
+                // `reset_for_job` between them must leave the loan alone.
+                plane.lend(&LazyPool::with_size(workers, (&stats).into()));
+            }
             // Held by the test forever: a pid that asks for it parks until cancelled.
             let wedge = SpinLock::new(LockState::Unlocked, Arc::clone(&stats));
             wedge.lock();
@@ -630,7 +712,9 @@ mod tests {
         };
 
         // Every pid runs exactly once; results come back in pid order;
-        // a pool charges nothing, scoped threads charge `nproc`.
+        // a pool charges nothing, scoped threads charge `nproc`.  A pool
+        // charges its size when it is made: an attached one always, a
+        // lent one only if a job ever ran on it.
         let (stats, pool, plane, _) = rig(3, None);
         let hits = AtomicUsize::new(0);
         let clean = launch_plane(&plane, pool.as_ref(), |pid| {
@@ -639,7 +723,12 @@ mod tests {
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
         let pooled = backend == ParkBackend::ThreadPerPid && pool_size(3) >= 3;
-        let charged = stats.snapshot().processes_created - pool_size(3) as u64;
+        let resident = if pooled || how == Pool::Attached {
+            pool_size(3) as u64
+        } else {
+            0
+        };
+        let charged = stats.snapshot().processes_created - resident;
         assert_eq!(charged, if pooled { 0 } else { 3 });
         assert!(!plane.is_tripped());
 
@@ -726,7 +815,7 @@ mod tests {
     #[test]
     fn launch_matrix_every_scenario_agrees_across_every_launcher() {
         use ParkBackend::{Overcommit, ThreadPerPid, Virtual};
-        let scoped = scenarios(ThreadPerPid, |_| 0);
+        let scoped = scenarios(ThreadPerPid, |_| 0, Pool::Attached);
         assert_eq!(scoped[0], Ok(vec![0, 2, 4]));
         assert_eq!(scoped[1], Err(fault_in(1, "body", "pid one dies")));
         assert_eq!(scoped[2], Err(fault_in(0, "body", "pid zero dies")));
@@ -742,7 +831,10 @@ mod tests {
             ("virtual with a pool", Virtual { seed: 1989 }, |n| n),
         ];
         for (name, backend, pool_size) in pooled {
-            assert_eq!(scenarios(backend, pool_size), scoped, "{name} vs scoped");
+            for how in [Pool::Attached, Pool::Lent] {
+                let outcomes = scenarios(backend, pool_size, how);
+                assert_eq!(outcomes, scoped, "{name}, {how:?}, vs scoped");
+            }
         }
     }
 }

@@ -72,6 +72,35 @@
 //!   `HistogramSnapshot::merge`); queue telemetry stays per shard
 //!   ([`ServerReport::shard_peak_backlogs`]) next to a coherent
 //!   whole-server peak.
+//!
+//! # The shard's force
+//!
+//! The paper creates the force once, in the generated driver, because
+//! process creation was the expensive machine-dependent primitive; a
+//! served session that attached no [`ForcePool`](crate::pool::ForcePool)
+//! of its own — a cold source loaded onto a fresh machine, say — used to
+//! create its processes per job all the same.  Each shard therefore owns
+//! one resident force as wide as the host, and **lends** it:
+//!
+//! * **Who owns it** — the shard's dispatcher.  No thread exists until
+//!   a job actually launches on it, so a server whose sessions all carry
+//!   pools never creates one; its one-time `processes_created` charge
+//!   goes to the *server's* stats; `shutdown` joins it with the
+//!   dispatcher.
+//! * **Loan lifetime = one attempt** — [`JobCx::bind_plane`] records the
+//!   loan on the plane it binds, the dispatcher withdraws it when the
+//!   attempt returns.  A retry borrows afresh; a job pulled by a sibling
+//!   borrows the *pulling* shard's force, which is the idle one.
+//! * **On the plane, not the thread** — the launcher
+//!   ([`launch_plane`](crate::process::launch_plane)) reads the loan off
+//!   the plane it is launching, and only when the caller attached no
+//!   pool.  A served process that itself creates a force launches a
+//!   *different* plane, finds no loan and runs scoped: it cannot queue
+//!   behind the pool its own job occupies, as a thread-local would let it.
+//! * **Accounting** — a lent job is a pooled job: `processes_created` 0 in
+//!   its delta and tenant rollup, priced accordingly by the cost model.
+//!   Jobs wider than the host and multiplexed backends (overcommit,
+//!   virtual) run on scoped threads exactly as without a server.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -82,6 +111,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{Construct, FaultPlane, ProcessFault, INJECTED_FAULT_MARKER};
 use crate::park;
+use crate::pool::LazyPool;
 use crate::portable::{Backoff, Condvar, Mutex, XorShift64};
 use crate::process::{StopGuard, StopSignal};
 use crate::stats::{OpStats, StatsHandle, StatsSnapshot};
@@ -408,6 +438,9 @@ pub struct JobCx {
     shared: Arc<JobShared>,
     attempt: u32,
     shard: usize,
+    /// The executing shard's resident force, lent to the plane the
+    /// runner binds.
+    force: Arc<LazyPool>,
 }
 
 impl JobCx {
@@ -418,6 +451,15 @@ impl JobCx {
     /// read from that plane alone, so concurrent jobs on other shards
     /// never bleed into this job's rollup.
     ///
+    /// Binding is also a **loan**: until the attempt ends, the plane may
+    /// run on the executing shard's resident force (see the module docs,
+    /// "The shard's force").  A session that attached a pool of its own
+    /// never looks at the loan; one that did not launches on resident
+    /// threads instead of creating its own, and its job reports
+    /// `processes_created == 0` like any pooled job.  The dispatcher
+    /// withdraws the loan when the attempt returns, so the same session
+    /// run outside the server afterwards is on its own again.
+    ///
     /// When the plane runs under the deterministic virtual-time
     /// scheduler, the job's remaining wall budget is also armed on the
     /// *virtual* clock (1 wall ns = 1 virtual ns): a virtual job does
@@ -426,10 +468,15 @@ impl JobCx {
     /// replays exactly with the schedule.  The wall watcher stays armed
     /// as a backstop.
     pub fn bind_plane(&self, plane: &Arc<FaultPlane>) {
-        *self.shared.plane.lock() = Some(PlaneBinding {
+        plane.lend(&self.force);
+        let rebound = self.shared.plane.lock().replace(PlaneBinding {
             plane: Arc::clone(plane),
             base: plane.stats().snapshot(),
         });
+        // One loan per attempt: a plane bound earlier gives its back.
+        if let Some(earlier) = rebound.filter(|b| !Arc::ptr_eq(&b.plane, plane)) {
+            earlier.plane.end_loan();
+        }
         if plane.is_virtual() {
             if let Some(at) = self.shared.deadline_at {
                 let remaining = at.saturating_duration_since(Instant::now());
@@ -440,7 +487,9 @@ impl JobCx {
 
     /// The shard whose dispatcher is executing this attempt.  Stable for
     /// the whole attempt (a pulled job runs on the pulling shard), so a
-    /// runner can pick a per-shard session or pool with it.
+    /// runner can pick a per-shard *session* with it.  It need not pick
+    /// a pool: [`bind_plane`](Self::bind_plane) lends the plane this
+    /// shard's resident force.
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -1131,16 +1180,19 @@ fn run_attempt(runner: &mut JobRunner, cx: &JobCx) -> Result<JobYield, JobError>
 }
 
 /// Read and re-base the attempt's operation delta from the plane the
-/// runner bound.  Plane-private by construction: only this job's run
-/// charges that plane's local block, so the delta is exact even with
-/// sibling shards running other jobs on the same machine.  A runner
-/// that never bound a plane reports no ops.  Re-basing (rather than
-/// clearing) means a retry attempt that faults before rebinding cannot
-/// double-count the previous attempt's operations.
+/// runner bound, and end the loan that binding was.  Plane-private by
+/// construction: only this job's run charges that plane's local block,
+/// so the delta is exact even with sibling shards running other jobs on
+/// the same machine.  A runner that never bound a plane reports no ops.
+/// Re-basing (rather than clearing) means a retry attempt that faults
+/// before rebinding cannot double-count the previous attempt's
+/// operations; a retry that does rebind borrows afresh, from whichever
+/// shard runs it.
 fn attempt_ops(shared: &JobShared) -> StatsSnapshot {
     let mut bound = shared.plane.lock();
     match bound.as_mut() {
         Some(binding) => {
+            binding.plane.end_loan();
             let now = binding.plane.stats().snapshot();
             let delta = now.delta(&binding.base);
             binding.base = now;
@@ -1168,6 +1220,10 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
             .seed
             .wrapping_add((me as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
     );
+    // The shard's resident force: no thread until a bound plane without a
+    // pool of its own launches on it, and joined when this loop returns —
+    // which `ForceServer::shutdown` waits for.
+    let force = LazyPool::new(inner.stats.clone());
     loop {
         // Own queues first: enforce the shard watermark, then dequeue.
         let mut shed: Vec<(usize, QueuedJob)> = Vec::new();
@@ -1261,6 +1317,7 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
                 shared: Arc::clone(&job.shared),
                 attempt,
                 shard: me,
+                force: Arc::clone(&force),
             };
             let result = run_attempt(&mut job.runner, &cx);
             ops.merge(&attempt_ops(&job.shared));
@@ -2125,10 +2182,12 @@ mod tests {
     fn concurrent_jobs_report_disjoint_plane_ops() {
         // Two tenants on different shards run at the same time (a
         // rendezvous proves the overlap); each binds its own fault
-        // plane and spawns a different number of processes.  The
-        // rollups must show exactly each job's own plane delta — under
-        // the old machine-wide before/after snapshot the concurrent
-        // job's charges would bleed in.
+        // plane and runs a different number of processes, each of which
+        // charges one lock acquisition.  The rollups must show exactly
+        // each job's own plane delta — under the old machine-wide
+        // before/after snapshot the concurrent job's charges would bleed
+        // in.  (Not `processes_created`: a job the shard's force hosts
+        // creates none.)
         let stats = Arc::new(OpStats::new());
         let srv = ForceServer::new(
             ServerConfig {
@@ -2157,7 +2216,10 @@ mod tests {
                     assert!(spins < 500_000, "peer job never started");
                     thread::sleep(Duration::from_micros(10));
                 }
-                crate::process::spawn_force_plane(&plane, |_pid| {})
+                let charge_one = |_pid| {
+                    crate::fault::charge_current(&|s: &OpStats| &s.lock_acquires, 1);
+                };
+                crate::process::spawn_force_plane(&plane, charge_one)
                     .map(|_: Vec<()>| JobYield::default())
                     .map_err(JobError::Fault)
             });
@@ -2171,11 +2233,44 @@ mod tests {
         srv.shutdown();
         let ra = srv.tenant_report(&t0).unwrap();
         let rb = srv.tenant_report(&t1).unwrap();
-        assert_eq!(ra.ops.processes_created, 2, "tenant {t0} absorbed a bleed");
-        assert_eq!(rb.ops.processes_created, 4, "tenant {t1} absorbed a bleed");
+        assert_eq!(ra.ops.lock_acquires, 2, "tenant {t0} absorbed a bleed");
+        assert_eq!(rb.ops.lock_acquires, 4, "tenant {t1} absorbed a bleed");
         // The machine-wide view still sees everything: per-plane locals
         // roll up into the machine block they chain from.
-        assert_eq!(stats.snapshot().processes_created, 6);
+        assert_eq!(stats.snapshot().lock_acquires, 6);
+    }
+
+    #[test]
+    fn a_loan_lasts_one_attempt_and_one_binding() {
+        // The runner binds a plane, then another: the first gives the
+        // shard's force back at once, the second while it is bound may
+        // launch on it, and neither holds it once the attempt is over.
+        let (srv, stats) = server();
+        let plane = |nproc| {
+            let config = crate::fault::FaultConfig::default();
+            FaultPlane::new(nproc, Arc::clone(&stats), config)
+        };
+        let (first, second) = (plane(1), plane(1));
+        let (a, b) = (Arc::clone(&first), Arc::clone(&second));
+        let runner: JobRunner = Box::new(move |cx| {
+            cx.bind_plane(&a);
+            assert!(a.loan().is_some());
+            cx.bind_plane(&b);
+            assert!(a.loan().is_none(), "one loan per attempt");
+            cx.bind_plane(&b);
+            assert!(b.loan().is_some(), "rebinding the same plane keeps it");
+            crate::process::launch_plane(&b, None, |_| ())
+                .map(|_| JobYield::default())
+                .map_err(JobError::Fault)
+        });
+        let job = srv.submit(JobSpec::for_tenant("t"), runner);
+        assert_eq!(
+            job.expect_admitted().wait(),
+            JobOutcome::Completed { retries: 0 }
+        );
+        assert!(first.loan().is_none() && second.loan().is_none());
+        let ops = srv.tenant_report("t").unwrap().ops;
+        assert_eq!(ops.processes_created, 0, "launched on the lent force");
     }
 
     #[test]

@@ -322,6 +322,62 @@ fn faulted_critical_holder_does_not_wedge_the_scarce_pool() {
     }
 }
 
+#[test]
+fn scarce_lock_slots_come_back_when_their_sessions_are_done() {
+    // ROADMAP 4(b): the Cray-2's pool never gave a slot back.  Every
+    // `ZZINITU` of every run and every named critical of every session
+    // took one for the machine's lifetime, so a machine that had served
+    // 32 of them — one short session after another, the normal life of a
+    // server — answered the next `Async::new` "scarce-lock pool
+    // exhausted" with nothing left running on it.
+    use std::sync::Arc;
+
+    let machine = Machine::new(MachineId::Cray2);
+    let capacity = machine
+        .spec()
+        .lock_pool_capacity
+        .expect("the Cray-2 pool is scarce");
+    let pool = Arc::new(ForcePool::new(2, machine.stats()));
+
+    // A pooled native session whose criticals fill the pool exactly.
+    let force = Force::with_machine(2, Arc::clone(&machine)).with_pool(Arc::clone(&pool));
+    force.run(|p| {
+        for i in 0..capacity {
+            p.critical(&format!("C{i}"), || ());
+        }
+    });
+    assert_eq!(machine.free_lock_slots(), Some(0));
+    // While the session lives its locks are its own: this is the real
+    // exhaustion `ScarceLockError` is for.
+    let err = Async::<i64>::try_new(&machine)
+        .err()
+        .expect("32 live criticals leave no slot for a state lock");
+    assert_eq!(err.capacity, capacity);
+    drop(force);
+    assert_eq!(machine.free_lock_slots(), Some(capacity));
+    Async::<i64>::try_new(&machine).expect("the session is gone, and so are its locks");
+
+    // A pooled engine session: each run's driver re-creates its user
+    // lock, and 40 runs used to take 32 slots and then alias.
+    let exp = preprocess(OK_PROGRAM, MachineId::Cray2).unwrap();
+    let engine = Engine::from_expanded(&exp, Arc::clone(&machine)).unwrap();
+    engine.set_pool(Arc::clone(&pool));
+    for run in 0..capacity + 8 {
+        let out = engine.run(2).expect("the program is sound");
+        assert_eq!(out.stats.locks_aliased, 0, "run {run}");
+    }
+    assert_eq!(
+        machine.free_lock_slots(),
+        Some(capacity - 1),
+        "the resident session holds its one user lock, not one per run"
+    );
+    let cell = Async::<i64>::try_new(&machine).expect("room for the E/F pair");
+    drop(engine);
+    assert_eq!(machine.free_lock_slots(), Some(capacity - 2), "the pair");
+    drop(cell);
+    assert_eq!(machine.free_lock_slots(), Some(capacity));
+}
+
 // --- Fault containment: the force-wide fault plane ---------------------
 
 #[test]

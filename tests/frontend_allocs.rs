@@ -132,29 +132,43 @@ fn a_cold_source_stays_inside_its_allocation_budget() {
 /// `&str`.  Exact: lower it when a change removes one, never raise it.
 const SERVED_NULL_JOB: u64 = 27;
 
-#[test]
-fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
+/// The same job on a session with no pool of its own.  It read 32 while
+/// such a job created its processes (thread `Builder`, name, `Packet`,
+/// scope bookkeeping and the handles' `Vec`: 5 per job at `nproc` 2);
+/// on the force its shard lends it, it is the pooled job exactly —
+/// binding the plane clones an `Arc` into a slot the plane already has.
+const SERVED_UNPOOLED_NULL_JOB: u64 = SERVED_NULL_JOB;
+
+/// Allocations per served empty job, three batches of 100 after one to
+/// warm up, on a session with or without a pool of its own.
+fn served_null_job_allocations(own_pool: bool) -> Vec<u64> {
     const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n      Join\n";
-    const NPROC: usize = 2;
     const BATCH: u64 = 100;
+    // What the shard's force hosts wherever this runs.
+    let nproc = the_force::machdep::default_nproc().min(2);
     let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
     let id = MachineId::SequentBalance;
     let machine = Machine::new(id);
     let expanded = preprocess(NULL, id).unwrap();
     let engine = Arc::new(Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap());
-    engine.set_pool(Arc::new(ForcePool::new(NPROC, machine.stats())));
+    if own_pool {
+        engine.set_pool(Arc::new(ForcePool::new(nproc, machine.stats())));
+    }
     let server = ForceServer::new(ServerConfig::default(), machine.stats());
     let serve_a_batch = || {
         for _ in 0..BATCH {
-            let runner = engine.serve_runner(NPROC, RunOptions::default(), |_| ());
+            let runner = engine.serve_runner(nproc, RunOptions::default(), |out| {
+                assert_eq!(out.stats.processes_created, 0);
+            });
             let job = server.submit(JobSpec::for_tenant("closed"), runner);
             let outcome = job.expect_admitted().wait();
             assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
         }
     };
-    // Warm up: the tenant's first job, queue and map growth, thread-locals.
+    // Warm up: the tenant's first job, queue and map growth, thread-locals
+    // — and the shard's force, if this session is the one to borrow it.
     serve_a_batch();
-    let per_job: Vec<u64> = (0..3)
+    (0..3)
         .map(|_| {
             ALL_COUNT.store(0, Ordering::SeqCst);
             EVERY_THREAD.store(true, Ordering::SeqCst);
@@ -164,7 +178,19 @@ fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
             assert_eq!(batch % BATCH, 0, "{batch} allocations in {BATCH} jobs");
             batch / BATCH
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
+    let per_job = served_null_job_allocations(true);
     println!("a served null job: {per_job:?} allocations");
     assert_eq!(per_job, [SERVED_NULL_JOB; 3]);
+}
+
+#[test]
+fn a_served_unpooled_null_job_allocates_no_more_than_a_pooled_one() {
+    let per_job = served_null_job_allocations(false);
+    println!("a served unpooled null job: {per_job:?} allocations");
+    assert_eq!(per_job, [SERVED_UNPOOLED_NULL_JOB; 3]);
 }

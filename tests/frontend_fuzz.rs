@@ -3,8 +3,10 @@
 //! Every corpus program (`tests/support/corpus.rs`) is mutated 2 000
 //! times — a byte flipped, a span deleted or duplicated, or one of the
 //! tokens that steer the scanners (`` ` `` `'` `(` `)` `,` `-` `$1` `dnl`
-//! `eval(`, multi-byte text, and an `eval` of 300 signs, past its limit)
-//! spliced in at a random byte offset, inside identifiers and labels too
+//! `eval(`, multi-byte text, and what recurses past its limit: an `eval`
+//! of 300 signs, and runs and nests of 300 parentheses, which the
+//! Fortran expression parser bounds at `MAX_EXPR_DEPTH`) spliced in at a
+//! random byte offset, inside identifiers and labels too
 //! — and each mutant goes through sed → m4 → m4 → lex → parse → bytecode
 //! on a drawn personality.  The outcome must be a program or a
 //! `PrepError`/`FortError`: never a panic (the byte
@@ -55,7 +57,7 @@ fn mutate(source: &str, rng: &mut XorShift64) -> (String, String) {
     let mut bytes = source.as_bytes().to_vec();
     let at = rng.next_index(bytes.len());
     let span = |rng: &mut XorShift64| at + 1 + rng.next_index(24.min(bytes.len() - at));
-    let what = match rng.next_index(4 + SPLICES.len()) {
+    let what = match rng.next_index(7 + SPLICES.len()) {
         0 => {
             bytes[at] ^= 1 << rng.next_index(8);
             format!("flip a bit of byte {at}")
@@ -71,17 +73,28 @@ fn mutate(source: &str, rng: &mut XorShift64) -> (String, String) {
             bytes.splice(at..at, copy);
             format!("duplicate {at}..{end}")
         }
-        3 => {
-            // `eval` recurses per unary `-`: a run of them past its limit,
-            // which m4 reads wherever the sed pass lets it through
-            // (character literals, comment lines) and the Fortran parser
-            // wherever it lands in a name.
-            let deep = format!("eval({}1)", "-".repeat(300));
+        n @ 3..=6 => {
+            // What recurses, past its limit.  `eval` descends per unary
+            // `-`, and m4 reads it wherever the sed pass lets it through
+            // (character literals, comment lines); the Fortran expression
+            // parser descends per `(`, open, closed or never opened.
+            let (deep, name) = match n {
+                3 => (
+                    format!("eval({}1)", "-".repeat(300)),
+                    "an eval of 300 signs",
+                ),
+                4 => ("(".repeat(300), "300 `(`"),
+                5 => (")".repeat(300), "300 `)`"),
+                _ => (
+                    format!("{}1{}", "(".repeat(300), ")".repeat(300)),
+                    "a nest of 300 parentheses",
+                ),
+            };
             bytes.splice(at..at, deep.bytes());
-            format!("splice an eval of 300 signs at {at}")
+            format!("splice {name} at {at}")
         }
         n => {
-            let token = SPLICES[n - 4];
+            let token = SPLICES[n - 7];
             bytes.splice(at..at, token.bytes());
             format!("splice {token:?} at {at}")
         }

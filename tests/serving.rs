@@ -6,6 +6,8 @@
 //! transient fault, deterministic errors never retry, and the pool is
 //! still healthy when the server is gone.
 
+mod support;
+
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -14,7 +16,7 @@ use the_force::core::{Force, ForcePool};
 use the_force::fortran::{Engine, Value};
 use the_force::machdep::{
     FaultInjection, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Machine,
-    MachineId, Priority, RunOptions, ServerConfig, Submit, TraceConfig,
+    MachineId, OpStats, Priority, RunOptions, ServerConfig, StatsSnapshot, Submit, TraceConfig,
 };
 use the_force::prep::preprocess;
 use the_force::ForceError;
@@ -413,13 +415,7 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
     );
     // One tenant pinned to each shard so the two jobs dispatch
     // concurrently.
-    let tenant_on = |shard: usize| -> String {
-        (0..1000)
-            .map(|i| format!("tenant-{i}"))
-            .find(|t| server.shard_of(t) == shard)
-            .expect("some tenant hashes to every shard")
-    };
-    let tenants = [tenant_on(0), tenant_on(1)];
+    let tenants = [tenant_on(&server, 0), tenant_on(&server, 1)];
     let sessions = [
         Arc::new(Force::with_machine(NPROC, Arc::clone(&machine))),
         Arc::new(Force::with_machine(NPROC, Arc::clone(&machine))),
@@ -711,4 +707,572 @@ fn overload_rejects_and_sheds_instead_of_collapsing() {
         ForceError::from_outcome(JobOutcome::Shed),
         Err(ForceError::Rejected { .. })
     ));
+}
+
+// --- The shard's force -------------------------------------------------
+//
+// A served session that attached no pool of its own borrows the
+// executing shard's resident force for the attempt (`JobCx::bind_plane`
+// is the loan).  The only number that changes is `processes_created` on
+// such jobs — `nproc` scoped, 0 lent, stated below where it is checked;
+// every other per-plane delta and tenant rollup in this file is as it
+// was.
+
+/// How wide a shard's force is: the widest job it hosts.
+fn host_width() -> usize {
+    the_force::machdep::default_nproc()
+}
+
+/// A force the shard can host wherever this runs (a force of one, the
+/// caller alone, on a one-core host).
+fn lendable_nproc() -> usize {
+    host_width().min(2)
+}
+
+/// `src` loaded onto `machine` as a session with no pool of its own.
+fn unpooled_engine(src: &str, machine: &Arc<Machine>) -> Arc<Engine> {
+    let expanded = preprocess(src, machine.id()).unwrap();
+    Arc::new(Engine::from_expanded(&expanded, Arc::clone(machine)).unwrap())
+}
+
+/// A server that counts into a block of its own, so that what the
+/// *server* created is not mixed up with what a machine's sessions did.
+fn server_with_own_stats(config: ServerConfig) -> (ForceServer, Arc<OpStats>) {
+    let stats = Arc::new(OpStats::new());
+    (ForceServer::new(config, &stats), stats)
+}
+
+/// `work`'s result, or a failed test instead of a hung one.
+fn within_5s<R: Send + 'static>(what: &str, work: impl FnOnce() -> R + Send + 'static) -> R {
+    let (done, result) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(work()));
+    result
+        .recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("{what}: no result in 5 s"))
+}
+
+/// The first tenant name that hashes to `shard`.
+fn tenant_on(server: &ForceServer, shard: usize) -> String {
+    (0..1000)
+        .map(|i| format!("tenant-{i}"))
+        .find(|t| server.shard_of(t) == shard)
+        .expect("some tenant hashes to every shard")
+}
+
+/// What a hand-written runner does with its session: bind the plane (the
+/// loan), run `body` under `options`, map the result.
+fn run_bound(
+    cx: &the_force::machdep::JobCx,
+    session: &Force,
+    options: RunOptions,
+    body: impl Fn(&the_force::core::Player) + Sync,
+) -> Result<JobYield, JobError> {
+    cx.bind_plane(session.fault_plane());
+    session
+        .try_execute_with(options, body)
+        .map(|_| JobYield::default())
+        .map_err(JobError::Fault)
+}
+
+/// Every counter two runs of one program must agree on, but the one the
+/// loan is about.
+fn assert_same_ops_but_creation(label: &str, scoped: &StatsSnapshot, lent: &StatsSnapshot) {
+    for ((name, s), (_, l)) in scoped.fields().iter().zip(lent.fields().iter()) {
+        if *name == "processes_created" || support::TIMING_DEPENDENT_COUNTERS.contains(name) {
+            continue;
+        }
+        assert_eq!(s, l, "{label}: op counter {name} diverges");
+    }
+}
+
+#[test]
+fn lent_jobs_create_no_processes_and_compute_what_scoped_ones_do() {
+    let np = lendable_nproc();
+    for id in MachineId::all() {
+        let machine = Machine::new(id);
+        let (server, server_stats) = server_with_own_stats(ServerConfig::default());
+
+        // The language path.  The reference is the session's *second*
+        // direct run: the first also designates shared memory.
+        let engine = unpooled_engine(LANG_PROGRAM, &machine);
+        engine.run(np).unwrap();
+        let scoped = engine.run(np).unwrap();
+        assert_eq!(scoped.stats.processes_created, np as u64, "{}", id.name());
+        let outputs = Arc::new(Mutex::new(Vec::new()));
+        for _ in 0..3 {
+            let sink = Arc::clone(&outputs);
+            let runner = engine.serve_runner(np, RunOptions::default(), move |out| {
+                sink.lock().unwrap().push(out);
+            });
+            let job = expect_admitted(server.submit(JobSpec::for_tenant("lang"), runner));
+            assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        }
+        let outputs = std::mem::take(&mut *outputs.lock().unwrap());
+        assert_eq!(outputs.len(), 3);
+        for lent in &outputs {
+            // 2 → 0: the one number a loan changes.
+            assert_eq!(lent.stats.processes_created, 0, "{}", id.name());
+            assert_same_ops_but_creation(id.name(), &scoped.stats, &lent.stats);
+            assert_eq!(lent.prints, scoped.prints);
+            assert_eq!(lent.shared_values, scoped.shared_values);
+            assert!(lent.cycles <= scoped.cycles, "priced like a pooled job");
+        }
+        let lang = server.tenant_report("lang").unwrap();
+        assert_eq!(lang.completed, 3);
+        assert_eq!(lang.ops.processes_created, 0);
+        assert_eq!(lang.ops.lock_acquires, 3 * scoped.stats.lock_acquires);
+
+        // The native path, same shard, same resident force.
+        let force = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
+        let cell = Arc::new(AtomicU64::new(0));
+        let body = {
+            let cell = Arc::clone(&cell);
+            move |p: &the_force::core::Player| {
+                p.barrier();
+                cell.fetch_add(p.pid() as u64 + 1, Ordering::Relaxed);
+                p.barrier();
+            }
+        };
+        force.run(body.clone());
+        let scoped = force.last_job_stats().unwrap();
+        assert_eq!(scoped.processes_created, np as u64);
+        let runner = force.serve_runner(RunOptions::default(), body);
+        let job = expect_admitted(server.submit(JobSpec::for_tenant("native"), runner));
+        assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        let lent = force.last_job_stats().unwrap();
+        assert_eq!(lent.processes_created, 0, "{}", id.name());
+        assert_same_ops_but_creation(id.name(), &scoped, &lent);
+        let sum = (np * (np + 1)) as u64 / 2;
+        assert_eq!(
+            cell.load(Ordering::Relaxed),
+            2 * sum,
+            "one scoped run, one lent"
+        );
+        let native = server.tenant_report("native").unwrap();
+        assert_eq!(native.ops.processes_created, 0);
+        assert_eq!(native.ops.barrier_episodes, 2);
+
+        // Four jobs, one creation: the shard's force, charged to the
+        // server.  The machine paid for its three direct runs only.
+        server.shutdown();
+        assert_eq!(
+            server_stats.snapshot().processes_created,
+            host_width() as u64
+        );
+        assert_eq!(machine.stats().snapshot().processes_created, 3 * np as u64);
+    }
+}
+
+#[test]
+fn lent_force_is_never_created_for_sessions_that_bring_their_own() {
+    let machine = Machine::new(MachineId::Flex32);
+    let np = lendable_nproc();
+    let pool = Arc::new(ForcePool::new(np, machine.stats()));
+    let (server, server_stats) = server_with_own_stats(ServerConfig::default());
+    let engine = pooled_engine(LANG_PROGRAM, &machine, &pool);
+    let force =
+        Arc::new(Force::with_machine(np, Arc::clone(&machine)).with_pool(Arc::clone(&pool)));
+    for _ in 0..10 {
+        let lang = engine.serve_runner(np, RunOptions::default(), |_| ());
+        let native = force.serve_runner(RunOptions::default(), |p| p.barrier());
+        for runner in [lang, native] {
+            let job = expect_admitted(server.submit(JobSpec::for_tenant("own"), runner));
+            assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        }
+    }
+    server.shutdown();
+    // A shard's force charges the server when it comes into being, and
+    // comes into being when a job first runs on it: none did.
+    assert_eq!(server_stats.snapshot().processes_created, 0);
+    assert_eq!(machine.stats().snapshot().processes_created, np as u64);
+    assert_eq!(pool.jobs_completed(), 20);
+}
+
+#[test]
+fn lent_force_is_bypassed_by_wide_and_multiplexed_jobs() {
+    use the_force::machdep::ParkBackend;
+    let machine = Machine::new(MachineId::EncoreMultimax);
+    let (server, server_stats) = server_with_own_stats(ServerConfig::default());
+    let engine = unpooled_engine(LANG_PROGRAM, &machine);
+    let wide = host_width() + 1;
+    let overcommit = RunOptions {
+        backend: ParkBackend::Overcommit { workers: 2 },
+        ..RunOptions::default()
+    };
+    let virtual_time = RunOptions {
+        backend: ParkBackend::Virtual { seed: 1989 },
+        ..RunOptions::default()
+    };
+    for (nproc, options) in [
+        (wide, RunOptions::default()),
+        (lendable_nproc(), overcommit),
+        (lendable_nproc(), virtual_time),
+    ] {
+        let created = Arc::new(AtomicU64::new(u64::MAX));
+        let sink = Arc::clone(&created);
+        let runner = engine.serve_runner(nproc, options, move |out| {
+            assert_eq!(out.shared_scalar("N"), Some(Value::Int(nproc as i64)));
+            sink.store(out.stats.processes_created, Ordering::Relaxed);
+        });
+        let job = expect_admitted(server.submit(JobSpec::for_tenant("scoped"), runner));
+        assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        let label = format!("nproc {nproc} under {:?}", options.backend);
+        assert_eq!(created.load(Ordering::Relaxed), nproc as u64, "{label}");
+    }
+
+    // A virtual schedule is the same schedule served: the loan is not a
+    // decision point, nor anything else the scheduler can see.
+    let force = Arc::new(Force::with_machine(3, Arc::clone(&machine)));
+    let body = |p: &the_force::core::Player| {
+        p.critical("V", || ());
+        p.barrier();
+    };
+    force.try_execute_with(virtual_time, body).unwrap();
+    let direct = force.last_virtual_summary().expect("a virtual run");
+    let runner = force.serve_runner(virtual_time, body);
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("scoped"), runner));
+    assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+    assert_eq!(force.last_virtual_summary(), Some(direct));
+    assert_eq!(force.last_job_stats().unwrap().processes_created, 3);
+
+    server.shutdown();
+    assert_eq!(
+        server_stats.snapshot().processes_created,
+        0,
+        "no job fitted the shard's force, so it never existed"
+    );
+}
+
+#[test]
+fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
+    let machine = Machine::new(MachineId::Cray2);
+    let np = lendable_nproc();
+    let (server, server_stats) = server_with_own_stats(ServerConfig::default());
+    let good = unpooled_engine(LANG_PROGRAM, &machine);
+    let bad = unpooled_engine(BAD_SUBSCRIPT_PROGRAM, &machine);
+    let native = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
+
+    // After each casualty, the same shard force serves a clean job that
+    // creates nothing.
+    let next_job_is_lent_and_clean = |after: &str| {
+        let created = Arc::new(AtomicU64::new(u64::MAX));
+        let sink = Arc::clone(&created);
+        let runner = good.serve_runner(np, RunOptions::default(), move |out| {
+            assert_eq!(out.shared_scalar("N"), Some(Value::Int(np as i64)));
+            sink.store(out.stats.processes_created, Ordering::Relaxed);
+        });
+        let job = expect_admitted(server.submit(JobSpec::for_tenant("next"), runner));
+        assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 }, "{after}");
+        assert_eq!(created.load(Ordering::Relaxed), 0, "{after}");
+    };
+    next_job_is_lent_and_clean("a fresh server");
+
+    let runner = bad.serve_runner(np, RunOptions::default(), |_| ());
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("bad"), runner));
+    assert!(matches!(
+        job.wait(),
+        JobOutcome::Faulted {
+            error: JobError::Deterministic(_),
+            retries: 0
+        }
+    ));
+    next_job_is_lent_and_clean("a runtime error");
+
+    // The last pid panics: a pool worker where there is one.
+    let runner = native.serve_runner(RunOptions::default(), move |p| {
+        if p.pid() == np - 1 {
+            panic!("pid {} dies", p.pid());
+        }
+        p.barrier();
+    });
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("bad"), runner));
+    match job.wait() {
+        JobOutcome::Faulted {
+            error: JobError::Fault(fault),
+            ..
+        } => assert_eq!(fault.pid, np - 1),
+        other => panic!("a panicking process ended {other:?}"),
+    }
+    next_job_is_lent_and_clean("a panic");
+
+    // Every pid spins on the cancellation token until the deadline trips
+    // the plane the loan rides on.
+    let runner = native.serve_runner(RunOptions::default(), |_| loop {
+        std::thread::sleep(Duration::from_millis(1));
+        the_force::machdep::fault::check_cancel();
+    });
+    let spec = JobSpec::for_tenant("bad").with_deadline(Duration::from_millis(15));
+    let job = expect_admitted(server.submit(spec, runner));
+    assert_eq!(job.wait(), JobOutcome::DeadlineExceeded { ran: true });
+    next_job_is_lent_and_clean("a deadline kill");
+
+    server.shutdown();
+    assert_eq!(
+        server_stats.snapshot().processes_created,
+        host_width() as u64,
+        "one resident force through all of it"
+    );
+    assert_eq!(machine.stats().snapshot().processes_created, 0);
+}
+
+/// A lent job that keeps the force it borrowed (and the dispatcher that
+/// lent it) busy until released; released on drop too, so that a failed
+/// assertion does not leave `ForceServer::drop` waiting for it.
+struct Blocker {
+    gate: Arc<AtomicBool>,
+    /// The shard whose force the job occupies.
+    shard: usize,
+    job: the_force::machdep::JobHandle,
+}
+
+impl Blocker {
+    /// Submit the job for `tenant` and wait until every one of its `np`
+    /// processes is running.
+    fn occupy(server: &ForceServer, tenant: &str, machine: &Arc<Machine>, np: usize) -> Blocker {
+        let gate = Arc::new(AtomicBool::new(false));
+        let inside = Arc::new(AtomicUsize::new(0));
+        let ran_on = Arc::new(AtomicUsize::new(usize::MAX));
+        let session = Arc::new(Force::with_machine(np, Arc::clone(machine)));
+        let (open, entered, shard) = (Arc::clone(&gate), Arc::clone(&inside), Arc::clone(&ran_on));
+        let runner: JobRunner = Box::new(move |cx| {
+            shard.store(cx.shard(), Ordering::SeqCst);
+            let held = run_bound(cx, &session, RunOptions::default(), |_| {
+                entered.fetch_add(1, Ordering::SeqCst);
+                while !open.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            let created = session.last_job_stats().map(|s| s.processes_created);
+            assert_eq!(created, Some(0), "the blocker itself must be a lent job");
+            held
+        });
+        let job = expect_admitted(server.submit(JobSpec::for_tenant(tenant), runner));
+        while inside.load(Ordering::SeqCst) < np {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        Blocker {
+            gate,
+            shard: ran_on.load(Ordering::SeqCst),
+            job,
+        }
+    }
+
+    fn release(self) {
+        self.gate.store(true, Ordering::Release);
+        assert_eq!(self.job.wait(), JobOutcome::Completed { retries: 0 });
+    }
+}
+
+impl Drop for Blocker {
+    fn drop(&mut self) {
+        self.gate.store(true, Ordering::Release);
+    }
+}
+
+#[test]
+fn lent_force_is_borrowed_per_attempt_from_the_shard_that_runs_it() {
+    let machine = Machine::new(MachineId::SequentBalance);
+    let np = lendable_nproc();
+    let (server, server_stats) = server_with_own_stats(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    });
+
+    // A retry borrows again: neither attempt creates a process.
+    let flaky = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
+    let session = Arc::clone(&flaky);
+    let runner: JobRunner = Box::new(move |cx| {
+        let mut options = RunOptions::default();
+        if cx.attempt() == 0 {
+            let mut injection = FaultInjection::with_seed(0x0ce);
+            injection.panic_per_mille = 1000;
+            options.injection = Some(injection);
+        }
+        run_bound(cx, &session, options, |p| p.barrier())
+    });
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("flaky"), runner));
+    assert_eq!(job.wait(), JobOutcome::Completed { retries: 1 });
+    assert_eq!(flaky.last_job_stats().unwrap().processes_created, 0);
+    assert_eq!(machine.stats().snapshot().processes_created, 0);
+
+    // One shard and its force are kept busy by a lent job (either shard:
+    // an idle sibling may have pulled it).  A job queued on *that* shard
+    // can only run by being pulled, and then borrows the pulling shard's
+    // force: it finishes while the other force is taken.
+    let blocker = Blocker::occupy(&server, "blocker", &machine, np);
+    let busy = blocker.shard;
+    let ran_on = Arc::new(AtomicUsize::new(usize::MAX));
+    let pulled = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
+    let (session, shard) = (Arc::clone(&pulled), Arc::clone(&ran_on));
+    let runner: JobRunner = Box::new(move |cx| {
+        shard.store(cx.shard(), Ordering::SeqCst);
+        run_bound(cx, &session, RunOptions::default(), |p| p.barrier())
+    });
+    let queued_on_the_busy_shard = JobSpec::for_tenant(tenant_on(&server, busy));
+    let job = expect_admitted(server.submit(queued_on_the_busy_shard, runner));
+    let outcome = within_5s("a job pulled by the idle shard", move || job.wait());
+    assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
+    assert_eq!(ran_on.load(Ordering::SeqCst), 1 - busy);
+    assert_eq!(pulled.last_job_stats().unwrap().processes_created, 0);
+
+    blocker.release();
+    server.shutdown();
+    assert_eq!(
+        server_stats.snapshot().processes_created,
+        2 * host_width() as u64,
+        "each shard made its own force, once"
+    );
+    assert_eq!(machine.stats().snapshot().processes_created, 0);
+}
+
+#[test]
+fn lent_force_is_given_back_when_the_attempt_ends() {
+    let machine = Machine::new(MachineId::Flex32);
+    let np = lendable_nproc();
+    let (server, _) = server_with_own_stats(ServerConfig::default());
+    let engine = unpooled_engine(LANG_PROGRAM, &machine);
+    let runner = engine.serve_runner(np, RunOptions::default(), |out| {
+        assert_eq!(out.stats.processes_created, 0);
+    });
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("t"), runner));
+    assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+
+    // The shard's force is lent to somebody else now, and taken.  The
+    // engine it served a moment ago holds no loan any more: run directly
+    // it creates its own processes instead of queueing for that force.
+    let blocker = Blocker::occupy(&server, "t", &machine, np);
+    let session = Arc::clone(&engine);
+    let direct = within_5s("a direct run after a served one", move || {
+        session.run(np).unwrap()
+    });
+    assert_eq!(direct.stats.processes_created, np as u64);
+    assert_eq!(direct.shared_scalar("N"), Some(Value::Int(np as i64)));
+    blocker.release();
+}
+
+#[test]
+fn lent_job_may_launch_a_force_of_its_own() {
+    let machine = Machine::new(MachineId::AlliantFx8);
+    let np = lendable_nproc();
+    let (server, _) = server_with_own_stats(ServerConfig::default());
+    let outer = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
+    let inner_created = Arc::new(AtomicU64::new(0));
+    let (m, created) = (Arc::clone(&machine), Arc::clone(&inner_created));
+    // Every process of the lent job creates and joins a force: another
+    // plane, which nobody lent anything — were the loan the thread's, pid
+    // 0's inner force would queue behind the pool its own job holds.
+    let runner = outer.serve_runner(RunOptions::default(), move |p| {
+        let inner = Force::with_machine(np, Arc::clone(&m));
+        inner.run(|q| q.barrier());
+        let stats = inner.last_job_stats().unwrap();
+        created.fetch_add(stats.processes_created, Ordering::Relaxed);
+        p.barrier();
+    });
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("nested"), runner));
+    let outcome = within_5s("a lent job that launches forces", move || job.wait());
+    assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
+    assert_eq!(outer.last_job_stats().unwrap().processes_created, 0);
+    assert_eq!(inner_created.load(Ordering::Relaxed), (np * np) as u64);
+    server.shutdown();
+}
+
+#[test]
+fn lent_force_threads_are_joined_by_shutdown() {
+    /// Dropped when the thread that holds it ends.
+    struct Canary(Arc<AtomicBool>);
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    thread_local! {
+        static CANARY: std::cell::RefCell<Option<Canary>> = const { std::cell::RefCell::new(None) };
+    }
+
+    let np = lendable_nproc();
+    if np < 2 {
+        // A force of one is the dispatcher alone: no thread to join.
+        return;
+    }
+    let machine = Machine::new(MachineId::Hep);
+    let (server, _) = server_with_own_stats(ServerConfig::default());
+    let force = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
+    let thread_gone = Arc::new(AtomicBool::new(false));
+    let workers = Arc::new(Mutex::new(Vec::new()));
+    for _ in 0..2 {
+        let (flag, seen) = (Arc::clone(&thread_gone), Arc::clone(&workers));
+        let runner = force.serve_runner(RunOptions::default(), move |p| {
+            if p.pid() == 1 {
+                seen.lock().unwrap().push(std::thread::current().id());
+                CANARY.with(|c| {
+                    c.borrow_mut()
+                        .get_or_insert_with(|| Canary(Arc::clone(&flag)));
+                });
+            }
+        });
+        let job = expect_admitted(server.submit(JobSpec::for_tenant("t"), runner));
+        assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+    }
+    let workers = workers.lock().unwrap();
+    assert_eq!(workers.len(), 2);
+    assert_eq!(workers[0], workers[1], "pid 1 is a resident thread");
+    assert!(!thread_gone.load(Ordering::SeqCst), "resident: still there");
+    server.shutdown();
+    assert!(
+        thread_gone.load(Ordering::SeqCst),
+        "shutdown returned over a live shard-force thread"
+    );
+}
+
+/// ROADMAP 3(a): a cold source could still kill the server.  The Fortran
+/// expression parser descended once per `(` with no bound, and a stack
+/// overflow on the dispatcher's thread is an abort, not a panic its
+/// `catch_unwind` contains.  Now the source's job ends `Faulted` with a
+/// positioned error and the dispatcher takes the next one.
+#[test]
+fn a_source_nested_past_the_parser_bound_faults_its_job_not_the_server() {
+    let machine = Machine::new(MachineId::EncoreMultimax);
+    let (server, _) = server_with_own_stats(ServerConfig::default());
+    let np = lendable_nproc();
+    let cold_job = |source: String| -> JobRunner {
+        let machine = Arc::clone(&machine);
+        Box::new(move |cx| {
+            let deterministic = |e: &dyn std::fmt::Display| JobError::Deterministic(e.to_string());
+            let expanded = preprocess(&source, machine.id()).map_err(|e| deterministic(&e))?;
+            let engine = Engine::from_expanded(&expanded, Arc::clone(&machine))
+                .map_err(|e| deterministic(&e))?;
+            cx.bind_plane(&engine.fault_plane(np));
+            let out = engine
+                .run_with(np, RunOptions::default())
+                .map_err(|e| deterministic(&e))?;
+            assert_eq!(out.shared_scalar("K"), Some(Value::Int(1)));
+            Ok(JobYield::default())
+        })
+    };
+    let program = |expr: String| {
+        format!(
+            "      Force FMAIN of NP ident ME\n      Shared INTEGER K\n      End declarations\n      \
+             Barrier\n      K = {expr}\n      End barrier\n      Join\n"
+        )
+    };
+    let nested = |n: usize| program(format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+    for hostile in [nested(20_000), program("-".repeat(20_000) + "1")] {
+        let job = expect_admitted(server.submit(JobSpec::for_tenant("cold"), cold_job(hostile)));
+        match job.wait() {
+            JobOutcome::Faulted {
+                error: JobError::Deterministic(message),
+                retries: 0,
+            } => {
+                assert!(message.starts_with("line "), "positioned: {message}");
+                assert!(message.contains("levels deep"), "{message}");
+            }
+            other => panic!("a hostile source ended {other:?}"),
+        }
+        // The dispatcher is alive, and a program inside the bound runs.
+        let job = expect_admitted(server.submit(JobSpec::for_tenant("cold"), cold_job(nested(50))));
+        assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+    }
+    server.shutdown();
+    let cold = server.tenant_report("cold").unwrap();
+    assert_eq!((cold.faulted, cold.completed), (2, 2));
 }
