@@ -8,7 +8,7 @@ use crate::json::Json;
 use crate::workloads::Schedule;
 
 /// The sharded serving plane's reason to exist: four dispatcher shards
-/// must sustain at least this multiple of one shard's jobs/sec on every
+/// must sustain at least this multiple of what one shard does on every
 /// personality.  A ratio, so it holds on any host; absolute rates are
 /// `benchmark/`'s job.
 pub const MIN_SHARD_SPEEDUP: f64 = 1.5;
@@ -54,25 +54,9 @@ fn winners_within_machines(doc: &Json, key: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `0 < p50 <= p99` on a latency row.
-fn ordered_percentiles(row: &Json) -> Result<(), String> {
-    let (p50, p99) = (row.int("p50_ns")?, row.int("p99_ns")?);
-    ensure!(0 < p50 && p50 <= p99, "p50 {p50} ns above p99 {p99} ns");
-    Ok(())
-}
-
-/// `BENCH_pool.json` (EXP-14).
-pub fn pool(doc: &Json) -> Result<(), String> {
-    each_machine(doc, |m| {
-        for key in ["one_shot_jobs_per_sec", "pooled_jobs_per_sec", "ratio"] {
-            ensure!(m.num(key)? > 0.0, "{key} is not positive");
-        }
-        Ok(())
-    })
-}
-
 /// `BENCH_trace.json` (EXP-15): a loadable Chrome trace with balanced
-/// spans, the constructs the rich job runs, and one process per machine.
+/// spans, the constructs the job runs, one process per machine, and per
+/// machine a profile that holds exactly one job.
 pub fn trace(doc: &Json) -> Result<(), String> {
     let events = doc.arr("traceEvents")?;
     let phase = |ph: &'static str| events.iter().filter(move |e| e.text("ph") == Ok(ph));
@@ -93,7 +77,19 @@ pub fn trace(doc: &Json) -> Result<(), String> {
     processes.dedup();
     let (got, want) = (processes.len(), MachineId::all().len());
     ensure!(got == want, "{got} traced processes, want {want}");
-    each_machine(doc.get("otherData")?, |_| Ok(()))
+    let table = doc.get("otherData")?;
+    let (nproc, trips) = (table.int("nproc")?, table.int("trips")?);
+    each_machine(table, |m| {
+        let counted = m.int("doall_trips")?;
+        ensure!(counted == trips, "{counted} DOALL trips, want {trips}");
+        let acquires = m.int("critical_acquires")?;
+        ensure!(acquires == nproc, "{acquires} critical acquisitions");
+        let spans = m.int("barrier_spans")?;
+        ensure!(spans == 2 * nproc, "{spans} barrier spans");
+        ensure!(m.int("events")? > 0, "no events retained");
+        ensure!(m.int("dropped_events")? == 0, "events were dropped");
+        Ok(())
+    })
 }
 
 /// `BENCH_sched.json` (EXP-16): every policy on both workloads everywhere.
@@ -119,48 +115,59 @@ pub fn sched(doc: &Json) -> Result<(), String> {
     winners_within_machines(doc, "machines_where_guided_or_steal_wins_skewed")
 }
 
-/// `BENCH_serve.json` (EXP-18): the steady phase completed everything and
-/// the burst was absorbed by shedding and deadline kills, never collapse.
+/// `BENCH_serve.json` (EXP-18): the burst was absorbed by shedding and
+/// deadline kills, never collapse, and the server answered afterwards.
 pub fn serve(doc: &Json) -> Result<(), String> {
-    let (jobs, watermark) = (doc.int("jobs")?, doc.int("watermark")?);
+    let watermark = doc.int("watermark")?;
     each_machine(doc, |m| {
-        let (s, b) = (m.get("steady")?, m.get("burst")?);
-        ensure!(s.num("jobs_per_sec")? > 0.0, "steady rate is not positive");
-        ensure!(s.int("completed")? == jobs, "steady phase lost jobs");
-        ordered_percentiles(s)?;
-        let (shed, killed) = (b.int("shed")?, b.int("deadline_exceeded")?);
+        let (shed, killed) = (m.int("shed")?, m.int("deadline_exceeded")?);
         ensure!(shed + killed > 0, "overload absorbed without shed or kill");
-        let (admitted, completed) = (b.int("admitted")?, b.int("completed")?);
+        let (admitted, completed) = (m.int("admitted")?, m.int("completed")?);
         ensure!(
             admitted == completed + shed + killed,
             "a burst job vanished"
         );
-        let peak = b.int("peak_backlog")?;
+        m.int("rejected")?;
+        let peak = m.int("peak_backlog")?;
         ensure!(
             peak <= watermark + 64,
             "backlog {peak} not near the watermark"
         );
-        ensure!(b.int("watchdog_trips")? == 0, "the watchdog tripped");
+        ensure!(m.int("watchdog_trips")? == 0, "the watchdog tripped");
+        let answered = m.get("probe_completed")? == &Json::Bool(true);
+        ensure!(answered, "the post-burst probe did not complete");
         Ok(())
     })
 }
 
-/// `BENCH_park.json` (EXP-19): both backends timed, and the big force
-/// completed with balanced parks and a quiet watchdog.
+/// `BENCH_park.json` (EXP-19): both backends did the same work with
+/// balanced parks, and the big force completed with balanced parks and
+/// a quiet watchdog.
 pub fn park(doc: &Json) -> Result<(), String> {
-    ensure!(doc.int("heartbeat_us")? > 0, "heartbeat_us is 0");
     ensure!(doc.int("workers")? >= 1, "no workers");
+    let balanced = |row: &Json| -> Result<(), String> {
+        let (parks, wakes) = (row.int("parks")?, row.int("park_wakes")?);
+        ensure!(wakes == parks, "{parks} parks, {wakes} wakes");
+        Ok(())
+    };
     each_machine(doc, |m| {
-        let (o, b) = (m.get("overhead")?, m.get("big_force")?);
-        for key in ["dedicated_ns", "overcommit_ns"] {
-            ensure!(o.int(key)? > 0, "{key} is 0");
+        let (d, o, b) = (
+            m.get("dedicated")?,
+            m.get("overcommit")?,
+            m.get("big_force")?,
+        );
+        for key in ["barrier_episodes", "lock_acquires", "fe_transfers"] {
+            let (tpp, ovc) = (d.int(key)?, o.int(key)?);
+            ensure!(tpp == ovc, "{key}: {tpp} dedicated, {ovc} overcommitted");
         }
-        o.num("overhead_pct")?;
+        ensure!(d.int("barrier_episodes")? > 0, "no barrier episode");
+        balanced(d)?;
+        balanced(o)?;
         b.int("elapsed_ms")?;
         let done = b.get("completed")? == &Json::Bool(true);
         ensure!(done, "the big force did not complete");
-        let (parks, wakes) = (b.int("parks")?, b.int("park_wakes")?);
-        ensure!(parks > 0 && wakes == parks, "{parks} parks, {wakes} wakes");
+        ensure!(b.int("parks")? > 0, "the big force never parked");
+        balanced(b)?;
         ensure!(b.int("watchdog_trips")? == 0, "the watchdog tripped");
         Ok(())
     })
@@ -199,10 +206,9 @@ pub fn shard(doc: &Json) -> Result<(), String> {
         let counts = ints(rows, "shards")?;
         ensure!(counts == [1, 2, 4], "shard rows {counts:?}, want [1, 2, 4]");
         for r in rows {
-            ensure!(r.num("jobs_per_sec")? > 0.0, "a rate is not positive");
+            ensure!(r.num("speedup_vs_1")? > 0.0, "a speedup is not positive");
             ensure!(r.int("completed")? == jobs, "a saturation run lost jobs");
             ensure!(r.int("shed")? == 0, "a saturation run shed work");
-            ordered_percentiles(r)?;
             let (peaks, backlog) = (r.arr("shard_peaks")?, r.int("peak_backlog")?);
             ensure!(
                 peaks.len() as u64 == r.int("shards")?,

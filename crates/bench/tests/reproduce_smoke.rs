@@ -1,5 +1,5 @@
-//! Drives the built `reproduce` binary: the `--smoke` run of EXP-14..21
-//! writes seven artifacts that parse and pass their checks, every check
+//! Drives the built `reproduce` binary: the `--smoke` run of EXP-15..21
+//! writes six artifacts that parse and pass their checks, every check
 //! rejects a broken artifact, and a mistyped name or flag runs nothing.
 
 use std::path::PathBuf;
@@ -11,8 +11,7 @@ use force_bench::json::Json;
 
 type Check = fn(&Json) -> Result<(), String>;
 
-const ARTIFACTS: [(&str, &str, Check); 7] = [
-    ("exp14", "BENCH_pool.json", checks::pool),
+const ARTIFACTS: [(&str, &str, Check); 6] = [
     ("exp15", "BENCH_trace.json", checks::trace),
     ("exp16", "BENCH_sched.json", checks::sched),
     ("exp18", "BENCH_serve.json", checks::serve),
@@ -36,7 +35,7 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("force-reproduce-{tag}-{}", std::process::id()))
 }
 
-/// The seven smoke artifacts, produced by one run shared by every test.
+/// The six smoke artifacts, produced by one run shared by every test.
 fn smoke_artifacts() -> &'static [Json] {
     static DOCS: OnceLock<Vec<Json>> = OnceLock::new();
     DOCS.get_or_init(|| {
@@ -59,7 +58,7 @@ fn smoke_artifacts() -> &'static [Json] {
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            stdout.contains("EXP-14:") && !stdout.contains("EXP-13:"),
+            stdout.contains("EXP-15:") && !stdout.contains("EXP-13:"),
             "ran an unnamed experiment"
         );
         let docs = ARTIFACTS
@@ -75,7 +74,7 @@ fn smoke_artifacts() -> &'static [Json] {
 }
 
 #[test]
-fn smoke_run_writes_seven_artifacts_that_parse_and_pass_their_checks() {
+fn smoke_run_writes_six_artifacts_that_parse_and_pass_their_checks() {
     for ((_, file, check), doc) in ARTIFACTS.iter().zip(smoke_artifacts()) {
         check(doc).unwrap_or_else(|e| panic!("{file}: {e}"));
     }
@@ -116,19 +115,19 @@ fn edit(doc: &mut Json, edits: &str) {
 /// Edits that each break one condition the named artifact's check enforces
 /// (trace event 0 is the first machine's process record).
 const BROKEN: &[(&str, &str)] = &[
-    ("BENCH_pool.json", "-machines/2"),
-    ("BENCH_pool.json", "machines/0/machine=\"Cray-2\""),
-    ("BENCH_pool.json", "machines/3/pooled_jobs_per_sec=0.0"),
-    (
-        "BENCH_pool.json",
-        "machines/3/one_shot_jobs_per_sec=\"fast\"",
-    ),
-    ("BENCH_pool.json", "-machines/0/ratio"),
     ("BENCH_trace.json", "traceEvents=[]"),
     ("BENCH_trace.json", "traceEvents/0/ph=\"B\""),
     ("BENCH_trace.json", "-traceEvents/0"),
     ("BENCH_trace.json", "-otherData/machines/0"),
     ("BENCH_trace.json", "-otherData"),
+    ("BENCH_trace.json", "otherData/machines/1/doall_trips=63"),
+    (
+        "BENCH_trace.json",
+        "otherData/machines/2/critical_acquires=3",
+    ),
+    ("BENCH_trace.json", "otherData/machines/3/barrier_spans=4"),
+    ("BENCH_trace.json", "otherData/machines/4/events=0"),
+    ("BENCH_trace.json", "otherData/machines/5/dropped_events=1"),
     ("BENCH_sched.json", "-machines/5"),
     ("BENCH_sched.json", "-machines/1/workloads/1"),
     ("BENCH_sched.json", "-machines/4/workloads/0/policies/3"),
@@ -143,24 +142,28 @@ const BROKEN: &[(&str, &str)] = &[
         "machines_where_guided_or_steal_wins_skewed=7",
     ),
     ("BENCH_serve.json", "-machines/1"),
-    ("BENCH_serve.json", "-machines/0/burst"),
-    ("BENCH_serve.json", "machines/2/steady/jobs_per_sec=0.0"),
-    ("BENCH_serve.json", "machines/2/steady/completed=59"),
-    ("BENCH_serve.json", "machines/5/steady/p50_ns=0"),
-    ("BENCH_serve.json", "machines/5/steady/p99_ns=1"),
+    ("BENCH_serve.json", "-machines/0/rejected"),
     (
         "BENCH_serve.json",
-        "machines/4/burst/shed=0;machines/4/burst/deadline_exceeded=0",
+        "machines/4/shed=0;machines/4/deadline_exceeded=0",
     ),
-    ("BENCH_serve.json", "machines/4/burst/admitted=999"),
-    ("BENCH_serve.json", "machines/3/burst/peak_backlog=89"),
-    ("BENCH_serve.json", "machines/0/burst/watchdog_trips=1"),
+    ("BENCH_serve.json", "machines/4/admitted=999"),
+    ("BENCH_serve.json", "machines/3/peak_backlog=89"),
+    ("BENCH_serve.json", "machines/0/watchdog_trips=1"),
+    ("BENCH_serve.json", "machines/2/probe_completed=false"),
     ("BENCH_park.json", "-machines/4"),
-    ("BENCH_park.json", "heartbeat_us=0"),
     ("BENCH_park.json", "workers=0"),
-    ("BENCH_park.json", "machines/1/overhead/dedicated_ns=0"),
-    ("BENCH_park.json", "machines/1/overhead/overcommit_ns=0"),
-    ("BENCH_park.json", "-machines/1/overhead/overhead_pct"),
+    (
+        "BENCH_park.json",
+        "machines/1/dedicated/barrier_episodes=39",
+    ),
+    ("BENCH_park.json", "machines/1/overcommit/lock_acquires=1"),
+    ("BENCH_park.json", "-machines/1/overcommit/fe_transfers"),
+    (
+        "BENCH_park.json",
+        "machines/0/dedicated/barrier_episodes=0;machines/0/overcommit/barrier_episodes=0",
+    ),
+    ("BENCH_park.json", "machines/5/overcommit/park_wakes=0"),
     ("BENCH_park.json", "machines/2/big_force/completed=false"),
     ("BENCH_park.json", "-machines/2/big_force/elapsed_ms"),
     (
@@ -182,10 +185,9 @@ const BROKEN: &[(&str, &str)] = &[
     ("BENCH_vtime.json", "machines/4/curve/0/digest=\"0xZZ\""),
     ("BENCH_shard.json", "-machines/2"),
     ("BENCH_shard.json", "-machines/0/shards/1"),
-    ("BENCH_shard.json", "machines/1/shards/0/jobs_per_sec=0.0"),
+    ("BENCH_shard.json", "machines/1/shards/0/speedup_vs_1=0.0"),
     ("BENCH_shard.json", "machines/1/shards/2/completed=1"),
     ("BENCH_shard.json", "machines/2/shards/1/shed=1"),
-    ("BENCH_shard.json", "machines/2/shards/1/p99_ns=1"),
     ("BENCH_shard.json", "-machines/3/shards/2/shard_peaks/0"),
     (
         "BENCH_shard.json",
@@ -206,9 +208,9 @@ fn every_check_rejects_a_broken_artifact() {
         );
     }
     // The vtime check knows which sweep it was promised.
-    assert!(checks::vtime(&smoke_artifacts()[5], &[1, 2, 4, 8, 16]).is_err());
+    assert!(checks::vtime(&smoke_artifacts()[4], &[1, 2, 4, 8, 16]).is_err());
     // A trace that never entered a critical section.
-    let mut trace = smoke_artifacts()[1].clone();
+    let mut trace = smoke_artifacts()[0].clone();
     if let Json::Arr(events) = at(&mut trace, "traceEvents") {
         events.retain(|e| e.text("name") != Ok("critical"));
     }
@@ -221,8 +223,9 @@ fn an_unknown_name_or_flag_runs_nothing_and_exits_2() {
     for args in [
         &["exp99"][..],
         &["exp3", "exp99"],
-        &["--smoke", "exp14", "exp0"],
-        &["--check", "exp14"],
+        &["--smoke", "exp15", "exp0"],
+        &["--check", "exp15"],
+        &["exp14"],
         &["-h"],
     ] {
         let out = reproduce(&dir, args);

@@ -95,7 +95,8 @@ impl Force {
     pub fn with_machine(nproc: usize, machine: Arc<Machine>) -> Self {
         assert!(nproc > 0, "a force needs at least one process");
         let stats = machine.stats_handle().child();
-        let plane = FaultPlane::with_handle(nproc, stats.child(), FaultConfig::default());
+        let costs = machine.spec().costs;
+        let plane = FaultPlane::with_handle(nproc, stats.child(), costs, FaultConfig::default());
         let env = Arc::new(ForceEnvironment::with_fault_plane(
             Arc::clone(&machine),
             nproc,
@@ -244,12 +245,6 @@ impl Force {
         // One run at a time per session: the resident construct state is
         // exclusive to the running job.
         let _run = self.run_lock.lock();
-        let mut options = options;
-        if options.backend.is_virtual() && options.costs.is_none() {
-            // Virtual time is priced by this session's machine unless the
-            // caller overrode the cost table explicitly.
-            options.costs = Some(self.machine.spec().costs);
-        }
         self.reset_session(options);
         // Driver-thread charges during the run (lock creation, shared
         // designation) attribute to this session rather than the bare

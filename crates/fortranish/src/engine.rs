@@ -21,11 +21,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use force_machdep::fault::{self, Construct, INJECTED_FAULT_MARKER};
+use force_machdep::linkreg::StartupRegistry;
 use force_machdep::{
     bind_ambient_stats, launch_plane, trace, FaultPlane, ForcePool, FullEmptyState, JobError,
     JobRunner, JobYield, LockHandle, LockKind, LockState, Machine, Mutex, ProcessFault,
-    ProcessModel, ProfileReport, RunOptions, SharedRegion, SharingModelId, StatsHandle,
-    StatsSnapshot,
+    ProcessModel, ProfileReport, RunOptions, SharedRegion, SharingModel, SharingModelId,
+    StatsHandle, StatsSnapshot,
 };
 use force_prep::weigh::{arc_bytes, str_bytes, vec_bytes};
 use force_prep::{ExpandedProgram, VarClass};
@@ -81,6 +82,10 @@ pub struct Engine {
 /// The engine's resident state: allocated on first use, reset in place
 /// (never reallocated) between runs.
 struct Session {
+    /// How this program's shared blocks are designated: the machine's
+    /// sharing model, with (on the Sequent) this program's own startup
+    /// registry — the link pass happens once per program, not per machine.
+    sharing: Box<dyn SharingModel>,
     /// The shared COMMON region; zeroed between runs.
     shared: Mutex<Option<Arc<SharedState>>>,
     /// Lock table: shared word offset → machine lock.  Cleared between
@@ -221,6 +226,7 @@ impl Engine {
             }
         };
         let stats = machine.stats_handle().child();
+        let sharing = machine.sharing_model();
         Ok(Engine {
             bundle,
             machine,
@@ -230,6 +236,7 @@ impl Engine {
             defaults: Mutex::new(RunOptions::default()),
             pool: Mutex::new(None),
             session: Session {
+                sharing,
                 shared: Mutex::new(None),
                 locks: Mutex::new(HashMap::new()),
                 tags: Mutex::new(HashMap::new()),
@@ -250,12 +257,6 @@ impl Engine {
     /// it per run.
     pub fn set_watchdog(&self, bound: std::time::Duration) {
         self.defaults.lock().watchdog = Some(bound);
-    }
-
-    /// Replace the session-default [`RunOptions`] (watchdog bound and
-    /// fault injection) used by [`run`](Self::run).
-    pub fn set_run_options(&self, options: RunOptions) {
-        *self.defaults.lock() = options;
     }
 
     /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
@@ -307,18 +308,13 @@ impl Engine {
     pub(crate) fn run_driver(
         &self,
         nproc: usize,
-        mut options: RunOptions,
+        options: RunOptions,
         exec: impl FnOnce(&Rt<'_>, &str) -> Result<(), FortError>,
     ) -> Result<RunOutput, FortError> {
         assert!(nproc > 0, "a force needs at least one process");
         // One run at a time per session: the resident state is exclusive
         // to the running job.
         let _run = self.run_lock.lock();
-        // A virtual-time run prices every yield with the machine's cost
-        // model unless the caller pinned an explicit one.
-        if options.backend.is_virtual() && options.costs.is_none() {
-            options.costs = Some(self.machine.spec().costs);
-        }
         self.reset_session(options);
         // Driver-thread charges (shared designation, lock creation)
         // attribute to this session; force processes charge through the
@@ -443,7 +439,8 @@ impl Engine {
         let mut slot = self.session.plane.lock();
         let resident = slot.take().filter(|p| p.nproc() == nproc);
         let plane = resident.unwrap_or_else(|| {
-            FaultPlane::with_handle(nproc, self.stats.child(), *self.defaults.lock())
+            let costs = self.machine.spec().costs;
+            FaultPlane::with_handle(nproc, self.stats.child(), costs, *self.defaults.lock())
         });
         *slot = Some(Arc::clone(&plane));
         plane
@@ -580,7 +577,7 @@ impl Rt<'_> {
             .iter()
             .map(|(n, w)| force_machdep::BlockRequest::new(n.clone(), *w))
             .collect();
-        let layout = machine.sharing_model().layout(&blocks).map_err(|e| {
+        let layout = self.engine.session.sharing.layout(&blocks).map_err(|e| {
             FortError::at(
                 line,
                 FortErrorKind::Runtime(format!("shared memory designation failed: {e}")),
@@ -873,21 +870,26 @@ pub(crate) fn hep_copy(state: &SharedState, tag: &FullEmptyState, offset: usize,
     v
 }
 
-/// `ZZSTRT0`: the Sequent startup pass — every unit's startup routine
-/// reports the shared blocks to the link registry.  Re-running an
-/// already-linked program skips the first pass (the registry survives on
-/// the machine instance).
-pub(crate) fn strt0_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
-    let machine = &rt.engine.machine;
-    let registry = machine.startup_registry().ok_or_else(|| {
+/// This session's startup registry; only a link-time machine has one.
+fn link_registry<'e>(rt: &Rt<'e>, line: usize) -> Result<&'e StartupRegistry, FortError> {
+    let sharing = &rt.engine.session.sharing;
+    sharing.link_registry().ok_or_else(|| {
         FortError::at(
             line,
             FortErrorKind::MachineMismatch {
                 expected: "link-time sharing".into(),
-                found: machine.sharing_model().id().name().into(),
+                found: sharing.id().name().into(),
             },
         )
-    })?;
+    })
+}
+
+/// `ZZSTRT0`: the Sequent startup pass — every unit's startup routine
+/// reports the shared blocks to the link registry.  Re-running an
+/// already-linked program skips the first pass (the registry survives
+/// with the session).
+pub(crate) fn strt0_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
+    let registry = link_registry(rt, line)?;
     if registry.is_finalized() {
         return Ok(());
     }
@@ -900,25 +902,13 @@ pub(crate) fn strt0_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
 
 /// `ZZLINK`: finalize the Sequent link registry into linker commands.
 pub(crate) fn link_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
-    let machine = &rt.engine.machine;
-    let registry = machine.startup_registry().ok_or_else(|| {
-        FortError::at(
-            line,
-            FortErrorKind::MachineMismatch {
-                expected: "link-time sharing".into(),
-                found: machine.sharing_model().id().name().into(),
-            },
-        )
-    })?;
-    let cmds = registry.finalize();
-    *rt.linker.lock() = cmds;
+    *rt.linker.lock() = link_registry(rt, line)?.finalize();
     Ok(())
 }
 
 /// `ZZSHPG`: designate run-time shared pages.
 pub(crate) fn shpg_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
-    let machine = &rt.engine.machine;
-    let id = machine.sharing_model().id();
+    let id = rt.engine.machine.spec().sharing;
     if !matches!(
         id,
         SharingModelId::RunTimePaged | SharingModelId::PageAligned

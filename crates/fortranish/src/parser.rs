@@ -5,15 +5,10 @@ use crate::error::{FortError, FortErrorKind};
 use crate::lexer::keyword;
 use crate::token::{DotOp, Token};
 
-/// Parse the tokens of one statement line.
-pub fn parse_statement(tokens: &[Token], line_no: usize) -> Result<Stmt, FortError> {
-    parse_tokens(&mut tokens.to_vec(), line_no)
-}
-
 /// Parse one statement line out of `tokens`: the names and literals the
 /// statement keeps are moved into it, not copied, so the tokens are spent
 /// afterwards.
-pub(crate) fn parse_tokens(tokens: &mut [Token], line_no: usize) -> Result<Stmt, FortError> {
+pub fn parse_tokens(tokens: &mut [Token], line_no: usize) -> Result<Stmt, FortError> {
     let mut p = Parser {
         toks: tokens,
         pos: 0,
@@ -561,6 +556,11 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
     use crate::lexer::lex_statement;
+
+    /// [`parse_tokens`] for a caller that keeps its tokens.
+    fn parse_statement(tokens: &[Token], line_no: usize) -> Result<Stmt, FortError> {
+        parse_tokens(&mut tokens.to_vec(), line_no)
+    }
 
     fn parse(s: &str) -> Stmt {
         let toks = lex_statement(s, 1).unwrap();

@@ -95,12 +95,6 @@ impl ForceEnvironment {
         &self.fault_plane
     }
 
-    /// Whether the force's cancellation token has tripped (a peer process
-    /// faulted or the watchdog declared a deadlock).
-    pub fn cancel_requested(&self) -> bool {
-        self.fault_plane.is_tripped()
-    }
-
     /// Look up (creating on first use) the named lock variable — the
     /// `define_lock(var)` / `init_lock(var)` pair.  Critical sections and
     /// user lock variables share this table, so the same name always

@@ -221,17 +221,11 @@ pub struct FaultConfig {
     /// thread per pid (the default), or a multiplexed worker fleet that
     /// lets `nproc` far exceed the host's cores.
     pub backend: ParkBackend,
-    /// Cost model pricing the virtual clock under
-    /// [`ParkBackend::Virtual`] (ignored by the other backends).  The
-    /// session layers fill this from the job's machine descriptor when
-    /// unset; a bare `machdep`-level force falls back to the portable
-    /// fork/spin personality.
-    pub costs: Option<CostModel>,
 }
 
 /// Per-run options for a reusable execution session: what applies to
 /// *one* job — watchdog bound, fault injection, tracing, default
-/// schedule, parking backend and virtual-clock costs.  An alias of
+/// schedule and parking backend.  An alias of
 /// [`FaultConfig`] — a resident session re-arms its plane with these at
 /// the start of every run ([`FaultPlane::reset_for_job`]), so a shared
 /// pooled force or engine can be configured per job without `&mut`
@@ -264,6 +258,10 @@ struct PidSlot {
 /// [`crate::process::spawn_force`] call) and shared by every process.
 pub struct FaultPlane {
     nproc: usize,
+    /// What the virtual clock charges under [`ParkBackend::Virtual`]
+    /// (ignored by the other backends): the cost model of the machine the
+    /// plane's session runs on.
+    costs: CostModel,
     /// The plane's accounting handle: a **private** counter block (the
     /// per-plane view behind exact `last_job_stats` deltas) whose
     /// charges are mirrored into the enclosing session and machine
@@ -294,32 +292,54 @@ pub struct FaultPlane {
     /// the backend changes between jobs; processes snapshot the `Arc` at
     /// install.
     parker: Mutex<Arc<Parker>>,
-    /// A resident force lent to this plane for one served attempt, for
+    /// What a served attempt left on this plane when it bound it.
+    bound: Mutex<Bound>,
+}
+
+/// What one served attempt leaves on the plane it binds, from
+/// `JobCx::bind_plane` until the dispatcher ends the attempt
+/// ([`FaultPlane::end_loan`]).  A session reset between the two — a run
+/// starts with one — leaves both alone.
+#[derive(Default)]
+struct Bound {
+    /// A resident force lent to the plane, for
     /// [`launch_plane`](crate::process::launch_plane) to use when the
     /// session attached no pool of its own.  It rides the plane — not the
     /// thread — so a force launched from inside the served job (another
     /// plane) cannot re-enter the pool its own launcher occupies.
-    loan: Mutex<Option<Arc<LazyPool>>>,
+    loan: Option<Arc<LazyPool>>,
+    /// The attempt's deadline trip ([`FaultPlane::trip_deadline`]), which
+    /// every [`FaultPlane::reset_for_job`] puts back.
+    deadline: Option<ProcessFault>,
 }
 
 impl FaultPlane {
-    /// A fresh, untripped plane for a force of `nproc` processes.
+    /// A fresh, untripped plane for a force of `nproc` processes on no
+    /// machine in particular: a virtual run of it is priced by the
+    /// portable fork/spin personality.
     ///
     /// `stats` is the rollup parent (typically the machine's counter
     /// block): the plane gets a fresh private block whose every charge
     /// is mirrored into `stats`, so per-plane deltas are exact while
     /// the parent remains a consistent aggregate view.
     pub fn new(nproc: usize, stats: Arc<OpStats>, config: FaultConfig) -> Arc<FaultPlane> {
-        Self::with_handle(nproc, StatsHandle::root(stats).child(), config)
+        let costs = CostModel::fork_spin();
+        Self::with_handle(nproc, StatsHandle::root(stats).child(), costs, config)
     }
 
-    /// A plane accounting through an explicit [`StatsHandle`] — used by
-    /// session layers that nest plane charges under a session rollup
-    /// (`session_handle.child()`) rather than directly under the
-    /// machine.
-    pub fn with_handle(nproc: usize, stats: StatsHandle, config: FaultConfig) -> Arc<FaultPlane> {
+    /// A session layer's plane: it accounts through an explicit
+    /// [`StatsHandle`], nesting its charges under the session's rollup
+    /// (`session_handle.child()`) rather than directly under the machine,
+    /// and its virtual runs are priced by that machine's `costs`.
+    pub fn with_handle(
+        nproc: usize,
+        stats: StatsHandle,
+        costs: CostModel,
+        config: FaultConfig,
+    ) -> Arc<FaultPlane> {
         Arc::new(FaultPlane {
             nproc,
+            costs,
             stats,
             config: Mutex::new(config),
             tripped: AtomicBool::new(false),
@@ -331,12 +351,8 @@ impl FaultPlane {
                     .trace
                     .map(|t| TraceSink::new_with_clock(nproc, t, config.backend.is_virtual())),
             ),
-            parker: Mutex::new(Arc::new(Parker::new(
-                config.backend,
-                nproc,
-                config.costs.unwrap_or_else(CostModel::fork_spin),
-            ))),
-            loan: Mutex::new(None),
+            parker: Mutex::new(Arc::new(Parker::new(config.backend, nproc, costs))),
+            bound: Mutex::new(Bound::default()),
         })
     }
 
@@ -449,37 +465,55 @@ impl FaultPlane {
             // permit pool keeps its allocation.
             let mut parker = self.parker.lock();
             if parker.backend() != config.backend || config.backend.is_virtual() {
-                *parker = Arc::new(Parker::new(
-                    config.backend,
-                    self.nproc,
-                    config.costs.unwrap_or_else(CostModel::fork_spin),
-                ));
+                *parker = Arc::new(Parker::new(config.backend, self.nproc, self.costs));
             }
         }
         *self.config.lock() = config;
-        *self.fault.lock() = None;
         *self.payload.lock() = None;
         for slot in &self.slots {
             slot.board.store(RUNNING, Ordering::Release);
         }
-        self.tripped.store(false, Ordering::Release);
+        // A deadline that fired on the attempt this run belongs to is not
+        // the previous job's fault: the run starts cancelled.  Under the
+        // lock `trip_deadline` trips under, so the trip lands wholly
+        // before this reset (and is put back) or wholly after it.
+        let bound = self.bound.lock();
+        *self.fault.lock() = bound.deadline.clone();
+        self.tripped
+            .store(bound.deadline.is_some(), Ordering::Release);
     }
 
-    /// Lend `pool` to this plane until [`end_loan`](Self::end_loan); a
-    /// session reset between the two leaves the loan alone.
+    /// Lend `pool` to this plane until [`end_loan`](Self::end_loan).
     pub(crate) fn lend(&self, pool: &Arc<LazyPool>) {
-        *self.loan.lock() = Some(Arc::clone(pool));
+        self.bound.lock().loan = Some(Arc::clone(pool));
     }
 
-    /// Withdraw whatever was lent: the next launch of this plane is the
-    /// session's own business again.
+    /// The served attempt is over: withdraw whatever was lent and let go
+    /// of its deadline trip, so the next launch of this plane is the
+    /// session's own business again.  A trip already on the plane stays
+    /// until the next reset, like any fault.
     pub(crate) fn end_loan(&self) {
-        *self.loan.lock() = None;
+        *self.bound.lock() = Bound::default();
     }
 
     /// The force currently lent to this plane, if any.
     pub(crate) fn loan(&self) -> Option<Arc<LazyPool>> {
-        self.loan.lock().clone()
+        self.bound.lock().loan.clone()
+    }
+
+    /// Trip the plane for a served attempt's deadline, once: the trip
+    /// (with its fault record) outlasts any [`reset_for_job`] until
+    /// [`end_loan`] — the session resets its plane when the run starts,
+    /// which may be after the deadline fired.
+    ///
+    /// [`reset_for_job`]: Self::reset_for_job
+    /// [`end_loan`]: Self::end_loan
+    pub(crate) fn trip_deadline(&self, fault: ProcessFault) {
+        let mut bound = self.bound.lock();
+        if bound.deadline.is_none() {
+            bound.deadline = Some(fault.clone());
+            self.trip(fault, None);
+        }
     }
 
     /// The job's trace sink, when tracing is armed (shared; hot paths

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use crate::combined::CombinedLock;
 use crate::cost::CostModel;
 use crate::fullempty::{FullEmptyState, HepLock};
-use crate::linkreg::StartupRegistry;
 use crate::lock::{LockHandle, LockKind, LockState};
 use crate::lockpool::{LockFactory, LockPool, LockRole, ScarceLockError};
 use crate::process::ProcessModel;
@@ -189,14 +188,14 @@ impl MachineSpec {
     }
 }
 
-/// A live machine personality: spec + operation accounting + lock pool +
-/// sharing model.  Cheap to share (`Arc`) across the force.
+/// A live machine personality: spec + operation accounting + lock pool.
+/// Cheap to share (`Arc`) across the force, and across programs: what
+/// belongs to one program — its shared layout, its link pass — is made
+/// per session ([`sharing_model`](Self::sharing_model)).
 pub struct Machine {
     spec: MachineSpec,
     stats: Arc<OpStats>,
     pool: Option<LockPool>,
-    sharing: Box<dyn SharingModel>,
-    registry: Option<Arc<StartupRegistry>>,
 }
 
 impl Machine {
@@ -204,31 +203,13 @@ impl Machine {
     pub fn new(id: MachineId) -> Arc<Machine> {
         let spec = MachineSpec::of(id);
         let stats = Arc::new(OpStats::new());
-        let registry = match spec.sharing {
-            SharingModelId::LinkTime => Some(Arc::new(StartupRegistry::new())),
-            _ => None,
-        };
-        let sharing: Box<dyn SharingModel> = match spec.sharing {
-            SharingModelId::CompileTime => Box::new(CompileTimeSharing),
-            SharingModelId::LinkTime => Box::new(LinkTimeSharing::new(Arc::clone(
-                registry.as_ref().expect("link-time registry"),
-            ))),
-            SharingModelId::RunTimePaged => Box::new(RunTimePagedSharing::new(spec.page_words)),
-            SharingModelId::PageAligned => Box::new(PageAlignedSharing::new(spec.page_words)),
-        };
         let pool = spec.lock_pool_capacity.map(|cap| {
             let st = Arc::clone(&stats);
             let kind = spec.vendor_locks;
             let factory: LockFactory = Arc::new(move |init| make_raw_lock(kind, init, &st));
             LockPool::new(cap, factory, Arc::clone(&stats))
         });
-        Arc::new(Machine {
-            spec,
-            stats,
-            pool,
-            sharing,
-            registry,
-        })
+        Arc::new(Machine { spec, stats, pool })
     }
 
     /// Boot every machine.
@@ -303,14 +284,18 @@ impl Machine {
         }
     }
 
-    /// The machine's sharing model.
-    pub fn sharing_model(&self) -> &dyn SharingModel {
-        self.sharing.as_ref()
-    }
-
-    /// The Sequent startup registry, if this machine links shared names.
-    pub fn startup_registry(&self) -> Option<&Arc<StartupRegistry>> {
-        self.registry.as_ref()
+    /// The machine's sharing model, for one program: under link-time
+    /// sharing (the Sequent) it starts with an empty startup registry,
+    /// because the double-run link protocol is per program.
+    pub fn sharing_model(&self) -> Box<dyn SharingModel> {
+        match self.spec.sharing {
+            SharingModelId::CompileTime => Box::new(CompileTimeSharing),
+            SharingModelId::LinkTime => Box::new(LinkTimeSharing::default()),
+            SharingModelId::RunTimePaged => {
+                Box::new(RunTimePagedSharing::new(self.spec.page_words))
+            }
+            SharingModelId::PageAligned => Box::new(PageAlignedSharing::new(self.spec.page_words)),
+        }
     }
 
     /// Physical lock slots remaining before allocations start aliasing
@@ -391,14 +376,6 @@ mod tests {
         // Dedicated environment locks bypass the pool.
         let _env = cray.make_dedicated_lock(LockState::Unlocked);
         assert_eq!(cray.stats().snapshot().locks_aliased, 1);
-    }
-
-    #[test]
-    fn sequent_exposes_a_startup_registry() {
-        let sequent = Machine::new(MachineId::SequentBalance);
-        assert!(sequent.startup_registry().is_some());
-        let encore = Machine::new(MachineId::EncoreMultimax);
-        assert!(encore.startup_registry().is_none());
     }
 
     #[test]

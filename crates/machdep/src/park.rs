@@ -35,10 +35,10 @@
 //!
 //! One tunable heartbeat ([`HEARTBEAT`]) derives every polling interval
 //! in the runtime: the cancellable wait slice, the deadlock-watchdog
-//! tick, the serve-layer deadline re-assert interval, and — a tenth of
-//! it, one measured wake-up — the window for which the two waits on an
-//! event already in flight (the pool's join, the dispatcher's wait for a
-//! closed-loop client) poll before they park.  Under the
+//! tick, and — a tenth of it, one measured wake-up — the window for
+//! which the two waits on an event already in flight (the pool's join,
+//! the dispatcher's wait for a closed-loop client) poll before they
+//! park.  The job server polls nothing on it.  Under the
 //! virtual backend, wall-clock timers are replaced by their virtual
 //! equivalents: the deadlock watchdog becomes the scheduler's own
 //! barren-poll detector and serve deadlines arm a virtual deadline
@@ -55,16 +55,8 @@ use crate::portable::{Backoff, Condvar, Mutex, MutexGuard, XorShift64};
 use crate::stats::OpStats;
 
 /// The one tunable polling quantum of the runtime.  Every derived
-/// interval ([`wait_slice`], [`watchdog_tick`], the serve deadline
-/// re-assert) is a multiple of this.
+/// interval ([`wait_slice`], [`watchdog_tick`]) is a multiple of this.
 pub const HEARTBEAT: Duration = Duration::from_micros(500);
-
-/// The heartbeat as a value (for call sites that want a `Duration`
-/// expression rather than the constant).
-#[inline]
-pub fn heartbeat() -> Duration {
-    HEARTBEAT
-}
 
 /// The timed-wait slice used by cancellable condvar waits: a blocked
 /// process re-checks its cancellation token at least this often even if

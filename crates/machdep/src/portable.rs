@@ -92,9 +92,8 @@ impl Backoff {
     /// The jitter decorrelates retries from concurrent submitters that
     /// faulted at the same instant, while the seeded [`XorShift64`] keeps
     /// the whole schedule reproducible — the same seed and attempt
-    /// sequence always yields the same delays.  Sleeping is left to
-    /// [`Backoff::sleep_jittered`] so tests can inspect the schedule
-    /// without waiting it out.
+    /// sequence always yields the same delays.  Sleeping is left to the
+    /// caller, which may have a deadline to fit the delay into.
     pub fn jittered_delay(
         base: std::time::Duration,
         attempt: u32,
@@ -115,20 +114,6 @@ impl Backoff {
             rng.next_below(half.saturating_add(1))
         };
         std::time::Duration::from_nanos(half.saturating_add(jitter))
-    }
-
-    /// Sleep for [`Backoff::jittered_delay`]`(base, attempt, rng)` and
-    /// return the duration actually requested.
-    pub fn sleep_jittered(
-        base: std::time::Duration,
-        attempt: u32,
-        rng: &mut XorShift64,
-    ) -> std::time::Duration {
-        let d = Self::jittered_delay(base, attempt, rng);
-        if !d.is_zero() {
-            thread::sleep(d);
-        }
-        d
     }
 }
 
@@ -585,19 +570,6 @@ mod tests {
             Backoff::jittered_delay(Duration::ZERO, 3, &mut rng),
             Duration::ZERO
         );
-    }
-
-    #[test]
-    fn sleep_jittered_sleeps_at_least_the_requested_delay() {
-        use std::time::{Duration, Instant};
-        let mut rng = XorShift64::new(11);
-        let start = Instant::now();
-        let requested = Backoff::sleep_jittered(Duration::from_millis(2), 1, &mut rng);
-        assert!(
-            requested >= Duration::from_millis(2),
-            "attempt 1 of 2ms base"
-        );
-        assert!(start.elapsed() >= requested);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //!   [`RejectReason::RateLimited`], before any queue state is touched.
 //! * **Deadlines** — each running job may be shadowed by a watcher thread
 //!   that, once the deadline passes, trips the job's bound [`FaultPlane`]
-//!   so every blocked process unwinds at its next cancellable wait.  The
-//!   watcher *keeps* the trip asserted until the dispatcher disarms it,
-//!   because a session resets its plane at run start and a single trip
-//!   could be erased by that reset.
+//!   so every blocked process unwinds at its next cancellable wait.  It
+//!   trips once: the plane keeps a trip made through a binding across the
+//!   reset a session starts its run with, until the dispatcher ends the
+//!   attempt, and a plane bound after the deadline fired is tripped as it
+//!   is bound.
 //! * **Retry with jittered backoff** — a job killed by a fault carrying
 //!   [`INJECTED_FAULT_MARKER`] (the injection layer's stable payload
 //!   prefix) is transient by contract and is re-run up to
@@ -66,7 +67,9 @@
 //!   newest low-priority work without disturbing its siblings.
 //! * **Work pulling** — an idle dispatcher pulls queued jobs from its
 //!   most backlogged sibling (enforcing that sibling's watermark on the
-//!   way in), so a hot tenant's backlog drains on every idle shard.
+//!   way in), so a hot tenant's backlog drains on every idle shard.  An
+//!   idle dispatcher sleeps untimed: a submission that finds its home
+//!   dispatcher busy wakes one idle sibling.
 //! * **Merged reports** — [`ServerReport`] and [`TenantRollup`] are
 //!   merged across shards (`StatsSnapshot::merge` /
 //!   `HistogramSnapshot::merge`); queue telemetry stays per shard
@@ -305,14 +308,6 @@ pub enum Submit {
 }
 
 impl Submit {
-    /// The handle, if admitted.
-    pub fn admitted(self) -> Option<JobHandle> {
-        match self {
-            Submit::Admitted(h) => Some(h),
-            Submit::Rejected { .. } => None,
-        }
-    }
-
     /// The handle, panicking on rejection (test/bench convenience).
     pub fn expect_admitted(self) -> JobHandle {
         match self {
@@ -445,8 +440,9 @@ pub struct JobCx {
 
 impl JobCx {
     /// Register the fault plane executing this attempt so the deadline
-    /// watcher can cancel it.  Must be called before the run starts;
-    /// rebinding on each attempt is fine.  Binding also snapshots the
+    /// watcher can cancel it — at once, if the deadline has already
+    /// fired.  Must be called before the run starts; rebinding on each
+    /// attempt is fine.  Binding also snapshots the
     /// plane's private counter block: the attempt's operation delta is
     /// read from that plane alone, so concurrent jobs on other shards
     /// never bleed into this job's rollup.
@@ -469,13 +465,22 @@ impl JobCx {
     /// as a backstop.
     pub fn bind_plane(&self, plane: &Arc<FaultPlane>) {
         plane.lend(&self.force);
-        let rebound = self.shared.plane.lock().replace(PlaneBinding {
-            plane: Arc::clone(plane),
-            base: plane.stats().snapshot(),
-        });
+        let (rebound, fired) = {
+            let mut bound = self.shared.plane.lock();
+            let rebound = bound.replace(PlaneBinding {
+                plane: Arc::clone(plane),
+                base: plane.stats().snapshot(),
+            });
+            // Read under the lock the watcher fires under: either it saw
+            // this binding and trips the plane, or this sees it fired.
+            (rebound, self.deadline_fired())
+        };
         // One loan per attempt: a plane bound earlier gives its back.
         if let Some(earlier) = rebound.filter(|b| !Arc::ptr_eq(&b.plane, plane)) {
             earlier.plane.end_loan();
+        }
+        if fired {
+            plane.trip_deadline(deadline_fault(self.shared.id));
         }
         if plane.is_virtual() {
             if let Some(at) = self.shared.deadline_at {
@@ -502,16 +507,6 @@ impl JobCx {
     /// 0-based attempt number (0 = first run, 1 = first retry, …).
     pub fn attempt(&self) -> u32 {
         self.attempt
-    }
-
-    /// Server-assigned job id (unique per server).
-    pub fn job_id(&self) -> u64 {
-        self.shared.id
-    }
-
-    /// The submitting tenant.
-    pub fn tenant(&self) -> &str {
-        &self.shared.tenant
     }
 }
 
@@ -682,6 +677,10 @@ struct ServeState {
     backlog: usize,
     peak_backlog: usize,
     shutting_down: bool,
+    /// This shard's dispatcher is asleep with nobody on the way to wake
+    /// it.  Set by the dispatcher, under this lock, as its last act
+    /// before it sleeps; taken by the submission that notifies it.
+    idle: bool,
 }
 
 /// One dispatcher shard: a private queue set, its wake-up signal, and
@@ -890,18 +889,37 @@ impl Inner {
         }
         None
     }
+
+    /// A job was queued on `home` behind a dispatcher that is not asleep:
+    /// wake one sibling that is, to pull it.  No wake-up is lost: `idle`
+    /// is read here under the lock the sibling's dispatcher set it under,
+    /// and the dispatcher looked at `total_backlog` — which counts the
+    /// job already — under that lock too, before it slept.
+    fn wake_an_idle_sibling(&self, home: usize) {
+        for (_, shard) in self.shards.iter().enumerate().filter(|&(i, _)| i != home) {
+            if std::mem::take(&mut shard.state.lock().idle) {
+                shard.work.notify_all();
+                return;
+            }
+        }
+    }
 }
 
-/// How often a fired deadline watcher re-asserts its trip: one parking
-/// heartbeat, the runtime's single polling quantum.
-const REASSERT_EVERY: Duration = park::HEARTBEAT;
+/// The fault a deadline trip records on the plane of job `id`.
+fn deadline_fault(id: u64) -> ProcessFault {
+    ProcessFault {
+        pid: 0,
+        construct: DEADLINE_CONSTRUCT,
+        payload: format!("job {id} deadline exceeded"),
+    }
+}
 
-/// The loop of a deadline watcher shadowing one running attempt, run on
-/// a [`StopGuard`] thread.  After the deadline passes it marks the job and
-/// then *keeps* tripping the bound plane (throttled) until stopped: the
-/// session resets its plane when the run starts, and a one-shot trip
-/// landing just before that reset would be erased, letting the job run
-/// unbounded.
+/// A deadline watcher shadowing one running attempt, run on a
+/// [`StopGuard`] thread: once the deadline passes it marks the job and
+/// trips the plane the attempt bound, and is done.  The plane holds that
+/// trip through the reset its session starts the run with
+/// ([`FaultPlane::trip_deadline`]); an attempt that has bound nothing yet
+/// trips its plane itself, in [`JobCx::bind_plane`].
 fn watch_deadline(shared: &JobShared, at: Instant, stop: &StopSignal) {
     loop {
         // A zero-length sleep still reads the flag: a watcher stopped
@@ -914,24 +932,13 @@ fn watch_deadline(shared: &JobShared, at: Instant, stop: &StopSignal) {
             break;
         }
     }
-    shared.deadline_fired.store(true, Ordering::Release);
-    loop {
-        let plane = shared.plane.lock().as_ref().map(|b| Arc::clone(&b.plane));
-        if let Some(plane) = plane {
-            if !plane.is_tripped() {
-                plane.trip(
-                    ProcessFault {
-                        pid: 0,
-                        construct: DEADLINE_CONSTRUCT,
-                        payload: format!("job {} deadline exceeded", shared.id),
-                    },
-                    None,
-                );
-            }
-        }
-        if stop.sleep(REASSERT_EVERY) {
-            return;
-        }
+    let bound = {
+        let binding = shared.plane.lock();
+        shared.deadline_fired.store(true, Ordering::Release);
+        binding.as_ref().map(|b| Arc::clone(&b.plane))
+    };
+    if let Some(plane) = bound {
+        plane.trip_deadline(deadline_fault(shared.id));
     }
 }
 
@@ -959,6 +966,7 @@ impl ForceServer {
                         backlog: 0,
                         peak_backlog: 0,
                         shutting_down: false,
+                        idle: false,
                     }),
                     work: Condvar::new(),
                     rollups: Mutex::new(HashMap::new()),
@@ -1045,18 +1053,21 @@ impl ForceServer {
             deadline_at: shared.deadline_at,
             submitted,
         };
-        {
+        let home_idle = {
             let mut st = inner.shards[home].state.lock();
             st.backlog += 1;
             st.peak_backlog = st.peak_backlog.max(st.backlog);
             let total = inner.total_backlog.fetch_add(1, Ordering::AcqRel) + 1;
             inner.peak_total_backlog.fetch_max(total, Ordering::AcqRel);
             st.queues[spec.priority.index()].push_back(job);
-            drop(st);
-            inner.count(|s| &s.jobs_admitted);
-            inner.bump_rollup(home, &shared.tenant, |r| r.admitted += 1);
-        }
+            std::mem::take(&mut st.idle)
+        };
+        inner.count(|s| &s.jobs_admitted);
+        inner.bump_rollup(home, &shared.tenant, |r| r.admitted += 1);
         inner.shards[home].work.notify_all();
+        if !home_idle {
+            inner.wake_an_idle_sibling(home);
+        }
         Submit::Admitted(JobHandle { shared })
     }
 
@@ -1180,7 +1191,8 @@ fn run_attempt(runner: &mut JobRunner, cx: &JobCx) -> Result<JobYield, JobError>
 }
 
 /// Read and re-base the attempt's operation delta from the plane the
-/// runner bound, and end the loan that binding was.  Plane-private by
+/// runner bound, and end what that binding was: the loan, and the hold
+/// on a deadline trip.  Plane-private by
 /// construction: only this job's run charges that plane's local block,
 /// so the delta is exact even with sibling shards running other jobs on
 /// the same machine.  A runner that never bound a plane reports no ops.
@@ -1201,11 +1213,6 @@ fn attempt_ops(shared: &JobShared) -> StatsSnapshot {
         None => StatsSnapshot::default(),
     }
 }
-
-/// How long an idle dispatcher sleeps before re-scanning its siblings
-/// for pullable work: one parking heartbeat, the runtime's polling
-/// quantum.  Submissions to the shard's own queues wake it immediately.
-const PULL_POLL: Duration = park::HEARTBEAT;
 
 /// One shard's dispatcher: sheds, dequeues (pulling from backlogged
 /// siblings when its own queues are dry), runs attempts with deadline
@@ -1248,40 +1255,28 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
             );
         }
         let Some(mut job) = next else {
+            // Nothing is queued anywhere: sleep until `work` is notified
+            // — by a submission to this shard, by one that found its own
+            // dispatcher busy and this one idle, or by the shutdown.
+            // This wait begins where a job ended — at start-up, once,
+            // where nothing did — and a closed-loop client resubmits
+            // sooner than a sleeping thread wakes: poll the backlog first.
             let shard = &inner.shards[me];
-            if inner.shards.len() == 1 {
-                // No sibling to pull from, so nothing to time: sleep until
-                // a submission or the shutdown notifies `work`.  This wait
-                // begins where a job ended — at start-up, once, where
-                // nothing did — and a closed-loop client resubmits sooner
-                // than a sleeping thread wakes: poll the backlog first.
-                let mut drained = false;
-                park::spin_then_wait_on(
-                    || inner.total_backlog.load(Ordering::Acquire) > 0,
-                    &shard.state,
-                    &shard.work,
-                    Construct::Body,
-                    |st| {
-                        drained = st.shutting_down && st.backlog == 0;
-                        drained || st.backlog > 0
-                    },
-                );
-                if drained {
-                    return;
-                }
-                continue;
-            }
-            let mut st = shard.state.lock();
-            if st.shutting_down
-                && st.backlog == 0
-                && inner.total_backlog.load(Ordering::Acquire) == 0
-            {
+            let mut drained = false;
+            park::spin_then_wait_on(
+                || inner.total_backlog.load(Ordering::Acquire) > 0,
+                &shard.state,
+                &shard.work,
+                Construct::Body,
+                |st| {
+                    let queued = inner.total_backlog.load(Ordering::Acquire);
+                    drained = st.shutting_down && queued == 0;
+                    st.idle = queued == 0 && !drained;
+                    !st.idle
+                },
+            );
+            if drained {
                 return;
-            }
-            if st.backlog == 0 {
-                // Sleep until a submission wakes this shard or the pull
-                // poll expires; the drain re-check above runs each pass.
-                park::timer_wait(&shard.work, &mut st, PULL_POLL);
             }
             continue;
         };
@@ -1320,10 +1315,12 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
                 force: Arc::clone(&force),
             };
             let result = run_attempt(&mut job.runner, &cx);
-            ops.merge(&attempt_ops(&job.shared));
-            // Stop and join the watcher, so the session's next job cannot
-            // inherit a late trip (its reset clears one already landed).
+            // Stop and join the watcher before the attempt ends, so the
+            // session's next job cannot inherit a late trip: ending the
+            // attempt lets go of one the plane holds, and that job's reset
+            // clears it.
             drop(watcher);
+            ops.merge(&attempt_ops(&job.shared));
             // A fired deadline dominates the attempt's own result: the
             // SLA was missed even if the body's completion raced the
             // trip.  (Documented in DESIGN.md §18.)
@@ -1347,8 +1344,7 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
                     if error.is_transient() && attempt < job.max_retries {
                         // Draw the deterministic jittered delay, then
                         // sleep it only if a retry can still fit before
-                        // the deadline (this is `Backoff::sleep_jittered`
-                        // split around the budget check).
+                        // the deadline.
                         let delay =
                             Backoff::jittered_delay(inner.config.retry_base, attempt, &mut rng);
                         let fits = job.deadline_at.is_none_or(|at| Instant::now() + delay < at);

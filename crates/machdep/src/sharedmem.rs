@@ -24,7 +24,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::linkreg::StartupRegistry;
 use crate::stats::StatsHandle;
@@ -91,16 +90,6 @@ impl SharedLayout {
     pub fn block(&self, name: &str) -> Option<(usize, usize)> {
         self.offsets.get(name).copied()
     }
-
-    /// All block names in the layout.
-    pub fn block_names(&self) -> impl Iterator<Item = &str> {
-        self.offsets.keys().map(|s| s.as_str())
-    }
-
-    /// Number of blocks laid out.
-    pub fn block_count(&self) -> usize {
-        self.offsets.len()
-    }
 }
 
 /// Errors produced while designating shared memory.
@@ -156,6 +145,12 @@ pub trait SharingModel: Send + Sync {
 
     /// Lay out the given blocks into one shared region.
     fn layout(&self, blocks: &[BlockRequest]) -> Result<SharedLayout, SharingError>;
+
+    /// The startup registry this model lays out from: `Some` under
+    /// link-time sharing only.
+    fn link_registry(&self) -> Option<&StartupRegistry> {
+        None
+    }
 }
 
 fn check_duplicates(blocks: &[BlockRequest]) -> Result<(), SharingError> {
@@ -197,25 +192,24 @@ impl SharingModel for CompileTimeSharing {
 /// Sequent Balance: the linker must be told every shared name; the
 /// registry collects them on the first "run" and the layout is only legal
 /// after `finalize` (the second run).
+///
+/// Both belong to one *program*: the double-run protocol links one
+/// program's shared names, so each program session gets a model (and a
+/// registry) of its own ([`Machine::sharing_model`]).
+///
+/// [`Machine::sharing_model`]: crate::machine::Machine::sharing_model
+#[derive(Default)]
 pub struct LinkTimeSharing {
-    registry: Arc<StartupRegistry>,
-}
-
-impl LinkTimeSharing {
-    /// Link-time sharing backed by `registry`.
-    pub fn new(registry: Arc<StartupRegistry>) -> Self {
-        LinkTimeSharing { registry }
-    }
-
-    /// The registry backing this model.
-    pub fn registry(&self) -> &Arc<StartupRegistry> {
-        &self.registry
-    }
+    registry: StartupRegistry,
 }
 
 impl SharingModel for LinkTimeSharing {
     fn id(&self) -> SharingModelId {
         SharingModelId::LinkTime
+    }
+
+    fn link_registry(&self) -> Option<&StartupRegistry> {
+        Some(&self.registry)
     }
 
     fn layout(&self, blocks: &[BlockRequest]) -> Result<SharedLayout, SharingError> {
@@ -456,6 +450,7 @@ impl SharedRegion {
 mod tests {
     use super::*;
     use crate::stats::OpStats;
+    use std::sync::Arc;
 
     fn blocks(specs: &[(&str, usize)]) -> Vec<BlockRequest> {
         specs
@@ -512,8 +507,8 @@ mod tests {
 
     #[test]
     fn link_time_requires_finalized_registry() {
-        let reg = Arc::new(StartupRegistry::new());
-        let m = LinkTimeSharing::new(Arc::clone(&reg));
+        let m = LinkTimeSharing::default();
+        let reg = m.link_registry().expect("link-time sharing has one");
         let err = m.layout(&blocks(&[("A", 4)])).unwrap_err();
         assert_eq!(err, SharingError::RegistryNotFinalized);
 
@@ -525,10 +520,10 @@ mod tests {
 
     #[test]
     fn link_time_rejects_unregistered_and_mismatched() {
-        let reg = Arc::new(StartupRegistry::new());
+        let m = LinkTimeSharing::default();
+        let reg = m.link_registry().expect("link-time sharing has one");
         reg.register_module("MAIN", &[("A".into(), 4)]);
         reg.finalize();
-        let m = LinkTimeSharing::new(reg);
         assert_eq!(
             m.layout(&blocks(&[("B", 4)])).unwrap_err(),
             SharingError::UnregisteredBlock("B".into())

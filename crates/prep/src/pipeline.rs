@@ -220,11 +220,6 @@ impl ExpandedProgram {
         self.decls.iter().filter(|d| d.class == VarClass::Shared)
     }
 
-    /// All asynchronous variable declarations.
-    pub fn async_decls(&self) -> impl Iterator<Item = &DeclInfo> {
-        self.decls.iter().filter(|d| d.class == VarClass::Async)
-    }
-
     /// Estimated bytes this expansion keeps allocated, the struct
     /// included and the [`payload`](Self::payload) artifact excluded
     /// (that one reports its own weight when attached).

@@ -85,11 +85,9 @@ fn no_external_sync_crates_in_source() {
     // reintroduction at the `use` site even if the manifest check above
     // were somehow bypassed (e.g. a vendored copy).
     //
-    // The library crates also read no environment variable, so a
-    // process-wide switch cannot come back unnoticed.  `crates/bench`
-    // is a binary crate and keeps its knobs.
+    // Nor does any source in the workspace read an environment
+    // variable, so a process-wide switch cannot come back unnoticed.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let bench = root.join("crates").join("bench");
     let mut offenders = Vec::new();
     let mut stack = vec![root.join("crates"), root.join("src")];
     while let Some(dir) = stack.pop() {
@@ -102,16 +100,12 @@ fn no_external_sync_crates_in_source() {
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs") {
                 let text = fs::read_to_string(&path).expect("read source");
-                let env_read = (!path.starts_with(&bench)).then_some("env::var");
                 for (lineno, line) in text.lines().enumerate() {
                     let t = line.trim();
                     if t.starts_with("//") {
                         continue;
                     }
-                    for banned in ["crossbeam", "parking_lot", "rand::"]
-                        .into_iter()
-                        .chain(env_read)
-                    {
+                    for banned in ["crossbeam", "parking_lot", "rand::", "env::var"] {
                         if t.contains(banned) {
                             offenders.push(format!("{}:{}: {}", path.display(), lineno + 1, t));
                         }
@@ -122,7 +116,7 @@ fn no_external_sync_crates_in_source() {
     }
     assert!(
         offenders.is_empty(),
-        "external sync/PRNG crates or environment reads in library source:\n  {}",
+        "external sync/PRNG crates or environment reads in workspace source:\n  {}",
         offenders.join("\n  ")
     );
 }

@@ -33,34 +33,42 @@ const SUM_PROGRAM: &str = "\
 fn cached_hits_do_not_count_prep_passes() {
     // A cache of this test's own: its counters move for nobody else.
     let cache = prep::ExpansionCache::new(1 << 20);
-    let machine = Machine::new(MachineId::EncoreMultimax);
+    // One source ported to all six personalities: each port expands it
+    // once, and every re-run afterwards is free.
+    for (ported, id) in (1..).zip(MachineId::all()) {
+        let machine = Machine::new(id);
+        let pool = Arc::new(ForcePool::new(4, machine.stats()));
 
-    // Warm the cache (the miss counts one sed + two m4 passes).
-    let expanded = cache
-        .preprocess(SUM_PROGRAM, MachineId::EncoreMultimax)
-        .unwrap();
-    let engine = Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap();
-    engine.set_pool(Arc::new(ForcePool::new(4, machine.stats())));
+        // Warm the cache (the miss counts one sed + two m4 passes).
+        let expanded = cache.preprocess(SUM_PROGRAM, id).unwrap();
+        let engine = Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap();
+        engine.set_pool(Arc::clone(&pool));
 
-    let before = cache.stats();
-    assert_eq!((before.misses, before.sed, before.m4), (1, 1, 2));
-    for _ in 0..3 {
-        let hit = cache
-            .preprocess(SUM_PROGRAM, MachineId::EncoreMultimax)
-            .unwrap();
-        let engine = Engine::from_expanded(&hit, Arc::clone(&machine)).unwrap();
-        engine.set_pool(Arc::new(ForcePool::new(4, machine.stats())));
-        let out = engine.run(4).unwrap();
+        let before = cache.stats();
         assert_eq!(
-            out.shared_scalar("TOTAL"),
-            Some(the_force::fortran::Value::Int(5050))
+            (before.misses, before.sed, before.m4),
+            (ported, ported, 2 * ported)
+        );
+        for _ in 0..3 {
+            let hit = cache.preprocess(SUM_PROGRAM, id).unwrap();
+            let engine = Engine::from_expanded(&hit, Arc::clone(&machine)).unwrap();
+            engine.set_pool(Arc::clone(&pool));
+            let out = engine.run(4).unwrap();
+            assert_eq!(
+                out.shared_scalar("TOTAL"),
+                Some(the_force::fortran::Value::Int(5050))
+            );
+        }
+        assert_eq!(
+            cache.stats(),
+            prep::CacheStats {
+                hits: before.hits + 3,
+                ..before
+            },
+            "{}: three hits: no sed or m4 pass, no miss, no new bytes",
+            id.name()
         );
     }
-    assert_eq!(
-        cache.stats(),
-        prep::CacheStats { hits: 3, ..before },
-        "three hits: no sed or m4 pass, no miss, no new bytes"
-    );
 }
 
 /// Satellite: pooled-session trace reset.  Job A runs traced, job B

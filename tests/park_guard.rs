@@ -166,3 +166,18 @@ fn threads_are_created_only_behind_the_launch_seam() {
         violations.join("\n")
     );
 }
+
+#[test]
+fn the_job_server_polls_no_timer() {
+    // An idle dispatcher is woken by the submission that needs it and a
+    // deadline watcher trips once: neither a timed condvar wait nor the
+    // parking heartbeat has a use in the server.  (Its helper threads
+    // sleep through `process::StopSignal`, until their one deadline.)
+    let mut violations = scan(&["timer_wait(", "HEARTBEAT"], &[], true);
+    violations.retain(|v| v.starts_with("machdep/src/serve.rs:"));
+    assert!(
+        violations.is_empty(),
+        "the job server waits on a timer again:\n{}",
+        violations.join("\n")
+    );
+}

@@ -8,9 +8,9 @@
 
 mod support;
 
-use support::run_checked;
+use support::{run_checked, run_checked_on};
 use the_force::fortran::Value;
-use the_force::machdep::{MachineId, SharingModelId};
+use the_force::machdep::{Machine, MachineId, SharingModelId};
 
 /// Run on all machines at several force sizes (each run checked against
 /// the reference interpreter); verify with `check`.
@@ -296,4 +296,68 @@ fn simulated_cycle_profiles_follow_the_cost_models() {
         cray > 5 * hep,
         "the gap should be large: hep={hep} cray={cray}"
     );
+}
+
+#[test]
+fn two_programs_link_separately_on_one_sequent_machine() {
+    // The Sequent's double-run link protocol is per *program*: each
+    // program's startup routines register its own shared blocks and the
+    // link pass happens once for it.  The blocks of these two differ in
+    // size (`ZZFENV` holds a lock cell per construct), so a registry
+    // shared through the machine would refuse the second program.
+    let counter = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER N
+      Private INTEGER K
+      End declarations
+      Selfsched DO 100 K = 1, 30
+      Critical LCK
+      N = N + K
+      End critical
+100   End selfsched DO
+      Join
+";
+    let table = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER T(12), N
+      Private INTEGER K
+      End declarations
+      Presched DO 10 K = 1, 12
+      T(K) = K * K
+10    End presched DO
+      Barrier
+      N = T(12)
+      End barrier
+      Join
+";
+    let programs = [(counter, 465), (table, 144)];
+    // What each program's link pass says on a machine of its own.
+    let alone =
+        programs.map(|(src, _)| run_checked(src, MachineId::SequentBalance, 2).linker_commands);
+    assert_ne!(
+        alone[0], alone[1],
+        "the programs must differ in what they link"
+    );
+    for order in [[0, 1, 0, 1], [1, 0, 0, 1]] {
+        let machine = Machine::new(MachineId::SequentBalance);
+        for which in order {
+            let (src, n) = programs[which];
+            let out = run_checked_on(src, &machine, 2);
+            assert_eq!(out.shared_scalar("N"), Some(Value::Int(n)));
+            assert_eq!(out.linker_commands, alone[which], "program {which}");
+        }
+    }
+    // Resident sessions, interleaved: each links on its first run and
+    // skips the pass from then on, whatever the other one does meanwhile.
+    let machine = Machine::new(MachineId::SequentBalance);
+    let load = |(src, _): (&str, i64)| {
+        let expanded = the_force::prep::preprocess_cached(src, machine.id()).unwrap();
+        the_force::fortran::Engine::from_expanded(&expanded, machine.clone()).unwrap()
+    };
+    let sessions = programs.map(load);
+    for which in [0, 1, 1, 0, 1, 0] {
+        let out = sessions[which].run(2).unwrap();
+        assert_eq!(out.shared_scalar("N"), Some(Value::Int(programs[which].1)));
+        assert_eq!(out.linker_commands, alone[which], "session {which}");
+    }
 }

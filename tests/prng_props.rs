@@ -395,8 +395,8 @@ fn fortran_parser_never_panics() {
     let mut rng = XorShift64::new(10);
     for _ in 0..600 {
         let line = random_string(&mut rng, HOSTILE, 60);
-        if let Ok(toks) = the_force::fortran::lexer::lex_statement(&line, 1) {
-            let _ = the_force::fortran::parser::parse_statement(&toks, 1);
+        if let Ok(mut toks) = the_force::fortran::lexer::lex_statement(&line, 1) {
+            let _ = the_force::fortran::parser::parse_tokens(&mut toks, 1);
         }
     }
 }

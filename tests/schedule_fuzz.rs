@@ -8,56 +8,16 @@
 //! interleavings caused every documented hazard: barriers, criticals,
 //! the Askfor pot (with work stealing), and full/empty channels.
 //!
-//! The bench bin `schedule_fuzz` runs the same corpora over much larger
-//! seed ranges with first-failure shrink reporting; this suite keeps CI
-//! coverage of the replay contract itself.
+//! This is the one driver of the sweep: a failure names its `(corpus,
+//! machine, seed)` triple, which is the whole reproducer.
 
 mod support;
 
+use support::corpus::Native as Corpus;
 use the_force::machdep::{
     Machine, MachineId, ParkBackend, RunOptions, StatsSnapshot, TraceConfig, VirtualSummary,
 };
 use the_force::prelude::*;
-
-/// One corpus program: a named, self-terminating force body exercising
-/// a family of blocking constructs.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Corpus {
-    /// Barrier rounds with a named critical between them.
-    Barrier,
-    /// Askfor chains: each handler posts its predecessor.
-    Askfor,
-    /// One recursively split item: peers must steal to share the tree.
-    Steal,
-    /// A ring pipeline over per-pid full/empty channels: each process
-    /// produces into its own channel and consumes from its left
-    /// neighbor's, so consumes genuinely block and force the schedules
-    /// to interleave.  (An uncontended token ring would never block —
-    /// decision points only occur at blocking waits — and on the
-    /// Cray-2 the 80k-cycle creation stagger would then serialize the
-    /// whole run into its single possible schedule.)
-    FullEmpty,
-}
-
-impl Corpus {
-    fn all() -> [Corpus; 4] {
-        [
-            Corpus::Barrier,
-            Corpus::Askfor,
-            Corpus::Steal,
-            Corpus::FullEmpty,
-        ]
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Corpus::Barrier => "barrier",
-            Corpus::Askfor => "askfor",
-            Corpus::Steal => "steal",
-            Corpus::FullEmpty => "fullempty",
-        }
-    }
-}
 
 /// Run one corpus once under the virtual backend and return every
 /// replay observable: the schedule summary, the per-job op-counter
@@ -69,10 +29,7 @@ fn run_virtual(
     corpus: Corpus,
 ) -> (VirtualSummary, StatsSnapshot, String) {
     let force = Force::with_machine(nproc, Machine::new(machine));
-    let chans = match corpus {
-        Corpus::FullEmpty => Some(AsyncArray::<u64>::new(force.machine(), nproc)),
-        _ => None,
-    };
+    let chans = corpus.channels(&force);
     force
         .try_execute_with(
             RunOptions {
@@ -80,40 +37,7 @@ fn run_virtual(
                 trace: Some(TraceConfig::default()),
                 ..RunOptions::default()
             },
-            |p| match corpus {
-                Corpus::Barrier => {
-                    for _ in 0..3 {
-                        p.critical("FUZZ", || {});
-                        p.barrier();
-                    }
-                }
-                Corpus::Askfor => p.askfor(
-                    || (1..=4u32).collect(),
-                    |w, pot| {
-                        if w > 1 {
-                            pot.post(w - 1);
-                        }
-                    },
-                ),
-                Corpus::Steal => p.askfor(
-                    || vec![16u32],
-                    |w, pot| {
-                        if w > 1 {
-                            pot.post(w / 2);
-                            pot.post(w - w / 2);
-                        }
-                    },
-                ),
-                Corpus::FullEmpty => {
-                    let chans = chans.as_ref().expect("channels built before the run");
-                    let me = p.pid();
-                    let left = (me + p.nproc() - 1) % p.nproc();
-                    for i in 0..8u64 {
-                        chans.produce(me, i);
-                        let _ = chans.consume(left);
-                    }
-                }
-            },
+            |p| corpus.body(p, chans.as_ref()),
         )
         .unwrap_or_else(|f| {
             panic!(
@@ -164,14 +88,14 @@ fn different_seeds_explore_different_interleavings() {
 
 #[test]
 fn seed_sweep_replays_on_every_machine() {
-    // The CI-sized sweep: every corpus, every machine personality, a
-    // handful of seeds; each run must complete (no wedge, no fault) and
-    // replay identically.  Failures name the exact (corpus, machine,
-    // seed) triple — the replay key — so a red run IS the repro recipe.
+    // The sweep: every corpus, every machine personality, ten seeds;
+    // each run must complete (no wedge, no fault) and replay
+    // identically.  Failures name the exact (corpus, machine, seed)
+    // triple — the replay key — so a red run IS the repro recipe.
     let mut failures = Vec::new();
     for corpus in Corpus::all() {
         for machine in MachineId::all() {
-            for seed in [1u64, 0xF0CE, 0xDEAD_BEEF] {
+            for seed in (1..=8u64).chain([0xF0CE, 0xDEAD_BEEF]) {
                 let a = run_virtual(machine, 3, seed, corpus);
                 let b = run_virtual(machine, 3, seed, corpus);
                 if a.0 != b.0 || a.1 != b.1 || a.2 != b.2 {
@@ -225,7 +149,7 @@ fn language_front_end_replays_under_both_executors() {
         observe(out, &engine)
     };
     let tree = |seed: u64| {
-        let oracle = support::load_oracle(src, MachineId::Cray2);
+        let oracle = support::load_oracle(src, &Machine::new(MachineId::Cray2));
         let out = oracle.run_with(4, virtual_run(seed)).expect("virtual run");
         observe(out, oracle.engine())
     };

@@ -1230,6 +1230,96 @@ fn lent_force_threads_are_joined_by_shutdown() {
 /// `catch_unwind` contains.  Now the source's job ends `Faulted` with a
 /// positioned error and the dispatcher takes the next one.
 #[test]
+fn a_job_behind_a_busy_dispatcher_wakes_an_idle_sibling() {
+    // An idle dispatcher sleeps untimed.  A job queued behind a busy one
+    // therefore starts only if its submission wakes the sibling — asleep
+    // for 50 ms, just asleep, still polling after its last job, or at
+    // the seam between the two.  A lost wake-up leaves the job queued
+    // until the blocker is released, which happens after the loop.
+    let machine = Machine::new(MachineId::Flex32);
+    let (server, _) = server_with_own_stats(ServerConfig {
+        shards: 2,
+        ..ServerConfig::default()
+    });
+    let blocker = Blocker::occupy(&server, "blocker", &machine, lendable_nproc());
+    let behind_the_blocker = tenant_on(&server, blocker.shard);
+    let idle_for = [50_000, 0, 30, 50, 70, 200, 1_000, 5_000].map(Duration::from_micros);
+    for _ in 0..5 {
+        for pause in idle_for {
+            std::thread::sleep(pause);
+            let started = Arc::new(Mutex::new(None));
+            let slot = Arc::clone(&started);
+            let runner: JobRunner = Box::new(move |cx| {
+                *slot.lock().unwrap() = Some((cx.shard(), Instant::now()));
+                Ok(JobYield::default())
+            });
+            let submitted = Instant::now();
+            let job =
+                expect_admitted(server.submit(JobSpec::for_tenant(&behind_the_blocker), runner));
+            let outcome = within_5s("a job behind a busy dispatcher", move || job.wait());
+            assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
+            let (shard, at) = started.lock().unwrap().expect("the job ran");
+            assert_eq!(shard, 1 - blocker.shard, "only the sibling is free");
+            // Generous for a shared host, and far inside what a sibling
+            // polling every 500 us would need as well.
+            let waited = at.duration_since(submitted);
+            assert!(waited < Duration::from_secs(1), "started after {waited:?}");
+        }
+    }
+    blocker.release();
+    server.shutdown();
+}
+
+/// A served job whose deadline fires before its session has reset its
+/// plane for the run — before the plane is even bound, or between the
+/// binding and the reset.  Either way the run must start cancelled, from
+/// exactly one trip.
+fn deadline_before_the_run(bind_first: bool) {
+    let machine = Machine::new(MachineId::EncoreMultimax);
+    let (server, _) = server_with_own_stats(ServerConfig::default());
+    let session = Arc::new(Force::with_machine(2, Arc::clone(&machine)));
+    let served = Arc::clone(&session);
+    let runner: JobRunner = Box::new(move |cx| {
+        let wait_for = |ready: &dyn Fn() -> bool| {
+            while !ready() {
+                std::thread::sleep(Duration::from_micros(100));
+            }
+        };
+        if bind_first {
+            cx.bind_plane(served.fault_plane());
+            wait_for(&|| served.fault_plane().is_tripped());
+        }
+        wait_for(&|| cx.deadline_fired());
+        // Barriers for ever: nothing but the trip ends this run.
+        run_bound(cx, &served, RunOptions::default(), |p| loop {
+            p.barrier();
+        })
+    });
+    let faults_before = machine.stats().snapshot().faults_detected;
+    let spec = JobSpec::for_tenant("late").with_deadline(Duration::from_millis(5));
+    let job = expect_admitted(server.submit(spec, runner));
+    let outcome = within_5s("a run whose deadline fired first", move || job.wait());
+    assert_eq!(outcome, JobOutcome::DeadlineExceeded { ran: true });
+    let faults = machine.stats().snapshot().faults_detected - faults_before;
+    assert_eq!(faults, 1, "the deadline trips its plane once");
+    // The attempt is over: the plane holds no trip against the next run.
+    server.shutdown();
+    session
+        .try_run(|p| p.barrier())
+        .expect("the session's next run starts clean");
+}
+
+#[test]
+fn a_deadline_that_fires_before_the_plane_is_bound_cancels_the_run() {
+    deadline_before_the_run(false);
+}
+
+#[test]
+fn a_deadline_that_fires_between_binding_and_reset_cancels_the_run() {
+    deadline_before_the_run(true);
+}
+
+#[test]
 fn a_source_nested_past_the_parser_bound_faults_its_job_not_the_server() {
     let machine = Machine::new(MachineId::EncoreMultimax);
     let (server, _) = server_with_own_stats(ServerConfig::default());

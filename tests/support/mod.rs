@@ -8,11 +8,13 @@
 
 pub mod corpus;
 
+use std::sync::Arc;
+
 use the_force::fortran::oracle::Oracle;
-use the_force::fortran::RunOutput;
+use the_force::fortran::{Engine, RunOutput};
 use the_force::machdep::{Machine, MachineId, RunOptions};
 use the_force::prep::preprocess_cached;
-use the_force::run_force_source;
+use the_force::ForceError;
 
 /// FNV-1a of a text: the digest the pinned tables hold.
 pub fn fnv1a(text: &str) -> u64 {
@@ -37,13 +39,12 @@ pub const TIMING_DEPENDENT_COUNTERS: &[&str] = &[
     "cancellations_observed",
 ];
 
-/// Load `src` for the reference interpreter on a fresh `Machine` —
-/// startup state (e.g. the Sequent ZZSTRT0 registry) lives on the machine
-/// instance and must not leak between the two runs being compared.
-pub fn load_oracle(src: &str, id: MachineId) -> Oracle {
+/// Load `src` for the reference interpreter onto `machine`.
+pub fn load_oracle(src: &str, machine: &Arc<Machine>) -> Oracle {
+    let id = machine.id();
     let expanded = preprocess_cached(src, id)
         .unwrap_or_else(|e| panic!("{}: preprocessor rejected program: {e}", id.name()));
-    Oracle::from_expanded(&expanded, Machine::new(id))
+    Oracle::from_expanded(&expanded, Arc::clone(machine))
         .unwrap_or_else(|e| panic!("{}: front end rejected program: {e}", id.name()))
 }
 
@@ -55,7 +56,7 @@ pub fn run_oracle(
     nproc: usize,
     options: RunOptions,
 ) -> Result<RunOutput, String> {
-    load_oracle(src, id)
+    load_oracle(src, &Machine::new(id))
         .run_with(nproc, options)
         .map_err(|e| e.to_string())
 }
@@ -91,15 +92,25 @@ pub fn assert_same_run(label: &str, oracle: &RunOutput, vm: &RunOutput) {
     }
 }
 
-/// The production run of `src`, checked against the oracle: both must
-/// succeed and agree.  Returns the production output for the caller's own
-/// assertions.
-pub fn run_checked(src: &str, id: MachineId, nproc: usize) -> RunOutput {
-    let label = format!("{} nproc={nproc}", id.name());
-    let vm = run_force_source(src, id, nproc)
-        .unwrap_or_else(|e| panic!("{label}: production run failed: {e}"));
-    let oracle = run_oracle(src, id, nproc, RunOptions::default())
+/// The production run of `src` on `machine`, checked against the oracle
+/// loaded onto the same machine: both must succeed and agree.  Returns the
+/// production output for the caller's own assertions.
+pub fn run_checked_on(src: &str, machine: &Arc<Machine>, nproc: usize) -> RunOutput {
+    let label = format!("{} nproc={nproc}", machine.id().name());
+    let production = || -> Result<RunOutput, ForceError> {
+        let expanded = preprocess_cached(src, machine.id())?;
+        Ok(Engine::from_expanded(&expanded, Arc::clone(machine))?.run(nproc)?)
+    };
+    let vm = production().unwrap_or_else(|e| panic!("{label}: production run failed: {e}"));
+    let oracle = load_oracle(src, machine)
+        .run_with(nproc, RunOptions::default())
         .unwrap_or_else(|e| panic!("{label}: oracle run failed: {e}"));
     assert_same_run(&label, &oracle, &vm);
     vm
+}
+
+/// [`run_checked_on`] a machine of the caller's choice of personality,
+/// booted for the occasion.
+pub fn run_checked(src: &str, id: MachineId, nproc: usize) -> RunOutput {
+    run_checked_on(src, &Machine::new(id), nproc)
 }
