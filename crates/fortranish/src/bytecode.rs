@@ -28,15 +28,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use force_core::schedule::ForceRange;
-use force_machdep::{fault, FullEmptyState};
+use force_machdep::{fault, FullEmptyState, LockKind};
 use force_prep::weigh::{str_bytes, strings_bytes, vec_bytes};
 
 use crate::ast::{BinOp, Expr, LValue, Ty, UnOp};
 use crate::engine::{
     aini_service, check_fork_mnemonic, check_hardware_fe, check_isfull_machine, check_vendor_locks,
-    eval_binop, hep_construct, hep_consume, hep_copy, hep_produce, init_lock_service, isfull_value,
-    link_service, lock_mnemonic, lock_service, num_cmp, shpg_service, spawn_force, strt0_service,
-    voidl_service, ArgVal, Flow, ProcLock, Rt, SharedState,
+    eval_binop, hep_construct, hep_consume, hep_copy, hep_produce, init_lock_service, int_binop,
+    isfull_value, link_service, lock_mnemonic, lock_service, num_cmp, shpg_service, spawn_force,
+    strt0_service, voidl_service, ArgVal, Flow, PooledHolds, ProcLock, Rt, SharedState,
 };
 use crate::error::FortError;
 use crate::intrinsics;
@@ -56,6 +56,9 @@ pub(crate) enum Instr {
     JumpIfFalse(u32),
     /// Fused structured-DO head: pops `to`, `var`, `step` and jumps past
     /// the loop body unless the trip continues (§4.2 completion test).
+    /// Both spellings of the head compile to it: `IF (<head>) THEN` and
+    /// the negated `IF (.NOT. (<head>)) GO TO exit`, whose `GO TO` it
+    /// absorbs.
     DoCheck(u32),
     ConstInt(i64),
     ConstReal(f64),
@@ -150,6 +153,9 @@ pub(crate) enum Instr {
     },
     Neg,
     Not,
+    /// Pop `b`, then `a`; push `a op b`.  Two INTEGERs add, subtract,
+    /// multiply and compare inline; everything else goes through
+    /// [`eval_binop`].
     Bin(BinOp),
     /// Intrinsic function call: pops `argc` values.
     CallFn {
@@ -205,10 +211,17 @@ pub(crate) enum Instr {
         name: u32,
         argn: u8,
     },
-    SvcVendorCheck(force_machdep::LockKind),
-    SvcLock {
+    /// The executing machine's locks must be of `kind`: emitted ahead of
+    /// a lock argument whose binding could fail, so that a mismatch is
+    /// reported first.
+    SvcVendorCheck(LockKind),
+    /// A lock mnemonic (`ZZTSLCK`, `ZZOSUNL`, …) in one dispatch: the
+    /// vendor-lock check, the lock variable's place, then the operation
+    /// (`is_lock` acquires, otherwise releases).
+    Lock {
+        kind: LockKind,
         is_lock: bool,
-        var_name: Option<u32>,
+        at: LockAt,
     },
     SvcInitLock {
         keep_locked: bool,
@@ -236,6 +249,24 @@ pub(crate) enum Instr {
     IsFullValue(u32),
 }
 
+/// Where an [`Instr::Lock`] finds its lock variable.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum LockAt {
+    /// A shared scalar (`BARWIN`, `LOOP100`, a critical's name), traced
+    /// by the name `name`.
+    Var { block: u16, offset: u32, name: u32 },
+    /// An element of a shared lock array (an async array's `…ZZE(I)`):
+    /// pops the offset accumulator its subscripts left.
+    Elem { block: u16, offset: u32 },
+    /// Any other argument, bound by the generic code and popped from the
+    /// places by `SvcPlace`; `name` is the argument's, when it is a name.
+    Place { name: Option<u32> },
+}
+
+// One instruction is two words; a fused instruction must not make every
+// other one bigger.
+const _: () = assert!(std::mem::size_of::<Instr>() == 16);
+
 /// One compiled unit.
 #[derive(Debug)]
 pub(crate) struct CUnit {
@@ -246,7 +277,8 @@ pub(crate) struct CUnit {
     /// Typed-zero initialization runs: `(base, words, ty)`.
     pub(crate) locals_init: Vec<(u32, u32, Ty)>,
     pub(crate) code: Vec<Instr>,
-    /// Source line of each instruction (diagnostics).
+    /// Source line of each instruction, read only when one raises an
+    /// error.
     pub(crate) lines: Vec<u32>,
 }
 
@@ -366,6 +398,75 @@ pub fn compile(program: &Program) -> CompiledProgram {
     }
 }
 
+/// A §4.2 loop head the compiler fuses into one [`Instr::DoCheck`].
+struct DoHead<'u> {
+    var: &'u Expr,
+    to: &'u Expr,
+    step: &'u Expr,
+    /// The op the loop leaves to.
+    exit: usize,
+    /// The head is spelled `IF (.NOT. (<head>)) GO TO exit` (a
+    /// prescheduled DO): the `DoCheck` absorbs the `GO TO`, the next op.
+    negated: bool,
+}
+
+/// The loop head that op `pc`, `JumpIfFalse(cond, t)`, opens, if any.
+///
+/// The fused check evaluates step, variable and bound and only then
+/// compares; the tree compares the step with zero *before* it evaluates
+/// the bound.  The two agree on every error only when that comparison
+/// cannot fail — an INTEGER step ([`always_integer`]) — so any other
+/// step keeps the tree's shape.
+fn do_head<'u>(unit: &'u Unit, pc: usize, cond: &'u Expr, t: usize) -> Option<DoHead<'u>> {
+    let int_step = |step: &Expr| always_integer(step, &unit.symbols);
+    if let Some((var, to, step)) = crate::program::match_do_condition(cond) {
+        return int_step(step).then_some(DoHead {
+            var,
+            to,
+            step,
+            exit: t,
+            negated: false,
+        });
+    }
+    let Expr::Un(UnOp::Not, inner) = cond else {
+        return None;
+    };
+    let (var, to, step) = crate::program::match_do_condition(inner)?;
+    let Some(&Op::Jump(exit)) = unit.ops.get(pc + 1) else {
+        return None;
+    };
+    // The `GO TO` disappears: nothing may jump to it.
+    let targeted = unit
+        .ops
+        .iter()
+        .any(|op| matches!(op, Op::Jump(j) | Op::JumpIfFalse(_, j) if *j == pc + 1));
+    (t == pc + 2 && !targeted && int_step(step)).then_some(DoHead {
+        var,
+        to,
+        step,
+        exit,
+        negated: true,
+    })
+}
+
+/// Whether `x` evaluates to an INTEGER or to an error, never to another
+/// type: literals, INTEGER variables and elements of the unit's own
+/// storage (an argument's binding may hold any type), `ME`/`NP`, and
+/// `+ − × ÷` and negation of those.
+fn always_integer(x: &Expr, symbols: &HashMap<String, Symbol>) -> bool {
+    match x {
+        Expr::Int(_) => true,
+        Expr::Var(n) | Expr::Index(n, _) => symbols
+            .get(n)
+            .is_some_and(|s| s.ty == Ty::Integer && !matches!(s.storage, Storage::Arg(_))),
+        Expr::Un(UnOp::Neg, a) => always_integer(a, symbols),
+        Expr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, a, b) => {
+            always_integer(a, symbols) && always_integer(b, symbols)
+        }
+        _ => false,
+    }
+}
+
 impl<'p> Compiler<'p> {
     fn intern(&mut self, s: &str) -> u32 {
         if let Some(&i) = self.name_ids.get(s) {
@@ -394,28 +495,31 @@ impl<'p> Compiler<'p> {
         // First pass: emit each op, recording where it starts; jump
         // targets temporarily hold *op* indices.
         let mut op_starts = Vec::with_capacity(unit.ops.len() + 1);
+        let mut absorbed = false;
         for (pc, op) in unit.ops.iter().enumerate() {
             op_starts.push(e.code.len() as u32);
+            if std::mem::take(&mut absorbed) {
+                continue;
+            }
             let line = unit.op_lines[pc];
             match op {
                 Op::Nop => {}
                 Op::Jump(t) => e.push(Instr::Jump(*t as u32), line),
-                Op::JumpIfFalse(cond, t) => {
-                    match crate::program::match_do_condition(cond) {
-                        Some((var, to, step)) => {
-                            // Tree evaluation order of the condition's
-                            // first error: step, then var, then to.
-                            self.expr(&mut e, step, line);
-                            self.expr(&mut e, var, line);
-                            self.expr(&mut e, to, line);
-                            e.push(Instr::DoCheck(*t as u32), line);
-                        }
-                        None => {
-                            self.expr(&mut e, cond, line);
-                            e.push(Instr::JumpIfFalse(*t as u32), line);
-                        }
+                Op::JumpIfFalse(cond, t) => match do_head(unit, pc, cond, *t) {
+                    Some(head) => {
+                        // Tree evaluation order of the condition's first
+                        // error: step, then var, then to.
+                        self.expr(&mut e, head.step, line);
+                        self.expr(&mut e, head.var, line);
+                        self.expr(&mut e, head.to, line);
+                        e.push(Instr::DoCheck(head.exit as u32), line);
+                        absorbed = head.negated;
                     }
-                }
+                    None => {
+                        self.expr(&mut e, cond, line);
+                        e.push(Instr::JumpIfFalse(*t as u32), line);
+                    }
+                },
                 Op::Assign(lhs, rhs) => {
                     self.expr(&mut e, rhs, line);
                     self.store(&mut e, lhs, line);
@@ -476,6 +580,16 @@ impl<'p> Compiler<'p> {
     fn fail(&mut self, e: &mut Emit<'_>, msg: String, line: usize) {
         let id = self.intern(&msg);
         e.push(Instr::Fail(id), line);
+    }
+
+    /// `(block, offset)` of a symbol in a known shared block.
+    fn shared_place(&self, sym: &Symbol) -> Option<(u16, u32)> {
+        match &sym.storage {
+            Storage::Shared { block, offset } => {
+                self.block_ids.get(&**block).map(|&b| (b, *offset as u32))
+            }
+            _ => None,
+        }
     }
 
     fn block_id(&mut self, e: &mut Emit<'_>, block: &str, line: usize) -> Option<u16> {
@@ -888,6 +1002,54 @@ impl<'p> Compiler<'p> {
         }
     }
 
+    /// Bind a lock mnemonic's argument for its `Instr::Lock`.  A shared
+    /// scalar — every lock the macros name but an async array's — rides
+    /// in the instruction; anything else is bound as `svc_place` binds
+    /// it, after a vendor check, so that a machine mismatch is still the
+    /// first error.
+    fn lock_at(
+        &mut self,
+        e: &mut Emit<'_>,
+        mnemonic: &str,
+        kind: LockKind,
+        args: &[Expr],
+        line: usize,
+    ) -> LockAt {
+        let arg = args.first();
+        if let Some(Expr::Var(n)) = arg {
+            let place = e.symbol(n).and_then(|s| self.shared_place(s));
+            if let (false, Some((block, offset))) = (self.program.units.contains_key(n), place) {
+                let name = self.intern(n);
+                return LockAt::Var {
+                    block,
+                    offset,
+                    name,
+                };
+            }
+        }
+        e.push(Instr::SvcVendorCheck(kind), line);
+        if let Some(Expr::Index(n, idx)) = arg {
+            let sym = e.symbol(n).filter(|s| !s.dims.is_empty());
+            if let Some((sym, (block, offset))) = sym.and_then(|s| Some((s, self.shared_place(s)?)))
+            {
+                // A subscript-count mismatch compiles to a `Fail`, as in
+                // the generic binding, and the `Lock` after it is never
+                // reached.
+                return if self.static_elem_chain(e, n, &sym.dims, idx, line) {
+                    LockAt::Elem { block, offset }
+                } else {
+                    LockAt::Place { name: None }
+                };
+            }
+        }
+        self.svc_place(e, mnemonic, args, 0, line);
+        let name = match arg {
+            Some(Expr::Var(n)) => Some(self.intern(n)),
+            _ => None,
+        };
+        LockAt::Place { name }
+    }
+
     // -- calls --
 
     fn call(&mut self, e: &mut Emit<'_>, name: &str, args: &[Expr], line: usize) {
@@ -905,13 +1067,8 @@ impl<'p> Compiler<'p> {
             return;
         }
         if let Some((kind, is_lock)) = lock_mnemonic(name) {
-            e.push(Instr::SvcVendorCheck(kind), line);
-            self.svc_place(e, name, args, 0, line);
-            let var_name = match args.first() {
-                Some(Expr::Var(n)) => Some(self.intern(n)),
-                _ => None,
-            };
-            e.push(Instr::SvcLock { is_lock, var_name }, line);
+            let at = self.lock_at(e, name, kind, args, line);
+            e.push(Instr::Lock { kind, is_lock, at }, line);
             return;
         }
         match name {
@@ -1015,6 +1172,12 @@ fn do_continues(var: Value, to: Value, step: Value, line: usize) -> Result<bool,
 /// Back-edges between two looks at the cancellation token.
 const CANCEL_CHECK_STRIDE: u32 = 1024;
 
+/// The line an instruction gives an error it raises.  Lines are 1-based,
+/// so no real one is 0: [`VmProc::exec`] puts the faulting instruction's
+/// line, from the unit's table, in its place — which keeps the table off
+/// the dispatch path.
+const HERE: usize = 0;
+
 /// One VM process: the bytecode counterpart of the oracle's `Proc`.
 pub(crate) struct VmProc<'r, 'e> {
     rt: &'r Rt<'e>,
@@ -1033,6 +1196,8 @@ pub(crate) struct VmProc<'r, 'e> {
     locks: Vec<(usize, ProcLock)>,
     /// The HEP full/empty tags this process has used, the same way.
     tags: Vec<(usize, Arc<FullEmptyState>)>,
+    /// The pooled user locks this process holds.
+    holds: PooledHolds<'e>,
 }
 
 /// Where `offset` sits in a per-process table sorted by offset, resolved
@@ -1060,14 +1225,15 @@ impl<'r, 'e> VmProc<'r, 'e> {
             shared: None,
             locks: Vec::new(),
             tags: Vec::new(),
+            holds: PooledHolds::new(rt),
         }
     }
 
-    /// This process's entry for the lock variable at `offset`.
-    fn lock_at(&mut self, offset: usize, line: usize) -> Result<&ProcLock, FortError> {
+    /// This process's entry for the lock variable at `offset`, as an
+    /// index into `locks`.
+    fn lock_slot(&mut self, offset: usize) -> Result<usize, FortError> {
         let rt = self.rt;
-        let at = slot_of(&mut self.locks, offset, || rt.resolve_lock(offset, line))?;
-        Ok(&self.locks[at].1)
+        slot_of(&mut self.locks, offset, || rt.resolve_lock(offset, HERE))
     }
 
     /// This process's entry for the full/empty cell at `offset`, as an
@@ -1078,13 +1244,13 @@ impl<'r, 'e> VmProc<'r, 'e> {
             .expect("a tag always resolves")
     }
 
-    fn shared_ref(&mut self, line: usize) -> Result<&(Arc<SharedState>, Vec<usize>), FortError> {
+    fn shared_ref(&mut self) -> Result<&(Arc<SharedState>, Vec<usize>), FortError> {
         if self.shared.is_none() {
-            let state = self.rt.shared(line)?;
+            let state = self.rt.shared(HERE)?;
             let mut bases = Vec::with_capacity(self.cp.blocks.len());
             for b in &self.cp.blocks {
                 bases.push(*state.bases.get(b).ok_or_else(|| {
-                    FortError::runtime(line, format!("unknown shared block {b}"))
+                    FortError::runtime(HERE, format!("unknown shared block {b}"))
                 })?);
             }
             self.shared = Some((state, bases));
@@ -1093,25 +1259,45 @@ impl<'r, 'e> VmProc<'r, 'e> {
     }
 
     /// Absolute shared word offset of `(block, offset)`.
-    fn shared_off(&mut self, block: u16, offset: u32, line: usize) -> Result<usize, FortError> {
-        let (_, bases) = self.shared_ref(line)?;
+    fn shared_off(&mut self, block: u16, offset: u32) -> Result<usize, FortError> {
+        let (_, bases) = self.shared_ref()?;
         Ok(bases[block as usize] + offset as usize)
     }
 
-    fn load_word(&mut self, off: usize, ty: Ty, line: usize) -> Result<Value, FortError> {
-        let (state, _) = self.shared_ref(line)?;
+    fn load_word(&mut self, off: usize, ty: Ty) -> Result<Value, FortError> {
+        let (state, _) = self.shared_ref()?;
         Ok(Value::from_bits(state.region.load_raw(off), ty))
     }
 
-    fn store_word(&mut self, off: usize, bits: u64, line: usize) -> Result<(), FortError> {
-        let (state, _) = self.shared_ref(line)?;
+    fn store_word(&mut self, off: usize, bits: u64) -> Result<(), FortError> {
+        let (state, _) = self.shared_ref()?;
         state.region.store_raw(off, bits);
         Ok(())
     }
 
-    /// Execute a unit to completion.
-    pub(crate) fn exec(&mut self, unit: usize, args: Vec<ArgVal>) -> Result<Flow, FortError> {
+    /// Execute a unit to completion.  An error one of its instructions
+    /// raised leaves with that instruction's line.
+    pub(crate) fn exec(&mut self, unit: usize, args: &[ArgVal<'r>]) -> Result<Flow, FortError> {
         let u = &self.cp.units[unit];
+        let mut pc = 0usize;
+        self.run(u, args, &mut pc).map_err(move |mut e| {
+            if e.line == Some(HERE) {
+                e.line = Some(u.lines[pc] as usize);
+            }
+            e
+        })
+    }
+
+    /// The dispatch loop of [`exec`](Self::exec), leaving `pc` at the
+    /// instruction that raised an error.
+    #[inline(always)]
+    fn run(
+        &mut self,
+        u: &'r CUnit,
+        args: &[ArgVal<'r>],
+        pc: &mut usize,
+    ) -> Result<Flow, FortError> {
+        let cp = self.cp;
         let mut locals = vec![Value::Int(0); u.frame_words as usize];
         for &(base, words, ty) in &u.locals_init {
             for w in 0..words {
@@ -1119,38 +1305,38 @@ impl<'r, 'e> VmProc<'r, 'e> {
             }
         }
         let mut stack: Vec<Value> = Vec::with_capacity(16);
-        let mut argstack: Vec<ArgVal> = Vec::new();
+        let mut argstack: Vec<ArgVal<'r>> = Vec::new();
         let mut places: Vec<(usize, Ty)> = Vec::new();
         let mut parts: Vec<String> = Vec::new();
         let code = &u.code;
-        let mut pc = 0usize;
         let mut until_check = CANCEL_CHECK_STRIDE;
         macro_rules! pop {
             () => {
                 stack.pop().expect("value stack underflow")
             };
         }
-        while pc < code.len() {
-            let line = u.lines[pc] as usize;
-            match &code[pc] {
+        while *pc < code.len() {
+            #[cfg(test)]
+            tests::dispatched(u.lines[*pc]);
+            match &code[*pc] {
                 Instr::Jump(t) => {
                     let t = *t as usize;
                     // Every loop closes with a backward `Jump`; a body
                     // that never blocks observes cancellation here, so a
                     // deadline can end it.
-                    if t <= pc {
+                    if t <= *pc {
                         until_check -= 1;
                         if until_check == 0 {
                             until_check = CANCEL_CHECK_STRIDE;
                             fault::check_cancel();
                         }
                     }
-                    pc = t;
+                    *pc = t;
                     continue;
                 }
                 Instr::JumpIfFalse(t) => {
-                    if !pop!().as_log(line)? {
-                        pc = *t as usize;
+                    if !pop!().as_log(HERE)? {
+                        *pc = *t as usize;
                         continue;
                     }
                 }
@@ -1158,8 +1344,8 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     let to = pop!();
                     let var = pop!();
                     let step = pop!();
-                    if !do_continues(var, to, step, line)? {
-                        pc = *t as usize;
+                    if !do_continues(var, to, step, HERE)? {
+                        *pc = *t as usize;
                         continue;
                     }
                 }
@@ -1170,40 +1356,39 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::LoadNp => stack.push(Value::Int(self.np)),
                 Instr::LoadLocal(slot) => stack.push(locals[*slot as usize]),
                 Instr::LoadShared { block, offset, ty } => {
-                    let off = self.shared_off(*block, *offset, line)?;
-                    let v = self.load_word(off, *ty, line)?;
+                    let off = self.shared_off(*block, *offset)?;
+                    let v = self.load_word(off, *ty)?;
                     stack.push(v);
                 }
-                Instr::LoadArgScalar { arg, name } => match &args[*arg as usize] {
-                    ArgVal::Value(v) => stack.push(*v),
+                Instr::LoadArgScalar { arg, name } => match args[*arg as usize] {
+                    ArgVal::Value(v) => stack.push(v),
                     ArgVal::Shared { offset, ty, dims } => {
                         if !dims.is_empty() {
                             return Err(FortError::runtime(
-                                line,
+                                HERE,
                                 format!(
                                     "array argument {} used without subscripts",
-                                    self.cp.names[*name as usize]
+                                    cp.names[*name as usize]
                                 ),
                             ));
                         }
-                        let (offset, ty) = (*offset, *ty);
-                        let v = self.load_word(offset, ty, line)?;
+                        let v = self.load_word(offset, ty)?;
                         stack.push(v);
                     }
                     ArgVal::Unit(u) => {
                         return Err(FortError::runtime(
-                            line,
+                            HERE,
                             format!("unit name {u} used as a value"),
                         ))
                     }
                 },
                 Instr::StoreLocal { base, ty } => {
-                    locals[*base as usize] = pop!().convert_to(*ty, line)?;
+                    locals[*base as usize] = pop!().convert_to(*ty, HERE)?;
                 }
                 Instr::StoreShared { block, offset, ty } => {
-                    let v = pop!().convert_to(*ty, line)?;
-                    let off = self.shared_off(*block, *offset, line)?;
-                    self.store_word(off, v.to_bits(), line)?;
+                    let v = pop!().convert_to(*ty, HERE)?;
+                    let off = self.shared_off(*block, *offset)?;
+                    self.store_word(off, v.to_bits())?;
                 }
                 Instr::StoreArgScalar {
                     arg,
@@ -1215,36 +1400,35 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     // callee-declared type before dispatching on the
                     // binding (the result is then recomputed from the
                     // binding's own type).
-                    value.convert_to(*declared, line)?;
-                    let n = || self.cp.names[*name as usize].clone();
-                    match &args[*arg as usize] {
+                    value.convert_to(*declared, HERE)?;
+                    let n = &cp.names[*name as usize];
+                    match args[*arg as usize] {
                         ArgVal::Shared { offset, ty, dims } => {
                             if !dims.is_empty() {
                                 return Err(FortError::runtime(
-                                    line,
-                                    format!("array argument {} assigned without subscripts", n()),
+                                    HERE,
+                                    format!("array argument {n} assigned without subscripts"),
                                 ));
                             }
-                            let v = value.convert_to(*ty, line)?;
-                            let offset = *offset;
-                            self.store_word(offset, v.to_bits(), line)?;
+                            let v = value.convert_to(ty, HERE)?;
+                            self.store_word(offset, v.to_bits())?;
                         }
                         ArgVal::Value(_) => {
                             return Err(FortError::runtime(
-                                line,
-                                format!("argument {} was passed by value and is read-only", n()),
+                                HERE,
+                                format!("argument {n} was passed by value and is read-only"),
                             ))
                         }
                         ArgVal::Unit(_) => {
                             return Err(FortError::runtime(
-                                line,
-                                format!("cannot assign to unit name {}", n()),
+                                HERE,
+                                format!("cannot assign to unit name {n}"),
                             ))
                         }
                     }
                 }
                 Instr::Convert(ty) => {
-                    let v = pop!().convert_to(*ty, line)?;
+                    let v = pop!().convert_to(*ty, HERE)?;
                     stack.push(v);
                 }
                 Instr::IdxCheck {
@@ -1253,35 +1437,35 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     stride,
                     name,
                 } => {
-                    let i = pop!().as_int(line)?;
-                    let acc = pop!().as_int(line)?;
+                    let i = pop!().as_int(HERE)?;
+                    let acc = pop!().as_int(HERE)?;
                     if i < 1 || i as u64 > *dim as u64 {
                         return Err(FortError::runtime(
-                            line,
+                            HERE,
                             format!(
                                 "subscript {} of {} is {i}, outside 1..{dim}",
                                 *k as usize + 1,
-                                self.cp.names[*name as usize]
+                                cp.names[*name as usize]
                             ),
                         ));
                     }
                     stack.push(Value::Int(acc + (i - 1) * *stride as i64));
                 }
                 Instr::IdxCheckArg { arg, k, name } => {
-                    let i = pop!().as_int(line)?;
-                    let acc = pop!().as_int(line)?;
-                    let dims = match &args[*arg as usize] {
+                    let i = pop!().as_int(HERE)?;
+                    let acc = pop!().as_int(HERE)?;
+                    let dims = match args[*arg as usize] {
                         ArgVal::Shared { dims, .. } => dims,
                         _ => unreachable!("checked by ArgElemCheck"),
                     };
                     let d = dims[*k as usize];
                     if i < 1 || i as usize > d {
                         return Err(FortError::runtime(
-                            line,
+                            HERE,
                             format!(
                                 "subscript {} of {} is {i}, outside 1..{d}",
                                 *k as usize + 1,
-                                self.cp.names[*name as usize]
+                                cp.names[*name as usize]
                             ),
                         ));
                     }
@@ -1289,108 +1473,113 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     stack.push(Value::Int(acc + (i - 1) * stride as i64));
                 }
                 Instr::ArgElemCheck { arg, nidx, name } => {
-                    let n = || self.cp.names[*name as usize].clone();
-                    match &args[*arg as usize] {
+                    let n = &cp.names[*name as usize];
+                    match args[*arg as usize] {
                         ArgVal::Shared { dims, .. } => {
                             if dims.is_empty() {
                                 return Err(FortError::runtime(
-                                    line,
-                                    format!("scalar argument {} was subscripted", n()),
+                                    HERE,
+                                    format!("scalar argument {n} was subscripted"),
                                 ));
                             }
                             if *nidx as usize != dims.len() {
                                 return Err(FortError::runtime(
-                                    line,
+                                    HERE,
                                     format!(
-                                        "{} has {} dimension(s) but {} subscript(s) given",
-                                        n(),
+                                        "{n} has {} dimension(s) but {nidx} subscript(s) given",
                                         dims.len(),
-                                        nidx
                                     ),
                                 ));
                             }
                         }
                         _ => {
                             return Err(FortError::runtime(
-                                line,
-                                format!("argument {} is not an array reference", n()),
+                                HERE,
+                                format!("argument {n} is not an array reference"),
                             ))
                         }
                     }
                     stack.push(Value::Int(0));
                 }
                 Instr::LoadElemLocal { base } => {
-                    let acc = pop!().as_int(line)? as usize;
+                    let acc = pop!().as_int(HERE)? as usize;
                     stack.push(locals[*base as usize + acc]);
                 }
                 Instr::StoreElemLocal { base, ty } => {
-                    let acc = pop!().as_int(line)? as usize;
-                    let v = pop!().convert_to(*ty, line)?;
+                    let acc = pop!().as_int(HERE)? as usize;
+                    let v = pop!().convert_to(*ty, HERE)?;
                     locals[*base as usize + acc] = v;
                 }
                 Instr::LoadElemShared { block, offset, ty } => {
-                    let acc = pop!().as_int(line)? as usize;
-                    let off = self.shared_off(*block, *offset, line)? + acc;
-                    let v = self.load_word(off, *ty, line)?;
+                    let acc = pop!().as_int(HERE)? as usize;
+                    let off = self.shared_off(*block, *offset)? + acc;
+                    let v = self.load_word(off, *ty)?;
                     stack.push(v);
                 }
                 Instr::StoreElemShared { block, offset, ty } => {
-                    let acc = pop!().as_int(line)? as usize;
-                    let v = pop!().convert_to(*ty, line)?;
-                    let off = self.shared_off(*block, *offset, line)? + acc;
-                    self.store_word(off, v.to_bits(), line)?;
+                    let acc = pop!().as_int(HERE)? as usize;
+                    let v = pop!().convert_to(*ty, HERE)?;
+                    let off = self.shared_off(*block, *offset)? + acc;
+                    self.store_word(off, v.to_bits())?;
                 }
                 Instr::LoadElemArg { arg } => {
-                    let acc = pop!().as_int(line)? as usize;
-                    let (offset, ty) = match &args[*arg as usize] {
-                        ArgVal::Shared { offset, ty, .. } => (*offset, *ty),
+                    let acc = pop!().as_int(HERE)? as usize;
+                    let (offset, ty) = match args[*arg as usize] {
+                        ArgVal::Shared { offset, ty, .. } => (offset, ty),
                         _ => unreachable!("checked by ArgElemCheck"),
                     };
-                    let v = self.load_word(offset + acc, ty, line)?;
+                    let v = self.load_word(offset + acc, ty)?;
                     stack.push(v);
                 }
                 Instr::StoreElemArg { arg } => {
-                    let acc = pop!().as_int(line)? as usize;
+                    let acc = pop!().as_int(HERE)? as usize;
                     let v = pop!();
-                    let (offset, ty) = match &args[*arg as usize] {
-                        ArgVal::Shared { offset, ty, .. } => (*offset, *ty),
+                    let (offset, ty) = match args[*arg as usize] {
+                        ArgVal::Shared { offset, ty, .. } => (offset, ty),
                         _ => unreachable!("checked by ArgElemCheck"),
                     };
-                    let v = v.convert_to(ty, line)?;
-                    self.store_word(offset + acc, v.to_bits(), line)?;
+                    let v = v.convert_to(ty, HERE)?;
+                    self.store_word(offset + acc, v.to_bits())?;
                 }
                 Instr::Neg => {
                     let v = match pop!() {
                         Value::Int(n) => Value::Int(-n),
                         Value::Real(x) => Value::Real(-x),
                         Value::Log(_) => {
-                            return Err(FortError::runtime(line, "cannot negate a LOGICAL"))
+                            return Err(FortError::runtime(HERE, "cannot negate a LOGICAL"))
                         }
                     };
                     stack.push(v);
                 }
                 Instr::Not => {
-                    let b = pop!().as_log(line)?;
+                    let b = pop!().as_log(HERE)?;
                     stack.push(Value::Log(!b));
                 }
                 Instr::Bin(op) => {
                     let b = pop!();
-                    let a = pop!();
-                    stack.push(eval_binop(*op, a, b, line)?);
+                    let a = stack.last_mut().expect("value stack underflow");
+                    let inline = match (*a, b) {
+                        (Value::Int(x), Value::Int(y)) => int_binop(*op, x, y),
+                        _ => None,
+                    };
+                    *a = match inline {
+                        Some(v) => v,
+                        None => eval_binop(*op, *a, b, HERE)?,
+                    };
                 }
                 Instr::CallFn { name, argc } => {
                     let split = stack.len() - *argc as usize;
-                    let vals: Vec<Value> = stack.split_off(split);
                     let v = intrinsics::eval_function(
-                        &self.cp.names[*name as usize],
-                        &vals,
-                        line,
+                        &cp.names[*name as usize],
+                        &stack[split..],
+                        HERE,
                         self.me,
                         self.np,
                     )?;
+                    stack.truncate(split);
                     stack.push(v);
                 }
-                Instr::PrintStr(s) => parts.push(self.cp.names[*s as usize].clone()),
+                Instr::PrintStr(s) => parts.push(cp.names[*s as usize].clone()),
                 Instr::PrintVal => {
                     let v = pop!();
                     parts.push(v.display());
@@ -1404,10 +1593,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::Return => return Ok(Flow::Normal),
                 Instr::Stop => return Ok(Flow::Stop),
                 Instr::Fail(msg) => {
-                    return Err(FortError::runtime(
-                        line,
-                        self.cp.names[*msg as usize].clone(),
-                    ))
+                    return Err(FortError::runtime(HERE, cp.names[*msg as usize].clone()))
                 }
 
                 Instr::ArgShared {
@@ -1416,60 +1602,56 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     ty,
                     dims,
                 } => {
-                    let off = self.shared_off(*block, *offset, line)?;
+                    let off = self.shared_off(*block, *offset)?;
                     argstack.push(ArgVal::Shared {
                         offset: off,
                         ty: *ty,
-                        dims: self.cp.dims_tables[*dims as usize].clone(),
+                        dims: &cp.dims_tables[*dims as usize],
                     });
                 }
                 Instr::ArgSharedElem { block, offset, ty } => {
-                    let acc = pop!().as_int(line)? as usize;
-                    let off = self.shared_off(*block, *offset, line)? + acc;
+                    let acc = pop!().as_int(HERE)? as usize;
+                    let off = self.shared_off(*block, *offset)? + acc;
                     argstack.push(ArgVal::Shared {
                         offset: off,
                         ty: *ty,
-                        dims: Vec::new(),
+                        dims: &[],
                     });
                 }
                 Instr::ArgArgElem { arg } => {
-                    let acc = pop!().as_int(line)? as usize;
-                    let (offset, ty) = match &args[*arg as usize] {
-                        ArgVal::Shared { offset, ty, .. } => (*offset, *ty),
+                    let acc = pop!().as_int(HERE)? as usize;
+                    let (offset, ty) = match args[*arg as usize] {
+                        ArgVal::Shared { offset, ty, .. } => (offset, ty),
                         _ => unreachable!("checked by ArgElemCheck"),
                     };
                     argstack.push(ArgVal::Shared {
                         offset: offset + acc,
                         ty,
-                        dims: Vec::new(),
+                        dims: &[],
                     });
                 }
                 Instr::ArgValue => {
                     let v = pop!();
                     argstack.push(ArgVal::Value(v));
                 }
-                Instr::ArgForward(i) => argstack.push(args[*i as usize].clone()),
-                Instr::ArgUnit(n) => {
-                    argstack.push(ArgVal::Unit(self.cp.names[*n as usize].clone()))
-                }
+                Instr::ArgForward(i) => argstack.push(args[*i as usize]),
+                Instr::ArgUnit(n) => argstack.push(ArgVal::Unit(&cp.names[*n as usize])),
                 Instr::CallUser { unit, argc } => {
                     let split = argstack.len() - *argc as usize;
-                    let bound: Vec<ArgVal> = argstack.split_off(split);
-                    let callee = &self.cp.units[*unit as usize];
-                    if callee.params as usize != bound.len() {
+                    let callee = &cp.units[*unit as usize];
+                    if callee.params != u16::from(*argc) {
                         return Err(FortError::runtime(
-                            line,
+                            HERE,
                             format!(
-                                "{} expects {} argument(s), got {}",
-                                callee.name,
-                                callee.params,
-                                bound.len()
+                                "{} expects {} argument(s), got {argc}",
+                                callee.name, callee.params,
                             ),
                         ));
                     }
-                    match self.exec(*unit as usize, bound)? {
-                        Flow::Stop => return Ok(Flow::Stop),
-                        Flow::Normal => {}
+                    let flow = self.exec(*unit as usize, &argstack[split..])?;
+                    argstack.truncate(split);
+                    if let Flow::Stop = flow {
+                        return Ok(Flow::Stop);
                     }
                 }
 
@@ -1477,25 +1659,41 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     ArgVal::Shared { offset, ty, .. } => places.push((offset, ty)),
                     _ => {
                         return Err(FortError::runtime(
-                            line,
+                            HERE,
                             format!(
                                 "{} argument {} must be a shared variable",
-                                self.cp.names[*name as usize],
+                                cp.names[*name as usize],
                                 *argn as usize + 1
                             ),
                         ))
                     }
                 },
                 Instr::SvcVendorCheck(kind) => {
-                    check_vendor_locks(self.rt.engine.machine(), *kind, line)?;
+                    check_vendor_locks(self.rt.engine.machine(), *kind, HERE)?;
                 }
-                Instr::SvcLock { is_lock, var_name } => {
-                    let (offset, _) = places.pop().expect("service place");
-                    let cp = self.cp;
-                    let name = var_name.map(|i| cp.names[i as usize].as_str());
-                    let (rt, me) = (self.rt, self.me);
-                    let lock = self.lock_at(offset, line)?;
-                    lock_service(rt, me, offset, lock, *is_lock, name, line)?;
+                Instr::Lock { kind, is_lock, at } => {
+                    // The steps of the quartet this replaces, in its
+                    // order: vendor check, bind, place, operate.  (An
+                    // element or another argument passed the check
+                    // already, in the `SvcVendorCheck` ahead of its
+                    // binding; passing it again costs a comparison.)
+                    check_vendor_locks(self.rt.engine.machine(), *kind, HERE)?;
+                    let (offset, name) = match *at {
+                        LockAt::Var {
+                            block,
+                            offset,
+                            name,
+                        } => (self.shared_off(block, offset)?, Some(name)),
+                        LockAt::Elem { block, offset } => {
+                            let acc = pop!().as_int(HERE)? as usize;
+                            (self.shared_off(block, offset)? + acc, None)
+                        }
+                        LockAt::Place { name } => (places.pop().expect("service place").0, name),
+                    };
+                    let slot = self.lock_slot(offset)?;
+                    let name = name.map(|i| cp.names[i as usize].as_str());
+                    let lock = &self.locks[slot].1;
+                    lock_service(self.rt, &mut self.holds, offset, lock, *is_lock, name, HERE)?;
                 }
                 Instr::SvcInitLock {
                     keep_locked,
@@ -1512,27 +1710,29 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::SvcVoidl => {
                     let (f, _) = places.pop().expect("service place");
                     let (e, _) = places.pop().expect("service place");
-                    let e = Arc::clone(&self.lock_at(e, line)?.handle);
-                    voidl_service(&e, &self.lock_at(f, line)?.handle);
+                    let e = self.lock_slot(e)?;
+                    let e = Arc::clone(&self.locks[e].1.handle);
+                    let f = self.lock_slot(f)?;
+                    voidl_service(&e, &self.locks[f].1.handle);
                 }
                 Instr::SvcHwCheck => {
-                    check_hardware_fe(self.rt.engine.machine(), line)?;
+                    check_hardware_fe(self.rt.engine.machine(), HERE)?;
                 }
                 Instr::SvcHepProduce => {
                     let value = pop!();
                     let (offset, ty) = places.pop().expect("service place");
                     let tag = self.tag_at(offset);
-                    self.shared_ref(line)?;
+                    self.shared_ref()?;
                     let (state, _) = self.shared.as_ref().expect("just resolved");
                     let _c = fault::enter(hep_construct("ZZHPRD"));
-                    let v = value.convert_to(ty, line)?;
+                    let v = value.convert_to(ty, HERE)?;
                     hep_produce(state, &self.tags[tag].1, offset, v.to_bits());
                 }
                 Instr::SvcHepConsume | Instr::SvcHepCopy => {
-                    let copy = matches!(&code[pc], Instr::SvcHepCopy);
+                    let copy = matches!(&code[*pc], Instr::SvcHepCopy);
                     let (offset, ty) = places.pop().expect("service place");
                     let tag = self.tag_at(offset);
-                    self.shared_ref(line)?;
+                    self.shared_ref()?;
                     let (state, _) = self.shared.as_ref().expect("just resolved");
                     let tag = &self.tags[tag].1;
                     let _c = fault::enter(hep_construct(if copy { "ZZHCPY" } else { "ZZHCON" }));
@@ -1546,45 +1746,162 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::SvcHepVoid => {
                     let (offset, _) = places.pop().expect("service place");
                     let tag = self.tag_at(offset);
-                    self.shared_ref(line)?;
+                    self.shared_ref()?;
                     let _c = fault::enter(hep_construct("ZZHVD"));
                     self.tags[tag].1.void();
                 }
-                Instr::SvcStrt0 => strt0_service(self.rt, line)?,
-                Instr::SvcLink => link_service(self.rt, line)?,
-                Instr::SvcShpg => shpg_service(self.rt, line)?,
+                Instr::SvcStrt0 => strt0_service(self.rt, HERE)?,
+                Instr::SvcLink => link_service(self.rt, HERE)?,
+                Instr::SvcShpg => shpg_service(self.rt, HERE)?,
                 Instr::SvcForkCheck(n) => {
-                    check_fork_mnemonic(
-                        self.rt.engine.machine(),
-                        &self.cp.names[*n as usize],
-                        line,
-                    )?;
+                    check_fork_mnemonic(self.rt.engine.machine(), &cp.names[*n as usize], HERE)?;
                 }
                 Instr::Fork { unit } => {
                     let np = self.rt.nproc;
                     let rt = self.rt;
-                    let cp = self.cp;
                     let target = *unit as usize;
-                    spawn_force(rt, line, &|pid| {
+                    spawn_force(rt, HERE, &|pid| {
                         let mut p = VmProc::new(rt, cp, pid as i64, np as i64);
-                        p.exec(target, Vec::new()).map(|_| ())
+                        p.exec(target, &[]).map(|_| ())
                     })?;
                 }
                 Instr::SvcIsFullCheck(n) => {
-                    check_isfull_machine(
-                        self.rt.engine.machine(),
-                        &self.cp.names[*n as usize],
-                        line,
-                    )?;
+                    check_isfull_machine(self.rt.engine.machine(), &cp.names[*n as usize], HERE)?;
                 }
                 Instr::IsFullValue(n) => {
                     let (offset, _) = places.pop().expect("service place");
-                    let v = isfull_value(self.rt, &self.cp.names[*n as usize], offset, line)?;
+                    let v = isfull_value(self.rt, &cp.names[*n as usize], offset, HERE)?;
                     stack.push(v);
                 }
             }
-            pc += 1;
+            *pc += 1;
         }
         Ok(Flow::Normal)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+
+    use force_machdep::{Machine, MachineId};
+    use force_prep::preprocess;
+
+    use crate::engine::Engine;
+
+    thread_local! {
+        /// The lines of the instructions this thread dispatched, while a
+        /// test records them.
+        static DISPATCHED: RefCell<Option<Vec<u32>>> = const { RefCell::new(None) };
+    }
+
+    pub(super) fn dispatched(line: u32) {
+        DISPATCHED.with(|d| {
+            if let Some(lines) = d.borrow_mut().as_mut() {
+                lines.push(line);
+            }
+        });
+    }
+
+    /// A one-process run of `source` on `id` (driver and pid 0 both run
+    /// on this thread): its expansion's lines, and how many instructions
+    /// were dispatched on each.
+    fn dispatches(source: &str, id: MachineId) -> (Vec<String>, HashMap<usize, usize>) {
+        let expanded = preprocess(source, id).unwrap();
+        let engine = Engine::from_expanded(&expanded, Machine::new(id)).unwrap();
+        DISPATCHED.with(|d| *d.borrow_mut() = Some(Vec::new()));
+        let run = engine.run(1);
+        let lines = DISPATCHED
+            .with(|d| d.borrow_mut().take())
+            .expect("recording");
+        run.unwrap_or_else(|e| panic!("{}: {e}", id.name()));
+        let mut per_line = HashMap::new();
+        for line in lines {
+            *per_line.entry(line as usize).or_default() += 1;
+        }
+        let code = expanded.code.lines().map(str::to_string).collect();
+        (code, per_line)
+    }
+
+    /// What one trip of each macro idiom costs the VM, in instructions
+    /// dispatched.  The pins may fall, never rise: a macro edit that
+    /// stops an idiom from compiling to its fused form fails here, not
+    /// only in the benchmark.  Before the fused forms they read 17 (18
+    /// on the exit trip), 14, 4, 4 and 34.
+    #[test]
+    fn one_trip_of_each_idiom_dispatches_no_more_than_its_pin() {
+        const PRESCHED_HEAD: usize = 4;
+        const SELFSCHED_CLAIM: usize = 8;
+        const CRITICAL_ENTER: usize = 1;
+        const CRITICAL_EXIT: usize = 1;
+        const FULL_BARRIER: usize = 22;
+        const TRIPS: usize = 5;
+        let source = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER TOTAL
+      Private INTEGER K, J
+      End declarations
+      Presched DO 10 J = 1, 5
+      TOTAL = TOTAL + J
+10    End presched DO
+      Selfsched DO 100 K = 1, 5
+      Critical LCK
+      TOTAL = TOTAL + K
+      End critical
+100   End selfsched DO
+      Join
+";
+        for id in MachineId::all() {
+            let (code, per_line) = dispatches(source, id);
+            let line = |text: &str| {
+                1 + code
+                    .iter()
+                    .position(|l| l.contains(text))
+                    .unwrap_or_else(|| panic!("no `{text}` in the expansion"))
+            };
+            let count = |first: usize, last: usize| -> usize {
+                (first..=last).filter_map(|l| per_line.get(&l)).sum()
+            };
+            // At one process every trip is this process's, and the head
+            // and the claim run once more to find the loop done.
+            let head = line("IF (.NOT. (");
+            let barrier = line("C prescheduled loop exit barrier");
+            let idioms = [
+                ("Presched head", count(head, head), TRIPS + 1, PRESCHED_HEAD),
+                (
+                    "Selfsched claim",
+                    count(line("LCK(LOOP100)"), line("UNL(LOOP100)")),
+                    TRIPS + 1,
+                    SELFSCHED_CLAIM,
+                ),
+                (
+                    "Critical enter",
+                    count(line("LCK(LCK)"), line("LCK(LCK)")),
+                    TRIPS,
+                    CRITICAL_ENTER,
+                ),
+                (
+                    "Critical exit",
+                    count(line("UNL(LCK)"), line("UNL(LCK)")),
+                    TRIPS,
+                    CRITICAL_EXIT,
+                ),
+                (
+                    "ZZFULLBAR",
+                    count(barrier + 1, line("C loop entry code") - 1),
+                    1,
+                    FULL_BARRIER,
+                ),
+            ];
+            for (idiom, dispatched, trips, pin) in idioms {
+                assert!(
+                    dispatched <= pin * trips,
+                    "{}: {idiom} dispatched {dispatched} instructions in {trips} trips, \
+                     pinned at {pin} a trip",
+                    id.name()
+                );
+            }
+        }
     }
 }

@@ -97,16 +97,16 @@ struct Session {
     /// Offsets of user locks (`ZZINITU`) drawn from a scarce physical
     /// pool.  Empty on machines whose locks are plentiful.
     pooled_user: Mutex<HashSet<usize>>,
-    /// Pooled user criticals currently held by some process, by offset.
-    /// A process that faults inside such a critical never reaches its
-    /// `unlock`, and because the *physical* pool slot outlives the run,
-    /// the wedge outlives it too: every later run whose `ZZINITU`
-    /// aliases that slot blocks forever (the Cray-2 wedged-slot
-    /// hazard).  [`Engine::release_wedged_user_locks`] drains this
-    /// table at run quiescence and frees any still-held slot.  The
-    /// holder's pid rides along: a process about to lock a slot it holds
-    /// itself under another name gets an error, not a park.
-    held_user: Mutex<HashMap<usize, (i64, LockHandle)>>,
+    /// Offsets of pooled user criticals that a process still held when it
+    /// ended or unwound ([`PooledHolds`]).  A process that faults inside
+    /// such a critical never reaches its `unlock`, and because the
+    /// *physical* pool slot outlives the run, the wedge outlives it too:
+    /// every later run whose `ZZINITU` aliases that slot blocks forever
+    /// (the Cray-2 wedged-slot hazard).
+    /// [`Engine::release_wedged_user_locks`] drains this list at run
+    /// quiescence and frees any still-held slot.  Nothing else takes
+    /// this mutex: holds are kept by the process that holds them.
+    held_user: Mutex<Vec<usize>>,
     /// The fault plane, reused across runs of the same process count.
     plane: Mutex<Option<Arc<FaultPlane>>>,
 }
@@ -241,7 +241,7 @@ impl Engine {
                 locks: Mutex::new(HashMap::new()),
                 tags: Mutex::new(HashMap::new()),
                 pooled_user: Mutex::new(HashSet::new()),
-                held_user: Mutex::new(HashMap::new()),
+                held_user: Mutex::new(Vec::new()),
                 plane: Mutex::new(None),
             },
             run_lock: Mutex::new(()),
@@ -295,7 +295,7 @@ impl Engine {
             let compiled = &self.bundle.compiled;
             let driver = compiled.unit_index(driver).expect("driver unit");
             let mut proc = VmProc::new(rt, compiled, -1, nproc as i64);
-            proc.exec(driver, Vec::new()).map(|_| ())
+            proc.exec(driver, &[]).map(|_| ())
         })
     }
 
@@ -531,9 +531,15 @@ impl Engine {
     /// every run (faulted or not) and again defensively from the next
     /// run's reset.  Runs only at quiescence — all force processes have
     /// been joined or unwound — so a still-locked entry can only be a
-    /// fault orphan, never a live holder.
+    /// fault orphan, never a live holder.  It runs before the reset
+    /// clears the lock table, which still maps each offset to its lock.
     fn release_wedged_user_locks(&self) {
-        for (_, (_, handle)) in self.session.held_user.lock().drain() {
+        let orphans = std::mem::take(&mut *self.session.held_user.lock());
+        if orphans.is_empty() {
+            return;
+        }
+        let locks = self.session.locks.lock();
+        for handle in orphans.iter().filter_map(|offset| locks.get(offset)) {
             if handle.is_locked() {
                 handle.unlock();
             }
@@ -683,31 +689,67 @@ pub(crate) fn check_vendor_locks(
 /// resolves before every operation.
 pub(crate) struct ProcLock {
     pub(crate) handle: LockHandle,
-    /// A user lock on a scarce-pool machine: its holds are registered
-    /// in the session's `held_user`.
+    /// A user lock on a scarce-pool machine: its holds are kept in the
+    /// process's [`PooledHolds`].
     pooled: bool,
 }
 
-/// Acquire or release a resolved lock on behalf of process `me`.  With
-/// tracing armed, an acquire is attributed to the lock *variable's* name
-/// (BARWIN/BARWOT, LOOPn, user critical names).  Hold time is not
-/// recorded here: the expanded barrier and loop protocols pass lock
-/// ownership between processes, so a lock→unlock pairing on one pid
-/// would mis-state it.  `named_lock_id` is runtime-armed — it must be
-/// consulted per call, never precomputed at compile time.
+/// The pooled user locks (scarce-pool machines) one process holds, as
+/// `(offset, lock identity)`.  The process keeps them itself, so taking
+/// and releasing a pooled lock touches nothing shared but the lock.  A
+/// process that ends or unwinds still holding some hands their offsets
+/// to the session's `held_user`, whose locks are freed at run quiescence
+/// ([`Engine::release_wedged_user_locks`]).
+pub(crate) struct PooledHolds<'e> {
+    held: Vec<(usize, usize)>,
+    orphans: &'e Mutex<Vec<usize>>,
+}
+
+impl<'e> PooledHolds<'e> {
+    pub(crate) fn new(rt: &Rt<'e>) -> Self {
+        PooledHolds {
+            held: Vec::new(),
+            orphans: &rt.engine.session.held_user,
+        }
+    }
+}
+
+impl Drop for PooledHolds<'_> {
+    fn drop(&mut self) {
+        if !self.held.is_empty() {
+            self.orphans
+                .lock()
+                .extend(self.held.iter().map(|&(offset, _)| offset));
+        }
+    }
+}
+
+/// What tells two names of one physical lock apart from two locks: the
+/// address the pool's shared `Arc` points at.
+fn lock_identity(handle: &LockHandle) -> usize {
+    Arc::as_ptr(handle).cast::<()>() as usize
+}
+
+/// Acquire or release a resolved lock on behalf of the process whose
+/// pooled locks are `holds`.  With tracing armed, an acquire is
+/// attributed to the lock *variable's* name (BARWIN/BARWOT, LOOPn, user
+/// critical names).  Hold time is not recorded here: the expanded
+/// barrier and loop protocols pass lock ownership between processes, so
+/// a lock→unlock pairing on one pid would mis-state it.  `named_lock_id`
+/// is runtime-armed — it must be consulted per call, never precomputed
+/// at compile time.
 pub(crate) fn lock_service(
     rt: &Rt<'_>,
-    me: i64,
+    holds: &mut PooledHolds<'_>,
     offset: usize,
     lock: &ProcLock,
     is_lock: bool,
     var_name: Option<&str>,
     line: usize,
 ) -> Result<(), FortError> {
-    // Pooled user locks register each hold so a faulting holder's slot
-    // can be freed at run quiescence instead of wedging the machine.
-    // The entry must be withdrawn *before* the unlock (a successor may
-    // acquire and re-register the same offset the moment it is free).
+    // A pooled user lock is held in the process's own list, so that a
+    // faulting holder's slot can be freed at run quiescence instead of
+    // wedging the machine.
     let ProcLock {
         handle,
         pooled: scarce,
@@ -717,13 +759,8 @@ pub(crate) fn lock_service(
             // The pool hands the same physical lock to several names once
             // it is full.  A process that holds one of them and asks for
             // another would wait for itself.
-            let outer = {
-                let held = rt.engine.session.held_user.lock();
-                held.iter()
-                    .find(|(_, (pid, h))| *pid == me && Arc::ptr_eq(h, handle))
-                    .map(|(&outer, _)| outer)
-            };
-            if let Some(outer) = outer {
+            let id = lock_identity(handle);
+            if let Some(&(outer, _)) = holds.held.iter().find(|&&(_, h)| h == id) {
                 let capacity = rt.engine.machine.spec().lock_pool_capacity.unwrap_or(0);
                 return Err(FortError::runtime(
                     line,
@@ -747,15 +784,13 @@ pub(crate) fn lock_service(
             }
         }
         if *scarce {
-            rt.engine
-                .session
-                .held_user
-                .lock()
-                .insert(offset, (me, Arc::clone(handle)));
+            holds.held.push((offset, lock_identity(handle)));
         }
     } else {
         if *scarce {
-            rt.engine.session.held_user.lock().remove(&offset);
+            if let Some(i) = holds.held.iter().position(|&(o, _)| o == offset) {
+                holds.held.swap_remove(i);
+            }
         }
         handle.unlock();
     }
@@ -1035,25 +1070,47 @@ pub(crate) fn isfull_value(
     }
 }
 
-/// Actual argument binding.
-#[derive(Clone)]
-pub(crate) enum ArgVal {
+/// Actual argument binding.  What it names — an array's dimensions, a
+/// unit's name — is borrowed from the program the process executes, so
+/// binding an argument copies nothing.
+#[derive(Clone, Copy)]
+pub(crate) enum ArgVal<'p> {
     /// Reference to shared storage (possibly an array base).
     Shared {
         offset: usize,
         ty: Ty,
-        dims: Vec<usize>,
+        dims: &'p [usize],
     },
     /// A copied-in value (read-only in the callee).
     Value(Value),
     /// A program-unit name (spawn intrinsics).
-    Unit(String),
+    Unit(&'p str),
 }
 
 /// Result of running a unit.
 pub(crate) enum Flow {
     Normal,
     Stop,
+}
+
+/// The INTEGER operations that cannot fail — `+ − ×` (wrapping) and the
+/// six comparisons — of two INTEGERs; `None` for every other operator.
+/// [`eval_binop`]'s definition of them, and the VM's inline fast path.
+#[inline]
+pub(crate) fn int_binop(op: crate::ast::BinOp, x: i64, y: i64) -> Option<Value> {
+    use crate::ast::BinOp::*;
+    Some(match op {
+        Add => Value::Int(x.wrapping_add(y)),
+        Sub => Value::Int(x.wrapping_sub(y)),
+        Mul => Value::Int(x.wrapping_mul(y)),
+        Eq => Value::Log(x == y),
+        Ne => Value::Log(x != y),
+        Lt => Value::Log(x < y),
+        Le => Value::Log(x <= y),
+        Gt => Value::Log(x > y),
+        Ge => Value::Log(x >= y),
+        Div | Pow | And | Or => return None,
+    })
 }
 
 /// Numeric/logical binary operation with Fortran coercions.
@@ -1064,6 +1121,11 @@ pub(crate) fn eval_binop(
     line: usize,
 ) -> Result<Value, FortError> {
     use crate::ast::BinOp::*;
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        if let Some(v) = int_binop(op, x, y) {
+            return Ok(v);
+        }
+    }
     match op {
         And => Ok(Value::Log(a.as_log(line)? && b.as_log(line)?)),
         Or => Ok(Value::Log(a.as_log(line)? || b.as_log(line)?)),
@@ -1073,9 +1135,6 @@ pub(crate) fn eval_binop(
         }
         Add | Sub | Mul | Div | Pow => match (a, b) {
             (Value::Int(x), Value::Int(y)) => match op {
-                Add => Ok(Value::Int(x.wrapping_add(y))),
-                Sub => Ok(Value::Int(x.wrapping_sub(y))),
-                Mul => Ok(Value::Int(x.wrapping_mul(y))),
                 Div => {
                     if y == 0 {
                         Err(FortError::runtime(line, "integer division by zero"))

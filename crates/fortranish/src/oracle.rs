@@ -15,6 +15,7 @@
 //! the driver unit differs, so the two executors cannot drift in
 //! anything but evaluation itself.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use force_machdep::{fault, Machine, RunOptions};
@@ -25,7 +26,7 @@ use crate::engine::{
     aini_service, check_fork_mnemonic, check_hardware_fe, check_isfull_machine, check_vendor_locks,
     eval_binop, hep_construct, hep_consume, hep_copy, hep_produce, init_lock_service, isfull_value,
     link_service, lock_mnemonic, lock_service, shpg_service, spawn_force, strt0_service,
-    voidl_service, ArgVal, Engine, Flow, Rt, RunOutput,
+    voidl_service, ArgVal, Engine, Flow, PooledHolds, Rt, RunOutput,
 };
 use crate::error::FortError;
 use crate::intrinsics;
@@ -63,12 +64,7 @@ impl Oracle {
     /// options: [`Engine::run_with`] with the other executor.
     pub fn run_with(&self, nproc: usize, options: RunOptions) -> Result<RunOutput, FortError> {
         self.engine.run_driver(nproc, options, |rt, driver| {
-            let proc = Proc {
-                rt,
-                program: &self.program,
-                me: -1,
-                np: nproc as i64,
-            };
+            let proc = Proc::new(rt, &self.program, -1, nproc as i64);
             let driver = self.program.unit(driver).expect("driver unit");
             proc.exec(driver, Vec::new()).map(|_| ())
         })
@@ -81,17 +77,19 @@ struct Proc<'r, 'e> {
     program: &'r Program,
     me: i64,
     np: i64,
+    /// The pooled user locks this process holds.
+    holds: RefCell<PooledHolds<'e>>,
 }
 
 /// Per-call frame.
 struct Frame<'u> {
     unit: &'u Unit,
     locals: Vec<Value>,
-    args: Vec<ArgVal>,
+    args: Vec<ArgVal<'u>>,
 }
 
 impl<'u> Frame<'u> {
-    fn new(unit: &'u Unit, args: Vec<ArgVal>) -> Frame<'u> {
+    fn new(unit: &'u Unit, args: Vec<ArgVal<'u>>) -> Frame<'u> {
         let mut locals = vec![Value::Int(0); unit.frame_words];
         for sym in unit.symbols.values() {
             if let Storage::Local { base } = sym.storage {
@@ -104,9 +102,19 @@ impl<'u> Frame<'u> {
     }
 }
 
-impl Proc<'_, '_> {
+impl<'r, 'e> Proc<'r, 'e> {
+    fn new(rt: &'r Rt<'e>, program: &'r Program, me: i64, np: i64) -> Self {
+        Proc {
+            rt,
+            program,
+            me,
+            np,
+            holds: RefCell::new(PooledHolds::new(rt)),
+        }
+    }
+
     /// Execute a unit to completion.
-    fn exec(&self, unit: &Unit, args: Vec<ArgVal>) -> Result<Flow, FortError> {
+    fn exec(&self, unit: &'r Unit, args: Vec<ArgVal<'r>>) -> Result<Flow, FortError> {
         let mut frame = Frame::new(unit, args);
         let mut pc = 0usize;
         while pc < unit.ops.len() {
@@ -152,9 +160,9 @@ impl Proc<'_, '_> {
 
     fn call(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         name: &str,
-        args: &[Expr],
+        args: &'r [Expr],
         line: usize,
     ) -> Result<Flow, FortError> {
         if self.program.units.contains_key(name) {
@@ -179,16 +187,19 @@ impl Proc<'_, '_> {
     }
 
     /// Bind one actual argument.
-    fn bind_arg(
+    fn bind_arg<'a>(
         &self,
-        frame: &mut Frame<'_>,
-        arg: &Expr,
+        frame: &mut Frame<'r>,
+        arg: &'a Expr,
         line: usize,
-    ) -> Result<ArgVal, FortError> {
+    ) -> Result<ArgVal<'a>, FortError>
+    where
+        'r: 'a,
+    {
         match arg {
             Expr::Var(n) => {
                 if self.program.units.contains_key(n) {
-                    return Ok(ArgVal::Unit(n.clone()));
+                    return Ok(ArgVal::Unit(n));
                 }
                 match frame.unit.symbols.get(n) {
                     Some(sym) => match &sym.storage {
@@ -197,7 +208,7 @@ impl Proc<'_, '_> {
                             Ok(ArgVal::Shared {
                                 offset: base + offset,
                                 ty: sym.ty,
-                                dims: sym.dims.clone(),
+                                dims: &sym.dims,
                             })
                         }
                         Storage::Local { base } => {
@@ -212,7 +223,7 @@ impl Proc<'_, '_> {
                         }
                         Storage::PseudoMe => Ok(ArgVal::Value(Value::Int(self.me))),
                         Storage::PseudoNp => Ok(ArgVal::Value(Value::Int(self.np))),
-                        Storage::Arg(i) => Ok(frame.args[*i].clone()),
+                        Storage::Arg(i) => Ok(frame.args[*i]),
                     },
                     None => Err(FortError::runtime(line, format!("unknown variable {n}"))),
                 }
@@ -231,7 +242,7 @@ impl Proc<'_, '_> {
                         ElemPlace::Shared(o) => Ok(ArgVal::Shared {
                             offset: o,
                             ty,
-                            dims: Vec::new(),
+                            dims: &[],
                         }),
                         ElemPlace::Local(slot) => Ok(ArgVal::Value(frame.locals[slot])),
                     }
@@ -247,9 +258,9 @@ impl Proc<'_, '_> {
 
     fn intrinsic_call(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         name: &str,
-        args: &[Expr],
+        args: &'r [Expr],
         line: usize,
     ) -> Result<Flow, FortError> {
         let machine = self.rt.engine.machine();
@@ -261,7 +272,8 @@ impl Proc<'_, '_> {
                 _ => None,
             };
             let lock = self.rt.resolve_lock(offset, line)?;
-            lock_service(self.rt, self.me, offset, &lock, is_lock, var_name, line)?;
+            let mut holds = self.holds.borrow_mut();
+            lock_service(self.rt, &mut holds, offset, &lock, is_lock, var_name, line)?;
             return Ok(Flow::Normal);
         }
         match name {
@@ -335,12 +347,7 @@ impl Proc<'_, '_> {
                 let unit = self.program.unit(&unit_name).expect("checked");
                 let np = self.rt.nproc;
                 spawn_force(self.rt, line, &|pid| {
-                    let p = Proc {
-                        rt: self.rt,
-                        program: self.program,
-                        me: pid as i64,
-                        np: np as i64,
-                    };
+                    let p = Proc::new(self.rt, self.program, pid as i64, np as i64);
                     p.exec(unit, Vec::new()).map(|_| ())
                 })?;
                 Ok(Flow::Normal)
@@ -355,7 +362,7 @@ impl Proc<'_, '_> {
     /// Resolve intrinsic argument `i` to a shared word offset.
     fn shared_offset_arg(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         args: &[Expr],
         i: usize,
         name: &str,
@@ -368,7 +375,7 @@ impl Proc<'_, '_> {
     /// Resolve intrinsic argument `i` to shared storage (offset + type).
     fn shared_place_arg(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         args: &[Expr],
         i: usize,
         name: &str,
@@ -397,7 +404,7 @@ impl Proc<'_, '_> {
 
     // ---- expression evaluation -------------------------------------------
 
-    fn eval(&self, frame: &mut Frame<'_>, expr: &Expr, line: usize) -> Result<Value, FortError> {
+    fn eval(&self, frame: &mut Frame<'r>, expr: &Expr, line: usize) -> Result<Value, FortError> {
         match expr {
             Expr::Int(n) => Ok(Value::Int(*n)),
             Expr::Real(x) => Ok(Value::Real(*x)),
@@ -463,7 +470,7 @@ impl Proc<'_, '_> {
     /// after, exactly as on the original machines.
     fn eval_isfull(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         name: &str,
         args: &[Expr],
         line: usize,
@@ -521,7 +528,7 @@ impl Proc<'_, '_> {
 
     fn assign(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         lhs: &LValue,
         value: Value,
         line: usize,
@@ -598,7 +605,7 @@ impl Proc<'_, '_> {
     /// Resolve an array element to its storage place.
     fn array_elem(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         name: &str,
         idx: &[Expr],
         line: usize,
@@ -612,7 +619,7 @@ impl Proc<'_, '_> {
         let (dims, ty) = (&sym.dims, sym.ty);
         // Arg-bound arrays carry their own dims.
         if let Storage::Arg(i) = sym.storage {
-            let arg = frame.args[i].clone();
+            let arg = frame.args[i];
             return match arg {
                 ArgVal::Shared { offset, ty, dims } => {
                     if dims.is_empty() {
@@ -621,7 +628,7 @@ impl Proc<'_, '_> {
                             format!("scalar argument {name} was subscripted"),
                         ));
                     }
-                    let off = self.elem_offset(frame, &dims, idx, name, line)?;
+                    let off = self.elem_offset(frame, dims, idx, name, line)?;
                     Ok((ElemPlace::Shared(offset + off), ty))
                 }
                 _ => Err(FortError::runtime(
@@ -651,7 +658,7 @@ impl Proc<'_, '_> {
     /// Column-major, 1-based element offset with bounds checking.
     fn elem_offset(
         &self,
-        frame: &mut Frame<'_>,
+        frame: &mut Frame<'r>,
         dims: &[usize],
         idx: &[Expr],
         name: &str,

@@ -59,18 +59,21 @@ impl CombinedLock {
 
 impl RawLock for CombinedLock {
     fn lock(&self) {
-        // Phase 1: bounded spin.  An injected spurious failure is accounted
-        // as one failed attempt.  Under an overcommit backend the parking
-        // layer skips the spin phase (spinning would hold the run permit
-        // hostage).
+        // Phase 1: bounded spin, held off after the first attempt.  An
+        // injected spurious failure is accounted as one failed attempt.
+        // Under an overcommit backend the parking layer skips the spin
+        // phase (spinning would hold the run permit hostage).  The first
+        // attempt is a bare `swap`; a retry tests first (see
+        // `SpinLock::try_lock`), so a spinning waiter does not take the
+        // holder's line exclusive.
         let mut spun: u64 = u64::from(fault::spurious_lock_failure());
+        let mut retry = false;
         let acquired = park::bounded_spin(self.spin_limit, || {
-            if self.locked.swap(true, Ordering::Acquire) {
-                spun += 1;
-                false
-            } else {
-                true
-            }
+            let held = (retry && self.locked.load(Ordering::Relaxed))
+                || self.locked.swap(true, Ordering::Acquire);
+            retry = true;
+            spun += u64::from(held);
+            !held
         });
         if acquired {
             self.stats.count(|s| &s.lock_acquires);

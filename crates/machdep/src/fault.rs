@@ -249,7 +249,10 @@ struct PidSlot {
     /// Every charge the pid makes while it runs as a process of this
     /// plane.  Folded into the plane's [`StatsHandle`] when the process
     /// ends ([`FaultPlane::fold_lane`]), so a lock operation inside a
-    /// force writes no counter another process writes.
+    /// force writes no counter another process writes.  The thread
+    /// running the pid is the lane's only writer — charges and the fold
+    /// alike, since runs of a plane never overlap — so a charge is a
+    /// plain load and store ([`OpStats::add_single_writer`]).
     lane: OpStats,
 }
 
@@ -710,10 +713,10 @@ struct Ctx {
 }
 
 impl Ctx {
-    /// The counter lane this process owns.
+    /// Add `n` to a counter of the lane this process owns.
     #[inline]
-    fn lane(&self) -> &OpStats {
-        &self.plane.slots[self.pid].lane
+    fn charge(&self, proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) {
+        OpStats::add_single_writer(proj(&self.plane.slots[self.pid].lane), n);
     }
 }
 
@@ -875,10 +878,10 @@ pub fn count_steal(taken: bool, failed_probes: u64) {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             if taken {
-                OpStats::count(&ctx.lane().steals);
+                ctx.charge(&|s| &s.steals, 1);
             }
             if failed_probes > 0 {
-                OpStats::add(&ctx.lane().steal_attempts_failed, failed_probes);
+                ctx.charge(&|s| &s.steal_attempts_failed, failed_probes);
             }
         }
     });
@@ -928,7 +931,7 @@ pub(crate) fn cancel_pending() -> bool {
 fn cancel_now() -> ! {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            OpStats::count(&ctx.lane().cancellations_observed);
+            ctx.charge(&|s| &s.cancellations_observed, 1);
         }
     });
     std::panic::resume_unwind(Box::new(Cancelled));
@@ -1027,14 +1030,14 @@ pub(crate) fn set_permit_held(held: bool) {
     });
 }
 
-/// Run `f` against the current process's counter lane, which reaches
-/// the plane's exact per-job view *and* the session/machine aggregates
-/// when the process ends.  A no-op outside a force.  The parking layer
+/// Count one in the current process's counter lane, which reaches the
+/// plane's exact per-job view *and* the session/machine aggregates when
+/// the process ends.  A no-op outside a force.  The parking layer
 /// accounts parks/wakes through this.
-pub(crate) fn with_force_stats(f: impl FnOnce(&OpStats)) {
+pub(crate) fn count_in_lane(proj: impl Fn(&OpStats) -> &AtomicU64) {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            f(ctx.lane());
+            ctx.charge(&proj, 1);
         }
     });
 }
@@ -1051,7 +1054,7 @@ pub(crate) fn with_force_stats(f: impl FnOnce(&OpStats)) {
 pub(crate) fn charge_current(proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) -> bool {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
-            proj(ctx.lane()).fetch_add(n, Ordering::Relaxed);
+            ctx.charge(proj, n);
             return true;
         }
         AMBIENT.with(|a| match a.borrow().last() {
@@ -1169,17 +1172,17 @@ fn roll(want_spurious: bool) -> Injected {
         });
         if want_spurious {
             if inj.spurious_per_mille > 0 && rng.next_below(1000) < inj.spurious_per_mille as u64 {
-                OpStats::count(&ctx.lane().faults_injected);
+                ctx.charge(&|s| &s.faults_injected, 1);
                 return Some(Injected::Panic(ctx.pid)); // repurposed: "spurious" marker
             }
             return Some(Injected::Nothing);
         }
         if inj.delay_per_mille > 0 && rng.next_below(1000) < inj.delay_per_mille as u64 {
-            OpStats::count(&ctx.lane().faults_injected);
+            ctx.charge(&|s| &s.faults_injected, 1);
             return Some(Injected::Delay(rng.next_below(50) + 1));
         }
         if inj.panic_per_mille > 0 && rng.next_below(1000) < inj.panic_per_mille as u64 {
-            OpStats::count(&ctx.lane().faults_injected);
+            ctx.charge(&|s| &s.faults_injected, 1);
             return Some(Injected::Panic(ctx.pid));
         }
         Some(Injected::Nothing)

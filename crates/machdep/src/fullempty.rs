@@ -45,24 +45,36 @@ impl FullEmptyState {
         }
     }
 
-    fn transition(&self, from: u8, to: u8) {
+    /// Move the tag `from` → `to`, waiting while it is elsewhere.  After
+    /// a failed first attempt a lock (`lock`) holds off before it looks
+    /// again, as every lock acquisition does ([`park::lock_wait`]); a
+    /// data transfer re-polls at once.
+    fn transition(&self, from: u8, to: u8, lock: bool) {
+        if self
+            .state
+            .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            return;
+        }
         // Blocked transitions go through the parking layer: the wait
         // board shows the pid parked on the cell's tag, and the retry
         // loop stays responsive to cancellation.  A HEP wait has no OS
         // to deschedule into, so on a dedicated thread it spins; under
         // an overcommit backend the parked pid yields its run permit.
-        park::wait_until(fault::Construct::Lock, || {
-            match self
-                .state
-                .compare_exchange(from, to, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => true,
-                Err(_) => {
-                    self.stats.count(|s| &s.spin_retries);
-                    false
-                }
-            }
-        });
+        // Every failed look is a retry, counted here and charged once.
+        let mut retries = 1u64;
+        let poll = || {
+            let done = self.try_transition(from, to);
+            retries += u64::from(!done);
+            done
+        };
+        if lock {
+            park::lock_wait(fault::Construct::Lock, poll);
+        } else {
+            park::wait_until(fault::Construct::Lock, poll);
+        }
+        self.stats.add(|s| &s.spin_retries, retries);
     }
 
     fn try_transition(&self, from: u8, to: u8) -> bool {
@@ -80,7 +92,13 @@ impl FullEmptyState {
     /// Begin a consume: wait until FULL, then claim exclusive access.
     /// Must be followed by [`release_empty`](Self::release_empty).
     pub fn acquire_full(&self) {
-        self.transition(FULL, BUSY);
+        self.consume(false);
+    }
+
+    /// [`acquire_full`](Self::acquire_full), waiting as a data transfer
+    /// or, for a [`HepLock`], as a lock.
+    fn consume(&self, lock: bool) {
+        self.transition(FULL, BUSY, lock);
         self.stats.count(|s| &s.fe_consumes);
         crate::trace::fe_consumed();
     }
@@ -94,7 +112,7 @@ impl FullEmptyState {
     /// Begin a produce: wait until EMPTY, then claim exclusive access.
     /// Must be followed by [`release_full`](Self::release_full).
     pub fn acquire_empty(&self) {
-        self.transition(EMPTY, BUSY);
+        self.transition(EMPTY, BUSY, false);
         self.stats.count(|s| &s.fe_produces);
         crate::trace::fe_produced();
     }
@@ -173,7 +191,7 @@ impl RawLock for HepLock {
         // Consume the token: FULL -> BUSY -> EMPTY.  Contention shows up
         // in the trace as park/unpark around the transition, so the
         // acquire event itself is stamped uncontended.
-        self.fe.acquire_full();
+        self.fe.consume(true);
         self.fe.release_empty();
         self.stats.count(|s| &s.lock_acquires);
         crate::trace::lock_acquired(false);

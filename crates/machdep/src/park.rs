@@ -52,7 +52,6 @@ use std::time::{Duration, Instant};
 use crate::cost::CostModel;
 use crate::fault::{self, Construct};
 use crate::portable::{Backoff, Condvar, Mutex, MutexGuard, XorShift64};
-use crate::stats::OpStats;
 
 /// The one tunable polling quantum of the runtime.  Every derived
 /// interval ([`wait_slice`], [`watchdog_tick`]) is a multiple of this.
@@ -316,7 +315,7 @@ impl Parker {
             return;
         };
         let _park = fault::parked(fallback);
-        fault::with_force_stats(|s| OpStats::count(&s.parks));
+        fault::count_in_lane(|s| &s.parks);
         loop {
             v.yield_token(pid, fallback);
             if ready() {
@@ -324,7 +323,7 @@ impl Parker {
             }
         }
         v.wake_token(pid, fallback);
-        fault::with_force_stats(|s| OpStats::count(&s.park_wakes));
+        fault::count_in_lane(|s| &s.park_wakes);
     }
 }
 
@@ -618,7 +617,7 @@ impl VirtualParker {
                 fault::check_cancel();
             }
             VTrip::Deadlock(now, live) => {
-                fault::with_force_stats(|s| OpStats::count(&s.watchdog_trips));
+                fault::count_in_lane(|s| &s.watchdog_trips);
                 fault::trip_current(
                     fallback,
                     format!(
@@ -856,13 +855,28 @@ fn idle_step(multiplexed: bool, backoff: &Backoff, round: &mut u32) {
     *round = round.saturating_add(1);
 }
 
+/// The [`Backoff`] step at which a process whose lock acquisition failed
+/// starts waiting: it does not look at the lock word again for one round
+/// of `1 << 4` spins, then doubles on from there.
+///
+/// A process that releases a lock and takes it again on its next trip
+/// (the §4.2 self-scheduled claim, a critical section inside a loop)
+/// would otherwise find it taken by a waiter that re-tested the moment
+/// it was free, and the lock word and the data it guards would change
+/// cores on every trip.  Held off, the waiter lets the holder keep a
+/// lock it is still using.  Only lock acquisitions wait this way: a
+/// barrier flag, a full/empty data cell or an Askfor queue is waited
+/// for by a process that cannot go on without it, and re-polls at once.
+const HOLDOFF_STEP: u32 = 4;
+
 /// Spin on `ready` for at most `limit` iterations without parking; true
-/// if it became ready.  Used by locks with a bounded spin phase (the
-/// combined lock's personality knob).  Under overcommit the spin phase
-/// is skipped — spinning while holding a run permit starves runnable
-/// pids — so this degrades to a single check; under the virtual backend
-/// the single check keeps the decision sequence independent of spin
-/// timing.
+/// if it became ready.  The combined lock's spin phase: the first call
+/// of `ready` is its acquisition attempt, and a failed one is held off
+/// (one back-off round at step 4) before the next.  Under overcommit
+/// the spin phase is skipped — spinning while holding a run permit
+/// starves runnable pids — so this degrades to a single check; under
+/// the virtual backend the single check keeps the decision sequence
+/// independent of spin timing.
 pub fn bounded_spin(limit: u32, mut ready: impl FnMut() -> bool) -> bool {
     if ready() {
         return true;
@@ -870,7 +884,7 @@ pub fn bounded_spin(limit: u32, mut ready: impl FnMut() -> bool) -> bool {
     if fault::current_parker().is_some() {
         return false;
     }
-    let backoff = Backoff::new();
+    let backoff = Backoff::starting_at(HOLDOFF_STEP);
     for _ in 0..limit {
         backoff.spin();
         if ready() {
@@ -894,14 +908,34 @@ pub fn wait_until(fallback: Construct, mut ready: impl FnMut() -> bool) {
     if ready() {
         return;
     }
+    poll_until(fallback, 0, &mut ready);
+}
+
+/// [`wait_until`] for a process whose lock acquisition has just failed:
+/// on a dedicated thread the first poll of `ready` comes after one
+/// back-off round at step 4, not at once, so that a process releasing
+/// the lock and taking it again on its next trip finds it free.  A
+/// parker that multiplexes pids skips the holdoff as it skips every
+/// spin phase, so this is `wait_until` there and a virtual schedule
+/// does not move.
+pub(crate) fn lock_wait(fallback: Construct, mut ready: impl FnMut() -> bool) {
+    if fault::current_parker().is_some() {
+        return wait_until(fallback, ready);
+    }
+    poll_until(fallback, HOLDOFF_STEP, &mut ready);
+}
+
+/// The episode of [`wait_until`] after its first failed poll; the spin
+/// phase of a dedicated thread starts at backoff step `first_step`.
+fn poll_until(fallback: Construct, first_step: u32, ready: &mut impl FnMut() -> bool) {
     let parker = fault::current_parker();
     if let Some(p) = parker.as_ref().filter(|p| p.is_virtual()) {
-        p.virtual_wait(fallback, &mut ready);
+        p.virtual_wait(fallback, ready);
         return;
     }
     let multiplexed = parker.is_some();
     if !multiplexed {
-        let backoff = Backoff::new();
+        let backoff = Backoff::starting_at(first_step);
         while !backoff.is_completed() {
             fault::check_cancel();
             backoff.snooze();
@@ -911,7 +945,7 @@ pub fn wait_until(fallback: Construct, mut ready: impl FnMut() -> bool) {
         }
     }
     let _park = fault::parked(fallback);
-    fault::with_force_stats(|s| OpStats::count(&s.parks));
+    fault::count_in_lane(|s| &s.parks);
     let pause = PermitPause::begin();
     let backoff = Backoff::new();
     let mut round = 0u32;
@@ -923,7 +957,7 @@ pub fn wait_until(fallback: Construct, mut ready: impl FnMut() -> bool) {
         }
     }
     drop(pause);
-    fault::with_force_stats(|s| OpStats::count(&s.park_wakes));
+    fault::count_in_lane(|s| &s.park_wakes);
 }
 
 /// Park the current process on a condition variable until `ready` (which
@@ -967,7 +1001,7 @@ pub fn wait_on<T>(
         return;
     }
     let _park = fault::parked(fallback);
-    fault::with_force_stats(|s| OpStats::count(&s.parks));
+    fault::count_in_lane(|s| &s.parks);
     let pause = PermitPause::begin();
     loop {
         fault::check_cancel();
@@ -980,11 +1014,11 @@ pub fn wait_on<T>(
             break;
         }
         if !timed_out {
-            fault::with_force_stats(|s| OpStats::count(&s.park_spurious_wakes));
+            fault::count_in_lane(|s| &s.park_spurious_wakes);
         }
     }
     drop(pause);
-    fault::with_force_stats(|s| OpStats::count(&s.park_wakes));
+    fault::count_in_lane(|s| &s.park_wakes);
 }
 
 /// How many processes are inside [`wait_on`] for one condition, kept by
@@ -1024,7 +1058,7 @@ impl Waiters {
     pub(crate) fn check_cancelled_waiter_deregisters(
         &self,
         lock: &dyn crate::lock::RawLock,
-        stats: Arc<OpStats>,
+        stats: Arc<crate::stats::OpStats>,
     ) {
         use crate::fault::{FaultConfig, FaultPlane, ProcessFault};
         let registered = || self.0.load(Ordering::SeqCst);
@@ -1223,7 +1257,11 @@ mod tests {
         use crate::fault::{FaultConfig, FaultPlane, ProcessFault};
         let p = Arc::new(parker(ParkBackend::Overcommit { workers: 1 }));
         p.acquire_cancellable(); // permit held for the whole test
-        let plane = FaultPlane::new(1, Arc::new(OpStats::new()), FaultConfig::default());
+        let plane = FaultPlane::new(
+            1,
+            Arc::new(crate::stats::OpStats::new()),
+            FaultConfig::default(),
+        );
         let p2 = Arc::clone(&p);
         let plane2 = Arc::clone(&plane);
         let waiter = std::thread::spawn(move || {

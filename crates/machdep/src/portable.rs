@@ -46,7 +46,16 @@ pub struct Backoff {
 impl Backoff {
     /// A fresh backoff at step zero.
     pub const fn new() -> Self {
-        Backoff { step: Cell::new(0) }
+        Self::starting_at(0)
+    }
+
+    /// A backoff whose first `spin` or `snooze` is the one of `step`
+    /// (`1 << step` spins while `step` is within the spin limit); later
+    /// calls double from there, as from step zero.
+    pub const fn starting_at(step: u32) -> Self {
+        Backoff {
+            step: Cell::new(step),
+        }
     }
 
     /// Reset to step zero (reusable across acquire attempts).
@@ -413,6 +422,14 @@ mod tests {
         );
         b.reset();
         assert!(!b.is_completed());
+        // A backoff started later in the sequence has that many fewer
+        // steps to go.
+        let late = Backoff::starting_at(4);
+        for _ in 4..=YIELD_LIMIT {
+            assert!(!late.is_completed());
+            late.snooze();
+        }
+        assert!(late.is_completed());
     }
 
     #[test]

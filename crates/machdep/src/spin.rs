@@ -14,9 +14,10 @@ use crate::stats::StatsHandle;
 /// (`swap`), the classic optimization that keeps the cache line shared
 /// while the lock is held.  On the Sequent and the Encore the
 /// manufacturer primitive was a pure busy wait; here the retry loop runs
-/// inside [`park::wait_until`], which keeps the busy-wait shape on a
-/// dedicated thread but still yields the run permit under an overcommit
-/// backend.
+/// inside the parking layer's lock wait, which keeps the busy-wait shape
+/// on a dedicated thread — holding off after a failed attempt so that a
+/// holder re-taking the lock keeps it — but still yields the run permit
+/// under an overcommit backend.
 pub struct SpinLock {
     locked: AtomicBool,
     stats: StatsHandle,
@@ -43,9 +44,10 @@ impl RawLock for SpinLock {
         // An injected spurious failure is accounted as one failed attempt.
         let mut retries: u64 = u64::from(fault::spurious_lock_failure());
         // test&set with a preceding test; Acquire pairs with the Release
-        // in `unlock` so that everything the unlocker did is visible.
+        // in `unlock` so that everything the unlocker did is visible.  A
+        // failed attempt holds off before it looks again (`park::lock_wait`).
         if self.locked.swap(true, Ordering::Acquire) {
-            park::wait_until(fault::Construct::Lock, || {
+            park::lock_wait(fault::Construct::Lock, || {
                 if self.locked.load(Ordering::Relaxed) || self.locked.swap(true, Ordering::Acquire)
                 {
                     retries += 1;

@@ -189,6 +189,19 @@ impl OpStats {
     pub fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
+
+    /// Increment by `n` a counter that only the calling thread writes (a
+    /// per-pid lane): a relaxed load and store, not a locked
+    /// read-modify-write.  Readers on other threads see the counter
+    /// before or after the store, never a torn value; a second writer
+    /// would lose counts.
+    #[inline]
+    pub(crate) fn add_single_writer(counter: &AtomicU64, n: u64) {
+        counter.store(
+            counter.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
+    }
 }
 
 impl StatsSnapshot {

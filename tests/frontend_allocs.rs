@@ -86,10 +86,12 @@ fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, count)
 }
 
-/// Ceilings per cold source, a few per cent over what PR 19 measured
-/// (ISSUE 19 asked for 400 + 650); ratchet them down, never up.
+/// Ceilings per cold source, a few per cent over what was measured when
+/// they were set; ratchet them down, never up.  A load read 346–351
+/// until a lock mnemonic on a shared scalar stopped binding it as an
+/// argument, 339–344 since.
 const EXPAND_CEILING: u64 = 200;
-const LOAD_CEILING: u64 = 360;
+const LOAD_CEILING: u64 = 350;
 
 #[test]
 fn a_cold_source_stays_inside_its_allocation_budget() {
@@ -139,17 +141,55 @@ const SERVED_NULL_JOB: u64 = 27;
 /// binding the plane clones an `Arc` into a slot the plane already has.
 const SERVED_UNPOOLED_NULL_JOB: u64 = SERVED_NULL_JOB;
 
-/// Allocations per served empty job, three batches of 100 after one to
-/// warm up, on a session with or without a pool of its own.
-fn served_null_job_allocations(own_pool: bool) -> Vec<u64> {
-    const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n      Join\n";
+/// What one served, pooled `dot` job of the benchmark's hot corpus
+/// allocates: the empty job's 27 plus what two processes running a
+/// selfscheduled loop, a critical section and a `Forcesub` call with two
+/// array arguments allocate — frames, value stacks, the lock and block
+/// tables.  It read 134 while every intrinsic call (`FLOAT(J)`, 64 a
+/// job) and every user call copied its argument list, and each array
+/// argument of `CALL SETUP(X, Y, 64)` its dimensions.  Exact, like the
+/// null job's.
+const SERVED_DOT_JOB: u64 = 58;
+
+const DOT: &str = "\
+      Force FDOT of NP ident ME
+      Shared REAL X(64), Y(64), DOT
+      Externf SETUP
+      Private INTEGER K
+      Private REAL T
+      End declarations
+      CALL SETUP(X, Y, 64)
+      Selfsched DO 100 K = 1, 64
+      T = X(K) * Y(K)
+      Critical DLCK
+      DOT = DOT + T
+      End critical
+100   End selfsched DO
+      Join
+      Forcesub SETUP(A, B, N) of NP ident ME
+      REAL A(64), B(64)
+      INTEGER N
+      Private INTEGER J
+      End declarations
+      Presched DO 10 J = 1, N
+      A(J) = FLOAT(J)
+      B(J) = 2.0
+10    End presched DO
+      Join
+";
+
+const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n      Join\n";
+
+/// Allocations per served job of `source`, three batches of 100 after one
+/// to warm up, on a session with or without a pool of its own.
+fn served_job_allocations(source: &str, own_pool: bool) -> Vec<u64> {
     const BATCH: u64 = 100;
     // What the shard's force hosts wherever this runs.
     let nproc = the_force::machdep::default_nproc().min(2);
     let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
     let id = MachineId::SequentBalance;
     let machine = Machine::new(id);
-    let expanded = preprocess(NULL, id).unwrap();
+    let expanded = preprocess(source, id).unwrap();
     let engine = Arc::new(Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap());
     if own_pool {
         engine.set_pool(Arc::new(ForcePool::new(nproc, machine.stats())));
@@ -183,14 +223,21 @@ fn served_null_job_allocations(own_pool: bool) -> Vec<u64> {
 
 #[test]
 fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
-    let per_job = served_null_job_allocations(true);
+    let per_job = served_job_allocations(NULL, true);
     println!("a served null job: {per_job:?} allocations");
     assert_eq!(per_job, [SERVED_NULL_JOB; 3]);
 }
 
 #[test]
 fn a_served_unpooled_null_job_allocates_no_more_than_a_pooled_one() {
-    let per_job = served_null_job_allocations(false);
+    let per_job = served_job_allocations(NULL, false);
     println!("a served unpooled null job: {per_job:?} allocations");
     assert_eq!(per_job, [SERVED_UNPOOLED_NULL_JOB; 3]);
+}
+
+#[test]
+fn a_served_pooled_dot_job_allocates_a_fixed_number_of_times() {
+    let per_job = served_job_allocations(DOT, true);
+    println!("a served dot job: {per_job:?} allocations");
+    assert_eq!(per_job, [SERVED_DOT_JOB; 3]);
 }

@@ -235,11 +235,53 @@ fn pool_handoff_never_loses_a_wakeup() {
     assert_eq!(pool.jobs_completed(), 2 * JOBS);
 }
 
-/// `threads` lockers take and release `lock` `ROUNDS` times each, as the
-/// processes of a force (timed-slice waits) or as plain threads (untimed
-/// waits), while the caller watches the acquisition count move.  The
-/// lockers are detached threads: a lost wake-up hangs them, and the
-/// watcher's failure must not wait for them.
+/// Run `body(pid)` on `threads` lockers, as the processes of a force
+/// (timed-slice waits) or as plain threads (untimed waits), while the
+/// caller watches `progress` move; five seconds without movement fail
+/// the test.  The lockers are detached threads: a lost wake-up hangs
+/// them, and the watcher's failure must not wait for them.
+fn watched<F>(
+    what: &str,
+    threads: usize,
+    in_force: bool,
+    stats: &Arc<OpStats>,
+    progress: &AtomicU64,
+    body: F,
+) where
+    F: Fn(usize) + Clone + Send + Sync + 'static,
+{
+    let lockers: Vec<_> = if in_force {
+        let plane = FaultPlane::new(threads, Arc::clone(stats), FaultConfig::default());
+        vec![std::thread::spawn(move || {
+            launch_plane(&plane, None, body).expect("no locker faults");
+        })]
+    } else {
+        (0..threads)
+            .map(|pid| {
+                let body = body.clone();
+                std::thread::spawn(move || body(pid))
+            })
+            .collect()
+    };
+    let mut moved = (0, Instant::now());
+    while lockers.iter().any(|l| !l.is_finished()) {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = progress.load(Ordering::Relaxed);
+        if now != moved.0 {
+            moved = (now, Instant::now());
+        }
+        assert!(
+            moved.1.elapsed() < Duration::from_secs(5),
+            "{what}: {threads} lockers (in a force: {in_force}) stalled at {now}"
+        );
+    }
+    for locker in lockers {
+        locker.join().expect("a locker failed");
+    }
+}
+
+/// `threads` lockers take and release `lock` `ROUNDS` times each.  The
+/// count is the progress the watcher sees.
 fn lock_storm(lock: &Arc<dyn RawLock>, stats: &Arc<OpStats>, threads: usize, in_force: bool) {
     const ROUNDS: u64 = 100_000;
     let acquired = Arc::new(AtomicU64::new(0));
@@ -260,34 +302,7 @@ fn lock_storm(lock: &Arc<dyn RawLock>, stats: &Arc<OpStats>, threads: usize, in_
             }
         }
     };
-    let lockers: Vec<_> = if in_force {
-        let plane = FaultPlane::new(threads, Arc::clone(stats), FaultConfig::default());
-        vec![std::thread::spawn(move || {
-            launch_plane(&plane, None, locker).expect("no locker faults");
-        })]
-    } else {
-        (0..threads)
-            .map(|pid| {
-                let locker = locker.clone();
-                std::thread::spawn(move || locker(pid))
-            })
-            .collect()
-    };
-    let mut moved = (0, Instant::now());
-    while lockers.iter().any(|l| !l.is_finished()) {
-        std::thread::sleep(Duration::from_millis(20));
-        let now = acquired.load(Ordering::Relaxed);
-        if now != moved.0 {
-            moved = (now, Instant::now());
-        }
-        assert!(
-            moved.1.elapsed() < Duration::from_secs(5),
-            "{threads} lockers (in a force: {in_force}) stalled at {now} acquisitions"
-        );
-    }
-    for locker in lockers {
-        locker.join().expect("a locker failed");
-    }
+    watched("lock storm", threads, in_force, stats, &acquired, locker);
     assert_eq!(acquired.load(Ordering::Relaxed), threads as u64 * ROUNDS);
     assert!(!lock.is_locked());
 }
@@ -316,4 +331,64 @@ fn syscall_lock_unlock_never_loses_a_wakeup() {
     let stats = Arc::new(OpStats::new());
     let lock = SyscallLock::new(LockState::Unlocked, Arc::clone(&stats));
     storms(Arc::new(lock), &stats);
+}
+
+/// The `sum` program's shape on a machine's own locks: every trip claims
+/// the next index under one lock, then adds it to a total under
+/// another.  A process whose acquisition failed holds off before it
+/// looks again (`park::lock_wait`), so a holder that re-takes a lock on
+/// its next trip usually keeps it; a waiter starved that way would stall
+/// this loop before any other.
+fn claim_and_add(id: MachineId, threads: usize, in_force: bool) {
+    const TRIPS: u64 = 100_000;
+    let machine = Machine::new(id);
+    let claim = machine.make_dedicated_lock(LockState::Unlocked);
+    let critical = machine.make_dedicated_lock(LockState::Unlocked);
+    // Plain loads and stores: the locks are what make them exact.
+    let next = Arc::new(AtomicU64::new(1));
+    let total = Arc::new(AtomicU64::new(0));
+    let body = {
+        let (next, total) = (Arc::clone(&next), Arc::clone(&total));
+        move |_pid: usize| loop {
+            claim.lock();
+            let k = next.load(Ordering::Relaxed);
+            next.store(k + 1, Ordering::Relaxed);
+            claim.unlock();
+            if k > TRIPS {
+                return;
+            }
+            critical.lock();
+            total.store(total.load(Ordering::Relaxed) + k, Ordering::Relaxed);
+            critical.unlock();
+        }
+    };
+    let what = format!("claim-and-add on {}", id.name());
+    watched(&what, threads, in_force, machine.stats(), &next, body);
+    // Every process claims once past the end.
+    assert_eq!(
+        next.load(Ordering::Relaxed),
+        TRIPS + 1 + threads as u64,
+        "{what}"
+    );
+    assert_eq!(
+        total.load(Ordering::Relaxed),
+        TRIPS * (TRIPS + 1) / 2,
+        "{what}"
+    );
+}
+
+#[test]
+fn a_claim_and_a_critical_per_trip_never_starve() {
+    let machines = [
+        MachineId::SequentBalance,
+        MachineId::EncoreMultimax,
+        MachineId::AlliantFx8,
+        MachineId::Hep,
+        MachineId::Flex32,
+    ];
+    for id in machines {
+        for (threads, in_force) in [(2, false), (8, false), (2, true), (8, true)] {
+            claim_and_add(id, threads, in_force);
+        }
+    }
 }

@@ -13,8 +13,7 @@ use std::sync::Arc;
 use the_force::fortran::oracle::Oracle;
 use the_force::fortran::{Engine, RunOutput};
 use the_force::machdep::{Machine, MachineId, RunOptions};
-use the_force::prep::preprocess_cached;
-use the_force::ForceError;
+use the_force::prep::{preprocess_cached, ExpandedProgram};
 
 /// FNV-1a of a text: the digest the pinned tables hold.
 pub fn fnv1a(text: &str) -> u64 {
@@ -92,21 +91,54 @@ pub fn assert_same_run(label: &str, oracle: &RunOutput, vm: &RunOutput) {
     }
 }
 
+/// Run an expansion under both executors, each on a machine `machine`
+/// returns (which need not be the one it was expanded for; a fresh one
+/// each, or one both share): either both succeed and agree, as
+/// [`assert_same_run`] defines it, and the production output comes back;
+/// or both fail with the same error text — line included — and that
+/// text comes back.
+pub fn run_parity(
+    expanded: &ExpandedProgram,
+    machine: impl Fn() -> Arc<Machine>,
+    nproc: usize,
+) -> Result<RunOutput, String> {
+    let (on_vm, on_oracle) = (machine(), machine());
+    let label = format!("{} nproc={nproc}", on_vm.id().name());
+    let vm = Engine::from_expanded(expanded, on_vm)
+        .and_then(|engine| engine.run(nproc))
+        .map_err(|e| e.to_string());
+    let oracle = Oracle::from_expanded(expanded, on_oracle)
+        .and_then(|oracle| oracle.run_with(nproc, RunOptions::default()))
+        .map_err(|e| e.to_string());
+    match (vm, oracle) {
+        (Ok(vm), Ok(oracle)) => {
+            assert_same_run(&label, &oracle, &vm);
+            Ok(vm)
+        }
+        (Err(vm), Err(oracle)) => {
+            assert_eq!(
+                vm, oracle,
+                "{label}: the errors diverge (vm left, oracle right)"
+            );
+            Err(vm)
+        }
+        (vm, oracle) => panic!(
+            "{label}: one executor failed — vm: {:?}, oracle: {:?}",
+            vm.err(),
+            oracle.err()
+        ),
+    }
+}
+
 /// The production run of `src` on `machine`, checked against the oracle
 /// loaded onto the same machine: both must succeed and agree.  Returns the
 /// production output for the caller's own assertions.
 pub fn run_checked_on(src: &str, machine: &Arc<Machine>, nproc: usize) -> RunOutput {
-    let label = format!("{} nproc={nproc}", machine.id().name());
-    let production = || -> Result<RunOutput, ForceError> {
-        let expanded = preprocess_cached(src, machine.id())?;
-        Ok(Engine::from_expanded(&expanded, Arc::clone(machine))?.run(nproc)?)
-    };
-    let vm = production().unwrap_or_else(|e| panic!("{label}: production run failed: {e}"));
-    let oracle = load_oracle(src, machine)
-        .run_with(nproc, RunOptions::default())
-        .unwrap_or_else(|e| panic!("{label}: oracle run failed: {e}"));
-    assert_same_run(&label, &oracle, &vm);
-    vm
+    let id = machine.id();
+    let expanded = preprocess_cached(src, id)
+        .unwrap_or_else(|e| panic!("{}: preprocessor rejected program: {e}", id.name()));
+    run_parity(&expanded, || Arc::clone(machine), nproc)
+        .unwrap_or_else(|e| panic!("{} nproc={nproc}: both runs failed: {e}", id.name()))
 }
 
 /// [`run_checked_on`] a machine of the caller's choice of personality,
