@@ -67,7 +67,7 @@ struct PotState<W> {
     completed: u64,
 }
 
-impl<W> AskforPot<W> {
+impl<W: Send> AskforPot<W> {
     /// A one-deque pot, as used outside any force (tests and probes).
     #[cfg(test)]
     fn new(seed: Vec<W>) -> Self {

@@ -91,7 +91,7 @@ impl RawLock for CombinedLock {
         // `park::Waiters`), the parking layer then tests (and claims) the
         // flag under `wait`, which a releaser that saw the registration
         // also holds while notifying, closing the missed-wakeup window;
-        // one park is billed per blocking episode, never per timed slice.
+        // one park is billed per blocking episode, however often it wakes.
         self.stats.count(|s| &s.syscalls);
         {
             let _registered = self.waiters.register();

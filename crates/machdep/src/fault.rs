@@ -25,7 +25,8 @@
 //! * A wait board ([`parked`]) — per-pid state (running/parked/finished)
 //!   sampled by the deadlock watchdog (`FaultPlane::run_watchdog`),
 //!   which declares a fault when every live process is parked and no
-//!   progress counter has moved for a full watchdog bound.
+//!   progress counter has moved for a full watchdog bound; beside it, the
+//!   wake handle of a process asleep on a condvar, which a trip fires.
 //! * Fault injection ([`FaultInjection`]) — a hermetic,
 //!   [`XorShift64`]-seeded layer that can inject panics and delays at
 //!   construct boundaries and spurious failures into lock acquisition,
@@ -239,13 +240,19 @@ const FINISHED: usize = 2;
 const STATE_MASK: usize = 0b11;
 const _: () = assert!(RUNNING == 0, "a default `PidSlot` must read as running");
 
+/// How a trip wakes a process asleep in [`park::wait_on`]; its `'static`
+/// is a lie, as `pool::JobBody`'s is ([`parked_on`] tells it).
+type WakeHandle = &'static (dyn Fn() + Sync);
+
 /// What a plane keeps per pid, on cache lines no other pid writes: the
-/// wait-board word and the pid's counter lane.  The default is a running
-/// process that has counted nothing.
+/// wait-board word (with a wake handle) and the pid's counter lane.  The
+/// default is a running process that has counted nothing.
 #[derive(Default)]
 struct PidSlot {
     /// Wait board: `state | construct_index << 2`.
     board: AtomicUsize,
+    /// While the pid sleeps in `park::wait_on`: how to wake it.
+    wake: Mutex<Option<WakeHandle>>,
     /// Every charge the pid makes while it runs as a process of this
     /// plane.  Folded into the plane's [`StatsHandle`] when the process
     /// ends ([`FaultPlane::fold_lane`]), so a lock operation inside a
@@ -539,7 +546,8 @@ impl FaultPlane {
 
     /// Trip the plane with a fault.  The first fault wins (later trips
     /// are counted but not recorded); `payload` optionally preserves the
-    /// original panic payload for verbatim re-raising.
+    /// original panic payload for verbatim re-raising.  Then it wakes what
+    /// it cancels: each wake handle on the board, under its slot's mutex, and the parker.
     pub fn trip(&self, fault: ProcessFault, payload: Option<Box<dyn Any + Send>>) {
         self.stats.add_direct(&|s| &s.faults_detected, 1);
         {
@@ -552,6 +560,12 @@ impl FaultPlane {
             }
         }
         self.tripped.store(true, Ordering::Release);
+        for slot in &self.slots {
+            if let Some(wake) = *slot.wake.lock() {
+                wake();
+            }
+        }
+        self.parker().wake_cancelled();
     }
 
     /// Take the recorded first fault (None if the plane never tripped).
@@ -915,8 +929,8 @@ pub fn check_cancel() {
 
 /// Whether the current force's plane has tripped, *without* unwinding.
 /// Wait loops that must clean shared state (withdraw a permit ticket,
-/// release a token) before unwinding test this first and then call
-/// [`check_cancel`] once their bookkeeping is safe.  Always `false`
+/// pass a wake on) before unwinding test this first and then call
+/// [`cancel_now`] once their bookkeeping is safe.  Always `false`
 /// outside a force.
 #[inline]
 pub(crate) fn cancel_pending() -> bool {
@@ -927,8 +941,9 @@ pub(crate) fn cancel_pending() -> bool {
     })
 }
 
+/// [`check_cancel`] for a process whose token is known to be set.
 #[cold]
-fn cancel_now() -> ! {
+pub(crate) fn cancel_now() -> ! {
     CTX.with(|c| {
         if let Some(ctx) = c.borrow().as_ref() {
             ctx.charge(&|s| &s.cancellations_observed, 1);
@@ -937,8 +952,8 @@ fn cancel_now() -> ! {
     std::panic::resume_unwind(Box::new(Cancelled));
 }
 
-/// RAII wait-board entry: the pid shows as parked (in the innermost
-/// active construct, or `fallback`) until the guard drops.
+/// RAII wait-board entry (and wake handle): the pid shows as parked (in
+/// the innermost active construct, or `fallback`) until the guard drops.
 pub struct ParkGuard {
     plane: Option<Arc<FaultPlane>>,
     pid: usize,
@@ -952,6 +967,7 @@ impl Drop for ParkGuard {
         let Some(plane) = self.plane.take() else {
             return;
         };
+        *plane.slots[self.pid].wake.lock() = None;
         let traced = self.trace.take();
         // Restore `RUNNING` with the innermost *still-active* construct
         // marker, read at drop time — not `Construct::Body`.  A nested
@@ -1002,11 +1018,22 @@ pub fn parked(fallback: Construct) -> ParkGuard {
     })
 }
 
-/// Whether the current thread is a force process (has a fault context).
-/// The parking layer uses this to pick between cancellable timed slices
-/// and plain untimed waits.
-pub(crate) fn in_force() -> bool {
-    CTX.with(|c| c.borrow().is_some())
+/// Run `wait` [`parked`], with `wake` beside the board word for a trip to
+/// call.
+pub(crate) fn parked_on<R>(
+    fallback: Construct,
+    wake: &(dyn Fn() + Sync),
+    wait: impl FnOnce() -> R,
+) -> R {
+    // SAFETY: the erased reference outlives its use.  A trip calls it only
+    // under the slot's mutex, and `park` — dropped however `wait` ends,
+    // before this returns — takes it back under that mutex.
+    let wake = unsafe { std::mem::transmute::<&(dyn Fn() + Sync), WakeHandle>(wake) };
+    let park = parked(fallback);
+    if let Some(plane) = &park.plane {
+        *plane.slots[park.pid].wake.lock() = Some(wake);
+    }
+    wait()
 }
 
 /// The current process's parker, when its job multiplexes pids over run

@@ -33,16 +33,16 @@
 //!   a pure function of `(seed, machine, program)`, so a failing
 //!   schedule replays from the seed alone.
 //!
-//! One tunable heartbeat ([`HEARTBEAT`]) derives every polling interval
-//! in the runtime: the cancellable wait slice, the deadlock-watchdog
-//! tick, and — a tenth of it, one measured wake-up — the window for
-//! which the two waits on an event already in flight (the pool's join,
-//! the dispatcher's wait for a closed-loop client) poll before they
-//! park.  The job server polls nothing on it.  Under the
-//! virtual backend, wall-clock timers are replaced by their virtual
-//! equivalents: the deadlock watchdog becomes the scheduler's own
-//! barren-poll detector and serve deadlines arm a virtual deadline
-//! ([`Parker::arm_virtual_deadline`]) checked at every decision point.
+//! No wait inside a force sleeps on a timer: a trip wakes what it
+//! cancels ([`wait_on`]).  One heartbeat ([`HEARTBEAT`]) derives the
+//! polling left — the watchdog tick, the cap on an overcommitted
+//! spin-shaped wait's sleeps, and (a tenth of it, one measured wake-up)
+//! the window for which the pool's join and the dispatcher's idle wait
+//! poll before they park; the job server polls nothing on it.  Under the
+//! virtual backend the watchdog is the scheduler's barren-poll detector,
+//! serve deadlines arm a virtual deadline
+//! ([`Parker::arm_virtual_deadline`]) checked at every decision point,
+//! and the teardown after a trip is part of the schedule.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -54,22 +54,20 @@ use crate::fault::{self, Construct};
 use crate::portable::{Backoff, Condvar, Mutex, MutexGuard, XorShift64};
 
 /// The one tunable polling quantum of the runtime.  Every derived
-/// interval ([`wait_slice`], [`watchdog_tick`]) is a multiple of this.
+/// interval ([`watchdog_tick`], the cap on an overcommitted wait's
+/// sleeps) is a multiple of this.
 pub const HEARTBEAT: Duration = Duration::from_micros(500);
 
-/// The timed-wait slice used by cancellable condvar waits: a blocked
-/// process re-checks its cancellation token at least this often even if
-/// no notification ever arrives.
-#[inline]
-pub fn wait_slice() -> Duration {
-    HEARTBEAT * 2
-}
+/// The longest sleep of an overcommitted spin-shaped wait
+/// ([`wait_until`]): it polls a condition nobody notifies, so it sleeps
+/// in steps, never longer than this.
+const IDLE_SLEEP_CAP: Duration = HEARTBEAT.saturating_mul(2);
 
 /// The deadlock watchdog's poll tick for a given bound: four samples per
-/// bound, floored at one wait slice.
+/// bound, floored at two heartbeats.
 #[inline]
 pub fn watchdog_tick(bound: Duration) -> Duration {
-    (bound / 4).max(wait_slice())
+    (bound / 4).max(IDLE_SLEEP_CAP)
 }
 
 /// The host's available parallelism, with a fixed fallback of 4 when the
@@ -216,8 +214,8 @@ impl Parker {
     }
 
     /// Block until a run permit is free, staying responsive to
-    /// cancellation.  FIFO: permits are granted in arrival order.
-    /// No-op without a permit pool.
+    /// cancellation ([`Parker::wake_cancelled`]).  FIFO: permits are
+    /// granted in arrival order.  No-op without a permit pool.
     fn acquire_cancellable(&self) {
         let Some(pool) = &self.permits else { return };
         let mut st = pool.state.lock();
@@ -247,10 +245,21 @@ impl Parker {
                 st.queue.retain(|&t| t != ticket);
                 pool.freed.notify_all();
                 drop(st);
-                fault::check_cancel();
-                return; // unreachable when a trip is pending
+                fault::cancel_now();
             }
-            pool.freed.wait_for(&mut st, wait_slice());
+            pool.freed.wait(&mut st);
+        }
+    }
+
+    /// The plane has tripped: wake the permit queue, whose waiters
+    /// withdraw, and hand the run token on in pid order from now on.
+    pub(crate) fn wake_cancelled(&self) {
+        if let Some(pool) = &self.permits {
+            let _queue = pool.state.lock();
+            pool.freed.notify_all();
+        }
+        if let Some(v) = &self.virt {
+            v.state.lock().tripped = true;
         }
     }
 
@@ -306,14 +315,7 @@ impl Parker {
     /// Every iteration is a scheduling decision point.
     pub(crate) fn virtual_wait(&self, fallback: Construct, ready: &mut dyn FnMut() -> bool) {
         let Some(v) = self.virt.as_ref() else { return };
-        let Some(pid) = fault::current_pid() else {
-            // Not a force process: it cannot take part in the schedule
-            // (and must not perturb it); poll gently instead.
-            while !ready() {
-                std::thread::sleep(wait_slice());
-            }
-            return;
-        };
+        let pid = fault::current_pid().expect("a parker is read from a process's context");
         let _park = fault::parked(fallback);
         fault::count_in_lane(|s| &s.parks);
         loop {
@@ -387,6 +389,8 @@ struct VState {
     /// Virtual deadline in ns, if armed (serve-layer jobs).
     deadline_ns: Option<u64>,
     deadline_hit: bool,
+    /// The plane has tripped: the survivors unwind in pid order.
+    tripped: bool,
 }
 
 /// What a decision point concluded besides (possibly) granting the token.
@@ -438,7 +442,8 @@ impl VState {
     /// Pick the next pid to hold the token: seeded-uniform among the
     /// live pids whose clock is within one scheduling quantum of the
     /// frontier (so virtual time stays meaningful while the seed decides
-    /// every near-tie).  Returns `true` when a grant was issued.
+    /// every near-tie); once the plane has tripped, the lowest live pid,
+    /// with no draw.  Returns `true` when a grant was issued.
     fn schedule_next(&mut self) -> bool {
         debug_assert!(self.running.is_none());
         if self.registered < self.expected {
@@ -450,11 +455,16 @@ impl VState {
         let window = self.costs.syscall.max(8 * self.costs.lock_op).max(1);
         let horizon = frontier.saturating_add(window);
         let eligible = |p: &VProc| {
-            matches!(p.status, VStatus::Runnable | VStatus::Polling) && p.vnow <= horizon
+            matches!(p.status, VStatus::Runnable | VStatus::Polling)
+                && (self.tripped || p.vnow <= horizon)
         };
         let n = self.procs.iter().filter(|p| eligible(p)).count();
         debug_assert!(n > 0, "frontier pid is always eligible");
-        let k = self.rng.next_below(n as u64) as usize;
+        let k = if self.tripped {
+            0
+        } else {
+            self.rng.next_below(n as u64) as usize
+        };
         let pid = self
             .procs
             .iter()
@@ -523,6 +533,7 @@ impl VirtualParker {
                 costs,
                 deadline_ns: None,
                 deadline_hit: false,
+                tripped: false,
             }),
             granted: Condvar::new(),
             seed,
@@ -554,32 +565,28 @@ impl VirtualParker {
         self.await_grant(pid);
     }
 
-    /// Block until the scheduler grants `pid` the run token, staying
-    /// responsive to cancellation.  The trip is looked at first: a pid
-    /// granted the token on a tripped plane unwinds with it (the process
-    /// layer hands it on) instead of polling on — a lone survivor would
-    /// otherwise be re-granted until the scheduler called its wait a
-    /// deadlock, a second verdict on a force that already has its fault.
+    /// Block until the scheduler grants `pid` the run token, and nothing
+    /// else.  A pid granted it on a tripped plane unwinds with it (the
+    /// process layer hands it on) instead of polling on — a lone survivor
+    /// would otherwise be re-granted until the scheduler called its wait
+    /// a deadlock, a second verdict on a force that has its fault.
     fn await_grant(&self, pid: usize) {
         let mut st = self.state.lock();
-        loop {
-            if fault::cancel_pending() {
-                drop(st);
-                fault::check_cancel();
-                return; // unreachable when a trip is pending
-            }
-            if st.running == Some(pid) {
-                return;
-            }
-            self.granted.wait_for(&mut st, wait_slice());
+        while st.running != Some(pid) {
+            self.granted.wait(&mut st);
         }
+        drop(st);
+        fault::check_cancel();
     }
 
-    /// One decision point: park `pid` (charging a failed-poll cost),
-    /// hand the token to the scheduler's next pick, run the virtual
-    /// deadline and deadlock checks, and block until `pid` is granted
-    /// the token again to re-poll.
+    /// One decision point: park `pid` (charging a failed-poll cost), run
+    /// the virtual deadline and deadlock checks, hand the token to the
+    /// scheduler's next pick, and block until `pid` is granted the token
+    /// again to re-poll.  A pid that trips the plane here, or finds it
+    /// tripped, keeps the token and unwinds with it, as a panicking one
+    /// does.
     fn yield_token(&self, pid: usize, fallback: Construct) {
+        fault::check_cancel();
         let trip = {
             let mut st = self.state.lock();
             let cost = poll_cost(&st.costs, fallback);
@@ -587,9 +594,6 @@ impl VirtualParker {
                 p.status = VStatus::Polling;
                 p.vnow = p.vnow.saturating_add(cost);
                 p.barren_polls = p.barren_polls.saturating_add(1);
-            }
-            if st.running == Some(pid) {
-                st.running = None;
             }
             let now = st.frontier().unwrap_or(0);
             let mut trip = VTrip::None;
@@ -602,8 +606,11 @@ impl VirtualParker {
             if matches!(trip, VTrip::None) && st.registered == st.expected && st.all_live_barren() {
                 trip = VTrip::Deadlock(now, st.live_count());
             }
-            if matches!(trip, VTrip::None) && st.running.is_none() && st.schedule_next() {
-                self.granted.notify_all();
+            if matches!(trip, VTrip::None) && st.running == Some(pid) {
+                st.running = None;
+                if st.schedule_next() {
+                    self.granted.notify_all();
+                }
             }
             trip
         };
@@ -742,35 +749,28 @@ pub(crate) struct RunPermit {
 }
 
 /// Acquire the current process's run permit (blocking, cancellable).
-/// Returns an inert guard outside a force or under thread-per-pid.
+/// Returns an inert guard outside a force or under thread-per-pid.  The
+/// guard exists before the wait for the first grant, so a pid that a
+/// trip unwinds out of that wait still finishes with the scheduler.
 pub(crate) fn run_permit() -> RunPermit {
-    match fault::current_parker() {
-        Some(parker) if parker.is_virtual() => match fault::current_pid() {
-            Some(pid) => {
-                parker.virtual_start(pid);
-                RunPermit {
-                    parker: Some(parker),
-                    virtual_pid: Some(pid),
-                }
-            }
-            None => RunPermit {
-                parker: None,
-                virtual_pid: None,
-            },
-        },
-        Some(parker) if parker.is_multiplexed() => {
+    let parker = fault::current_parker();
+    let virtual_pid = parker
+        .as_ref()
+        .filter(|p| p.is_virtual())
+        .and_then(|_| fault::current_pid());
+    let permit = RunPermit {
+        parker,
+        virtual_pid,
+    };
+    match (&permit.parker, virtual_pid) {
+        (Some(parker), Some(pid)) => parker.virtual_start(pid),
+        (Some(parker), None) => {
             parker.acquire_cancellable();
             fault::set_permit_held(true);
-            RunPermit {
-                parker: Some(parker),
-                virtual_pid: None,
-            }
         }
-        _ => RunPermit {
-            parker: None,
-            virtual_pid: None,
-        },
+        (None, _) => {}
     }
+    permit
 }
 
 impl Drop for RunPermit {
@@ -837,8 +837,8 @@ impl Drop for PermitPause {
 /// (`Backoff::snooze`).  Multiplexed pids have already yielded their run
 /// permit, so burning a core polling would steal cycles from the pid now
 /// using it: they yield for a short window (fast wake when the host is
-/// not oversubscribed) and then escalate to real sleeps capped at one
-/// wait slice.
+/// not oversubscribed) and then escalate to real sleeps capped at
+/// [`IDLE_SLEEP_CAP`].
 fn idle_step(multiplexed: bool, backoff: &Backoff, round: &mut u32) {
     if !multiplexed {
         backoff.snooze();
@@ -849,7 +849,7 @@ fn idle_step(multiplexed: bool, backoff: &Backoff, round: &mut u32) {
         std::thread::yield_now();
     } else {
         let exp = (*round - YIELD_ROUNDS).min(7);
-        let sleep = Duration::from_micros(10u64 << exp).min(wait_slice());
+        let sleep = Duration::from_micros(10u64 << exp).min(IDLE_SLEEP_CAP);
         std::thread::sleep(sleep);
     }
     *round = round.saturating_add(1);
@@ -963,62 +963,58 @@ fn poll_until(fallback: Construct, first_step: u32, ready: &mut impl FnMut() -> 
 /// Park the current process on a condition variable until `ready` (which
 /// both tests *and claims* the condition, under the mutex) returns true.
 ///
-/// Inside a force this waits in [`wait_slice`]-long timed slices,
-/// re-checking the cancellation token after each wake, publishing
-/// `fallback` on the wait board, counting parks/wakes/spurious wakes,
-/// and yielding the run permit under overcommit.  The user mutex is
-/// *not* held across permit transitions (that could wedge the permit
-/// pool against the mutex); the condition is re-checked under the lock
-/// after every re-acquisition, so no wakeup is lost.  Under the virtual
-/// backend each re-check is a scheduling decision point and the condvar
-/// is not waited on at all.  Outside a force it degrades to a plain
-/// untimed wait.
-pub fn wait_on<T>(
+/// One untimed loop, in a force or not: take the lock, test the
+/// cancellation token (a no-op outside a force), test `ready`, wait.  In
+/// a force the episode publishes `fallback` on the wait board with a
+/// wake handle — `cond` notified under `lock` — that a trip fires after
+/// setting the token, so the token test loses no wake (the `Waiters`
+/// argument).  It counts parks, wakes and spurious wakes, and yields the
+/// run permit under overcommit without holding the user mutex across it.
+/// A cancelled waiter passes one `notify_one` on: a wake it took may have
+/// been an unlock's meant for another plane's process (a pooled Cray-2
+/// lock serves several).  Under the virtual backend each re-check
+/// is a scheduling decision point and the condvar is not waited on.
+pub fn wait_on<T: Send>(
     lock: &Mutex<T>,
     cond: &Condvar,
     fallback: Construct,
     mut ready: impl FnMut(&mut T) -> bool,
 ) {
-    {
-        let mut guard = lock.lock();
-        if ready(&mut guard) {
-            return;
-        }
-        if !fault::in_force() {
-            loop {
-                cond.wait(&mut guard);
-                if ready(&mut guard) {
-                    return;
-                }
-            }
-        }
-    }
-    if let Some(p) = fault::current_parker().filter(|p| p.is_virtual()) {
-        p.virtual_wait(fallback, &mut || {
-            let mut guard = lock.lock();
-            ready(&mut guard)
-        });
+    if ready(&mut lock.lock()) {
         return;
     }
-    let _park = fault::parked(fallback);
-    fault::count_in_lane(|s| &s.parks);
-    let pause = PermitPause::begin();
-    loop {
-        fault::check_cancel();
-        let mut guard = lock.lock();
-        if ready(&mut guard) {
-            break;
-        }
-        let timed_out = cond.wait_for(&mut guard, wait_slice());
-        if ready(&mut guard) {
-            break;
-        }
-        if !timed_out {
-            fault::count_in_lane(|s| &s.park_spurious_wakes);
-        }
+    if let Some(p) = fault::current_parker().filter(|p| p.is_virtual()) {
+        p.virtual_wait(fallback, &mut || ready(&mut lock.lock()));
+        return;
     }
-    drop(pause);
-    fault::count_in_lane(|s| &s.park_wakes);
+    let wake = || {
+        let _sleeping = lock.lock();
+        cond.notify_all();
+    };
+    fault::parked_on(fallback, &wake, || {
+        fault::count_in_lane(|s| &s.parks);
+        let pause = PermitPause::begin();
+        let mut guard = lock.lock();
+        let mut woken = false;
+        loop {
+            if fault::cancel_pending() {
+                cond.notify_one();
+                drop(guard);
+                fault::cancel_now();
+            }
+            if ready(&mut guard) {
+                break;
+            }
+            if woken {
+                fault::count_in_lane(|s| &s.park_spurious_wakes);
+            }
+            cond.wait(&mut guard);
+            woken = true;
+        }
+        drop(guard);
+        drop(pause);
+        fault::count_in_lane(|s| &s.park_wakes);
+    });
 }
 
 /// How many processes are inside [`wait_on`] for one condition, kept by
@@ -1120,7 +1116,7 @@ const SPIN_WINDOW: Duration = Duration::from_micros(50);
 /// dispatcher's idle wait (it has just completed a job, so a closed-loop
 /// client is about to submit the next).  A wait with nothing in flight
 /// belongs in [`wait_on`]: polling for it only burns the window.
-pub(crate) fn spin_then_wait_on<T>(
+pub(crate) fn spin_then_wait_on<T: Send>(
     hint: impl Fn() -> bool,
     lock: &Mutex<T>,
     cond: &Condvar,
@@ -1156,13 +1152,13 @@ mod tests {
 
     #[test]
     fn heartbeat_derivations_are_consistent() {
-        assert_eq!(wait_slice(), HEARTBEAT * 2);
+        assert_eq!(IDLE_SLEEP_CAP, HEARTBEAT * 2);
         assert_eq!(
             watchdog_tick(Duration::from_secs(1)),
             Duration::from_millis(250)
         );
-        // Tiny bounds floor at one wait slice, never zero.
-        assert_eq!(watchdog_tick(Duration::from_micros(1)), wait_slice());
+        // Tiny bounds floor at two heartbeats, never zero.
+        assert_eq!(watchdog_tick(Duration::from_micros(1)), IDLE_SLEEP_CAP);
         assert_eq!(SPIN_WINDOW, HEARTBEAT / 10);
     }
 
@@ -1254,14 +1250,19 @@ mod tests {
 
     #[test]
     fn cancelled_waiter_withdraws_its_ticket() {
+        // The waiter sleeps untimed: only the trip's wake of its plane's
+        // permit queue gets it out.
         use crate::fault::{FaultConfig, FaultPlane, ProcessFault};
-        let p = Arc::new(parker(ParkBackend::Overcommit { workers: 1 }));
-        p.acquire_cancellable(); // permit held for the whole test
         let plane = FaultPlane::new(
             1,
             Arc::new(crate::stats::OpStats::new()),
-            FaultConfig::default(),
+            FaultConfig {
+                backend: ParkBackend::Overcommit { workers: 1 },
+                ..FaultConfig::default()
+            },
         );
+        let p = plane.parker();
+        p.acquire_cancellable(); // permit held for the whole test
         let p2 = Arc::clone(&p);
         let plane2 = Arc::clone(&plane);
         let waiter = std::thread::spawn(move || {

@@ -304,8 +304,8 @@ impl Condvar {
 
     /// Like [`wait`](Self::wait) but with a timeout: returns `true` if the
     /// wait timed out, `false` if it was (possibly spuriously) notified.
-    /// Used by cancellable waits, which must periodically re-check a
-    /// cancellation token even if no notification ever arrives.
+    /// Used by one caller, `park::timer_wait`: the helper threads that
+    /// sleep until a deadline (the watchdog, the deadline watcher).
     pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: std::time::Duration) -> bool {
         let std_guard = guard.inner.take().expect("guard vacated during wait");
         let (reacquired, result) = match self.inner.wait_timeout(std_guard, timeout) {

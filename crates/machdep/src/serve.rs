@@ -1012,30 +1012,6 @@ impl ForceServer {
                 };
             }
         }
-        let reason = {
-            let mut st = inner.shards[home].state.lock();
-            if st.shutting_down {
-                Some(RejectReason::ShuttingDown)
-            } else {
-                let capacity = inner.config.tenant_queue_capacity;
-                let depth = entry_by_name(&mut st.per_tenant_depth, &spec.tenant, || 0);
-                if *depth >= capacity {
-                    Some(RejectReason::QueueFull {
-                        tenant: spec.tenant.clone(),
-                        capacity,
-                    })
-                } else {
-                    *depth += 1;
-                    None
-                }
-            }
-        };
-        if let Some(reason) = reason {
-            inner.count(|s| &s.jobs_rejected);
-            inner.bump_rollup(home, &spec.tenant, |r| r.rejected += 1);
-            return Submit::Rejected { reason };
-        }
-
         let shared = Arc::new(JobShared {
             id: inner.next_id.fetch_add(1, Ordering::Relaxed),
             tenant: spec.tenant,
@@ -1053,14 +1029,39 @@ impl ForceServer {
             deadline_at: shared.deadline_at,
             submitted,
         };
-        let home_idle = {
-            let mut st = inner.shards[home].state.lock();
-            st.backlog += 1;
-            st.peak_backlog = st.peak_backlog.max(st.backlog);
-            let total = inner.total_backlog.fetch_add(1, Ordering::AcqRel) + 1;
-            inner.peak_total_backlog.fetch_max(total, Ordering::AcqRel);
-            st.queues[spec.priority.index()].push_back(job);
-            std::mem::take(&mut st.idle)
+        // Admission and queueing are one critical section: a shutdown lands
+        // before it and refuses the job, or after, and the drain finds it.
+        let admitted = {
+            let mut guard = inner.shards[home].state.lock();
+            let st = &mut *guard;
+            let capacity = inner.config.tenant_queue_capacity;
+            if st.shutting_down {
+                Err(RejectReason::ShuttingDown)
+            } else {
+                let depth = entry_by_name(&mut st.per_tenant_depth, &shared.tenant, || 0);
+                if *depth >= capacity {
+                    Err(RejectReason::QueueFull {
+                        tenant: shared.tenant.clone(),
+                        capacity,
+                    })
+                } else {
+                    *depth += 1;
+                    st.backlog += 1;
+                    st.peak_backlog = st.peak_backlog.max(st.backlog);
+                    let total = inner.total_backlog.fetch_add(1, Ordering::AcqRel) + 1;
+                    inner.peak_total_backlog.fetch_max(total, Ordering::AcqRel);
+                    st.queues[spec.priority.index()].push_back(job);
+                    Ok(std::mem::take(&mut st.idle))
+                }
+            }
+        };
+        let home_idle = match admitted {
+            Ok(home_idle) => home_idle,
+            Err(reason) => {
+                inner.count(|s| &s.jobs_rejected);
+                inner.bump_rollup(home, &shared.tenant, |r| r.rejected += 1);
+                return Submit::Rejected { reason };
+            }
         };
         inner.count(|s| &s.jobs_admitted);
         inner.bump_rollup(home, &shared.tenant, |r| r.admitted += 1);

@@ -45,8 +45,8 @@ impl RawLock for SyscallLock {
         self.stats.count(|s| &s.syscalls);
         // An injected spurious failure is accounted as one contended attempt.
         let mut waited = fault::spurious_lock_failure();
-        // The parking layer bills one park per blocking episode (never
-        // per timed slice) and deschedules the waiter — a syscall lock
+        // The parking layer bills one park per blocking episode (however
+        // often it wakes) and deschedules the waiter — a syscall lock
         // never spins.  The waiter registers under the mutex, the first
         // time it finds the lock held: a release after that sees it, a
         // release before it left the lock free for this very test.

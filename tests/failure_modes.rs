@@ -3,7 +3,7 @@
 //! structured diagnostics — never hangs, never unsoundness.
 
 use the_force::fortran::{Engine, FortErrorKind};
-use the_force::machdep::{Machine, MachineId};
+use the_force::machdep::{Machine, MachineId, ParkBackend};
 use the_force::prelude::*;
 use the_force::prep::preprocess;
 use the_force::{run_force_source, ForceError};
@@ -430,6 +430,123 @@ fn a_panic_holding_a_critical_lock_is_attributed_and_released() {
         assert_eq!(err.pid, 2, "{}", id.name());
         assert_eq!(err.construct, "critical", "{}", id.name());
         assert_eq!(err.payload, "lock holder died", "{}", id.name());
+    }
+}
+
+/// The calling thread's voluntary context switches so far.
+#[cfg(target_os = "linux")]
+fn voluntary_switches() -> u64 {
+    let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+    let field = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
+    field
+        .expect("a switch count")
+        .trim()
+        .parse()
+        .expect("a number")
+}
+
+/// A process parked on a critical section another holds for ≈ 95 ms
+/// sleeps until it is woken: nothing wakes it on a timer to look at the
+/// cancellation token (a trip wakes it instead).
+#[cfg(target_os = "linux")]
+#[test]
+fn a_process_parked_on_a_held_lock_sleeps_until_woken() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+    for id in [MachineId::Cray2, MachineId::Flex32] {
+        let force = Force::with_machine(2, Machine::new(id));
+        let held = AtomicBool::new(false);
+        let switches = force
+            .try_execute(|p| match p.pid() {
+                0 => p.critical("HELD", || {
+                    held.store(true, Ordering::Release);
+                    std::thread::sleep(Duration::from_millis(95));
+                    0
+                }),
+                _ => {
+                    while !held.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    let before = voluntary_switches();
+                    p.critical("HELD", || {});
+                    voluntary_switches() - before
+                }
+            })
+            .expect("a clean run")[1];
+        assert!(
+            switches <= 3,
+            "{}: {switches} voluntary switches",
+            id.name()
+        );
+    }
+}
+
+/// From a peer's panic until the run returns, with the other two pids
+/// asleep in the Askfor idle wait (`on_lock` false) or on a machine lock
+/// the test holds throughout (`on_lock` true), so that only the trip can
+/// wake them.  The culprit lives 20 ms first, in a wait that yields its
+/// run permit, so that under `Overcommit` its peers get to fall asleep.
+fn trip_to_last_pid_out(id: MachineId, backend: ParkBackend, on_lock: bool) -> std::time::Duration {
+    use std::time::{Duration, Instant};
+    use the_force::machdep::{park, Construct, LockState, Mutex};
+    let force = Force::with_machine(3, Machine::new(id));
+    let wedge = force.machine().make_dedicated_lock(LockState::Locked);
+    let panicked_at = Mutex::new(None);
+    let live_then_die = || {
+        let until = Instant::now() + Duration::from_millis(20);
+        park::wait_until(Construct::Body, || Instant::now() >= until);
+        *panicked_at.lock() = Some(Instant::now());
+        std::panic::resume_unwind(Box::new("a peer dies"))
+    };
+    let options = RunOptions {
+        backend,
+        ..RunOptions::default()
+    };
+    let fault = force
+        .try_execute_with(options, |p| match (on_lock, p.pid()) {
+            (false, _) => p.askfor(|| vec![()], |(), _| live_then_die()),
+            (true, 0) => live_then_die(),
+            (true, _) => wedge.lock(),
+        })
+        .expect_err("the panic is the run's fault");
+    let out = panicked_at.lock().expect("the culprit died").elapsed();
+    assert_eq!(fault.payload, "a peer dies", "{}", id.name());
+    out
+}
+
+/// Trip → last pid out, on every machine where the wait exists: the
+/// Askfor idle wait everywhere, the Cray-2's system-call lock and the
+/// Flex/32's combined lock in phase 2.  The bound catches a lost wake,
+/// not the host's speed; the medians are printed.
+#[test]
+fn a_trip_wakes_the_processes_it_cancels() {
+    use std::time::Duration;
+    let mut cells: Vec<(MachineId, bool)> = MachineId::all().map(|id| (id, false)).to_vec();
+    cells.extend([(MachineId::Cray2, true), (MachineId::Flex32, true)]);
+    for backend in [
+        ParkBackend::ThreadPerPid,
+        ParkBackend::Overcommit { workers: 1 },
+    ] {
+        for &(id, on_lock) in &cells {
+            let mut outs: Vec<Duration> = (0..9)
+                .map(|_| trip_to_last_pid_out(id, backend, on_lock))
+                .collect();
+            outs.sort();
+            let site = if on_lock { "lock" } else { "askfor idle" };
+            println!(
+                "trip -> last pid out, {site} on {}, {backend:?}: p50 {:?}, max {:?}",
+                id.name(),
+                outs[outs.len() / 2],
+                outs[outs.len() - 1]
+            );
+            assert!(
+                outs[outs.len() - 1] <= Duration::from_millis(50),
+                "{site} on {}, {backend:?}: {outs:?}",
+                id.name()
+            );
+        }
     }
 }
 

@@ -94,6 +94,29 @@ fn all_blocking_waits_route_through_the_park_layer() {
     );
 }
 
+#[test]
+fn a_timer_is_the_only_timed_wait() {
+    // A trip wakes the waits it cancels, so no process sleeps on a timer
+    // to look at its cancellation token: the one timed condvar wait left
+    // is `park::timer_wait`, the watchdog's and the deadline watcher's.
+    let timed = scan(&["wait_for("], &[], false);
+    assert!(
+        timed.len() == 1 && timed[0].starts_with("machdep/src/park.rs:"),
+        "timed waits outside `park::timer_wait`:\n{}",
+        timed.join("\n")
+    );
+    let park = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/machdep/src/park.rs");
+    let park = fs::read_to_string(park).expect("park.rs");
+    let timer = park.split("pub fn timer_wait").nth(1).expect("timer_wait");
+    let timer = &timer[..timer.find("\n}\n").expect("the end of timer_wait")];
+    assert!(
+        timer.contains("wait_for("),
+        "the timed wait is not the timer's"
+    );
+    let retired = scan(&[concat!("wait", "_slice")], &[], false);
+    assert!(retired.is_empty(), "{}", retired.join("\n"));
+}
+
 /// Files allowed to read the wall clock in non-test code.  Everything
 /// else in the tree must be wall-clock-free so the `Virtual` backend's
 /// replay contract — a run is a pure function of `(seed, machine)` —

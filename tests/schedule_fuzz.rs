@@ -13,9 +13,12 @@
 
 mod support;
 
+use std::sync::Arc;
+
 use support::corpus::Native as Corpus;
 use the_force::machdep::{
-    Machine, MachineId, ParkBackend, RunOptions, StatsSnapshot, TraceConfig, VirtualSummary,
+    Machine, MachineId, ParkBackend, ProcessFault, RunOptions, StatsSnapshot, TraceConfig,
+    VirtualSummary,
 };
 use the_force::prelude::*;
 
@@ -160,6 +163,62 @@ fn language_front_end_replays_under_both_executors() {
         assert_eq!(a, b, "replay diverged under the {executor}");
         // ME is 0-based: the four processes contribute 0 + 1 + 2 + 3.
         assert_eq!(a.0, Some(Value::Int(6)), "wrong sum under the {executor}");
+    }
+}
+
+/// A faulted virtual run: four pids pass tokens around a ring of async
+/// cells, and pid 1 panics at its third Produce/Consume trip, leaving its
+/// peers parked.  Returns the fault, the schedule summary and the Chrome
+/// trace of the run, teardown included.
+fn run_faulted(machine: MachineId, seed: u64) -> (ProcessFault, VirtualSummary, String) {
+    let machine = Machine::new(machine);
+    let force = Force::with_machine(4, Arc::clone(&machine));
+    let ring = AsyncArray::<u64>::new(&machine, 4);
+    let fault = force
+        .try_execute_with(
+            RunOptions {
+                backend: ParkBackend::Virtual { seed },
+                trace: Some(TraceConfig::default()),
+                ..RunOptions::default()
+            },
+            |p| {
+                let left = (p.pid() + p.nproc() - 1) % p.nproc();
+                for trip in 0..4 {
+                    if p.pid() == 1 && trip == 2 {
+                        // A panic, minus the hook's 900 messages.
+                        std::panic::resume_unwind(Box::new("pid 1 dies at its third trip"));
+                    }
+                    ring.produce(p.pid(), trip);
+                    let _ = ring.consume(left);
+                }
+            },
+        )
+        .expect_err("pid 1 panics");
+    let summary = force.last_virtual_summary().expect("virtual summary");
+    let trace = force.fault_plane().profile_report().expect("traced run");
+    (fault, summary, trace.chrome_trace_json())
+}
+
+#[test]
+fn a_faulted_run_replays_its_teardown() {
+    // After the trip the run token walks the survivors in pid order, each
+    // unwinding when it is granted it: the teardown is part of the
+    // schedule, so the summary of a faulted run is a replay key.
+    for machine in MachineId::all() {
+        for seed in [1, 0xF0CE, 0xDEAD_BEEF] {
+            let (fault, summary, trace) = run_faulted(machine, seed);
+            assert_eq!(
+                (fault.pid, fault.payload.as_str()),
+                (1, "pid 1 dies at its third trip")
+            );
+            for repeat in 1..50 {
+                let again = run_faulted(machine, seed);
+                let key = format!("{} seed {seed:#x}, repeat {repeat}", machine.name());
+                assert_eq!(again.0, fault, "fault diverged: {key}");
+                assert_eq!(again.1, summary, "summary diverged: {key}");
+                assert!(again.2 == trace, "trace JSON diverged: {key}");
+            }
+        }
     }
 }
 

@@ -16,7 +16,8 @@ use the_force::core::{Force, ForcePool};
 use the_force::fortran::{Engine, Value};
 use the_force::machdep::{
     FaultInjection, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Machine,
-    MachineId, OpStats, Priority, RunOptions, ServerConfig, StatsSnapshot, Submit, TraceConfig,
+    MachineId, OpStats, Priority, RejectReason, RunOptions, ServerConfig, StatsSnapshot, Submit,
+    TraceConfig,
 };
 use the_force::prep::preprocess;
 use the_force::ForceError;
@@ -1365,4 +1366,47 @@ fn a_source_nested_past_the_parser_bound_faults_its_job_not_the_server() {
     server.shutdown();
     let cold = server.tenant_report("cold").unwrap();
     assert_eq!((cold.faulted, cold.completed), (2, 2));
+}
+
+/// `submit` racing `shutdown` from another thread: a submission is
+/// refused, or admitted *and* run.  Admission used to check the flag and
+/// queue the job in two critical sections, and a shutdown that landed
+/// between them let the dispatcher drain and exit over a job whose `wait`
+/// then never returned.
+#[test]
+fn a_submission_racing_shutdown_is_refused_or_run() {
+    for round in 0..500u64 {
+        let (server, _) = server_with_own_stats(ServerConfig::default());
+        let admitted = std::thread::scope(|s| {
+            let submitter = s.spawn(|| {
+                let mut admitted = Vec::new();
+                loop {
+                    let runner: JobRunner = Box::new(|_| Ok(JobYield::default()));
+                    match server.submit(JobSpec::for_tenant("racer"), runner) {
+                        Submit::Admitted(job) => admitted.push(job),
+                        Submit::Rejected {
+                            reason: RejectReason::ShuttingDown,
+                        } => return admitted,
+                        // Outrunning the dispatcher: submit again.
+                        Submit::Rejected { .. } => std::thread::yield_now(),
+                    }
+                }
+            });
+            std::thread::sleep(Duration::from_micros(round % 25 * 20));
+            server.shutdown();
+            submitter.join().expect("the submitter")
+        });
+        for job in admitted {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while job.try_outcome().is_none() {
+                assert!(
+                    Instant::now() < deadline,
+                    "round {round}: job {} stranded",
+                    job.id()
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        }
+    }
 }

@@ -5,7 +5,7 @@
 
 mod support;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,8 +13,8 @@ use the_force::fortran::Value;
 use the_force::machdep::combined::CombinedLock;
 use the_force::machdep::syscall_lock::SyscallLock;
 use the_force::machdep::{
-    launch_plane, FaultConfig, FaultPlane, ForcePool, LockState, Machine, MachineId, OpStats,
-    RawLock,
+    launch_plane, park, Condvar, Construct, FaultConfig, FaultPlane, ForcePool, LockState, Machine,
+    MachineId, Mutex, OpStats, ProcessFault, RawLock,
 };
 use the_force::prelude::*;
 
@@ -235,11 +235,12 @@ fn pool_handoff_never_loses_a_wakeup() {
     assert_eq!(pool.jobs_completed(), 2 * JOBS);
 }
 
-/// Run `body(pid)` on `threads` lockers, as the processes of a force
-/// (timed-slice waits) or as plain threads (untimed waits), while the
-/// caller watches `progress` move; five seconds without movement fail
-/// the test.  The lockers are detached threads: a lost wake-up hangs
-/// them, and the watcher's failure must not wait for them.
+/// Run `body(pid)` on `threads` lockers, as the processes of a force or
+/// as plain threads, while the caller watches `progress` move; five
+/// seconds without movement fail the test.  Waits are untimed either way
+/// (a trip wakes a force's waiters, nothing else does), so a lost wake-up
+/// hangs the lockers for good; they are detached threads, and the
+/// watcher's failure must not wait for them.
 fn watched<F>(
     what: &str,
     threads: usize,
@@ -307,7 +308,7 @@ fn lock_storm(lock: &Arc<dyn RawLock>, stats: &Arc<OpStats>, threads: usize, in_
     assert!(!lock.is_locked());
 }
 
-/// Both storms: plain threads first, where a missed wake is for good.
+/// Both storms, plain threads first; a missed wake is for good in each.
 fn storms(lock: Arc<dyn RawLock>, stats: &Arc<OpStats>) {
     for (threads, in_force) in [(2, false), (8, false), (2, true), (8, true)] {
         lock_storm(&lock, stats, threads, in_force);
@@ -320,7 +321,7 @@ fn storms(lock: Arc<dyn RawLock>, stats: &Arc<OpStats>) {
 fn combined_lock_unlock_never_loses_a_wakeup() {
     // An unlock wakes only a registered waiter; a registration the
     // unlocker misses, or a wake it skips wrongly, leaves a waiter asleep
-    // on a free lock — for good outside a force, where waits are untimed.
+    // on a free lock, for good: waits are untimed, in a force or not.
     let stats = Arc::new(OpStats::new());
     let lock = CombinedLock::new(LockState::Unlocked, Arc::clone(&stats));
     storms(Arc::new(lock), &stats);
@@ -331,6 +332,93 @@ fn syscall_lock_unlock_never_loses_a_wakeup() {
     let stats = Arc::new(OpStats::new());
     let lock = SyscallLock::new(LockState::Unlocked, Arc::clone(&stats));
     storms(Arc::new(lock), &stats);
+}
+
+/// One lock, waited on by processes of two planes — a pooled Cray-2 slot
+/// serves every session on its machine — and held by a plain thread that
+/// releases it and trips plane 1 back to back, `ROUNDS` times.  The
+/// unlock's one wake may go to plane 1's waiter, which the trip then
+/// cancels: it must pass the wake on, or plane 2's waiter sleeps on a
+/// free lock for good.  Plane 1's pid 0 sleeps on a mutex a helper holds
+/// across the trip, so the trip reaches the lock waiter's wake handle
+/// only after that waiter has left: the wake plane 2 needs can come from
+/// nowhere else.
+fn a_cancelled_waiter_passes_its_wake_on(lock: Arc<dyn RawLock>, stats: &Arc<OpStats>) {
+    const ROUNDS: u64 = 1_000;
+    let rounds = Arc::new(AtomicU64::new(0));
+    let body = {
+        let (lock, rounds, stats) = (Arc::clone(&lock), Arc::clone(&rounds), Arc::clone(stats));
+        move |_| {
+            for _ in 0..ROUNDS {
+                one_cancelled_waiter(&*lock, &stats);
+                rounds.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    };
+    watched("cross-plane waiters", 1, false, stats, &rounds, body);
+    assert_eq!(rounds.load(Ordering::Relaxed), ROUNDS);
+    assert!(!lock.is_locked());
+}
+
+fn one_cancelled_waiter(lock: &dyn RawLock, stats: &Arc<OpStats>) {
+    let plane = |nproc| FaultPlane::new(nproc, Arc::clone(stats), FaultConfig::default());
+    let (cancelled, other) = (plane(2), plane(1));
+    let parks = |plane: &FaultPlane| plane.live_stats().parks;
+    let stall = (Mutex::new(()), Condvar::new());
+    let stall_held = AtomicBool::new(false);
+    lock.lock();
+    std::thread::scope(|s| {
+        let cancelled_job = s.spawn(|| {
+            launch_plane(&cancelled, None, |pid| match pid {
+                0 => park::wait_on(&stall.0, &stall.1, Construct::Body, |_| false),
+                _ => {
+                    lock.lock();
+                    lock.unlock();
+                }
+            })
+        });
+        while parks(&cancelled) < 2 {
+            std::thread::yield_now();
+        }
+        let other_job = s.spawn(|| {
+            launch_plane(&other, None, |_| {
+                lock.lock();
+                lock.unlock();
+            })
+        });
+        while parks(&other) < 1 {
+            std::thread::yield_now();
+        }
+        let staller = s.spawn(|| {
+            let _held = stall.0.lock();
+            stall_held.store(true, Ordering::Release);
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        while !stall_held.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        lock.unlock();
+        cancelled.trip(
+            ProcessFault {
+                pid: 0,
+                construct: "test",
+                payload: "cancel plane 1".into(),
+            },
+            None,
+        );
+        staller.join().expect("the staller");
+        assert!(cancelled_job.join().expect("plane 1's launcher").is_err());
+        assert_eq!(other_job.join().expect("plane 2's launcher"), Ok(vec![()]));
+    });
+}
+
+#[test]
+fn a_cancelled_waiter_does_not_strand_another_planes_waiter() {
+    let stats = Arc::new(OpStats::new());
+    let syscall = SyscallLock::new(LockState::Unlocked, Arc::clone(&stats));
+    a_cancelled_waiter_passes_its_wake_on(Arc::new(syscall), &stats);
+    let combined = CombinedLock::new(LockState::Unlocked, Arc::clone(&stats));
+    a_cancelled_waiter_passes_its_wake_on(Arc::new(combined), &stats);
 }
 
 /// The `sum` program's shape on a machine's own locks: every trip claims
