@@ -1057,7 +1057,7 @@ fn exp18(scale: Scale) {
         let burst_tenant = server.tenant_report("burst").unwrap_or_default();
         let peak_backlog = server.peak_backlog();
         server.shutdown();
-        let delta = machine.stats().snapshot().delta(&base);
+        let delta = machine.stats().snapshot().since(&base);
 
         println!(
             "{:<18} {:>9} {:>6} {:>5} {:>5} {:>5} {:>5}   {:<6}",
@@ -1213,7 +1213,7 @@ fn exp19(scale: Scale) {
         );
         // Equal work, balanced parks and a quiet watchdog are
         // `checks::park`'s job.
-        let delta = machine.stats().snapshot().delta(&before);
+        let delta = machine.stats().snapshot().since(&before);
 
         println!(
             "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>8} {:>8}",

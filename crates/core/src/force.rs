@@ -10,25 +10,24 @@
 //! processes, hands each a [`Player`] context, runs
 //! the program body in all of them, and performs the final `Join`.
 //!
-//! A `Force` is a reusable **session**: its per-occurrence construct
-//! state (the two-lock barrier, the collective registry behind
-//! selfscheduled loops, Pcase and Askfor, the named-lock and
-//! shared-index tables) and its fault plane live for the session's
-//! lifetime and are *reset in place* at the start of every
+//! A `Force` is a reusable **session**: a machine-dependent
+//! [`Session`] (counters, default options, pool, fault plane, the record
+//! of the last run) runs every job, and the force keeps only its
+//! per-occurrence construct state (the two-lock barrier, the collective
+//! registry behind selfscheduled loops, Pcase and Askfor, the named-lock
+//! and shared-index tables), *reset in place* at the start of every
 //! [`execute`](Force::execute) instead of being reallocated.  Attach a
 //! resident [`ForcePool`] with [`with_pool`](Force::with_pool) and
 //! successive executes reuse the pool's worker threads too — no per-run
 //! process creation at all.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use force_machdep::{
-    bind_ambient_stats, launch_plane, FaultConfig, FaultInjection, FaultPlane, ForceEnvironment,
-    ForcePool, JobError, JobRunner, JobYield, Machine, MachineId, Mutex, ProcessFault,
-    ProfileReport, RunOptions, SchedulePolicy, StatsHandle, StatsSnapshot, TraceConfig,
-    VirtualSummary,
+    FaultInjection, FaultPlane, ForceEnvironment, ForcePool, JobError, JobRunner, JobYield,
+    Machine, MachineId, ProcessFault, ProfileReport, RunOptions, SchedulePolicy, Session,
+    StatsSnapshot, TraceConfig, VirtualSummary,
 };
 
 use crate::barrier::TwoLockBarrier;
@@ -43,38 +42,16 @@ use crate::registry::CollectiveRegistry;
 /// [`try_execute_with`](Force::try_execute_with).
 pub struct Force {
     nproc: usize,
-    machine: Arc<Machine>,
-    watchdog: Option<Duration>,
-    injection: Option<FaultInjection>,
-    trace: Option<TraceConfig>,
-    default_schedule: SchedulePolicy,
-    /// Resident workers handed to [`launch_plane`] with every job.
-    pool: Option<Arc<ForcePool>>,
-    /// This session's private counter block.  Every charge made by this
-    /// session's jobs lands here *and* rolls up into the machine's
-    /// totals, so per-job deltas read a counter no other session (or
-    /// server shard) can perturb.
-    stats: StatsHandle,
-    /// The session's fault plane, re-armed before every run.
-    plane: Arc<FaultPlane>,
-    /// The session's parallel environment (named locks, shared indices).
+    /// Runs every job: machine, counters, default options, pool, plane.
+    session: Session,
+    /// The session's parallel environment (named locks, shared indices)
+    /// and, with it, the session's fault plane.
     env: Arc<ForceEnvironment>,
     /// The session's two-lock barrier.
     barrier: Arc<TwoLockBarrier>,
     /// Per-occurrence collective state (selfsched counters, askfor
     /// queues, Pcase slots), cleared between runs.
     registry: Arc<CollectiveRegistry>,
-    /// Serializes runs on this session: the resident state is per-run
-    /// exclusive, so overlapping executes take turns.
-    run_lock: Mutex<()>,
-    /// Operation counts of the most recent run (per-job delta); `None`
-    /// until a run completes cleanly, and reset to `None` by a faulted
-    /// run so a caller can never mistake a dead job's partial counts (or
-    /// a previous job's counts) for results.
-    last_job_stats: Mutex<Option<StatsSnapshot>>,
-    /// Whether the most recent run faulted; gates
-    /// [`last_job_profile`](Force::last_job_profile) the same way.
-    last_run_faulted: AtomicBool,
 }
 
 impl Force {
@@ -93,32 +70,15 @@ impl Force {
     /// # Panics
     /// Panics if `nproc` is zero.
     pub fn with_machine(nproc: usize, machine: Arc<Machine>) -> Self {
-        assert!(nproc > 0, "a force needs at least one process");
-        let stats = machine.stats_handle().child();
-        let costs = machine.spec().costs;
-        let plane = FaultPlane::with_handle(nproc, stats.child(), costs, FaultConfig::default());
-        let env = Arc::new(ForceEnvironment::with_fault_plane(
-            Arc::clone(&machine),
-            nproc,
-            Arc::clone(&plane),
-        ));
+        let session = Session::new(Arc::clone(&machine));
+        let plane = session.fault_plane(nproc);
         let barrier = Arc::new(TwoLockBarrier::new(&machine, nproc));
         Force {
             nproc,
-            machine,
-            watchdog: None,
-            injection: None,
-            trace: None,
-            default_schedule: SchedulePolicy::default(),
-            pool: None,
-            stats,
-            plane,
-            env,
+            env: Arc::new(ForceEnvironment::with_fault_plane(machine, nproc, plane)),
+            session,
             barrier,
             registry: Arc::new(CollectiveRegistry::new()),
-            run_lock: Mutex::new(()),
-            last_job_stats: Mutex::new(None),
-            last_run_faulted: AtomicBool::new(false),
         }
     }
 
@@ -126,15 +86,15 @@ impl Force {
     /// stays parked with no progress for `bound`, the force is cancelled
     /// and [`try_execute`](Self::try_execute) returns a structured
     /// [`ProcessFault`] naming a parked process and its construct.
-    pub fn with_watchdog(mut self, bound: Duration) -> Self {
-        self.watchdog = Some(bound);
+    pub fn with_watchdog(self, bound: Duration) -> Self {
+        self.session.configure(|o| o.watchdog = Some(bound));
         self
     }
 
     /// Enable deterministic fault injection (panics, delays, spurious
     /// lock failures at construct boundaries) for robustness testing.
-    pub fn with_fault_injection(mut self, injection: FaultInjection) -> Self {
-        self.injection = Some(injection);
+    pub fn with_fault_injection(self, injection: FaultInjection) -> Self {
+        self.session.configure(|o| o.injection = Some(injection));
         self
     }
 
@@ -143,8 +103,8 @@ impl Force {
     /// methods use when no per-loop override is given.  Defaults to the
     /// paper's one-trip selfscheduling.  Overridable per run through
     /// [`RunOptions::default_schedule`].
-    pub fn with_default_schedule(mut self, policy: SchedulePolicy) -> Self {
-        self.default_schedule = policy;
+    pub fn with_default_schedule(self, policy: SchedulePolicy) -> Self {
+        self.session.configure(|o| o.default_schedule = policy);
         self
     }
 
@@ -152,8 +112,8 @@ impl Force {
     /// records construct enter/exit, lock and full/empty events, barrier
     /// arrival spread, and DOALL trip distribution, surfaced afterwards
     /// by [`last_job_profile`](Self::last_job_profile).
-    pub fn with_tracing(mut self, config: TraceConfig) -> Self {
-        self.trace = Some(config);
+    pub fn with_tracing(self, config: TraceConfig) -> Self {
+        self.session.configure(|o| o.trace = Some(config));
         self
     }
 
@@ -163,8 +123,8 @@ impl Force {
     /// threads as if no pool were attached
     /// ([`force_machdep::launch_plane`] decides per run).  Pools may be
     /// shared by several sessions (a pool runs one job at a time).
-    pub fn with_pool(mut self, pool: Arc<ForcePool>) -> Self {
-        self.pool = Some(pool);
+    pub fn with_pool(self, pool: Arc<ForcePool>) -> Self {
+        self.session.attach_pool(pool);
         self
     }
 
@@ -181,7 +141,7 @@ impl Force {
 
     /// The machine the force runs on.
     pub fn machine(&self) -> &Arc<Machine> {
-        &self.machine
+        self.session.machine()
     }
 
     /// Execute `body` on every process of the force and `Join`: the call
@@ -201,7 +161,7 @@ impl Force {
             Ok(results) => results,
             // Re-raise the first faulting process's original panic payload
             // so callers (and `should_panic` tests) see it verbatim.
-            Err(fault) => match self.plane.take_payload() {
+            Err(fault) => match self.fault_plane().take_payload() {
                 Some(payload) => std::panic::resume_unwind(payload),
                 None => panic!("{fault}"),
             },
@@ -216,16 +176,7 @@ impl Force {
         R: Send,
         F: Fn(&Player) -> R + Sync,
     {
-        self.try_execute_with(
-            RunOptions {
-                watchdog: self.watchdog,
-                injection: self.injection,
-                trace: self.trace,
-                default_schedule: self.default_schedule,
-                ..RunOptions::default()
-            },
-            body,
-        )
+        self.try_execute_with(self.session.defaults(), body)
     }
 
     /// Run one job with explicit per-run [`RunOptions`] (watchdog bound,
@@ -242,52 +193,26 @@ impl Force {
         R: Send,
         F: Fn(&Player) -> R + Sync,
     {
-        // One run at a time per session: the resident construct state is
-        // exclusive to the running job.
-        let _run = self.run_lock.lock();
-        self.reset_session(options);
-        // Driver-thread charges during the run (lock creation, shared
-        // designation) attribute to this session rather than the bare
-        // machine; process-side charges attribute through the plane.
-        let _ambient = bind_ambient_stats(self.stats.clone());
-        // The delta reads this session's private block, so concurrent
-        // sessions (or server shards) on the same machine can never bleed
-        // into each other's per-job numbers.
-        let before = self.stats.local().snapshot();
-        let run_body = |pid: usize| {
-            let player = Player::new(
-                pid,
-                self.nproc,
-                Arc::clone(&self.machine),
-                Arc::clone(&self.env),
-                Arc::clone(&self.barrier),
-                Arc::clone(&self.registry),
-            );
-            body(&player)
+        // A fault may have stranded the barrier or the environment's
+        // locks mid-episode: both start the run in their initial states.
+        let reset = || {
+            self.registry.reset();
+            self.barrier.reset();
+            self.env.reset();
         };
-        let result = launch_plane(&self.plane, self.pool.as_deref(), run_body);
-        // A faulted run leaves no per-job results: its delta covers only
-        // the operations that happened to land before the teardown, and
-        // surfacing it (or worse, leaving the previous job's delta in
-        // place) would hand callers another job's numbers as this job's.
-        *self.last_job_stats.lock() = match &result {
-            Ok(_) => Some(self.stats.local().snapshot().delta(&before)),
-            Err(_) => None,
-        };
-        self.last_run_faulted
-            .store(result.is_err(), Ordering::Release);
-        result
-    }
-
-    /// Reset the resident session state in place for a new run: re-arm
-    /// the fault plane with this run's options, clear the collective
-    /// registry, and restore the barrier and environment to their
-    /// initial states (a fault may have stranded locks mid-episode).
-    fn reset_session(&self, options: RunOptions) {
-        self.plane.reset_for_job(options);
-        self.registry.reset();
-        self.barrier.reset();
-        self.env.reset();
+        self.session.run(self.nproc, options, reset, |run| {
+            run.launch(|pid| {
+                let player = Player::new(
+                    pid,
+                    self.nproc,
+                    Arc::clone(self.machine()),
+                    Arc::clone(&self.env),
+                    Arc::clone(&self.barrier),
+                    Arc::clone(&self.registry),
+                );
+                body(&player)
+            })
+        })
     }
 
     /// Primitive-operation counts of the most recent run — the per-job
@@ -297,7 +222,7 @@ impl Force {
     /// job has no meaningful per-job counts, and returning the previous
     /// job's delta would be a cross-job leak.
     pub fn last_job_stats(&self) -> Option<StatsSnapshot> {
-        *self.last_job_stats.lock()
+        self.session.last_job_stats()
     }
 
     /// Construct-level profile of the most recent run: per-construct
@@ -305,23 +230,11 @@ impl Force {
     /// spread, DOALL trip distribution, and the retained event trace
     /// (exportable with [`ProfileReport::chrome_trace_json`]).  `None`
     /// when the most recent run did not enable tracing (via
-    /// [`with_tracing`](Self::with_tracing) or `RunOptions::trace`).
-    ///
-    /// Summarization happens *here*, not per job: a traced run only pays
-    /// for recording, and this call drains the resident sink into a
-    /// plain-data report.  It takes the session's run lock (the sink is
-    /// only readable at job quiescence), so call it between runs, never
-    /// from inside a job body.
-    ///
-    /// Also `None` after a run that faulted: a torn-down job's sink
-    /// holds a partial, mid-flight event stream, not a profile of
-    /// completed work.
+    /// [`with_tracing`](Self::with_tracing) or `RunOptions::trace`), or
+    /// faulted.  Summarized here, from the resident sink, under the run
+    /// lock: call it between runs, never from inside a job body.
     pub fn last_job_profile(&self) -> Option<ProfileReport> {
-        let _run = self.run_lock.lock();
-        if self.last_run_faulted.load(Ordering::Acquire) {
-            return None;
-        }
-        self.plane.profile_report()
+        self.session.last_job_profile()
     }
 
     /// Summary of the most recent run's virtual schedule — seed, decision
@@ -329,11 +242,9 @@ impl Force {
     /// `None` unless the most recent run used
     /// [`force_machdep::ParkBackend::Virtual`].  Two runs of the same
     /// program with the same `(seed, machine)` produce identical
-    /// summaries; read it between runs (the next run rebuilds the
-    /// scheduler from its own seed).
+    /// summaries, faulted or not; read it between runs.
     pub fn last_virtual_summary(&self) -> Option<VirtualSummary> {
-        let _run = self.run_lock.lock();
-        self.plane.virtual_summary()
+        self.session.last_virtual_summary()
     }
 
     /// The session's resident fault plane.  The serving layer binds this
@@ -341,35 +252,26 @@ impl Force {
     /// deadline watchers can cancel a running job through the plane's
     /// trip token.
     pub fn fault_plane(&self) -> &Arc<FaultPlane> {
-        &self.plane
+        self.env.fault_plane()
     }
 
     /// Package a native force program as a [`JobRunner`] for a
     /// [`ForceServer`](force_machdep::serve::ForceServer): each attempt
-    /// binds this session's fault plane to the job (so deadlines can
-    /// cancel it), runs `body` under `options` via
+    /// binds this session's fault plane to the job
+    /// ([`JobCx::bind_attempt`](force_machdep::JobCx::bind_attempt), which
+    /// also re-rolls fault injection per retry), runs `body` via
     /// [`try_execute_with`](Self::try_execute_with), and reports the
     /// run's trace profile (if any) back to the server's per-tenant
-    /// rollup.
-    ///
-    /// Per-process results are discarded — a served job returns data by
-    /// writing through what `body` captures.  When `options` carries
-    /// fault injection, each retry re-derives the injection seed from
-    /// the attempt number, so a retried job re-rolls the injection
-    /// stream instead of deterministically replaying the same injected
-    /// fault (which would make retries useless by construction).
+    /// rollup.  Per-process results are discarded — a served job returns
+    /// data by writing through what `body` captures.
     pub fn serve_runner<F>(self: &Arc<Self>, options: RunOptions, body: F) -> JobRunner
     where
         F: Fn(&Player) + Send + Sync + 'static,
     {
         let force = Arc::clone(self);
         Box::new(move |cx| {
-            cx.bind_plane(force.fault_plane());
-            let mut opts = options;
-            if let Some(inj) = opts.injection.as_mut() {
-                inj.seed ^= u64::from(cx.attempt()).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            }
-            match force.try_execute_with(opts, |p| body(p)) {
+            let options = cx.bind_attempt(force.fault_plane(), options);
+            match force.try_execute_with(options, |p| body(p)) {
                 Ok(_) => Ok(JobYield {
                     profile: force.last_job_profile(),
                 }),
@@ -719,65 +621,6 @@ mod tests {
             1,
             "per-job delta, not cumulative"
         );
-    }
-
-    /// The stale-result hazard: after a faulted run, `last_job_stats`
-    /// and `last_job_profile` must return `None` — not the *previous*
-    /// job's results — on both dispatch paths.
-    fn assert_no_stale_results_after_fault(force: &Force) {
-        // Run 1: clean, traced — leaves real results behind.
-        force
-            .try_execute_with(
-                RunOptions {
-                    trace: Some(force_machdep::TraceConfig::default()),
-                    ..RunOptions::default()
-                },
-                |p| p.barrier(),
-            )
-            .expect("clean run");
-        assert_eq!(force.last_job_stats().unwrap().barrier_episodes, 1);
-        assert!(force.last_job_profile().is_some());
-        // Run 2: faults mid-flight.  Reading job 2's results must not
-        // surface job 1's.
-        let err = force
-            .try_execute_with(
-                RunOptions {
-                    trace: Some(force_machdep::TraceConfig::default()),
-                    ..RunOptions::default()
-                },
-                |p| {
-                    if p.pid() == 0 {
-                        panic!("casualty");
-                    }
-                    p.barrier();
-                },
-            )
-            .expect_err("the panic must fault the force");
-        assert_eq!(err.pid, 0);
-        assert!(
-            force.last_job_stats().is_none(),
-            "faulted run must clear last_job_stats"
-        );
-        assert!(
-            force.last_job_profile().is_none(),
-            "faulted run must clear last_job_profile"
-        );
-        // Run 3: clean again — results come back.
-        force.try_run(|p| p.barrier()).expect("clean run");
-        assert_eq!(force.last_job_stats().unwrap().barrier_episodes, 1);
-    }
-
-    #[test]
-    fn faulted_run_clears_results_scoped_path() {
-        assert_no_stale_results_after_fault(&Force::new(2));
-    }
-
-    #[test]
-    fn faulted_run_clears_results_pooled_path() {
-        let machine = Machine::new(MachineId::Flex32);
-        let pool = Arc::new(ForcePool::new(2, machine.stats()));
-        let force = Force::with_machine(2, machine).with_pool(pool);
-        assert_no_stale_results_after_fault(&force);
     }
 
     #[test]

@@ -1757,7 +1757,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     check_fork_mnemonic(self.rt.engine.machine(), &cp.names[*n as usize], HERE)?;
                 }
                 Instr::Fork { unit } => {
-                    let np = self.rt.nproc;
+                    let np = self.rt.run.plane().nproc();
                     let rt = self.rt;
                     let target = *unit as usize;
                     spawn_force(rt, HERE, &|pid| {

@@ -17,16 +17,14 @@
 //! is the paper's portability claim in executable form.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use force_machdep::fault::{self, Construct, INJECTED_FAULT_MARKER};
+use force_machdep::fault::{self, Construct};
 use force_machdep::linkreg::StartupRegistry;
 use force_machdep::{
-    bind_ambient_stats, launch_plane, trace, FaultPlane, ForcePool, FullEmptyState, JobError,
-    JobRunner, JobYield, LockHandle, LockKind, LockState, Machine, Mutex, ProcessFault,
-    ProcessModel, ProfileReport, RunOptions, SharedRegion, SharingModel, SharingModelId,
-    StatsHandle, StatsSnapshot,
+    trace, FaultPlane, ForcePool, FullEmptyState, JobError, JobRunner, JobYield, LockHandle,
+    LockKind, LockState, Machine, Mutex, ProcessModel, ProfileReport, RunOptions, Session,
+    SessionRun, SharedRegion, SharingModel, SharingModelId, StatsSnapshot, VirtualSummary,
 };
 use force_prep::weigh::{arc_bytes, str_bytes, vec_bytes};
 use force_prep::{ExpandedProgram, VarClass};
@@ -40,48 +38,33 @@ use crate::value::Value;
 /// A loaded Force program bound to a machine personality, executed one
 /// way: by the bytecode VM ([`crate::bytecode`]).
 ///
-/// An `Engine` is a reusable **session**: the shared COMMON region, the
-/// lock and full/empty-tag tables, and the fault plane live for the
-/// engine's lifetime and are *reset in place* at the start of every
-/// [`run`](Engine::run) instead of being reallocated — re-running a
-/// loaded program pays for shared-memory designation and (with a pool
-/// attached via [`set_pool`](Engine::set_pool)) process creation once,
-/// not per run.  All configuration is interior-mutable, so a shared
-/// `&Engine` can be watchdog-configured and run from several callers;
-/// runs on one session serialize.
+/// An `Engine` is a reusable **session**: a machine-dependent
+/// [`Session`] (counters, default options, pool, fault plane, the record
+/// of the last run) runs every job, and the shared COMMON region and the
+/// lock and full/empty-tag tables live for the engine's lifetime and are
+/// *reset in place* at the start of every [`run`](Engine::run) instead of
+/// being reallocated — re-running a loaded program pays for shared-memory
+/// designation and (with a pool attached via [`set_pool`](Engine::set_pool))
+/// process creation once, not per run.  All configuration is
+/// interior-mutable, so a shared `&Engine` can be watchdog-configured and
+/// run from several callers; runs on one session serialize.
 pub struct Engine {
     /// The compiled program: bytecode plus the facts the runtime
     /// services need.  Shared (via the expansion's payload slot) with
     /// every other engine loaded from the same expansion.
     bundle: Arc<CompiledBundle>,
-    machine: Arc<Machine>,
-    /// This session's private counter block: every charge made by this
-    /// engine's runs lands here *and* rolls up into the machine totals,
-    /// so [`RunOutput::stats`] reads a counter no other session sharing
-    /// the machine can perturb.
-    stats: StatsHandle,
+    /// Runs every job: machine, counters, default options, pool, plane.
+    session: Session,
     env_cells: Vec<String>,
     /// Force shared/async variables: name → (type, words).
     shared_vars: Vec<(String, Ty, usize)>,
-    /// Session defaults for [`run`](Self::run) (watchdog off, no
-    /// injection); overridable per run with [`run_with`](Self::run_with).
-    defaults: Mutex<RunOptions>,
-    /// Resident workers to dispatch forces onto; `None` spawns scoped
-    /// threads per run.
-    pool: Mutex<Option<Arc<ForcePool>>>,
-    /// Resident per-session state, reset in place between runs.
-    session: Session,
-    /// Serializes runs: the resident state is exclusive to one run.
-    run_lock: Mutex<()>,
-    /// Whether the most recent run faulted; gates
-    /// [`last_job_profile`](Engine::last_job_profile) so a dead run's
-    /// partial sink is never surfaced as a profile.
-    last_run_faulted: AtomicBool,
+    /// The program's resident state, reset in place between runs.
+    resident: Resident,
 }
 
-/// The engine's resident state: allocated on first use, reset in place
-/// (never reallocated) between runs.
-struct Session {
+/// The engine's resident program state: allocated on first use, reset in
+/// place (never reallocated) between runs.
+struct Resident {
     /// How this program's shared blocks are designated: the machine's
     /// sharing model, with (on the Sequent) this program's own startup
     /// registry — the link pass happens once per program, not per machine.
@@ -107,8 +90,6 @@ struct Session {
     /// quiescence and frees any still-held slot.  Nothing else takes
     /// this mutex: holds are kept by the process that holds them.
     held_user: Mutex<Vec<usize>>,
-    /// The fault plane, reused across runs of the same process count.
-    plane: Mutex<Option<Arc<FaultPlane>>>,
 }
 
 /// A program as an engine executes it, built once per expansion: the
@@ -225,27 +206,19 @@ impl Engine {
                 exp.payload.attach(Arc::new(bundle), weight)
             }
         };
-        let stats = machine.stats_handle().child();
-        let sharing = machine.sharing_model();
         Ok(Engine {
             bundle,
-            machine,
-            stats,
-            env_cells: exp.env_cells.clone(),
-            shared_vars,
-            defaults: Mutex::new(RunOptions::default()),
-            pool: Mutex::new(None),
-            session: Session {
-                sharing,
+            resident: Resident {
+                sharing: machine.sharing_model(),
                 shared: Mutex::new(None),
                 locks: Mutex::new(HashMap::new()),
                 tags: Mutex::new(HashMap::new()),
                 pooled_user: Mutex::new(HashSet::new()),
                 held_user: Mutex::new(Vec::new()),
-                plane: Mutex::new(None),
             },
-            run_lock: Mutex::new(()),
-            last_run_faulted: AtomicBool::new(false),
+            session: Session::new(machine),
+            env_cells: exp.env_cells.clone(),
+            shared_vars,
         })
     }
 
@@ -256,14 +229,14 @@ impl Engine {
     /// sets the session default; [`run_with`](Self::run_with) overrides
     /// it per run.
     pub fn set_watchdog(&self, bound: std::time::Duration) {
-        self.defaults.lock().watchdog = Some(bound);
+        self.session.configure(|o| o.watchdog = Some(bound));
     }
 
     /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
     /// reuses its workers, any other run uses scoped threads as if no
     /// pool were attached ([`force_machdep::launch_plane`] decides).
     pub fn set_pool(&self, pool: Arc<ForcePool>) {
-        *self.pool.lock() = Some(pool);
+        self.session.attach_pool(pool);
     }
 
     /// The Force shared/async variables, name → words: the table
@@ -277,14 +250,13 @@ impl Engine {
 
     /// The machine personality.
     pub fn machine(&self) -> &Arc<Machine> {
-        &self.machine
+        self.session.machine()
     }
 
     /// Run the driver (which creates the force of `nproc` processes)
     /// with the session-default [`RunOptions`].
     pub fn run(&self, nproc: usize) -> Result<RunOutput, FortError> {
-        let options = *self.defaults.lock();
-        self.run_with(nproc, options)
+        self.run_with(nproc, self.session.defaults())
     }
 
     /// Run the driver with explicit per-run [`RunOptions`] (watchdog
@@ -299,53 +271,41 @@ impl Engine {
         })
     }
 
-    /// One run of this session: the prologue (session reset, ambient
-    /// stats, per-run runtime state), `exec` executing the named driver
-    /// unit, and the epilogue (scarce-lock hygiene, observables).  The
-    /// executor is the argument — the bytecode VM from
-    /// [`run_with`](Self::run_with), the tree-walker from
-    /// [`crate::oracle::Oracle`] — so everything around it exists once.
+    /// One run of this session: the [`Session`]'s prologue (plane reset,
+    /// this engine's [`reset_session`](Self::reset_session), ambient
+    /// stats), `exec` executing the named driver unit, and the epilogue
+    /// (scarce-lock hygiene, observables).  The executor is the argument —
+    /// the bytecode VM from [`run_with`](Self::run_with), the tree-walker
+    /// from [`crate::oracle::Oracle`] — so everything around it exists
+    /// once.
     pub(crate) fn run_driver(
         &self,
         nproc: usize,
         options: RunOptions,
         exec: impl FnOnce(&Rt<'_>, &str) -> Result<(), FortError>,
     ) -> Result<RunOutput, FortError> {
-        assert!(nproc > 0, "a force needs at least one process");
-        // One run at a time per session: the resident state is exclusive
-        // to the running job.
-        let _run = self.run_lock.lock();
-        self.reset_session(options);
-        // Driver-thread charges (shared designation, lock creation)
-        // attribute to this session; force processes charge through the
-        // session's plane.  The delta below therefore reads a counter
-        // block private to this engine — concurrent sessions on the same
-        // machine cannot bleed into it.
-        let _ambient = bind_ambient_stats(self.stats.clone());
-        let before = self.stats.local().snapshot();
-        let rt = Rt {
-            engine: self,
-            nproc,
-            options,
-            prints: Mutex::new(Vec::new()),
-            linker: Mutex::new(Vec::new()),
+        let job = |run: &SessionRun<'_>| {
+            let rt = Rt {
+                engine: self,
+                run,
+                prints: Mutex::new(Vec::new()),
+                linker: Mutex::new(Vec::new()),
+            };
+            let exec_result = exec(&rt, &self.bundle.driver);
+            // Scarce-pool hygiene before anything else: a faulting critical
+            // holder must not wedge the machine's physical slot for later
+            // runs (possibly by a *different* engine sharing this machine).
+            self.release_wedged_user_locks();
+            exec_result?;
+            Ok(self.observe(rt, run.stats()))
         };
-        let exec_result = exec(&rt, &self.bundle.driver);
-        // A faulted run leaves no results behind: the flag below makes
-        // `last_job_profile` answer `None` instead of surfacing the dead
-        // run's partial event sink (or a previous run's data).
-        self.last_run_faulted
-            .store(exec_result.is_err(), Ordering::Release);
-        // Scarce-pool hygiene before anything else: a faulting critical
-        // holder must not wedge the machine's physical slot for later
-        // runs (possibly by a *different* engine sharing this machine).
-        self.release_wedged_user_locks();
-        exec_result?;
+        self.session
+            .run(nproc, options, || self.reset_session(), job)
+    }
 
-        // Collect observables.
-        let after = self.stats.local().snapshot();
-        let stats = after.since(&before);
-        let costs = self.machine.spec().costs;
+    /// A clean run's observables, collected at its quiescence.
+    fn observe(&self, rt: Rt<'_>, stats: StatsSnapshot) -> RunOutput {
+        let costs = self.machine().spec().costs;
         let cycles = stats.lock_acquires * costs.lock_op
             + stats.lock_releases * costs.lock_op
             + stats.lock_contended * costs.contended_lock
@@ -354,7 +314,7 @@ impl Engine {
             + stats.processes_created * costs.process_create
             + stats.shared_words * costs.shared_access;
         let mut shared_values = HashMap::new();
-        if let Some(state) = self.session.shared.lock().as_ref() {
+        if let Some(state) = self.resident.shared.lock().as_ref() {
             for (name, ty, words) in &self.shared_vars {
                 if let Some(&base) = state.bases.get(name) {
                     let vals = (0..*words)
@@ -372,19 +332,17 @@ impl Engine {
                 }
             }
         }
-        // Snapshot the profile while the run's quiescence still holds
-        // (the next run's reset would wipe the sink).  Gated on this
-        // run's options so a resident plane from an earlier traced run
-        // cannot leak a stale profile into an untraced one.
-        let profile = options.trace.and_then(|_| self.resident_profile());
-        Ok(RunOutput {
+        RunOutput {
+            // Summarized while the run's quiescence still holds (the next
+            // run's reset wipes the sink); the plane traces only when
+            // this run's options asked it to.
+            profile: rt.run.plane().profile_report(),
             prints: rt.prints.into_inner(),
             stats,
             cycles,
             linker_commands: rt.linker.into_inner(),
             shared_values,
-            profile,
-        })
+        }
     }
 
     /// The environment cells as `ZZFENV` holds them: name, first word
@@ -409,58 +367,48 @@ impl Engine {
         })
     }
 
-    /// Construct-level profile of the most recent run (see
-    /// [`RunOutput::profile`]); `None` when that run did not trace — or
-    /// when it faulted, since a torn-down run's sink holds a partial
-    /// event stream, not a profile of completed work.
-    /// Summarized lazily from the resident sink under the run lock —
-    /// call it between runs, never from inside a running program.
-    pub fn last_job_profile(&self) -> Option<ProfileReport> {
-        let _run = self.run_lock.lock();
-        if self.last_run_faulted.load(Ordering::Acquire) {
-            return None;
-        }
-        self.resident_profile()
+    /// Operation counts of the most recent run (see
+    /// [`RunOutput::stats`]); `None` before the first run and after one
+    /// that failed.
+    pub fn last_job_stats(&self) -> Option<StatsSnapshot> {
+        self.session.last_job_stats()
     }
 
-    /// The resident plane's trace sink, summarized.
-    fn resident_profile(&self) -> Option<ProfileReport> {
-        let plane = self.session.plane.lock();
-        plane.as_ref().and_then(|p| p.profile_report())
+    /// Construct-level profile of the most recent run (see
+    /// [`RunOutput::profile`]); `None` when that run did not trace or
+    /// failed.  Summarized lazily from the resident sink under the run
+    /// lock — call it between runs, never from inside a running program.
+    pub fn last_job_profile(&self) -> Option<ProfileReport> {
+        self.session.last_job_profile()
+    }
+
+    /// Summary of the most recent run's virtual schedule, its replay key:
+    /// `None` unless it ran under [`force_machdep::ParkBackend::Virtual`],
+    /// kept after a faulted run.  Read it between runs.
+    pub fn last_virtual_summary(&self) -> Option<VirtualSummary> {
+        self.session.last_virtual_summary()
     }
 
     /// The session's resident fault plane for a force of `nproc`
-    /// processes, creating (or resizing) it if needed.  The serving
-    /// layer binds this to a job context before a run so a deadline
-    /// watcher can cancel the run through the plane's trip token even
-    /// though the engine only forks its force mid-program.
+    /// processes ([`Session::fault_plane`]): what the serving layer binds
+    /// to a job before the run, though the engine forks mid-program.
     pub fn fault_plane(&self, nproc: usize) -> Arc<FaultPlane> {
-        assert!(nproc > 0, "a force needs at least one process");
-        let mut slot = self.session.plane.lock();
-        let resident = slot.take().filter(|p| p.nproc() == nproc);
-        let plane = resident.unwrap_or_else(|| {
-            let costs = self.machine.spec().costs;
-            FaultPlane::with_handle(nproc, self.stats.child(), costs, *self.defaults.lock())
-        });
-        *slot = Some(Arc::clone(&plane));
-        plane
+        self.session.fault_plane(nproc)
     }
 
     /// Package this engine's program as a [`JobRunner`] for a
     /// [`ForceServer`](force_machdep::serve::ForceServer): each attempt
-    /// binds the session's fault plane (so deadlines can cancel the
-    /// run), executes via [`run_with`](Self::run_with), and maps the
-    /// result onto the server's retry taxonomy — an error carrying the
-    /// injection marker becomes a transient [`JobError::Fault`], while
-    /// every genuine `FortError` (type errors, overflow, runtime faults)
-    /// becomes [`JobError::Deterministic`] and is never retried.
+    /// binds the session's fault plane
+    /// ([`JobCx::bind_attempt`](force_machdep::JobCx::bind_attempt), which
+    /// also re-rolls fault injection per retry), executes via
+    /// [`run_with`](Self::run_with), and maps an error onto the server's
+    /// retry taxonomy with [`JobError::classify`]: one carrying the
+    /// injection marker is transient, every genuine `FortError` (type
+    /// errors, overflow, runtime faults) deterministic and never retried.
     ///
     /// `on_output` observes each successful run's [`RunOutput`] (prints,
     /// shared values, stats); pass a closure capturing a slot, or `|_|
-    /// ()` to discard.  When `options` carries fault injection, each
-    /// retry re-derives the injection seed from the attempt number so a
-    /// retried job does not deterministically replay the same injected
-    /// fault.
+    /// ()` to discard.
     pub fn serve_runner<F>(
         self: &Arc<Self>,
         nproc: usize,
@@ -472,52 +420,31 @@ impl Engine {
     {
         let engine = Arc::clone(self);
         Box::new(move |cx| {
-            cx.bind_plane(&engine.fault_plane(nproc));
-            let mut opts = options;
-            if let Some(inj) = opts.injection.as_mut() {
-                inj.seed ^= u64::from(cx.attempt()).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            }
-            match engine.run_with(nproc, opts) {
+            let options = cx.bind_attempt(&engine.fault_plane(nproc), options);
+            match engine.run_with(nproc, options) {
                 Ok(output) => {
                     let profile = output.profile.clone();
                     on_output(output);
                     Ok(JobYield { profile })
                 }
-                Err(e) => {
-                    let msg = e.to_string();
-                    if msg.contains(INJECTED_FAULT_MARKER) {
-                        Err(JobError::Fault(ProcessFault {
-                            pid: 0,
-                            construct: "interpreter",
-                            payload: msg,
-                        }))
-                    } else {
-                        Err(JobError::Deterministic(msg))
-                    }
-                }
+                Err(e) => Err(JobError::classify("interpreter", e.to_string())),
             }
         })
     }
 
-    /// Reset the resident session state in place for a new run: zero the
+    /// Reset the resident program state in place for a new run: zero the
     /// cached shared region (fresh COMMON storage without a fresh
     /// designation pass) and clear the lock and tag tables (each run's
     /// driver re-executes every `init_lock`; full/empty cells start
-    /// empty).  A resident fault plane is re-armed with this run's
-    /// options up front (so a run that never creates a force still
-    /// cannot observe a previous job's trip or trace); process creation
-    /// re-arms again when it reuses the plane, which is idempotent.
-    fn reset_session(&self, options: RunOptions) {
-        if let Some(state) = self.session.shared.lock().as_ref() {
+    /// empty).  The [`Session`] has reset the plane already.
+    fn reset_session(&self) {
+        if let Some(state) = self.resident.shared.lock().as_ref() {
             state.region.reset();
         }
         self.release_wedged_user_locks();
-        self.session.locks.lock().clear();
-        self.session.tags.lock().clear();
-        self.session.pooled_user.lock().clear();
-        if let Some(plane) = self.session.plane.lock().as_ref() {
-            plane.reset_for_job(options);
-        }
+        self.resident.locks.lock().clear();
+        self.resident.tags.lock().clear();
+        self.resident.pooled_user.lock().clear();
     }
 
     /// Free any pooled user-critical slot still held at run quiescence.
@@ -534,11 +461,11 @@ impl Engine {
     /// fault orphan, never a live holder.  It runs before the reset
     /// clears the lock table, which still maps each offset to its lock.
     fn release_wedged_user_locks(&self) {
-        let orphans = std::mem::take(&mut *self.session.held_user.lock());
+        let orphans = std::mem::take(&mut *self.resident.held_user.lock());
         if orphans.is_empty() {
             return;
         }
-        let locks = self.session.locks.lock();
+        let locks = self.resident.locks.lock();
         for handle in orphans.iter().filter_map(|offset| locks.get(offset)) {
             if handle.is_locked() {
                 handle.unlock();
@@ -554,13 +481,13 @@ pub(crate) struct SharedState {
 }
 
 /// Per-run runtime state shared by all processes.  The long-lived
-/// tables (shared region, locks, tags) live on the engine's [`Session`];
-/// this carries only the run-scoped pieces.
+/// tables (shared region, locks, tags) live on the engine's [`Resident`]
+/// state; this carries only the run-scoped pieces.
 pub(crate) struct Rt<'e> {
     pub(crate) engine: &'e Engine,
-    pub(crate) nproc: usize,
-    /// This run's fault-containment options.
-    pub(crate) options: RunOptions,
+    /// The session's view of this run: its plane (of the run's width)
+    /// and pool.
+    pub(crate) run: &'e SessionRun<'e>,
     pub(crate) prints: Mutex<Vec<String>>,
     pub(crate) linker: Mutex<Vec<String>>,
 }
@@ -571,11 +498,11 @@ impl Rt<'_> {
     /// through the machine's sharing model.  On the Sequent this fails
     /// until the startup/link protocol has run — faithfully.
     pub(crate) fn shared(&self, line: usize) -> Result<Arc<SharedState>, FortError> {
-        let mut guard = self.engine.session.shared.lock();
+        let mut guard = self.engine.resident.shared.lock();
         if let Some(s) = guard.as_ref() {
             return Ok(Arc::clone(s));
         }
-        let machine = &self.engine.machine;
+        let machine = self.engine.machine();
         let blocks: Vec<force_machdep::BlockRequest> = self
             .engine
             .bundle
@@ -583,7 +510,7 @@ impl Rt<'_> {
             .iter()
             .map(|(n, w)| force_machdep::BlockRequest::new(n.clone(), *w))
             .collect();
-        let layout = self.engine.session.sharing.layout(&blocks).map_err(|e| {
+        let layout = self.engine.resident.sharing.layout(&blocks).map_err(|e| {
             FortError::at(
                 line,
                 FortErrorKind::Runtime(format!("shared memory designation failed: {e}")),
@@ -605,15 +532,15 @@ impl Rt<'_> {
     /// variable, and never again by that process's lock operations.
     pub(crate) fn resolve_lock(&self, offset: usize, line: usize) -> Result<ProcLock, FortError> {
         let handle = self.lock_handle(offset, line)?;
-        let pooled = self.engine.machine.spec().lock_pool_capacity.is_some()
-            && self.engine.session.pooled_user.lock().contains(&offset);
+        let pooled = self.engine.machine().spec().lock_pool_capacity.is_some()
+            && self.engine.resident.pooled_user.lock().contains(&offset);
         Ok(ProcLock { handle, pooled })
     }
 
     /// The name of the lock variable at a shared offset, for a message.
     fn lock_var_name(&self, offset: usize) -> String {
         let in_env = || {
-            let shared = self.engine.session.shared.lock();
+            let shared = self.engine.resident.shared.lock();
             let word = offset.checked_sub(*shared.as_ref()?.bases.get("ZZFENV")?)?;
             let mut cells = self.engine.env_layout();
             let (name, ..) =
@@ -624,7 +551,7 @@ impl Rt<'_> {
     }
 
     pub(crate) fn lock_handle(&self, offset: usize, line: usize) -> Result<LockHandle, FortError> {
-        let locks = self.engine.session.locks.lock();
+        let locks = self.engine.resident.locks.lock();
         locks
             .get(&offset)
             .cloned()
@@ -632,11 +559,12 @@ impl Rt<'_> {
     }
 
     pub(crate) fn tag_handle(&self, offset: usize) -> Arc<FullEmptyState> {
-        let mut tags = self.engine.session.tags.lock();
-        Arc::clone(
-            tags.entry(offset)
-                .or_insert_with(|| Arc::new(FullEmptyState::new_empty(self.engine.stats.clone()))),
-        )
+        let mut tags = self.engine.resident.tags.lock();
+        Arc::clone(tags.entry(offset).or_insert_with(|| {
+            Arc::new(FullEmptyState::new_empty(
+                self.engine.session.stats().clone(),
+            ))
+        }))
     }
 }
 
@@ -709,7 +637,7 @@ impl<'e> PooledHolds<'e> {
     pub(crate) fn new(rt: &Rt<'e>) -> Self {
         PooledHolds {
             held: Vec::new(),
-            orphans: &rt.engine.session.held_user,
+            orphans: &rt.engine.resident.held_user,
         }
     }
 }
@@ -761,7 +689,7 @@ pub(crate) fn lock_service(
             // another would wait for itself.
             let id = lock_identity(handle);
             if let Some(&(outer, _)) = holds.held.iter().find(|&&(_, h)| h == id) {
-                let capacity = rt.engine.machine.spec().lock_pool_capacity.unwrap_or(0);
+                let capacity = rt.engine.machine().spec().lock_pool_capacity.unwrap_or(0);
                 return Err(FortError::runtime(
                     line,
                     format!(
@@ -803,7 +731,7 @@ pub(crate) fn lock_service(
 /// only user locks (`ZZINITU`) draw on the machine's possibly scarce
 /// pool.  `ZZINITK` creates the lock already held.
 pub(crate) fn init_lock_service(rt: &Rt<'_>, offset: usize, keep_locked: bool, user_pool: bool) {
-    let machine = &rt.engine.machine;
+    let machine = rt.engine.machine();
     let state = if keep_locked {
         LockState::Locked
     } else {
@@ -815,21 +743,21 @@ pub(crate) fn init_lock_service(rt: &Rt<'_>, offset: usize, keep_locked: bool, u
         // cannot wedge the physical slot (see
         // `Engine::release_wedged_user_locks`).
         if machine.spec().lock_pool_capacity.is_some() {
-            rt.engine.session.pooled_user.lock().insert(offset);
+            rt.engine.resident.pooled_user.lock().insert(offset);
         }
         machine.make_lock(state)
     } else {
         machine.make_dedicated_lock(state)
     };
-    rt.engine.session.locks.lock().insert(offset, lock);
+    rt.engine.resident.locks.lock().insert(offset, lock);
 }
 
 /// `ZZAINI`: async-variable init, E locked (empty), F unlocked.  These
 /// locks *encode state* — E stays locked for as long as the variable is
 /// empty — so they must never alias a pooled lock: dedicated reserve.
 pub(crate) fn aini_service(rt: &Rt<'_>, e: usize, f: usize) {
-    let machine = &rt.engine.machine;
-    let mut locks = rt.engine.session.locks.lock();
+    let machine = rt.engine.machine();
+    let mut locks = rt.engine.resident.locks.lock();
     locks.insert(e, machine.make_dedicated_lock(LockState::Locked));
     locks.insert(f, machine.make_dedicated_lock(LockState::Unlocked));
 }
@@ -907,7 +835,7 @@ pub(crate) fn hep_copy(state: &SharedState, tag: &FullEmptyState, offset: usize,
 
 /// This session's startup registry; only a link-time machine has one.
 fn link_registry<'e>(rt: &Rt<'e>, line: usize) -> Result<&'e StartupRegistry, FortError> {
-    let sharing = &rt.engine.session.sharing;
+    let sharing = &rt.engine.resident.sharing;
     sharing.link_registry().ok_or_else(|| {
         FortError::at(
             line,
@@ -943,7 +871,7 @@ pub(crate) fn link_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
 
 /// `ZZSHPG`: designate run-time shared pages.
 pub(crate) fn shpg_service(rt: &Rt<'_>, line: usize) -> Result<(), FortError> {
-    let id = rt.engine.machine.spec().sharing;
+    let id = rt.engine.machine().spec().sharing;
     if !matches!(
         id,
         SharingModelId::RunTimePaged | SharingModelId::PageAligned
@@ -983,9 +911,9 @@ pub(crate) fn check_fork_mnemonic(
     Ok(())
 }
 
-/// Create the force: run `body(pid)` on `rt.nproc` processes under the
-/// session's resident fault plane, with the session's pool (if any)
-/// attached.  A runtime error in one process must not leave its peers
+/// Create the force: run `body(pid)` on every process of the run's
+/// plane, reset by the session's prologue, with the session's pool (if
+/// any) attached.  A runtime error in one process must not leave its peers
 /// parked in a barrier or async wait: the first error trips the fault
 /// plane (cancelling the rest of the force) and is reported with its own
 /// line number.
@@ -994,9 +922,6 @@ pub(crate) fn spawn_force(
     line: usize,
     body: &(dyn Fn(usize) -> Result<(), FortError> + Sync),
 ) -> Result<(), FortError> {
-    // The session's resident plane, re-armed with this run's options.
-    let plane = rt.engine.fault_plane(rt.nproc);
-    plane.reset_for_job(rt.options);
     let first_err: Mutex<Option<FortError>> = Mutex::new(None);
     let run_one = |pid: usize| {
         // With tracing armed, the whole process body is attributed to
@@ -1011,11 +936,10 @@ pub(crate) fn spawn_force(
                     *slot = Some(e);
                 }
             }
-            fault::trip_current(Construct::Interpreter, msg);
+            fault::trip_current(Construct::Interpreter.name(), msg);
         }
     };
-    let pool = rt.engine.pool.lock().clone();
-    let spawned = launch_plane(&plane, pool.as_deref(), run_one);
+    let spawned = rt.run.launch(run_one);
     if let Some(e) = first_err.lock().take() {
         return Err(e);
     }

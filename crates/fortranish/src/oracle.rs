@@ -345,7 +345,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                     }
                 };
                 let unit = self.program.unit(&unit_name).expect("checked");
-                let np = self.rt.nproc;
+                let np = self.rt.run.plane().nproc();
                 spawn_force(self.rt, line, &|pid| {
                     let p = Proc::new(self.rt, self.program, pid as i64, np as i64);
                     p.exec(unit, Vec::new()).map(|_| ())

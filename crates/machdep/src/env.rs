@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::fault::{FaultConfig, FaultPlane};
+use crate::fault::{FaultPlane, RunOptions};
 use crate::lock::{LockHandle, LockState};
 use crate::machine::Machine;
 use crate::portable::Mutex;
@@ -54,7 +54,7 @@ impl ForceEnvironment {
         let plane = FaultPlane::new(
             nproc.max(1),
             Arc::clone(machine.stats()),
-            FaultConfig::default(),
+            RunOptions::default(),
         );
         Self::with_fault_plane(machine, nproc, plane)
     }

@@ -42,7 +42,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::cost::CostModel;
 use crate::park::{self, ParkBackend, Parker, VirtualSummary};
@@ -202,9 +202,13 @@ impl FaultInjection {
     }
 }
 
-/// Per-force fault-plane configuration.
+/// Per-run options: what applies to *one* job — watchdog bound, fault
+/// injection, tracing, default schedule and parking backend.  A resident
+/// session re-arms its plane with these at the start of every run
+/// ([`FaultPlane::reset_for_job`]), so a shared pooled force or engine
+/// can be configured per job without `&mut` access.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FaultConfig {
+pub struct RunOptions {
     /// Deadlock watchdog bound; `None` (the default) disables the
     /// watchdog.
     pub watchdog: Option<Duration>,
@@ -223,15 +227,6 @@ pub struct FaultConfig {
     /// lets `nproc` far exceed the host's cores.
     pub backend: ParkBackend,
 }
-
-/// Per-run options for a reusable execution session: what applies to
-/// *one* job — watchdog bound, fault injection, tracing, default
-/// schedule and parking backend.  An alias of
-/// [`FaultConfig`] — a resident session re-arms its plane with these at
-/// the start of every run ([`FaultPlane::reset_for_job`]), so a shared
-/// pooled force or engine can be configured per job without `&mut`
-/// access.
-pub type RunOptions = FaultConfig;
 
 /// Wait-board states (low two bits of each board word).
 const RUNNING: usize = 0;
@@ -282,7 +277,7 @@ pub struct FaultPlane {
     /// swap it between jobs ([`reset_for_job`](Self::reset_for_job));
     /// the hot injection path never touches it — each process snapshots
     /// the injection config into its thread-local context at install.
-    config: Mutex<FaultConfig>,
+    config: Mutex<RunOptions>,
     /// The cancellation token.  Set (with `Release`) only after the first
     /// fault has been recorded, so an observer that sees the trip can
     /// read the fault.
@@ -308,8 +303,9 @@ pub struct FaultPlane {
 
 /// What one served attempt leaves on the plane it binds, from
 /// `JobCx::bind_plane` until the dispatcher ends the attempt
-/// ([`FaultPlane::end_loan`]).  A session reset between the two — a run
-/// starts with one — leaves both alone.
+/// ([`FaultPlane::end_loan`]).  Binding records, reset applies: a session
+/// reset between the two — a run starts with one — leaves all of it in
+/// place and applies the deadline to the run.
 #[derive(Default)]
 struct Bound {
     /// A resident force lent to the plane, for
@@ -318,6 +314,10 @@ struct Bound {
     /// thread — so a force launched from inside the served job (another
     /// plane) cannot re-enter the pool its own launcher occupies.
     loan: Option<Arc<LazyPool>>,
+    /// The attempt's deadline instant, which every
+    /// [`FaultPlane::reset_for_job`] of a virtual run arms on the virtual
+    /// clock as the budget left.
+    deadline_at: Option<Instant>,
     /// The attempt's deadline trip ([`FaultPlane::trip_deadline`]), which
     /// every [`FaultPlane::reset_for_job`] puts back.
     deadline: Option<ProcessFault>,
@@ -332,7 +332,7 @@ impl FaultPlane {
     /// block): the plane gets a fresh private block whose every charge
     /// is mirrored into `stats`, so per-plane deltas are exact while
     /// the parent remains a consistent aggregate view.
-    pub fn new(nproc: usize, stats: Arc<OpStats>, config: FaultConfig) -> Arc<FaultPlane> {
+    pub fn new(nproc: usize, stats: Arc<OpStats>, config: RunOptions) -> Arc<FaultPlane> {
         let costs = CostModel::fork_spin();
         Self::with_handle(nproc, StatsHandle::root(stats).child(), costs, config)
     }
@@ -345,7 +345,7 @@ impl FaultPlane {
         nproc: usize,
         stats: StatsHandle,
         costs: CostModel,
-        config: FaultConfig,
+        config: RunOptions,
     ) -> Arc<FaultPlane> {
         Arc::new(FaultPlane {
             nproc,
@@ -386,40 +386,16 @@ impl FaultPlane {
         &self.stats
     }
 
-    /// The configured watchdog bound, if any.
-    pub fn watchdog_interval(&self) -> Option<Duration> {
-        self.config.lock().watchdog
-    }
-
-    /// The configured fault injection, if any.
-    pub fn injection(&self) -> Option<FaultInjection> {
-        self.config.lock().injection
-    }
-
-    /// The job's default work-distribution policy.
-    pub fn default_schedule(&self) -> SchedulePolicy {
-        self.config.lock().default_schedule
+    /// The options the plane was last armed with (the job's watchdog
+    /// bound, injection, default schedule, …).
+    pub fn config(&self) -> RunOptions {
+        *self.config.lock()
     }
 
     /// The job's parking backend state (shared; processes snapshot the
     /// `Arc` into their thread-local context at install).
     pub fn parker(&self) -> Arc<Parker> {
         Arc::clone(&self.parker.lock())
-    }
-
-    /// Whether this job multiplexes pids over a worker fleet
-    /// ([`ParkBackend::Overcommit`]) or the virtual run token
-    /// ([`ParkBackend::Virtual`]).
-    pub fn is_overcommit(&self) -> bool {
-        self.parker.lock().is_multiplexed()
-    }
-
-    /// Whether this job runs under the deterministic virtual-time
-    /// scheduler ([`ParkBackend::Virtual`]).  The process layers skip
-    /// the wall-clock deadlock watchdog for such jobs — the scheduler's
-    /// own barren-poll detector replaces it on virtual time.
-    pub fn is_virtual(&self) -> bool {
-        self.parker.lock().is_virtual()
     }
 
     /// Summary of the job's virtual schedule (`None` unless the job ran
@@ -437,7 +413,7 @@ impl FaultPlane {
     /// still running under this plane); the session layers serialize
     /// their runs to guarantee that.  After the reset, a fault tripped by
     /// job *N* is invisible to job *N + 1*.
-    pub fn reset_for_job(&self, config: FaultConfig) {
+    pub fn reset_for_job(&self, config: RunOptions) {
         {
             let mut sink = self.trace.lock();
             match config.trace {
@@ -486,20 +462,30 @@ impl FaultPlane {
         // A deadline that fired on the attempt this run belongs to is not
         // the previous job's fault: the run starts cancelled.  Under the
         // lock `trip_deadline` trips under, so the trip lands wholly
-        // before this reset (and is put back) or wholly after it.
+        // before this reset (and is put back) or wholly after it.  A
+        // virtual run does almost no wall-clock work, so its budget left
+        // is armed on the virtual clock too (1 wall ns = 1 virtual ns),
+        // where the miss shows and replays with the schedule.
         let bound = self.bound.lock();
+        if let Some(at) = bound.deadline_at.filter(|_| config.backend.is_virtual()) {
+            self.parker()
+                .arm_virtual_deadline(at.saturating_duration_since(Instant::now()));
+        }
         *self.fault.lock() = bound.deadline.clone();
         self.tripped
             .store(bound.deadline.is_some(), Ordering::Release);
     }
 
-    /// Lend `pool` to this plane until [`end_loan`](Self::end_loan).
-    pub(crate) fn lend(&self, pool: &Arc<LazyPool>) {
-        self.bound.lock().loan = Some(Arc::clone(pool));
+    /// Lend `pool` to this plane, and record the attempt's deadline
+    /// instant, until [`end_loan`](Self::end_loan).
+    pub(crate) fn lend(&self, pool: &Arc<LazyPool>, deadline_at: Option<Instant>) {
+        let mut bound = self.bound.lock();
+        bound.loan = Some(Arc::clone(pool));
+        bound.deadline_at = deadline_at;
     }
 
     /// The served attempt is over: withdraw whatever was lent and let go
-    /// of its deadline trip, so the next launch of this plane is the
+    /// of its deadline, so the next launch of this plane is the
     /// session's own business again.  A trip already on the plane stays
     /// until the next reset, like any fault.
     pub(crate) fn end_loan(&self) {
@@ -754,15 +740,16 @@ impl Drop for CtxGuard {
 /// context).
 pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
     assert!(pid < plane.nproc, "pid {pid} outside the plane");
+    let config = plane.config();
     CTX.with(|c| {
         let prev = c.borrow_mut().replace(Ctx {
             plane: Arc::clone(plane),
             pid,
             construct: Cell::new(Construct::Body),
             panicked_in: Cell::new(None),
-            injection: plane.injection(),
+            injection: config.injection,
             trace: plane.trace_sink(),
-            schedule: plane.default_schedule(),
+            schedule: config.default_schedule,
             parker: {
                 let parker = plane.parker();
                 parker.is_multiplexed().then_some(parker)
@@ -1132,35 +1119,12 @@ pub fn bind_ambient_stats(handle: StatsHandle) -> AmbientStatsGuard {
     }
 }
 
-/// Trip the current force's plane from inside a process (used by the
-/// interpreter to report a runtime error without panicking).  Returns
-/// `false` when called outside a force.
-pub fn trip_current(construct: Construct, payload: String) -> bool {
-    let plane_pid = CTX.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|ctx| (Arc::clone(&ctx.plane), ctx.pid))
-    });
-    match plane_pid {
-        Some((plane, pid)) => {
-            plane.trip(
-                ProcessFault {
-                    pid,
-                    construct: construct.name(),
-                    payload,
-                },
-                None,
-            );
-            true
-        }
-        None => false,
-    }
-}
-
-/// Trip the current force's plane attributing the fault to a construct
-/// *name* outside the [`Construct`] table (the serve layer's `deadline`,
-/// for instance).  Returns `false` when called outside a force.
-pub fn trip_current_named(construct: &'static str, payload: String) -> bool {
+/// Trip the current force's plane from inside a process, attributing the
+/// fault to `construct` — a [`Construct::name`], or a name outside the
+/// table such as the serve layer's `deadline`.  The interpreter reports a
+/// runtime error this way without panicking.  Returns `false` when called
+/// outside a force.
+pub fn trip_current(construct: &'static str, payload: String) -> bool {
     let plane_pid = CTX.with(|c| {
         c.borrow()
             .as_ref()
@@ -1249,13 +1213,13 @@ pub fn spurious_lock_failure() -> bool {
 mod tests {
     use super::*;
 
-    fn plane(nproc: usize, config: FaultConfig) -> Arc<FaultPlane> {
+    fn plane(nproc: usize, config: RunOptions) -> Arc<FaultPlane> {
         FaultPlane::new(nproc, Arc::new(OpStats::new()), config)
     }
 
     #[test]
     fn first_trip_wins() {
-        let p = plane(2, FaultConfig::default());
+        let p = plane(2, RunOptions::default());
         assert!(!p.is_tripped());
         p.trip(
             ProcessFault {
@@ -1306,7 +1270,7 @@ mod tests {
         let _p = parked(Construct::Lock);
         inject(Construct::Barrier);
         assert!(!spurious_lock_failure());
-        assert!(!trip_current(Construct::Interpreter, "nope".into()));
+        assert!(!trip_current(Construct::Interpreter.name(), "nope".into()));
     }
 
     #[test]
@@ -1318,19 +1282,19 @@ mod tests {
         );
         let p = plane(
             1,
-            FaultConfig {
+            RunOptions {
                 default_schedule: SchedulePolicy::Steal,
-                ..FaultConfig::default()
+                ..RunOptions::default()
             },
         );
-        assert_eq!(p.default_schedule(), SchedulePolicy::Steal);
+        assert_eq!(p.config().default_schedule, SchedulePolicy::Steal);
         let _ctx = install(&p, 0);
         assert_eq!(current_default_schedule(), SchedulePolicy::Steal);
     }
 
     #[test]
     fn markers_nest_and_attribute_panics() {
-        let p = plane(1, FaultConfig::default());
+        let p = plane(1, RunOptions::default());
         let _ctx = install(&p, 0);
         assert_eq!(current_construct(), Construct::Body);
         {
@@ -1355,7 +1319,7 @@ mod tests {
 
     #[test]
     fn check_cancel_unwinds_with_cancelled_payload() {
-        let p = plane(1, FaultConfig::default());
+        let p = plane(1, RunOptions::default());
         let _ctx = install(&p, 0);
         p.trip(
             ProcessFault {
@@ -1373,7 +1337,7 @@ mod tests {
 
     #[test]
     fn wait_board_tracks_park_and_finish() {
-        let p = plane(2, FaultConfig::default());
+        let p = plane(2, RunOptions::default());
         assert_eq!(p.all_parked(), None, "running processes are not parked");
         {
             let _ctx = install(&p, 0);
@@ -1391,7 +1355,7 @@ mod tests {
 
     #[test]
     fn park_guard_restores_the_enclosing_construct() {
-        let p = plane(1, FaultConfig::default());
+        let p = plane(1, RunOptions::default());
         let _ctx = install(&p, 0);
         let _outer = enter(Construct::Doall);
         {
@@ -1422,9 +1386,9 @@ mod tests {
     fn tracing_attributes_constructs_and_waits() {
         let p = plane(
             1,
-            FaultConfig {
+            RunOptions {
                 trace: Some(TraceConfig::default()),
-                ..FaultConfig::default()
+                ..RunOptions::default()
             },
         );
         let _ctx = install(&p, 0);
@@ -1456,9 +1420,9 @@ mod tests {
     fn reset_for_job_rearms_or_drops_the_trace_sink() {
         let p = plane(
             2,
-            FaultConfig {
+            RunOptions {
                 trace: Some(TraceConfig { ring_capacity: 64 }),
-                ..FaultConfig::default()
+                ..RunOptions::default()
             },
         );
         let first = p.trace_sink().expect("armed at construction");
@@ -1469,38 +1433,38 @@ mod tests {
         assert!(!p.profile_report().expect("armed").is_empty());
 
         // Same shape: the sink is reused, but blank.
-        p.reset_for_job(FaultConfig {
+        p.reset_for_job(RunOptions {
             trace: Some(TraceConfig { ring_capacity: 64 }),
-            ..FaultConfig::default()
+            ..RunOptions::default()
         });
         let second = p.trace_sink().expect("still armed");
         assert!(Arc::ptr_eq(&first, &second), "resident sink reused");
         assert!(p.profile_report().expect("armed").is_empty());
 
         // Different shape: rebuilt.
-        p.reset_for_job(FaultConfig {
+        p.reset_for_job(RunOptions {
             trace: Some(TraceConfig { ring_capacity: 256 }),
-            ..FaultConfig::default()
+            ..RunOptions::default()
         });
         let third = p.trace_sink().expect("still armed");
         assert!(!Arc::ptr_eq(&first, &third), "capacity change rebuilds");
 
         // Tracing off: dropped entirely.
-        p.reset_for_job(FaultConfig::default());
+        p.reset_for_job(RunOptions::default());
         assert!(p.trace_sink().is_none());
         assert!(p.profile_report().is_none());
     }
 
     #[test]
     fn injection_streams_are_deterministic_per_pid() {
-        let config = FaultConfig {
+        let config = RunOptions {
             injection: Some(FaultInjection {
                 seed: 42,
                 panic_per_mille: 0,
                 delay_per_mille: 0,
                 spurious_per_mille: 500,
             }),
-            ..FaultConfig::default()
+            ..RunOptions::default()
         };
         let run = |pid: usize| {
             let p = plane(4, config);
@@ -1519,14 +1483,14 @@ mod tests {
 
     #[test]
     fn injected_panics_carry_the_construct_and_pid() {
-        let config = FaultConfig {
+        let config = RunOptions {
             injection: Some(FaultInjection {
                 seed: 7,
                 panic_per_mille: 1000,
                 delay_per_mille: 0,
                 spurious_per_mille: 0,
             }),
-            ..FaultConfig::default()
+            ..RunOptions::default()
         };
         let p = plane(1, config);
         let _ctx = install(&p, 0);
@@ -1540,7 +1504,7 @@ mod tests {
 
     #[test]
     fn watchdog_trips_on_a_parked_stagnant_force() {
-        let p = plane(1, FaultConfig::default());
+        let p = plane(1, RunOptions::default());
         let _ctx = install(&p, 0);
         let _park = parked(Construct::Consume);
         p.run_watchdog(Duration::from_millis(20), &StopSignal::default());
@@ -1562,9 +1526,9 @@ mod tests {
         let bound = Duration::from_millis(40);
         let p = plane(
             2,
-            FaultConfig {
+            RunOptions {
                 watchdog: Some(bound),
-                ..FaultConfig::default()
+                ..RunOptions::default()
             },
         );
         let lock = SpinLock::new(LockState::Unlocked, Arc::clone(p.stats()));
@@ -1594,9 +1558,9 @@ mod tests {
     fn reset_for_job_clears_trip_board_and_config() {
         let p = plane(
             2,
-            FaultConfig {
+            RunOptions {
                 watchdog: Some(Duration::from_secs(1)),
-                ..FaultConfig::default()
+                ..RunOptions::default()
             },
         );
         p.trip(
@@ -1611,11 +1575,11 @@ mod tests {
         p.finish(1);
         assert!(p.is_tripped());
 
-        p.reset_for_job(FaultConfig::default());
+        p.reset_for_job(RunOptions::default());
         assert!(!p.is_tripped(), "token cleared");
         assert!(p.take_fault().is_none(), "first-fault slot cleared");
         assert!(p.take_payload().is_none(), "payload slot cleared");
-        assert_eq!(p.watchdog_interval(), None, "config swapped");
+        assert_eq!(p.config().watchdog, None, "config swapped");
         // The board is back to RUNNING: parking pid 0 alone is not an
         // all-parked state, because pid 1 is no longer FINISHED.
         let _ctx = install(&p, 0);
@@ -1625,7 +1589,7 @@ mod tests {
 
     #[test]
     fn watchdog_stops_promptly_when_signalled() {
-        let p = plane(1, FaultConfig::default());
+        let p = plane(1, RunOptions::default());
         let p2 = Arc::clone(&p);
         let start = std::time::Instant::now();
         let watchdog = crate::process::StopGuard::spawn("test-watchdog".into(), move |stop| {

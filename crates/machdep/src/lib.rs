@@ -14,7 +14,7 @@
 //! | `force_environment` | [`env::ForceEnvironment`] |
 //! | `define_lock` / `init_lock` / `lock` / `unlock` | [`lock::RawLock`] and its four implementations |
 //! | `shared` / `shared_common` / `async` / `private` | [`sharedmem::SharingModel`] + [`sharedmem::SharedRegion`] |
-//! | process creation / driver / `Join` | [`process::ProcessModel`], [`process::spawn_force`] |
+//! | process creation / driver / `Join` | [`process::ProcessModel`], [`process::spawn_force`], [`session::Session`] |
 //!
 //! Everything above this crate (force-core, force-prep, force-fortran) is
 //! machine independent and consumes only these interfaces — which is the
@@ -36,6 +36,7 @@ pub mod pool;
 pub mod portable;
 pub mod process;
 pub mod serve;
+pub mod session;
 pub mod sharedmem;
 pub mod spin;
 pub mod stats;
@@ -46,8 +47,8 @@ pub mod workq;
 pub use cost::{CostModel, CycleAccount};
 pub use env::ForceEnvironment;
 pub use fault::{
-    bind_ambient_stats, AmbientStatsGuard, Construct, FaultConfig, FaultInjection, FaultPlane,
-    ProcessFault, RunOptions,
+    bind_ambient_stats, AmbientStatsGuard, Construct, FaultInjection, FaultPlane, ProcessFault,
+    RunOptions,
 };
 pub use fullempty::{FullEmptyState, HepLock};
 pub use lock::{with_lock, LockHandle, LockKind, LockState, RawLock};
@@ -63,6 +64,7 @@ pub use serve::{
     ForceServer, JobCx, JobError, JobHandle, JobOutcome, JobRunner, JobSpec, JobYield, Priority,
     RateLimit, RejectReason, ServerConfig, ServerReport, Submit, TenantRollup,
 };
+pub use session::{Session, SessionRun};
 pub use sharedmem::{
     BlockRequest, SharedLayout, SharedRegion, SharingError, SharingModel, SharingModelId,
 };

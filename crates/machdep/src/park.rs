@@ -617,7 +617,7 @@ impl VirtualParker {
         match trip {
             VTrip::None => {}
             VTrip::Deadline(d, now) => {
-                fault::trip_current_named(
+                fault::trip_current(
                     "deadline",
                     format!("virtual deadline of {d}ns exceeded at virtual time {now}ns"),
                 );
@@ -626,7 +626,7 @@ impl VirtualParker {
             VTrip::Deadlock(now, live) => {
                 fault::count_in_lane(|s| &s.watchdog_trips);
                 fault::trip_current(
-                    fallback,
+                    fallback.name(),
                     format!(
                         "virtual scheduler deadlock: every live process parked with no \
                          progress ({live} live, {POLL_BUDGET} failed polls each, virtual \
@@ -1056,9 +1056,9 @@ impl Waiters {
         lock: &dyn crate::lock::RawLock,
         stats: Arc<crate::stats::OpStats>,
     ) {
-        use crate::fault::{FaultConfig, FaultPlane, ProcessFault};
+        use crate::fault::{FaultPlane, ProcessFault, RunOptions};
         let registered = || self.0.load(Ordering::SeqCst);
-        let plane = FaultPlane::new(1, stats, FaultConfig::default());
+        let plane = FaultPlane::new(1, stats, RunOptions::default());
         std::thread::scope(|s| {
             let waiter = s.spawn(|| crate::process::launch_plane(&plane, None, |_| lock.lock()));
             while registered() == 0 {
@@ -1252,13 +1252,13 @@ mod tests {
     fn cancelled_waiter_withdraws_its_ticket() {
         // The waiter sleeps untimed: only the trip's wake of its plane's
         // permit queue gets it out.
-        use crate::fault::{FaultConfig, FaultPlane, ProcessFault};
+        use crate::fault::{FaultPlane, ProcessFault, RunOptions};
         let plane = FaultPlane::new(
             1,
             Arc::new(crate::stats::OpStats::new()),
-            FaultConfig {
+            RunOptions {
                 backend: ParkBackend::Overcommit { workers: 1 },
-                ..FaultConfig::default()
+                ..RunOptions::default()
             },
         );
         let p = plane.parker();

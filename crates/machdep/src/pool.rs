@@ -108,12 +108,12 @@ struct PoolShared {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use force_machdep::{FaultConfig, FaultPlane, ForcePool, OpStats};
+/// use force_machdep::{RunOptions, FaultPlane, ForcePool, OpStats};
 ///
 /// let stats = Arc::new(OpStats::new());
 /// let pool = ForcePool::new(4, &stats);
 /// for job in 0..3 {
-///     let plane = FaultPlane::new(4, Arc::clone(&stats), FaultConfig::default());
+///     let plane = FaultPlane::new(4, Arc::clone(&stats), RunOptions::default());
 ///     let results = pool.run_plane(&plane, |pid| pid + job).unwrap();
 ///     assert_eq!(results, vec![job, 1 + job, 2 + job, 3 + job]);
 /// }
@@ -352,7 +352,7 @@ fn worker_loop(shared: &PoolShared, pid: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
+    use crate::fault::RunOptions;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pool_and_stats(size: usize) -> (ForcePool, Arc<OpStats>) {
@@ -361,7 +361,7 @@ mod tests {
     }
 
     fn plane(nproc: usize, stats: &Arc<OpStats>) -> Arc<FaultPlane> {
-        FaultPlane::new(nproc, Arc::clone(stats), FaultConfig::default())
+        FaultPlane::new(nproc, Arc::clone(stats), RunOptions::default())
     }
 
     #[test]
@@ -462,7 +462,7 @@ mod tests {
                 for _ in 0..4 {
                     s.spawn(|| {
                         let p = plane(2, &stats);
-                        p.lend(&lazy);
+                        p.lend(&lazy, None);
                         let r = crate::process::launch_plane(&p, None, |pid| pid);
                         assert_eq!(r, Ok(vec![0, 1]));
                     });

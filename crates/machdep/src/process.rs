@@ -32,8 +32,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::fault::{self, Cancelled, Construct, FaultConfig, FaultPlane, ProcessFault};
-use crate::park;
+use crate::fault::{self, Cancelled, Construct, FaultPlane, ProcessFault, RunOptions};
+use crate::park::{self, ParkBackend};
 use crate::pool::ForcePool;
 use crate::portable::{Condvar, Mutex};
 use crate::stats::OpStats;
@@ -250,9 +250,11 @@ pub fn launch_plane<R: Send>(
 ) -> Result<Vec<R>, ProcessFault> {
     let nproc = plane.nproc();
     assert!(nproc > 0, "a force needs at least one process");
-    let watchdog = plane
-        .watchdog_interval()
-        .filter(|_| !plane.is_virtual())
+    // A virtual job's scheduler detects deadlock itself, on virtual time.
+    let config = plane.config();
+    let watchdog = config
+        .watchdog
+        .filter(|_| !config.backend.is_virtual())
         .map(|bound| {
             let plane = Arc::clone(plane);
             StopGuard::spawn("force-watchdog".to_string(), move |stop| {
@@ -264,7 +266,7 @@ pub fn launch_plane<R: Send>(
         let r = run_as_process(plane, pid, || body(pid));
         *results[pid].lock() = r;
     };
-    let multiplexed = plane.is_overcommit();
+    let multiplexed = config.backend != ParkBackend::ThreadPerPid;
     let fits = |size: usize| !multiplexed && nproc <= size;
     let lent = match pool {
         Some(_) => None,
@@ -380,7 +382,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let plane = FaultPlane::new(nproc, Arc::clone(stats), FaultConfig::default());
+    let plane = FaultPlane::new(nproc, Arc::clone(stats), RunOptions::default());
     match spawn_force_plane(&plane, body) {
         Ok(results) => results,
         Err(fault) => match plane.take_payload() {
@@ -445,7 +447,7 @@ mod tests {
     #[test]
     fn multiple_panics_keep_the_first_fault() {
         let stats = Arc::new(OpStats::new());
-        let plane = FaultPlane::new(4, Arc::clone(&stats), FaultConfig::default());
+        let plane = FaultPlane::new(4, Arc::clone(&stats), RunOptions::default());
         let err = spawn_force_plane(&plane, |pid| {
             panic!("pid {pid} dies");
         })
@@ -463,9 +465,9 @@ mod tests {
 
     fn plane_on(backend: ParkBackend, nproc: usize) -> (Arc<OpStats>, Arc<FaultPlane>) {
         let stats = Arc::new(OpStats::new());
-        let config = FaultConfig {
+        let config = RunOptions {
             backend,
-            ..FaultConfig::default()
+            ..RunOptions::default()
         };
         let plane = FaultPlane::new(nproc, Arc::clone(&stats), config);
         (stats, plane)
@@ -516,7 +518,7 @@ mod tests {
         let jobs_on = |lazy: &LazyPool| lazy.get().jobs_completed();
         let (stats, plane) = plane_on(ParkBackend::ThreadPerPid, 2);
         let lent = LazyPool::with_size(2, (&stats).into());
-        plane.lend(&lent);
+        plane.lend(&lent, None);
         assert!(!lent.is_created(), "lending creates nothing");
 
         // An attached pool wins: the loan is not even looked at.
@@ -682,10 +684,10 @@ mod tests {
 
     /// The five launch scenarios under one launch configuration.
     fn scenarios(backend: ParkBackend, pool_size: PoolSize, how: Pool) -> [Outcome; 5] {
-        let config = |watchdog| FaultConfig {
+        let config = |watchdog| RunOptions {
             watchdog,
             backend,
-            ..FaultConfig::default()
+            ..RunOptions::default()
         };
         let rig = |nproc: usize, watchdog: Option<Duration>| {
             let stats = Arc::new(OpStats::new());
@@ -696,7 +698,7 @@ mod tests {
             if workers > 0 && how == Pool::Lent {
                 // Lent once, like an attempt that runs every job below:
                 // `reset_for_job` between them must leave the loan alone.
-                plane.lend(&LazyPool::with_size(workers, (&stats).into()));
+                plane.lend(&LazyPool::with_size(workers, (&stats).into()), None);
             }
             // Held by the test forever: a pid that asks for it parks until cancelled.
             let wedge = SpinLock::new(LockState::Unlocked, Arc::clone(&stats));

@@ -20,7 +20,8 @@
 //!   trips once: the plane keeps a trip made through a binding across the
 //!   reset a session starts its run with, until the dispatcher ends the
 //!   attempt, and a plane bound after the deadline fired is tripped as it
-//!   is bound.
+//!   is bound.  Binding records, reset applies: the same reset arms a
+//!   virtual run's budget left on its virtual clock.
 //! * **Retry with jittered backoff** — a job killed by a fault carrying
 //!   [`INJECTED_FAULT_MARKER`] (the injection layer's stable payload
 //!   prefix) is transient by contract and is re-run up to
@@ -37,18 +38,16 @@
 //!   runs every already-admitted job to an outcome, then joins the
 //!   dispatcher.
 //!
-//! Jobs inherit per-job isolation from the layers below for free: the
-//! session facades reset the fault plane (`FaultPlane::reset_for_job`),
-//! report per-job operation counts (`StatsSnapshot::delta`), and reset
-//! trace sinks between runs.  The server rolls those per-job results up
-//! into per-tenant aggregates ([`TenantRollup`]) and counts its own
-//! decisions in the machine's [`OpStats`] (`jobs_admitted`,
-//! `jobs_rejected`, `jobs_rate_limited`, `jobs_shed`,
-//! `jobs_deadline_exceeded`, `job_retries`).  A job's `ops` are read
-//! from the *plane* the runner bound via [`JobCx::bind_plane`] — a
-//! plane-private counter block under the per-plane ownership model — so
-//! two jobs running concurrently on different shards can never bleed
-//! operations into each other's rollups.
+//! Jobs inherit per-job isolation for free from the session beneath
+//! every front end ([`Session`](crate::session::Session)), which resets
+//! the fault plane and trace sink and reports per-job operation counts.
+//! The server rolls those up into per-tenant aggregates ([`TenantRollup`])
+//! and counts its own decisions in the machine's [`OpStats`]
+//! (`jobs_admitted`, `jobs_rejected`, `jobs_rate_limited`, `jobs_shed`,
+//! `jobs_deadline_exceeded`, `job_retries`).  A job's `ops` are read from
+//! the plane-private counter block of the *plane* the runner bound via
+//! [`JobCx::bind_plane`], so two jobs running concurrently on different
+//! shards can never bleed operations into each other's rollups.
 //!
 //! # Shards
 //!
@@ -112,7 +111,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::fault::{Construct, FaultPlane, ProcessFault, INJECTED_FAULT_MARKER};
+use crate::fault::{Construct, FaultPlane, ProcessFault, RunOptions, INJECTED_FAULT_MARKER};
 use crate::park;
 use crate::pool::LazyPool;
 use crate::portable::{Backoff, Condvar, Mutex, XorShift64};
@@ -332,6 +331,21 @@ pub enum JobError {
 }
 
 impl JobError {
+    /// A failure known only by its message, attributed to `construct`:
+    /// transient (a [`JobError::Fault`]) when it carries
+    /// [`INJECTED_FAULT_MARKER`], deterministic otherwise.
+    pub fn classify(construct: &'static str, msg: String) -> JobError {
+        if msg.contains(INJECTED_FAULT_MARKER) {
+            JobError::Fault(ProcessFault {
+                pid: 0,
+                construct,
+                payload: msg,
+            })
+        } else {
+            JobError::Deterministic(msg)
+        }
+    }
+
     /// Whether the retry policy may re-run the job after this error.
     pub fn is_transient(&self) -> bool {
         matches!(self, JobError::Fault(f) if f.payload.contains(INJECTED_FAULT_MARKER))
@@ -416,8 +430,8 @@ struct JobShared {
     /// want to cooperate without a fault plane.
     deadline_fired: AtomicBool,
     /// Absolute deadline, if the spec set one.  [`JobCx::bind_plane`]
-    /// mirrors the remaining budget onto the virtual clock when the
-    /// bound plane runs under the deterministic scheduler.
+    /// records it on the plane, whose reset arms the budget left on a
+    /// virtual run's clock.
     deadline_at: Option<Instant>,
     /// The fault plane of the session currently running this job (plus
     /// its stats baseline), registered by the runner via
@@ -439,32 +453,25 @@ pub struct JobCx {
 }
 
 impl JobCx {
-    /// Register the fault plane executing this attempt so the deadline
-    /// watcher can cancel it — at once, if the deadline has already
-    /// fired.  Must be called before the run starts; rebinding on each
-    /// attempt is fine.  Binding also snapshots the
-    /// plane's private counter block: the attempt's operation delta is
-    /// read from that plane alone, so concurrent jobs on other shards
-    /// never bleed into this job's rollup.
+    /// Register the fault plane executing this attempt, before its run
+    /// starts (rebinding on each attempt is fine), so the deadline watcher
+    /// can cancel it — at once, if the deadline already fired.  Binding
+    /// snapshots the plane's private counter block, from which alone the
+    /// attempt's operation delta is read.
     ///
-    /// Binding is also a **loan**: until the attempt ends, the plane may
-    /// run on the executing shard's resident force (see the module docs,
-    /// "The shard's force").  A session that attached a pool of its own
-    /// never looks at the loan; one that did not launches on resident
-    /// threads instead of creating its own, and its job reports
-    /// `processes_created == 0` like any pooled job.  The dispatcher
-    /// withdraws the loan when the attempt returns, so the same session
-    /// run outside the server afterwards is on its own again.
+    /// Binding is also a **loan**: until the attempt ends, a session that
+    /// attached no pool of its own launches the plane on the executing
+    /// shard's resident force (module docs, "The shard's force") and
+    /// reports `processes_created == 0` like any pooled job.
     ///
-    /// When the plane runs under the deterministic virtual-time
-    /// scheduler, the job's remaining wall budget is also armed on the
-    /// *virtual* clock (1 wall ns = 1 virtual ns): a virtual job does
-    /// almost no wall-clock work, so only the modeled machine's time
-    /// can show the job exceeding its budget — and the resulting trip
-    /// replays exactly with the schedule.  The wall watcher stays armed
-    /// as a backstop.
+    /// Binding records, reset applies: the plane keeps the job's deadline
+    /// instant beside the loan, and the reset the session starts its run
+    /// with ([`FaultPlane::reset_for_job`]) puts back a deadline trip that
+    /// already fired and, on a virtual run, arms the budget left on the
+    /// *virtual* clock, where a virtual job's miss shows and replays with
+    /// the schedule.  The wall watcher stays armed as a backstop.
     pub fn bind_plane(&self, plane: &Arc<FaultPlane>) {
-        plane.lend(&self.force);
+        plane.lend(&self.force, self.shared.deadline_at);
         let (rebound, fired) = {
             let mut bound = self.shared.plane.lock();
             let rebound = bound.replace(PlaneBinding {
@@ -482,12 +489,19 @@ impl JobCx {
         if fired {
             plane.trip_deadline(deadline_fault(self.shared.id));
         }
-        if plane.is_virtual() {
-            if let Some(at) = self.shared.deadline_at {
-                let remaining = at.saturating_duration_since(Instant::now());
-                plane.parker().arm_virtual_deadline(remaining);
-            }
+    }
+
+    /// A session's served attempt: [`bind_plane`](Self::bind_plane), then
+    /// `options` as this attempt runs them.  With fault injection, each
+    /// retry re-derives the injection seed from the attempt number, so a
+    /// retried job re-rolls the injection stream instead of replaying the
+    /// fault that killed it (which would make retries useless).
+    pub fn bind_attempt(&self, plane: &Arc<FaultPlane>, mut options: RunOptions) -> RunOptions {
+        self.bind_plane(plane);
+        if let Some(inj) = options.injection.as_mut() {
+            inj.seed ^= u64::from(self.attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         }
+        options
     }
 
     /// The shard whose dispatcher is executing this attempt.  Stable for
@@ -576,7 +590,7 @@ pub struct TenantRollup {
     /// Transient-fault retries spent across all jobs.
     pub retries: u64,
     /// Machine operations consumed by this tenant's attempts
-    /// (per-attempt `StatsSnapshot::delta`s, merged).
+    /// (per-attempt `StatsSnapshot::since`s, merged).
     pub ops: StatsSnapshot,
     /// Submit→terminal latency of every job (nanoseconds), including
     /// queueing, retries, and backoff sleeps.
@@ -645,14 +659,13 @@ pub struct ServerReport {
 }
 
 /// One queued job awaiting dispatch.  Of its [`JobSpec`] the tenant
-/// name lives (once) in `shared`, the priority is the queue it sits in
-/// and the deadline is `deadline_at`.
+/// name and the deadline live (once) in `shared`, and the priority is the
+/// queue it sits in.
 struct QueuedJob {
     shared: Arc<JobShared>,
     runner: JobRunner,
     max_retries: u32,
     submitted: Instant,
-    deadline_at: Option<Instant>,
 }
 
 /// `map.entry(key).or_insert_with(new)` that builds the owned key only
@@ -1026,7 +1039,6 @@ impl ForceServer {
             shared: Arc::clone(&shared),
             runner,
             max_retries: spec.max_retries,
-            deadline_at: shared.deadline_at,
             submitted,
         };
         // Admission and queueing are one critical section: a shutdown lands
@@ -1178,36 +1190,29 @@ fn run_attempt(runner: &mut JobRunner, cx: &JobCx) -> Result<JobYield, JobError>
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
                 .unwrap_or_else(|| "runner panicked".into());
-            if msg.contains(INJECTED_FAULT_MARKER) {
-                Err(JobError::Fault(ProcessFault {
-                    pid: 0,
-                    construct: "runner",
-                    payload: msg,
-                }))
-            } else {
-                Err(JobError::Deterministic(format!("runner panicked: {msg}")))
+            match JobError::classify("runner", msg) {
+                JobError::Deterministic(msg) => {
+                    Err(JobError::Deterministic(format!("runner panicked: {msg}")))
+                }
+                transient => Err(transient),
             }
         }
     }
 }
 
 /// Read and re-base the attempt's operation delta from the plane the
-/// runner bound, and end what that binding was: the loan, and the hold
-/// on a deadline trip.  Plane-private by
-/// construction: only this job's run charges that plane's local block,
-/// so the delta is exact even with sibling shards running other jobs on
-/// the same machine.  A runner that never bound a plane reports no ops.
-/// Re-basing (rather than clearing) means a retry attempt that faults
-/// before rebinding cannot double-count the previous attempt's
-/// operations; a retry that does rebind borrows afresh, from whichever
-/// shard runs it.
+/// runner bound (exact: only this job charges that plane's local block),
+/// and end what that binding was: the loan and the deadline.  A runner
+/// that never bound a plane reports no ops.  Re-basing (rather than
+/// clearing) means a retry that faults before rebinding cannot
+/// double-count the previous attempt's operations.
 fn attempt_ops(shared: &JobShared) -> StatsSnapshot {
     let mut bound = shared.plane.lock();
     match bound.as_mut() {
         Some(binding) => {
             binding.plane.end_loan();
             let now = binding.plane.stats().snapshot();
-            let delta = now.delta(&binding.base);
+            let delta = now.since(&binding.base);
             binding.base = now;
             delta
         }
@@ -1283,7 +1288,7 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
         };
 
         // Expired while queued: never run it.
-        if let Some(at) = job.deadline_at {
+        if let Some(at) = job.shared.deadline_at {
             if Instant::now() >= at {
                 job.shared.deadline_fired.store(true, Ordering::Release);
                 inner.complete(
@@ -1303,7 +1308,7 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
         let mut ops = StatsSnapshot::default();
         let mut profile = None;
         let outcome = loop {
-            let watcher = job.deadline_at.map(|at| {
+            let watcher = job.shared.deadline_at.map(|at| {
                 let shared = Arc::clone(&job.shared);
                 StopGuard::spawn(format!("force-deadline-{}", shared.id), move |stop| {
                     watch_deadline(&shared, at, stop)
@@ -1348,7 +1353,10 @@ fn dispatch_loop(inner: Arc<Inner>, me: usize) {
                         // the deadline.
                         let delay =
                             Backoff::jittered_delay(inner.config.retry_base, attempt, &mut rng);
-                        let fits = job.deadline_at.is_none_or(|at| Instant::now() + delay < at);
+                        let fits = job
+                            .shared
+                            .deadline_at
+                            .is_none_or(|at| Instant::now() + delay < at);
                         if fits {
                             inner.count(|s| &s.job_retries);
                             if !delay.is_zero() {
@@ -1719,7 +1727,7 @@ mod tests {
         // and resetting it after the deadline fires (as a session's
         // run-start reset would) still ends with the plane tripped.
         let stats = Arc::new(OpStats::new());
-        let plane = FaultPlane::new(2, Arc::clone(&stats), crate::fault::FaultConfig::default());
+        let plane = FaultPlane::new(2, Arc::clone(&stats), crate::fault::RunOptions::default());
         let srv = ForceServer::new(ServerConfig::default(), &stats);
         let plane2 = Arc::clone(&plane);
         let h = srv
@@ -1732,7 +1740,7 @@ mod tests {
                     while !plane2.is_tripped() {
                         thread::sleep(Duration::from_micros(100));
                     }
-                    plane2.reset_for_job(crate::fault::FaultConfig::default());
+                    plane2.reset_for_job(crate::fault::RunOptions::default());
                     // The watcher re-asserts the trip.
                     while !plane2.is_tripped() {
                         thread::sleep(Duration::from_micros(100));
@@ -1761,15 +1769,15 @@ mod tests {
             .submit(
                 JobSpec::for_tenant("t").with_deadline(Duration::from_millis(5)),
                 Box::new(move |cx| {
-                    let plane = FaultPlane::new(
-                        2,
-                        Arc::clone(&plane_stats),
-                        crate::fault::FaultConfig {
-                            backend: crate::park::ParkBackend::Virtual { seed: 42 },
-                            ..Default::default()
-                        },
-                    );
+                    let config = crate::fault::RunOptions {
+                        backend: crate::park::ParkBackend::Virtual { seed: 42 },
+                        ..Default::default()
+                    };
+                    let plane = FaultPlane::new(2, Arc::clone(&plane_stats), config);
+                    // Binding records the deadline; the run's reset arms
+                    // the budget left on the virtual clock.
                     cx.bind_plane(&plane);
+                    plane.reset_for_job(config);
                     crate::process::spawn_force_plane(&plane, |_pid| {
                         // Model far more work than the 5ms budget
                         // (= 5_000_000 virtual ns) allows, then wait:
@@ -2203,7 +2211,7 @@ mod tests {
                 let plane = FaultPlane::new(
                     nproc,
                     Arc::clone(&stats),
-                    crate::fault::FaultConfig::default(),
+                    crate::fault::RunOptions::default(),
                 );
                 cx.bind_plane(&plane);
                 meet.fetch_add(1, Ordering::SeqCst);
@@ -2244,7 +2252,7 @@ mod tests {
         // launch on it, and neither holds it once the attempt is over.
         let (srv, stats) = server();
         let plane = |nproc| {
-            let config = crate::fault::FaultConfig::default();
+            let config = crate::fault::RunOptions::default();
             FaultPlane::new(nproc, Arc::clone(&stats), config)
         };
         let (first, second) = (plane(1), plane(1));

@@ -76,8 +76,10 @@ macro_rules! op_counters {
 
         impl StatsSnapshot {
             /// Difference of two snapshots (`self - earlier`), saturating
-            /// at zero.  Covers every counter by construction (generated
-            /// from the same field list as the structs).
+            /// at zero: e.g. the per-job counts of one run on a resident
+            /// session, as opposed to the cumulative totals.  Covers every
+            /// counter by construction (generated from the same field list
+            /// as the structs).
             pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
                 StatsSnapshot {
                     $($name: self.$name.saturating_sub(earlier.$name),)+
@@ -204,22 +206,12 @@ impl OpStats {
     }
 }
 
-impl StatsSnapshot {
-    /// Difference of two snapshots (`self - earlier`), saturating at
-    /// zero: the per-job operation counts of one run on a resident
-    /// session, as opposed to the pool-lifetime cumulative totals the
-    /// raw counters accumulate.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        self.since(earlier)
-    }
-}
-
 /// Ownership handle for operation accounting: a **local** counter block
 /// owned by one execution plane (or session) plus a chain of **rollup**
 /// blocks (enclosing session, then machine) that every charge is
 /// mirrored into.
 ///
-/// This is how per-job `StatsSnapshot::delta` accounting stays exact on
+/// This is how per-job `StatsSnapshot::since` accounting stays exact on
 /// a machine running several planes concurrently: each plane reads its
 /// *private* `local` counters (no other plane ever writes them), while
 /// `Machine::stats()` — the root of every rollup chain — remains a
@@ -369,7 +361,7 @@ mod tests {
     #[test]
     fn delta_covers_every_counter_exhaustively() {
         // Bump every counter by a distinct baseline, snapshot, bump each
-        // by a distinct per-field delta, and check that `delta` reports
+        // by a distinct per-field delta, and check that `since` reports
         // exactly that per-field delta for *every* counter.  The counter
         // list is enumerated through `counters()`/`fields()`, which the
         // `op_counters!` macro generates from the same list as `since`,
@@ -384,7 +376,7 @@ mod tests {
             OpStats::add(c, i as u64 + 1);
         }
         let later = st.snapshot();
-        let d = later.delta(&earlier);
+        let d = later.since(&earlier);
         let fields = d.fields();
         assert_eq!(fields.len(), st.counters().len());
         for (i, (name, v)) in fields.iter().enumerate() {

@@ -24,7 +24,7 @@
 //!   taken once per *named* critical-section entry while tracing is on —
 //!   never on the zero-tracing path.
 //!
-//! Tracing is opt-in via [`crate::fault::FaultConfig::trace`]
+//! Tracing is opt-in via [`crate::fault::RunOptions::trace`]
 //! (`RunOptions`): without it the thread-local trace slot is `None` and
 //! every hook is a single `Option` test.  The sink lives on the
 //! [`crate::fault::FaultPlane`] and is reset (or dropped) per job by
@@ -50,7 +50,7 @@ const NCONSTRUCTS: usize = 13;
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Tracing configuration for one job (the payload of
-/// [`crate::fault::FaultConfig::trace`]).
+/// [`crate::fault::RunOptions::trace`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Capacity of each per-pid event ring, in events.  Rounded up to a

@@ -129,12 +129,13 @@ const WALL_CLOCK_EXEMPT: &[&str] = &[
     "machdep/src/park.rs",
     "machdep/src/portable.rs",
     // The watchdog plane: wall-clock by definition, and gated off
-    // entirely under the virtual backend.
+    // entirely under the virtual backend; its reset reads the clock once
+    // to arm a served virtual run's budget left.
     "machdep/src/fault.rs",
     // The job server is a wall-clock tenant plane by design: admission
     // timestamps, deadline watchers, retry backoff.  A virtual run sees
-    // its deadline only through `bind_plane`'s one-shot mirror onto the
-    // virtual clock.
+    // its deadline only as the budget left that its plane's reset arms on
+    // the virtual clock.
     "machdep/src/serve.rs",
     // The trace origin.  Virtual runs route every timestamp through
     // `now_ns()`, which reads the virtual clock instead.
@@ -201,6 +202,22 @@ fn the_job_server_polls_no_timer() {
     assert!(
         violations.is_empty(),
         "the job server waits on a timer again:\n{}",
+        violations.join("\n")
+    );
+}
+
+#[test]
+fn the_session_protocol_is_written_once() {
+    // A job's prologue — reset the plane, bind the session's stats — is
+    // `machdep::session::Session::run`'s; the front ends hand it their
+    // own reset.  A front end that does either itself is a second copy of
+    // the protocol growing back.
+    let mut violations = scan(&["reset_for_job(", "bind_ambient_stats("], &[], true);
+    violations.retain(|v| !v.starts_with("machdep/src/"));
+    assert!(
+        violations.is_empty(),
+        "the session protocol outside machdep (run jobs through \
+         machdep::Session::run):\n{}",
         violations.join("\n")
     );
 }

@@ -143,7 +143,7 @@ fn language_front_end_replays_under_both_executors() {
         ..RunOptions::default()
     };
     let observe = |out: RunOutput, engine: &Engine| {
-        let summary = engine.fault_plane(4).virtual_summary().expect("summary");
+        let summary = engine.last_virtual_summary().expect("summary");
         (out.shared_scalar("TOTAL"), out.stats, summary)
     };
     let vm = |seed: u64| {

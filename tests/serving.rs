@@ -479,7 +479,7 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
         );
     }
     // The machine-wide view is the sum of the per-plane deltas.
-    let total = machine.stats().snapshot().delta(&base);
+    let total = machine.stats().snapshot().since(&base);
     assert_eq!(total.barrier_episodes, BARRIERS[0] + BARRIERS[1]);
 }
 
@@ -1318,6 +1318,51 @@ fn a_deadline_that_fires_before_the_plane_is_bound_cancels_the_run() {
 #[test]
 fn a_deadline_that_fires_between_binding_and_reset_cancels_the_run() {
     deadline_before_the_run(true);
+}
+
+/// A served virtual job keeps its virtual deadline.  Binding records the
+/// deadline, the reset the session starts its run with applies it: on a
+/// fresh session (whose plane is not virtual when it is bound) and on one
+/// whose previous job was virtual (whose reset rebuilds the scheduler).
+/// Ten modeled seconds against a two-second budget is a deadline outcome,
+/// not the virtual deadlock the unproduced `consume` would be without it.
+#[test]
+fn a_served_virtual_job_keeps_its_virtual_deadline() {
+    use the_force::core::Async;
+    use the_force::machdep::{charge_virtual, ParkBackend};
+    const TEN_SECONDS: u64 = 10_000_000_000;
+    let machine = Machine::new(MachineId::Hep);
+    let (server, server_stats) = server_with_own_stats(ServerConfig::default());
+    let force = Arc::new(Force::with_machine(2, Arc::clone(&machine)));
+    let virtual_time = RunOptions {
+        backend: ParkBackend::Virtual { seed: 1989 },
+        ..RunOptions::default()
+    };
+    let serve_past_the_budget = || {
+        let chan = Arc::new(Async::<u64>::new(&machine));
+        let runner = force.serve_runner(virtual_time, move |_| {
+            charge_virtual(TEN_SECONDS);
+            let _ = chan.consume();
+        });
+        let missed = server_stats.snapshot().jobs_deadline_exceeded;
+        let spec = JobSpec::for_tenant("virtual").with_deadline(Duration::from_secs(2));
+        let job = expect_admitted(server.submit(spec, runner));
+        assert_eq!(job.wait(), JobOutcome::DeadlineExceeded { ran: true });
+        let missed = server_stats.snapshot().jobs_deadline_exceeded - missed;
+        assert_eq!(missed, 1);
+        force.last_virtual_summary().expect("a virtual run")
+    };
+    let fresh = serve_past_the_budget();
+    // The attempt is over: a direct virtual run has no budget to miss.
+    force
+        .try_execute_with(virtual_time, |p| {
+            charge_virtual(TEN_SECONDS);
+            p.barrier();
+        })
+        .expect("no deadline outlives its attempt");
+    let after_virtual = serve_past_the_budget();
+    assert_eq!(fresh, after_virtual, "the virtual deadline replays");
+    server.shutdown();
 }
 
 #[test]

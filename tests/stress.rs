@@ -13,8 +13,8 @@ use the_force::fortran::Value;
 use the_force::machdep::combined::CombinedLock;
 use the_force::machdep::syscall_lock::SyscallLock;
 use the_force::machdep::{
-    launch_plane, park, Condvar, Construct, FaultConfig, FaultPlane, ForcePool, LockState, Machine,
-    MachineId, Mutex, OpStats, ProcessFault, RawLock,
+    launch_plane, park, Condvar, Construct, FaultPlane, ForcePool, LockState, Machine, MachineId,
+    Mutex, OpStats, ProcessFault, RawLock, RunOptions,
 };
 use the_force::prelude::*;
 
@@ -207,7 +207,7 @@ fn pool_handoff_never_loses_a_wakeup() {
             let (pool, stats) = (Arc::clone(&pool), Arc::clone(&stats));
             std::thread::spawn(move || {
                 let planes: Vec<_> = (1..=4)
-                    .map(|nproc| FaultPlane::new(nproc, Arc::clone(&stats), FaultConfig::default()))
+                    .map(|nproc| FaultPlane::new(nproc, Arc::clone(&stats), RunOptions::default()))
                     .collect();
                 for job in 0..JOBS {
                     let plane = &planes[((job + submitter) % 4) as usize];
@@ -252,7 +252,7 @@ fn watched<F>(
     F: Fn(usize) + Clone + Send + Sync + 'static,
 {
     let lockers: Vec<_> = if in_force {
-        let plane = FaultPlane::new(threads, Arc::clone(stats), FaultConfig::default());
+        let plane = FaultPlane::new(threads, Arc::clone(stats), RunOptions::default());
         vec![std::thread::spawn(move || {
             launch_plane(&plane, None, body).expect("no locker faults");
         })]
@@ -361,7 +361,7 @@ fn a_cancelled_waiter_passes_its_wake_on(lock: Arc<dyn RawLock>, stats: &Arc<OpS
 }
 
 fn one_cancelled_waiter(lock: &dyn RawLock, stats: &Arc<OpStats>) {
-    let plane = |nproc| FaultPlane::new(nproc, Arc::clone(stats), FaultConfig::default());
+    let plane = |nproc| FaultPlane::new(nproc, Arc::clone(stats), RunOptions::default());
     let (cancelled, other) = (plane(2), plane(1));
     let parks = |plane: &FaultPlane| plane.live_stats().parks;
     let stall = (Mutex::new(()), Condvar::new());
