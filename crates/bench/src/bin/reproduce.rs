@@ -1385,6 +1385,37 @@ fn exp21(scale: Scale) {
         let mut rows = Vec::new();
         let mut one_shard = Duration::ZERO;
         let mut speedup = 0.0;
+        let sink = Arc::new(AtomicU64::new(0));
+
+        // Calibrate the compute half of the small job once per machine,
+        // closed-loop on a pooled session of its own, then size the
+        // blocking half (a simulated I/O hold) to twenty times it.  A
+        // single dispatcher serializes holds along with compute; extra
+        // shards overlap them, which is exactly the constraint this
+        // experiment measures.  Every shard count gets the same hold, and
+        // the compute half is too small a share of a job for 4 shards'
+        // oversubscribed barriers (8 pids on a 2-core host) to decide the
+        // ratio.
+        let hold = {
+            let machine = Machine::new(id);
+            let pool = Arc::new(ForcePool::new(nproc, machine.stats()));
+            let session = Force::with_machine(nproc, machine).with_pool(pool);
+            const CAL: usize = 10;
+            let t0 = Instant::now();
+            for _ in 0..CAL {
+                let s = Arc::clone(&sink);
+                session
+                    .try_run(move |p| {
+                        p.barrier();
+                        s.fetch_add(busy_work(32), Ordering::Relaxed);
+                        p.barrier();
+                    })
+                    .expect("calibration job");
+            }
+            let svc = (t0.elapsed() / CAL as u32).max(Duration::from_micros(20));
+            (svc * 20).clamp(Duration::from_millis(1), Duration::from_millis(4))
+        };
+
         for &shards in &SHARD_COUNTS {
             let machine = Machine::new(id);
             // One session + pool per shard: `JobCx::shard()` names the
@@ -1399,27 +1430,6 @@ fn exp21(scale: Scale) {
                     })
                     .collect(),
             );
-            let sink = Arc::new(AtomicU64::new(0));
-
-            // Calibrate the compute half of the small job closed-loop, then
-            // size the blocking half (a simulated I/O hold) relative to it.
-            // A single dispatcher serializes holds along with compute; extra
-            // shards overlap them, which is exactly the constraint this
-            // experiment measures.
-            const CAL: usize = 10;
-            let t0 = Instant::now();
-            for _ in 0..CAL {
-                let s = Arc::clone(&sink);
-                sessions[0]
-                    .try_run(move |p| {
-                        p.barrier();
-                        s.fetch_add(busy_work(32), Ordering::Relaxed);
-                        p.barrier();
-                    })
-                    .expect("calibration job");
-            }
-            let svc = (t0.elapsed() / CAL as u32).max(Duration::from_micros(20));
-            let hold = (svc * 4).clamp(Duration::from_micros(300), Duration::from_millis(3));
 
             let server = ForceServer::new(
                 ServerConfig {

@@ -42,15 +42,7 @@ fn smoke_artifacts() -> &'static [Json] {
         let dir = scratch("smoke");
         let mut args = vec!["--smoke"];
         args.extend(ARTIFACTS.iter().map(|(exp, _, _)| *exp));
-        // Exit 1 is a refused artifact, and some checks gate on timing
-        // ratios (EXP-21's shard speedup) that a stolen CPU on a shared host
-        // can trip: that verdict gets two more attempts.  A panic does not.
-        let mut out = reproduce(&dir, &args);
-        for _ in 0..2 {
-            if out.status.code() == Some(1) {
-                out = reproduce(&dir, &args);
-            }
-        }
+        let out = reproduce(&dir, &args);
         assert!(
             out.status.success(),
             "reproduce --smoke failed: {}",

@@ -1112,7 +1112,8 @@ const SPIN_WINDOW: Duration = Duration::from_micros(50);
 /// sequence must not depend on how long a spin happened to last.
 ///
 /// Two callers, both waiting on something a running thread is about to
-/// do: the pool's join (the job's other pids are executing) and the
+/// do: the pool's join (the pids it waits for were taken by their
+/// workers and are executing) and the
 /// dispatcher's idle wait (it has just completed a job, so a closed-loop
 /// client is about to submit the next).  A wait with nothing in flight
 /// belongs in [`wait_on`]: polling for it only burns the window.

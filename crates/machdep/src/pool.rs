@@ -22,11 +22,15 @@
 //!   of `nproc` processes posts its body into the slots of pids
 //!   `1..nproc` and wakes exactly those threads; a worker the job does
 //!   not use is never woken.
-//! * **Join**: each worker decrements an atomic `remaining` count when it
-//!   has left the body.  The caller — done with pid 0 — polls that count
-//!   for one [`park`] spin window, because its peers are running and a
-//!   null job's join is shorter than a sleep, and only then parks; the
-//!   last finisher notifies only a caller that has said it parked.
+//! * **Join**, help-first: once pid 0 has returned, the caller takes back
+//!   every body still in its slot — a pid whose worker has not woken yet —
+//!   and runs it itself, so a job whose pid 0 needs nobody costs no wake
+//!   at all.  A worker that wakes late finds its slot empty and sleeps
+//!   again.  Each pid that did start counts an atomic `remaining` down
+//!   when it has left the body; the caller polls that count for one
+//!   [`park`] spin window, because those peers are running, and only then
+//!   parks; the last finisher notifies only a caller that has said it
+//!   parked.
 //! * The pool is only a *launcher*:
 //!   [`launch_plane`](crate::process::launch_plane) owns the rest of a
 //!   job (watchdog, result slots, per-pid fault harness, epilogue) and
@@ -57,8 +61,9 @@ use crate::stats::{OpStats, StatsHandle};
 /// The `'static` is a lie told to the compiler: the referent lives on
 /// the broadcasting caller's stack, and is sound because an [`InFlight`]
 /// job cannot be dropped — so [`ForcePool::broadcast`] can neither return
-/// nor unwind — before every worker it was posted to has left the body
-/// (the classic scoped-threadpool argument).
+/// nor unwind — before every worker that took the body has left it
+/// (the classic scoped-threadpool argument); a body the caller took back
+/// reached no worker at all.
 type JobBody = &'static (dyn Fn(usize) + Sync);
 
 /// What one resident thread sleeps on: the slot of pid `index + 1`.
@@ -70,13 +75,18 @@ struct Slot {
 
 #[derive(Default)]
 struct Mail {
-    /// The body to run next; taken by the worker when it wakes.
+    /// The body to run next; taken by the worker when it wakes, or back by
+    /// the caller if the worker has not by the time pid 0 returns.
     job: Option<JobBody>,
     /// Set by `Drop`; the worker exits its loop.
     shutdown: bool,
     /// Bodies ever posted here, i.e. how often this worker was woken.
     #[cfg(test)]
     posts: u64,
+    /// While set, the worker leaves a posted body where it is: the
+    /// caller's take-back is then the only way that pid runs.
+    #[cfg(test)]
+    held: bool,
 }
 
 struct PoolShared {
@@ -87,7 +97,9 @@ struct PoolShared {
     busy: Mutex<bool>,
     /// Signalled when `busy` falls.
     freed: Condvar,
-    /// Workers that have not yet left the in-flight job's body.
+    /// Pids `1..` of the in-flight job that a worker may still run: each
+    /// is counted off by its worker once it has left the body, or by the
+    /// caller when it takes the body back.
     remaining: AtomicUsize,
     /// Whether the caller is parked on `joined` (the last finisher wakes
     /// nobody otherwise).
@@ -103,7 +115,8 @@ struct PoolShared {
 /// to a session (or call [`run_plane`](Self::run_plane)).  Worker
 /// threads are created once; each job that fits reuses them, so per-job
 /// cost is `nproc − 1` targeted wakes instead of as many thread
-/// creations, and the calling thread runs pid 0.  Jobs on one pool are
+/// creations, and the calling thread runs pid 0 — and, once that has
+/// returned, any pid whose worker has not yet woken.  Jobs on one pool are
 /// serialized: a second submitter blocks until the current job completes.
 ///
 /// ```
@@ -185,9 +198,14 @@ impl ForcePool {
         crate::process::launch_plane(plane, Some(self), body)
     }
 
-    /// The pooled launcher, fork-join: post `run_pid` to the resident
-    /// threads of pids `1..nproc`, run pid 0 here, and return once every
-    /// one of them has left it.  Submitters serialize on the pool.
+    /// The pooled launcher, fork-join and help-first: post `run_pid` to
+    /// the resident threads of pids `1..nproc`, run pid 0 here, then run
+    /// here every pid whose worker has not yet taken its body, and return
+    /// once every pid has left it.  A pid 0 that has returned is waited on
+    /// by nobody, so running a pid nobody has started after it is a
+    /// schedule the OS could have produced; every body left in a slot has
+    /// a notified worker, so a taken-back pid that waits for a peer still
+    /// sees it run.  Submitters serialize on the pool.
     pub(crate) fn broadcast(&self, nproc: usize, run_pid: &(dyn Fn(usize) + Sync)) {
         let shared = &*self.shared;
         // Pids 1.. = resident workers (and a job too wide fails here,
@@ -197,8 +215,10 @@ impl ForcePool {
         // out only below, after `in_flight` exists, and `InFlight::drop`
         // — which runs however this function is left — blocks until
         // `remaining == 0`, i.e. until every worker that took the body
-        // has returned from it; a worker takes the body out of its slot,
-        // so none is left behind for later.
+        // has returned from it.  A body leaves its slot exactly once,
+        // under the slot's mutex — taken by the worker, or back by this
+        // caller, which then never hands it to anyone — so none is left
+        // behind for later.
         let erased: JobBody =
             unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), JobBody>(run_pid) };
         // Queue behind any in-flight job.  Nothing is posted yet, so this
@@ -222,6 +242,16 @@ impl ForcePool {
             slot.posted.notify_one();
         }
         run_pid(0);
+        // Help first: a pid still in its slot runs here instead of being
+        // waited for.  It is counted off before it runs, so the join
+        // below waits for the workers alone, however this run ends.
+        for (pid, slot) in (1..).zip(slots) {
+            let unstarted = slot.mail.lock().job.take().is_some();
+            if unstarted {
+                shared.remaining.fetch_sub(1, Ordering::AcqRel);
+                run_pid(pid);
+            }
+        }
         drop(in_flight);
     }
 }
@@ -331,6 +361,10 @@ fn worker_loop(shared: &PoolShared, pid: usize) {
     loop {
         let mut posted = None;
         park::wait_on(&slot.mail, &slot.posted, Construct::Body, |mail| {
+            #[cfg(test)]
+            if mail.held {
+                return mail.shutdown;
+            }
             posted = mail.job.take();
             posted.is_some() || mail.shutdown
         });
@@ -404,6 +438,84 @@ mod tests {
         let r = pool.run_plane(&p, |pid| pid).unwrap();
         assert_eq!(r, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(posts(&pool), [2, 1, 1, 1, 1]);
+    }
+
+    /// Stop the resident worker of `pid` from taking what is posted to it,
+    /// or let it again.
+    fn hold(pool: &ForcePool, pid: usize, held: bool) {
+        pool.shared.slots[pid - 1].mail.lock().held = held;
+    }
+
+    #[test]
+    fn a_pid_nobody_has_started_runs_on_the_caller_exactly_once() {
+        let (pool, stats) = pool_and_stats(2);
+        let caller = std::thread::current().id();
+        let runs = AtomicUsize::new(0);
+        hold(&pool, 1, true);
+        let threads = pool
+            .run_plane(&plane(2, &stats), |pid| {
+                runs.fetch_add(pid, Ordering::Relaxed);
+                std::thread::current().id()
+            })
+            .unwrap();
+        assert_eq!(threads, [caller, caller]);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "pid 1 ran once");
+        assert_eq!(posts(&pool), [1], "posted and woken all the same");
+        // Let go, the worker runs the next job's pid 1: pid 0 waits for it.
+        hold(&pool, 1, false);
+        let pair = std::sync::Barrier::new(2);
+        let threads = pool
+            .run_plane(&plane(2, &stats), |_| {
+                pair.wait();
+                std::thread::current()
+            })
+            .unwrap();
+        assert_eq!(threads[0].id(), caller);
+        assert_eq!(threads[1].name(), Some("force-pool-1"));
+        assert_eq!(pool.jobs_completed(), 2);
+    }
+
+    #[test]
+    fn a_taken_back_pid_that_panics_is_the_jobs_fault() {
+        let (pool, stats) = pool_and_stats(2);
+        hold(&pool, 1, true);
+        let fault = pool
+            .run_plane(&plane(2, &stats), |pid| {
+                if pid == 1 {
+                    panic!("pid one dies");
+                }
+            })
+            .expect_err("pid 1's panic");
+        assert_eq!(
+            fault,
+            ProcessFault {
+                pid: 1,
+                construct: "body",
+                payload: "pid one dies".to_string(),
+            }
+        );
+        hold(&pool, 1, false);
+        let p = plane(2, &stats);
+        assert_eq!(pool.run_plane(&p, |pid| pid), Ok(vec![0, 1]));
+        assert_eq!(pool.jobs_completed(), 2);
+    }
+
+    #[test]
+    fn a_taken_back_pid_meets_a_peer_its_worker_runs() {
+        let (pool, stats) = pool_and_stats(3);
+        hold(&pool, 1, true);
+        let pair = std::sync::Barrier::new(2);
+        let threads = pool
+            .run_plane(&plane(3, &stats), |pid| {
+                if pid > 0 {
+                    pair.wait();
+                }
+                std::thread::current()
+            })
+            .unwrap();
+        let caller = std::thread::current().id();
+        assert_eq!([threads[0].id(), threads[1].id()], [caller, caller]);
+        assert_eq!(threads[2].name(), Some("force-pool-2"));
     }
 
     #[test]

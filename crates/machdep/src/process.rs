@@ -226,7 +226,7 @@ impl Drop for StopGuard {
 ///
 /// | condition | launcher | stack | charged to the job |
 /// |---|---|---|---|
-/// | `pool` attached or lent, thread-per-pid backend, `nproc <= pool.size()` | *pooled*: the pool's resident workers for pids 1.., pid 0 on the caller | the workers' own; the caller's own | nothing (paid at pool construction) |
+/// | `pool` attached or lent, thread-per-pid backend, `nproc <= pool.size()` | *pooled*: the pool's resident workers for pids 1.., pid 0 on the caller, and on the caller too any pid whose worker has not woken by the time pid 0 returns | the workers' own; the caller's own | nothing (paid at pool construction) |
 /// | otherwise, thread-per-pid backend | *scoped*: threads for pids 1.., pid 0 on the caller | default; the caller's own | `processes_created += nproc` |
 /// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
 ///
@@ -493,19 +493,41 @@ mod tests {
             assert_eq!(launch_plane(&plane, None, thread_of_pid), Ok(vec![here]));
             assert_eq!(stats.snapshot().processes_created, 1, "{backend:?}");
         }
-        // A pool is the same fork-join: the caller is pid 0, and pids 1..
-        // are distinct resident threads — the same ones on the next job.
+        // A pool is the same fork-join: the caller is pid 0, and while pid
+        // 0 waits for every peer, pids 1.. are distinct resident threads —
+        // the same ones on the next job.
         let (stats, plane) = plane_on(ParkBackend::ThreadPerPid, 4);
         let pool = ForcePool::new(4, &stats);
-        let threads = launch_plane(&plane, Some(&pool), thread_of_pid).expect("clean job");
+        let everyone = std::sync::Barrier::new(4);
+        let after_meeting = |pid: usize| {
+            everyone.wait();
+            thread_of_pid(pid)
+        };
+        let threads = launch_plane(&plane, Some(&pool), after_meeting).expect("clean job");
         assert_eq!(threads[0], here);
         for (pid, thread) in threads.iter().enumerate().skip(1) {
             assert!(!threads[..pid].contains(thread), "pid {pid}");
         }
         assert_eq!(
-            launch_plane(&plane, Some(&pool), thread_of_pid),
-            Ok(threads)
+            launch_plane(&plane, Some(&pool), after_meeting),
+            Ok(threads.clone())
         );
+        // With nobody to wait for, pid 0 may return before a peer's worker
+        // has woken: that pid then runs on the caller — once, and never on
+        // another pid's worker.
+        let runs: [AtomicUsize; 4] = Default::default();
+        for _ in 0..50 {
+            let ran = launch_plane(&plane, Some(&pool), |pid| {
+                runs[pid].fetch_add(1, Ordering::Relaxed);
+                thread_of_pid(pid)
+            })
+            .expect("clean job");
+            assert_eq!(ran[0], here);
+            for pid in 1..4 {
+                assert!([here, threads[pid]].contains(&ran[pid]), "pid {pid}");
+            }
+        }
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 50));
         assert_eq!(
             stats.snapshot().processes_created,
             4,

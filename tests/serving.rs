@@ -1199,12 +1199,19 @@ fn lent_force_threads_are_joined_by_shutdown() {
     let (server, _) = server_with_own_stats(ServerConfig::default());
     let force = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
     let thread_gone = Arc::new(AtomicBool::new(false));
-    let workers = Arc::new(Mutex::new(Vec::new()));
-    for _ in 0..2 {
-        let (flag, seen) = (Arc::clone(&thread_gone), Arc::clone(&workers));
+    // One served job; the thread each pid ran on.  A job that meets
+    // starts with a barrier, so pid 0 waits there for every peer.
+    let run = |meet: bool| -> Vec<std::thread::ThreadId> {
+        let threads = Arc::new(Mutex::new(vec![None; np]));
+        let (flag, seen) = (Arc::clone(&thread_gone), Arc::clone(&threads));
         let runner = force.serve_runner(RunOptions::default(), move |p| {
-            if p.pid() == 1 {
-                seen.lock().unwrap().push(std::thread::current().id());
+            if meet {
+                p.barrier();
+            }
+            let here = std::thread::current().id();
+            let again = seen.lock().unwrap()[p.pid()].replace(here);
+            assert_eq!(again, None, "pid {} ran twice", p.pid());
+            if meet && p.pid() == 1 {
                 CANARY.with(|c| {
                     c.borrow_mut()
                         .get_or_insert_with(|| Canary(Arc::clone(&flag)));
@@ -1213,10 +1220,22 @@ fn lent_force_threads_are_joined_by_shutdown() {
         });
         let job = expect_admitted(server.submit(JobSpec::for_tenant("t"), runner));
         assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+        let threads = threads.lock().unwrap();
+        threads.iter().map(|t| t.expect("every pid ran")).collect()
+    };
+    let resident = run(true);
+    assert_eq!(run(true), resident, "pids 1.. are resident threads");
+    for pid in 1..np {
+        assert!(!resident[..pid].contains(&resident[pid]), "pid {pid}");
     }
-    let workers = workers.lock().unwrap();
-    assert_eq!(workers.len(), 2);
-    assert_eq!(workers[0], workers[1], "pid 1 is a resident thread");
+    // With nobody to wait for, pid 0 may return before a peer's worker has
+    // woken: that pid then runs on the dispatcher, never on another's worker.
+    for _ in 0..20 {
+        let ran = run(false);
+        for pid in 1..np {
+            assert!([ran[0], resident[pid]].contains(&ran[pid]), "pid {pid}");
+        }
+    }
     assert!(!thread_gone.load(Ordering::SeqCst), "resident: still there");
     server.shutdown();
     assert!(

@@ -193,26 +193,60 @@ fn wide_force_oversubscribed() {
 
 #[test]
 fn pool_handoff_never_loses_a_wakeup() {
-    // Two submitters contend for one pool with empty jobs of every width
-    // it hosts, so each hand-off — the queue for the pool, the posts to
-    // the workers, the join in its polled and its parked form — is taken
-    // a few hundred thousand times against a peer that is doing the same.
-    // A lost wake-up cannot fail an assertion, it hangs; so the
-    // submitters are plain threads and this one watches the count move.
+    // Two submitters contend for one pool with jobs of every width it
+    // hosts, so each hand-off — the queue for the pool, the posts to the
+    // workers, the take-back of a pid nobody has started, the join in its
+    // polled and its parked form — is taken a few hundred thousand times
+    // against a peer that is doing the same.  Every third job rendezvouses
+    // all its pids, so it needs every worker it posts to, right after
+    // empty jobs whose late workers woke to an empty slot.  A pid runs
+    // exactly once, on its own worker or on its submitter.  A lost
+    // wake-up cannot fail an assertion, it hangs; so the submitters are
+    // plain threads and this one watches the count move.
     const JOBS: u64 = 100_000;
     let stats = Arc::new(OpStats::new());
     let pool = Arc::new(ForcePool::new(4, &stats));
+    let worker_of: Arc<Vec<String>> =
+        Arc::new((0..4).map(|pid| format!("force-pool-{pid}")).collect());
     let submitters: Vec<_> = (0..2u64)
         .map(|submitter| {
             let (pool, stats) = (Arc::clone(&pool), Arc::clone(&stats));
+            let worker_of = Arc::clone(&worker_of);
             std::thread::spawn(move || {
+                let me = std::thread::current().id();
                 let planes: Vec<_> = (1..=4)
                     .map(|nproc| FaultPlane::new(nproc, Arc::clone(&stats), RunOptions::default()))
                     .collect();
+                let rendezvous: Vec<_> = (1..=4).map(std::sync::Barrier::new).collect();
                 for job in 0..JOBS {
-                    let plane = &planes[((job + submitter) % 4) as usize];
-                    let pids = pool.run_plane(plane, |pid| pid).expect("a null job");
-                    assert!(pids.into_iter().eq(0..plane.nproc()));
+                    let width = ((job + submitter) % 4) as usize;
+                    let (plane, everyone) = (&planes[width], &rendezvous[width]);
+                    let meet = job % 3 == 0;
+                    let runs: Vec<AtomicU64> =
+                        (0..plane.nproc()).map(|_| AtomicU64::new(0)).collect();
+                    let threads = pool
+                        .run_plane(plane, |pid| {
+                            runs[pid].fetch_add(1, Ordering::Relaxed);
+                            if meet {
+                                everyone.wait();
+                            }
+                            std::thread::current()
+                        })
+                        .expect("a clean job");
+                    for (pid, thread) in threads.iter().enumerate() {
+                        assert_eq!(runs[pid].load(Ordering::Relaxed), 1, "job {job}: pid {pid}");
+                        let on_submitter = thread.id() == me;
+                        let on_own_worker = thread.name() == Some(worker_of[pid].as_str());
+                        let allowed = match (pid, meet) {
+                            (0, _) => on_submitter,
+                            (_, true) => on_own_worker,
+                            (_, false) => on_submitter || on_own_worker,
+                        };
+                        assert!(
+                            allowed,
+                            "job {job} (rendezvous {meet}): pid {pid} ran on {thread:?}"
+                        );
+                    }
                 }
             })
         })
