@@ -12,6 +12,17 @@
 //! ([`ForceRange::in_bounds`], the §4.2 `(incr > 0 ∧ k ≤ last) ∨
 //! (incr < 0 ∧ k ≥ last)` test) — and the VM executes the result.
 //!
+//! The scalar INTEGER statements the macros emit on every trip are one
+//! instruction each, in *operand form*: an [`Opnd`] — a constant, a
+//! frame slot, a shared scalar or `ME`/`NP` — is read in place, with no
+//! value-stack traffic.  `X = a` is a `MoveInt`, `X = a op b` (`+ − ×`)
+//! a `SetInt`, and `IF (a .rel. b) THEN`, `IF (…) GO TO l` and a loop
+//! head stepping by a constant a `BranchInt`.  Only statically INTEGER
+//! scalars that are not dummy arguments are operands; the compiler picks
+//! one emission per statement, and every other one keeps the stack code.
+//! Every shared word, fused or not, is read and written through
+//! `VmProc::load_word`/`store_word`.
+//!
 //! Semantics are bit-for-bit those of the tree-walker; the differential
 //! tests (`tests/native_vs_interpreter.rs`'s executor matrix and
 //! `tests/support`'s `run_checked`) hold the two to identical outputs,
@@ -58,8 +69,35 @@ pub(crate) enum Instr {
     /// the loop body unless the trip continues (§4.2 completion test).
     /// Both spellings of the head compile to it: `IF (<head>) THEN` and
     /// the negated `IF (.NOT. (<head>)) GO TO exit`, whose `GO TO` it
-    /// absorbs.
+    /// absorbs.  A head whose step is a non-zero INTEGER constant and
+    /// whose variable and bound are operands is a [`BranchInt`] instead.
+    ///
+    /// [`BranchInt`]: Instr::BranchInt
     DoCheck(u32),
+    /// Compare-and-branch on two INTEGER operands: jump to `t` if
+    /// `a rel b` holds.  `IF (a .rel. b) THEN` jumps on the negated
+    /// relation; `IF (a .rel. b) GO TO l` and `IF (.NOT. (…)) GO TO l`
+    /// absorb their `GO TO`; a DO head stepping up by a constant exits on
+    /// `var .GT. bound`, stepping down on `var .LT. bound`.
+    BranchInt {
+        a: Opnd,
+        b: Opnd,
+        rel: BinOp,
+        t: u32,
+    },
+    /// `dst = src`: an INTEGER scalar assigned an INTEGER operand.
+    MoveInt {
+        dst: Opnd,
+        src: Opnd,
+    },
+    /// `dst = a op b`, `op` one of `+ − ×` on INTEGER operands, wrapping
+    /// as [`int_binop`] does.
+    SetInt {
+        dst: Opnd,
+        a: Opnd,
+        b: Opnd,
+        op: BinOp,
+    },
     ConstInt(i64),
     ConstReal(f64),
     ConstLog(bool),
@@ -267,6 +305,76 @@ pub(crate) enum LockAt {
 // other one bigger.
 const _: () = assert!(std::mem::size_of::<Instr>() == 16);
 
+/// An operand of an operand-form instruction, unpacked.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Term {
+    Const(i64),
+    /// A private frame slot.
+    Local(u32),
+    /// A shared scalar: block index and word offset within it.
+    Shared { block: u16, offset: u32 },
+    Me,
+    Np,
+}
+
+/// An INTEGER operand of an operand-form instruction ([`Instr::MoveInt`],
+/// [`Instr::SetInt`], [`Instr::BranchInt`]), read or written in place with
+/// no value-stack traffic.  It is packed into one word, its kind in the
+/// top two bits, so that three operands and a jump target fit in an
+/// instruction: a constant of 30 bits, a frame slot below 2³⁰, a shared
+/// scalar in one of the first 2¹⁴ blocks at an offset below 2¹⁶.  A
+/// statement with an operand that does not fit keeps its stack code.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Opnd(u32);
+
+impl Opnd {
+    const PAYLOAD: u32 = (1 << 30) - 1;
+    const CONST: u32 = 0;
+    const LOCAL: u32 = 1 << 30;
+    const SHARED: u32 = 2 << 30;
+    const ENV: u32 = 3 << 30;
+    /// A shared operand's offset bits; its block has the rest.
+    const OFFSET_BITS: u32 = 16;
+
+    fn pack(o: Term) -> Option<Opnd> {
+        let fits = |x: u32, bits: u32| x < 1 << bits;
+        Some(Opnd(match o {
+            Term::Const(n) => {
+                if !(-(1 << 29)..1 << 29).contains(&n) {
+                    return None;
+                }
+                Self::CONST | (n as u32 & Self::PAYLOAD)
+            }
+            Term::Local(slot) if fits(slot, 30) => Self::LOCAL | slot,
+            Term::Shared { block, offset }
+                if fits(u32::from(block), 30 - Self::OFFSET_BITS)
+                    && fits(offset, Self::OFFSET_BITS) =>
+            {
+                Self::SHARED | u32::from(block) << Self::OFFSET_BITS | offset
+            }
+            Term::Me => Self::ENV,
+            Term::Np => Self::ENV | 1,
+            Term::Local(_) | Term::Shared { .. } => return None,
+        }))
+    }
+
+    #[inline(always)]
+    fn unpack(self) -> Term {
+        let payload = self.0 & Self::PAYLOAD;
+        match self.0 & !Self::PAYLOAD {
+            // The payload's top bit is the sign: shift it into place.
+            Self::CONST => Term::Const(i64::from((self.0 << 2) as i32 >> 2)),
+            Self::LOCAL => Term::Local(payload),
+            Self::SHARED => Term::Shared {
+                block: (payload >> Self::OFFSET_BITS) as u16,
+                offset: payload & ((1 << Self::OFFSET_BITS) - 1),
+            },
+            _ if payload == 0 => Term::Me,
+            _ => Term::Np,
+        }
+    }
+}
+
 /// One compiled unit.
 #[derive(Debug)]
 pub(crate) struct CUnit {
@@ -432,21 +540,72 @@ fn do_head<'u>(unit: &'u Unit, pc: usize, cond: &'u Expr, t: usize) -> Option<Do
         return None;
     };
     let (var, to, step) = crate::program::match_do_condition(inner)?;
-    let Some(&Op::Jump(exit)) = unit.ops.get(pc + 1) else {
-        return None;
-    };
-    // The `GO TO` disappears: nothing may jump to it.
-    let targeted = unit
-        .ops
-        .iter()
-        .any(|op| matches!(op, Op::Jump(j) | Op::JumpIfFalse(_, j) if *j == pc + 1));
-    (t == pc + 2 && !targeted && int_step(step)).then_some(DoHead {
+    let exit = goto_after(unit, pc, t)?;
+    int_step(step).then_some(DoHead {
         var,
         to,
         step,
         exit,
         negated: true,
     })
+}
+
+/// Where op `pc`, `JumpIfFalse(_, t)`, goes when its condition holds, if
+/// that is a `GO TO` the branch can absorb: `IF (c) GO TO l` is the pair
+/// `JumpIfFalse(c, pc + 2)`, `Jump(l)`.  The `GO TO` disappears, so
+/// nothing else may jump to it.
+fn goto_after(unit: &Unit, pc: usize, t: usize) -> Option<usize> {
+    let Some(&Op::Jump(l)) = unit.ops.get(pc + 1) else {
+        return None;
+    };
+    let targeted = || {
+        unit.ops
+            .iter()
+            .any(|op| matches!(op, Op::Jump(j) | Op::JumpIfFalse(_, j) if *j == pc + 1))
+    };
+    (t == pc + 2 && !targeted()).then_some(l)
+}
+
+/// `(a, rel, b)` such that `cond` holds exactly when `a rel b` does, if
+/// `cond` is a comparison under any number of `.NOT.`s and `a` and `b`
+/// are INTEGERs — the caller's to check: two INTEGERs compare totally,
+/// which is what lets a `.NOT.` invert the relation.
+fn int_comparison(cond: &Expr) -> Option<(&Expr, BinOp, &Expr)> {
+    use BinOp::{Eq, Ge, Gt, Le, Lt, Ne};
+    match cond {
+        Expr::Bin(rel @ (Eq | Ne | Lt | Le | Gt | Ge), a, b) => Some((a, *rel, b)),
+        Expr::Un(UnOp::Not, inner) => {
+            let (a, rel, b) = int_comparison(inner)?;
+            Some((a, negated(rel), b))
+        }
+        _ => None,
+    }
+}
+
+/// The relation that holds between two INTEGERs exactly when `rel` does
+/// not.
+fn negated(rel: BinOp) -> BinOp {
+    match rel {
+        BinOp::Eq => BinOp::Ne,
+        BinOp::Ne => BinOp::Eq,
+        BinOp::Lt => BinOp::Ge,
+        BinOp::Ge => BinOp::Lt,
+        BinOp::Le => BinOp::Gt,
+        BinOp::Gt => BinOp::Le,
+        other => unreachable!("{other:?} is not a relation"),
+    }
+}
+
+/// The value of an INTEGER literal, negated or not.
+fn int_constant(x: &Expr) -> Option<i64> {
+    match x {
+        Expr::Int(n) => Some(*n),
+        Expr::Un(UnOp::Neg, a) => match **a {
+            Expr::Int(n) => Some(-n),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 /// Whether `x` evaluates to an INTEGER or to an error, never to another
@@ -505,8 +664,16 @@ impl<'p> Compiler<'p> {
             match op {
                 Op::Nop => {}
                 Op::Jump(t) => e.push(Instr::Jump(*t as u32), line),
-                Op::JumpIfFalse(cond, t) => match do_head(unit, pc, cond, *t) {
-                    Some(head) => {
+                Op::JumpIfFalse(cond, t) => {
+                    let head = do_head(unit, pc, cond, *t);
+                    let fused = match &head {
+                        Some(head) => self.int_head(&e, head),
+                        None => self.int_branch(&e, unit, pc, cond, *t),
+                    };
+                    if let Some((branch, absorbs)) = fused {
+                        e.push(branch, line);
+                        absorbed = absorbs;
+                    } else if let Some(head) = head {
                         // Tree evaluation order of the condition's first
                         // error: step, then var, then to.
                         self.expr(&mut e, head.step, line);
@@ -514,16 +681,20 @@ impl<'p> Compiler<'p> {
                         self.expr(&mut e, head.to, line);
                         e.push(Instr::DoCheck(head.exit as u32), line);
                         absorbed = head.negated;
-                    }
-                    None => {
+                    } else if *cond != Expr::Logical(true) {
+                        // `IF (.TRUE.) THEN` (a Pcase `Usect`) never
+                        // jumps: it compiles to nothing.
                         self.expr(&mut e, cond, line);
                         e.push(Instr::JumpIfFalse(*t as u32), line);
                     }
-                },
-                Op::Assign(lhs, rhs) => {
-                    self.expr(&mut e, rhs, line);
-                    self.store(&mut e, lhs, line);
                 }
+                Op::Assign(lhs, rhs) => match self.int_assign(&e, lhs, rhs) {
+                    Some(assign) => e.push(assign, line),
+                    None => {
+                        self.expr(&mut e, rhs, line);
+                        self.store(&mut e, lhs, line);
+                    }
+                },
                 Op::Print(items) => {
                     for it in items {
                         match it {
@@ -549,7 +720,10 @@ impl<'p> Compiler<'p> {
         // offsets.
         for i in &mut e.code {
             match i {
-                Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::DoCheck(t) => {
+                Instr::Jump(t)
+                | Instr::JumpIfFalse(t)
+                | Instr::DoCheck(t)
+                | Instr::BranchInt { t, .. } => {
                     *t = op_starts[*t as usize];
                 }
                 _ => {}
@@ -589,6 +763,106 @@ impl<'p> Compiler<'p> {
                 self.block_ids.get(&**block).map(|&b| (b, *offset as u32))
             }
             _ => None,
+        }
+    }
+
+    // -- operand form --
+
+    /// The INTEGER scalar `n` of the unit as an operand: a frame slot, a
+    /// shared scalar of a known block, `ME` or `NP` — not a dummy
+    /// argument, whose binding may hold any type or none.
+    fn int_scalar(&self, e: &Emit<'_>, n: &str) -> Option<Opnd> {
+        let sym = e.symbol(n)?;
+        if sym.ty != Ty::Integer || !sym.dims.is_empty() {
+            return None;
+        }
+        Opnd::pack(match sym.storage {
+            Storage::Local { base } => Term::Local(u32::try_from(base).ok()?),
+            Storage::Shared { .. } => {
+                let (block, offset) = self.shared_place(sym)?;
+                Term::Shared { block, offset }
+            }
+            Storage::PseudoMe => Term::Me,
+            Storage::PseudoNp => Term::Np,
+            Storage::Arg(_) => return None,
+        })
+    }
+
+    /// `x` as an INTEGER operand, if it is one: a literal or an INTEGER
+    /// scalar ([`int_scalar`](Self::int_scalar)).  Reading one fails only
+    /// where `LoadShared` would, with the same error.
+    fn operand(&self, e: &Emit<'_>, x: &Expr) -> Option<Opnd> {
+        match x {
+            Expr::Var(n) => self.int_scalar(e, n),
+            _ => Opnd::pack(Term::Const(int_constant(x)?)),
+        }
+    }
+
+    /// `X = a` or `X = a op b` in one instruction, when `X` is an INTEGER
+    /// scalar in a slot or a shared block, `a` and `b` are INTEGER
+    /// operands and `op` is `+ − ×`.
+    fn int_assign(&self, e: &Emit<'_>, lhs: &LValue, rhs: &Expr) -> Option<Instr> {
+        let LValue::Name(n) = lhs else {
+            return None;
+        };
+        let dst = self.int_scalar(e, n)?;
+        if !matches!(dst.unpack(), Term::Local(_) | Term::Shared { .. }) {
+            return None;
+        }
+        match rhs {
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b) => Some(Instr::SetInt {
+                dst,
+                a: self.operand(e, a)?,
+                b: self.operand(e, b)?,
+                op: *op,
+            }),
+            src => Some(Instr::MoveInt {
+                dst,
+                src: self.operand(e, src)?,
+            }),
+        }
+    }
+
+    /// `if a rel b then jump to t`, on two INTEGER operands.
+    fn branch_int(&self, e: &Emit<'_>, a: &Expr, rel: BinOp, b: &Expr, t: usize) -> Option<Instr> {
+        Some(Instr::BranchInt {
+            a: self.operand(e, a)?,
+            b: self.operand(e, b)?,
+            rel,
+            t: t as u32,
+        })
+    }
+
+    /// A loop head as one [`Instr::BranchInt`], and whether that absorbs
+    /// the `GO TO` after it, when its step is a non-zero INTEGER constant
+    /// and its variable and bound are INTEGER operands: the §4.2 test
+    /// with the step's sign known, so the trip goes on while `var ≤ to`
+    /// stepping up and `var ≥ to` stepping down.
+    fn int_head(&self, e: &Emit<'_>, head: &DoHead<'_>) -> Option<(Instr, bool)> {
+        let exit_if = match int_constant(head.step)? {
+            0 => return None,
+            1.. => BinOp::Gt,
+            _ => BinOp::Lt,
+        };
+        let branch = self.branch_int(e, head.var, exit_if, head.to, head.exit)?;
+        Some((branch, head.negated))
+    }
+
+    /// Op `pc`, `JumpIfFalse(cond, t)`, as one [`Instr::BranchInt`], and
+    /// whether that absorbs the `GO TO` after it, when `cond` compares
+    /// two INTEGER operands.
+    fn int_branch(
+        &self,
+        e: &Emit<'_>,
+        unit: &Unit,
+        pc: usize,
+        cond: &Expr,
+        t: usize,
+    ) -> Option<(Instr, bool)> {
+        let (a, rel, b) = int_comparison(cond)?;
+        match goto_after(unit, pc, t) {
+            Some(l) => Some((self.branch_int(e, a, rel, b, l)?, true)),
+            None => Some((self.branch_int(e, a, negated(rel), b, t)?, false)),
         }
     }
 
@@ -1264,6 +1538,9 @@ impl<'r, 'e> VmProc<'r, 'e> {
         Ok(bases[block as usize] + offset as usize)
     }
 
+    /// Read a shared word.  With [`store_word`](Self::store_word), the
+    /// one place the VM touches shared memory, whichever instruction
+    /// asks.
     fn load_word(&mut self, off: usize, ty: Ty) -> Result<Value, FortError> {
         let (state, _) = self.shared_ref()?;
         Ok(Value::from_bits(state.region.load_raw(off), ty))
@@ -1272,6 +1549,41 @@ impl<'r, 'e> VmProc<'r, 'e> {
     fn store_word(&mut self, off: usize, bits: u64) -> Result<(), FortError> {
         let (state, _) = self.shared_ref()?;
         state.region.store_raw(off, bits);
+        Ok(())
+    }
+
+    /// The value of an INTEGER operand.  A shared one resolves the region
+    /// as `LoadShared` does, so it fails where and as that would.
+    #[inline(always)]
+    fn read(&mut self, o: Opnd, locals: &[Value]) -> Result<i64, FortError> {
+        let v = match o.unpack() {
+            Term::Const(n) => return Ok(n),
+            Term::Local(slot) => locals[slot as usize],
+            Term::Shared { block, offset } => {
+                let off = self.shared_off(block, offset)?;
+                self.load_word(off, Ty::Integer)?
+            }
+            Term::Me => return Ok(self.me),
+            Term::Np => return Ok(self.np),
+        };
+        match v {
+            Value::Int(n) => Ok(n),
+            other => unreachable!("an INTEGER scalar holds {other:?}"),
+        }
+    }
+
+    /// Store an INTEGER into an operand-form destination: a frame slot
+    /// or a shared scalar.
+    #[inline(always)]
+    fn write(&mut self, dst: Opnd, v: Value, locals: &mut [Value]) -> Result<(), FortError> {
+        match dst.unpack() {
+            Term::Local(slot) => locals[slot as usize] = v,
+            Term::Shared { block, offset } => {
+                let off = self.shared_off(block, offset)?;
+                self.store_word(off, v.to_bits())?;
+            }
+            other => unreachable!("{other:?} is not a destination"),
+        }
         Ok(())
     }
 
@@ -1315,29 +1627,31 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 stack.pop().expect("value stack underflow")
             };
         }
+        // Take a branch.  Every loop closes with a backward branch, fused
+        // or not; a body that never blocks observes cancellation here, so
+        // a deadline can end it.
+        macro_rules! branch {
+            ($t:expr) => {{
+                let t = $t as usize;
+                if t <= *pc {
+                    until_check -= 1;
+                    if until_check == 0 {
+                        until_check = CANCEL_CHECK_STRIDE;
+                        fault::check_cancel();
+                    }
+                }
+                *pc = t;
+                continue;
+            }};
+        }
         while *pc < code.len() {
             #[cfg(test)]
             tests::dispatched(u.lines[*pc]);
             match &code[*pc] {
-                Instr::Jump(t) => {
-                    let t = *t as usize;
-                    // Every loop closes with a backward `Jump`; a body
-                    // that never blocks observes cancellation here, so a
-                    // deadline can end it.
-                    if t <= *pc {
-                        until_check -= 1;
-                        if until_check == 0 {
-                            until_check = CANCEL_CHECK_STRIDE;
-                            fault::check_cancel();
-                        }
-                    }
-                    *pc = t;
-                    continue;
-                }
+                Instr::Jump(t) => branch!(*t),
                 Instr::JumpIfFalse(t) => {
                     if !pop!().as_log(HERE)? {
-                        *pc = *t as usize;
-                        continue;
+                        branch!(*t);
                     }
                 }
                 Instr::DoCheck(t) => {
@@ -1345,9 +1659,25 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     let var = pop!();
                     let step = pop!();
                     if !do_continues(var, to, step, HERE)? {
-                        *pc = *t as usize;
-                        continue;
+                        branch!(*t);
                     }
+                }
+                Instr::BranchInt { a, b, rel, t } => {
+                    let x = self.read(*a, &locals)?;
+                    let y = self.read(*b, &locals)?;
+                    if int_binop(*rel, x, y) == Some(Value::Log(true)) {
+                        branch!(*t);
+                    }
+                }
+                Instr::MoveInt { dst, src } => {
+                    let v = self.read(*src, &locals)?;
+                    self.write(*dst, Value::Int(v), &mut locals)?;
+                }
+                Instr::SetInt { dst, a, b, op } => {
+                    let x = self.read(*a, &locals)?;
+                    let y = self.read(*b, &locals)?;
+                    let v = int_binop(*op, x, y).expect("+ − × of two INTEGERs");
+                    self.write(*dst, v, &mut locals)?;
                 }
                 Instr::ConstInt(n) => stack.push(Value::Int(*n)),
                 Instr::ConstReal(x) => stack.push(Value::Real(*x)),
@@ -1828,19 +2158,22 @@ mod tests {
     /// dispatched.  The pins may fall, never rise: a macro edit that
     /// stops an idiom from compiling to its fused form fails here, not
     /// only in the benchmark.  Before the fused forms they read 17 (18
-    /// on the exit trip), 14, 4, 4 and 34.
+    /// on the exit trip), 14, 4, 4 and 34; before the operand forms 4,
+    /// 8, 1, 1, 22, 9 and 4.
     #[test]
     fn one_trip_of_each_idiom_dispatches_no_more_than_its_pin() {
-        const PRESCHED_HEAD: usize = 4;
-        const SELFSCHED_CLAIM: usize = 8;
+        const PRESCHED_HEAD: usize = 1;
+        const SELFSCHED_CLAIM: usize = 4;
         const CRITICAL_ENTER: usize = 1;
         const CRITICAL_EXIT: usize = 1;
-        const FULL_BARRIER: usize = 22;
+        const FULL_BARRIER: usize = 10;
+        const EMPTY_DO_TRIP: usize = 3;
+        const SHARED_SUM: usize = 1;
         const TRIPS: usize = 5;
         let source = "\
       Force FMAIN of NP ident ME
       Shared INTEGER TOTAL
-      Private INTEGER K, J
+      Private INTEGER K, J, N
       End declarations
       Presched DO 10 J = 1, 5
       TOTAL = TOTAL + J
@@ -1850,6 +2183,9 @@ mod tests {
       TOTAL = TOTAL + K
       End critical
 100   End selfsched DO
+      N = 5
+      DO 20 K = 1, N
+20    CONTINUE
       Join
 ";
         for id in MachineId::all() {
@@ -1892,6 +2228,20 @@ mod tests {
                     count(barrier + 1, line("C loop entry code") - 1),
                     1,
                     FULL_BARRIER,
+                ),
+                (
+                    "TOTAL = TOTAL + K",
+                    count(line("TOTAL = TOTAL + K"), line("TOTAL = TOTAL + K")),
+                    TRIPS,
+                    SHARED_SUM,
+                ),
+                // The first value of `K` is one more dispatch, on the
+                // head's line.
+                (
+                    "Empty DO",
+                    count(line("DO 20 K"), line("20    CONTINUE")),
+                    TRIPS + 1,
+                    EMPTY_DO_TRIP,
                 ),
             ];
             for (idiom, dispatched, trips, pin) in idioms {

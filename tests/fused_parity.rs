@@ -1,14 +1,18 @@
 //! Every shape the bytecode compiler fuses into one instruction — the
-//! §4.2 loop head in both spellings, and a lock mnemonic on a scalar, on
-//! an array element or on anything else — runs here on all six machines
-//! under both executors, on the inputs where fusion could change what
-//! happens: REAL and LOGICAL bounds, a zero and a negative step, an
-//! out-of-range subscript in a bound, a lock variable never initialised,
-//! an async element's `…ZZE`/`…ZZF` lock, and nested Cray-2 criticals
-//! that share a pooled lock.  `support::run_parity` holds the VM to the
-//! oracle on prints, shared memory, op counters and — when the program
-//! fails — error text and line; each row also says which outcome it is
-//! about, so that a row cannot pass by failing in some other way.
+//! §4.2 loop head in both spellings, a lock mnemonic on a scalar, on an
+//! array element or on anything else, and the operand forms of scalar
+//! INTEGER assignment and compare-and-branch — runs here on all six
+//! machines under both executors, on the inputs where fusion could
+//! change what happens: REAL and LOGICAL bounds, a zero, a negative and a
+//! variable step, an out-of-range subscript in a bound, a lock variable
+//! never initialised, an async element's `…ZZE`/`…ZZF` lock, nested
+//! Cray-2 criticals that share a pooled lock, wrapping arithmetic, a
+//! REAL on either side of an assignment, a dummy argument, and shared
+//! memory touched before the Sequent's link pass.  `support::run_parity`
+//! holds the VM to the oracle on prints, shared memory, op counters and
+//! — when the program fails — error text and line; each row also says
+//! which outcome it is about, so that a row cannot pass by failing in
+//! some other way.
 
 mod support;
 
@@ -243,6 +247,173 @@ fn a_lock_variable_never_initialised_fails_alike() {
         let want = Outcome::Error("lock variable used before initialization");
         check("uninitialised lock", &expanded, id, &want);
     }
+}
+
+/// Scalar INTEGER statements in operand form: `X = a`, `X = a op b` and
+/// compare-and-branch, on the inputs where reading operands in place
+/// could part from the stack code — wrapping arithmetic, `ME` and `NP`,
+/// a REAL on either side of the assignment, a dummy argument, a LOGICAL
+/// in a comparison, a read-only `ME` — and in loops that close through a
+/// fused branch.
+#[test]
+fn operand_forms_agree() {
+    const BIG: &str = "9223372036854775807";
+    let decls = "      Shared INTEGER OUT(4), S\n      Shared REAL XS(2)\n      \
+                 Shared LOGICAL L\n      Private INTEGER K, M\n      Private REAL X\n";
+    let rows = [
+        (
+            "INTEGER overflow wraps",
+            program(
+                decls,
+                &format!(
+                    "      K = {BIG}\n      M = K + 1\n      OUT(1) = M\n      S = M - 1\n      \
+                     OUT(2) = S\n      M = K * 3\n      OUT(3) = M\n      M = 3 - K\n      \
+                     OUT(4) = M\n"
+                ),
+            ),
+            Outcome::Values(
+                "OUT",
+                ints(&[i64::MIN, i64::MAX, i64::MAX - 2, i64::MIN + 4]),
+            ),
+        ),
+        (
+            "ME and NP as operands",
+            program(
+                decls,
+                "      K = ME + 1\n      M = NP * 10\n      IF (ME .EQ. 0) THEN\n      OUT(1) = M\n      \
+                 ELSE\n      OUT(2) = K\n      END IF\n      IF (NP .GT. ME) OUT(3) = NP\n      \
+                 IF (.NOT. (ME .LT. NP)) OUT(4) = 99\n",
+            ),
+            Outcome::Values("OUT", ints(&[20, 2, 2, 0])),
+        ),
+        (
+            "an INTEGER stored into a REAL is converted",
+            program(
+                decls,
+                "      K = 7\n      X = K + 1\n      XS(1) = X\n      X = 2.5\n      K = X + 1\n      \
+                 XS(2) = K - 10\n",
+            ),
+            Outcome::Values("XS", vec![Value::Real(8.0), Value::Real(-7.0)]),
+        ),
+        (
+            "a comparison with a LOGICAL",
+            program(decls, "      K = 1\n      IF (K .EQ. L) THEN\n      S = 1\n      END IF\n"),
+            Outcome::Error("numeric value used where a LOGICAL is required"),
+        ),
+        (
+            "an assignment to ME",
+            program(decls, "      ME = ME + 1\n"),
+            Outcome::Error("ME (process environment) is read-only"),
+        ),
+        (
+            "a loop closed by IF … GO TO",
+            program(
+                decls,
+                "      K = 0\n10    K = K + 1\n      IF (K .LT. 7) GO TO 10\n\
+                 20    M = M + 2\n      IF (.NOT. (M .GE. 6)) GO TO 20\n      OUT(1) = K\n      \
+                 OUT(2) = M\n",
+            ),
+            Outcome::Values("OUT", ints(&[7, 6, 0, 0])),
+        ),
+        (
+            "an arithmetic IF",
+            program(
+                decls,
+                "      DO 40 K = -1, 1\n      IF (K) 10, 20, 30\n10    OUT(1) = K\n      GO TO 40\n\
+                 20    OUT(2) = 5\n      GO TO 40\n30    OUT(3) = K\n40    CONTINUE\n",
+            ),
+            Outcome::Values("OUT", ints(&[-1, 5, 1, 0])),
+        ),
+    ];
+    for (row, source, want) in rows {
+        check_everywhere(row, &source, want);
+    }
+}
+
+/// A structured DO whose step is an INTEGER constant is one
+/// compare-and-branch; a REAL bound, a zero step or a step that is not a
+/// constant keep the `DoCheck`.  Either way the trips are the tree's.
+/// (Process 0 runs the loop alone: every process runs a plain DO.)
+#[test]
+fn structured_do_heads_agree() {
+    let decls = "      Shared INTEGER HITS(12), N\n      Private INTEGER K, T\n";
+    let body = |head: &str| {
+        format!(
+            "      N = 12\n      T = 3\n      IF (ME .EQ. 0) THEN\n      DO 10 {head}\n      \
+             HITS(K) = HITS(K) + 1\n10    CONTINUE\n      END IF\n"
+        )
+    };
+    let every = |from: usize, step: usize| {
+        let mut hits = vec![0; 12];
+        for k in (from - 1..12).step_by(step) {
+            hits[k] = 1;
+        }
+        ints(&hits)
+    };
+    let rows = [
+        ("a shared bound", body("K = 1, N"), every(1, 1)),
+        ("a REAL bound", body("K = 1, 10.5"), {
+            let mut hits = [1; 12];
+            hits[10..].fill(0);
+            ints(&hits)
+        }),
+        ("step 0", body("K = 1, 5, 0"), ints(&[0; 12])),
+        ("a negative step", body("K = 12, 1, -3"), {
+            ints(&[0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1])
+        }),
+        ("a variable step", body("K = 2, N, T"), every(2, 3)),
+        ("no trips", body("K = N, 1"), ints(&[0; 12])),
+    ];
+    for (row, source, values) in rows {
+        check_everywhere(row, &program(decls, &source), Outcome::Values("HITS", values));
+    }
+}
+
+/// A fused statement is the first to touch shared memory before the
+/// Sequent's link pass has run: the designation fails in it, with the
+/// same error and line under both executors.
+#[test]
+fn a_fused_statement_before_the_link_pass_fails_alike() {
+    let source = program("      Shared INTEGER S\n", "      S = 1\n");
+    let id = MachineId::SequentBalance;
+    for statement in [
+        "      ZZNBAR = 1\n",
+        "      ZZNBAR = ZZNBAR + 1\n",
+        "      IF (ZZNBAR .GT. 0) STOP\n",
+    ] {
+        // In place of the driver's `CALL ZZLINK`: same lines, no link.
+        let mut expanded = preprocess(&source, id).unwrap();
+        let link = "      CALL ZZLINK\n";
+        assert!(expanded.code.contains(link), "{}", expanded.code);
+        expanded.code = expanded.code.replacen(link, statement, 1);
+        let want = Outcome::Error("requires the startup registry to be finalized");
+        check(statement.trim(), &expanded, id, &want);
+    }
+}
+
+/// A dummy argument is never an operand: the callee's `N = N + 1` keeps
+/// the binding's checks — read-only when passed by value, a store into
+/// the caller's shared scalar when passed by reference.
+#[test]
+fn a_dummy_argument_keeps_its_binding_checks() {
+    let source = |actual: &str| {
+        format!(
+            "      Force FMAIN of NP ident ME\n      Shared INTEGER S\n      Externf BUMP\n      \
+             Private INTEGER K\n      End declarations\n      K = 1\n      CALL BUMP({actual})\n      \
+             Join\n      Forcesub BUMP(N) of NP ident ME\n      INTEGER N\n      End declarations\n      \
+             Barrier\n      N = N + 1\n      End barrier\n      Join\n"
+        )
+    };
+    check_everywhere(
+        "by value",
+        &source("K"),
+        Outcome::Error("argument N was passed by value and is read-only"),
+    );
+    check_everywhere(
+        "by reference",
+        &source("S"),
+        Outcome::Values("S", ints(&[1])),
+    );
 }
 
 /// Elements of an async array: on every machine but the HEP, `Produce`

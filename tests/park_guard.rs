@@ -207,6 +207,41 @@ fn the_job_server_polls_no_timer() {
 }
 
 #[test]
+fn the_vm_touches_shared_words_in_two_functions() {
+    // Every shared word the VM reads or writes, whichever instruction
+    // asks — fused or on the stack — goes through `VmProc::load_word` or
+    // `VmProc::store_word`: what has to watch shared memory (a race
+    // detector) hooks those two, not a list of opcodes.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fortranish/src/bytecode.rs");
+    let text = fs::read_to_string(path).expect("bytecode.rs");
+    let production = text.split("#[cfg(test)]").next().unwrap_or(&text);
+    let mut function = "";
+    let (mut funnelled, mut violations) = (Vec::new(), Vec::new());
+    for (lineno, line) in production.lines().enumerate() {
+        let item = line.trim_start();
+        let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
+        if let Some(signature) = item.strip_prefix("fn ") {
+            function = signature.split(['(', '<']).next().unwrap_or(signature);
+        }
+        for access in ["region.load_raw(", "region.store_raw("] {
+            if line.contains(access) {
+                let site = format!("bytecode.rs:{}: `{access}` in fn {function}", lineno + 1);
+                match function {
+                    "load_word" | "store_word" => funnelled.push(site),
+                    _ => violations.push(site),
+                }
+            }
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "shared memory touched outside VmProc::load_word/store_word:\n{}",
+        violations.join("\n")
+    );
+    assert_eq!(funnelled.len(), 2, "the funnel itself moved: {funnelled:?}");
+}
+
+#[test]
 fn the_session_protocol_is_written_once() {
     // A job's prologue — reset the plane, bind the session's stats — is
     // `machdep::session::Session::run`'s; the front ends hand it their

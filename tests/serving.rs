@@ -81,6 +81,31 @@ const PRIVATE_LOOP_PROGRAM: &str = "\
       Join
 ";
 
+/// The same in operand form: a structured all-INTEGER DO around a loop
+/// closed by `IF … GO TO`, each head and statement of which is one
+/// instruction.  The inner loop's back-edge is a fused compare-and-branch,
+/// and the first trip of the DO does not end before the deadline: if
+/// that branch did not count toward the cancellation check, nothing
+/// would.
+const OPERAND_LOOP_PROGRAM: &str = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER DONE
+      Private INTEGER I, J, K, N
+      End declarations
+      N = 500000000
+      IF (NP .EQ. 1) N = 2
+      DO 10 I = 1, N
+      J = 0
+20    J = J + 1
+      K = K + J
+      IF (J .LT. N) GO TO 20
+10    CONTINUE
+      Critical L
+      DONE = DONE + 1
+      End critical
+      Join
+";
+
 /// `src` loaded onto `machine` as a session that runs on `pool`.
 fn pooled_engine(src: &str, machine: &Arc<Machine>, pool: &Arc<ForcePool>) -> Arc<Engine> {
     let expanded = preprocess(src, machine.id()).unwrap();
@@ -582,9 +607,20 @@ fn language_deadline_tears_down_a_running_interpreter_job() {
 
 #[test]
 fn language_deadline_tears_down_a_private_loop() {
+    a_deadline_tears_down(PRIVATE_LOOP_PROGRAM);
+}
+
+#[test]
+fn language_deadline_tears_down_an_operand_form_loop() {
+    a_deadline_tears_down(OPERAND_LOOP_PROGRAM);
+}
+
+/// A 15 ms deadline ends `program`'s loop, which only the VM's back-edge
+/// check can end early, and the session serves the next job.
+fn a_deadline_tears_down(program: &str) {
     let machine = Machine::new(MachineId::Flex32);
     let pool = Arc::new(ForcePool::new(NPROC, machine.stats()));
-    let engine = pooled_engine(PRIVATE_LOOP_PROGRAM, &machine, &pool);
+    let engine = pooled_engine(program, &machine, &pool);
     let server = ForceServer::new(ServerConfig::default(), machine.stats());
 
     let outputs: Arc<Mutex<Vec<Option<Value>>>> = Arc::new(Mutex::new(Vec::new()));
