@@ -1071,7 +1071,7 @@ pub(crate) fn charge_current(proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) -> b
             ctx.charge(proj, n);
             return true;
         }
-        AMBIENT.with(|a| match a.borrow().last() {
+        AMBIENT.with(|a| match a.borrow().as_ref() {
             Some(handle) => {
                 handle.add_direct(proj, n);
                 true
@@ -1087,21 +1087,25 @@ thread_local! {
     /// the driver program inline) binds its handle here so lock
     /// creation, shared-memory designation, and driver-side lock traffic
     /// are attributed to the session even though no fault context is
-    /// installed.  A stack, because sessions nest (a serve job runs a
-    /// session from a dispatcher that may bind its own handle).
-    static AMBIENT: RefCell<Vec<StatsHandle>> = const { RefCell::new(Vec::new()) };
+    /// installed.  Sessions nest (a serve job runs a session from a
+    /// thread that may have bound its own handle): each guard keeps the
+    /// binding it replaced, so the stack lives in the guards and a
+    /// thread's first binding allocates nothing — a served job costs the
+    /// same allocations on whichever thread runs it.
+    static AMBIENT: RefCell<Option<StatsHandle>> = const { RefCell::new(None) };
 }
 
-/// RAII guard for [`bind_ambient_stats`]; unbinds on drop.
+/// RAII guard for [`bind_ambient_stats`]; puts back the binding it
+/// replaced on drop.
 pub struct AmbientStatsGuard {
+    replaced: Option<StatsHandle>,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for AmbientStatsGuard {
     fn drop(&mut self) {
-        AMBIENT.with(|a| {
-            a.borrow_mut().pop();
-        });
+        let replaced = self.replaced.take();
+        AMBIENT.with(|a| *a.borrow_mut() = replaced);
     }
 }
 
@@ -1113,8 +1117,8 @@ impl Drop for AmbientStatsGuard {
 /// per-plane accounting.  Installed fault contexts still win: a force
 /// process always charges its own plane.
 pub fn bind_ambient_stats(handle: StatsHandle) -> AmbientStatsGuard {
-    AMBIENT.with(|a| a.borrow_mut().push(handle));
     AmbientStatsGuard {
+        replaced: AMBIENT.with(|a| a.replace(Some(handle))),
         _not_send: std::marker::PhantomData,
     }
 }

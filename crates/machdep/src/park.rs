@@ -37,8 +37,8 @@
 //! cancels ([`wait_on`]).  One heartbeat ([`HEARTBEAT`]) derives the
 //! polling left — the watchdog tick, the cap on an overcommitted
 //! spin-shaped wait's sleeps, and (a tenth of it, one measured wake-up)
-//! the window for which the pool's join and the dispatcher's idle wait
-//! poll before they park; the job server polls nothing on it.  Under the
+//! the window for which the pool's join polls before it parks; the job
+//! server polls nothing on it.  Under the
 //! virtual backend the watchdog is the scheduler's barren-poll detector,
 //! serve deadlines arm a virtual deadline
 //! ([`Parker::arm_virtual_deadline`]) checked at every decision point,
@@ -1111,12 +1111,10 @@ const SPIN_WINDOW: Duration = Duration::from_micros(50);
 /// run permit another pid could use, and a virtual run's decision
 /// sequence must not depend on how long a spin happened to last.
 ///
-/// Two callers, both waiting on something a running thread is about to
-/// do: the pool's join (the pids it waits for were taken by their
-/// workers and are executing) and the
-/// dispatcher's idle wait (it has just completed a job, so a closed-loop
-/// client is about to submit the next).  A wait with nothing in flight
-/// belongs in [`wait_on`]: polling for it only burns the window.
+/// One caller, waiting on something running threads are about to do:
+/// the pool's join (the pids it waits for were taken by their workers
+/// and are executing).  A wait with nothing in flight belongs in
+/// [`wait_on`]: polling for it only burns the window.
 pub(crate) fn spin_then_wait_on<T: Send>(
     hint: impl Fn() -> bool,
     lock: &Mutex<T>,

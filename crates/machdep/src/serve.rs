@@ -68,7 +68,16 @@
 //!   most backlogged sibling (enforcing that sibling's watermark on the
 //!   way in), so a hot tenant's backlog drains on every idle shard.  An
 //!   idle dispatcher sleeps untimed: a submission that finds its home
-//!   dispatcher busy wakes one idle sibling.
+//!   shard busy wakes one idle sibling.
+//! * **Who runs a job** — whoever holds the shard's *run slot* (the
+//!   retry jitter stream and the shard's force), so a shard runs one job
+//!   at a time.  A thread in [`JobHandle::wait`] that is not a Force
+//!   process takes the slot itself when its job is the one the shard
+//!   would dequeue next and nothing runs there; otherwise it sleeps and
+//!   the dispatcher runs the job.  No queued job lacks a wake: a
+//!   submission wakes the home dispatcher when it is asleep with the slot
+//!   free, and a waiter that gives the slot back wakes it while anything
+//!   is queued or the drain is on.
 //! * **Merged reports** — [`ServerReport`] and [`TenantRollup`] are
 //!   merged across shards (`StatsSnapshot::merge` /
 //!   `HistogramSnapshot::merge`); queue telemetry stays per shard
@@ -84,13 +93,14 @@
 //! create its processes per job all the same.  Each shard therefore owns
 //! one resident force as wide as the host, and **lends** it:
 //!
-//! * **Who owns it** — the shard's dispatcher.  No thread exists until
+//! * **Who owns it** — the shard: it sits in the shard's run slot, and
+//!   whichever thread runs a job there lends it.  No thread exists until
 //!   a job actually launches on it, so a server whose sessions all carry
 //!   pools never creates one; its one-time `processes_created` charge
-//!   goes to the *server's* stats; `shutdown` joins it with the
-//!   dispatcher.
+//!   goes to the *server's* stats; `shutdown` joins it once the shard's
+//!   last job has given the slot back.
 //! * **Loan lifetime = one attempt** — [`JobCx::bind_plane`] records the
-//!   loan on the plane it binds, the dispatcher withdraws it when the
+//!   loan on the plane it binds, the running thread withdraws it when the
 //!   attempt returns.  A retry borrows afresh; a job pulled by a sibling
 //!   borrows the *pulling* shard's force, which is the idle one.
 //! * **On the plane, not the thread** — the launcher
@@ -111,7 +121,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crate::fault::{Construct, FaultPlane, ProcessFault, RunOptions, INJECTED_FAULT_MARKER};
+use crate::fault::{self, Construct, FaultPlane, ProcessFault, RunOptions, INJECTED_FAULT_MARKER};
 use crate::park;
 use crate::pool::LazyPool;
 use crate::portable::{Backoff, Condvar, Mutex, XorShift64};
@@ -504,10 +514,11 @@ impl JobCx {
         options
     }
 
-    /// The shard whose dispatcher is executing this attempt.  Stable for
-    /// the whole attempt (a pulled job runs on the pulling shard), so a
-    /// runner can pick a per-shard *session* with it.  It need not pick
-    /// a pool: [`bind_plane`](Self::bind_plane) lends the plane this
+    /// The shard executing this attempt: the job's home shard, or the
+    /// sibling that pulled it, whichever thread — that shard's dispatcher
+    /// or the job's own waiter — runs it.  Stable for the whole attempt,
+    /// so a runner can pick a per-shard *session* with it.  It need not
+    /// pick a pool: [`bind_plane`](Self::bind_plane) lends the plane this
     /// shard's resident force.
     pub fn shard(&self) -> usize {
         self.shard
@@ -527,6 +538,8 @@ impl JobCx {
 /// Waits for (and reads) one admitted job's outcome.
 pub struct JobHandle {
     shared: Arc<JobShared>,
+    inner: Arc<Inner>,
+    home: usize,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -546,7 +559,22 @@ impl JobHandle {
     }
 
     /// Block until the job reaches a terminal state.
+    ///
+    /// The caller may run the job itself, on its own stack: a thread that
+    /// is not a Force process takes its home shard's run slot when the
+    /// job is what that shard would dequeue next and nothing runs there
+    /// (module docs, "Who runs a job"), so a closed-loop client pays no
+    /// wake-up for its outcome.  The front end's recursion bounds (the
+    /// expression parser's, m4's) hold on a 512 KiB stack.  Otherwise, or
+    /// from inside a force, it sleeps until the dispatcher — or a sibling
+    /// that pulled the job — publishes the outcome.
     pub fn wait(&self) -> JobOutcome {
+        if fault::current_pid().is_none() {
+            if let Some((job, mut held)) = self.inner.claim(self.home, &self.shared) {
+                self.inner
+                    .run_job(self.home, job, held.slot.as_mut().expect("claimed"));
+            }
+        }
         let mut out = None;
         park::wait_on(
             &self.shared.outcome,
@@ -692,18 +720,63 @@ struct ServeState {
     shutting_down: bool,
     /// This shard's dispatcher is asleep with nobody on the way to wake
     /// it.  Set by the dispatcher, under this lock, as its last act
-    /// before it sleeps; taken by the submission that notifies it.
+    /// before it sleeps; taken by whoever notifies it.
     idle: bool,
+    /// The run slot, while no job runs on this shard.  Gone for good once
+    /// the drained dispatcher has left with it.
+    run: Option<RunSlot>,
 }
 
-/// One dispatcher shard: a private queue set, its wake-up signal, and
-/// the rollup rows this shard's dispatcher has written.  Rollups are
-/// written by the shard that *executed* (or shed) the job and merged
-/// across shards at report time, so no global rollup lock sits on the
-/// completion path.
+impl ServeState {
+    /// The job [`Inner::pop_job`] would take.
+    fn head(&self) -> Option<&QueuedJob> {
+        self.queues.iter().find_map(VecDeque::front)
+    }
+}
+
+/// What running a job on a shard takes.  Whichever thread holds it — the
+/// shard's dispatcher, or a job's own waiter — runs the shard's one job.
+struct RunSlot {
+    /// The retry jitter stream, deterministic per seed and shard.
+    rng: XorShift64,
+    /// The shard's resident force (module docs, "The shard's force").
+    force: Arc<LazyPool>,
+}
+
+/// A run slot a waiter took from shard `home` in [`Inner::claim`].
+/// Dropped — once the job's outcome is published, or while a panic
+/// outside the runner unwinds — it goes back to the shard and wakes the
+/// shard's sleeping dispatcher if anything is queued (on any shard: the
+/// dispatcher pulls) or the drain is on; an awake one looks at the queues
+/// before it sleeps.  So neither a queued job nor `shutdown`, which waits
+/// for the slot, waits for a waiter that is gone.
+struct HeldSlot<'a> {
+    inner: &'a Inner,
+    home: usize,
+    slot: Option<RunSlot>,
+}
+
+impl Drop for HeldSlot<'_> {
+    fn drop(&mut self) {
+        let shard = &self.inner.shards[self.home];
+        let st = &mut *shard.state.lock();
+        st.run = self.slot.take();
+        let queued = self.inner.total_backlog.load(Ordering::Acquire) > 0;
+        if (queued || st.shutting_down) && std::mem::take(&mut st.idle) {
+            shard.work.notify_all();
+        }
+    }
+}
+
+/// One dispatcher shard: a private queue set, its wake-up signal, its
+/// run slot, and the rollup rows written by the jobs run (or shed) here.
+/// Rollups are written by the shard that *executed* (or shed) the job
+/// and merged across shards at report time, so no global rollup lock
+/// sits on the completion path.
 struct Shard {
     state: Mutex<ServeState>,
-    /// Signals this shard's dispatcher: new work or shutdown.
+    /// Signals this shard's dispatcher: new work, the slot given back with
+    /// work queued, or shutdown.
     work: Condvar,
     rollups: Mutex<HashMap<String, TenantRollup>>,
 }
@@ -903,18 +976,170 @@ impl Inner {
         None
     }
 
-    /// A job was queued on `home` behind a dispatcher that is not asleep:
-    /// wake one sibling that is, to pull it.  No wake-up is lost: `idle`
-    /// is read here under the lock the sibling's dispatcher set it under,
-    /// and the dispatcher looked at `total_backlog` — which counts the
-    /// job already — under that lock too, before it slept.
+    /// A job was queued on `home` behind a busy shard: wake one sibling
+    /// whose dispatcher is asleep with its slot free, to pull it.  No
+    /// wake-up is lost: `idle` is read here under the lock the sibling's
+    /// dispatcher set it under, and the dispatcher looked at
+    /// `total_backlog` — which counts the job already — under that lock
+    /// too, before it slept.  A sibling whose slot a waiter holds is
+    /// woken when that waiter gives the slot back, which reads
+    /// `total_backlog` too.
     fn wake_an_idle_sibling(&self, home: usize) {
         for (_, shard) in self.shards.iter().enumerate().filter(|&(i, _)| i != home) {
-            if std::mem::take(&mut shard.state.lock().idle) {
+            let asleep = {
+                let st = &mut *shard.state.lock();
+                st.run.is_some() && std::mem::take(&mut st.idle)
+            };
+            if asleep {
                 shard.work.notify_all();
                 return;
             }
         }
+    }
+
+    /// Help first: job `shared` and `home`'s run slot, if the slot is free
+    /// and the job is what the shard would dequeue next, after its shed
+    /// sweep.  Otherwise the dispatcher runs the job: nothing the claim
+    /// leaves queued was queued without a wake for it (module docs, "Who
+    /// runs a job").
+    fn claim(&self, home: usize, shared: &Arc<JobShared>) -> Option<(QueuedJob, HeldSlot<'_>)> {
+        let shard = &self.shards[home];
+        let mut shed = Vec::new();
+        let is_head = |st: &ServeState| st.head().is_some_and(|j| Arc::ptr_eq(&j.shared, shared));
+        let claimed = {
+            let st = &mut *shard.state.lock();
+            if st.run.is_some() && is_head(st) {
+                self.sweep_overflow(home, st, &mut shed);
+            }
+            if st.run.is_some() && is_head(st) {
+                let job = self.pop_job(st).expect("the head");
+                let slot = st.run.take();
+                Some((
+                    job,
+                    HeldSlot {
+                        inner: self,
+                        home,
+                        slot,
+                    },
+                ))
+            } else {
+                None
+            }
+        };
+        self.complete_shed(shed);
+        claimed
+    }
+
+    /// Publish the outcome of jobs a sweep shed.  Never called with a
+    /// shard state lock held.
+    fn complete_shed(&self, shed: Vec<(usize, QueuedJob)>) {
+        for (shard, victim) in shed {
+            self.complete(
+                shard,
+                victim.shared,
+                JobOutcome::Shed,
+                victim.submitted,
+                StatsSnapshot::default(),
+                None,
+            );
+        }
+    }
+
+    /// Run `job` on shard `me` with the shard's run slot — expired while
+    /// queued, or attempts with a deadline shadow and retry/backoff — and
+    /// record its outcome into the shard's rollups.  The dispatcher and a
+    /// job's own waiter run every job through here.
+    fn run_job(&self, me: usize, mut job: QueuedJob, slot: &mut RunSlot) {
+        // Expired while queued: never run it.
+        if let Some(at) = job.shared.deadline_at {
+            if Instant::now() >= at {
+                job.shared.deadline_fired.store(true, Ordering::Release);
+                self.complete(
+                    me,
+                    job.shared,
+                    JobOutcome::DeadlineExceeded { ran: false },
+                    job.submitted,
+                    StatsSnapshot::default(),
+                    None,
+                );
+                return;
+            }
+        }
+
+        // Attempt loop: run, classify, maybe retry with jittered backoff.
+        let mut attempt = 0u32;
+        let mut ops = StatsSnapshot::default();
+        let mut profile = None;
+        let outcome = loop {
+            let watcher = job.shared.deadline_at.map(|at| {
+                let shared = Arc::clone(&job.shared);
+                StopGuard::spawn(format!("force-deadline-{}", shared.id), move |stop| {
+                    watch_deadline(&shared, at, stop)
+                })
+            });
+            let cx = JobCx {
+                shared: Arc::clone(&job.shared),
+                attempt,
+                shard: me,
+                force: Arc::clone(&slot.force),
+            };
+            let result = run_attempt(&mut job.runner, &cx);
+            // Stop and join the watcher before the attempt ends, so the
+            // session's next job cannot inherit a late trip: ending the
+            // attempt lets go of one the plane holds, and that job's reset
+            // clears it.
+            drop(watcher);
+            ops.merge(&attempt_ops(&job.shared));
+            // A fired deadline dominates the attempt's own result: the
+            // SLA was missed even if the body's completion raced the
+            // trip.  (Documented in DESIGN.md §18.)
+            if job.shared.deadline_fired.load(Ordering::Acquire) {
+                break JobOutcome::DeadlineExceeded { ran: true };
+            }
+            // A virtual-time job exceeds its budget on the *modeled*
+            // clock, surfacing as a deadline-construct fault from the
+            // scheduler rather than a wall-watcher trip — same SLA
+            // miss, same outcome, and it must never be retried.
+            if matches!(&result, Err(JobError::Fault(f)) if f.construct == DEADLINE_CONSTRUCT) {
+                job.shared.deadline_fired.store(true, Ordering::Release);
+                break JobOutcome::DeadlineExceeded { ran: true };
+            }
+            match result {
+                Ok(y) => {
+                    profile = y.profile;
+                    break JobOutcome::Completed { retries: attempt };
+                }
+                Err(error) => {
+                    if error.is_transient() && attempt < job.max_retries {
+                        // Draw the deterministic jittered delay, then
+                        // sleep it only if a retry can still fit before
+                        // the deadline.
+                        let delay =
+                            Backoff::jittered_delay(self.config.retry_base, attempt, &mut slot.rng);
+                        let fits = job
+                            .shared
+                            .deadline_at
+                            .is_none_or(|at| Instant::now() + delay < at);
+                        if fits {
+                            self.count(|s| &s.job_retries);
+                            if !delay.is_zero() {
+                                thread::sleep(delay);
+                            }
+                            attempt += 1;
+                            // Stale plane bindings from the failed
+                            // attempt are fine: the next attempt rebinds
+                            // before its run starts.
+                            continue;
+                        }
+                    }
+                    break JobOutcome::Faulted {
+                        error,
+                        retries: attempt,
+                    };
+                }
+            }
+        };
+        self.complete(me, job.shared, outcome, job.submitted, ops, profile);
     }
 }
 
@@ -968,11 +1193,21 @@ impl ForceServer {
     /// configured shard.
     pub fn new(config: ServerConfig, stats: impl Into<StatsHandle>) -> ForceServer {
         let nshards = config.shards.max(1);
+        let stats: StatsHandle = stats.into();
+        let seed = config.seed;
+        let run_slot = |shard: usize| RunSlot {
+            rng: XorShift64::new(
+                seed.wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            ),
+            // No thread until a bound plane without a pool of its own
+            // launches on it.
+            force: LazyPool::new(stats.clone()),
+        };
         let inner = Arc::new(Inner {
             config,
-            stats: stats.into(),
+            stats: stats.clone(),
             shards: (0..nshards)
-                .map(|_| Shard {
+                .map(|shard| Shard {
                     state: Mutex::new(ServeState {
                         queues: std::array::from_fn(|_| VecDeque::new()),
                         per_tenant_depth: HashMap::new(),
@@ -980,6 +1215,7 @@ impl ForceServer {
                         peak_backlog: 0,
                         shutting_down: false,
                         idle: false,
+                        run: Some(run_slot(shard)),
                     }),
                     work: Condvar::new(),
                     rollups: Mutex::new(HashMap::new()),
@@ -1063,7 +1299,9 @@ impl ForceServer {
                     let total = inner.total_backlog.fetch_add(1, Ordering::AcqRel) + 1;
                     inner.peak_total_backlog.fetch_max(total, Ordering::AcqRel);
                     st.queues[spec.priority.index()].push_back(job);
-                    Ok(std::mem::take(&mut st.idle))
+                    // A dispatcher asleep while a waiter holds the slot is
+                    // woken when the waiter gives the slot back.
+                    Ok(st.run.is_some() && std::mem::take(&mut st.idle))
                 }
             }
         };
@@ -1077,11 +1315,16 @@ impl ForceServer {
         };
         inner.count(|s| &s.jobs_admitted);
         inner.bump_rollup(home, &shared.tenant, |r| r.admitted += 1);
-        inner.shards[home].work.notify_all();
-        if !home_idle {
+        if home_idle {
+            inner.shards[home].work.notify_all();
+        } else {
             inner.wake_an_idle_sibling(home);
         }
-        Submit::Admitted(JobHandle { shared })
+        Submit::Admitted(JobHandle {
+            shared,
+            inner: Arc::clone(inner),
+            home,
+        })
     }
 
     /// Number of dispatcher shards.
@@ -1220,163 +1463,51 @@ fn attempt_ops(shared: &JobShared) -> StatsSnapshot {
     }
 }
 
-/// One shard's dispatcher: sheds, dequeues (pulling from backlogged
-/// siblings when its own queues are dry), runs attempts with deadline
-/// shadows and retry/backoff, and records outcomes into its shard's
-/// rollups.  Exits once shutdown is requested and *every* shard's
+/// One shard's dispatcher: with the shard's run slot, sheds, dequeues
+/// (pulling from backlogged siblings when its own queues are dry) and
+/// runs jobs until nothing is queued anywhere, then gives the slot back
+/// and sleeps — as it does while a job's waiter holds the slot.  Exits
+/// once shutdown is requested, the slot is back and *every* shard's
 /// queues are drained — an idle shard keeps pulling siblings' work
-/// during the drain.
+/// during the drain — and drops the slot, which joins the shard's force.
 fn dispatch_loop(inner: Arc<Inner>, me: usize) {
-    let mut rng = XorShift64::new(
-        inner
-            .config
-            .seed
-            .wrapping_add((me as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-    );
-    // The shard's resident force: no thread until a bound plane without a
-    // pool of its own launches on it, and joined when this loop returns —
-    // which `ForceServer::shutdown` waits for.
-    let force = LazyPool::new(inner.stats.clone());
+    let shard = &inner.shards[me];
+    let mut run: Option<RunSlot> = None;
     loop {
-        // Own queues first: enforce the shard watermark, then dequeue.
         let mut shed: Vec<(usize, QueuedJob)> = Vec::new();
-        let mut next = {
-            let mut st = inner.shards[me].state.lock();
-            inner.sweep_overflow(me, &mut st, &mut shed);
-            inner.pop_job(&mut st)
-        };
+        let mut next = None;
+        let mut drained = false;
+        // Sleep until `work` is notified — by a submission to this shard,
+        // by one that found its own shard busy and this one idle, by a
+        // waiter giving the slot back with work queued, or by the shutdown.
+        park::wait_on(&shard.state, &shard.work, Construct::Body, |st| {
+            let queued = inner.total_backlog.load(Ordering::Acquire) > 0;
+            if queued || st.shutting_down {
+                run = run.take().or_else(|| st.run.take());
+            } else if let Some(slot) = run.take() {
+                st.run = Some(slot);
+            }
+            drained = st.shutting_down && !queued && run.is_some();
+            st.idle = run.is_none();
+            if run.is_some() && !drained {
+                // Own queues first: enforce the shard watermark, then
+                // dequeue.
+                inner.sweep_overflow(me, st, &mut shed);
+                next = inner.pop_job(st);
+            }
+            run.is_some()
+        });
+        if drained {
+            return;
+        }
         // Idle: pull one queued job from the most backlogged sibling.
         if next.is_none() {
             next = inner.pull_from_siblings(me, &mut shed);
         }
-        // Never hold shed completions across a wait.
-        for (shard, victim) in shed {
-            inner.complete(
-                shard,
-                victim.shared,
-                JobOutcome::Shed,
-                victim.submitted,
-                StatsSnapshot::default(),
-                None,
-            );
+        inner.complete_shed(shed);
+        if let Some(job) = next {
+            inner.run_job(me, job, run.as_mut().expect("the slot is held"));
         }
-        let Some(mut job) = next else {
-            // Nothing is queued anywhere: sleep until `work` is notified
-            // — by a submission to this shard, by one that found its own
-            // dispatcher busy and this one idle, or by the shutdown.
-            // This wait begins where a job ended — at start-up, once,
-            // where nothing did — and a closed-loop client resubmits
-            // sooner than a sleeping thread wakes: poll the backlog first.
-            let shard = &inner.shards[me];
-            let mut drained = false;
-            park::spin_then_wait_on(
-                || inner.total_backlog.load(Ordering::Acquire) > 0,
-                &shard.state,
-                &shard.work,
-                Construct::Body,
-                |st| {
-                    let queued = inner.total_backlog.load(Ordering::Acquire);
-                    drained = st.shutting_down && queued == 0;
-                    st.idle = queued == 0 && !drained;
-                    !st.idle
-                },
-            );
-            if drained {
-                return;
-            }
-            continue;
-        };
-
-        // Expired while queued: never run it.
-        if let Some(at) = job.shared.deadline_at {
-            if Instant::now() >= at {
-                job.shared.deadline_fired.store(true, Ordering::Release);
-                inner.complete(
-                    me,
-                    job.shared,
-                    JobOutcome::DeadlineExceeded { ran: false },
-                    job.submitted,
-                    StatsSnapshot::default(),
-                    None,
-                );
-                continue;
-            }
-        }
-
-        // Attempt loop: run, classify, maybe retry with jittered backoff.
-        let mut attempt = 0u32;
-        let mut ops = StatsSnapshot::default();
-        let mut profile = None;
-        let outcome = loop {
-            let watcher = job.shared.deadline_at.map(|at| {
-                let shared = Arc::clone(&job.shared);
-                StopGuard::spawn(format!("force-deadline-{}", shared.id), move |stop| {
-                    watch_deadline(&shared, at, stop)
-                })
-            });
-            let cx = JobCx {
-                shared: Arc::clone(&job.shared),
-                attempt,
-                shard: me,
-                force: Arc::clone(&force),
-            };
-            let result = run_attempt(&mut job.runner, &cx);
-            // Stop and join the watcher before the attempt ends, so the
-            // session's next job cannot inherit a late trip: ending the
-            // attempt lets go of one the plane holds, and that job's reset
-            // clears it.
-            drop(watcher);
-            ops.merge(&attempt_ops(&job.shared));
-            // A fired deadline dominates the attempt's own result: the
-            // SLA was missed even if the body's completion raced the
-            // trip.  (Documented in DESIGN.md §18.)
-            if job.shared.deadline_fired.load(Ordering::Acquire) {
-                break JobOutcome::DeadlineExceeded { ran: true };
-            }
-            // A virtual-time job exceeds its budget on the *modeled*
-            // clock, surfacing as a deadline-construct fault from the
-            // scheduler rather than a wall-watcher trip — same SLA
-            // miss, same outcome, and it must never be retried.
-            if matches!(&result, Err(JobError::Fault(f)) if f.construct == DEADLINE_CONSTRUCT) {
-                job.shared.deadline_fired.store(true, Ordering::Release);
-                break JobOutcome::DeadlineExceeded { ran: true };
-            }
-            match result {
-                Ok(y) => {
-                    profile = y.profile;
-                    break JobOutcome::Completed { retries: attempt };
-                }
-                Err(error) => {
-                    if error.is_transient() && attempt < job.max_retries {
-                        // Draw the deterministic jittered delay, then
-                        // sleep it only if a retry can still fit before
-                        // the deadline.
-                        let delay =
-                            Backoff::jittered_delay(inner.config.retry_base, attempt, &mut rng);
-                        let fits = job
-                            .shared
-                            .deadline_at
-                            .is_none_or(|at| Instant::now() + delay < at);
-                        if fits {
-                            inner.count(|s| &s.job_retries);
-                            if !delay.is_zero() {
-                                thread::sleep(delay);
-                            }
-                            attempt += 1;
-                            // Stale plane bindings from the failed
-                            // attempt are fine: the next attempt rebinds
-                            // before its run starts.
-                            continue;
-                        }
-                    }
-                    break JobOutcome::Faulted {
-                        error,
-                        retries: attempt,
-                    };
-                }
-            }
-        };
-        inner.complete(me, job.shared, outcome, job.submitted, ops, profile);
     }
 }
 
@@ -1841,10 +1972,11 @@ mod tests {
 
     #[test]
     fn a_job_reaches_the_idle_dispatcher_polling_or_parked() {
-        // The dispatcher of a single shard polls its backlog for a spin
-        // window after a job and then parks untimed: a submission must
-        // get through in either state, and at the seam between them.  A
-        // lost wake-up would hang `wait`, so the outcome is polled.
+        // A caller that only polls is served by the dispatcher, which
+        // sleeps untimed once it has given the run slot back after a job:
+        // a submission must wake it whether it went to sleep long ago or
+        // only just.  A lost wake-up would leave the job queued, so the
+        // outcome is polled (and `wait` then finds it set).
         let (srv, _) = server();
         let served = |spec: JobSpec| {
             let job = srv.submit(spec, ok_runner()).expect_admitted();
@@ -2276,6 +2408,241 @@ mod tests {
         assert!(first.loan().is_none() && second.loan().is_none());
         let ops = srv.tenant_report("t").unwrap().ops;
         assert_eq!(ops.processes_created, 0, "launched on the lent force");
+    }
+
+    /// Once `shard`'s dispatcher sleeps, take its run slot, as a waiter
+    /// running a job there does: a submission then wakes nobody there.
+    fn hold_slot(srv: &ForceServer, shard: usize) -> RunSlot {
+        loop {
+            let mut st = srv.inner.shards[shard].state.lock();
+            if st.idle {
+                return st.run.take().expect("nothing queued: the slot is free");
+            }
+            drop(st);
+            thread::yield_now();
+        }
+    }
+
+    /// Put the slot back without waking the dispatcher, asleep: the
+    /// queued jobs wait for their waiters.
+    fn put_back_quietly(srv: &ForceServer, shard: usize, slot: RunSlot) {
+        srv.inner.shards[shard].state.lock().run = Some(slot);
+    }
+
+    /// Give the slot back as a waiter does after its job, waking the
+    /// dispatcher if anything is queued.
+    fn give_back(srv: &ForceServer, shard: usize, slot: RunSlot) {
+        drop(HeldSlot {
+            inner: &srv.inner,
+            home: shard,
+            slot: Some(slot),
+        });
+    }
+
+    /// Each run's job name, `cx.shard()` and thread.
+    type Runs = Arc<Mutex<Vec<(&'static str, usize, thread::ThreadId)>>>;
+
+    /// A runner that records where it ran, launching a force as wide as
+    /// the host allows (up to 2) on a bound plane of its own.
+    fn where_runner(stats: &Arc<OpStats>, ran: Runs, name: &'static str) -> JobRunner {
+        let stats = Arc::clone(stats);
+        Box::new(move |cx| {
+            ran.lock().push((name, cx.shard(), thread::current().id()));
+            let nproc = park::default_nproc().min(2);
+            let plane = FaultPlane::new(nproc, Arc::clone(&stats), RunOptions::default());
+            cx.bind_plane(&plane);
+            crate::process::launch_plane(&plane, None, |_| ())
+                .map(|_| JobYield::default())
+                .map_err(JobError::Fault)
+        })
+    }
+
+    #[test]
+    fn waiter_runs_its_job_on_an_idle_shard() {
+        let stats = Arc::new(OpStats::new());
+        let srv = ForceServer::new(
+            ServerConfig {
+                shards: 2,
+                ..ServerConfig::default()
+            },
+            &stats,
+        );
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        for home in 0..2 {
+            let tenant = tenant_pinned_to(&srv, home);
+            // The sibling's slot too, or its dispatcher would pull the job.
+            let slots = [hold_slot(&srv, 0), hold_slot(&srv, 1)];
+            let job = srv
+                .submit(
+                    JobSpec::for_tenant(&tenant),
+                    where_runner(&stats, Arc::clone(&ran), "job"),
+                )
+                .expect_admitted();
+            let [a, b] = slots;
+            let (slot, sibling) = if home == 0 { (a, b) } else { (b, a) };
+            put_back_quietly(&srv, home, slot);
+            assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+            put_back_quietly(&srv, 1 - home, sibling);
+            let (_, shard, thread) = ran.lock().pop().expect("the job ran");
+            assert_eq!(thread, thread::current().id(), "ran on its waiter");
+            assert_eq!(shard, home, "cx.shard() is the job's home");
+            let ops = srv.tenant_report(&tenant).unwrap().ops;
+            assert_eq!(ops.processes_created, 0, "launched on the shard's force");
+        }
+        srv.shutdown();
+    }
+
+    #[test]
+    fn waiter_never_runs_a_job_behind_the_head() {
+        let (srv, stats) = server();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let slot = hold_slot(&srv, 0);
+        let high = srv
+            .submit(
+                JobSpec::for_tenant("t").with_priority(Priority::High),
+                where_runner(&stats, Arc::clone(&ran), "high"),
+            )
+            .expect_admitted();
+        let normal = srv
+            .submit(
+                JobSpec::for_tenant("t"),
+                where_runner(&stats, Arc::clone(&ran), "normal"),
+            )
+            .expect_admitted();
+        // The slot is free, but `normal` is not what the shard runs next.
+        put_back_quietly(&srv, 0, slot);
+        assert!(srv.inner.claim(0, &normal.shared).is_none());
+        // The dispatcher runs both, in priority order, and keeps the slot
+        // while anything is queued: the waiter sleeps until it is done.
+        let slot = hold_slot(&srv, 0);
+        give_back(&srv, 0, slot);
+        let waiter = thread::spawn(move || (normal.wait(), thread::current().id()));
+        let (outcome, waiter) = waiter.join().unwrap();
+        assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
+        assert!(high.wait().is_success());
+        let ran = ran.lock().clone();
+        let order: Vec<&str> = ran.iter().map(|&(name, _, _)| name).collect();
+        assert_eq!(order, ["high", "normal"]);
+        assert!(ran.iter().all(|&(_, _, thread)| thread != waiter));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn waiter_handle_outlives_its_server() {
+        let (srv, stats) = server();
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let force = Arc::downgrade(&srv.inner.shards[0].state.lock().run.as_ref().unwrap().force);
+        let job = srv
+            .submit(JobSpec::for_tenant("t"), where_runner(&stats, ran, "job"))
+            .expect_admitted();
+        // The drain runs the job; the handle holds the server's state, and
+        // nothing else: the shard's force is gone with the dispatcher.
+        drop(srv);
+        assert!(force.upgrade().is_none(), "a thread outlived the server");
+        assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+    }
+
+    #[test]
+    fn waiter_running_a_job_holds_off_shutdown() {
+        let (srv, stats) = server();
+        let (started, release, finished) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let runner: JobRunner = {
+            let (started, release, finished) = (
+                Arc::clone(&started),
+                Arc::clone(&release),
+                Arc::clone(&finished),
+            );
+            let mut launch = where_runner(&stats, Arc::new(Mutex::new(Vec::new())), "job");
+            Box::new(move |cx| {
+                started.store(true, Ordering::SeqCst);
+                while !release.load(Ordering::SeqCst) {
+                    thread::sleep(Duration::from_micros(200));
+                }
+                let launched = launch(cx);
+                finished.store(true, Ordering::SeqCst);
+                launched
+            })
+        };
+        let slot = hold_slot(&srv, 0);
+        let force = Arc::downgrade(&slot.force);
+        let job = srv
+            .submit(JobSpec::for_tenant("t"), runner)
+            .expect_admitted();
+        put_back_quietly(&srv, 0, slot);
+        let waiter = thread::spawn(move || job.wait());
+        while !started.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        let srv = Arc::new(srv);
+        let closing = {
+            let srv = Arc::clone(&srv);
+            let finished = Arc::clone(&finished);
+            thread::spawn(move || {
+                srv.shutdown();
+                finished.load(Ordering::SeqCst)
+            })
+        };
+        thread::sleep(Duration::from_millis(20));
+        assert!(
+            !closing.is_finished(),
+            "shutdown returned over a running job"
+        );
+        assert!(force.upgrade().is_some(), "the force went before its job");
+        release.store(true, Ordering::SeqCst);
+        assert!(closing.join().unwrap(), "shutdown returned before the job");
+        assert!(force.upgrade().is_none(), "shutdown left the shard's force");
+        assert_eq!(waiter.join().unwrap(), JobOutcome::Completed { retries: 0 });
+    }
+
+    #[test]
+    fn waiter_panicking_outside_the_runner_gives_the_slot_back() {
+        // A runner is dropped after its outcome is published, outside the
+        // attempt's `catch_unwind`: a panicking drop unwinds into `wait`.
+        struct PanicsOnDrop;
+        impl Drop for PanicsOnDrop {
+            fn drop(&mut self) {
+                panic!("runner dropped");
+            }
+        }
+        let (srv, _) = server();
+        let slot = hold_slot(&srv, 0);
+        let bomb = PanicsOnDrop;
+        let runner: JobRunner = Box::new(move |_cx| {
+            let _armed = &bomb;
+            Ok(JobYield::default())
+        });
+        let job = srv
+            .submit(JobSpec::for_tenant("t"), runner)
+            .expect_admitted();
+        put_back_quietly(&srv, 0, slot);
+        let waiter = thread::spawn(move || job.wait());
+        assert!(waiter.join().is_err(), "the runner's drop panicked in wait");
+        let slot_back = srv.inner.shards[0].state.lock().run.is_some();
+        // The shard still runs jobs, and `shutdown` still returns.  On a
+        // thread of its own, so that a lost slot fails the test instead of
+        // hanging it in the server's drop.
+        let closing = thread::spawn(move || {
+            let next = srv
+                .submit(JobSpec::for_tenant("t"), ok_runner())
+                .expect_admitted();
+            let outcome = next.wait();
+            srv.shutdown();
+            outcome
+        });
+        assert!(slot_back, "the slot went with the panic");
+        let begun = Instant::now();
+        while !closing.is_finished() {
+            assert!(begun.elapsed() < Duration::from_secs(5), "the shard hangs");
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            closing.join().unwrap(),
+            JobOutcome::Completed { retries: 0 }
+        );
     }
 
     #[test]

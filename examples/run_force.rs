@@ -11,8 +11,29 @@
 //! cargo run --example run_force -- prog.force --intermediate  # show the §4.2 form
 //! ```
 
-use the_force::machdep::MachineId;
-use the_force::{compile_force_source, run_force_source};
+use std::time::Duration;
+
+use the_force::fortran::{Engine, RunOutput};
+use the_force::machdep::{Machine, MachineId, RunOptions};
+use the_force::{compile_force_source, prep, ForceError};
+
+/// How long every process of the force may sit parked with nothing
+/// moving before the run ends with the deadlock verdict: a program that
+/// wedges (a `Critical` never closed, say) fails instead of running for
+/// ever.  A `.force` program waits for nothing but its own processes.
+const WATCHDOG: Duration = Duration::from_millis(500);
+
+/// Preprocess `source` for `machine` and run it with a force of `nproc`
+/// processes under the deadlock watchdog.
+pub fn run(source: &str, machine: MachineId, nproc: usize) -> Result<RunOutput, ForceError> {
+    let expanded = prep::preprocess_cached(source, machine)?;
+    let engine = Engine::from_expanded(&expanded, Machine::new(machine))?;
+    let options = RunOptions {
+        watchdog: Some(WATCHDOG),
+        ..RunOptions::default()
+    };
+    Ok(engine.run_with(nproc, options)?)
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -78,7 +99,7 @@ fn main() {
         "running {file} on the {} with a force of {nproc} processes",
         machine.name()
     );
-    match run_force_source(&source, machine, nproc) {
+    match run(&source, machine, nproc) {
         Ok(out) => {
             for line in &out.prints {
                 println!("| {line}");

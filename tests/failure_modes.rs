@@ -861,3 +861,48 @@ fn async_variable_misuse_void_then_consume_blocks_until_produce() {
     v.produce(9);
     assert_eq!(t.join().unwrap(), 9);
 }
+
+/// `examples/run_force.rs`, whose `run` is called here as its `main` calls
+/// it: same preprocessing, same engine, same options.
+#[path = "../examples/run_force.rs"]
+#[allow(dead_code)]
+mod run_force;
+
+/// A program that wedges ends with a deadlock verdict instead of running
+/// for ever.  `sum.force` without its `End critical` takes `LCK` again on
+/// its next trip, and nothing will release it: the watchdog `run_force`
+/// arms reports every process parked, and the Cray-2, whose pooled locks
+/// know their holder, refuses the nested take at once.
+#[test]
+fn run_force_ends_a_wedged_program_with_a_deadlock_verdict() {
+    let sum = include_str!("../examples/force_src/sum.force");
+    let wedged = sum.replace("      End critical\n", "");
+    assert_eq!(sum.lines().count(), wedged.lines().count() + 1);
+    let runs: Vec<_> = MachineId::all()
+        .into_iter()
+        .flat_map(|machine| [1, 2].map(|nproc| (machine, nproc)))
+        .map(|(machine, nproc)| {
+            let (done, result) = std::sync::mpsc::channel();
+            let source = wedged.clone();
+            std::thread::spawn(move || {
+                let verdict = run_force::run(&source, machine, nproc).map(|_| ());
+                done.send(verdict.map_err(|err| err.to_string()))
+            });
+            (machine, nproc, result)
+        })
+        .collect();
+    let guard = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    for (machine, nproc, result) in runs {
+        let left = guard.saturating_duration_since(std::time::Instant::now());
+        let result = result
+            .recv_timeout(left)
+            .unwrap_or_else(|_| panic!("{machine:?} at nproc {nproc}: still running after 5 s"));
+        let err = result.expect_err("a wedged program cannot finish");
+        let verdict = if machine == MachineId::Cray2 {
+            "would wait forever"
+        } else {
+            "deadlock watchdog: no progress"
+        };
+        assert!(err.contains(verdict), "{machine:?} at nproc {nproc}: {err}");
+    }
+}

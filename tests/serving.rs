@@ -1228,19 +1228,20 @@ fn lent_force_threads_are_joined_by_shutdown() {
 
     let np = lendable_nproc();
     if np < 2 {
-        // A force of one is the dispatcher alone: no thread to join.
+        // A force of one is the running thread alone: no thread to join.
         return;
     }
     let machine = Machine::new(MachineId::Hep);
     let (server, _) = server_with_own_stats(ServerConfig::default());
     let force = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
     let thread_gone = Arc::new(AtomicBool::new(false));
-    // One served job; the thread each pid ran on.  A job that meets
-    // starts with a barrier, so pid 0 waits there for every peer.
-    let run = |meet: bool| -> Vec<std::thread::ThreadId> {
+    // One served job: the thread that ran it — the dispatcher, or this
+    // thread, waiting for it — and the thread each pid ran on.  A job that
+    // meets starts with a barrier, so pid 0 waits there for every peer.
+    let run = |meet: bool| -> (std::thread::ThreadId, Vec<std::thread::ThreadId>) {
         let threads = Arc::new(Mutex::new(vec![None; np]));
         let (flag, seen) = (Arc::clone(&thread_gone), Arc::clone(&threads));
-        let runner = force.serve_runner(RunOptions::default(), move |p| {
+        let mut served = force.serve_runner(RunOptions::default(), move |p| {
             if meet {
                 p.barrier();
             }
@@ -1254,20 +1255,37 @@ fn lent_force_threads_are_joined_by_shutdown() {
                 });
             }
         });
+        let runner_thread = Arc::new(Mutex::new(None));
+        let ran_on = Arc::clone(&runner_thread);
+        let runner: JobRunner = Box::new(move |cx| {
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+            served(cx)
+        });
         let job = expect_admitted(server.submit(JobSpec::for_tenant("t"), runner));
         assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
         let threads = threads.lock().unwrap();
-        threads.iter().map(|t| t.expect("every pid ran")).collect()
+        let runner_thread = runner_thread.lock().unwrap().expect("the job ran");
+        let pids = threads.iter().map(|t| t.expect("every pid ran")).collect();
+        (runner_thread, pids)
     };
-    let resident = run(true);
-    assert_eq!(run(true), resident, "pids 1.. are resident threads");
+    // Pid 0 runs on the thread that runs the job; pids 1.. on the shard's
+    // resident threads, the same ones job after job.
+    let (runner, resident) = run(true);
+    assert_eq!(resident[0], runner, "pid 0 is the running thread");
+    for _ in 0..20 {
+        let (runner, again) = run(true);
+        assert_eq!(again[0], runner, "pid 0 is the running thread");
+        assert_eq!(again[1..], resident[1..], "pids 1.. are resident threads");
+    }
     for pid in 1..np {
         assert!(!resident[..pid].contains(&resident[pid]), "pid {pid}");
     }
     // With nobody to wait for, pid 0 may return before a peer's worker has
-    // woken: that pid then runs on the dispatcher, never on another's worker.
+    // woken: that pid then runs on pid 0's thread, never on another's
+    // worker.
     for _ in 0..20 {
-        let ran = run(false);
+        let (runner, ran) = run(false);
+        assert_eq!(ran[0], runner, "pid 0 is the running thread");
         for pid in 1..np {
             assert!([ran[0], resident[pid]].contains(&ran[pid]), "pid {pid}");
         }
@@ -1280,6 +1298,43 @@ fn lent_force_threads_are_joined_by_shutdown() {
     );
 }
 
+/// `JobHandle::wait` runs the job on the waiting thread only when that
+/// thread is not a Force process: a process that waits for a job of a
+/// second server sleeps, and the server's dispatcher runs the job.
+#[test]
+fn waiter_in_a_force_never_runs_the_job() {
+    let machine = Machine::new(MachineId::SequentBalance);
+    let server = Arc::new(server_with_own_stats(ServerConfig::default()).0);
+    let force = Force::with_machine(lendable_nproc(), Arc::clone(&machine));
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let (client, seen) = (Arc::clone(&server), Arc::clone(&threads));
+    within_5s("a process waiting for a served job", move || {
+        force.run(|p| {
+            for _ in 0..20 {
+                let ran_on = Arc::new(Mutex::new(None));
+                let slot = Arc::clone(&ran_on);
+                let runner: JobRunner = Box::new(move |_cx| {
+                    *slot.lock().unwrap() = Some(std::thread::current().id());
+                    Ok(JobYield::default())
+                });
+                let spec = JobSpec::for_tenant(format!("pid-{}", p.pid()));
+                let job = expect_admitted(client.submit(spec, runner));
+                assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+                let ran_on = ran_on.lock().unwrap().expect("the job ran");
+                seen.lock()
+                    .unwrap()
+                    .push((ran_on, std::thread::current().id()));
+            }
+        })
+    });
+    let threads = threads.lock().unwrap();
+    assert_eq!(threads.len(), 20 * lendable_nproc());
+    for (ran_on, process) in threads.iter() {
+        assert_ne!(ran_on, process, "a job ran on the process waiting for it");
+    }
+    server.shutdown();
+}
+
 /// ROADMAP 3(a): a cold source could still kill the server.  The Fortran
 /// expression parser descended once per `(` with no bound, and a stack
 /// overflow on the dispatcher's thread is an abort, not a panic its
@@ -1287,11 +1342,12 @@ fn lent_force_threads_are_joined_by_shutdown() {
 /// positioned error and the dispatcher takes the next one.
 #[test]
 fn a_job_behind_a_busy_dispatcher_wakes_an_idle_sibling() {
-    // An idle dispatcher sleeps untimed.  A job queued behind a busy one
+    // An idle dispatcher sleeps untimed.  A job queued behind a busy shard
     // therefore starts only if its submission wakes the sibling — asleep
-    // for 50 ms, just asleep, still polling after its last job, or at
-    // the seam between the two.  A lost wake-up leaves the job queued
-    // until the blocker is released, which happens after the loop.
+    // for 50 ms, or only just, having given its run slot back after the
+    // job before.  The job's waiter cannot run it: its home shard is
+    // running the blocker.  A lost wake-up leaves the job queued until
+    // the blocker is released, which happens after the loop.
     let machine = Machine::new(MachineId::Flex32);
     let (server, _) = server_with_own_stats(ServerConfig {
         shards: 2,

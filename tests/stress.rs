@@ -13,8 +13,9 @@ use the_force::fortran::Value;
 use the_force::machdep::combined::CombinedLock;
 use the_force::machdep::syscall_lock::SyscallLock;
 use the_force::machdep::{
-    launch_plane, park, Condvar, Construct, FaultPlane, ForcePool, LockState, Machine, MachineId,
-    Mutex, OpStats, ProcessFault, RawLock, RunOptions,
+    launch_plane, park, Condvar, Construct, FaultPlane, ForcePool, ForceServer, JobOutcome,
+    JobRunner, JobSpec, JobYield, LockState, Machine, MachineId, Mutex, OpStats, Priority,
+    ProcessFault, RawLock, RunOptions, ServerConfig,
 };
 use the_force::prelude::*;
 
@@ -512,5 +513,93 @@ fn a_claim_and_a_critical_per_trip_never_starve() {
         for (threads, in_force) in [(2, false), (8, false), (2, true), (8, true)] {
             claim_and_add(id, threads, in_force);
         }
+    }
+}
+
+/// `CLIENTS` closed-loop clients of one server with `shards` shards, at
+/// every priority.  Half of them wait for each outcome (and so run their
+/// own jobs when they can); the other half poll `try_outcome` for every
+/// other job, which the dispatcher serves, and wait for the rest.  After
+/// each job the clients meet at a barrier, so the last waiter to give a
+/// shard's run slot back in a round must wake the dispatcher for the jobs
+/// still queued, with no later submission to cover for a lost wake-up,
+/// which therefore hangs the clients; the watcher fails a 5 s stall.
+fn served_clients(shards: usize) {
+    const CLIENTS: usize = 6;
+    const JOBS: u64 = 500;
+    let stats = Arc::new(OpStats::new());
+    let server = Arc::new(ForceServer::new(
+        ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        },
+        &stats,
+    ));
+    // Clients 0 and 1 share a shard, 2 and 3 the next, and so on.
+    let tenants: Arc<Vec<String>> = Arc::new(
+        (0..CLIENTS)
+            .map(|client| {
+                (0..)
+                    .map(|i| format!("client-{client}-{i}"))
+                    .find(|t| server.shard_of(t) == (client / 2) % shards)
+                    .expect("some tenant hashes to every shard")
+            })
+            .collect(),
+    );
+    let ran = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicU64::new(0));
+    let meet = Arc::new(std::sync::Barrier::new(CLIENTS));
+    let (client_server, client_ran, client_done) =
+        (Arc::clone(&server), Arc::clone(&ran), Arc::clone(&done));
+    watched(
+        &format!("{shards} shard(s) serving"),
+        CLIENTS,
+        false,
+        &stats,
+        &done,
+        move |client| {
+            let priorities = [Priority::High, Priority::Normal, Priority::Low];
+            for job in 0..JOBS {
+                let spec = JobSpec::for_tenant(tenants[client].as_str())
+                    .with_priority(priorities[(job as usize + client) % 3]);
+                let runs = Arc::clone(&client_ran);
+                // Long enough for the other clients to queue behind it.
+                let runner: JobRunner = Box::new(move |_cx| {
+                    runs.fetch_add(1, Ordering::Relaxed);
+                    std::thread::sleep(Duration::from_micros(200));
+                    Ok(JobYield::default())
+                });
+                let handle = client_server.submit(spec, runner).expect_admitted();
+                let polls = client % 2 == 1 && job % 2 == 1;
+                let outcome = if !polls {
+                    handle.wait()
+                } else {
+                    loop {
+                        match handle.try_outcome() {
+                            Some(outcome) => break outcome,
+                            None => std::thread::yield_now(),
+                        }
+                    }
+                };
+                assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
+                client_done.fetch_add(1, Ordering::Relaxed);
+                meet.wait();
+            }
+        },
+    );
+    server.shutdown();
+    let jobs = CLIENTS as u64 * JOBS;
+    assert_eq!(
+        ran.load(Ordering::Relaxed),
+        jobs,
+        "a job ran twice or never"
+    );
+    assert_eq!(server.server_report().completed, jobs);
+}
+
+#[test]
+fn served_jobs_never_lose_a_wakeup() {
+    for shards in [1, 2] {
+        served_clients(shards);
     }
 }
