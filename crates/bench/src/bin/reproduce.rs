@@ -119,6 +119,17 @@ fn write_artifact(name: &str, doc: &Json, check: impl Fn(&Json) -> Result<(), St
     println!("\nwrote {name} (parsed back and checked)");
 }
 
+/// Yield until `ready()`, or give up after 5 s: a bound only a server
+/// that stopped making progress reaches, whose artifact check then refuses
+/// the counts it left.
+fn hold_until(ready: impl Fn() -> bool) {
+    use std::time::{Duration, Instant};
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while !ready() && Instant::now() < give_up {
+        std::thread::yield_now();
+    }
+}
+
 // ---------------------------------------------------------------- EXP-1
 
 fn exp1(_: Scale) {
@@ -961,16 +972,24 @@ fn exp16(scale: Scale) {
 // ---------------------------------------------------------------- EXP-18
 
 fn exp18(scale: Scale) {
-    use std::time::{Duration, Instant};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
     use the_force::machdep::{
-        ForceServer, JobSpec, Priority, RunOptions, ServerConfig, StatsSnapshot, Submit,
+        ForceServer, JobRunner, JobSpec, Priority, RunOptions, ServerConfig, StatsSnapshot, Submit,
     };
     let burst: usize = match scale {
-        Scale::Full => 160,
-        Scale::Smoke => 60,
+        Scale::Full => 320,
+        Scale::Smoke => 160,
     };
     let watermark = 24usize;
     let nproc = 4usize;
+    // Overload by count, on any host: four arrivals per job the server
+    // starts.  The `k`-th job to start holds until `allowed(k)` jobs have
+    // arrived, and job `j` arrives once `j < allowed(started)`; the first
+    // holds until more than a watermark is queued behind it, so the
+    // dequeue after it must shed.
+    let allowed = move |k: usize| (watermark + 2 + 4 * k).min(burst);
+    let deadline = Duration::from_millis(5);
 
     println!("burst={burst} watermark={watermark} nproc={nproc}\n");
     println!(
@@ -991,20 +1010,6 @@ fn exp18(scale: Scale) {
             sink.fetch_add(busy_work(64), Ordering::Relaxed);
             p.barrier();
         };
-
-        // Calibrate the per-job service time closed-loop; the arrival
-        // rate and the deadline below are relative to it, so the harness
-        // applies the same *relative* load on every host.
-        const CAL: u32 = 24;
-        let t0 = Instant::now();
-        for _ in 0..CAL {
-            force.try_run(&native_job).expect("calibration job");
-        }
-        let svc = (t0.elapsed() / CAL).max(Duration::from_micros(20));
-
-        // Arrivals at 4x the service rate — overload by construction.
-        // The server must hold the backlog near the watermark by shedding
-        // and deadline-killing, never collapse.
         let server = ForceServer::new(
             ServerConfig {
                 tenant_queue_capacity: watermark * 4,
@@ -1014,12 +1019,17 @@ fn exp18(scale: Scale) {
             },
             machine.stats(),
         );
-        let arrival = svc / 4;
-        let deadline = svc * 8;
+        let (arrived, started) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
         let mut handles = Vec::with_capacity(burst);
-        let mut next_at = Instant::now();
         for j in 0..burst {
-            let runner = force.serve_runner(RunOptions::default(), native_job.clone());
+            hold_until(|| j < allowed(started.load(Ordering::SeqCst)));
+            let mut run = force.serve_runner(RunOptions::default(), native_job.clone());
+            let (seen, start) = (Arc::clone(&arrived), Arc::clone(&started));
+            let runner: JobRunner = Box::new(move |cx| {
+                let k = start.fetch_add(1, Ordering::SeqCst);
+                hold_until(|| seen.load(Ordering::SeqCst) >= allowed(k));
+                run(cx)
+            });
             let mut spec = JobSpec::for_tenant("burst").with_priority(if j % 8 == 0 {
                 Priority::High
             } else {
@@ -1028,15 +1038,10 @@ fn exp18(scale: Scale) {
             if j % 4 == 0 {
                 spec = spec.with_deadline(deadline);
             }
-            match server.submit(spec, runner) {
-                Submit::Admitted(h) => handles.push(h),
-                Submit::Rejected { .. } => {}
+            if let Submit::Admitted(h) = server.submit(spec, runner) {
+                handles.push(h);
             }
-            next_at += arrival;
-            let now = Instant::now();
-            if next_at > now {
-                std::thread::sleep(next_at - now);
-            }
+            arrived.fetch_add(1, Ordering::SeqCst);
         }
         // Every admitted job reaches a terminal outcome.
         for h in &handles {
@@ -1091,11 +1096,12 @@ fn exp18(scale: Scale) {
         "machines": rows,
     };
     write_artifact("BENCH_serve.json", &doc, checks::serve);
-    println!("(expected shape: on every personality the 4x burst is absorbed by");
-    println!(" shedding and deadline kills — admitted = done + shed + dl, and shed +");
-    println!(" dl > 0 — with the backlog pinned near the watermark, and the probe");
-    println!(" submitted after it completes: the server never wedged.  Rates and");
-    println!(" latencies under load are benchmark/'s `open_arrivals` and `serve.*`)");
+    println!("(expected shape: on every personality the burst, four arrivals per job");
+    println!(" started, is absorbed by shedding and deadline kills — admitted = done +");
+    println!(" shed + dl, and the dequeue after the held first job sheds — with the");
+    println!(" backlog pinned near the watermark, and the probe submitted after it");
+    println!(" completes: the server never wedged.  The dl count is the host's; rates");
+    println!(" and latencies under load are benchmark/'s `open_arrivals` and `serve.*`)");
 }
 
 fn exp19(scale: Scale) {
@@ -1360,6 +1366,7 @@ fn exp20(scale: Scale) {
 }
 
 fn exp21(scale: Scale) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::time::{Duration, Instant};
     use the_force::machdep::{
         ForcePool, ForceServer, JobError, JobRunner, JobSpec, JobYield, Priority, RunOptions,
@@ -1372,11 +1379,15 @@ fn exp21(scale: Scale) {
     let tenants = 8usize;
     let nproc = 2usize;
     const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
+    // A blocking half standing in for I/O, the same for every shard count:
+    // a single dispatcher serializes it, extra shards overlap it.  It only
+    // gives the printed ratio a meaning; nothing is gated on time.
+    const HOLD: Duration = Duration::from_millis(1);
 
     println!("jobs={jobs} tenants={tenants} nproc={nproc} shards={SHARD_COUNTS:?}\n");
     println!(
-        "{:<18} {:>8} {:>10} {:>6} {:>5}",
-        "machine", "shards", "vs 1 shard", "done", "peak"
+        "{:<18} {:>8} {:>8} {:>10} {:>6} {:>5}",
+        "machine", "shards", "at once", "vs 1 shard", "done", "peak"
     );
 
     let mut blocks = Vec::new();
@@ -1384,37 +1395,7 @@ fn exp21(scale: Scale) {
     for id in MachineId::all() {
         let mut rows = Vec::new();
         let mut one_shard = Duration::ZERO;
-        let mut speedup = 0.0;
         let sink = Arc::new(AtomicU64::new(0));
-
-        // Calibrate the compute half of the small job once per machine,
-        // closed-loop on a pooled session of its own, then size the
-        // blocking half (a simulated I/O hold) to twenty times it.  A
-        // single dispatcher serializes holds along with compute; extra
-        // shards overlap them, which is exactly the constraint this
-        // experiment measures.  Every shard count gets the same hold, and
-        // the compute half is too small a share of a job for 4 shards'
-        // oversubscribed barriers (8 pids on a 2-core host) to decide the
-        // ratio.
-        let hold = {
-            let machine = Machine::new(id);
-            let pool = Arc::new(ForcePool::new(nproc, machine.stats()));
-            let session = Force::with_machine(nproc, machine).with_pool(pool);
-            const CAL: usize = 10;
-            let t0 = Instant::now();
-            for _ in 0..CAL {
-                let s = Arc::clone(&sink);
-                session
-                    .try_run(move |p| {
-                        p.barrier();
-                        s.fetch_add(busy_work(32), Ordering::Relaxed);
-                        p.barrier();
-                    })
-                    .expect("calibration job");
-            }
-            let svc = (t0.elapsed() / CAL as u32).max(Duration::from_micros(20));
-            (svc * 20).clamp(Duration::from_millis(1), Duration::from_millis(4))
-        };
 
         for &shards in &SHARD_COUNTS {
             let machine = Machine::new(id);
@@ -1430,6 +1411,15 @@ fn exp21(scale: Scale) {
                     })
                     .collect(),
             );
+            // Jobs in flight, the most ever seen, and whether the first
+            // jobs may stop holding: each holds until `shards` run at once
+            // (or 5 s have passed, which only shards that cannot overlap
+            // reach).  More than `shards` would be a shard running two.
+            let flight = Arc::new((
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicBool::new(false),
+            ));
 
             let server = ForceServer::new(
                 ServerConfig {
@@ -1447,18 +1437,26 @@ fn exp21(scale: Scale) {
             for j in 0..jobs {
                 let sessions = Arc::clone(&sessions);
                 let s = Arc::clone(&sink);
+                let flight = Arc::clone(&flight);
                 let runner: JobRunner = Box::new(move |cx| {
+                    let (running, max_running, released) = &*flight;
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    max_running.fetch_max(now, Ordering::SeqCst);
+                    hold_until(|| {
+                        released.load(Ordering::SeqCst)
+                            || max_running.load(Ordering::SeqCst) >= shards
+                    });
+                    released.store(true, Ordering::SeqCst);
                     let session = &sessions[cx.shard() % sessions.len()];
                     cx.bind_plane(session.fault_plane());
-                    session
-                        .try_execute_with(RunOptions::default(), |p| {
-                            p.barrier();
-                            s.fetch_add(busy_work(32), Ordering::Relaxed);
-                            p.barrier();
-                        })
-                        .map_err(JobError::Fault)?;
-                    std::thread::sleep(hold);
-                    Ok(JobYield::default())
+                    let ran = session.try_execute_with(RunOptions::default(), |p| {
+                        p.barrier();
+                        s.fetch_add(busy_work(32), Ordering::Relaxed);
+                        p.barrier();
+                    });
+                    std::thread::sleep(HOLD);
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    ran.map(|_| JobYield::default()).map_err(JobError::Fault)
                 });
                 let spec =
                     JobSpec::for_tenant(&tenant_names[j % tenants]).with_priority(if j % 8 == 0 {
@@ -1479,18 +1477,19 @@ fn exp21(scale: Scale) {
             let elapsed = t0.elapsed();
             let report = server.server_report();
             server.shutdown();
-            // Nothing lost or shed, one peak per shard: `checks::shard`.
-            assert_eq!(report.rejected, 0, "{}", id.name());
-            // The same jobs in less time: the ratio of the two wall times
-            // is the ratio of the sustained rates.
+            // Nothing lost or shed, one peak per shard, `shards` jobs at
+            // once: `checks::shard`.  The ratio of the two wall times is
+            // the ratio of the sustained rates: printed, not gated.
             if shards == 1 {
                 one_shard = elapsed;
             }
-            speedup = one_shard.as_secs_f64() / elapsed.as_secs_f64();
+            let speedup = one_shard.as_secs_f64() / elapsed.as_secs_f64();
+            let at_once = flight.1.load(Ordering::SeqCst);
             println!(
-                "{:<18} {:>8} {:>9.2}x {:>6} {:>5}",
+                "{:<18} {:>8} {:>8} {:>9.2}x {:>6} {:>5}",
                 id.name(),
                 shards,
+                at_once,
                 speedup,
                 report.completed,
                 report.peak_backlog
@@ -1498,6 +1497,7 @@ fn exp21(scale: Scale) {
             let peaks = report.shard_peak_backlogs.iter();
             rows.push(obj! {
                 "shards": shards,
+                "max_running": at_once,
                 "speedup_vs_1": Json::fixed(speedup, 3),
                 "completed": report.completed,
                 "shed": report.shed,
@@ -1508,7 +1508,6 @@ fn exp21(scale: Scale) {
         blocks.push(obj! {
             "machine": id.name(),
             "shards": rows,
-            "speedup_4v1": Json::fixed(speedup, 3),
         });
     }
 
@@ -1520,10 +1519,10 @@ fn exp21(scale: Scale) {
         "machines": blocks,
     };
     write_artifact("BENCH_shard.json", &doc, checks::shard);
-    println!("(expected shape: the same jobs finish sooner with more shards on");
-    println!(" every personality — the small-job mix interleaves a calibrated");
-    println!(" blocking hold with a 2-process force run, so a single dispatcher");
-    println!(" serializes the holds while 2 and 4 shards overlap them; 4 shards");
-    println!(" sustain >= 1.5x what one does, a ratio and the one gate on shard");
-    println!(" scaling.  Absolute rates and tails are benchmark/'s `serve.*`)");
+    println!("(expected shape: on every personality and at every shard count all");
+    println!(" jobs complete with nothing shed, and exactly `shards` jobs run at once");
+    println!(" — the shards overlap their jobs, and no shard runs two.  The small-job");
+    println!(" mix interleaves a fixed 1 ms blocking hold with a 2-process force run,");
+    println!(" so the same jobs finish sooner with more shards; that ratio is printed");
+    println!(" and not gated.  Absolute rates and tails are benchmark/'s `serve.*`)");
 }

@@ -185,7 +185,10 @@ const BROKEN: &[(&str, &str)] = &[
         "BENCH_shard.json",
         "machines/3/shards/0/shard_peaks/0=18446744073709551615",
     ),
-    ("BENCH_shard.json", "machines/5/speedup_4v1=1.0"),
+    ("BENCH_shard.json", "machines/5/shards/2/max_running=1"),
+    ("BENCH_shard.json", "machines/0/shards/0/max_running=2"),
+    ("BENCH_shard.json", "machines/4/shards/1/max_running=3"),
+    ("BENCH_shard.json", "-machines/3/shards/1/max_running"),
 ];
 
 #[test]

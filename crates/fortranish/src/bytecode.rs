@@ -13,7 +13,7 @@
 //! (incr < 0 ∧ k ≥ last)` test) — and the VM executes the result.
 //!
 //! The scalar INTEGER statements the macros emit on every trip are one
-//! instruction each, in *operand form*: an [`Opnd`] — a constant, a
+//! instruction each, in *operand form*: an `Opnd` — a constant, a
 //! frame slot, a shared scalar or `ME`/`NP` — is read in place, with no
 //! value-stack traffic.  `X = a` is a `MoveInt`, `X = a op b` (`+ − ×`)
 //! a `SetInt`, and `IF (a .rel. b) THEN`, `IF (…) GO TO l` and a loop
@@ -312,7 +312,10 @@ enum Term {
     /// A private frame slot.
     Local(u32),
     /// A shared scalar: block index and word offset within it.
-    Shared { block: u16, offset: u32 },
+    Shared {
+        block: u16,
+        offset: u32,
+    },
     Me,
     Np,
 }

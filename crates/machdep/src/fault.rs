@@ -1522,12 +1522,15 @@ mod tests {
 
     /// Counts stay in a process's lane until it ends, so the watchdog
     /// must look there: a force whose every sample shows all pids parked
-    /// but whose lock counters move between samples is alive.
+    /// but whose lock counters move between samples is alive.  The bound
+    /// is 1 s, so that only a process starved for a whole bound could
+    /// trip it, and the work lasts six samples: a watchdog blind to the
+    /// lanes trips after four.
     #[test]
     fn watchdog_sees_progress_that_is_still_in_a_lane() {
         use crate::lock::{LockState, RawLock};
         use crate::spin::SpinLock;
-        let bound = Duration::from_millis(40);
+        let bound = Duration::from_secs(1);
         let p = plane(
             2,
             RunOptions {
@@ -1543,9 +1546,9 @@ mod tests {
                 park::wait_until(Construct::Barrier, || done.load(Ordering::Acquire));
                 return;
             }
-            // Four bounds of work, shown on the board only between the
+            // Six samples of work, shown on the board only between the
             // lock operations: parked, like its peer, whenever sampled.
-            let until = std::time::Instant::now() + 4 * bound;
+            let until = std::time::Instant::now() + bound * 3 / 2;
             while std::time::Instant::now() < until {
                 lock.lock();
                 lock.unlock();

@@ -433,51 +433,45 @@ fn a_panic_holding_a_critical_lock_is_attributed_and_released() {
     }
 }
 
-/// The calling thread's voluntary context switches so far.
-#[cfg(target_os = "linux")]
-fn voluntary_switches() -> u64 {
-    let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
-    let field = status
-        .lines()
-        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"));
-    field
-        .expect("a switch count")
-        .trim()
-        .parse()
-        .expect("a number")
-}
-
-/// A process parked on a critical section another holds for ≈ 95 ms
-/// sleeps until it is woken: nothing wakes it on a timer to look at the
-/// cancellation token (a trip wakes it instead).
-#[cfg(target_os = "linux")]
+/// A process parked on a critical section another holds sleeps until it
+/// is woken: nothing wakes it on a timer to look at the cancellation
+/// token (a trip wakes it instead).  The holder keeps the lock until the
+/// waiter has parked, and ≈ 95 ms longer; every wake the waiter takes in
+/// that time is counted, and none may be spurious.
 #[test]
 fn a_process_parked_on_a_held_lock_sleeps_until_woken() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
     for id in [MachineId::Cray2, MachineId::Flex32] {
         let force = Force::with_machine(2, Machine::new(id));
+        let plane = force.fault_plane();
         let held = AtomicBool::new(false);
-        let switches = force
-            .try_execute(|p| match p.pid() {
+        force
+            .try_run(|p| match p.pid() {
                 0 => p.critical("HELD", || {
                     held.store(true, Ordering::Release);
+                    let give_up = Instant::now() + Duration::from_secs(5);
+                    while plane.live_stats().parks == 0 {
+                        assert!(Instant::now() < give_up, "the waiter never parked");
+                        std::thread::yield_now();
+                    }
                     std::thread::sleep(Duration::from_millis(95));
-                    0
                 }),
                 _ => {
                     while !held.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
-                    let before = voluntary_switches();
                     p.critical("HELD", || {});
-                    voluntary_switches() - before
                 }
             })
-            .expect("a clean run")[1];
-        assert!(
-            switches <= 3,
-            "{}: {switches} voluntary switches",
+            .expect("a clean run");
+        let ops = force.machine().stats().snapshot();
+        assert_eq!(ops.park_spurious_wakes, 0, "{}: {ops:?}", id.name());
+        assert_eq!(ops.parks, 1, "{}: one blocking episode", id.name());
+        assert_eq!(
+            ops.park_wakes,
+            1,
+            "{}: woken once, by the unlock",
             id.name()
         );
     }
@@ -486,9 +480,14 @@ fn a_process_parked_on_a_held_lock_sleeps_until_woken() {
 /// From a peer's panic until the run returns, with the other two pids
 /// asleep in the Askfor idle wait (`on_lock` false) or on a machine lock
 /// the test holds throughout (`on_lock` true), so that only the trip can
-/// wake them.  The culprit lives 20 ms first, in a wait that yields its
-/// run permit, so that under `Overcommit` its peers get to fall asleep.
-fn trip_to_last_pid_out(id: MachineId, backend: ParkBackend, on_lock: bool) -> std::time::Duration {
+/// wake them; and the run's counts.  The culprit lives 20 ms first, in a
+/// wait that yields its run permit, so that under `Overcommit` its peers
+/// get to fall asleep.
+fn trip_to_last_pid_out(
+    id: MachineId,
+    backend: ParkBackend,
+    on_lock: bool,
+) -> (std::time::Duration, the_force::machdep::StatsSnapshot) {
     use std::time::{Duration, Instant};
     use the_force::machdep::{park, Construct, LockState, Mutex};
     let force = Force::with_machine(3, Machine::new(id));
@@ -513,13 +512,15 @@ fn trip_to_last_pid_out(id: MachineId, backend: ParkBackend, on_lock: bool) -> s
         .expect_err("the panic is the run's fault");
     let out = panicked_at.lock().expect("the culprit died").elapsed();
     assert_eq!(fault.payload, "a peer dies", "{}", id.name());
-    out
+    (out, force.machine().stats().snapshot())
 }
 
 /// Trip → last pid out, on every machine where the wait exists: the
 /// Askfor idle wait everywhere, the Cray-2's system-call lock and the
-/// Flex/32's combined lock in phase 2.  The bound catches a lost wake,
-/// not the host's speed; the medians are printed.
+/// Flex/32's combined lock in phase 2.  The verdict is a count: both
+/// peers observe the cancellation, and neither was woken for nothing
+/// while it slept — a wait that looked at its token on a timer would be.
+/// A lost wake hangs the run.  The times are printed, not asserted.
 #[test]
 fn a_trip_wakes_the_processes_it_cancels() {
     use std::time::Duration;
@@ -530,21 +531,22 @@ fn a_trip_wakes_the_processes_it_cancels() {
         ParkBackend::Overcommit { workers: 1 },
     ] {
         for &(id, on_lock) in &cells {
+            let site = if on_lock { "lock" } else { "askfor idle" };
             let mut outs: Vec<Duration> = (0..9)
-                .map(|_| trip_to_last_pid_out(id, backend, on_lock))
+                .map(|_| {
+                    let (out, ops) = trip_to_last_pid_out(id, backend, on_lock);
+                    let cell = format!("{site} on {}, {backend:?}", id.name());
+                    assert_eq!(ops.cancellations_observed, 2, "{cell}: {ops:?}");
+                    assert_eq!(ops.park_spurious_wakes, 0, "{cell}: {ops:?}");
+                    out
+                })
                 .collect();
             outs.sort();
-            let site = if on_lock { "lock" } else { "askfor idle" };
             println!(
                 "trip -> last pid out, {site} on {}, {backend:?}: p50 {:?}, max {:?}",
                 id.name(),
                 outs[outs.len() / 2],
                 outs[outs.len() - 1]
-            );
-            assert!(
-                outs[outs.len() - 1] <= Duration::from_millis(50),
-                "{site} on {}, {backend:?}: {outs:?}",
-                id.name()
             );
         }
     }

@@ -131,15 +131,23 @@ fn a_cold_source_stays_inside_its_allocation_budget() {
 /// job's shared state, and the run itself.  ISSUE 20 read 5 more — the
 /// name cloned for the depth map, the job record, two rollup look-ups
 /// and a local — before `submit` and `complete` looked tenants up by
-/// `&str`.  Exact: lower it when a change removes one, never raise it.
+/// `&str`.  Exact at [`POOLED_NPROC`]: lower it when a change removes
+/// one, never raise it.
 const SERVED_NULL_JOB: u64 = 27;
 
-/// The same job on a session with no pool of its own.  It read 32 while
-/// such a job created its processes (thread `Builder`, name, `Packet`,
-/// scope bookkeeping and the handles' `Vec`: 5 per job at `nproc` 2);
-/// on the force its shard lends it, it is the pooled job exactly —
-/// binding the plane clones an `Arc` into a slot the plane already has.
-const SERVED_UNPOOLED_NULL_JOB: u64 = SERVED_NULL_JOB;
+/// The width of the pooled pins: a pool of 2 attached to the session,
+/// whatever the host, so that one number holds everywhere.
+const POOLED_NPROC: usize = 2;
+
+/// The same job on a session with no pool of its own, at nproc 1: a
+/// force the shard lends on any host (its width is the host's, and
+/// every host has a core).  It read 32 at nproc 2 while such a job
+/// created its processes (thread `Builder`, name, `Packet`, scope
+/// bookkeeping and the handles' `Vec`: 5 per job); on the lent force it
+/// is a pooled job of its width exactly — binding the plane clones an
+/// `Arc` into a slot the plane already has — and at nproc 1 that is 2
+/// fewer than [`SERVED_NULL_JOB`]: pid 1's share of the run.
+const SERVED_LENT_NULL_JOB: u64 = 25;
 
 /// What one served, pooled `dot` job of the benchmark's hot corpus
 /// allocates: the empty job's 27 plus what two processes running a
@@ -180,12 +188,11 @@ const DOT: &str = "\
 
 const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n      Join\n";
 
-/// Allocations per served job of `source`, three batches of 100 after one
-/// to warm up, on a session with or without a pool of its own.
-fn served_job_allocations(source: &str, own_pool: bool) -> Vec<u64> {
+/// Allocations per served job of `source` at `nproc`, three batches of
+/// 100 after two to warm up, on a session with a pool of `nproc` attached
+/// or with none (the shard lends its force).
+fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64> {
     const BATCH: u64 = 100;
-    // What the shard's force hosts wherever this runs.
-    let nproc = the_force::machdep::default_nproc().min(2);
     let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
     let id = MachineId::SequentBalance;
     let machine = Machine::new(id);
@@ -195,24 +202,39 @@ fn served_job_allocations(source: &str, own_pool: bool) -> Vec<u64> {
         engine.set_pool(Arc::new(ForcePool::new(nproc, machine.stats())));
     }
     let server = ForceServer::new(ServerConfig::default(), machine.stats());
-    let serve_a_batch = || {
+    // A job runs on its client's thread or on the dispatcher's, whichever
+    // takes the shard's run slot first; a waiter that does not wait
+    // leaves it to the dispatcher.
+    let serve_a_batch = |wait: bool| {
         for _ in 0..BATCH {
             let runner = engine.serve_runner(nproc, RunOptions::default(), |out| {
                 assert_eq!(out.stats.processes_created, 0);
             });
             let job = server.submit(JobSpec::for_tenant("closed"), runner);
-            let outcome = job.expect_admitted().wait();
+            let job = job.expect_admitted();
+            let outcome = if wait {
+                job.wait()
+            } else {
+                loop {
+                    match job.try_outcome() {
+                        Some(outcome) => break outcome,
+                        None => std::thread::yield_now(),
+                    }
+                }
+            };
             assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
         }
     };
-    // Warm up: the tenant's first job, queue and map growth, thread-locals
-    // — and the shard's force, if this session is the one to borrow it.
-    serve_a_batch();
+    // Warm up both threads a job can run on: the tenant's first job, queue
+    // and map growth, thread-locals — and the shard's force, if this
+    // session is the one to borrow it.
+    serve_a_batch(false);
+    serve_a_batch(true);
     (0..3)
         .map(|_| {
             ALL_COUNT.store(0, Ordering::SeqCst);
             EVERY_THREAD.store(true, Ordering::SeqCst);
-            serve_a_batch();
+            serve_a_batch(true);
             EVERY_THREAD.store(false, Ordering::SeqCst);
             let batch = ALL_COUNT.load(Ordering::SeqCst);
             assert_eq!(batch % BATCH, 0, "{batch} allocations in {BATCH} jobs");
@@ -223,21 +245,23 @@ fn served_job_allocations(source: &str, own_pool: bool) -> Vec<u64> {
 
 #[test]
 fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
-    let per_job = served_job_allocations(NULL, true);
+    let per_job = served_job_allocations(NULL, POOLED_NPROC, true);
     println!("a served null job: {per_job:?} allocations");
     assert_eq!(per_job, [SERVED_NULL_JOB; 3]);
 }
 
 #[test]
 fn a_served_unpooled_null_job_allocates_no_more_than_a_pooled_one() {
-    let per_job = served_job_allocations(NULL, false);
-    println!("a served unpooled null job: {per_job:?} allocations");
-    assert_eq!(per_job, [SERVED_UNPOOLED_NULL_JOB; 3]);
+    let lent = served_job_allocations(NULL, 1, false);
+    println!("a served unpooled null job at nproc 1: {lent:?} allocations");
+    assert_eq!(lent, [SERVED_LENT_NULL_JOB; 3]);
+    let pooled = served_job_allocations(NULL, 1, true);
+    assert_eq!(lent, pooled, "a lent job is a pooled job of its width");
 }
 
 #[test]
 fn a_served_pooled_dot_job_allocates_a_fixed_number_of_times() {
-    let per_job = served_job_allocations(DOT, true);
+    let per_job = served_job_allocations(DOT, POOLED_NPROC, true);
     println!("a served dot job: {per_job:?} allocations");
     assert_eq!(per_job, [SERVED_DOT_JOB; 3]);
 }

@@ -365,7 +365,11 @@ fn structured_do_heads_agree() {
         ("no trips", body("K = N, 1"), ints(&[0; 12])),
     ];
     for (row, source, values) in rows {
-        check_everywhere(row, &program(decls, &source), Outcome::Values("HITS", values));
+        check_everywhere(
+            row,
+            &program(decls, &source),
+            Outcome::Values("HITS", values),
+        );
     }
 }
 
