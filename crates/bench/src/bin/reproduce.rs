@@ -735,11 +735,14 @@ fn exp13(_: Scale) {
 
         // 1. A panic while peers park at a barrier: cancellation must
         //    unblock them well inside the watchdog bound.
-        let force =
-            Force::with_machine(4, Arc::clone(&machine)).with_watchdog(Duration::from_secs(5));
+        let watchdog = |bound| RunOptions {
+            watchdog: Some(bound),
+            ..RunOptions::default()
+        };
+        let force = Force::with_machine(4, Arc::clone(&machine));
         let t0 = Instant::now();
         let f = force
-            .try_run(|p| {
+            .try_execute_with(watchdog(Duration::from_secs(5)), |p| {
                 if p.pid() == 0 {
                     panic!("exp13: deliberate panic");
                 }
@@ -750,27 +753,29 @@ fn exp13(_: Scale) {
 
         // 2. A true deadlock (consume, no producer): only the watchdog
         //    can report this one.
-        let force =
-            Force::with_machine(2, Arc::clone(&machine)).with_watchdog(Duration::from_millis(100));
+        let force = Force::with_machine(2, Arc::clone(&machine));
         let chan: Async<i64> = Async::new(&machine);
         let t0 = Instant::now();
         let f = force
-            .try_run(|_p| {
+            .try_execute_with(watchdog(Duration::from_millis(100)), |_p| {
                 let _ = chan.consume();
             })
             .expect_err("must trip");
         row("consume, no producer", Some((f, t0.elapsed())));
 
         // 3. Deterministic injection at construct boundaries.
-        let force =
-            Force::with_machine(4, Arc::clone(&machine)).with_fault_injection(FaultInjection {
+        let force = Force::with_machine(4, Arc::clone(&machine));
+        let injection = RunOptions {
+            injection: Some(FaultInjection {
                 seed: 0xF0CE,
                 panic_per_mille: 250,
                 delay_per_mille: 0,
                 spurious_per_mille: 250,
-            });
+            }),
+            ..RunOptions::default()
+        };
         let t0 = Instant::now();
-        let f = force.try_run(|p| {
+        let f = force.try_execute_with(injection, |p| {
             for _ in 0..8 {
                 p.barrier();
             }
@@ -801,7 +806,7 @@ fn exp15(_: Scale) {
         p.barrier();
     };
     let traced = RunOptions {
-        trace: Some(TraceConfig::default()),
+        trace: true,
         ..RunOptions::default()
     };
     println!(

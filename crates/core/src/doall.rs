@@ -226,8 +226,8 @@ impl Player {
     }
 
     /// A singly nested DOALL under the run's default policy
-    /// (`Force::with_default_schedule` / `RunOptions::default_schedule`;
-    /// the paper's one-trip selfscheduling when unset).
+    /// (`RunOptions::default_schedule`; the paper's one-trip
+    /// selfscheduling when unset).
     pub fn doall(&self, range: impl Into<ForceRange>, body: impl FnMut(i64)) {
         self.doall_with(fault::current_default_schedule(), range, body)
     }
@@ -321,7 +321,7 @@ impl Player {
 mod tests {
     use crate::force::Force;
     use crate::schedule::{ForceRange, SchedulePolicy};
-    use force_machdep::Mutex;
+    use force_machdep::{Mutex, RunOptions};
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -570,16 +570,22 @@ mod tests {
     }
 
     #[test]
-    fn doall_follows_the_sessions_default_schedule() {
-        // With a cyclic session default, the bare `doall` distributes
+    fn doall_follows_the_runs_default_schedule() {
+        // With a cyclic default for the run, the bare `doall` distributes
         // exactly like `presched_do`.
-        let force = Force::new(4).with_default_schedule(SchedulePolicy::Cyclic);
+        let force = Force::new(4);
         let per: Mutex<HashMap<usize, Vec<i64>>> = Mutex::new(HashMap::new());
-        force.run(|p| {
-            let mut mine = Vec::new();
-            p.doall(ForceRange::to(0, 11), |i| mine.push(i));
-            per.lock().insert(p.pid(), mine);
-        });
+        let options = RunOptions {
+            default_schedule: SchedulePolicy::Cyclic,
+            ..RunOptions::default()
+        };
+        force
+            .try_execute_with(options, |p| {
+                let mut mine = Vec::new();
+                p.doall(ForceRange::to(0, 11), |i| mine.push(i));
+                per.lock().insert(p.pid(), mine);
+            })
+            .expect("clean run");
         let per = per.into_inner();
         assert_eq!(per[&0], vec![0, 4, 8]);
         assert_eq!(per[&2], vec![2, 6, 10]);

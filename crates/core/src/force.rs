@@ -11,23 +11,25 @@
 //! the program body in all of them, and performs the final `Join`.
 //!
 //! A `Force` is a reusable **session**: a machine-dependent
-//! [`Session`] (counters, default options, pool, fault plane, the record
-//! of the last run) runs every job, and the force keeps only its
-//! per-occurrence construct state (the two-lock barrier, the collective
-//! registry behind selfscheduled loops, Pcase and Askfor, the named-lock
-//! and shared-index tables), *reset in place* at the start of every
-//! [`execute`](Force::execute) instead of being reallocated.  Attach a
+//! [`Session`] (counters, pool, fault plane, the record of the last run)
+//! runs every job, and the force keeps only what the paper's
+//! `force_environment` declares plus its per-occurrence construct state
+//! (the two-lock barrier, the named-lock table, the collective registry
+//! behind selfscheduled loops, Pcase and Askfor), *reset in place* at the
+//! start of every [`execute`](Force::execute) instead of being
+//! reallocated.  Each run's [`RunOptions`] (watchdog, fault injection,
+//! tracing, default schedule, backend) are passed with it:
+//! [`try_execute_with`](Force::try_execute_with).  Attach a
 //! resident [`ForcePool`] with [`with_pool`](Force::with_pool) and
 //! successive executes reuse the pool's worker threads too — no per-run
 //! process creation at all.
 
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use force_machdep::{
-    FaultInjection, FaultPlane, ForceEnvironment, ForcePool, JobError, JobRunner, JobYield,
-    Machine, MachineId, ProcessFault, ProfileReport, RunOptions, SchedulePolicy, Session,
-    StatsSnapshot, TraceConfig, VirtualSummary,
+    FaultPlane, ForcePool, JobError, JobRunner, JobYield, LockHandle, Machine, MachineId, Mutex,
+    ProcessFault, ProfileReport, RunOptions, Session, StatsSnapshot, VirtualSummary,
 };
 
 use crate::barrier::TwoLockBarrier;
@@ -35,20 +37,23 @@ use crate::player::Player;
 use crate::registry::CollectiveRegistry;
 
 /// A configured force session: a process count bound to a machine
-/// personality, resident construct state that is reset between runs,
-/// optional dispatch onto a resident [`ForcePool`], and the session's
-/// default fault-containment options (deadlock watchdog, fault
-/// injection), both off by default and overridable per run with
-/// [`try_execute_with`](Force::try_execute_with).
+/// personality, resident construct state that is reset between runs, and
+/// optional dispatch onto a resident [`ForcePool`].  A run with no
+/// [`RunOptions`] runs with the defaults (no watchdog, no injection, no
+/// tracing, §4.2 selfscheduling, a thread per pid); name them per run
+/// with [`try_execute_with`](Force::try_execute_with).
 pub struct Force {
     nproc: usize,
-    /// Runs every job: machine, counters, default options, pool, plane.
+    /// Runs every job: machine, counters, pool, plane.
     session: Session,
-    /// The session's parallel environment (named locks, shared indices)
-    /// and, with it, the session's fault plane.
-    env: Arc<ForceEnvironment>,
-    /// The session's two-lock barrier.
+    /// The session's resident fault plane (its width never changes).
+    plane: Arc<FaultPlane>,
+    /// The session's two-lock barrier: `BARWIN`, `BARWOT`, `ZZNBAR`.
     barrier: Arc<TwoLockBarrier>,
+    /// Named lock variables (`define_lock`), created on first use:
+    /// critical sections and user locks share the table, so the same name
+    /// always aliases the same lock.
+    named_locks: Arc<Mutex<HashMap<String, LockHandle>>>,
     /// Per-occurrence collective state (selfsched counters, askfor
     /// queues, Pcase slots), cleared between runs.
     registry: Arc<CollectiveRegistry>,
@@ -71,50 +76,14 @@ impl Force {
     /// Panics if `nproc` is zero.
     pub fn with_machine(nproc: usize, machine: Arc<Machine>) -> Self {
         let session = Session::new(Arc::clone(&machine));
-        let plane = session.fault_plane(nproc);
-        let barrier = Arc::new(TwoLockBarrier::new(&machine, nproc));
         Force {
             nproc,
-            env: Arc::new(ForceEnvironment::with_fault_plane(machine, nproc, plane)),
+            plane: session.fault_plane(nproc),
             session,
-            barrier,
+            barrier: Arc::new(TwoLockBarrier::new(&machine, nproc)),
+            named_locks: Arc::default(),
             registry: Arc::new(CollectiveRegistry::new()),
         }
-    }
-
-    /// Enable the deadlock watchdog: if every live process of the force
-    /// stays parked with no progress for `bound`, the force is cancelled
-    /// and [`try_execute`](Self::try_execute) returns a structured
-    /// [`ProcessFault`] naming a parked process and its construct.
-    pub fn with_watchdog(self, bound: Duration) -> Self {
-        self.session.configure(|o| o.watchdog = Some(bound));
-        self
-    }
-
-    /// Enable deterministic fault injection (panics, delays, spurious
-    /// lock failures at construct boundaries) for robustness testing.
-    pub fn with_fault_injection(self, injection: FaultInjection) -> Self {
-        self.session.configure(|o| o.injection = Some(injection));
-        self
-    }
-
-    /// Set the session's default work-distribution policy: the policy
-    /// the bare [`Player::doall`](crate::player::Player)/`doall2`
-    /// methods use when no per-loop override is given.  Defaults to the
-    /// paper's one-trip selfscheduling.  Overridable per run through
-    /// [`RunOptions::default_schedule`].
-    pub fn with_default_schedule(self, policy: SchedulePolicy) -> Self {
-        self.session.configure(|o| o.default_schedule = policy);
-        self
-    }
-
-    /// Enable construct-level tracing for this session's runs: every run
-    /// records construct enter/exit, lock and full/empty events, barrier
-    /// arrival spread, and DOALL trip distribution, surfaced afterwards
-    /// by [`last_job_profile`](Self::last_job_profile).
-    pub fn with_tracing(self, config: TraceConfig) -> Self {
-        self.session.configure(|o| o.trace = Some(config));
-        self
     }
 
     /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
@@ -126,12 +95,6 @@ impl Force {
     pub fn with_pool(self, pool: Arc<ForcePool>) -> Self {
         self.session.attach_pool(pool);
         self
-    }
-
-    /// A force sized to the host's available parallelism
-    /// ([`force_machdep::default_nproc`]).
-    pub fn natural() -> Self {
-        Self::new(force_machdep::default_nproc())
     }
 
     /// Number of processes in the force.
@@ -170,20 +133,19 @@ impl Force {
 
     /// Like [`execute`](Self::execute), but returning a structured
     /// [`ProcessFault`] instead of panicking when a process of the force
-    /// panics or the watchdog declares a deadlock.
+    /// panics.
     pub fn try_execute<R, F>(&self, body: F) -> Result<Vec<R>, ProcessFault>
     where
         R: Send,
         F: Fn(&Player) -> R + Sync,
     {
-        self.try_execute_with(self.session.defaults(), body)
+        self.try_execute_with(RunOptions::default(), body)
     }
 
-    /// Run one job with explicit per-run [`RunOptions`] (watchdog bound,
-    /// fault injection), overriding the session defaults for this run
-    /// only.  This is how a *shared* session — e.g. one pooled force
-    /// serving many callers — is configured per job without `&mut`
-    /// access.
+    /// Run one job under `options` (watchdog bound, fault injection,
+    /// tracing, default schedule, backend), which apply to this run only.
+    /// This is how a *shared* session — e.g. one pooled force serving
+    /// many callers — is configured per job without `&mut` access.
     pub fn try_execute_with<R, F>(
         &self,
         options: RunOptions,
@@ -193,12 +155,14 @@ impl Force {
         R: Send,
         F: Fn(&Player) -> R + Sync,
     {
-        // A fault may have stranded the barrier or the environment's
-        // locks mid-episode: both start the run in their initial states.
+        // A fault may have stranded the barrier or a named lock
+        // mid-episode: the barrier starts the run in its initial state, and
+        // the named locks cease to exist (every run's driver re-executes
+        // `init_lock`).
         let reset = || {
             self.registry.reset();
             self.barrier.reset();
-            self.env.reset();
+            self.named_locks.lock().clear();
         };
         self.session.run(self.nproc, options, reset, |run| {
             run.launch(|pid| {
@@ -206,8 +170,8 @@ impl Force {
                     pid,
                     self.nproc,
                     Arc::clone(self.machine()),
-                    Arc::clone(&self.env),
                     Arc::clone(&self.barrier),
+                    Arc::clone(&self.named_locks),
                     Arc::clone(&self.registry),
                 );
                 body(&player)
@@ -229,8 +193,7 @@ impl Force {
     /// wait/hold histograms, named-lock contention, barrier arrival
     /// spread, DOALL trip distribution, and the retained event trace
     /// (exportable with [`ProfileReport::chrome_trace_json`]).  `None`
-    /// when the most recent run did not enable tracing (via
-    /// [`with_tracing`](Self::with_tracing) or `RunOptions::trace`), or
+    /// when the most recent run did not set `RunOptions::trace`, or
     /// faulted.  Summarized here, from the resident sink, under the run
     /// lock: call it between runs, never from inside a job body.
     pub fn last_job_profile(&self) -> Option<ProfileReport> {
@@ -252,7 +215,7 @@ impl Force {
     /// deadline watchers can cancel a running job through the plane's
     /// trip token.
     pub fn fault_plane(&self) -> &Arc<FaultPlane> {
-        self.env.fault_plane()
+        &self.plane
     }
 
     /// Package a native force program as a [`JobRunner`] for a
@@ -301,7 +264,9 @@ impl Force {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use force_machdep::SchedulePolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn every_process_runs_once_with_its_pid() {
@@ -333,6 +298,44 @@ mod tests {
             let r = force.execute(move |p| p.pid() + round);
             assert_eq!(r, vec![round, 1 + round, 2 + round]);
         }
+    }
+
+    #[test]
+    fn a_fresh_force_creates_only_its_barrier_locks() {
+        // The force environment has one home: `BARWIN` and `BARWOT` are
+        // the only locks a force makes before its program names one.
+        for id in MachineId::all() {
+            let machine = Machine::new(id);
+            let _force = Force::with_machine(4, Arc::clone(&machine));
+            let created = machine.stats().snapshot().locks_created;
+            assert_eq!(created, 2, "{}", id.name());
+        }
+    }
+
+    #[test]
+    fn named_locks_alias_by_name() {
+        // Pid 1 sees the lock pid 0 holds under the same name, and a free
+        // one under another; the run's reset empties the table.
+        let force = Force::new(2);
+        force.run(|p| {
+            if p.pid() == 0 {
+                p.named_lock("LOOP100").lock();
+            }
+            p.barrier();
+            if p.pid() == 1 {
+                assert!(!p.named_lock("LOOP100").try_lock(), "same name = same lock");
+                let other = p.named_lock("LOOP200");
+                assert!(other.try_lock(), "different name = different lock");
+                other.unlock();
+            }
+            p.barrier();
+            if p.pid() == 0 {
+                p.named_lock("LOOP100").unlock();
+            }
+        });
+        assert_eq!(force.named_locks.lock().len(), 2);
+        force.run(|_p| {});
+        assert!(force.named_locks.lock().is_empty(), "reset per run");
     }
 
     #[test]
@@ -408,16 +411,24 @@ mod tests {
 
     #[test]
     fn watchdog_reports_a_wedged_force() {
-        use std::time::Duration;
         // Every process consumes from an async variable nobody produces:
-        // a guaranteed deadlock, reported by the watchdog.
-        let force = Force::new(2).with_watchdog(Duration::from_millis(100));
+        // a guaranteed deadlock, reported by the run's watchdog; the next
+        // run has none and works.
+        let force = Force::new(2);
         let chan: crate::asyncvar::Async<u64> = crate::asyncvar::Async::new(force.machine());
+        let options = RunOptions {
+            watchdog: Some(Duration::from_millis(100)),
+            ..RunOptions::default()
+        };
         let err = force
-            .try_execute(|_p| chan.consume())
+            .try_execute_with(options, |_p| chan.consume())
             .expect_err("the watchdog must trip");
         assert_eq!(err.construct, "consume");
         assert!(err.payload.contains("deadlock watchdog"), "{}", err.payload);
+        assert_eq!(
+            force.try_execute(|p| p.pid()).expect("clean run"),
+            vec![0, 1]
+        );
     }
 
     #[test]
@@ -429,9 +440,13 @@ mod tests {
             delay_per_mille: 0,
             spurious_per_mille: 0,
         };
-        let force = Force::new(2).with_fault_injection(inj);
+        let force = Force::new(2);
+        let options = RunOptions {
+            injection: Some(inj),
+            ..RunOptions::default()
+        };
         let err = force
-            .try_run(|p| p.barrier())
+            .try_execute_with(options, |p| p.barrier())
             .expect_err("a certain injection must fault the force");
         assert!(err.payload.contains("injected fault"), "{}", err.payload);
     }
@@ -680,31 +695,8 @@ mod tests {
     }
 
     #[test]
-    fn per_run_options_override_session_defaults() {
-        use std::time::Duration;
-        // Session default: no watchdog.  Per-run: a tight watchdog that
-        // must catch the deadlock; then a default run works again.
-        let force = Force::new(2);
-        let chan: crate::asyncvar::Async<u64> = crate::asyncvar::Async::new(force.machine());
-        let err = force
-            .try_execute_with(
-                RunOptions {
-                    watchdog: Some(Duration::from_millis(100)),
-                    ..RunOptions::default()
-                },
-                |_p| chan.consume(),
-            )
-            .expect_err("per-run watchdog must trip");
-        assert!(err.payload.contains("deadlock watchdog"), "{}", err.payload);
-        assert_eq!(
-            force.try_execute(|p| p.pid()).expect("clean run"),
-            vec![0, 1]
-        );
-    }
-
-    #[test]
-    fn per_run_default_schedule_overrides_the_session() {
-        // Session default: selfsched.  Per-run: cyclic, observable as
+    fn per_run_default_schedule_lasts_one_run() {
+        // Default: selfsched.  Per-run: cyclic, observable as
         // presched's deterministic per-process trip assignment.
         let force = Force::new(4);
         let r = force
@@ -722,8 +714,7 @@ mod tests {
             .expect("clean run");
         assert_eq!(r[0], vec![0, 4, 8]);
         assert_eq!(r[3], vec![3, 7, 11]);
-        // The next default run reverts to the session default; coverage
-        // stays exact.
+        // The next run reverts to selfsched; coverage stays exact.
         let sum = AtomicUsize::new(0);
         force.run(|p| {
             p.doall(crate::schedule::ForceRange::to(1, 10), |i| {
@@ -735,12 +726,18 @@ mod tests {
 
     #[test]
     fn traced_run_surfaces_a_profile() {
-        let force = Force::new(3).with_tracing(TraceConfig::default());
-        force.run(|p| {
-            p.presched_do(crate::schedule::ForceRange::to(1, 30), |_| {});
-            p.critical("HOT", || {});
-            p.barrier();
-        });
+        let force = Force::new(3);
+        let options = RunOptions {
+            trace: true,
+            ..RunOptions::default()
+        };
+        force
+            .try_execute_with(options, |p| {
+                p.presched_do(crate::schedule::ForceRange::to(1, 30), |_| {});
+                p.critical("HOT", || {});
+                p.barrier();
+            })
+            .expect("clean run");
         let r = force.last_job_profile().expect("traced run has a profile");
         assert_eq!(r.nproc, 3);
         assert!(r.construct("doall").is_some(), "doall attributed");
@@ -760,12 +757,12 @@ mod tests {
     }
 
     #[test]
-    fn per_run_tracing_overrides_session_default() {
+    fn per_run_tracing_lasts_one_run() {
         let force = Force::new(2);
         force
             .try_execute_with(
                 RunOptions {
-                    trace: Some(TraceConfig::default()),
+                    trace: true,
                     ..RunOptions::default()
                 },
                 |p| p.barrier(),
@@ -773,7 +770,7 @@ mod tests {
             .expect("clean run");
         let r = force.last_job_profile().expect("per-run tracing");
         assert!(r.construct("barrier").is_some());
-        // The next default run does not trace.
+        // The next run does not trace.
         force.run(|p| p.barrier());
         assert!(force.last_job_profile().is_none());
     }
@@ -787,18 +784,24 @@ mod tests {
             delay_per_mille: 0,
             spurious_per_mille: 300,
         };
-        let force = Force::new(4).with_fault_injection(inj);
+        let force = Force::new(4);
         let before = force.machine().stats().snapshot().faults_injected;
         let shared = AtomicUsize::new(0);
-        force.run(|p| {
-            for _ in 0..20 {
-                p.critical("S", || {
-                    let v = shared.load(Ordering::Relaxed);
-                    shared.store(v + 1, Ordering::Relaxed);
-                });
-                p.barrier();
-            }
-        });
+        let options = RunOptions {
+            injection: Some(inj),
+            ..RunOptions::default()
+        };
+        force
+            .try_execute_with(options, |p| {
+                for _ in 0..20 {
+                    p.critical("S", || {
+                        let v = shared.load(Ordering::Relaxed);
+                        shared.store(v + 1, Ordering::Relaxed);
+                    });
+                    p.barrier();
+                }
+            })
+            .expect("spurious failures do not fault the force");
         assert_eq!(shared.load(Ordering::Relaxed), 80);
         let after = force.machine().stats().snapshot().faults_injected;
         assert!(after > before, "a 30% spurious rate must have fired");

@@ -11,10 +11,11 @@
 //! no notion of two processes sharing one process context.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use force_machdep::fault;
-use force_machdep::{Construct, ForceEnvironment, LockHandle, Machine};
+use force_machdep::{Construct, LockHandle, LockState, Machine, Mutex};
 
 use crate::barrier::TwoLockBarrier;
 use crate::registry::CollectiveRegistry;
@@ -24,17 +25,18 @@ pub struct Player {
     pid: usize,
     nproc: usize,
     machine: Arc<Machine>,
-    env: Arc<ForceEnvironment>,
     barrier: Arc<TwoLockBarrier>,
+    /// The force's named-lock table (`define_lock`).
+    named_locks: Arc<Mutex<HashMap<String, LockHandle>>>,
     registry: Arc<CollectiveRegistry>,
     /// Ordinal of the next collective construct this process will
     /// encounter (private; advances in lockstep across the force for a
     /// correct SPMD program).
     seq: Cell<usize>,
     /// The named locks this process has used, so that entering a critical
-    /// section again takes neither the environment's table mutex nor an
-    /// allocation.  A player lives for one run and the environment's
-    /// table is only cleared between runs, so an entry cannot go stale.
+    /// section again takes neither the force's table mutex nor an
+    /// allocation.  A player lives for one run and the force's table is
+    /// only cleared between runs, so an entry cannot go stale.
     named: RefCell<Vec<(Box<str>, LockHandle)>>,
 }
 
@@ -43,16 +45,16 @@ impl Player {
         pid: usize,
         nproc: usize,
         machine: Arc<Machine>,
-        env: Arc<ForceEnvironment>,
         barrier: Arc<TwoLockBarrier>,
+        named_locks: Arc<Mutex<HashMap<String, LockHandle>>>,
         registry: Arc<CollectiveRegistry>,
     ) -> Self {
         Player {
             pid,
             nproc,
             machine,
-            env,
             barrier,
+            named_locks,
             registry,
             seq: Cell::new(0),
             named: RefCell::new(Vec::new()),
@@ -72,11 +74,6 @@ impl Player {
     /// The machine personality the force runs on.
     pub fn machine(&self) -> &Arc<Machine> {
         &self.machine
-    }
-
-    /// The parallel environment (barrier locks, named locks, indices).
-    pub fn env(&self) -> &Arc<ForceEnvironment> {
-        &self.env
     }
 
     /// Whether this is process 0 (handy for one-process I/O; note the
@@ -113,11 +110,6 @@ impl Player {
         self.barrier.wait_first(init);
     }
 
-    /// The underlying two-lock barrier (for algorithm studies).
-    pub fn raw_barrier(&self) -> &TwoLockBarrier {
-        &self.barrier
-    }
-
     // ---- plumbing used by the construct modules ----
 
     /// Claim the next collective ordinal and fetch/create its shared
@@ -132,13 +124,24 @@ impl Player {
         self.registry.nth(idx, init)
     }
 
-    /// The named lock variable `name` (shared across the force).
+    /// The named lock variable `name` (shared across the force) — the
+    /// `define_lock(var)` / `init_lock(var)` pair, created unlocked on the
+    /// force's first use of the name.
     pub fn named_lock(&self, name: &str) -> LockHandle {
         let mut named = self.named.borrow_mut();
         if let Some((_, lock)) = named.iter().find(|(n, _)| **n == *name) {
             return Arc::clone(lock);
         }
-        let lock = self.env.named_lock(name);
+        let mut table = self.named_locks.lock();
+        let lock = match table.get(name) {
+            Some(lock) => Arc::clone(lock),
+            None => {
+                let lock = self.machine.make_lock(LockState::Unlocked);
+                table.insert(name.to_string(), Arc::clone(&lock));
+                lock
+            }
+        };
+        drop(table);
         named.push((name.into(), Arc::clone(&lock)));
         lock
     }

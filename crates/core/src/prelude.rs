@@ -20,5 +20,4 @@ pub use crate::schedule::{ForceRange, SchedulePolicy};
 pub use crate::shared::{SharedCell, SharedF64Array, SharedF64Matrix, SharedI64Array};
 pub use force_machdep::{
     FaultInjection, ForcePool, Machine, MachineId, ProcessFault, ProfileReport, RunOptions,
-    TraceConfig,
 };

@@ -222,16 +222,6 @@ impl Engine {
         })
     }
 
-    /// Enable the deadlock watchdog by default: if every process of the
-    /// force stays blocked with no progress for `bound`, the run is
-    /// cancelled and [`run`](Self::run) returns a runtime error naming a
-    /// parked process and the Force construct it was parked in.  This
-    /// sets the session default; [`run_with`](Self::run_with) overrides
-    /// it per run.
-    pub fn set_watchdog(&self, bound: std::time::Duration) {
-        self.session.configure(|o| o.watchdog = Some(bound));
-    }
-
     /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
     /// reuses its workers, any other run uses scoped threads as if no
     /// pool were attached ([`force_machdep::launch_plane`] decides).
@@ -254,14 +244,16 @@ impl Engine {
     }
 
     /// Run the driver (which creates the force of `nproc` processes)
-    /// with the session-default [`RunOptions`].
+    /// with the default [`RunOptions`].
     pub fn run(&self, nproc: usize) -> Result<RunOutput, FortError> {
-        self.run_with(nproc, self.session.defaults())
+        self.run_with(nproc, RunOptions::default())
     }
 
-    /// Run the driver with explicit per-run [`RunOptions`] (watchdog
-    /// bound, fault injection, tracing, schedule, backend), overriding
-    /// the session defaults for this run only.
+    /// Run the driver under `options` (watchdog bound, fault injection,
+    /// tracing, schedule, backend), which apply to this run only.  With a
+    /// watchdog, a run whose every process stays blocked with no progress
+    /// for the bound is cancelled, and the error names a parked process
+    /// and the Force construct it was parked in.
     pub fn run_with(&self, nproc: usize, options: RunOptions) -> Result<RunOutput, FortError> {
         self.run_driver(nproc, options, |rt, driver| {
             let compiled = &self.bundle.compiled;
@@ -1363,11 +1355,10 @@ mod tests {
 
     #[test]
     fn traced_run_profiles_interpreter_constructs() {
-        use force_machdep::TraceConfig;
         let exp = preprocess(SUM_PROGRAM, MachineId::EncoreMultimax).unwrap();
         let engine = Engine::from_expanded(&exp, Machine::new(MachineId::EncoreMultimax)).unwrap();
         let opts = RunOptions {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             ..RunOptions::default()
         };
         let out = engine.run_with(3, opts).unwrap();

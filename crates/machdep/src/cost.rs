@@ -11,8 +11,6 @@
 //! The numbers are plausible magnitudes for the late-1980s machines, not
 //! measurements; only their ratios matter to the experiments.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Cycle costs of the machine-dependent primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
@@ -95,35 +93,6 @@ impl CostModel {
     }
 }
 
-/// Accumulates simulated cycles for one run.
-#[derive(Debug, Default)]
-pub struct CycleAccount {
-    cycles: AtomicU64,
-}
-
-impl CycleAccount {
-    /// A zeroed account.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Charge `n` cycles.
-    #[inline]
-    pub fn charge(&self, n: u64) {
-        self.cycles.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Total cycles charged so far.
-    pub fn total(&self) -> u64 {
-        self.cycles.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.cycles.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,15 +115,5 @@ mod tests {
     #[test]
     fn hep_fullempty_is_hardware_cheap() {
         assert!(CostModel::hep().fullempty_op < CostModel::fork_spin().fullempty_op / 10);
-    }
-
-    #[test]
-    fn account_accumulates() {
-        let acc = CycleAccount::new();
-        acc.charge(10);
-        acc.charge(5);
-        assert_eq!(acc.total(), 15);
-        acc.reset();
-        assert_eq!(acc.total(), 0);
     }
 }

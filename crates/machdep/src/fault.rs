@@ -50,7 +50,7 @@ use crate::pool::LazyPool;
 use crate::portable::{CachePadded, Mutex, XorShift64};
 use crate::process::StopSignal;
 use crate::stats::{OpStats, StatsHandle, StatsSnapshot};
-use crate::trace::{self, ProfileReport, TraceConfig, TraceSink};
+use crate::trace::{self, ProfileReport, TraceSink};
 use crate::workq::SchedulePolicy;
 
 /// Which Force construct a process is executing or blocked in.  Used for
@@ -214,10 +214,10 @@ pub struct RunOptions {
     pub watchdog: Option<Duration>,
     /// Fault injection; `None` (the default) injects nothing.
     pub injection: Option<FaultInjection>,
-    /// Construct-level tracing ([`crate::trace`]); `None` (the default)
+    /// Construct-level tracing ([`crate::trace`]); off (the default)
     /// records nothing and keeps every trace hook a single thread-local
     /// `Option` test.
-    pub trace: Option<TraceConfig>,
+    pub trace: bool,
     /// Work-distribution policy used by scheduling constructs that do not
     /// carry an explicit per-loop override.  Defaults to the paper's §4.2
     /// selfscheduling (`Selfsched { chunk: 1 }`).
@@ -359,7 +359,7 @@ impl FaultPlane {
             trace: Mutex::new(
                 config
                     .trace
-                    .map(|t| TraceSink::new_with_clock(nproc, t, config.backend.is_virtual())),
+                    .then(|| TraceSink::new(nproc, config.backend.is_virtual())),
             ),
             parker: Mutex::new(Arc::new(Parker::new(config.backend, nproc, costs))),
             bound: Mutex::new(Bound::default()),
@@ -416,29 +416,15 @@ impl FaultPlane {
     pub fn reset_for_job(&self, config: RunOptions) {
         {
             let mut sink = self.trace.lock();
-            match config.trace {
-                // Reuse the resident sink when its shape still fits (the
-                // common pooled case): resetting in place is much cheaper
-                // than reallocating rings every job.  The clock mode is
-                // part of the shape — a wall-clock sink must not serve a
-                // virtual job or vice versa.
-                Some(t) => match sink.as_ref() {
-                    Some(s)
-                        if s.capacity() == t.rounded_capacity()
-                            && s.nproc() == self.nproc
-                            && s.is_virtual_clock() == config.backend.is_virtual() =>
-                    {
-                        s.reset()
-                    }
-                    _ => {
-                        *sink = Some(TraceSink::new_with_clock(
-                            self.nproc,
-                            t,
-                            config.backend.is_virtual(),
-                        ))
-                    }
-                },
-                None => *sink = None,
+            // Reuse the resident sink when its clock mode fits (the
+            // common pooled case): resetting in place is much cheaper
+            // than reallocating rings every job, but a wall-clock sink
+            // must not serve a virtual job or vice versa.
+            let virtual_clock = config.backend.is_virtual();
+            match sink.as_ref() {
+                _ if !config.trace => *sink = None,
+                Some(s) if s.is_virtual_clock() == virtual_clock => s.reset(),
+                _ => *sink = Some(TraceSink::new(self.nproc, virtual_clock)),
             }
         }
         {
@@ -1391,7 +1377,7 @@ mod tests {
         let p = plane(
             1,
             RunOptions {
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..RunOptions::default()
             },
         );
@@ -1425,7 +1411,7 @@ mod tests {
         let p = plane(
             2,
             RunOptions {
-                trace: Some(TraceConfig { ring_capacity: 64 }),
+                trace: true,
                 ..RunOptions::default()
             },
         );
@@ -1438,20 +1424,21 @@ mod tests {
 
         // Same shape: the sink is reused, but blank.
         p.reset_for_job(RunOptions {
-            trace: Some(TraceConfig { ring_capacity: 64 }),
+            trace: true,
             ..RunOptions::default()
         });
         let second = p.trace_sink().expect("still armed");
         assert!(Arc::ptr_eq(&first, &second), "resident sink reused");
         assert!(p.profile_report().expect("armed").is_empty());
 
-        // Different shape: rebuilt.
+        // Different shape (the clock mode): rebuilt.
         p.reset_for_job(RunOptions {
-            trace: Some(TraceConfig { ring_capacity: 256 }),
+            trace: true,
+            backend: ParkBackend::Virtual { seed: 1 },
             ..RunOptions::default()
         });
         let third = p.trace_sink().expect("still armed");
-        assert!(!Arc::ptr_eq(&first, &third), "capacity change rebuilds");
+        assert!(!Arc::ptr_eq(&first, &third), "a clock change rebuilds");
 
         // Tracing off: dropped entirely.
         p.reset_for_job(RunOptions::default());

@@ -11,9 +11,9 @@
 //!
 //! | paper macro | here |
 //! |---|---|
-//! | `force_environment` | [`env::ForceEnvironment`] |
-//! | `define_lock` / `init_lock` / `lock` / `unlock` | [`lock::RawLock`] and its four implementations |
-//! | `shared` / `shared_common` / `async` / `private` | [`sharedmem::SharingModel`] + [`sharedmem::SharedRegion`] |
+//! | `force_environment` | `force_core::Force`'s barrier locks `BARWIN`/`BARWOT` and named-lock table, or force-prep's `ZZFENV` block, on a [`Session`]'s [`FaultPlane`] |
+//! | `define_lock` / `init_lock` / `lock` / `unlock` | [`RawLock`] and its four implementations |
+//! | `shared` / `shared_common` / `async` / `private` | [`SharingModel`] + [`SharedRegion`] |
 //! | process creation / driver / `Join` | [`process::ProcessModel`], [`process::spawn_force`], [`session::Session`] |
 //!
 //! Everything above this crate (force-core, force-prep, force-fortran) is
@@ -22,30 +22,30 @@
 
 #![warn(missing_docs)]
 
-pub mod combined;
-pub mod cost;
-pub mod env;
-pub mod fault;
-pub mod fullempty;
-pub mod linkreg;
-pub mod lock;
-pub mod lockpool;
-pub mod machine;
-pub mod park;
-pub mod pool;
-pub mod portable;
-pub mod process;
-pub mod serve;
-pub mod session;
-pub mod sharedmem;
-pub mod spin;
-pub mod stats;
-pub mod syscall_lock;
-pub mod trace;
-pub mod workq;
+// A `pub mod` is one a caller outside the crate names a path through (the
+// comment names it); every other public item is reached by a root re-export.
+pub mod combined; // `tests/stress.rs`, `reproduce`: `combined::CombinedLock`
+mod cost;
+pub mod fault; // force-core, force-fortran: `fault::enter`; `tests/serving.rs`: `fault::check_cancel`
+pub mod fullempty; // `reproduce`: `fullempty::HepLock`
+pub mod linkreg; // force-fortran: `linkreg::StartupRegistry`
+mod lock;
+pub mod lockpool; // `reproduce` EXP-11: `lockpool::{LockFactory, LockPool}`
+mod machine;
+pub mod park; // force-core, force-fortran, `tests/failure_modes.rs`: `park::wait_until`
+mod pool;
+mod portable;
+pub mod process; // `tests/park_guard.rs`: `process::launch_plane`, the one launch seam
+pub mod serve; // force-core, force-fortran docs: `serve::ForceServer`, `serve::JobCx`
+pub mod session; // `tests/park_guard.rs`: `session::Session::run`, the one run path
+mod sharedmem;
+pub mod spin; // `reproduce`: `spin::SpinLock`
+mod stats;
+pub mod syscall_lock; // `tests/stress.rs`, `reproduce`: `syscall_lock::SyscallLock`
+pub mod trace; // force-core: `trace::event`; `tests/overcommit.rs`: `trace::EventKind`
+mod workq;
 
-pub use cost::{CostModel, CycleAccount};
-pub use env::ForceEnvironment;
+pub use cost::CostModel;
 pub use fault::{
     bind_ambient_stats, AmbientStatsGuard, Construct, FaultInjection, FaultPlane, ProcessFault,
     RunOptions,
@@ -70,7 +70,6 @@ pub use sharedmem::{
 };
 pub use stats::{OpStats, StatsHandle, StatsSnapshot};
 pub use trace::{
-    ConstructProfile, HistogramSnapshot, NamedLockProfile, ProfileReport, TraceConfig, TraceEvent,
-    TraceSink,
+    ConstructProfile, HistogramSnapshot, NamedLockProfile, ProfileReport, TraceEvent, TraceSink,
 };
 pub use workq::{SchedulePolicy, StealOutcome, WorkQueues};

@@ -12,7 +12,7 @@
 //! [`StartupRegistry`] models that protocol: modules register their shared
 //! blocks (first run), `finalize` produces the linker command stream
 //! (the pipe to the shell), and only a finalized registry may back a
-//! [`crate::sharedmem::LinkTimeSharing`] layout (second run).
+//! link-time [`SharingModel`](crate::SharingModel) layout (second run).
 
 use std::collections::HashMap;
 

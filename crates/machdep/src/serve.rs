@@ -222,7 +222,8 @@ impl JobSpec {
 /// notices the bucket; a tenant that exceeds it is answered
 /// [`RejectReason::RateLimited`] before any queue state is touched.  A
 /// `refill_per_sec` of zero makes the bucket a hard budget of `burst`
-/// submissions for the server's lifetime.
+/// submissions for the server's lifetime; a bucket that refills holds at
+/// least one token, so `burst: 0` then admits at the sustained rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateLimit {
     /// Bucket capacity: how far a tenant may burst above the sustained
@@ -821,7 +822,12 @@ impl Inner {
     /// Refill `tenant`'s bucket to now and spend one token.  Returns
     /// `false` (reject) if less than a whole token is available.
     fn take_token(&self, tenant: &str, limit: &RateLimit) -> bool {
-        let cap = u64::from(limit.burst) * ONE_TOKEN;
+        // Below one whole token a refilling bucket could never admit.
+        let burst = match limit.refill_per_sec {
+            0 => limit.burst,
+            _ => limit.burst.max(1),
+        };
+        let cap = u64::from(burst) * ONE_TOKEN;
         let now = Instant::now();
         let mut buckets = self.buckets.lock();
         let bucket = entry_by_name(&mut buckets, tenant, || TokenBucket {
@@ -2106,6 +2112,40 @@ mod tests {
         let report = srv.server_report();
         assert_eq!(report.rate_limited, 1);
         assert_eq!(report.admitted, 3);
+    }
+
+    #[test]
+    fn a_zero_burst_bucket_that_refills_admits_and_one_that_does_not_never_does() {
+        let stats = Arc::new(OpStats::new());
+        let limited = |refill_per_sec| {
+            ForceServer::new(
+                ServerConfig {
+                    rate_limit: Some(RateLimit {
+                        burst: 0,
+                        refill_per_sec,
+                    }),
+                    ..ServerConfig::default()
+                },
+                &stats,
+            )
+        };
+        // A refilling bucket holds one token: a fresh tenant's first
+        // submission is admitted.
+        let srv = limited(1000);
+        let first = srv
+            .submit(JobSpec::for_tenant("t"), ok_runner())
+            .expect_admitted();
+        assert!(first.wait().is_success());
+        srv.shutdown();
+        // `burst: 0, refill_per_sec: 0` is a budget of zero.
+        let srv = limited(0);
+        assert!(matches!(
+            srv.submit(JobSpec::for_tenant("t"), ok_runner()),
+            Submit::Rejected {
+                reason: RejectReason::RateLimited { .. }
+            }
+        ));
+        srv.shutdown();
     }
 
     #[test]

@@ -21,17 +21,15 @@ use crate::process::launch_plane;
 use crate::stats::{StatsHandle, StatsSnapshot};
 use crate::trace::ProfileReport;
 
-/// A machine's resident session: its counters, default [`RunOptions`],
-/// attached pool and fault plane, and the record of its last run.  Runs on
-/// one session serialize; every accessor is `&self`.
+/// A machine's resident session: its counters, attached pool and fault
+/// plane, and the record of its last run.  Runs on one session
+/// serialize; every accessor is `&self`.
 pub struct Session {
     machine: Arc<Machine>,
     /// The session's private counter block: every charge its jobs make
     /// lands here *and* rolls up into the machine's, so a per-job delta
     /// reads a counter no other session can perturb.
     stats: StatsHandle,
-    /// The options of a run whose caller names none.
-    defaults: Mutex<RunOptions>,
     /// Resident workers handed to [`launch_plane`] with every job.
     pool: Mutex<Option<Arc<ForcePool>>>,
     /// The resident plane, kept while runs keep its width.
@@ -76,7 +74,6 @@ impl Session {
         Session {
             stats: machine.stats_handle().child(),
             machine,
-            defaults: Mutex::default(),
             pool: Mutex::default(),
             plane: Mutex::default(),
             last: Mutex::default(),
@@ -91,16 +88,6 @@ impl Session {
     /// The session's accounting handle.
     pub fn stats(&self) -> &StatsHandle {
         &self.stats
-    }
-
-    /// The options of a run whose caller names none.
-    pub fn defaults(&self) -> RunOptions {
-        *self.defaults.lock()
-    }
-
-    /// Change the options of a run whose caller names none.
-    pub fn configure(&self, change: impl FnOnce(&mut RunOptions)) {
-        change(&mut self.defaults.lock());
     }
 
     /// Attach a resident [`ForcePool`] ([`launch_plane`] decides per run
@@ -124,7 +111,7 @@ impl Session {
             .filter(|p| p.nproc() == nproc)
             .unwrap_or_else(|| {
                 let costs = self.machine.spec().costs;
-                FaultPlane::with_handle(nproc, self.stats.child(), costs, self.defaults())
+                FaultPlane::with_handle(nproc, self.stats.child(), costs, RunOptions::default())
             });
         *slot = Some(Arc::clone(&plane));
         plane

@@ -413,37 +413,6 @@ impl SharedRegion {
     pub fn store_release(&self, offset: usize, value: u64) {
         self.words[offset].store(value, Ordering::Release)
     }
-
-    /// Signed-integer view of a word.
-    #[inline]
-    pub fn load_i64(&self, offset: usize) -> i64 {
-        self.load_raw(offset) as i64
-    }
-
-    /// Store a signed integer.
-    #[inline]
-    pub fn store_i64(&self, offset: usize, value: i64) {
-        self.store_raw(offset, value as u64)
-    }
-
-    /// Floating view of a word.
-    #[inline]
-    pub fn load_f64(&self, offset: usize) -> f64 {
-        f64::from_bits(self.load_raw(offset))
-    }
-
-    /// Store a float.
-    #[inline]
-    pub fn store_f64(&self, offset: usize, value: f64) {
-        self.store_raw(offset, value.to_bits())
-    }
-
-    /// Atomic fetch-add on an integer word (SeqCst: this is a
-    /// synchronization operation, used by selfscheduled index service).
-    #[inline]
-    pub fn fetch_add_i64(&self, offset: usize, delta: i64) -> i64 {
-        self.words[offset].fetch_add(delta as u64, Ordering::SeqCst) as i64
-    }
 }
 
 #[cfg(test)]
@@ -544,12 +513,10 @@ mod tests {
         let m = CompileTimeSharing;
         let l = m.layout(&blocks(&[("A", 4)])).unwrap();
         let r = SharedRegion::allocate(l, &stats);
-        r.store_i64(0, -7);
-        assert_eq!(r.load_i64(0), -7);
-        r.store_f64(1, 2.5);
-        assert_eq!(r.load_f64(1), 2.5);
-        assert_eq!(r.fetch_add_i64(0, 3), -7);
-        assert_eq!(r.load_i64(0), -4);
+        r.store_raw(0, -7i64 as u64);
+        assert_eq!(r.load_raw(0) as i64, -7);
+        r.store_release(1, 2.5f64.to_bits());
+        assert_eq!(f64::from_bits(r.load_acquire(1)), 2.5);
         assert_eq!(stats.snapshot().shared_words, 4);
     }
 

@@ -2,10 +2,9 @@
 //!
 //! §4.1.3: "system call locks: operating system handles a list of locked
 //! processes in cooperation with the scheduler (Cray)".  Every operation
-//! goes through the "operating system" (here a mutex + condvar from
-//! [`crate::portable`], i.e. a futex on Linux) and blocked processes are
-//! parked, not spinning.  Each acquire and release is accounted as a
-//! system call.
+//! goes through the "operating system" (here a [`Mutex`] + [`Condvar`],
+//! i.e. a futex on Linux) and blocked processes are parked, not
+//! spinning.  Each acquire and release is accounted as a system call.
 
 use crate::fault;
 use crate::lock::{LockKind, LockState, RawLock};

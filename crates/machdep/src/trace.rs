@@ -24,9 +24,9 @@
 //!   taken once per *named* critical-section entry while tracing is on —
 //!   never on the zero-tracing path.
 //!
-//! Tracing is opt-in via [`crate::fault::RunOptions::trace`]
-//! (`RunOptions`): without it the thread-local trace slot is `None` and
-//! every hook is a single `Option` test.  The sink lives on the
+//! Tracing is opt-in via [`crate::fault::RunOptions::trace`]: without it
+//! the thread-local trace slot is `None` and every hook is a single
+//! `Option` test.  The sink lives on the
 //! [`crate::fault::FaultPlane`] and is reset (or dropped) per job by
 //! `FaultPlane::reset_for_job`, mirroring the fault plane's own per-job
 //! semantics, so pooled sessions never leak one job's profile into the
@@ -49,32 +49,10 @@ const NCONSTRUCTS: usize = 13;
 /// the full `u64` range of nanosecond durations.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// Tracing configuration for one job (the payload of
-/// [`crate::fault::RunOptions::trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Capacity of each per-pid event ring, in events.  Rounded up to a
-    /// power of two; when a ring wraps, the oldest events are overwritten
-    /// (and reported as dropped) — histograms are never lossy.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            ring_capacity: 4096,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// The ring capacity actually allocated (rounded up to a power of
-    /// two, at least 16) — used to decide whether a resident sink can be
-    /// reused across jobs.
-    pub(crate) fn rounded_capacity(&self) -> usize {
-        self.ring_capacity.next_power_of_two().max(16)
-    }
-}
+/// Capacity of each per-pid event ring, in events.  When a ring wraps,
+/// the oldest events are overwritten (and reported as dropped) —
+/// histograms are never lossy.
+const RING_CAPACITY: usize = 4096;
 
 /// What a trace event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,7 +376,6 @@ pub struct TraceSink {
     /// would make otherwise-identical schedules produce different
     /// traces.
     virtual_clock: bool,
-    capacity: usize,
     rings: Vec<Ring>,
     /// Per-construct time-in-construct (enter→exit) histograms.
     construct_time: Vec<Histogram>,
@@ -416,24 +393,13 @@ pub struct TraceSink {
 }
 
 impl TraceSink {
-    /// A fresh wall-clock sink for a force of `nproc` processes.
-    pub fn new(nproc: usize, config: TraceConfig) -> Arc<TraceSink> {
-        TraceSink::new_with_clock(nproc, config, false)
-    }
-
     /// A fresh sink for a force of `nproc` processes, stamping events
     /// with either wall time or the per-process virtual clock.
-    pub fn new_with_clock(
-        nproc: usize,
-        config: TraceConfig,
-        virtual_clock: bool,
-    ) -> Arc<TraceSink> {
-        let capacity = config.rounded_capacity();
+    pub fn new(nproc: usize, virtual_clock: bool) -> Arc<TraceSink> {
         Arc::new(TraceSink {
             origin: Instant::now(),
             virtual_clock,
-            capacity,
-            rings: (0..nproc).map(|_| Ring::new(capacity)).collect(),
+            rings: (0..nproc).map(|_| Ring::new(RING_CAPACITY)).collect(),
             construct_time: (0..NCONSTRUCTS).map(|_| Histogram::new()).collect(),
             construct_wait: (0..NCONSTRUCTS).map(|_| Histogram::new()).collect(),
             construct_enters: (0..NCONSTRUCTS)
@@ -446,11 +412,6 @@ impl TraceSink {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
         })
-    }
-
-    /// Ring capacity (rounded up from the configured value).
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of processes the sink covers.
@@ -1056,7 +1017,7 @@ mod tests {
 
     #[test]
     fn sink_round_trips_events_and_histograms() {
-        let sink = TraceSink::new(2, TraceConfig::default());
+        let sink = TraceSink::new(2, false);
         sink.emit(0, 10, EventKind::BarrierArrive, Construct::Barrier, 0);
         sink.emit(1, 5, EventKind::Park, Construct::Consume, 0);
         sink.record_construct_time(Construct::Barrier, 100);
@@ -1096,13 +1057,13 @@ mod tests {
 
     #[test]
     fn trip_spread_is_none_without_doalls() {
-        let sink = TraceSink::new(3, TraceConfig::default());
+        let sink = TraceSink::new(3, false);
         assert_eq!(sink.report().doall_trip_spread(), None);
     }
 
     #[test]
     fn steal_events_round_trip_with_their_victim() {
-        let sink = TraceSink::new(2, TraceConfig::default());
+        let sink = TraceSink::new(2, false);
         sink.emit(0, 42, EventKind::Steal, Construct::Askfor, 1);
         let r = sink.report();
         assert_eq!(r.events.len(), 1);
@@ -1114,7 +1075,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let sink = TraceSink::new(1, TraceConfig { ring_capacity: 16 });
+        let sink = TraceSink::new(1, false);
         sink.emit(0, 1, EventKind::LockAcquire, Construct::Critical, 0);
         sink.record_construct_time(Construct::Critical, 5);
         let id = sink.intern_named_lock("L");
@@ -1128,7 +1089,7 @@ mod tests {
 
     #[test]
     fn chrome_export_is_structured() {
-        let sink = TraceSink::new(1, TraceConfig::default());
+        let sink = TraceSink::new(1, false);
         sink.emit(0, 1000, EventKind::ConstructEnter, Construct::Critical, 0);
         sink.emit(0, 3000, EventKind::ConstructExit, Construct::Critical, 0);
         sink.emit(0, 2000, EventKind::LockAcquire, Construct::Critical, 0);

@@ -65,8 +65,8 @@
 //! ## Observability
 //!
 //! Both front ends can trace a job: set
-//! [`RunOptions::trace`](machdep::RunOptions) (or
-//! `Force::with_tracing`) and read the resulting
+//! [`RunOptions::trace`](machdep::RunOptions) for the run
+//! (`Force::try_execute_with`, `Engine::run_with`) and read the resulting
 //! [`ProfileReport`](machdep::ProfileReport) from
 //! `Force::last_job_profile` / `Engine::last_job_profile` — per-construct
 //! wait/hold histograms, named-lock contention, barrier arrival spread,
@@ -315,7 +315,7 @@ mod tests {
 ";
         let (_expanded, engine) = compile_force_source(src, MachineId::SequentBalance).unwrap();
         let opts = machdep::RunOptions {
-            trace: Some(machdep::TraceConfig::default()),
+            trace: true,
             ..machdep::RunOptions::default()
         };
         let out = engine.run_with(3, opts).unwrap();

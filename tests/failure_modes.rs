@@ -18,6 +18,22 @@ const OK_PROGRAM: &str = "\
       Join
 ";
 
+/// The options of a run with a deadlock watchdog of `bound`.
+fn watchdog(bound: std::time::Duration) -> RunOptions {
+    RunOptions {
+        watchdog: Some(bound),
+        ..RunOptions::default()
+    }
+}
+
+/// The options of a run under fault injection `inj`.
+fn injecting(inj: FaultInjection) -> RunOptions {
+    RunOptions {
+        injection: Some(inj),
+        ..RunOptions::default()
+    }
+}
+
 #[test]
 fn expanded_code_is_not_portable_across_machines() {
     // Preprocess once per machine; run each expansion on every machine.
@@ -388,12 +404,11 @@ fn a_panic_at_a_barrier_is_contained_on_every_machine() {
     use std::time::{Duration, Instant};
     for id in MachineId::all() {
         for nproc in [2usize, 8] {
-            let force =
-                Force::with_machine(nproc, Machine::new(id)).with_watchdog(Duration::from_secs(5));
+            let force = Force::with_machine(nproc, Machine::new(id));
             let last = nproc - 1;
             let start = Instant::now();
             let err = force
-                .try_run(|p| {
+                .try_execute_with(watchdog(Duration::from_secs(5)), |p| {
                     if p.pid() == last {
                         panic!("boom");
                     }
@@ -556,12 +571,11 @@ fn a_trip_wakes_the_processes_it_cancels() {
 fn consume_with_no_producer_trips_the_watchdog_on_every_machine() {
     use std::time::{Duration, Instant};
     for id in MachineId::all() {
-        let force =
-            Force::with_machine(2, Machine::new(id)).with_watchdog(Duration::from_millis(200));
+        let force = Force::with_machine(2, Machine::new(id));
         let chan: Async<i64> = Async::new(force.machine());
         let start = Instant::now();
         let err = force
-            .try_run(|_p| {
+            .try_execute_with(watchdog(Duration::from_millis(200)), |_p| {
                 let _ = chan.consume();
             })
             .expect_err("the watchdog must trip");
@@ -626,8 +640,9 @@ fn engine_watchdog_reports_a_wedged_interpreter_force() {
 ";
     for id in MachineId::all() {
         let (_exp, engine) = the_force::compile_force_source(src, id).unwrap();
-        engine.set_watchdog(Duration::from_millis(200));
-        let err = engine.run(2).unwrap_err();
+        let err = engine
+            .run_with(2, watchdog(Duration::from_millis(200)))
+            .unwrap_err();
         assert!(
             err.to_string().contains("deadlock watchdog"),
             "{}: {err}",
@@ -647,9 +662,9 @@ fn fault_injection_with_a_fixed_seed_is_contained_on_every_machine() {
         spurious_per_mille: 0,
     };
     for id in MachineId::all() {
-        let force = Force::with_machine(4, Machine::new(id)).with_fault_injection(inj);
+        let force = Force::with_machine(4, Machine::new(id));
         let err = force
-            .try_run(|p| {
+            .try_execute_with(injecting(inj), |p| {
                 for _ in 0..8 {
                     p.barrier();
                 }
@@ -698,10 +713,10 @@ fn a_fault_while_peers_are_stealing_is_contained() {
     // still cancel the whole force promptly on every machine.
     use std::time::{Duration, Instant};
     for id in MachineId::all() {
-        let force = Force::with_machine(4, Machine::new(id)).with_watchdog(Duration::from_secs(5));
+        let force = Force::with_machine(4, Machine::new(id));
         let start = Instant::now();
         let err = force
-            .try_run(|p| {
+            .try_execute_with(watchdog(Duration::from_secs(5)), |p| {
                 p.doall_with(SchedulePolicy::Steal, ForceRange::to(1, 64), |i| {
                     if i == 1 {
                         // pid 0's first seeded trip: die before anything
@@ -759,14 +774,16 @@ fn spurious_and_delay_injection_preserve_program_results() {
         spurious_per_mille: 200,
     };
     for id in MachineId::all() {
-        let force = Force::with_machine(3, Machine::new(id)).with_fault_injection(inj);
+        let force = Force::with_machine(3, Machine::new(id));
         let shared = AtomicUsize::new(0);
-        force.run(|p| {
-            p.selfsched_do(ForceRange::to(1, 30), |i| {
-                shared.fetch_add(i as usize, Ordering::Relaxed);
-            });
-            p.barrier();
-        });
+        force
+            .try_execute_with(injecting(inj), |p| {
+                p.selfsched_do(ForceRange::to(1, 30), |i| {
+                    shared.fetch_add(i as usize, Ordering::Relaxed);
+                });
+                p.barrier();
+            })
+            .expect("spurious failures and delays do not fault the force");
         assert_eq!(shared.load(Ordering::Relaxed), 465, "{}", id.name());
     }
 }

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use the_force::fortran::Engine;
-use the_force::machdep::{ForcePool, Machine, MachineId, RunOptions, TraceConfig};
+use the_force::machdep::{ForcePool, Machine, MachineId, RunOptions};
 use the_force::prelude::*;
 use the_force::prep;
 
@@ -82,7 +82,7 @@ fn pooled_session_trace_resets_between_jobs() {
     let force = Force::with_machine(4, Arc::clone(&machine)).with_pool(pool);
 
     let traced = RunOptions {
-        trace: Some(TraceConfig::default()),
+        trace: true,
         ..RunOptions::default()
     };
     let sum = AtomicU64::new(0);
@@ -128,7 +128,7 @@ fn pooled_engine_session_trace_resets_between_jobs() {
     engine.set_pool(Arc::new(ForcePool::new(3, machine.stats())));
 
     let traced = RunOptions {
-        trace: Some(TraceConfig::default()),
+        trace: true,
         ..RunOptions::default()
     };
     let out_a = engine.run_with(3, traced).unwrap();
@@ -158,12 +158,18 @@ fn pooled_engine_session_trace_resets_between_jobs() {
 /// matching `E`), and process metadata naming the force.
 #[test]
 fn chrome_export_is_balanced_and_loadable() {
-    let force = Force::new(3).with_tracing(TraceConfig::default());
-    force.run(|p| {
-        p.presched_do(ForceRange::to(1, 30), |_| {});
-        p.critical("X", || {});
-        p.barrier();
-    });
+    let force = Force::new(3);
+    let options = RunOptions {
+        trace: true,
+        ..RunOptions::default()
+    };
+    force
+        .try_execute_with(options, |p| {
+            p.presched_do(ForceRange::to(1, 30), |_| {});
+            p.critical("X", || {});
+            p.barrier();
+        })
+        .expect("clean run");
     let profile = force.last_job_profile().unwrap();
     let json = profile.chrome_trace_json();
     assert!(json.starts_with('{') && json.ends_with('}'));

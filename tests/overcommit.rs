@@ -12,9 +12,7 @@ use std::time::Duration;
 
 use the_force::compile_force_source;
 use the_force::machdep::trace::EventKind;
-use the_force::machdep::{
-    FaultInjection, Machine, MachineId, ParkBackend, RunOptions, TraceConfig,
-};
+use the_force::machdep::{FaultInjection, Machine, MachineId, ParkBackend, RunOptions};
 use the_force::prelude::*;
 
 const WORKERS: usize = 2;
@@ -108,7 +106,7 @@ fn overcommit_trace_spans_are_balanced() {
     force
         .try_execute_with(
             RunOptions {
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..overcommit_options()
             },
             |p| {
@@ -259,10 +257,14 @@ fn a_panic_in_pid_zero_is_contained_like_any_other() {
 /// comes.
 #[test]
 fn the_watchdog_trips_a_consume_parked_on_the_launching_thread() {
-    let force = Force::new(2).with_watchdog(Duration::from_millis(200));
+    let force = Force::new(2);
     let chan: Async<u64> = Async::new(force.machine());
+    let options = RunOptions {
+        watchdog: Some(Duration::from_millis(200)),
+        ..RunOptions::default()
+    };
     let err = force
-        .try_run(|p| {
+        .try_execute_with(options, |p| {
             if p.pid() == 0 {
                 let _ = chan.consume();
             }

@@ -256,3 +256,241 @@ fn the_session_protocol_is_written_once() {
         violations.join("\n")
     );
 }
+
+/// Each workspace crate's public surface: its `pub mod` names (in any
+/// file) and the names its root `pub use`s export, as `crate: mod name`
+/// and `crate: use name` lines (the crate named by its directory),
+/// sorted.  A path a caller can name is a
+/// path somebody keeps; re-record deliberately (the list prints on a
+/// mismatch).
+fn public_surface() -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut crates = vec![("the-force".to_string(), root.join("src"))];
+    for entry in fs::read_dir(root.join("crates")).expect("crates/ exists") {
+        let dir = entry.expect("dir entry").path();
+        let name = dir.file_name().expect("crate dir").to_string_lossy();
+        crates.push((format!("crates/{name}"), dir.join("src")));
+    }
+    let mut surface = Vec::new();
+    for (name, src) in crates {
+        let mut sources = Vec::new();
+        rust_sources(&src, &mut sources);
+        for path in &sources {
+            let text = fs::read_to_string(path).expect("readable source");
+            for line in text.lines() {
+                if let Some(rest) = line.trim_start().strip_prefix("pub mod ") {
+                    let end = rest.find(|c: char| !c.is_alphanumeric() && c != '_');
+                    surface.push(format!(
+                        "{name}: mod {}",
+                        &rest[..end.unwrap_or(rest.len())]
+                    ));
+                }
+            }
+        }
+        let lib = fs::read_to_string(src.join("lib.rs")).expect("a library root");
+        for item in lib.split("\npub use ").skip(1) {
+            let item = &item[..item.find(';').expect("a `pub use` ends")];
+            let (path, names) = match item.split_once('{') {
+                Some((path, names)) => (path, names.trim_end_matches('}')),
+                None => ("", item),
+            };
+            for used in names.split(',').map(str::trim).filter(|u| !u.is_empty()) {
+                let exported = match used.split_once(" as ") {
+                    Some((_, alias)) => alias,
+                    None if used == "self" => {
+                        path.trim_end_matches("::").rsplit("::").next().unwrap()
+                    }
+                    None => used.rsplit("::").next().unwrap(),
+                };
+                surface.push(format!("{name}: use {exported}"));
+            }
+        }
+    }
+    surface.sort();
+    surface
+}
+
+/// The surface [`public_surface`] reads.
+const PUBLIC_SURFACE: &str = "
+crates/bench: mod checks
+crates/bench: mod json
+crates/bench: mod workloads
+crates/core: mod askfor
+crates/core: mod asyncvar
+crates/core: mod barrier
+crates/core: mod barrier_algs
+crates/core: mod critical
+crates/core: mod doall
+crates/core: mod force
+crates/core: mod pcase
+crates/core: mod player
+crates/core: mod prelude
+crates/core: mod resolve
+crates/core: mod schedule
+crates/core: mod shared
+crates/core: use AskforPot
+crates/core: use Async
+crates/core: use AsyncArray
+crates/core: use Component
+crates/core: use CriticalSection
+crates/core: use Force
+crates/core: use ForcePool
+crates/core: use ForceRange
+crates/core: use Pcase
+crates/core: use Player
+crates/core: use RunOptions
+crates/core: use SchedulePolicy
+crates/core: use TwoLockBarrier
+crates/fortranish: mod ast
+crates/fortranish: mod bytecode
+crates/fortranish: mod engine
+crates/fortranish: mod error
+crates/fortranish: mod intrinsics
+crates/fortranish: mod lexer
+crates/fortranish: mod oracle
+crates/fortranish: mod parser
+crates/fortranish: mod program
+crates/fortranish: mod token
+crates/fortranish: mod value
+crates/fortranish: use Engine
+crates/fortranish: use FortError
+crates/fortranish: use FortErrorKind
+crates/fortranish: use Program
+crates/fortranish: use RunOutput
+crates/fortranish: use Unit
+crates/fortranish: use Value
+crates/machdep: mod combined
+crates/machdep: mod fault
+crates/machdep: mod fullempty
+crates/machdep: mod linkreg
+crates/machdep: mod lockpool
+crates/machdep: mod park
+crates/machdep: mod process
+crates/machdep: mod serve
+crates/machdep: mod session
+crates/machdep: mod spin
+crates/machdep: mod syscall_lock
+crates/machdep: mod trace
+crates/machdep: use AmbientStatsGuard
+crates/machdep: use Backoff
+crates/machdep: use BlockRequest
+crates/machdep: use CachePadded
+crates/machdep: use ChildPrivateInit
+crates/machdep: use Condvar
+crates/machdep: use Construct
+crates/machdep: use ConstructProfile
+crates/machdep: use CostModel
+crates/machdep: use FaultInjection
+crates/machdep: use FaultPlane
+crates/machdep: use ForcePool
+crates/machdep: use ForceServer
+crates/machdep: use FullEmptyState
+crates/machdep: use HepLock
+crates/machdep: use HistogramSnapshot
+crates/machdep: use JobCx
+crates/machdep: use JobError
+crates/machdep: use JobHandle
+crates/machdep: use JobOutcome
+crates/machdep: use JobRunner
+crates/machdep: use JobSpec
+crates/machdep: use JobYield
+crates/machdep: use LockHandle
+crates/machdep: use LockKind
+crates/machdep: use LockPool
+crates/machdep: use LockRole
+crates/machdep: use LockState
+crates/machdep: use Machine
+crates/machdep: use MachineId
+crates/machdep: use MachineSpec
+crates/machdep: use Mutex
+crates/machdep: use NamedLockProfile
+crates/machdep: use OpStats
+crates/machdep: use ParkBackend
+crates/machdep: use Parker
+crates/machdep: use Priority
+crates/machdep: use ProcessFault
+crates/machdep: use ProcessModel
+crates/machdep: use ProfileReport
+crates/machdep: use RateLimit
+crates/machdep: use RawLock
+crates/machdep: use RejectReason
+crates/machdep: use RunOptions
+crates/machdep: use ScarceLockError
+crates/machdep: use SchedulePolicy
+crates/machdep: use ServerConfig
+crates/machdep: use ServerReport
+crates/machdep: use Session
+crates/machdep: use SessionRun
+crates/machdep: use SharedLayout
+crates/machdep: use SharedRegion
+crates/machdep: use SharingError
+crates/machdep: use SharingModel
+crates/machdep: use SharingModelId
+crates/machdep: use StatsHandle
+crates/machdep: use StatsSnapshot
+crates/machdep: use StealOutcome
+crates/machdep: use Submit
+crates/machdep: use TenantRollup
+crates/machdep: use TraceEvent
+crates/machdep: use TraceSink
+crates/machdep: use VirtualSummary
+crates/machdep: use WorkQueues
+crates/machdep: use XorShift64
+crates/machdep: use bind_ambient_stats
+crates/machdep: use charge_virtual
+crates/machdep: use current_virtual_ns
+crates/machdep: use default_nproc
+crates/machdep: use launch_plane
+crates/machdep: use spawn_force
+crates/machdep: use spawn_force_plane
+crates/machdep: use with_lock
+crates/prep: mod m4
+crates/prep: mod machdep_macros
+crates/prep: mod macros
+crates/prep: mod pipeline
+crates/prep: mod sedpass
+crates/prep: mod weigh
+crates/prep: use CacheStats
+crates/prep: use CompiledPayload
+crates/prep: use DeclInfo
+crates/prep: use ExpandedProgram
+crates/prep: use ExpansionCache
+crates/prep: use PassCounts
+crates/prep: use PrepError
+crates/prep: use VarClass
+crates/prep: use clear_expansion_cache
+crates/prep: use expansion_cache
+crates/prep: use expansion_cache_len
+crates/prep: use expansion_cache_stats
+crates/prep: use pass_counts
+crates/prep: use preprocess
+crates/prep: use preprocess_cached
+the-force: mod prelude
+the-force: use core
+the-force: use fortran
+the-force: use machdep
+the-force: use prep
+";
+
+#[test]
+fn the_public_surface_is_the_recorded_one() {
+    let surface = public_surface().join("\n");
+    assert!(
+        surface == PUBLIC_SURFACE.trim(),
+        "the public surface changed; if on purpose, record it in \
+         `PUBLIC_SURFACE`:\n{surface}"
+    );
+    // A machdep module is public only for a caller that names its path,
+    // and its declaration says which.
+    let machdep = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/machdep/src/lib.rs");
+    let machdep = fs::read_to_string(machdep).expect("machdep's root");
+    let unexplained: Vec<&str> = machdep
+        .lines()
+        .filter(|l| l.starts_with("pub mod ") && !l.contains("; // "))
+        .collect();
+    assert!(
+        unexplained.is_empty(),
+        "a public machdep module names no caller:\n{}",
+        unexplained.join("\n")
+    );
+}

@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use support::corpus::Native as Corpus;
 use the_force::machdep::{
-    Machine, MachineId, ParkBackend, ProcessFault, RunOptions, StatsSnapshot, TraceConfig,
-    VirtualSummary,
+    Machine, MachineId, ParkBackend, ProcessFault, RunOptions, StatsSnapshot, VirtualSummary,
 };
 use the_force::prelude::*;
 
@@ -37,7 +36,7 @@ fn run_virtual(
         .try_execute_with(
             RunOptions {
                 backend: ParkBackend::Virtual { seed },
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..RunOptions::default()
             },
             |p| corpus.body(p, chans.as_ref()),
@@ -178,7 +177,7 @@ fn run_faulted(machine: MachineId, seed: u64) -> (ProcessFault, VirtualSummary, 
         .try_execute_with(
             RunOptions {
                 backend: ParkBackend::Virtual { seed },
-                trace: Some(TraceConfig::default()),
+                trace: true,
                 ..RunOptions::default()
             },
             |p| {

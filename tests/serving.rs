@@ -17,7 +17,6 @@ use the_force::fortran::{Engine, Value};
 use the_force::machdep::{
     FaultInjection, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Machine,
     MachineId, OpStats, Priority, RejectReason, RunOptions, ServerConfig, StatsSnapshot, Submit,
-    TraceConfig,
 };
 use the_force::prep::preprocess;
 use the_force::ForceError;
@@ -176,7 +175,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
     // episodes of the earlier jobs (same session, same sink) would show
     // up in the final job's profile.
     let traced_options = RunOptions {
-        trace: Some(TraceConfig::default()),
+        trace: true,
         ..RunOptions::default()
     };
     let mut traced_handles = Vec::with_capacity(TRACED);

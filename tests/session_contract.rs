@@ -16,7 +16,7 @@ use the_force::fortran::Engine;
 use the_force::machdep::{
     charge_virtual, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Machine,
     MachineId, OpStats, ParkBackend, ProfileReport, RunOptions, ServerConfig, StatsSnapshot,
-    TraceConfig, VirtualSummary,
+    VirtualSummary,
 };
 use the_force::prep::preprocess;
 
@@ -60,7 +60,7 @@ impl Mode {
     /// Every run traces.
     fn options(self) -> RunOptions {
         RunOptions {
-            trace: Some(TraceConfig::default()),
+            trace: true,
             backend: if self.is_virtual() {
                 ParkBackend::Virtual { seed: 0xF0CE }
             } else {
