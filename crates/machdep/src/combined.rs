@@ -1,11 +1,12 @@
 //! Combined lock — the Flex/32 lock personality.
 //!
 //! §4.1.3: "combined lock: spinlock for limited time, then make operating
-//! system call (Flex)".  The acquire path spins on a test&set word for a
-//! bounded number of attempts; if the lock is still held it falls back to
-//! parking in the "operating system" (mutex + condvar).  Short critical
-//! sections therefore pay spin-lock cost, long ones syscall cost — the
-//! rationale behind the Flex design, measured in EXP-5.
+//! system call (Flex)".  The acquire path polls a test&set word for a
+//! bounded number of attempts, spinning briefly and then yielding between
+//! them; if the lock is still held it falls back to parking in the
+//! "operating system" (mutex + condvar).  Short critical sections
+//! therefore pay spin-lock cost, long ones syscall cost — the rationale
+//! behind the Flex design, measured in EXP-5.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -14,9 +15,6 @@ use crate::lock::{LockKind, LockState, RawLock};
 use crate::park::{self, Waiters};
 use crate::portable::{Condvar, Mutex};
 use crate::stats::StatsHandle;
-
-/// Default number of spin attempts before falling back to the OS.
-pub const DEFAULT_SPIN_LIMIT: u32 = 64;
 
 /// A spin-then-park binary semaphore.
 pub struct CombinedLock {
@@ -28,22 +26,12 @@ pub struct CombinedLock {
     /// Processes in phase 2; a release with none skips `wait` and the
     /// wake.
     waiters: Waiters,
-    spin_limit: u32,
     stats: StatsHandle,
 }
 
 impl CombinedLock {
-    /// Create a combined lock with the default spin limit.
+    /// Create a combined lock.
     pub fn new(initial: LockState, stats: impl Into<StatsHandle>) -> Self {
-        Self::with_spin_limit(initial, DEFAULT_SPIN_LIMIT, stats)
-    }
-
-    /// Create a combined lock that spins `spin_limit` times before parking.
-    pub fn with_spin_limit(
-        initial: LockState,
-        spin_limit: u32,
-        stats: impl Into<StatsHandle>,
-    ) -> Self {
         let stats = stats.into();
         stats.count(|s| &s.locks_created);
         CombinedLock {
@@ -51,7 +39,6 @@ impl CombinedLock {
             wait: Mutex::new(()),
             cond: Condvar::new(),
             waiters: Waiters::default(),
-            spin_limit,
             stats,
         }
     }
@@ -59,16 +46,17 @@ impl CombinedLock {
 
 impl RawLock for CombinedLock {
     fn lock(&self) {
-        // Phase 1: bounded spin, held off after the first attempt.  An
-        // injected spurious failure is accounted as one failed attempt.
-        // Under an overcommit backend the parking layer skips the spin
-        // phase (spinning would hold the run permit hostage).  The first
+        // Phase 1: bounded spin, held off after the first attempt, that
+        // yields the core once its short spins run out.  An injected
+        // spurious failure is accounted as one failed attempt.  Under an
+        // overcommit backend the parking layer skips the spin phase
+        // (spinning would hold the run permit hostage).  The first
         // attempt is a bare `swap`; a retry tests first (see
         // `SpinLock::try_lock`), so a spinning waiter does not take the
         // holder's line exclusive.
         let mut spun: u64 = u64::from(fault::spurious_lock_failure());
         let mut retry = false;
-        let acquired = park::bounded_spin(self.spin_limit, || {
+        let acquired = park::bounded_spin(|| {
             let held = (retry && self.locked.load(Ordering::Relaxed))
                 || self.locked.swap(true, Ordering::Acquire);
             retry = true;
@@ -215,23 +203,5 @@ mod tests {
     fn a_cancelled_waiter_deregisters() {
         let (l, stats) = mk(LockState::Locked);
         l.waiters.check_cancelled_waiter_deregisters(&*l, stats);
-    }
-
-    #[test]
-    fn custom_spin_limit_zero_goes_straight_to_os() {
-        let stats = Arc::new(OpStats::new());
-        let l = Arc::new(CombinedLock::with_spin_limit(
-            LockState::Locked,
-            0,
-            Arc::clone(&stats),
-        ));
-        let l2 = Arc::clone(&l);
-        let t = std::thread::spawn(move || {
-            l2.lock();
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        l.unlock();
-        t.join().unwrap();
-        assert!(stats.snapshot().syscalls >= 1);
     }
 }

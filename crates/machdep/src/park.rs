@@ -869,15 +869,19 @@ fn idle_step(multiplexed: bool, backoff: &Backoff, round: &mut u32) {
 /// for by a process that cannot go on without it, and re-polls at once.
 const HOLDOFF_STEP: u32 = 4;
 
-/// Spin on `ready` for at most `limit` iterations without parking; true
+/// How often [`bounded_spin`] re-polls before the OS call.
+const SPIN_ATTEMPTS: u32 = 64;
+
+/// Poll `ready` up to [`SPIN_ATTEMPTS`] more times without parking; true
 /// if it became ready.  The combined lock's spin phase: the first call
 /// of `ready` is its acquisition attempt, and a failed one is held off
-/// (one back-off round at step 4) before the next.  Under overcommit
-/// the spin phase is skipped — spinning while holding a run permit
-/// starves runnable pids — so this degrades to a single check; under
-/// the virtual backend the single check keeps the decision sequence
-/// independent of spin timing.
-pub fn bounded_spin(limit: u32, mut ready: impl FnMut() -> bool) -> bool {
+/// (one back-off round at step 4) before the next.  The polls snooze, so
+/// a waiter queued behind its holder on one core hands the core over.
+/// Under overcommit the spin phase is skipped — spinning while holding
+/// a run permit starves runnable pids — so this degrades to a single
+/// check; under the virtual backend the single check keeps the decision
+/// sequence independent of spin timing.
+pub(crate) fn bounded_spin(mut ready: impl FnMut() -> bool) -> bool {
     if ready() {
         return true;
     }
@@ -885,8 +889,8 @@ pub fn bounded_spin(limit: u32, mut ready: impl FnMut() -> bool) -> bool {
         return false;
     }
     let backoff = Backoff::starting_at(HOLDOFF_STEP);
-    for _ in 0..limit {
-        backoff.spin();
+    for _ in 0..SPIN_ATTEMPTS {
+        backoff.snooze();
         if ready() {
             return true;
         }

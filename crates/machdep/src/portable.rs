@@ -36,9 +36,9 @@ const YIELD_LIMIT: u32 = 10;
 
 /// Exponential backoff for spin loops.
 ///
-/// `spin` busy-waits with a budget that doubles per call (capped);
-/// `snooze` does the same but degrades to `thread::yield_now` once the
-/// spin budget is exhausted, so a long wait stops burning a core.
+/// `snooze` busy-waits with a budget that doubles per call, then
+/// degrades to `thread::yield_now` once the spin budget is exhausted, so
+/// a long wait stops burning a core.
 pub struct Backoff {
     step: Cell<u32>,
 }
@@ -49,7 +49,7 @@ impl Backoff {
         Self::starting_at(0)
     }
 
-    /// A backoff whose first `spin` or `snooze` is the one of `step`
+    /// A backoff whose first `snooze` is the one of `step`
     /// (`1 << step` spins while `step` is within the spin limit); later
     /// calls double from there, as from step zero.
     pub const fn starting_at(step: u32) -> Self {
@@ -61,17 +61,6 @@ impl Backoff {
     /// Reset to step zero (reusable across acquire attempts).
     pub fn reset(&self) {
         self.step.set(0);
-    }
-
-    /// Busy-spin, doubling the budget each call up to the spin limit.
-    pub fn spin(&self) {
-        let step = self.step.get().min(SPIN_LIMIT);
-        for _ in 0..1u32 << step {
-            hint::spin_loop();
-        }
-        if self.step.get() <= SPIN_LIMIT {
-            self.step.set(self.step.get() + 1);
-        }
     }
 
     /// Spin while the budget lasts, then yield the processor.
@@ -430,17 +419,6 @@ mod tests {
             late.snooze();
         }
         assert!(late.is_completed());
-    }
-
-    #[test]
-    fn backoff_spin_never_completes() {
-        // `spin` models a pure busy-wait personality: it caps its budget
-        // but never reports completion (there is nothing to park on).
-        let b = Backoff::new();
-        for _ in 0..100 {
-            b.spin();
-        }
-        assert!(!b.is_completed());
     }
 
     #[test]

@@ -422,6 +422,56 @@ fn nesting_two_criticals_that_share_a_pooled_lock_is_an_error() {
     }
 }
 
+/// The Flex/32 lock spins for a limited time, then makes the operating
+/// system call (§4.1.3).  Its spin phase yields once its short spins run
+/// out, so a waiter that shares a CPU with the holder hands the CPU over
+/// and finds the lock free when it next polls: on one CPU (`taskset -c
+/// 0`) a ring of contended hand-offs almost never reaches the OS phase,
+/// where a spin that never yields burns its whole budget on nearly every
+/// one.  Unpinned, the scheduler may stack the two pids or spread them;
+/// the count must hold either way.
+#[test]
+fn a_combined_lock_waiter_on_its_holders_cpu_yields_before_the_os_phase() {
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER SUM
+      Async INTEGER SLOT(2)
+      Private INTEGER R, V
+      End declarations
+      IF (ME .EQ. 0) THEN
+      DO 10 R = 1, 500
+      Produce SLOT(1) = R
+      Consume SLOT(2) into V
+      SUM = SUM + V
+10    CONTINUE
+      ELSE
+      DO 20 R = 1, 500
+      Consume SLOT(1) into V
+      Produce SLOT(2) = V + 1
+20    CONTINUE
+      END IF
+      Join
+";
+    let id = MachineId::Flex32;
+    let machine = Machine::new(id);
+    let engine =
+        Engine::from_expanded(&preprocess(src, id).unwrap(), Arc::clone(&machine)).unwrap();
+    engine.set_pool(Arc::new(ForcePool::new(2, machine.stats())));
+    let out = engine.run_with(2, guarded()).unwrap();
+    assert_eq!(
+        out.shared_scalar("SUM"),
+        Some(Value::Int(500 * 501 / 2 + 500))
+    );
+    let stats = &out.stats;
+    assert!(stats.lock_contended > 0, "a ring waits: {stats:?}");
+    assert!(
+        stats.syscalls * 10 <= stats.lock_contended,
+        "{} of {} contended acquisitions made the OS call",
+        stats.syscalls,
+        stats.lock_contended
+    );
+}
+
 const PINNED: &[(&str, [u64; 6])] = &[
     (
         "sum",
