@@ -3,11 +3,11 @@
 //! ```sh
 //! cargo run --release -p force-bench --bin reproduce            # all
 //! cargo run --release -p force-bench --bin reproduce -- exp3   # one
-//! cargo run --release -p force-bench --bin reproduce -- --smoke exp21   # CI scale
+//! cargo run --release -p force-bench --bin reproduce -- --smoke exp20   # CI scale
 //! ```
 //!
-//! An unknown experiment name or flag runs nothing and exits 2.  EXP-15
-//! to EXP-21 each write a `BENCH_*.json` artifact, which is rendered,
+//! An unknown experiment name or flag runs nothing and exits 2.  EXP-15,
+//! EXP-16 and EXP-20 each write a `BENCH_*.json` artifact, which is rendered,
 //! parsed back and checked (`force_bench::checks`) *before* it is written;
 //! a failed check exits 1 and leaves no file.
 //!
@@ -67,13 +67,9 @@ const EXPERIMENTS: &[Experiment] = experiments! {
     exp10: "Encore page padding (§4.1.2): false-sharing ablation",
     exp11: "scarce locks (Cray-2): K logical locks on an 8-slot pool",
     exp12: "Resolve (the paper's future-work construct), ablation",
-    exp13: "fault containment: cancellation, watchdog, injection",
     exp15: "construct tracing: the merged six-machine Chrome trace",
     exp16: "unified scheduling plane: six policies on uniform and skewed DOALLs",
-    exp18: "force-as-a-service: a 4x overload burst, shed and deadline-killed",
-    exp19: "parking layer: one job on both backends, and a wide force on few workers",
     exp20: "virtual time: deterministic speedup curves on six machines",
-    exp21: "sharded serving: what 2 and 4 shards sustain against 1",
 };
 
 fn main() {
@@ -117,17 +113,6 @@ fn write_artifact(name: &str, doc: &Json, check: impl Fn(&Json) -> Result<(), St
         std::process::exit(1);
     }
     println!("\nwrote {name} (parsed back and checked)");
-}
-
-/// Yield until `ready()`, or give up after 5 s: a bound only a server
-/// that stopped making progress reaches, whose artifact check then refuses
-/// the counts it left.
-fn hold_until(ready: impl Fn() -> bool) {
-    use std::time::{Duration, Instant};
-    let give_up = Instant::now() + Duration::from_secs(5);
-    while !ready() && Instant::now() < give_up {
-        std::thread::yield_now();
-    }
 }
 
 // ---------------------------------------------------------------- EXP-1
@@ -691,104 +676,6 @@ fn exp12(_: Scale) {
     println!(" instead of 4 and never blocks on the unrelated component)");
 }
 
-// ---------------------------------------------------------------- EXP-13
-
-fn exp13(_: Scale) {
-    use std::time::{Duration, Instant};
-    // The deliberate panics below are the experiment; keep the default
-    // hook from spraying backtraces over the table.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    println!(
-        "{:<18} {:<22} {:<10} {:>10}   {:>8} {:>8} {:>8} {:>8}",
-        "machine", "scenario", "construct", "contained", "inj", "det", "cancel", "wdog"
-    );
-    for id in MachineId::all() {
-        let machine = Machine::new(id);
-        let row = |scenario: &str, fault: Option<(ProcessFault, Duration)>| {
-            let s = machine.stats().snapshot();
-            match fault {
-                Some((f, dt)) => println!(
-                    "{:<18} {:<22} {:<10} {:>10}   {:>8} {:>8} {:>8} {:>8}",
-                    id.name(),
-                    scenario,
-                    f.construct,
-                    fmt_dur(dt),
-                    s.faults_injected,
-                    s.faults_detected,
-                    s.cancellations_observed,
-                    s.watchdog_trips
-                ),
-                None => println!(
-                    "{:<18} {:<22} {:<10} {:>10}   {:>8} {:>8} {:>8} {:>8}",
-                    id.name(),
-                    scenario,
-                    "-",
-                    "no fault",
-                    s.faults_injected,
-                    s.faults_detected,
-                    s.cancellations_observed,
-                    s.watchdog_trips
-                ),
-            }
-        };
-
-        // 1. A panic while peers park at a barrier: cancellation must
-        //    unblock them well inside the watchdog bound.
-        let watchdog = |bound| RunOptions {
-            watchdog: Some(bound),
-            ..RunOptions::default()
-        };
-        let force = Force::with_machine(4, Arc::clone(&machine));
-        let t0 = Instant::now();
-        let f = force
-            .try_execute_with(watchdog(Duration::from_secs(5)), |p| {
-                if p.pid() == 0 {
-                    panic!("exp13: deliberate panic");
-                }
-                p.barrier();
-            })
-            .expect_err("must fault");
-        row("panic at barrier", Some((f, t0.elapsed())));
-
-        // 2. A true deadlock (consume, no producer): only the watchdog
-        //    can report this one.
-        let force = Force::with_machine(2, Arc::clone(&machine));
-        let chan: Async<i64> = Async::new(&machine);
-        let t0 = Instant::now();
-        let f = force
-            .try_execute_with(watchdog(Duration::from_millis(100)), |_p| {
-                let _ = chan.consume();
-            })
-            .expect_err("must trip");
-        row("consume, no producer", Some((f, t0.elapsed())));
-
-        // 3. Deterministic injection at construct boundaries.
-        let force = Force::with_machine(4, Arc::clone(&machine));
-        let injection = RunOptions {
-            injection: Some(FaultInjection {
-                seed: 0xF0CE,
-                panic_per_mille: 250,
-                delay_per_mille: 0,
-                spurious_per_mille: 250,
-            }),
-            ..RunOptions::default()
-        };
-        let t0 = Instant::now();
-        let f = force.try_execute_with(injection, |p| {
-            for _ in 0..8 {
-                p.barrier();
-            }
-        });
-        row("injected faults", f.err().map(|f| (f, t0.elapsed())));
-    }
-    std::panic::set_hook(prev_hook);
-    println!("(expected shape: every fault is contained — a structured error,");
-    println!(" never a hang; counters are cumulative per machine instance:");
-    println!(" inj=faults injected, det=faults detected, cancel=cancellations");
-    println!(" observed by parked peers, wdog=watchdog trips)");
-}
-
 // ---------------------------------------------------------------- EXP-15
 
 fn exp15(_: Scale) {
@@ -974,310 +861,6 @@ fn exp16(scale: Scale) {
     println!(" losing balance; the count above says where that showed here)");
 }
 
-// ---------------------------------------------------------------- EXP-18
-
-fn exp18(scale: Scale) {
-    use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
-    use the_force::machdep::{
-        ForceServer, JobRunner, JobSpec, Priority, RunOptions, ServerConfig, StatsSnapshot, Submit,
-    };
-    let burst: usize = match scale {
-        Scale::Full => 320,
-        Scale::Smoke => 160,
-    };
-    let watermark = 24usize;
-    let nproc = 4usize;
-    // Overload by count, on any host: four arrivals per job the server
-    // starts.  The `k`-th job to start holds until `allowed(k)` jobs have
-    // arrived, and job `j` arrives once `j < allowed(started)`; the first
-    // holds until more than a watermark is queued behind it, so the
-    // dequeue after it must shed.
-    let allowed = move |k: usize| (watermark + 2 + 4 * k).min(burst);
-    let deadline = Duration::from_millis(5);
-
-    println!("burst={burst} watermark={watermark} nproc={nproc}\n");
-    println!(
-        "{:<18} {:>9} {:>6} {:>5} {:>5} {:>5} {:>5}   {:<6}",
-        "machine", "admitted", "done", "shed", "dl", "rej", "peak", "probe"
-    );
-
-    let mut rows = Vec::new();
-
-    for id in MachineId::all() {
-        let machine = Machine::new(id);
-        let base: StatsSnapshot = machine.stats().snapshot();
-        let pool = Arc::new(ForcePool::new(nproc, machine.stats()));
-        let force = Arc::new(Force::with_machine(nproc, Arc::clone(&machine)).with_pool(pool));
-        let sink = Arc::new(AtomicU64::new(0));
-        let native_job = move |p: &Player| {
-            p.barrier();
-            sink.fetch_add(busy_work(64), Ordering::Relaxed);
-            p.barrier();
-        };
-        let server = ForceServer::new(
-            ServerConfig {
-                tenant_queue_capacity: watermark * 4,
-                shed_watermark: watermark,
-                retry_base: Duration::from_micros(200),
-                ..ServerConfig::default()
-            },
-            machine.stats(),
-        );
-        let (arrived, started) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-        let mut handles = Vec::with_capacity(burst);
-        for j in 0..burst {
-            hold_until(|| j < allowed(started.load(Ordering::SeqCst)));
-            let mut run = force.serve_runner(RunOptions::default(), native_job.clone());
-            let (seen, start) = (Arc::clone(&arrived), Arc::clone(&started));
-            let runner: JobRunner = Box::new(move |cx| {
-                let k = start.fetch_add(1, Ordering::SeqCst);
-                hold_until(|| seen.load(Ordering::SeqCst) >= allowed(k));
-                run(cx)
-            });
-            let mut spec = JobSpec::for_tenant("burst").with_priority(if j % 8 == 0 {
-                Priority::High
-            } else {
-                Priority::Normal
-            });
-            if j % 4 == 0 {
-                spec = spec.with_deadline(deadline);
-            }
-            if let Submit::Admitted(h) = server.submit(spec, runner) {
-                handles.push(h);
-            }
-            arrived.fetch_add(1, Ordering::SeqCst);
-        }
-        // Every admitted job reaches a terminal outcome.
-        for h in &handles {
-            let _ = h.wait();
-        }
-        // The server stays responsive through the overload: a fresh
-        // high-priority job completes afterwards.
-        let probe = server.submit(
-            JobSpec::for_tenant("probe").with_priority(Priority::High),
-            force.serve_runner(RunOptions::default(), native_job.clone()),
-        );
-        let probe_ok = match probe {
-            Submit::Admitted(h) => h.wait().is_success(),
-            Submit::Rejected { reason } => panic!("post-burst probe rejected: {reason}"),
-        };
-        // That the overload was shed or deadline-killed with the backlog
-        // near the watermark and a quiet watchdog is `checks::serve`'s job.
-        let burst_tenant = server.tenant_report("burst").unwrap_or_default();
-        let peak_backlog = server.peak_backlog();
-        server.shutdown();
-        let delta = machine.stats().snapshot().since(&base);
-
-        println!(
-            "{:<18} {:>9} {:>6} {:>5} {:>5} {:>5} {:>5}   {:<6}",
-            id.name(),
-            burst_tenant.admitted,
-            burst_tenant.completed,
-            burst_tenant.shed,
-            burst_tenant.deadline_exceeded,
-            burst_tenant.rejected,
-            peak_backlog,
-            if probe_ok { "ok" } else { "FAILED" }
-        );
-        rows.push(obj! {
-            "machine": id.name(),
-            "admitted": burst_tenant.admitted,
-            "completed": burst_tenant.completed,
-            "shed": burst_tenant.shed,
-            "deadline_exceeded": burst_tenant.deadline_exceeded,
-            "rejected": burst_tenant.rejected,
-            "peak_backlog": peak_backlog,
-            "watchdog_trips": delta.watchdog_trips,
-            "probe_completed": probe_ok,
-        });
-    }
-
-    let doc = obj! {
-        "burst": burst,
-        "watermark": watermark,
-        "nproc": nproc,
-        "host_cores": host_cores(),
-        "machines": rows,
-    };
-    write_artifact("BENCH_serve.json", &doc, checks::serve);
-    println!("(expected shape: on every personality the burst, four arrivals per job");
-    println!(" started, is absorbed by shedding and deadline kills — admitted = done +");
-    println!(" shed + dl, and the dequeue after the held first job sheds — with the");
-    println!(" backlog pinned near the watermark, and the probe submitted after it");
-    println!(" completes: the server never wedged.  The dl count is the host's; rates");
-    println!(" and latencies under load are benchmark/'s `open_arrivals` and `serve.*`)");
-}
-
-fn exp19(scale: Scale) {
-    use std::time::Instant;
-    use the_force::machdep::{ParkBackend, RunOptions, StatsSnapshot};
-    let (pids, workers, episodes): (usize, usize, usize) = match scale {
-        Scale::Full => (768, host_cores().min(16), 200),
-        Scale::Smoke => (512, 2, 40),
-    };
-    let small = host_cores().clamp(2, 4);
-
-    println!("part A: nproc={small} (<= host cores), {episodes} barrier+critical episodes,");
-    println!("        thread-per-pid (tpp) against overcommit with {small} permits (ovc)");
-    println!("part B: one {pids}-process force multiplexed over {workers} workers\n");
-    println!(
-        "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>8} {:>8}",
-        "machine",
-        "bar tpp",
-        "bar ovc",
-        "lock tpp",
-        "lock ovc",
-        "parks ovc",
-        "big-force",
-        "parks",
-        "wakes"
-    );
-
-    let mut rows = Vec::new();
-
-    for id in MachineId::all() {
-        // Part A: the same wait-heavy job on both backends at
-        // nproc <= cores, where no pid ever waits for a run permit: the
-        // backends must do the same work and differ only in how a wait
-        // is spent.
-        let job = |backend: ParkBackend| -> StatsSnapshot {
-            let force = Force::with_machine(small, Machine::new(id));
-            let sink = AtomicU64::new(0);
-            let options = RunOptions {
-                backend,
-                ..RunOptions::default()
-            };
-            force
-                .try_execute_with(options, |p| {
-                    for _ in 0..episodes {
-                        p.barrier();
-                        p.critical("T", || {
-                            sink.fetch_add(busy_work(8), Ordering::Relaxed);
-                        });
-                    }
-                })
-                .expect("part A job");
-            force.last_job_stats().expect("part A stats")
-        };
-        let dedicated = job(ParkBackend::ThreadPerPid);
-        let overcommit = job(ParkBackend::Overcommit { workers: small });
-
-        // Part B: one wide force — every pid crosses barriers, the
-        // Askfor pot, and a full/empty handshake, with only `workers`
-        // run permits live at once.
-        let machine = Machine::new(id);
-        let before = machine.stats().snapshot();
-        let force = Force::with_machine(pids, Arc::clone(&machine));
-        // Few channels, shared by many pid pairs.  State-role locks
-        // (full/empty pairs) never alias: past the Cray-2's 32-slot
-        // budget, `Async::new` fails loudly with a `ScarceLockError`
-        // (use `Async::try_new` to recover) instead of silently
-        // corrupting a shared value slot, so the cap here simply keeps
-        // the experiment inside every personality's state-lock budget
-        // — 8 channels = 16 dedicated slots, leaving room for the
-        // pooled critical/barrier locks.
-        let nchan = (pids / 2).clamp(1, 8);
-        let chans: Vec<Async<u64>> = (0..nchan).map(|_| Async::new(&machine)).collect();
-        let leaves = AtomicU64::new(0);
-        let consumed = AtomicU64::new(0);
-        let t0 = Instant::now();
-        force
-            .try_execute_with(
-                RunOptions {
-                    backend: ParkBackend::Overcommit { workers },
-                    ..RunOptions::default()
-                },
-                |p| {
-                    p.barrier();
-                    p.askfor(
-                        || vec![5u64; 8],
-                        |n, pot| {
-                            if n > 1 {
-                                pot.post(n - 1);
-                                pot.post(n - 1);
-                            } else {
-                                leaves.fetch_add(1, Ordering::Relaxed);
-                            }
-                        },
-                    );
-                    let chan = &chans[(p.pid() / 2) % nchan];
-                    if p.pid() % 2 == 0 {
-                        for i in 1..=4u64 {
-                            chan.produce(i);
-                        }
-                    } else {
-                        for _ in 0..4 {
-                            consumed.fetch_add(chan.consume(), Ordering::Relaxed);
-                        }
-                    }
-                    p.barrier();
-                },
-            )
-            .unwrap_or_else(|f| panic!("{}-pid force faulted on {}: {f}", pids, id.name()));
-        let big = t0.elapsed();
-        assert_eq!(leaves.load(Ordering::Relaxed), 8 << 4, "askfor leaves");
-        assert_eq!(
-            consumed.load(Ordering::Relaxed),
-            (pids as u64 / 2) * 10,
-            "full/empty tokens"
-        );
-        // Equal work, balanced parks and a quiet watchdog are
-        // `checks::park`'s job.
-        let delta = machine.stats().snapshot().since(&before);
-
-        println!(
-            "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>8} {:>8}",
-            id.name(),
-            dedicated.barrier_episodes,
-            overcommit.barrier_episodes,
-            dedicated.lock_acquires,
-            overcommit.lock_acquires,
-            overcommit.parks,
-            fmt_dur(big),
-            delta.parks,
-            delta.park_wakes
-        );
-        let backend_row = |s: &StatsSnapshot| {
-            obj! {
-                "barrier_episodes": s.barrier_episodes,
-                "lock_acquires": s.lock_acquires,
-                "fe_transfers": s.fe_produces + s.fe_consumes,
-                "parks": s.parks,
-                "park_wakes": s.park_wakes,
-            }
-        };
-        rows.push(obj! {
-            "machine": id.name(),
-            "dedicated": backend_row(&dedicated),
-            "overcommit": backend_row(&overcommit),
-            "big_force": obj! {
-                "completed": true,
-                "elapsed_ms": big.as_millis() as u64,
-                "parks": delta.parks,
-                "park_wakes": delta.park_wakes,
-                "park_spurious_wakes": delta.park_spurious_wakes,
-                "watchdog_trips": delta.watchdog_trips,
-            },
-        });
-    }
-
-    let doc = obj! {
-        "small_nproc": small,
-        "episodes": episodes,
-        "pids": pids,
-        "workers": workers,
-        "host_cores": host_cores(),
-        "machines": rows,
-    };
-    write_artifact("BENCH_park.json", &doc, checks::park);
-    println!("(expected shape: at nproc <= cores both backends do the same work —");
-    println!(" equal barrier episodes and lock acquisitions — and every park is");
-    println!(" matched by a wake; what a wait costs on either is not timed here.");
-    println!(" The {pids}-process force completes the barrier/askfor/full-empty");
-    println!(" suite on every personality with balanced parks and a quiet watchdog)");
-}
-
 // ---------------------------------------------------------------- EXP-20
 
 fn exp20(scale: Scale) {
@@ -1368,166 +951,4 @@ fn exp20(scale: Scale) {
     println!(" the Cray-2's 80k-cycle creation stagger flattens its curve first —");
     println!(" and every (machine, nproc) point replays bit-identically, so the");
     println!(" curves are a pure function of the seed and the machine descriptor)");
-}
-
-fn exp21(scale: Scale) {
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
-    use std::time::{Duration, Instant};
-    use the_force::machdep::{
-        ForcePool, ForceServer, JobError, JobRunner, JobSpec, JobYield, Priority, RunOptions,
-        ServerConfig, Submit,
-    };
-    let jobs: usize = match scale {
-        Scale::Full => 360,
-        Scale::Smoke => 120,
-    };
-    let tenants = 8usize;
-    let nproc = 2usize;
-    const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
-    // A blocking half standing in for I/O, the same for every shard count:
-    // a single dispatcher serializes it, extra shards overlap it.  It only
-    // gives the printed ratio a meaning; nothing is gated on time.
-    const HOLD: Duration = Duration::from_millis(1);
-
-    println!("jobs={jobs} tenants={tenants} nproc={nproc} shards={SHARD_COUNTS:?}\n");
-    println!(
-        "{:<18} {:>8} {:>8} {:>10} {:>6} {:>5}",
-        "machine", "shards", "at once", "vs 1 shard", "done", "peak"
-    );
-
-    let mut blocks = Vec::new();
-
-    for id in MachineId::all() {
-        let mut rows = Vec::new();
-        let mut one_shard = Duration::ZERO;
-        let sink = Arc::new(AtomicU64::new(0));
-
-        for &shards in &SHARD_COUNTS {
-            let machine = Machine::new(id);
-            // One session + pool per shard: `JobCx::shard()` names the
-            // dispatcher executing the attempt, and each dispatcher runs
-            // its jobs serially, so sessions are never shared between
-            // concurrent jobs even when an idle shard pulls work.
-            let sessions: Arc<Vec<Arc<Force>>> = Arc::new(
-                (0..shards)
-                    .map(|_| {
-                        let pool = Arc::new(ForcePool::new(nproc, machine.stats()));
-                        Arc::new(Force::with_machine(nproc, Arc::clone(&machine)).with_pool(pool))
-                    })
-                    .collect(),
-            );
-            // Jobs in flight, the most ever seen, and whether the first
-            // jobs may stop holding: each holds until `shards` run at once
-            // (or 5 s have passed, which only shards that cannot overlap
-            // reach).  More than `shards` would be a shard running two.
-            let flight = Arc::new((
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-                AtomicBool::new(false),
-            ));
-
-            let server = ForceServer::new(
-                ServerConfig {
-                    shards,
-                    tenant_queue_capacity: jobs,
-                    shed_watermark: jobs * 2,
-                    retry_base: Duration::from_micros(200),
-                    ..ServerConfig::default()
-                },
-                machine.stats(),
-            );
-            let tenant_names: Vec<String> = (0..tenants).map(|t| format!("tenant-{t}")).collect();
-            let mut handles = Vec::with_capacity(jobs);
-            let t0 = Instant::now();
-            for j in 0..jobs {
-                let sessions = Arc::clone(&sessions);
-                let s = Arc::clone(&sink);
-                let flight = Arc::clone(&flight);
-                let runner: JobRunner = Box::new(move |cx| {
-                    let (running, max_running, released) = &*flight;
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    max_running.fetch_max(now, Ordering::SeqCst);
-                    hold_until(|| {
-                        released.load(Ordering::SeqCst)
-                            || max_running.load(Ordering::SeqCst) >= shards
-                    });
-                    released.store(true, Ordering::SeqCst);
-                    let session = &sessions[cx.shard() % sessions.len()];
-                    cx.bind_plane(session.fault_plane());
-                    let ran = session.try_execute_with(RunOptions::default(), |p| {
-                        p.barrier();
-                        s.fetch_add(busy_work(32), Ordering::Relaxed);
-                        p.barrier();
-                    });
-                    std::thread::sleep(HOLD);
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    ran.map(|_| JobYield::default()).map_err(JobError::Fault)
-                });
-                let spec =
-                    JobSpec::for_tenant(&tenant_names[j % tenants]).with_priority(if j % 8 == 0 {
-                        Priority::High
-                    } else {
-                        Priority::Normal
-                    });
-                match server.submit(spec, runner) {
-                    Submit::Admitted(h) => handles.push(h),
-                    Submit::Rejected { reason } => {
-                        panic!("{}: saturation job rejected: {reason}", id.name())
-                    }
-                }
-            }
-            for h in &handles {
-                assert!(h.wait().is_success(), "job failed on {}", id.name());
-            }
-            let elapsed = t0.elapsed();
-            let report = server.server_report();
-            server.shutdown();
-            // Nothing lost or shed, one peak per shard, `shards` jobs at
-            // once: `checks::shard`.  The ratio of the two wall times is
-            // the ratio of the sustained rates: printed, not gated.
-            if shards == 1 {
-                one_shard = elapsed;
-            }
-            let speedup = one_shard.as_secs_f64() / elapsed.as_secs_f64();
-            let at_once = flight.1.load(Ordering::SeqCst);
-            println!(
-                "{:<18} {:>8} {:>8} {:>9.2}x {:>6} {:>5}",
-                id.name(),
-                shards,
-                at_once,
-                speedup,
-                report.completed,
-                report.peak_backlog
-            );
-            let peaks = report.shard_peak_backlogs.iter();
-            rows.push(obj! {
-                "shards": shards,
-                "max_running": at_once,
-                "speedup_vs_1": Json::fixed(speedup, 3),
-                "completed": report.completed,
-                "shed": report.shed,
-                "peak_backlog": report.peak_backlog,
-                "shard_peaks": peaks.map(|&p| Json::from(p)).collect::<Vec<_>>(),
-            });
-        }
-        blocks.push(obj! {
-            "machine": id.name(),
-            "shards": rows,
-        });
-    }
-
-    let doc = obj! {
-        "jobs": jobs,
-        "tenants": tenants,
-        "nproc": nproc,
-        "host_cores": host_cores(),
-        "machines": blocks,
-    };
-    write_artifact("BENCH_shard.json", &doc, checks::shard);
-    println!("(expected shape: on every personality and at every shard count all");
-    println!(" jobs complete with nothing shed, and exactly `shards` jobs run at once");
-    println!(" — the shards overlap their jobs, and no shard runs two.  The small-job");
-    println!(" mix interleaves a fixed 1 ms blocking hold with a 2-process force run,");
-    println!(" so the same jobs finish sooner with more shards; that ratio is printed");
-    println!(" and not gated.  Absolute rates and tails are benchmark/'s `serve.*`)");
 }

@@ -109,64 +109,6 @@ pub fn sched(doc: &Json) -> Result<(), String> {
     winners_within_machines(doc, "machines_where_guided_or_steal_wins_skewed")
 }
 
-/// `BENCH_serve.json` (EXP-18): the burst was absorbed by shedding and
-/// deadline kills, never collapse, and the server answered afterwards.
-pub fn serve(doc: &Json) -> Result<(), String> {
-    let watermark = doc.int("watermark")?;
-    each_machine(doc, |m| {
-        let (shed, killed) = (m.int("shed")?, m.int("deadline_exceeded")?);
-        ensure!(shed + killed > 0, "overload absorbed without shed or kill");
-        let (admitted, completed) = (m.int("admitted")?, m.int("completed")?);
-        ensure!(
-            admitted == completed + shed + killed,
-            "a burst job vanished"
-        );
-        m.int("rejected")?;
-        let peak = m.int("peak_backlog")?;
-        ensure!(
-            peak <= watermark + 64,
-            "backlog {peak} not near the watermark"
-        );
-        ensure!(m.int("watchdog_trips")? == 0, "the watchdog tripped");
-        let answered = m.get("probe_completed")? == &Json::Bool(true);
-        ensure!(answered, "the post-burst probe did not complete");
-        Ok(())
-    })
-}
-
-/// `BENCH_park.json` (EXP-19): both backends did the same work with
-/// balanced parks, and the big force completed with balanced parks and
-/// a quiet watchdog.
-pub fn park(doc: &Json) -> Result<(), String> {
-    ensure!(doc.int("workers")? >= 1, "no workers");
-    let balanced = |row: &Json| -> Result<(), String> {
-        let (parks, wakes) = (row.int("parks")?, row.int("park_wakes")?);
-        ensure!(wakes == parks, "{parks} parks, {wakes} wakes");
-        Ok(())
-    };
-    each_machine(doc, |m| {
-        let (d, o, b) = (
-            m.get("dedicated")?,
-            m.get("overcommit")?,
-            m.get("big_force")?,
-        );
-        for key in ["barrier_episodes", "lock_acquires", "fe_transfers"] {
-            let (tpp, ovc) = (d.int(key)?, o.int(key)?);
-            ensure!(tpp == ovc, "{key}: {tpp} dedicated, {ovc} overcommitted");
-        }
-        ensure!(d.int("barrier_episodes")? > 0, "no barrier episode");
-        balanced(d)?;
-        balanced(o)?;
-        b.int("elapsed_ms")?;
-        let done = b.get("completed")? == &Json::Bool(true);
-        ensure!(done, "the big force did not complete");
-        ensure!(b.int("parks")? > 0, "the big force never parked");
-        balanced(b)?;
-        ensure!(b.int("watchdog_trips")? == 0, "the watchdog tripped");
-        Ok(())
-    })
-}
-
 /// `BENCH_vtime.json` (EXP-20): a deterministic curve with one point per
 /// swept `nprocs` entry and a real virtual speedup at the widest force.
 pub fn vtime(doc: &Json, nprocs: &[u64]) -> Result<(), String> {
@@ -186,34 +128,6 @@ pub fn vtime(doc: &Json, nprocs: &[u64]) -> Result<(), String> {
         if let [serial, .., widest] = curve {
             let shrank = widest.int("makespan_ns")? < serial.int("makespan_ns")?;
             ensure!(shrank && widest.num("speedup")? > 1.0, "no virtual speedup");
-        }
-        Ok(())
-    })
-}
-
-/// `BENCH_shard.json` (EXP-21): a complete row per shard count, nothing
-/// shed, coherent peaks, and as many jobs running at once as there are
-/// shards — the shards overlap their jobs, and none runs two.
-pub fn shard(doc: &Json) -> Result<(), String> {
-    let jobs = doc.int("jobs")?;
-    each_machine(doc, |m| {
-        let rows = m.arr("shards")?;
-        let counts = ints(rows, "shards")?;
-        ensure!(counts == [1, 2, 4], "shard rows {counts:?}, want [1, 2, 4]");
-        for r in rows {
-            ensure!(r.num("speedup_vs_1")? > 0.0, "a speedup is not positive");
-            ensure!(r.int("completed")? == jobs, "a saturation run lost jobs");
-            ensure!(r.int("shed")? == 0, "a saturation run shed work");
-            let (peaks, backlog) = (r.arr("shard_peaks")?, r.int("peak_backlog")?);
-            let shards = r.int("shards")?;
-            ensure!(peaks.len() as u64 == shards, "not a peak per shard");
-            let bounded = |p: &Json| matches!(p, Json::Int(n) if *n <= backlog);
-            ensure!(peaks.iter().all(bounded), "a shard peak above the backlog");
-            let at_once = r.int("max_running")?;
-            ensure!(
-                at_once == shards,
-                "{at_once} jobs at once on {shards} shards"
-            );
         }
         Ok(())
     })

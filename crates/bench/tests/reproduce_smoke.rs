@@ -1,6 +1,7 @@
-//! Drives the built `reproduce` binary: the `--smoke` run of EXP-15..21
-//! writes six artifacts that parse and pass their checks, every check
-//! rejects a broken artifact, and a mistyped name or flag runs nothing.
+//! Drives the built `reproduce` binary: the `--smoke` run of EXP-15, 16
+//! and 20 writes three artifacts that parse and pass their checks, every
+//! check rejects a broken artifact, and a mistyped name or flag runs
+//! nothing.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -11,15 +12,12 @@ use force_bench::json::Json;
 
 type Check = fn(&Json) -> Result<(), String>;
 
-const ARTIFACTS: [(&str, &str, Check); 6] = [
+const ARTIFACTS: [(&str, &str, Check); 3] = [
     ("exp15", "BENCH_trace.json", checks::trace),
     ("exp16", "BENCH_sched.json", checks::sched),
-    ("exp18", "BENCH_serve.json", checks::serve),
-    ("exp19", "BENCH_park.json", checks::park),
     ("exp20", "BENCH_vtime.json", |doc| {
         checks::vtime(doc, &[1, 2, 4, 8])
     }),
-    ("exp21", "BENCH_shard.json", checks::shard),
 ];
 
 fn reproduce(dir: &PathBuf, args: &[&str]) -> std::process::Output {
@@ -35,7 +33,7 @@ fn scratch(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("force-reproduce-{tag}-{}", std::process::id()))
 }
 
-/// The six smoke artifacts, produced by one run shared by every test.
+/// The three smoke artifacts, produced by one run shared by every test.
 fn smoke_artifacts() -> &'static [Json] {
     static DOCS: OnceLock<Vec<Json>> = OnceLock::new();
     DOCS.get_or_init(|| {
@@ -50,7 +48,7 @@ fn smoke_artifacts() -> &'static [Json] {
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
-            stdout.contains("EXP-15:") && !stdout.contains("EXP-13:"),
+            stdout.contains("EXP-15:") && !stdout.contains("EXP-12:"),
             "ran an unnamed experiment"
         );
         let docs = ARTIFACTS
@@ -66,7 +64,7 @@ fn smoke_artifacts() -> &'static [Json] {
 }
 
 #[test]
-fn smoke_run_writes_six_artifacts_that_parse_and_pass_their_checks() {
+fn smoke_run_writes_three_artifacts_that_parse_and_pass_their_checks() {
     for ((_, file, check), doc) in ARTIFACTS.iter().zip(smoke_artifacts()) {
         check(doc).unwrap_or_else(|e| panic!("{file}: {e}"));
     }
@@ -133,37 +131,6 @@ const BROKEN: &[(&str, &str)] = &[
         "BENCH_sched.json",
         "machines_where_guided_or_steal_wins_skewed=7",
     ),
-    ("BENCH_serve.json", "-machines/1"),
-    ("BENCH_serve.json", "-machines/0/rejected"),
-    (
-        "BENCH_serve.json",
-        "machines/4/shed=0;machines/4/deadline_exceeded=0",
-    ),
-    ("BENCH_serve.json", "machines/4/admitted=999"),
-    ("BENCH_serve.json", "machines/3/peak_backlog=89"),
-    ("BENCH_serve.json", "machines/0/watchdog_trips=1"),
-    ("BENCH_serve.json", "machines/2/probe_completed=false"),
-    ("BENCH_park.json", "-machines/4"),
-    ("BENCH_park.json", "workers=0"),
-    (
-        "BENCH_park.json",
-        "machines/1/dedicated/barrier_episodes=39",
-    ),
-    ("BENCH_park.json", "machines/1/overcommit/lock_acquires=1"),
-    ("BENCH_park.json", "-machines/1/overcommit/fe_transfers"),
-    (
-        "BENCH_park.json",
-        "machines/0/dedicated/barrier_episodes=0;machines/0/overcommit/barrier_episodes=0",
-    ),
-    ("BENCH_park.json", "machines/5/overcommit/park_wakes=0"),
-    ("BENCH_park.json", "machines/2/big_force/completed=false"),
-    ("BENCH_park.json", "-machines/2/big_force/elapsed_ms"),
-    (
-        "BENCH_park.json",
-        "machines/3/big_force/parks=0;machines/3/big_force/park_wakes=0",
-    ),
-    ("BENCH_park.json", "machines/3/big_force/park_wakes=1"),
-    ("BENCH_park.json", "machines/5/big_force/watchdog_trips=2"),
     ("BENCH_vtime.json", "-machines/3"),
     ("BENCH_vtime.json", "machines/0/deterministic=false"),
     ("BENCH_vtime.json", "-machines/1/curve/2"),
@@ -175,20 +142,6 @@ const BROKEN: &[(&str, &str)] = &[
     ("BENCH_vtime.json", "machines/3/curve/3/speedup=1.0"),
     ("BENCH_vtime.json", "machines/4/curve/0/digest=\"0x0\""),
     ("BENCH_vtime.json", "machines/4/curve/0/digest=\"0xZZ\""),
-    ("BENCH_shard.json", "-machines/2"),
-    ("BENCH_shard.json", "-machines/0/shards/1"),
-    ("BENCH_shard.json", "machines/1/shards/0/speedup_vs_1=0.0"),
-    ("BENCH_shard.json", "machines/1/shards/2/completed=1"),
-    ("BENCH_shard.json", "machines/2/shards/1/shed=1"),
-    ("BENCH_shard.json", "-machines/3/shards/2/shard_peaks/0"),
-    (
-        "BENCH_shard.json",
-        "machines/3/shards/0/shard_peaks/0=18446744073709551615",
-    ),
-    ("BENCH_shard.json", "machines/5/shards/2/max_running=1"),
-    ("BENCH_shard.json", "machines/0/shards/0/max_running=2"),
-    ("BENCH_shard.json", "machines/4/shards/1/max_running=3"),
-    ("BENCH_shard.json", "-machines/3/shards/1/max_running"),
 ];
 
 #[test]
@@ -203,7 +156,7 @@ fn every_check_rejects_a_broken_artifact() {
         );
     }
     // The vtime check knows which sweep it was promised.
-    assert!(checks::vtime(&smoke_artifacts()[4], &[1, 2, 4, 8, 16]).is_err());
+    assert!(checks::vtime(&smoke_artifacts()[2], &[1, 2, 4, 8, 16]).is_err());
     // A trace that never entered a critical section.
     let mut trace = smoke_artifacts()[0].clone();
     if let Json::Arr(events) = at(&mut trace, "traceEvents") {
@@ -220,7 +173,11 @@ fn an_unknown_name_or_flag_runs_nothing_and_exits_2() {
         &["exp3", "exp99"],
         &["--smoke", "exp15", "exp0"],
         &["--check", "exp15"],
+        &["exp13"],
         &["exp14"],
+        &["exp18"],
+        &["exp19"],
+        &["exp21"],
         &["-h"],
     ] {
         let out = reproduce(&dir, args);
@@ -228,7 +185,7 @@ fn an_unknown_name_or_flag_runs_nothing_and_exits_2() {
         assert!(out.stdout.is_empty(), "{args:?} ran something");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("exp1 exp2") && stderr.contains("exp21"),
+            stderr.contains("exp1 exp2") && stderr.contains("exp16 exp20"),
             "{stderr}"
         );
     }

@@ -37,7 +37,7 @@ pub mod sedpass;
 pub mod weigh;
 
 pub use pipeline::{
-    clear_expansion_cache, expansion_cache, expansion_cache_len, expansion_cache_stats,
-    pass_counts, preprocess, preprocess_cached, CacheStats, CompiledPayload, DeclInfo,
-    ExpandedProgram, ExpansionCache, PassCounts, PrepError, VarClass,
+    expansion_cache, expansion_cache_len, expansion_cache_stats, pass_counts, preprocess,
+    preprocess_cached, CacheStats, CompiledPayload, DeclInfo, ExpandedProgram, ExpansionCache,
+    PassCounts, PrepError, VarClass,
 };

@@ -793,12 +793,6 @@ pub fn expansion_cache_len() -> usize {
     expansion_cache().stats().entries
 }
 
-/// Drop every expansion resident in the default cache (the counters
-/// are kept).
-pub fn clear_expansion_cache() {
-    expansion_cache().clear();
-}
-
 /// The `INTEGER` + `COMMON /ZZFENV/` declarations for the environment,
 /// plus the private scratch cells every unit gets: the fixed ones, and
 /// any per-loop temps the macros recorded (chunked/guided claims).
@@ -1112,7 +1106,7 @@ mod tests {
         assert_eq!(pass_counts(), PassCounts { sed: 1, m4: 2 });
         assert_eq!(expansion_cache_stats(), (1, 1));
         assert_eq!(expansion_cache_len(), 1);
-        clear_expansion_cache();
+        expansion_cache().clear();
         assert_eq!(expansion_cache_len(), 0);
         assert_eq!(expansion_cache().stats().bytes, 0);
         assert_eq!(expansion_cache_stats(), (1, 1), "counters survive");

@@ -137,24 +137,99 @@ fn overcommit_trace_spans_are_balanced() {
 
 /// Every machine personality must survive overcommit: the six lock
 /// protocols all route their blocking through the parking layer, so a
-/// 32x-overcommitted barrier/critical mix completes everywhere.
+/// 32x-overcommitted force crosses barriers, a critical section, the
+/// Askfor pot and a full/empty handshake everywhere — over at most eight
+/// channels shared by the pid pairs, the Cray-2's budget of state-role
+/// locks — with every park woken and a quiet watchdog.
 #[test]
 fn every_machine_survives_overcommit() {
     for id in MachineId::all() {
         let nproc = WORKERS * 32;
         let machine = Machine::new(id);
+        let before = machine.stats().snapshot();
         let force = Force::with_machine(nproc, Arc::clone(&machine));
-        let hits = AtomicU64::new(0);
+        let nchan = (nproc / 2).clamp(1, 8);
+        let chans: Vec<Async<u64>> = (0..nchan).map(|_| Async::new(&machine)).collect();
+        let (hits, leaves, consumed) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         force
             .try_execute_with(overcommit_options(), |p| {
                 p.barrier();
                 p.critical("MIX", || {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
+                p.askfor(
+                    || vec![5u64; 8],
+                    |n, pot| {
+                        if n > 1 {
+                            pot.post(n - 1);
+                            pot.post(n - 1);
+                        } else {
+                            leaves.fetch_add(1, Ordering::Relaxed);
+                        }
+                    },
+                );
+                let chan = &chans[(p.pid() / 2) % nchan];
+                if p.pid() % 2 == 0 {
+                    for i in 1..=4u64 {
+                        chan.produce(i);
+                    }
+                } else {
+                    for _ in 0..4 {
+                        consumed.fetch_add(chan.consume(), Ordering::Relaxed);
+                    }
+                }
                 p.barrier();
             })
             .unwrap_or_else(|f| panic!("{} faulted under overcommit: {f}", id.name()));
-        assert_eq!(hits.load(Ordering::Relaxed), nproc as u64, "{}", id.name());
+        let name = id.name();
+        assert_eq!(hits.load(Ordering::Relaxed), nproc as u64, "{name}");
+        assert_eq!(leaves.load(Ordering::Relaxed), 8 << 4, "{name}: leaves");
+        let tokens = (nproc as u64 / 2) * 10;
+        assert_eq!(consumed.load(Ordering::Relaxed), tokens, "{name}: tokens");
+        let delta = machine.stats().snapshot().since(&before);
+        assert!(
+            delta.parks > 0,
+            "{name}: the overcommitted force never parked"
+        );
+        assert_eq!(delta.parks, delta.park_wakes, "{name}: an unwoken park");
+        assert_eq!(delta.watchdog_trips, 0, "{name}: the watchdog tripped");
+    }
+}
+
+/// At a width where no pid waits for a run permit, one wait-heavy job —
+/// 40 barrier + critical episodes at nproc 2 — does the same work on
+/// both backends, and each matches every park with a wake: the backends
+/// differ only in how a wait is spent.
+#[test]
+fn both_backends_do_the_same_work_with_balanced_parks() {
+    const NP: usize = 2;
+    for id in MachineId::all() {
+        let name = id.name();
+        let job = |backend: ParkBackend| {
+            let force = Force::with_machine(NP, Machine::new(id));
+            let options = RunOptions {
+                backend,
+                ..RunOptions::default()
+            };
+            force
+                .try_execute_with(options, |p| {
+                    for _ in 0..40 {
+                        p.barrier();
+                        p.critical("T", || support::busy_work(8));
+                    }
+                })
+                .unwrap_or_else(|f| panic!("{name}: {f}"));
+            let stats = force.last_job_stats().expect("a clean run has stats");
+            assert_eq!(stats.parks, stats.park_wakes, "{name}: {backend:?}");
+            stats
+        };
+        let tpp = job(ParkBackend::ThreadPerPid);
+        let ovc = job(ParkBackend::Overcommit { workers: NP });
+        assert!(tpp.barrier_episodes > 0, "{name}: no barrier episode");
+        assert_eq!(tpp.barrier_episodes, ovc.barrier_episodes, "{name}");
+        assert_eq!(tpp.lock_acquires, ovc.lock_acquires, "{name}");
+        let transfers = |s: &the_force::machdep::StatsSnapshot| s.fe_produces + s.fe_consumes;
+        assert_eq!(transfers(&tpp), transfers(&ovc), "{name}: full/empty");
     }
 }
 

@@ -458,7 +458,6 @@ crates/prep: use ExpansionCache
 crates/prep: use PassCounts
 crates/prep: use PrepError
 crates/prep: use VarClass
-crates/prep: use clear_expansion_cache
 crates/prep: use expansion_cache
 crates/prep: use expansion_cache_len
 crates/prep: use expansion_cache_stats

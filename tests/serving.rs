@@ -745,6 +745,195 @@ fn overload_rejects_and_sheds_instead_of_collapsing() {
     ));
 }
 
+/// Yield until `ready()`, or give up after 5 s: a liveness bound that
+/// only a server which stopped making progress reaches, and whose counts
+/// the caller's assertions then refuse.  No verdict reads the clock.
+fn hold_until(ready: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while !ready() && Instant::now() < give_up {
+        std::thread::yield_now();
+    }
+}
+
+/// A burst four times faster than the server starts jobs, on every
+/// personality: it is absorbed by shedding and deadline kills, every
+/// admitted job reaches an outcome, the backlog stays near the
+/// watermark, no watchdog trips, and the server answers afterwards.
+/// The overload is paced by count, not by time: the `k`-th job to start
+/// holds until `allowed(k)` jobs have arrived, and job `j` arrives once
+/// `j < allowed(started)`; the first holds until more than a watermark is
+/// queued behind it, so the dequeue after it must shed.
+#[test]
+fn a_burst_past_the_watermark_is_shed_and_the_server_still_answers() {
+    const BURST: usize = 160;
+    const WATERMARK: usize = 24;
+    let allowed = |k: usize| (WATERMARK + 2 + 4 * k).min(BURST);
+    for id in MachineId::all() {
+        let name = id.name();
+        let machine = Machine::new(id);
+        let base = machine.stats().snapshot();
+        let pool = Arc::new(ForcePool::new(NPROC, machine.stats()));
+        let force = Arc::new(Force::with_machine(NPROC, Arc::clone(&machine)).with_pool(pool));
+        let job = |p: &the_force::core::Player| {
+            p.barrier();
+            support::busy_work(64);
+            p.barrier();
+        };
+        let server = ForceServer::new(
+            ServerConfig {
+                tenant_queue_capacity: WATERMARK * 4,
+                shed_watermark: WATERMARK,
+                retry_base: Duration::from_micros(200),
+                ..ServerConfig::default()
+            },
+            machine.stats(),
+        );
+        let (arrived, started) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let mut handles = Vec::with_capacity(BURST);
+        for j in 0..BURST {
+            hold_until(|| j < allowed(started.load(Ordering::SeqCst)));
+            let mut run = force.serve_runner(RunOptions::default(), job);
+            let (seen, start) = (Arc::clone(&arrived), Arc::clone(&started));
+            let runner: JobRunner = Box::new(move |cx| {
+                let k = start.fetch_add(1, Ordering::SeqCst);
+                hold_until(|| seen.load(Ordering::SeqCst) >= allowed(k));
+                run(cx)
+            });
+            let priority = if j % 8 == 0 {
+                Priority::High
+            } else {
+                Priority::Normal
+            };
+            let mut spec = JobSpec::for_tenant("burst").with_priority(priority);
+            if j % 4 == 0 {
+                spec = spec.with_deadline(Duration::from_millis(5));
+            }
+            if let Submit::Admitted(h) = server.submit(spec, runner) {
+                handles.push(h);
+            }
+            arrived.fetch_add(1, Ordering::SeqCst);
+        }
+        for h in &handles {
+            let _ = h.wait();
+        }
+        let probe = expect_admitted(server.submit(
+            JobSpec::for_tenant("probe").with_priority(Priority::High),
+            force.serve_runner(RunOptions::default(), job),
+        ));
+        assert!(probe.wait().is_success(), "{name}: the post-burst probe");
+        let burst = server.tenant_report("burst").unwrap_or_default();
+        let peak = server.peak_backlog();
+        server.shutdown();
+        let (shed, killed) = (burst.shed, burst.deadline_exceeded);
+        assert!(shed + killed > 0, "{name}: absorbed without shed or kill");
+        assert_eq!(
+            burst.admitted,
+            burst.completed + shed + killed,
+            "{name}: a burst job vanished"
+        );
+        assert!(
+            peak <= WATERMARK + 64,
+            "{name}: backlog {peak} not near the watermark"
+        );
+        let trips = machine.stats().snapshot().since(&base).watchdog_trips;
+        assert_eq!(trips, 0, "{name}: the watchdog tripped");
+    }
+}
+
+/// At 1, 2 and 4 shards on every personality, 120 jobs over 8 tenants all
+/// succeed with nothing shed, each shard reports a peak within the
+/// server's, and exactly `shards` jobs run at once: the shards overlap
+/// their jobs, and none runs two.  The first jobs hold until `shards` of
+/// them run together, so the overlap is reached by count.
+#[test]
+fn every_shard_runs_one_job_at_a_time_and_the_shards_overlap() {
+    const JOBS: usize = 120;
+    const TENANTS: usize = 8;
+    const NP: usize = 2;
+    let tenant_names: Vec<String> = (0..TENANTS).map(|t| format!("tenant-{t}")).collect();
+    for id in MachineId::all() {
+        let name = id.name();
+        for shards in [1, 2, 4] {
+            let machine = Machine::new(id);
+            // One session and pool per shard: a shard runs its jobs one
+            // at a time, so no session is shared by two running jobs,
+            // whichever shard pulled the job.
+            let sessions: Arc<Vec<Force>> = Arc::new(
+                (0..shards)
+                    .map(|_| {
+                        let pool = Arc::new(ForcePool::new(NP, machine.stats()));
+                        Force::with_machine(NP, Arc::clone(&machine)).with_pool(pool)
+                    })
+                    .collect(),
+            );
+            // Jobs running, the most ever seen, and whether the first jobs
+            // may stop holding.
+            let flight = Arc::new((
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicBool::new(false),
+            ));
+            let server = ForceServer::new(
+                ServerConfig {
+                    shards,
+                    tenant_queue_capacity: JOBS,
+                    shed_watermark: JOBS * 2,
+                    retry_base: Duration::from_micros(200),
+                    ..ServerConfig::default()
+                },
+                machine.stats(),
+            );
+            let handles: Vec<_> = (0..JOBS)
+                .map(|j| {
+                    let (sessions, flight) = (Arc::clone(&sessions), Arc::clone(&flight));
+                    let runner: JobRunner = Box::new(move |cx| {
+                        let (running, max_running, released) = &*flight;
+                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                        max_running.fetch_max(now, Ordering::SeqCst);
+                        hold_until(|| {
+                            released.load(Ordering::SeqCst)
+                                || max_running.load(Ordering::SeqCst) >= shards
+                        });
+                        released.store(true, Ordering::SeqCst);
+                        let session = &sessions[cx.shard() % sessions.len()];
+                        let ran = run_bound(cx, session, RunOptions::default(), |p| {
+                            p.barrier();
+                            support::busy_work(32);
+                            p.barrier();
+                        });
+                        running.fetch_sub(1, Ordering::SeqCst);
+                        ran
+                    });
+                    let priority = if j % 8 == 0 {
+                        Priority::High
+                    } else {
+                        Priority::Normal
+                    };
+                    let spec = JobSpec::for_tenant(&tenant_names[j % TENANTS]);
+                    expect_admitted(server.submit(spec.with_priority(priority), runner))
+                })
+                .collect();
+            let at = format!("{name}, {shards} shards");
+            for h in &handles {
+                assert!(h.wait().is_success(), "{at}: a job failed");
+            }
+            let report = server.server_report();
+            server.shutdown();
+            assert_eq!(report.completed, JOBS as u64, "{at}: jobs lost");
+            assert_eq!(report.shed, 0, "{at}: work shed");
+            let peaks = &report.shard_peak_backlogs;
+            assert_eq!(peaks.len(), shards, "{at}: not a peak per shard");
+            assert!(
+                peaks.iter().all(|&p| p <= report.peak_backlog),
+                "{at}: a shard peak {peaks:?} above the backlog {}",
+                report.peak_backlog
+            );
+            let at_once = flight.1.load(Ordering::SeqCst);
+            assert_eq!(at_once, shards, "{at}: {at_once} jobs at once");
+        }
+    }
+}
+
 // --- The shard's force -------------------------------------------------
 //
 // A served session that attached no pool of its own borrows the

@@ -38,6 +38,18 @@ pub const TIMING_DEPENDENT_COUNTERS: &[&str] = &[
     "cancellations_observed",
 ];
 
+/// `units` rounds of a 64-bit mix: work the optimizer cannot remove,
+/// to give a job a body.
+pub fn busy_work(units: u64) -> u64 {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_add(units);
+    for _ in 0..units {
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        x ^= x >> 29;
+    }
+    std::hint::black_box(x)
+}
+
 /// Load `src` for the reference interpreter onto `machine`.
 pub fn load_oracle(src: &str, machine: &Arc<Machine>) -> Oracle {
     let id = machine.id();
