@@ -75,8 +75,9 @@ impl<T> Async<T> {
     /// variable's emptiness in which lock is *held*, so the pair must
     /// own dedicated physical slots: on the Cray-2 the allocation fails
     /// once the 32-slot pool is exhausted, where it previously aliased
-    /// user criticals and broke semaphore-style use silently (the EXP-19
-    /// channel cap).
+    /// user criticals and broke semaphore-style use silently (the channel
+    /// cap `tests/overcommit.rs::every_machine_survives_overcommit` holds
+    /// to at most 8).
     pub fn try_new(machine: &Machine) -> Result<Self, ScarceLockError> {
         match machine.hardware_fullempty(false) {
             Some(fe) => Ok(Async {
@@ -390,7 +391,8 @@ mod tests {
 
     #[test]
     fn cray_async_channels_fail_structurally_beyond_the_pool() {
-        // Regression for the EXP-19 channel cap: beyond 16 channels (32
+        // Regression for the channel cap (`tests/overcommit.rs::
+        // every_machine_survives_overcommit`): beyond 16 channels (32
         // pool slots / 2 locks per channel) the Cray-2's E/F pairs used
         // to alias pooled slots, silently breaking the semaphore-style
         // full/empty protocol of *other* variables.  Now the allocation

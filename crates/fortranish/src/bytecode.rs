@@ -35,14 +35,13 @@
 //! delegate to the single service layer in [`crate::engine`], so lock
 //! semantics, stats charging and fault attribution cannot drift.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use force_core::schedule::ForceRange;
 use force_machdep::{fault, FullEmptyState, LockKind};
 use force_prep::weigh::{str_bytes, strings_bytes, vec_bytes};
 
-use crate::ast::{BinOp, Expr, LValue, Ty, UnOp};
+use crate::ast::{BinOp, Expr, LValue, Stmt, Ty, UnOp};
 use crate::engine::{
     aini_service, check_fork_mnemonic, check_hardware_fe, check_isfull_machine, check_vendor_locks,
     eval_binop, hep_construct, hep_consume, hep_copy, hep_produce, init_lock_service, int_binop,
@@ -51,7 +50,8 @@ use crate::engine::{
 };
 use crate::error::FortError;
 use crate::intrinsics;
-use crate::program::{Op, Program, Storage, Symbol, Unit};
+use crate::program::{Line, Program, Storage, Symbol, Symbols, Unit};
+use crate::token::{Name, Names, Texts};
 use crate::value::Value;
 
 // ---- instruction set -------------------------------------------------
@@ -406,7 +406,7 @@ pub struct CompiledProgram {
     /// fields index this table.
     pub(crate) blocks: Vec<String>,
     /// Interned strings (error messages, dynamic-lookup names).
-    pub(crate) names: Vec<String>,
+    pub(crate) names: Texts,
     /// Interned dimension vectors for array-base argument bindings.
     pub(crate) dims_tables: Vec<Vec<usize>>,
 }
@@ -434,7 +434,7 @@ impl CompiledProgram {
         vec_bytes(&self.units)
             + units
             + strings_bytes(&self.blocks)
-            + strings_bytes(&self.names)
+            + self.names.heap_bytes()
             + vec_bytes(&self.dims_tables)
             + self.dims_tables.iter().map(vec_bytes).sum::<usize>()
     }
@@ -444,59 +444,142 @@ impl CompiledProgram {
 
 struct Compiler<'p> {
     program: &'p Program,
-    block_ids: HashMap<&'p str, u16>,
-    unit_ids: HashMap<&'p str, u32>,
-    names: Vec<String>,
-    name_ids: HashMap<String, u32>,
+    /// Each unit's index in the compiled program, by name id;
+    /// `u32::MAX` for a name that is not a unit.
+    unit_ids: Vec<u32>,
+    /// The compiled program's names and messages.
+    names: Names,
+    /// Each program name's id in `names`, by its id in the program;
+    /// `u32::MAX` until it is interned.
+    name_ids: Vec<u32>,
     dims_tables: Vec<Vec<usize>>,
 }
 
 /// Per-unit code emission state.
 struct Emit<'p> {
-    symbols: &'p HashMap<String, Symbol>,
+    symbols: &'p Symbols,
     code: Vec<Instr>,
     lines: Vec<u32>,
 }
 
 impl<'p> Emit<'p> {
-    fn push(&mut self, i: Instr, line: usize) {
+    /// Append `i`; its index.
+    fn push(&mut self, i: Instr, line: usize) -> usize {
         self.code.push(i);
         self.lines.push(line as u32);
+        self.code.len() - 1
     }
 
     /// A symbol of the unit: borrowed from the program, not from `self`,
     /// so code can be emitted while it is held.
-    fn symbol(&self, name: &str) -> Option<&'p Symbol> {
+    fn symbol(&self, name: Name) -> Option<&'p Symbol> {
         self.symbols.get(name)
+    }
+
+    /// Point the jump at `at` to the next instruction to be emitted.
+    fn land(&mut self, at: usize) {
+        let here = self.code.len() as u32;
+        aim(&mut self.code[at], here);
     }
 }
 
-/// Lower a parsed program to bytecode.  Infallible by design: statically
+/// Set the target of the jump `i`.
+fn aim(i: &mut Instr, target: u32) {
+    match i {
+        Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::DoCheck(t) | Instr::BranchInt { t, .. } => {
+            *t = target
+        }
+        other => unreachable!("jump target set on {other:?}"),
+    }
+}
+
+/// Where a forward branch goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Target {
+    /// Past what the branch guards — its `IF` block's next arm, a logical
+    /// `IF`'s statement, a `DO`'s body: the caller lands it.
+    Past,
+    /// The end of the enclosing block `IF`.
+    IfEnd,
+    /// The statement labelled so.
+    Label(u32),
+}
+
+/// An open block `IF`.
+struct IfFrame {
+    /// The branch to the next arm, not yet landed.
+    false_patch: Option<usize>,
+    /// The jumps to the block's end.
+    end_patches: Vec<usize>,
+}
+
+/// An open `DO`.
+struct DoFrame<'u> {
+    terminal: Option<u32>,
+    var: Name,
+    step: &'u Expr,
+    /// The loop head's first instruction.
+    head: u32,
+    /// The head's exit branch.
+    exit: usize,
+}
+
+/// A unit's jumps while its code is emitted.
+#[derive(Default)]
+struct Jumps<'u> {
+    /// `(label, instruction)` per labelled statement.
+    labels: Vec<(u32, u32)>,
+    /// `(jump, label)` per jump to a label.
+    gotos: Vec<(usize, u32)>,
+    ifs: Vec<IfFrame>,
+    dos: Vec<DoFrame<'u>>,
+}
+
+impl Jumps<'_> {
+    /// Record where the branch at `at` goes; the branch itself if its
+    /// target is [`Target::Past`], for the caller to land.
+    fn record(&mut self, at: usize, target: Target) -> Option<usize> {
+        match target {
+            Target::Past => return Some(at),
+            Target::IfEnd => self
+                .ifs
+                .last_mut()
+                .expect("an IF block is open")
+                .end_patches
+                .push(at),
+            Target::Label(l) => self.gotos.push((at, l)),
+        }
+        None
+    }
+
+    /// Whether `line` ends the innermost open `DO`.
+    fn closes_do(&self, line: &Line) -> bool {
+        line.label.is_some() && self.dos.last().map(|d| d.terminal) == Some(line.label)
+    }
+}
+
+/// `1`, the step of a `DO` that names none.
+static ONE: Expr = Expr::Int(1);
+
+/// Lower a resolved program to bytecode.  Infallible by design: statically
 /// detectable runtime errors become `Instr::Fail` at their execution
 /// point, preserving the tree-walker's fault timing.
 pub fn compile(program: &Program) -> CompiledProgram {
+    let names = program.names.len();
+    let mut order: Vec<&Unit> = program.units.iter().collect();
+    order.sort_unstable_by(|a, b| program.name(a.name).cmp(program.name(b.name)));
+    let mut unit_ids = vec![u32::MAX; names];
+    for (i, u) in order.iter().enumerate() {
+        unit_ids[u.name.0 as usize] = i as u32;
+    }
     let mut c = Compiler {
         program,
-        block_ids: program
-            .shared_blocks
-            .iter()
-            .enumerate()
-            .map(|(i, (n, _))| (n.as_str(), i as u16))
-            .collect(),
-        unit_ids: HashMap::new(),
-        names: Vec::new(),
-        name_ids: HashMap::new(),
+        unit_ids,
+        names: Names::with_room(32),
+        name_ids: vec![u32::MAX; names],
         dims_tables: Vec::new(),
     };
-    let mut unit_names: Vec<&str> = program.units.keys().map(|s| s.as_str()).collect();
-    unit_names.sort_unstable();
-    for (i, n) in unit_names.iter().enumerate() {
-        c.unit_ids.insert(n, i as u32);
-    }
-    let units = unit_names
-        .iter()
-        .map(|n| c.compile_unit(&program.units[*n]))
-        .collect();
+    let units = order.iter().map(|u| c.compile_unit(u)).collect();
     CompiledProgram {
         units,
         blocks: program
@@ -504,7 +587,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
             .iter()
             .map(|(n, _)| n.clone())
             .collect(),
-        names: c.names,
+        names: c.names.freeze(),
         dims_tables: c.dims_tables,
     }
 }
@@ -514,36 +597,37 @@ struct DoHead<'u> {
     var: &'u Expr,
     to: &'u Expr,
     step: &'u Expr,
-    /// The op the loop leaves to.
-    exit: usize,
+    /// Where the loop leaves to.
+    exit: Target,
     /// The head is spelled `IF (.NOT. (<head>)) GO TO exit` (a
-    /// prescheduled DO): the `DoCheck` absorbs the `GO TO`, the next op.
+    /// prescheduled DO): the `DoCheck` absorbs the `GO TO`.
     negated: bool,
 }
 
-/// The loop head that op `pc`, `JumpIfFalse(cond, t)`, opens, if any.
+/// The loop head `IF (cond)` opens, if any; `after` is where the `GO TO`
+/// after the test goes, when the test may absorb it.
 ///
 /// The fused check evaluates step, variable and bound and only then
 /// compares; the tree compares the step with zero *before* it evaluates
 /// the bound.  The two agree on every error only when that comparison
 /// cannot fail — an INTEGER step ([`always_integer`]) — so any other
 /// step keeps the tree's shape.
-fn do_head<'u>(unit: &'u Unit, pc: usize, cond: &'u Expr, t: usize) -> Option<DoHead<'u>> {
-    let int_step = |step: &Expr| always_integer(step, &unit.symbols);
-    if let Some((var, to, step)) = crate::program::match_do_condition(cond) {
+fn do_head<'u>(symbols: &Symbols, cond: &'u Expr, after: Option<Target>) -> Option<DoHead<'u>> {
+    let int_step = |step: &Expr| always_integer(step, symbols);
+    if let Some((var, to, step)) = cond.as_do_condition() {
         return int_step(step).then_some(DoHead {
             var,
             to,
             step,
-            exit: t,
+            exit: Target::Past,
             negated: false,
         });
     }
     let Expr::Un(UnOp::Not, inner) = cond else {
         return None;
     };
-    let (var, to, step) = crate::program::match_do_condition(inner)?;
-    let exit = goto_after(unit, pc, t)?;
+    let (var, to, step) = inner.as_do_condition()?;
+    let exit = after?;
     int_step(step).then_some(DoHead {
         var,
         to,
@@ -553,20 +637,31 @@ fn do_head<'u>(unit: &'u Unit, pc: usize, cond: &'u Expr, t: usize) -> Option<Do
     })
 }
 
-/// Where op `pc`, `JumpIfFalse(_, t)`, goes when its condition holds, if
-/// that is a `GO TO` the branch can absorb: `IF (c) GO TO l` is the pair
-/// `JumpIfFalse(c, pc + 2)`, `Jump(l)`.  The `GO TO` disappears, so
-/// nothing else may jump to it.
-fn goto_after(unit: &Unit, pc: usize, t: usize) -> Option<usize> {
-    let Some(&Op::Jump(l)) = unit.ops.get(pc + 1) else {
+/// Where the `IF` at `body[i]` jumps when its test holds, if that is a
+/// jump its branch can absorb: the test is followed by a jump and jumps
+/// past it, and nothing else jumps to it.  That is an empty first arm
+/// before `ELSE`/`ELSE IF` (the arm's jump to the block's end) and a
+/// first arm that is one `GO TO` before `END IF`.
+fn after_if(unit: &Unit, jumps: &Jumps<'_>, i: usize) -> Option<Target> {
+    let body = &unit.body;
+    // A `DO` closing on the `IF`'s own line comes between.
+    if jumps.closes_do(&body[i]) {
         return None;
-    };
-    let targeted = || {
-        unit.ops
-            .iter()
-            .any(|op| matches!(op, Op::Jump(j) | Op::JumpIfFalse(_, j) if *j == pc + 1))
-    };
-    (t == pc + 2 && !targeted()).then_some(l)
+    }
+    let next = body.get(i + 1)?;
+    if next.label.is_some_and(|l| unit.is_goto_target(l)) {
+        return None;
+    }
+    match &next.stmt {
+        Stmt::Else | Stmt::ElseIf(_) => Some(Target::IfEnd),
+        Stmt::Goto(l)
+            if !jumps.closes_do(next)
+                && matches!(body.get(i + 2).map(|l| &l.stmt), Some(Stmt::EndIf)) =>
+        {
+            Some(Target::Label(*l))
+        }
+        _ => None,
+    }
 }
 
 /// `(a, rel, b)` such that `cond` holds exactly when `a rel b` does, if
@@ -615,11 +710,11 @@ fn int_constant(x: &Expr) -> Option<i64> {
 /// type: literals, INTEGER variables and elements of the unit's own
 /// storage (an argument's binding may hold any type), `ME`/`NP`, and
 /// `+ − × ÷` and negation of those.
-fn always_integer(x: &Expr, symbols: &HashMap<String, Symbol>) -> bool {
+fn always_integer(x: &Expr, symbols: &Symbols) -> bool {
     match x {
         Expr::Int(_) => true,
         Expr::Var(n) | Expr::Index(n, _) => symbols
-            .get(n)
+            .get(*n)
             .is_some_and(|s| s.ty == Ty::Integer && !matches!(s.storage, Storage::Arg(_))),
         Expr::Un(UnOp::Neg, a) => always_integer(a, symbols),
         Expr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div, a, b) => {
@@ -630,14 +725,18 @@ fn always_integer(x: &Expr, symbols: &HashMap<String, Symbol>) -> bool {
 }
 
 impl<'p> Compiler<'p> {
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.name_ids.get(s) {
-            return i;
+    /// The `names` index of program name `n`.
+    fn intern(&mut self, n: Name) -> u32 {
+        let slot = &mut self.name_ids[n.0 as usize];
+        if *slot == u32::MAX {
+            *slot = self.names.intern(self.program.name(n)).0;
         }
-        let i = self.names.len() as u32;
-        self.names.push(s.to_string());
-        self.name_ids.insert(s.to_string(), i);
-        i
+        *slot
+    }
+
+    /// The `names` index of a message.
+    fn intern_text(&mut self, s: String) -> u32 {
+        self.names.intern(&s).0
     }
 
     fn intern_dims(&mut self, dims: &[usize]) -> u32 {
@@ -648,92 +747,117 @@ impl<'p> Compiler<'p> {
         (self.dims_tables.len() - 1) as u32
     }
 
+    /// The compiled index of unit `n`, if `n` names a unit.
+    fn unit_id(&self, n: Name) -> Option<u32> {
+        Some(self.unit_ids[n.0 as usize]).filter(|&u| u != u32::MAX)
+    }
+
+    fn text(&self, n: Name) -> &'p str {
+        self.program.name(n)
+    }
+
     fn compile_unit(&mut self, unit: &'p Unit) -> CUnit {
         let mut e = Emit {
             symbols: &unit.symbols,
-            code: Vec::new(),
-            lines: Vec::new(),
+            code: Vec::with_capacity(unit.body.len() * 2 + 1),
+            lines: Vec::with_capacity(unit.body.len() * 2 + 1),
         };
-        // First pass: emit each op, recording where it starts; jump
-        // targets temporarily hold *op* indices.
-        let mut op_starts = Vec::with_capacity(unit.ops.len() + 1);
+        let mut j = Jumps::default();
+        // The statement's jump was absorbed by the branch before it.
         let mut absorbed = false;
-        for (pc, op) in unit.ops.iter().enumerate() {
-            op_starts.push(e.code.len() as u32);
-            if std::mem::take(&mut absorbed) {
-                continue;
+        for (i, line) in unit.body.iter().enumerate() {
+            let line_no = line.line_no;
+            if let Some(label) = line.label {
+                j.labels.push((label, e.code.len() as u32));
             }
-            let line = unit.op_lines[pc];
-            match op {
-                Op::Nop => {}
-                Op::Jump(t) => e.push(Instr::Jump(*t as u32), line),
-                Op::JumpIfFalse(cond, t) => {
-                    let head = do_head(unit, pc, cond, *t);
-                    let fused = match &head {
-                        Some(head) => self.int_head(&e, head),
-                        None => self.int_branch(&e, unit, pc, cond, *t),
+            let skip = std::mem::take(&mut absorbed);
+            match &line.stmt {
+                Stmt::IfThen(cond) => {
+                    j.ifs.push(IfFrame {
+                        false_patch: None,
+                        end_patches: Vec::new(),
+                    });
+                    let after = after_if(unit, &j, i);
+                    let (past, absorbs) = self.branch(&mut e, &mut j, cond, after, line_no);
+                    j.ifs.last_mut().expect("pushed").false_patch = past;
+                    absorbed = absorbs;
+                }
+                Stmt::ElseIf(cond) => {
+                    if !skip {
+                        self.next_arm(&mut e, &mut j, line_no);
+                    }
+                    let after = after_if(unit, &j, i);
+                    let (past, absorbs) = self.branch(&mut e, &mut j, cond, after, line_no);
+                    j.ifs.last_mut().expect("checked").false_patch = past;
+                    absorbed = absorbs;
+                }
+                Stmt::Else => {
+                    if !skip {
+                        self.next_arm(&mut e, &mut j, line_no);
+                    }
+                }
+                Stmt::EndIf => {
+                    let frame = j.ifs.pop().expect("checked");
+                    for at in frame.false_patch.into_iter().chain(frame.end_patches) {
+                        e.land(at);
+                    }
+                }
+                Stmt::LogicalIf(cond, inner) => {
+                    let after = match **inner {
+                        Stmt::Goto(l) => Some(Target::Label(l)),
+                        _ => None,
                     };
-                    if let Some((branch, absorbs)) = fused {
-                        e.push(branch, line);
-                        absorbed = absorbs;
-                    } else if let Some(head) = head {
-                        // Tree evaluation order of the condition's first
-                        // error: step, then var, then to.
-                        self.expr(&mut e, head.step, line);
-                        self.expr(&mut e, head.var, line);
-                        self.expr(&mut e, head.to, line);
-                        e.push(Instr::DoCheck(head.exit as u32), line);
-                        absorbed = head.negated;
-                    } else if *cond != Expr::Logical(true) {
-                        // `IF (.TRUE.) THEN` (a Pcase `Usect`) never
-                        // jumps: it compiles to nothing.
-                        self.expr(&mut e, cond, line);
-                        e.push(Instr::JumpIfFalse(*t as u32), line);
+                    let (past, absorbs) = self.branch(&mut e, &mut j, cond, after, line_no);
+                    if !absorbs {
+                        self.simple(&mut e, &mut j, inner, line_no);
+                    }
+                    if let Some(at) = past {
+                        e.land(at);
                     }
                 }
-                Op::Assign(lhs, rhs) => match self.int_assign(&e, lhs, rhs) {
-                    Some(assign) => e.push(assign, line),
-                    None => {
-                        self.expr(&mut e, rhs, line);
-                        self.store(&mut e, lhs, line);
-                    }
-                },
-                Op::Print(items) => {
-                    for it in items {
-                        match it {
-                            Expr::Str(s) => {
-                                let id = self.intern(s);
-                                e.push(Instr::PrintStr(id), line);
-                            }
-                            other => {
-                                self.expr(&mut e, other, line);
-                                e.push(Instr::PrintVal, line);
-                            }
-                        }
-                    }
-                    e.push(Instr::PrintFlush, line);
+                Stmt::ArithIf(x, neg, zero, pos) => {
+                    self.arith_if(&mut e, &mut j, x, [*neg, *zero, *pos], line_no)
                 }
-                Op::Return => e.push(Instr::Return, line),
-                Op::Stop => e.push(Instr::Stop, line),
-                Op::Call(name, args) => self.call(&mut e, name, args, line),
+                Stmt::Do {
+                    label,
+                    var,
+                    from,
+                    to,
+                    step,
+                } => {
+                    let step = step.as_ref().unwrap_or(&ONE);
+                    let frame = self.do_head(&mut e, *var, from, to, step, line_no);
+                    j.dos.push(DoFrame {
+                        terminal: *label,
+                        ..frame
+                    });
+                }
+                Stmt::EndDo => {
+                    let frame = j.dos.pop().expect("checked");
+                    self.close_do(&mut e, frame, line_no);
+                }
+                Stmt::Goto(_) if skip => {}
+                other => self.simple(&mut e, &mut j, other, line_no),
+            }
+            // Close labeled DO loops terminating at this line.
+            while j.closes_do(line) {
+                let frame = j.dos.pop().expect("checked");
+                self.close_do(&mut e, frame, line_no);
             }
         }
-        op_starts.push(e.code.len() as u32);
-        // Second pass: rewrite op-index jump targets to instruction
-        // offsets.
-        for i in &mut e.code {
-            match i {
-                Instr::Jump(t)
-                | Instr::JumpIfFalse(t)
-                | Instr::DoCheck(t)
-                | Instr::BranchInt { t, .. } => {
-                    *t = op_starts[*t as usize];
-                }
-                _ => {}
-            }
+        // Implicit return at unit end.
+        let last_line = unit.body.last().map(|l| l.line_no).unwrap_or(0);
+        e.push(Instr::Return, last_line);
+        j.labels.sort_unstable();
+        for (at, label) in j.gotos {
+            let i = j
+                .labels
+                .binary_search_by_key(&label, |&(l, _)| l)
+                .expect("every GO TO lands: checked when resolved");
+            aim(&mut e.code[at], j.labels[i].1);
         }
         let mut locals_init = Vec::new();
-        for sym in unit.symbols.values() {
+        for (_, sym) in unit.symbols.iter() {
             if let Storage::Local { base } = sym.storage {
                 if sym.ty != Ty::Integer {
                     locals_init.push((base as u32, sym.words() as u32, sym.ty));
@@ -745,7 +869,7 @@ impl<'p> Compiler<'p> {
         e.code.shrink_to_fit();
         e.lines.shrink_to_fit();
         CUnit {
-            name: unit.name.clone(),
+            name: self.text(unit.name).to_string(),
             params: unit.params.len() as u16,
             frame_words: unit.frame_words as u32,
             locals_init,
@@ -754,17 +878,209 @@ impl<'p> Compiler<'p> {
         }
     }
 
+    /// A statement with no control flow of its own, or a `GO TO`.
+    fn simple(&mut self, e: &mut Emit<'_>, j: &mut Jumps<'_>, stmt: &Stmt, line: usize) {
+        match stmt {
+            Stmt::Decl { .. } | Stmt::Common { .. } | Stmt::Continue => {}
+            Stmt::Assign { lhs, rhs } => self.assign(e, lhs, rhs, line),
+            Stmt::Print(items) => {
+                for it in items {
+                    match it {
+                        Expr::Str(s) => {
+                            let id = self.intern(*s);
+                            e.push(Instr::PrintStr(id), line);
+                        }
+                        other => {
+                            self.expr(e, other, line);
+                            e.push(Instr::PrintVal, line);
+                        }
+                    }
+                }
+                e.push(Instr::PrintFlush, line);
+            }
+            Stmt::Return => {
+                e.push(Instr::Return, line);
+            }
+            Stmt::Stop => {
+                e.push(Instr::Stop, line);
+            }
+            Stmt::Call { name, args } => self.call(e, *name, args, line),
+            Stmt::Goto(l) => {
+                let at = e.push(Instr::Jump(0), line);
+                j.gotos.push((at, *l));
+            }
+            other => unreachable!("{other:?} is not a simple statement"),
+        }
+    }
+
+    /// The jump to the end of the open `IF` block that closes its arm,
+    /// and the previous arm's branch landed after it.
+    fn next_arm(&mut self, e: &mut Emit<'_>, j: &mut Jumps<'_>, line: usize) {
+        let at = e.push(Instr::Jump(0), line);
+        let frame = j.ifs.last_mut().expect("checked");
+        frame.end_patches.push(at);
+        if let Some(past) = frame.false_patch.take() {
+            e.land(past);
+        }
+    }
+
+    /// `IF (cond)`: code that goes on when `cond` holds and branches
+    /// otherwise — or, when the branch absorbs the jump after the test
+    /// (`after`), branches to that jump's target when `cond` holds.
+    /// Returns the branch if it goes [`Target::Past`], for the caller to
+    /// land, and whether it absorbed the jump.
+    fn branch(
+        &mut self,
+        e: &mut Emit<'_>,
+        j: &mut Jumps<'_>,
+        cond: &Expr,
+        after: Option<Target>,
+        line: usize,
+    ) -> (Option<usize>, bool) {
+        let head = do_head(e.symbols, cond, after);
+        let fused = match &head {
+            Some(head) => self.int_head(e, head),
+            None => self.int_branch(e, cond, after),
+        };
+        if let Some((branch, target, absorbs)) = fused {
+            let at = e.push(branch, line);
+            return (j.record(at, target), absorbs);
+        }
+        if let Some(head) = head {
+            // Tree evaluation order of the condition's first error: step,
+            // then var, then to.
+            self.expr(e, head.step, line);
+            self.expr(e, head.var, line);
+            self.expr(e, head.to, line);
+            let at = e.push(Instr::DoCheck(0), line);
+            return (j.record(at, head.exit), head.negated);
+        }
+        if *cond == Expr::Logical(true) {
+            // `IF (.TRUE.) THEN` (a Pcase `Usect`) never jumps: it
+            // compiles to nothing.
+            return (None, false);
+        }
+        self.expr(e, cond, line);
+        (Some(e.push(Instr::JumpIfFalse(0), line)), false)
+    }
+
+    /// `IF (x) neg, zero, pos`: a branch on `x < 0`, one on `x = 0`,
+    /// then the jump to `pos`.  `x` is evaluated up to twice; expressions
+    /// in this subset are side-effect free.
+    fn arith_if(&mut self, e: &mut Emit<'_>, j: &mut Jumps<'_>, x: &Expr, to: [u32; 3], line: usize) {
+        let zero = Expr::Int(0);
+        for (rel, label) in [(BinOp::Lt, to[0]), (BinOp::Eq, to[1])] {
+            if let Some(branch) = self.branch_int(e, x, rel, &zero) {
+                let at = e.push(branch, line);
+                j.gotos.push((at, label));
+                continue;
+            }
+            self.expr(e, x, line);
+            e.push(Instr::ConstInt(0), line);
+            e.push(Instr::Bin(rel), line);
+            let past = e.push(Instr::JumpIfFalse(0), line);
+            let at = e.push(Instr::Jump(0), line);
+            j.gotos.push((at, label));
+            e.land(past);
+        }
+        let at = e.push(Instr::Jump(0), line);
+        j.gotos.push((at, to[2]));
+    }
+
+    /// `DO var = from, to, step`: the first assignment, then the head;
+    /// the frame's exit branch is still to land.
+    fn do_head<'u>(
+        &mut self,
+        e: &mut Emit<'_>,
+        var: Name,
+        from: &Expr,
+        to: &'u Expr,
+        step: &'u Expr,
+        line: usize,
+    ) -> DoFrame<'u> {
+        self.assign(e, &LValue::Name(var), from, line);
+        let head = e.code.len() as u32;
+        let var_expr = Expr::Var(var);
+        let exit = if always_integer(step, e.symbols) {
+            let fused = DoHead {
+                var: &var_expr,
+                to,
+                step,
+                exit: Target::Past,
+                negated: false,
+            };
+            match self.int_head(e, &fused) {
+                Some((branch, ..)) => e.push(branch, line),
+                None => {
+                    self.expr(e, step, line);
+                    self.expr(e, &var_expr, line);
+                    self.expr(e, to, line);
+                    e.push(Instr::DoCheck(0), line)
+                }
+            }
+        } else {
+            // The §4.2 test as the tree spells it.
+            let cond = Expr::do_condition(var, to, step);
+            self.expr(e, &cond, line);
+            e.push(Instr::JumpIfFalse(0), line)
+        };
+        DoFrame {
+            terminal: None,
+            var,
+            step,
+            head,
+            exit,
+        }
+    }
+
+    /// The end of a `DO`'s body: `var = var + step`, the jump back to the
+    /// head, and the head's exit landed after it.
+    fn close_do(&mut self, e: &mut Emit<'_>, frame: DoFrame<'_>, line: usize) {
+        let var = Expr::Var(frame.var);
+        match self.int_set(e, frame.var, BinOp::Add, &var, frame.step) {
+            Some(set) => {
+                e.push(set, line);
+            }
+            None => {
+                self.expr(e, &var, line);
+                self.expr(e, frame.step, line);
+                e.push(Instr::Bin(BinOp::Add), line);
+                self.store(e, frame.var, None, line);
+            }
+        }
+        e.push(Instr::Jump(frame.head), line);
+        e.land(frame.exit);
+    }
+
+    /// `lhs = rhs`: one operand-form instruction when it fits, else the
+    /// value's code and a store.
+    fn assign(&mut self, e: &mut Emit<'_>, lhs: &LValue, rhs: &Expr, line: usize) {
+        match self.int_assign(e, lhs, rhs) {
+            Some(assign) => {
+                e.push(assign, line);
+            }
+            None => {
+                self.expr(e, rhs, line);
+                match lhs {
+                    LValue::Name(n) => self.store(e, *n, None, line),
+                    LValue::Elem(n, idx) => self.store(e, *n, Some(idx), line),
+                }
+            }
+        }
+    }
+
     fn fail(&mut self, e: &mut Emit<'_>, msg: String, line: usize) {
-        let id = self.intern(&msg);
+        let id = self.intern_text(msg);
         e.push(Instr::Fail(id), line);
     }
 
     /// `(block, offset)` of a symbol in a known shared block.
     fn shared_place(&self, sym: &Symbol) -> Option<(u16, u32)> {
-        match &sym.storage {
-            Storage::Shared { block, offset } => {
-                self.block_ids.get(&**block).map(|&b| (b, *offset as u32))
-            }
+        match sym.storage {
+            Storage::Shared { block, offset } => self
+                .program
+                .block_index(block)
+                .map(|b| (b, offset as u32)),
             _ => None,
         }
     }
@@ -774,7 +1090,7 @@ impl<'p> Compiler<'p> {
     /// The INTEGER scalar `n` of the unit as an operand: a frame slot, a
     /// shared scalar of a known block, `ME` or `NP` — not a dummy
     /// argument, whose binding may hold any type or none.
-    fn int_scalar(&self, e: &Emit<'_>, n: &str) -> Option<Opnd> {
+    fn int_scalar(&self, e: &Emit<'_>, n: Name) -> Option<Opnd> {
         let sym = e.symbol(n)?;
         if sym.ty != Ty::Integer || !sym.dims.is_empty() {
             return None;
@@ -796,7 +1112,7 @@ impl<'p> Compiler<'p> {
     /// where `LoadShared` would, with the same error.
     fn operand(&self, e: &Emit<'_>, x: &Expr) -> Option<Opnd> {
         match x {
-            Expr::Var(n) => self.int_scalar(e, n),
+            Expr::Var(n) => self.int_scalar(e, *n),
             _ => Opnd::pack(Term::Const(int_constant(x)?)),
         }
     }
@@ -808,74 +1124,83 @@ impl<'p> Compiler<'p> {
         let LValue::Name(n) = lhs else {
             return None;
         };
-        let dst = self.int_scalar(e, n)?;
-        if !matches!(dst.unpack(), Term::Local(_) | Term::Shared { .. }) {
-            return None;
-        }
         match rhs {
-            Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b) => Some(Instr::SetInt {
-                dst,
-                a: self.operand(e, a)?,
-                b: self.operand(e, b)?,
-                op: *op,
-            }),
+            Expr::Bin(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul), a, b) => {
+                self.int_set(e, *n, *op, a, b)
+            }
             src => Some(Instr::MoveInt {
-                dst,
+                dst: self.int_dst(e, *n)?,
                 src: self.operand(e, src)?,
             }),
         }
     }
 
-    /// `if a rel b then jump to t`, on two INTEGER operands.
-    fn branch_int(&self, e: &Emit<'_>, a: &Expr, rel: BinOp, b: &Expr, t: usize) -> Option<Instr> {
+    /// `n` as the destination of an operand-form assignment.
+    fn int_dst(&self, e: &Emit<'_>, n: Name) -> Option<Opnd> {
+        let dst = self.int_scalar(e, n)?;
+        matches!(dst.unpack(), Term::Local(_) | Term::Shared { .. }).then_some(dst)
+    }
+
+    /// `n = a op b` as one [`Instr::SetInt`].
+    fn int_set(&self, e: &Emit<'_>, n: Name, op: BinOp, a: &Expr, b: &Expr) -> Option<Instr> {
+        Some(Instr::SetInt {
+            dst: self.int_dst(e, n)?,
+            a: self.operand(e, a)?,
+            b: self.operand(e, b)?,
+            op,
+        })
+    }
+
+    /// `if a rel b then jump`, on two INTEGER operands; the target is
+    /// set when it is known.
+    fn branch_int(&self, e: &Emit<'_>, a: &Expr, rel: BinOp, b: &Expr) -> Option<Instr> {
         Some(Instr::BranchInt {
             a: self.operand(e, a)?,
             b: self.operand(e, b)?,
             rel,
-            t: t as u32,
+            t: 0,
         })
     }
 
-    /// A loop head as one [`Instr::BranchInt`], and whether that absorbs
-    /// the `GO TO` after it, when its step is a non-zero INTEGER constant
-    /// and its variable and bound are INTEGER operands: the §4.2 test
-    /// with the step's sign known, so the trip goes on while `var ≤ to`
-    /// stepping up and `var ≥ to` stepping down.
-    fn int_head(&self, e: &Emit<'_>, head: &DoHead<'_>) -> Option<(Instr, bool)> {
+    /// A loop head as one [`Instr::BranchInt`], where it exits and
+    /// whether that absorbs the `GO TO` after it, when its step is a
+    /// non-zero INTEGER constant and its variable and bound are INTEGER
+    /// operands: the §4.2 test with the step's sign known, so the trip
+    /// goes on while `var ≤ to` stepping up and `var ≥ to` stepping down.
+    fn int_head(&self, e: &Emit<'_>, head: &DoHead<'_>) -> Option<(Instr, Target, bool)> {
         let exit_if = match int_constant(head.step)? {
             0 => return None,
             1.. => BinOp::Gt,
             _ => BinOp::Lt,
         };
-        let branch = self.branch_int(e, head.var, exit_if, head.to, head.exit)?;
-        Some((branch, head.negated))
+        let branch = self.branch_int(e, head.var, exit_if, head.to)?;
+        Some((branch, head.exit, head.negated))
     }
 
-    /// Op `pc`, `JumpIfFalse(cond, t)`, as one [`Instr::BranchInt`], and
-    /// whether that absorbs the `GO TO` after it, when `cond` compares
-    /// two INTEGER operands.
+    /// `IF (cond)` as one [`Instr::BranchInt`], where it goes and whether
+    /// that absorbs the jump after it (`after`), when `cond` compares two
+    /// INTEGER operands.
     fn int_branch(
         &self,
         e: &Emit<'_>,
-        unit: &Unit,
-        pc: usize,
         cond: &Expr,
-        t: usize,
-    ) -> Option<(Instr, bool)> {
+        after: Option<Target>,
+    ) -> Option<(Instr, Target, bool)> {
         let (a, rel, b) = int_comparison(cond)?;
-        match goto_after(unit, pc, t) {
-            Some(l) => Some((self.branch_int(e, a, rel, b, l)?, true)),
-            None => Some((self.branch_int(e, a, negated(rel), b, t)?, false)),
+        match after {
+            Some(target) => Some((self.branch_int(e, a, rel, b)?, target, true)),
+            None => Some((self.branch_int(e, a, negated(rel), b)?, Target::Past, false)),
         }
     }
 
-    fn block_id(&mut self, e: &mut Emit<'_>, block: &str, line: usize) -> Option<u16> {
-        match self.block_ids.get(block) {
-            Some(&i) => Some(i),
+    fn block_id(&mut self, e: &mut Emit<'_>, block: Name, line: usize) -> Option<u16> {
+        match self.program.block_index(block) {
+            Some(i) => Some(i),
             None => {
                 // The tree-walker's `block_base` raises this when the
                 // symbol is touched.
-                self.fail(e, format!("unknown shared block {block}"), line);
+                let msg = format!("unknown shared block {}", self.text(block));
+                self.fail(e, msg, line);
                 None
             }
         }
@@ -885,22 +1210,30 @@ impl<'p> Compiler<'p> {
 
     fn expr(&mut self, e: &mut Emit<'_>, x: &Expr, line: usize) {
         match x {
-            Expr::Int(n) => e.push(Instr::ConstInt(*n), line),
-            Expr::Real(v) => e.push(Instr::ConstReal(*v), line),
-            Expr::Logical(b) => e.push(Instr::ConstLog(*b), line),
+            Expr::Int(n) => {
+                e.push(Instr::ConstInt(*n), line);
+            }
+            Expr::Real(v) => {
+                e.push(Instr::ConstReal(*v), line);
+            }
+            Expr::Logical(b) => {
+                e.push(Instr::ConstLog(*b), line);
+            }
             Expr::Str(_) => self.fail(
                 e,
                 "character data are only allowed in PRINT lists".into(),
                 line,
             ),
-            Expr::Var(n) => self.read_scalar(e, n, line),
+            Expr::Var(n) => self.read_scalar(e, *n, line),
             Expr::Index(n, idx) => {
-                let is_array = e.symbols.get(n).is_some_and(|s| !s.dims.is_empty());
+                let n = *n;
+                let is_array = e.symbol(n).is_some_and(|s| !s.dims.is_empty());
+                let text = self.text(n);
                 if is_array {
                     self.elem_load(e, n, idx, line);
-                } else if e.symbols.contains_key(n) {
-                    self.fail(e, format!("{n} is a scalar but was subscripted"), line);
-                } else if n == "ZZISFL" || n == "ZZHISF" {
+                } else if e.symbols.contains(n) {
+                    self.fail(e, format!("{text} is a scalar but was subscripted"), line);
+                } else if text == "ZZISFL" || text == "ZZHISF" {
                     let id = self.intern(n);
                     e.push(Instr::SvcIsFullCheck(id), line);
                     self.svc_place(e, n, idx, 0, line);
@@ -939,17 +1272,20 @@ impl<'p> Compiler<'p> {
         }
     }
 
-    fn read_scalar(&mut self, e: &mut Emit<'_>, n: &str, line: usize) {
-        let Some(sym) = e.symbols.get(n) else {
-            return self.fail(e, format!("unknown variable {n}"), line);
+    fn read_scalar(&mut self, e: &mut Emit<'_>, n: Name, line: usize) {
+        let text = self.text(n);
+        let Some(sym) = e.symbol(n) else {
+            return self.fail(e, format!("unknown variable {text}"), line);
         };
         if !sym.dims.is_empty() {
-            return self.fail(e, format!("array {n} used without subscripts"), line);
+            return self.fail(e, format!("array {text} used without subscripts"), line);
         }
-        match &sym.storage {
-            Storage::Local { base } => e.push(Instr::LoadLocal(*base as u32), line),
+        match sym.storage {
+            Storage::Local { base } => {
+                e.push(Instr::LoadLocal(base as u32), line);
+            }
             Storage::Shared { block, offset } => {
-                let (off, ty) = (*offset as u32, sym.ty);
+                let (off, ty) = (offset as u32, sym.ty);
                 if let Some(b) = self.block_id(e, block, line) {
                     e.push(
                         Instr::LoadShared {
@@ -961,13 +1297,17 @@ impl<'p> Compiler<'p> {
                     );
                 }
             }
-            Storage::PseudoMe => e.push(Instr::LoadMe, line),
-            Storage::PseudoNp => e.push(Instr::LoadNp, line),
+            Storage::PseudoMe => {
+                e.push(Instr::LoadMe, line);
+            }
+            Storage::PseudoNp => {
+                e.push(Instr::LoadNp, line);
+            }
             Storage::Arg(i) => {
                 let id = self.intern(n);
                 e.push(
                     Instr::LoadArgScalar {
-                        arg: *i as u16,
+                        arg: i as u16,
                         name: id,
                     },
                     line,
@@ -982,21 +1322,19 @@ impl<'p> Compiler<'p> {
     fn static_elem_chain(
         &mut self,
         e: &mut Emit<'_>,
-        n: &str,
+        n: Name,
         dims: &[usize],
         idx: &[Expr],
         line: usize,
     ) -> bool {
         if idx.len() != dims.len() {
-            self.fail(
-                e,
-                format!(
-                    "{n} has {} dimension(s) but {} subscript(s) given",
-                    dims.len(),
-                    idx.len()
-                ),
-                line,
+            let msg = format!(
+                "{} has {} dimension(s) but {} subscript(s) given",
+                self.text(n),
+                dims.len(),
+                idx.len()
             );
+            self.fail(e, msg, line);
             return false;
         }
         e.push(Instr::ConstInt(0), line);
@@ -1019,7 +1357,7 @@ impl<'p> Compiler<'p> {
     }
 
     /// Emit the dynamic chain for an argument-bound array.
-    fn arg_elem_chain(&mut self, e: &mut Emit<'_>, arg: usize, n: &str, idx: &[Expr], line: usize) {
+    fn arg_elem_chain(&mut self, e: &mut Emit<'_>, arg: usize, n: Name, idx: &[Expr], line: usize) {
         let name = self.intern(n);
         e.push(
             Instr::ArgElemCheck {
@@ -1043,7 +1381,7 @@ impl<'p> Compiler<'p> {
     }
 
     /// Element load for an array symbol (declared dims non-empty).
-    fn elem_load(&mut self, e: &mut Emit<'_>, n: &str, idx: &[Expr], line: usize) {
+    fn elem_load(&mut self, e: &mut Emit<'_>, n: Name, idx: &[Expr], line: usize) {
         let sym = e
             .symbol(n)
             .expect("callers checked that the symbol is an array");
@@ -1055,10 +1393,12 @@ impl<'p> Compiler<'p> {
         if !self.static_elem_chain(e, n, &sym.dims, idx, line) {
             return;
         }
-        match &sym.storage {
-            Storage::Local { base } => e.push(Instr::LoadElemLocal { base: *base as u32 }, line),
+        match sym.storage {
+            Storage::Local { base } => {
+                e.push(Instr::LoadElemLocal { base: base as u32 }, line);
+            }
             Storage::Shared { block, offset } => {
-                let (off, ty) = (*offset as u32, sym.ty);
+                let (off, ty) = (offset as u32, sym.ty);
                 if let Some(b) = self.block_id(e, block, line) {
                     e.push(
                         Instr::LoadElemShared {
@@ -1076,94 +1416,97 @@ impl<'p> Compiler<'p> {
 
     // -- stores (value already on the stack) --
 
-    fn store(&mut self, e: &mut Emit<'_>, lhs: &LValue, line: usize) {
-        match lhs {
-            LValue::Name(n) => {
-                let Some(sym) = e.symbol(n) else {
-                    return self.fail(e, format!("unknown variable {n}"), line);
-                };
-                if !sym.dims.is_empty() {
-                    return self.fail(e, format!("array {n} assigned without subscripts"), line);
-                }
-                match &sym.storage {
-                    Storage::Local { base } => e.push(
+    /// Store into `n`, or into its element `idx` when there is one.
+    fn store(&mut self, e: &mut Emit<'_>, n: Name, idx: Option<&[Expr]>, line: usize) {
+        let text = self.text(n);
+        let Some(idx) = idx else {
+            let Some(sym) = e.symbol(n) else {
+                return self.fail(e, format!("unknown variable {text}"), line);
+            };
+            if !sym.dims.is_empty() {
+                return self.fail(e, format!("array {text} assigned without subscripts"), line);
+            }
+            match sym.storage {
+                Storage::Local { base } => {
+                    e.push(
                         Instr::StoreLocal {
-                            base: *base as u32,
+                            base: base as u32,
                             ty: sym.ty,
                         },
                         line,
-                    ),
-                    Storage::Shared { block, offset } => {
-                        let (off, ty) = (*offset as u32, sym.ty);
-                        if let Some(b) = self.block_id(e, block, line) {
-                            e.push(
-                                Instr::StoreShared {
-                                    block: b,
-                                    offset: off,
-                                    ty,
-                                },
-                                line,
-                            );
-                        }
-                    }
-                    Storage::PseudoMe | Storage::PseudoNp => {
-                        // The tree-walker converts first, then rejects
-                        // the store — conversion errors win.
-                        e.push(Instr::Convert(sym.ty), line);
-                        self.fail(e, format!("{n} (process environment) is read-only"), line);
-                    }
-                    Storage::Arg(i) => {
-                        let id = self.intern(n);
+                    );
+                }
+                Storage::Shared { block, offset } => {
+                    let (off, ty) = (offset as u32, sym.ty);
+                    if let Some(b) = self.block_id(e, block, line) {
                         e.push(
-                            Instr::StoreArgScalar {
-                                arg: *i as u16,
-                                name: id,
-                                declared: sym.ty,
+                            Instr::StoreShared {
+                                block: b,
+                                offset: off,
+                                ty,
                             },
                             line,
                         );
                     }
                 }
-            }
-            LValue::Elem(n, idx) => {
-                let Some(sym) = e.symbol(n) else {
-                    return self.fail(e, format!("unknown array {n}"), line);
-                };
-                if let Storage::Arg(i) = sym.storage {
-                    self.arg_elem_chain(e, i, n, idx, line);
-                    e.push(Instr::StoreElemArg { arg: i as u16 }, line);
-                    return;
+                Storage::PseudoMe | Storage::PseudoNp => {
+                    // The tree-walker converts first, then rejects
+                    // the store — conversion errors win.
+                    e.push(Instr::Convert(sym.ty), line);
+                    self.fail(e, format!("{text} (process environment) is read-only"), line);
                 }
-                if sym.dims.is_empty() {
-                    return self.fail(e, format!("{n} is a scalar but was subscripted"), line);
-                }
-                if !self.static_elem_chain(e, n, &sym.dims, idx, line) {
-                    return;
-                }
-                match &sym.storage {
-                    Storage::Local { base } => e.push(
-                        Instr::StoreElemLocal {
-                            base: *base as u32,
-                            ty: sym.ty,
+                Storage::Arg(i) => {
+                    let id = self.intern(n);
+                    e.push(
+                        Instr::StoreArgScalar {
+                            arg: i as u16,
+                            name: id,
+                            declared: sym.ty,
                         },
                         line,
-                    ),
-                    Storage::Shared { block, offset } => {
-                        let (off, ty) = (*offset as u32, sym.ty);
-                        if let Some(b) = self.block_id(e, block, line) {
-                            e.push(
-                                Instr::StoreElemShared {
-                                    block: b,
-                                    offset: off,
-                                    ty,
-                                },
-                                line,
-                            );
-                        }
-                    }
-                    _ => unreachable!("array storage"),
+                    );
                 }
             }
+            return;
+        };
+        let Some(sym) = e.symbol(n) else {
+            return self.fail(e, format!("unknown array {text}"), line);
+        };
+        if let Storage::Arg(i) = sym.storage {
+            self.arg_elem_chain(e, i, n, idx, line);
+            e.push(Instr::StoreElemArg { arg: i as u16 }, line);
+            return;
+        }
+        if sym.dims.is_empty() {
+            return self.fail(e, format!("{text} is a scalar but was subscripted"), line);
+        }
+        if !self.static_elem_chain(e, n, &sym.dims, idx, line) {
+            return;
+        }
+        match sym.storage {
+            Storage::Local { base } => {
+                e.push(
+                    Instr::StoreElemLocal {
+                        base: base as u32,
+                        ty: sym.ty,
+                    },
+                    line,
+                );
+            }
+            Storage::Shared { block, offset } => {
+                let (off, ty) = (offset as u32, sym.ty);
+                if let Some(b) = self.block_id(e, block, line) {
+                    e.push(
+                        Instr::StoreElemShared {
+                            block: b,
+                            offset: off,
+                            ty,
+                        },
+                        line,
+                    );
+                }
+            }
+            _ => unreachable!("array storage"),
         }
     }
 
@@ -1172,16 +1515,19 @@ impl<'p> Compiler<'p> {
     fn bind_arg(&mut self, e: &mut Emit<'_>, a: &Expr, line: usize) {
         match a {
             Expr::Var(n) => {
-                if self.program.units.contains_key(n) {
+                let n = *n;
+                if self.unit_id(n).is_some() {
                     let id = self.intern(n);
-                    return e.push(Instr::ArgUnit(id), line);
+                    e.push(Instr::ArgUnit(id), line);
+                    return;
                 }
                 let Some(sym) = e.symbol(n) else {
-                    return self.fail(e, format!("unknown variable {n}"), line);
+                    let msg = format!("unknown variable {}", self.text(n));
+                    return self.fail(e, msg, line);
                 };
-                match &sym.storage {
+                match sym.storage {
                     Storage::Shared { block, offset } => {
-                        let (off, ty) = (*offset as u32, sym.ty);
+                        let (off, ty) = (offset as u32, sym.ty);
                         let dims = self.intern_dims(&sym.dims);
                         if let Some(b) = self.block_id(e, block, line) {
                             e.push(
@@ -1197,14 +1543,12 @@ impl<'p> Compiler<'p> {
                     }
                     Storage::Local { base } => {
                         if sym.dims.is_empty() {
-                            e.push(Instr::LoadLocal(*base as u32), line);
+                            e.push(Instr::LoadLocal(base as u32), line);
                             e.push(Instr::ArgValue, line);
                         } else {
-                            self.fail(
-                                e,
-                                format!("cannot pass private array {n} by reference"),
-                                line,
-                            );
+                            let msg =
+                                format!("cannot pass private array {} by reference", self.text(n));
+                            self.fail(e, msg, line);
                         }
                     }
                     Storage::PseudoMe => {
@@ -1215,29 +1559,31 @@ impl<'p> Compiler<'p> {
                         e.push(Instr::LoadNp, line);
                         e.push(Instr::ArgValue, line);
                     }
-                    Storage::Arg(i) => e.push(Instr::ArgForward(*i as u16), line),
+                    Storage::Arg(i) => {
+                        e.push(Instr::ArgForward(i as u16), line);
+                    }
                 }
             }
             Expr::Index(n, idx) => {
-                let is_array = e.symbols.get(n).is_some_and(|s| !s.dims.is_empty());
-                if !is_array {
+                let n = *n;
+                let Some(sym) = e.symbol(n).filter(|s| !s.dims.is_empty()) else {
                     self.expr(e, a, line);
-                    return e.push(Instr::ArgValue, line);
-                }
-                let sym = e.symbol(n).expect("checked above: an array");
-                match &sym.storage {
+                    e.push(Instr::ArgValue, line);
+                    return;
+                };
+                match sym.storage {
                     Storage::Arg(i) => {
-                        self.arg_elem_chain(e, *i, n, idx, line);
-                        e.push(Instr::ArgArgElem { arg: *i as u16 }, line);
+                        self.arg_elem_chain(e, i, n, idx, line);
+                        e.push(Instr::ArgArgElem { arg: i as u16 }, line);
                     }
                     Storage::Local { base } => {
                         if self.static_elem_chain(e, n, &sym.dims, idx, line) {
-                            e.push(Instr::LoadElemLocal { base: *base as u32 }, line);
+                            e.push(Instr::LoadElemLocal { base: base as u32 }, line);
                             e.push(Instr::ArgValue, line);
                         }
                     }
                     Storage::Shared { block, offset } => {
-                        let (off, ty) = (*offset as u32, sym.ty);
+                        let (off, ty) = (offset as u32, sym.ty);
                         if self.static_elem_chain(e, n, &sym.dims, idx, line) {
                             if let Some(b) = self.block_id(e, block, line) {
                                 e.push(
@@ -1262,9 +1608,12 @@ impl<'p> Compiler<'p> {
     }
 
     /// Bind service argument `i` and require it to be a shared place.
-    fn svc_place(&mut self, e: &mut Emit<'_>, svc: &str, args: &[Expr], i: usize, line: usize) {
+    fn svc_place(&mut self, e: &mut Emit<'_>, svc: Name, args: &[Expr], i: usize, line: usize) {
         match args.get(i) {
-            None => self.fail(e, format!("{svc} is missing argument {}", i + 1), line),
+            None => {
+                let msg = format!("{} is missing argument {}", self.text(svc), i + 1);
+                self.fail(e, msg, line)
+            }
             Some(a) => {
                 self.bind_arg(e, a, line);
                 let id = self.intern(svc);
@@ -1287,15 +1636,15 @@ impl<'p> Compiler<'p> {
     fn lock_at(
         &mut self,
         e: &mut Emit<'_>,
-        mnemonic: &str,
+        mnemonic: Name,
         kind: LockKind,
         args: &[Expr],
         line: usize,
     ) -> LockAt {
         let arg = args.first();
-        if let Some(Expr::Var(n)) = arg {
+        if let Some(&Expr::Var(n)) = arg {
             let place = e.symbol(n).and_then(|s| self.shared_place(s));
-            if let (false, Some((block, offset))) = (self.program.units.contains_key(n), place) {
+            if let (None, Some((block, offset))) = (self.unit_id(n), place) {
                 let name = self.intern(n);
                 return LockAt::Var {
                     block,
@@ -1306,13 +1655,13 @@ impl<'p> Compiler<'p> {
         }
         e.push(Instr::SvcVendorCheck(kind), line);
         if let Some(Expr::Index(n, idx)) = arg {
-            let sym = e.symbol(n).filter(|s| !s.dims.is_empty());
+            let sym = e.symbol(*n).filter(|s| !s.dims.is_empty());
             if let Some((sym, (block, offset))) = sym.and_then(|s| Some((s, self.shared_place(s)?)))
             {
                 // A subscript-count mismatch compiles to a `Fail`, as in
                 // the generic binding, and the `Lock` after it is never
                 // reached.
-                return if self.static_elem_chain(e, n, &sym.dims, idx, line) {
+                return if self.static_elem_chain(e, *n, &sym.dims, idx, line) {
                     LockAt::Elem { block, offset }
                 } else {
                     LockAt::Place { name: None }
@@ -1321,7 +1670,7 @@ impl<'p> Compiler<'p> {
         }
         self.svc_place(e, mnemonic, args, 0, line);
         let name = match arg {
-            Some(Expr::Var(n)) => Some(self.intern(n)),
+            Some(&Expr::Var(n)) => Some(self.intern(n)),
             _ => None,
         };
         LockAt::Place { name }
@@ -1329,8 +1678,8 @@ impl<'p> Compiler<'p> {
 
     // -- calls --
 
-    fn call(&mut self, e: &mut Emit<'_>, name: &str, args: &[Expr], line: usize) {
-        if let Some(&unit) = self.unit_ids.get(name) {
+    fn call(&mut self, e: &mut Emit<'_>, name: Name, args: &[Expr], line: usize) {
+        if let Some(unit) = self.unit_id(name) {
             for a in args {
                 self.bind_arg(e, a, line);
             }
@@ -1343,18 +1692,19 @@ impl<'p> Compiler<'p> {
             );
             return;
         }
-        if let Some((kind, is_lock)) = lock_mnemonic(name) {
+        let text = self.text(name);
+        if let Some((kind, is_lock)) = lock_mnemonic(text) {
             let at = self.lock_at(e, name, kind, args, line);
             e.push(Instr::Lock { kind, is_lock, at }, line);
             return;
         }
-        match name {
+        match text {
             "ZZINITL" | "ZZINITK" | "ZZINITU" => {
                 self.svc_place(e, name, args, 0, line);
                 e.push(
                     Instr::SvcInitLock {
-                        keep_locked: name == "ZZINITK",
-                        user_pool: name == "ZZINITU",
+                        keep_locked: text == "ZZINITK",
+                        user_pool: text == "ZZINITU",
                     },
                     line,
                 );
@@ -1372,17 +1722,17 @@ impl<'p> Compiler<'p> {
             "ZZHPRD" | "ZZHCON" | "ZZHVD" | "ZZHCPY" => {
                 e.push(Instr::SvcHwCheck, line);
                 self.svc_place(e, name, args, 0, line);
-                match name {
+                match text {
                     "ZZHPRD" => match args.get(1) {
                         Some(v) => {
                             self.expr(e, v, line);
                             e.push(Instr::SvcHepProduce, line);
                         }
-                        None => self.fail(e, format!("{name} is missing argument 2"), line),
+                        None => self.fail(e, format!("{text} is missing argument 2"), line),
                     },
                     "ZZHCON" | "ZZHCPY" => {
                         e.push(
-                            if name == "ZZHCON" {
+                            if text == "ZZHCON" {
                                 Instr::SvcHepConsume
                             } else {
                                 Instr::SvcHepCopy
@@ -1392,29 +1742,35 @@ impl<'p> Compiler<'p> {
                         // The destination resolves *after* the transfer,
                         // exactly as the tree-walker orders it.
                         match args.get(1) {
-                            Some(Expr::Var(n)) => self.store(e, &LValue::Name(n.clone()), line),
-                            Some(Expr::Index(n, idx)) => {
-                                self.store(e, &LValue::Elem(n.clone(), idx.clone()), line)
-                            }
+                            Some(Expr::Var(n)) => self.store(e, *n, None, line),
+                            Some(Expr::Index(n, idx)) => self.store(e, *n, Some(idx), line),
                             Some(_) => self.fail(e, "destination must be a variable".into(), line),
-                            None => self.fail(e, format!("{name} is missing argument 2"), line),
+                            None => self.fail(e, format!("{text} is missing argument 2"), line),
                         }
                     }
-                    _ => e.push(Instr::SvcHepVoid, line),
+                    _ => {
+                        e.push(Instr::SvcHepVoid, line);
+                    }
                 }
             }
-            "ZZSTRT0" => e.push(Instr::SvcStrt0, line),
-            "ZZLINK" => e.push(Instr::SvcLink, line),
-            "ZZSHPG" => e.push(Instr::SvcShpg, line),
+            "ZZSTRT0" => {
+                e.push(Instr::SvcStrt0, line);
+            }
+            "ZZLINK" => {
+                e.push(Instr::SvcLink, line);
+            }
+            "ZZSHPG" => {
+                e.push(Instr::SvcShpg, line);
+            }
             "ZZFORKJ" | "ZZSFORK" | "ZZSPAWN" => {
                 let id = self.intern(name);
                 e.push(Instr::SvcForkCheck(id), line);
                 match args.first() {
-                    Some(Expr::Var(n)) if self.program.units.contains_key(n) => {
-                        let unit = self.unit_ids[n.as_str()];
+                    Some(&Expr::Var(n)) if self.unit_id(n).is_some() => {
+                        let unit = self.unit_id(n).expect("checked");
                         e.push(Instr::Fork { unit }, line);
                     }
-                    _ => self.fail(e, format!("{name} needs a program unit to execute"), line),
+                    _ => self.fail(e, format!("{text} needs a program unit to execute"), line),
                 }
             }
             other => self.fail(e, format!("CALL to unknown subroutine `{other}`"), line),
@@ -1701,7 +2057,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                                 HERE,
                                 format!(
                                     "array argument {} used without subscripts",
-                                    cp.names[*name as usize]
+                                    &cp.names[*name as usize]
                                 ),
                             ));
                         }
@@ -1778,7 +2134,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                             format!(
                                 "subscript {} of {} is {i}, outside 1..{dim}",
                                 *k as usize + 1,
-                                cp.names[*name as usize]
+                                &cp.names[*name as usize]
                             ),
                         ));
                     }
@@ -1798,7 +2154,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                             format!(
                                 "subscript {} of {} is {i}, outside 1..{d}",
                                 *k as usize + 1,
-                                cp.names[*name as usize]
+                                &cp.names[*name as usize]
                             ),
                         ));
                     }
@@ -1912,7 +2268,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                     stack.truncate(split);
                     stack.push(v);
                 }
-                Instr::PrintStr(s) => parts.push(cp.names[*s as usize].clone()),
+                Instr::PrintStr(s) => parts.push(cp.names[*s as usize].to_string()),
                 Instr::PrintVal => {
                     let v = pop!();
                     parts.push(v.display());
@@ -1926,7 +2282,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::Return => return Ok(Flow::Normal),
                 Instr::Stop => return Ok(Flow::Stop),
                 Instr::Fail(msg) => {
-                    return Err(FortError::runtime(HERE, cp.names[*msg as usize].clone()))
+                    return Err(FortError::runtime(HERE, cp.names[*msg as usize].to_string()))
                 }
 
                 Instr::ArgShared {
@@ -1995,7 +2351,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                             HERE,
                             format!(
                                 "{} argument {} must be a shared variable",
-                                cp.names[*name as usize],
+                                &cp.names[*name as usize],
                                 *argn as usize + 1
                             ),
                         ))
@@ -2024,7 +2380,7 @@ impl<'r, 'e> VmProc<'r, 'e> {
                         LockAt::Place { name } => (places.pop().expect("service place").0, name),
                     };
                     let slot = self.lock_slot(offset)?;
-                    let name = name.map(|i| cp.names[i as usize].as_str());
+                    let name = name.map(|i| &cp.names[i as usize]);
                     let lock = &self.locks[slot].1;
                     lock_service(self.rt, &mut self.holds, offset, lock, *is_lock, name, HERE)?;
                 }
@@ -2118,10 +2474,14 @@ mod tests {
     use std::cell::RefCell;
     use std::collections::HashMap;
 
+    use std::fmt::Write as _;
+
     use force_machdep::{Machine, MachineId};
     use force_prep::preprocess;
 
+    use super::{compile, CompiledProgram, Instr, LockAt};
     use crate::engine::Engine;
+    use crate::program::Program;
 
     thread_local! {
         /// The lines of the instructions this thread dispatched, while a
@@ -2155,6 +2515,111 @@ mod tests {
         }
         let code = expanded.code.lines().map(str::to_string).collect();
         (code, per_line)
+    }
+
+    /// The instruction at `i` with every name id zeroed, and the names
+    /// those ids stand for: a listing that does not depend on the order
+    /// names were interned in.
+    fn without_names(i: &Instr, cp: &CompiledProgram) -> (Instr, Vec<String>) {
+        let mut i = i.clone();
+        let mut ids = Vec::new();
+        {
+            let mut take = |id: &mut u32| ids.push(std::mem::take(id));
+            match &mut i {
+                Instr::LoadArgScalar { name, .. }
+                | Instr::StoreArgScalar { name, .. }
+                | Instr::IdxCheck { name, .. }
+                | Instr::IdxCheckArg { name, .. }
+                | Instr::ArgElemCheck { name, .. }
+                | Instr::CallFn { name, .. }
+                | Instr::SvcPlace { name, .. }
+                | Instr::Lock {
+                    at: LockAt::Var { name, .. } | LockAt::Place { name: Some(name) },
+                    ..
+                } => take(name),
+                Instr::PrintStr(name)
+                | Instr::Fail(name)
+                | Instr::ArgUnit(name)
+                | Instr::SvcForkCheck(name)
+                | Instr::SvcIsFullCheck(name)
+                | Instr::IsFullValue(name) => take(name),
+                _ => {}
+            }
+        }
+        let names = ids.iter().map(|&id| cp.names[id as usize].to_string()).collect();
+        (i, names)
+    }
+
+    /// Every unit of `cp`, an instruction a line with its source line and
+    /// the names it refers to as text, then the tables the instructions
+    /// index.
+    fn listing(cp: &CompiledProgram) -> String {
+        let mut out = String::new();
+        for u in &cp.units {
+            let _ = writeln!(
+                out,
+                "unit {} params {} frame {} init {:?}",
+                u.name, u.params, u.frame_words, u.locals_init
+            );
+            for (i, line) in u.code.iter().zip(&u.lines) {
+                let (i, names) = without_names(i, cp);
+                let _ = writeln!(out, "  {line:>4} {i:?} {names:?}");
+            }
+        }
+        let _ = writeln!(out, "blocks {:?}\ndims {:?}", cp.blocks, cp.dims_tables);
+        out
+    }
+
+    /// The front-end corpus of `tests/support/corpus.rs`, the examples
+    /// among them.
+    const CORPUS: [(&str, &str); 14] = [
+        ("sum", include_str!("../../../examples/force_src/sum.force")),
+        ("dotprod", include_str!("../../../examples/force_src/dotprod.force")),
+        ("pipeline", include_str!("../../../examples/force_src/pipeline.force")),
+        ("ksum", include_str!("../../../tests/support/corpus/ksum.force")),
+        ("fill", include_str!("../../../tests/support/corpus/fill.force")),
+        ("ring", include_str!("../../../tests/support/corpus/ring.force")),
+        ("sect", include_str!("../../../tests/support/corpus/sect.force")),
+        ("grid", include_str!("../../../tests/support/corpus/grid.force")),
+        ("subs", include_str!("../../../tests/support/corpus/subs.force")),
+        ("sched", include_str!("../../../tests/support/corpus/sched.force")),
+        ("do2", include_str!("../../../tests/support/corpus/do2.force")),
+        ("pcase", include_str!("../../../tests/support/corpus/pcase.force")),
+        ("async_scalar", include_str!("../../../tests/support/corpus/async_scalar.force")),
+        ("async_array", include_str!("../../../tests/support/corpus/async_array.force")),
+    ];
+
+    /// FNV-1a, 64 bits.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The listing of every corpus program on every machine, digested.
+    /// A change to how the front end builds the code — not to what code
+    /// it builds — must leave it alone.  To see what moved, print
+    /// `listing` for both sides and compare.
+    #[test]
+    fn the_compiled_corpus_is_pinned() {
+        const PINNED: u64 = 0x6d6e_e814_47aa_2571;
+        let mut all = String::new();
+        for (name, source) in CORPUS {
+            for id in MachineId::all() {
+                let exp = preprocess(source, id).unwrap();
+                let shared: HashMap<String, usize> = exp
+                    .decls
+                    .iter()
+                    .filter(|d| d.class != force_prep::VarClass::Private)
+                    .map(|d| (d.name.clone(), d.words()))
+                    .collect();
+                let program = Program::compile(&exp.code, &shared).unwrap();
+                let _ = writeln!(all, "== {name} {}", id.name());
+                all.push_str(&listing(&compile(&program)));
+            }
+        }
+        let digest = fnv1a(all.as_bytes());
+        assert_eq!(digest, PINNED, "compiled corpus digest {digest:#018x}");
     }
 
     /// What one trip of each macro idiom costs the VM, in instructions

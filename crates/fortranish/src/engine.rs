@@ -186,12 +186,12 @@ impl Engine {
             Some(b) => b,
             None => {
                 let program = Program::compile(&exp.code, &shared_names)?;
-                let Some(driver) = program.program_unit.clone() else {
+                let Some(driver) = program.program_unit.map(|n| program.name(n).to_string()) else {
                     return Err(FortError::general(FortErrorKind::Structure(
                         "expanded code has no driver PROGRAM unit".into(),
                     )));
                 };
-                if !program.units.contains_key(&exp.main_unit) {
+                if program.unit(&exp.main_unit).is_none() {
                     return Err(FortError::general(FortErrorKind::Structure(format!(
                         "main unit {} not found",
                         exp.main_unit

@@ -4,21 +4,45 @@
 //! preprocessor emits "fixed-ish" form): a line is
 //! `[label] statement`, comments start with `C`, `c`, `*` or `!` in
 //! column 1, and blank lines are ignored.
-
-use std::borrow::Cow;
+//!
+//! A program lexes into one flat token buffer, a table of its
+//! significant lines, and one name table: every identifier is
+//! upper-cased and interned once, and a token carries its id
+//! ([`Name`]), so no token owns text.
 
 use crate::error::{FortError, FortErrorKind};
-use crate::token::{DotOp, Token};
+use crate::token::{DotOp, Name, Names, Token};
 
-/// One significant source line: optional numeric label + tokens.
+/// One significant source line: optional numeric label + its tokens'
+/// place in [`Lexed::tokens`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LexedLine {
     /// 1-based source line number (for diagnostics).
     pub line_no: usize,
     /// Optional statement label.
     pub label: Option<u32>,
-    /// The statement tokens.
+    /// The statement's first token.
+    pub start: u32,
+    /// One past its last token.
+    pub end: u32,
+}
+
+/// A lexed program: its names, its tokens, and its lines.
+#[derive(Debug, Clone)]
+pub struct Lexed {
+    /// Every identifier and character literal, interned.
+    pub names: Names,
+    /// The tokens of every line, back to back.
     pub tokens: Vec<Token>,
+    /// The significant lines, in source order.
+    pub lines: Vec<LexedLine>,
+}
+
+impl Lexed {
+    /// The statement tokens of `line`.
+    pub fn tokens_of(&self, line: &LexedLine) -> &[Token] {
+        &self.tokens[line.start as usize..line.end as usize]
+    }
 }
 
 /// Whether a line is a comment.
@@ -27,8 +51,12 @@ pub fn is_comment(line: &str) -> bool {
 }
 
 /// Lex a whole source into significant lines.
-pub fn lex(source: &str) -> Result<Vec<LexedLine>, FortError> {
-    let mut out = Vec::new();
+pub fn lex(source: &str) -> Result<Lexed, FortError> {
+    let mut names = Names::new();
+    // Expanded code runs at about one token per five bytes and one
+    // significant line per thirty.
+    let mut tokens = Vec::with_capacity(source.len() / 5 + 8);
+    let mut lines = Vec::with_capacity(source.len() / 30 + 4);
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
         if is_comment(raw) || raw.trim().is_empty() {
@@ -49,17 +77,24 @@ pub fn lex(source: &str) -> Result<Vec<LexedLine>, FortError> {
             })?;
             (Some(label), rest.trim_start())
         };
-        let tokens = lex_statement(rest, line_no)?;
-        if tokens.is_empty() && label.is_none() {
+        let start = tokens.len() as u32;
+        lex_statement(rest, line_no, &mut names, &mut tokens)?;
+        let end = tokens.len() as u32;
+        if start == end && label.is_none() {
             continue;
         }
-        out.push(LexedLine {
+        lines.push(LexedLine {
             line_no,
             label,
-            tokens,
+            start,
+            end,
         });
     }
-    Ok(out)
+    Ok(Lexed {
+        names,
+        tokens,
+        lines,
+    })
 }
 
 /// `word` in upper case, if it fits `buf`: enough for every keyword and
@@ -71,33 +106,35 @@ fn upper_into<'b>(word: &str, buf: &'b mut [u8; 10]) -> Option<&'b str> {
     std::str::from_utf8(upper).ok()
 }
 
-/// The keyword `upper` spells, if any: every word the parser matches, so
-/// that a keyword token borrows its text instead of owning a copy.
-pub(crate) fn keyword(upper: &str) -> Option<&'static str> {
-    macro_rules! one_of {
-        ($($keyword:literal)*) => {
-            match upper {
-                $($keyword => Some($keyword),)*
-                _ => None,
-            }
-        };
+/// The id of identifier `word`, upper-cased.
+fn ident(word: &str, names: &mut Names) -> Name {
+    if !word.bytes().any(|c| c.is_ascii_lowercase()) {
+        return names.intern(word);
     }
-    one_of!(
-        "CALL" "COMMON" "CONTINUE" "DO" "DOUBLE" "ELSE" "ELSEIF" "END" "ENDDO" "ENDIF" "GO"
-        "GOTO" "IF" "INTEGER" "LOGICAL" "PRECISION" "PRINT" "PROGRAM" "REAL" "RETURN" "STOP"
-        "SUBROUTINE" "THEN" "TO"
-    )
+    let mut buf = [0u8; 32];
+    match buf.get_mut(..word.len()) {
+        Some(upper) => {
+            upper.copy_from_slice(word.as_bytes());
+            upper.make_ascii_uppercase();
+            names.intern(std::str::from_utf8(upper).expect("ASCII"))
+        }
+        None => names.intern(&word.to_ascii_uppercase()),
+    }
 }
 
-/// Lex one statement body.
+/// Lex one statement body, appending its tokens to `toks` and its names
+/// to `names`.
 ///
 /// The scan is over bytes: every character the subset gives meaning to is
 /// ASCII, so an index only ever rests on a character boundary, and text
 /// inside a character literal is copied in whole slices.
-pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
+pub fn lex_statement(
+    s: &str,
+    line_no: usize,
+    names: &mut Names,
+    toks: &mut Vec<Token>,
+) -> Result<(), FortError> {
     let bytes = s.as_bytes();
-    // A token is rarely shorter than two bytes and its blank.
-    let mut toks = Vec::with_capacity(bytes.len() / 3 + 1);
     let mut i = 0usize;
     let err = |msg: String| FortError::at(line_no, FortErrorKind::Lex(msg));
     let at = |i: usize| bytes.get(i).copied();
@@ -136,7 +173,7 @@ pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
                 let mut text = String::new();
                 i += 1;
                 let mut piece = i;
-                loop {
+                let name = loop {
                     match at(i) {
                         Some(b'\'') if at(i + 1) == Some(b'\'') => {
                             text.push_str(&s[piece..=i]);
@@ -144,15 +181,20 @@ pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
                             piece = i;
                         }
                         Some(b'\'') => {
-                            text.push_str(&s[piece..i]);
+                            let name = if text.is_empty() {
+                                names.intern(&s[piece..i])
+                            } else {
+                                text.push_str(&s[piece..i]);
+                                names.intern(&text)
+                            };
                             i += 1;
-                            break;
+                            break name;
                         }
                         Some(_) => i += 1,
                         None => return Err(err("unterminated character literal".into())),
                     }
-                }
-                toks.push(Token::Str(text));
+                };
+                toks.push(Token::Str(name));
             }
             b'.' => {
                 // Either a dotted operator/.TRUE./.FALSE., or a real like `.5`.
@@ -199,13 +241,7 @@ pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
                 while at(i).is_some_and(|c| c.is_ascii_alphanumeric() || c == b'_') {
                     i += 1;
                 }
-                let word = &s[start..i];
-                let mut buf = [0; 10];
-                let name = match upper_into(word, &mut buf).and_then(keyword) {
-                    Some(keyword) => Cow::Borrowed(keyword),
-                    None => Cow::Owned(word.to_ascii_uppercase()),
-                };
-                toks.push(Token::Ident(name));
+                toks.push(Token::Ident(ident(&s[start..i], names)));
             }
             _ => {
                 let other = s[i..].chars().next().expect("`i` is inside `s`");
@@ -213,7 +249,7 @@ pub fn lex_statement(s: &str, line_no: usize) -> Result<Vec<Token>, FortError> {
             }
         }
     }
-    Ok(toks)
+    Ok(())
 }
 
 /// Lex an integer or real literal starting at `start`.
@@ -283,19 +319,51 @@ fn lex_number(s: &str, start: usize, line_no: usize) -> Result<(Token, usize), F
 mod tests {
     use super::*;
 
+    /// The tokens of `s`, and the names they index.
+    fn lexed(s: &str) -> (Vec<Token>, Names) {
+        let mut names = Names::new();
+        let mut toks = Vec::new();
+        lex_statement(s, 1, &mut names, &mut toks).unwrap();
+        (toks, names)
+    }
+
     fn toks(s: &str) -> Vec<Token> {
-        lex_statement(s, 1).unwrap()
+        lexed(s).0
+    }
+
+    fn is_err(s: &str) -> bool {
+        lex_statement(s, 1, &mut Names::new(), &mut Vec::new()).is_err()
     }
 
     #[test]
-    fn idents_are_uppercased() {
+    fn idents_are_uppercased_and_interned_once() {
+        let (toks, names) = lexed("total = k_shared + Total");
+        let Token::Ident(total) = toks[0] else {
+            panic!("{toks:?}")
+        };
+        let Token::Ident(k) = toks[2] else {
+            panic!("{toks:?}")
+        };
+        assert_eq!(names.text(total), "TOTAL");
+        assert_eq!(names.text(k), "K_SHARED");
         assert_eq!(
-            toks("total = k_shared"),
+            toks,
             vec![
-                Token::Ident("TOTAL".into()),
+                Token::Ident(total),
                 Token::Equals,
-                Token::Ident("K_SHARED".into())
+                Token::Ident(k),
+                Token::Plus,
+                Token::Ident(total)
             ]
+        );
+    }
+
+    #[test]
+    fn keywords_have_their_fixed_ids() {
+        use crate::token::kw;
+        assert_eq!(
+            toks("go to 10"),
+            vec![Token::Ident(kw::GO), Token::Ident(kw::TO), Token::Int(10)]
         );
     }
 
@@ -320,57 +388,63 @@ mod tests {
 
     #[test]
     fn dotted_operators_and_logicals() {
+        let (toks, names) = lexed("A .GE. B .AND. .NOT. .FALSE.");
+        let id = |s: &str| Token::Ident(names.get(s).unwrap());
         assert_eq!(
-            toks("A .GE. B .AND. .NOT. .FALSE."),
+            toks,
             vec![
-                Token::Ident("A".into()),
+                id("A"),
                 Token::DotOp(DotOp::Ge),
-                Token::Ident("B".into()),
+                id("B"),
                 Token::DotOp(DotOp::And),
                 Token::DotOp(DotOp::Not),
                 Token::Logical(false),
             ]
         );
-        assert_eq!(toks(".TRUE."), vec![Token::Logical(true)]);
+        assert_eq!(lexed(".TRUE.").0, vec![Token::Logical(true)]);
     }
 
     #[test]
     fn power_vs_star() {
+        let (toks, names) = lexed("A ** 2 * B");
+        let id = |s: &str| Token::Ident(names.get(s).unwrap());
         assert_eq!(
-            toks("A ** 2 * B"),
-            vec![
-                Token::Ident("A".into()),
-                Token::Power,
-                Token::Int(2),
-                Token::Star,
-                Token::Ident("B".into())
-            ]
+            toks,
+            vec![id("A"), Token::Power, Token::Int(2), Token::Star, id("B")]
         );
     }
 
     #[test]
     fn string_literals_with_escapes() {
-        assert_eq!(toks("'it''s'"), vec![Token::Str("it's".into())]);
+        let (toks, names) = lexed("'it''s' 'plain'");
+        let [Token::Str(a), Token::Str(b)] = toks[..] else {
+            panic!("{toks:?}")
+        };
+        assert_eq!((names.text(a), names.text(b)), ("it's", "plain"));
     }
 
     #[test]
     fn labels_and_comments() {
         let src = "C a comment\n100   CONTINUE\n* another\n      X = 1\n";
-        let lines = lex(src).unwrap();
-        assert_eq!(lines.len(), 2);
-        assert_eq!(lines[0].label, Some(100));
-        assert_eq!(lines[0].tokens, vec![Token::Ident("CONTINUE".into())]);
-        assert_eq!(lines[1].label, None);
-        assert_eq!(lines[1].line_no, 4);
+        let lexed = lex(src).unwrap();
+        assert_eq!(lexed.lines.len(), 2);
+        assert_eq!(lexed.lines[0].label, Some(100));
+        assert_eq!(
+            lexed.tokens_of(&lexed.lines[0]),
+            &[Token::Ident(crate::token::kw::CONTINUE)]
+        );
+        assert_eq!(lexed.lines[1].label, None);
+        assert_eq!(lexed.lines[1].line_no, 4);
+        assert_eq!(lexed.tokens_of(&lexed.lines[1]).len(), 3);
     }
 
     #[test]
     fn unknown_operator_is_an_error() {
-        assert!(lex_statement("A .XO. B", 1).is_err());
+        assert!(is_err("A .XO. B"));
     }
 
     #[test]
     fn unterminated_string_is_an_error() {
-        assert!(lex_statement("'open", 1).is_err());
+        assert!(is_err("'open"));
     }
 }

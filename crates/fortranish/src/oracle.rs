@@ -1,10 +1,15 @@
-//! The reference interpreter: a tree-walker over the parsed
+//! The reference interpreter: a tree-walker over the resolved
 //! [`Program`], kept as the *oracle* the differential tests compare the
 //! production executor (the bytecode VM, [`crate::bytecode`]) against.
 //!
-//! It re-resolves every name against the unit's symbol table on every
-//! access and re-walks the expression tree on every evaluation — slow,
-//! and as close to the language definition as code gets.  Nothing on the
+//! It lowers each unit's statements to its own op form ([`Op`]): block
+//! `IF`/`ELSE`/`END IF` and both `DO` forms become conditional jumps,
+//! labels map to op indices, and `GO TO` is a direct jump — exactly the
+//! control flow the Force macro expansions rely on.  Nothing else walks
+//! ops: the VM's load compiles instructions from the statements.  The
+//! oracle re-resolves every name against the unit's symbol table on
+//! every access and re-walks the expression tree on every evaluation —
+//! slow, and as close to the language definition as code gets.  Nothing on the
 //! serve path names this module: an [`Engine`] runs a program exactly one
 //! way, and an [`Oracle`] is something a test builds next to it.
 //!
@@ -21,7 +26,7 @@ use std::sync::Arc;
 use force_machdep::{fault, Machine, RunOptions};
 use force_prep::ExpandedProgram;
 
-use crate::ast::{Expr, LValue, Ty, UnOp};
+use crate::ast::{BinOp, Expr, LValue, Stmt, Ty, UnOp};
 use crate::engine::{
     aini_service, check_fork_mnemonic, check_hardware_fe, check_isfull_machine, check_vendor_locks,
     eval_binop, hep_construct, hep_consume, hep_copy, hep_produce, init_lock_service, isfull_value,
@@ -30,13 +35,16 @@ use crate::engine::{
 };
 use crate::error::FortError;
 use crate::intrinsics;
-use crate::program::{Op, Program, Storage, Symbol, Unit};
+use crate::program::{Program, Storage, Symbol, Unit};
+use crate::token::Name;
 use crate::value::Value;
 
 /// A program loaded for the reference interpreter.
 pub struct Oracle {
-    /// The AST the tree-walker executes; the oracle's own.
+    /// The resolved program the tree-walker executes; the oracle's own.
     program: Program,
+    /// Each unit's ops, in the order of `program.units`.
+    code: Vec<Code>,
     /// The session the runs go through (shared region, lock and tag
     /// tables, fault plane, pool) — the same type the serve path uses.
     engine: Engine,
@@ -51,7 +59,12 @@ impl Oracle {
     ) -> Result<Oracle, FortError> {
         let engine = Engine::from_expanded(exp, machine)?;
         let program = Program::compile(&exp.code, &engine.shared_names())?;
-        Ok(Oracle { program, engine })
+        let code = program.units.iter().map(lower).collect();
+        Ok(Oracle {
+            program,
+            code,
+            engine,
+        })
     }
 
     /// The underlying session, for what is configured or read on it
@@ -64,8 +77,9 @@ impl Oracle {
     /// options: [`Engine::run_with`] with the other executor.
     pub fn run_with(&self, nproc: usize, options: RunOptions) -> Result<RunOutput, FortError> {
         self.engine.run_driver(nproc, options, |rt, driver| {
-            let proc = Proc::new(rt, &self.program, -1, nproc as i64);
-            let driver = self.program.unit(driver).expect("driver unit");
+            let proc = Proc::new(rt, &self.program, &self.code, -1, nproc as i64);
+            let driver = self.program.names.get(driver);
+            let driver = driver.and_then(|d| proc.unit_index(d)).expect("driver unit");
             proc.exec(driver, Vec::new()).map(|_| ())
         })
     }
@@ -75,6 +89,7 @@ impl Oracle {
 struct Proc<'r, 'e> {
     rt: &'r Rt<'e>,
     program: &'r Program,
+    code: &'r [Code],
     me: i64,
     np: i64,
     /// The pooled user locks this process holds.
@@ -91,7 +106,7 @@ struct Frame<'u> {
 impl<'u> Frame<'u> {
     fn new(unit: &'u Unit, args: Vec<ArgVal<'u>>) -> Frame<'u> {
         let mut locals = vec![Value::Int(0); unit.frame_words];
-        for sym in unit.symbols.values() {
+        for (_, sym) in unit.symbols.iter() {
             if let Storage::Local { base } = sym.storage {
                 for w in 0..sym.words() {
                     locals[base + w] = Value::zero(sym.ty);
@@ -103,23 +118,35 @@ impl<'u> Frame<'u> {
 }
 
 impl<'r, 'e> Proc<'r, 'e> {
-    fn new(rt: &'r Rt<'e>, program: &'r Program, me: i64, np: i64) -> Self {
+    fn new(rt: &'r Rt<'e>, program: &'r Program, code: &'r [Code], me: i64, np: i64) -> Self {
         Proc {
             rt,
             program,
+            code,
             me,
             np,
             holds: RefCell::new(PooledHolds::new(rt)),
         }
     }
 
-    /// Execute a unit to completion.
-    fn exec(&self, unit: &'r Unit, args: Vec<ArgVal<'r>>) -> Result<Flow, FortError> {
-        let mut frame = Frame::new(unit, args);
+    /// The index of unit `name`, if it is one.
+    fn unit_index(&self, name: Name) -> Option<usize> {
+        self.program.units.iter().position(|u| u.name == name)
+    }
+
+    /// The text of `name`.
+    fn text(&self, name: Name) -> &'r str {
+        self.program.name(name)
+    }
+
+    /// Execute unit `u` to completion.
+    fn exec(&self, u: usize, args: Vec<ArgVal<'r>>) -> Result<Flow, FortError> {
+        let code = &self.code[u];
+        let mut frame = Frame::new(&self.program.units[u], args);
         let mut pc = 0usize;
-        while pc < unit.ops.len() {
-            let line = unit.op_lines[pc];
-            match &unit.ops[pc] {
+        while pc < code.ops.len() {
+            let line = code.op_lines[pc];
+            match &code.ops[pc] {
                 Op::Nop => pc += 1,
                 Op::Jump(t) => pc = *t,
                 Op::JumpIfFalse(cond, t) => {
@@ -138,7 +165,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                     let mut parts = Vec::with_capacity(items.len());
                     for it in items {
                         match it {
-                            Expr::Str(s) => parts.push(s.clone()),
+                            Expr::Str(s) => parts.push(self.text(*s).to_string()),
                             e => parts.push(self.eval(&mut frame, e, line)?.display()),
                         }
                     }
@@ -147,7 +174,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                 }
                 Op::Return => return Ok(Flow::Normal),
                 Op::Stop => return Ok(Flow::Stop),
-                Op::Call(name, call_args) => match self.call(&mut frame, name, call_args, line)? {
+                Op::Call(name, call_args) => match self.call(&mut frame, *name, call_args, line)? {
                     Flow::Stop => return Ok(Flow::Stop),
                     Flow::Normal => pc += 1,
                 },
@@ -161,27 +188,28 @@ impl<'r, 'e> Proc<'r, 'e> {
     fn call(
         &self,
         frame: &mut Frame<'r>,
-        name: &str,
+        name: Name,
         args: &'r [Expr],
         line: usize,
     ) -> Result<Flow, FortError> {
-        if self.program.units.contains_key(name) {
+        if let Some(u) = self.unit_index(name) {
             let mut bound = Vec::with_capacity(args.len());
             for a in args {
                 bound.push(self.bind_arg(frame, a, line)?);
             }
-            let unit = self.program.unit(name).expect("checked");
+            let unit = &self.program.units[u];
             if unit.params.len() != bound.len() {
                 return Err(FortError::runtime(
                     line,
                     format!(
-                        "{name} expects {} argument(s), got {}",
+                        "{} expects {} argument(s), got {}",
+                        self.text(name),
                         unit.params.len(),
                         bound.len()
                     ),
                 ));
             }
-            return self.exec(unit, bound);
+            return self.exec(u, bound);
         }
         self.intrinsic_call(frame, name, args, line)
     }
@@ -198,13 +226,15 @@ impl<'r, 'e> Proc<'r, 'e> {
     {
         match arg {
             Expr::Var(n) => {
-                if self.program.units.contains_key(n) {
-                    return Ok(ArgVal::Unit(n));
+                let n = *n;
+                if self.unit_index(n).is_some() {
+                    return Ok(ArgVal::Unit(self.text(n)));
                 }
+                let text = self.text(n);
                 match frame.unit.symbols.get(n) {
                     Some(sym) => match &sym.storage {
                         Storage::Shared { block, offset } => {
-                            let base = self.block_base(block, line)?;
+                            let base = self.block_base(*block, line)?;
                             Ok(ArgVal::Shared {
                                 offset: base + offset,
                                 ty: sym.ty,
@@ -217,7 +247,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                             } else {
                                 Err(FortError::runtime(
                                     line,
-                                    format!("cannot pass private array {n} by reference"),
+                                    format!("cannot pass private array {text} by reference"),
                                 ))
                             }
                         }
@@ -225,7 +255,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                         Storage::PseudoNp => Ok(ArgVal::Value(Value::Int(self.np))),
                         Storage::Arg(i) => Ok(frame.args[*i]),
                     },
-                    None => Err(FortError::runtime(line, format!("unknown variable {n}"))),
+                    None => Err(FortError::runtime(line, format!("unknown variable {text}"))),
                 }
             }
             Expr::Index(n, idx) => {
@@ -234,10 +264,10 @@ impl<'r, 'e> Proc<'r, 'e> {
                 let is_array = frame
                     .unit
                     .symbols
-                    .get(n)
+                    .get(*n)
                     .is_some_and(|s| !s.dims.is_empty());
                 if is_array {
-                    let (offset, ty) = self.array_elem(frame, n, idx, line)?;
+                    let (offset, ty) = self.array_elem(frame, *n, idx, line)?;
                     match offset {
                         ElemPlace::Shared(o) => Ok(ArgVal::Shared {
                             offset: o,
@@ -259,16 +289,17 @@ impl<'r, 'e> Proc<'r, 'e> {
     fn intrinsic_call(
         &self,
         frame: &mut Frame<'r>,
-        name: &str,
+        name: Name,
         args: &'r [Expr],
         line: usize,
     ) -> Result<Flow, FortError> {
+        let name = self.text(name);
         let machine = self.rt.engine.machine();
         if let Some((kind, is_lock)) = lock_mnemonic(name) {
             check_vendor_locks(machine, kind, line)?;
             let offset = self.shared_offset_arg(frame, args, 0, name, line)?;
             let var_name = match args.first() {
-                Some(Expr::Var(n)) => Some(n.as_str()),
+                Some(Expr::Var(n)) => Some(self.text(*n)),
                 _ => None,
             };
             let lock = self.rt.resolve_lock(offset, line)?;
@@ -335,19 +366,19 @@ impl<'r, 'e> Proc<'r, 'e> {
             }
             "ZZFORKJ" | "ZZSFORK" | "ZZSPAWN" => {
                 check_fork_mnemonic(machine, name, line)?;
-                let unit_name = match args.first() {
-                    Some(Expr::Var(n)) if self.program.units.contains_key(n) => n.clone(),
-                    _ => {
-                        return Err(FortError::runtime(
-                            line,
-                            format!("{name} needs a program unit to execute"),
-                        ))
-                    }
+                let unit = match args.first() {
+                    Some(Expr::Var(n)) => self.unit_index(*n),
+                    _ => None,
                 };
-                let unit = self.program.unit(&unit_name).expect("checked");
+                let Some(unit) = unit else {
+                    return Err(FortError::runtime(
+                        line,
+                        format!("{name} needs a program unit to execute"),
+                    ));
+                };
                 let np = self.rt.run.plane().nproc();
                 spawn_force(self.rt, line, &|pid| {
-                    let p = Proc::new(self.rt, self.program, pid as i64, np as i64);
+                    let p = Proc::new(self.rt, self.program, self.code, pid as i64, np as i64);
                     p.exec(unit, Vec::new()).map(|_| ())
                 })?;
                 Ok(Flow::Normal)
@@ -393,7 +424,8 @@ impl<'r, 'e> Proc<'r, 'e> {
         }
     }
 
-    fn block_base(&self, block: &str, line: usize) -> Result<usize, FortError> {
+    fn block_base(&self, block: Name, line: usize) -> Result<usize, FortError> {
+        let block = self.text(block);
         let state = self.rt.shared(line)?;
         state
             .bases
@@ -413,8 +445,9 @@ impl<'r, 'e> Proc<'r, 'e> {
                 line,
                 "character data are only allowed in PRINT lists",
             )),
-            Expr::Var(n) => self.read_scalar(frame, n, line),
+            Expr::Var(n) => self.read_scalar(frame, *n, line),
             Expr::Index(n, idx) => {
+                let (n, text) = (*n, self.text(*n));
                 let is_array = frame
                     .unit
                     .symbols
@@ -429,21 +462,21 @@ impl<'r, 'e> Proc<'r, 'e> {
                         }
                         ElemPlace::Local(slot) => Ok(frame.locals[slot]),
                     }
-                } else if frame.unit.symbols.contains_key(n) {
+                } else if frame.unit.symbols.contains(n) {
                     Err(FortError::runtime(
                         line,
-                        format!("{n} is a scalar but was subscripted"),
+                        format!("{text} is a scalar but was subscripted"),
                     ))
-                } else if n == "ZZISFL" || n == "ZZHISF" {
+                } else if text == "ZZISFL" || text == "ZZHISF" {
                     // Full/empty state test (§3.4): needs the *address* of
                     // its argument, not its value.
-                    self.eval_isfull(frame, n, idx, line)
+                    self.eval_isfull(frame, text, idx, line)
                 } else {
                     let mut vals = Vec::with_capacity(idx.len());
                     for a in idx {
                         vals.push(self.eval(frame, a, line)?);
                     }
-                    intrinsics::eval_function(n, &vals, line, self.me, self.np)
+                    intrinsics::eval_function(text, &vals, line, self.me, self.np)
                 }
             }
             Expr::Un(op, a) => {
@@ -480,11 +513,12 @@ impl<'r, 'e> Proc<'r, 'e> {
         isfull_value(self.rt, name, offset, line)
     }
 
-    fn read_scalar(&self, frame: &Frame<'_>, name: &str, line: usize) -> Result<Value, FortError> {
+    fn read_scalar(&self, frame: &Frame<'_>, n: Name, line: usize) -> Result<Value, FortError> {
+        let name = self.text(n);
         let sym = frame
             .unit
             .symbols
-            .get(name)
+            .get(n)
             .ok_or_else(|| FortError::runtime(line, format!("unknown variable {name}")))?;
         if !sym.dims.is_empty() {
             return Err(FortError::runtime(
@@ -495,7 +529,7 @@ impl<'r, 'e> Proc<'r, 'e> {
         match &sym.storage {
             Storage::Local { base } => Ok(frame.locals[*base]),
             Storage::Shared { block, offset } => {
-                let base = self.block_base(block, line)?;
+                let base = self.block_base(*block, line)?;
                 let state = self.rt.shared(line)?;
                 Ok(Value::from_bits(
                     state.region.load_raw(base + offset),
@@ -535,12 +569,9 @@ impl<'r, 'e> Proc<'r, 'e> {
     ) -> Result<(), FortError> {
         match lhs {
             LValue::Name(n) => {
-                let sym = frame
-                    .unit
-                    .symbols
-                    .get(n)
-                    .ok_or_else(|| FortError::runtime(line, format!("unknown variable {n}")))?
-                    .clone();
+                let (sym, n) = (frame.unit.symbols.get(*n).copied(), self.text(*n));
+                let sym =
+                    sym.ok_or_else(|| FortError::runtime(line, format!("unknown variable {n}")))?;
                 if !sym.dims.is_empty() {
                     return Err(FortError::runtime(
                         line,
@@ -554,7 +585,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                         Ok(())
                     }
                     Storage::Shared { block, offset } => {
-                        let base = self.block_base(block, line)?;
+                        let base = self.block_base(*block, line)?;
                         let state = self.rt.shared(line)?;
                         state.region.store_raw(base + offset, v.to_bits());
                         Ok(())
@@ -588,7 +619,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                 }
             }
             LValue::Elem(n, idx) => {
-                let (place, ty) = self.array_elem(frame, n, idx, line)?;
+                let (place, ty) = self.array_elem(frame, *n, idx, line)?;
                 let v = value.convert_to(ty, line)?;
                 match place {
                     ElemPlace::Shared(o) => {
@@ -606,16 +637,16 @@ impl<'r, 'e> Proc<'r, 'e> {
     fn array_elem(
         &self,
         frame: &mut Frame<'r>,
-        name: &str,
+        n: Name,
         idx: &[Expr],
         line: usize,
     ) -> Result<(ElemPlace, Ty), FortError> {
-        let sym: Symbol = frame
+        let name = self.text(n);
+        let sym: Symbol = *frame
             .unit
             .symbols
-            .get(name)
-            .ok_or_else(|| FortError::runtime(line, format!("unknown array {name}")))?
-            .clone();
+            .get(n)
+            .ok_or_else(|| FortError::runtime(line, format!("unknown array {name}")))?;
         let (dims, ty) = (&sym.dims, sym.ty);
         // Arg-bound arrays carry their own dims.
         if let Storage::Arg(i) = sym.storage {
@@ -643,12 +674,11 @@ impl<'r, 'e> Proc<'r, 'e> {
                 format!("{name} is a scalar but was subscripted"),
             ));
         }
-        let dims = dims.clone();
-        let off = self.elem_offset(frame, &dims, idx, name, line)?;
+        let off = self.elem_offset(frame, dims, idx, name, line)?;
         match &sym.storage {
             Storage::Local { base } => Ok((ElemPlace::Local(base + off), ty)),
             Storage::Shared { block, offset } => {
-                let base = self.block_base(block, line)?;
+                let base = self.block_base(*block, line)?;
                 Ok((ElemPlace::Shared(base + offset + off), ty))
             }
             _ => unreachable!("array storage"),
@@ -700,8 +730,308 @@ enum ElemPlace {
 /// Interpret an expression as an assignment target (for ZZHCON etc.).
 fn lvalue_of(e: &Expr, line: usize) -> Result<LValue, FortError> {
     match e {
-        Expr::Var(n) => Ok(LValue::Name(n.clone())),
-        Expr::Index(n, idx) => Ok(LValue::Elem(n.clone(), idx.clone())),
+        Expr::Var(n) => Ok(LValue::Name(*n)),
+        Expr::Index(n, idx) => Ok(LValue::Elem(*n, idx.clone())),
         _ => Err(FortError::runtime(line, "destination must be a variable")),
+    }
+}
+
+// ---- the op form -------------------------------------------------------
+
+/// One executable operation.
+#[derive(Debug, Clone, PartialEq)]
+enum Op {
+    /// Evaluate and store.
+    Assign(LValue, Expr),
+    /// Jump to the target if the condition is false.
+    JumpIfFalse(Expr, usize),
+    /// Unconditional jump.
+    Jump(usize),
+    /// Subroutine call (user unit or intrinsic).
+    Call(Name, Vec<Expr>),
+    /// List-directed print.
+    Print(Vec<Expr>),
+    /// Return from the unit.
+    Return,
+    /// Stop the process.
+    Stop,
+    /// No operation (labels, CONTINUE).
+    Nop,
+}
+
+/// One unit's ops, with resolved jump targets.
+#[derive(Debug)]
+struct Code {
+    ops: Vec<Op>,
+    /// Source line of each op (diagnostics).
+    op_lines: Vec<usize>,
+}
+
+struct DoFrame {
+    terminal: Option<u32>,
+    var: Name,
+    step: Expr,
+    head: usize,
+    exit_patch: usize,
+}
+
+struct IfFrame {
+    false_patch: usize,
+    end_patches: Vec<usize>,
+}
+
+/// Lower a unit's statements to ops.  [`Program::compile`] checked the
+/// unit's control flow, so every block closes and every label lands.
+fn lower(unit: &Unit) -> Code {
+    let mut code = Code {
+        ops: Vec::with_capacity(unit.body.len() + 1),
+        op_lines: Vec::with_capacity(unit.body.len() + 1),
+    };
+    let mut labels: Vec<(u32, usize)> = Vec::new();
+    let mut gotos: Vec<(usize, u32)> = Vec::new(); // (op idx, label)
+    let mut if_stack: Vec<IfFrame> = Vec::new();
+    let mut do_stack: Vec<DoFrame> = Vec::new();
+
+    // Hidden loop-variable names are not needed: DO re-evaluates bounds,
+    // which we document as a (benign) deviation from F77 trip counts.
+
+    for line in &unit.body {
+        let line_no = line.line_no;
+        if let Some(label) = line.label {
+            labels.push((label, code.ops.len()));
+        }
+        emit_stmt(
+            &line.stmt,
+            line_no,
+            &mut code,
+            &mut gotos,
+            &mut if_stack,
+            &mut do_stack,
+        );
+        // Close labeled DO loops terminating at this line.
+        while line.label.is_some() && do_stack.last().map(|f| f.terminal) == Some(line.label) {
+            let frame = do_stack.pop().expect("frame present");
+            emit_do_close(frame, &mut code, line_no);
+        }
+    }
+
+    // Implicit return at unit end.
+    let last_line = unit.body.last().map(|l| l.line_no).unwrap_or(0);
+    code.ops.push(Op::Return);
+    code.op_lines.push(last_line);
+
+    // Resolve GOTOs.
+    for (op_idx, label) in gotos {
+        let &(_, target) = labels
+            .iter()
+            .find(|&&(l, _)| l == label)
+            .expect("checked when resolved");
+        patch(&mut code.ops, op_idx, target);
+    }
+    code
+}
+
+/// Emit ops for one statement.
+fn emit_stmt(
+    stmt: &Stmt,
+    line_no: usize,
+    code: &mut Code,
+    gotos: &mut Vec<(usize, u32)>,
+    if_stack: &mut Vec<IfFrame>,
+    do_stack: &mut Vec<DoFrame>,
+) {
+    let push = |op: Op, code: &mut Code| {
+        code.ops.push(op);
+        code.op_lines.push(line_no);
+    };
+    match stmt {
+        Stmt::Decl { .. } | Stmt::Common { .. } => {
+            // declarations emit a placeholder so labels on them still work
+            push(Op::Nop, code);
+        }
+        Stmt::Continue => push(Op::Nop, code),
+        Stmt::Assign { lhs, rhs } => push(Op::Assign(lhs.clone(), rhs.clone()), code),
+        Stmt::Call { name, args } => push(Op::Call(*name, args.clone()), code),
+        Stmt::Print(items) => push(Op::Print(items.clone()), code),
+        Stmt::Return => push(Op::Return, code),
+        Stmt::Stop => push(Op::Stop, code),
+        Stmt::Goto(l) => {
+            gotos.push((code.ops.len(), *l));
+            push(Op::Jump(usize::MAX), code);
+        }
+        Stmt::ArithIf(e, l_neg, l_zero, l_pos) => {
+            // Branch on sign.  The expression is evaluated up to twice;
+            // expressions in this subset are side-effect free.
+            let sign = |rel| Expr::Bin(rel, Box::new(e.clone()), Box::new(Expr::Int(0)));
+            for (rel, label) in [(BinOp::Lt, *l_neg), (BinOp::Eq, *l_zero)] {
+                // if !(e rel 0) skip over the jump
+                let skip = code.ops.len();
+                push(Op::JumpIfFalse(sign(rel), usize::MAX), code);
+                gotos.push((code.ops.len(), label));
+                push(Op::Jump(usize::MAX), code);
+                let here = code.ops.len();
+                patch(&mut code.ops, skip, here);
+            }
+            gotos.push((code.ops.len(), *l_pos));
+            push(Op::Jump(usize::MAX), code);
+        }
+        Stmt::IfThen(cond) => {
+            if_stack.push(IfFrame {
+                false_patch: code.ops.len(),
+                end_patches: Vec::new(),
+            });
+            push(Op::JumpIfFalse(cond.clone(), usize::MAX), code);
+        }
+        Stmt::ElseIf(cond) => {
+            let frame = if_stack.last_mut().expect("checked when resolved");
+            // end-jump for the previous arm
+            frame.end_patches.push(code.ops.len());
+            push(Op::Jump(usize::MAX), code);
+            // previous false branch lands here
+            let here = code.ops.len();
+            patch(&mut code.ops, frame.false_patch, here);
+            frame.false_patch = code.ops.len();
+            push(Op::JumpIfFalse(cond.clone(), usize::MAX), code);
+        }
+        Stmt::Else => {
+            let frame = if_stack.last_mut().expect("checked when resolved");
+            frame.end_patches.push(code.ops.len());
+            push(Op::Jump(usize::MAX), code);
+            let here = code.ops.len();
+            patch(&mut code.ops, frame.false_patch, here);
+            // no pending false branch: END IF patches only the end jumps
+            frame.false_patch = usize::MAX;
+        }
+        Stmt::EndIf => {
+            let frame = if_stack.pop().expect("checked when resolved");
+            let here = code.ops.len();
+            if frame.false_patch != usize::MAX {
+                patch(&mut code.ops, frame.false_patch, here);
+            }
+            for p in frame.end_patches {
+                patch(&mut code.ops, p, here);
+            }
+            push(Op::Nop, code);
+        }
+        Stmt::LogicalIf(cond, inner) => {
+            let patch_idx = code.ops.len();
+            push(Op::JumpIfFalse(cond.clone(), usize::MAX), code);
+            emit_stmt(inner, line_no, code, gotos, if_stack, do_stack);
+            let here = code.ops.len();
+            patch(&mut code.ops, patch_idx, here);
+        }
+        Stmt::Do {
+            label,
+            var,
+            from,
+            to,
+            step,
+        } => {
+            let step = step.clone().unwrap_or(Expr::Int(1));
+            push(Op::Assign(LValue::Name(*var), from.clone()), code);
+            let head = code.ops.len();
+            let cond = Expr::do_condition(*var, to, &step);
+            push(Op::JumpIfFalse(cond, usize::MAX), code);
+            do_stack.push(DoFrame {
+                terminal: *label,
+                var: *var,
+                step,
+                head,
+                exit_patch: head,
+            });
+        }
+        Stmt::EndDo => {
+            let frame = do_stack.pop().expect("checked when resolved");
+            emit_do_close(frame, code, line_no);
+        }
+        Stmt::Program(_) | Stmt::Subroutine(_, _) | Stmt::EndUnit => {
+            unreachable!("checked when resolved: no unit header inside a unit body")
+        }
+    }
+}
+
+fn emit_do_close(frame: DoFrame, code: &mut Code, line_no: usize) {
+    let DoFrame {
+        var,
+        step,
+        head,
+        exit_patch,
+        ..
+    } = frame;
+    code.ops.push(Op::Assign(
+        LValue::Name(var),
+        Expr::Bin(BinOp::Add, Box::new(Expr::Var(var)), Box::new(step)),
+    ));
+    code.op_lines.push(line_no);
+    code.ops.push(Op::Jump(head));
+    code.op_lines.push(line_no);
+    let here = code.ops.len();
+    patch(&mut code.ops, exit_patch, here);
+}
+
+fn patch(ops: &mut [Op], idx: usize, target: usize) {
+    match &mut ops[idx] {
+        Op::Jump(t) | Op::JumpIfFalse(_, t) => *t = target,
+        other => unreachable!("patch on {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use super::*;
+
+    /// The ops of unit `A` of `src`.
+    fn ops(src: &str) -> Vec<Op> {
+        let p = Program::compile(src, &HashMap::new()).unwrap();
+        lower(p.unit("A").unwrap()).ops
+    }
+
+    #[test]
+    fn block_if_compiles_to_jumps() {
+        let ops = ops(
+            "      SUBROUTINE A\n      IF (X .GT. 0) THEN\n      Y = 1\n      ELSE\n      Y = 2\n      END IF\n      END\n",
+        );
+        // JumpIfFalse, Assign, Jump, Assign, Nop(endif), Return
+        assert!(matches!(ops[0], Op::JumpIfFalse(_, 3)));
+        assert!(matches!(ops[2], Op::Jump(4)));
+    }
+
+    #[test]
+    fn labeled_do_closes_at_its_label() {
+        let ops = ops(
+            "      SUBROUTINE A\n      DO 10 I = 1, 3\n      X = X + I\n10    CONTINUE\n      END\n",
+        );
+        // Assign I=1; head: JumpIfFalse -> exit; Assign X; Nop(10); I=I+1; Jump head; Return
+        assert!(matches!(ops[1], Op::JumpIfFalse(_, 6)));
+        assert!(matches!(ops[5], Op::Jump(1)));
+    }
+
+    #[test]
+    fn nested_labeled_dos_share_a_terminal() {
+        let ops = ops(
+            "      SUBROUTINE A\n      DO 10 I = 1, 3\n      DO 10 J = 1, 3\n      X = X + 1\n10    CONTINUE\n      END\n",
+        );
+        // Both frames close; program compiles and ends with Return.
+        assert!(matches!(ops.last(), Some(Op::Return)));
+    }
+
+    #[test]
+    fn arithmetic_if_branches_on_sign() {
+        let ops = ops(
+            "      SUBROUTINE A\n      X = -2\n      IF (X) 10, 20, 30\n10    Y = 1\n      RETURN\n20    Y = 2\n      RETURN\n30    Y = 3\n      END\n",
+        );
+        // compiles with resolved jumps; last op is the implicit Return
+        assert!(matches!(ops.last(), Some(Op::Return)));
+        assert!(ops
+            .iter()
+            .all(|op| !matches!(op, Op::Jump(t) if *t == usize::MAX)));
+    }
+
+    #[test]
+    fn goto_resolves_labels() {
+        let ops = ops("      SUBROUTINE A\n      GO TO 20\n      X = 1\n20    CONTINUE\n      END\n");
+        assert!(matches!(ops[0], Op::Jump(2)));
     }
 }

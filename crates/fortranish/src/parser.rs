@@ -1,16 +1,14 @@
 //! Recursive-descent parser: one lexed line → one [`Stmt`].
 
-use crate::ast::{BinOp, DeclItem, Expr, LValue, Stmt, Ty, UnOp};
+use crate::ast::{BinOp, DeclItem, Dims, Expr, LValue, Named, Stmt, Ty, UnOp};
 use crate::error::{FortError, FortErrorKind};
-use crate::lexer::keyword;
-use crate::token::{DotOp, Token};
+use crate::token::{kw, DotOp, Name, Names, Token};
 
-/// Parse one statement line out of `tokens`: the names and literals the
-/// statement keeps are moved into it, not copied, so the tokens are spent
-/// afterwards.
-pub fn parse_tokens(tokens: &mut [Token], line_no: usize) -> Result<Stmt, FortError> {
+/// Parse one statement line out of `tokens`, whose names are in `names`.
+pub fn parse_tokens(tokens: &[Token], names: &Names, line_no: usize) -> Result<Stmt, FortError> {
     let mut p = Parser {
         toks: tokens,
+        names,
         pos: 0,
         line: line_no,
         depth: 0,
@@ -38,7 +36,8 @@ pub const MAX_EXPR_DEPTH: usize = 100;
 type Parsed<T> = Result<T, Box<FortError>>;
 
 struct Parser<'a> {
-    toks: &'a mut [Token],
+    toks: &'a [Token],
+    names: &'a Names,
     pos: usize,
     line: usize,
     /// Levels of the expression under construction above the cursor;
@@ -107,9 +106,9 @@ impl<'a> Parser<'a> {
         self.toks.get(self.pos)
     }
 
-    /// Step over the next token, handing it out to be emptied.
-    fn next(&mut self) -> Option<&mut Token> {
-        let t = self.toks.get_mut(self.pos);
+    /// Step over the next token.
+    fn next(&mut self) -> Option<Token> {
+        let t = self.toks.get(self.pos).copied();
         if t.is_some() {
             self.pos += 1;
         }
@@ -133,9 +132,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Parsed<String> {
+    fn expect_ident(&mut self, what: &str) -> Parsed<Name> {
         match self.next() {
-            Some(Token::Ident(s)) => Ok(std::mem::take(s).into_owned()),
+            Some(Token::Ident(name)) => Ok(name),
             _ => Err(self.err(format!("expected {what}"))),
         }
     }
@@ -146,14 +145,14 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(format!(
                 "unexpected trailing tokens: {:?}",
-                &self.toks[self.pos..]
+                Named(&self.toks[self.pos..], self.names)
             )))
         }
     }
 
-    fn peek_ident(&self) -> Option<&str> {
+    fn peek_ident(&self) -> Option<Name> {
         match self.peek() {
-            Some(Token::Ident(s)) => Some(s),
+            Some(&Token::Ident(name)) => Some(name),
             _ => None,
         }
     }
@@ -161,19 +160,19 @@ impl<'a> Parser<'a> {
     // ---- statements -------------------------------------------------------
 
     fn statement(&mut self) -> Parsed<Stmt> {
-        // A keyword's own text, so that nothing of the tokens stays
-        // borrowed; any other name opens an assignment.
+        // A keyword, or `None` for any other name, which opens an
+        // assignment.
         let first = match self.peek_ident() {
-            Some(s) => keyword(s).unwrap_or(""),
+            Some(name) => Some(name).filter(|&n| Names::is_keyword(n)),
             None => return Err(self.err("statement must start with a keyword or variable")),
         };
         match first {
-            "PROGRAM" => {
+            Some(kw::PROGRAM) => {
                 self.next();
                 let name = self.expect_ident("program name")?;
                 Ok(Stmt::Program(name))
             }
-            "SUBROUTINE" => {
+            Some(kw::SUBROUTINE) => {
                 self.next();
                 let name = self.expect_ident("subroutine name")?;
                 let mut params = Vec::new();
@@ -188,54 +187,61 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Stmt::Subroutine(name, params))
             }
-            "END" => {
+            Some(kw::END) => {
                 self.next();
                 match self.peek_ident() {
-                    Some("IF") => {
+                    Some(kw::IF) => {
                         self.next();
                         Ok(Stmt::EndIf)
                     }
-                    Some("DO") => {
+                    Some(kw::DO) => {
                         self.next();
                         Ok(Stmt::EndDo)
                     }
                     None => Ok(Stmt::EndUnit),
-                    Some(other) => Err(self.err(format!("unexpected `END {other}`"))),
+                    Some(other) => Err(self.err(format!(
+                        "unexpected `END {}`",
+                        self.names.text(other)
+                    ))),
                 }
             }
-            "ENDIF" => {
+            Some(kw::ENDIF) => {
                 self.next();
                 Ok(Stmt::EndIf)
             }
-            "ENDDO" => {
+            Some(kw::ENDDO) => {
                 self.next();
                 Ok(Stmt::EndDo)
             }
-            "RETURN" => {
+            Some(kw::RETURN) => {
                 self.next();
                 Ok(Stmt::Return)
             }
-            "STOP" => {
+            Some(kw::STOP) => {
                 self.next();
                 Ok(Stmt::Stop)
             }
-            "CONTINUE" => {
+            Some(kw::CONTINUE) => {
                 self.next();
                 Ok(Stmt::Continue)
             }
-            "INTEGER" | "REAL" | "LOGICAL" | "DOUBLE" => {
+            Some(keyword @ (kw::INTEGER | kw::REAL | kw::LOGICAL | kw::DOUBLE)) => {
                 self.next();
-                if first == "DOUBLE" {
+                if keyword == kw::DOUBLE {
                     // DOUBLE PRECISION
-                    if self.peek_ident() == Some("PRECISION") {
+                    if self.peek_ident() == Some(kw::PRECISION) {
                         self.next();
                     }
                 }
-                let ty = Ty::from_keyword(first).expect("checked keyword");
+                let ty = match keyword {
+                    kw::INTEGER => Ty::Integer,
+                    kw::LOGICAL => Ty::Logical,
+                    _ => Ty::Real,
+                };
                 let items = self.decl_items()?;
                 Ok(Stmt::Decl { ty, items })
             }
-            "COMMON" => {
+            Some(kw::COMMON) => {
                 self.next();
                 self.expect(&Token::Slash, "`/` before COMMON block name")?;
                 let block = self.expect_ident("COMMON block name")?;
@@ -243,12 +249,12 @@ impl<'a> Parser<'a> {
                 let items = self.decl_items()?;
                 Ok(Stmt::Common { block, items })
             }
-            "IF" => {
+            Some(kw::IF) => {
                 self.next();
                 self.expect(&Token::LParen, "`(` after IF")?;
                 let cond = self.expr()?;
                 self.expect(&Token::RParen, "`)` after IF condition")?;
-                if self.peek_ident() == Some("THEN") {
+                if self.peek_ident() == Some(kw::THEN) {
                     self.next();
                     Ok(Stmt::IfThen(cond))
                 } else if matches!(self.peek(), Some(Token::Int(_))) {
@@ -261,13 +267,13 @@ impl<'a> Parser<'a> {
                         match self.next() {
                             Some(Token::Int(n)) => {
                                 *slot =
-                                    u32::try_from(*n).map_err(|_| self.err("label out of range"))?
+                                    u32::try_from(n).map_err(|_| self.err("label out of range"))?
                             }
                             _ => return Err(self.err("expected a label in arithmetic IF")),
                         }
                     }
                     Ok(Stmt::ArithIf(cond, labels[0], labels[1], labels[2]))
-                } else if self.peek_ident().and_then(keyword) == Some("IF") {
+                } else if self.peek_ident() == Some(kw::IF) {
                     // Never a simple statement, so not worth a descent
                     // (`IF (A) IF (A) IF (A) …` would be one per IF).
                     Err(self.err("unsupported statement in logical IF"))
@@ -286,14 +292,14 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            "ELSE" => {
+            Some(kw::ELSE) => {
                 self.next();
-                if self.peek_ident() == Some("IF") {
+                if self.peek_ident() == Some(kw::IF) {
                     self.next();
                     self.expect(&Token::LParen, "`(` after ELSE IF")?;
                     let cond = self.expr()?;
                     self.expect(&Token::RParen, "`)` after ELSE IF condition")?;
-                    if self.peek_ident() == Some("THEN") {
+                    if self.peek_ident() == Some(kw::THEN) {
                         self.next();
                     }
                     Ok(Stmt::ElseIf(cond))
@@ -301,35 +307,34 @@ impl<'a> Parser<'a> {
                     Ok(Stmt::Else)
                 }
             }
-            "ELSEIF" => {
+            Some(kw::ELSEIF) => {
                 self.next();
                 self.expect(&Token::LParen, "`(` after ELSEIF")?;
                 let cond = self.expr()?;
                 self.expect(&Token::RParen, "`)` after ELSEIF condition")?;
-                if self.peek_ident() == Some("THEN") {
+                if self.peek_ident() == Some(kw::THEN) {
                     self.next();
                 }
                 Ok(Stmt::ElseIf(cond))
             }
-            "GO" => {
+            Some(kw::GO) => {
                 self.next();
-                if self.peek_ident() == Some("TO") {
+                if self.peek_ident() == Some(kw::TO) {
                     self.next();
                 } else {
                     return Err(self.err("expected `GO TO`"));
                 }
                 self.goto_label()
             }
-            "GOTO" => {
+            Some(kw::GOTO) => {
                 self.next();
                 self.goto_label()
             }
-            "DO" => {
+            Some(kw::DO) => {
                 self.next();
                 // DO [label] var = from, to [, step]
                 let label = match self.peek() {
-                    Some(Token::Int(n)) => {
-                        let n = *n;
+                    Some(&Token::Int(n)) => {
                         self.next();
                         Some(u32::try_from(n).map_err(|_| self.err("label out of range"))?)
                     }
@@ -353,7 +358,7 @@ impl<'a> Parser<'a> {
                     step,
                 })
             }
-            "CALL" => {
+            Some(kw::CALL) => {
                 self.next();
                 let name = self.expect_ident("subroutine name")?;
                 let mut args = Vec::new();
@@ -368,7 +373,7 @@ impl<'a> Parser<'a> {
                 }
                 Ok(Stmt::Call { name, args })
             }
-            "PRINT" => {
+            Some(kw::PRINT) => {
                 self.next();
                 self.expect(&Token::Star, "`*` after PRINT")?;
                 let mut items = Vec::new();
@@ -403,7 +408,7 @@ impl<'a> Parser<'a> {
     fn goto_label(&mut self) -> Parsed<Stmt> {
         match self.next() {
             Some(Token::Int(n)) => Ok(Stmt::Goto(
-                u32::try_from(*n).map_err(|_| self.err("label out of range"))?,
+                u32::try_from(n).map_err(|_| self.err("label out of range"))?,
             )),
             _ => Err(self.err("expected a label after GO TO")),
         }
@@ -413,11 +418,15 @@ impl<'a> Parser<'a> {
         let mut items = Vec::new();
         loop {
             let name = self.expect_ident("declared name")?;
-            let mut dims = Vec::new();
+            let mut dims = [0usize; 3];
+            let mut count = 0;
             if self.eat(&Token::LParen) {
                 loop {
                     match self.next() {
-                        Some(Token::Int(n)) if *n > 0 => dims.push(*n as usize),
+                        Some(Token::Int(n)) if n > 0 => {
+                            dims[count.min(2)] = n as usize;
+                            count += 1;
+                        }
                         _ => {
                             return Err(
                                 self.err("array dimensions must be positive integer literals")
@@ -429,10 +438,10 @@ impl<'a> Parser<'a> {
                     }
                     self.expect(&Token::Comma, "`,` in dimensions")?;
                 }
-                if dims.len() > 2 {
-                    return Err(self.err("at most 2 array dimensions are supported"));
-                }
             }
+            let Some(dims) = Dims::new(&dims[..count.min(3)]) else {
+                return Err(self.err("at most 2 array dimensions are supported"));
+            };
             items.push(DeclItem { name, dims });
             if !self.eat(&Token::Comma) {
                 break;
@@ -506,19 +515,20 @@ impl<'a> Parser<'a> {
 
     fn atom(&mut self) -> Parsed<Expr> {
         match self.next() {
-            Some(Token::Int(n)) => Ok(Expr::Int(*n)),
-            Some(Token::Real(x)) => Ok(Expr::Real(*x)),
-            Some(Token::Logical(b)) => Ok(Expr::Logical(*b)),
-            Some(Token::Str(s)) => Ok(Expr::Str(std::mem::take(s))),
+            Some(Token::Int(n)) => Ok(Expr::Int(n)),
+            Some(Token::Real(x)) => Ok(Expr::Real(x)),
+            Some(Token::Logical(b)) => Ok(Expr::Logical(b)),
+            Some(Token::Str(s)) => Ok(Expr::Str(s)),
             Some(Token::LParen) => self.parenthesized(),
-            Some(Token::Ident(name)) => {
-                let name = std::mem::take(name).into_owned();
-                self.named(name)
-            }
-            other => {
-                let msg = format!("unexpected token {other:?} in expression");
+            Some(Token::Ident(name)) => self.named(name),
+            Some(other) => {
+                let msg = format!(
+                    "unexpected token Some({:?}) in expression",
+                    Named(&other, self.names)
+                );
                 Err(self.err(msg))
             }
+            None => Err(self.err("unexpected token None in expression")),
         }
     }
 
@@ -534,7 +544,7 @@ impl<'a> Parser<'a> {
     }
 
     /// A variable, or with `(` an array element or function reference.
-    fn named(&mut self, name: String) -> Parsed<Expr> {
+    fn named(&mut self, name: Name) -> Parsed<Expr> {
         if !self.eat(&Token::LParen) {
             return Ok(Expr::Var(name));
         }
@@ -557,14 +567,23 @@ mod tests {
     use super::*;
     use crate::lexer::lex_statement;
 
-    /// [`parse_tokens`] for a caller that keeps its tokens.
-    fn parse_statement(tokens: &[Token], line_no: usize) -> Result<Stmt, FortError> {
-        parse_tokens(&mut tokens.to_vec(), line_no)
+    /// `s` lexed and parsed as line `line_no`.
+    fn parse_at(s: &str, line_no: usize) -> (Result<Stmt, FortError>, Names) {
+        let mut names = Names::new();
+        let mut toks = Vec::new();
+        lex_statement(s, line_no, &mut names, &mut toks).unwrap();
+        (parse_tokens(&toks, &names, line_no), names)
     }
 
+    /// `s` parsed, shown with its names as text.
     fn parse(s: &str) -> Stmt {
-        let toks = lex_statement(s, 1).unwrap();
-        parse_statement(&toks, 1).unwrap()
+        parse_at(s, 1).0.unwrap()
+    }
+
+    /// `s` parsed and shown as `{:?}` shows it, names as text.
+    fn shown(s: &str) -> String {
+        let (stmt, names) = parse_at(s, 1);
+        format!("{:?}", Named(&stmt.unwrap(), &names))
     }
 
     #[test]
@@ -572,7 +591,7 @@ mod tests {
         let s = parse("X = A + B * C ** 2");
         match s {
             Stmt::Assign { lhs, rhs } => {
-                assert_eq!(lhs, LValue::Name("X".into()));
+                assert!(matches!(lhs, LValue::Name(_)));
                 // A + (B * (C ** 2))
                 match rhs {
                     Expr::Bin(BinOp::Add, _, r) => match *r {
@@ -618,10 +637,10 @@ mod tests {
 
     #[test]
     fn do_statements() {
-        assert!(matches!(
-            parse("DO 100 K = 1, N"),
-            Stmt::Do { label: Some(100), ref var, step: None, .. } if var == "K"
-        ));
+        assert_eq!(
+            shown("DO 100 K = 1, N"),
+            r#"Do { label: Some(100), var: "K", from: Int(1), to: Var("N"), step: None }"#
+        );
         assert!(matches!(
             parse("DO I = 10, 1, -2"),
             Stmt::Do {
@@ -642,14 +661,10 @@ mod tests {
 
     #[test]
     fn call_statements() {
-        let s = parse("CALL ZZTSLCK(BARWIN)");
-        match s {
-            Stmt::Call { name, args } => {
-                assert_eq!(name, "ZZTSLCK");
-                assert_eq!(args, vec![Expr::Var("BARWIN".into())]);
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(
+            shown("CALL ZZTSLCK(BARWIN)"),
+            r#"Call { name: "ZZTSLCK", args: [Var("BARWIN")] }"#
+        );
         assert!(matches!(parse("CALL NOARGS"), Stmt::Call { ref args, .. } if args.is_empty()));
         assert!(matches!(parse("CALL EMPTY()"), Stmt::Call { ref args, .. } if args.is_empty()));
     }
@@ -660,22 +675,19 @@ mod tests {
         match s {
             Stmt::Decl { ty, items } => {
                 assert_eq!(ty, Ty::Integer);
-                assert_eq!(items[1].dims, vec![10, 20]);
+                assert_eq!(*items[1].dims, [10, 20]);
             }
             _ => unreachable!(),
         }
-        let s = parse("COMMON /ZZFENV/ ZZNBAR, BARWIN, BARWOT");
-        assert!(
-            matches!(s, Stmt::Common { ref block, ref items } if block == "ZZFENV" && items.len() == 3)
+        assert_eq!(
+            shown("COMMON /ZZFENV/ ZZNBAR, A(2)"),
+            r#"Common { block: "ZZFENV", items: [DeclItem { name: "ZZNBAR", dims: [] }, DeclItem { name: "A", dims: [2] }] }"#
         );
     }
 
     #[test]
     fn subroutine_headers() {
-        assert!(matches!(
-            parse("SUBROUTINE FMAIN"),
-            Stmt::Subroutine(ref n, ref p) if n == "FMAIN" && p.is_empty()
-        ));
+        assert_eq!(shown("SUBROUTINE FMAIN"), r#"Subroutine("FMAIN", [])"#);
         assert!(matches!(
             parse("SUBROUTINE WORK(A, N)"),
             Stmt::Subroutine(_, ref p) if p.len() == 2
@@ -686,30 +698,19 @@ mod tests {
 
     #[test]
     fn print_statement() {
-        let s = parse("PRINT *, 'SUM =', TOTAL");
-        match s {
-            Stmt::Print(items) => {
-                assert_eq!(items.len(), 2);
-                assert_eq!(items[0], Expr::Str("SUM =".into()));
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(
+            shown("PRINT *, 'SUM =', TOTAL"),
+            r#"Print([Str("SUM ="), Var("TOTAL")])"#
+        );
         assert!(matches!(parse("PRINT *"), Stmt::Print(ref v) if v.is_empty()));
     }
 
     #[test]
     fn function_call_in_expression() {
-        let s = parse("X = MOD(K, 2) + ABS(-3)");
-        match s {
-            Stmt::Assign {
-                rhs: Expr::Bin(BinOp::Add, l, r),
-                ..
-            } => {
-                assert!(matches!(*l, Expr::Index(ref n, _) if n == "MOD"));
-                assert!(matches!(*r, Expr::Index(ref n, _) if n == "ABS"));
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(
+            shown("X = MOD(K, 2) + ABS(-3)"),
+            r#"Assign { lhs: Name("X"), rhs: Bin(Add, Index("MOD", [Var("K"), Int(2)]), Index("ABS", [Un(Neg, Int(3))])) }"#
+        );
     }
 
     #[test]
@@ -726,15 +727,39 @@ mod tests {
 
     #[test]
     fn errors_report_line() {
-        let toks = lex_statement("IF (X", 7).unwrap();
-        let err = parse_statement(&toks, 7).unwrap_err();
+        let err = parse_at("IF (X", 7).0.unwrap_err();
         assert_eq!(err.line, Some(7));
     }
 
     #[test]
+    fn errors_quote_tokens_by_their_text() {
+        let err = parse_at("X = 1 Y 'Z'", 1).0.unwrap_err();
+        assert!(
+            err.to_string()
+                .contains(r#"unexpected trailing tokens: [Ident("Y"), Str("Z")]"#),
+            "{err}"
+        );
+        let err = parse_at("X = ,", 1).0.unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unexpected token Some(Comma) in expression"),
+            "{err}"
+        );
+        let err = parse_at("X =", 1).0.unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected token None in expression"),
+            "{err}"
+        );
+        let err = parse_at("END SUBROUTINE", 1).0.unwrap_err();
+        assert!(err.to_string().contains("unexpected `END SUBROUTINE`"), "{err}");
+    }
+
+    #[test]
     fn three_dims_rejected() {
-        let toks = lex_statement("INTEGER A(2,2,2)", 1).unwrap();
-        assert!(parse_statement(&toks, 1).is_err());
+        let err = parse_at("INTEGER A(2,2,2)", 1).0.unwrap_err();
+        assert!(err.to_string().contains("at most 2"), "{err}");
+        let err = parse_at("INTEGER A(2,2,0)", 1).0.unwrap_err();
+        assert!(err.to_string().contains("positive"), "{err}");
     }
 
     /// Parse `line` on a thread with the stack of an overcommitted pid:
@@ -743,8 +768,10 @@ mod tests {
         std::thread::Builder::new()
             .stack_size(512 * 1024)
             .spawn(move || {
-                let toks = lex_statement(&line, 9)?;
-                parse_statement(&toks, 9)
+                let mut names = Names::new();
+                let mut toks = Vec::new();
+                lex_statement(&line, 9, &mut names, &mut toks)?;
+                parse_tokens(&toks, &names, 9)
             })
             .unwrap()
             .join()

@@ -1,22 +1,25 @@
-//! Program structure: units, symbols, and executable op streams.
+//! Program structure: units, symbols and resolved statements — what the
+//! load path's *resolve* step makes of the parse.
 //!
-//! Each program unit's statements are flattened into a vector of [`Op`]s
-//! with resolved jump targets: block `IF`/`ELSE`/`END IF` and both `DO`
-//! forms compile to conditional jumps, labels map to op indices, and
-//! `GO TO` is a direct jump — which is exactly the control flow the
-//! Force macro expansions rely on.
+//! [`Program::compile`] lexes the source (one name table, one token
+//! buffer), parses each line into a statement, splits the statements
+//! into units and resolves every unit: a dense symbol table indexed by
+//! name id, the shared-block layout, and the checks on its control flow
+//! (block `IF`s and `DO`s nest, labels are unique, every `GO TO` lands).
+//! What comes out is still statements: the bytecode compiler
+//! ([`crate::bytecode::compile`]) lowers them to instructions, and the
+//! reference interpreter ([`crate::oracle`]) to its own op form.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use crate::ast::{BinOp, DeclItem, Expr, LValue, Stmt, Ty};
+use crate::ast::{DeclItem, Dims, Expr, LValue, Named, Stmt, Ty};
 use crate::error::{FortError, FortErrorKind};
-use crate::lexer::lex;
+use crate::lexer::{lex, Lexed};
 use crate::parser::parse_tokens;
+use crate::token::{Name, Names};
 
 /// Where a symbol's storage lives.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Storage {
     /// Process-private storage in the unit's frame; `base` is the first
     /// word of possibly several (arrays).
@@ -29,7 +32,7 @@ pub enum Storage {
         /// Block name (a COMMON block, or a Force shared variable's own
         /// one-variable block); one allocation per block, shared by its
         /// members.
-        block: Arc<str>,
+        block: Name,
         /// Word offset within the block.
         offset: usize,
     },
@@ -42,12 +45,12 @@ pub enum Storage {
 }
 
 /// A resolved symbol.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Symbol {
     /// Value type.
     pub ty: Ty,
     /// Array dimensions (empty = scalar; column-major, 1-based).
-    pub dims: Vec<usize>,
+    pub dims: Dims,
     /// Storage class.
     pub storage: Storage,
 }
@@ -55,59 +58,127 @@ pub struct Symbol {
 impl Symbol {
     /// Total words of storage.
     pub fn words(&self) -> usize {
-        self.dims.iter().product::<usize>().max(1)
+        self.dims.words()
     }
 }
 
-/// One executable operation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// Evaluate and store.
-    Assign(LValue, Expr),
-    /// Jump to the target if the condition is false.
-    JumpIfFalse(Expr, usize),
-    /// Unconditional jump.
-    Jump(usize),
-    /// Subroutine call (user unit or intrinsic).
-    Call(String, Vec<Expr>),
-    /// List-directed print.
-    Print(Vec<Expr>),
-    /// Return from the unit.
-    Return,
-    /// Stop the process.
-    Stop,
-    /// No operation (labels, CONTINUE).
-    Nop,
+/// A unit's symbol table: a slot per name of the program, by id.
+#[derive(Debug, Clone)]
+pub struct Symbols {
+    slots: Vec<Option<Symbol>>,
 }
 
-/// One program unit, compiled.
+impl Symbols {
+    fn new(names: usize) -> Symbols {
+        Symbols {
+            slots: vec![None; names],
+        }
+    }
+
+    /// The symbol `name` resolves to in the unit, if any.
+    pub fn get(&self, name: Name) -> Option<&Symbol> {
+        self.slots.get(name.0 as usize)?.as_ref()
+    }
+
+    /// Whether `name` is a symbol of the unit.
+    pub fn contains(&self, name: Name) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// Every symbol of the unit, by name id.
+    pub fn iter(&self) -> impl Iterator<Item = (Name, &Symbol)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(id, s)| Some((Name(id as u32), s.as_ref()?)))
+    }
+
+    fn insert(&mut self, name: Name, symbol: Symbol) {
+        self.slots[name.0 as usize] = Some(symbol);
+    }
+}
+
+/// One statement of a unit's body, with its line and label.
+#[derive(Debug)]
+pub struct Line {
+    /// 1-based source line number.
+    pub line_no: usize,
+    /// Optional statement label.
+    pub label: Option<u32>,
+    /// The statement.
+    pub stmt: Stmt,
+}
+
+/// One program unit, resolved.
 #[derive(Debug)]
 pub struct Unit {
     /// Unit name.
-    pub name: String,
+    pub name: Name,
     /// Whether this is the PROGRAM (driver) unit.
     pub is_program: bool,
     /// Dummy argument names, in order.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Symbol table.
-    pub symbols: HashMap<String, Symbol>,
-    /// Executable ops.
-    pub ops: Vec<Op>,
-    /// Source line of each op (diagnostics).
-    pub op_lines: Vec<usize>,
+    pub symbols: Symbols,
+    /// The statements between the header and `END`.
+    pub body: Vec<Line>,
     /// Size of the process-private frame in words.
     pub frame_words: usize,
+    /// Every label a `GO TO` (plain, logical or arithmetic) names,
+    /// sorted.
+    pub goto_targets: Vec<u32>,
 }
 
-/// A compiled program: all units plus shared-block geometry.
+impl Unit {
+    /// Whether some `GO TO` of the unit jumps to `label`.
+    pub fn is_goto_target(&self, label: u32) -> bool {
+        self.goto_targets.binary_search(&label).is_ok()
+    }
+}
+
+/// A resolved program: its names, all units and the shared-block
+/// geometry.
 #[derive(Debug)]
 pub struct Program {
-    /// Units by name.
-    pub units: HashMap<String, Unit>,
+    /// Every name of the program; ids index it.
+    pub names: Names,
+    /// The units, in source order.
+    pub units: Vec<Unit>,
     /// The PROGRAM unit's name, if present.
-    pub program_unit: Option<String>,
-    /// Shared blocks: name → total words (consistent across units).
+    pub program_unit: Option<Name>,
+    /// Shared blocks: name → total words (consistent across units).  The
+    /// COMMON blocks come first, in the order the units declare them,
+    /// then the Force shared variables by name.
     pub shared_blocks: Vec<(String, usize)>,
+    /// The index in `shared_blocks` of each name that is a block, by id;
+    /// `u32::MAX` for the rest.
+    block_index: Vec<u32>,
+}
+
+/// The shared blocks as the units declare them.
+struct Blocks {
+    /// `(block, words)` in declaration order.
+    order: Vec<(Name, usize)>,
+    /// Index in `order` by name id, `u32::MAX` for none.
+    index: Vec<u32>,
+}
+
+impl Blocks {
+    fn words(&self, block: Name) -> Option<usize> {
+        match self.index.get(block.0 as usize) {
+            Some(&i) if i != u32::MAX => Some(self.order[i as usize].1),
+            _ => None,
+        }
+    }
+
+    fn add(&mut self, block: Name, words: usize) {
+        let id = block.0 as usize;
+        if id >= self.index.len() {
+            self.index.resize(id + 1, u32::MAX);
+        }
+        self.index[id] = self.order.len() as u32;
+        self.order.push((block, words));
+    }
 }
 
 impl Program {
@@ -118,24 +189,37 @@ impl Program {
         source: &str,
         shared_names: &HashMap<String, usize>,
     ) -> Result<Program, FortError> {
-        // The parser moves names and literals out of the tokens; what is
-        // left of a line is its number, its label and its statement.
-        let lines = lex(source)?;
+        let Lexed {
+            mut names,
+            tokens,
+            lines,
+        } = lex(source)?;
         let mut stmts = Vec::with_capacity(lines.len());
-        for mut line in lines {
-            let stmt = parse_tokens(&mut line.tokens, line.line_no)?;
+        for line in &lines {
+            let tokens = &tokens[line.start as usize..line.end as usize];
             stmts.push(Line {
                 line_no: line.line_no,
                 label: line.label,
-                stmt,
+                stmt: parse_tokens(tokens, &names, line.line_no)?,
             });
+        }
+        drop((tokens, lines));
+        // The Force shared variables the source names, by id; one it does
+        // not name is never looked up.
+        let mut shared_words = vec![None; names.len()];
+        for (name, &words) in shared_names {
+            if let Some(id) = names.get(name) {
+                shared_words[id.0 as usize] = Some(words);
+            }
         }
 
         // Split into units.
-        let mut units = HashMap::new();
+        let mut units: Vec<Unit> = Vec::new();
         let mut program_unit = None;
-        let mut blocks: HashMap<String, usize> = HashMap::new();
-        let mut block_order: Vec<String> = Vec::new();
+        let mut blocks = Blocks {
+            order: Vec::new(),
+            index: vec![u32::MAX; names.len()],
+        };
         let mut stmts = stmts.into_iter();
         while let Some(header) = stmts.next() {
             let line_no = header.line_no;
@@ -146,7 +230,8 @@ impl Program {
                     return Err(FortError::at(
                         line_no,
                         FortErrorKind::Structure(format!(
-                            "statement outside any program unit: {other:?}"
+                            "statement outside any program unit: {:?}",
+                            Named(&other, &names)
                         )),
                     ))
                 }
@@ -164,17 +249,17 @@ impl Program {
             if !ended {
                 return Err(FortError::at(
                     line_no,
-                    FortErrorKind::Structure(format!("unit {name} has no END")),
+                    FortErrorKind::Structure(format!("unit {} has no END", names.text(name))),
                 ));
             }
-            let unit = compile_unit(
-                name.clone(),
+            let unit = resolve_unit(
+                name,
                 params,
                 is_program,
                 body,
-                shared_names,
+                &names,
+                &shared_words,
                 &mut blocks,
-                &mut block_order,
             )?;
             if is_program {
                 if program_unit.is_some() {
@@ -183,122 +268,123 @@ impl Program {
                         FortErrorKind::Structure("more than one PROGRAM unit".into()),
                     ));
                 }
-                program_unit = Some(name.clone());
+                program_unit = Some(name);
             }
-            match units.entry(name) {
-                Entry::Occupied(unit) => {
-                    return Err(FortError::at(
-                        line_no,
-                        FortErrorKind::Structure(format!("duplicate unit {}", unit.key())),
-                    ))
-                }
-                Entry::Vacant(slot) => slot.insert(unit),
-            };
+            if units.iter().any(|u| u.name == name) {
+                return Err(FortError::at(
+                    line_no,
+                    FortErrorKind::Structure(format!("duplicate unit {}", names.text(name))),
+                ));
+            }
+            units.push(unit);
         }
         if units.is_empty() {
             return Err(FortError::general(FortErrorKind::Structure(
                 "source contains no program units".into(),
             )));
         }
-        // Force shared variables are one-variable blocks.
-        for (name, words) in shared_names {
-            let block = blocks.entry(name.clone()).or_insert(*words);
-            if *block != *words {
-                return Err(FortError::general(FortErrorKind::Structure(format!(
-                    "shared variable {name} has inconsistent sizes"
-                ))));
-            }
-            if !block_order.contains(name) {
-                block_order.push(name.clone());
+        // Force shared variables are one-variable blocks, after the COMMON
+        // blocks and by name: the layout of the shared region, and with it
+        // every block id in the bytecode, must not follow the hasher.
+        let mut shared: Vec<(&String, &usize)> = shared_names.iter().collect();
+        shared.sort_unstable();
+        for (name, &words) in shared {
+            let id = names.intern(name);
+            match blocks.words(id) {
+                Some(w) if w != words => {
+                    return Err(FortError::general(FortErrorKind::Structure(format!(
+                        "shared variable {name} has inconsistent sizes"
+                    ))))
+                }
+                Some(_) => {}
+                None => blocks.add(id, words),
             }
         }
-        let shared_blocks = block_order.iter().map(|b| (b.clone(), blocks[b])).collect();
+        let mut block_index = blocks.index;
+        block_index.resize(names.len(), u32::MAX);
+        let shared_blocks = blocks
+            .order
+            .iter()
+            .map(|&(b, words)| (names.text(b).to_string(), words))
+            .collect();
         Ok(Program {
+            names,
             units,
             program_unit,
             shared_blocks,
+            block_index,
         })
     }
 
-    /// Look up a unit.
-    pub fn unit(&self, name: &str) -> Option<&Unit> {
-        self.units.get(name)
+    /// The text of `name`.
+    pub fn name(&self, name: Name) -> &str {
+        self.names.text(name)
     }
-}
 
-/// One parsed line: what is left of it once its tokens are spent.
-struct Line {
-    line_no: usize,
-    label: Option<u32>,
-    stmt: Stmt,
-}
+    /// Look up a unit by name.
+    pub fn unit(&self, name: &str) -> Option<&Unit> {
+        self.unit_named(self.names.get(name)?)
+    }
 
-struct DoFrame {
-    terminal: Option<u32>,
-    var: String,
-    step: Expr,
-    head: usize,
-    exit_patch: usize,
-}
+    /// Look up a unit by name id.
+    pub fn unit_named(&self, name: Name) -> Option<&Unit> {
+        self.units.iter().find(|u| u.name == name)
+    }
 
-struct IfFrame {
-    false_patch: usize,
-    end_patches: Vec<usize>,
-}
-
-fn compile_unit(
-    name: String,
-    params: Vec<String>,
-    is_program: bool,
-    mut body: Vec<Line>,
-    shared_names: &HashMap<String, usize>,
-    blocks: &mut HashMap<String, usize>,
-    block_order: &mut Vec<String>,
-) -> Result<Unit, FortError> {
-    // ---- pass 1: declarations -------------------------------------------
-    // The declared names and dimensions move out of their statements: the
-    // third pass only wants a placeholder op from a declaration.
-    let mut decls: HashMap<String, (Ty, Vec<usize>)> = HashMap::new();
-    let mut commons: Vec<(String, Vec<DeclItem>, usize)> = Vec::new(); // (block, items, line)
-    for line in &mut body {
-        match &mut line.stmt {
-            Stmt::Decl { ty, items } => {
-                for it in std::mem::take(items) {
-                    match decls.entry(it.name) {
-                        Entry::Occupied(first) => {
-                            return Err(FortError::at(
-                                line.line_no,
-                                FortErrorKind::Structure(format!(
-                                    "{} declared twice in {name}",
-                                    first.key()
-                                )),
-                            ))
-                        }
-                        Entry::Vacant(slot) => slot.insert((*ty, it.dims)),
-                    };
-                }
-            }
-            Stmt::Common { block, items } => {
-                commons.push((std::mem::take(block), std::mem::take(items), line.line_no));
-            }
-            _ => {}
+    /// The index in [`shared_blocks`](Self::shared_blocks) of the block
+    /// `block` names, if it is one.
+    pub fn block_index(&self, block: Name) -> Option<u16> {
+        match self.block_index.get(block.0 as usize) {
+            Some(&i) if i != u32::MAX => Some(i as u16),
+            _ => None,
         }
     }
+}
 
-    let ty_of = |n: &str| -> (Ty, Vec<usize>) {
-        decls
-            .get(n)
-            .cloned()
-            .unwrap_or_else(|| (Ty::implicit_for(n), Vec::new()))
+fn resolve_unit(
+    name: Name,
+    params: Vec<Name>,
+    is_program: bool,
+    body: Vec<Line>,
+    names: &Names,
+    shared_words: &[Option<usize>],
+    blocks: &mut Blocks,
+) -> Result<Unit, FortError> {
+    let text = |n: Name| names.text(n);
+    let unit = text(name);
+
+    // ---- pass 1: declarations -------------------------------------------
+    let mut decls: Vec<Option<(Ty, Dims)>> = vec![None; names.len()];
+    let mut declared: Vec<Name> = Vec::new();
+    for line in &body {
+        if let Stmt::Decl { ty, items } = &line.stmt {
+            for it in items {
+                let slot = &mut decls[it.name.0 as usize];
+                if slot.is_some() {
+                    return Err(FortError::at(
+                        line.line_no,
+                        FortErrorKind::Structure(format!(
+                            "{} declared twice in {unit}",
+                            text(it.name)
+                        )),
+                    ));
+                }
+                *slot = Some((*ty, it.dims));
+                declared.push(it.name);
+            }
+        }
+    }
+    let ty_of = |n: Name| {
+        decls[n.0 as usize].unwrap_or_else(|| (Ty::implicit_for(text(n)), Dims::default()))
     };
 
     // ---- pass 2: symbol table ---------------------------------------------
-    let mut symbols: HashMap<String, Symbol> = HashMap::new();
+    let mut symbols = Symbols::new(names.len());
     // Dummy arguments first.
-    for (i, p) in params.iter().enumerate() {
+    for (i, &p) in params.iter().enumerate() {
         let (ty, dims) = ty_of(p);
         symbols.insert(
-            p.clone(),
+            p,
             Symbol {
                 ty,
                 dims,
@@ -307,88 +393,31 @@ fn compile_unit(
         );
     }
     // COMMON members.
-    for (block, items, line_no) in commons {
-        if block == "ZZPENV" {
-            // the private environment: (me, np)
-            for (i, it) in items.into_iter().enumerate() {
-                let storage = match i {
-                    0 => Storage::PseudoMe,
-                    1 => Storage::PseudoNp,
-                    _ => {
-                        return Err(FortError::at(
-                            line_no,
-                            FortErrorKind::Structure(
-                                "COMMON /ZZPENV/ has exactly two members".into(),
-                            ),
-                        ))
-                    }
-                };
-                symbols.insert(
-                    it.name,
-                    Symbol {
-                        ty: Ty::Integer,
-                        dims: Vec::new(),
-                        storage,
-                    },
-                );
-            }
+    for line in &body {
+        let Stmt::Common { block, items } = &line.stmt else {
             continue;
-        }
-        let block: Arc<str> = block.into();
-        let mut offset = 0usize;
-        for it in items {
-            let (ty, mut dims) = ty_of(&it.name);
-            if !it.dims.is_empty() {
-                dims = it.dims;
-            }
-            let words = dims.iter().product::<usize>().max(1);
-            symbols.insert(
-                it.name,
-                Symbol {
-                    ty,
-                    dims,
-                    storage: Storage::Shared {
-                        block: Arc::clone(&block),
-                        offset,
-                    },
-                },
-            );
-            offset += words;
-        }
-        match blocks.get(&*block) {
-            Some(&w) if w != offset => {
-                return Err(FortError::at(
-                    line_no,
-                    FortErrorKind::Structure(format!(
-                        "COMMON /{block}/ declared with {offset} words here but {w} elsewhere"
-                    )),
-                ))
-            }
-            Some(_) => {}
-            None => {
-                blocks.insert(block.to_string(), offset);
-                block_order.push(block.to_string());
-            }
-        }
+        };
+        common_members(*block, items, line.line_no, &ty_of, names, &mut symbols, blocks)?;
     }
     // Declared names not yet placed: Force shared variables are global by
     // name, everything else is a process-private local.
     let mut frame_words = 0usize;
-    let mut declared: Vec<(String, (Ty, Vec<usize>))> = decls.into_iter().collect();
-    declared.sort_unstable_by(|a, b| a.0.cmp(&b.0)); // deterministic layout
-    for (n, (ty, dims)) in declared {
-        if symbols.contains_key(&n) {
+    declared.sort_unstable_by(|&a, &b| text(a).cmp(text(b))); // deterministic layout
+    for n in declared {
+        if symbols.contains(n) {
             continue;
         }
-        let words = dims.iter().product::<usize>().max(1);
-        let storage = if let Some(&shared_words) = shared_names.get(&n) {
+        let (ty, dims) = ty_of(n);
+        let words = dims.words();
+        let storage = if let Some(shared_words) = shared_words[n.0 as usize] {
             if shared_words != words {
                 return Err(FortError::general(FortErrorKind::Structure(format!(
-                    "shared variable {n}: unit {name} declares {words} words, elsewhere {shared_words}"
+                    "shared variable {}: unit {unit} declares {words} words, elsewhere {shared_words}",
+                    text(n)
                 ))));
             }
             Storage::Shared {
-                block: n.as_str().into(),
+                block: n,
                 offset: 0,
             }
         } else {
@@ -399,102 +428,37 @@ fn compile_unit(
         symbols.insert(n, Symbol { ty, dims, storage });
     }
 
-    // ---- pass 3: ops ----------------------------------------------------------
-    let mut ops: Vec<Op> = Vec::with_capacity(body.len() + 1);
-    let mut op_lines: Vec<usize> = Vec::with_capacity(body.len() + 1);
-    let mut labels: HashMap<u32, usize> = HashMap::new();
-    let mut gotos: Vec<(usize, u32, usize)> = Vec::new(); // (op idx, label, line)
-    let mut if_stack: Vec<IfFrame> = Vec::new();
-    let mut do_stack: Vec<DoFrame> = Vec::new();
+    // ---- pass 3: control flow ---------------------------------------------
+    let goto_targets = check_flow(&body, unit)?;
 
-    // Hidden loop-variable names are not needed: DO re-evaluates bounds,
-    // which we document as a (benign) deviation from F77 trip counts.
-
-    let last_line = body.last().map(|l| l.line_no).unwrap_or(0);
-    for line in body {
-        let line_no = line.line_no;
-        if let Some(label) = line.label {
-            if labels.insert(label, ops.len()).is_some() {
-                return Err(FortError::at(
-                    line_no,
-                    FortErrorKind::Structure(format!("duplicate label {label}")),
-                ));
-            }
-        }
-        emit_stmt(
-            line.stmt,
-            line_no,
-            &mut ops,
-            &mut op_lines,
-            &mut gotos,
-            &mut if_stack,
-            &mut do_stack,
-        )?;
-        // Close labeled DO loops terminating at this line.
-        while let Some(frame) = do_stack.last() {
-            match (frame.terminal, line.label) {
-                (Some(t), Some(l)) if t == l => {
-                    let frame = do_stack.pop().expect("frame present");
-                    emit_do_close(frame, &mut ops, &mut op_lines, line_no);
-                }
-                _ => break,
-            }
-        }
-    }
-
-    if !if_stack.is_empty() {
-        return Err(FortError::general(FortErrorKind::Structure(format!(
-            "unit {name}: IF block not closed by END IF"
-        ))));
-    }
-    if !do_stack.is_empty() {
-        return Err(FortError::general(FortErrorKind::Structure(format!(
-            "unit {name}: DO loop not closed"
-        ))));
-    }
-
-    // Implicit return at unit end.
-    ops.push(Op::Return);
-    op_lines.push(last_line);
-
-    // Resolve GOTOs.
-    for (op_idx, label, line_no) in gotos {
-        let target = *labels.get(&label).ok_or_else(|| {
-            FortError::at(
-                line_no,
-                FortErrorKind::Structure(format!("GO TO unknown label {label}")),
-            )
-        })?;
-        match &mut ops[op_idx] {
-            Op::Jump(t) | Op::JumpIfFalse(_, t) => *t = target,
-            other => unreachable!("goto fixup on {other:?}"),
-        }
-    }
-
-    // Collect implicit locals used but never declared (scalars only).
-    let mut implicit: Vec<&str> = Vec::new();
-    for op in &ops {
-        collect_names(op, &mut |n| {
-            if !symbols.contains_key(n) && !implicit.contains(&n) {
+    // Implicit locals: names used but never declared (scalars only).
+    let mut seen = vec![false; names.len()];
+    let mut implicit: Vec<Name> = Vec::new();
+    for line in &body {
+        stmt_names(&line.stmt, &mut |n| {
+            let seen = &mut seen[n.0 as usize];
+            if !*seen && !symbols.contains(n) {
+                *seen = true;
                 implicit.push(n);
             }
         });
     }
-    implicit.sort_unstable();
+    implicit.sort_unstable_by(|&a, &b| text(a).cmp(text(b)));
     for n in implicit {
-        if crate::intrinsics::is_intrinsic_function(n)
-            || crate::intrinsics::is_intrinsic_subroutine(n)
+        let t = text(n);
+        if crate::intrinsics::is_intrinsic_function(t)
+            || crate::intrinsics::is_intrinsic_subroutine(t)
         {
             continue;
         }
-        let storage = if let Some(&w) = shared_names.get(n) {
+        let storage = if let Some(w) = shared_words[n.0 as usize] {
             if w != 1 {
                 return Err(FortError::general(FortErrorKind::Structure(format!(
-                    "shared array {n} used without declaration in {name}"
+                    "shared array {t} used without declaration in {unit}"
                 ))));
             }
             Storage::Shared {
-                block: n.into(),
+                block: n,
                 offset: 0,
             }
         } else {
@@ -503,10 +467,10 @@ fn compile_unit(
             Storage::Local { base }
         };
         symbols.insert(
-            n.to_string(),
+            n,
             Symbol {
-                ty: Ty::implicit_for(n),
-                dims: Vec::new(),
+                ty: Ty::implicit_for(t),
+                dims: Dims::default(),
                 storage,
             },
         );
@@ -517,266 +481,178 @@ fn compile_unit(
         is_program,
         params,
         symbols,
-        ops,
-        op_lines,
+        body,
         frame_words,
+        goto_targets,
     })
 }
 
-/// Emit ops for one statement; its expressions move into the ops.
-fn emit_stmt(
-    stmt: Stmt,
+/// Place the members of `COMMON /block/ items`, declared at `line_no`.
+fn common_members(
+    block: Name,
+    items: &[DeclItem],
     line_no: usize,
-    ops: &mut Vec<Op>,
-    op_lines: &mut Vec<usize>,
-    gotos: &mut Vec<(usize, u32, usize)>,
-    if_stack: &mut Vec<IfFrame>,
-    do_stack: &mut Vec<DoFrame>,
+    ty_of: &dyn Fn(Name) -> (Ty, Dims),
+    names: &Names,
+    symbols: &mut Symbols,
+    blocks: &mut Blocks,
 ) -> Result<(), FortError> {
-    let push = |op: Op, ops: &mut Vec<Op>, op_lines: &mut Vec<usize>| {
-        ops.push(op);
-        op_lines.push(line_no);
-    };
-    match stmt {
-        Stmt::Decl { .. } | Stmt::Common { .. } => {
-            // declarations emit a placeholder so labels on them still work
-            push(Op::Nop, ops, op_lines);
+    if names.text(block) == "ZZPENV" {
+        // the private environment: (me, np)
+        for (i, it) in items.iter().enumerate() {
+            let storage = match i {
+                0 => Storage::PseudoMe,
+                1 => Storage::PseudoNp,
+                _ => {
+                    return Err(FortError::at(
+                        line_no,
+                        FortErrorKind::Structure("COMMON /ZZPENV/ has exactly two members".into()),
+                    ))
+                }
+            };
+            symbols.insert(
+                it.name,
+                Symbol {
+                    ty: Ty::Integer,
+                    dims: Dims::default(),
+                    storage,
+                },
+            );
         }
-        Stmt::Continue => push(Op::Nop, ops, op_lines),
-        Stmt::Assign { lhs, rhs } => push(Op::Assign(lhs, rhs), ops, op_lines),
-        Stmt::Call { name, args } => push(Op::Call(name, args), ops, op_lines),
-        Stmt::Print(items) => push(Op::Print(items), ops, op_lines),
-        Stmt::Return => push(Op::Return, ops, op_lines),
-        Stmt::Stop => push(Op::Stop, ops, op_lines),
-        Stmt::Goto(l) => {
-            gotos.push((ops.len(), l, line_no));
-            push(Op::Jump(usize::MAX), ops, op_lines);
-        }
-        Stmt::ArithIf(e, l_neg, l_zero, l_pos) => {
-            // Branch on sign.  The expression is evaluated up to twice;
-            // expressions in this subset are side-effect free.
-            let lt = Expr::Bin(BinOp::Lt, Box::new(e.clone()), Box::new(Expr::Int(0)));
-            let eq = Expr::Bin(BinOp::Eq, Box::new(e), Box::new(Expr::Int(0)));
-            // if !(e < 0) skip over the negative jump
-            let skip1 = ops.len();
-            push(Op::JumpIfFalse(lt, usize::MAX), ops, op_lines);
-            gotos.push((ops.len(), l_neg, line_no));
-            push(Op::Jump(usize::MAX), ops, op_lines);
-            let here = ops.len();
-            patch(ops, skip1, here);
-            let skip2 = ops.len();
-            push(Op::JumpIfFalse(eq, usize::MAX), ops, op_lines);
-            gotos.push((ops.len(), l_zero, line_no));
-            push(Op::Jump(usize::MAX), ops, op_lines);
-            let here = ops.len();
-            patch(ops, skip2, here);
-            gotos.push((ops.len(), l_pos, line_no));
-            push(Op::Jump(usize::MAX), ops, op_lines);
-        }
-        Stmt::IfThen(cond) => {
-            if_stack.push(IfFrame {
-                false_patch: ops.len(),
-                end_patches: Vec::new(),
-            });
-            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
-        }
-        Stmt::ElseIf(cond) => {
-            let frame = if_stack.last_mut().ok_or_else(|| {
-                FortError::at(
-                    line_no,
-                    FortErrorKind::Structure("ELSE IF without IF".into()),
-                )
-            })?;
-            if frame.false_patch == usize::MAX {
-                return Err(FortError::at(
-                    line_no,
-                    FortErrorKind::Structure("ELSE IF after ELSE".into()),
-                ));
-            }
-            // end-jump for the previous arm
-            frame.end_patches.push(ops.len());
-            push(Op::Jump(usize::MAX), ops, op_lines);
-            // previous false branch lands here
-            let here = ops.len();
-            patch(ops, frame.false_patch, here);
-            frame.false_patch = ops.len();
-            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
-        }
-        Stmt::Else => {
-            let frame = if_stack.last_mut().ok_or_else(|| {
-                FortError::at(line_no, FortErrorKind::Structure("ELSE without IF".into()))
-            })?;
-            if frame.false_patch == usize::MAX {
-                return Err(FortError::at(
-                    line_no,
-                    FortErrorKind::Structure("second ELSE in one IF block".into()),
-                ));
-            }
-            frame.end_patches.push(ops.len());
-            push(Op::Jump(usize::MAX), ops, op_lines);
-            let here = ops.len();
-            patch(ops, frame.false_patch, here);
-            // mark "no pending false branch" with a Nop target patching to end
-            frame.false_patch = usize::MAX;
-        }
-        Stmt::EndIf => {
-            let frame = if_stack.pop().ok_or_else(|| {
-                FortError::at(
-                    line_no,
-                    FortErrorKind::Structure("END IF without IF".into()),
-                )
-            })?;
-            let here = ops.len();
-            if frame.false_patch != usize::MAX {
-                patch(ops, frame.false_patch, here);
-            }
-            for p in frame.end_patches {
-                patch(ops, p, here);
-            }
-            push(Op::Nop, ops, op_lines);
-        }
-        Stmt::LogicalIf(cond, inner) => {
-            let patch_idx = ops.len();
-            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
-            emit_stmt(*inner, line_no, ops, op_lines, gotos, if_stack, do_stack)?;
-            let here = ops.len();
-            patch(ops, patch_idx, here);
-        }
-        Stmt::Do {
-            label,
-            var,
-            from,
-            to,
-            step,
-        } => {
-            let step = step.unwrap_or(Expr::Int(1));
-            push(Op::Assign(LValue::Name(var.clone()), from), ops, op_lines);
-            let head = ops.len();
-            let cond = do_condition(&var, to, &step);
-            let exit_patch = ops.len();
-            push(Op::JumpIfFalse(cond, usize::MAX), ops, op_lines);
-            do_stack.push(DoFrame {
-                terminal: label,
-                var,
-                step,
-                head,
-                exit_patch,
-            });
-        }
-        Stmt::EndDo => {
-            let frame = do_stack.pop().ok_or_else(|| {
-                FortError::at(
-                    line_no,
-                    FortErrorKind::Structure("END DO without DO".into()),
-                )
-            })?;
-            if frame.terminal.is_some() {
-                return Err(FortError::at(
-                    line_no,
-                    FortErrorKind::Structure("labeled DO must end at its label, not END DO".into()),
-                ));
-            }
-            emit_do_close(frame, ops, op_lines, line_no);
-        }
-        Stmt::Program(_) | Stmt::Subroutine(_, _) | Stmt::EndUnit => {
-            return Err(FortError::at(
-                line_no,
-                FortErrorKind::Structure("unit header inside a unit body".into()),
-            ))
-        }
+        return Ok(());
     }
-    Ok(())
-}
-
-/// `(step > 0 .AND. var <= to) .OR. (step < 0 .AND. var >= to)`
-/// Recognize the exact condition shape emitted by [`do_condition`]:
-/// `(STEP > 0 .AND. VAR <= TO) .OR. (STEP < 0 .AND. VAR >= TO)`.
-///
-/// The bytecode compiler uses this to fuse a structured DO-loop head
-/// into a single trip-continuation instruction (which delegates the
-/// completion test to `force-core`'s schedule range rule) instead of
-/// re-evaluating the seven-node boolean tree — with `TO` and `STEP`
-/// evaluated once per check rather than twice.  Returns
-/// `(var, to, step)` on a match.
-pub(crate) fn match_do_condition(e: &Expr) -> Option<(&Expr, &Expr, &Expr)> {
-    use BinOp::{And, Ge, Gt, Le, Lt, Or};
-    let is_zero = |e: &Expr| matches!(e, Expr::Int(0));
-    let Expr::Bin(Or, up, down) = e else {
-        return None;
-    };
-    let Expr::Bin(And, gt, le) = &**up else {
-        return None;
-    };
-    let Expr::Bin(And, lt, ge) = &**down else {
-        return None;
-    };
-    let Expr::Bin(Gt, s1, z1) = &**gt else {
-        return None;
-    };
-    let Expr::Bin(Le, v1, t1) = &**le else {
-        return None;
-    };
-    let Expr::Bin(Lt, s2, z2) = &**lt else {
-        return None;
-    };
-    let Expr::Bin(Ge, v2, t2) = &**ge else {
-        return None;
-    };
-    (is_zero(z1) && is_zero(z2) && s1 == s2 && v1 == v2 && t1 == t2)
-        .then_some((&**v1, &**t1, &**s1))
-}
-
-fn do_condition(var: &str, to: Expr, step: &Expr) -> Expr {
-    let v = || Box::new(Expr::Var(var.to_string()));
-    let s = || Box::new(step.clone());
-    Expr::Bin(
-        BinOp::Or,
-        Box::new(Expr::Bin(
-            BinOp::And,
-            Box::new(Expr::Bin(BinOp::Gt, s(), Box::new(Expr::Int(0)))),
-            Box::new(Expr::Bin(BinOp::Le, v(), Box::new(to.clone()))),
+    let mut offset = 0usize;
+    for it in items {
+        let (ty, mut dims) = ty_of(it.name);
+        if !it.dims.is_empty() {
+            dims = it.dims;
+        }
+        symbols.insert(
+            it.name,
+            Symbol {
+                ty,
+                dims,
+                storage: Storage::Shared { block, offset },
+            },
+        );
+        offset += dims.words();
+    }
+    match blocks.words(block) {
+        Some(w) if w != offset => Err(FortError::at(
+            line_no,
+            FortErrorKind::Structure(format!(
+                "COMMON /{}/ declared with {offset} words here but {w} elsewhere",
+                names.text(block)
+            )),
         )),
-        Box::new(Expr::Bin(
-            BinOp::And,
-            Box::new(Expr::Bin(BinOp::Lt, s(), Box::new(Expr::Int(0)))),
-            Box::new(Expr::Bin(BinOp::Ge, v(), Box::new(to))),
-        )),
-    )
-}
-
-fn emit_do_close(frame: DoFrame, ops: &mut Vec<Op>, op_lines: &mut Vec<usize>, line_no: usize) {
-    let DoFrame {
-        var,
-        step,
-        head,
-        exit_patch,
-        ..
-    } = frame;
-    ops.push(Op::Assign(
-        LValue::Name(var.clone()),
-        Expr::Bin(BinOp::Add, Box::new(Expr::Var(var)), Box::new(step)),
-    ));
-    op_lines.push(line_no);
-    ops.push(Op::Jump(head));
-    op_lines.push(line_no);
-    let here = ops.len();
-    patch(ops, exit_patch, here);
-}
-
-fn patch(ops: &mut [Op], idx: usize, target: usize) {
-    match &mut ops[idx] {
-        Op::Jump(t) | Op::JumpIfFalse(_, t) => *t = target,
-        other => unreachable!("patch on {other:?}"),
+        Some(_) => Ok(()),
+        None => {
+            blocks.add(block, offset);
+            Ok(())
+        }
     }
 }
 
-/// Walk all identifiers referenced by an op.
-fn collect_names<'a>(op: &'a Op, f: &mut impl FnMut(&'a str)) {
-    fn expr<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
+/// Check a unit body's control flow, in statement order: every block
+/// `IF` and `DO` closes, in order and once, no label is defined twice,
+/// every `GO TO` names a label of the unit.  Returns the labels the
+/// `GO TO`s name, sorted.
+fn check_flow(body: &[Line], unit: &str) -> Result<Vec<u32>, FortError> {
+    let structure = |line_no: usize, msg: &str| {
+        FortError::at(line_no, FortErrorKind::Structure(msg.to_string()))
+    };
+    let mut labels: Vec<u32> = Vec::new();
+    // Per open block IF: whether a false branch is still pending (no
+    // ELSE yet).
+    let mut ifs: Vec<bool> = Vec::new();
+    // Per open DO: its terminal label.
+    let mut dos: Vec<Option<u32>> = Vec::new();
+    // `(label, line)` per GO TO, in statement order.
+    let mut gotos: Vec<(u32, usize)> = Vec::new();
+    for line in body {
+        let line_no = line.line_no;
+        if let Some(label) = line.label {
+            if labels.contains(&label) {
+                return Err(structure(line_no, &format!("duplicate label {label}")));
+            }
+            labels.push(label);
+        }
+        let mut stmt = &line.stmt;
+        if let Stmt::LogicalIf(_, inner) = stmt {
+            stmt = inner;
+        }
+        match stmt {
+            Stmt::Goto(l) => gotos.push((*l, line_no)),
+            Stmt::ArithIf(_, neg, zero, pos) => {
+                gotos.extend([(*neg, line_no), (*zero, line_no), (*pos, line_no)]);
+            }
+            Stmt::IfThen(_) => ifs.push(true),
+            Stmt::ElseIf(_) => match ifs.last() {
+                None => return Err(structure(line_no, "ELSE IF without IF")),
+                Some(false) => return Err(structure(line_no, "ELSE IF after ELSE")),
+                Some(true) => {}
+            },
+            Stmt::Else => match ifs.last_mut() {
+                None => return Err(structure(line_no, "ELSE without IF")),
+                Some(false) => return Err(structure(line_no, "second ELSE in one IF block")),
+                Some(pending) => *pending = false,
+            },
+            Stmt::EndIf => {
+                if ifs.pop().is_none() {
+                    return Err(structure(line_no, "END IF without IF"));
+                }
+            }
+            Stmt::Do { label, .. } => dos.push(*label),
+            Stmt::EndDo => match dos.pop() {
+                None => return Err(structure(line_no, "END DO without DO")),
+                Some(Some(_)) => {
+                    return Err(structure(
+                        line_no,
+                        "labeled DO must end at its label, not END DO",
+                    ))
+                }
+                Some(None) => {}
+            },
+            Stmt::Program(_) | Stmt::Subroutine(_, _) | Stmt::EndUnit => {
+                return Err(structure(line_no, "unit header inside a unit body"))
+            }
+            _ => {}
+        }
+        // Labeled DO loops terminating at this line close.
+        while line.label.is_some() && dos.last() == Some(&line.label) {
+            dos.pop();
+        }
+    }
+    if !ifs.is_empty() {
+        return Err(FortError::general(FortErrorKind::Structure(format!(
+            "unit {unit}: IF block not closed by END IF"
+        ))));
+    }
+    if !dos.is_empty() {
+        return Err(FortError::general(FortErrorKind::Structure(format!(
+            "unit {unit}: DO loop not closed"
+        ))));
+    }
+    let mut targets = Vec::with_capacity(gotos.len());
+    for (label, line_no) in gotos {
+        if !labels.contains(&label) {
+            return Err(structure(line_no, &format!("GO TO unknown label {label}")));
+        }
+        targets.push(label);
+    }
+    targets.sort_unstable();
+    targets.dedup();
+    Ok(targets)
+}
+
+/// Every name a statement's expressions and assignment targets refer to
+/// (not a called subroutine's, nor a declaration's).
+fn stmt_names(stmt: &Stmt, f: &mut impl FnMut(Name)) {
+    fn expr(e: &Expr, f: &mut impl FnMut(Name)) {
         match e {
-            Expr::Var(n) => f(n),
+            Expr::Var(n) => f(*n),
             Expr::Index(n, args) => {
-                f(n);
+                f(*n);
                 for a in args {
                     expr(a, f);
                 }
@@ -789,12 +665,12 @@ fn collect_names<'a>(op: &'a Op, f: &mut impl FnMut(&'a str)) {
             _ => {}
         }
     }
-    match op {
-        Op::Assign(lhs, rhs) => {
+    match stmt {
+        Stmt::Assign { lhs, rhs } => {
             match lhs {
-                LValue::Name(n) => f(n),
+                LValue::Name(n) => f(*n),
                 LValue::Elem(n, idx) => {
-                    f(n);
+                    f(*n);
                     for e in idx {
                         expr(e, f);
                     }
@@ -802,13 +678,26 @@ fn collect_names<'a>(op: &'a Op, f: &mut impl FnMut(&'a str)) {
             }
             expr(rhs, f);
         }
-        Op::JumpIfFalse(e, _) => expr(e, f),
-        Op::Call(_, args) => {
-            for a in args {
-                expr(a, f);
+        Stmt::IfThen(c) | Stmt::ElseIf(c) | Stmt::ArithIf(c, ..) => expr(c, f),
+        Stmt::LogicalIf(c, inner) => {
+            expr(c, f);
+            stmt_names(inner, f);
+        }
+        Stmt::Do {
+            var,
+            from,
+            to,
+            step,
+            ..
+        } => {
+            f(*var);
+            expr(from, f);
+            expr(to, f);
+            if let Some(step) = step {
+                expr(step, f);
             }
         }
-        Op::Print(items) => {
+        Stmt::Call { args: items, .. } | Stmt::Print(items) => {
             for e in items {
                 expr(e, f);
             }
@@ -825,14 +714,24 @@ mod tests {
         Program::compile(src, &HashMap::new()).unwrap()
     }
 
+    /// The symbol `name` of unit `unit`.
+    fn symbol(p: &Program, unit: &str, name: &str) -> Symbol {
+        *p.unit(unit)
+            .unwrap()
+            .symbols
+            .get(p.names.get(name).unwrap())
+            .unwrap()
+    }
+
     #[test]
     fn splits_units() {
         let p = compile(
             "      PROGRAM MAIN\n      X = 1\n      END\n      SUBROUTINE SUB(A)\n      RETURN\n      END\n",
         );
         assert_eq!(p.units.len(), 2);
-        assert_eq!(p.program_unit.as_deref(), Some("MAIN"));
-        assert!(p.unit("SUB").unwrap().params == vec!["A"]);
+        assert_eq!(p.program_unit.map(|n| p.name(n)), Some("MAIN"));
+        let params: Vec<&str> = p.unit("SUB").unwrap().params.iter().map(|&n| p.name(n)).collect();
+        assert_eq!(params, ["A"]);
     }
 
     #[test]
@@ -840,22 +739,23 @@ mod tests {
         let p = compile(
             "      SUBROUTINE A\n      INTEGER X, Y(4)\n      COMMON /BLK/ X, Y\n      END\n",
         );
-        let u = p.unit("A").unwrap();
+        let blk = p.names.get("BLK").unwrap();
         assert_eq!(
-            u.symbols["X"].storage,
+            symbol(&p, "A", "X").storage,
             Storage::Shared {
-                block: "BLK".into(),
+                block: blk,
                 offset: 0
             }
         );
         assert_eq!(
-            u.symbols["Y"].storage,
+            symbol(&p, "A", "Y").storage,
             Storage::Shared {
-                block: "BLK".into(),
+                block: blk,
                 offset: 1
             }
         );
         assert_eq!(p.shared_blocks, vec![("BLK".to_string(), 5)]);
+        assert_eq!(p.block_index(blk), Some(0));
     }
 
     #[test]
@@ -873,83 +773,76 @@ mod tests {
         let p = compile(
             "      SUBROUTINE A\n      INTEGER ME, NP\n      COMMON /ZZPENV/ ME, NP\n      END\n",
         );
-        let u = p.unit("A").unwrap();
-        assert_eq!(u.symbols["ME"].storage, Storage::PseudoMe);
-        assert_eq!(u.symbols["NP"].storage, Storage::PseudoNp);
+        assert_eq!(symbol(&p, "A", "ME").storage, Storage::PseudoMe);
+        assert_eq!(symbol(&p, "A", "NP").storage, Storage::PseudoNp);
     }
 
     #[test]
     fn force_shared_names_resolve_globally() {
         let mut shared = HashMap::new();
         shared.insert("TOTAL".to_string(), 1);
+        shared.insert("UNSEEN".to_string(), 3);
         let p = Program::compile(
             "      SUBROUTINE A\n      INTEGER TOTAL\n      TOTAL = 1\n      END\n",
             &shared,
         )
         .unwrap();
-        let u = p.unit("A").unwrap();
         assert_eq!(
-            u.symbols["TOTAL"].storage,
+            symbol(&p, "A", "TOTAL").storage,
             Storage::Shared {
-                block: "TOTAL".into(),
+                block: p.names.get("TOTAL").unwrap(),
                 offset: 0
             }
         );
-        assert!(p.shared_blocks.contains(&("TOTAL".to_string(), 1)));
-    }
-
-    #[test]
-    fn block_if_compiles_to_jumps() {
-        let p = compile(
-            "      SUBROUTINE A\n      IF (X .GT. 0) THEN\n      Y = 1\n      ELSE\n      Y = 2\n      END IF\n      END\n",
+        assert_eq!(
+            p.shared_blocks,
+            [("TOTAL".to_string(), 1), ("UNSEEN".to_string(), 3)]
         );
-        let u = p.unit("A").unwrap();
-        // JumpIfFalse, Assign, Jump, Assign, Nop(endif), Return
-        assert!(matches!(u.ops[0], Op::JumpIfFalse(_, 3)));
-        assert!(matches!(u.ops[2], Op::Jump(4)));
     }
 
     #[test]
-    fn labeled_do_closes_at_its_label() {
-        let p = compile(
-            "      SUBROUTINE A\n      DO 10 I = 1, 3\n      X = X + I\n10    CONTINUE\n      END\n",
+    fn the_shared_layout_does_not_follow_the_hasher() {
+        // Each compile gets a map of its own, as each `Engine` load does,
+        // and so an iteration order of its own.
+        let source = "\
+      Force FMAIN of NP ident ME
+      Shared REAL X(64), Y(64), DOT
+      Shared INTEGER A, B, C, D
+      End declarations
+      Join
+";
+        let exp = force_prep::preprocess(source, force_machdep::MachineId::EncoreMultimax).unwrap();
+        let layouts: std::collections::HashSet<Vec<(String, usize)>> = (0..10)
+            .map(|_| {
+                let shared: HashMap<String, usize> = exp
+                    .decls
+                    .iter()
+                    .filter(|d| d.class != force_prep::VarClass::Private)
+                    .map(|d| (d.name.clone(), d.words()))
+                    .collect();
+                Program::compile(&exp.code, &shared).unwrap().shared_blocks
+            })
+            .collect();
+        assert_eq!(layouts.len(), 1, "{layouts:?}");
+    }
+
+    #[test]
+    fn a_statement_outside_a_unit_is_quoted_by_its_text() {
+        let err = Program::compile("      X(2) = 'A'\n", &HashMap::new()).unwrap_err();
+        assert_eq!(err.line, Some(1));
+        assert!(
+            err.to_string().contains(
+                r#"statement outside any program unit: Assign { lhs: Elem("X", [Int(2)]), rhs: Str("A") }"#
+            ),
+            "{err}"
         );
-        let u = p.unit("A").unwrap();
-        // Assign I=1; head: JumpIfFalse -> exit; Assign X; Nop(10); I=I+1; Jump head; Return
-        assert!(matches!(u.ops[1], Op::JumpIfFalse(_, 6)));
-        assert!(matches!(u.ops[5], Op::Jump(1)));
-    }
-
-    #[test]
-    fn nested_labeled_dos_share_a_terminal() {
-        let p = compile(
-            "      SUBROUTINE A\n      DO 10 I = 1, 3\n      DO 10 J = 1, 3\n      X = X + 1\n10    CONTINUE\n      END\n",
+        let err = Program::compile("      INTEGER K(3)\n", &HashMap::new()).unwrap_err();
+        assert!(
+            err.to_string().contains(
+                r#"Decl { ty: Integer, items: [DeclItem { name: "K", dims: [3] }] }"#
+            ),
+            "{err}"
         );
-        // Both frames close; program compiles and ends with Return.
-        let u = p.unit("A").unwrap();
-        assert!(matches!(u.ops.last(), Some(Op::Return)));
-    }
-
-    #[test]
-    fn arithmetic_if_branches_on_sign() {
-        let p = compile(
-            "      SUBROUTINE A\n      X = -2\n      IF (X) 10, 20, 30\n10    Y = 1\n      RETURN\n20    Y = 2\n      RETURN\n30    Y = 3\n      END\n",
-        );
-        let u = p.unit("A").unwrap();
-        // compiles with resolved jumps; last op is the implicit Return
-        assert!(matches!(u.ops.last(), Some(Op::Return)));
-        assert!(u
-            .ops
-            .iter()
-            .all(|op| !matches!(op, Op::Jump(t) if *t == usize::MAX)));
-    }
-
-    #[test]
-    fn goto_resolves_labels() {
-        let p =
-            compile("      SUBROUTINE A\n      GO TO 20\n      X = 1\n20    CONTINUE\n      END\n");
-        let u = p.unit("A").unwrap();
-        assert!(matches!(u.ops[0], Op::Jump(2)));
     }
 
     #[test]
@@ -993,10 +886,9 @@ mod tests {
     fn implicit_locals_get_fortran_types() {
         let p =
             compile("      SUBROUTINE A\n      KOUNT = KOUNT + 1\n      XVAL = 1.5\n      END\n");
-        let u = p.unit("A").unwrap();
-        assert_eq!(u.symbols["KOUNT"].ty, Ty::Integer);
-        assert_eq!(u.symbols["XVAL"].ty, Ty::Real);
-        assert!(u.frame_words >= 2);
+        assert_eq!(symbol(&p, "A", "KOUNT").ty, Ty::Integer);
+        assert_eq!(symbol(&p, "A", "XVAL").ty, Ty::Real);
+        assert!(p.unit("A").unwrap().frame_words >= 2);
     }
 
     #[test]
@@ -1007,5 +899,13 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("duplicate label"), "{err}");
+    }
+
+    #[test]
+    fn goto_targets_are_the_labels_jumped_to() {
+        let p = compile(
+            "      SUBROUTINE A\n      IF (X) 10, 20, 10\n10    CONTINUE\n20    IF (X .GT. 0) GO TO 30\n30    CONTINUE\n      END\n",
+        );
+        assert_eq!(p.unit("A").unwrap().goto_targets, [10, 20, 30]);
     }
 }

@@ -292,7 +292,8 @@ mod tests {
 
     #[test]
     fn state_locks_never_alias() {
-        // Regression for the EXP-19 channel cap: beyond capacity, the
+        // Regression for the channel cap (`tests/overcommit.rs::
+        // every_machine_survives_overcommit`): beyond capacity, the
         // full/empty pair of an async variable used to alias critical
         // slots and silently corrupt the semaphore protocol.  Now the
         // allocation fails structurally instead.

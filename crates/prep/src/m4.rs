@@ -43,11 +43,68 @@
 //! at character boundaries, and multi-byte text travels inside the plain
 //! runs between delimiters untouched.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 use crate::sedpass::top_level_items;
+
+/// A hasher for the short ASCII names m4 looks up once per identifier it
+/// scans: a word at a time, multiply and rotate, and a final mix so that
+/// the low bits a table indexes by depend on every byte.  The names are
+/// the program's own, so the flooding a keyed hasher defends against is
+/// not a concern here.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct NameHasher(u64);
+
+impl NameHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for NameHasher {
+    /// A name that fits 16 bytes is read as two (overlapping) words.
+    fn write(&mut self, b: &[u8]) {
+        let n = b.len();
+        let word = |i: usize| u64::from_le_bytes(b[i..i + 8].try_into().expect("eight bytes"));
+        let half = |i: usize| u64::from(u32::from_le_bytes(b[i..i + 4].try_into().expect("four")));
+        self.add(n as u64);
+        let (x, y) = match n {
+            0 => (0, 0),
+            1..=3 => (u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16, 0),
+            4..=7 => (half(0), half(n - 4)),
+            _ => {
+                let mut i = 0;
+                while i + 16 < n {
+                    self.add(word(i));
+                    i += 8;
+                }
+                (word(i), word(n - 8))
+            }
+        };
+        self.add(x);
+        self.add(y);
+    }
+
+    fn write_u8(&mut self, b: u8) {
+        self.add(u64::from(b));
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0;
+        (h ^ (h >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9) ^ (h >> 29)
+    }
+}
+
+/// A map keyed by names, hashed with [`NameHasher`].
+pub(crate) type NameMap<K, V> = HashMap<K, V, BuildHasherDefault<NameHasher>>;
+
+/// A set of names, hashed with [`NameHasher`].
+pub(crate) type NameSet<K> = HashSet<K, BuildHasherDefault<NameHasher>>;
 
 /// Maximum rescan depth before reporting runaway recursion.
 const MAX_DEPTH: usize = 200;
@@ -270,7 +327,7 @@ fn initial_bit(name: &str) -> u64 {
 /// An immutable set of definitions, built once per process and shared by
 /// every [`M4`] it is installed into.
 pub(crate) struct MacroTable {
-    defs: HashMap<&'static str, Def>,
+    defs: NameMap<&'static str, Def>,
     /// [`initial_bit`] of every name in `defs`: most identifiers of a
     /// Fortran text are ruled out by their first letter, before any hash.
     initials: u64,
@@ -287,7 +344,7 @@ impl MacroTable {
     }
 
     fn from_defs(defs: impl Iterator<Item = (&'static str, Def)>) -> MacroTable {
-        let defs: HashMap<_, _> = defs.collect();
+        let defs: NameMap<_, _> = defs.collect();
         let initials = defs.keys().fold(0, |mask, name| mask | initial_bit(name));
         MacroTable { defs, initials }
     }
@@ -336,11 +393,11 @@ pub struct M4 {
     /// What the run defined itself: name -> definition stack (top =
     /// active; pushdef/popdef).  An entry shadows every table — an empty
     /// stack too, which is a name the run undefined.
-    overlay: HashMap<String, Vec<Local>>,
+    overlay: NameMap<String, Vec<Local>>,
     /// [`initial_bit`] of every name `overlay` has held.
     overlay_initials: u64,
     /// Recording lists (`zzrecord`): ordered, deduplicated.
-    lists: HashMap<String, Vec<String>>,
+    lists: NameMap<String, Vec<String>>,
     gensym: u64,
     /// The buffers of finished calls, kept for the next call.
     spare_args: Vec<Args>,
@@ -358,9 +415,9 @@ impl M4 {
     pub fn new() -> Self {
         M4 {
             tables: vec![builtin_macros()],
-            overlay: HashMap::new(),
+            overlay: NameMap::default(),
             overlay_initials: 0,
-            lists: HashMap::new(),
+            lists: NameMap::default(),
             gensym: 0,
             spare_args: Vec::new(),
             spare_text: Vec::new(),

@@ -25,7 +25,9 @@
 //! 5. the machine-dependent **driver** is generated and put at the
 //!    beginning of the code.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -353,17 +355,7 @@ fn run_pipeline(
 
     // Step 3: inject the environment declarations at each unit's marker.
     let env_decl_text = env_declaration(&env_cells, l1.recorded("privints"));
-    let mut injected = String::with_capacity(intermediate.len() + 256);
-    for line in intermediate.lines() {
-        if let Some(rest) = line.trim().strip_prefix("C*ZZENVDECL*") {
-            let unit = rest.trim();
-            injected.push_str(&format!("C --- parallel environment for {unit} ---\n"));
-            injected.push_str(&env_decl_text);
-        } else {
-            injected.push_str(line);
-            injected.push('\n');
-        }
-    }
+    let injected = inject_env(&intermediate, &env_decl_text);
 
     // Step 4: m4 pass 2 (machine dependent).
     let mut l2 = M4::new();
@@ -397,6 +389,40 @@ fn run_pipeline(
         externf,
         payload: CompiledPayload::default(),
     })
+}
+
+/// What marks the line each unit's environment declarations replace.
+const ENV_MARKER: &str = "C*ZZENVDECL*";
+
+/// `intermediate` with every marker line (`C*ZZENVDECL*<unit>`, blanks
+/// around it allowed) replaced by a comment naming the unit and
+/// `env_decl_text`, every line ending in one `\n` (as `str::lines` cuts
+/// them).  The text between markers is copied in one piece.
+fn inject_env(intermediate: &str, env_decl_text: &str) -> String {
+    let text: Cow<'_, str> =
+        if intermediate.contains('\r') || !intermediate.is_empty() && !intermediate.ends_with('\n')
+        {
+            Cow::Owned(intermediate.lines().flat_map(|l| [l, "\n"]).collect())
+        } else {
+            Cow::Borrowed(intermediate)
+        };
+    let mut injected = String::with_capacity(text.len() + 4 * env_decl_text.len());
+    // `text[copied..]` is not in `injected` yet.
+    let (mut copied, mut from) = (0, 0);
+    while let Some(k) = text[from..].find(ENV_MARKER) {
+        let at = from + k;
+        let start = text[..at].rfind('\n').map_or(0, |i| i + 1);
+        let end = at + text[at..].find('\n').expect("every line ends in one");
+        if let Some(unit) = text[start..end].trim().strip_prefix(ENV_MARKER) {
+            injected.push_str(&text[copied..start]);
+            let _ = writeln!(injected, "C --- parallel environment for {} ---", unit.trim());
+            injected.push_str(env_decl_text);
+            copied = end + 1;
+        }
+        from = end;
+    }
+    injected.push_str(&text[copied..]);
+    injected
 }
 
 /// Cache key: *(source hash, machine personality)*.
@@ -967,6 +993,33 @@ fn parse_item(item: &str) -> Result<(String, Vec<usize>), PrepError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn env_injection_copies_spans_and_ends_every_line_once() {
+        // What injecting line by line gives.
+        let by_lines = |text: &str| {
+            let mut out = String::new();
+            for line in text.lines() {
+                match line.trim().strip_prefix(ENV_MARKER) {
+                    Some(unit) => {
+                        out.push_str(&format!("C --- parallel environment for {} ---\n", unit.trim()));
+                        out.push_str("ENV\n");
+                    }
+                    None => out.push_str(&format!("{line}\n")),
+                }
+            }
+            out
+        };
+        for text in [
+            "",
+            "      X = 1\n",
+            "C*ZZENVDECL*A\n      X = 1\n   C*ZZENVDECL* B  \nY\n",
+            "X C*ZZENVDECL*A\nC*ZZENVDECL*B",
+            "A\r\nC*ZZENVDECL*U\r\nB\r\r\n",
+        ] {
+            assert_eq!(inject_env(text, "ENV\n"), by_lines(text), "{text:?}");
+        }
+    }
 
     /// A small but complete Force program exercising most constructs.
     const PROGRAM: &str = "\

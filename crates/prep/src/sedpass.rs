@@ -49,12 +49,11 @@
 //! rejected too, instead of being rewritten without a word.
 
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
 use force_machdep::MachineId;
 
-use crate::m4::builtin_macros;
+use crate::m4::{builtin_macros, NameSet};
 use crate::machdep_macros::machine_macros;
 use crate::macros::statement_macros;
 
@@ -90,13 +89,13 @@ pub fn sed_pass(source: &str) -> Result<String, SedError> {
 }
 
 /// Translate one line; ordinary Fortran passes through.
-fn translate_line(line: &str) -> Result<String, String> {
+fn translate_line(line: &str) -> Result<Cow<'_, str>, String> {
     // Comments pass through untouched.
     if matches!(
         line.chars().next(),
         Some('C') | Some('c') | Some('*') | Some('!')
     ) {
-        return Ok(line.to_string());
+        return Ok(Cow::Borrowed(line));
     }
     if let Some((name, why)) = reserved_identifier(line) {
         return Err(match why {
@@ -116,10 +115,10 @@ fn translate_line(line: &str) -> Result<String, String> {
     // The full/empty state *test* (§3.4 "the state can also be tested")
     // is an expression-level form: rewrite `Isfull(X)` to the machine
     // macro `zzisfull(X)` wherever it appears.
-    let line = &rewrite_isfull(line);
+    let line = rewrite_isfull(line);
     let trimmed = line.trim();
     if trimmed.is_empty() {
-        return Ok(line.to_string());
+        return Ok(line);
     }
 
     // A leading numeric label (needed for `<label> End … DO`).
@@ -128,7 +127,7 @@ fn translate_line(line: &str) -> Result<String, String> {
 
     let first = match words.peek_word() {
         Some(w) => w.to_ascii_uppercase(),
-        None => return Ok(line.to_string()),
+        None => return Ok(line),
     };
 
     let translated = match first.as_str() {
@@ -316,7 +315,7 @@ fn translate_line(line: &str) -> Result<String, String> {
                     words.expect_end()?;
                     let label =
                         label.ok_or_else(|| format!("End {what} {kw} needs its loop label"))?;
-                    return Ok(format!("ZZEND{what}{kw}({label})"));
+                    return Ok(Cow::Owned(format!("ZZEND{what}{kw}({label})")));
                 }
                 // `END IF`, `END DO` etc. are ordinary Fortran.
                 _ => None,
@@ -332,10 +331,10 @@ fn translate_line(line: &str) -> Result<String, String> {
                     "unexpected statement label {label} on a Force statement"
                 ))
             } else {
-                Ok(t)
+                Ok(Cow::Owned(t))
             }
         }
-        None => Ok(line.to_string()),
+        None => Ok(line),
     }
 }
 
@@ -350,8 +349,8 @@ enum Reserved {
 
 /// Every name of the fixed macro tables — the builtins, the statement
 /// macros, each personality's machine layer — collected once.
-fn fixed_macro_names() -> &'static HashSet<&'static str> {
-    static NAMES: OnceLock<HashSet<&'static str>> = OnceLock::new();
+fn fixed_macro_names() -> &'static NameSet<&'static str> {
+    static NAMES: OnceLock<NameSet<&'static str>> = OnceLock::new();
     NAMES.get_or_init(|| {
         let machine_layers = MachineId::all().into_iter().map(machine_macros);
         [builtin_macros(), statement_macros()]
@@ -683,7 +682,7 @@ mod tests {
     use super::*;
 
     fn one(line: &str) -> String {
-        translate_line(line).unwrap()
+        translate_line(line).unwrap().into_owned()
     }
 
     #[test]

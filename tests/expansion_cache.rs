@@ -49,6 +49,14 @@ fn entry_weight() -> usize {
     cache.stats().bytes
 }
 
+/// The accounted weight of one entry of this family that no engine has
+/// loaded (no compiled program in its payload).
+fn uncompiled_weight() -> usize {
+    let cache = ExpansionCache::new(usize::MAX);
+    cache.preprocess(&source(0).0, MachineId::Hep).unwrap();
+    cache.stats().bytes
+}
+
 fn resident_sum(cache: &ExpansionCache) -> usize {
     cache.resident().iter().map(|(_, weight)| weight).sum()
 }
@@ -60,9 +68,9 @@ fn resident_sum(cache: &ExpansionCache) -> usize {
 #[test]
 fn the_hot_set_survives_a_stream_of_cold_sources() {
     // One hot lookup per 3 inserts, round robin over 36: a hot entry is
-    // touched every 108 inserts.  Uncompiled entries weigh about half a
-    // compiled one, so this is room for well over 36 + 108 of them.
-    let cache = ExpansionCache::new(100 * entry_weight());
+    // touched every 108 inserts.  No entry here is compiled, so this is
+    // room for 200 of them, well over 36 + 108.
+    let cache = ExpansionCache::new(200 * uncompiled_weight());
     let mut hot = Vec::new();
     for i in 0..6 {
         for id in MachineId::all() {

@@ -386,7 +386,8 @@ fn fortran_lexer_never_panics() {
     let mut rng = XorShift64::new(9);
     for _ in 0..600 {
         let line = random_string(&mut rng, HOSTILE, 60);
-        let _ = the_force::fortran::lexer::lex_statement(&line, 1);
+        let mut names = the_force::fortran::token::Names::new();
+        let _ = the_force::fortran::lexer::lex_statement(&line, 1, &mut names, &mut Vec::new());
     }
 }
 
@@ -395,8 +396,10 @@ fn fortran_parser_never_panics() {
     let mut rng = XorShift64::new(10);
     for _ in 0..600 {
         let line = random_string(&mut rng, HOSTILE, 60);
-        if let Ok(mut toks) = the_force::fortran::lexer::lex_statement(&line, 1) {
-            let _ = the_force::fortran::parser::parse_tokens(&mut toks, 1);
+        let mut names = the_force::fortran::token::Names::new();
+        let mut toks = Vec::new();
+        if the_force::fortran::lexer::lex_statement(&line, 1, &mut names, &mut toks).is_ok() {
+            let _ = the_force::fortran::parser::parse_tokens(&toks, &names, 1);
         }
     }
 }
