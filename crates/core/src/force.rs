@@ -88,7 +88,7 @@ impl Force {
 
     /// Attach a resident [`ForcePool`]: a thread-per-pid run that fits it
     /// reuses its workers instead of creating threads; any other run
-    /// (wider, or on an `Overcommit`/`Virtual` backend) uses scoped
+    /// (wider, or on the `Virtual` backend) uses scoped
     /// threads as if no pool were attached
     /// ([`force_machdep::launch_plane`] decides per run).  Pools may be
     /// shared by several sessions (a pool runs one job at a time).
@@ -521,30 +521,6 @@ mod tests {
         assert_eq!(s.parks, 0, "per-job delta, not cumulative");
         assert_eq!(s.park_wakes, 0);
         assert_eq!(s.park_spurious_wakes, 0);
-    }
-
-    #[test]
-    fn overcommit_job_may_exceed_the_pool() {
-        // An overcommit job multiplexes pids over run permits, so it
-        // never runs on a pool's resident workers, fit or not.
-        let machine = Machine::new(MachineId::SequentBalance);
-        let pool = Arc::new(ForcePool::new(2, machine.stats()));
-        let force = Force::with_machine(8, Arc::clone(&machine)).with_pool(pool);
-        let ran = AtomicUsize::new(0);
-        force
-            .try_execute_with(
-                RunOptions {
-                    backend: force_machdep::ParkBackend::Overcommit { workers: 2 },
-                    ..RunOptions::default()
-                },
-                |p| {
-                    p.barrier();
-                    ran.fetch_add(1, Ordering::Relaxed);
-                    p.barrier();
-                },
-            )
-            .expect("an 8-pid overcommit job must run on a 2-worker pool session");
-        assert_eq!(ran.load(Ordering::Relaxed), 8);
     }
 
     #[test]

@@ -1055,7 +1055,8 @@ pub(crate) fn eval_binop(
                     if y == 0 {
                         Err(FortError::runtime(line, "integer division by zero"))
                     } else {
-                        Ok(Value::Int(x / y))
+                        // Wraps as `×` does: `MIN / -1` is `MIN * -1`.
+                        Ok(Value::Int(x.wrapping_div(y)))
                     }
                 }
                 Pow => {

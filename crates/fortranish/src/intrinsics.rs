@@ -137,7 +137,7 @@ pub fn eval_function(
                     if b == 0 {
                         return Err(FortError::runtime(line, "MOD by zero"));
                     }
-                    Value::Int(a % b)
+                    Value::Int(a.wrapping_rem(b))
                 }
                 _ => {
                     let a = args[0].as_real(line)?;

@@ -483,7 +483,7 @@ impl<'r, 'e> Proc<'r, 'e> {
                 let v = self.eval(frame, a, line)?;
                 match op {
                     UnOp::Neg => match v {
-                        Value::Int(n) => Ok(Value::Int(-n)),
+                        Value::Int(n) => Ok(Value::Int(n.wrapping_neg())),
                         Value::Real(x) => Ok(Value::Real(-x)),
                         Value::Log(_) => Err(FortError::runtime(line, "cannot negate a LOGICAL")),
                     },

@@ -762,7 +762,7 @@ mod tests {
         assert!(err.to_string().contains("positive"), "{err}");
     }
 
-    /// Parse `line` on a thread with the stack of an overcommitted pid:
+    /// Parse `line` on a thread with the stack of a virtual-time pid:
     /// the smallest this parser is run on.
     fn parse_on_a_small_stack(line: String) -> Result<Stmt, FortError> {
         std::thread::Builder::new()

@@ -48,9 +48,9 @@ impl RawLock for CombinedLock {
     fn lock(&self) {
         // Phase 1: bounded spin, held off after the first attempt, that
         // yields the core once its short spins run out.  An injected
-        // spurious failure is accounted as one failed attempt.  Under an
-        // overcommit backend the parking layer skips the spin phase
-        // (spinning would hold the run permit hostage).  The first
+        // spurious failure is accounted as one failed attempt.  Under the
+        // virtual backend the parking layer skips the spin phase (the
+        // schedule must not depend on spin timing).  The first
         // attempt is a bare `swap`; a retry tests first (see
         // `SpinLock::try_lock`), so a spinning waiter does not take the
         // holder's line exclusive.

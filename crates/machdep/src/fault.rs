@@ -223,8 +223,8 @@ pub struct RunOptions {
     /// selfscheduling (`Selfsched { chunk: 1 }`).
     pub default_schedule: SchedulePolicy,
     /// How pids map onto OS execution ([`crate::park`]): one dedicated
-    /// thread per pid (the default), or a multiplexed worker fleet that
-    /// lets `nproc` far exceed the host's cores.
+    /// thread per pid (the default), or the deterministic virtual-time
+    /// scheduler's one run token.
     pub backend: ParkBackend,
 }
 
@@ -292,10 +292,9 @@ pub struct FaultPlane {
     /// the same reason as `config`; each process snapshots the `Arc` into
     /// its thread-local context at install, so trace hooks never take it.
     trace: Mutex<Option<Arc<TraceSink>>>,
-    /// The job's parking backend state (run-permit pool under
-    /// overcommit).  Behind a mutex so `reset_for_job` can swap it when
-    /// the backend changes between jobs; processes snapshot the `Arc` at
-    /// install.
+    /// The job's parking backend state (the scheduler of a virtual
+    /// job).  Behind a mutex so `reset_for_job` can swap it between
+    /// jobs; processes snapshot the `Arc` at install.
     parker: Mutex<Arc<Parker>>,
     /// What a served attempt left on this plane when it bound it.
     bound: Mutex<Bound>,
@@ -428,15 +427,14 @@ impl FaultPlane {
             }
         }
         {
-            // Rebuild the parker when the backend changed — and always
-            // when either side is virtual: the discrete-event scheduler
-            // (clocks, picker RNG, decision digest) is per-job state, so
-            // a resident session must start every virtual job from the
-            // seed, not from the previous job's exhausted schedule.
-            // Between non-virtual jobs no permits are held, so a resident
-            // permit pool keeps its allocation.
+            // Rebuild the parker when either side is virtual: the
+            // discrete-event scheduler (clocks, picker RNG, decision
+            // digest) is per-job state, so a resident session must start
+            // every virtual job from the seed, not from the previous
+            // job's exhausted schedule.  A thread-per-pid parker holds
+            // nothing and is kept.
             let mut parker = self.parker.lock();
-            if parker.backend() != config.backend || config.backend.is_virtual() {
+            if parker.is_virtual() || config.backend.is_virtual() {
                 *parker = Arc::new(Parker::new(config.backend, self.nproc, self.costs));
             }
         }
@@ -688,13 +686,9 @@ struct Ctx {
     /// constructs read the job's policy without taking the config mutex.
     schedule: SchedulePolicy,
     /// Parker snapshotted at install time, present only when the job
-    /// multiplexes pids over run permits — the thread-per-pid fast path
+    /// runs on the virtual scheduler — the thread-per-pid fast path
     /// stays a single `Option` test.
     parker: Option<Arc<Parker>>,
-    /// Whether this process currently holds its run permit (overcommit
-    /// only).  Kept out of band so an unwind through a permit pause
-    /// cannot double-release.
-    permit_held: Cell<bool>,
     rng: RefCell<Option<XorShift64>>,
 }
 
@@ -738,9 +732,8 @@ pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
             schedule: config.default_schedule,
             parker: {
                 let parker = plane.parker();
-                parker.is_multiplexed().then_some(parker)
+                parker.is_virtual().then_some(parker)
             },
-            permit_held: Cell::new(false),
             rng: RefCell::new(None),
         });
         CtxGuard { prev }
@@ -901,10 +894,9 @@ pub fn check_cancel() {
 }
 
 /// Whether the current force's plane has tripped, *without* unwinding.
-/// Wait loops that must clean shared state (withdraw a permit ticket,
-/// pass a wake on) before unwinding test this first and then call
-/// [`cancel_now`] once their bookkeeping is safe.  Always `false`
-/// outside a force.
+/// Wait loops that must clean shared state (pass a wake on) before
+/// unwinding test this first and then call [`cancel_now`] once their
+/// bookkeeping is safe.  Always `false` outside a force.
 #[inline]
 pub(crate) fn cancel_pending() -> bool {
     CTX.with(|c| {
@@ -1009,25 +1001,10 @@ pub(crate) fn parked_on<R>(
     wait()
 }
 
-/// The current process's parker, when its job multiplexes pids over run
-/// permits (`None` outside a force or under thread-per-pid).
+/// The current process's parker, when its job runs on the virtual
+/// scheduler (`None` outside a force or under thread-per-pid).
 pub(crate) fn current_parker() -> Option<Arc<Parker>> {
     CTX.with(|c| c.borrow().as_ref().and_then(|ctx| ctx.parker.clone()))
-}
-
-/// Whether the current process holds its run permit (always false
-/// outside a force or under thread-per-pid).
-pub(crate) fn permit_held() -> bool {
-    CTX.with(|c| c.borrow().as_ref().is_some_and(|ctx| ctx.permit_held.get()))
-}
-
-/// Record whether the current process holds its run permit.
-pub(crate) fn set_permit_held(held: bool) {
-    CTX.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            ctx.permit_held.set(held);
-        }
-    });
 }
 
 /// Count one in the current process's counter lane, which reaches the

@@ -61,7 +61,7 @@ impl FullEmptyState {
         // board shows the pid parked on the cell's tag, and the retry
         // loop stays responsive to cancellation.  A HEP wait has no OS
         // to deschedule into, so on a dedicated thread it spins; under
-        // an overcommit backend the parked pid yields its run permit.
+        // the virtual backend the parked pid hands the run token on.
         // Every failed look is a retry, counted here and charged once.
         let mut retries = 1u64;
         let poll = || {

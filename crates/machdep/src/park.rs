@@ -10,19 +10,12 @@
 //! cannot drift — and it creates the single seam where a *pid* can be
 //! parked instead of a *thread*.
 //!
-//! Three backends ([`ParkBackend`]):
+//! Two backends ([`ParkBackend`]):
 //!
 //! * [`ParkBackend::ThreadPerPid`] (the default): one OS thread per
-//!   process, waits spin briefly then yield, exactly the pre-existing
-//!   behavior.  `nproc` is effectively bounded by what the host can run.
-//! * [`ParkBackend::Overcommit`]: the force may be far wider than the
-//!   host (`nproc >> cores`, the HEP assumption of the paper).  Each pid
-//!   still owns a (small-stacked) OS thread, but only `workers` *run
-//!   permits* exist; a process must hold one to execute program text.
-//!   Every park site releases its permit while blocked — a parked pid
-//!   literally yields its worker to another runnable pid — and
-//!   re-acquires it (cancellably) on wake.  Permit hand-off is FIFO
-//!   (ticketed), so a pid cannot starve behind repeat wakers.
+//!   process, waits spin briefly then yield or sleep on a condvar.  A
+//!   force may be wider than the host: the OS multiplexes its threads
+//!   (`tests/overcommit.rs` runs 128 pids on one CPU).
 //! * [`ParkBackend::Virtual`]: deterministic discrete-event execution
 //!   (DESIGN.md §20).  Exactly one pid at a time holds the *run token*
 //!   and executes program text; every park site is a decision point
@@ -35,16 +28,14 @@
 //!
 //! No wait inside a force sleeps on a timer: a trip wakes what it
 //! cancels ([`wait_on`]).  One heartbeat ([`HEARTBEAT`]) derives the
-//! polling left — the watchdog tick, the cap on an overcommitted
-//! spin-shaped wait's sleeps, and (a tenth of it, one measured wake-up)
-//! the window for which the pool's join polls before it parks; the job
-//! server polls nothing on it.  Under the
+//! polling left — the watchdog tick and (a tenth of it, one measured
+//! wake-up) the window for which the pool's join polls before it parks;
+//! the job server polls nothing on it.  Under the
 //! virtual backend the watchdog is the scheduler's barren-poll detector,
 //! serve deadlines arm a virtual deadline
 //! ([`Parker::arm_virtual_deadline`]) checked at every decision point,
 //! and the teardown after a trip is part of the schedule.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -54,20 +45,15 @@ use crate::fault::{self, Construct};
 use crate::portable::{Backoff, Condvar, Mutex, MutexGuard, XorShift64};
 
 /// The one tunable polling quantum of the runtime.  Every derived
-/// interval ([`watchdog_tick`], the cap on an overcommitted wait's
-/// sleeps) is a multiple of this.
+/// interval ([`watchdog_tick`], the pool join's spin window) is a
+/// multiple or a fraction of this.
 pub const HEARTBEAT: Duration = Duration::from_micros(500);
-
-/// The longest sleep of an overcommitted spin-shaped wait
-/// ([`wait_until`]): it polls a condition nobody notifies, so it sleeps
-/// in steps, never longer than this.
-const IDLE_SLEEP_CAP: Duration = HEARTBEAT.saturating_mul(2);
 
 /// The deadlock watchdog's poll tick for a given bound: four samples per
 /// bound, floored at two heartbeats.
 #[inline]
 pub fn watchdog_tick(bound: Duration) -> Duration {
-    (bound / 4).max(IDLE_SLEEP_CAP)
+    (bound / 4).max(HEARTBEAT.saturating_mul(2))
 }
 
 /// The host's available parallelism, with a fixed fallback of 4 when the
@@ -85,13 +71,6 @@ pub enum ParkBackend {
     /// spin-then-yield on their own thread.
     #[default]
     ThreadPerPid,
-    /// Overcommit: `nproc` may far exceed the host.  Only `workers` run
-    /// permits exist; a parked pid releases its permit so another
-    /// runnable pid can use the worker.  `workers == 0` is treated as 1.
-    Overcommit {
-        /// Number of concurrently runnable pids (the worker-fleet width).
-        workers: usize,
-    },
     /// Deterministic virtual-time execution: one run token, a seeded
     /// schedule picker at every park site, and per-pid virtual clocks
     /// priced by the machine's cost model.  The same `(seed, machine,
@@ -110,64 +89,22 @@ impl ParkBackend {
     }
 }
 
-/// The per-plane parking state: under [`ParkBackend::Overcommit`], the
-/// pool of run permits; under [`ParkBackend::Virtual`], the discrete-event
-/// scheduler; under [`ParkBackend::ThreadPerPid`], nothing.
+/// The per-plane parking state: under [`ParkBackend::Virtual`], the
+/// discrete-event scheduler; under [`ParkBackend::ThreadPerPid`], nothing.
 pub struct Parker {
     backend: ParkBackend,
-    permits: Option<PermitPool>,
     virt: Option<VirtualParker>,
-}
-
-/// The overcommit run-permit pool.  Acquisition is FIFO-ticketed: a
-/// waiter takes a ticket on arrival and is granted a permit only at the
-/// head of the queue, so wake order is arrival order — a pid that parks
-/// and re-acquires in a tight loop cannot starve a long-waiting peer
-/// behind raw condvar wake order (the §19 residual hazard this replaces).
-struct PermitPool {
-    state: Mutex<PermitState>,
-    freed: Condvar,
-}
-
-struct PermitState {
-    avail: usize,
-    /// Outstanding waiter tickets, in arrival order.  A cancelled waiter
-    /// removes its ticket on the way out, so a tripped job can never
-    /// wedge the queue for the next job on a resident parker.
-    queue: VecDeque<u64>,
-    next_ticket: u64,
-}
-
-impl PermitPool {
-    fn new(workers: usize) -> PermitPool {
-        PermitPool {
-            state: Mutex::new(PermitState {
-                avail: workers,
-                queue: VecDeque::new(),
-                next_ticket: 0,
-            }),
-            freed: Condvar::new(),
-        }
-    }
 }
 
 impl Parker {
     /// A parker for `backend`, covering a force of `nproc` processes,
-    /// with `costs` pricing the virtual clock (ignored by the other
-    /// backends).
+    /// with `costs` pricing the virtual clock (ignored by thread-per-pid).
     pub(crate) fn new(backend: ParkBackend, nproc: usize, costs: CostModel) -> Parker {
-        let (permits, virt) = match backend {
-            ParkBackend::ThreadPerPid => (None, None),
-            ParkBackend::Overcommit { workers } => (Some(PermitPool::new(workers.max(1))), None),
-            ParkBackend::Virtual { seed } => {
-                (None, Some(VirtualParker::new(seed, nproc.max(1), costs)))
-            }
+        let virt = match backend {
+            ParkBackend::ThreadPerPid => None,
+            ParkBackend::Virtual { seed } => Some(VirtualParker::new(seed, nproc.max(1), costs)),
         };
-        Parker {
-            backend,
-            permits,
-            virt,
-        }
+        Parker { backend, virt }
     }
 
     /// The backend this parker implements.
@@ -175,15 +112,10 @@ impl Parker {
         self.backend
     }
 
-    /// Whether pids are multiplexed over fewer execution slots than
-    /// processes (overcommit permits or the virtual run token).  Session
-    /// layers use this to route jobs past a pool's fixed set of resident
-    /// workers and onto small-stacked scoped threads.
-    pub fn is_multiplexed(&self) -> bool {
-        self.permits.is_some() || self.virt.is_some()
-    }
-
-    /// Whether this parker runs the deterministic virtual-time scheduler.
+    /// Whether this parker runs the deterministic virtual-time scheduler,
+    /// whose one run token multiplexes the pids: session layers route its
+    /// jobs past a pool's resident workers onto small-stacked scoped
+    /// threads, and its park sites skip every spin phase.
     pub fn is_virtual(&self) -> bool {
         self.virt.is_some()
     }
@@ -213,73 +145,12 @@ impl Parker {
         }
     }
 
-    /// Block until a run permit is free, staying responsive to
-    /// cancellation ([`Parker::wake_cancelled`]).  FIFO: permits are
-    /// granted in arrival order.  No-op without a permit pool.
-    fn acquire_cancellable(&self) {
-        let Some(pool) = &self.permits else { return };
-        let mut st = pool.state.lock();
-        fault::check_cancel();
-        if st.avail > 0 && st.queue.is_empty() {
-            // Nobody queued ahead: take a permit immediately.
-            st.avail -= 1;
-            return;
-        }
-        let ticket = st.next_ticket;
-        st.next_ticket += 1;
-        st.queue.push_back(ticket);
-        loop {
-            if st.avail > 0 && st.queue.front() == Some(&ticket) {
-                st.queue.pop_front();
-                st.avail -= 1;
-                if st.avail > 0 && !st.queue.is_empty() {
-                    // More permits remain for the tickets behind us.
-                    pool.freed.notify_all();
-                }
-                return;
-            }
-            if fault::cancel_pending() {
-                // Withdraw the ticket *before* unwinding, or the queue
-                // head would wedge every later arrival on this resident
-                // parker's next job.
-                st.queue.retain(|&t| t != ticket);
-                pool.freed.notify_all();
-                drop(st);
-                fault::cancel_now();
-            }
-            pool.freed.wait(&mut st);
-        }
-    }
-
-    /// The plane has tripped: wake the permit queue, whose waiters
-    /// withdraw, and hand the run token on in pid order from now on.
+    /// The plane has tripped: hand the run token on in pid order from
+    /// now on.
     pub(crate) fn wake_cancelled(&self) {
-        if let Some(pool) = &self.permits {
-            let _queue = pool.state.lock();
-            pool.freed.notify_all();
-        }
         if let Some(v) = &self.virt {
             v.state.lock().tripped = true;
         }
-    }
-
-    /// Return a run permit to the pool and wake the waiter queue.  The
-    /// head-of-line ticket may be any of the sleepers, so the whole queue
-    /// is notified and re-checks.
-    fn release(&self) {
-        let Some(pool) = &self.permits else { return };
-        let mut st = pool.state.lock();
-        st.avail += 1;
-        pool.freed.notify_all();
-    }
-
-    /// Number of waiters queued for a permit (diagnostics/tests).
-    #[cfg(test)]
-    fn queued_waiters(&self) -> usize {
-        self.permits
-            .as_ref()
-            .map(|p| p.state.lock().queue.len())
-            .unwrap_or(0)
     }
 
     /// Register `pid` with the virtual scheduler and block until it is
@@ -354,7 +225,7 @@ const POLL_BUDGET: u32 = 8;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum VStatus {
-    /// Not yet registered (its thread has not reached `run_permit`).
+    /// Not yet registered (its thread has not reached `token_lease`).
     Absent,
     /// Executing (or eligible to execute) program text.
     Runnable,
@@ -737,122 +608,30 @@ pub fn current_virtual_ns() -> Option<u64> {
     parker.virt.as_ref().map(|v| v.now_of(pid))
 }
 
-/// RAII run permit held for the duration of one process body under
-/// overcommit, or the registration + run-token lease of one pid under
-/// the virtual scheduler (a no-op under thread-per-pid).  Acquired by
-/// `run_as_process` after the fault context is installed, so the
-/// acquisition itself is cancellable; park sites *pause* it (release +
-/// re-acquire) around every blocking wait via [`PermitPause`].
-pub(crate) struct RunPermit {
-    parker: Option<Arc<Parker>>,
-    virtual_pid: Option<usize>,
-}
+/// One pid's lease on the virtual run token, held for the duration of
+/// its process body: registration with the scheduler and the wait for
+/// the first grant when taken, the finish when dropped.  Taken by
+/// `run_as_process` after the fault context is installed, so the wait
+/// for the first grant is cancellable; inert outside a force and on a
+/// dedicated thread.  The guard exists before that wait, so a pid that a
+/// trip unwinds out of it still finishes with the scheduler.
+pub(crate) struct TokenLease(Option<(Arc<Parker>, usize)>);
 
-/// Acquire the current process's run permit (blocking, cancellable).
-/// Returns an inert guard outside a force or under thread-per-pid.  The
-/// guard exists before the wait for the first grant, so a pid that a
-/// trip unwinds out of that wait still finishes with the scheduler.
-pub(crate) fn run_permit() -> RunPermit {
-    let parker = fault::current_parker();
-    let virtual_pid = parker
-        .as_ref()
-        .filter(|p| p.is_virtual())
-        .and_then(|_| fault::current_pid());
-    let permit = RunPermit {
-        parker,
-        virtual_pid,
-    };
-    match (&permit.parker, virtual_pid) {
-        (Some(parker), Some(pid)) => parker.virtual_start(pid),
-        (Some(parker), None) => {
-            parker.acquire_cancellable();
-            fault::set_permit_held(true);
-        }
-        (None, _) => {}
+/// Take the current process's [`TokenLease`] (blocking, cancellable).
+pub(crate) fn token_lease() -> TokenLease {
+    let lease = TokenLease(fault::current_parker().zip(fault::current_pid()));
+    if let Some((parker, pid)) = &lease.0 {
+        parker.virtual_start(*pid);
     }
-    permit
+    lease
 }
 
-impl Drop for RunPermit {
+impl Drop for TokenLease {
     fn drop(&mut self) {
-        if let Some(parker) = self.parker.take() {
-            if let Some(pid) = self.virtual_pid {
-                parker.virtual_finish(pid);
-                return;
-            }
-            // A cancellation may have unwound the body mid-pause (permit
-            // already released, never re-acquired); only release what is
-            // actually held.
-            if fault::permit_held() {
-                fault::set_permit_held(false);
-                parker.release();
-            }
+        if let Some((parker, pid)) = self.0.take() {
+            parker.virtual_finish(pid);
         }
     }
-}
-
-/// RAII pause of the current process's run permit across one blocking
-/// episode: constructed at park time (releases the permit so another pid
-/// can run), re-acquires on drop.  Inert when no permit is held —
-/// thread-per-pid, outside a force, or nested inside an outer pause.
-/// The virtual backend never constructs one: its park sites hand the run
-/// token through [`Parker::virtual_wait`] instead.
-struct PermitPause {
-    parker: Option<Arc<Parker>>,
-}
-
-impl PermitPause {
-    fn begin() -> PermitPause {
-        if fault::permit_held() {
-            if let Some(parker) = fault::current_parker() {
-                fault::set_permit_held(false);
-                parker.release();
-                return PermitPause {
-                    parker: Some(parker),
-                };
-            }
-        }
-        PermitPause { parker: None }
-    }
-}
-
-impl Drop for PermitPause {
-    fn drop(&mut self) {
-        if let Some(parker) = self.parker.take() {
-            // Unwinding (cancellation or a genuine panic): do not block
-            // for a permit mid-unwind; leave it un-held and let the
-            // body-level RunPermit see `permit_held == false`.
-            if std::thread::panicking() {
-                return;
-            }
-            parker.acquire_cancellable();
-            fault::set_permit_held(true);
-        }
-    }
-}
-
-/// One adaptive idle step inside a blocking episode.
-///
-/// Dedicated threads keep the pre-existing spin-then-yield cadence
-/// (`Backoff::snooze`).  Multiplexed pids have already yielded their run
-/// permit, so burning a core polling would steal cycles from the pid now
-/// using it: they yield for a short window (fast wake when the host is
-/// not oversubscribed) and then escalate to real sleeps capped at
-/// [`IDLE_SLEEP_CAP`].
-fn idle_step(multiplexed: bool, backoff: &Backoff, round: &mut u32) {
-    if !multiplexed {
-        backoff.snooze();
-        return;
-    }
-    const YIELD_ROUNDS: u32 = 64;
-    if *round < YIELD_ROUNDS {
-        std::thread::yield_now();
-    } else {
-        let exp = (*round - YIELD_ROUNDS).min(7);
-        let sleep = Duration::from_micros(10u64 << exp).min(IDLE_SLEEP_CAP);
-        std::thread::sleep(sleep);
-    }
-    *round = round.saturating_add(1);
 }
 
 /// The [`Backoff`] step at which a process whose lock acquisition failed
@@ -877,10 +656,8 @@ const SPIN_ATTEMPTS: u32 = 64;
 /// of `ready` is its acquisition attempt, and a failed one is held off
 /// (one back-off round at step 4) before the next.  The polls snooze, so
 /// a waiter queued behind its holder on one core hands the core over.
-/// Under overcommit the spin phase is skipped — spinning while holding
-/// a run permit starves runnable pids — so this degrades to a single
-/// check; under the virtual backend the single check keeps the decision
-/// sequence independent of spin timing.
+/// Under the virtual backend the spin phase is skipped, so that the
+/// decision sequence does not depend on spin timing: a single check.
 pub(crate) fn bounded_spin(mut ready: impl FnMut() -> bool) -> bool {
     if ready() {
         return true;
@@ -900,12 +677,11 @@ pub(crate) fn bounded_spin(mut ready: impl FnMut() -> bool) -> bool {
 
 /// Park the current process until `ready()` returns true, polling.
 ///
-/// The spin-shaped wait primitive: a brief spin phase (skipped under
-/// overcommit), then a blocking episode that publishes `fallback` on the
-/// wait board, opens a trace park span, counts a park, checks
-/// cancellation every retry, and — under overcommit — yields the run
-/// permit for the duration.  Under the virtual backend the episode is a
-/// sequence of scheduling decision points instead (`Parker::virtual_wait`).
+/// The spin-shaped wait primitive: a brief spin phase, then a blocking
+/// episode that publishes `fallback` on the wait board, opens a trace
+/// park span, counts a park and checks cancellation every retry.  Under
+/// the virtual backend there is no spin phase and the episode is a
+/// sequence of scheduling decision points (`Parker::virtual_wait`).
 /// `ready` may have side effects (CAS attempts, retry counting); it is
 /// re-polled every step.
 pub fn wait_until(fallback: Construct, mut ready: impl FnMut() -> bool) {
@@ -918,10 +694,9 @@ pub fn wait_until(fallback: Construct, mut ready: impl FnMut() -> bool) {
 /// [`wait_until`] for a process whose lock acquisition has just failed:
 /// on a dedicated thread the first poll of `ready` comes after one
 /// back-off round at step 4, not at once, so that a process releasing
-/// the lock and taking it again on its next trip finds it free.  A
-/// parker that multiplexes pids skips the holdoff as it skips every
-/// spin phase, so this is `wait_until` there and a virtual schedule
-/// does not move.
+/// the lock and taking it again on its next trip finds it free.  The
+/// virtual backend skips the holdoff as it skips every spin phase, so
+/// this is `wait_until` there and a virtual schedule does not move.
 pub(crate) fn lock_wait(fallback: Construct, mut ready: impl FnMut() -> bool) {
     if fault::current_parker().is_some() {
         return wait_until(fallback, ready);
@@ -932,35 +707,28 @@ pub(crate) fn lock_wait(fallback: Construct, mut ready: impl FnMut() -> bool) {
 /// The episode of [`wait_until`] after its first failed poll; the spin
 /// phase of a dedicated thread starts at backoff step `first_step`.
 fn poll_until(fallback: Construct, first_step: u32, ready: &mut impl FnMut() -> bool) {
-    let parker = fault::current_parker();
-    if let Some(p) = parker.as_ref().filter(|p| p.is_virtual()) {
+    if let Some(p) = fault::current_parker() {
         p.virtual_wait(fallback, ready);
         return;
     }
-    let multiplexed = parker.is_some();
-    if !multiplexed {
-        let backoff = Backoff::starting_at(first_step);
-        while !backoff.is_completed() {
-            fault::check_cancel();
-            backoff.snooze();
-            if ready() {
-                return;
-            }
+    let backoff = Backoff::starting_at(first_step);
+    while !backoff.is_completed() {
+        fault::check_cancel();
+        backoff.snooze();
+        if ready() {
+            return;
         }
     }
     let _park = fault::parked(fallback);
     fault::count_in_lane(|s| &s.parks);
-    let pause = PermitPause::begin();
     let backoff = Backoff::new();
-    let mut round = 0u32;
     loop {
         fault::check_cancel();
-        idle_step(multiplexed, &backoff, &mut round);
+        backoff.snooze();
         if ready() {
             break;
         }
     }
-    drop(pause);
     fault::count_in_lane(|s| &s.park_wakes);
 }
 
@@ -972,9 +740,8 @@ fn poll_until(fallback: Construct, first_step: u32, ready: &mut impl FnMut() -> 
 /// a force the episode publishes `fallback` on the wait board with a
 /// wake handle — `cond` notified under `lock` — that a trip fires after
 /// setting the token, so the token test loses no wake (the `Waiters`
-/// argument).  It counts parks, wakes and spurious wakes, and yields the
-/// run permit under overcommit without holding the user mutex across it.
-/// A cancelled waiter passes one `notify_one` on: a wake it took may have
+/// argument).  It counts parks, wakes and spurious wakes.  A cancelled
+/// waiter passes one `notify_one` on: a wake it took may have
 /// been an unlock's meant for another plane's process (a pooled Cray-2
 /// lock serves several).  Under the virtual backend each re-check
 /// is a scheduling decision point and the condvar is not waited on.
@@ -987,7 +754,7 @@ pub fn wait_on<T: Send>(
     if ready(&mut lock.lock()) {
         return;
     }
-    if let Some(p) = fault::current_parker().filter(|p| p.is_virtual()) {
+    if let Some(p) = fault::current_parker() {
         p.virtual_wait(fallback, &mut || ready(&mut lock.lock()));
         return;
     }
@@ -997,7 +764,6 @@ pub fn wait_on<T: Send>(
     };
     fault::parked_on(fallback, &wake, || {
         fault::count_in_lane(|s| &s.parks);
-        let pause = PermitPause::begin();
         let mut guard = lock.lock();
         let mut woken = false;
         loop {
@@ -1016,7 +782,6 @@ pub fn wait_on<T: Send>(
             woken = true;
         }
         drop(guard);
-        drop(pause);
         fault::count_in_lane(|s| &s.park_wakes);
     });
 }
@@ -1110,10 +875,9 @@ const SPIN_WINDOW: Duration = Duration::from_micros(50);
 /// cancellation token as ever and where `ready` decides under the mutex
 /// (so `hint` may be stale either way).
 ///
-/// The polling phase is skipped when the calling process's parker
-/// multiplexes pids, exactly as [`bounded_spin`]'s is: it would burn a
-/// run permit another pid could use, and a virtual run's decision
-/// sequence must not depend on how long a spin happened to last.
+/// The polling phase is skipped under the virtual backend, exactly as
+/// [`bounded_spin`]'s is: a virtual run's decision sequence must not
+/// depend on how long a spin happened to last.
 ///
 /// One caller, waiting on something running threads are about to do:
 /// the pool's join (the pids it waits for were taken by their workers
@@ -1155,13 +919,12 @@ mod tests {
 
     #[test]
     fn heartbeat_derivations_are_consistent() {
-        assert_eq!(IDLE_SLEEP_CAP, HEARTBEAT * 2);
         assert_eq!(
             watchdog_tick(Duration::from_secs(1)),
             Duration::from_millis(250)
         );
         // Tiny bounds floor at two heartbeats, never zero.
-        assert_eq!(watchdog_tick(Duration::from_micros(1)), IDLE_SLEEP_CAP);
+        assert_eq!(watchdog_tick(Duration::from_micros(1)), HEARTBEAT * 2);
         assert_eq!(SPIN_WINDOW, HEARTBEAT / 10);
     }
 
@@ -1195,117 +958,15 @@ mod tests {
     }
 
     #[test]
-    fn overcommit_parker_bounds_concurrent_permit_holders() {
-        let parker = Arc::new(parker(ParkBackend::Overcommit { workers: 2 }));
-        let running = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let parker = Arc::clone(&parker);
-                let running = Arc::clone(&running);
-                let peak = Arc::clone(&peak);
-                s.spawn(move || {
-                    parker.acquire_cancellable();
-                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(2));
-                    running.fetch_sub(1, Ordering::SeqCst);
-                    parker.release();
-                });
-            }
-        });
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "peak {peak:?} exceeded permits"
-        );
-        assert_eq!(running.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn permit_grants_are_fifo_in_arrival_order() {
-        // Regression for the §19 residual hazard: wake order used to be
-        // raw condvar order, so a repeat waker could starve a queued pid
-        // indefinitely.  Build a deterministic arrival order by watching
-        // the ticket queue grow, then assert grants happen in exactly
-        // that order as permits free up.
-        let p = Arc::new(parker(ParkBackend::Overcommit { workers: 1 }));
-        p.acquire_cancellable(); // exhaust the single permit
-        let grants = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            for i in 0..4usize {
-                let p2 = Arc::clone(&p);
-                let grants = Arc::clone(&grants);
-                s.spawn(move || {
-                    p2.acquire_cancellable();
-                    grants.lock().push(i);
-                    p2.release();
-                });
-                // Wait until thread i is actually queued before starting
-                // the next, so arrival order is exactly 0, 1, 2, 3.
-                while p.queued_waiters() < i + 1 {
-                    std::thread::yield_now();
-                }
-            }
-            p.release(); // the chain of releases drains the queue in order
-        });
-        assert_eq!(*grants.lock(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn cancelled_waiter_withdraws_its_ticket() {
-        // The waiter sleeps untimed: only the trip's wake of its plane's
-        // permit queue gets it out.
-        use crate::fault::{FaultPlane, ProcessFault, RunOptions};
-        let plane = FaultPlane::new(
-            1,
-            Arc::new(crate::stats::OpStats::new()),
-            RunOptions {
-                backend: ParkBackend::Overcommit { workers: 1 },
-                ..RunOptions::default()
-            },
-        );
-        let p = plane.parker();
-        p.acquire_cancellable(); // permit held for the whole test
-        let p2 = Arc::clone(&p);
-        let plane2 = Arc::clone(&plane);
-        let waiter = std::thread::spawn(move || {
-            let _ctx = crate::fault::install(&plane2, 0);
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p2.acquire_cancellable()))
-                .expect_err("cancellation must unwind the waiter")
-        });
-        while p.queued_waiters() < 1 {
-            std::thread::yield_now();
-        }
-        plane.trip(
-            ProcessFault {
-                pid: 0,
-                construct: "body",
-                payload: "cancel the waiter".into(),
-            },
-            None,
-        );
-        waiter.join().unwrap();
-        // The abandoned ticket must not wedge the queue for later jobs.
-        assert_eq!(p.queued_waiters(), 0);
-        p.release();
-        p.acquire_cancellable(); // a fresh acquire succeeds immediately
-        p.release();
-    }
-
-    #[test]
-    fn thread_per_pid_parker_has_no_permits() {
+    fn thread_per_pid_parker_is_not_virtual() {
         let parker = parker(ParkBackend::ThreadPerPid);
-        assert!(!parker.is_multiplexed());
         assert!(!parker.is_virtual());
-        // Acquire/release are no-ops and must not block.
-        parker.acquire_cancellable();
-        parker.release();
+        assert_eq!(parker.virtual_summary(), None);
     }
 
     #[test]
     fn virtual_parker_identity() {
         let p = parker(ParkBackend::Virtual { seed: 99 });
-        assert!(p.is_multiplexed(), "virtual pids bypass a pool's workers");
         assert!(p.is_virtual());
         let s = p.virtual_summary().expect("virtual summary");
         assert_eq!(s.seed, 99);

@@ -188,8 +188,8 @@ impl ForcePool {
     /// [`launch_plane`](crate::process::launch_plane) with this pool
     /// attached.  A thread-per-pid job of at most [`size`](Self::size)
     /// processes runs on the resident workers and the caller; a wider
-    /// job, or one whose backend multiplexes pids (overcommit, virtual),
-    /// runs on scoped threads and is charged `processes_created += nproc`.
+    /// job, or one on the virtual backend, runs on scoped threads and is
+    /// charged `processes_created += nproc`.
     pub fn run_plane<R, F>(&self, plane: &Arc<FaultPlane>, body: F) -> Result<Vec<R>, ProcessFault>
     where
         R: Send,

@@ -33,15 +33,15 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::fault::{self, Cancelled, Construct, FaultPlane, ProcessFault, RunOptions};
-use crate::park::{self, ParkBackend};
+use crate::park;
 use crate::pool::ForcePool;
 use crate::portable::{Condvar, Mutex};
 use crate::stats::OpStats;
 
-/// Stack size for pid threads under an overcommit backend.  Thousands of
-/// pids exist at once, so each gets a deliberately small stack; parked
-/// pids cost almost nothing beyond it.
-const OVERCOMMIT_STACK: usize = 512 * 1024;
+/// Stack size for pid threads under the virtual backend: one of them
+/// runs at a time and the rest wait for the run token, so each gets a
+/// deliberately small stack.
+const VIRTUAL_STACK: usize = 512 * 1024;
 
 /// How a child process's private storage is initialized at spawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,12 +118,11 @@ pub(crate) fn run_as_process<R>(
     body: impl FnOnce() -> R,
 ) -> Option<R> {
     let _ctx = fault::install(plane, pid);
-    // Under an overcommit backend the process must hold a run permit to
-    // execute program text; acquisition is inside the catch so a
-    // cancellation while waiting for admission unwinds cleanly.  Park
-    // sites pause the permit around every blocking wait.
+    // Under the virtual backend the process must hold the run token to
+    // execute program text; the lease is taken inside the catch so a
+    // cancellation while waiting for the first grant unwinds cleanly.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _permit = park::run_permit();
+        let _lease = park::token_lease();
         body()
     }));
     let result = match outcome {
@@ -228,7 +227,7 @@ impl Drop for StopGuard {
 /// |---|---|---|---|
 /// | `pool` attached or lent, thread-per-pid backend, `nproc <= pool.size()` | *pooled*: the pool's resident workers for pids 1.., pid 0 on the caller, and on the caller too any pid whose worker has not woken by the time pid 0 returns | the workers' own; the caller's own | nothing (paid at pool construction) |
 /// | otherwise, thread-per-pid backend | *scoped*: threads for pids 1.., pid 0 on the caller | default; the caller's own | `processes_created += nproc` |
-/// | multiplexed backend (overcommit permits, virtual token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
+/// | virtual backend (one run token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
 ///
 /// *Attached* is the caller's `pool`; *lent* is the resident force a
 /// [`ForceServer`](crate::serve::ForceServer) shard lends the plane for
@@ -266,8 +265,8 @@ pub fn launch_plane<R: Send>(
         let r = run_as_process(plane, pid, || body(pid));
         *results[pid].lock() = r;
     };
-    let multiplexed = config.backend != ParkBackend::ThreadPerPid;
-    let fits = |size: usize| !multiplexed && nproc <= size;
+    let virtual_time = config.backend.is_virtual();
+    let fits = |size: usize| !virtual_time && nproc <= size;
     let lent = match pool {
         Some(_) => None,
         None => plane.loan(),
@@ -279,7 +278,7 @@ pub fn launch_plane<R: Send>(
     };
     match pool {
         Some(pool) => pool.broadcast(nproc, &run_pid),
-        None => launch_scoped(plane, multiplexed, &run_pid),
+        None => launch_scoped(plane, virtual_time, &run_pid),
     }
     drop(watchdog);
     match plane.take_fault() {
@@ -305,15 +304,15 @@ pub fn launch_plane<R: Send>(
 
 /// The scoped launcher, fork-join: a fresh thread for each of pids
 /// `1..nproc`, pid 0 on the calling thread, every thread joined before
-/// return.  The new threads are small-stacked when multiplexed
-/// (thousands of mostly parked pids).
+/// return.  The new threads are small-stacked under the virtual backend,
+/// where all but one of them wait for the run token.
 ///
 /// Under either launcher the caller's thread is a process like the
 /// others for as long as `run_pid(0)` runs — same admission guard, same
 /// panic containment — and is given back as it was: `run_as_process`
 /// restores whatever fault context the thread had, which is what lets a
 /// process of one force launch another.
-fn launch_scoped(plane: &FaultPlane, multiplexed: bool, run_pid: &(dyn Fn(usize) + Sync)) {
+fn launch_scoped(plane: &FaultPlane, virtual_time: bool, run_pid: &(dyn Fn(usize) + Sync)) {
     let nproc = plane.nproc();
     // Charge the plane directly (not context-preferred): the launching
     // thread may run under a session's ambient binding, but these
@@ -339,8 +338,8 @@ fn launch_scoped(plane: &FaultPlane, multiplexed: bool, run_pid: &(dyn Fn(usize)
         let handles: Vec<_> = (1..nproc)
             .map(|pid| {
                 let mut thread = std::thread::Builder::new();
-                if multiplexed {
-                    thread = thread.stack_size(OVERCOMMIT_STACK);
+                if virtual_time {
+                    thread = thread.stack_size(VIRTUAL_STACK);
                 }
                 let handle = thread
                     .spawn_scoped(scope, move || run_pid(pid))
@@ -457,9 +456,8 @@ mod tests {
         assert_eq!(stats.snapshot().faults_detected, 4);
     }
 
-    const EVERY_BACKEND: [ParkBackend; 3] = [
+    const EVERY_BACKEND: [ParkBackend; 2] = [
         ParkBackend::ThreadPerPid,
-        ParkBackend::Overcommit { workers: 2 },
         ParkBackend::Virtual { seed: 1989 },
     ];
 
@@ -838,7 +836,7 @@ mod tests {
 
     #[test]
     fn launch_matrix_every_scenario_agrees_across_every_launcher() {
-        use ParkBackend::{Overcommit, ThreadPerPid, Virtual};
+        use ParkBackend::{ThreadPerPid, Virtual};
         let scoped = scenarios(ThreadPerPid, |_| 0, Pool::Attached);
         assert_eq!(scoped[0], Ok(vec![0, 2, 4]));
         assert_eq!(scoped[1], Err(fault_in(1, "body", "pid one dies")));
@@ -846,12 +844,11 @@ mod tests {
         let stale = scoped[3].as_ref().expect_err("stale trip");
         assert!(stale.payload.contains("missing reset_for_job"), "{stale}");
         assert_eq!(scoped[4], Err(fault_in(0, "lock", "deadlock")));
-        // The multiplexed rows get a pool the job *fits*, so only the
-        // backend can be what sends them to scoped threads.
-        let pooled: [(&str, ParkBackend, PoolSize); 4] = [
+        // The virtual row gets a pool the job *fits*, so only the
+        // backend can be what sends it to scoped threads.
+        let pooled: [(&str, ParkBackend, PoolSize); 3] = [
             ("pooled fit", ThreadPerPid, |n| n),
             ("pooled oversize", ThreadPerPid, |n| n - 1),
-            ("overcommit with a pool", Overcommit { workers: 2 }, |n| n),
             ("virtual with a pool", Virtual { seed: 1989 }, |n| n),
         ];
         for (name, backend, pool_size) in pooled {

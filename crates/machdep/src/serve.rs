@@ -111,8 +111,8 @@
 //!   behind the pool its own job occupies, as a thread-local would let it.
 //! * **Accounting** — a lent job is a pooled job: `processes_created` 0 in
 //!   its delta and tenant rollup, priced accordingly by the cost model.
-//!   Jobs wider than the host and multiplexed backends (overcommit,
-//!   virtual) run on scoped threads exactly as without a server.
+//!   Jobs wider than the host and virtual-time jobs run on scoped
+//!   threads exactly as without a server.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};

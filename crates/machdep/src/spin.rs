@@ -16,8 +16,8 @@ use crate::stats::StatsHandle;
 /// manufacturer primitive was a pure busy wait; here the retry loop runs
 /// inside the parking layer's lock wait, which keeps the busy-wait shape
 /// on a dedicated thread — holding off after a failed attempt so that a
-/// holder re-taking the lock keeps it — but still yields the run permit
-/// under an overcommit backend.
+/// holder re-taking the lock keeps it — and hands the run token on under
+/// the virtual backend.
 pub struct SpinLock {
     locked: AtomicBool,
     stats: StatsHandle,

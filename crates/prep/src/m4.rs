@@ -1030,7 +1030,7 @@ mod tests {
         format!("eval({}1{})", open.repeat(levels), close.repeat(levels))
     }
 
-    /// Run `test` on the 512 KiB stack of a multiplexed pid.
+    /// Run `test` on the 512 KiB stack of a virtual-time pid.
     fn on_a_small_stack(test: impl FnOnce() + Send + 'static) {
         std::thread::Builder::new()
             .stack_size(512 * 1024)

@@ -216,9 +216,11 @@ C report exit of processes
     // ---- chunked / guided selfscheduled DO (scheduling-plane extension) ----------
     // `Selfsched DO n v = e1, e2[, e3] CHUNK c`: same barrier entry and
     // locked claim as §4.2, but each visit to the shared index takes `c`
-    // consecutive trips; the private counter ZZC<label> then walks them
-    // without re-acquiring LOOP<label>.  A chunk that crosses the bound
-    // simply fails the per-trip completion test, which exits the loop.
+    // consecutive trips (at least one: the sed pass refuses a literal `c`
+    // below 1 and clamps any other); the private counter ZZC<label> then
+    // walks them without re-acquiring LOOP<label>.  A chunk that crosses
+    // the bound simply fails the per-trip completion test, which exits
+    // the loop.
     (
         "ZZSELFSCHEDDOC",
         "define(`ZZDOVAR$1', `$2')define(`ZZDOLAST$1', `$4')define(`ZZDOINCR$1', `$5')dnl

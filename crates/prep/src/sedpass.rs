@@ -224,7 +224,7 @@ fn translate_line(line: &str) -> Result<Cow<'_, str>, String> {
             match second.as_str() {
                 "DO" => {
                     let label = words.expect_label()?;
-                    let (control, sched) = split_schedule_suffix(words.rest());
+                    let (control, sched) = split_schedule_suffix(words.rest())?;
                     if first == "PRESCHED" && !matches!(sched, ScheduleSuffix::None) {
                         return Err(
                             "CHUNK/GUIDED scheduling applies only to Selfsched DO".to_string()
@@ -450,8 +450,9 @@ fn split_label(s: &str) -> (Option<&str>, &str) {
 }
 
 /// An optional scheduling suffix on `Selfsched DO`: `CHUNK <n>` claims
-/// `n` trips per visit to the shared index, `GUIDED` uses tapering
-/// chunks.  Absent, the paper's one-trip selfscheduling applies.
+/// `n` trips per visit to the shared index (at least one: a literal
+/// below 1 is an error, a run-time chunk is clamped), `GUIDED` uses
+/// tapering chunks.  Absent, the paper's one-trip selfscheduling applies.
 enum ScheduleSuffix {
     None,
     Chunk(String),
@@ -461,18 +462,28 @@ enum ScheduleSuffix {
 /// Split a trailing `CHUNK <tok>` or `GUIDED` keyword off the DO-control
 /// text.  The keywords are case-insensitive and must stand as their own
 /// trailing words; anything else stays part of the bounds expressions.
-fn split_schedule_suffix(s: &str) -> (String, ScheduleSuffix) {
+/// A chunk that claims no trip would have every process claim nothing
+/// forever, so an integer literal below 1 is an error and any other
+/// chunk becomes `MAX(1, tok)`, as a guided chunk is clamped.
+fn split_schedule_suffix(s: &str) -> Result<(String, ScheduleSuffix), String> {
     let t = s.trim_end();
     if let Some(head) = strip_last_word(t, "GUIDED") {
-        return (head.to_string(), ScheduleSuffix::Guided);
+        return Ok((head.to_string(), ScheduleSuffix::Guided));
     }
     if let Some(ws) = t.rfind(char::is_whitespace) {
         let (head, tok) = (t[..ws].trim_end(), t[ws..].trim());
         if let Some(head2) = strip_last_word(head, "CHUNK") {
-            return (head2.to_string(), ScheduleSuffix::Chunk(tok.to_string()));
+            let chunk = match tok.parse::<i64>() {
+                Ok(n) if n < 1 => {
+                    return Err(format!("CHUNK {tok}: a chunk claims at least one trip"))
+                }
+                Ok(_) => tok.to_string(),
+                Err(_) => format!("MAX(1, {tok})"),
+            };
+            return Ok((head2.to_string(), ScheduleSuffix::Chunk(chunk)));
         }
     }
-    (t.to_string(), ScheduleSuffix::None)
+    Ok((t.to_string(), ScheduleSuffix::None))
 }
 
 /// Strip an ASCII keyword standing as the final whitespace-separated
@@ -720,10 +731,17 @@ mod tests {
             one("      Selfsched DO 100 K = 1, N CHUNK 4"),
             "ZZSELFSCHEDDOC(100, K, `1', `N', `1', `4')"
         );
+        // A chunk known only at run time claims at least one trip.
         assert_eq!(
             one("      Selfsched DO 7 K = 1, 20, 2 chunk NC"),
-            "ZZSELFSCHEDDOC(7, K, `1', `20', `2', `NC')"
+            "ZZSELFSCHEDDOC(7, K, `1', `20', `2', `MAX(1, NC)')"
         );
+        // A literal one that claims none is an error.
+        for chunk in ["0", "-3"] {
+            let line = format!("      Selfsched DO 8 K = 1, N CHUNK {chunk}");
+            let err = translate_line(&line).unwrap_err();
+            assert!(err.contains("at least one trip"), "{err}");
+        }
         assert_eq!(
             one("      Selfsched DO 9 K = 1, N GUIDED"),
             "ZZSELFSCHEDDOG(9, K, `1', `N', `1')"

@@ -296,14 +296,14 @@ const PINNED: &[Pins] = &[
     ),
     (
         "sched",
-        0x2a1447697ea3fdf3,
+        0xebc2c5531632d349,
         [
-            (0xd3bc5b7de8178a14, 0x6b8bf99f704da783),
-            (0x33b0db9adbf77458, 0x6b8bf99f704da783),
-            (0x69b71bd0a3b8c36e, 0x6b8bf99f704da783),
-            (0xf035174dcd787192, 0x6b8bf99f704da783),
-            (0x3077d4057ecf8523, 0x6b8bf99f704da783),
-            (0xb517e60b6ab4d520, 0x6b8bf99f704da783),
+            (0xc6e76b29e498e406, 0x6b8bf99f704da783),
+            (0x84ec6d9f48e2a93a, 0x6b8bf99f704da783),
+            (0x2594cdd16f54de08, 0x6b8bf99f704da783),
+            (0xd60b9ca2be91e4cc, 0x6b8bf99f704da783),
+            (0xccd951e5058e7d09, 0x6b8bf99f704da783),
+            (0x455c945324797402, 0x6b8bf99f704da783),
         ],
     ),
     (

@@ -3,7 +3,7 @@
 //! structured diagnostics — never hangs, never unsoundness.
 
 use the_force::fortran::{Engine, FortErrorKind};
-use the_force::machdep::{Machine, MachineId, ParkBackend};
+use the_force::machdep::{Machine, MachineId};
 use the_force::prelude::*;
 use the_force::prep::preprocess;
 use the_force::{run_force_source, ForceError};
@@ -495,12 +495,10 @@ fn a_process_parked_on_a_held_lock_sleeps_until_woken() {
 /// From a peer's panic until the run returns, with the other two pids
 /// asleep in the Askfor idle wait (`on_lock` false) or on a machine lock
 /// the test holds throughout (`on_lock` true), so that only the trip can
-/// wake them; and the run's counts.  The culprit lives 20 ms first, in a
-/// wait that yields its run permit, so that under `Overcommit` its peers
-/// get to fall asleep.
+/// wake them; and the run's counts.  The culprit lives 20 ms first, so
+/// that its peers get to fall asleep.
 fn trip_to_last_pid_out(
     id: MachineId,
-    backend: ParkBackend,
     on_lock: bool,
 ) -> (std::time::Duration, the_force::machdep::StatsSnapshot) {
     use std::time::{Duration, Instant};
@@ -514,12 +512,8 @@ fn trip_to_last_pid_out(
         *panicked_at.lock() = Some(Instant::now());
         std::panic::resume_unwind(Box::new("a peer dies"))
     };
-    let options = RunOptions {
-        backend,
-        ..RunOptions::default()
-    };
     let fault = force
-        .try_execute_with(options, |p| match (on_lock, p.pid()) {
+        .try_execute_with(RunOptions::default(), |p| match (on_lock, p.pid()) {
             (false, _) => p.askfor(|| vec![()], |(), _| live_then_die()),
             (true, 0) => live_then_die(),
             (true, _) => wedge.lock(),
@@ -541,29 +535,24 @@ fn a_trip_wakes_the_processes_it_cancels() {
     use std::time::Duration;
     let mut cells: Vec<(MachineId, bool)> = MachineId::all().map(|id| (id, false)).to_vec();
     cells.extend([(MachineId::Cray2, true), (MachineId::Flex32, true)]);
-    for backend in [
-        ParkBackend::ThreadPerPid,
-        ParkBackend::Overcommit { workers: 1 },
-    ] {
-        for &(id, on_lock) in &cells {
-            let site = if on_lock { "lock" } else { "askfor idle" };
-            let mut outs: Vec<Duration> = (0..9)
-                .map(|_| {
-                    let (out, ops) = trip_to_last_pid_out(id, backend, on_lock);
-                    let cell = format!("{site} on {}, {backend:?}", id.name());
-                    assert_eq!(ops.cancellations_observed, 2, "{cell}: {ops:?}");
-                    assert_eq!(ops.park_spurious_wakes, 0, "{cell}: {ops:?}");
-                    out
-                })
-                .collect();
-            outs.sort();
-            println!(
-                "trip -> last pid out, {site} on {}, {backend:?}: p50 {:?}, max {:?}",
-                id.name(),
-                outs[outs.len() / 2],
-                outs[outs.len() - 1]
-            );
-        }
+    for &(id, on_lock) in &cells {
+        let site = if on_lock { "lock" } else { "askfor idle" };
+        let mut outs: Vec<Duration> = (0..9)
+            .map(|_| {
+                let (out, ops) = trip_to_last_pid_out(id, on_lock);
+                let cell = format!("{site} on {}", id.name());
+                assert_eq!(ops.cancellations_observed, 2, "{cell}: {ops:?}");
+                assert_eq!(ops.park_spurious_wakes, 0, "{cell}: {ops:?}");
+                out
+            })
+            .collect();
+        outs.sort();
+        println!(
+            "trip -> last pid out, {site} on {}: p50 {:?}, max {:?}",
+            id.name(),
+            outs[outs.len() / 2],
+            outs[outs.len() - 1]
+        );
     }
 }
 

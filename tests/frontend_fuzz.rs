@@ -11,7 +11,7 @@
 //! on a drawn personality.  The outcome must be a program or a
 //! `PrepError`/`FortError`: never a panic (the byte
 //! scanners' hazard is a slice off a `char` boundary), never a stack
-//! overflow on the 512 KiB a multiplexed pid gets, never a second of
+//! overflow on the 512 KiB a virtual-time pid gets, never a second of
 //! work.  Hermetic: `XorShift64`, fixed seeds; a failure names the
 //! program and mutation number that reproduce it.
 
@@ -28,7 +28,7 @@ use the_force::prep::{preprocess, VarClass};
 
 const MUTATIONS_PER_PROGRAM: u64 = 2000;
 
-/// The stack of a pid thread under an overcommit backend.
+/// The stack of a pid thread under the virtual backend.
 const STACK: usize = 512 * 1024;
 
 /// What gets spliced in: every delimiter of the m4 and Fortran scanners,

@@ -189,6 +189,52 @@ fn goto_spaghetti_in_force_code() {
     assert_eq!(out.shared_scalar("N"), Some(Value::Int(15)));
 }
 
+/// INTEGER `/` wraps at the end of the range as `+ − ×` do: the most
+/// negative value divided by −1 is itself, as its product with −1 and
+/// its negation are.  The division used to end the run with an overflow
+/// fault in the interpreter.
+#[test]
+fn dividing_the_most_negative_integer_by_minus_one_wraps() {
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER K, Q, P, N
+      End declarations
+      Barrier
+      K = -9223372036854775807 - 1
+      Q = K / (-1)
+      P = K * (-1)
+      N = -K
+      End barrier
+      Join
+";
+    let out = run(src, 2);
+    for name in ["K", "Q", "P", "N"] {
+        assert_eq!(
+            out.shared_scalar(name),
+            Some(Value::Int(i64::MIN)),
+            "{name}"
+        );
+    }
+}
+
+/// `MOD` of the most negative INTEGER by −1 is 0, the remainder of the
+/// wrapped quotient, where it used to fault the interpreter.
+#[test]
+fn mod_of_the_most_negative_integer_by_minus_one_is_zero() {
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER K, M
+      End declarations
+      Barrier
+      K = -9223372036854775807 - 1
+      M = MOD(K, -1) + 7
+      End barrier
+      Join
+";
+    let out = run(src, 2);
+    assert_eq!(out.shared_scalar("M"), Some(Value::Int(7)));
+}
+
 #[test]
 fn intrinsic_functions_in_force_programs() {
     let src = "\
@@ -621,6 +667,73 @@ fn generated_namespace_collisions_are_positioned_prep_errors() {
                 Ok(_) => panic!("{id:?}: `{name}` must be rejected"),
             }
         }
+    }
+}
+
+/// A `CHUNK` literal below 1 would have every process claim no trip on
+/// every visit to the shared index; nobody parks, so not even the
+/// watchdog ended such a run.  The sed pass refuses it at its line.
+#[test]
+fn a_literal_chunk_below_one_is_a_positioned_prep_error() {
+    use the_force::prep::{preprocess, PrepError};
+
+    for chunk in ["0", "-3"] {
+        let src = format!(
+            "      Force FMAIN of NP ident ME
+      Shared INTEGER HITS(8)
+      Private INTEGER K
+      End declarations
+      Selfsched DO 100 K = 1, 8 CHUNK {chunk}
+      HITS(K) = HITS(K) + 1
+100   End selfsched DO
+      Join
+"
+        );
+        for id in MachineId::all() {
+            match preprocess(&src, id) {
+                Err(PrepError::Sed(e)) => {
+                    assert_eq!(e.line, 5, "{id:?}: {e}");
+                    assert!(e.message.contains(&format!("CHUNK {chunk}")), "{id:?}: {e}");
+                }
+                Err(other) => panic!("{id:?}: CHUNK {chunk} must fail in the sed pass: {other}"),
+                Ok(_) => panic!("{id:?}: CHUNK {chunk} must be rejected"),
+            }
+        }
+    }
+}
+
+/// A chunk computed at run time claims at least one trip, as a guided
+/// chunk does: with `NC = 0` every trip runs once, on every machine,
+/// and the run ends (it used to spin with every process claiming none).
+#[test]
+fn a_run_time_chunk_of_zero_claims_one_trip_per_visit() {
+    let src = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER HITS(40), NC
+      Private INTEGER K
+      End declarations
+      Barrier
+      NC = 0
+      End barrier
+      Selfsched DO 100 K = 1, 40 chunk NC
+      HITS(K) = HITS(K) + 1
+100   End selfsched DO
+      Join
+";
+    let (done, ran) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for id in MachineId::all() {
+            let out = run_checked(src, id, 3);
+            let hits = out.shared_values["HITS"].clone();
+            let _ = done.send((id, hits));
+        }
+    });
+    for id in MachineId::all() {
+        let (ran_on, hits) = ran
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{id:?}: the loop did not end within 60 s"));
+        assert_eq!(ran_on, id);
+        assert_eq!(hits, vec![Value::Int(1); 40], "{id:?}");
     }
 }
 

@@ -1,8 +1,9 @@
-//! Overcommit soak: forces whose nproc far exceeds the worker count,
-//! multiplexed over run permits by `machdep::park`'s `Overcommit`
-//! backend.  Every blocking construct must still make progress when at
-//! most `workers` pids are runnable at once — a parked pid *must* yield
-//! its permit, or the force deadlocks with runnable peers starved.
+//! Forces wider than the host: 32 to 128 pids, a thread each, on a host
+//! of a few cores — or of one, under `taskset -c 0`, where no two of
+//! them run at once.  The OS, not the force, decides which pids run, and
+//! every blocking construct must still make progress on every machine:
+//! each run completes with every result, wakes every park it counted,
+//! leaves the watchdog quiet and closes every trace span it opened.
 
 mod support;
 
@@ -12,147 +13,166 @@ use std::time::Duration;
 
 use the_force::compile_force_source;
 use the_force::machdep::trace::EventKind;
-use the_force::machdep::{FaultInjection, Machine, MachineId, ParkBackend, RunOptions};
+use the_force::machdep::{
+    FaultInjection, Machine, MachineId, ParkBackend, ProfileReport, RunOptions, StatsSnapshot,
+};
 use the_force::prelude::*;
 
-const WORKERS: usize = 2;
-
-fn overcommit_options() -> RunOptions {
+/// The options of every wide run: one thread per pid (the default
+/// backend), traced, so that its spans can be checked.
+fn wide_options() -> RunOptions {
     RunOptions {
-        backend: ParkBackend::Overcommit { workers: WORKERS },
+        trace: true,
         ..RunOptions::default()
     }
 }
 
-/// The headline soak: 64x overcommit (128 pids on 2 run permits)
-/// through barrier episodes, Askfor stealing, and full/empty
-/// Produce/Consume, with delay/spurious fault injection perturbing
-/// interleavings.  Completion alone proves the permit hand-off works;
-/// the stats delta proves no watchdog fired and every park episode was
-/// woken.
-#[test]
-fn soak_64x_overcommit_barriers_askfor_full_empty() {
-    let nproc = WORKERS * 64;
-    let machine = Machine::new(MachineId::SequentBalance);
-    let force = Force::with_machine(nproc, Arc::clone(&machine));
-    let barriers = AtomicU64::new(0);
-    let leaves = AtomicU64::new(0);
-    let consumed = AtomicU64::new(0);
-    let chans: Vec<Async<u64>> = (0..nproc / 2).map(|_| Async::new(&machine)).collect();
-    force
-        .try_execute_with(
-            RunOptions {
-                watchdog: Some(Duration::from_secs(60)),
-                injection: Some(FaultInjection {
-                    delay_per_mille: 25,
-                    spurious_per_mille: 25,
-                    ..FaultInjection::with_seed(0x0C0FFEE)
-                }),
-                ..overcommit_options()
-            },
-            |p| {
-                // Phase 1: repeated whole-force barriers.
-                for _ in 0..10 {
-                    p.barrier();
-                    barriers.fetch_add(1, Ordering::Relaxed);
-                }
-                // Phase 2: Askfor with binary work amplification — idle
-                // pids must steal (or park) without pinning a run permit.
-                p.askfor(
-                    || vec![7u64; 4],
-                    |n, pot| {
-                        if n > 1 {
-                            pot.post(n - 1);
-                            pot.post(n - 1);
-                        } else {
-                            leaves.fetch_add(1, Ordering::Relaxed);
-                        }
-                    },
-                );
-                // Phase 3: pairwise Produce/Consume — even pids feed
-                // tokens to their odd partner through one async cell.
-                let chan = &chans[p.pid() / 2];
-                if p.pid() % 2 == 0 {
-                    for i in 1..=50u64 {
-                        chan.produce(i);
-                    }
-                } else {
-                    for _ in 0..50 {
-                        consumed.fetch_add(chan.consume(), Ordering::Relaxed);
-                    }
-                }
-                p.barrier();
-            },
-        )
-        .expect("the overcommitted force must complete");
-    assert_eq!(barriers.load(Ordering::Relaxed), 10 * nproc as u64);
-    assert_eq!(leaves.load(Ordering::Relaxed), 4 * (1 << 6));
-    assert_eq!(consumed.load(Ordering::Relaxed), (nproc as u64 / 2) * 1275);
-    let stats = force.last_job_stats().expect("clean run has stats");
-    assert_eq!(stats.watchdog_trips, 0, "no false deadlock declarations");
-    assert_eq!(
-        stats.park_wakes, stats.parks,
-        "every park episode must have been woken by job end"
-    );
-}
-
-/// Trace integrity under multiplexing: a traced overcommit run must
-/// retain balanced construct enter/exit and park/unpark spans — a pid
-/// that migrates between permit holds still owns its spans.
-#[test]
-fn overcommit_trace_spans_are_balanced() {
-    let nproc = WORKERS * 16;
-    let force = Force::new(nproc);
-    force
-        .try_execute_with(
-            RunOptions {
-                trace: true,
-                ..overcommit_options()
-            },
-            |p| {
-                for _ in 0..3 {
-                    p.barrier();
-                }
-                p.critical("SOAK", || {});
-            },
-        )
-        .expect("traced overcommit run must complete");
-    let profile = force.last_job_profile().expect("tracing was enabled");
-    assert_eq!(profile.dropped_events, 0, "ring must not have wrapped");
-    let count = |k: EventKind| profile.events.iter().filter(|e| e.kind == k).count() as i64;
+/// What every wide run must show besides its results: a quiet watchdog,
+/// a wake for every park, and, in a trace that lost nothing, a close for
+/// every construct and park span.
+fn assert_clean(label: &str, stats: &StatsSnapshot, profile: &ProfileReport) {
+    assert_eq!(stats.watchdog_trips, 0, "{label}: the watchdog tripped");
+    assert_eq!(stats.parks, stats.park_wakes, "{label}: an unwoken park");
+    assert_eq!(profile.dropped_events, 0, "{label}: the trace ring wrapped");
+    let count = |k: EventKind| profile.events.iter().filter(|e| e.kind == k).count();
     assert_eq!(
         count(EventKind::ConstructEnter),
         count(EventKind::ConstructExit),
-        "every construct span must close"
+        "{label}: a construct span left open"
     );
     assert_eq!(
         count(EventKind::Park),
         count(EventKind::Unpark),
-        "every park span must close"
+        "{label}: a park span left open"
     );
-    for c in &profile.constructs {
-        assert!(c.enters > 0, "retained constructs were entered");
+}
+
+/// [`assert_clean`] on a force's last run.
+fn assert_force_clean(label: &str, force: &Force) {
+    let stats = force.last_job_stats().expect("a clean run has stats");
+    let profile = force.last_job_profile().expect("the run was traced");
+    assert_clean(label, &stats, &profile);
+}
+
+/// The headline soak: 128 pids through barrier episodes, Askfor
+/// stealing, and full/empty Produce/Consume, with delay/spurious fault
+/// injection perturbing interleavings, on every machine.  Pairs of pids
+/// share a channel; on the Cray-2 eight pairs share each of its eight,
+/// the budget of its scarce state-role locks.
+#[test]
+fn soak_64x_overcommit_barriers_askfor_full_empty() {
+    let nproc = 128;
+    for id in MachineId::all() {
+        let name = id.name();
+        let machine = Machine::new(id);
+        let force = Force::with_machine(nproc, Arc::clone(&machine));
+        let barriers = AtomicU64::new(0);
+        let leaves = AtomicU64::new(0);
+        let consumed = AtomicU64::new(0);
+        let nchan = match machine.free_lock_slots() {
+            Some(_) => 8,
+            None => nproc / 2,
+        };
+        let chans: Vec<Async<u64>> = (0..nchan).map(|_| Async::new(&machine)).collect();
+        force
+            .try_execute_with(
+                RunOptions {
+                    watchdog: Some(Duration::from_secs(60)),
+                    injection: Some(FaultInjection {
+                        delay_per_mille: 25,
+                        spurious_per_mille: 25,
+                        ..FaultInjection::with_seed(0x0C0FFEE)
+                    }),
+                    ..wide_options()
+                },
+                |p| {
+                    // Phase 1: repeated whole-force barriers.
+                    for _ in 0..10 {
+                        p.barrier();
+                        barriers.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // Phase 2: Askfor with binary work amplification —
+                    // idle pids must steal or park.
+                    p.askfor(
+                        || vec![7u64; 4],
+                        |n, pot| {
+                            if n > 1 {
+                                pot.post(n - 1);
+                                pot.post(n - 1);
+                            } else {
+                                leaves.fetch_add(1, Ordering::Relaxed);
+                            }
+                        },
+                    );
+                    // Phase 3: pairwise Produce/Consume — even pids feed
+                    // tokens to their odd partner through an async cell.
+                    let chan = &chans[(p.pid() / 2) % nchan];
+                    if p.pid() % 2 == 0 {
+                        for i in 1..=50u64 {
+                            chan.produce(i);
+                        }
+                    } else {
+                        for _ in 0..50 {
+                            consumed.fetch_add(chan.consume(), Ordering::Relaxed);
+                        }
+                    }
+                    p.barrier();
+                },
+            )
+            .unwrap_or_else(|f| panic!("{name}: the wide force must complete: {f}"));
+        assert_eq!(
+            barriers.load(Ordering::Relaxed),
+            10 * nproc as u64,
+            "{name}"
+        );
+        assert_eq!(leaves.load(Ordering::Relaxed), 4 * (1 << 6), "{name}");
+        let tokens = (nproc as u64 / 2) * 1275;
+        assert_eq!(consumed.load(Ordering::Relaxed), tokens, "{name}");
+        assert_force_clean(name, &force);
     }
 }
 
-/// Every machine personality must survive overcommit: the six lock
-/// protocols all route their blocking through the parking layer, so a
-/// 32x-overcommitted force crosses barriers, a critical section, the
-/// Askfor pot and a full/empty handshake everywhere — over at most eight
-/// channels shared by the pid pairs, the Cray-2's budget of state-role
-/// locks — with every park woken and a quiet watchdog.
+/// Trace integrity at width: 32 pids through barriers and a critical
+/// section, every machine, every span closed and every construct the
+/// profile retains entered.
+#[test]
+fn overcommit_trace_spans_are_balanced() {
+    let nproc = 32;
+    for id in MachineId::all() {
+        let name = id.name();
+        let force = Force::with_machine(nproc, Machine::new(id));
+        force
+            .try_execute_with(wide_options(), |p| {
+                for _ in 0..3 {
+                    p.barrier();
+                }
+                p.critical("SOAK", || {});
+            })
+            .unwrap_or_else(|f| panic!("{name}: the traced run must complete: {f}"));
+        assert_force_clean(name, &force);
+        let profile = force.last_job_profile().expect("the run was traced");
+        for c in &profile.constructs {
+            assert!(c.enters > 0, "{name}: retained constructs were entered");
+        }
+    }
+}
+
+/// Every machine personality survives a force of 64: the six lock
+/// protocols all route their blocking through the parking layer, so the
+/// force crosses barriers, a critical section, the Askfor pot and a
+/// full/empty handshake everywhere — over at most eight channels shared
+/// by the pid pairs, the Cray-2's budget of state-role locks.
 #[test]
 fn every_machine_survives_overcommit() {
+    let nproc = 64;
     for id in MachineId::all() {
-        let nproc = WORKERS * 32;
         let machine = Machine::new(id);
-        let before = machine.stats().snapshot();
         let force = Force::with_machine(nproc, Arc::clone(&machine));
         let nchan = (nproc / 2).clamp(1, 8);
         let chans: Vec<Async<u64>> = (0..nchan).map(|_| Async::new(&machine)).collect();
         let (hits, leaves, consumed) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         force
-            .try_execute_with(overcommit_options(), |p| {
+            .try_execute_with(wide_options(), |p| {
                 p.barrier();
                 p.critical("MIX", || {
                     hits.fetch_add(1, Ordering::Relaxed);
@@ -180,26 +200,19 @@ fn every_machine_survives_overcommit() {
                 }
                 p.barrier();
             })
-            .unwrap_or_else(|f| panic!("{} faulted under overcommit: {f}", id.name()));
+            .unwrap_or_else(|f| panic!("{} faulted at width {nproc}: {f}", id.name()));
         let name = id.name();
         assert_eq!(hits.load(Ordering::Relaxed), nproc as u64, "{name}");
         assert_eq!(leaves.load(Ordering::Relaxed), 8 << 4, "{name}: leaves");
         let tokens = (nproc as u64 / 2) * 10;
         assert_eq!(consumed.load(Ordering::Relaxed), tokens, "{name}: tokens");
-        let delta = machine.stats().snapshot().since(&before);
-        assert!(
-            delta.parks > 0,
-            "{name}: the overcommitted force never parked"
-        );
-        assert_eq!(delta.parks, delta.park_wakes, "{name}: an unwoken park");
-        assert_eq!(delta.watchdog_trips, 0, "{name}: the watchdog tripped");
+        assert_force_clean(name, &force);
     }
 }
 
-/// At a width where no pid waits for a run permit, one wait-heavy job —
-/// 40 barrier + critical episodes at nproc 2 — does the same work on
-/// both backends, and each matches every park with a wake: the backends
-/// differ only in how a wait is spent.
+/// One wait-heavy job — 40 barrier + critical episodes at nproc 2 —
+/// does the same work on both backends, and each matches every park
+/// with a wake: the backends differ only in which pid runs when.
 #[test]
 fn both_backends_do_the_same_work_with_balanced_parks() {
     const NP: usize = 2;
@@ -224,18 +237,18 @@ fn both_backends_do_the_same_work_with_balanced_parks() {
             stats
         };
         let tpp = job(ParkBackend::ThreadPerPid);
-        let ovc = job(ParkBackend::Overcommit { workers: NP });
+        let virt = job(ParkBackend::Virtual { seed: 1989 });
         assert!(tpp.barrier_episodes > 0, "{name}: no barrier episode");
-        assert_eq!(tpp.barrier_episodes, ovc.barrier_episodes, "{name}");
-        assert_eq!(tpp.lock_acquires, ovc.lock_acquires, "{name}");
-        let transfers = |s: &the_force::machdep::StatsSnapshot| s.fe_produces + s.fe_consumes;
-        assert_eq!(transfers(&tpp), transfers(&ovc), "{name}: full/empty");
+        assert_eq!(tpp.barrier_episodes, virt.barrier_episodes, "{name}");
+        assert_eq!(tpp.lock_acquires, virt.lock_acquires, "{name}");
+        let transfers = |s: &StatsSnapshot| s.fe_produces + s.fe_consumes;
+        assert_eq!(transfers(&tpp), transfers(&virt), "{name}: full/empty");
     }
 }
 
 /// The language front end rides the same plane: a Force-language
-/// program with barriers and a critical section runs overcommitted on
-/// both executors.
+/// program with barriers and a critical section runs 64 wide on both
+/// executors, on every machine.
 #[test]
 fn language_front_end_runs_overcommitted() {
     let src = "\
@@ -251,18 +264,26 @@ fn language_front_end_runs_overcommitted() {
       End barrier
       Join
 ";
-    let (id, nproc) = (MachineId::SequentBalance, WORKERS * 32);
-    let (_expanded, engine) = compile_force_source(src, id).expect("compiles");
-    let vm = engine
-        .run_with(nproc, overcommit_options())
-        .expect("overcommitted language run must complete");
-    let tree = support::run_oracle(src, id, nproc, overcommit_options())
-        .expect("overcommitted oracle run must complete");
-    support::assert_same_run("overcommitted", &tree, &vm);
-    assert_eq!(
-        vm.shared_scalar("N").unwrap().as_int(0).unwrap(),
-        nproc as i64
-    );
+    let nproc = 64;
+    for id in MachineId::all() {
+        let name = id.name();
+        let (_expanded, engine) = compile_force_source(src, id).expect("compiles");
+        let vm = engine
+            .run_with(nproc, wide_options())
+            .unwrap_or_else(|e| panic!("{name}: the wide language run must complete: {e}"));
+        let tree = support::run_oracle(src, id, nproc, wide_options())
+            .unwrap_or_else(|e| panic!("{name}: the wide oracle run must complete: {e}"));
+        support::assert_same_run(name, &tree, &vm);
+        assert_eq!(
+            vm.shared_scalar("N").unwrap().as_int(0).unwrap(),
+            nproc as i64,
+            "{name}"
+        );
+        for (executor, out) in [("VM", &vm), ("oracle", &tree)] {
+            let profile = out.profile.as_ref().expect("the run was traced");
+            assert_clean(&format!("{name}, {executor}"), &out.stats, profile);
+        }
+    }
 }
 
 // --- The scoped launcher: pid 0 on the launching thread ----------------
@@ -271,26 +292,30 @@ fn language_front_end_runs_overcommitted() {
 // Nothing a job can observe may depend on which of its pids got the
 // caller's thread — on any backend.
 
-fn every_backend() -> [(&'static str, ParkBackend); 3] {
+fn every_backend() -> [(&'static str, ParkBackend); 2] {
     [
         ("thread per pid", ParkBackend::ThreadPerPid),
-        ("overcommit", ParkBackend::Overcommit { workers: 1 }),
         ("virtual", ParkBackend::Virtual { seed: 1989 }),
     ]
 }
 
 /// A fault in pid 0 is a fault like any other: contained, attributed
 /// `{pid, construct}`, a peer parked in a barrier unwinds, the launching
-/// thread is left outside any force, and the session runs its next job.
+/// thread is left outside any force, and the session runs its next job —
+/// on every backend and machine.
 #[test]
 fn a_panic_in_pid_zero_is_contained_like_any_other() {
     use the_force::machdep::fault;
-    for (name, backend) in every_backend() {
+    for ((backend_name, backend), id) in every_backend()
+        .into_iter()
+        .flat_map(|b| MachineId::all().map(move |id| (b, id)))
+    {
+        let name = format!("{backend_name} on {}", id.name());
         let options = RunOptions {
             backend,
             ..RunOptions::default()
         };
-        let force = Force::new(3);
+        let force = Force::with_machine(3, Machine::new(id));
         for culprit in [0, 1] {
             let err = force
                 .try_execute_with(options, |p| {
@@ -328,50 +353,32 @@ fn a_panic_in_pid_zero_is_contained_like_any_other() {
 }
 
 /// The watchdog sees a pid parked on the launching thread like any
-/// other: pid 1 is long gone, pid 0 waits for a producer that never
-/// comes.
+/// other, on every machine: pid 1 is long gone, pid 0 waits for a
+/// producer that never comes.
 #[test]
 fn the_watchdog_trips_a_consume_parked_on_the_launching_thread() {
-    let force = Force::new(2);
-    let chan: Async<u64> = Async::new(force.machine());
-    let options = RunOptions {
-        watchdog: Some(Duration::from_millis(200)),
-        ..RunOptions::default()
-    };
-    let err = force
-        .try_execute_with(options, |p| {
-            if p.pid() == 0 {
-                let _ = chan.consume();
-            }
-        })
-        .expect_err("the watchdog must trip");
-    assert_eq!((err.pid, err.construct), (0, "consume"));
-    assert!(err.payload.contains("deadlock watchdog"), "{}", err.payload);
-}
-
-/// One run permit, 64 pids: the caller's thread queues for the permit
-/// like the 63 it created.
-#[test]
-fn one_permit_serves_sixty_four_pids() {
-    let nproc = 64;
-    let force = Force::new(nproc);
-    let hits = AtomicU64::new(0);
-    force
-        .try_execute_with(
-            RunOptions {
-                backend: ParkBackend::Overcommit { workers: 1 },
-                watchdog: Some(Duration::from_secs(60)),
-                ..RunOptions::default()
-            },
-            |p| {
-                p.barrier();
-                p.critical("ONE", || hits.fetch_add(1, Ordering::Relaxed));
-                p.barrier();
-            },
-        )
-        .expect("64 pids on one permit must complete");
-    assert_eq!(hits.load(Ordering::Relaxed), nproc as u64);
-    assert_eq!(force.last_job_stats().unwrap().processes_created, 64);
+    for id in MachineId::all() {
+        let name = id.name();
+        let force = Force::with_machine(2, Machine::new(id));
+        let chan: Async<u64> = Async::new(force.machine());
+        let options = RunOptions {
+            watchdog: Some(Duration::from_millis(200)),
+            ..RunOptions::default()
+        };
+        let err = force
+            .try_execute_with(options, |p| {
+                if p.pid() == 0 {
+                    let _ = chan.consume();
+                }
+            })
+            .expect_err("the watchdog must trip");
+        assert_eq!((err.pid, err.construct), (0, "consume"), "{name}");
+        assert!(
+            err.payload.contains("deadlock watchdog"),
+            "{name}: {}",
+            err.payload
+        );
+    }
 }
 
 /// Replay keys survive a launcher change: the schedule of a virtual run

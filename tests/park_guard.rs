@@ -2,8 +2,8 @@
 //! `machdep::park`.  A hand-rolled `Backoff` loop or raw `Condvar` wait
 //! outside the parking layer silently loses cancellation checks,
 //! wait-board attribution, park counters, and — fatally under the
-//! `Overcommit` backend — the run-permit hand-off, so this test fails
-//! the build the moment one reappears.
+//! `Virtual` backend — the run-token hand-off, so this test fails the
+//! build the moment one reappears.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -1120,17 +1120,12 @@ fn lent_force_is_bypassed_by_wide_and_multiplexed_jobs() {
     let (server, server_stats) = server_with_own_stats(ServerConfig::default());
     let engine = unpooled_engine(LANG_PROGRAM, &machine);
     let wide = host_width() + 1;
-    let overcommit = RunOptions {
-        backend: ParkBackend::Overcommit { workers: 2 },
-        ..RunOptions::default()
-    };
     let virtual_time = RunOptions {
         backend: ParkBackend::Virtual { seed: 1989 },
         ..RunOptions::default()
     };
     for (nproc, options) in [
         (wide, RunOptions::default()),
-        (lendable_nproc(), overcommit),
         (lendable_nproc(), virtual_time),
     ] {
         let created = Arc::new(AtomicU64::new(u64::MAX));
