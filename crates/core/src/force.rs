@@ -28,8 +28,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use force_machdep::{
-    FaultPlane, ForcePool, JobError, JobRunner, JobYield, LockHandle, Machine, MachineId, Mutex,
-    ProcessFault, ProfileReport, RunOptions, Session, StatsSnapshot, VirtualSummary,
+    FaultPlane, ForcePool, LockHandle, Machine, MachineId, Mutex, ProcessFault, ProfileReport,
+    RunOptions, Session, StatsSnapshot, VirtualSummary,
 };
 
 use crate::barrier::TwoLockBarrier;
@@ -210,37 +210,11 @@ impl Force {
         self.session.last_virtual_summary()
     }
 
-    /// The session's resident fault plane.  The serving layer binds this
-    /// to a job context ([`force_machdep::serve::JobCx::bind_plane`]) so
-    /// deadline watchers can cancel a running job through the plane's
-    /// trip token.
+    /// The session's resident fault plane.  The job server (force-serve)
+    /// binds this to a job's attempt (`JobCx::bind_plane`) so deadline
+    /// watchers can cancel a running job through the plane's trip token.
     pub fn fault_plane(&self) -> &Arc<FaultPlane> {
         &self.plane
-    }
-
-    /// Package a native force program as a [`JobRunner`] for a
-    /// [`ForceServer`](force_machdep::serve::ForceServer): each attempt
-    /// binds this session's fault plane to the job
-    /// ([`JobCx::bind_attempt`](force_machdep::JobCx::bind_attempt), which
-    /// also re-rolls fault injection per retry), runs `body` via
-    /// [`try_execute_with`](Self::try_execute_with), and reports the
-    /// run's trace profile (if any) back to the server's per-tenant
-    /// rollup.  Per-process results are discarded — a served job returns
-    /// data by writing through what `body` captures.
-    pub fn serve_runner<F>(self: &Arc<Self>, options: RunOptions, body: F) -> JobRunner
-    where
-        F: Fn(&Player) + Send + Sync + 'static,
-    {
-        let force = Arc::clone(self);
-        Box::new(move |cx| {
-            let options = cx.bind_attempt(force.fault_plane(), options);
-            match force.try_execute_with(options, |p| body(p)) {
-                Ok(_) => Ok(JobYield {
-                    profile: force.last_job_profile(),
-                }),
-                Err(fault) => Err(JobError::Fault(fault)),
-            }
-        })
     }
 
     /// Like [`execute`](Self::execute) but discarding per-process results.

@@ -345,7 +345,11 @@ impl fmt::Debug for Named<'_, Expr> {
                 .field(&self.text(*n))
                 .field(&self.with(&args[..]))
                 .finish(),
-            Expr::Un(op, a) => f.debug_tuple("Un").field(op).field(&self.with(&**a)).finish(),
+            Expr::Un(op, a) => f
+                .debug_tuple("Un")
+                .field(op)
+                .field(&self.with(&**a))
+                .finish(),
             Expr::Bin(op, a, b) => f
                 .debug_tuple("Bin")
                 .field(op)
@@ -453,7 +457,10 @@ impl fmt::Debug for Named<'_, Stmt> {
                 .field("name", &self.text(*name))
                 .field("args", &self.with(&args[..]))
                 .finish(),
-            Stmt::Print(items) => f.debug_tuple("Print").field(&self.with(&items[..])).finish(),
+            Stmt::Print(items) => f
+                .debug_tuple("Print")
+                .field(&self.with(&items[..]))
+                .finish(),
         }
     }
 }

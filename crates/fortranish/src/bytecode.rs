@@ -967,7 +967,14 @@ impl<'p> Compiler<'p> {
     /// `IF (x) neg, zero, pos`: a branch on `x < 0`, one on `x = 0`,
     /// then the jump to `pos`.  `x` is evaluated up to twice; expressions
     /// in this subset are side-effect free.
-    fn arith_if(&mut self, e: &mut Emit<'_>, j: &mut Jumps<'_>, x: &Expr, to: [u32; 3], line: usize) {
+    fn arith_if(
+        &mut self,
+        e: &mut Emit<'_>,
+        j: &mut Jumps<'_>,
+        x: &Expr,
+        to: [u32; 3],
+        line: usize,
+    ) {
         let zero = Expr::Int(0);
         for (rel, label) in [(BinOp::Lt, to[0]), (BinOp::Eq, to[1])] {
             if let Some(branch) = self.branch_int(e, x, rel, &zero) {
@@ -1077,10 +1084,9 @@ impl<'p> Compiler<'p> {
     /// `(block, offset)` of a symbol in a known shared block.
     fn shared_place(&self, sym: &Symbol) -> Option<(u16, u32)> {
         match sym.storage {
-            Storage::Shared { block, offset } => self
-                .program
-                .block_index(block)
-                .map(|b| (b, offset as u32)),
+            Storage::Shared { block, offset } => {
+                self.program.block_index(block).map(|b| (b, offset as u32))
+            }
             _ => None,
         }
     }
@@ -1453,7 +1459,11 @@ impl<'p> Compiler<'p> {
                     // The tree-walker converts first, then rejects
                     // the store — conversion errors win.
                     e.push(Instr::Convert(sym.ty), line);
-                    self.fail(e, format!("{text} (process environment) is read-only"), line);
+                    self.fail(
+                        e,
+                        format!("{text} (process environment) is read-only"),
+                        line,
+                    );
                 }
                 Storage::Arg(i) => {
                     let id = self.intern(n);
@@ -2282,7 +2292,10 @@ impl<'r, 'e> VmProc<'r, 'e> {
                 Instr::Return => return Ok(Flow::Normal),
                 Instr::Stop => return Ok(Flow::Stop),
                 Instr::Fail(msg) => {
-                    return Err(FortError::runtime(HERE, cp.names[*msg as usize].to_string()))
+                    return Err(FortError::runtime(
+                        HERE,
+                        cp.names[*msg as usize].to_string(),
+                    ))
                 }
 
                 Instr::ArgShared {
@@ -2546,7 +2559,10 @@ mod tests {
                 _ => {}
             }
         }
-        let names = ids.iter().map(|&id| cp.names[id as usize].to_string()).collect();
+        let names = ids
+            .iter()
+            .map(|&id| cp.names[id as usize].to_string())
+            .collect();
         (i, names)
     }
 
@@ -2574,19 +2590,58 @@ mod tests {
     /// among them.
     const CORPUS: [(&str, &str); 14] = [
         ("sum", include_str!("../../../examples/force_src/sum.force")),
-        ("dotprod", include_str!("../../../examples/force_src/dotprod.force")),
-        ("pipeline", include_str!("../../../examples/force_src/pipeline.force")),
-        ("ksum", include_str!("../../../tests/support/corpus/ksum.force")),
-        ("fill", include_str!("../../../tests/support/corpus/fill.force")),
-        ("ring", include_str!("../../../tests/support/corpus/ring.force")),
-        ("sect", include_str!("../../../tests/support/corpus/sect.force")),
-        ("grid", include_str!("../../../tests/support/corpus/grid.force")),
-        ("subs", include_str!("../../../tests/support/corpus/subs.force")),
-        ("sched", include_str!("../../../tests/support/corpus/sched.force")),
-        ("do2", include_str!("../../../tests/support/corpus/do2.force")),
-        ("pcase", include_str!("../../../tests/support/corpus/pcase.force")),
-        ("async_scalar", include_str!("../../../tests/support/corpus/async_scalar.force")),
-        ("async_array", include_str!("../../../tests/support/corpus/async_array.force")),
+        (
+            "dotprod",
+            include_str!("../../../examples/force_src/dotprod.force"),
+        ),
+        (
+            "pipeline",
+            include_str!("../../../examples/force_src/pipeline.force"),
+        ),
+        (
+            "ksum",
+            include_str!("../../../tests/support/corpus/ksum.force"),
+        ),
+        (
+            "fill",
+            include_str!("../../../tests/support/corpus/fill.force"),
+        ),
+        (
+            "ring",
+            include_str!("../../../tests/support/corpus/ring.force"),
+        ),
+        (
+            "sect",
+            include_str!("../../../tests/support/corpus/sect.force"),
+        ),
+        (
+            "grid",
+            include_str!("../../../tests/support/corpus/grid.force"),
+        ),
+        (
+            "subs",
+            include_str!("../../../tests/support/corpus/subs.force"),
+        ),
+        (
+            "sched",
+            include_str!("../../../tests/support/corpus/sched.force"),
+        ),
+        (
+            "do2",
+            include_str!("../../../tests/support/corpus/do2.force"),
+        ),
+        (
+            "pcase",
+            include_str!("../../../tests/support/corpus/pcase.force"),
+        ),
+        (
+            "async_scalar",
+            include_str!("../../../tests/support/corpus/async_scalar.force"),
+        ),
+        (
+            "async_array",
+            include_str!("../../../tests/support/corpus/async_array.force"),
+        ),
     ];
 
     /// FNV-1a, 64 bits.

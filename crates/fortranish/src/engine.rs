@@ -22,9 +22,9 @@ use std::sync::Arc;
 use force_machdep::fault::{self, Construct};
 use force_machdep::linkreg::StartupRegistry;
 use force_machdep::{
-    trace, FaultPlane, ForcePool, FullEmptyState, JobError, JobRunner, JobYield, LockHandle,
-    LockKind, LockState, Machine, Mutex, ProcessModel, ProfileReport, RunOptions, Session,
-    SessionRun, SharedRegion, SharingModel, SharingModelId, StatsSnapshot, VirtualSummary,
+    trace, FaultPlane, ForcePool, FullEmptyState, LockHandle, LockKind, LockState, Machine, Mutex,
+    ProcessModel, ProfileReport, RunOptions, Session, SessionRun, SharedRegion, SharingModel,
+    SharingModelId, StatsSnapshot, VirtualSummary,
 };
 use force_prep::weigh::{arc_bytes, str_bytes, vec_bytes};
 use force_prep::{ExpandedProgram, VarClass};
@@ -386,42 +386,6 @@ impl Engine {
     /// to a job before the run, though the engine forks mid-program.
     pub fn fault_plane(&self, nproc: usize) -> Arc<FaultPlane> {
         self.session.fault_plane(nproc)
-    }
-
-    /// Package this engine's program as a [`JobRunner`] for a
-    /// [`ForceServer`](force_machdep::serve::ForceServer): each attempt
-    /// binds the session's fault plane
-    /// ([`JobCx::bind_attempt`](force_machdep::JobCx::bind_attempt), which
-    /// also re-rolls fault injection per retry), executes via
-    /// [`run_with`](Self::run_with), and maps an error onto the server's
-    /// retry taxonomy with [`JobError::classify`]: one carrying the
-    /// injection marker is transient, every genuine `FortError` (type
-    /// errors, overflow, runtime faults) deterministic and never retried.
-    ///
-    /// `on_output` observes each successful run's [`RunOutput`] (prints,
-    /// shared values, stats); pass a closure capturing a slot, or `|_|
-    /// ()` to discard.
-    pub fn serve_runner<F>(
-        self: &Arc<Self>,
-        nproc: usize,
-        options: RunOptions,
-        mut on_output: F,
-    ) -> JobRunner
-    where
-        F: FnMut(RunOutput) + Send + 'static,
-    {
-        let engine = Arc::clone(self);
-        Box::new(move |cx| {
-            let options = cx.bind_attempt(&engine.fault_plane(nproc), options);
-            match engine.run_with(nproc, options) {
-                Ok(output) => {
-                    let profile = output.profile.clone();
-                    on_output(output);
-                    Ok(JobYield { profile })
-                }
-                Err(e) => Err(JobError::classify("interpreter", e.to_string())),
-            }
-        })
     }
 
     /// Reset the resident program state in place for a new run: zero the

@@ -2,7 +2,7 @@
 //! [`Program`], kept as the *oracle* the differential tests compare the
 //! production executor (the bytecode VM, [`crate::bytecode`]) against.
 //!
-//! It lowers each unit's statements to its own op form ([`Op`]): block
+//! It lowers each unit's statements to its own op form (`Op`): block
 //! `IF`/`ELSE`/`END IF` and both `DO` forms become conditional jumps,
 //! labels map to op indices, and `GO TO` is a direct jump — exactly the
 //! control flow the Force macro expansions rely on.  Nothing else walks
@@ -79,7 +79,9 @@ impl Oracle {
         self.engine.run_driver(nproc, options, |rt, driver| {
             let proc = Proc::new(rt, &self.program, &self.code, -1, nproc as i64);
             let driver = self.program.names.get(driver);
-            let driver = driver.and_then(|d| proc.unit_index(d)).expect("driver unit");
+            let driver = driver
+                .and_then(|d| proc.unit_index(d))
+                .expect("driver unit");
             proc.exec(driver, Vec::new()).map(|_| ())
         })
     }
@@ -1031,7 +1033,8 @@ mod tests {
 
     #[test]
     fn goto_resolves_labels() {
-        let ops = ops("      SUBROUTINE A\n      GO TO 20\n      X = 1\n20    CONTINUE\n      END\n");
+        let ops =
+            ops("      SUBROUTINE A\n      GO TO 20\n      X = 1\n20    CONTINUE\n      END\n");
         assert!(matches!(ops[0], Op::Jump(2)));
     }
 }

@@ -199,10 +199,9 @@ impl<'a> Parser<'a> {
                         Ok(Stmt::EndDo)
                     }
                     None => Ok(Stmt::EndUnit),
-                    Some(other) => Err(self.err(format!(
-                        "unexpected `END {}`",
-                        self.names.text(other)
-                    ))),
+                    Some(other) => {
+                        Err(self.err(format!("unexpected `END {}`", self.names.text(other))))
+                    }
                 }
             }
             Some(kw::ENDIF) => {
@@ -747,11 +746,15 @@ mod tests {
         );
         let err = parse_at("X =", 1).0.unwrap_err();
         assert!(
-            err.to_string().contains("unexpected token None in expression"),
+            err.to_string()
+                .contains("unexpected token None in expression"),
             "{err}"
         );
         let err = parse_at("END SUBROUTINE", 1).0.unwrap_err();
-        assert!(err.to_string().contains("unexpected `END SUBROUTINE`"), "{err}");
+        assert!(
+            err.to_string().contains("unexpected `END SUBROUTINE`"),
+            "{err}"
+        );
     }
 
     #[test]

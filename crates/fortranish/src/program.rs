@@ -397,7 +397,15 @@ fn resolve_unit(
         let Stmt::Common { block, items } = &line.stmt else {
             continue;
         };
-        common_members(*block, items, line.line_no, &ty_of, names, &mut symbols, blocks)?;
+        common_members(
+            *block,
+            items,
+            line.line_no,
+            &ty_of,
+            names,
+            &mut symbols,
+            blocks,
+        )?;
     }
     // Declared names not yet placed: Force shared variables are global by
     // name, everything else is a process-private local.
@@ -598,9 +606,9 @@ fn check_flow(body: &[Line], unit: &str) -> Result<Vec<u32>, FortError> {
                 Some(pending) => *pending = false,
             },
             Stmt::EndIf => {
-                if ifs.pop().is_none() {
+                let Some(_) = ifs.pop() else {
                     return Err(structure(line_no, "END IF without IF"));
-                }
+                };
             }
             Stmt::Do { label, .. } => dos.push(*label),
             Stmt::EndDo => match dos.pop() {
@@ -730,7 +738,13 @@ mod tests {
         );
         assert_eq!(p.units.len(), 2);
         assert_eq!(p.program_unit.map(|n| p.name(n)), Some("MAIN"));
-        let params: Vec<&str> = p.unit("SUB").unwrap().params.iter().map(|&n| p.name(n)).collect();
+        let params: Vec<&str> = p
+            .unit("SUB")
+            .unwrap()
+            .params
+            .iter()
+            .map(|&n| p.name(n))
+            .collect();
         assert_eq!(params, ["A"]);
     }
 
@@ -838,9 +852,8 @@ mod tests {
         );
         let err = Program::compile("      INTEGER K(3)\n", &HashMap::new()).unwrap_err();
         assert!(
-            err.to_string().contains(
-                r#"Decl { ty: Integer, items: [DeclItem { name: "K", dims: [3] }] }"#
-            ),
+            err.to_string()
+                .contains(r#"Decl { ty: Integer, items: [DeclItem { name: "K", dims: [3] }] }"#),
             "{err}"
         );
     }

@@ -97,7 +97,10 @@ fn hash(b: &[u8]) -> u32 {
     let mut h = (n as u64).wrapping_mul(K);
     let (x, y) = match n {
         0 => (0, 0),
-        1..=3 => (u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16, 0),
+        1..=3 => (
+            u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16,
+            0,
+        ),
         4..=7 => (half(0), half(n - 4)),
         _ => {
             let mut i = 0;
@@ -114,7 +117,7 @@ fn hash(b: &[u8]) -> u32 {
 }
 
 impl Names {
-    /// A table holding the keywords, at the ids [`kw`] gives them, with
+    /// A table holding the keywords, at the ids `kw` gives them, with
     /// room for a program's names.
     pub fn new() -> Names {
         let mut names = Names::with_room(128);

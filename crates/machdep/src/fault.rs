@@ -462,7 +462,7 @@ impl FaultPlane {
 
     /// Lend `pool` to this plane, and record the attempt's deadline
     /// instant, until [`end_loan`](Self::end_loan).
-    pub(crate) fn lend(&self, pool: &Arc<LazyPool>, deadline_at: Option<Instant>) {
+    pub fn lend(&self, pool: &Arc<LazyPool>, deadline_at: Option<Instant>) {
         let mut bound = self.bound.lock();
         bound.loan = Some(Arc::clone(pool));
         bound.deadline_at = deadline_at;
@@ -472,7 +472,7 @@ impl FaultPlane {
     /// of its deadline, so the next launch of this plane is the
     /// session's own business again.  A trip already on the plane stays
     /// until the next reset, like any fault.
-    pub(crate) fn end_loan(&self) {
+    pub fn end_loan(&self) {
         *self.bound.lock() = Bound::default();
     }
 
@@ -488,7 +488,7 @@ impl FaultPlane {
     ///
     /// [`reset_for_job`]: Self::reset_for_job
     /// [`end_loan`]: Self::end_loan
-    pub(crate) fn trip_deadline(&self, fault: ProcessFault) {
+    pub fn trip_deadline(&self, fault: ProcessFault) {
         let mut bound = self.bound.lock();
         if bound.deadline.is_none() {
             bound.deadline = Some(fault.clone());

@@ -16,9 +16,15 @@
 //! | `shared` / `shared_common` / `async` / `private` | [`SharingModel`] + [`SharedRegion`] |
 //! | process creation / driver / `Join` | [`process::ProcessModel`], [`process::spawn_force`], [`session::Session`] |
 //!
-//! Everything above this crate (force-core, force-prep, force-fortran) is
-//! machine independent and consumes only these interfaces — which is the
-//! paper's portability thesis made into a crate boundary.
+//! Everything above this crate (force-core, force-prep, force-fortran,
+//! and the job server force-serve on top of the front ends) is machine
+//! independent and consumes only these interfaces — which is the paper's
+//! portability thesis made into a crate boundary.  What the server takes
+//! from this layer is one seam, a served attempt's: a plane lent a
+//! shard's resident force ([`FaultPlane::lend`], [`FaultPlane::end_loan`],
+//! [`LazyPool`]) and tripped once when the attempt's deadline passes
+//! ([`FaultPlane::trip_deadline`]), by a helper thread on a
+//! [`process::StopGuard`].
 
 #![warn(missing_docs)]
 
@@ -35,8 +41,7 @@ mod machine;
 pub mod park; // force-core, force-fortran, `tests/failure_modes.rs`: `park::wait_until`
 mod pool;
 mod portable;
-pub mod process; // `tests/park_guard.rs`: `process::launch_plane`, the one launch seam
-pub mod serve; // force-core, force-fortran docs: `serve::ForceServer`, `serve::JobCx`
+pub mod process; // `tests/park_guard.rs`: `process::launch_plane`; force-serve: `process::StopGuard`
 pub mod session; // `tests/park_guard.rs`: `session::Session::run`, the one run path
 mod sharedmem;
 pub mod spin; // `reproduce`: `spin::SpinLock`
@@ -57,13 +62,9 @@ pub use machine::{Machine, MachineId, MachineSpec};
 pub use park::{
     charge_virtual, current_virtual_ns, default_nproc, ParkBackend, Parker, VirtualSummary,
 };
-pub use pool::ForcePool;
+pub use pool::{ForcePool, LazyPool};
 pub use portable::{Backoff, CachePadded, Condvar, Mutex, XorShift64};
 pub use process::{launch_plane, spawn_force, spawn_force_plane, ChildPrivateInit, ProcessModel};
-pub use serve::{
-    ForceServer, JobCx, JobError, JobHandle, JobOutcome, JobRunner, JobSpec, JobYield, Priority,
-    RateLimit, RejectReason, ServerConfig, ServerReport, Submit, TenantRollup,
-};
 pub use session::{Session, SessionRun};
 pub use sharedmem::{
     BlockRequest, SharedLayout, SharedRegion, SharingError, SharingModel, SharingModelId,

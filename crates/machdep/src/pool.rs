@@ -42,8 +42,8 @@
 //!   so job closures may borrow from the caller's stack: the same
 //!   guarantee `std::thread::scope` gives the scoped launcher.
 //! * A session that attaches no pool still need not create its force per
-//!   job: a [`ForceServer`](crate::serve::ForceServer) shard keeps a
-//!   `LazyPool` — this pool, made by the first job that fits it — and
+//!   job: a job server shard (`force_serve::ForceServer`) keeps a
+//!   [`LazyPool`] — this pool, made by the first job that fits it — and
 //!   lends it to the plane of whatever job it is running.
 #![allow(unsafe_code)]
 
@@ -267,7 +267,7 @@ impl ForcePool {
 /// fits *before* any thread exists; the workers are created, and charged
 /// once to the owner's `stats`, by the first job that does.  An owner
 /// whose sessions all carry pools never creates a thread.
-pub(crate) struct LazyPool {
+pub struct LazyPool {
     size: usize,
     stats: StatsHandle,
     pool: OnceLock<ForcePool>,
@@ -276,7 +276,7 @@ pub(crate) struct LazyPool {
 impl LazyPool {
     /// A pool-to-be as wide as the host, charged to `stats` when it
     /// comes into being.
-    pub(crate) fn new(stats: StatsHandle) -> Arc<LazyPool> {
+    pub fn new(stats: StatsHandle) -> Arc<LazyPool> {
         Self::with_size(park::default_nproc(), stats)
     }
 

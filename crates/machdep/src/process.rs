@@ -156,7 +156,7 @@ pub(crate) fn run_as_process<R>(
 /// The stop flag a helper thread (deadlock watchdog, deadline watcher)
 /// sleeps on.
 #[derive(Default)]
-pub(crate) struct StopSignal {
+pub struct StopSignal {
     stopped: Mutex<bool>,
     wake: Condvar,
 }
@@ -164,7 +164,7 @@ pub(crate) struct StopSignal {
 impl StopSignal {
     /// Sleep for up to `timeout` unless already told to stop; `true` once
     /// the helper must return.
-    pub(crate) fn sleep(&self, timeout: Duration) -> bool {
+    pub fn sleep(&self, timeout: Duration) -> bool {
         let mut stopped = self.stopped.lock();
         if !*stopped {
             park::timer_wait(&self.wake, &mut stopped, timeout);
@@ -176,16 +176,15 @@ impl StopSignal {
 /// A running helper thread.  Dropping the guard raises its
 /// [`StopSignal`], wakes it and joins it, so whatever the helper polices
 /// is quiescent once the guard is gone.
-pub(crate) struct StopGuard {
+pub struct StopGuard {
     signal: Arc<StopSignal>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl StopGuard {
-    pub(crate) fn spawn(
-        name: String,
-        helper: impl FnOnce(&StopSignal) + Send + 'static,
-    ) -> StopGuard {
+    /// Run `helper` on a new thread called `name`, with the signal this
+    /// guard raises when it is dropped.
+    pub fn spawn(name: String, helper: impl FnOnce(&StopSignal) + Send + 'static) -> StopGuard {
         let signal = Arc::new(StopSignal::default());
         let theirs = Arc::clone(&signal);
         let handle = std::thread::Builder::new()
@@ -230,8 +229,8 @@ impl Drop for StopGuard {
 /// | virtual backend (one run token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
 ///
 /// *Attached* is the caller's `pool`; *lent* is the resident force a
-/// [`ForceServer`](crate::serve::ForceServer) shard lends the plane for
-/// the attempt it is bound to (`JobCx::bind_plane`), consulted only when
+/// job server shard (`force_serve::ForceServer`) lends the plane for
+/// the attempt it is bound to ([`FaultPlane::lend`]), consulted only when
 /// the caller attached none — an explicit pool always wins.  A lent pool
 /// is created by the first job that fits it.
 ///

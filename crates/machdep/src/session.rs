@@ -98,7 +98,7 @@ impl Session {
 
     /// The resident plane for a force of `nproc` processes, created (or
     /// replaced, when the width changed) if needed.  A server binds it to
-    /// a job ([`JobCx::bind_plane`](crate::serve::JobCx::bind_plane))
+    /// a job (`force_serve::JobCx::bind_plane`)
     /// before the run that resets it.
     ///
     /// # Panics

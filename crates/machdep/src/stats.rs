@@ -156,19 +156,6 @@ op_counters! {
     steals,
     /// Steal probes that found the victim's deque empty.
     steal_attempts_failed,
-    /// Jobs accepted by a `ForceServer`'s admission control.
-    jobs_admitted,
-    /// Jobs refused at admission (tenant queue full or server draining).
-    jobs_rejected,
-    /// Admitted jobs dropped by load shedding before they ran.
-    jobs_shed,
-    /// Jobs terminated because their deadline passed (queued or running).
-    jobs_deadline_exceeded,
-    /// Job attempts re-run after a transient fault (retry-with-backoff).
-    job_retries,
-    /// Jobs refused at admission because the tenant's token bucket was
-    /// empty (per-tenant rate limiting).
-    jobs_rate_limited,
     /// Scarce-pool allocations refused because the requested lock could
     /// not be given a dedicated slot (state locks never alias — §4.1.3).
     state_locks_denied,

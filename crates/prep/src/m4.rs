@@ -75,7 +75,10 @@ impl Hasher for NameHasher {
         self.add(n as u64);
         let (x, y) = match n {
             0 => (0, 0),
-            1..=3 => (u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16, 0),
+            1..=3 => (
+                u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16,
+                0,
+            ),
             4..=7 => (half(0), half(n - 4)),
             _ => {
                 let mut i = 0;

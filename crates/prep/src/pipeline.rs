@@ -399,13 +399,13 @@ const ENV_MARKER: &str = "C*ZZENVDECL*";
 /// `env_decl_text`, every line ending in one `\n` (as `str::lines` cuts
 /// them).  The text between markers is copied in one piece.
 fn inject_env(intermediate: &str, env_decl_text: &str) -> String {
-    let text: Cow<'_, str> =
-        if intermediate.contains('\r') || !intermediate.is_empty() && !intermediate.ends_with('\n')
-        {
-            Cow::Owned(intermediate.lines().flat_map(|l| [l, "\n"]).collect())
-        } else {
-            Cow::Borrowed(intermediate)
-        };
+    let text: Cow<'_, str> = if intermediate.contains('\r')
+        || !intermediate.is_empty() && !intermediate.ends_with('\n')
+    {
+        Cow::Owned(intermediate.lines().flat_map(|l| [l, "\n"]).collect())
+    } else {
+        Cow::Borrowed(intermediate)
+    };
     let mut injected = String::with_capacity(text.len() + 4 * env_decl_text.len());
     // `text[copied..]` is not in `injected` yet.
     let (mut copied, mut from) = (0, 0);
@@ -415,7 +415,11 @@ fn inject_env(intermediate: &str, env_decl_text: &str) -> String {
         let end = at + text[at..].find('\n').expect("every line ends in one");
         if let Some(unit) = text[start..end].trim().strip_prefix(ENV_MARKER) {
             injected.push_str(&text[copied..start]);
-            let _ = writeln!(injected, "C --- parallel environment for {} ---", unit.trim());
+            let _ = writeln!(
+                injected,
+                "C --- parallel environment for {} ---",
+                unit.trim()
+            );
             injected.push_str(env_decl_text);
             copied = end + 1;
         }
@@ -1002,7 +1006,10 @@ mod tests {
             for line in text.lines() {
                 match line.trim().strip_prefix(ENV_MARKER) {
                     Some(unit) => {
-                        out.push_str(&format!("C --- parallel environment for {} ---\n", unit.trim()));
+                        out.push_str(&format!(
+                            "C --- parallel environment for {} ---\n",
+                            unit.trim()
+                        ));
                         out.push_str("ENV\n");
                     }
                     None => out.push_str(&format!("{line}\n")),

@@ -2,7 +2,7 @@
 //! Parallel Programming Language* (Jordan, Benten, Alaghband & Jakob,
 //! ICPP 1989)
 //!
-//! This facade crate ties together the four subsystems of the
+//! This facade crate ties together the five subsystems of the
 //! reproduction:
 //!
 //! * [`machdep`] ([`force_machdep`]) — the machine-dependent layer:
@@ -19,7 +19,10 @@
 //!   generation;
 //! * [`fortran`] ([`force_fortran`]) — the mini-Fortran substrate that
 //!   executes the preprocessor's output with N concurrent interpreter
-//!   processes over shared COMMON storage.
+//!   processes over shared COMMON storage;
+//! * [`serve`] ([`force_serve`]) — the multi-tenant job server on top of
+//!   both front ends: admission, rate limits, sharded dispatch, deadlines,
+//!   retries and per-tenant rollups.
 //!
 //! ## Quickstart (native API)
 //!
@@ -62,6 +65,41 @@
 //! }
 //! ```
 //!
+//! ## Quickstart (serving many tenants)
+//!
+//! ```
+//! use the_force::prelude::*;
+//! use the_force::serve::{force_runner, ForceServer, JobSpec, Priority, ServerConfig, Submit};
+//! use std::sync::Arc;
+//! use std::time::Duration;
+//!
+//! let machine = Machine::new(MachineId::SequentBalance);
+//! let pool = Arc::new(ForcePool::new(4, machine.stats()));
+//! let force = Arc::new(Force::with_machine(4, Arc::clone(&machine)).with_pool(pool));
+//! let server = ForceServer::new(ServerConfig::default(), machine.stats());
+//!
+//! let spec = JobSpec::for_tenant("acme")
+//!     .with_priority(Priority::High)
+//!     .with_deadline(Duration::from_secs(5))
+//!     .with_max_retries(2);
+//! let runner = force_runner(&force, RunOptions::default(), |p| {
+//!     p.barrier();
+//!     // ... the job body runs on every process of the force ...
+//! });
+//! match server.submit(spec, runner) {
+//!     Submit::Admitted(handle) => {
+//!         let outcome = handle.wait(); // Completed / Faulted / DeadlineExceeded / Shed
+//!         assert!(outcome.is_success());
+//!     }
+//!     Submit::Rejected { reason } => eprintln!("backpressure: {reason}"),
+//! }
+//!
+//! // Per-tenant rollups: outcome counts, op-stats sums, latency histogram.
+//! let acme = server.tenant_report("acme").unwrap();
+//! println!("acme: {} done, p99 {} ns", acme.completed, acme.latency.percentile(0.99));
+//! server.shutdown(); // graceful: drains admitted jobs
+//! ```
+//!
 //! ## Observability
 //!
 //! Both front ends can trace a job: set
@@ -75,8 +113,21 @@
 
 pub use force_core as core;
 pub use force_fortran as fortran;
-pub use force_machdep as machdep;
 pub use force_prep as prep;
+pub use force_serve as serve;
+
+/// The machine-dependent layer: every item of [`force_machdep`].
+///
+/// The job-server names listed beside it are here only for
+/// `benchmark/src/round.rs`, which imports them from this path; the
+/// server lives in [`serve`], where everything else names it.
+pub mod machdep {
+    pub use force_machdep::*;
+    pub use force_serve::{
+        ForceServer, JobCx, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Priority,
+        ServerConfig, Submit,
+    };
+}
 
 /// Convenience prelude: the native Force API plus machine personalities.
 pub mod prelude {
@@ -141,24 +192,24 @@ impl ForceError {
         )
     }
 
-    /// Map a served job's terminal [`JobOutcome`](machdep::JobOutcome)
+    /// Map a served job's terminal [`JobOutcome`](serve::JobOutcome)
     /// onto the facade's error taxonomy: `Completed` is `Ok`, everything
     /// else picks the matching variant (`Shed` and rejections both
     /// become [`ForceError::Rejected`], keeping "the server said no"
     /// distinguishable from "your program is broken").
-    pub fn from_outcome(outcome: machdep::JobOutcome) -> Result<(), ForceError> {
+    pub fn from_outcome(outcome: serve::JobOutcome) -> Result<(), ForceError> {
         match outcome {
-            machdep::JobOutcome::Completed { .. } => Ok(()),
-            machdep::JobOutcome::Faulted { error, .. } => Err(match error {
-                machdep::JobError::Fault(f) => f.into(),
-                machdep::JobError::Deterministic(msg) => ForceError::Fortran(
+            serve::JobOutcome::Completed { .. } => Ok(()),
+            serve::JobOutcome::Faulted { error, .. } => Err(match error {
+                serve::JobError::Fault(f) => f.into(),
+                serve::JobError::Deterministic(msg) => ForceError::Fortran(
                     force_fortran::FortError::general(force_fortran::FortErrorKind::Structure(msg)),
                 ),
             }),
-            machdep::JobOutcome::DeadlineExceeded { ran } => {
+            serve::JobOutcome::DeadlineExceeded { ran } => {
                 Err(ForceError::DeadlineExceeded { ran })
             }
-            machdep::JobOutcome::Shed => Err(ForceError::Rejected {
+            serve::JobOutcome::Shed => Err(ForceError::Rejected {
                 reason: "shed under load".into(),
             }),
         }
@@ -217,8 +268,8 @@ impl From<machdep::ScarceLockError> for ForceError {
     }
 }
 
-impl From<machdep::RejectReason> for ForceError {
-    fn from(reason: machdep::RejectReason) -> Self {
+impl From<serve::RejectReason> for ForceError {
+    fn from(reason: serve::RejectReason) -> Self {
         ForceError::Rejected {
             reason: reason.to_string(),
         }
@@ -336,7 +387,7 @@ mod tests {
         // Callers must be able to tell shed load / missed deadlines from
         // real program faults — the former retry later, the latter don't.
         let deadline = ForceError::DeadlineExceeded { ran: true };
-        let rejected: ForceError = machdep::RejectReason::QueueFull {
+        let rejected: ForceError = serve::RejectReason::QueueFull {
             tenant: "acme".into(),
             capacity: 64,
         }
@@ -367,7 +418,8 @@ mod tests {
 
     #[test]
     fn job_outcomes_round_trip_into_force_errors() {
-        use machdep::{JobError, JobOutcome, ProcessFault};
+        use machdep::ProcessFault;
+        use serve::{JobError, JobOutcome};
         assert!(ForceError::from_outcome(JobOutcome::Completed { retries: 3 }).is_ok());
         match ForceError::from_outcome(JobOutcome::DeadlineExceeded { ran: false }) {
             Err(ForceError::DeadlineExceeded { ran: false }) => {}

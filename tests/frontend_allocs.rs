@@ -25,10 +25,9 @@ use std::sync::{Arc, Mutex};
 use support::corpus::KSUM;
 use the_force::core::Force;
 use the_force::fortran::Engine;
-use the_force::machdep::{
-    ForcePool, ForceServer, JobOutcome, JobSpec, Machine, MachineId, RunOptions, ServerConfig,
-};
+use the_force::machdep::{ForcePool, Machine, MachineId, RunOptions};
 use the_force::prep::{preprocess, ExpandedProgram};
+use the_force::serve::{engine_runner, ForceServer, JobOutcome, JobSpec, ServerConfig};
 
 thread_local! {
     /// Allocations made by this thread while it is measuring.
@@ -298,7 +297,7 @@ fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64
     // leaves it to the dispatcher.
     let serve_a_batch = |wait: bool| {
         for _ in 0..BATCH {
-            let runner = engine.serve_runner(nproc, RunOptions::default(), |out| {
+            let runner = engine_runner(&engine, nproc, RunOptions::default(), |out| {
                 assert_eq!(out.stats.processes_created, 0);
             });
             let job = server.submit(JobSpec::for_tenant("closed"), runner);

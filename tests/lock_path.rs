@@ -24,12 +24,10 @@ use support::{fnv1a, run_checked, run_oracle};
 use the_force::core::ForcePool;
 use the_force::fortran::oracle::Oracle;
 use the_force::fortran::{Engine, Value};
-use the_force::machdep::{
-    ForceServer, JobOutcome, JobSpec, Machine, MachineId, RunOptions, ServerConfig, StatsSnapshot,
-    Submit,
-};
+use the_force::machdep::{Machine, MachineId, RunOptions, StatsSnapshot};
 use the_force::prep::{preprocess, preprocess_cached};
 use the_force::run_force_source;
+use the_force::serve::{engine_runner, ForceServer, JobOutcome, JobSpec, ServerConfig, Submit};
 
 /// Every counter of a run as `name=value` lines.
 fn counts_text(stats: &StatsSnapshot) -> String {
@@ -236,7 +234,7 @@ fn a_deadline_cancelled_run_folds_its_lanes() {
     let engine = Arc::new(Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap());
     engine.set_pool(Arc::new(ForcePool::new(4, machine.stats())));
     let server = ForceServer::new(ServerConfig::default(), machine.stats());
-    let runner = engine.serve_runner(4, RunOptions::default(), |_| ());
+    let runner = engine_runner(&engine, 4, RunOptions::default(), |_| ());
     let spec = JobSpec::for_tenant("sla").with_deadline(Duration::from_millis(15));
     let Submit::Admitted(handle) = server.submit(spec, runner) else {
         panic!("the job was refused");
@@ -476,155 +474,155 @@ const PINNED: &[(&str, [u64; 6])] = &[
     (
         "sum",
         [
-            0x8e79173f71646686,
-            0x5b82a02a4fa2505c,
-            0x52378968fa5e963f,
-            0x5b82a02a4fa2505c,
-            0x2c116645d98c5b61,
-            0xdf1c14b50d1f61a9,
+            0x439a9f84c1c5d4ac,
+            0x11b900e054b1468a,
+            0x70f43fcfdc89e77b,
+            0x11b900e054b1468a,
+            0x87aa50f6365382e5,
+            0x2eca108e11c1084d,
         ],
     ),
     (
         "dotprod",
         [
-            0x4b8b141c4802474c,
-            0x575db449b5ab7a38,
-            0x97ebb3e117ffee28,
-            0x575db449b5ab7a38,
-            0x1504ce32f661fe8b,
-            0xdcfc8ee5edcf6f55,
+            0x9e6c72c8b5a35b5a,
+            0xec869fc5d3539b96,
+            0x9de207fa9e0c9c66,
+            0xec869fc5d3539b96,
+            0x0cb9093a5140f5b7,
+            0x089f629a2a8e5989,
         ],
     ),
     (
         "pipeline",
         [
-            0x1f1900ee76fec5f2,
-            0x73f8e3c36f742660,
-            0x3d9c9d7dd37e45b0,
-            0x73f8e3c36f742660,
-            0x3d9c9d7dd37e45b0,
-            0xc25594ff1b2a2368,
+            0x66df432e44280588,
+            0xd736ca036360db5e,
+            0xd616b15a44a161ce,
+            0xd736ca036360db5e,
+            0xd616b15a44a161ce,
+            0x2a16037988a094a6,
         ],
     ),
     (
         "ksum",
         [
-            0xea4df5140e1cdd90,
-            0x8788f34e50b03f54,
-            0x9a64d27641ac3327,
-            0x8788f34e50b03f54,
-            0xbcd313a1e5807879,
-            0x9911b6db143301ca,
+            0x7761f49f2ab79dae,
+            0x345a0eb1bcb977e2,
+            0x0995279882407c43,
+            0x345a0eb1bcb977e2,
+            0x5f66006e28710c3d,
+            0xa3a48c2103bfccc0,
         ],
     ),
     (
         "fill",
         [
-            0xf655a140b9467e15,
-            0x1c0069e607261e79,
-            0x58fed86a27a779c9,
-            0x1c0069e607261e79,
-            0xde13df274ce396cc,
-            0xb020bab7d00d1995,
+            0xaa4e52f18f838b49,
+            0xa2d0efc6f220de3d,
+            0x8c4f37ab5180ceed,
+            0xa2d0efc6f220de3d,
+            0xc8c886840c09e1da,
+            0x80dda5ca9a37b5c9,
         ],
     ),
     (
         "ring",
         [
-            0x1d05bce944ff5a76,
-            0x4f803b5a9962b324,
-            0x6f7d9d0c5bf9e5f2,
-            0x4f803b5a9962b324,
-            0x6f7d9d0c5bf9e5f2,
-            0xa2ba8e4e8a570662,
+            0x4db0e025c442eb7c,
+            0xb95bd5d1d6ae9212,
+            0x3bd99c4a76a36588,
+            0xb95bd5d1d6ae9212,
+            0x3bd99c4a76a36588,
+            0x1f4b0c9b91e2e158,
         ],
     ),
     (
         "sect",
         [
-            0x354cddf210a2204b,
-            0xae6441489602cddf,
-            0x85ee9b8a44f3be2c,
-            0xae6441489602cddf,
-            0x85ee9b8a44f3be2c,
-            0xb701b769650c825c,
+            0x1a41638c4d062377,
+            0xf3aba7f335202b9b,
+            0x8fd6a94fefd0c8ba,
+            0xf3aba7f335202b9b,
+            0x8fd6a94fefd0c8ba,
+            0x30c1a09168b07c8a,
         ],
     ),
     (
         "grid",
         [
-            0x44d5135925c020be,
-            0xeec1d0b9b4c43982,
-            0x7524d96ee295ec4c,
-            0xeec1d0b9b4c43982,
-            0x7524d96ee295ec4c,
-            0xf6f50d97ea00457f,
+            0xe89fc2a4c6acdcc4,
+            0x74afa240085d9778,
+            0x0d5678db8b605a5a,
+            0x74afa240085d9778,
+            0x0d5678db8b605a5a,
+            0x2a62d3fd902c29bb,
         ],
     ),
     (
         "subs",
         [
-            0x78d5aad29689f9ae,
-            0x364b52d296d86106,
-            0x6aa1c900024cd3a0,
-            0x364b52d296d86106,
-            0xb917b58e4aa8c13e,
-            0x4fc03ee6fce38daa,
+            0xf781d1da277815d4,
+            0xaae91d2233c34c2c,
+            0x2b49ce24afd1389e,
+            0xaae91d2233c34c2c,
+            0x8602741377f72644,
+            0x592dcd0a7d937720,
         ],
     ),
     (
         "sched",
         [
-            0x6ec111d1083d3bd8,
-            0xa1b50ddc56b94114,
-            0x24c823071e14df59,
-            0xa1b50ddc56b94114,
-            0xdcb2a1465894367a,
-            0xe4d5962518aaf862,
+            0x4f4ea0fd16067db6,
+            0x48510bf242a9d8a2,
+            0xdf729db7e286191d,
+            0x48510bf242a9d8a2,
+            0xc02d3d44d98d0990,
+            0x37bdfe84df8b5758,
         ],
     ),
     (
         "do2",
         [
-            0x1676f4a4bd5ddff1,
-            0x97ec590ddd1ea20f,
-            0xfd0f32035b38539b,
-            0x97ec590ddd1ea20f,
-            0x412642ea1a965da4,
-            0x8c57ee878d11d360,
+            0x3b45a07773e23395,
+            0x2273e02681cb2feb,
+            0x27ee2c5e54b9ad67,
+            0x2273e02681cb2feb,
+            0x2a0003335eea1992,
+            0xfa1164779342725e,
         ],
     ),
     (
         "pcase",
         [
-            0x0a5248dde714adcf,
-            0x514c57c0d8a0da83,
-            0x2cf674b776578221,
-            0x514c57c0d8a0da83,
-            0xa5e21c90bbb33677,
-            0xc680858371e7ac47,
+            0x8cb3fb4ec51b7aab,
+            0xf426aa4254ce1e8f,
+            0x075c7c2a787aeea5,
+            0xf426aa4254ce1e8f,
+            0x7ca4f8f6404e77b3,
+            0xe224a08b631b85e3,
         ],
     ),
     (
         "async_scalar",
         [
-            0xf7062fdb405cadff,
-            0xbeb227e1067694bc,
-            0xb6be786f52b02404,
-            0xbeb227e1067694bc,
-            0xbbe881361c70f8c6,
-            0xa7521b076d8e93af,
+            0xa4079c2aedc44b3b,
+            0x3c93f3e6f9b2746a,
+            0x9ac43d809783a4f2,
+            0x3c93f3e6f9b2746a,
+            0x2af9821598a494ec,
+            0xce5d0af5b148948b,
         ],
     ),
     (
         "async_array",
         [
-            0x30ce00647617dc55,
-            0xf3294b573ed306ee,
-            0x6fbf1208cb1b4d0b,
-            0xf3294b573ed306ee,
-            0x0dccc8355fcbf6bf,
-            0x3af0cb928c38f363,
+            0xb4de842cf22c3089,
+            0x0c6d57921b46ad14,
+            0xd74c5efcee92a937,
+            0x0c6d57921b46ad14,
+            0xda490dd5403e70fb,
+            0xdfd91680ba97276f,
         ],
     ),
 ];

@@ -133,10 +133,13 @@ const WALL_CLOCK_EXEMPT: &[&str] = &[
     // to arm a served virtual run's budget left.
     "machdep/src/fault.rs",
     // The job server is a wall-clock tenant plane by design: admission
-    // timestamps, deadline watchers, retry backoff.  A virtual run sees
-    // its deadline only as the budget left that its plane's reset arms on
-    // the virtual clock.
-    "machdep/src/serve.rs",
+    // timestamps and token buckets, the deadline watcher, the queued-job
+    // expiry and retry-backoff checks of the dispatcher.  A virtual run
+    // sees its deadline only as the budget left that its plane's reset
+    // arms on the virtual clock.
+    "serve/src/admission.rs",
+    "serve/src/deadline.rs",
+    "serve/src/dispatch.rs",
     // The trace origin.  Virtual runs route every timestamp through
     // `now_ns()`, which reads the virtual clock instead.
     "machdep/src/trace.rs",
@@ -167,8 +170,8 @@ const THREAD_CREATION_EXEMPT: &[&str] = &[
     "machdep/src/process.rs",
     // The resident workers behind the pooled launcher.
     "machdep/src/pool.rs",
-    // The dispatcher shards.
-    "machdep/src/serve.rs",
+    // The job server's dispatcher shards, started by `ForceServer::new`.
+    "serve/src/lib.rs",
 ];
 
 #[test]
@@ -197,8 +200,14 @@ fn the_job_server_polls_no_timer() {
     // deadline watcher trips once: neither a timed condvar wait nor the
     // parking heartbeat has a use in the server.  (Its helper threads
     // sleep through `process::StopSignal`, until their one deadline.)
+    let mut server = Vec::new();
+    rust_sources(
+        &Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/serve/src"),
+        &mut server,
+    );
+    assert!(!server.is_empty(), "the scan must see the job server");
     let mut violations = scan(&["timer_wait(", "HEARTBEAT"], &[], true);
-    violations.retain(|v| v.starts_with("machdep/src/serve.rs:"));
+    violations.retain(|v| v.starts_with("serve/src/"));
     assert!(
         violations.is_empty(),
         "the job server waits on a timer again:\n{}",
@@ -366,7 +375,6 @@ crates/machdep: mod linkreg
 crates/machdep: mod lockpool
 crates/machdep: mod park
 crates/machdep: mod process
-crates/machdep: mod serve
 crates/machdep: mod session
 crates/machdep: mod spin
 crates/machdep: mod syscall_lock
@@ -383,17 +391,10 @@ crates/machdep: use CostModel
 crates/machdep: use FaultInjection
 crates/machdep: use FaultPlane
 crates/machdep: use ForcePool
-crates/machdep: use ForceServer
 crates/machdep: use FullEmptyState
 crates/machdep: use HepLock
 crates/machdep: use HistogramSnapshot
-crates/machdep: use JobCx
-crates/machdep: use JobError
-crates/machdep: use JobHandle
-crates/machdep: use JobOutcome
-crates/machdep: use JobRunner
-crates/machdep: use JobSpec
-crates/machdep: use JobYield
+crates/machdep: use LazyPool
 crates/machdep: use LockHandle
 crates/machdep: use LockKind
 crates/machdep: use LockPool
@@ -407,18 +408,13 @@ crates/machdep: use NamedLockProfile
 crates/machdep: use OpStats
 crates/machdep: use ParkBackend
 crates/machdep: use Parker
-crates/machdep: use Priority
 crates/machdep: use ProcessFault
 crates/machdep: use ProcessModel
 crates/machdep: use ProfileReport
-crates/machdep: use RateLimit
 crates/machdep: use RawLock
-crates/machdep: use RejectReason
 crates/machdep: use RunOptions
 crates/machdep: use ScarceLockError
 crates/machdep: use SchedulePolicy
-crates/machdep: use ServerConfig
-crates/machdep: use ServerReport
 crates/machdep: use Session
 crates/machdep: use SessionRun
 crates/machdep: use SharedLayout
@@ -429,8 +425,6 @@ crates/machdep: use SharingModelId
 crates/machdep: use StatsHandle
 crates/machdep: use StatsSnapshot
 crates/machdep: use StealOutcome
-crates/machdep: use Submit
-crates/machdep: use TenantRollup
 crates/machdep: use TraceEvent
 crates/machdep: use TraceSink
 crates/machdep: use VirtualSummary
@@ -464,11 +458,21 @@ crates/prep: use expansion_cache_stats
 crates/prep: use pass_counts
 crates/prep: use preprocess
 crates/prep: use preprocess_cached
+crates/serve: use DEADLINE_CONSTRUCT
+crates/serve: use JobHandle
+crates/serve: use RateLimit
+crates/serve: use RejectReason
+crates/serve: use ServerReport
+crates/serve: use Submit
+crates/serve: use TenantRollup
+crates/serve: use engine_runner
+crates/serve: use force_runner
+the-force: mod machdep
 the-force: mod prelude
 the-force: use core
 the-force: use fortran
-the-force: use machdep
 the-force: use prep
+the-force: use serve
 ";
 
 #[test]

@@ -14,11 +14,12 @@ use std::time::{Duration, Instant};
 
 use the_force::core::{Force, ForcePool};
 use the_force::fortran::{Engine, Value};
-use the_force::machdep::{
-    FaultInjection, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Machine,
-    MachineId, OpStats, Priority, RejectReason, RunOptions, ServerConfig, StatsSnapshot, Submit,
-};
+use the_force::machdep::{FaultInjection, Machine, MachineId, OpStats, RunOptions, StatsSnapshot};
 use the_force::prep::preprocess;
+use the_force::serve::{
+    engine_runner, force_runner, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield,
+    Priority, RejectReason, ServerConfig, Submit,
+};
 use the_force::ForceError;
 
 const NPROC: usize = 4;
@@ -113,7 +114,7 @@ fn pooled_engine(src: &str, machine: &Arc<Machine>, pool: &Arc<ForcePool>) -> Ar
     Arc::new(engine)
 }
 
-fn expect_admitted(submit: Submit) -> the_force::machdep::JobHandle {
+fn expect_admitted(submit: Submit) -> the_force::serve::JobHandle {
     match submit {
         Submit::Admitted(h) => h,
         Submit::Rejected { reason } => panic!("unexpected rejection: {reason}"),
@@ -159,7 +160,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
     for _ in 0..COMPUTE {
         let cell = Arc::new(AtomicU64::new(0));
         compute_cells.push(Arc::clone(&cell));
-        let runner = force.serve_runner(RunOptions::default(), move |p| {
+        let runner = force_runner(&force, RunOptions::default(), move |p| {
             p.barrier();
             cell.fetch_add(p.pid() as u64 + 1, Ordering::Relaxed);
             p.barrier();
@@ -180,7 +181,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
     };
     let mut traced_handles = Vec::with_capacity(TRACED);
     for _ in 0..TRACED - 1 {
-        let runner = traced_force.serve_runner(traced_options, |p| {
+        let runner = force_runner(&traced_force, traced_options, |p| {
             p.barrier();
             p.barrier();
         });
@@ -189,7 +190,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
             runner,
         )));
     }
-    let runner = traced_force.serve_runner(traced_options, |p| {
+    let runner = force_runner(&traced_force, traced_options, |p| {
         p.critical("SOAK", || ());
     });
     traced_handles.push(expect_admitted(server.submit(
@@ -208,7 +209,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
             injection: Some(injection),
             ..RunOptions::default()
         };
-        let runner = force.serve_runner(options, |p| {
+        let runner = force_runner(&force, options, |p| {
             p.barrier();
             p.barrier();
         });
@@ -258,7 +259,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
     let mut lang_handles = Vec::with_capacity(LANG);
     for _ in 0..LANG {
         let sink = Arc::clone(&lang_outputs);
-        let runner = lang.serve_runner(NPROC, RunOptions::default(), move |out| {
+        let runner = engine_runner(&lang, NPROC, RunOptions::default(), move |out| {
             if let Some(Value::Int(n)) = out.shared_scalar("N") {
                 sink.lock().unwrap().push(n);
             } else {
@@ -274,7 +275,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
     // retry budget that must never be spent.
     let mut deterr_handles = Vec::with_capacity(DETERR);
     for _ in 0..DETERR {
-        let runner = bad.serve_runner(NPROC, RunOptions::default(), |_| ());
+        let runner = engine_runner(&bad, NPROC, RunOptions::default(), |_| ());
         deterr_handles.push(expect_admitted(
             server.submit(
                 JobSpec::for_tenant("deterr")
@@ -396,10 +397,6 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
     assert_eq!(report.retries, flaky.retries + once.retries);
 
     let snap = machine.stats().snapshot();
-    assert_eq!(snap.jobs_admitted, TOTAL);
-    assert_eq!(snap.job_retries, report.retries);
-    assert_eq!(snap.jobs_shed, 0);
-    assert_eq!(snap.jobs_deadline_exceeded, 0);
     assert_eq!(snap.watchdog_trips, 0, "the soak must not trip watchdogs");
 
     // The pool outlives the server: plain pooled runs still work.
@@ -427,7 +424,7 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
 /// into the machine block it chains from).
 #[test]
 fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
-    use the_force::machdep::JobYield;
+    use the_force::serve::JobYield;
 
     let machine = Machine::new(MachineId::Flex32);
     let base = machine.stats().snapshot();
@@ -517,7 +514,7 @@ fn native_deadline_tears_down_a_running_pooled_job() {
 
     // 100k barriers takes far longer than the deadline; the watcher's
     // plane trip must cancel the force at a blocking wait.
-    let runner = force.serve_runner(RunOptions::default(), |p| {
+    let runner = force_runner(&force, RunOptions::default(), |p| {
         for _ in 0..100_000 {
             p.barrier();
         }
@@ -558,7 +555,7 @@ fn language_deadline_tears_down_a_running_interpreter_job() {
 
     let completed_runs: Arc<Mutex<u32>> = Arc::new(Mutex::new(0));
     let sink = Arc::clone(&completed_runs);
-    let runner = engine.serve_runner(NPROC, RunOptions::default(), move |_| {
+    let runner = engine_runner(&engine, NPROC, RunOptions::default(), move |_| {
         *sink.lock().unwrap() += 1;
     });
     let handle = expect_admitted(server.submit(
@@ -582,7 +579,7 @@ fn language_deadline_tears_down_a_running_interpreter_job() {
         Ok(JobYield::default())
     });
     let blocker_handle = expect_admitted(server.submit(JobSpec::for_tenant("sla"), blocker));
-    let stale = engine.serve_runner(NPROC, RunOptions::default(), |_| ());
+    let stale = engine_runner(&engine, NPROC, RunOptions::default(), |_| ());
     let stale_handle = expect_admitted(server.submit(
         JobSpec::for_tenant("sla").with_deadline(Duration::from_millis(1)),
         stale,
@@ -625,7 +622,7 @@ fn a_deadline_tears_down(program: &str) {
     let outputs: Arc<Mutex<Vec<Option<Value>>>> = Arc::new(Mutex::new(Vec::new()));
     let runner = |nproc| {
         let sink = Arc::clone(&outputs);
-        engine.serve_runner(nproc, RunOptions::default(), move |out| {
+        engine_runner(&engine, nproc, RunOptions::default(), move |out| {
             sink.lock().unwrap().push(out.shared_scalar("DONE"));
         })
     };
@@ -735,7 +732,6 @@ fn overload_rejects_and_sheds_instead_of_collapsing() {
     assert_eq!(report.rejected, 1);
     assert_eq!(report.shed, 6);
     assert!(report.peak_backlog <= 16);
-    assert_eq!(machine.stats().snapshot().jobs_shed, 6);
     let b = server.tenant_report("b").unwrap();
     assert_eq!(b.shed, 6);
     assert_eq!(b.completed, 2);
@@ -792,7 +788,7 @@ fn a_burst_past_the_watermark_is_shed_and_the_server_still_answers() {
         let mut handles = Vec::with_capacity(BURST);
         for j in 0..BURST {
             hold_until(|| j < allowed(started.load(Ordering::SeqCst)));
-            let mut run = force.serve_runner(RunOptions::default(), job);
+            let mut run = force_runner(&force, RunOptions::default(), job);
             let (seen, start) = (Arc::clone(&arrived), Arc::clone(&started));
             let runner: JobRunner = Box::new(move |cx| {
                 let k = start.fetch_add(1, Ordering::SeqCst);
@@ -818,7 +814,7 @@ fn a_burst_past_the_watermark_is_shed_and_the_server_still_answers() {
         }
         let probe = expect_admitted(server.submit(
             JobSpec::for_tenant("probe").with_priority(Priority::High),
-            force.serve_runner(RunOptions::default(), job),
+            force_runner(&force, RunOptions::default(), job),
         ));
         assert!(probe.wait().is_success(), "{name}: the post-burst probe");
         let burst = server.tenant_report("burst").unwrap_or_default();
@@ -987,7 +983,7 @@ fn tenant_on(server: &ForceServer, shard: usize) -> String {
 /// What a hand-written runner does with its session: bind the plane (the
 /// loan), run `body` under `options`, map the result.
 fn run_bound(
-    cx: &the_force::machdep::JobCx,
+    cx: &the_force::serve::JobCx,
     session: &Force,
     options: RunOptions,
     body: impl Fn(&the_force::core::Player) + Sync,
@@ -1026,7 +1022,7 @@ fn lent_jobs_create_no_processes_and_compute_what_scoped_ones_do() {
         let outputs = Arc::new(Mutex::new(Vec::new()));
         for _ in 0..3 {
             let sink = Arc::clone(&outputs);
-            let runner = engine.serve_runner(np, RunOptions::default(), move |out| {
+            let runner = engine_runner(&engine, np, RunOptions::default(), move |out| {
                 sink.lock().unwrap().push(out);
             });
             let job = expect_admitted(server.submit(JobSpec::for_tenant("lang"), runner));
@@ -1061,7 +1057,7 @@ fn lent_jobs_create_no_processes_and_compute_what_scoped_ones_do() {
         force.run(body.clone());
         let scoped = force.last_job_stats().unwrap();
         assert_eq!(scoped.processes_created, np as u64);
-        let runner = force.serve_runner(RunOptions::default(), body);
+        let runner = force_runner(&force, RunOptions::default(), body);
         let job = expect_admitted(server.submit(JobSpec::for_tenant("native"), runner));
         assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
         let lent = force.last_job_stats().unwrap();
@@ -1098,8 +1094,8 @@ fn lent_force_is_never_created_for_sessions_that_bring_their_own() {
     let force =
         Arc::new(Force::with_machine(np, Arc::clone(&machine)).with_pool(Arc::clone(&pool)));
     for _ in 0..10 {
-        let lang = engine.serve_runner(np, RunOptions::default(), |_| ());
-        let native = force.serve_runner(RunOptions::default(), |p| p.barrier());
+        let lang = engine_runner(&engine, np, RunOptions::default(), |_| ());
+        let native = force_runner(&force, RunOptions::default(), |p| p.barrier());
         for runner in [lang, native] {
             let job = expect_admitted(server.submit(JobSpec::for_tenant("own"), runner));
             assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
@@ -1130,7 +1126,7 @@ fn lent_force_is_bypassed_by_wide_and_multiplexed_jobs() {
     ] {
         let created = Arc::new(AtomicU64::new(u64::MAX));
         let sink = Arc::clone(&created);
-        let runner = engine.serve_runner(nproc, options, move |out| {
+        let runner = engine_runner(&engine, nproc, options, move |out| {
             assert_eq!(out.shared_scalar("N"), Some(Value::Int(nproc as i64)));
             sink.store(out.stats.processes_created, Ordering::Relaxed);
         });
@@ -1149,7 +1145,7 @@ fn lent_force_is_bypassed_by_wide_and_multiplexed_jobs() {
     };
     force.try_execute_with(virtual_time, body).unwrap();
     let direct = force.last_virtual_summary().expect("a virtual run");
-    let runner = force.serve_runner(virtual_time, body);
+    let runner = force_runner(&force, virtual_time, body);
     let job = expect_admitted(server.submit(JobSpec::for_tenant("scoped"), runner));
     assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
     assert_eq!(force.last_virtual_summary(), Some(direct));
@@ -1177,7 +1173,7 @@ fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
     let next_job_is_lent_and_clean = |after: &str| {
         let created = Arc::new(AtomicU64::new(u64::MAX));
         let sink = Arc::clone(&created);
-        let runner = good.serve_runner(np, RunOptions::default(), move |out| {
+        let runner = engine_runner(&good, np, RunOptions::default(), move |out| {
             assert_eq!(out.shared_scalar("N"), Some(Value::Int(np as i64)));
             sink.store(out.stats.processes_created, Ordering::Relaxed);
         });
@@ -1187,7 +1183,7 @@ fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
     };
     next_job_is_lent_and_clean("a fresh server");
 
-    let runner = bad.serve_runner(np, RunOptions::default(), |_| ());
+    let runner = engine_runner(&bad, np, RunOptions::default(), |_| ());
     let job = expect_admitted(server.submit(JobSpec::for_tenant("bad"), runner));
     assert!(matches!(
         job.wait(),
@@ -1199,7 +1195,7 @@ fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
     next_job_is_lent_and_clean("a runtime error");
 
     // The last pid panics: a pool worker where there is one.
-    let runner = native.serve_runner(RunOptions::default(), move |p| {
+    let runner = force_runner(&native, RunOptions::default(), move |p| {
         if p.pid() == np - 1 {
             panic!("pid {} dies", p.pid());
         }
@@ -1217,7 +1213,7 @@ fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
 
     // Every pid spins on the cancellation token until the deadline trips
     // the plane the loan rides on.
-    let runner = native.serve_runner(RunOptions::default(), |_| loop {
+    let runner = force_runner(&native, RunOptions::default(), |_| loop {
         std::thread::sleep(Duration::from_millis(1));
         the_force::machdep::fault::check_cancel();
     });
@@ -1242,7 +1238,7 @@ struct Blocker {
     gate: Arc<AtomicBool>,
     /// The shard whose force the job occupies.
     shard: usize,
-    job: the_force::machdep::JobHandle,
+    job: the_force::serve::JobHandle,
 }
 
 impl Blocker {
@@ -1351,7 +1347,7 @@ fn lent_force_is_given_back_when_the_attempt_ends() {
     let np = lendable_nproc();
     let (server, _) = server_with_own_stats(ServerConfig::default());
     let engine = unpooled_engine(LANG_PROGRAM, &machine);
-    let runner = engine.serve_runner(np, RunOptions::default(), |out| {
+    let runner = engine_runner(&engine, np, RunOptions::default(), |out| {
         assert_eq!(out.stats.processes_created, 0);
     });
     let job = expect_admitted(server.submit(JobSpec::for_tenant("t"), runner));
@@ -1381,7 +1377,7 @@ fn lent_job_may_launch_a_force_of_its_own() {
     // Every process of the lent job creates and joins a force: another
     // plane, which nobody lent anything — were the loan the thread's, pid
     // 0's inner force would queue behind the pool its own job holds.
-    let runner = outer.serve_runner(RunOptions::default(), move |p| {
+    let runner = force_runner(&outer, RunOptions::default(), move |p| {
         let inner = Force::with_machine(np, Arc::clone(&m));
         inner.run(|q| q.barrier());
         let stats = inner.last_job_stats().unwrap();
@@ -1424,7 +1420,7 @@ fn lent_force_threads_are_joined_by_shutdown() {
     let run = |meet: bool| -> (std::thread::ThreadId, Vec<std::thread::ThreadId>) {
         let threads = Arc::new(Mutex::new(vec![None; np]));
         let (flag, seen) = (Arc::clone(&thread_gone), Arc::clone(&threads));
-        let mut served = force.serve_runner(RunOptions::default(), move |p| {
+        let mut served = force_runner(&force, RunOptions::default(), move |p| {
             if meet {
                 p.barrier();
             }
@@ -1626,7 +1622,7 @@ fn a_served_virtual_job_keeps_its_virtual_deadline() {
     use the_force::machdep::{charge_virtual, ParkBackend};
     const TEN_SECONDS: u64 = 10_000_000_000;
     let machine = Machine::new(MachineId::Hep);
-    let (server, server_stats) = server_with_own_stats(ServerConfig::default());
+    let (server, _) = server_with_own_stats(ServerConfig::default());
     let force = Arc::new(Force::with_machine(2, Arc::clone(&machine)));
     let virtual_time = RunOptions {
         backend: ParkBackend::Virtual { seed: 1989 },
@@ -1634,16 +1630,20 @@ fn a_served_virtual_job_keeps_its_virtual_deadline() {
     };
     let serve_past_the_budget = || {
         let chan = Arc::new(Async::<u64>::new(&machine));
-        let runner = force.serve_runner(virtual_time, move |_| {
+        let runner = force_runner(&force, virtual_time, move |_| {
             charge_virtual(TEN_SECONDS);
             let _ = chan.consume();
         });
-        let missed = server_stats.snapshot().jobs_deadline_exceeded;
+        let missed = || {
+            server
+                .tenant_report("virtual")
+                .map_or(0, |r| r.deadline_exceeded)
+        };
+        let before = missed();
         let spec = JobSpec::for_tenant("virtual").with_deadline(Duration::from_secs(2));
         let job = expect_admitted(server.submit(spec, runner));
         assert_eq!(job.wait(), JobOutcome::DeadlineExceeded { ran: true });
-        let missed = server_stats.snapshot().jobs_deadline_exceeded - missed;
-        assert_eq!(missed, 1);
+        assert_eq!(missed() - before, 1);
         force.last_virtual_summary().expect("a virtual run")
     };
     let fresh = serve_past_the_budget();

@@ -14,11 +14,14 @@ use the_force::core::{Force, ForcePool, Player};
 use the_force::fortran::oracle::Oracle;
 use the_force::fortran::Engine;
 use the_force::machdep::{
-    charge_virtual, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield, Machine,
-    MachineId, OpStats, ParkBackend, ProfileReport, RunOptions, ServerConfig, StatsSnapshot,
-    VirtualSummary,
+    charge_virtual, Machine, MachineId, OpStats, ParkBackend, ProfileReport, RunOptions,
+    StatsSnapshot, VirtualSummary,
 };
 use the_force::prep::preprocess;
+use the_force::serve::{
+    engine_runner, force_runner, ForceServer, JobError, JobOutcome, JobRunner, JobSpec, JobYield,
+    ServerConfig,
+};
 
 const NPROC: usize = 2;
 
@@ -177,8 +180,8 @@ impl Front {
     fn runner(&self) -> JobRunner {
         let options = RunOptions::default();
         match self {
-            Front::Force(force, _) => force.serve_runner(options, |p| native_body(p, Mode::Clean)),
-            Front::Engine(engine) => engine.serve_runner(NPROC, options, |_| ()),
+            Front::Force(force, _) => force_runner(force, options, |p| native_body(p, Mode::Clean)),
+            Front::Engine(engine) => engine_runner(engine, NPROC, options, |_| ()),
             Front::Oracle(oracle) => {
                 let oracle = Arc::clone(oracle);
                 Box::new(move |cx| {

@@ -13,11 +13,13 @@ use the_force::fortran::Value;
 use the_force::machdep::combined::CombinedLock;
 use the_force::machdep::syscall_lock::SyscallLock;
 use the_force::machdep::{
-    launch_plane, park, Condvar, Construct, FaultPlane, ForcePool, ForceServer, JobOutcome,
-    JobRunner, JobSpec, JobYield, LockState, Machine, MachineId, Mutex, OpStats, Priority,
-    ProcessFault, RawLock, RunOptions, ServerConfig,
+    launch_plane, park, Condvar, Construct, FaultPlane, ForcePool, LockState, Machine, MachineId,
+    Mutex, OpStats, ProcessFault, RawLock, RunOptions,
 };
 use the_force::prelude::*;
+use the_force::serve::{
+    ForceServer, JobOutcome, JobRunner, JobSpec, JobYield, Priority, ServerConfig,
+};
 
 #[test]
 fn thousand_barrier_episodes() {
