@@ -21,7 +21,7 @@
 //! independent and consumes only these interfaces — which is the paper's
 //! portability thesis made into a crate boundary.  What the server takes
 //! from this layer is one seam, a served attempt's: a plane lent a
-//! shard's resident force ([`FaultPlane::lend`], [`FaultPlane::end_loan`],
+//! server's resident force ([`FaultPlane::lend`], [`FaultPlane::end_loan`],
 //! [`LazyPool`]) and tripped once when the attempt's deadline passes
 //! ([`FaultPlane::trip_deadline`]), by a helper thread on a
 //! [`process::StopGuard`].

@@ -42,7 +42,7 @@
 //!   so job closures may borrow from the caller's stack: the same
 //!   guarantee `std::thread::scope` gives the scoped launcher.
 //! * A session that attaches no pool still need not create its force per
-//!   job: a job server shard (`force_serve::ForceServer`) keeps a
+//!   job: a job server (`force_serve::ForceServer`) keeps a
 //!   [`LazyPool`] — this pool, made by the first job that fits it — and
 //!   lends it to the plane of whatever job it is running.
 #![allow(unsafe_code)]
@@ -257,7 +257,7 @@ impl ForcePool {
 }
 
 /// A [`ForcePool`] that does not exist until somebody runs a job on it:
-/// the resident force a server shard keeps to **lend** to planes whose
+/// the resident force a job server keeps to **lend** to planes whose
 /// session attached no pool of its own
 /// ([`FaultPlane::lend`](crate::fault::FaultPlane::lend)).
 ///

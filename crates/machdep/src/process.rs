@@ -24,7 +24,7 @@
 //! However a force is created, its job cycle is one function,
 //! [`launch_plane`]: watchdog, result slots, the per-pid harness
 //! (`run_as_process`), a launcher — the workers of a resident
-//! [`ForcePool`], the session's own or one a server shard lent the plane,
+//! [`ForcePool`], the session's own or one a job server lent the plane,
 //! or scoped threads, picked there, never by the caller, and fork-join
 //! either way: the launching thread runs pid 0 — and one epilogue.
 
@@ -229,7 +229,7 @@ impl Drop for StopGuard {
 /// | virtual backend (one run token) | *scoped* | 512 KiB per created pid; the caller's own | `processes_created += nproc` |
 ///
 /// *Attached* is the caller's `pool`; *lent* is the resident force a
-/// job server shard (`force_serve::ForceServer`) lends the plane for
+/// job server (`force_serve::ForceServer`) lends the plane for
 /// the attempt it is bound to ([`FaultPlane::lend`]), consulted only when
 /// the caller attached none — an explicit pool always wins.  A lent pool
 /// is created by the first job that fits it.
@@ -694,7 +694,7 @@ mod tests {
     type PoolSize = fn(usize) -> usize;
 
     /// How the pool reaches the launcher: handed to [`launch_plane`] by
-    /// the caller, or lent to the plane as a server shard does.
+    /// the caller, or lent to the plane as a job server does.
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum Pool {
         Attached,

@@ -1,6 +1,6 @@
 //! Admission: the token buckets of per-tenant rate limiting, then the
 //! per-tenant queue bound, decided in one critical section with the
-//! queueing itself on the tenant's home shard.
+//! queueing itself.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -100,16 +100,6 @@ pub(crate) struct TokenBucket {
 const ONE_TOKEN: u64 = 1_000_000;
 
 impl Inner {
-    /// The shard a tenant's jobs are queued on (FNV-1a over the name).
-    pub(crate) fn home_shard(&self, tenant: &str) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in tenant.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.shards.len() as u64) as usize
-    }
-
     /// Refill `tenant`'s bucket to now and spend one token.  Returns
     /// `false` (reject) if less than a whole token is available.
     fn take_token(&self, tenant: &str, limit: &RateLimit) -> bool {
@@ -145,17 +135,15 @@ impl Inner {
 
 impl ForceServer {
     /// Submit one job.  Returns immediately with the admission verdict;
-    /// an admitted job's outcome is observed through the handle.  The
-    /// job queues on its tenant's home shard.
+    /// an admitted job's outcome is observed through the handle.
     pub fn submit(&self, spec: JobSpec, runner: JobRunner) -> Submit {
         let inner = &self.inner;
-        let home = inner.home_shard(&spec.tenant);
         // Rate limit first: a rate-limited submission must not consume
         // queue capacity, and the bucket must drain even while the
         // tenant's queue has room.
         if let Some(limit) = inner.config.rate_limit {
             if !inner.take_token(&spec.tenant, &limit) {
-                inner.bump_rollup(home, &spec.tenant, |r| r.rate_limited += 1);
+                inner.bump_rollup(&spec.tenant, |r| r.rate_limited += 1);
                 return Submit::Rejected {
                     reason: RejectReason::RateLimited {
                         tenant: spec.tenant,
@@ -183,7 +171,7 @@ impl ForceServer {
         // Admission and queueing are one critical section: a shutdown lands
         // before it and refuses the job, or after, and the drain finds it.
         let admitted = {
-            let mut guard = inner.shards[home].state.lock();
+            let mut guard = inner.state.lock();
             let st = &mut *guard;
             let capacity = inner.config.tenant_queue_capacity;
             if st.shutting_down {
@@ -199,8 +187,6 @@ impl ForceServer {
                     *depth += 1;
                     st.backlog += 1;
                     st.peak_backlog = st.peak_backlog.max(st.backlog);
-                    let total = inner.total_backlog.fetch_add(1, Ordering::AcqRel) + 1;
-                    inner.peak_total_backlog.fetch_max(total, Ordering::AcqRel);
                     st.queues[spec.priority.index()].push_back(job);
                     // A dispatcher asleep while a waiter holds the slot is
                     // woken when the waiter gives the slot back.
@@ -208,23 +194,20 @@ impl ForceServer {
                 }
             }
         };
-        let home_idle = match admitted {
-            Ok(home_idle) => home_idle,
+        let idle = match admitted {
+            Ok(idle) => idle,
             Err(reason) => {
-                inner.bump_rollup(home, &shared.tenant, |r| r.rejected += 1);
+                inner.bump_rollup(&shared.tenant, |r| r.rejected += 1);
                 return Submit::Rejected { reason };
             }
         };
-        inner.bump_rollup(home, &shared.tenant, |r| r.admitted += 1);
-        if home_idle {
-            inner.shards[home].work.notify_all();
-        } else {
-            inner.wake_an_idle_sibling(home);
+        inner.bump_rollup(&shared.tenant, |r| r.admitted += 1);
+        if idle {
+            inner.work.notify_all();
         }
         Submit::Admitted(JobHandle {
             shared,
             inner: Arc::clone(inner),
-            home,
         })
     }
 }

@@ -1,7 +1,7 @@
-//! Shard queues and the dispatch loop: per-priority FIFOs, the shed
-//! sweep that holds a shard at its watermark, work pulling between
-//! shards, and the attempt loop (deadline shadow, retry with jittered
-//! backoff) that whoever holds a shard's run slot runs a job through.
+//! The queues and the dispatch loop: per-priority FIFOs, the shed sweep
+//! that holds the backlog at its watermark, and the attempt loop
+//! (deadline shadow, retry with jittered backoff) that whoever holds the
+//! run slot runs a job through.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -30,7 +30,7 @@ pub(crate) struct QueuedJob {
     pub(crate) submitted: Instant,
 }
 
-/// One shard's queue state, guarded by the shard's mutex.
+/// The queue state, guarded by the server's mutex.
 pub(crate) struct ServeState {
     /// One FIFO per priority class, indexed by `Priority::index`.
     pub(crate) queues: [VecDeque<QueuedJob>; Priority::CLASSES],
@@ -38,33 +38,37 @@ pub(crate) struct ServeState {
     pub(crate) backlog: usize,
     pub(crate) peak_backlog: usize,
     pub(crate) shutting_down: bool,
-    /// This shard's dispatcher is asleep with nobody on the way to wake
-    /// it.  Set by the dispatcher, under this lock, as its last act
-    /// before it sleeps; taken by whoever notifies it.
+    /// The dispatcher is asleep with nobody on the way to wake it.  Set
+    /// by the dispatcher, under this lock, as its last act before it
+    /// sleeps; taken by whoever notifies it.
     pub(crate) idle: bool,
-    /// The run slot, while no job runs on this shard.  Gone for good once
-    /// the drained dispatcher has left with it.
+    /// The run slot, while no job runs.  Gone for good once the drained
+    /// dispatcher has left with it.
     pub(crate) run: Option<RunSlot>,
 }
 
 impl ServeState {
-    /// The job [`Inner::pop_job`] would take.
+    /// The job [`pop_job`](Self::pop_job) would take.
     pub(crate) fn head(&self) -> Option<&QueuedJob> {
         self.queues.iter().find_map(VecDeque::front)
+    }
+
+    /// Dequeue the highest-priority oldest job, updating all backlog
+    /// accounting.
+    pub(crate) fn pop_job(&mut self) -> Option<QueuedJob> {
+        let job = self.queues.iter_mut().find_map(VecDeque::pop_front)?;
+        self.backlog -= 1;
+        if let Some(d) = self.per_tenant_depth.get_mut(&job.shared.tenant) {
+            *d = d.saturating_sub(1);
+        }
+        Some(job)
     }
 }
 
 impl Inner {
-    /// Shed `st`'s overflow above the per-shard watermark into `sink`
-    /// (newest `Low` first, then newest `Normal`), tagged with `shard`
-    /// so the completion lands in that shard's rollups.  Caller holds
-    /// `shard`'s state lock.
-    pub(crate) fn sweep_overflow(
-        &self,
-        shard: usize,
-        st: &mut ServeState,
-        sink: &mut Vec<(usize, QueuedJob)>,
-    ) {
+    /// Shed `st`'s overflow above the watermark into `sink` (newest `Low`
+    /// first, then newest `Normal`).  Caller holds the state lock.
+    pub(crate) fn sweep_overflow(&self, st: &mut ServeState, sink: &mut Vec<QueuedJob>) {
         while st.backlog > self.config.shed_watermark {
             // Victimize the newest lowest-priority job; an all-High
             // backlog is never shed (it is still admission-bounded per
@@ -75,87 +79,21 @@ impl Inner {
             match victim {
                 Some(v) => {
                     st.backlog -= 1;
-                    self.total_backlog.fetch_sub(1, Ordering::AcqRel);
                     if let Some(d) = st.per_tenant_depth.get_mut(&v.shared.tenant) {
                         *d = d.saturating_sub(1);
                     }
-                    sink.push((shard, v));
+                    sink.push(v);
                 }
                 None => break,
             }
         }
     }
 
-    /// Dequeue the highest-priority oldest job from `st`, updating all
-    /// backlog accounting.  Caller holds the owning shard's state lock.
-    pub(crate) fn pop_job(&self, st: &mut ServeState) -> Option<QueuedJob> {
-        let job = st.queues.iter_mut().find_map(VecDeque::pop_front)?;
-        st.backlog -= 1;
-        self.total_backlog.fetch_sub(1, Ordering::AcqRel);
-        if let Some(d) = st.per_tenant_depth.get_mut(&job.shared.tenant) {
-            *d = d.saturating_sub(1);
-        }
-        Some(job)
-    }
-
-    /// Work pulling: an idle dispatcher visits its siblings, most
-    /// backlogged first, enforcing each visited shard's shed watermark
-    /// and taking one queued job to run locally.  Shed victims keep
-    /// their home shard's attribution (`sink` entries are tagged).
-    fn pull_from_siblings(
-        &self,
-        me: usize,
-        sink: &mut Vec<(usize, QueuedJob)>,
-    ) -> Option<QueuedJob> {
-        if self.shards.len() <= 1 {
-            return None;
-        }
-        let mut order: Vec<(usize, usize)> = (0..self.shards.len())
-            .filter(|&i| i != me)
-            .map(|i| (self.shards[i].state.lock().backlog, i))
-            .collect();
-        order.sort_by_key(|&(hint, _)| std::cmp::Reverse(hint));
-        for (hint, victim) in order {
-            if hint == 0 {
-                // Sorted descending: nothing further has work either.
-                break;
-            }
-            let mut st = self.shards[victim].state.lock();
-            self.sweep_overflow(victim, &mut st, sink);
-            if let Some(job) = self.pop_job(&mut st) {
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// A job was queued on `home` behind a busy shard: wake one sibling
-    /// whose dispatcher is asleep with its slot free, to pull it.  No
-    /// wake-up is lost: `idle` is read here under the lock the sibling's
-    /// dispatcher set it under, and the dispatcher looked at
-    /// `total_backlog` — which counts the job already — under that lock
-    /// too, before it slept.  A sibling whose slot a waiter holds is
-    /// woken when that waiter gives the slot back, which reads
-    /// `total_backlog` too.
-    pub(crate) fn wake_an_idle_sibling(&self, home: usize) {
-        for (_, shard) in self.shards.iter().enumerate().filter(|&(i, _)| i != home) {
-            let asleep = {
-                let st = &mut *shard.state.lock();
-                st.run.is_some() && std::mem::take(&mut st.idle)
-            };
-            if asleep {
-                shard.work.notify_all();
-                return;
-            }
-        }
-    }
-
-    /// Publish the outcome of jobs a sweep shed.  Never called with a
-    /// shard state lock held.
-    pub(crate) fn complete_shed(&self, shed: Vec<(usize, QueuedJob)>) {
-        for (shard, victim) in shed {
+    /// Publish the outcome of jobs a sweep shed.  Never called with the
+    /// state lock held.
+    pub(crate) fn complete_shed(&self, shed: Vec<QueuedJob>) {
+        for victim in shed {
             self.complete(
-                shard,
                 victim.shared,
                 JobOutcome::Shed,
                 victim.submitted,
@@ -165,17 +103,16 @@ impl Inner {
         }
     }
 
-    /// Run `job` on shard `me` with the shard's run slot — expired while
-    /// queued, or attempts with a deadline shadow and retry/backoff — and
-    /// record its outcome into the shard's rollups.  The dispatcher and a
-    /// job's own waiter run every job through here.
-    pub(crate) fn run_job(&self, me: usize, mut job: QueuedJob, slot: &mut RunSlot) {
+    /// Run `job` with the run slot — expired while queued, or attempts
+    /// with a deadline shadow and retry/backoff — and record its outcome
+    /// into the rollups.  The dispatcher and a job's own waiter run every
+    /// job through here.
+    pub(crate) fn run_job(&self, mut job: QueuedJob, slot: &mut RunSlot) {
         // Expired while queued: never run it.
         if let Some(at) = job.shared.deadline_at {
             if Instant::now() >= at {
                 job.shared.deadline_fired.store(true, Ordering::Release);
                 self.complete(
-                    me,
                     job.shared,
                     JobOutcome::DeadlineExceeded { ran: false },
                     job.submitted,
@@ -200,7 +137,6 @@ impl Inner {
             let cx = JobCx {
                 shared: Arc::clone(&job.shared),
                 attempt,
-                shard: me,
                 force: Arc::clone(&slot.force),
             };
             let result = run_attempt(&mut job.runner, &cx);
@@ -212,7 +148,7 @@ impl Inner {
             ops.merge(&attempt_ops(&job.shared));
             // A fired deadline dominates the attempt's own result: the
             // SLA was missed even if the body's completion raced the
-            // trip.  (Documented in DESIGN.md §18.)
+            // trip.
             if job.shared.deadline_fired.load(Ordering::Acquire) {
                 break JobOutcome::DeadlineExceeded { ran: true };
             }
@@ -258,7 +194,7 @@ impl Inner {
                 }
             }
         };
-        self.complete(me, job.shared, outcome, job.submitted, ops, profile);
+        self.complete(job.shared, outcome, job.submitted, ops, profile);
     }
 }
 
@@ -303,25 +239,21 @@ fn attempt_ops(shared: &JobShared) -> StatsSnapshot {
     }
 }
 
-/// One shard's dispatcher: with the shard's run slot, sheds, dequeues
-/// (pulling from backlogged siblings when its own queues are dry) and
-/// runs jobs until nothing is queued anywhere, then gives the slot back
-/// and sleeps — as it does while a job's waiter holds the slot.  Exits
-/// once shutdown is requested, the slot is back and *every* shard's
-/// queues are drained — an idle shard keeps pulling siblings' work
-/// during the drain — and drops the slot, which joins the shard's force.
-pub(crate) fn dispatch_loop(inner: Arc<Inner>, me: usize) {
-    let shard = &inner.shards[me];
+/// The dispatcher: with the run slot, sheds, dequeues and runs jobs until
+/// nothing is queued, then gives the slot back and sleeps — as it does
+/// while a job's waiter holds the slot.  Exits once shutdown is
+/// requested, the slot is back and the queues are drained, and drops the
+/// slot, which joins the server's force.
+pub(crate) fn dispatch_loop(inner: Arc<Inner>) {
     let mut run: Option<RunSlot> = None;
     loop {
-        let mut shed: Vec<(usize, QueuedJob)> = Vec::new();
+        let mut shed = Vec::new();
         let mut next = None;
         let mut drained = false;
-        // Sleep until `work` is notified — by a submission to this shard,
-        // by one that found its own shard busy and this one idle, by a
-        // waiter giving the slot back with work queued, or by the shutdown.
-        park::wait_on(&shard.state, &shard.work, Construct::Body, |st| {
-            let queued = inner.total_backlog.load(Ordering::Acquire) > 0;
+        // Sleep until `work` is notified — by a submission, by a waiter
+        // giving the slot back with work queued, or by the shutdown.
+        park::wait_on(&inner.state, &inner.work, Construct::Body, |st| {
+            let queued = st.backlog > 0;
             if queued || st.shutting_down {
                 run = run.take().or_else(|| st.run.take());
             } else if let Some(slot) = run.take() {
@@ -330,23 +262,18 @@ pub(crate) fn dispatch_loop(inner: Arc<Inner>, me: usize) {
             drained = st.shutting_down && !queued && run.is_some();
             st.idle = run.is_none();
             if run.is_some() && !drained {
-                // Own queues first: enforce the shard watermark, then
-                // dequeue.
-                inner.sweep_overflow(me, st, &mut shed);
-                next = inner.pop_job(st);
+                // Enforce the watermark, then dequeue.
+                inner.sweep_overflow(st, &mut shed);
+                next = st.pop_job();
             }
             run.is_some()
         });
         if drained {
             return;
         }
-        // Idle: pull one queued job from the most backlogged sibling.
-        if next.is_none() {
-            next = inner.pull_from_siblings(me, &mut shed);
-        }
         inner.complete_shed(shed);
         if let Some(job) = next {
-            inner.run_job(me, job, run.as_mut().expect("the slot is held"));
+            inner.run_job(job, run.as_mut().expect("the slot is held"));
         }
     }
 }
@@ -650,137 +577,5 @@ mod tests {
         thread::sleep(Duration::from_millis(1));
         srv.shutdown();
         assert_eq!(srv.server_report().completed, 20 * 10 * 2);
-    }
-
-    #[test]
-    fn idle_shard_pulls_a_busy_siblings_queue() {
-        let stats = Arc::new(OpStats::new());
-        let srv = ForceServer::new(
-            ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            &stats,
-        );
-        let pinned = tenant_pinned_to(&srv, 0);
-        let release = Arc::new(AtomicBool::new(false));
-        // Occupy shard 0's dispatcher with a gate job...
-        let gate = srv
-            .submit(
-                JobSpec::for_tenant(&pinned),
-                gate_runner(Arc::clone(&release)),
-            )
-            .expect_admitted();
-        while srv.backlog() > 0 {
-            thread::yield_now();
-        }
-        // ...then queue more work on shard 0.  Only shard 1's idle
-        // dispatcher can run it; these waits completing while the gate
-        // is still held proves the pull path.
-        let queued: Vec<JobHandle> = (0..4)
-            .map(|_| {
-                srv.submit(JobSpec::for_tenant(&pinned), ok_runner())
-                    .expect_admitted()
-            })
-            .collect();
-        for h in queued {
-            assert!(h.wait().is_success(), "pulled job must complete");
-        }
-        assert!(
-            !release.load(Ordering::Acquire),
-            "shard 0 is still gated; the work was pulled"
-        );
-        release.store(true, Ordering::Release);
-        assert!(gate.wait().is_success());
-        srv.shutdown();
-        let r = srv.tenant_report(&pinned).expect("tenant seen");
-        assert_eq!(r.completed, 5);
-    }
-
-    #[test]
-    fn overload_shed_holds_each_shard_at_its_watermark() {
-        let stats = Arc::new(OpStats::new());
-        let srv = ForceServer::new(
-            ServerConfig {
-                shards: 2,
-                tenant_queue_capacity: 64,
-                shed_watermark: 4,
-                ..ServerConfig::default()
-            },
-            &stats,
-        );
-        let t0 = tenant_pinned_to(&srv, 0);
-        let t1 = tenant_pinned_to(&srv, 1);
-        let release = Arc::new(AtomicBool::new(false));
-        // Gate both dispatchers so both shards' queues fill.
-        let gates: Vec<JobHandle> = [&t0, &t1]
-            .iter()
-            .map(|t| {
-                srv.submit(
-                    JobSpec::for_tenant(t.as_str()),
-                    gate_runner(Arc::clone(&release)),
-                )
-                .expect_admitted()
-            })
-            .collect();
-        while srv.backlog() > 0 {
-            thread::yield_now();
-        }
-        // 2 High + 6 Low per shard = backlog 8 > watermark 4 on each.
-        // Every sweep (own-dispatcher or pull-path) sheds a queue down
-        // to the watermark before dequeuing, so each shard sheds
-        // exactly 4 regardless of who drains it.
-        let mut high = Vec::new();
-        let mut low = Vec::new();
-        for t in [&t0, &t1] {
-            for _ in 0..2 {
-                high.push(
-                    srv.submit(
-                        JobSpec::for_tenant(t.as_str()).with_priority(Priority::High),
-                        ok_runner(),
-                    )
-                    .expect_admitted(),
-                );
-            }
-            for _ in 0..6 {
-                low.push(
-                    srv.submit(
-                        JobSpec::for_tenant(t.as_str()).with_priority(Priority::Low),
-                        ok_runner(),
-                    )
-                    .expect_admitted(),
-                );
-            }
-        }
-        // Both shards held their full flood at once: the coherent
-        // whole-server peak sees 16 queued.
-        assert!(srv.peak_backlog() >= 16);
-        release.store(true, Ordering::Release);
-        for g in gates {
-            assert!(g.wait().is_success());
-        }
-        for h in &high {
-            assert!(h.wait().is_success(), "High jobs are never shed");
-        }
-        let shed = low
-            .iter()
-            .map(JobHandle::wait)
-            .filter(|o| *o == JobOutcome::Shed)
-            .count();
-        assert_eq!(shed, 8, "each shard must shed down to its watermark");
-        srv.shutdown();
-        assert_eq!(srv.server_report().shed, 8);
-        for t in [&t0, &t1] {
-            let r = srv.tenant_report(t).expect("tenant seen");
-            assert_eq!(r.shed, 4, "tenant {t} shed on its own shard's watermark");
-        }
-        let peaks = srv.shard_peak_backlogs();
-        assert_eq!(peaks.len(), 2);
-        for (shard, peak) in peaks.iter().enumerate() {
-            assert!(
-                (8..=9).contains(peak),
-                "shard {shard} peak {peak} should be its own flood (8), not the total"
-            );
-        }
     }
 }

@@ -36,7 +36,7 @@
 //!   ([`JobError::Deterministic`] — e.g. a `FortError`) are never
 //!   retried.
 //! * **Priority-aware dequeue and load shedding** — `High` before
-//!   `Normal` before `Low`; when total backlog exceeds the configured
+//!   `Normal` before `Low`; when the backlog exceeds the configured
 //!   watermark, the newest low-priority jobs are dropped with
 //!   [`JobOutcome::Shed`] so accepted high-priority work keeps its
 //!   latency.
@@ -48,73 +48,52 @@
 //! every front end ([`Session`](force_machdep::Session)), which resets
 //! the fault plane and trace sink and reports per-job operation counts.
 //! The server rolls those up into per-tenant aggregates ([`TenantRollup`],
-//! merged into a [`ServerReport`]), and those rollups are the one account
+//! summed into a [`ServerReport`]), and those rollups are the one account
 //! of its own decisions: admissions, rejections, rate limits, sheds,
 //! missed deadlines and retries.  A job's `ops` are read from the
 //! plane-private counter block of the *plane* the runner bound via
-//! [`JobCx::bind_plane`], so two jobs running concurrently on different
-//! shards can never bleed operations into each other's rollups.
+//! [`JobCx::bind_plane`], so two jobs running at once on one machine —
+//! a job and a direct run, or the jobs of two servers — never bleed
+//! operations into each other's rollups.
 //!
 //! The crate is split along the server's seams: admission and token
-//! buckets (`admission`), shard queues, shedding, pulling and the
-//! dispatch loop (`dispatch`), the run slot and the waiters that take it
-//! (`slot`), rollups and reports (`report`), the deadline watcher
-//! (`deadline`), and the runners of the two front ends (`runner`).
+//! buckets (`admission`), the queues, shedding and the dispatch loop
+//! (`dispatch`), the run slot and the waiters that take it (`slot`),
+//! rollups and reports (`report`), the deadline watcher (`deadline`),
+//! and the runners of the two front ends (`runner`).
 //!
-//! # Shards
+//! # Who runs a job
 //!
-//! Jobs are executed by [`ServerConfig::shards`] dispatcher threads,
-//! each owning a private queue set.  One dispatcher per pool was once a
-//! hard constraint (a pool runs one job at a time and the machine
-//! owned a single counter block); with per-plane stats ownership and
-//! one session/pool *per shard*, N shards run N jobs genuinely in
-//! parallel on one `Machine`.  The shard topology is:
+//! One dispatcher thread serves one queue set, one per priority class.
+//! A job runs with the server's *run slot* (the retry jitter stream and
+//! the server's force), so the server runs one job at a time.  A thread
+//! in [`JobHandle::wait`] that is not a Force process takes the slot
+//! itself when its job is the one the dispatcher would dequeue next and
+//! nothing runs; otherwise it sleeps and the dispatcher runs the job.  An
+//! idle dispatcher sleeps untimed, and no queued job lacks a wake: a
+//! submission wakes the dispatcher when it is asleep with the slot free,
+//! and a waiter that gives the slot back wakes it while anything is
+//! queued or the drain is on.  Two jobs run at once only on two servers,
+//! which may share one machine.
 //!
-//! * **Tenant pinning** — every tenant hashes to a *home shard*; its
-//!   jobs are queued there, so one tenant's burst fills one shard's
-//!   queues and its jobs keep rough FIFO order per priority class.
-//! * **Per-shard watermarks** — admission capacity and the shed
-//!   watermark apply per shard: an overloaded shard sheds its own
-//!   newest low-priority work without disturbing its siblings.
-//! * **Work pulling** — an idle dispatcher pulls queued jobs from its
-//!   most backlogged sibling (enforcing that sibling's watermark on the
-//!   way in), so a hot tenant's backlog drains on every idle shard.  An
-//!   idle dispatcher sleeps untimed: a submission that finds its home
-//!   shard busy wakes one idle sibling.
-//! * **Who runs a job** — whoever holds the shard's *run slot* (the
-//!   retry jitter stream and the shard's force), so a shard runs one job
-//!   at a time.  A thread in [`JobHandle::wait`] that is not a Force
-//!   process takes the slot itself when its job is the one the shard
-//!   would dequeue next and nothing runs there; otherwise it sleeps and
-//!   the dispatcher runs the job.  No queued job lacks a wake: a
-//!   submission wakes the home dispatcher when it is asleep with the slot
-//!   free, and a waiter that gives the slot back wakes it while anything
-//!   is queued or the drain is on.
-//! * **Merged reports** — [`ServerReport`] and [`TenantRollup`] are
-//!   merged across shards (`StatsSnapshot::merge` /
-//!   `HistogramSnapshot::merge`); queue telemetry stays per shard
-//!   ([`ServerReport::shard_peak_backlogs`]) next to a coherent
-//!   whole-server peak.
-//!
-//! # The shard's force
+//! # The server's force
 //!
 //! The paper creates the force once, in the generated driver, because
 //! process creation was the expensive machine-dependent primitive; a
 //! served session that attached no [`ForcePool`](force_machdep::ForcePool)
 //! of its own — a cold source loaded onto a fresh machine, say — used to
-//! create its processes per job all the same.  Each shard therefore owns
+//! create its processes per job all the same.  The server therefore owns
 //! one resident force as wide as the host, and **lends** it:
 //!
-//! * **Who owns it** — the shard: it sits in the shard's run slot, and
-//!   whichever thread runs a job there lends it.  No thread exists until
-//!   a job actually launches on it, so a server whose sessions all carry
-//!   pools never creates one; its one-time `processes_created` charge
-//!   goes to the *server's* stats; `shutdown` joins it once the shard's
-//!   last job has given the slot back.
+//! * **Who owns it** — the server: it sits in the run slot, and whichever
+//!   thread runs a job lends it.  No thread exists until a job actually
+//!   launches on it, so a server whose sessions all carry pools never
+//!   creates one; its one-time `processes_created` charge goes to the
+//!   *server's* stats; `shutdown` joins it once the last job has given
+//!   the slot back.
 //! * **Loan lifetime = one attempt** — [`JobCx::bind_plane`] records the
 //!   loan on the plane it binds, the running thread withdraws it when the
-//!   attempt returns.  A retry borrows afresh; a job pulled by a sibling
-//!   borrows the *pulling* shard's force, which is the idle one.
+//!   attempt returns.  A retry borrows afresh.
 //! * **On the plane, not the thread** — the launcher
 //!   ([`launch_plane`](force_machdep::launch_plane)) reads the loan off
 //!   the plane it is launching, and only when the caller attached no
@@ -136,7 +115,7 @@ mod runner;
 mod slot;
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -245,18 +224,20 @@ pub struct ServerConfig {
     /// Maximum queued (not yet dispatched) jobs per tenant; the
     /// admission bound behind [`RejectReason::QueueFull`].
     pub tenant_queue_capacity: usize,
-    /// Per-shard backlog threshold above which a dispatcher sheds the
-    /// newest `Low` (then `Normal`) jobs before dequeuing.
+    /// Backlog threshold above which the dispatcher (or a waiter about to
+    /// run its own job) sheds the newest `Low` (then `Normal`) jobs before
+    /// dequeuing.
     pub shed_watermark: usize,
     /// Base delay of the retry backoff; attempt `n` sleeps a jittered
     /// value in `[base·2ⁿ/2, base·2ⁿ]` (see [`Backoff::jittered_delay`](force_machdep::Backoff::jittered_delay)).
     pub retry_base: Duration,
-    /// Seed for the retry jitter (the whole retry schedule is
-    /// deterministic per seed; each shard derives its own stream).
+    /// Seed of the retry jitter stream: the whole retry schedule is
+    /// deterministic per seed.
     pub seed: u64,
-    /// Number of dispatcher shards (clamped to at least 1).  Tenants are
-    /// hash-pinned to shards; idle shards pull queued work from
-    /// backlogged siblings.  See the crate docs.
+    /// Retired: a server has one dispatcher.  0 and 1 both mean that;
+    /// [`ForceServer::new`] panics on anything larger.  The field stays
+    /// only until the benchmark harness, which sets it to 1, stops naming
+    /// it.
     pub shards: usize,
     /// Optional per-tenant token-bucket rate limit applied at admission,
     /// ahead of the queue-capacity check.  `None` (the default) admits
@@ -376,7 +357,7 @@ impl JobOutcome {
 /// with the plane-local counter baseline taken at bind time.  The
 /// attempt's `ops` delta is `plane.stats().snapshot() - base`: a
 /// plane-private read under the per-plane ownership model, immune to
-/// concurrent jobs on sibling shards charging the same machine.
+/// concurrent runs charging the same machine.
 struct PlaneBinding {
     plane: Arc<FaultPlane>,
     base: StatsSnapshot,
@@ -408,9 +389,7 @@ struct JobShared {
 pub struct JobCx {
     shared: Arc<JobShared>,
     attempt: u32,
-    shard: usize,
-    /// The executing shard's resident force, lent to the plane the
-    /// runner binds.
+    /// The server's resident force, lent to the plane the runner binds.
     force: Arc<LazyPool>,
 }
 
@@ -422,8 +401,8 @@ impl JobCx {
     /// attempt's operation delta is read.
     ///
     /// Binding is also a **loan**: until the attempt ends, a session that
-    /// attached no pool of its own launches the plane on the executing
-    /// shard's resident force (crate docs, "The shard's force") and
+    /// attached no pool of its own launches the plane on the server's
+    /// resident force (crate docs, "The server's force") and
     /// reports `processes_created == 0` like any pooled job.
     ///
     /// Binding records, reset applies: the plane keeps the job's deadline
@@ -466,16 +445,6 @@ impl JobCx {
         options
     }
 
-    /// The shard executing this attempt: the job's home shard, or the
-    /// sibling that pulled it, whichever thread — that shard's dispatcher
-    /// or the job's own waiter — runs it.  Stable for the whole attempt,
-    /// so a runner can pick a per-shard *session* with it.  It need not
-    /// pick a pool: [`bind_plane`](Self::bind_plane) lends the plane this
-    /// shard's resident force.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// Whether this job's deadline has already passed.
     pub fn deadline_fired(&self) -> bool {
         self.shared.deadline_fired.load(Ordering::Acquire)
@@ -501,27 +470,15 @@ fn entry_by_name<'a, V>(
     map.get_mut(key).expect("present or just inserted")
 }
 
-/// One dispatcher shard: a private queue set, its wake-up signal, its
-/// run slot, and the rollup rows written by the jobs run (or shed) here.
-/// Rollups are written by the shard that *executed* (or shed) the job
-/// and merged across shards at report time, so no global rollup lock
-/// sits on the completion path.
-struct Shard {
-    state: Mutex<ServeState>,
-    /// Signals this shard's dispatcher: new work, the slot given back with
-    /// work queued, or shutdown.
-    work: Condvar,
-    rollups: Mutex<HashMap<String, TenantRollup>>,
-}
-
 struct Inner {
     config: ServerConfig,
-    shards: Vec<Shard>,
-    /// Coherent whole-server queued-job count (and its peak), maintained
-    /// at admission/dequeue so draining dispatchers and `backlog()` see
-    /// one number instead of a racy per-shard sum.
-    total_backlog: AtomicUsize,
-    peak_total_backlog: AtomicUsize,
+    /// The queues and the run slot.
+    state: Mutex<ServeState>,
+    /// Signals the dispatcher: new work, the slot given back with work
+    /// queued, or shutdown.
+    work: Condvar,
+    /// Each tenant's row, written by the jobs admitted, run or shed.
+    rollups: Mutex<HashMap<String, TenantRollup>>,
     next_id: AtomicU64,
     /// Per-tenant token buckets; present only when the config sets a
     /// rate limit.
@@ -531,89 +488,69 @@ struct Inner {
 /// The multi-tenant job server.  See the crate docs for semantics.
 pub struct ForceServer {
     inner: Arc<Inner>,
-    dispatchers: Mutex<Vec<JoinHandle<()>>>,
+    dispatcher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ForceServer {
-    /// Start a server whose shards' resident forces charge their
-    /// one-time process creation to `stats` (normally the machine's
-    /// counter set).  Its decisions are counted in its own reports
-    /// ([`server_report`](Self::server_report)).  Spawns one dispatcher
-    /// thread per configured shard.
+    /// Start a server whose resident force charges its one-time process
+    /// creation to `stats` (normally the machine's counter set).  Its
+    /// decisions are counted in its own reports
+    /// ([`server_report`](Self::server_report)).  Spawns the dispatcher
+    /// thread.
+    ///
+    /// # Panics
+    ///
+    /// If `config.shards` is above 1: dispatcher sharding is retired.
     pub fn new(config: ServerConfig, stats: impl Into<StatsHandle>) -> ForceServer {
-        let nshards = config.shards.max(1);
-        let stats: StatsHandle = stats.into();
-        let seed = config.seed;
-        let run_slot = |shard: usize| RunSlot {
-            rng: XorShift64::new(
-                seed.wrapping_add((shard as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            ),
-            // No thread until a bound plane without a pool of its own
-            // launches on it.
-            force: LazyPool::new(stats.clone()),
-        };
+        assert!(
+            config.shards <= 1,
+            "ServerConfig::shards is retired: a server has one dispatcher \
+             (got shards: {}); run two servers for two jobs at once",
+            config.shards
+        );
         let inner = Arc::new(Inner {
+            state: Mutex::new(ServeState {
+                queues: std::array::from_fn(|_| VecDeque::new()),
+                per_tenant_depth: HashMap::new(),
+                backlog: 0,
+                peak_backlog: 0,
+                shutting_down: false,
+                idle: false,
+                run: Some(RunSlot {
+                    rng: XorShift64::new(config.seed),
+                    // No thread until a bound plane without a pool of its
+                    // own launches on it.
+                    force: LazyPool::new(stats.into()),
+                }),
+            }),
+            work: Condvar::new(),
+            rollups: Mutex::new(HashMap::new()),
             config,
-            shards: (0..nshards)
-                .map(|shard| Shard {
-                    state: Mutex::new(ServeState {
-                        queues: std::array::from_fn(|_| VecDeque::new()),
-                        per_tenant_depth: HashMap::new(),
-                        backlog: 0,
-                        peak_backlog: 0,
-                        shutting_down: false,
-                        idle: false,
-                        run: Some(run_slot(shard)),
-                    }),
-                    work: Condvar::new(),
-                    rollups: Mutex::new(HashMap::new()),
-                })
-                .collect(),
-            total_backlog: AtomicUsize::new(0),
-            peak_total_backlog: AtomicUsize::new(0),
             next_id: AtomicU64::new(1),
             buckets: Mutex::new(HashMap::new()),
         });
-        let dispatchers = (0..nshards)
-            .map(|shard| {
-                let dispatcher_inner = Arc::clone(&inner);
-                thread::Builder::new()
-                    .name(format!("force-serve-dispatch-{shard}"))
-                    .spawn(move || dispatch::dispatch_loop(dispatcher_inner, shard))
-                    .expect("spawn dispatcher")
-            })
-            .collect();
+        let dispatcher_inner = Arc::clone(&inner);
+        let dispatcher = thread::Builder::new()
+            .name("force-serve-dispatch".into())
+            .spawn(move || dispatch::dispatch_loop(dispatcher_inner))
+            .expect("spawn dispatcher");
         ForceServer {
             inner,
-            dispatchers: Mutex::new(dispatchers),
+            dispatcher: Mutex::new(Some(dispatcher)),
         }
     }
 
-    /// Number of dispatcher shards.
-    pub fn shards(&self) -> usize {
-        self.inner.shards.len()
-    }
-
-    /// The shard a tenant's jobs queue on (stable for the server's
-    /// lifetime; pulled jobs may still *execute* elsewhere).
-    pub fn shard_of(&self, tenant: &str) -> usize {
-        self.inner.home_shard(tenant)
-    }
-
-    /// Jobs currently queued (admitted, not yet dispatched), summed
-    /// over all shards.
+    /// Jobs currently queued (admitted, not yet dispatched).
     pub fn backlog(&self) -> usize {
-        self.inner.total_backlog.load(Ordering::Acquire)
+        self.inner.state.lock().backlog
     }
 
     /// Stop admission, run every already-admitted job to an outcome,
-    /// and join every dispatcher.  Idempotent; also called by `Drop`.
+    /// and join the dispatcher.  Idempotent; also called by `Drop`.
     pub fn shutdown(&self) {
-        for shard in &self.inner.shards {
-            shard.state.lock().shutting_down = true;
-            shard.work.notify_all();
-        }
-        for handle in self.dispatchers.lock().drain(..) {
+        self.inner.state.lock().shutting_down = true;
+        self.inner.work.notify_all();
+        if let Some(handle) = self.dispatcher.lock().take() {
             let _ = handle.join();
         }
     }
@@ -625,9 +562,8 @@ impl Drop for ForceServer {
     }
 }
 
-/// What the unit tests of every module share: a default server, runners
-/// that succeed at once or hold their shard until released, and a tenant
-/// pinned to a given shard.
+/// What the unit tests of every module share: a default server, and
+/// runners that succeed at once or hold the server until released.
 #[cfg(test)]
 mod testkit {
     use super::*;
@@ -654,12 +590,37 @@ mod testkit {
             Ok(JobYield::default())
         })
     }
+}
 
-    /// A tenant name that hashes to `shard` on this server.
-    pub(crate) fn tenant_pinned_to(srv: &ForceServer, shard: usize) -> String {
-        (0..1000)
-            .map(|i| format!("tenant-{i}"))
-            .find(|t| srv.shard_of(t) == shard)
-            .expect("some tenant hashes to every shard")
+#[cfg(test)]
+mod tests {
+    use std::panic::{self, AssertUnwindSafe};
+
+    use super::testkit::*;
+    use super::*;
+
+    #[test]
+    fn shards_past_one_are_retired() {
+        let stats = Arc::new(OpStats::new());
+        let with_shards = |shards| ServerConfig {
+            shards,
+            ..ServerConfig::default()
+        };
+        for shards in [0, 1] {
+            let srv = ForceServer::new(with_shards(shards), &stats);
+            let job = srv
+                .submit(JobSpec::for_tenant("t"), ok_runner())
+                .expect_admitted();
+            assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
+            srv.shutdown();
+        }
+        let retired = panic::catch_unwind(AssertUnwindSafe(|| {
+            ForceServer::new(with_shards(2), &stats)
+        }));
+        let message = retired
+            .err()
+            .and_then(|payload| payload.downcast_ref::<String>().cloned())
+            .expect("shards: 2 panics with a message");
+        assert!(message.contains("retired"), "{message}");
     }
 }

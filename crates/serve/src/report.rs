@@ -1,9 +1,7 @@
-//! Rollups and reports: each shard's per-tenant rows, written by the
-//! jobs it admitted, ran or shed, and merged across shards when read.
-//! They are the one account of the server's decisions.
+//! Rollups and reports: the per-tenant rows, written by the jobs the
+//! server admitted, ran or shed.  They are the one account of its
+//! decisions.
 
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,30 +44,8 @@ pub struct TenantRollup {
     pub profile: Option<ProfileReport>,
 }
 
-impl TenantRollup {
-    /// Fold another shard's rollup for the same tenant into this one.
-    /// Counters add; `ops` and `latency` merge; the most recent traced
-    /// profile (from either side) is kept.
-    pub fn merge(&mut self, other: &TenantRollup) {
-        self.admitted += other.admitted;
-        self.rejected += other.rejected;
-        self.rate_limited += other.rate_limited;
-        self.completed += other.completed;
-        self.faulted += other.faulted;
-        self.shed += other.shed;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.retries += other.retries;
-        self.ops.merge(&other.ops);
-        self.latency.merge(&other.latency);
-        self.traced_jobs += other.traced_jobs;
-        if let Some(p) = &other.profile {
-            self.profile = Some(p.clone());
-        }
-    }
-}
-
-/// Whole-server aggregate: per-tenant rollups summed across all shards,
-/// plus queue-depth telemetry.
+/// Whole-server aggregate: the per-tenant rollups, and their sums, plus
+/// queue-depth telemetry.
 #[derive(Debug, Clone, Default)]
 pub struct ServerReport {
     /// Jobs accepted at admission (all tenants).
@@ -90,26 +66,20 @@ pub struct ServerReport {
     pub retries: u64,
     /// Submit→terminal latency across all tenants.
     pub latency: HistogramSnapshot,
-    /// Highest instantaneous *whole-server* backlog ever observed — a
-    /// coherent total maintained at admission, not a sum of per-shard
-    /// peaks (those can occur at different times).
+    /// Highest backlog ever observed.  Under overload it stays near
+    /// `shed_watermark` plus the admission burst absorbed between
+    /// dispatcher wake-ups.
     pub peak_backlog: usize,
-    /// Highest backlog each shard's queue set ever held, indexed by
-    /// shard.  Under overload each entry stays pinned near
-    /// `shed_watermark` plus the admission burst the shard absorbed
-    /// between dispatcher wakeups.
-    pub shard_peak_backlogs: Vec<usize>,
-    /// Per-tenant rollups (merged across shards), sorted by tenant name.
+    /// Per-tenant rollups, sorted by tenant name.
     pub tenants: Vec<(String, TenantRollup)>,
 }
 
 impl Inner {
-    /// Record a terminal outcome into `shard`'s rollups — the tenant's
-    /// row, the server's only account of it — and wake the waiter.
-    /// Never called with a shard state lock held.
+    /// Record a terminal outcome into the tenant's row — the server's
+    /// only account of it — and wake the waiter.  Never called with the
+    /// state lock held.
     pub(crate) fn complete(
         &self,
-        shard: usize,
         shared: Arc<JobShared>,
         outcome: JobOutcome,
         submitted: Instant,
@@ -118,7 +88,7 @@ impl Inner {
     ) {
         let elapsed = submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         {
-            let mut rollups = self.shards[shard].rollups.lock();
+            let mut rollups = self.rollups.lock();
             let r = entry_by_name(&mut rollups, &shared.tenant, TenantRollup::default);
             r.latency.record(elapsed);
             r.ops.merge(&ops);
@@ -143,60 +113,35 @@ impl Inner {
         shared.done.notify_all();
     }
 
-    /// Count one admission decision in `tenant`'s row on `shard`.
-    pub(crate) fn bump_rollup(
-        &self,
-        shard: usize,
-        tenant: &str,
-        f: impl FnOnce(&mut TenantRollup),
-    ) {
-        let mut rollups = self.shards[shard].rollups.lock();
+    /// Count one admission decision in `tenant`'s row.
+    pub(crate) fn bump_rollup(&self, tenant: &str, f: impl FnOnce(&mut TenantRollup)) {
+        let mut rollups = self.rollups.lock();
         f(entry_by_name(&mut rollups, tenant, TenantRollup::default));
     }
 }
 
 impl ForceServer {
-    /// Highest whole-server backlog ever observed (coherent total, not
-    /// a sum of per-shard peaks).
+    /// Highest backlog ever observed.
     pub fn peak_backlog(&self) -> usize {
-        self.inner.peak_total_backlog.load(Ordering::Acquire)
+        self.inner.state.lock().peak_backlog
     }
 
-    /// Highest backlog each shard's queue set ever held.
-    pub fn shard_peak_backlogs(&self) -> Vec<usize> {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.state.lock().peak_backlog)
-            .collect()
-    }
-
-    /// Snapshot one tenant's rollup (merged across shards), if the
-    /// tenant has ever been seen.
+    /// Snapshot one tenant's rollup, if the tenant has ever been seen.
     pub fn tenant_report(&self, tenant: &str) -> Option<TenantRollup> {
-        let mut merged: Option<TenantRollup> = None;
-        for shard in &self.inner.shards {
-            if let Some(r) = shard.rollups.lock().get(tenant) {
-                match &mut merged {
-                    Some(m) => m.merge(r),
-                    None => merged = Some(r.clone()),
-                }
-            }
-        }
-        merged
+        self.inner.rollups.lock().get(tenant).cloned()
     }
 
-    /// Snapshot the whole server: tenant rollups merged across shards
-    /// and summed, plus per-shard and whole-server queue telemetry.
+    /// Snapshot the whole server: the tenant rollups and their sums, plus
+    /// the backlog's peak.
     pub fn server_report(&self) -> ServerReport {
         let mut report = ServerReport::default();
-        let mut by_tenant: HashMap<String, TenantRollup> = HashMap::new();
-        for shard in &self.inner.shards {
-            for (tenant, r) in shard.rollups.lock().iter() {
-                by_tenant.entry(tenant.clone()).or_default().merge(r);
-            }
-        }
-        let mut tenants: Vec<(String, TenantRollup)> = by_tenant.into_iter().collect();
+        let mut tenants: Vec<(String, TenantRollup)> = self
+            .inner
+            .rollups
+            .lock()
+            .iter()
+            .map(|(tenant, r)| (tenant.clone(), r.clone()))
+            .collect();
         tenants.sort_by(|a, b| a.0.cmp(&b.0));
         for (_, r) in &tenants {
             report.admitted += r.admitted;
@@ -211,14 +156,13 @@ impl ForceServer {
         }
         report.tenants = tenants;
         report.peak_backlog = self.peak_backlog();
-        report.shard_peak_backlogs = self.shard_peak_backlogs();
         report
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
     use std::time::Duration;
 
@@ -270,67 +214,22 @@ mod tests {
     }
 
     #[test]
-    fn tenants_pin_to_shards_and_reports_merge() {
-        let stats = Arc::new(OpStats::new());
-        let srv = ForceServer::new(
-            ServerConfig {
-                shards: 3,
-                ..ServerConfig::default()
-            },
-            &stats,
-        );
-        assert_eq!(srv.shards(), 3);
-        let tenants: Vec<String> = (0..6).map(|i| format!("tenant-{i}")).collect();
-        for t in &tenants {
-            // Pinning is a pure function of the tenant name.
-            assert_eq!(srv.shard_of(t), srv.shard_of(t));
-            assert!(srv.shard_of(t) < 3);
-        }
-        let handles: Vec<JobHandle> = (0..30)
-            .map(|j| {
-                srv.submit(JobSpec::for_tenant(&tenants[j % 6]), ok_runner())
-                    .expect_admitted()
-            })
-            .collect();
-        for h in handles {
-            assert!(h.wait().is_success());
-        }
-        srv.shutdown();
-        for t in &tenants {
-            let r = srv.tenant_report(t).expect("tenant seen");
-            assert_eq!(r.admitted, 5, "tenant {t}");
-            assert_eq!(r.completed, 5, "tenant {t}");
-            assert_eq!(r.latency.count(), 5, "tenant {t}");
-        }
-        let report = srv.server_report();
-        assert_eq!(report.admitted, 30);
-        assert_eq!(report.completed, 30);
-        assert_eq!(report.latency.count(), 30);
-        assert_eq!(report.shard_peak_backlogs.len(), 3);
-    }
-
-    #[test]
     fn concurrent_jobs_report_disjoint_plane_ops() {
-        // Two tenants on different shards run at the same time (a
-        // rendezvous proves the overlap); each binds its own fault
-        // plane and runs a different number of processes, each of which
-        // charges one lock acquisition.  The rollups must show exactly
-        // each job's own plane delta — under the old machine-wide
-        // before/after snapshot the concurrent job's charges would bleed
-        // in.  (Not `processes_created`: a job the shard's force hosts
-        // creates none.)
+        // Two servers share one machine's counters, and a job on each
+        // runs at the same time (a rendezvous proves the overlap); each
+        // binds its own fault plane and runs a different number of
+        // processes, each of which charges one lock acquisition.  The
+        // rollups must show exactly each job's own plane delta — under
+        // the old machine-wide before/after snapshot the concurrent job's
+        // charges would bleed in.  (Not `processes_created`: a job the
+        // server's force hosts creates none.)
         let stats = Arc::new(OpStats::new());
-        let srv = ForceServer::new(
-            ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            &stats,
-        );
-        let t0 = tenant_pinned_to(&srv, 0);
-        let t1 = tenant_pinned_to(&srv, 1);
+        let servers = [
+            ForceServer::new(ServerConfig::default(), &stats),
+            ForceServer::new(ServerConfig::default(), &stats),
+        ];
         let rendezvous = Arc::new(AtomicUsize::new(0));
-        let submit = |tenant: &str, nproc: usize| {
+        let submit = |srv: &ForceServer, nproc: usize| {
             let meet = Arc::clone(&rendezvous);
             let stats = Arc::clone(&stats);
             let runner: JobRunner = Box::new(move |cx| {
@@ -350,18 +249,21 @@ mod tests {
                     .map(|_: Vec<()>| JobYield::default())
                     .map_err(JobError::Fault)
             });
-            srv.submit(JobSpec::for_tenant(tenant), runner)
+            srv.submit(JobSpec::for_tenant("t"), runner)
                 .expect_admitted()
         };
-        let a = submit(&t0, 2);
-        let b = submit(&t1, 4);
+        let a = submit(&servers[0], 2);
+        let b = submit(&servers[1], 4);
         assert!(a.wait().is_success());
         assert!(b.wait().is_success());
-        srv.shutdown();
-        let ra = srv.tenant_report(&t0).unwrap();
-        let rb = srv.tenant_report(&t1).unwrap();
-        assert_eq!(ra.ops.lock_acquires, 2, "tenant {t0} absorbed a bleed");
-        assert_eq!(rb.ops.lock_acquires, 4, "tenant {t1} absorbed a bleed");
+        for (srv, nproc) in servers.iter().zip([2, 4]) {
+            srv.shutdown();
+            let r = srv.tenant_report("t").unwrap();
+            assert_eq!(
+                r.ops.lock_acquires, nproc,
+                "a {nproc}-process job absorbed a bleed"
+            );
+        }
         // The machine-wide view still sees everything: per-plane locals
         // roll up into the machine block they chain from.
         assert_eq!(stats.snapshot().lock_acquires, 6);

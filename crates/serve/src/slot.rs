@@ -1,9 +1,8 @@
-//! The run slot: what running a job on a shard takes.  Whoever holds it
-//! — the shard's dispatcher, or a job's own waiter that found its job at
-//! the head of an idle shard — runs the shard's one job, and gives it
-//! back through [`HeldSlot`], which wakes the dispatcher when work waits.
+//! The run slot: what running a job takes.  Whoever holds it — the
+//! dispatcher, or a job's own waiter that found its job at the head of
+//! an idle server — runs the server's one job, and gives it back through
+//! [`HeldSlot`], which wakes the dispatcher when work waits.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use force_machdep::{fault, park, Construct, LazyPool, XorShift64};
@@ -11,66 +10,54 @@ use force_machdep::{fault, park, Construct, LazyPool, XorShift64};
 use crate::dispatch::{QueuedJob, ServeState};
 use crate::{Inner, JobOutcome, JobShared};
 
-/// What running a job on a shard takes.  Whichever thread holds it — the
-/// shard's dispatcher, or a job's own waiter — runs the shard's one job.
+/// What running a job takes.  Whichever thread holds it — the
+/// dispatcher, or a job's own waiter — runs the server's one job.
 pub(crate) struct RunSlot {
-    /// The retry jitter stream, deterministic per seed and shard.
+    /// The retry jitter stream, deterministic per seed.
     pub(crate) rng: XorShift64,
-    /// The shard's resident force (crate docs, "The shard's force").
+    /// The server's resident force (crate docs, "The server's force").
     pub(crate) force: Arc<LazyPool>,
 }
 
-/// A run slot a waiter took from shard `home` in [`Inner::claim`].
-/// Dropped — once the job's outcome is published, or while a panic
-/// outside the runner unwinds — it goes back to the shard and wakes the
-/// shard's sleeping dispatcher if anything is queued (on any shard: the
-/// dispatcher pulls) or the drain is on; an awake one looks at the queues
-/// before it sleeps.  So neither a queued job nor `shutdown`, which waits
-/// for the slot, waits for a waiter that is gone.
+/// A run slot a waiter took in [`Inner::claim`].  Dropped — once the
+/// job's outcome is published, or while a panic outside the runner
+/// unwinds — it goes back and wakes the sleeping dispatcher if anything
+/// is queued or the drain is on; an awake one looks at the queues before
+/// it sleeps.  So neither a queued job nor `shutdown`, which waits for
+/// the slot, waits for a waiter that is gone.
 pub(crate) struct HeldSlot<'a> {
     inner: &'a Inner,
-    home: usize,
     slot: Option<RunSlot>,
 }
 
 impl Drop for HeldSlot<'_> {
     fn drop(&mut self) {
-        let shard = &self.inner.shards[self.home];
-        let st = &mut *shard.state.lock();
+        let st = &mut *self.inner.state.lock();
         st.run = self.slot.take();
-        let queued = self.inner.total_backlog.load(Ordering::Acquire) > 0;
-        if (queued || st.shutting_down) && std::mem::take(&mut st.idle) {
-            shard.work.notify_all();
+        if (st.backlog > 0 || st.shutting_down) && std::mem::take(&mut st.idle) {
+            self.inner.work.notify_all();
         }
     }
 }
 
 impl Inner {
-    /// Help first: job `shared` and `home`'s run slot, if the slot is free
-    /// and the job is what the shard would dequeue next, after its shed
+    /// Help first: job `shared` and the run slot, if the slot is free and
+    /// the job is what the dispatcher would dequeue next, after its shed
     /// sweep.  Otherwise the dispatcher runs the job: nothing the claim
     /// leaves queued was queued without a wake for it (crate docs, "Who
     /// runs a job").
-    fn claim(&self, home: usize, shared: &Arc<JobShared>) -> Option<(QueuedJob, HeldSlot<'_>)> {
-        let shard = &self.shards[home];
+    fn claim(&self, shared: &Arc<JobShared>) -> Option<(QueuedJob, HeldSlot<'_>)> {
         let mut shed = Vec::new();
         let is_head = |st: &ServeState| st.head().is_some_and(|j| Arc::ptr_eq(&j.shared, shared));
         let claimed = {
-            let st = &mut *shard.state.lock();
+            let st = &mut *self.state.lock();
             if st.run.is_some() && is_head(st) {
-                self.sweep_overflow(home, st, &mut shed);
+                self.sweep_overflow(st, &mut shed);
             }
             if st.run.is_some() && is_head(st) {
-                let job = self.pop_job(st).expect("the head");
+                let job = st.pop_job().expect("the head");
                 let slot = st.run.take();
-                Some((
-                    job,
-                    HeldSlot {
-                        inner: self,
-                        home,
-                        slot,
-                    },
-                ))
+                Some((job, HeldSlot { inner: self, slot }))
             } else {
                 None
             }
@@ -84,7 +71,6 @@ impl Inner {
 pub struct JobHandle {
     pub(crate) shared: Arc<JobShared>,
     pub(crate) inner: Arc<Inner>,
-    pub(crate) home: usize,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -106,18 +92,18 @@ impl JobHandle {
     /// Block until the job reaches a terminal state.
     ///
     /// The caller may run the job itself, on its own stack: a thread that
-    /// is not a Force process takes its home shard's run slot when the
-    /// job is what that shard would dequeue next and nothing runs there
-    /// (crate docs, "Who runs a job"), so a closed-loop client pays no
-    /// wake-up for its outcome.  The front end's recursion bounds (the
-    /// expression parser's, m4's) hold on a 512 KiB stack.  Otherwise, or
-    /// from inside a force, it sleeps until the dispatcher — or a sibling
-    /// that pulled the job — publishes the outcome.
+    /// is not a Force process takes the run slot when the job is what the
+    /// dispatcher would dequeue next and nothing runs (crate docs, "Who
+    /// runs a job"), so a closed-loop client pays no wake-up for its
+    /// outcome.  The front end's recursion bounds (the expression
+    /// parser's, m4's) hold on a 512 KiB stack.  Otherwise, or from
+    /// inside a force, it sleeps until the dispatcher publishes the
+    /// outcome.
     pub fn wait(&self) -> JobOutcome {
         if fault::current_pid().is_none() {
-            if let Some((job, mut held)) = self.inner.claim(self.home, &self.shared) {
+            if let Some((job, mut held)) = self.inner.claim(&self.shared) {
                 self.inner
-                    .run_job(self.home, job, held.slot.as_mut().expect("claimed"));
+                    .run_job(job, held.slot.as_mut().expect("claimed"));
             }
         }
         let mut out = None;
@@ -141,7 +127,7 @@ impl JobHandle {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
     use std::time::{Duration, Instant};
 
@@ -149,12 +135,12 @@ mod tests {
 
     use super::*;
     use crate::testkit::*;
-    use crate::{ForceServer, JobError, JobRunner, JobSpec, JobYield, Priority, ServerConfig};
+    use crate::{ForceServer, JobError, JobRunner, JobSpec, JobYield, Priority};
 
     #[test]
     fn a_loan_lasts_one_attempt_and_one_binding() {
         // The runner binds a plane, then another: the first gives the
-        // shard's force back at once, the second while it is bound may
+        // server's force back at once, the second while it is bound may
         // launch on it, and neither holds it once the attempt is over.
         // A launch on a lent force creates no process; a plane with no
         // loan (and no pool) launches scoped, creating its one.
@@ -190,11 +176,11 @@ mod tests {
         assert_eq!(ops.processes_created, 0, "launched on the lent force");
     }
 
-    /// Once `shard`'s dispatcher sleeps, take its run slot, as a waiter
-    /// running a job there does: a submission then wakes nobody there.
-    fn hold_slot(srv: &ForceServer, shard: usize) -> RunSlot {
+    /// Once the dispatcher sleeps, take the run slot, as a waiter running
+    /// a job does: a submission then wakes nobody.
+    fn hold_slot(srv: &ForceServer) -> RunSlot {
         loop {
-            let mut st = srv.inner.shards[shard].state.lock();
+            let mut st = srv.inner.state.lock();
             if st.idle {
                 return st.run.take().expect("nothing queued: the slot is free");
             }
@@ -205,29 +191,28 @@ mod tests {
 
     /// Put the slot back without waking the dispatcher, asleep: the
     /// queued jobs wait for their waiters.
-    fn put_back_quietly(srv: &ForceServer, shard: usize, slot: RunSlot) {
-        srv.inner.shards[shard].state.lock().run = Some(slot);
+    fn put_back_quietly(srv: &ForceServer, slot: RunSlot) {
+        srv.inner.state.lock().run = Some(slot);
     }
 
     /// Give the slot back as a waiter does after its job, waking the
     /// dispatcher if anything is queued.
-    fn give_back(srv: &ForceServer, shard: usize, slot: RunSlot) {
+    fn give_back(srv: &ForceServer, slot: RunSlot) {
         drop(HeldSlot {
             inner: &srv.inner,
-            home: shard,
             slot: Some(slot),
         });
     }
 
-    /// Each run's job name, `cx.shard()` and thread.
-    type Runs = Arc<Mutex<Vec<(&'static str, usize, thread::ThreadId)>>>;
+    /// Each run's job name and thread.
+    type Runs = Arc<Mutex<Vec<(&'static str, thread::ThreadId)>>>;
 
     /// A runner that records where it ran, launching a force as wide as
     /// the host allows (up to 2) on a bound plane of its own.
     fn where_runner(stats: &Arc<OpStats>, ran: Runs, name: &'static str) -> JobRunner {
         let stats = Arc::clone(stats);
         Box::new(move |cx| {
-            ran.lock().push((name, cx.shard(), thread::current().id()));
+            ran.lock().push((name, thread::current().id()));
             let nproc = park::default_nproc().min(2);
             let plane = FaultPlane::new(nproc, Arc::clone(&stats), RunOptions::default());
             cx.bind_plane(&plane);
@@ -238,37 +223,24 @@ mod tests {
     }
 
     #[test]
-    fn waiter_runs_its_job_on_an_idle_shard() {
-        let stats = Arc::new(OpStats::new());
-        let srv = ForceServer::new(
-            ServerConfig {
-                shards: 2,
-                ..ServerConfig::default()
-            },
-            &stats,
-        );
+    fn waiter_runs_its_job_on_an_idle_server() {
+        let (srv, stats) = server();
         let ran = Arc::new(Mutex::new(Vec::new()));
-        for home in 0..2 {
-            let tenant = tenant_pinned_to(&srv, home);
-            // The sibling's slot too, or its dispatcher would pull the job.
-            let slots = [hold_slot(&srv, 0), hold_slot(&srv, 1)];
+        for _ in 0..2 {
+            let slot = hold_slot(&srv);
             let job = srv
                 .submit(
-                    JobSpec::for_tenant(&tenant),
+                    JobSpec::for_tenant("t"),
                     where_runner(&stats, Arc::clone(&ran), "job"),
                 )
                 .expect_admitted();
-            let [a, b] = slots;
-            let (slot, sibling) = if home == 0 { (a, b) } else { (b, a) };
-            put_back_quietly(&srv, home, slot);
+            put_back_quietly(&srv, slot);
             assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
-            put_back_quietly(&srv, 1 - home, sibling);
-            let (_, shard, thread) = ran.lock().pop().expect("the job ran");
+            let (_, thread) = ran.lock().pop().expect("the job ran");
             assert_eq!(thread, thread::current().id(), "ran on its waiter");
-            assert_eq!(shard, home, "cx.shard() is the job's home");
-            let ops = srv.tenant_report(&tenant).unwrap().ops;
-            assert_eq!(ops.processes_created, 0, "launched on the shard's force");
         }
+        let ops = srv.tenant_report("t").unwrap().ops;
+        assert_eq!(ops.processes_created, 0, "launched on the server's force");
         srv.shutdown();
     }
 
@@ -276,7 +248,7 @@ mod tests {
     fn waiter_never_runs_a_job_behind_the_head() {
         let (srv, stats) = server();
         let ran = Arc::new(Mutex::new(Vec::new()));
-        let slot = hold_slot(&srv, 0);
+        let slot = hold_slot(&srv);
         let high = srv
             .submit(
                 JobSpec::for_tenant("t").with_priority(Priority::High),
@@ -289,21 +261,21 @@ mod tests {
                 where_runner(&stats, Arc::clone(&ran), "normal"),
             )
             .expect_admitted();
-        // The slot is free, but `normal` is not what the shard runs next.
-        put_back_quietly(&srv, 0, slot);
-        assert!(srv.inner.claim(0, &normal.shared).is_none());
+        // The slot is free, but `normal` is not what the server runs next.
+        put_back_quietly(&srv, slot);
+        assert!(srv.inner.claim(&normal.shared).is_none());
         // The dispatcher runs both, in priority order, and keeps the slot
         // while anything is queued: the waiter sleeps until it is done.
-        let slot = hold_slot(&srv, 0);
-        give_back(&srv, 0, slot);
+        let slot = hold_slot(&srv);
+        give_back(&srv, slot);
         let waiter = thread::spawn(move || (normal.wait(), thread::current().id()));
         let (outcome, waiter) = waiter.join().unwrap();
         assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
         assert!(high.wait().is_success());
         let ran = ran.lock().clone();
-        let order: Vec<&str> = ran.iter().map(|&(name, _, _)| name).collect();
+        let order: Vec<&str> = ran.iter().map(|&(name, _)| name).collect();
         assert_eq!(order, ["high", "normal"]);
-        assert!(ran.iter().all(|&(_, _, thread)| thread != waiter));
+        assert!(ran.iter().all(|&(_, thread)| thread != waiter));
         srv.shutdown();
     }
 
@@ -311,12 +283,12 @@ mod tests {
     fn waiter_handle_outlives_its_server() {
         let (srv, stats) = server();
         let ran = Arc::new(Mutex::new(Vec::new()));
-        let force = Arc::downgrade(&srv.inner.shards[0].state.lock().run.as_ref().unwrap().force);
+        let force = Arc::downgrade(&srv.inner.state.lock().run.as_ref().unwrap().force);
         let job = srv
             .submit(JobSpec::for_tenant("t"), where_runner(&stats, ran, "job"))
             .expect_admitted();
         // The drain runs the job; the handle holds the server's state, and
-        // nothing else: the shard's force is gone with the dispatcher.
+        // nothing else: the server's force is gone with the dispatcher.
         drop(srv);
         assert!(force.upgrade().is_none(), "a thread outlived the server");
         assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
@@ -347,12 +319,12 @@ mod tests {
                 launched
             })
         };
-        let slot = hold_slot(&srv, 0);
+        let slot = hold_slot(&srv);
         let force = Arc::downgrade(&slot.force);
         let job = srv
             .submit(JobSpec::for_tenant("t"), runner)
             .expect_admitted();
-        put_back_quietly(&srv, 0, slot);
+        put_back_quietly(&srv, slot);
         let waiter = thread::spawn(move || job.wait());
         while !started.load(Ordering::SeqCst) {
             thread::yield_now();
@@ -374,7 +346,10 @@ mod tests {
         assert!(force.upgrade().is_some(), "the force went before its job");
         release.store(true, Ordering::SeqCst);
         assert!(closing.join().unwrap(), "shutdown returned before the job");
-        assert!(force.upgrade().is_none(), "shutdown left the shard's force");
+        assert!(
+            force.upgrade().is_none(),
+            "shutdown left the server's force"
+        );
         assert_eq!(waiter.join().unwrap(), JobOutcome::Completed { retries: 0 });
     }
 
@@ -389,7 +364,7 @@ mod tests {
             }
         }
         let (srv, _) = server();
-        let slot = hold_slot(&srv, 0);
+        let slot = hold_slot(&srv);
         let bomb = PanicsOnDrop;
         let runner: JobRunner = Box::new(move |_cx| {
             let _armed = &bomb;
@@ -398,11 +373,11 @@ mod tests {
         let job = srv
             .submit(JobSpec::for_tenant("t"), runner)
             .expect_admitted();
-        put_back_quietly(&srv, 0, slot);
+        put_back_quietly(&srv, slot);
         let waiter = thread::spawn(move || job.wait());
         assert!(waiter.join().is_err(), "the runner's drop panicked in wait");
-        let slot_back = srv.inner.shards[0].state.lock().run.is_some();
-        // The shard still runs jobs, and `shutdown` still returns.  On a
+        let slot_back = srv.inner.state.lock().run.is_some();
+        // The server still runs jobs, and `shutdown` still returns.  On a
         // thread of its own, so that a lost slot fails the test instead of
         // hanging it in the server's drop.
         let closing = thread::spawn(move || {
@@ -416,7 +391,7 @@ mod tests {
         assert!(slot_back, "the slot went with the panic");
         let begun = Instant::now();
         while !closing.is_finished() {
-            assert!(begun.elapsed() < Duration::from_secs(5), "the shard hangs");
+            assert!(begun.elapsed() < Duration::from_secs(5), "the server hangs");
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(

@@ -21,7 +21,7 @@
 //!   executes the preprocessor's output with N concurrent interpreter
 //!   processes over shared COMMON storage;
 //! * [`serve`] ([`force_serve`]) — the multi-tenant job server on top of
-//!   both front ends: admission, rate limits, sharded dispatch, deadlines,
+//!   both front ends: admission, rate limits, one dispatcher, deadlines,
 //!   retries and per-tenant rollups.
 //!
 //! ## Quickstart (native API)

@@ -230,7 +230,7 @@ const SERVED_NULL_JOB: u64 = 27;
 const POOLED_NPROC: usize = 2;
 
 /// The same job on a session with no pool of its own, at nproc 1: a
-/// force the shard lends on any host (its width is the host's, and
+/// force the server lends on any host (its width is the host's, and
 /// every host has a core).  It read 32 at nproc 2 while such a job
 /// created its processes (thread `Builder`, name, `Packet`, scope
 /// bookkeeping and the handles' `Vec`: 5 per job); on the lent force it
@@ -280,7 +280,7 @@ const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n  
 
 /// Allocations per served job of `source` at `nproc`, three batches of
 /// 100 after two to warm up, on a session with a pool of `nproc` attached
-/// or with none (the shard lends its force).
+/// or with none (the server lends its force).
 fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64> {
     const BATCH: u64 = 100;
     let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
@@ -293,7 +293,7 @@ fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64
     }
     let server = ForceServer::new(ServerConfig::default(), machine.stats());
     // A job runs on its client's thread or on the dispatcher's, whichever
-    // takes the shard's run slot first; a waiter that does not wait
+    // takes the run slot first; a waiter that does not wait
     // leaves it to the dispatcher.
     let serve_a_batch = |wait: bool| {
         for _ in 0..BATCH {
@@ -316,7 +316,7 @@ fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64
         }
     };
     // Warm up both threads a job can run on: the tenant's first job, queue
-    // and map growth, thread-locals — and the shard's force, if this
+    // and map growth, thread-locals — and the server's force, if this
     // session is the one to borrow it.
     serve_a_batch(false);
     serve_a_batch(true);

@@ -110,10 +110,10 @@ const SUM: &str = "\
       Join
 ";
 
-/// DESIGN.md §21's invariant, now through lanes: with two sessions of
-/// one machine running four-process forces at the same time, one pooled
-/// and one on scoped threads, the machine's counters move by exactly the
-/// sum of what the runs reported.
+/// The per-plane accounting invariant, now through lanes: with two
+/// sessions of one machine running four-process forces at the same time,
+/// one pooled and one on scoped threads, the machine's counters move by
+/// exactly the sum of what the runs reported.
 #[test]
 fn the_machine_totals_are_the_sum_of_its_sessions_runs() {
     const RUNS: usize = 4;

@@ -36,12 +36,49 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// `text`'s lines with every `#[cfg(test)]` item blanked, so that what
+/// is left is what a production build compiles, each line at its own
+/// number.  An item is the line after the attribute (and after any
+/// further attributes or comments); when that line opens a block, the
+/// item runs on to the line at the attribute's indent that closes it, and
+/// through an `} else {` chain.  That is rustfmt's layout, which CI holds
+/// the tree to.
+fn without_test_items(text: &str) -> Vec<&str> {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let indent_of = |line: &str| line.len() - line.trim_start().len();
+    let mut at = 0;
+    while at < lines.len() {
+        if lines[at].trim() != "#[cfg(test)]" {
+            at += 1;
+            continue;
+        }
+        let indent = indent_of(lines[at]);
+        let mut end = at + 1;
+        while end + 1 < lines.len()
+            && (lines[end].trim_start().starts_with("#[")
+                || lines[end].trim_start().starts_with("//"))
+        {
+            end += 1;
+        }
+        let mut open = lines[end].trim_end().ends_with(['{', '(', '[']);
+        while open && end + 1 < lines.len() {
+            end += 1;
+            let line = lines[end];
+            if indent_of(line) == indent && line.trim_start().starts_with(['}', ')', ']']) {
+                open = line.trim_end().ends_with('{');
+            }
+        }
+        lines[at..=end].fill("");
+        at = end + 1;
+    }
+    lines
+}
+
 /// Every line under `crates/*/src` holding one of `patterns`, as
 /// `file:line: pattern`, skipping the `exempt` files.  `production_only`
 /// narrows the scan to code a force can execute: it drops the bench
-/// harness (a load generator and stopwatch by design) and each file's
-/// unit tests, which sit below the first `#[cfg(test)]` marker in this
-/// tree.
+/// harness (a load generator and stopwatch by design) and every
+/// `#[cfg(test)]` item ([`without_test_items`]).
 fn scan(patterns: &[&str], exempt: &[&str], production_only: bool) -> Vec<String> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     let mut sources = Vec::new();
@@ -68,11 +105,11 @@ fn scan(patterns: &[&str], exempt: &[&str], production_only: bool) -> Vec<String
         }
         let text = fs::read_to_string(&path).expect("readable source file");
         let scanned = if production_only {
-            text.split("#[cfg(test)]").next().unwrap_or(&text)
+            without_test_items(&text)
         } else {
-            &text
+            text.lines().collect()
         };
-        for (lineno, line) in scanned.lines().enumerate() {
+        for (lineno, line) in scanned.iter().enumerate() {
             for pat in patterns {
                 if line.contains(pat) {
                     violations.push(format!("{rel}:{}: `{pat}`", lineno + 1));
@@ -170,7 +207,7 @@ const THREAD_CREATION_EXEMPT: &[&str] = &[
     "machdep/src/process.rs",
     // The resident workers behind the pooled launcher.
     "machdep/src/pool.rs",
-    // The job server's dispatcher shards, started by `ForceServer::new`.
+    // The job server's dispatcher, started by `ForceServer::new`.
     "serve/src/lib.rs",
 ];
 
@@ -223,10 +260,9 @@ fn the_vm_touches_shared_words_in_two_functions() {
     // detector) hooks those two, not a list of opcodes.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/fortranish/src/bytecode.rs");
     let text = fs::read_to_string(path).expect("bytecode.rs");
-    let production = text.split("#[cfg(test)]").next().unwrap_or(&text);
     let mut function = "";
     let (mut funnelled, mut violations) = (Vec::new(), Vec::new());
-    for (lineno, line) in production.lines().enumerate() {
+    for (lineno, line) in without_test_items(&text).into_iter().enumerate() {
         let item = line.trim_start();
         let item = item.strip_prefix("pub(crate) ").unwrap_or(item);
         if let Some(signature) = item.strip_prefix("fn ") {

@@ -415,9 +415,10 @@ fn soak_mixed_jobs_with_injection_and_no_cross_job_leakage() {
 }
 
 /// Per-plane stats ownership end to end: two sessions on ONE machine run
-/// jobs at the same time (a rendezvous proves the overlap) on a
-/// two-shard server.  Each session's `last_job_stats` delta and each
-/// tenant's rollup must contain exactly that job's own operations —
+/// jobs at the same time (a rendezvous proves the overlap), each served by
+/// one of two servers that share the machine's stats.  Each session's
+/// `last_job_stats` delta and each tenant's rollup must contain exactly
+/// that job's own operations —
 /// under machine-wide counter ownership the concurrent job's barriers
 /// would bleed into both — while the machine-wide totals still equal
 /// the sum of the per-plane deltas (every plane-local charge mirrors
@@ -428,16 +429,12 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
 
     let machine = Machine::new(MachineId::Flex32);
     let base = machine.stats().snapshot();
-    let server = ForceServer::new(
-        ServerConfig {
-            shards: 2,
-            ..ServerConfig::default()
-        },
-        machine.stats(),
-    );
-    // One tenant pinned to each shard so the two jobs dispatch
-    // concurrently.
-    let tenants = [tenant_on(&server, 0), tenant_on(&server, 1)];
+    // A server runs one job at a time: two run at once on two servers.
+    let servers = [
+        ForceServer::new(ServerConfig::default(), machine.stats()),
+        ForceServer::new(ServerConfig::default(), machine.stats()),
+    ];
+    let tenants = ["tenant-0", "tenant-1"];
     let sessions = [
         Arc::new(Force::with_machine(NPROC, Arc::clone(&machine))),
         Arc::new(Force::with_machine(NPROC, Arc::clone(&machine))),
@@ -452,8 +449,8 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
         let barriers = BARRIERS[i];
         let runner: JobRunner = Box::new(move |cx| {
             cx.bind_plane(session.fault_plane());
-            // Hold the attempt until both dispatchers are inside a job:
-            // the two runs genuinely overlap on the one machine.
+            // Hold the attempt until both servers are inside a job: the
+            // two runs genuinely overlap on the one machine.
             meet.fetch_add(1, Ordering::SeqCst);
             let mut spins = 0u64;
             while meet.load(Ordering::SeqCst) < 2 {
@@ -471,13 +468,15 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
                 .map_err(JobError::Fault)
         });
         handles.push(expect_admitted(
-            server.submit(JobSpec::for_tenant(&tenants[i]), runner),
+            servers[i].submit(JobSpec::for_tenant(tenants[i]), runner),
         ));
     }
     for h in &handles {
         assert!(h.wait().is_success(), "job {} failed", h.id());
     }
-    server.shutdown();
+    for server in &servers {
+        server.shutdown();
+    }
 
     // Each session's per-job delta holds exactly its own barriers.
     for i in 0..2 {
@@ -491,7 +490,7 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
     }
     // Each tenant's rollup holds exactly its own plane's delta.
     for i in 0..2 {
-        let rollup = server.tenant_report(&tenants[i]).expect("tenant seen");
+        let rollup = servers[i].tenant_report(tenants[i]).expect("tenant seen");
         assert_eq!(rollup.completed, 1);
         assert_eq!(
             rollup.ops.barrier_episodes, BARRIERS[i],
@@ -836,115 +835,21 @@ fn a_burst_past_the_watermark_is_shed_and_the_server_still_answers() {
     }
 }
 
-/// At 1, 2 and 4 shards on every personality, 120 jobs over 8 tenants all
-/// succeed with nothing shed, each shard reports a peak within the
-/// server's, and exactly `shards` jobs run at once: the shards overlap
-/// their jobs, and none runs two.  The first jobs hold until `shards` of
-/// them run together, so the overlap is reached by count.
-#[test]
-fn every_shard_runs_one_job_at_a_time_and_the_shards_overlap() {
-    const JOBS: usize = 120;
-    const TENANTS: usize = 8;
-    const NP: usize = 2;
-    let tenant_names: Vec<String> = (0..TENANTS).map(|t| format!("tenant-{t}")).collect();
-    for id in MachineId::all() {
-        let name = id.name();
-        for shards in [1, 2, 4] {
-            let machine = Machine::new(id);
-            // One session and pool per shard: a shard runs its jobs one
-            // at a time, so no session is shared by two running jobs,
-            // whichever shard pulled the job.
-            let sessions: Arc<Vec<Force>> = Arc::new(
-                (0..shards)
-                    .map(|_| {
-                        let pool = Arc::new(ForcePool::new(NP, machine.stats()));
-                        Force::with_machine(NP, Arc::clone(&machine)).with_pool(pool)
-                    })
-                    .collect(),
-            );
-            // Jobs running, the most ever seen, and whether the first jobs
-            // may stop holding.
-            let flight = Arc::new((
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-                AtomicBool::new(false),
-            ));
-            let server = ForceServer::new(
-                ServerConfig {
-                    shards,
-                    tenant_queue_capacity: JOBS,
-                    shed_watermark: JOBS * 2,
-                    retry_base: Duration::from_micros(200),
-                    ..ServerConfig::default()
-                },
-                machine.stats(),
-            );
-            let handles: Vec<_> = (0..JOBS)
-                .map(|j| {
-                    let (sessions, flight) = (Arc::clone(&sessions), Arc::clone(&flight));
-                    let runner: JobRunner = Box::new(move |cx| {
-                        let (running, max_running, released) = &*flight;
-                        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-                        max_running.fetch_max(now, Ordering::SeqCst);
-                        hold_until(|| {
-                            released.load(Ordering::SeqCst)
-                                || max_running.load(Ordering::SeqCst) >= shards
-                        });
-                        released.store(true, Ordering::SeqCst);
-                        let session = &sessions[cx.shard() % sessions.len()];
-                        let ran = run_bound(cx, session, RunOptions::default(), |p| {
-                            p.barrier();
-                            support::busy_work(32);
-                            p.barrier();
-                        });
-                        running.fetch_sub(1, Ordering::SeqCst);
-                        ran
-                    });
-                    let priority = if j % 8 == 0 {
-                        Priority::High
-                    } else {
-                        Priority::Normal
-                    };
-                    let spec = JobSpec::for_tenant(&tenant_names[j % TENANTS]);
-                    expect_admitted(server.submit(spec.with_priority(priority), runner))
-                })
-                .collect();
-            let at = format!("{name}, {shards} shards");
-            for h in &handles {
-                assert!(h.wait().is_success(), "{at}: a job failed");
-            }
-            let report = server.server_report();
-            server.shutdown();
-            assert_eq!(report.completed, JOBS as u64, "{at}: jobs lost");
-            assert_eq!(report.shed, 0, "{at}: work shed");
-            let peaks = &report.shard_peak_backlogs;
-            assert_eq!(peaks.len(), shards, "{at}: not a peak per shard");
-            assert!(
-                peaks.iter().all(|&p| p <= report.peak_backlog),
-                "{at}: a shard peak {peaks:?} above the backlog {}",
-                report.peak_backlog
-            );
-            let at_once = flight.1.load(Ordering::SeqCst);
-            assert_eq!(at_once, shards, "{at}: {at_once} jobs at once");
-        }
-    }
-}
-
-// --- The shard's force -------------------------------------------------
+// --- The server's force ------------------------------------------------
 //
 // A served session that attached no pool of its own borrows the
-// executing shard's resident force for the attempt (`JobCx::bind_plane`
+// server's resident force for the attempt (`JobCx::bind_plane`
 // is the loan).  The only number that changes is `processes_created` on
 // such jobs — `nproc` scoped, 0 lent, stated below where it is checked;
 // every other per-plane delta and tenant rollup in this file is as it
 // was.
 
-/// How wide a shard's force is: the widest job it hosts.
+/// How wide the server's force is: the widest job it hosts.
 fn host_width() -> usize {
     the_force::machdep::default_nproc()
 }
 
-/// A force the shard can host wherever this runs (a force of one, the
+/// A force the server can host wherever this runs (a force of one, the
 /// caller alone, on a one-core host).
 fn lendable_nproc() -> usize {
     host_width().min(2)
@@ -970,14 +875,6 @@ fn within_5s<R: Send + 'static>(what: &str, work: impl FnOnce() -> R + Send + 's
     result
         .recv_timeout(Duration::from_secs(5))
         .unwrap_or_else(|_| panic!("{what}: no result in 5 s"))
-}
-
-/// The first tenant name that hashes to `shard`.
-fn tenant_on(server: &ForceServer, shard: usize) -> String {
-    (0..1000)
-        .map(|i| format!("tenant-{i}"))
-        .find(|t| server.shard_of(t) == shard)
-        .expect("some tenant hashes to every shard")
 }
 
 /// What a hand-written runner does with its session: bind the plane (the
@@ -1043,7 +940,7 @@ fn lent_jobs_create_no_processes_and_compute_what_scoped_ones_do() {
         assert_eq!(lang.ops.processes_created, 0);
         assert_eq!(lang.ops.lock_acquires, 3 * scoped.stats.lock_acquires);
 
-        // The native path, same shard, same resident force.
+        // The native path, same server, same resident force.
         let force = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
         let cell = Arc::new(AtomicU64::new(0));
         let body = {
@@ -1073,7 +970,7 @@ fn lent_jobs_create_no_processes_and_compute_what_scoped_ones_do() {
         assert_eq!(native.ops.processes_created, 0);
         assert_eq!(native.ops.barrier_episodes, 2);
 
-        // Four jobs, one creation: the shard's force, charged to the
+        // Four jobs, one creation: the server's force, charged to the
         // server.  The machine paid for its three direct runs only.
         server.shutdown();
         assert_eq!(
@@ -1102,7 +999,7 @@ fn lent_force_is_never_created_for_sessions_that_bring_their_own() {
         }
     }
     server.shutdown();
-    // A shard's force charges the server when it comes into being, and
+    // The server's force charges the server when it comes into being, and
     // comes into being when a job first runs on it: none did.
     assert_eq!(server_stats.snapshot().processes_created, 0);
     assert_eq!(machine.stats().snapshot().processes_created, np as u64);
@@ -1155,7 +1052,7 @@ fn lent_force_is_bypassed_by_wide_and_multiplexed_jobs() {
     assert_eq!(
         server_stats.snapshot().processes_created,
         0,
-        "no job fitted the shard's force, so it never existed"
+        "no job fitted the server's force, so it never existed"
     );
 }
 
@@ -1168,7 +1065,7 @@ fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
     let bad = unpooled_engine(BAD_SUBSCRIPT_PROGRAM, &machine);
     let native = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
 
-    // After each casualty, the same shard force serves a clean job that
+    // After each casualty, the same server force serves a clean job that
     // creates nothing.
     let next_job_is_lent_and_clean = |after: &str| {
         let created = Arc::new(AtomicU64::new(u64::MAX));
@@ -1231,13 +1128,11 @@ fn lent_force_survives_faulted_panicking_and_deadline_killed_jobs() {
     assert_eq!(machine.stats().snapshot().processes_created, 0);
 }
 
-/// A lent job that keeps the force it borrowed (and the dispatcher that
-/// lent it) busy until released; released on drop too, so that a failed
+/// A lent job that keeps the force it borrowed (and the server that lent
+/// it) busy until released; released on drop too, so that a failed
 /// assertion does not leave `ForceServer::drop` waiting for it.
 struct Blocker {
     gate: Arc<AtomicBool>,
-    /// The shard whose force the job occupies.
-    shard: usize,
     job: the_force::serve::JobHandle,
 }
 
@@ -1247,11 +1142,9 @@ impl Blocker {
     fn occupy(server: &ForceServer, tenant: &str, machine: &Arc<Machine>, np: usize) -> Blocker {
         let gate = Arc::new(AtomicBool::new(false));
         let inside = Arc::new(AtomicUsize::new(0));
-        let ran_on = Arc::new(AtomicUsize::new(usize::MAX));
         let session = Arc::new(Force::with_machine(np, Arc::clone(machine)));
-        let (open, entered, shard) = (Arc::clone(&gate), Arc::clone(&inside), Arc::clone(&ran_on));
+        let (open, entered) = (Arc::clone(&gate), Arc::clone(&inside));
         let runner: JobRunner = Box::new(move |cx| {
-            shard.store(cx.shard(), Ordering::SeqCst);
             let held = run_bound(cx, &session, RunOptions::default(), |_| {
                 entered.fetch_add(1, Ordering::SeqCst);
                 while !open.load(Ordering::Acquire) {
@@ -1266,11 +1159,7 @@ impl Blocker {
         while inside.load(Ordering::SeqCst) < np {
             std::thread::sleep(Duration::from_micros(200));
         }
-        Blocker {
-            gate,
-            shard: ran_on.load(Ordering::SeqCst),
-            job,
-        }
+        Blocker { gate, job }
     }
 
     fn release(self) {
@@ -1289,10 +1178,7 @@ impl Drop for Blocker {
 fn lent_force_is_borrowed_per_attempt_from_the_shard_that_runs_it() {
     let machine = Machine::new(MachineId::SequentBalance);
     let np = lendable_nproc();
-    let (server, server_stats) = server_with_own_stats(ServerConfig {
-        shards: 2,
-        ..ServerConfig::default()
-    });
+    let (server, server_stats) = server_with_own_stats(ServerConfig::default());
 
     // A retry borrows again: neither attempt creates a process.
     let flaky = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
@@ -1311,32 +1197,11 @@ fn lent_force_is_borrowed_per_attempt_from_the_shard_that_runs_it() {
     assert_eq!(flaky.last_job_stats().unwrap().processes_created, 0);
     assert_eq!(machine.stats().snapshot().processes_created, 0);
 
-    // One shard and its force are kept busy by a lent job (either shard:
-    // an idle sibling may have pulled it).  A job queued on *that* shard
-    // can only run by being pulled, and then borrows the pulling shard's
-    // force: it finishes while the other force is taken.
-    let blocker = Blocker::occupy(&server, "blocker", &machine, np);
-    let busy = blocker.shard;
-    let ran_on = Arc::new(AtomicUsize::new(usize::MAX));
-    let pulled = Arc::new(Force::with_machine(np, Arc::clone(&machine)));
-    let (session, shard) = (Arc::clone(&pulled), Arc::clone(&ran_on));
-    let runner: JobRunner = Box::new(move |cx| {
-        shard.store(cx.shard(), Ordering::SeqCst);
-        run_bound(cx, &session, RunOptions::default(), |p| p.barrier())
-    });
-    let queued_on_the_busy_shard = JobSpec::for_tenant(tenant_on(&server, busy));
-    let job = expect_admitted(server.submit(queued_on_the_busy_shard, runner));
-    let outcome = within_5s("a job pulled by the idle shard", move || job.wait());
-    assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
-    assert_eq!(ran_on.load(Ordering::SeqCst), 1 - busy);
-    assert_eq!(pulled.last_job_stats().unwrap().processes_created, 0);
-
-    blocker.release();
     server.shutdown();
     assert_eq!(
         server_stats.snapshot().processes_created,
-        2 * host_width() as u64,
-        "each shard made its own force, once"
+        host_width() as u64,
+        "the server made its force once"
     );
     assert_eq!(machine.stats().snapshot().processes_created, 0);
 }
@@ -1353,7 +1218,7 @@ fn lent_force_is_given_back_when_the_attempt_ends() {
     let job = expect_admitted(server.submit(JobSpec::for_tenant("t"), runner));
     assert_eq!(job.wait(), JobOutcome::Completed { retries: 0 });
 
-    // The shard's force is lent to somebody else now, and taken.  The
+    // The server's force is lent to somebody else now, and taken.  The
     // engine it served a moment ago holds no loan any more: run directly
     // it creates its own processes instead of queueing for that force.
     let blocker = Blocker::occupy(&server, "t", &machine, np);
@@ -1447,7 +1312,7 @@ fn lent_force_threads_are_joined_by_shutdown() {
         let pids = threads.iter().map(|t| t.expect("every pid ran")).collect();
         (runner_thread, pids)
     };
-    // Pid 0 runs on the thread that runs the job; pids 1.. on the shard's
+    // Pid 0 runs on the thread that runs the job; pids 1.. on the server's
     // resident threads, the same ones job after job.
     let (runner, resident) = run(true);
     assert_eq!(resident[0], runner, "pid 0 is the running thread");
@@ -1473,7 +1338,7 @@ fn lent_force_threads_are_joined_by_shutdown() {
     server.shutdown();
     assert!(
         thread_gone.load(Ordering::SeqCst),
-        "shutdown returned over a live shard-force thread"
+        "shutdown returned over a live server-force thread"
     );
 }
 
@@ -1511,53 +1376,6 @@ fn waiter_in_a_force_never_runs_the_job() {
     for (ran_on, process) in threads.iter() {
         assert_ne!(ran_on, process, "a job ran on the process waiting for it");
     }
-    server.shutdown();
-}
-
-/// ROADMAP 3(a): a cold source could still kill the server.  The Fortran
-/// expression parser descended once per `(` with no bound, and a stack
-/// overflow on the dispatcher's thread is an abort, not a panic its
-/// `catch_unwind` contains.  Now the source's job ends `Faulted` with a
-/// positioned error and the dispatcher takes the next one.
-#[test]
-fn a_job_behind_a_busy_dispatcher_wakes_an_idle_sibling() {
-    // An idle dispatcher sleeps untimed.  A job queued behind a busy shard
-    // therefore starts only if its submission wakes the sibling — asleep
-    // for 50 ms, or only just, having given its run slot back after the
-    // job before.  The job's waiter cannot run it: its home shard is
-    // running the blocker.  A lost wake-up leaves the job queued until
-    // the blocker is released, which happens after the loop.
-    let machine = Machine::new(MachineId::Flex32);
-    let (server, _) = server_with_own_stats(ServerConfig {
-        shards: 2,
-        ..ServerConfig::default()
-    });
-    let blocker = Blocker::occupy(&server, "blocker", &machine, lendable_nproc());
-    let behind_the_blocker = tenant_on(&server, blocker.shard);
-    let idle_for = [50_000, 0, 30, 50, 70, 200, 1_000, 5_000].map(Duration::from_micros);
-    for _ in 0..5 {
-        for pause in idle_for {
-            std::thread::sleep(pause);
-            let started = Arc::new(Mutex::new(None));
-            let slot = Arc::clone(&started);
-            let runner: JobRunner = Box::new(move |cx| {
-                *slot.lock().unwrap() = Some((cx.shard(), Instant::now()));
-                Ok(JobYield::default())
-            });
-            let submitted = Instant::now();
-            let job =
-                expect_admitted(server.submit(JobSpec::for_tenant(&behind_the_blocker), runner));
-            let outcome = within_5s("a job behind a busy dispatcher", move || job.wait());
-            assert_eq!(outcome, JobOutcome::Completed { retries: 0 });
-            let (shard, at) = started.lock().unwrap().expect("the job ran");
-            assert_eq!(shard, 1 - blocker.shard, "only the sibling is free");
-            // Generous for a shared host, and far inside what a sibling
-            // polling every 500 us would need as well.
-            let waited = at.duration_since(submitted);
-            assert!(waited < Duration::from_secs(1), "started after {waited:?}");
-        }
-    }
-    blocker.release();
     server.shutdown();
 }
 
@@ -1659,6 +1477,11 @@ fn a_served_virtual_job_keeps_its_virtual_deadline() {
     server.shutdown();
 }
 
+/// A cold source could still kill the server.  The Fortran expression
+/// parser descended once per `(` with no bound, and a stack overflow on
+/// the dispatcher's thread is an abort, not a panic its `catch_unwind`
+/// contains.  Now the source's job ends `Faulted` with a positioned error
+/// and the dispatcher takes the next one.
 #[test]
 fn a_source_nested_past_the_parser_bound_faults_its_job_not_the_server() {
     let machine = Machine::new(MachineId::EncoreMultimax);

@@ -518,43 +518,27 @@ fn a_claim_and_a_critical_per_trip_never_starve() {
     }
 }
 
-/// `CLIENTS` closed-loop clients of one server with `shards` shards, at
-/// every priority.  Half of them wait for each outcome (and so run their
-/// own jobs when they can); the other half poll `try_outcome` for every
-/// other job, which the dispatcher serves, and wait for the rest.  After
-/// each job the clients meet at a barrier, so the last waiter to give a
-/// shard's run slot back in a round must wake the dispatcher for the jobs
-/// still queued, with no later submission to cover for a lost wake-up,
-/// which therefore hangs the clients; the watcher fails a 5 s stall.
-fn served_clients(shards: usize) {
+/// `CLIENTS` closed-loop clients of one server, at every priority.  Half
+/// of them wait for each outcome (and so run their own jobs when they
+/// can); the other half poll `try_outcome` for every other job, which the
+/// dispatcher serves, and wait for the rest.  After each job the clients
+/// meet at a barrier, so the last waiter to give the run slot back in a
+/// round must wake the dispatcher for the jobs still queued, with no
+/// later submission to cover for a lost wake-up, which therefore hangs
+/// the clients; the watcher fails a 5 s stall.
+#[test]
+fn served_jobs_never_lose_a_wakeup() {
     const CLIENTS: usize = 6;
     const JOBS: u64 = 500;
     let stats = Arc::new(OpStats::new());
-    let server = Arc::new(ForceServer::new(
-        ServerConfig {
-            shards,
-            ..ServerConfig::default()
-        },
-        &stats,
-    ));
-    // Clients 0 and 1 share a shard, 2 and 3 the next, and so on.
-    let tenants: Arc<Vec<String>> = Arc::new(
-        (0..CLIENTS)
-            .map(|client| {
-                (0..)
-                    .map(|i| format!("client-{client}-{i}"))
-                    .find(|t| server.shard_of(t) == (client / 2) % shards)
-                    .expect("some tenant hashes to every shard")
-            })
-            .collect(),
-    );
+    let server = Arc::new(ForceServer::new(ServerConfig::default(), &stats));
     let ran = Arc::new(AtomicU64::new(0));
     let done = Arc::new(AtomicU64::new(0));
     let meet = Arc::new(std::sync::Barrier::new(CLIENTS));
     let (client_server, client_ran, client_done) =
         (Arc::clone(&server), Arc::clone(&ran), Arc::clone(&done));
     watched(
-        &format!("{shards} shard(s) serving"),
+        "one server serving",
         CLIENTS,
         false,
         &stats,
@@ -562,7 +546,7 @@ fn served_clients(shards: usize) {
         move |client| {
             let priorities = [Priority::High, Priority::Normal, Priority::Low];
             for job in 0..JOBS {
-                let spec = JobSpec::for_tenant(tenants[client].as_str())
+                let spec = JobSpec::for_tenant(format!("client-{client}"))
                     .with_priority(priorities[(job as usize + client) % 3]);
                 let runs = Arc::clone(&client_ran);
                 // Long enough for the other clients to queue behind it.
@@ -597,11 +581,4 @@ fn served_clients(shards: usize) {
         "a job ran twice or never"
     );
     assert_eq!(server.server_report().completed, jobs);
-}
-
-#[test]
-fn served_jobs_never_lose_a_wakeup() {
-    for shards in [1, 2] {
-        served_clients(shards);
-    }
 }
