@@ -225,11 +225,10 @@ impl Player {
         run_doall(self, policy, n, &mut |trip| body(range.nth(trip)));
     }
 
-    /// A singly nested DOALL under the run's default policy
-    /// (`RunOptions::default_schedule`; the paper's one-trip
-    /// selfscheduling when unset).
+    /// A singly nested DOALL under the default policy, the paper's
+    /// one-trip selfscheduling ([`SchedulePolicy::default`]).
     pub fn doall(&self, range: impl Into<ForceRange>, body: impl FnMut(i64)) {
-        self.doall_with(fault::current_default_schedule(), range, body)
+        self.doall_with(SchedulePolicy::default(), range, body)
     }
 
     /// A doubly nested DOALL under an explicit [`SchedulePolicy`]: the
@@ -251,14 +250,14 @@ impl Player {
         });
     }
 
-    /// A doubly nested DOALL under the run's default policy.
+    /// A doubly nested DOALL under the default policy.
     pub fn doall2(
         &self,
         outer: impl Into<ForceRange>,
         inner: impl Into<ForceRange>,
         body: impl FnMut(i64, i64),
     ) {
-        self.doall2_with(fault::current_default_schedule(), outer, inner, body)
+        self.doall2_with(SchedulePolicy::default(), outer, inner, body)
     }
 
     /// `Presched DO` over a singly nested loop: cyclic (round-robin)
@@ -321,7 +320,7 @@ impl Player {
 mod tests {
     use crate::force::Force;
     use crate::schedule::{ForceRange, SchedulePolicy};
-    use force_machdep::{Mutex, RunOptions};
+    use force_machdep::Mutex;
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -567,28 +566,6 @@ mod tests {
         assert_eq!(per[&0], vec![0, 4, 8]);
         assert_eq!(per[&1], vec![1, 5, 9]);
         assert_eq!(per[&3], vec![3, 7, 11]);
-    }
-
-    #[test]
-    fn doall_follows_the_runs_default_schedule() {
-        // With a cyclic default for the run, the bare `doall` distributes
-        // exactly like `presched_do`.
-        let force = Force::new(4);
-        let per: Mutex<HashMap<usize, Vec<i64>>> = Mutex::new(HashMap::new());
-        let options = RunOptions {
-            default_schedule: SchedulePolicy::Cyclic,
-            ..RunOptions::default()
-        };
-        force
-            .try_execute_with(options, |p| {
-                let mut mine = Vec::new();
-                p.doall(ForceRange::to(0, 11), |i| mine.push(i));
-                per.lock().insert(p.pid(), mine);
-            })
-            .expect("clean run");
-        let per = per.into_inner();
-        assert_eq!(per[&0], vec![0, 4, 8]);
-        assert_eq!(per[&2], vec![2, 6, 10]);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! the program body in all of them, and performs the final `Join`.
 //!
 //! A `Force` is a reusable **session**: a machine-dependent
-//! [`Session`] (counters, pool, fault plane, the record of the last run)
-//! runs every job, and the force keeps only what the paper's
+//! [`Session`] (pool, fault plane, the record of the last run) runs
+//! every job, and the force keeps only what the paper's
 //! `force_environment` declares plus its per-occurrence construct state
 //! (the two-lock barrier, the named-lock table, the collective registry
 //! behind selfscheduled loops, Pcase and Askfor), *reset in place* at the
@@ -238,7 +238,6 @@ impl Force {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use force_machdep::SchedulePolicy;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -642,36 +641,6 @@ mod tests {
             r.expect("session must be reusable after a fault"),
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn per_run_default_schedule_lasts_one_run() {
-        // Default: selfsched.  Per-run: cyclic, observable as
-        // presched's deterministic per-process trip assignment.
-        let force = Force::new(4);
-        let r = force
-            .try_execute_with(
-                RunOptions {
-                    default_schedule: SchedulePolicy::Cyclic,
-                    ..RunOptions::default()
-                },
-                |p| {
-                    let mut mine = Vec::new();
-                    p.doall(crate::schedule::ForceRange::to(0, 11), |i| mine.push(i));
-                    mine
-                },
-            )
-            .expect("clean run");
-        assert_eq!(r[0], vec![0, 4, 8]);
-        assert_eq!(r[3], vec![3, 7, 11]);
-        // The next run reverts to selfsched; coverage stays exact.
-        let sum = AtomicUsize::new(0);
-        force.run(|p| {
-            p.doall(crate::schedule::ForceRange::to(1, 10), |i| {
-                sum.fetch_add(i as usize, Ordering::Relaxed);
-            });
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), 55);
     }
 
     #[test]

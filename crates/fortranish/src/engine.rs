@@ -39,8 +39,8 @@ use crate::value::Value;
 /// way: by the bytecode VM ([`crate::bytecode`]).
 ///
 /// An `Engine` is a reusable **session**: a machine-dependent
-/// [`Session`] (counters, default options, pool, fault plane, the record
-/// of the last run) runs every job, and the shared COMMON region and the
+/// [`Session`] (pool, fault plane, the record of the last run) runs
+/// every job, and the shared COMMON region and the
 /// lock and full/empty-tag tables live for the engine's lifetime and are
 /// *reset in place* at the start of every [`run`](Engine::run) instead of
 /// being reallocated — re-running a loaded program pays for shared-memory
@@ -276,7 +276,7 @@ impl Engine {
         options: RunOptions,
         exec: impl FnOnce(&Rt<'_>, &str) -> Result<(), FortError>,
     ) -> Result<RunOutput, FortError> {
-        let job = |run: &SessionRun<'_>| {
+        let job = |run: &SessionRun| {
             let rt = Rt {
                 engine: self,
                 run,
@@ -443,7 +443,7 @@ pub(crate) struct Rt<'e> {
     pub(crate) engine: &'e Engine,
     /// The session's view of this run: its plane (of the run's width)
     /// and pool.
-    pub(crate) run: &'e SessionRun<'e>,
+    pub(crate) run: &'e SessionRun,
     pub(crate) prints: Mutex<Vec<String>>,
     pub(crate) linker: Mutex<Vec<String>>,
 }
@@ -515,12 +515,12 @@ impl Rt<'_> {
     }
 
     pub(crate) fn tag_handle(&self, offset: usize) -> Arc<FullEmptyState> {
+        let machine = self.engine.machine();
         let mut tags = self.engine.resident.tags.lock();
-        Arc::clone(tags.entry(offset).or_insert_with(|| {
-            Arc::new(FullEmptyState::new_empty(
-                self.engine.session.stats().clone(),
-            ))
-        }))
+        let tag = tags
+            .entry(offset)
+            .or_insert_with(|| Arc::new(FullEmptyState::new_empty(machine.stats())));
+        Arc::clone(tag)
     }
 }
 

@@ -51,7 +51,6 @@ use crate::portable::{CachePadded, Mutex, XorShift64};
 use crate::process::StopSignal;
 use crate::stats::{OpStats, StatsHandle, StatsSnapshot};
 use crate::trace::{self, ProfileReport, TraceSink};
-use crate::workq::SchedulePolicy;
 
 /// Which Force construct a process is executing or blocked in.  Used for
 /// fault attribution ("pid 2 faulted in critical") and watchdog reports
@@ -203,8 +202,8 @@ impl FaultInjection {
 }
 
 /// Per-run options: what applies to *one* job — watchdog bound, fault
-/// injection, tracing, default schedule and parking backend.  A resident
-/// session re-arms its plane with these at the start of every run
+/// injection, tracing and parking backend.  A resident session re-arms
+/// its plane with these at the start of every run
 /// ([`FaultPlane::reset_for_job`]), so a shared pooled force or engine
 /// can be configured per job without `&mut` access.
 #[derive(Debug, Clone, Copy, Default)]
@@ -218,10 +217,6 @@ pub struct RunOptions {
     /// records nothing and keeps every trace hook a single thread-local
     /// `Option` test.
     pub trace: bool,
-    /// Work-distribution policy used by scheduling constructs that do not
-    /// carry an explicit per-loop override.  Defaults to the paper's §4.2
-    /// selfscheduling (`Selfsched { chunk: 1 }`).
-    pub default_schedule: SchedulePolicy,
     /// How pids map onto OS execution ([`crate::park`]): one dedicated
     /// thread per pid (the default), or the deterministic virtual-time
     /// scheduler's one run token.
@@ -269,9 +264,10 @@ pub struct FaultPlane {
     costs: CostModel,
     /// The plane's accounting handle: a **private** counter block (the
     /// per-plane view behind exact `last_job_stats` deltas) whose
-    /// charges are mirrored into the enclosing session and machine
-    /// rollups.  No other plane ever writes the local block.  Processes
-    /// charge their lane (`slots`) and reach this handle once, at exit.
+    /// charges are mirrored into the machine's.  No other plane ever
+    /// writes the local block.  Processes charge their lane (`slots`)
+    /// and reach this handle once, at exit; a session's driver charges
+    /// it through the ambient binding.
     stats: StatsHandle,
     /// Per-job configuration.  Behind a mutex so a resident session can
     /// swap it between jobs ([`reset_for_job`](Self::reset_for_job));
@@ -327,19 +323,18 @@ impl FaultPlane {
     /// machine in particular: a virtual run of it is priced by the
     /// portable fork/spin personality.
     ///
-    /// `stats` is the rollup parent (typically the machine's counter
-    /// block): the plane gets a fresh private block whose every charge
-    /// is mirrored into `stats`, so per-plane deltas are exact while
-    /// the parent remains a consistent aggregate view.
+    /// `stats` is the rollup (typically the machine's counter block):
+    /// the plane gets a fresh private block whose every charge is
+    /// mirrored into `stats`, so per-plane deltas are exact while the
+    /// rollup remains a consistent aggregate view.
     pub fn new(nproc: usize, stats: Arc<OpStats>, config: RunOptions) -> Arc<FaultPlane> {
         let costs = CostModel::fork_spin();
         Self::with_handle(nproc, StatsHandle::root(stats).child(), costs, config)
     }
 
-    /// A session layer's plane: it accounts through an explicit
-    /// [`StatsHandle`], nesting its charges under the session's rollup
-    /// (`session_handle.child()`) rather than directly under the machine,
-    /// and its virtual runs are priced by that machine's `costs`.
+    /// A session's plane: it accounts through an explicit
+    /// [`StatsHandle`] (`machine.stats_handle().child()`), and its
+    /// virtual runs are priced by that machine's `costs`.
     pub fn with_handle(
         nproc: usize,
         stats: StatsHandle,
@@ -380,13 +375,13 @@ impl FaultPlane {
         self.stats.local()
     }
 
-    /// The plane's accounting handle (private block + rollup chain).
+    /// The plane's accounting handle (private block + the machine's).
     pub fn stats_handle(&self) -> &StatsHandle {
         &self.stats
     }
 
     /// The options the plane was last armed with (the job's watchdog
-    /// bound, injection, default schedule, …).
+    /// bound, injection, tracing, backend).
     pub fn config(&self) -> RunOptions {
         *self.config.lock()
     }
@@ -682,9 +677,6 @@ struct Ctx {
     /// Trace sink snapshotted at install time, for the same reason: the
     /// per-event hooks never take the plane's trace mutex.
     trace: Option<Arc<TraceSink>>,
-    /// Default schedule snapshotted at install time, so scheduling
-    /// constructs read the job's policy without taking the config mutex.
-    schedule: SchedulePolicy,
     /// Parker snapshotted at install time, present only when the job
     /// runs on the virtual scheduler — the thread-per-pid fast path
     /// stays a single `Option` test.
@@ -729,7 +721,6 @@ pub(crate) fn install(plane: &Arc<FaultPlane>, pid: usize) -> CtxGuard {
             panicked_in: Cell::new(None),
             injection: config.injection,
             trace: plane.trace_sink(),
-            schedule: config.default_schedule,
             parker: {
                 let parker = plane.parker();
                 parker.is_virtual().then_some(parker)
@@ -829,18 +820,6 @@ pub fn enter(construct: Construct) -> ConstructGuard {
             prev: None,
             timed: None,
         },
-    })
-}
-
-/// The default work-distribution policy of the current thread's run
-/// (snapshotted at process start; [`SchedulePolicy::default`] outside a
-/// force).
-pub fn current_default_schedule() -> SchedulePolicy {
-    CTX.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|ctx| ctx.schedule)
-            .unwrap_or_default()
     })
 }
 
@@ -1008,8 +987,8 @@ pub(crate) fn current_parker() -> Option<Arc<Parker>> {
 }
 
 /// Count one in the current process's counter lane, which reaches the
-/// plane's exact per-job view *and* the session/machine aggregates when
-/// the process ends.  A no-op outside a force.  The parking layer
+/// plane's exact per-job view *and* the machine's aggregate when the
+/// process ends.  A no-op outside a force.  The parking layer
 /// accounts parks/wakes through this.
 pub(crate) fn count_in_lane(proj: impl Fn(&OpStats) -> &AtomicU64) {
     CTX.with(|c| {
@@ -1020,13 +999,12 @@ pub(crate) fn count_in_lane(proj: impl Fn(&OpStats) -> &AtomicU64) {
 }
 
 /// Resolve a context-preferred charge: when the calling thread runs as a
-/// force process, charge its own lane; otherwise, when a session
-/// has bound an ambient handle ([`bind_ambient_stats`]), charge that.
+/// force process, charge its own lane; otherwise, when a running
+/// session has bound its plane ([`bind_ambient_stats`]), charge that.
 /// Returns `false` when neither applies — the caller charges its own
 /// baked handle.  This is what lets a primitive constructed against the
-/// machine-wide root (a pooled Cray-2 lock slot, a resident session's
-/// lock table) attribute runtime operations to the plane actually
-/// executing.
+/// machine's block (a pooled Cray-2 lock slot, a resident engine's lock
+/// table) attribute runtime operations to the plane actually executing.
 #[inline]
 pub(crate) fn charge_current(proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) -> bool {
     CTX.with(|c| {
@@ -1047,11 +1025,11 @@ pub(crate) fn charge_current(proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) -> b
 thread_local! {
     /// Ambient accounting bindings for threads that are *not* force
     /// processes: a session's driver thread (the fortranish engine runs
-    /// the driver program inline) binds its handle here so lock
+    /// the driver program inline) binds its run's plane here so lock
     /// creation, shared-memory designation, and driver-side lock traffic
-    /// are attributed to the session even though no fault context is
-    /// installed.  Sessions nest (a serve job runs a session from a
-    /// thread that may have bound its own handle): each guard keeps the
+    /// are the job's even though no fault context is installed.
+    /// Sessions nest (a serve job runs a session from a thread that may
+    /// have bound its own run's plane): each guard keeps the
     /// binding it replaced, so the stack lives in the guards and a
     /// thread's first binding allocates nothing — a served job costs the
     /// same allocations on whichever thread runs it.
@@ -1060,7 +1038,7 @@ thread_local! {
 
 /// RAII guard for [`bind_ambient_stats`]; puts back the binding it
 /// replaced on drop.
-pub struct AmbientStatsGuard {
+pub(crate) struct AmbientStatsGuard {
     replaced: Option<StatsHandle>,
     _not_send: std::marker::PhantomData<*const ()>,
 }
@@ -1076,10 +1054,11 @@ impl Drop for AmbientStatsGuard {
 /// the returned guard drops.  Charges made on this thread outside any
 /// force process (lock creation, shared-region designation, driver-side
 /// lock traffic) then land in `handle` instead of the charging
-/// primitive's baked handle — the session-attribution half of
-/// per-plane accounting.  Installed fault contexts still win: a force
-/// process always charges its own plane.
-pub fn bind_ambient_stats(handle: StatsHandle) -> AmbientStatsGuard {
+/// primitive's baked handle: [`Session::run`](crate::session::Session::run)
+/// binds its run's plane, so the driver's counts are the job's.
+/// Installed fault contexts still win: a force process always charges
+/// its own plane.
+pub(crate) fn bind_ambient_stats(handle: StatsHandle) -> AmbientStatsGuard {
     AmbientStatsGuard {
         replaced: AMBIENT.with(|a| a.replace(Some(handle))),
         _not_send: std::marker::PhantomData,
@@ -1238,25 +1217,6 @@ mod tests {
         inject(Construct::Barrier);
         assert!(!spurious_lock_failure());
         assert!(!trip_current(Construct::Interpreter.name(), "nope".into()));
-    }
-
-    #[test]
-    fn default_schedule_is_snapshotted_into_the_context() {
-        assert_eq!(
-            current_default_schedule(),
-            SchedulePolicy::default(),
-            "outside a force the paper default applies"
-        );
-        let p = plane(
-            1,
-            RunOptions {
-                default_schedule: SchedulePolicy::Steal,
-                ..RunOptions::default()
-            },
-        );
-        assert_eq!(p.config().default_schedule, SchedulePolicy::Steal);
-        let _ctx = install(&p, 0);
-        assert_eq!(current_default_schedule(), SchedulePolicy::Steal);
     }
 
     #[test]

@@ -51,10 +51,7 @@ pub mod trace; // force-core: `trace::event`; `tests/overcommit.rs`: `trace::Eve
 mod workq;
 
 pub use cost::CostModel;
-pub use fault::{
-    bind_ambient_stats, AmbientStatsGuard, Construct, FaultInjection, FaultPlane, ProcessFault,
-    RunOptions,
-};
+pub use fault::{Construct, FaultInjection, FaultPlane, ProcessFault, RunOptions};
 pub use fullempty::{FullEmptyState, HepLock};
 pub use lock::{with_lock, LockHandle, LockKind, LockState, RawLock};
 pub use lockpool::{LockPool, LockRole, ScarceLockError};

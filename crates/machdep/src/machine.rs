@@ -233,9 +233,8 @@ impl Machine {
     }
 
     /// A root [`StatsHandle`] over this machine's counters.  Call
-    /// [`StatsHandle::child`] on it to carve out a session- or
-    /// plane-private counter block that still rolls up into
-    /// [`stats`](Self::stats).
+    /// [`StatsHandle::child`] on it to carve out a plane-private counter
+    /// block that still rolls up into [`stats`](Self::stats).
     pub fn stats_handle(&self) -> StatsHandle {
         StatsHandle::root(Arc::clone(&self.stats))
     }

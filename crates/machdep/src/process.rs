@@ -146,8 +146,8 @@ pub(crate) fn run_as_process<R>(
     // until its fault is recorded (so the drain order is deterministic);
     // now that the trip — if any — is on the plane, hand the token on.
     plane.parker().virtual_release_orphan(pid);
-    // The process's counts reach the plane, session and machine blocks
-    // here, once, whether the body returned or unwound.
+    // The process's counts reach the plane and machine blocks here,
+    // once, whether the body returned or unwound.
     plane.fold_lane(pid);
     plane.finish(pid);
     result
@@ -606,12 +606,12 @@ mod tests {
 
             // From a session's driver thread: no process context before
             // or after, and the ambient binding still takes the charges.
-            let session = Arc::new(OpStats::new());
-            let _ambient = fault::bind_ambient_stats(StatsHandle::root(Arc::clone(&session)));
+            let driver = Arc::new(OpStats::new());
+            let _ambient = fault::bind_ambient_stats(StatsHandle::root(Arc::clone(&driver)));
             inner_job();
             assert_eq!(fault::current_pid(), None, "{backend:?}");
             assert!(fault::charge_current(&lock_acquires, 1));
-            assert_eq!(acquires(&session), 1, "{backend:?}: the ambient binding");
+            assert_eq!(acquires(&driver), 1, "{backend:?}: the ambient binding");
 
             // From inside a process of another force, on its own thread
             // (pid 1) and on its launcher's (pid 0): the outer context,
@@ -626,7 +626,7 @@ mod tests {
             })
             .expect("the outer job is clean");
             assert_eq!(acquires(&outer_stats), 2, "{backend:?}: the outer plane");
-            assert_eq!(acquires(&session), 1, "{backend:?}: not the session");
+            assert_eq!(acquires(&driver), 1, "{backend:?}: not the driver's");
         }
     }
 

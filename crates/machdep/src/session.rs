@@ -7,8 +7,13 @@
 //! one and keep only what they alone know (players and construct state;
 //! the VM, the COMMON region and the lock tables).  [`Session::run`] runs
 //! one job in one order: take the run lock, reset the plane once, run the
-//! front end's reset, bind ambient stats, run the job, and record its
-//! stats delta — `None` after a fault.
+//! front end's reset, bind the plane as the driver's ambient stats, run
+//! the job, and record the plane's stats delta — `None` after a fault.
+//!
+//! What the driver does — create locks, designate `Shared` memory — is
+//! the job's: a session keeps no counters of its own, so a job's
+//! operations are counted in its plane's block and the machine's, and
+//! every reader of a job's counts reads the plane's.
 
 use std::sync::Arc;
 
@@ -18,18 +23,15 @@ use crate::park::VirtualSummary;
 use crate::pool::ForcePool;
 use crate::portable::Mutex;
 use crate::process::launch_plane;
-use crate::stats::{StatsHandle, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::trace::ProfileReport;
 
-/// A machine's resident session: its counters, attached pool and fault
-/// plane, and the record of its last run.  Runs on one session
-/// serialize; every accessor is `&self`.
+/// A machine's resident session: its attached pool and fault plane, and
+/// the record of its last run.  It counts nothing itself: its jobs
+/// charge the plane, whose block rolls up into the machine's.  Runs on
+/// one session serialize; every accessor is `&self`.
 pub struct Session {
     machine: Arc<Machine>,
-    /// The session's private counter block: every charge its jobs make
-    /// lands here *and* rolls up into the machine's, so a per-job delta
-    /// reads a counter no other session can perturb.
-    stats: StatsHandle,
     /// Resident workers handed to [`launch_plane`] with every job.
     pool: Mutex<Option<Arc<ForcePool>>>,
     /// The resident plane, kept while runs keep its width.
@@ -40,14 +42,13 @@ pub struct Session {
 }
 
 /// One running job of a [`Session`], as its front end sees it.
-pub struct SessionRun<'s> {
+pub struct SessionRun {
     plane: Arc<FaultPlane>,
     pool: Option<Arc<ForcePool>>,
-    stats: &'s StatsHandle,
     before: StatsSnapshot,
 }
 
-impl SessionRun<'_> {
+impl SessionRun {
     /// The plane the job runs on, reset for it.
     pub fn plane(&self) -> &Arc<FaultPlane> {
         &self.plane
@@ -62,17 +63,17 @@ impl SessionRun<'_> {
         launch_plane(&self.plane, self.pool.as_deref(), body)
     }
 
-    /// The session's operation counts since the job began.
+    /// The job's operation counts so far: its plane's delta since the
+    /// run began, the driver's charges included.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.local().snapshot().since(&self.before)
+        self.plane.stats().snapshot().since(&self.before)
     }
 }
 
 impl Session {
-    /// A session on `machine`, counting into a child of its counters.
+    /// A session on `machine`, whose planes count into its counters.
     pub fn new(machine: Arc<Machine>) -> Session {
         Session {
-            stats: machine.stats_handle().child(),
             machine,
             pool: Mutex::default(),
             plane: Mutex::default(),
@@ -83,11 +84,6 @@ impl Session {
     /// The machine the session runs on.
     pub fn machine(&self) -> &Arc<Machine> {
         &self.machine
-    }
-
-    /// The session's accounting handle.
-    pub fn stats(&self) -> &StatsHandle {
-        &self.stats
     }
 
     /// Attach a resident [`ForcePool`] ([`launch_plane`] decides per run
@@ -111,33 +107,33 @@ impl Session {
             .filter(|p| p.nproc() == nproc)
             .unwrap_or_else(|| {
                 let costs = self.machine.spec().costs;
-                FaultPlane::with_handle(nproc, self.stats.child(), costs, RunOptions::default())
+                let stats = self.machine.stats_handle().child();
+                FaultPlane::with_handle(nproc, stats, costs, RunOptions::default())
             });
         *slot = Some(Arc::clone(&plane));
         plane
     }
 
     /// Run one job of `nproc` processes under `options`: take the run
-    /// lock, reset the plane, run the front end's `reset`, bind this
-    /// session's stats as the thread's ambient target, run `job`, and
-    /// record its stats delta (`None` when it fails).
+    /// lock, reset the plane, run the front end's `reset`, bind the
+    /// plane's stats as the thread's ambient target, run `job`, and
+    /// record the plane's delta (`None` when it fails).
     pub fn run<T, E>(
         &self,
         nproc: usize,
         options: RunOptions,
         reset: impl FnOnce(),
-        job: impl FnOnce(&SessionRun<'_>) -> Result<T, E>,
+        job: impl FnOnce(&SessionRun) -> Result<T, E>,
     ) -> Result<T, E> {
         let mut last = self.last.lock();
         let plane = self.fault_plane(nproc);
         plane.reset_for_job(options);
         reset();
-        let _ambient = bind_ambient_stats(self.stats.clone());
+        let _ambient = bind_ambient_stats(plane.stats_handle().clone());
         let run = SessionRun {
+            before: plane.stats().snapshot(),
             plane,
             pool: self.pool.lock().clone(),
-            stats: &self.stats,
-            before: self.stats.local().snapshot(),
         };
         let result = job(&run);
         // A faulted run leaves no results: its delta covers whatever

@@ -9,7 +9,7 @@
 //! The counter list is written exactly once, in the `op_counters!`
 //! invocation below; the macro generates both [`OpStats`] and
 //! [`StatsSnapshot`] plus every whole-struct operation (`snapshot`,
-//! `reset`, `since`, `fields`).  A counter added to the list is therefore
+//! `since`, `fields`, `merge`).  A counter added to the list is therefore
 //! covered by snapshots and deltas *by construction* — it cannot be
 //! silently dropped the way a hand-enumerated field list could drop it.
 
@@ -46,17 +46,6 @@ macro_rules! op_counters {
                 }
             }
 
-            /// Reset every counter to zero.
-            pub fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
-            }
-
-            /// Every counter with its name, in declaration order (used by
-            /// diagnostics and the exhaustiveness tests).
-            pub fn counters(&self) -> Vec<(&'static str, &AtomicU64)> {
-                vec![$((stringify!($name), &self.$name),)+]
-            }
-
             /// Take the counters, leaving zeros: what a per-pid lane
             /// hands over when it is folded.
             pub(crate) fn drain(&self) -> StatsSnapshot {
@@ -89,6 +78,20 @@ macro_rules! op_counters {
             /// Every field with its name, in declaration order.
             pub fn fields(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($name), self.$name),)+]
+            }
+
+            /// A snapshot whose `i`-th counter, in declaration order,
+            /// reads `value(i)`: distinct per-field values for the
+            /// exhaustiveness tests.
+            #[cfg(test)]
+            fn numbered(value: impl Fn(u64) -> u64) -> StatsSnapshot {
+                let mut i = 0;
+                StatsSnapshot {
+                    $($name: {
+                        i += 1;
+                        value(i - 1)
+                    },)+
+                }
             }
 
             /// Add every counter of `other` into `self` (saturating).
@@ -194,29 +197,30 @@ impl OpStats {
 }
 
 /// Ownership handle for operation accounting: a **local** counter block
-/// owned by one execution plane (or session) plus a chain of **rollup**
-/// blocks (enclosing session, then machine) that every charge is
-/// mirrored into.
+/// owned by one execution plane, plus at most one **rollup** — the
+/// machine's block — that every charge is mirrored into.
 ///
-/// This is how per-job `StatsSnapshot::since` accounting stays exact on
-/// a machine running several planes concurrently: each plane reads its
-/// *private* `local` counters (no other plane ever writes them), while
-/// `Machine::stats()` — the root of every rollup chain — remains a
+/// A job's operations are counted in exactly two blocks, its plane's and
+/// its machine's.  Per-job `StatsSnapshot::since` accounting stays exact
+/// on a machine running several planes concurrently: each plane reads
+/// its *private* `local` counters (no other plane ever writes them),
+/// while `Machine::stats()` — every plane's rollup — remains a
 /// consistent machine-wide view equal to the sum of its planes' local
 /// counts plus any charges made outside a plane.
 ///
 /// Charging is **context-preferred**: [`count`](Self::count)/
 /// [`add`](Self::add) first consult the calling thread's installed
-/// fault-plane context (and then any ambient session binding) and charge
-/// *that* handle when one is present, falling back to `self` otherwise.
-/// A primitive constructed against the machine-wide root — a pooled
-/// Cray-2 lock slot shared by every tenant, a resident session's lock
-/// table — therefore attributes its runtime operations to whichever
-/// plane is actually executing, not to whoever happened to construct it.
+/// fault-plane context (and then the ambient binding a running session
+/// leaves on its driver thread) and charge *that* plane when one is
+/// present, falling back to `self` otherwise.  A primitive constructed
+/// against the machine's block — a pooled Cray-2 lock slot shared by
+/// every tenant, a resident engine's lock table — therefore attributes
+/// its runtime operations to whichever plane is actually executing, not
+/// to whoever happened to construct it.
 #[derive(Clone, Debug)]
 pub struct StatsHandle {
     local: Arc<OpStats>,
-    rollups: Arc<[Arc<OpStats>]>,
+    rollup: Option<Arc<OpStats>>,
 }
 
 impl StatsHandle {
@@ -226,21 +230,24 @@ impl StatsHandle {
     pub fn root(stats: Arc<OpStats>) -> StatsHandle {
         StatsHandle {
             local: stats,
-            rollups: Arc::from(Vec::new()),
+            rollup: None,
         }
     }
 
-    /// A child handle: a fresh private counter block whose charges are
-    /// mirrored into this handle's local block and every rollup above
-    /// it.  A plane handle is `machine_handle.child()`; a session-nested
-    /// plane is `session_handle.child()`.
+    /// A plane's handle under this root: a fresh private counter block
+    /// whose charges are mirrored into this handle's block.  A plane
+    /// handle is `machine_handle.child()`.
+    ///
+    /// # Panics
+    /// Panics if `self` is itself a child: accounting has two levels.
     pub fn child(&self) -> StatsHandle {
-        let mut rollups = Vec::with_capacity(self.rollups.len() + 1);
-        rollups.push(Arc::clone(&self.local));
-        rollups.extend(self.rollups.iter().cloned());
+        assert!(
+            self.rollup.is_none(),
+            "a plane's counters roll up into its machine's alone"
+        );
         StatsHandle {
             local: Arc::new(OpStats::new()),
-            rollups: rollups.into(),
+            rollup: Some(Arc::clone(&self.local)),
         }
     }
 
@@ -257,8 +264,8 @@ impl StatsHandle {
     }
 
     /// Increment the projected counter by `n`, context-preferred: the
-    /// charge goes to the calling thread's installed plane (or ambient
-    /// session) handle when one exists, otherwise to `self`.
+    /// charge goes to the calling thread's installed plane (or a running
+    /// session's ambient plane) when one exists, otherwise to `self`.
     #[inline]
     pub fn add(&self, proj: impl Fn(&OpStats) -> &AtomicU64, n: u64) {
         if crate::fault::charge_current(&proj, n) {
@@ -273,18 +280,18 @@ impl StatsHandle {
     #[inline]
     pub(crate) fn add_direct(&self, proj: &dyn Fn(&OpStats) -> &AtomicU64, n: u64) {
         proj(&self.local).fetch_add(n, Ordering::Relaxed);
-        for r in self.rollups.iter() {
+        if let Some(r) = &self.rollup {
             proj(r).fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Move a per-pid lane's counts into this handle: the local block
-    /// and every rollup, each counter that moved written once.  The lane
+    /// and the rollup, each counter that moved written once.  The lane
     /// is left at zero.
     pub(crate) fn fold(&self, lane: &OpStats) {
         let counts = lane.drain();
         self.local.absorb(&counts);
-        for r in self.rollups.iter() {
+        if let Some(r) = &self.rollup {
             r.absorb(&counts);
         }
     }
@@ -325,15 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_everything() {
-        let st = OpStats::new();
-        OpStats::count(&st.syscalls);
-        OpStats::count(&st.parks);
-        st.reset();
-        assert_eq!(st.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
     fn since_subtracts_saturating() {
         let st = OpStats::new();
         OpStats::add(&st.lock_acquires, 10);
@@ -350,22 +348,15 @@ mod tests {
         // Bump every counter by a distinct baseline, snapshot, bump each
         // by a distinct per-field delta, and check that `since` reports
         // exactly that per-field delta for *every* counter.  The counter
-        // list is enumerated through `counters()`/`fields()`, which the
-        // `op_counters!` macro generates from the same list as `since`,
-        // so a future counter cannot be silently dropped from deltas: it
-        // is either covered or this test sees a length mismatch.
+        // list is enumerated through `fields()`, which the `op_counters!`
+        // macro generates from the same list as `since`, so a future
+        // counter cannot be silently dropped from deltas.
         let st = OpStats::new();
-        for (i, (_, c)) in st.counters().iter().enumerate() {
-            OpStats::add(c, 1000 + i as u64 * 13);
-        }
+        st.absorb(&StatsSnapshot::numbered(|i| 1000 + i * 13));
         let earlier = st.snapshot();
-        for (i, (_, c)) in st.counters().iter().enumerate() {
-            OpStats::add(c, i as u64 + 1);
-        }
-        let later = st.snapshot();
-        let d = later.since(&earlier);
+        st.absorb(&StatsSnapshot::numbered(|i| i + 1));
+        let d = st.snapshot().since(&earlier);
         let fields = d.fields();
-        assert_eq!(fields.len(), st.counters().len());
         for (i, (name, v)) in fields.iter().enumerate() {
             assert_eq!(*v, i as u64 + 1, "delta dropped or corrupted `{name}`");
         }
@@ -387,11 +378,7 @@ mod tests {
     fn merge_accumulates_every_counter() {
         // Same exhaustiveness trick as the delta test: distinct per-field
         // values prove `merge` covers the whole list.
-        let st = OpStats::new();
-        for (i, (_, c)) in st.counters().iter().enumerate() {
-            OpStats::add(c, i as u64 + 1);
-        }
-        let snap = st.snapshot();
+        let snap = StatsSnapshot::numbered(|i| i + 1);
         let mut acc = StatsSnapshot::default();
         acc.merge(&snap);
         acc.merge(&snap);
@@ -406,24 +393,34 @@ mod tests {
     }
 
     #[test]
-    fn child_handle_mirrors_into_every_rollup() {
+    fn child_handle_mirrors_into_its_machine() {
         let machine = Arc::new(OpStats::new());
-        let session = StatsHandle::root(Arc::clone(&machine)).child();
-        let plane_a = session.child();
-        let plane_b = session.child();
+        let root = StatsHandle::root(Arc::clone(&machine));
+        let plane_a = root.child();
+        let plane_b = root.child();
         plane_a.add(|s| &s.lock_acquires, 3);
         plane_b.add(|s| &s.lock_acquires, 4);
-        session.count(|s| &s.syscalls);
+        let lane = OpStats::new();
+        OpStats::count(&lane.parks);
+        plane_a.fold(&lane);
+        root.count(|s| &s.syscalls);
         // Plane-local counters are private to each plane.
         assert_eq!(plane_a.local().snapshot().lock_acquires, 3);
+        assert_eq!(plane_a.local().snapshot().parks, 1);
         assert_eq!(plane_b.local().snapshot().lock_acquires, 4);
         assert_eq!(plane_a.local().snapshot().syscalls, 0);
-        // The session sums its planes plus its own charges.
-        assert_eq!(session.local().snapshot().lock_acquires, 7);
-        assert_eq!(session.local().snapshot().syscalls, 1);
-        // The machine root sees everything: totals = sum of rollups.
-        assert_eq!(machine.snapshot().lock_acquires, 7);
-        assert_eq!(machine.snapshot().syscalls, 1);
+        assert_eq!(lane.snapshot(), StatsSnapshot::default(), "folded");
+        // The machine sees everything: its planes plus its own charges.
+        let total = machine.snapshot();
+        assert_eq!(total.lock_acquires, 7);
+        assert_eq!(total.parks, 1);
+        assert_eq!(total.syscalls, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "roll up into its machine's alone")]
+    fn a_plane_handle_has_no_children() {
+        StatsHandle::root(Arc::new(OpStats::new())).child().child();
     }
 
     #[test]

@@ -32,8 +32,11 @@ pub struct TenantRollup {
     pub deadline_exceeded: u64,
     /// Transient-fault retries spent across all jobs.
     pub retries: u64,
-    /// Machine operations consumed by this tenant's attempts
-    /// (per-attempt `StatsSnapshot::since`s, merged).
+    /// Machine operations consumed by this tenant's attempts: each
+    /// attempt's delta of the plane it bound, merged.  The plane is the
+    /// one block a job's operations land in, its driver's included (lock
+    /// creation, the `Shared` designation), so a `.force` job's share
+    /// here equals its `RunOutput::stats`.
     pub ops: StatsSnapshot,
     /// Submit→terminal latency of every job (nanoseconds), including
     /// queueing, retries, and backoff sleeps.

@@ -1,7 +1,7 @@
 //! The lock path keeps its books and its meaning.
 //!
 //! A lock operation inside a force charges a per-pid lane that is folded
-//! into the plane, session and machine blocks when the process ends, and
+//! into the plane and machine blocks when the process ends, and
 //! the bytecode VM resolves a lock variable once per process.  Neither
 //! may be visible from outside: the counts of a run are what they were
 //! when every increment went to every block at once, a faulted or

@@ -421,11 +421,10 @@ fn injected_panics_fault_identically_under_every_schedule_policy() {
                         delay_per_mille: 0,
                         spurious_per_mille: 0,
                     }),
-                    default_schedule: policy,
                     ..RunOptions::default()
                 },
                 |p| {
-                    p.doall(ForceRange::to(1, 64), |i| {
+                    p.doall_with(policy, ForceRange::to(1, 64), |i| {
                         hits.fetch_add(i, Ordering::Relaxed);
                     });
                 },

@@ -288,7 +288,7 @@ fn the_vm_touches_shared_words_in_two_functions() {
 
 #[test]
 fn the_session_protocol_is_written_once() {
-    // A job's prologue — reset the plane, bind the session's stats — is
+    // A job's prologue — reset the plane, bind it as the driver's stats — is
     // `machdep::session::Session::run`'s; the front ends hand it their
     // own reset.  A front end that does either itself is a second copy of
     // the protocol growing back.
@@ -415,7 +415,6 @@ crates/machdep: mod session
 crates/machdep: mod spin
 crates/machdep: mod syscall_lock
 crates/machdep: mod trace
-crates/machdep: use AmbientStatsGuard
 crates/machdep: use Backoff
 crates/machdep: use BlockRequest
 crates/machdep: use CachePadded
@@ -466,7 +465,6 @@ crates/machdep: use TraceSink
 crates/machdep: use VirtualSummary
 crates/machdep: use WorkQueues
 crates/machdep: use XorShift64
-crates/machdep: use bind_ambient_stats
 crates/machdep: use charge_virtual
 crates/machdep: use current_virtual_ns
 crates/machdep: use default_nproc

@@ -503,6 +503,53 @@ fn concurrent_sessions_on_one_machine_report_disjoint_stats() {
     assert_eq!(total.barrier_episodes, BARRIERS[0] + BARRIERS[1]);
 }
 
+/// A served job's tenant `ops` are its run's own counts, field by field:
+/// what the driver of a `.force` job does around its force — create the
+/// locks, designate `Shared` memory — is the job's, and lands in the one
+/// block that `RunOutput::stats` and the server's per-attempt delta both
+/// read.  One `.force` job per machine and a native job, at nproc 2.
+#[test]
+fn a_served_jobs_tenant_ops_are_its_runs_stats() {
+    let (server, _) = server_with_own_stats(ServerConfig::default());
+    let mut runs = Vec::new();
+    for machine in Machine::all() {
+        let tenant = machine.id().name().to_string();
+        let engine = unpooled_engine(LANG_PROGRAM, &machine);
+        let seen = Arc::new(Mutex::new(None));
+        let slot = Arc::clone(&seen);
+        let runner = engine_runner(&engine, 2, RunOptions::default(), move |out| {
+            *slot.lock().unwrap() = Some(out.stats);
+        });
+        let job = expect_admitted(server.submit(JobSpec::for_tenant(&tenant), runner));
+        assert!(job.wait().is_success(), "{tenant}: the job failed");
+        let stats = seen.lock().unwrap().expect("a completed job's output");
+        assert!(
+            stats.locks_created > 0 && stats.shared_words > 0,
+            "{tenant}: the driver's counts are the job's: {stats:?}"
+        );
+        runs.push((tenant, stats));
+    }
+    let force = Arc::new(Force::new(2));
+    let runner = force_runner(&force, RunOptions::default(), |p| {
+        p.critical("L", || {});
+        p.barrier();
+    });
+    let job = expect_admitted(server.submit(JobSpec::for_tenant("native"), runner));
+    assert!(job.wait().is_success(), "native: the job failed");
+    runs.push(("native".to_string(), force.last_job_stats().unwrap()));
+    server.shutdown();
+
+    for (tenant, run) in &runs {
+        let ops = server.tenant_report(tenant).expect("tenant seen").ops;
+        for ((name, in_run), (_, served)) in run.fields().iter().zip(ops.fields().iter()) {
+            assert_eq!(
+                in_run, served,
+                "{tenant}: `{name}`, the run's against the tenant's"
+            );
+        }
+    }
+}
+
 #[test]
 fn native_deadline_tears_down_a_running_pooled_job() {
     let machine = Machine::new(MachineId::Flex32);
