@@ -177,19 +177,26 @@ pub struct Dims {
 }
 
 impl Dims {
-    /// The dimensions `dims`, if there are at most two.
+    /// The dimensions `dims`, if there are at most two and their product
+    /// fits a `usize`.
     pub fn new(dims: &[usize]) -> Option<Dims> {
         let mut out = Dims::default();
         for &d in dims {
             *out.dims.get_mut(out.len as usize)? = d;
             out.len += 1;
         }
-        Some(out)
+        out.checked_words().map(|_| out)
     }
 
-    /// Total words of storage.
+    fn checked_words(&self) -> Option<usize> {
+        self.iter()
+            .try_fold(1usize, |words, &d| words.checked_mul(d))
+    }
+
+    /// Total words of storage ([`Dims::new`] has checked that the product
+    /// fits).
     pub fn words(&self) -> usize {
-        self.iter().product::<usize>().max(1)
+        self.checked_words().unwrap_or(usize::MAX).max(1)
     }
 }
 

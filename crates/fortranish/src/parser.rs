@@ -438,8 +438,15 @@ impl<'a> Parser<'a> {
                     self.expect(&Token::Comma, "`,` in dimensions")?;
                 }
             }
-            let Some(dims) = Dims::new(&dims[..count.min(3)]) else {
+            if count > 2 {
                 return Err(self.err("at most 2 array dimensions are supported"));
+            }
+            let Some(dims) = Dims::new(&dims[..count]) else {
+                return Err(self.err(format!(
+                    "array {} is too large: its element count overflows a {}-bit word",
+                    self.names.text(name),
+                    usize::BITS
+                )));
             };
             items.push(DeclItem { name, dims });
             if !self.eat(&Token::Comma) {

@@ -66,9 +66,15 @@ pub struct DeclInfo {
 }
 
 impl DeclInfo {
-    /// Total storage in 64-bit words.
+    /// Total storage in 64-bit words.  The sed pass rejects a
+    /// declaration whose product overflows a `usize`, so one that
+    /// [`preprocess`] made never saturates.
     pub fn words(&self) -> usize {
-        self.dims.iter().product::<usize>().max(1)
+        self.dims
+            .iter()
+            .try_fold(1usize, |words, &d| words.checked_mul(d))
+            .unwrap_or(usize::MAX)
+            .max(1)
     }
 }
 
@@ -109,23 +115,26 @@ impl From<M4Error> for PrepError {
 
 /// An opaque, set-once slot for a downstream compiler's artifact.
 ///
-/// An [`ExpansionCache`] hands out the same resident
-/// [`ExpandedProgram`] by `Arc` on every hit; anything attached here
-/// rides along, so a back end that compiles the expanded code (the
-/// `force-fortran` bytecode compiler) gets compiled-unit caching under
-/// the same key without the preprocessor depending on it.  The slot is
-/// type-erased — the preprocessor neither knows nor cares what is
-/// stored — and write-once: concurrent initializers race benignly (the
-/// first stored value wins; both are valid for identical expansions).
+/// An [`ExpansionCache`] hands out the same [`ExpandedProgram`] by `Arc`
+/// on every hit, for as long as it is resident or anyone still holds
+/// it; anything attached here rides along, so a back end that compiles
+/// the expanded code (the `force-fortran` bytecode compiler) gets
+/// compiled-unit caching under the same key without the preprocessor
+/// depending on it.  The slot is type-erased — the preprocessor neither
+/// knows nor cares what is stored — and write-once: concurrent
+/// initializers race benignly (the first stored value wins; both are
+/// valid for identical expansions).
 ///
 /// The artifact outweighs the expansion it rides on, so
 /// [`attach`](Self::attach) takes its weight and reports it to the cache
-/// the expansion is resident in: the cache's byte bound covers both.
+/// the expansion is resident in: the cache's byte bound covers both.  An
+/// expansion that is not resident yet (its source was looked up once)
+/// is weighed with its artifact when its second lookup admits it.
 #[derive(Default)]
 pub struct CompiledPayload {
     /// The artifact and the weight it was attached with.
     slot: OnceLock<(Arc<dyn std::any::Any + Send + Sync>, usize)>,
-    /// The cache entry this payload's expansion was inserted under.
+    /// The cache and key this payload's expansion was looked up under.
     owner: Option<(Weak<Shared>, Key)>,
 }
 
@@ -147,7 +156,8 @@ impl CompiledPayload {
     /// itself if the resident artifact has a different type (a
     /// programming error, but one that must not turn into a
     /// wrong-program execution).  The winner's weight is added to the
-    /// owning cache entry — if that entry is still resident.
+    /// owning cache entry — if the expansion is resident in it and its
+    /// admission did not count the artifact already.
     pub fn attach<T: Send + Sync + 'static>(&self, value: Arc<T>, weight: usize) -> Arc<T> {
         let artifact = Arc::clone(&value) as Arc<dyn std::any::Any + Send + Sync>;
         if self.slot.set((artifact, weight)).is_ok() {
@@ -438,10 +448,24 @@ struct Entry {
     /// never to serving the wrong expansion.
     source: Box<str>,
     program: Arc<ExpandedProgram>,
-    /// Accounted bytes: the source, the expansion, and whatever
-    /// [`CompiledPayload::attach`] has reported since the insert.
+    /// Accounted bytes: the source, the expansion, and the artifact in
+    /// its [`CompiledPayload`] once that is counted.
     weight: usize,
+    /// Whether `weight` counts the payload's artifact: set by an
+    /// admission that finds one attached, or else by the attach.
+    charged: bool,
     /// This entry's node in [`State::order`].
+    node: usize,
+}
+
+/// A source looked up once: what its second lookup needs to admit it.
+struct Record {
+    /// The full source, compared on the second lookup as an entry's is.
+    source: Box<str>,
+    /// The expansion the first lookup returned.  The second lookup
+    /// admits that very `Arc` if anyone still holds it.
+    program: Weak<ExpandedProgram>,
+    /// This record's node in [`State::arrivals`].
     node: usize,
 }
 
@@ -449,19 +473,49 @@ struct Entry {
 /// its key, and its slots in the map and the recency index.
 const ENTRY_OVERHEAD: usize = 128;
 
+/// What a record costs besides its source: the `Record`, its key, and
+/// its slots in the map and the arrival index.
+const RECORD_OVERHEAD: usize = 96;
+
+/// The records may weigh at most `capacity / RECORD_SHARE`; the entries
+/// get the rest.  A record of a source the size of the examples weighs
+/// 0.7–1 kB, so the default instance remembers the last 500–750 one-off
+/// sources, and one that comes back within that many others is
+/// admitted.  The entries give up 1/16 of their room for that: a larger
+/// share would remember sources that come back later, at the hot set's
+/// expense.
+const RECORD_SHARE: usize = 16;
+
+/// A record's accounted bytes: besides its source and overhead, the
+/// `Arc` allocation of the expansion, which its `Weak` keeps from being
+/// freed after the last holder has dropped the expansion's buffers.
+fn record_weight(source: &str) -> usize {
+    RECORD_OVERHEAD + alloc_bytes(source.len()) + arc_bytes::<ExpandedProgram>()
+}
+
+/// An entry's accounted bytes without the artifact in its payload.
+fn bare_weight(source: &str, program: &ExpandedProgram) -> usize {
+    ENTRY_OVERHEAD + alloc_bytes(source.len()) + program.heap_bytes()
+}
+
 /// A snapshot of one [`ExpansionCache`]'s counters and occupancy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered with the resident expansion.
+    /// Lookups answered without running the pipeline: with a resident
+    /// expansion, or by admitting the one a first lookup returned.
     pub hits: u64,
     /// Lookups that ran the pipeline (failed runs included).
     pub misses: u64,
-    /// Entries removed to keep `bytes` within the capacity.
+    /// Entries removed to keep their bytes within the capacity.
     pub evictions: u64,
     /// Resident entries.
     pub entries: usize,
-    /// Accounted weight of the resident entries.
+    /// Sources looked up once and remembered, not yet resident.
+    pub records: usize,
+    /// Accounted weight of everything held: entries and records.
     pub bytes: usize,
+    /// The records' share of `bytes`.
+    pub record_bytes: usize,
     /// Completed sed passes: one per miss that got that far.
     pub sed: u64,
     /// Completed m4 passes: two per miss that expanded.
@@ -472,6 +526,7 @@ pub struct CacheStats {
 /// list threaded through a slab, `nodes[0]` being the sentinel — its
 /// `next` is the least recently used key, its `prev` the most recent.
 /// A touch is a handful of index writes: no search, no allocation.
+/// Never touched, the same list is the records' order of arrival.
 struct Recency {
     nodes: Vec<Node>,
     /// Vacant slots of `nodes`.
@@ -560,7 +615,12 @@ impl Recency {
 struct State {
     map: HashMap<Key, Entry>,
     order: Recency,
-    /// The counters and `bytes`; `entries` is read off `map`.
+    /// The sources looked up once, and their order of arrival: records
+    /// are never touched, so the oldest leaves first.
+    records: HashMap<Key, Record>,
+    arrivals: Recency,
+    /// The counters, `bytes` and `record_bytes`; `entries` and `records`
+    /// are read off the maps.
     stats: CacheStats,
 }
 
@@ -581,9 +641,9 @@ impl State {
     }
 
     /// Evict least recently used entries into `displaced` until the
-    /// accounted bytes fit `capacity`.
+    /// entries' bytes fit `capacity`.
     fn evict_to(&mut self, capacity: usize, displaced: &mut Vec<Entry>) {
-        while self.stats.bytes > capacity {
+        while self.stats.bytes - self.stats.record_bytes > capacity {
             let Some(key) = self.order.iter().next() else {
                 break;
             };
@@ -591,10 +651,135 @@ impl State {
             self.stats.evictions += 1;
         }
     }
+
+    /// Take out the record under `key`.
+    fn forget(&mut self, key: &Key) -> Option<Record> {
+        let record = self.records.remove(key)?;
+        self.arrivals.release(record.node);
+        let weight = record_weight(&record.source);
+        self.stats.bytes -= weight;
+        self.stats.record_bytes -= weight;
+        Some(record)
+    }
+
+    /// Take out the record of `source`, if `key` holds one: its source,
+    /// and the expansion its first lookup returned if that is still held.
+    fn recall(
+        &mut self,
+        key: &Key,
+        source: &str,
+    ) -> Option<(Box<str>, Option<Arc<ExpandedProgram>>)> {
+        if *self.records.get(key)?.source != *source {
+            return None;
+        }
+        let record = self.forget(key)?;
+        Some((record.source, record.program.upgrade()))
+    }
+
+    /// Remember `program` as the first expansion of `source`, in place of
+    /// any record under `key` (a hash collision), the oldest records
+    /// leaving to fit `budget`.  A record heavier than the whole budget
+    /// is not kept.
+    fn record(&mut self, key: Key, source: &str, program: &Arc<ExpandedProgram>, budget: usize) {
+        let weight = record_weight(source);
+        if weight > budget {
+            return;
+        }
+        self.forget(&key);
+        while self.stats.record_bytes + weight > budget {
+            let Some(oldest) = self.arrivals.iter().next() else {
+                break;
+            };
+            self.forget(&oldest);
+        }
+        let node = self.arrivals.push(key);
+        let program = Arc::downgrade(program);
+        let source = source.into();
+        self.records.insert(
+            key,
+            Record {
+                source,
+                program,
+                node,
+            },
+        );
+        self.stats.bytes += weight;
+        self.stats.record_bytes += weight;
+    }
+
+    /// Make `program`, weighing `bare` without its artifact, resident
+    /// under `key` as the most recently used entry, and evict to fit
+    /// `capacity`.  The artifact is read under the lock that
+    /// [`Shared::grow`] takes, so it is counted exactly once.  Returns
+    /// the resident expansion: a racing admission's if one got here
+    /// first, or `program`, uncached, if it outweighs the capacity.
+    fn admit(
+        &mut self,
+        key: Key,
+        source: Box<str>,
+        program: Arc<ExpandedProgram>,
+        bare: usize,
+        capacity: usize,
+        displaced: &mut Vec<Entry>,
+    ) -> Arc<ExpandedProgram> {
+        if let Some(resident) = self.hit(&key, &source) {
+            return resident;
+        }
+        let attached = program.payload.slot.get().map(|(_, weight)| *weight);
+        let weight = bare.saturating_add(attached.unwrap_or(0));
+        if weight > capacity {
+            return program;
+        }
+        // A hash collision: the newer source takes the slot.
+        displaced.extend(self.remove(&key));
+        let node = self.order.push(key);
+        self.map.insert(
+            key,
+            Entry {
+                source,
+                program: Arc::clone(&program),
+                weight,
+                charged: attached.is_some(),
+                node,
+            },
+        );
+        self.stats.bytes += weight;
+        self.evict_to(capacity, displaced);
+        program
+    }
+
+    /// The end of a source's first lookup: converge on what a racing
+    /// lookup of it left — its resident entry, or the expansion its
+    /// record holds, admitted now — or else keep a record of `program`.
+    fn first_lookup(
+        &mut self,
+        key: Key,
+        source: &str,
+        program: Arc<ExpandedProgram>,
+        shared: &Shared,
+        displaced: &mut Vec<Entry>,
+    ) -> Arc<ExpandedProgram> {
+        if let Some(resident) = self.hit(&key, source) {
+            return resident;
+        }
+        if let Some((recorded, Some(first))) = self.recall(&key, source) {
+            let bare = bare_weight(&recorded, &first);
+            return self.admit(
+                key,
+                recorded,
+                first,
+                bare,
+                shared.entry_capacity(),
+                displaced,
+            );
+        }
+        self.record(key, source, &program, shared.record_budget());
+        program
+    }
 }
 
 /// What an [`ExpansionCache`] shares with the payloads of the
-/// expansions resident in it.
+/// expansions it hands out.
 struct Shared {
     capacity: usize,
     /// The source hash of the key (a seam: the unit tests force
@@ -604,28 +789,42 @@ struct Shared {
 }
 
 impl Shared {
+    /// What the records may weigh.
+    fn record_budget(&self) -> usize {
+        self.capacity / RECORD_SHARE
+    }
+
+    /// What the entries may weigh.
+    fn entry_capacity(&self) -> usize {
+        self.capacity - self.record_budget()
+    }
+
     /// Add an attached artifact's `weight` to the entry `payload` sits
-    /// in — unless that entry was evicted meanwhile (then the weight
-    /// belongs to whoever still holds the expansion, not to the cache).
+    /// in — unless that entry was evicted meanwhile, or is not admitted
+    /// yet, or counted the artifact when it was admitted (then the
+    /// weight belongs to whoever holds the expansion, or is counted
+    /// already).
     fn grow(&self, key: &Key, payload: &CompiledPayload, weight: usize) {
+        let capacity = self.entry_capacity();
         // Declared before the guard, so dropped after it.
         let mut displaced = Vec::new();
         let mut state = self.state.lock();
         let Some(entry) = state.map.get_mut(key) else {
             return;
         };
-        if !std::ptr::eq(&entry.program.payload, payload) {
+        if entry.charged || !std::ptr::eq(&entry.program.payload, payload) {
             return;
         }
-        if entry.weight.saturating_add(weight) > self.capacity {
-            // Grown past the whole capacity: this entry leaves and
-            // nothing else does.
+        entry.charged = true;
+        if entry.weight.saturating_add(weight) > capacity {
+            // Grown past the entries' whole capacity: this entry leaves
+            // and nothing else does.
             displaced.extend(state.remove(key));
             state.stats.evictions += 1;
         } else {
             entry.weight += weight;
             state.stats.bytes += weight;
-            state.evict_to(self.capacity, &mut displaced);
+            state.evict_to(capacity, &mut displaced);
         }
     }
 }
@@ -637,23 +836,33 @@ fn source_hash(source: &str) -> u64 {
 }
 
 /// A memo of [`preprocess`] keyed by *(source hash, machine
-/// personality)*, bounded in bytes, evicting the least recently used.
+/// personality)*, bounded in bytes, admitting a source on its second
+/// lookup and evicting the least recently used.
 ///
 /// Re-running the same program — or porting it across the six
 /// personalities, each of which gets its own entry — skips the sed and
 /// both m4 passes on a hit and returns the resident [`ExpandedProgram`]
-/// by `Arc`: always the same `Arc` for as long as the entry is resident.
-/// The hit path does **zero** pipeline work, observable through
-/// [`stats`](Self::stats).  Errors are not cached: a failing source
-/// re-runs the pipeline on every call.
+/// by `Arc`: always the same `Arc` for as long as the entry is resident
+/// or anyone still holds it.  The hit path does **zero** pipeline work,
+/// observable through [`stats`](Self::stats).  Errors are not cached: a
+/// failing source re-runs the pipeline on every call.
 ///
-/// The bound covers the source, the expansion and the artifact a back
-/// end attaches to the expansion's [`CompiledPayload`].  Eviction only
-/// drops the cache's own reference: a caller that holds the `Arc` (and
-/// an engine loaded from it) keeps a complete, working program, and the
-/// next lookup of that source expands it again.  An expansion heavier
-/// than the whole capacity is returned without being cached and evicts
-/// nothing.  Memory is taken as entries arrive, never reserved.
+/// A source's first lookup runs the pipeline and keeps only a *record*:
+/// the source and a `Weak` to the expansion it returned.  Traffic of
+/// one-off programs thus fills the records, which may use 1/16 of the
+/// capacity, the oldest leaving first, and never the entries.  The
+/// second lookup admits the expansion the first returned, if anyone
+/// still holds it (a hit: the caller gets that very `Arc`), or else
+/// expands the source again and admits that.
+///
+/// The bound covers the records, the sources, the expansions and the
+/// artifact a back end attaches to an expansion's [`CompiledPayload`].
+/// Eviction only drops the cache's own reference: a caller that holds
+/// the `Arc` (and an engine loaded from it) keeps a complete, working
+/// program, and the next lookup of that source expands it again.  An
+/// expansion heavier than the entries' whole share is returned without
+/// being cached and evicts nothing.  Memory is taken as entries arrive,
+/// never reserved.
 pub struct ExpansionCache {
     shared: Arc<Shared>,
 }
@@ -691,60 +900,61 @@ impl ExpansionCache {
     ) -> Result<Arc<ExpandedProgram>, PrepError> {
         let shared = &self.shared;
         let key = ((shared.hash)(source), machine);
-        {
+        // Declared before the guards, so dropped after them: freeing an
+        // entry is hundreds of small `free`s, and every other caller's
+        // hit path waits on this lock.
+        let mut displaced = Vec::new();
+        let recalled = {
             let mut state = shared.state.lock();
             if let Some(program) = state.hit(&key, source) {
                 state.stats.hits += 1;
                 return Ok(program);
             }
+            let recalled = match state.recall(&key, source) {
+                Some((recorded, Some(first))) => {
+                    state.stats.hits += 1;
+                    let bare = bare_weight(&recorded, &first);
+                    let capacity = shared.entry_capacity();
+                    return Ok(state.admit(key, recorded, first, bare, capacity, &mut displaced));
+                }
+                Some((recorded, None)) => Some(recorded),
+                None => None,
+            };
             state.stats.misses += 1;
-        }
+            recalled
+        };
 
         let mut passes = PassCounts::default();
         let expanded = run_pipeline(source, machine, &mut passes);
-        {
-            let mut state = shared.state.lock();
+        let count = |state: &mut State| {
             state.stats.sed += passes.sed;
             state.stats.m4 += passes.m4;
-        }
-        let mut program = expanded?;
-        program.intermediate.shrink_to_fit();
-        let weight = ENTRY_OVERHEAD + alloc_bytes(source.len()) + program.heap_bytes();
-        if weight > shared.capacity {
-            return Ok(Arc::new(program));
-        }
-        program.payload.owner = Some((Arc::downgrade(shared), key));
-        let program = Arc::new(program);
-        let source: Box<str> = source.into();
-
-        // Declared before the guard, so dropped after it: freeing an
-        // entry is hundreds of small `free`s, and every other caller's
-        // hit path waits on this lock.
-        let mut displaced = Vec::new();
-        let mut state = shared.state.lock();
-        match state.map.get(&key) {
-            // A racing miss on the same source got here first: every
-            // caller converges on the resident `Arc`.
-            Some(resident) if resident.source == source => {
-                return Ok(Arc::clone(&resident.program));
+        };
+        let mut program = match expanded {
+            Ok(program) => program,
+            Err(e) => {
+                count(&mut shared.state.lock());
+                return Err(e);
             }
-            // A hash collision: the newer source takes the slot.
-            Some(_) => displaced.extend(state.remove(&key)),
-            None => {}
-        }
-        let node = state.order.push(key);
-        state.map.insert(
-            key,
-            Entry {
-                source,
-                program: Arc::clone(&program),
-                weight,
-                node,
-            },
-        );
-        state.stats.bytes += weight;
-        state.evict_to(shared.capacity, &mut displaced);
-        Ok(program)
+        };
+        // An expansion remembers where it was looked up, so an artifact
+        // attached to it is charged to its entry if it is admitted.
+        program.payload.owner = Some((Arc::downgrade(shared), key));
+        let Some(recorded) = recalled else {
+            let program = Arc::new(program);
+            let mut state = shared.state.lock();
+            count(&mut state);
+            return Ok(state.first_lookup(key, source, program, shared, &mut displaced));
+        };
+        // The second lookup of a source whose first expansion nobody
+        // holds: this one is admitted.
+        program.intermediate.shrink_to_fit();
+        let bare = bare_weight(&recorded, &program);
+        let program = Arc::new(program);
+        let mut state = shared.state.lock();
+        count(&mut state);
+        let capacity = shared.entry_capacity();
+        Ok(state.admit(key, recorded, program, bare, capacity, &mut displaced))
     }
 
     /// Counters and occupancy, read under one lock.
@@ -752,6 +962,7 @@ impl ExpansionCache {
         let state = self.shared.state.lock();
         CacheStats {
             entries: state.map.len(),
+            records: state.records.len(),
             ..state.stats
         }
     }
@@ -770,14 +981,18 @@ impl ExpansionCache {
             .collect()
     }
 
-    /// Drop every resident expansion (the counters are kept).
+    /// Drop every resident expansion and every record (the counters are
+    /// kept).
     pub fn clear(&self) {
         let mut state = self.shared.state.lock();
         let map = std::mem::take(&mut state.map);
+        let records = std::mem::take(&mut state.records);
         state.order = Recency::default();
+        state.arrivals = Recency::default();
         state.stats.bytes = 0;
+        state.stats.record_bytes = 0;
         drop(state);
-        drop(map);
+        drop((map, records));
     }
 }
 
@@ -1053,16 +1268,19 @@ mod tests {
         PROGRAM.replace("TOTAL", &format!("T{i}"))
     }
 
-    /// The accounted bytes equal the sum of the resident weights, and
-    /// every weight is the entry's own parts added up.
+    /// The accounted bytes equal the sum of the entries' and the
+    /// records' weights, every weight is its parts added up, and each
+    /// share fits its bound.
     fn assert_accounting(cache: &ExpansionCache) {
-        let state = cache.shared.state.lock();
+        let shared = &cache.shared;
+        let state = shared.state.lock();
         assert_eq!(state.map.len(), state.order.iter().count());
         assert_eq!(
             state.map.len() + state.order.free.len() + 1,
             state.order.nodes.len()
         );
-        let mut sum = 0;
+        assert_eq!(state.records.len(), state.arrivals.iter().count());
+        let mut entries = 0;
         for key in state.order.iter() {
             let entry = &state.map[&key];
             assert_eq!(state.order.nodes[entry.node].key, key);
@@ -1073,30 +1291,148 @@ mod tests {
                     + entry.program.heap_bytes()
                     + entry.program.payload.weight()
             );
-            sum += entry.weight;
+            entries += entry.weight;
         }
-        assert_eq!(state.stats.bytes, sum);
-        assert!(sum <= cache.capacity());
+        let mut records = 0;
+        for key in state.arrivals.iter() {
+            let record = &state.records[&key];
+            assert_eq!(state.arrivals.nodes[record.node].key, key);
+            records += record_weight(&record.source);
+        }
+        assert_eq!(state.stats.record_bytes, records);
+        assert_eq!(state.stats.bytes, entries + records);
+        assert!(entries <= shared.entry_capacity());
+        assert!(records <= shared.record_budget());
+        assert!(entries + records <= cache.capacity());
+    }
+
+    /// Look `source` up twice, holding the first expansion: the second
+    /// lookup admits it and returns it.
+    fn admitted(cache: &ExpansionCache, source: &str, id: MachineId) -> Arc<ExpandedProgram> {
+        let first = cache.preprocess(source, id).unwrap();
+        let second = cache.preprocess(source, id).unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "admitted as it was returned");
+        second
+    }
+
+    /// The accounted weight of one admitted, uncompiled `variant`.
+    fn entry_weight(id: MachineId) -> usize {
+        let one = ExpansionCache::new(usize::MAX);
+        admitted(&one, &variant(0), id);
+        one.stats().bytes
+    }
+
+    /// A capacity whose entries' share holds `bytes`.
+    fn capacity_for(bytes: usize) -> usize {
+        bytes + bytes / (RECORD_SHARE - 1) + RECORD_SHARE
     }
 
     #[test]
     fn cached_preprocessing_does_zero_pipeline_work_on_a_hit() {
         let cache = ExpansionCache::new(1 << 20);
         let first = cache.preprocess(PROGRAM, MachineId::AlliantFx8).unwrap();
+        let recorded = cache.stats();
+        assert_eq!((recorded.hits, recorded.misses), (0, 1));
+        assert_eq!((recorded.sed, recorded.m4), (1, 2));
+        assert_eq!((recorded.entries, recorded.records), (0, 1));
+        // The second lookup admits the expansion the first returned.
+        let admitted = cache.preprocess(PROGRAM, MachineId::AlliantFx8).unwrap();
         let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (0, 1));
-        assert_eq!((before.sed, before.m4, before.entries), (1, 2, 1));
+        assert_eq!(
+            before,
+            CacheStats {
+                hits: 1,
+                entries: 1,
+                records: 0,
+                bytes: before.bytes,
+                record_bytes: 0,
+                ..recorded
+            },
+            "admitting runs no sed or m4 pass"
+        );
         let again = cache.preprocess(PROGRAM, MachineId::AlliantFx8).unwrap();
         assert_eq!(
             cache.stats(),
-            CacheStats { hits: 1, ..before },
+            CacheStats { hits: 2, ..before },
             "the hit path must run no sed or m4 pass"
         );
         assert!(
-            Arc::ptr_eq(&first, &again),
-            "a hit returns the resident expansion, not a copy"
+            Arc::ptr_eq(&first, &admitted) && Arc::ptr_eq(&first, &again),
+            "a hit returns the first expansion, not a copy"
         );
         assert_accounting(&cache);
+    }
+
+    #[test]
+    fn a_source_is_resident_from_its_second_lookup() {
+        let cache = ExpansionCache::new(1 << 20);
+        // Looked up once and dropped: a record, not an entry.
+        drop(cache.preprocess(PROGRAM, MachineId::Hep).unwrap());
+        let once = cache.stats();
+        assert_eq!((once.misses, once.entries, once.records), (1, 0, 1));
+        assert_eq!(once.bytes, once.record_bytes);
+        assert_eq!(once.record_bytes, record_weight(PROGRAM));
+        assert_accounting(&cache);
+        // Nobody holds the first expansion: the second lookup expands the
+        // source again and admits that expansion.
+        let second = cache.preprocess(PROGRAM, MachineId::Hep).unwrap();
+        let twice = cache.stats();
+        assert_eq!((twice.hits, twice.misses), (0, 2));
+        assert_eq!((twice.sed, twice.m4), (2, 4));
+        assert_eq!(
+            (twice.entries, twice.records, twice.record_bytes),
+            (1, 0, 0)
+        );
+        assert_eq!(
+            second.intermediate.capacity(),
+            second.intermediate.len(),
+            "an admitted expansion is trimmed"
+        );
+        let third = cache.preprocess(PROGRAM, MachineId::Hep).unwrap();
+        assert!(Arc::ptr_eq(&second, &third));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, ..twice });
+        assert_accounting(&cache);
+    }
+
+    #[test]
+    fn one_off_sources_fill_only_the_record_budget_oldest_out_first() {
+        let cache = ExpansionCache::new(capacity_for(20 * entry_weight(MachineId::Hep)));
+        let budget = cache.shared.record_budget();
+        let room = budget / record_weight(&variant(1000));
+        assert!(room >= 4, "{room} records fit");
+        let mut held = Vec::new();
+        for i in 0..(4 * room) {
+            held.push(
+                cache
+                    .preprocess(&variant(1000 + i), MachineId::Hep)
+                    .unwrap(),
+            );
+            let stats = cache.stats();
+            assert_eq!(stats.entries, 0, "a one-off source is never admitted");
+            assert!(stats.record_bytes <= budget, "{stats:?}");
+            assert_eq!(stats.records, (i + 1).min(room));
+        }
+        assert_eq!(cache.stats().evictions, 0);
+        assert_accounting(&cache);
+        // The newest `room` sources are remembered and admitted on their
+        // second lookup; an older one is a first lookup again.
+        let newest = 4 * room - 1;
+        let again = cache.preprocess(&variant(1000 + newest), MachineId::Hep);
+        assert!(Arc::ptr_eq(&held[newest], &again.unwrap()));
+        let misses = cache.stats().misses;
+        let oldest = cache.preprocess(&variant(1000), MachineId::Hep).unwrap();
+        assert!(!Arc::ptr_eq(&held[0], &oldest));
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.entries), (misses + 1, 1));
+        assert_accounting(&cache);
+        // Records weigh their source and what a dead `Weak` pins, not the
+        // expansion: dropping every holder moves no byte.
+        drop(held);
+        assert_eq!(cache.stats(), stats);
+        cache.clear();
+        let cleared = cache.stats();
+        assert_eq!((cleared.entries, cleared.records), (0, 0));
+        assert_eq!((cleared.bytes, cleared.record_bytes), (0, 0));
     }
 
     #[test]
@@ -1104,27 +1440,29 @@ mod tests {
         let cache = ExpansionCache::new(1 << 20);
         let mut programs = Vec::new();
         for id in MachineId::all() {
-            programs.push(cache.preprocess(PROGRAM, id).unwrap());
+            programs.push(admitted(&cache, PROGRAM, id));
         }
         // Six personalities, six distinct expansions — porting re-runs
         // the pipeline once per machine, then every re-run is free.
         let before = cache.stats();
         assert_eq!((before.misses, before.sed, before.m4), (6, 6, 12));
+        assert_eq!((before.hits, before.entries), (6, 6));
         for (id, first) in MachineId::all().into_iter().zip(&programs) {
             let again = cache.preprocess(PROGRAM, id).unwrap();
             assert!(Arc::ptr_eq(first, &again), "{}", id.name());
         }
-        assert_eq!(cache.stats(), CacheStats { hits: 6, ..before });
+        assert_eq!(cache.stats(), CacheStats { hits: 12, ..before });
         assert!(programs[0].code != programs[1].code);
     }
 
     #[test]
     fn cache_misses_on_changed_source() {
         let cache = ExpansionCache::new(1 << 20);
-        let pa = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        let pa = admitted(&cache, &variant(1), MachineId::Hep);
         let pb = cache.preprocess(&variant(2), MachineId::Hep).unwrap();
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 2));
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert_eq!((stats.entries, stats.records), (1, 1));
         assert_eq!((stats.sed, stats.m4), (2, 4), "new source, new run");
         assert!(!Arc::ptr_eq(&pa, &pb));
     }
@@ -1174,18 +1512,15 @@ mod tests {
 
     #[test]
     fn eviction_is_least_recently_used_not_first_in() {
-        let one = ExpansionCache::new(usize::MAX);
-        one.preprocess(&variant(0), MachineId::Flex32).unwrap();
-        let weight = one.stats().bytes;
-
+        let weight = entry_weight(MachineId::Flex32);
         // Room for a hot set of 6 plus 12 more of the same size.
-        let cache = ExpansionCache::new(18 * weight + weight / 2);
+        let cache = ExpansionCache::new(capacity_for(18 * weight + weight / 2));
         let hot: Vec<_> = MachineId::all()
             .into_iter()
-            .map(|id| (id, cache.preprocess(&variant(0), id).unwrap()))
+            .map(|id| (id, admitted(&cache, &variant(0), id)))
             .collect();
         for i in 1..=300 {
-            cache.preprocess(&variant(i), MachineId::Flex32).unwrap();
+            admitted(&cache, &variant(i), MachineId::Flex32);
             assert_accounting(&cache);
             if i % 2 == 0 {
                 // One hot lookup per two inserts: each hot entry is
@@ -1196,7 +1531,7 @@ mod tests {
             }
         }
         let stats = cache.stats();
-        assert_eq!(stats.hits, 150, "every hot lookup hit");
+        assert_eq!(stats.hits, 306 + 150, "every second and hot lookup hit");
         assert_eq!(stats.misses, 306);
         assert!(stats.evictions > 250, "{stats:?}");
         assert_eq!(stats.entries as u64, stats.misses - stats.evictions);
@@ -1210,25 +1545,25 @@ mod tests {
 
     #[test]
     fn an_oversized_expansion_is_returned_uncached_and_evicts_nothing() {
-        let one = ExpansionCache::new(usize::MAX);
-        one.preprocess(&variant(0), MachineId::Cray2).unwrap();
-        let weight = one.stats().bytes;
-
-        let cache = ExpansionCache::new(3 * weight);
-        let small = cache.preprocess(&variant(0), MachineId::Cray2).unwrap();
+        let weight = entry_weight(MachineId::Cray2);
+        let cache = ExpansionCache::new(capacity_for(3 * weight));
+        let small = admitted(&cache, &variant(0), MachineId::Cray2);
         let before = cache.stats();
-        // A loop body long enough to outweigh the whole capacity.
+        // A loop body long enough to outweigh the whole capacity: its
+        // record outweighs the record budget, so it is never admitted.
         let body = "      Critical LCK\n      TOTAL = TOTAL + K\n      End critical\n";
         let big_src = PROGRAM.replace(body, &body.repeat(200));
         let big = cache.preprocess(&big_src, MachineId::Cray2).unwrap();
+        let big2 = cache.preprocess(&big_src, MachineId::Cray2).unwrap();
+        assert!(!Arc::ptr_eq(&big, &big2));
         assert!(big.heap_bytes() > cache.capacity());
         assert!(big.code.len() > small.code.len());
         assert_eq!(
             cache.stats(),
             CacheStats {
-                misses: before.misses + 1,
-                sed: before.sed + 1,
-                m4: before.m4 + 2,
+                misses: before.misses + 2,
+                sed: before.sed + 2,
+                m4: before.m4 + 4,
                 ..before
             },
             "nothing inserted, nothing evicted"
@@ -1236,6 +1571,23 @@ mod tests {
         // Attaching to the uncached expansion is nobody's weight.
         big.payload.attach(Arc::new(0u8), 1 << 30);
         assert_eq!(cache.stats().bytes, before.bytes);
+        // An expansion whose artifact outweighs the capacity is returned
+        // by its second lookup, and not admitted.
+        let heavy = cache.preprocess(&variant(1), MachineId::Cray2).unwrap();
+        heavy.payload.attach(Arc::new(1u8), cache.capacity());
+        let recorded = cache.stats();
+        let again = cache.preprocess(&variant(1), MachineId::Cray2).unwrap();
+        assert!(Arc::ptr_eq(&heavy, &again));
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: recorded.hits + 1,
+                records: recorded.records - 1,
+                bytes: before.bytes,
+                record_bytes: 0,
+                ..recorded
+            },
+        );
         assert!(Arc::ptr_eq(
             &small,
             &cache.preprocess(&variant(0), MachineId::Cray2).unwrap()
@@ -1245,13 +1597,11 @@ mod tests {
 
     #[test]
     fn attach_reports_the_artifact_weight_to_a_resident_entry_only() {
-        let one = ExpansionCache::new(usize::MAX);
-        one.preprocess(&variant(0), MachineId::Hep).unwrap();
-        let weight = one.stats().bytes;
-        let cache = ExpansionCache::new(4 * weight);
+        let weight = entry_weight(MachineId::Hep);
+        let cache = ExpansionCache::new(capacity_for(4 * weight));
 
         // Resident: the entry grows by exactly the attached weight, once.
-        let a = cache.preprocess(&variant(0), MachineId::Hep).unwrap();
+        let a = admitted(&cache, &variant(0), MachineId::Hep);
         let before = cache.stats().bytes;
         a.payload.attach(Arc::new(1u32), 1000);
         a.payload.attach(Arc::new(2u32), 5000);
@@ -1261,13 +1611,27 @@ mod tests {
         assert_eq!(cache.resident()[0].1, before + 1000);
         assert_accounting(&cache);
 
+        // Looked up once: the artifact is nobody's weight until the
+        // second lookup admits the expansion, weighed with it, once.
+        let c = cache.preprocess(&variant(20), MachineId::Hep).unwrap();
+        let recorded = cache.stats();
+        c.payload.attach(Arc::new(6u32), 700);
+        assert_eq!(cache.stats(), recorded);
+        let c2 = cache.preprocess(&variant(20), MachineId::Hep).unwrap();
+        assert!(Arc::ptr_eq(&c, &c2));
+        let (_, c_weight) = cache.resident().pop().unwrap();
+        assert_eq!(c_weight, bare_weight(&variant(20), &c) + 700);
+        c.payload.attach(Arc::new(7u32), 900);
+        assert_eq!(cache.resident().pop().unwrap().1, c_weight, "counted once");
+        assert_accounting(&cache);
+
         // Evicted, then expanded again: the stale holder's artifact must
         // not be charged to the new entry under the same key.
-        let b = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        let b = admitted(&cache, &variant(1), MachineId::Hep);
         for i in 2..8 {
-            cache.preprocess(&variant(i), MachineId::Hep).unwrap();
+            admitted(&cache, &variant(i), MachineId::Hep);
         }
-        let b2 = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        let b2 = admitted(&cache, &variant(1), MachineId::Hep);
         assert!(!Arc::ptr_eq(&b, &b2), "b was evicted and re-expanded");
         assert_eq!(b.code, b2.code);
         let before = cache.stats();
@@ -1296,12 +1660,12 @@ mod tests {
     fn a_hash_collision_falls_through_to_the_stored_source() {
         // Every source hashes alike: one slot per machine.
         let cache = ExpansionCache::with_hash(1 << 20, |_| 0);
-        let a = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
-        let b = cache.preprocess(&variant(2), MachineId::Hep).unwrap();
+        let a = admitted(&cache, &variant(1), MachineId::Hep);
+        let b = admitted(&cache, &variant(2), MachineId::Hep);
         assert!(b.code.contains("T2") && !b.code.contains("T1"));
         assert!(a.code.contains("T1"), "the holder's program is its own");
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 2, 1));
         // The newer source has the slot; the older one recomputes.
         assert!(Arc::ptr_eq(
             &b,
@@ -1310,14 +1674,23 @@ mod tests {
         let a2 = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
         assert_eq!(a.code, a2.code);
         assert_eq!(cache.stats().misses, 3);
+        // Records collide the same way: the newer source takes the record.
+        let c = cache.preprocess(&variant(3), MachineId::Hep).unwrap();
+        assert!(c.code.contains("T3"));
+        assert_eq!(cache.stats().records, 1);
+        let a3 = cache.preprocess(&variant(1), MachineId::Hep).unwrap();
+        assert!(!Arc::ptr_eq(&a2, &a3), "variant 1's record was displaced");
+        assert_eq!(cache.stats().misses, 5);
+        assert!(Arc::ptr_eq(
+            &b,
+            &cache.preprocess(&variant(2), MachineId::Hep).unwrap()
+        ));
         assert_accounting(&cache);
     }
 
     #[test]
     fn concurrent_lookups_keep_the_accounting_exact() {
-        let one = ExpansionCache::new(usize::MAX);
-        one.preprocess(&variant(0), MachineId::Hep).unwrap();
-        let cache = ExpansionCache::new(20 * one.stats().bytes);
+        let cache = ExpansionCache::new(capacity_for(20 * entry_weight(MachineId::Hep)));
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
             for t in 0..8 {
@@ -1325,12 +1698,17 @@ mod tests {
                 s.spawn(move || {
                     start.wait();
                     for i in 0..60 {
-                        // Four hot sources shared by all threads, and a
-                        // cold stream of the thread's own.
+                        // Four hot sources shared by all threads, whose
+                        // first lookups and attaches race each other's
+                        // admissions, and a cold stream of the thread's
+                        // own, each source looked up twice in a row.
                         let hot = cache.preprocess(&variant(i % 4), MachineId::Hep);
                         hot.unwrap().payload.attach(Arc::new(i), 700);
-                        let cold = cache.preprocess(&variant(1000 * (t + 1) + i), MachineId::Hep);
+                        let cold = variant(1000 * (t + 1) + i / 2);
+                        let cold = cache.preprocess(&cold, MachineId::Hep);
                         cold.unwrap().payload.attach(Arc::new(i), 300 + i);
+                        let stats = cache.stats();
+                        assert!(stats.bytes <= cache.capacity(), "{stats:?}");
                     }
                 });
             }
@@ -1344,7 +1722,9 @@ mod tests {
             cache.stats(),
             CacheStats {
                 entries: 0,
+                records: 0,
                 bytes: 0,
+                record_bytes: 0,
                 ..stats
             }
         );

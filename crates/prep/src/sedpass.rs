@@ -216,6 +216,12 @@ fn translate_line(line: &str) -> Result<Cow<'_, str>, String> {
             if decls.is_empty() {
                 return Err(format!("{first} declaration lists no variables"));
             }
+            if let Some(array) = overflowing_array(&decls) {
+                return Err(format!(
+                    "array `{array}` is too large: its element count overflows a {}-bit word",
+                    usize::BITS
+                ));
+            }
             Some(format!("ZZ{first}({ty}, `{decls}')"))
         }
         "PRESCHED" | "SELFSCHED" => {
@@ -364,6 +370,26 @@ fn fixed_macro_names() -> &'static NameSet<&'static str> {
 /// The first identifier on `line` that the user may not use, and why
 /// (`PUZZLE`, `BUZZ`, `LOOPS` and `LEN` are ordinary names).  Quoted text
 /// is not scanned.
+/// The first `NAME(d1, …)` of a declaration list whose integer
+/// dimensions multiply past `usize::MAX` (a dimension that is not an
+/// integer literal is the pipeline's to reject, with its own message).
+fn overflowing_array(decls: &str) -> Option<&str> {
+    let mut rest = decls;
+    while let Some(open) = rest.find('(') {
+        let close = open + rest[open..].find(')')?;
+        let words = rest[open + 1..close]
+            .split(',')
+            .filter_map(|d| d.trim().parse::<usize>().ok())
+            .try_fold(1usize, usize::checked_mul);
+        if words.is_none() {
+            let start = rest[..open].rfind(',').map_or(0, |i| i + 1);
+            return Some(rest[start..=close].trim());
+        }
+        rest = &rest[close + 1..];
+    }
+    None
+}
+
 fn reserved_identifier(line: &str) -> Option<(&str, Reserved)> {
     let word_char = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let mut rest = line;
@@ -801,6 +827,29 @@ mod tests {
         assert_eq!(one("      Private REAL X"), "ZZPRIVATE(REAL, `X')");
         assert_eq!(one("      Async INTEGER C"), "ZZASYNC(INTEGER, `C')");
         assert_eq!(one("      End declarations"), "ZZENDDECL");
+    }
+
+    #[test]
+    fn an_array_too_large_to_count_is_rejected_at_its_line() {
+        let err = sed_pass(
+            "      Force M of NP ident ME\n      Shared INTEGER X, A(4294967296, 4294967296)\n",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.message
+                .contains("`A(4294967296, 4294967296)` is too large"),
+            "{err}"
+        );
+        assert_eq!(overflowing_array("A(10, 20), B(N, 3), C"), None);
+        assert_eq!(
+            overflowing_array("B, C(4294967296,4294967296), D(2)"),
+            Some("C(4294967296,4294967296)")
+        );
+        assert_eq!(
+            overflowing_array("E(18446744073709551615, 2)"),
+            Some("E(18446744073709551615, 2)")
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use the_force::fortran::{Engine, FortErrorKind};
 use the_force::machdep::{Machine, MachineId};
 use the_force::prelude::*;
-use the_force::prep::preprocess;
+use the_force::prep::{preprocess, PrepError};
 use the_force::{run_force_source, ForceError};
 
 const OK_PROGRAM: &str = "\
@@ -85,6 +85,57 @@ fn sed_errors_carry_line_numbers() {
     match run_force_source(src, MachineId::Hep, 1) {
         Err(ForceError::Prep(e)) => assert!(e.to_string().contains("line 2"), "{e}"),
         other => panic!("expected a prep error, got {other:?}"),
+    }
+}
+
+/// A declared array whose element count overflows a machine word is a
+/// positioned error before anything is allocated, on every machine: the
+/// sed pass rejects a Force declaration at its `.force` line, and the
+/// parser a Fortran one at its expanded line.  A debug build used to
+/// panic multiplying the dimensions, and a release build to truncate the
+/// product and run with the wrong extent.
+#[test]
+fn an_array_too_large_to_count_is_a_positioned_error_on_every_machine() {
+    let force_decl = "\
+      Force FMAIN of NP ident ME
+      Shared INTEGER A(4294967296, 4294967296)
+      End declarations
+      A(1, 1) = 1
+      Join
+";
+    let fortran_decl = "\
+      Force FMAIN of NP ident ME
+      INTEGER B(4294967296, 4294967296)
+      End declarations
+      B(1, 1) = 1
+      Join
+";
+    for id in MachineId::all() {
+        match run_force_source(force_decl, id, 2) {
+            Err(ForceError::Prep(PrepError::Sed(e))) => {
+                assert_eq!(e.line, 2, "{}: {e}", id.name());
+                assert!(e
+                    .message
+                    .contains("`A(4294967296, 4294967296)` is too large"));
+            }
+            other => panic!("{}: expected a sed error, got {other:?}", id.name()),
+        }
+        let expanded = preprocess(fortran_decl, id).unwrap();
+        let Err(err) = Engine::from_expanded(&expanded, Machine::new(id)) else {
+            panic!("{}: the declaration loaded", id.name());
+        };
+        let line = err.line.expect("a parse error has a line");
+        assert!(
+            expanded
+                .code
+                .lines()
+                .nth(line - 1)
+                .unwrap()
+                .contains("B(4294967296"),
+            "{}: {err}",
+            id.name()
+        );
+        assert!(err.to_string().contains("array B is too large"), "{err}");
     }
 }
 

@@ -26,7 +26,7 @@ use support::corpus::KSUM;
 use the_force::core::Force;
 use the_force::fortran::Engine;
 use the_force::machdep::{ForcePool, Machine, MachineId, RunOptions};
-use the_force::prep::{preprocess, ExpandedProgram};
+use the_force::prep::{preprocess, ExpandedProgram, ExpansionCache};
 use the_force::serve::{engine_runner, ForceServer, JobOutcome, JobSpec, ServerConfig};
 
 thread_local! {
@@ -147,6 +147,44 @@ fn a_cold_source_stays_inside_its_allocation_budget() {
         "allocations per cold source, ceilings {EXPAND_CEILING} + {LOAD_CEILING}:\n{}",
         report.join("\n")
     );
+    println!("{}", report.join("\n"));
+}
+
+/// What a source's first lookup through an [`ExpansionCache`] allocates
+/// besides the uncached pipeline's count: the `Arc` the expansion is
+/// handed out in, and the record's copy of the source.  The record's
+/// key, `Weak` and slots take no allocation once the cache's tables have
+/// room, and nothing is weighed, admitted or evicted.
+const FIRST_LOOKUP_EXTRA: u64 = 2;
+
+#[test]
+fn a_first_use_lookup_allocates_the_pipeline_and_its_record() {
+    let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
+    let mut report = Vec::new();
+    for id in MachineId::all() {
+        // One warm-up: the process-wide macro tables are built here.
+        preprocess(KSUM, id).unwrap();
+        let ((), uncached) = counted(|| drop(preprocess(KSUM, id).unwrap()));
+        let cache = ExpansionCache::new(ExpansionCache::DEFAULT_CAPACITY);
+        // A first source sizes the cache's tables.
+        cache.preprocess(NULL, id).unwrap();
+        let (expanded, first_use) = counted(|| cache.preprocess(KSUM, id).unwrap());
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.records), (0, 2), "{stats:?}");
+        report.push(format!(
+            "{}: uncached {uncached}, first use {first_use}",
+            id.name()
+        ));
+        assert_eq!(
+            first_use,
+            uncached + FIRST_LOOKUP_EXTRA,
+            "{}: a first use is the pipeline plus the `Arc` and the \
+             record's source:\n{}",
+            id.name(),
+            report.join("\n")
+        );
+        drop(expanded);
+    }
     println!("{}", report.join("\n"));
 }
 
@@ -282,10 +320,12 @@ const DOT: &str = "\
 
 const NULL: &str = "      Force FNULL of NP ident ME\n      End declarations\n      Join\n";
 
-/// Allocations per served job of `source` at `nproc`, three batches of
-/// 100 after two to warm up, on a session with a pool of `nproc` attached
-/// or with none (the server lends its force).
-fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64> {
+/// Serve three batches of 100 jobs of `source` at `nproc`, after two to
+/// warm up, on a session with a pool of `nproc` attached or with none
+/// (the server lends its force), and assert that each allocated `pin`
+/// per job.  The assertion runs while this test holds [`TURN`], so a
+/// failing pin's panic lands in no other test's batch.
+fn assert_served_job_allocations(source: &str, nproc: usize, own_pool: bool, pin: u64) {
     const BATCH: u64 = 100;
     let _turn = TURN.lock().unwrap_or_else(|poison| poison.into_inner());
     let id = MachineId::SequentBalance;
@@ -324,34 +364,30 @@ fn served_job_allocations(source: &str, nproc: usize, own_pool: bool) -> Vec<u64
     // session is the one to borrow it.
     serve_a_batch(false);
     serve_a_batch(true);
-    (0..3)
+    let per_job: Vec<u64> = (0..3)
         .map(|_| {
             let ((), batch) = counted_everywhere(|| serve_a_batch(true));
             assert_eq!(batch % BATCH, 0, "{batch} allocations in {BATCH} jobs");
             batch / BATCH
         })
-        .collect()
+        .collect();
+    println!("{per_job:?} allocations per served job at nproc {nproc}, own pool {own_pool}");
+    assert_eq!(per_job, [pin; 3], "nproc {nproc}, own pool {own_pool}");
 }
 
 #[test]
 fn a_served_pooled_null_job_allocates_a_fixed_number_of_times() {
-    let per_job = served_job_allocations(NULL, POOLED_NPROC, true);
-    println!("a served null job: {per_job:?} allocations");
-    assert_eq!(per_job, [SERVED_NULL_JOB; 3]);
+    assert_served_job_allocations(NULL, POOLED_NPROC, true, SERVED_NULL_JOB);
 }
 
+/// A lent job is a pooled job of its width.
 #[test]
 fn a_served_unpooled_null_job_allocates_no_more_than_a_pooled_one() {
-    let lent = served_job_allocations(NULL, 1, false);
-    println!("a served unpooled null job at nproc 1: {lent:?} allocations");
-    assert_eq!(lent, [SERVED_LENT_NULL_JOB; 3]);
-    let pooled = served_job_allocations(NULL, 1, true);
-    assert_eq!(lent, pooled, "a lent job is a pooled job of its width");
+    assert_served_job_allocations(NULL, 1, false, SERVED_LENT_NULL_JOB);
+    assert_served_job_allocations(NULL, 1, true, SERVED_LENT_NULL_JOB);
 }
 
 #[test]
 fn a_served_pooled_dot_job_allocates_a_fixed_number_of_times() {
-    let per_job = served_job_allocations(DOT, POOLED_NPROC, true);
-    println!("a served dot job: {per_job:?} allocations");
-    assert_eq!(per_job, [SERVED_DOT_JOB; 3]);
+    assert_served_job_allocations(DOT, POOLED_NPROC, true, SERVED_DOT_JOB);
 }

@@ -39,15 +39,18 @@ fn cached_hits_do_not_count_prep_passes() {
         let machine = Machine::new(id);
         let pool = Arc::new(ForcePool::new(4, machine.stats()));
 
-        // Warm the cache (the miss counts one sed + two m4 passes).
+        // Warm the cache (the miss counts one sed + two m4 passes; the
+        // second lookup admits the expansion the first returned).
         let expanded = cache.preprocess(SUM_PROGRAM, id).unwrap();
         let engine = Engine::from_expanded(&expanded, Arc::clone(&machine)).unwrap();
         engine.set_pool(Arc::clone(&pool));
+        let admitted = cache.preprocess(SUM_PROGRAM, id).unwrap();
+        assert!(Arc::ptr_eq(&expanded, &admitted));
 
         let before = cache.stats();
         assert_eq!(
-            (before.misses, before.sed, before.m4),
-            (ported, ported, 2 * ported)
+            (before.misses, before.sed, before.m4, before.entries),
+            (ported, ported, 2 * ported, ported as usize)
         );
         for _ in 0..3 {
             let hit = cache.preprocess(SUM_PROGRAM, id).unwrap();
